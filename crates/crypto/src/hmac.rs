@@ -1,33 +1,83 @@
-//! HMAC-SHA-256 (RFC 2104), used to authenticate secure-cache entries so a
-//! tampered cache file is detected before a wrapped DEK is trusted.
+//! HMAC-SHA-256 (RFC 2104): the per-block integrity tags, the secure-cache
+//! entry MACs and the PRF under PBKDF2.
+//!
+//! A key is expanded once into an [`HmacKey`] — the SHA-256 chaining values
+//! after the `ipad` and `opad` blocks — so each MAC under it costs the
+//! message's compressions plus two, not plus four, and takes its message
+//! as a list of parts instead of one concatenated buffer.
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{sha256, Sha256, BLOCK_LEN};
 
-const BLOCK: usize = 64;
+/// A keyed HMAC-SHA-256 instance: the inner and outer midstates of one
+/// key. Build it once per key (per file, on the integrity path) and MAC
+/// any number of messages with it.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Absorbs `key` (hashed first if longer than one block) into the two
+    /// pad midstates.
+    #[must_use]
+    pub fn new(key: &[u8]) -> Self {
+        let mut pad = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            pad[..32].copy_from_slice(&sha256(key));
+        } else {
+            pad[..key.len()].copy_from_slice(key);
+        }
+        for b in &mut pad {
+            *b ^= 0x36;
+        }
+        let inner = Sha256::midstate_of_block(&pad);
+        // key ⊕ ipad → key ⊕ opad.
+        for b in &mut pad {
+            *b ^= 0x36 ^ 0x5c;
+        }
+        let outer = Sha256::midstate_of_block(&pad);
+        crate::xor::scrub(&mut pad);
+        HmacKey { inner, outer }
+    }
+
+    /// Computes `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)` without
+    /// materializing the concatenation.
+    #[must_use]
+    pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = Sha256::from_midstate(self.inner, BLOCK_LEN as u64);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::from_midstate(self.outer, BLOCK_LEN as u64);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl Drop for HmacKey {
+    fn drop(&mut self) {
+        // Best-effort scrub, as for `Aes128`'s round keys: the midstates
+        // are key-equivalent for forging MACs.
+        for w in self.inner.iter_mut().chain(self.outer.iter_mut()) {
+            // SAFETY: `w` is a valid, aligned `&mut u32`; volatile so the
+            // zeroing is not elided.
+            unsafe { std::ptr::write_volatile(w, 0) };
+        }
+    }
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(&[message])
 }
 
 #[cfg(test)]

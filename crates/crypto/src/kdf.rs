@@ -2,7 +2,7 @@
 //! key from the user-supplied server passkey. The passkey itself is never
 //! persisted; only the salt is stored alongside the cache file.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 
 /// Derives `dk_len` bytes from `password` and `salt` with `iterations`
 /// rounds of PBKDF2-HMAC-SHA-256.
@@ -13,15 +13,15 @@ use crate::hmac::hmac_sha256;
 pub fn pbkdf2_hmac_sha256(password: &[u8], salt: &[u8], iterations: u32, dk_len: usize) -> Vec<u8> {
     assert!(iterations > 0, "PBKDF2 requires at least one iteration");
     assert!(dk_len > 0, "derived key must be non-empty");
+    // Keyed once: every iteration below costs two compressions, not four.
+    let prf = HmacKey::new(password);
     let mut out = Vec::with_capacity(dk_len);
     let mut block_index = 1u32;
     while out.len() < dk_len {
-        let mut msg = salt.to_vec();
-        msg.extend_from_slice(&block_index.to_be_bytes());
-        let mut u = hmac_sha256(password, &msg);
+        let mut u = prf.mac(&[salt, &block_index.to_be_bytes()]);
         let mut t = u;
         for _ in 1..iterations {
-            u = hmac_sha256(password, &u);
+            u = prf.mac(&[&u]);
             for (ti, ui) in t.iter_mut().zip(u.iter()) {
                 *ti ^= ui;
             }

@@ -18,8 +18,10 @@
 //! The keystream XOR kernels behind [`CipherContext::xor_at`] are batched —
 //! multi-block keystream generation plus word-wide combining (DESIGN.md
 //! § perf kernels) — while the per-call init cost above is deliberately
-//! untouched. The pre-batching scalar kernels live on in [`reference`] as
-//! the bit-for-bit and performance baseline.
+//! untouched. SHA-256 and CRC32C dispatch at run time to SHA-NI and SSE4.2
+//! kernels, and HMAC keys are expanded once into an [`HmacKey`]. The scalar
+//! kernels live on in [`reference`] as the portable path and the
+//! bit-for-bit and performance baseline.
 
 pub mod aes;
 pub mod chacha20;
@@ -35,7 +37,7 @@ pub mod xor;
 pub use cipher::{Algorithm, CipherContext, NONCE_LEN};
 pub use crc32c::{crc32c, crc32c_extend, crc32c_masked, crc32c_unmask};
 pub use dek::{Dek, DekId};
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use kdf::pbkdf2_hmac_sha256;
 pub use sha256::{sha256, Sha256};
 

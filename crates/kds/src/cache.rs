@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shield_crypto::{
-    constant_time_eq, hmac_sha256, pbkdf2_hmac_sha256, Algorithm, CipherContext, Dek, DekId,
+    constant_time_eq, pbkdf2_hmac_sha256, Algorithm, CipherContext, Dek, DekId, HmacKey,
     NONCE_LEN,
 };
 use shield_env::{Env, EnvError, FileKind};
@@ -72,7 +72,8 @@ pub struct SecureDekCache {
     salt: [u8; 16],
     iterations: u32,
     enc_key: Vec<u8>,
-    mac_key: Vec<u8>,
+    /// Expanded once at unlock; every persist MACs each entry with it.
+    mac_key: HmacKey,
     inner: Mutex<Inner>,
 }
 
@@ -152,7 +153,7 @@ impl SecureDekCache {
         let (enc_key, mac_key) = derive_keys(passkey, &salt, iterations);
         // Passkey verifier: HMAC over a fixed label.
         let verifier = r.take(16)?;
-        let expected = hmac_sha256(&mac_key, b"shield-cache-verifier");
+        let expected = mac_key.mac(&[VERIFIER_LABEL]);
         if !constant_time_eq(verifier, &expected[..16]) {
             return Err(CacheError::BadPasskey);
         }
@@ -251,7 +252,7 @@ impl SecureDekCache {
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.iterations.to_le_bytes());
         out.extend_from_slice(&self.salt);
-        let verifier = hmac_sha256(&self.mac_key, b"shield-cache-verifier");
+        let verifier = self.mac_key.mac(&[VERIFIER_LABEL]);
         out.extend_from_slice(&verifier[..16]);
         out.extend_from_slice(&(inner.entries.len() as u32).to_le_bytes());
         // Deterministic order keeps the file stable for equal contents.
@@ -281,10 +282,13 @@ impl SecureDekCache {
     }
 }
 
+/// Message of the passkey verifier stored in the cache header.
+const VERIFIER_LABEL: &[u8] = b"shield-cache-verifier";
+
 /// Derives (enc_key, mac_key) from the passkey.
-fn derive_keys(passkey: &[u8], salt: &[u8; 16], iterations: u32) -> (Vec<u8>, Vec<u8>) {
+fn derive_keys(passkey: &[u8], salt: &[u8; 16], iterations: u32) -> (Vec<u8>, HmacKey) {
     let dk = pbkdf2_hmac_sha256(passkey, salt, iterations, 48);
-    (dk[..16].to_vec(), dk[16..].to_vec())
+    (dk[..16].to_vec(), HmacKey::new(&dk[16..]))
 }
 
 /// Wraps/unwraps key material in place (AES-128-CTR keystream XOR).
@@ -294,18 +298,13 @@ fn unwrap_key(enc_key: &[u8], nonce: &[u8; NONCE_LEN], key: &mut [u8]) {
 }
 
 fn entry_mac(
-    mac_key: &[u8],
+    mac_key: &HmacKey,
     id: DekId,
     algo_tag: u8,
     nonce: &[u8; NONCE_LEN],
     wrapped: &[u8],
 ) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(16 + 1 + NONCE_LEN + wrapped.len());
-    msg.extend_from_slice(&id.to_bytes());
-    msg.push(algo_tag);
-    msg.extend_from_slice(nonce);
-    msg.extend_from_slice(wrapped);
-    hmac_sha256(mac_key, &msg)
+    mac_key.mac(&[&id.to_bytes(), &[algo_tag], nonce, wrapped])
 }
 
 struct Reader<'a> {

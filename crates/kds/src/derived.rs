@@ -15,13 +15,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use shield_crypto::{hmac_sha256, Algorithm, Dek, DekId};
+use shield_crypto::{Algorithm, Dek, DekId, HmacKey};
 
 use crate::{Kds, KdsError, KdsResult, KdsStats, ServerId};
 
 /// A KDS that derives DEKs from a master key: `DEK = HKDF(master, DEK-ID)`.
 pub struct DerivedKds {
-    master: [u8; 32],
+    /// The master key, expanded once; scrubbed when the service drops.
+    master: HmacKey,
     state: Mutex<State>,
     generated: AtomicU64,
     fetched: AtomicU64,
@@ -44,7 +45,7 @@ impl DerivedKds {
     #[must_use]
     pub fn new(master: [u8; 32]) -> Self {
         DerivedKds {
-            master,
+            master: HmacKey::new(&master),
             state: Mutex::new(State::default()),
             generated: AtomicU64::new(0),
             fetched: AtomicU64::new(0),
@@ -63,11 +64,7 @@ impl DerivedKds {
     /// Derives the key material for `id` (deterministic in the master).
     fn derive(&self, id: DekId, algorithm: Algorithm) -> Dek {
         // HKDF-expand-like: one HMAC block is enough for ≤32-byte keys.
-        let mut info = Vec::with_capacity(24);
-        info.extend_from_slice(b"shield-dek");
-        info.extend_from_slice(&id.to_bytes());
-        info.push(algorithm.tag());
-        let okm = hmac_sha256(&self.master, &info);
+        let okm = self.master.mac(&[b"shield-dek", &id.to_bytes(), &[algorithm.tag()]]);
         Dek::from_parts(id, algorithm, okm[..algorithm.key_len()].to_vec())
     }
 

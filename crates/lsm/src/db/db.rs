@@ -459,6 +459,9 @@ impl Db {
 
     fn multi_get_impl(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         self.inner.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
+        // Every key is a point lookup: `gets_found` below is credited per
+        // key, so `gets` must be too or found would exceed served.
+        self.inner.stats.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let seq = ropts
             .snapshot_seq
             .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));

@@ -35,6 +35,7 @@
 use std::sync::Arc;
 
 use shield_core::{Event, EventDispatcher};
+use shield_crypto::HmacKey;
 
 use crate::error::{Error, Result};
 use crate::statistics::Statistics;
@@ -77,6 +78,9 @@ pub fn derive_mac_subkey(dek_key: &[u8]) -> [u8; 32] {
 
 /// Computes the truncated tag for one SST block: message =
 /// `context ‖ offset (u64 LE) ‖ compression byte ‖ block bytes`.
+///
+/// Expands `key` on every call; the engine keys once per file
+/// ([`IntegrityCtx`], the table builder, the log writer).
 #[must_use]
 pub fn block_tag(
     key: &[u8; 32],
@@ -85,18 +89,15 @@ pub fn block_tag(
     compression: u8,
     contents: &[u8],
 ) -> [u8; BLOCK_TAG_LEN] {
-    let mut message = Vec::with_capacity(CONTEXT_LEN + 9 + contents.len());
-    message.extend_from_slice(context);
-    message.extend_from_slice(&offset.to_le_bytes());
-    message.push(compression);
-    message.extend_from_slice(contents);
-    truncate_tag(&shield_crypto::hmac_sha256(key, &message))
+    position_tag(&HmacKey::new(key), context, offset, compression, contents)
 }
 
 /// Computes the truncated tag for one WAL/MANIFEST record fragment:
 /// message = `context ‖ fragment counter (u64 LE) ‖ record type ‖
 /// fragment bytes`. The monotonic counter binds position, defeating
 /// record replay, reorder, and cross-log splicing.
+///
+/// Expands `key` on every call, like [`block_tag`].
 #[must_use]
 pub fn record_tag(
     key: &[u8; 32],
@@ -105,15 +106,23 @@ pub fn record_tag(
     record_type: u8,
     fragment: &[u8],
 ) -> [u8; BLOCK_TAG_LEN] {
-    let mut message = Vec::with_capacity(CONTEXT_LEN + 9 + fragment.len());
-    message.extend_from_slice(context);
-    message.extend_from_slice(&counter.to_le_bytes());
-    message.push(record_type);
-    message.extend_from_slice(fragment);
-    truncate_tag(&shield_crypto::hmac_sha256(key, &message))
+    position_tag(&HmacKey::new(key), context, counter, record_type, fragment)
 }
 
-fn truncate_tag(full: &[u8; 32]) -> [u8; BLOCK_TAG_LEN] {
+/// The one tag construction behind both [`block_tag`] and [`record_tag`]:
+/// `HMAC(key, context ‖ position (u64 LE) ‖ kind ‖ bytes)` truncated to
+/// [`BLOCK_TAG_LEN`], with `position` the block offset or fragment
+/// counter and `kind` the compression byte or record type. The parts are
+/// hashed in place, so a 4 KiB block is not copied to be tagged.
+#[must_use]
+pub(crate) fn position_tag(
+    key: &HmacKey,
+    context: &[u8; CONTEXT_LEN],
+    position: u64,
+    kind: u8,
+    bytes: &[u8],
+) -> [u8; BLOCK_TAG_LEN] {
+    let full = key.mac(&[context, &position.to_le_bytes(), &[kind], bytes]);
     let mut tag = [0u8; BLOCK_TAG_LEN];
     tag.copy_from_slice(&full[..BLOCK_TAG_LEN]);
     tag
@@ -147,8 +156,9 @@ impl std::fmt::Debug for ReadIntegrity {
 /// file's context, and the observability sinks the verifier reports to.
 #[derive(Clone)]
 pub struct IntegrityCtx {
-    /// MAC key (DEK-derived subkey or the engine key).
-    pub key: [u8; 32],
+    /// MAC key (DEK-derived subkey or the engine key), expanded once for
+    /// every block or record of the file.
+    pub key: HmacKey,
     /// The file's 16-byte random context (from its footer/preamble).
     pub context: [u8; CONTEXT_LEN],
     /// File number, for the violation event payload.
@@ -163,7 +173,7 @@ impl IntegrityCtx {
     /// A bare context with no observability sinks (tests, tools).
     #[must_use]
     pub fn new(key: [u8; 32], context: [u8; CONTEXT_LEN], file_number: u64) -> Self {
-        IntegrityCtx { key, context, file_number, stats: None, events: None }
+        IntegrityCtx { key: HmacKey::new(&key), context, file_number, stats: None, events: None }
     }
 
     /// Verifies one SST block tag, bumping tickers and emitting the
@@ -175,7 +185,7 @@ impl IntegrityCtx {
         contents: &[u8],
         stored_tag: &[u8],
     ) -> Result<()> {
-        let expect = block_tag(&self.key, &self.context, offset, compression, contents);
+        let expect = position_tag(&self.key, &self.context, offset, compression, contents);
         self.finish(offset, &expect, stored_tag, "block")
     }
 
@@ -188,7 +198,7 @@ impl IntegrityCtx {
         fragment: &[u8],
         stored_tag: &[u8],
     ) -> Result<()> {
-        let expect = record_tag(&self.key, &self.context, counter, record_type, fragment);
+        let expect = position_tag(&self.key, &self.context, counter, record_type, fragment);
         self.finish(counter, &expect, stored_tag, "record")
     }
 
@@ -257,7 +267,7 @@ mod tests {
     #[test]
     fn verify_reports_mismatch_as_integrity_violation() {
         let ctx = IntegrityCtx::new([1u8; 32], [2u8; CONTEXT_LEN], 42);
-        let tag = block_tag(&ctx.key, &ctx.context, 10, 0, b"data");
+        let tag = block_tag(&[1u8; 32], &ctx.context, 10, 0, b"data");
         assert!(ctx.verify_block(10, 0, b"data", &tag).is_ok());
         let err = ctx.verify_block(11, 0, b"data", &tag).unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation(_)));
@@ -270,7 +280,7 @@ mod tests {
         let stats = Statistics::new();
         let mut ctx = IntegrityCtx::new([1u8; 32], [2u8; CONTEXT_LEN], 7);
         ctx.stats = Some(stats.clone());
-        let tag = block_tag(&ctx.key, &ctx.context, 0, 0, b"x");
+        let tag = block_tag(&[1u8; 32], &ctx.context, 0, 0, b"x");
         ctx.verify_block(0, 0, b"x", &tag).unwrap();
         assert!(ctx.verify_block(1, 0, b"x", &tag).is_err());
         let snap = stats.snapshot();

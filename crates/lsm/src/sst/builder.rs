@@ -5,11 +5,11 @@
 //! — blocks, filter, properties, index, footer — is encrypted in chunks
 //! just before persistence, exactly the flush/compaction placement of §5.2.
 
-use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, DekId};
+use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, DekId, HmacKey};
 use shield_env::WritableFile;
 
 use crate::error::Result;
-use crate::integrity::{block_tag, CONTEXT_LEN};
+use crate::integrity::{position_tag, CONTEXT_LEN};
 use crate::sst::block::BlockBuilder;
 use crate::sst::filter::BloomFilterBuilder;
 use crate::sst::format::{
@@ -58,6 +58,8 @@ pub struct TableBuilder {
     offset: u64,
     last_key: Vec<u8>,
     props: TableProperties,
+    /// `opts.mac_key` expanded once for all of the file's block tags.
+    mac: Option<HmacKey>,
     /// Per-file MAC context, minted at construction when `mac_key` is
     /// set; bound into every block tag and persisted in the v2 footer.
     context: [u8; CONTEXT_LEN],
@@ -71,8 +73,9 @@ impl TableBuilder {
         let filter = BloomFilterBuilder::new(opts.bloom_bits_per_key.max(1));
         let restart = opts.restart_interval;
         let dek_id = opts.dek_id;
+        let mac = opts.mac_key.as_ref().map(|key| HmacKey::new(key));
         let mut context = [0u8; CONTEXT_LEN];
-        if opts.mac_key.is_some() {
+        if mac.is_some() {
             shield_crypto::secure_random(&mut context);
         }
         TableBuilder {
@@ -84,6 +87,7 @@ impl TableBuilder {
             offset: 0,
             last_key: Vec::new(),
             props: TableProperties { dek_id, ..TableProperties::default() },
+            mac,
             context,
             finished: false,
         }
@@ -146,10 +150,10 @@ impl TableBuilder {
         trailer[0] = COMPRESSION_NONE;
         let crc = crc32c_masked(crc32c_extend(crc32c(contents), &[COMPRESSION_NONE]));
         trailer[1..BLOCK_TRAILER_LEN].copy_from_slice(&crc.to_le_bytes());
-        let trailer_len = match &self.opts.mac_key {
+        let trailer_len = match &self.mac {
             Some(key) => {
                 let tag =
-                    block_tag(key, &self.context, handle.offset, COMPRESSION_NONE, contents);
+                    position_tag(key, &self.context, handle.offset, COMPRESSION_NONE, contents);
                 trailer[BLOCK_TRAILER_LEN..].copy_from_slice(&tag);
                 HMAC_BLOCK_TRAILER_LEN
             }
@@ -185,7 +189,7 @@ impl TableBuilder {
         let index_contents = index_block.finish();
         let index_handle = self.write_raw_block(&index_contents)?;
 
-        let footer = match self.opts.mac_key {
+        let footer = match self.mac {
             Some(_) => Footer::v2(filter_handle, props_handle, index_handle, self.context),
             None => Footer::v1(filter_handle, props_handle, index_handle),
         };
@@ -263,7 +267,8 @@ mod tests {
         let contents = &raw[h.offset as usize..(h.offset + h.size) as usize];
         let trailer = &raw[(h.offset + h.size) as usize
             ..(h.offset + h.size) as usize + HMAC_BLOCK_TRAILER_LEN];
-        let expect = block_tag(&[7u8; 32], &context, h.offset, trailer[0], contents);
+        let expect =
+            crate::integrity::block_tag(&[7u8; 32], &context, h.offset, trailer[0], contents);
         assert_eq!(&trailer[BLOCK_TRAILER_LEN..], &expect[..]);
     }
 

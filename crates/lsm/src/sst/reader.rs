@@ -105,7 +105,7 @@ impl Table {
         let trailer_len = footer.block_trailer_len();
         let ctx = if footer.version >= 2 {
             Some(IntegrityCtx {
-                key: integrity.key,
+                key: shield_crypto::HmacKey::new(&integrity.key),
                 context: footer.context,
                 file_number,
                 stats: stats.clone(),

@@ -117,7 +117,8 @@ tickers! {
         wal_bytes,
         /// WAL sync/flush calls.
         wal_syncs,
-        /// Point lookups served.
+        /// Point lookups served: one per `get`, one per key of a
+        /// `multi_get`.
         gets,
         /// Point lookups that found a value.
         gets_found,

@@ -15,12 +15,12 @@
 use std::sync::Arc;
 
 use shield_core::EventDispatcher;
-use shield_crypto::{crc32c, crc32c_masked, crc32c_unmask};
+use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, crc32c_unmask, HmacKey};
 use shield_env::{Env, FileKind, SequentialFile, WritableFile};
 
 use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
-use crate::integrity::{record_tag, IntegrityCtx, BLOCK_TAG_LEN, CONTEXT_LEN};
+use crate::integrity::{position_tag, IntegrityCtx, BLOCK_TAG_LEN, CONTEXT_LEN};
 use crate::statistics::Statistics;
 
 /// Log block size (32 KiB, as in RocksDB).
@@ -42,13 +42,20 @@ const FIRST: u8 = 2;
 const MIDDLE: u8 = 3;
 const LAST: u8 = 4;
 
-/// Write-side integrity state: the key, the file's minted context, and
-/// the monotonic fragment counter every tag binds (so replayed, spliced,
-/// or reordered records verify against the wrong position and fail).
+/// Write-side integrity state: the key (expanded once for the file), the
+/// file's minted context, and the monotonic fragment counter every tag
+/// binds (so replayed, spliced, or reordered records verify against the
+/// wrong position and fail).
 struct WriterIntegrity {
-    key: [u8; 32],
+    key: HmacKey,
     context: [u8; CONTEXT_LEN],
     counter: u64,
+}
+
+/// The checksum a record header stores (before masking): CRC32C over
+/// `record type ‖ fragment`, computed over the two slices in place.
+fn record_crc(record_type: u8, fragment: &[u8]) -> u32 {
+    crc32c_extend(crc32c(&[record_type]), fragment)
 }
 
 /// Appends length-delimited, checksummed records to a writable file.
@@ -79,7 +86,7 @@ impl LogWriter {
         let mut writer = LogWriter {
             dest,
             block_offset: LOG_PREAMBLE_LEN,
-            integrity: Some(WriterIntegrity { key, context, counter: 0 }),
+            integrity: Some(WriterIntegrity { key: HmacKey::new(&key), context, counter: 0 }),
         };
         let mut preamble = [0u8; LOG_PREAMBLE_LEN];
         preamble[..8].copy_from_slice(&HMAC_LOG_MAGIC);
@@ -146,18 +153,13 @@ impl LogWriter {
     fn emit(&mut self, record_type: u8, fragment: &[u8]) -> Result<()> {
         debug_assert!(fragment.len() <= 0xffff);
         let mut header = [0u8; HEADER_SIZE];
-        let crc = crc32c_masked(crc32c(&{
-            let mut buf = Vec::with_capacity(1 + fragment.len());
-            buf.push(record_type);
-            buf.extend_from_slice(fragment);
-            buf
-        }));
+        let crc = crc32c_masked(record_crc(record_type, fragment));
         header[..4].copy_from_slice(&crc.to_le_bytes());
         header[4..6].copy_from_slice(&(fragment.len() as u16).to_le_bytes());
         header[6] = record_type;
         self.dest.append(&header)?;
         if let Some(integrity) = &mut self.integrity {
-            let tag = record_tag(
+            let tag = position_tag(
                 &integrity.key,
                 &integrity.context,
                 integrity.counter,
@@ -555,12 +557,8 @@ impl WalTailer {
                 }
                 return Ok(FragmentPoll::Pending(TailEnd::Incomplete));
             }
-            let fragment =
-                self.block[self.pos + header_size..self.pos + header_size + len].to_vec();
-            let mut check = Vec::with_capacity(1 + len);
-            check.push(record_type);
-            check.extend_from_slice(&fragment);
-            let crc_ok = crc32c_unmask(stored_crc) == crc32c(&check);
+            let fragment = &self.block[self.pos + header_size..self.pos + header_size + len];
+            let crc_ok = crc32c_unmask(stored_crc) == record_crc(record_type, fragment);
             if !crc_ok && !full {
                 // A bad checksum in a partial final block is a torn (or
                 // in-flight) tail — the normal aftermath of a crash,
@@ -575,12 +573,13 @@ impl WalTailer {
                 // caught even in the final block.
                 let tag_start = self.pos + HEADER_SIZE;
                 let stored_tag = &self.block[tag_start..tag_start + BLOCK_TAG_LEN];
-                ctx.verify_record(*counter, record_type, &fragment, stored_tag)?;
+                ctx.verify_record(*counter, record_type, fragment, stored_tag)?;
                 *counter += 1;
             }
             if !crc_ok {
                 return Err(self.fail("checksum mismatch"));
             }
+            let fragment = fragment.to_vec();
             self.pos += header_size + len;
             return Ok(FragmentPoll::Fragment(record_type, fragment));
         }

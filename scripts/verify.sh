@@ -3,9 +3,11 @@
 #
 #   tier 1: cargo build --release && cargo test -q     (the seed gate)
 #   tier 2: cargo test -q --test fault_injection       (torture matrix)
-#   tier 3: bench-smoke — crypto kernel perf-regression gate: batched
-#           AES-CTR must stay ≥2x (ChaCha20 ≥1.5x) the scalar reference
-#           on 4 KiB payloads, refreshing BENCH_crypto.json
+#   tier 3: bench-smoke — crypto kernel perf-regression gate: on 4 KiB
+#           payloads batched AES-CTR must stay ≥2x (ChaCha20 ≥1.5x) the
+#           scalar reference, and SHA-256 ≥3x / CRC32C ≥8x where the CPU
+#           has SHA-NI / SSE4.2. Writes under target/; the committed
+#           BENCH_crypto.json comes from a full run only
 #           (see DESIGN.md § perf kernels).
 #   tier 4: obs-smoke — observability gate: a small SHIELD workload must
 #           pair flush/compaction begin+end events in its LOG, the
@@ -155,10 +157,10 @@ cargo test -q --test fault_injection
 
 if [[ $quick -eq 0 ]]; then
     echo "== tier 3: bench-smoke (crypto kernel perf-regression gate) =="
-    cargo run --release -q -p shield-bench --bin crypto -- --smoke --out BENCH_crypto.json
-    for key in batched_mib_s scalar_mib_s cipher_init_ns speedup_4096; do
-        if ! grep -q "\"$key\"" BENCH_crypto.json; then
-            echo "FAIL: BENCH_crypto.json missing key $key"
+    cargo run --release -q -p shield-bench --bin crypto -- --smoke
+    for key in batched_mib_s scalar_mib_s cipher_init_ns speedup_4096 hardware_mib_s reference_mib_s; do
+        if ! grep -q "\"$key\"" target/BENCH_crypto_smoke.json; then
+            echo "FAIL: target/BENCH_crypto_smoke.json missing key $key"
             exit 1
         fi
     done

@@ -199,6 +199,54 @@ fn large_cold_batch_engages_batched_reads() {
     }
 }
 
+/// Conservation law on the lookup tickers: `multi_get` credits `gets`
+/// once per key, like `get`, so `gets_found <= gets` holds after any
+/// mix of the two — over memtable hits, table hits, tombstones and
+/// absent keys alike.
+#[test]
+fn gets_found_never_exceeds_gets_after_mixed_history() {
+    for mode in MODES {
+        let t = TestDb::new(mode);
+        let handle = t.open();
+        let db = handle.db();
+        let w = WriteOptions::default();
+        for i in 0..100u8 {
+            db.put(&w, &key_bytes(i), b"persistent").unwrap();
+        }
+        db.compact_all().unwrap();
+        for i in 100..120u8 {
+            db.put(&w, &key_bytes(i), b"memtable").unwrap();
+        }
+        for i in 0..10u8 {
+            db.delete(&w, &key_bytes(i)).unwrap();
+        }
+        let before = db.statistics().snapshot();
+        let r = ReadOptions::new();
+        // Keys 0..10 are deleted, 10..120 live, 120..150 never written.
+        let batch: Vec<Vec<u8>> = (0..150u8).map(key_bytes).collect();
+        let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+        let mut found = 0u64;
+        for _ in 0..3 {
+            let batch = db.multi_get(&r, &refs);
+            found += batch.iter().filter(|slot| matches!(slot, Ok(Some(_)))).count() as u64;
+        }
+        for i in (0..150u8).step_by(7) {
+            found += u64::from(db.get(&r, &key_bytes(i)).unwrap().is_some());
+        }
+        let after = db.statistics().snapshot();
+        let serial_gets = (0..150u8).step_by(7).count() as u64;
+        assert_eq!(after.gets - before.gets, 3 * 150 + serial_gets, "{mode:?}: lookups served");
+        assert_eq!(after.gets_found - before.gets_found, found, "{mode:?}: lookups found");
+        assert_eq!(after.multi_gets - before.multi_gets, 3, "{mode:?}: batches");
+        assert!(
+            after.gets_found <= after.gets,
+            "{mode:?}: found {} > served {}",
+            after.gets_found,
+            after.gets
+        );
+    }
+}
+
 /// An injected read fault mid-batch must produce per-slot errors only,
 /// leave neighboring slots byte-intact, not park the engine, and clear
 /// on retry after the fault is disarmed.

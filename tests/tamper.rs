@@ -405,10 +405,10 @@ fn wal_crc_repatch_forgery_replays_under_crc_rejected_under_hmac() {
             .iter()
             .find(|(s, l, _)| *s <= pos && pos < s + header + l)
             .expect("value lives inside a record");
-        let mut check = Vec::with_capacity(1 + len);
-        check.push(ty);
-        check.extend_from_slice(&raw[start + header..start + header + len]);
-        let crc = crc32c_masked(crc32c(&check));
+        let crc = crc32c_masked(crc32c_extend(
+            crc32c(&[ty]),
+            &raw[start + header..start + header + len],
+        ));
         raw[start..start + 4].copy_from_slice(&crc.to_le_bytes());
         env.set_raw_content(&path, raw).unwrap();
 
