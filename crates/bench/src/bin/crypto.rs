@@ -277,18 +277,6 @@ fn integrity_row(
     IntegrityReport { slug, accelerated, min_speedup, hardware, reference, speedup_4096 }
 }
 
-/// The checkout's commit (`-dirty` if the tree differs from it), or
-/// "unknown" outside a checkout.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// The CPU features the kernels dispatch on, as detected at run time.
 fn cpu_features() -> Vec<&'static str> {
     let mut features = Vec::new();
@@ -321,7 +309,7 @@ fn report_json(mode: &str, reports: &[AlgoReport], integrity: &[IntegrityReport]
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"crypto_kernels\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"commit\": \"{}\",", commit());
+    let _ = writeln!(s, "  \"commit\": \"{}\",", shield_bench::report::commit());
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let _ = writeln!(s, "  \"nproc\": {nproc},");
     let features: Vec<String> = cpu_features().iter().map(|f| format!("\"{f}\"")).collect();

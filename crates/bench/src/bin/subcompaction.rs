@@ -11,11 +11,15 @@
 //! Both configurations run the byte-identical seeded workload; the report
 //! compares compaction wall time (`compaction_micros`, measured around
 //! each whole compaction job by the coordinator), total fill+compact wall,
-//! and the per-subrange counters. Results land in
-//! `BENCH_subcompaction.json` (override with `--out`). `--smoke` shrinks
-//! the run and only asserts the parallel path *engages* — single-core CI
-//! noise is no place for a perf gate; the committed full-mode JSON is the
-//! perf record.
+//! the per-subrange counters, and the storage node's count of SST read
+//! calls (less the four each table open costs) per MiB of compaction
+//! input — 16 when inputs stream in 64 KiB spans, 256 when every 4 KiB
+//! block is its own round trip. A full run
+//! writes `BENCH_subcompaction.json`, stamped with commit and core count;
+//! `--smoke` shrinks the run, writes under `target/` (override with
+//! `--out`) and only asserts that the parallel path *engages* and that
+//! the scan really streams — single-core CI noise is no place for a perf
+//! gate; the committed full-mode JSON is the perf record.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -23,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shield_bench::rng::Rng;
-use shield_env::{MemEnv, NetworkModel, RemoteEnv};
+use shield_env::{Env, FileKind, MemEnv, NetworkModel, RemoteEnv};
 use shield_lsm::{Db, Options, WriteOptions};
 
 struct Config {
@@ -42,10 +46,33 @@ struct RunReport {
     subcompaction_cpu_secs: f64,
     bytes_read: u64,
     bytes_written: u64,
+    /// SST `read_at` calls the storage node served over the whole run:
+    /// compaction inputs plus the open of every new table.
+    sst_read_calls: u64,
+    /// Tables the engine wrote, each opened once by the job that wrote it.
+    files_created: u64,
 }
 
+/// Reads one table open costs on an unencrypted env: footer, index,
+/// filter, properties.
+const READS_PER_TABLE_OPEN: u64 = 4;
+
+impl RunReport {
+    /// Read calls spent scanning compaction inputs, per MiB of input.
+    fn read_calls_per_input_mib(&self) -> f64 {
+        let scan_calls =
+            self.sst_read_calls.saturating_sub(READS_PER_TABLE_OPEN * self.files_created);
+        scan_calls as f64 / (self.bytes_read as f64 / (1 << 20) as f64).max(1e-9)
+    }
+}
+
+/// Smoke gate on [`RunReport::read_calls_per_input_mib`]: streaming in
+/// 64 KiB spans costs 16 calls per MiB (a few more where subranges start
+/// mid-file); a per-block reader costs 256.
+const MAX_READ_CALLS_PER_INPUT_MIB: f64 = 32.0;
+
 fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config { smoke: false, out: "BENCH_subcompaction.json".to_string() };
+    let mut cfg = Config { smoke: false, out: String::new() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -59,6 +86,14 @@ fn parse_args() -> Result<Config, String> {
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    // Only a full run may land on the committed trajectory file.
+    if cfg.out.is_empty() {
+        cfg.out = if cfg.smoke {
+            "target/BENCH_subcompaction_smoke.json".to_string()
+        } else {
+            "BENCH_subcompaction.json".to_string()
+        };
     }
     Ok(cfg)
 }
@@ -78,6 +113,7 @@ fn run_one(max_subcompactions: usize, smoke: bool) -> RunReport {
     let value_len = 256;
 
     let remote = RemoteEnv::new(Arc::new(MemEnv::new()), network(smoke));
+    let node_io = remote.io_stats().expect("RemoteEnv keeps the storage node's IoStats");
     let mut opts = Options::new(Arc::new(remote))
         .with_write_buffer_size(192 << 10)
         .with_background_jobs(4)
@@ -117,6 +153,8 @@ fn run_one(max_subcompactions: usize, smoke: bool) -> RunReport {
         subcompaction_cpu_secs: stats.subcompaction_micros as f64 / 1e6,
         bytes_read: stats.compaction_bytes_read,
         bytes_written: stats.compaction_bytes_written,
+        sst_read_calls: node_io.snapshot().read_ops[FileKind::Sst.index()],
+        files_created: stats.sst_files_created,
     }
 }
 
@@ -125,6 +163,9 @@ fn report_json(mode: &str, model: &NetworkModel, runs: &[RunReport], speedup: f6
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"subcompaction\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
+    let _ = writeln!(s, "  \"commit\": \"{}\",", shield_bench::report::commit());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let _ = writeln!(s, "  \"nproc\": {nproc},");
     let _ = writeln!(s, "  \"workload\": \"fillrandom + compact_all, remote storage\",");
     let _ = writeln!(s, "  \"network\": {{");
     let _ = writeln!(s, "    \"rtt_us\": {},", model.rtt.as_micros());
@@ -149,7 +190,18 @@ fn report_json(mode: &str, model: &NetworkModel, runs: &[RunReport], speedup: f6
             r.subcompaction_cpu_secs
         );
         let _ = writeln!(s, "      \"compaction_bytes_read\": {},", r.bytes_read);
-        let _ = writeln!(s, "      \"compaction_bytes_written\": {}", r.bytes_written);
+        let _ = writeln!(s, "      \"compaction_bytes_written\": {},", r.bytes_written);
+        let _ = writeln!(s, "      \"sst_read_calls\": {},", r.sst_read_calls);
+        let _ = writeln!(
+            s,
+            "      \"table_open_read_calls\": {},",
+            READS_PER_TABLE_OPEN * r.files_created
+        );
+        let _ = writeln!(
+            s,
+            "      \"read_calls_per_input_mib\": {:.1}",
+            r.read_calls_per_input_mib()
+        );
         let _ = writeln!(s, "    }}{}", if i + 1 < runs.len() { "," } else { "" });
     }
     s.push_str("  },\n");
@@ -178,13 +230,15 @@ fn main() -> ExitCode {
     for r in &runs {
         println!(
             "  max_subcompactions={}: fill {:>6.2}s, compact_all {:>6.2}s, \
-             compaction wall {:>6.2}s over {} compactions ({} subcompactions)",
+             compaction wall {:>6.2}s over {} compactions ({} subcompactions), \
+             {:.1} scan read calls per input MiB",
             r.max_subcompactions,
             r.fill_secs,
             r.compact_secs,
             r.compaction_wall_secs,
             r.compactions,
             r.subcompactions,
+            r.read_calls_per_input_mib(),
         );
     }
 
@@ -209,6 +263,19 @@ fn main() -> ExitCode {
     if serial.subcompactions != 0 {
         eprintln!("FAIL: max_subcompactions=1 ran {} subcompactions", serial.subcompactions);
         return ExitCode::FAILURE;
+    }
+    // And so must the streaming scan: a compaction that fell back to one
+    // read per block shows an order of magnitude more calls than this.
+    for r in &runs {
+        if r.read_calls_per_input_mib() > MAX_READ_CALLS_PER_INPUT_MIB {
+            eprintln!(
+                "FAIL: max_subcompactions={} issued {:.1} scan read calls per input MiB (> {})",
+                r.max_subcompactions,
+                r.read_calls_per_input_mib(),
+                MAX_READ_CALLS_PER_INPUT_MIB
+            );
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -127,7 +127,6 @@ impl CompactionExecutor for OffloadedCompactor {
             smallest_snapshot: request.smallest_snapshot,
             table_options: request.table_options.clone(),
             target_file_size: request.target_file_size,
-            readahead_blocks: self.table_cache.fetcher().readahead_blocks(),
             next_file_number: alloc,
         };
         let outcome = run_compaction(&mut ctx, request.task)?;

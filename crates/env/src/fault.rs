@@ -693,6 +693,7 @@ impl Env for FaultInjectionEnv {
         if let Some(err) = self.state.check(kind, FaultOp::Remove) {
             return Err(err);
         }
+        self.state.maybe_delay(kind, FaultOp::Remove);
         self.state.files.lock().remove(path);
         self.inner.remove_file(path)
     }

@@ -26,7 +26,7 @@ use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType
 use crate::version::edit::{FileMeta, VersionEdit};
 use crate::version::filenames::sst_file_name;
 use crate::version::table_cache::TableCache;
-use crate::version::version::{Version, NUM_LEVELS};
+use crate::version::version::{LevelIterator, Version, NUM_LEVELS};
 
 /// Compaction styles, mirroring RocksDB's three policies (§6.3, Fig. 15).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -354,9 +354,6 @@ pub struct CompactionContext<'a> {
     pub table_options: TableBuilderOptions,
     /// Cut outputs at this size.
     pub target_file_size: u64,
-    /// Data blocks to prefetch ahead of the merge's read position
-    /// (0 disables compaction readahead).
-    pub readahead_blocks: usize,
     /// Allocator for output file numbers.
     pub next_file_number: &'a mut dyn FnMut() -> u64,
 }
@@ -447,28 +444,20 @@ pub fn run_compaction_range(
     let perf_start = shield_core::perf::timer();
     let mut outcome = CompactionOutcome::default();
 
-    // Build the merged input stream. Inputs from L0 (or a universal run
-    // set) must be one iterator per file, newest first; sorted levels can
-    // use a concatenating iterator.
+    // Build the merged input stream from streaming scanners: every input
+    // block is read once, in file order, around the block cache. Inputs
+    // from L0 (or a universal run set) must be one scanner per file,
+    // newest first; sorted levels concatenate.
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     if *input_level == 0 {
         for meta in inputs {
-            let table = ctx.table_cache.get(meta.number)?;
-            children.push(Box::new(table.iter_with_readahead(ctx.readahead_blocks)));
+            children.push(Box::new(ctx.table_cache.get(meta.number)?.scan()));
         }
     } else if !inputs.is_empty() {
-        children.push(Box::new(crate::version::version::LevelIterator::new_with_readahead(
-            inputs.clone(),
-            ctx.table_cache.clone(),
-            ctx.readahead_blocks,
-        )));
+        children.push(Box::new(LevelIterator::scanning(inputs.clone(), ctx.table_cache.clone())));
     }
     if !overlaps.is_empty() {
-        children.push(Box::new(crate::version::version::LevelIterator::new_with_readahead(
-            overlaps.clone(),
-            ctx.table_cache.clone(),
-            ctx.readahead_blocks,
-        )));
+        children.push(Box::new(LevelIterator::scanning(overlaps.clone(), ctx.table_cache.clone())));
     }
     let mut merged = MergingIterator::new(children);
     match &range.lower {
@@ -483,15 +472,25 @@ pub fn run_compaction_range(
     }
 
     let mut builder: Option<(u64, TableBuilder)> = None;
-    let mut current_user_key: Option<Vec<u8>> = None;
+    // The user key whose versions are being processed; one buffer for the
+    // whole merge (empty-and-unset is told apart by `have_user_key`, since
+    // the empty key is a legal user key).
+    let mut current_user_key: Vec<u8> = Vec::new();
+    let mut have_user_key = false;
     let mut last_seq_for_key: SequenceNumber = MAX_SEQUENCE;
 
+    let table_cache = ctx.table_cache;
     let finish_output = |builder: Option<(u64, TableBuilder)>,
-                             outcome: &mut CompactionOutcome|
+                         outcome: &mut CompactionOutcome|
      -> Result<()> {
         if let Some((number, b)) = builder {
             if b.num_entries() > 0 {
                 let (props, size) = b.finish()?;
+                // Open the output here, on the background thread: it
+                // checks the file is readable before the edit installs it,
+                // and the first foreground read of it finds the table
+                // (header, footer, index, filter) already resident.
+                table_cache.get(number)?;
                 outcome.bytes_written += size;
                 outcome.outputs += 1;
                 outcome.edit.new_files.push((
@@ -518,20 +517,22 @@ pub fn run_compaction_range(
     };
 
     while merged.valid() {
-        let ikey = merged.key().to_vec();
-        let user_key = extract_user_key(&ikey).to_vec();
+        let ikey = merged.key();
+        let user_key = extract_user_key(ikey);
         if let Some(upper) = &range.upper {
-            if user_key.as_slice() >= upper.as_slice() {
+            if user_key >= upper.as_slice() {
                 // End of this subrange; keys past `upper` belong to the
                 // next subcompaction.
                 break;
             }
         }
-        let (seq, vtype) = extract_seq_type(&ikey);
+        let (seq, vtype) = extract_seq_type(ikey);
 
         // Reset per-key tracking on key change.
-        if current_user_key.as_deref() != Some(&user_key[..]) {
-            current_user_key = Some(user_key.clone());
+        if !have_user_key || current_user_key != user_key {
+            current_user_key.clear();
+            current_user_key.extend_from_slice(user_key);
+            have_user_key = true;
             last_seq_for_key = MAX_SEQUENCE;
         }
 
@@ -542,7 +543,7 @@ pub fn run_compaction_range(
             drop = true;
         } else if vtype == Some(ValueType::Deletion)
             && seq <= ctx.smallest_snapshot
-            && is_base_level_for_key(ctx.version, *output_level, &user_key)
+            && is_base_level_for_key(ctx.version, *output_level, user_key)
         {
             // Tombstone with nothing underneath to shadow: elide it.
             drop = true;
@@ -570,14 +571,14 @@ pub fn run_compaction_range(
                 builder = Some((number, TableBuilder::new(file, opts)));
             }
             let (_, b) = builder.as_mut().unwrap();
-            b.add(&ikey, merged.value())?;
+            b.add(ikey, merged.value())?;
             // Cut outputs only at user-key boundaries so one key's
             // versions never straddle two files: advance, peek at the next
             // key, and finish the output if the key changed.
             if b.file_size() >= ctx.target_file_size {
                 merged.next();
-                let key_changes = !merged.valid()
-                    || extract_user_key(merged.key()) != user_key.as_slice();
+                let key_changes =
+                    !merged.valid() || extract_user_key(merged.key()) != current_user_key;
                 if key_changes {
                     let b = builder.take();
                     finish_output(b, &mut outcome)?;
@@ -788,7 +789,6 @@ mod tests {
             smallest_snapshot: MAX_SEQUENCE,
             table_options: TableBuilderOptions::default(),
             target_file_size: 1 << 20,
-            readahead_blocks: 0,
             next_file_number: &mut alloc,
         };
         let outcome = run_compaction(&mut ctx, &task).unwrap();
@@ -850,7 +850,6 @@ mod tests {
             smallest_snapshot: 5,
             table_options: TableBuilderOptions::default(),
             target_file_size: 1 << 20,
-            readahead_blocks: 0,
             next_file_number: &mut alloc,
         };
         let outcome = run_compaction(&mut ctx, &task).unwrap();

@@ -281,8 +281,8 @@ impl Db {
             state.versions.log_and_apply(edit)?;
             let seq = state.versions.last_sequence();
             inner.last_published.store(seq, Ordering::Release);
-            inner.delete_obsolete_files(&mut state);
         }
+        inner.delete_obsolete_files();
 
         // Background work runs on the (owned or shared) job pool; the only
         // thread this database spawns itself is the ticker.
@@ -789,7 +789,10 @@ impl Db {
         let mut report = IntegrityReport::default();
         for number in version.live_files() {
             let table = self.inner.table_cache.get(number)?;
-            let mut it = table.iter();
+            // The streaming scanner reads every data block from storage:
+            // a block resident in the cache must not vouch for its bytes
+            // on disk.
+            let mut it = table.scan();
             it.seek_to_first();
             let mut entries = 0u64;
             let mut prev: Option<Vec<u8>> = None;
@@ -1284,6 +1287,11 @@ impl DbInner {
             InternalIterator::next(&mut it);
         }
         let (props, size) = builder.finish()?;
+        // Open the new table on this (background) thread before the edit
+        // installs it: the file is checked readable, and the first `get`
+        // that reaches it does not pay for header, footer, index, filter
+        // and properties — six to seven round trips on remote storage.
+        self.table_cache.get(number)?;
         self.stats.flush_bytes.fetch_add(size, Ordering::Relaxed);
         self.stats.sst_files_created.fetch_add(1, Ordering::Relaxed);
         Ok(FileMeta {
@@ -1398,8 +1406,14 @@ impl DbInner {
                                 bytes: out_bytes,
                                 micros: flush_start.elapsed().as_micros() as u64,
                             });
-                            self.delete_obsolete_files(&mut state);
                             self.maybe_schedule(&mut state);
+                            // GC does env and KDS round trips: never under
+                            // the state lock, which every get and commit
+                            // takes. Waiters are woken once it is done, so
+                            // `flush()` still returns to a collected
+                            // directory.
+                            drop(state);
+                            self.delete_obsolete_files();
                             self.work_cv.notify_all();
                         }
                         Err(e) => {
@@ -1530,7 +1544,15 @@ impl DbInner {
                         table_options: table_options.clone(),
                         target_file_size: self.opts.compaction.target_file_size,
                     };
-                    executor.execute(&request, &mut alloc)
+                    let outcome = executor.execute(&request, &mut alloc)?;
+                    // The worker opened its outputs in *its* table cache;
+                    // open them in ours too, here on the background
+                    // thread, so no foreground read pays for it — and so a
+                    // file this node cannot open never gets installed.
+                    for (_, meta) in &outcome.edit.new_files {
+                        self.table_cache.get(meta.number)?;
+                    }
+                    Ok(outcome)
                 }
                 None => {
                     let mut ctx = CompactionContext {
@@ -1542,7 +1564,6 @@ impl DbInner {
                         smallest_snapshot,
                         table_options: table_options.clone(),
                         target_file_size: self.opts.compaction.target_file_size,
-                        readahead_blocks: self.opts.readahead_blocks,
                         next_file_number: &mut alloc,
                     };
                     run_compaction(&mut ctx, &task)
@@ -1567,7 +1588,7 @@ impl DbInner {
                 }
             }
         }
-        match result {
+        let installed = match result {
             Ok(outcome) => {
                 // Release every allocated output number — survivors are
                 // about to be pinned by the manifest, and numbers
@@ -1595,9 +1616,12 @@ impl DbInner {
                             output_files: outcome.outputs as u64,
                             micros: exec_start.elapsed().as_micros() as u64,
                         });
-                        self.delete_obsolete_files(&mut state);
+                        true
                     }
-                    Err(e) => self.set_bg_error(&mut state, "compaction", e),
+                    Err(e) => {
+                        self.set_bg_error(&mut state, "compaction", e);
+                        false
+                    }
                 }
             }
             Err(e) => {
@@ -1608,7 +1632,16 @@ impl DbInner {
                     state.pending_outputs.remove(&n);
                 }
                 self.set_bg_error(&mut state, "compaction", e);
+                false
             }
+        };
+        if installed {
+            // Collect the inputs without the state lock (env and KDS round
+            // trips), but before `compaction_scheduled` clears, so
+            // `wait_for_background_work` returns to a collected directory.
+            drop(state);
+            self.delete_obsolete_files();
+            state = self.state.lock();
         }
         state.compaction_scheduled = false;
         self.maybe_schedule(&mut state);
@@ -1820,7 +1853,6 @@ impl DbInner {
                 smallest_snapshot,
                 table_options: table_options.clone(),
                 target_file_size: self.opts.compaction.target_file_size,
-                readahead_blocks: self.opts.readahead_blocks,
                 next_file_number: &mut alloc,
             };
             run_compaction_range(&mut ctx, task, range)
@@ -1847,48 +1879,82 @@ impl DbInner {
     /// superseded manifests. In SHIELD mode each deleted file's DEK is
     /// pruned from the secure cache and revoked at the KDS — this is the
     /// "old DEKs die with their files" half of key rotation (§5.2).
-    fn delete_obsolete_files(&self, state: &mut State) {
-        // referenced_files() (not current().live_files()): readers clone the
-        // current Arc<Version> under this same lock and then read SSTs
-        // lock-free, so files of superseded-but-still-pinned versions must
-        // survive until the last reader drops its pin.
-        let live: HashSet<u64> = state.versions.referenced_files();
-        let min_wal = state
-            .imm
-            .first()
-            .map_or(state.wal_number, |m| m.wal_number())
-            .min(state.versions.log_number().max(1));
+    ///
+    /// Called **without** the state lock, which it takes only to choose
+    /// the victims: the directory listing before it and the revokes and
+    /// unlinks after it are env and KDS round trips (~20 for a five-input
+    /// compaction on remote storage) that no `get` or commit should wait
+    /// behind. A stale listing is safe — file numbers are never reused,
+    /// so a name can only go from live to dead, and files created after
+    /// the listing are simply not in it.
+    fn delete_obsolete_files(&self) {
         let Ok(names) = self.env.list_dir(&self.path) else { return };
-        for name in names {
-            let Some(kind) = parse_file_name(&name) else { continue };
-            let (remove, file_kind, evict) = match kind {
-                FileType::Wal(n) => (n < min_wal && n < state.wal_number, FileKind::Wal, None),
-                FileType::Sst(n) => (
-                    !live.contains(&n)
-                        && !state.pending_outputs.contains(&n)
-                        && !state.busy_files.contains(&n),
-                    FileKind::Sst,
-                    Some(n),
-                ),
-                FileType::Manifest(n) => {
-                    (n != state.versions.manifest_number(), FileKind::Manifest, None)
-                }
-                // Temp files may be mid-rename (e.g. the secure cache's
-                // atomic persist runs outside the state lock), so runtime
-                // GC must leave them alone; stale ones are harmless.
-                FileType::Temp | FileType::Current | FileType::DekCache => {
-                    (false, FileKind::Other, None)
-                }
-            };
-            if !remove {
-                continue;
-            }
-            let path = shield_env::join_path(&self.path, &name);
+        struct Victim {
+            name: String,
+            kind: FileKind,
+            sst: Option<u64>,
+            dek_id: Option<shield_crypto::DekId>,
+        }
+        let victims: Vec<Victim> = {
+            let mut guard = self.state.lock();
+            let state = &mut *guard;
+            // referenced_files() (not current().live_files()): readers clone
+            // the current Arc<Version> under this same lock and then read
+            // SSTs lock-free, so files of superseded-but-still-pinned
+            // versions must survive until the last reader drops its pin.
+            let live: HashSet<u64> = state.versions.referenced_files();
+            let min_wal = state
+                .imm
+                .first()
+                .map_or(state.wal_number, |m| m.wal_number())
+                .min(state.versions.log_number().max(1));
+            names
+                .into_iter()
+                .filter_map(|name| {
+                    let (remove, kind, sst) = match parse_file_name(&name)? {
+                        FileType::Wal(n) => {
+                            (n < min_wal && n < state.wal_number, FileKind::Wal, None)
+                        }
+                        FileType::Sst(n) => (
+                            !live.contains(&n)
+                                && !state.pending_outputs.contains(&n)
+                                && !state.busy_files.contains(&n),
+                            FileKind::Sst,
+                            Some(n),
+                        ),
+                        FileType::Manifest(n) => {
+                            (n != state.versions.manifest_number(), FileKind::Manifest, None)
+                        }
+                        // Temp files may be mid-rename (e.g. the secure
+                        // cache's atomic persist runs outside the state
+                        // lock), so runtime GC must leave them alone;
+                        // stale ones are harmless.
+                        FileType::Temp | FileType::Current | FileType::DekCache => return None,
+                    };
+                    remove.then(|| Victim {
+                        // A compacted-away SST's DEK id was recorded from
+                        // its `FileMeta` when the edit dropped it.
+                        dek_id: sst.and_then(|n| state.versions.take_obsolete_dek(n)),
+                        name,
+                        kind,
+                        sst,
+                    })
+                })
+                .collect()
+        };
+        for victim in victims {
+            let path = shield_env::join_path(&self.path, &victim.name);
             if let Some(cfg) = &self.opts.encryption {
-                let _ = cfg.note_file_deleted(self.env.as_ref(), &path, file_kind);
+                let _ = match victim.dek_id {
+                    Some(dek_id) => cfg.revoke_dek(dek_id),
+                    // WALs, manifests and SSTs no version ever named
+                    // (leftovers of a crash or a failed job): the id is
+                    // only in the file's own header.
+                    None => cfg.note_file_deleted(self.env.as_ref(), &path, victim.kind),
+                };
             }
             if self.env.remove_file(&path).is_ok() {
-                if let Some(n) = evict {
+                if let Some(n) = victim.sst {
                     self.table_cache.evict(n);
                     self.stats.sst_files_deleted.fetch_add(1, Ordering::Relaxed);
                 }

@@ -64,7 +64,8 @@ pub struct Options {
     /// (the high-priority pool), in `[0, 1]`.
     pub high_pri_pool_ratio: f64,
     /// Data blocks iterators prefetch ahead of the read position
-    /// (0 disables readahead). Compaction inherits the same depth.
+    /// (0 disables readahead). Compaction does not use it: its inputs
+    /// stream around the block cache ([`crate::sst::TableScanner`]).
     pub readahead_blocks: usize,
     /// Upper bound on concurrently in-flight block reads per batched
     /// read submission ([`crate::Db::multi_get`], block prefetch) —
@@ -295,7 +296,7 @@ impl Options {
         self
     }
 
-    /// Sets the iterator/compaction readahead depth in data blocks.
+    /// Sets the iterator readahead depth in data blocks.
     #[must_use]
     pub fn with_readahead_blocks(mut self, blocks: usize) -> Self {
         self.readahead_blocks = blocks;

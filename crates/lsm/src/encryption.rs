@@ -316,13 +316,18 @@ impl EncryptionConfig {
     /// once the old files die, their DEKs die with them (§5.2).
     pub fn note_file_deleted(&self, env: &dyn Env, path: &str, kind: FileKind) -> Result<()> {
         match Self::peek_dek_id(env, path, kind) {
-            Ok(Some(dek_id)) => {
-                self.resolver.on_file_deleted(dek_id)?;
-                Ok(())
-            }
+            Ok(Some(dek_id)) => self.revoke_dek(dek_id),
             // Missing or plaintext files have no key to revoke.
             Ok(None) | Err(_) => Ok(()),
         }
+    }
+
+    /// [`note_file_deleted`](Self::note_file_deleted) for a caller that
+    /// already knows the file's DEK id (an SST's `FileMeta` carries it)
+    /// and so need not open the file to read its header.
+    pub fn revoke_dek(&self, dek_id: DekId) -> Result<()> {
+        self.resolver.on_file_deleted(dek_id)?;
+        Ok(())
     }
 }
 

@@ -166,6 +166,7 @@ impl Block {
 }
 
 /// Iterator over a block's entries.
+#[derive(Clone)]
 pub struct BlockIter {
     block: std::sync::Arc<Block>,
     /// Offset of the *next* entry to parse.

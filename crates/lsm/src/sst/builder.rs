@@ -100,7 +100,6 @@ impl TableBuilder {
         if self.props.num_entries == 0 {
             self.props.smallest_user_key = user_key.to_vec();
         }
-        self.props.largest_user_key = user_key.to_vec();
         self.props.num_entries += 1;
         self.props.raw_key_bytes += user_key.len() as u64;
         self.props.raw_value_bytes += value.len() as u64;
@@ -170,6 +169,11 @@ impl TableBuilder {
         debug_assert!(!self.finished);
         self.finished = true;
         self.flush_data_block()?;
+        // `last_key` is the last entry added: its user key is the table's
+        // largest (recorded once here, not copied on every `add`).
+        if self.props.num_entries > 0 {
+            self.props.largest_user_key = extract_user_key(&self.last_key).to_vec();
+        }
 
         let filter_handle = if self.opts.bloom_bits_per_key > 0 && self.filter.num_keys() > 0 {
             let body = self.filter.finish();

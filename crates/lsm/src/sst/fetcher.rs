@@ -1,11 +1,15 @@
-//! The unified read path for SST blocks: cache lookup → env read →
-//! CRC verify → block construction, behind one choke point.
+//! The read path for point lookups, user iterators and table opens:
+//! cache lookup → env read → verify → block construction, behind one
+//! choke point. (Whole-file scans — compaction, `verify_integrity` — read
+//! around the cache in large spans through [`crate::sst::scanner`]; the
+//! two paths meet in `split_verified`, the one function that turns raw
+//! bytes into trusted ones.)
 //!
 //! Before this module, the cache→read→verify→decrypt sequence was
 //! duplicated across `sst/reader.rs` (data blocks), the table-open path
 //! (index/filter/properties), and implicitly in `version/table_cache.rs`.
-//! Every reader now goes through [`BlockFetcher::fetch`], which adds two
-//! behaviors the scattered code could not provide:
+//! Every block-at-a-time reader now goes through [`BlockFetcher::fetch`],
+//! which adds behaviors the scattered code could not provide:
 //!
 //! - **Single-flight miss coalescing.** N threads missing the same
 //!   `(table_id, offset)` perform one underlying read (and, for encrypted
@@ -310,7 +314,7 @@ impl BlockFetcher {
         let mut ready: Vec<(usize, Arc<Flight>, ReadRequest)> = Vec::new();
         for (i, flight) in leaders {
             let req = requests[i];
-            match batch_read_plan(req.handle, integrity) {
+            match batch_read_plan(req.handle, trailer_len(integrity)) {
                 Ok(plan) => ready.push((i, flight, plan)),
                 Err(e) => {
                     self.core.publish((table_id, req.handle.offset), &flight, Err(e.clone()));
@@ -653,9 +657,9 @@ fn read_block(
     }))
 }
 
-/// Reads a block's contents and verifies its trailer. This is the one
-/// place raw SST bytes become trusted plaintext; everything above works
-/// on verified blocks.
+/// Reads a block's contents and verifies its trailer (`split_verified`
+/// is the one place raw SST bytes become trusted plaintext; everything
+/// above works on verified blocks).
 ///
 /// With `integrity = None` (v1 tables) the trailer is 5 bytes
 /// (compression tag + masked CRC32C); with `Some` (v2 tables) it is 21
@@ -669,17 +673,26 @@ pub fn read_verified(
     integrity: Option<&IntegrityCtx>,
 ) -> Result<Bytes> {
     perf::incr(PerfCounter::BlocksRead, 1);
-    let plan = batch_read_plan(handle, integrity)?;
+    let plan = batch_read_plan(handle, trailer_len(integrity))?;
     let raw = file.read_at(plan.offset, plan.len)?;
     split_verified(&raw, handle, integrity)
+}
+
+/// Per-block trailer length: v2 (HMAC-tagged) tables are exactly those
+/// read with a verification context.
+fn trailer_len(integrity: Option<&IntegrityCtx>) -> usize {
+    if integrity.is_some() {
+        HMAC_BLOCK_TRAILER_LEN
+    } else {
+        BLOCK_TRAILER_LEN
+    }
 }
 
 /// Validates a block handle's hostile length fields and returns the raw
 /// read covering contents + trailer. This is the pre-I/O half of
 /// [`read_verified`]; the batched path runs it per slot before any read
 /// is submitted.
-fn batch_read_plan(handle: BlockHandle, integrity: Option<&IntegrityCtx>) -> Result<ReadRequest> {
-    let trailer_len = if integrity.is_some() { HMAC_BLOCK_TRAILER_LEN } else { BLOCK_TRAILER_LEN };
+pub(super) fn batch_read_plan(handle: BlockHandle, trailer_len: usize) -> Result<ReadRequest> {
     // `handle` decodes from on-disk bytes: treat its size as hostile.
     // Checked arithmetic plus a hard cap stop a forged index entry from
     // requesting an absurd allocation or wrapping the length math.
@@ -697,13 +710,15 @@ fn batch_read_plan(handle: BlockHandle, integrity: Option<&IntegrityCtx>) -> Res
 
 /// The post-I/O half of [`read_verified`]: trailer split, MAC-first
 /// verification, CRC, and compression checks over already-read bytes.
-/// `handle.size` must have passed [`batch_read_plan`].
-fn split_verified(
+/// Every block of every read path — single fetch, batch, streaming scan —
+/// is authenticated here and nowhere else. `handle.size` must have passed
+/// [`batch_read_plan`].
+pub(super) fn split_verified(
     raw: &Bytes,
     handle: BlockHandle,
     integrity: Option<&IntegrityCtx>,
 ) -> Result<Bytes> {
-    let trailer_len = if integrity.is_some() { HMAC_BLOCK_TRAILER_LEN } else { BLOCK_TRAILER_LEN };
+    let trailer_len = trailer_len(integrity);
     let size = handle.size as usize;
     let total = size + trailer_len;
     if raw.len() < total {

@@ -23,6 +23,7 @@ pub mod fetcher;
 pub mod filter;
 pub mod format;
 pub mod reader;
+pub mod scanner;
 
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use builder::TableBuilder;
@@ -30,3 +31,4 @@ pub use fetcher::{BlockFetcher, BlockRequest, FetchedBlock};
 pub use filter::{BloomFilterBuilder, BloomFilterReader};
 pub use format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, TABLE_MAGIC};
 pub use reader::{Table, TableIterator};
+pub use scanner::{TableScanner, SCAN_SPAN_BYTES};

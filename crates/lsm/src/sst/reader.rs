@@ -1,10 +1,12 @@
 //! Opens and reads SST files: footer → index → (cached, decrypted) blocks.
 //!
-//! All block reads go through [`BlockFetcher`] (cache lookup →
-//! single-flight verified read), so a `Table` no longer owns private
-//! copies of its index and filter: they are cached, charged blocks pinned
-//! for the table's lifetime, and survive table-cache eviction as block
-//! cache hits on reopen.
+//! Point reads and user iterators go through [`BlockFetcher`] (cache
+//! lookup → single-flight verified read), so a `Table` no longer owns
+//! private copies of its index and filter: they are cached, charged blocks
+//! pinned for the table's lifetime, and survive table-cache eviction as
+//! block cache hits on reopen. Whole-file scans (compaction,
+//! `verify_integrity`) take the other path, [`Table::scan`], which reads
+//! around the cache in large spans (see [`crate::sst::scanner`]).
 
 use std::sync::Arc;
 
@@ -19,6 +21,7 @@ use crate::sst::block::BlockIter;
 use crate::sst::fetcher::{read_verified, BlockFetcher, FetchedBlock};
 use crate::sst::filter::BloomFilterReader;
 use crate::sst::format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, FOOTER_V2_LEN};
+use crate::sst::scanner::TableScanner;
 use crate::types::{extract_user_key, make_lookup_key, SequenceNumber};
 
 /// One resolved point lookup: the matching `(internal_key, value)` entry
@@ -27,7 +30,7 @@ pub type LookupResult = Result<Option<(Vec<u8>, Vec<u8>)>>;
 
 /// An open, immutable table file.
 pub struct Table {
-    file: Arc<dyn RandomAccessFile>,
+    pub(super) file: Arc<dyn RandomAccessFile>,
     /// Unique id used as the block-cache key prefix. For standalone
     /// tables this is the file number; tables opened through a
     /// [`crate::version::TableCache`] get the cache's owner id folded in,
@@ -36,7 +39,7 @@ pub struct Table {
     table_id: u64,
     fetcher: Arc<BlockFetcher>,
     /// Index block, pinned (and charged) for the table's lifetime.
-    index: FetchedBlock,
+    pub(super) index: FetchedBlock,
     /// Filter block pin plus a reader sharing the block's allocation.
     filter: Option<(FetchedBlock, BloomFilterReader)>,
     props: TableProperties,
@@ -44,9 +47,9 @@ pub struct Table {
     stats: Option<Arc<crate::statistics::Statistics>>,
     /// HMAC verification context (`Some` iff the file is format v2);
     /// threaded into every block fetch.
-    integrity: Option<IntegrityCtx>,
+    pub(super) integrity: Option<IntegrityCtx>,
     /// Per-block trailer length for this file's format version.
-    trailer_len: usize,
+    pub(super) trailer_len: usize,
 }
 
 impl Table {
@@ -210,23 +213,14 @@ impl Table {
             return Ok(None);
         }
         let handle = BlockHandle::decode_varint(index_iter.value())?;
+        // Index keys are the blocks' exact last internal keys, so the
+        // first block whose index key is >= the lookup key holds the first
+        // entry >= the lookup key: one block decides the lookup.
         let block = self.data_block(handle, fill_cache)?;
         let mut it = block.block().iter();
         it.seek(&lookup);
         if it.valid() && extract_user_key(it.key()) == user_key {
             return Ok(Some((it.key().to_vec(), it.value().to_vec())));
-        }
-        // The target may be the first key of the *next* block when the
-        // lookup key falls exactly between blocks.
-        index_iter.next();
-        if index_iter.valid() {
-            let handle = BlockHandle::decode_varint(index_iter.value())?;
-            let block = self.data_block(handle, fill_cache)?;
-            let mut it = block.block().iter();
-            it.seek(&lookup);
-            if it.valid() && extract_user_key(it.key()) == user_key {
-                return Ok(Some((it.key().to_vec(), it.value().to_vec())));
-            }
         }
         Ok(None)
     }
@@ -245,8 +239,8 @@ impl Table {
     ) -> Vec<LookupResult> {
         type Slot = Option<LookupResult>;
         let mut out: Vec<Slot> = vec![None; keys.len()];
-        // (slot, lookup key, handle to read, is this the next-block retry)
-        let mut round: Vec<(usize, Vec<u8>, BlockHandle, bool)> = Vec::new();
+        // (slot, lookup key, handle of the one block that decides it)
+        let mut wanted: Vec<(usize, Vec<u8>, BlockHandle)> = Vec::new();
         for (i, user_key) in keys.iter().enumerate() {
             if let Some((_, filter)) = &self.filter {
                 perf::incr(PerfCounter::BloomProbes, 1);
@@ -266,58 +260,35 @@ impl Table {
                 continue;
             }
             match BlockHandle::decode_varint(index_iter.value()) {
-                Ok(handle) => round.push((i, lookup, handle, false)),
+                Ok(handle) => wanted.push((i, lookup, handle)),
                 Err(e) => out[i] = Some(Err(e)),
             }
         }
-        // At most two rounds: the primary block per key, then (for keys
-        // that fall exactly between blocks) the next block. Each round is
-        // one deduplicated get_many over this file.
-        while !round.is_empty() {
-            let mut req_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-            let mut reqs: Vec<crate::sst::fetcher::BlockRequest> = Vec::new();
-            for &(_, _, handle, _) in &round {
-                req_of.entry(handle.offset).or_insert_with(|| {
-                    reqs.push(crate::sst::fetcher::BlockRequest { handle, kind: BlockKind::Data });
-                    reqs.len() - 1
-                });
-            }
-            let fetched =
-                self.fetcher.get_many(&self.file, self.table_id, &reqs, fill_cache, self.integrity.as_ref());
-            let mut next_round = Vec::new();
-            for (slot, lookup, handle, is_retry) in round {
-                let user_key = keys[slot];
-                match &fetched[req_of[&handle.offset]] {
-                    Err(e) => out[slot] = Some(Err(e.clone())),
-                    Ok(block) => {
-                        let mut it = block.block().iter();
-                        it.seek(&lookup);
-                        if it.valid() && extract_user_key(it.key()) == user_key {
-                            out[slot] = Some(Ok(Some((it.key().to_vec(), it.value().to_vec()))));
-                            continue;
-                        }
-                        if is_retry {
-                            out[slot] = Some(Ok(None));
-                            continue;
-                        }
-                        // The target may be the first key of the *next*
-                        // block when the lookup falls exactly between
-                        // blocks — same fallback as get_opt.
-                        let mut index_iter = self.index.block().iter();
-                        index_iter.seek(&lookup);
-                        index_iter.next();
-                        if !index_iter.valid() {
-                            out[slot] = Some(Ok(None));
-                            continue;
-                        }
-                        match BlockHandle::decode_varint(index_iter.value()) {
-                            Ok(next) => next_round.push((slot, lookup, next, true)),
-                            Err(e) => out[slot] = Some(Err(e)),
-                        }
-                    }
+        // One deduplicated get_many over this file: as in `get_opt`, the
+        // block the index seek lands on decides each key.
+        let mut req_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut reqs: Vec<crate::sst::fetcher::BlockRequest> = Vec::new();
+        for &(_, _, handle) in &wanted {
+            req_of.entry(handle.offset).or_insert_with(|| {
+                reqs.push(crate::sst::fetcher::BlockRequest { handle, kind: BlockKind::Data });
+                reqs.len() - 1
+            });
+        }
+        let fetched = if reqs.is_empty() {
+            Vec::new()
+        } else {
+            self.fetcher.get_many(&self.file, self.table_id, &reqs, fill_cache, self.integrity.as_ref())
+        };
+        for (slot, lookup, handle) in wanted {
+            out[slot] = Some(match &fetched[req_of[&handle.offset]] {
+                Err(e) => Err(e.clone()),
+                Ok(block) => {
+                    let mut it = block.block().iter();
+                    it.seek(&lookup);
+                    Ok((it.valid() && extract_user_key(it.key()) == keys[slot])
+                        .then(|| (it.key().to_vec(), it.value().to_vec())))
                 }
-            }
-            round = next_round;
+            });
         }
         out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
     }
@@ -349,25 +320,28 @@ impl Table {
         Ok(spans)
     }
 
-    /// A full-table iterator with the fetcher's default readahead depth.
+    /// A full-table iterator through the block cache, prefetching up to
+    /// the fetcher's readahead depth ahead of the read position. This is
+    /// the user-iterator path; whole-file scans use [`Table::scan`].
     #[must_use]
     pub fn iter(self: &Arc<Self>) -> TableIterator {
-        self.iter_with_readahead(self.fetcher.readahead_blocks())
-    }
-
-    /// A full-table iterator prefetching up to `readahead_blocks` data
-    /// blocks ahead of the read position (0 disables readahead).
-    #[must_use]
-    pub fn iter_with_readahead(self: &Arc<Self>, readahead_blocks: usize) -> TableIterator {
         TableIterator {
             table: self.clone(),
             index_iter: self.index.block().iter(),
             data_iter: None,
             data_pin: None,
-            readahead_blocks,
+            readahead_blocks: self.fetcher.readahead_blocks(),
             prefetch_watermark: 0,
             status: Ok(()),
         }
+    }
+
+    /// A streaming full-table scanner that reads around the block cache,
+    /// one storage round trip per ≥ 64 KiB span (compaction inputs,
+    /// `verify_integrity`).
+    #[must_use]
+    pub fn scan(self: &Arc<Self>) -> TableScanner {
+        TableScanner::new(self.clone())
     }
 }
 
@@ -554,6 +528,121 @@ mod tests {
         // Sequence visibility carries through the batched path.
         let early = t.get_many_opt(&[b"key000001"], 5, true);
         assert!(early[0].as_ref().unwrap().is_none());
+    }
+
+    /// SST read ops `f` causes on `env`.
+    fn sst_reads(env: &MemEnv, f: impl FnOnce()) -> u64 {
+        let before = env.io_stats().unwrap().snapshot();
+        f();
+        env.io_stats().unwrap().snapshot().delta_since(&before).read_ops[FileKind::Sst.index()]
+    }
+
+    #[test]
+    fn absent_key_admitted_by_filter_reads_exactly_one_block() {
+        let env = MemEnv::new();
+        // Many small blocks; absent keys of the form `key000123x` sort
+        // between two stored keys, some of them between two blocks.
+        let t = build_table(&env, "t.sst", 2000, 256);
+        let false_positives: Vec<String> = (0..2000)
+            .map(|i| format!("key{i:06}x"))
+            .filter(|k| !t.filter_rules_out(k.as_bytes()))
+            .collect();
+        assert!(!false_positives.is_empty(), "no bloom false positive among 2000 absent keys");
+        for key in &false_positives {
+            let reads = sst_reads(&env, || assert!(t.get(key.as_bytes(), 100).unwrap().is_none()));
+            assert_eq!(reads, 1, "{key}: a filter false positive must cost one block read");
+        }
+        // The same through the batched path: one read per distinct block.
+        let keys: Vec<&[u8]> = false_positives.iter().map(String::as_bytes).collect();
+        let mut blocks = std::collections::HashSet::new();
+        for key in &keys {
+            let mut it = t.index.block().iter();
+            it.seek(&make_lookup_key(key, 100));
+            blocks.insert(BlockHandle::decode_varint(it.value()).unwrap().offset);
+        }
+        let reads = sst_reads(&env, || {
+            assert!(t.get_many_opt(&keys, 100, true).iter().all(|r| r.as_ref().unwrap().is_none()));
+        });
+        assert_eq!(reads, blocks.len() as u64);
+
+        // Without a filter every absent key is "admitted": probe right
+        // past each block's last key, the case a second probe was once
+        // spent on.
+        let file = env.new_writable_file("nofilter.sst", FileKind::Sst).unwrap();
+        let opts = TableBuilderOptions {
+            block_size: 256,
+            bloom_bits_per_key: 0,
+            ..TableBuilderOptions::default()
+        };
+        let mut b = TableBuilder::new(file, opts);
+        for i in 0..500u32 {
+            let ik = make_internal_key(format!("key{i:06}").as_bytes(), 10, ValueType::Value);
+            b.add(&ik, b"v").unwrap();
+        }
+        b.finish().unwrap();
+        let file = env.new_random_access_file("nofilter.sst", FileKind::Sst).unwrap();
+        let t = Arc::new(Table::open(file, 2, None).unwrap());
+        for (last_key, _) in t.index_spans().unwrap() {
+            let mut between = last_key.clone();
+            between.push(0);
+            let reads = sst_reads(&env, || assert!(t.get(&between, 100).unwrap().is_none()));
+            assert!(reads <= 1, "lookup past a block's last key read {reads} blocks");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..proptest::ProptestConfig::default() })]
+
+        /// One block decides every lookup: over random tables (block sizes
+        /// 64 B–4 KiB, several versions per key, reads at every snapshot)
+        /// `get` and `get_many` agree with a model for present and absent
+        /// keys alike, so there is never an entry in the *next* block that
+        /// a second probe could have found.
+        #[test]
+        fn one_block_decides_every_lookup(
+            ids in proptest::collection::vec(0u16..96, 1..400),
+            block_size in 64usize..4096,
+            value_len in 0usize..120,
+        ) {
+            // (user key id, seq) pairs; seq = position + 1, so each id has
+            // as many versions as it has occurrences.
+            let mut model: std::collections::BTreeMap<(Vec<u8>, std::cmp::Reverse<u64>), Vec<u8>> =
+                std::collections::BTreeMap::new();
+            for (i, id) in ids.iter().enumerate() {
+                let seq = i as u64 + 1;
+                // Odd ids only: even ids are the absent keys in between.
+                let key = format!("k{:05}", id * 2 + 1).into_bytes();
+                let mut value = format!("{seq}:").into_bytes();
+                value.resize(value.len() + value_len, b'v');
+                model.insert((key, std::cmp::Reverse(seq)), value);
+            }
+            let env = MemEnv::new();
+            let file = env.new_writable_file("p.sst", FileKind::Sst).unwrap();
+            let opts = TableBuilderOptions { block_size, ..TableBuilderOptions::default() };
+            let mut b = TableBuilder::new(file, opts);
+            for ((key, seq), value) in &model {
+                b.add(&make_internal_key(key, seq.0, ValueType::Value), value).unwrap();
+            }
+            b.finish().unwrap();
+            let file = env.new_random_access_file("p.sst", FileKind::Sst).unwrap();
+            let t = Arc::new(Table::open(file, 1, None).unwrap());
+            let max_seq = ids.len() as u64;
+            let probes: Vec<Vec<u8>> =
+                (0..=194u32).map(|n| format!("k{n:05}").into_bytes()).collect();
+            let keys: Vec<&[u8]> = probes.iter().map(Vec::as_slice).collect();
+            for snapshot in [0, 1, max_seq / 3, max_seq / 2, max_seq, max_seq + 7] {
+                let batched = t.get_many_opt(&keys, snapshot, true);
+                for (key, batched) in keys.iter().zip(batched) {
+                    let expected = model
+                        .range((key.to_vec(), std::cmp::Reverse(snapshot))..)
+                        .next()
+                        .filter(|((k, _), _)| k == key)
+                        .map(|((k, seq), v)| (make_internal_key(k, seq.0, ValueType::Value), v.clone()));
+                    proptest::prop_assert_eq!(&t.get(key, snapshot).unwrap(), &expected);
+                    proptest::prop_assert_eq!(&batched.unwrap(), &expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The version set: current [`Version`], MANIFEST persistence, and
 //! file-number / sequence-number allocation.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
+use shield_crypto::DekId;
 use shield_env::{Env, FileKind};
 
 use crate::encryption::EncryptionConfig;
@@ -34,6 +35,11 @@ pub struct VersionSet {
     next_file_number: u64,
     last_sequence: u64,
     log_number: u64,
+    /// DEK ids of encrypted SSTs that edits have dropped from the tree,
+    /// kept until obsolete-file collection revokes them: once no version
+    /// names a file, this is the only record of its key short of opening
+    /// the file to read its header.
+    obsolete_deks: HashMap<u64, DekId>,
 }
 
 impl VersionSet {
@@ -58,6 +64,7 @@ impl VersionSet {
             next_file_number: 1,
             last_sequence: 0,
             log_number: 0,
+            obsolete_deks: HashMap::new(),
         }
     }
 
@@ -254,6 +261,12 @@ impl VersionSet {
         let mut applier = EditApplier::from_version((*self.current).clone());
         applier.apply(&edit);
         let next = Arc::new(applier.version());
+        for (level, number) in &edit.deleted_files {
+            let dropped = self.current.files.get(*level as usize).into_iter().flatten();
+            if let Some(dek_id) = dropped.filter(|f| f.number == *number).find_map(|f| f.dek_id) {
+                self.obsolete_deks.insert(*number, dek_id);
+            }
+        }
         self.retired.push(Arc::downgrade(&self.current));
         self.current = next.clone();
         Ok(next)
@@ -272,6 +285,13 @@ impl VersionSet {
             })
         });
         live
+    }
+
+    /// Hands over (and forgets) the DEK id recorded when an edit dropped
+    /// encrypted SST `number`; `None` for plaintext files and for files no
+    /// edit of this process dropped.
+    pub fn take_obsolete_dek(&mut self, number: u64) -> Option<DekId> {
+        self.obsolete_deks.remove(&number)
     }
 }
 

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use crate::error::Result;
 use crate::iter::InternalIterator;
+use crate::sst::{Table, TableIterator, TableScanner};
 use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType};
 use crate::version::edit::FileMeta;
 use crate::version::table_cache::TableCache;
@@ -309,48 +310,45 @@ impl Version {
 }
 
 /// Concatenating iterator over a level's disjoint, sorted files.
-pub struct LevelIterator {
+///
+/// Generic over the per-table iterator so both read paths share it: user
+/// iterators walk each file through the block cache
+/// ([`LevelIterator::new`]), whole-file scans stream it around the cache
+/// ([`LevelIterator::scanning`]).
+pub struct LevelIterator<I = TableIterator> {
     files: Vec<Arc<FileMeta>>,
     table_cache: Arc<TableCache>,
     file_index: usize,
-    current: Option<crate::sst::TableIterator>,
-    /// Per-iterator readahead override; `None` uses the fetcher default.
-    readahead_blocks: Option<usize>,
+    current: Option<I>,
+    open_table: fn(&Arc<Table>) -> I,
     status: Result<()>,
 }
 
-impl LevelIterator {
-    /// Creates an iterator over `files`, which must be disjoint and sorted
-    /// by smallest key.
+impl LevelIterator<TableIterator> {
+    /// Creates a cached iterator over `files`, which must be disjoint and
+    /// sorted by smallest key.
     #[must_use]
     pub fn new(files: Vec<Arc<FileMeta>>, table_cache: Arc<TableCache>) -> Self {
-        LevelIterator {
-            files,
-            table_cache,
-            file_index: 0,
-            current: None,
-            readahead_blocks: None,
-            status: Ok(()),
-        }
+        Self::with_opener(files, table_cache, Table::iter)
     }
+}
 
-    /// [`LevelIterator::new`] with an explicit readahead depth (used by
-    /// compaction, whose strictly sequential scans benefit from deeper
-    /// prefetch than point-query-heavy foreground iterators).
+impl LevelIterator<TableScanner> {
+    /// Like [`LevelIterator::new`], but each file is read by the streaming
+    /// scanner (compaction inputs).
     #[must_use]
-    pub fn new_with_readahead(
+    pub fn scanning(files: Vec<Arc<FileMeta>>, table_cache: Arc<TableCache>) -> Self {
+        Self::with_opener(files, table_cache, Table::scan)
+    }
+}
+
+impl<I: InternalIterator> LevelIterator<I> {
+    fn with_opener(
         files: Vec<Arc<FileMeta>>,
         table_cache: Arc<TableCache>,
-        readahead_blocks: usize,
+        open_table: fn(&Arc<Table>) -> I,
     ) -> Self {
-        LevelIterator {
-            files,
-            table_cache,
-            file_index: 0,
-            current: None,
-            readahead_blocks: Some(readahead_blocks),
-            status: Ok(()),
-        }
+        LevelIterator { files, table_cache, file_index: 0, current: None, open_table, status: Ok(()) }
     }
 
     fn open_file(&mut self, index: usize) {
@@ -360,12 +358,7 @@ impl LevelIterator {
             return;
         }
         match self.table_cache.get(self.files[index].number) {
-            Ok(table) => {
-                self.current = Some(match self.readahead_blocks {
-                    Some(k) => table.iter_with_readahead(k),
-                    None => table.iter(),
-                });
-            }
+            Ok(table) => self.current = Some((self.open_table)(&table)),
             Err(e) => self.status = Err(e),
         }
     }
@@ -390,7 +383,7 @@ impl LevelIterator {
     }
 }
 
-impl InternalIterator for LevelIterator {
+impl<I: InternalIterator> InternalIterator for LevelIterator<I> {
     fn valid(&self) -> bool {
         self.current.as_ref().is_some_and(InternalIterator::valid)
     }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Repo verification tiers.
 #
-#   tier 1: cargo build --release && cargo test -q     (the seed gate)
+#   tier 1: cargo build --release && cargo test -q     (the seed gate:
+#           the root package's integration suites), then the member
+#           crates' own unit tests (cargo test --workspace minus the root
+#           package, ~490 tests the seed gate never runs)
 #   tier 2: cargo test -q --test fault_injection       (torture matrix)
 #   tier 3: bench-smoke — crypto kernel perf-regression gate: on 4 KiB
 #           payloads batched AES-CTR must stay ≥2x (ChaCha20 ≥1.5x) the
@@ -20,7 +23,10 @@
 #           merges, all three encryption modes, boundary regression) plus
 #           the concurrent writer/iterator/snapshot stress with
 #           max_subcompactions=4, and the bench binary's engagement
-#           check over simulated remote storage (see DESIGN.md §4f).
+#           checks over simulated remote storage: the parallel config
+#           splits its compactions, and compaction inputs really stream
+#           (≤ 32 scan read calls per MiB of input; one read per block
+#           would be 256). Writes under target/ (see DESIGN.md §4f, §4g).
 #   tier 6: read-path — unified BlockFetcher gate: the cache-model
 #           equivalence/pinning/single-flight/readahead suite, plus the
 #           readpath bench's engagement check over simulated remote
@@ -149,8 +155,11 @@ if [[ $quick -eq 0 ]]; then
     cargo build --release
 fi
 
-echo "== tier 1b: workspace tests =="
+echo "== tier 1b: root package tests (the seed gate's command) =="
 cargo test -q
+
+echo "== tier 1c: member crates' unit tests =="
+cargo test -q --workspace --exclude shield-repro
 
 echo "== tier 2: fault-injection torture matrix =="
 cargo test -q --test fault_injection
@@ -181,7 +190,11 @@ echo "== tier 5: compaction-stress (parallel subcompactions) =="
 cargo test -q --test subcompaction_equivalence
 cargo test -q --test model_check concurrent_workload_under_parallel_compactions_matches_oracle
 if [[ $quick -eq 0 ]]; then
-    cargo run --release -q -p shield-bench --bin subcompaction -- --smoke --out /tmp/BENCH_subcompaction_smoke.json
+    cargo run --release -q -p shield-bench --bin subcompaction -- --smoke
+    if ! grep -q '"read_calls_per_input_mib"' target/BENCH_subcompaction_smoke.json; then
+        echo "FAIL: target/BENCH_subcompaction_smoke.json missing key read_calls_per_input_mib"
+        exit 1
+    fi
 fi
 echo "ok"
 

@@ -248,9 +248,28 @@ fn crashes_around_parallel_compactions_never_corrupt_state() {
 /// re-runs the same work in parallel subranges.
 #[test]
 fn fault_mid_compaction_then_crash_exposes_no_partial_outputs() {
+    /// Arms SST read faults the moment the awaited flush lands. A flush
+    /// opens its own output before installing it, so the faults cannot be
+    /// armed earlier; `FlushEnd` fires before the flush schedules the
+    /// compaction, so they cannot be armed too late either.
+    struct FailReadsAfterFlush {
+        fenv: FaultInjectionEnv,
+        awaiting: std::sync::atomic::AtomicBool,
+    }
+    impl shield_core::EventListener for FailReadsAfterFlush {
+        fn on_event(&self, event: &shield_core::Event) {
+            if matches!(event, shield_core::Event::FlushEnd { .. })
+                && self.awaiting.swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                self.fenv.error_n_times(FileKind::Sst, FaultOp::Read, 10_000);
+            }
+        }
+    }
+
     let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    let db = Db::open(sub_opts(&fenv), "db").expect("open");
+    let arm = Arc::new(FailReadsAfterFlush { fenv: fenv.clone(), awaiting: false.into() });
+    let db = Db::open(sub_opts(&fenv).with_event_listener(arm.clone()), "db").expect("open");
 
     // Round A: clean data, flushed to the first L0 file (below trigger).
     for i in 0..300u32 {
@@ -260,10 +279,10 @@ fn fault_mid_compaction_then_crash_exposes_no_partial_outputs() {
     }
     db.flush().expect("flush A");
 
-    // SST *reads* fail from here on: flushes still succeed (write-only),
-    // but the compaction the next flush triggers dies mid-merge, after
-    // the engine may have opened and partially written output files.
-    fenv.error_n_times(FileKind::Sst, FaultOp::Read, 10_000);
+    // SST *reads* fail from the next flush on: the compaction it triggers
+    // dies mid-merge, after the engine may have opened and partially
+    // written output files.
+    arm.awaiting.store(true, std::sync::atomic::Ordering::SeqCst);
 
     // Round B: overwrites + deletes, flushed to the second L0 file,
     // which trips the compaction into the armed faults.

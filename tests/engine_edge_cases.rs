@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use shield_env::{Env as _, MemEnv};
+use shield_env::{Env as _, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_lsm::{Db, Options, ReadOptions, WriteBatch, WriteOptions};
 
 fn open(env: &MemEnv) -> Db {
@@ -210,4 +210,72 @@ fn snapshot_pins_data_across_compaction() {
     // After the snapshot dies, another compaction may reclaim history.
     db.compact_all().unwrap();
     assert_eq!(db.get(&ReadOptions::new(), b"k0042").unwrap(), Some(b"new".to_vec()));
+}
+
+/// Obsolete-file collection does env and KDS round trips; none of them may
+/// run under the state mutex, which every `get` takes to pin a version.
+/// Each `remove_file` of a compacted-away SST is made to take 20 ms; the
+/// window between the start of the first and the start of the second
+/// delayed remove is one whole sleeping remove, and a reader must keep
+/// completing gets right through it.
+#[test]
+fn gets_proceed_while_obsolete_files_are_being_removed() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
+    let mut o = Options::new(Arc::new(fenv.clone()));
+    o.compaction.l0_compaction_trigger = 4;
+    let db = Arc::new(Db::open(o, "db").unwrap());
+    let w = WriteOptions::default();
+    let flush_round = |round: u32| {
+        for i in 0..200u32 {
+            db.put(&w, format!("k{i:04}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+    };
+    // Four L0 files trigger a compaction. Its inputs outlive it (the job
+    // itself still pins the version it read) and fall to the next
+    // collection, the one the flush below runs.
+    for round in 0..4 {
+        flush_round(round);
+    }
+    db.wait_for_background_work().unwrap();
+    fenv.delay_always(FileKind::Sst, FaultOp::Remove, std::time::Duration::from_millis(20));
+
+    let gets = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (db, gets, stop) = (db.clone(), gets.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let r = ReadOptions::new();
+            while !stop.load(Ordering::SeqCst) {
+                assert!(db.get(&r, b"k0007").unwrap().is_some());
+                gets.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Gets completed when the n-th delayed remove starts sleeping.
+    let sampler = {
+        let (fenv, gets) = (fenv.clone(), gets.clone());
+        std::thread::spawn(move || {
+            [1u64, 2].map(|n| {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+                while fenv.stats().delays < n {
+                    assert!(std::time::Instant::now() < deadline, "removal {n} never started");
+                    std::thread::yield_now();
+                }
+                gets.load(Ordering::SeqCst)
+            })
+        })
+    };
+    flush_round(4);
+    let [at_first_remove, at_second_remove] = sampler.join().unwrap();
+    stop.store(true, Ordering::SeqCst);
+    reader.join().unwrap();
+    fenv.clear_delay(FileKind::Sst, FaultOp::Remove);
+
+    // With the removes under the state lock at most the one get already
+    // past its version pin could finish in that window.
+    let during = at_second_remove - at_first_remove;
+    assert!(during >= 10, "only {during} gets completed during a 20 ms remove_file");
 }

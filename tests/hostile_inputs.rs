@@ -110,6 +110,18 @@ fn drive_table(raw: &[u8]) {
     }
     assert!(!it.valid(), "table iterator failed to terminate");
     let _ = it.status();
+    // The streaming scanner trusts the same index: same rules.
+    let mut scan = table.scan();
+    scan.seek_to_first();
+    for _ in 0..1_000_000 {
+        if !scan.valid() {
+            break;
+        }
+        let _ = (scan.key(), scan.value());
+        scan.next();
+    }
+    assert!(!scan.valid(), "table scanner failed to terminate");
+    let _ = scan.status();
 }
 
 proptest! {

@@ -204,7 +204,6 @@ fn assert_equivalent(
         smallest_snapshot,
         table_options: topts.clone(),
         target_file_size,
-        readahead_blocks: 0,
         next_file_number: &mut alloc,
     };
     let serial = run_compaction(&mut serial_ctx, task).expect("serial compaction");
@@ -231,7 +230,6 @@ fn assert_equivalent(
             smallest_snapshot,
             table_options: topts.clone(),
             target_file_size,
-            readahead_blocks: 0,
             next_file_number: &mut alloc,
         };
         let out = run_compaction_range(&mut range_ctx, task, range).expect("subrange");
