@@ -5,8 +5,12 @@
 //! on top: **offloaded compaction** (the storage server executes
 //! compactions, reading DEKs via the DEK-IDs embedded in file metadata)
 //! and **read-only instances** (extra compute nodes serving queries from
-//! the shared files without write access). This module provides all three
-//! pieces over the simulated network of [`shield_env::RemoteEnv`].
+//! the shared files without write access). This module provides the mount
+//! and the compactor over the simulated network of
+//! [`shield_env::RemoteEnv`]; a read-only instance is a
+//! [`crate::open_shield_replica`] (or a plain [`crate::ReplicaDb`]) over
+//! the compute mount — with `auto_poll: false` it refreshes only when
+//! `catch_up` is called.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,14 +21,7 @@ use shield_lsm::compaction::{
 };
 use shield_lsm::encryption::EncryptionConfig;
 use shield_lsm::error::Result;
-use shield_lsm::integrity::IntegrityOptions;
-use shield_lsm::memtable::{LookupResult, MemTable};
-use shield_lsm::types::SequenceNumber;
 use shield_lsm::version::table_cache::TableCache;
-use shield_lsm::version::version::{GetResult, Version};
-use shield_lsm::version::{parse_file_name, wal_file_name, FileType, VersionSet};
-use shield_lsm::wal::{open_wal_tailer, TailPoll};
-use shield_lsm::WriteBatch;
 
 /// A disaggregated storage cluster: one backing store, two views.
 ///
@@ -140,166 +137,6 @@ impl CompactionExecutor for OffloadedCompactor {
     }
 }
 
-/// A read-only instance over a shared database directory (paper §2.2).
-///
-/// Loads the MANIFEST without mutating anything, replays live WAL
-/// segments into a private memtable for freshness, and serves gets/scans.
-/// With SHIELD enabled it resolves DEKs through its own resolver — the
-/// metadata-enabled sharing path.
-pub struct ReadOnlyInstance {
-    env: Arc<dyn Env>,
-    path: String,
-    encryption: Option<EncryptionConfig>,
-    integrity: IntegrityOptions,
-    table_cache: Arc<TableCache>,
-    version: Version,
-    mem: Arc<MemTable>,
-    seq: SequenceNumber,
-}
-
-impl ReadOnlyInstance {
-    /// Opens the shared directory read-only.
-    pub fn open(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-    ) -> Result<Self> {
-        Self::open_with_integrity(env, path, encryption, IntegrityOptions::default())
-    }
-
-    /// [`ReadOnlyInstance::open`] with explicit integrity settings: the
-    /// engine-wide MAC key verifies authenticated plaintext files (SHIELD
-    /// files always verify with their own DEK's subkey).
-    pub fn open_with_integrity(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-        integrity: IntegrityOptions,
-    ) -> Result<Self> {
-        let table_cache = TableCache::new_with_stats(
-            env.clone(),
-            path.to_string(),
-            encryption.clone(),
-            None,
-            None,
-            128,
-            0,
-            shield_lsm::sst::fetcher::DEFAULT_INFLIGHT_READS,
-            integrity,
-            None,
-        );
-        let mut instance = ReadOnlyInstance {
-            env,
-            path: path.to_string(),
-            encryption,
-            integrity,
-            table_cache,
-            version: Version::new(),
-            mem: Arc::new(MemTable::new(0)),
-            seq: 0,
-        };
-        instance.refresh()?;
-        Ok(instance)
-    }
-
-    /// Re-reads the manifest and replays live WALs, catching up to the
-    /// primary's latest durable state.
-    ///
-    /// Returns `true` when the manifest ended at a clean record boundary.
-    /// `false` means the snapshot is consistent but the primary had an
-    /// edit in flight (torn tail) — possibly stale; retry after the
-    /// primary finishes the write if freshness matters. (The previous
-    /// reader silently tolerated that tail with no signal.)
-    pub fn refresh(&mut self) -> Result<bool> {
-        let state = VersionSet::load_read_only(
-            self.env.as_ref(),
-            &self.path,
-            self.encryption.as_ref(),
-            self.integrity,
-        )?;
-        let mut seq = state.last_sequence;
-        let mem = Arc::new(MemTable::new(0));
-        let mut wals: Vec<u64> = self
-            .env
-            .list_dir(&self.path)?
-            .iter()
-            .filter_map(|n| match parse_file_name(n) {
-                Some(FileType::Wal(num)) if num >= state.log_number => Some(num),
-                _ => None,
-            })
-            .collect();
-        wals.sort_unstable();
-        for number in wals {
-            let wal_path = shield_env::join_path(&self.path, &wal_file_name(number));
-            let mut tailer = open_wal_tailer(
-                self.env.as_ref(),
-                &wal_path,
-                self.encryption.as_ref(),
-                self.integrity.key,
-            )?;
-            // The primary may still be appending; a pending tail (or even
-            // a mid-read race) simply ends this segment's replay.
-            while let Ok(TailPoll::Record(record)) = tailer.poll() {
-                let Ok(batch) = WriteBatch::from_data(&record) else { break };
-                batch.insert_into(&mem)?;
-                seq = seq.max(batch.sequence() + u64::from(batch.count()) - 1);
-            }
-        }
-        self.version = state.version;
-        self.mem = mem;
-        self.seq = seq;
-        Ok(!state.incomplete_tail)
-    }
-
-    /// The sequence number this instance reads at.
-    #[must_use]
-    pub fn sequence(&self) -> SequenceNumber {
-        self.seq
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.mem.get(key, self.seq) {
-            LookupResult::Found(v) => return Ok(Some(v)),
-            LookupResult::Deleted => return Ok(None),
-            LookupResult::NotFound => {}
-        }
-        match self.version.get(&self.table_cache, key, self.seq)? {
-            GetResult::Found(v) => Ok(Some(v)),
-            GetResult::Deleted | GetResult::NotFound => Ok(None),
-        }
-    }
-
-    /// Range scan over persistent + replayed state.
-    pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        use shield_lsm::iter::{InternalIterator, MergingIterator};
-        use shield_lsm::types::{
-            extract_seq_type, extract_user_key, make_lookup_key, ValueType,
-        };
-        let mut children: Vec<Box<dyn InternalIterator>> = vec![Box::new(self.mem.iter())];
-        children.extend(self.version.iterators(&self.table_cache)?);
-        let mut merged = MergingIterator::new(children);
-        merged.seek(&make_lookup_key(start, self.seq));
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut skip: Option<Vec<u8>> = None;
-        while merged.valid() && out.len() < limit {
-            let ikey = merged.key();
-            let user = extract_user_key(ikey).to_vec();
-            let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > self.seq || skip.as_deref() == Some(&user[..]) {
-                merged.next();
-                continue;
-            }
-            skip = Some(user.clone());
-            if vtype == Some(ValueType::Value) {
-                out.push((user, merged.value().to_vec()));
-            }
-            merged.next();
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,7 +148,6 @@ mod tests {
 
     const PRIMARY: ServerId = ServerId(1);
     const COMPACTOR: ServerId = ServerId(2);
-    const READER: ServerId = ServerId(3);
 
     fn remote_cfg(
         kds: &Arc<LocalKds>,
@@ -417,51 +253,5 @@ mod tests {
         }
         failed |= sdb.compact_all().is_err();
         assert!(failed, "revoked compactor must not compact");
-    }
-
-    /// Read-only instance over shared files, with and without encryption.
-    #[test]
-    fn read_only_instance_serves_reads() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let sdb = open_shield(
-            Options::new(env.clone()),
-            "db",
-            ShieldOptions::new(kds.clone(), PRIMARY, b"primary-pass"),
-        )
-        .unwrap();
-        for i in 0..500u32 {
-            sdb.put(&WriteOptions::default(), format!("k{i:04}").as_bytes(), b"flushed")
-                .unwrap();
-        }
-        sdb.flush().unwrap();
-        // WAL-only (unflushed) writes, visible via WAL replay. The write
-        // must be synced: with SHIELD's WAL buffer, an unsynced record may
-        // still sit (plaintext) in the application buffer — the §5.3
-        // persistence trade-off.
-        sdb.put(&WriteOptions { sync: true }, b"tail-key", b"wal-only").unwrap();
-
-        let reader_cfg = remote_cfg(&kds, &env, READER, "reader.cache");
-        let ro = ReadOnlyInstance::open(env.clone(), "db", Some(reader_cfg)).unwrap();
-        assert_eq!(ro.get(b"k0123").unwrap(), Some(b"flushed".to_vec()));
-        assert_eq!(ro.get(b"tail-key").unwrap(), Some(b"wal-only".to_vec()));
-        assert_eq!(ro.get(b"absent").unwrap(), None);
-        let scanned = ro.scan(b"k0100", 10).unwrap();
-        assert_eq!(scanned.len(), 10);
-        assert_eq!(scanned[0].0, b"k0100");
-    }
-
-    #[test]
-    fn read_only_refresh_sees_new_writes() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = crate::open_plain(Options::new(env.clone()), "db").unwrap();
-        db.put(&WriteOptions::default(), b"a", b"1").unwrap();
-        let mut ro = ReadOnlyInstance::open(env.clone(), "db", None).unwrap();
-        assert_eq!(ro.get(b"a").unwrap(), Some(b"1".to_vec()));
-        db.put(&WriteOptions::default(), b"b", b"2").unwrap();
-        // Stale until refresh.
-        assert_eq!(ro.get(b"b").unwrap(), None);
-        ro.refresh().unwrap();
-        assert_eq!(ro.get(b"b").unwrap(), Some(b"2".to_vec()));
     }
 }

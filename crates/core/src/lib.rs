@@ -12,9 +12,14 @@
 //!   multi-threaded compaction encryption. DEK rotation falls out of
 //!   compaction.
 //! * [`deploy`] — disaggregated-storage composition: a network-modeled
-//!   storage mount, an [`deploy::OffloadedCompactor`] that runs compactions
-//!   on the storage server under its own identity, and
-//!   [`deploy::ReadOnlyInstance`]s that serve reads from shared files.
+//!   storage mount and an [`deploy::OffloadedCompactor`] that runs
+//!   compactions on the storage server under its own identity.
+//! * [`open_shield_replica`] — read-only instances (paper §2.2): a
+//!   [`ReplicaDb`] serving the shared files through its own DEK resolver.
+//!
+//! Every `open_*` function returns the engine handle inside one of two
+//! wrappers — [`EncFs`] or [`Shield`] — that deref to it and expose the
+//! encryption layer's own state.
 
 pub mod deploy;
 pub mod encfs;
@@ -24,6 +29,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use shield_crypto::Algorithm;
+use shield_env::Env;
 use shield_kds::{DekResolver, Kds, RetryPolicy, SecureDekCache, ServerId};
 use shield_lsm::encryption::EncryptionConfig;
 use shield_lsm::{Db, Error, Options, Result};
@@ -44,6 +50,29 @@ pub fn open_plain(opts: Options, path: &str) -> Result<Db> {
     Db::open(opts, path)
 }
 
+/// An engine handle (`H`: [`Db`] or [`ShardedDb`]) over an instance-level
+/// encrypting environment. Derefs to the handle.
+pub struct EncFs<H> {
+    /// The engine handle.
+    pub db: H,
+    /// The encrypting environment (exposes the cipher-init counter); for a
+    /// sharded handle it is shared by all shards and the SWAL.
+    pub env: Arc<EncryptedEnv>,
+}
+
+/// An instance-level-encrypted database handle ([`open_encfs`]).
+pub type EncFsDb = EncFs<Db>;
+/// An instance-level-encrypted *sharded* database handle
+/// ([`open_encfs_sharded`]).
+pub type EncFsShardedDb = EncFs<ShardedDb>;
+
+impl<H> Deref for EncFs<H> {
+    type Target = H;
+    fn deref(&self) -> &H {
+        &self.db
+    }
+}
+
 /// Opens a database whose *environment* encrypts everything under a single
 /// instance DEK (paper §4). `base.env` is wrapped; the engine itself runs
 /// unmodified, exactly the "transparent I/O interception" design.
@@ -60,23 +89,22 @@ pub fn open_encfs(
     let env = Arc::new(EncryptedEnv::new(base.env.clone(), dek, wal_buffer_size));
     base.env = env.clone();
     debug_assert!(base.encryption.is_none(), "EncFS encrypts below the engine");
-    let db = Db::open(base, path)?;
-    Ok(EncFsDb { db, env })
+    Ok(EncFs { db: Db::open(base, path)?, env })
 }
 
-/// An instance-level-encrypted database handle.
-pub struct EncFsDb {
-    /// The engine handle.
-    pub db: Db,
-    /// The encrypting environment (exposes the cipher-init counter).
-    pub env: Arc<EncryptedEnv>,
-}
-
-impl Deref for EncFsDb {
-    type Target = Db;
-    fn deref(&self) -> &Db {
-        &self.db
-    }
+/// [`open_encfs`] for a [`ShardedDb`]: one instance DEK encrypts every
+/// file of every shard *and* the shared WAL, below the engine.
+/// Shard count/routing come from `base` ([`Options::with_shards`]).
+pub fn open_encfs_sharded(
+    mut base: Options,
+    path: &str,
+    dek: shield_crypto::Dek,
+    wal_buffer_size: usize,
+) -> Result<EncFsShardedDb> {
+    let env = Arc::new(EncryptedEnv::new(base.env.clone(), dek, wal_buffer_size));
+    base.env = env.clone();
+    debug_assert!(base.encryption.is_none(), "EncFS encrypts below the engine");
+    Ok(EncFs { db: ShardedDb::open(base, path)?, env })
 }
 
 /// Configuration for [`open_shield`].
@@ -124,24 +152,35 @@ impl ShieldOptions {
     }
 }
 
-/// A SHIELD-encrypted database handle.
-pub struct ShieldDb {
+/// An engine handle (`H`: [`Db`], [`ShardedDb`] or `Arc<`[`ReplicaDb`]`>`)
+/// with its SHIELD encryption layer. Derefs to the handle.
+pub struct Shield<H> {
     /// The engine handle.
-    pub db: Db,
-    /// The encryption layer (cipher-init counters, chunk settings).
+    pub db: H,
+    /// The encryption layer (cipher-init counters, chunk settings); shared
+    /// by all shards of a sharded handle.
     pub encryption: EncryptionConfig,
-    /// The DEK resolver (cache hit/miss statistics).
+    /// This identity's own DEK resolver (cache hit/miss statistics). A
+    /// replica's never receives key material from the primary, only
+    /// DEK-IDs from file metadata.
     pub resolver: Arc<DekResolver>,
 }
 
-impl Deref for ShieldDb {
-    type Target = Db;
-    fn deref(&self) -> &Db {
+/// A SHIELD-encrypted database handle ([`open_shield`]).
+pub type ShieldDb = Shield<Db>;
+/// A SHIELD-encrypted *sharded* database handle ([`open_shield_sharded`]).
+pub type ShieldShardedDb = Shield<ShardedDb>;
+/// A SHIELD read-replica handle ([`open_shield_replica`]).
+pub type ShieldReplica = Shield<Arc<ReplicaDb>>;
+
+impl<H> Deref for Shield<H> {
+    type Target = H;
+    fn deref(&self) -> &H {
         &self.db
     }
 }
 
-impl ShieldDb {
+impl Shield<Db> {
     /// Engine counters with the resolver gauges (`resolver_retries`,
     /// `resolver_failovers`, `resolver_degraded_hits`) refreshed from the
     /// DEK resolver, so one snapshot covers both layers.
@@ -154,6 +193,37 @@ impl ShieldDb {
         stats.resolver_degraded_hits.store(r.degraded_hits, Ordering::Relaxed);
         stats
     }
+}
+
+/// Builds one identity's SHIELD encryption layer: the secure DEK cache at
+/// `cache_path` (when a passkey is set), the resolver over it, and the
+/// engine's encryption config.
+fn shield_encryption(
+    env: Arc<dyn Env>,
+    cache_path: &str,
+    shield: &ShieldOptions,
+) -> Result<(EncryptionConfig, Arc<DekResolver>)> {
+    let cache = match &shield.passkey {
+        Some(pk) => Some(Arc::new(
+            SecureDekCache::open(env, cache_path, pk)
+                .map_err(|e| Error::Encryption(e.to_string()))?,
+        )),
+        None => None,
+    };
+    let resolver = Arc::new(DekResolver::with_policy(
+        shield.kds.clone(),
+        cache,
+        shield.server,
+        shield.algorithm,
+        shield.retry_policy.clone(),
+    ));
+    let mut encryption = EncryptionConfig::new(resolver.clone())
+        .with_wal_buffer(shield.wal_buffer_size)
+        .with_chunks(shield.chunk_size, shield.encryption_threads);
+    if !shield.encrypt_wal {
+        encryption = encryption.with_plaintext_wal();
+    }
+    Ok((encryption, resolver))
 }
 
 /// Opens a SHIELD database: unique DEK per file, metadata-embedded
@@ -178,141 +248,14 @@ impl ShieldDb {
 /// ```
 pub fn open_shield(mut base: Options, path: &str, shield: ShieldOptions) -> Result<ShieldDb> {
     base.env.create_dir_all(path)?;
-    let cache = match &shield.passkey {
-        Some(pk) => {
-            let cache_path = shield_env::join_path(path, DEK_CACHE_FILE);
-            Some(Arc::new(
-                SecureDekCache::open(base.env.clone(), &cache_path, pk)
-                    .map_err(|e| Error::Encryption(e.to_string()))?,
-            ))
-        }
-        None => None,
-    };
-    let resolver = Arc::new(DekResolver::with_policy(
-        shield.kds.clone(),
-        cache,
-        shield.server,
-        shield.algorithm,
-        shield.retry_policy.clone(),
-    ));
-    let mut encryption = EncryptionConfig::new(resolver.clone())
-        .with_wal_buffer(shield.wal_buffer_size)
-        .with_chunks(shield.chunk_size, shield.encryption_threads);
-    if !shield.encrypt_wal {
-        encryption = encryption.with_plaintext_wal();
-    }
+    let cache_path = shield_env::join_path(path, DEK_CACHE_FILE);
+    let (encryption, resolver) = shield_encryption(base.env.clone(), &cache_path, &shield)?;
     base.encryption = Some(encryption.clone());
     let db = Db::open(base, path)?;
     // KDS retries/failovers/degraded transitions land in the same event
     // stream (and LOG file) as the engine's own events.
     resolver.set_event_listener(db.events());
-    Ok(ShieldDb { db, encryption, resolver })
-}
-
-/// A SHIELD read-replica handle: a live [`ReplicaDb`] plus the replica's
-/// own DEK resolver (for cache/KDS accounting and revocation tests).
-pub struct ShieldReplica {
-    /// The live replica handle.
-    pub replica: Arc<ReplicaDb>,
-    /// The replica's own DEK resolver — it never receives key material
-    /// from the primary, only DEK-IDs from file metadata.
-    pub resolver: Arc<DekResolver>,
-}
-
-impl Deref for ShieldReplica {
-    type Target = ReplicaDb;
-    fn deref(&self) -> &ReplicaDb {
-        &self.replica
-    }
-}
-
-/// Opens a live read replica of a SHIELD database (paper §2.2's read-only
-/// instances, upgraded from one-shot refresh to continuous tailing).
-///
-/// The replica mounts the primary's directory through `env` (typically a
-/// [`shield_env::RemoteEnv`] in the disaggregated topology) and resolves
-/// every DEK by the DEK-ID in file metadata through its **own** identity
-/// (`shield.server`) — revoking that identity at the KDS locks the
-/// replica out without touching the primary. `cache_path` locates the
-/// replica's private secure DEK cache; it must not be the primary's
-/// database directory (the primary owns the `DEK_CACHE` file in there).
-pub fn open_shield_replica(
-    env: Arc<dyn shield_env::Env>,
-    path: &str,
-    cache_path: &str,
-    shield: ShieldOptions,
-    opts: ReplicaOptions,
-) -> Result<ShieldReplica> {
-    let cache = match &shield.passkey {
-        Some(pk) => Some(Arc::new(
-            SecureDekCache::open(env.clone(), cache_path, pk)
-                .map_err(|e| Error::Encryption(e.to_string()))?,
-        )),
-        None => None,
-    };
-    let resolver = Arc::new(DekResolver::with_policy(
-        shield.kds.clone(),
-        cache,
-        shield.server,
-        shield.algorithm,
-        shield.retry_policy.clone(),
-    ));
-    let mut encryption = EncryptionConfig::new(resolver.clone());
-    if !shield.encrypt_wal {
-        encryption = encryption.with_plaintext_wal();
-    }
-    let replica = ReplicaDb::open(env, path, Some(encryption), opts)?;
-    Ok(ShieldReplica { replica, resolver })
-}
-
-/// An instance-level-encrypted *sharded* database handle
-/// ([`open_encfs_sharded`]).
-pub struct EncFsShardedDb {
-    /// The sharded engine handle.
-    pub db: ShardedDb,
-    /// The encrypting environment shared by all shards and the SWAL.
-    pub env: Arc<EncryptedEnv>,
-}
-
-impl Deref for EncFsShardedDb {
-    type Target = ShardedDb;
-    fn deref(&self) -> &ShardedDb {
-        &self.db
-    }
-}
-
-/// [`open_encfs`] for a [`ShardedDb`]: one instance DEK encrypts every
-/// file of every shard *and* the shared WAL, below the engine.
-/// Shard count/routing come from `base` ([`Options::with_shards`]).
-pub fn open_encfs_sharded(
-    mut base: Options,
-    path: &str,
-    dek: shield_crypto::Dek,
-    wal_buffer_size: usize,
-) -> Result<EncFsShardedDb> {
-    let env = Arc::new(EncryptedEnv::new(base.env.clone(), dek, wal_buffer_size));
-    base.env = env.clone();
-    debug_assert!(base.encryption.is_none(), "EncFS encrypts below the engine");
-    let db = ShardedDb::open(base, path)?;
-    Ok(EncFsShardedDb { db, env })
-}
-
-/// A SHIELD-encrypted *sharded* database handle ([`open_shield_sharded`]).
-pub struct ShieldShardedDb {
-    /// The sharded engine handle.
-    pub db: ShardedDb,
-    /// The encryption layer shared by all shards.
-    pub encryption: EncryptionConfig,
-    /// The DEK resolver shared by all shards (one KDS identity, one
-    /// secure DEK cache in the parent directory).
-    pub resolver: Arc<DekResolver>,
-}
-
-impl Deref for ShieldShardedDb {
-    type Target = ShardedDb;
-    fn deref(&self) -> &ShardedDb {
-        &self.db
-    }
+    Ok(Shield { db, encryption, resolver })
 }
 
 /// [`open_shield`] for a [`ShardedDb`]: every shard draws per-file DEKs
@@ -325,40 +268,42 @@ pub fn open_shield_sharded(
     shield: ShieldOptions,
 ) -> Result<ShieldShardedDb> {
     base.env.create_dir_all(path)?;
-    let cache = match &shield.passkey {
-        Some(pk) => {
-            let cache_path = shield_env::join_path(path, DEK_CACHE_FILE);
-            Some(Arc::new(
-                SecureDekCache::open(base.env.clone(), &cache_path, pk)
-                    .map_err(|e| Error::Encryption(e.to_string()))?,
-            ))
-        }
-        None => None,
-    };
-    let resolver = Arc::new(DekResolver::with_policy(
-        shield.kds.clone(),
-        cache,
-        shield.server,
-        shield.algorithm,
-        shield.retry_policy.clone(),
-    ));
-    let mut encryption = EncryptionConfig::new(resolver.clone())
-        .with_wal_buffer(shield.wal_buffer_size)
-        .with_chunks(shield.chunk_size, shield.encryption_threads);
-    if !shield.encrypt_wal {
-        encryption = encryption.with_plaintext_wal();
-    }
+    let cache_path = shield_env::join_path(path, DEK_CACHE_FILE);
+    let (encryption, resolver) = shield_encryption(base.env.clone(), &cache_path, &shield)?;
     base.encryption = Some(encryption.clone());
     let db = ShardedDb::open(base, path)?;
     resolver.set_event_listener(db.shard(0).events());
-    Ok(ShieldShardedDb { db, encryption, resolver })
+    Ok(Shield { db, encryption, resolver })
+}
+
+/// Opens a live read replica of a SHIELD database (paper §2.2's read-only
+/// instances; `opts.auto_poll = false` gives the one-shot kind, refreshed
+/// by [`ReplicaDb::catch_up`]).
+///
+/// The replica mounts the primary's directory through `env` (typically a
+/// [`shield_env::RemoteEnv`] in the disaggregated topology) and resolves
+/// every DEK by the DEK-ID in file metadata through its **own** identity
+/// (`shield.server`) — revoking that identity at the KDS locks the
+/// replica out without touching the primary. `cache_path` locates the
+/// replica's private secure DEK cache; it must not be the primary's
+/// database directory (the primary owns the `DEK_CACHE` file in there).
+pub fn open_shield_replica(
+    env: Arc<dyn Env>,
+    path: &str,
+    cache_path: &str,
+    shield: ShieldOptions,
+    opts: ReplicaOptions,
+) -> Result<ShieldReplica> {
+    let (encryption, resolver) = shield_encryption(env.clone(), cache_path, &shield)?;
+    let db = ReplicaDb::open(env, path, Some(encryption.clone()), opts)?;
+    Ok(Shield { db, encryption, resolver })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use shield_crypto::Dek;
-    use shield_env::{Env as _, MemEnv};
+    use shield_env::MemEnv;
     use shield_kds::{KdsConfig, LocalKds};
 
     fn mem_opts(env: &MemEnv) -> Options {

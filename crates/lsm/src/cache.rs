@@ -107,12 +107,6 @@ pub struct CacheStats {
     pub readahead_issued: AtomicU64,
     /// Prefetched blocks that later served a lookup.
     pub readahead_useful: AtomicU64,
-    /// `read_at_many` batch submissions issued by the fetcher's batched
-    /// read path (maintained by the fetcher).
-    pub batched_reads: AtomicU64,
-    /// Individual block reads carried by those batch submissions
-    /// (maintained by the fetcher).
-    pub batch_read_requests: AtomicU64,
 }
 
 /// A point-in-time copy of [`CacheStats`] plus the byte gauges.
@@ -129,8 +123,6 @@ pub struct CacheStatsSnapshot {
     pub singleflight_waits: u64,
     pub readahead_issued: u64,
     pub readahead_useful: u64,
-    pub batched_reads: u64,
-    pub batch_read_requests: u64,
     /// Bytes currently held by pinned (in-use) entries.
     pub pinned_bytes: u64,
     /// Total bytes currently charged (pinned + LRU-resident).
@@ -604,8 +596,6 @@ impl BlockCache {
             singleflight_waits: self.stats.singleflight_waits.load(Ordering::Relaxed),
             readahead_issued: self.stats.readahead_issued.load(Ordering::Relaxed),
             readahead_useful: self.stats.readahead_useful.load(Ordering::Relaxed),
-            batched_reads: self.stats.batched_reads.load(Ordering::Relaxed),
-            batch_read_requests: self.stats.batch_read_requests.load(Ordering::Relaxed),
             pinned_bytes: 0,
             usage_bytes: 0,
         };

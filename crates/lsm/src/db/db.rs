@@ -1,6 +1,6 @@
-//! The database: write path (group commit → WAL → memtable), read path
-//! (memtables → levels, bloom + block cache), background flushes and
-//! compactions, snapshots, iterators, and crash recovery.
+//! The database: write path (group commit → WAL → memtable), background
+//! flushes and compactions, and crash recovery. Reads pin a
+//! [`ReadView`] and run in [`crate::db::read`].
 //!
 //! Encryption placement follows the paper exactly (§5.2): WAL bytes are
 //! encrypted by the file layer just before persistence (optionally through
@@ -29,20 +29,17 @@ use crate::db::batch::WriteBatch;
 use crate::db::metrics::{LevelStats, MetricsReport, OpHistograms};
 use crate::db::options::{Options, ReadOptions, WriteOptions};
 use crate::db::pool::{JobClass, JobPool};
+use crate::db::read::{DbIterator, ReadView, Snapshot};
 use crate::obs::{EnvLogSink, LOG_FILE_NAME};
 use crate::error::{Error, Result, Severity};
-use crate::iter::{InternalIterator, MergingIterator};
-use crate::memtable::{LookupResult, MemTable};
+use crate::iter::InternalIterator;
+use crate::memtable::MemTable;
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::statistics::Statistics;
-use crate::types::{
-    extract_seq_type, extract_user_key, make_internal_key, make_lookup_key, SequenceNumber,
-    ValueType, MAX_SEQUENCE,
-};
+use crate::types::{make_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE};
 use crate::version::edit::{FileMeta, VersionEdit};
 use crate::version::filenames::{parse_file_name, sst_file_name, wal_file_name, FileType};
 use crate::version::table_cache::TableCache;
-use crate::version::version::GetResult;
 use crate::version::VersionSet;
 use crate::wal::{LogWriter, TailPoll};
 
@@ -70,7 +67,7 @@ struct Pending {
     slot: Arc<Mutex<Option<Result<()>>>>,
 }
 
-struct DbInner {
+pub(super) struct DbInner {
     opts: Options,
     env: Arc<dyn Env>,
     path: String,
@@ -366,11 +363,31 @@ impl Db {
         }
     }
 
+    /// Pins the state one read operates on, under a single `state` lock
+    /// acquisition.
+    fn read_view(&self, ropts: &ReadOptions) -> ReadView {
+        let seq = ropts
+            .snapshot_seq
+            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
+        let state = self.inner.state.lock();
+        ReadView {
+            mem: state.mem.clone(),
+            imm: state.imm.clone(),
+            version: state.versions.current(),
+            seq,
+        }
+    }
+
     /// Point lookup at the latest state (or the snapshot in `ropts`).
     pub fn get(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _trace = self.inner.traced_op("get");
         let op_start = std::time::Instant::now();
-        let result = self.get_impl(ropts, key);
+        let result = self.read_view(ropts).get(
+            &self.inner.table_cache,
+            &self.inner.stats,
+            key,
+            ropts.fill_cache,
+        );
         self.inner.op_hists.get.record_elapsed(op_start);
         if let Err(e) = &result {
             self.park_if_unrecoverable(e);
@@ -391,63 +408,18 @@ impl Db {
         }
     }
 
-    fn get_impl(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let seq = ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
-        let (mem, imms, version) = {
-            let state = self.inner.state.lock();
-            (state.mem.clone(), state.imm.clone(), state.versions.current())
-        };
-        let t = perf::timer();
-        let mut memtable_hit: Option<Option<Vec<u8>>> = None;
-        match mem.get(key, seq) {
-            LookupResult::Found(v) => memtable_hit = Some(Some(v)),
-            LookupResult::Deleted => memtable_hit = Some(None),
-            LookupResult::NotFound => {
-                for imm in imms.iter().rev() {
-                    match imm.get(key, seq) {
-                        LookupResult::Found(v) => {
-                            memtable_hit = Some(Some(v));
-                            break;
-                        }
-                        LookupResult::Deleted => {
-                            memtable_hit = Some(None);
-                            break;
-                        }
-                        LookupResult::NotFound => {}
-                    }
-                }
-            }
-        }
-        perf::add_elapsed(PerfMetric::MemtableLookup, t);
-        if let Some(hit) = memtable_hit {
-            if hit.is_some() {
-                self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(hit);
-        }
-        match version.get_opt(&self.inner.table_cache, key, seq, ropts.fill_cache)? {
-            GetResult::Found(v) => {
-                self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(v))
-            }
-            GetResult::Deleted | GetResult::NotFound => Ok(None),
-        }
-    }
-
     /// Batched point lookup: one result slot per key, each equivalent to
-    /// [`Db::get`] at the same snapshot. Memtables are probed per key
-    /// (they are in memory anyway); keys that miss are resolved against
-    /// the current version with per-file batched block reads, so a cold
-    /// batch pays one `read_at_many` submission per table instead of one
-    /// file read per key. Errors are per-slot: a fault on one key's block
-    /// never corrupts its neighbors.
+    /// [`Db::get`] at the same snapshot, with per-file batched block reads
+    /// for the keys the memtables do not answer. Errors are per-slot.
     pub fn multi_get(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         let _trace = self.inner.traced_op("multi_get");
         let op_start = std::time::Instant::now();
-        let results = self.multi_get_impl(ropts, keys);
+        let results = self.read_view(ropts).multi_get(
+            &self.inner.table_cache,
+            &self.inner.stats,
+            keys,
+            ropts.fill_cache,
+        );
         self.inner.op_hists.multi_get.record_elapsed(op_start);
         for r in &results {
             if let Err(e) = r {
@@ -455,58 +427,6 @@ impl Db {
             }
         }
         results
-    }
-
-    fn multi_get_impl(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
-        self.inner.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
-        // Every key is a point lookup: `gets_found` below is credited per
-        // key, so `gets` must be too or found would exceed served.
-        self.inner.stats.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let seq = ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
-        let (mem, imms, version) = {
-            let state = self.inner.state.lock();
-            (state.mem.clone(), state.imm.clone(), state.versions.current())
-        };
-        let mut out: Vec<Option<Result<Option<Vec<u8>>>>> = vec![None; keys.len()];
-        let t = perf::timer();
-        for (i, key) in keys.iter().enumerate() {
-            let hit = match mem.get(key, seq) {
-                LookupResult::Found(v) => Some(Some(v)),
-                LookupResult::Deleted => Some(None),
-                LookupResult::NotFound => imms.iter().rev().find_map(|imm| match imm.get(key, seq)
-                {
-                    LookupResult::Found(v) => Some(Some(v)),
-                    LookupResult::Deleted => Some(None),
-                    LookupResult::NotFound => None,
-                }),
-            };
-            if let Some(hit) = hit {
-                if hit.is_some() {
-                    self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-                }
-                out[i] = Some(Ok(hit));
-            }
-        }
-        perf::add_elapsed(PerfMetric::MemtableLookup, t);
-        let unresolved: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-        if !unresolved.is_empty() {
-            let sub: Vec<&[u8]> = unresolved.iter().map(|&i| keys[i]).collect();
-            let results =
-                version.multi_get_opt(&self.inner.table_cache, &sub, seq, ropts.fill_cache);
-            for (&i, result) in unresolved.iter().zip(results) {
-                out[i] = Some(match result {
-                    Ok(GetResult::Found(v)) => {
-                        self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-                        Ok(Some(v))
-                    }
-                    Ok(GetResult::Deleted | GetResult::NotFound) => Ok(None),
-                    Err(e) => Err(e),
-                });
-            }
-        }
-        out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
     }
 
     /// Creates a consistent point-in-time snapshot.
@@ -517,52 +437,24 @@ impl Db {
         state.next_snapshot_id += 1;
         let seq = self.inner.last_published.load(Ordering::Acquire);
         state.snapshots.insert(id, seq);
-        Snapshot { inner: self.inner.clone(), id, seq }
+        Snapshot::new(self.inner.clone(), id, seq)
     }
 
     /// An iterator over live keys, visible at the latest state (or the
     /// snapshot in `ropts`).
     pub fn iter(&self, ropts: &ReadOptions) -> Result<DbIterator> {
-        let seq = ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
-        let (mem, imms, version) = {
-            let state = self.inner.state.lock();
-            (state.mem.clone(), state.imm.clone(), state.versions.current())
-        };
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(mem.iter()));
-        for imm in imms.iter().rev() {
-            children.push(Box::new(imm.iter()));
-        }
-        children.extend(version.iterators(&self.inner.table_cache)?);
-        Ok(DbIterator {
-            merged: MergingIterator::new(children),
-            seq,
-            current: None,
-            db: self.inner.clone(),
-            _pins: (mem, imms, version),
-        })
+        self.read_view(ropts)
+            .iter(&self.inner.table_cache, Some(self.inner.op_hists.iter_next.clone()))
     }
 
     /// Range scan: up to `limit` live `(key, value)` pairs with
     /// `key >= start`.
     pub fn scan(&self, ropts: &ReadOptions, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut it = self.iter(ropts)?;
-        it.seek(start);
-        let mut out = Vec::with_capacity(limit.min(1024));
-        while it.valid() && out.len() < limit {
-            out.push((it.key().to_vec(), it.value().to_vec()));
-            it.next();
+        let result = self.iter(ropts)?.scan(start, limit);
+        if let Err(e) = &result {
+            self.park_if_unrecoverable(e);
         }
-        // A read error mid-iteration leaves the iterator invalid with the
-        // error parked in its status; a partial result must not pass as a
-        // complete one.
-        if let Err(e) = it.status() {
-            self.park_if_unrecoverable(&e);
-            return Err(e);
-        }
-        Ok(out)
+        result
     }
 
     /// Forces the active memtable to flush and waits until no immutable
@@ -901,6 +793,11 @@ impl Drop for Db {
 }
 
 impl DbInner {
+    /// Drops a [`Snapshot`]'s sequence pin.
+    pub(super) fn release_snapshot(&self, id: u64) {
+        self.state.lock().snapshots.remove(&id);
+    }
+
     /// Creates a new WAL file (encrypted, with the §5.3 buffer, when
     /// SHIELD is enabled).
     fn new_wal(&self, number: u64) -> Result<LogWriter> {
@@ -958,8 +855,6 @@ impl DbInner {
             s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
             s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
             s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
-            s.batched_reads.store(c.batched_reads, Ordering::Relaxed);
-            s.batch_read_requests.store(c.batch_read_requests, Ordering::Relaxed);
         }
         self.stats
             .env_inflight_reads
@@ -2041,153 +1936,6 @@ pub struct IntegrityReport {
     pub entries: u64,
     /// Total bytes of verified files.
     pub bytes: u64,
-}
-
-/// A point-in-time read view. Dropping it releases the sequence pin so
-/// compaction may reclaim shadowed versions.
-pub struct Snapshot {
-    inner: Arc<DbInner>,
-    id: u64,
-    seq: SequenceNumber,
-}
-
-impl Snapshot {
-    /// The sequence this snapshot reads at; feed it to
-    /// [`ReadOptions::snapshot_seq`].
-    #[must_use]
-    pub fn sequence(&self) -> SequenceNumber {
-        self.seq
-    }
-
-    /// Read options pinned to this snapshot.
-    #[must_use]
-    pub fn read_options(&self) -> ReadOptions {
-        ReadOptions { snapshot_seq: Some(self.seq), fill_cache: true }
-    }
-}
-
-impl Drop for Snapshot {
-    fn drop(&mut self) {
-        self.inner.state.lock().snapshots.remove(&self.id);
-    }
-}
-
-/// Iterator over live user keys and values.
-pub struct DbIterator {
-    merged: MergingIterator,
-    seq: SequenceNumber,
-    current: Option<(Vec<u8>, Vec<u8>)>,
-    /// For the `iter_next` latency histogram.
-    db: Arc<DbInner>,
-    /// Keeps memtables AND the version alive while the iterator exists:
-    /// the version pin (tracked by `VersionSet::referenced_files`) stops
-    /// obsolete-file GC from deleting SSTs that lazily-opening level
-    /// iterators have not read yet.
-    _pins: (Arc<MemTable>, Vec<Arc<MemTable>>, Arc<crate::version::version::Version>),
-}
-
-impl DbIterator {
-    /// True if positioned on an entry.
-    #[must_use]
-    pub fn valid(&self) -> bool {
-        self.current.is_some()
-    }
-
-    /// Current user key.
-    #[must_use]
-    pub fn key(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid").0
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn value(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid").1
-    }
-
-    /// Positions on the first live key.
-    pub fn seek_to_first(&mut self) {
-        self.merged.seek_to_first();
-        self.advance_to_visible(None);
-    }
-
-    /// Positions on the first live key >= `user_key`.
-    pub fn seek(&mut self, user_key: &[u8]) {
-        self.merged.seek(&make_lookup_key(user_key, self.seq));
-        self.advance_to_visible(None);
-    }
-
-    /// Advances to the next live key.
-    pub fn next(&mut self) {
-        let op_start = std::time::Instant::now();
-        let skip = self.current.take().map(|(k, _)| k);
-        self.advance_to_visible(skip);
-        self.db.op_hists.iter_next.record_elapsed(op_start);
-    }
-
-    /// First error any underlying source hit. An iterator that went
-    /// invalid with an error here has *stopped early*, not finished.
-    pub fn status(&self) -> Result<()> {
-        self.merged.status()
-    }
-
-    /// Skips invisible/shadowed/deleted entries. `skip_key` is a user key
-    /// whose remaining versions must be bypassed.
-    fn advance_to_visible(&mut self, mut skip_key: Option<Vec<u8>>) {
-        self.current = None;
-        while self.merged.valid() {
-            let ikey = self.merged.key();
-            let user_key = extract_user_key(ikey);
-            let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > self.seq {
-                self.merged.next();
-                continue;
-            }
-            if skip_key.as_deref() == Some(user_key) {
-                self.merged.next();
-                continue;
-            }
-            match vtype {
-                Some(ValueType::Deletion) => {
-                    skip_key = Some(user_key.to_vec());
-                    self.merged.next();
-                }
-                Some(ValueType::Value) => {
-                    self.current =
-                        Some((user_key.to_vec(), self.merged.value().to_vec()));
-                    return;
-                }
-                None => {
-                    // Corrupt tag: skip defensively.
-                    self.merged.next();
-                }
-            }
-        }
-    }
-}
-
-impl crate::iter::UserIterator for DbIterator {
-    fn valid(&self) -> bool {
-        DbIterator::valid(self)
-    }
-    fn seek_to_first(&mut self) {
-        DbIterator::seek_to_first(self);
-    }
-    fn seek(&mut self, target: &[u8]) {
-        DbIterator::seek(self, target);
-    }
-    fn next(&mut self) {
-        DbIterator::next(self);
-    }
-    fn key(&self) -> &[u8] {
-        DbIterator::key(self)
-    }
-    fn value(&self) -> &[u8] {
-        DbIterator::value(self)
-    }
-    fn status(&self) -> Result<()> {
-        DbIterator::status(self)
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ pub(crate) struct OpHistograms {
     pub multi_get: AtomicHistogram,
     pub put: AtomicHistogram,
     pub write_batch: AtomicHistogram,
-    pub iter_next: AtomicHistogram,
+    /// Shared with every [`crate::DbIterator`] the database hands out.
+    pub iter_next: std::sync::Arc<AtomicHistogram>,
     pub flush: AtomicHistogram,
     pub compaction: AtomicHistogram,
     pub subcompaction: AtomicHistogram,

@@ -1,0 +1,302 @@
+//! The read path, shared by every handle: a [`ReadView`] pins what one
+//! read operates on and owns the only point lookup, the only batched
+//! lookup and the only constructor of [`DbIterator`]. [`crate::Db`] pins a
+//! view per operation under its state lock, [`crate::ReplicaDb`] publishes
+//! one per catch-up round, and [`crate::ShardedDb`] reads through its
+//! `Db` shards.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use shield_core::{perf, AtomicHistogram, PerfMetric};
+
+use crate::db::db::DbInner;
+use crate::db::options::ReadOptions;
+use crate::error::Result;
+use crate::iter::{InternalIterator, MergingIterator};
+use crate::memtable::{LookupResult, MemTable};
+use crate::statistics::Statistics;
+use crate::types::{
+    extract_seq_type, extract_user_key, make_lookup_key, SequenceNumber, ValueType,
+};
+use crate::version::table_cache::TableCache;
+use crate::version::version::Version;
+
+/// The state one read operates on (RocksDB's SuperVersion): memtables,
+/// file layout and visible sequence, pinned together so a single
+/// operation never mixes two states.
+#[derive(Clone)]
+pub(crate) struct ReadView {
+    /// The newest memtable.
+    pub mem: Arc<MemTable>,
+    /// Older memtables, oldest first.
+    pub imm: Vec<Arc<MemTable>>,
+    /// Pinning the version (tracked by `VersionSet::referenced_files`)
+    /// stops obsolete-file GC from deleting SSTs that lazily-opening level
+    /// iterators have not read yet.
+    pub version: Arc<Version>,
+    /// Entries above this sequence are invisible.
+    pub seq: SequenceNumber,
+}
+
+impl ReadView {
+    /// Probes the memtables newest first: `Some(Some(v))` is a live
+    /// value, `Some(None)` a tombstone, `None` means only the version can
+    /// answer.
+    fn probe_memtables(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        std::iter::once(&self.mem).chain(self.imm.iter().rev()).find_map(|mem| {
+            match mem.get(key, self.seq) {
+                LookupResult::Found(v) => Some(Some(v)),
+                LookupResult::Deleted => Some(None),
+                LookupResult::NotFound => None,
+            }
+        })
+    }
+
+    /// Point lookup.
+    pub fn get(
+        &self,
+        tables: &TableCache,
+        stats: &Statistics,
+        key: &[u8],
+        fill_cache: bool,
+    ) -> Result<Option<Vec<u8>>> {
+        stats.gets.fetch_add(1, Ordering::Relaxed);
+        let t = perf::timer();
+        let hit = self.probe_memtables(key);
+        perf::add_elapsed(PerfMetric::MemtableLookup, t);
+        let value = match hit {
+            Some(hit) => hit,
+            None => self.version.get_opt(tables, key, self.seq, fill_cache)?.into_value(),
+        };
+        if value.is_some() {
+            stats.gets_found.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(value)
+    }
+
+    /// Batched point lookup: one result slot per key, each equivalent to
+    /// [`ReadView::get`]. Memtables are probed per key (they are in memory
+    /// anyway); keys that miss are resolved against the version with
+    /// per-file batched block reads, so a cold batch pays one
+    /// `read_at_many` submission per table instead of one file read per
+    /// key. Errors are per-slot: a fault on one key's block never corrupts
+    /// its neighbors.
+    pub fn multi_get(
+        &self,
+        tables: &TableCache,
+        stats: &Statistics,
+        keys: &[&[u8]],
+        fill_cache: bool,
+    ) -> Vec<Result<Option<Vec<u8>>>> {
+        stats.multi_gets.fetch_add(1, Ordering::Relaxed);
+        // Every key is a point lookup: `gets_found` below is credited per
+        // key, so `gets` must be too or found would exceed served.
+        stats.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let t = perf::timer();
+        let mut out: Vec<Option<Result<Option<Vec<u8>>>>> =
+            keys.iter().map(|key| self.probe_memtables(key).map(Ok)).collect();
+        perf::add_elapsed(PerfMetric::MemtableLookup, t);
+        let unresolved: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+        if !unresolved.is_empty() {
+            let sub: Vec<&[u8]> = unresolved.iter().map(|&i| keys[i]).collect();
+            let results = self.version.multi_get_opt(tables, &sub, self.seq, fill_cache);
+            for (&i, result) in unresolved.iter().zip(results) {
+                out[i] = Some(result.map(|found| found.into_value()));
+            }
+        }
+        let out: Vec<Result<Option<Vec<u8>>>> =
+            out.into_iter().map(|slot| slot.expect("every key resolved")).collect();
+        let found = out.iter().filter(|slot| matches!(slot, Ok(Some(_)))).count();
+        stats.gets_found.fetch_add(found as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// An iterator over this view's live keys. `iter_next` receives the
+    /// latency of every [`DbIterator::next`].
+    pub fn iter(
+        self,
+        tables: &Arc<TableCache>,
+        iter_next: Option<Arc<AtomicHistogram>>,
+    ) -> Result<DbIterator> {
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        children.push(Box::new(self.mem.iter()));
+        for imm in self.imm.iter().rev() {
+            children.push(Box::new(imm.iter()));
+        }
+        children.extend(self.version.iterators(tables)?);
+        Ok(DbIterator {
+            merged: MergingIterator::new(children),
+            seq: self.seq,
+            current: None,
+            iter_next,
+            _pins: self,
+        })
+    }
+}
+
+/// A point-in-time read view. Dropping it releases the sequence pin so
+/// compaction may reclaim shadowed versions.
+pub struct Snapshot {
+    inner: Arc<DbInner>,
+    id: u64,
+    seq: SequenceNumber,
+}
+
+impl Snapshot {
+    pub(super) fn new(inner: Arc<DbInner>, id: u64, seq: SequenceNumber) -> Self {
+        Snapshot { inner, id, seq }
+    }
+
+    /// The sequence this snapshot reads at; feed it to
+    /// [`ReadOptions::snapshot_seq`].
+    #[must_use]
+    pub fn sequence(&self) -> SequenceNumber {
+        self.seq
+    }
+
+    /// Read options pinned to this snapshot.
+    #[must_use]
+    pub fn read_options(&self) -> ReadOptions {
+        ReadOptions { snapshot_seq: Some(self.seq), fill_cache: true }
+    }
+}
+
+impl Drop for Snapshot {
+    fn drop(&mut self) {
+        self.inner.release_snapshot(self.id);
+    }
+}
+
+/// Iterator over live user keys and values.
+pub struct DbIterator {
+    merged: MergingIterator,
+    seq: SequenceNumber,
+    current: Option<(Vec<u8>, Vec<u8>)>,
+    /// The owning handle's `iter_next` latency histogram, if it keeps one.
+    iter_next: Option<Arc<AtomicHistogram>>,
+    /// Keeps the memtables and the version alive while the iterator exists.
+    _pins: ReadView,
+}
+
+impl DbIterator {
+    /// True if positioned on an entry.
+    #[must_use]
+    pub fn valid(&self) -> bool {
+        self.current.is_some()
+    }
+
+    /// Current user key.
+    #[must_use]
+    pub fn key(&self) -> &[u8] {
+        &self.current.as_ref().expect("valid").0
+    }
+
+    /// Current value.
+    #[must_use]
+    pub fn value(&self) -> &[u8] {
+        &self.current.as_ref().expect("valid").1
+    }
+
+    /// Positions on the first live key.
+    pub fn seek_to_first(&mut self) {
+        self.merged.seek_to_first();
+        self.advance_to_visible(None);
+    }
+
+    /// Positions on the first live key >= `user_key`.
+    pub fn seek(&mut self, user_key: &[u8]) {
+        self.merged.seek(&make_lookup_key(user_key, self.seq));
+        self.advance_to_visible(None);
+    }
+
+    /// Advances to the next live key.
+    pub fn next(&mut self) {
+        let op_start = std::time::Instant::now();
+        let skip = self.current.take().map(|(k, _)| k);
+        self.advance_to_visible(skip);
+        if let Some(hist) = &self.iter_next {
+            hist.record_elapsed(op_start);
+        }
+    }
+
+    /// First error any underlying source hit. An iterator that went
+    /// invalid with an error here has *stopped early*, not finished.
+    pub fn status(&self) -> Result<()> {
+        self.merged.status()
+    }
+
+    /// Range scan: up to `limit` live `(key, value)` pairs with
+    /// `key >= start`.
+    pub(crate) fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.seek(start);
+        let mut out = Vec::with_capacity(limit.min(1024));
+        while self.valid() && out.len() < limit {
+            out.push((self.key().to_vec(), self.value().to_vec()));
+            self.next();
+        }
+        // A read error mid-iteration leaves the iterator invalid with the
+        // error parked in its status; a partial result must not pass as a
+        // complete one.
+        self.status()?;
+        Ok(out)
+    }
+
+    /// Skips invisible/shadowed/deleted entries. `skip_key` is a user key
+    /// whose remaining versions must be bypassed.
+    fn advance_to_visible(&mut self, mut skip_key: Option<Vec<u8>>) {
+        self.current = None;
+        while self.merged.valid() {
+            let ikey = self.merged.key();
+            let user_key = extract_user_key(ikey);
+            let (entry_seq, vtype) = extract_seq_type(ikey);
+            if entry_seq > self.seq {
+                self.merged.next();
+                continue;
+            }
+            if skip_key.as_deref() == Some(user_key) {
+                self.merged.next();
+                continue;
+            }
+            match vtype {
+                Some(ValueType::Deletion) => {
+                    skip_key = Some(user_key.to_vec());
+                    self.merged.next();
+                }
+                Some(ValueType::Value) => {
+                    self.current =
+                        Some((user_key.to_vec(), self.merged.value().to_vec()));
+                    return;
+                }
+                None => {
+                    // Corrupt tag: skip defensively.
+                    self.merged.next();
+                }
+            }
+        }
+    }
+}
+
+impl crate::iter::UserIterator for DbIterator {
+    fn valid(&self) -> bool {
+        DbIterator::valid(self)
+    }
+    fn seek_to_first(&mut self) {
+        DbIterator::seek_to_first(self);
+    }
+    fn seek(&mut self, target: &[u8]) {
+        DbIterator::seek(self, target);
+    }
+    fn next(&mut self) {
+        DbIterator::next(self);
+    }
+    fn key(&self) -> &[u8] {
+        DbIterator::key(self)
+    }
+    fn value(&self) -> &[u8] {
+        DbIterator::value(self)
+    }
+    fn status(&self) -> Result<()> {
+        DbIterator::status(self)
+    }
+}

@@ -23,10 +23,10 @@
 //! ## Consistency model
 //!
 //! Reads serve a **prefix of the primary's committed history**. Each
-//! catch-up round publishes an immutable view `(version, memtables, seq)`;
-//! `get`/`multi_get`/`scan` read one view, so a single operation never
-//! mixes rounds. The published `seq` only covers records the replica
-//! actually holds with no gaps: WAL segments are credited in file order
+//! catch-up round publishes an immutable [`ReadView`] — the same read
+//! path the primary runs; `get`/`multi_get`/`scan` read one view, so a
+//! single operation never mixes rounds. The published `seq` only covers
+//! records the replica actually holds with no gaps: WAL segments are credited in file order
 //! and crediting stops at the first segment whose tail was torn or
 //! unreadable, so a hole in segment *N* hides everything replayed from
 //! segment *N + 1* (entries above `seq` exist in the memtables but are
@@ -51,14 +51,15 @@ use shield_core::JsonBuilder;
 use shield_env::Env;
 
 use crate::db::batch::WriteBatch;
+use crate::db::read::ReadView;
 use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
 use crate::integrity::IntegrityOptions;
-use crate::memtable::{LookupResult, MemTable};
+use crate::memtable::MemTable;
 use crate::statistics::Statistics;
 use crate::types::SequenceNumber;
 use crate::version::table_cache::TableCache;
-use crate::version::version::{GetResult, Version};
+use crate::version::version::Version;
 use crate::version::{
     parse_file_name, wal_file_name, EditApplier, FileType, ManifestPoll, ManifestTailer,
 };
@@ -116,24 +117,6 @@ struct TailState {
     version_dirty: bool,
 }
 
-/// The immutable state one read operates on.
-struct ReplicaView {
-    version: Arc<Version>,
-    /// Newest segment first, mirroring the primary's mem → imm order.
-    mems: Vec<Arc<MemTable>>,
-    seq: SequenceNumber,
-}
-
-impl Clone for ReplicaView {
-    fn clone(&self) -> Self {
-        ReplicaView {
-            version: self.version.clone(),
-            mems: self.mems.clone(),
-            seq: self.seq,
-        }
-    }
-}
-
 /// A live read replica over a primary's database directory.
 ///
 /// See the [module docs](self) for the consistency model. Obtain one with
@@ -148,7 +131,8 @@ pub struct ReplicaDb {
     table_cache: Arc<TableCache>,
     stats: Arc<Statistics>,
     tail: Mutex<TailState>,
-    view: RwLock<ReplicaView>,
+    /// The view reads run against, replaced whole by each catch-up round.
+    view: RwLock<Arc<ReadView>>,
     /// Mirror of the published view's sequence, for lock-free staleness.
     published_seq: AtomicU64,
     /// Highest sequence observed anywhere (WAL records parsed, manifest
@@ -214,11 +198,12 @@ impl ReplicaDb {
                 wals: Vec::new(),
                 version_dirty: true,
             }),
-            view: RwLock::new(ReplicaView {
+            view: RwLock::new(Arc::new(ReadView {
+                mem: Arc::new(MemTable::new(0)),
+                imm: Vec::new(),
                 version: Arc::new(Version::new()),
-                mems: Vec::new(),
                 seq: 0,
-            }),
+            })),
             published_seq: AtomicU64::new(0),
             last_seen_seq: AtomicU64::new(0),
             fatal: Mutex::new(None),
@@ -438,17 +423,25 @@ impl ReplicaDb {
             .max(self.last_seen_seq.load(Ordering::Relaxed));
         self.last_seen_seq.store(seen, Ordering::Relaxed);
 
-        // 6. Publish the round's view; `seq` is monotonic.
+        // 6. Publish the round's view; `seq` is monotonic. The newest
+        // visible segment plays the primary's active memtable, the older
+        // ones its immutables.
         {
             let mut view = self.view.write();
-            if tail.version_dirty {
-                view.version = Arc::new(tail.applier.version());
-                tail.version_dirty = false;
-            }
-            view.mems =
-                tail.wals[..visible].iter().rev().map(|seg| seg.mem.clone()).collect();
-            view.seq = view.seq.max(served);
-            self.published_seq.store(view.seq, Ordering::Relaxed);
+            let version = if std::mem::take(&mut tail.version_dirty) {
+                Arc::new(tail.applier.version())
+            } else {
+                view.version.clone()
+            };
+            let (mem, imm) = match tail.wals[..visible].split_last() {
+                Some((newest, older)) => {
+                    (newest.mem.clone(), older.iter().map(|seg| seg.mem.clone()).collect())
+                }
+                None => (Arc::new(MemTable::new(0)), Vec::new()),
+            };
+            let seq = view.seq.max(served);
+            *view = Arc::new(ReadView { mem, imm, version, seq });
+            self.published_seq.store(seq, Ordering::Relaxed);
         }
 
         self.stats.replica_polls.fetch_add(1, Ordering::Relaxed);
@@ -482,8 +475,9 @@ impl ReplicaDb {
         }
     }
 
-    /// Enforces [`ReplicaOptions::max_staleness`] on the read path.
-    fn check_fresh(&self) -> Result<()> {
+    /// The published view, once [`ReplicaOptions::max_staleness`] (and the
+    /// absence of a poisoning error) allows serving it.
+    fn fresh_view(&self) -> Result<Arc<ReadView>> {
         self.check_fatal()?;
         if let Some(bound) = self.opts.max_staleness {
             let lag = self.staleness();
@@ -493,7 +487,7 @@ impl ReplicaDb {
                 )));
             }
         }
-        Ok(())
+        Ok(self.view.read().clone())
     }
 
     /// The sequence number reads currently serve at.
@@ -511,7 +505,9 @@ impl ReplicaDb {
             .saturating_sub(self.published_seq.load(Ordering::Relaxed))
     }
 
-    /// This replica's ticker set (`replica_*` counters and gauges).
+    /// This replica's ticker set: the `replica_*` counters and gauges, and
+    /// the read-path tickers (`gets`, `gets_found`, `multi_gets`,
+    /// `batched_reads`, …) its reads credit like a primary's.
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
         self.stats.clone()
@@ -519,65 +515,21 @@ impl ReplicaDb {
 
     /// Point lookup against the published view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.check_fresh()?;
-        let view = self.view.read().clone();
-        Self::get_in_view(&view, &self.table_cache, key)
+        self.fresh_view()?.get(&self.table_cache, &self.stats, key, true)
     }
 
     /// Batched point lookup; every key reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.check_fresh()?;
-        let view = self.view.read().clone();
-        keys.iter().map(|key| Self::get_in_view(&view, &self.table_cache, key)).collect()
-    }
-
-    fn get_in_view(
-        view: &ReplicaView,
-        table_cache: &TableCache,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>> {
-        for mem in &view.mems {
-            match mem.get(key, view.seq) {
-                LookupResult::Found(value) => return Ok(Some(value)),
-                LookupResult::Deleted => return Ok(None),
-                LookupResult::NotFound => {}
-            }
-        }
-        match view.version.get(table_cache, key, view.seq)? {
-            GetResult::Found(value) => Ok(Some(value)),
-            GetResult::Deleted | GetResult::NotFound => Ok(None),
-        }
+        self.fresh_view()?
+            .multi_get(&self.table_cache, &self.stats, keys, true)
+            .into_iter()
+            .collect()
     }
 
     /// Range scan from `start` (inclusive), at most `limit` entries, over
     /// one published view.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        use crate::iter::{InternalIterator, MergingIterator};
-        use crate::types::{extract_seq_type, extract_user_key, make_lookup_key, ValueType};
-        self.check_fresh()?;
-        let view = self.view.read().clone();
-        let mut children: Vec<Box<dyn InternalIterator>> =
-            view.mems.iter().map(|mem| Box::new(mem.iter()) as Box<dyn InternalIterator>).collect();
-        children.extend(view.version.iterators(&self.table_cache)?);
-        let mut merged = MergingIterator::new(children);
-        merged.seek(&make_lookup_key(start, view.seq));
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut skip: Option<Vec<u8>> = None;
-        while merged.valid() && out.len() < limit {
-            let ikey = merged.key();
-            let user = extract_user_key(ikey).to_vec();
-            let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > view.seq || skip.as_deref() == Some(&user[..]) {
-                merged.next();
-                continue;
-            }
-            skip = Some(user.clone());
-            if vtype == Some(ValueType::Value) {
-                out.push((user, merged.value().to_vec()));
-            }
-            merged.next();
-        }
-        Ok(out)
+        ReadView::clone(&*self.fresh_view()?).iter(&self.table_cache, None)?.scan(start, limit)
     }
 
     /// Replica health as one `shield_replica_metrics_v1` JSON object:

@@ -43,10 +43,11 @@ use crate::encryption::EncryptionConfig;
 
 use crate::cache::{BlockCache, CacheConfig};
 use crate::db::batch::WriteBatch;
-use crate::db::db::{Db, DbIterator, IntegrityReport, Snapshot};
+use crate::db::db::{Db, IntegrityReport};
 use crate::db::metrics::{LevelStats, MetricsReport, OP_TYPES};
 use crate::db::options::{Options, ReadOptions, ShardBy, WriteOptions};
 use crate::db::pool::JobPool;
+use crate::db::read::{DbIterator, Snapshot};
 use crate::error::{Error, Result};
 use crate::integrity::Integrity;
 use crate::iter::{ShardMergeIterator, UserIterator};

@@ -51,6 +51,7 @@ use crate::error::{Error, Result};
 use crate::integrity::IntegrityCtx;
 use crate::sst::block::Block;
 use crate::sst::format::{BlockHandle, BLOCK_TRAILER_LEN, HMAC_BLOCK_TRAILER_LEN};
+use crate::statistics::Statistics;
 
 /// Upper bound on queued prefetch requests; beyond it, readahead sheds
 /// load instead of buffering unbounded file handles.
@@ -145,6 +146,8 @@ pub struct BlockRequest {
 /// The single entry point for reading SST blocks.
 pub struct BlockFetcher {
     core: Arc<FetcherCore>,
+    /// Engine tickers credited with batched-read submissions.
+    stats: Option<Arc<Statistics>>,
     readahead_blocks: usize,
     inflight_depth: usize,
     pool: Option<Arc<PrefetchPool>>,
@@ -158,16 +161,18 @@ impl BlockFetcher {
     /// in-flight depth; [`BlockFetcher::with_depth`] overrides it.
     #[must_use]
     pub fn new(cache: Option<Arc<BlockCache>>, readahead_blocks: usize) -> Arc<Self> {
-        Self::with_depth(cache, readahead_blocks, DEFAULT_INFLIGHT_READS)
+        Self::with_depth(cache, readahead_blocks, DEFAULT_INFLIGHT_READS, None)
     }
 
     /// [`BlockFetcher::new`] with an explicit bounded in-flight depth for
-    /// batched reads (clamped to ≥ 1).
+    /// batched reads (clamped to ≥ 1) and the engine tickers that count
+    /// them (`batched_reads`, `batch_read_requests`).
     #[must_use]
     pub fn with_depth(
         cache: Option<Arc<BlockCache>>,
         readahead_blocks: usize,
         inflight_depth: usize,
+        stats: Option<Arc<Statistics>>,
     ) -> Arc<Self> {
         let core = Arc::new(FetcherCore { cache, inflight: Mutex::new(HashMap::new()) });
         let pool = (readahead_blocks > 0 && core.cache.is_some()).then(|| {
@@ -185,6 +190,7 @@ impl BlockFetcher {
         });
         Arc::new(BlockFetcher {
             core,
+            stats,
             readahead_blocks,
             inflight_depth: inflight_depth.max(1),
             pool,
@@ -329,10 +335,9 @@ impl BlockFetcher {
                 .step_by(queue.depth())
                 .map(|start| start..(start + queue.depth()).min(ready.len()))
                 .collect();
-            if let Some(cache) = &self.core.cache {
-                let c = cache.counters();
-                c.batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
-                c.batch_read_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
+            if let Some(stats) = &self.stats {
+                stats.batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
+                stats.batch_read_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
             }
             batch_span.attr("windows", windows.len() as u64);
             std::thread::scope(|s| {
@@ -895,7 +900,8 @@ mod tests {
             .collect();
 
         let cache = BlockCache::new(1 << 20);
-        let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 0, 3);
+        let stats = Statistics::new();
+        let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 0, 3, Some(stats.clone()));
         let reqs: Vec<BlockRequest> =
             handles.iter().map(|h| BlockRequest { handle: *h, kind: BlockKind::Data }).collect();
         let before = env.io_stats().unwrap().snapshot();
@@ -905,8 +911,8 @@ mod tests {
             assert_eq!(g.as_ref().unwrap().block().raw_bytes(), e);
         }
         // MemEnv batch reads record one op per request; what proves the
-        // batching is the ticker on the shared cache stats.
-        let s = cache.stats();
+        // batching is the engine ticker.
+        let s = stats.snapshot();
         assert_eq!(s.batch_read_requests, handles.len() as u64);
         assert_eq!(s.batched_reads, handles.len().div_ceil(3) as u64, "depth-3 windows");
         assert_eq!(delta.read_ops[FileKind::Sst.index()], handles.len() as u64);

@@ -170,14 +170,13 @@ tickers! {
         /// Catch-up rounds that ended on a torn/in-flight tail (manifest
         /// or WAL) and will retry from the held position.
         replica_incomplete_tails,
+        /// `read_at_many` batch submissions issued by this engine's block
+        /// fetcher (each covers ≥ 1 block read).
+        batched_reads,
+        /// Individual block reads carried by those batch submissions.
+        batch_read_requests,
     }
     shared {
-        /// `read_at_many` batch submissions issued by the block fetcher
-        /// (each covers ≥ 1 block read), mirrored from the cache.
-        batched_reads,
-        /// Individual block reads carried by those batch submissions,
-        /// mirrored from the cache.
-        batch_read_requests,
         /// Block-cache lifetime hits, mirrored from the cache when
         /// [`crate::Db::statistics`] refreshes. Monotonic despite being
         /// a mirror: snapshot deltas are the interval's hits.

@@ -15,7 +15,7 @@ pub use filenames::{
     current_file_name, manifest_file_name, parse_file_name, sst_file_name, wal_file_name,
     FileType,
 };
-pub use set::{ReadOnlyState, VersionSet};
+pub use set::VersionSet;
 pub use table_cache::TableCache;
 pub use tailer::{EditApplier, ManifestPoll, ManifestTailer};
 pub use version::{Version, NUM_LEVELS};

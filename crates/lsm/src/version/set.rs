@@ -15,7 +15,7 @@ use crate::version::filenames::{current_file_name, manifest_file_name};
 use crate::version::table_cache::TableCache;
 use crate::version::tailer::{EditApplier, ManifestPoll, ManifestTailer};
 use crate::version::version::Version;
-use crate::wal::{LogWriter, TailEnd};
+use crate::wal::LogWriter;
 
 /// Owns the mutable metadata state of a database.
 pub struct VersionSet {
@@ -175,36 +175,6 @@ impl VersionSet {
         Ok(())
     }
 
-    /// Loads version state **without mutating anything on disk** — no
-    /// manifest roll, no CURRENT rewrite. This is what read-only instances
-    /// (paper §2.2's on-demand readers over shared DS files) use: they may
-    /// not write to the shared directory.
-    pub fn load_read_only(
-        env: &dyn Env,
-        path: &str,
-        encryption: Option<&EncryptionConfig>,
-        integrity: IntegrityOptions,
-    ) -> Result<ReadOnlyState> {
-        let mut tailer = ManifestTailer::open(env, path, encryption, integrity.key)?;
-        let mut applier = EditApplier::new();
-        let incomplete_tail = loop {
-            match tailer.poll(env)? {
-                ManifestPoll::Edit(edit) => applier.apply(&edit),
-                ManifestPoll::Rollover => applier.reset(),
-                // A torn/in-flight final edit means the state is
-                // consistent but possibly stale: say so instead of
-                // silently serving it.
-                ManifestPoll::Pending(end) => break end != TailEnd::Clean,
-            }
-        };
-        Ok(ReadOnlyState {
-            version: applier.version(),
-            last_sequence: applier.last_sequence(),
-            log_number: applier.log_number(),
-            incomplete_tail,
-        })
-    }
-
     /// Starts a new manifest containing a full snapshot of current state,
     /// then repoints CURRENT at it.
     fn roll_manifest(&mut self) -> Result<()> {
@@ -293,21 +263,6 @@ impl VersionSet {
     pub fn take_obsolete_dek(&mut self, number: u64) -> Option<DekId> {
         self.obsolete_deks.remove(&number)
     }
-}
-
-/// Version state reconstructed by [`VersionSet::load_read_only`].
-pub struct ReadOnlyState {
-    /// The file set the manifest describes.
-    pub version: Version,
-    /// Highest sequence number any applied edit carried.
-    pub last_sequence: u64,
-    /// WALs below this number are fully covered by flushed SSTs.
-    pub log_number: u64,
-    /// True if the manifest ended in a torn/in-flight edit: the state is
-    /// consistent but possibly stale. Callers serving freshness-critical
-    /// reads should retry after the primary finishes the write instead
-    /// of silently serving a stale version.
-    pub incomplete_tail: bool,
 }
 
 #[cfg(test)]

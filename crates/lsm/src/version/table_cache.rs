@@ -99,7 +99,12 @@ impl TableCache {
             env,
             db_path,
             encryption,
-            fetcher: BlockFetcher::with_depth(block_cache, readahead_blocks, max_inflight_reads),
+            fetcher: BlockFetcher::with_depth(
+                block_cache,
+                readahead_blocks,
+                max_inflight_reads,
+                stats.clone(),
+            ),
             stats,
             integrity,
             events,

@@ -23,6 +23,18 @@ pub enum GetResult {
     NotFound,
 }
 
+impl GetResult {
+    /// The live value, if any: a tombstone and an absent key both read as
+    /// `None`.
+    #[must_use]
+    pub fn into_value(self) -> Option<Vec<u8>> {
+        match self {
+            GetResult::Found(value) => Some(value),
+            GetResult::Deleted | GetResult::NotFound => None,
+        }
+    }
+}
+
 /// An immutable file layout. L0 files may overlap and are ordered newest
 /// first; L1+ files are disjoint and ordered by smallest key.
 #[derive(Clone, Default)]
@@ -62,18 +74,8 @@ impl Version {
         self.files.iter().flatten().map(|f| f.number).collect()
     }
 
-    /// Point lookup at sequence `seq`.
-    pub fn get(
-        &self,
-        table_cache: &TableCache,
-        user_key: &[u8],
-        seq: SequenceNumber,
-    ) -> Result<GetResult> {
-        self.get_opt(table_cache, user_key, seq, true)
-    }
-
-    /// [`Version::get`] with cache-admission control (`fill_cache = false`
-    /// reads around the block cache).
+    /// Point lookup at sequence `seq` (`fill_cache = false` reads around
+    /// the block cache).
     pub fn get_opt(
         &self,
         table_cache: &TableCache,
@@ -481,7 +483,7 @@ mod tests {
         // L0 newest first.
         v.files[0] = vec![new, old];
         let tc = cache(&env);
-        assert_eq!(v.get(&tc, b"k", 100).unwrap(), GetResult::Found(b"k@2".to_vec()));
+        assert_eq!(v.get_opt(&tc, b"k", 100, true).unwrap(), GetResult::Found(b"k@2".to_vec()));
     }
 
     #[test]
@@ -493,9 +495,9 @@ mod tests {
         v.files[1] = vec![l1];
         v.files[2] = vec![l2];
         let tc = cache(&env);
-        assert_eq!(v.get(&tc, b"m", 100).unwrap(), GetResult::Found(b"m@3".to_vec()));
-        assert_eq!(v.get(&tc, b"z", 100).unwrap(), GetResult::Found(b"z@4".to_vec()));
-        assert_eq!(v.get(&tc, b"q", 100).unwrap(), GetResult::NotFound);
+        assert_eq!(v.get_opt(&tc, b"m", 100, true).unwrap(), GetResult::Found(b"m@3".to_vec()));
+        assert_eq!(v.get_opt(&tc, b"z", 100, true).unwrap(), GetResult::Found(b"z@4".to_vec()));
+        assert_eq!(v.get_opt(&tc, b"q", 100, true).unwrap(), GetResult::NotFound);
     }
 
     #[test]
@@ -515,7 +517,7 @@ mod tests {
             vec![b"a", b"b", b"c", b"k", b"m", b"p", b"q", b"x", b"z", b"zz"];
         let batched = v.multi_get_opt(&tc, &keys, 100, true);
         for (key, got) in keys.iter().zip(batched) {
-            let serial = v.get(&tc, key, 100).unwrap();
+            let serial = v.get_opt(&tc, key, 100, true).unwrap();
             assert_eq!(got.unwrap(), serial, "divergence on {:?}", String::from_utf8_lossy(key));
         }
         // Spot-check shadowing: "b" must come from the newer L0 file.

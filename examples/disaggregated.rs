@@ -11,12 +11,10 @@
 
 use std::sync::Arc;
 
-use shield::deploy::{DisaggregatedStorage, ReadOnlyInstance};
-use shield::{open_shield, ShieldOptions, WriteOptions};
-use shield_crypto::Algorithm;
+use shield::deploy::DisaggregatedStorage;
+use shield::{open_shield, open_shield_replica, ReplicaOptions, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, SecureDekCache, ServerId};
-use shield_lsm::encryption::EncryptionConfig;
+use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::Options;
 
 fn main() {
@@ -45,18 +43,16 @@ fn main() {
 
     // A read-only instance on another compute node (server-3): it has its
     // own KDS identity and secure cache, and learns DEKs purely from the
-    // DEK-IDs embedded in the shared files' metadata.
-    let reader_cache = SecureDekCache::open(ds.compute_mount(), "cluster/reader.cache", b"reader-pass")
-        .expect("reader cache");
-    let reader_resolver = Arc::new(DekResolver::new(
-        kds.clone() as Arc<dyn Kds>,
-        Some(Arc::new(reader_cache)),
-        ServerId(3),
-        Algorithm::Aes128Ctr,
-    ));
-    let reader_cfg = EncryptionConfig::new(reader_resolver.clone());
-    let reader = ReadOnlyInstance::open(ds.compute_mount(), "cluster/db", Some(reader_cfg))
-        .expect("open read-only instance");
+    // DEK-IDs embedded in the shared files' metadata. Without the poller
+    // it serves the state of its last `catch_up()`.
+    let reader = open_shield_replica(
+        ds.compute_mount(),
+        "cluster/db",
+        "cluster/reader.cache",
+        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(3), b"reader-pass"),
+        ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
+    )
+    .expect("open read-only instance");
 
     let hit = reader.get(b"order:001234").expect("get").expect("present");
     println!("read-only instance served order:001234 = {}", String::from_utf8_lossy(&hit));
@@ -66,7 +62,7 @@ fn main() {
         println!("  {} = {}", String::from_utf8_lossy(k), String::from_utf8_lossy(v));
     }
 
-    let rs = reader_resolver.stats();
+    let rs = reader.resolver.stats();
     println!(
         "\nreader DEK traffic: {} KDS fetches, then {} secure-cache hits",
         rs.cache_misses, rs.cache_hits

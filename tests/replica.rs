@@ -4,7 +4,8 @@
 //! encryption mode (plain, EncFS, SHIELD), across WAL switches, flushes,
 //! MANIFEST rollovers, primary crashes mid-edit, and replica-side I/O
 //! faults (where the staleness bound must trip instead of serving a
-//! gapped view).
+//! gapped view, and a scan that loses a block must fail instead of
+//! returning a prefix).
 //!
 //! SHIELD writes are quiesced with `WriteOptions { sync: true }`: an
 //! unsynced record may still sit (plaintext) in the primary's WAL
@@ -23,7 +24,10 @@ use shield_env::{
     Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RemoteEnv,
 };
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Error, Options, ReadOptions, ReplicaDb, ReplicaOptions, WriteOptions};
+use shield_lsm::{
+    Db, Error, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb, ReplicaOptions,
+    WriteOptions,
+};
 
 const PRIMARY: ServerId = ServerId(1);
 const READER: ServerId = ServerId(3);
@@ -58,8 +62,10 @@ fn drain(replica: &ReplicaDb) {
     panic!("replica never reached a clean tail against a quiesced primary");
 }
 
-/// Asserts the replica serves exactly `model` over the whole keyspace,
-/// by point reads, one multi_get, and a full scan.
+/// Asserts the replica serves exactly `model` over the whole keyspace:
+/// by point reads, by one multi_get over every key, by one multi_get over
+/// the model's keys interleaved with keys no history ever writes, by a
+/// full scan and by a limit-bounded scan from mid-range.
 fn assert_matches_model(replica: &ReplicaDb, model: &BTreeMap<Vec<u8>, Vec<u8>>, what: &str) {
     for id in 0..KEYSPACE {
         let key = key_of(id);
@@ -72,10 +78,24 @@ fn assert_matches_model(replica: &ReplicaDb, model: &BTreeMap<Vec<u8>, Vec<u8>>,
     for (id, slot) in got.iter().enumerate() {
         assert_eq!(slot.as_ref(), model.get(&keys[id]), "{what}: multi_get slot {id}");
     }
+    let mixed: Vec<Vec<u8>> = model
+        .keys()
+        .flat_map(|key| [key.clone(), [key.as_slice(), b"-absent"].concat()])
+        .collect();
+    let refs: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
+    let got = replica.multi_get(&refs).expect("replica multi_get with absent keys");
+    for (key, slot) in mixed.iter().zip(&got) {
+        assert_eq!(slot.as_ref(), model.get(key), "{what}: multi_get {:?}", key);
+    }
     let scanned = replica.scan(b"key-", KEYSPACE as usize + 8).expect("replica scan");
     let want: Vec<(Vec<u8>, Vec<u8>)> =
         model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
     assert_eq!(scanned, want, "{what}: scan diverged");
+    let from = key_of(KEYSPACE / 2);
+    let page = replica.scan(&from, 10).expect("replica bounded scan");
+    let want: Vec<(Vec<u8>, Vec<u8>)> =
+        model.range(from..).take(10).map(|(k, v)| (k.clone(), v.clone())).collect();
+    assert_eq!(page, want, "{what}: bounded scan diverged");
 }
 
 /// Basic lifecycle: a plain-mode replica follows puts, deletes, flushes.
@@ -105,6 +125,8 @@ fn replica_tails_live_plain_primary() {
         db.delete(&w, &key_of(id)).expect("delete");
         model.remove(&key_of(id));
     }
+    // Stale until the next round: the view only moves in `catch_up`.
+    assert_eq!(replica.get(&key_of(120)).expect("get"), None);
     drain(&replica);
     assert_matches_model(&replica, &model, "after live updates");
 
@@ -330,6 +352,17 @@ fn replica_shield_over_remote_env_end_to_end() {
     )
     .expect("open shield replica");
     drain(&replica);
+
+    // A cold multi_get takes the batched path: the 64 keys resolve in a
+    // few `read_at_many` submissions, and every key counts as a lookup.
+    let keys: Vec<Vec<u8>> = (0..64).map(key_of).collect();
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    replica.multi_get(&refs).expect("cold multi_get");
+    let cold = replica.statistics().snapshot();
+    assert!(cold.batched_reads > 0, "replica multi_get never reached the batched read path");
+    assert_eq!(cold.gets, 64);
+    assert!(cold.gets_found <= cold.gets, "{} found of {}", cold.gets_found, cold.gets);
+
     assert_matches_model(&replica, &model, "shield over remote env");
 
     // DEKs came through the replica's own resolver, by DEK-ID.
@@ -377,6 +410,83 @@ fn replica_shield_over_remote_env_end_to_end() {
         manual(),
     );
     assert!(locked.is_err(), "revoked reader opened a fresh replica");
+}
+
+/// One multi-block SST of `n` keys behind a default-sized write buffer.
+fn fill_one_sst(db: &Db, n: u16) {
+    let w = WriteOptions { sync: true };
+    for id in 0..n {
+        db.put(&w, &key_of(id), &[b'v'; 256]).expect("put");
+    }
+    db.flush().expect("flush");
+}
+
+/// A storage fault in the middle of a replica scan fails the scan; it
+/// must not come back as a shorter, complete-looking result.
+#[test]
+fn replica_scan_fails_on_mid_scan_read_fault() {
+    let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = Db::open(Options::new(backing.clone()), "db").expect("open primary");
+    fill_one_sst(&db, 200);
+    let want = db.scan(&ReadOptions::new(), b"key-", 300).expect("primary scan");
+    assert_eq!(want.len(), 200);
+
+    let fenv = Arc::new(FaultInjectionEnv::new(backing));
+    let replica =
+        ReplicaDb::open(fenv.clone() as Arc<dyn Env>, "db", None, manual()).expect("open replica");
+    // Opens the table, so the faulted scan below reads data blocks only.
+    assert_eq!(replica.scan(b"key-", 300).expect("clean scan"), want);
+
+    // Seed 1 at p = 0.5 passes the first SST read and fails the second:
+    // the scan loses its second data block after serving the first.
+    fenv.error_with_probability(FileKind::Sst, FaultOp::Read, 0.5, 1);
+    match replica.scan(b"key-", 300) {
+        Err(Error::Io(_)) => {}
+        Ok(rows) => panic!("scan returned {} of 200 rows as complete", rows.len()),
+        Err(other) => panic!("unexpected error {other}"),
+    }
+    assert!(fenv.stats().injected_for(FaultOp::Read) >= 1);
+
+    fenv.disarm_all();
+    assert_eq!(replica.scan(b"key-", 300).expect("scan after faults clear"), want);
+}
+
+/// A tampered data block under `Integrity::Hmac` fails the replica scan
+/// as an integrity violation, not as a prefix of the range.
+#[test]
+fn replica_scan_fails_on_tampered_block() {
+    let mem = MemEnv::new();
+    let env: Arc<dyn Env> = Arc::new(mem.clone());
+    let integrity = IntegrityOptions { mode: Integrity::Hmac, key: [0x42; 32] };
+    let mut opts = Options::new(env.clone());
+    opts.integrity = integrity.mode;
+    opts.integrity_key = integrity.key;
+    let db = Db::open(opts, "db").expect("open primary");
+    fill_one_sst(&db, 200);
+
+    // Flip one bit in the middle of the file: data blocks come first, so
+    // the midpoint is a data block several blocks into the scan.
+    let name = mem
+        .list_dir("db")
+        .expect("list")
+        .into_iter()
+        .find(|n| n.ends_with(".sst"))
+        .expect("one sst");
+    let path = format!("db/{name}");
+    let mut raw = mem.raw_content(&path).expect("raw sst");
+    let mid = raw.len() / 2;
+    raw[mid] ^= 0x01;
+    mem.set_raw_content(&path, raw).expect("tamper");
+
+    let replica = ReplicaDb::open_with_integrity(env, "db", None, integrity, manual())
+        .expect("open replica");
+    match replica.scan(b"key-", 300) {
+        Err(Error::IntegrityViolation(_)) => {}
+        Ok(rows) => panic!("scan returned {} of 200 rows as complete", rows.len()),
+        Err(other) => panic!("unexpected error {other}"),
+    }
+    // Blocks before the tampered one still serve.
+    assert_eq!(replica.get(&key_of(0)).expect("get"), Some(vec![b'v'; 256]));
 }
 
 /// One encryption mode's way of wiring a primary + replica pair over a
@@ -464,7 +574,7 @@ fn run_differential(mode: &Mode, actions: &[Action]) {
         fn get(&self) -> &ReplicaDb {
             match self {
                 Replica::Direct(r) => r,
-                Replica::Shield(r) => &r.replica,
+                Replica::Shield(r) => &r.db,
             }
         }
     }

@@ -554,7 +554,8 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
 
         let cache_before = cache.stats();
         let io_before = fx.base.io_stats().expect("io stats").snapshot();
-        let checks_before = fx.stats.snapshot().integrity_checks;
+        let stats_before = fx.stats.snapshot();
+        let checks_before = stats_before.integrity_checks;
         let perf = PerfGuard::enable();
         let mut next = 100u64;
         let mut alloc = || {
@@ -589,8 +590,16 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
             "{mode:?}"
         );
         assert_eq!(
-            (cache_after.singleflight_waits, cache_after.readahead_issued, cache_after.batched_reads),
-            (cache_before.singleflight_waits, cache_before.readahead_issued, cache_before.batched_reads),
+            (
+                cache_after.singleflight_waits,
+                cache_after.readahead_issued,
+                fx.stats.snapshot().batched_reads,
+            ),
+            (
+                cache_before.singleflight_waits,
+                cache_before.readahead_issued,
+                stats_before.batched_reads,
+            ),
             "{mode:?}"
         );
         // One verification per block read, no more and no fewer.
