@@ -17,22 +17,18 @@
 //! reference on 4 KiB payloads; SHA-256 ≥3× and CRC32C ≥8× where the CPU
 //! has SHA-NI / SSE4.2 (printed as skipped where it does not).
 //!
-//! A full run writes `BENCH_crypto.json`, stamped with commit, core count
-//! and detected CPU features, for future PRs to diff against. `--smoke`
-//! (the `bench-smoke` tier of `scripts/verify.sh`) shrinks the iteration
-//! budget and writes under `target/` so it never touches the committed
-//! file. `--out` overrides either.
+//! A full run writes `BENCH_crypto.json` for future PRs to diff against;
+//! `--smoke` (the `bench-smoke` tier of `scripts/verify.sh`) shrinks the
+//! iteration budget.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
+use shield_bench::harness::{best_of_3_ns, Bench};
+use shield_core::JsonBuilder;
 use shield_crypto::aes::Aes128;
 use shield_crypto::chacha20::ChaCha20;
-use shield_crypto::{
-    crc32c, reference, sha256, Algorithm, CipherContext, Dek, HmacKey, NONCE_LEN,
-};
+use shield_crypto::{crc32c, reference, sha256, Algorithm, CipherContext, Dek, HmacKey, NONCE_LEN};
 
 /// Payload sizes measured, smallest to largest: a WAL-record-sized write,
 /// an SST block, and a compaction-sized bulk run.
@@ -53,11 +49,6 @@ const INTEGRITY_SIZES: [usize; 2] = [64, 4096];
 /// here; HMAC is SHA-256 plus two compressions and has no gate of its own.
 const SHA256_MIN_SPEEDUP: f64 = 3.0;
 const CRC32C_MIN_SPEEDUP: f64 = 8.0;
-
-struct Config {
-    smoke: bool,
-    out: String,
-}
 
 /// One integrity kernel: production (dispatching) vs scalar reference.
 struct IntegrityReport {
@@ -81,44 +72,15 @@ struct AlgoReport {
     speedup_4096: f64,
 }
 
-fn parse_args() -> Result<Config, String> {
-    let mut smoke = false;
-    let mut out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out = Some(args.next().ok_or_else(|| "--out needs a path".to_string())?);
-            }
-            "--help" | "-h" => {
-                return Err("usage: crypto [--smoke] [--out BENCH_crypto.json]".to_string())
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    // Only a full run may land on the committed trajectory file.
-    let default = if smoke { "target/BENCH_crypto_smoke.json" } else { "BENCH_crypto.json" };
-    Ok(Config { smoke, out: out.unwrap_or_else(|| default.to_string()) })
-}
-
 /// Best-of-3 throughput of `f` over a `size`-byte buffer, in MiB/s. The
 /// iteration count is sized so each timed pass processes a fixed byte
 /// budget regardless of payload size.
 fn measure_mib_s(size: usize, smoke: bool, mut f: impl FnMut(&mut [u8])) -> f64 {
     let mut buf = vec![0xabu8; size];
     let budget: usize = if smoke { 4 << 20 } else { 48 << 20 };
-    let iters = (budget / size).max(3);
     f(&mut buf); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f(black_box(&mut buf));
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (size as f64 * iters as f64) / best / (1024.0 * 1024.0)
+    let ns = best_of_3_ns((budget / size).max(3) as u32, || f(black_box(&mut buf)));
+    size as f64 / (ns / 1e9) / (1024.0 * 1024.0)
 }
 
 /// The 4 KiB point of a `(size, MiB/s)` series — the one the gates read.
@@ -128,17 +90,10 @@ fn rate_at_4k(rates: &[(usize, f64)]) -> f64 {
 
 /// Best-of-3 per-call cost of `CipherContext::new`, in nanoseconds.
 fn measure_init_ns(dek: &Dek, nonce: &[u8; NONCE_LEN], smoke: bool) -> f64 {
-    let iters: u32 = if smoke { 20_000 } else { 200_000 };
     black_box(CipherContext::new(dek, nonce)); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(CipherContext::new(black_box(dek), nonce));
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e9 / f64::from(iters)
+    best_of_3_ns(if smoke { 20_000 } else { 200_000 }, || {
+        black_box(CipherContext::new(black_box(dek), nonce));
+    })
 }
 
 fn bench_algorithm(algo: Algorithm, smoke: bool) -> AlgoReport {
@@ -277,166 +232,97 @@ fn integrity_row(
     IntegrityReport { slug, accelerated, min_speedup, hardware, reference, speedup_4096 }
 }
 
-/// The CPU features the kernels dispatch on, as detected at run time.
-fn cpu_features() -> Vec<&'static str> {
-    let mut features = Vec::new();
-    if shield_crypto::aes::batch_is_accelerated() {
-        features.push("aes");
+fn rates_json(j: &mut JsonBuilder, key: &str, rates: &[(usize, f64)]) {
+    j.open_obj(key);
+    for (size, mib_s) in rates {
+        j.field_f64(&size.to_string(), *mib_s);
     }
-    if shield_crypto::sha256::is_accelerated() {
-        features.push("sha_ni");
-    }
-    if shield_crypto::crc32c::is_accelerated() {
-        features.push("sse4.2+pclmulqdq");
-    }
-    features
+    j.close_obj();
 }
 
-fn rates_json(rates: &[(usize, f64)]) -> String {
-    let mut s = String::from("{");
-    for (i, (size, mib_s)) in rates.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{size}\": {mib_s:.1}");
+/// Prints one series pair and gates its 4 KiB ratio `speedup` against
+/// `min`.
+fn report_kernel(
+    bench: &mut Bench,
+    name: &str,
+    (fast_label, fast): (&str, &[(usize, f64)]),
+    (slow_label, slow): (&str, &[(usize, f64)]),
+    speedup: f64,
+    min: Option<f64>,
+) {
+    for ((size, a), (_, b)) in fast.iter().zip(slow) {
+        println!(
+            "  {name} {size:>7} B: {fast_label} {a:>8.1} MiB/s, {slow_label} {b:>8.1} MiB/s ({:.2}x)",
+            a / b
+        );
     }
-    s.push('}');
-    s
-}
-
-fn report_json(mode: &str, reports: &[AlgoReport], integrity: &[IntegrityReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"crypto_kernels\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"commit\": \"{}\",", shield_bench::report::commit());
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let _ = writeln!(s, "  \"nproc\": {nproc},");
-    let features: Vec<String> = cpu_features().iter().map(|f| format!("\"{f}\"")).collect();
-    let _ = writeln!(s, "  \"cpu_features\": [{}],", features.join(", "));
-    let _ = writeln!(s, "  \"unit_throughput\": \"MiB/s\",");
-    let _ = writeln!(s, "  \"unit_init\": \"ns\",");
-    let _ = writeln!(
-        s,
-        "  \"sizes\": [{}],",
-        SIZES.map(|v| v.to_string()).join(", ")
-    );
-    s.push_str("  \"algorithms\": {\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(s, "    \"{}\": {{", r.slug);
-        let _ = writeln!(s, "      \"cipher_init_ns\": {:.1},", r.init_ns);
-        let _ = writeln!(s, "      \"batched_mib_s\": {},", rates_json(&r.batched));
-        let _ = writeln!(s, "      \"scalar_mib_s\": {},", rates_json(&r.scalar));
-        let _ = writeln!(s, "      \"speedup_4096\": {:.2}", r.speedup_4096);
-        let _ = writeln!(s, "    }}{}", if i + 1 < reports.len() { "," } else { "" });
+    if let Some(min) = min {
+        bench.engaged(
+            &format!("{name} {fast_label}/{slow_label} on 4 KiB = {speedup:.2}x (gate {min:.1}x)"),
+            speedup >= min,
+        );
     }
-    s.push_str("  },\n");
-    s.push_str("  \"integrity\": {\n");
-    for (i, r) in integrity.iter().enumerate() {
-        let _ = writeln!(s, "    \"{}\": {{", r.slug);
-        let _ = writeln!(s, "      \"accelerated\": {},", r.accelerated);
-        let _ = writeln!(s, "      \"hardware_mib_s\": {},", rates_json(&r.hardware));
-        let _ = writeln!(s, "      \"reference_mib_s\": {},", rates_json(&r.reference));
-        let _ = writeln!(s, "      \"speedup_4096\": {:.2}", r.speedup_4096);
-        let _ = writeln!(s, "    }}{}", if i + 1 < integrity.len() { "," } else { "" });
-    }
-    s.push_str("  }\n}\n");
-    s
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    println!("crypto kernel bench ({mode} mode)");
+    let mut bench = Bench::from_args("crypto");
+    let smoke = bench.smoke();
+    let j = bench.json();
+    j.field_str("unit_throughput", "MiB/s");
+    j.field_str("unit_init", "ns");
+    j.open_arr("sizes");
+    for size in SIZES {
+        j.item_u64(size as u64);
+    }
+    j.close_arr();
 
-    let reports: Vec<AlgoReport> = [Algorithm::Aes128Ctr, Algorithm::ChaCha20]
-        .into_iter()
-        .map(|algo| bench_algorithm(algo, cfg.smoke))
-        .collect();
-
-    for r in &reports {
+    j.open_obj("algorithms");
+    for algo in [Algorithm::Aes128Ctr, Algorithm::ChaCha20] {
+        let r = bench_algorithm(algo, smoke);
         println!("  {} cipher_init: {:.0} ns/call", r.display, r.init_ns);
-        for ((size, batched), (_, scalar)) in r.batched.iter().zip(r.scalar.iter()) {
-            println!(
-                "  {} xor_at {:>7} B: batched {:>8.1} MiB/s, scalar {:>8.1} MiB/s ({:.2}x)",
-                r.display,
-                size,
-                batched,
-                scalar,
-                batched / scalar
-            );
-        }
-    }
-
-    let integrity = bench_integrity(cfg.smoke);
-    for r in &integrity {
-        for ((size, hardware), (_, reference)) in r.hardware.iter().zip(r.reference.iter()) {
-            println!(
-                "  {} {:>5} B: production {:>8.1} MiB/s, reference {:>8.1} MiB/s ({:.2}x)",
-                r.slug,
-                size,
-                hardware,
-                reference,
-                hardware / reference
-            );
-        }
-    }
-
-    let json = report_json(mode, &reports, &integrity);
-    if let Some(dir) = std::path::Path::new(&cfg.out).parent() {
-        // `target/` may not exist yet when run from a fresh checkout.
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&cfg.out, &json) {
-        eprintln!("failed to write {}: {e}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", cfg.out);
-
-    let mut ok = true;
-    for r in &reports {
-        let min = match r.slug {
-            "aes128ctr" => AES_MIN_SPEEDUP,
-            _ => CHACHA_MIN_SPEEDUP,
+        let j = bench.json();
+        j.open_obj(r.slug);
+        j.field_f64("cipher_init_ns", r.init_ns);
+        rates_json(j, "batched_mib_s", &r.batched);
+        rates_json(j, "scalar_mib_s", &r.scalar);
+        j.field_f64("speedup_4096", r.speedup_4096);
+        j.close_obj();
+        let min = match algo {
+            Algorithm::Aes128Ctr => AES_MIN_SPEEDUP,
+            Algorithm::ChaCha20 => CHACHA_MIN_SPEEDUP,
         };
-        if r.speedup_4096 < min {
-            eprintln!(
-                "FAIL: {} batched/scalar speedup on 4 KiB is {:.2}x, below the {min:.1}x gate",
-                r.display, r.speedup_4096
-            );
-            ok = false;
-        } else {
-            println!(
-                "ok: {} batched/scalar speedup on 4 KiB = {:.2}x (gate {min:.1}x)",
-                r.display, r.speedup_4096
-            );
-        }
+        report_kernel(
+            &mut bench,
+            &r.display,
+            ("batched", &r.batched),
+            ("scalar", &r.scalar),
+            r.speedup_4096,
+            Some(min),
+        );
     }
-    for r in &integrity {
-        let Some(min) = r.min_speedup else { continue };
-        if !r.accelerated {
+    bench.json().close_obj();
+
+    bench.json().open_obj("integrity");
+    for r in bench_integrity(smoke) {
+        let j = bench.json();
+        j.open_obj(r.slug);
+        j.field_bool("accelerated", r.accelerated);
+        rates_json(j, "hardware_mib_s", &r.hardware);
+        rates_json(j, "reference_mib_s", &r.reference);
+        j.field_f64("speedup_4096", r.speedup_4096);
+        j.close_obj();
+        if r.min_speedup.is_some() && !r.accelerated {
             println!("skipped: {} gate — no sha_ni / sse4.2 on this CPU", r.slug);
-        } else if r.speedup_4096 < min {
-            eprintln!(
-                "FAIL: {} hardware/reference on 4 KiB is {:.2}x, below the {min:.1}x gate",
-                r.slug, r.speedup_4096
-            );
-            ok = false;
-        } else {
-            println!(
-                "ok: {} hardware/reference speedup on 4 KiB = {:.2}x (gate {min:.1}x)",
-                r.slug, r.speedup_4096
-            );
         }
+        report_kernel(
+            &mut bench,
+            r.slug,
+            ("production", &r.hardware),
+            ("reference", &r.reference),
+            r.speedup_4096,
+            r.min_speedup.filter(|_| r.accelerated),
+        );
     }
-    if !ok {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    bench.json().close_obj();
+    bench.finish()
 }

@@ -1,8 +1,8 @@
 //! Authenticated-integrity overhead benchmark (PR 6): the same
-//! disaggregated-storage setup as the read-path bench (SSTs behind a
-//! [`RemoteEnv`] charging an RTT per storage op), run twice per system —
-//! once with CRC-only integrity (v1 files) and once with per-block HMAC
-//! verification (v2 files) — plus two hostile workloads:
+//! disaggregated-storage setup as the read-path bench
+//! ([`harness::ds_read_store`] over the paper's DS link), run twice per
+//! system — once with CRC-only integrity (v1 files) and once with
+//! per-block HMAC verification (v2 files) — plus two hostile workloads:
 //!
 //! - **tombstone flood**: every key deleted, tombstones left unmerged in
 //!   L0; scans and seek storms must grind through them without hanging.
@@ -13,221 +13,59 @@
 //! SHIELD-mode cold scans. On an RTT-dominated remote env that is the
 //! honest deployment question — per-block MAC compute vs a network round
 //! trip. `--smoke` only asserts the machinery engages (verified blocks
-//! counted, zero failures); CI timing noise is no place for a perf gate.
-//! The committed full-mode `BENCH_integrity.json` is the perf record.
+//! counted, zero failures). The committed full-mode
+//! `BENCH_integrity.json` is the perf record.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use shield::{open_plain, open_shield, ShieldDb, ShieldOptions};
+use shield_bench::harness::{self, ds_key, open_cold, Bench};
 use shield_bench::rng::Rng;
-use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Integrity, Options, ReadOptions, WriteOptions};
+use shield_bench::{SystemHandle, SystemKind};
+use shield_env::NetworkModel;
+use shield_lsm::{Integrity, Options, ReadOptions, WriteOptions};
 
 const ENGINE_KEY: [u8; 32] = [0x1d; 32];
 
-struct Config {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config { smoke: false, out: "BENCH_integrity.json".to_string() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                cfg.out = args.next().ok_or_else(|| "--out needs a path".to_string())?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: integrity [--smoke] [--out BENCH_integrity.json]".to_string())
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
-
-fn network(smoke: bool) -> NetworkModel {
-    NetworkModel {
-        rtt: Duration::from_micros(if smoke { 100 } else { 500 }),
-        bandwidth_bytes_per_sec: Some(125_000_000), // 1 Gbps
-        write_packet_bytes: 64 * 1024,
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum System {
-    Plain,
-    Shield,
-}
-
-impl System {
-    const ALL: [System; 2] = [System::Plain, System::Shield];
-
-    fn label(self) -> &'static str {
-        match self {
-            System::Plain => "plain",
-            System::Shield => "shield",
-        }
-    }
-}
-
-enum Handle {
-    Plain(Db),
-    Shield(ShieldDb),
-}
-
-impl Handle {
-    fn db(&self) -> &Db {
-        match self {
-            Handle::Plain(db) => db,
-            Handle::Shield(db) => &db.db,
-        }
-    }
-}
-
-/// One (system, integrity-mode) database: its remote env plus the key
-/// material that must survive reopens.
-struct Ctx {
-    system: System,
-    integrity: Integrity,
-    env: Arc<dyn Env>,
-    kds: Arc<LocalKds>,
-}
-
-impl Ctx {
-    fn new(system: System, integrity: Integrity, smoke: bool) -> Self {
-        Ctx {
-            system,
-            integrity,
-            env: Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), network(smoke))),
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
-        }
-    }
-
-    /// Opens (or reopens, with a cold block cache) the database.
-    fn open(&self) -> Handle {
-        let mut opts = Options::new(self.env.clone())
-            .with_write_buffer_size(256 << 10)
-            .with_background_jobs(4)
-            .with_integrity(self.integrity)
-            .with_integrity_key(ENGINE_KEY);
-        opts.block_cache_bytes = 8 << 20;
-        opts.compaction.l0_compaction_trigger = 4;
-        opts.compaction.target_file_size = 256 << 10;
-        opts.disable_wal = true; // read phases never write; fills flush explicitly
-        match self.system {
-            System::Plain => Handle::Plain(open_plain(opts, "db").expect("open plain")),
-            System::Shield => {
-                let mut sopts = ShieldOptions::new(
-                    self.kds.clone() as Arc<dyn Kds>,
-                    ServerId(1),
-                    b"bench-passkey",
-                );
-                sopts.wal_buffer_size = 0;
-                Handle::Shield(open_shield(opts, "db", sopts).expect("open shield"))
-            }
-        }
-    }
-}
-
-fn key_bytes(i: u64) -> Vec<u8> {
-    format!("k{i:08}").into_bytes()
-}
-
-fn fill(ctx: &Ctx, keys: u64) {
-    let handle = ctx.open();
-    let db = handle.db();
-    let w = WriteOptions::default();
-    let mut rng = Rng::new(0x1317_e6b1);
-    let mut value = vec![0u8; 256];
-    for i in 0..keys {
-        rng.fill(&mut value);
-        db.put(&w, &key_bytes(i), &value).expect("put");
-    }
-    db.flush().expect("flush");
-    db.compact_all().expect("compact");
-}
-
-struct ScanResult {
-    entries: u64,
-    secs: f64,
+/// What the gates read back from one integrity mode's run.
+struct ModeResult {
+    scan_secs: f64,
+    readrandom_secs: f64,
     integrity_checks: u64,
     integrity_failures: u64,
 }
 
-/// Cold full forward scan (fresh handle, empty block cache).
-fn cold_scan(ctx: &Ctx) -> ScanResult {
-    let handle = ctx.open();
-    let db = handle.db();
-    let start = Instant::now();
-    let mut it = db.iter(&ReadOptions::default()).expect("iter");
-    it.seek_to_first();
-    let mut entries = 0u64;
-    while it.valid() {
-        entries += 1;
-        it.next();
-    }
-    it.status().expect("scan status");
-    let secs = start.elapsed().as_secs_f64();
-    let s = db.statistics().snapshot();
-    ScanResult { entries, secs, integrity_checks: s.integrity_checks, integrity_failures: s.integrity_failures }
-}
-
 /// Cold uniform random gets.
-fn readrandom(ctx: &Ctx, keys: u64, ops: u64) -> f64 {
-    let handle = ctx.open();
-    let db = handle.db();
+fn readrandom(sys: &SystemHandle, keys: u64, ops: u64) -> f64 {
     let ropts = ReadOptions::default();
-    let mut rng = Rng::new(0x0eadca11);
+    let mut rng = Rng::new(0x0ead_ca11);
     let start = Instant::now();
     for _ in 0..ops {
         let k = rng.next_below(keys);
-        let got = db.get(&ropts, &key_bytes(k)).expect("get");
-        assert!(got.is_some(), "fill lost key {k}");
+        assert!(sys.db().get(&ropts, &ds_key(k)).expect("get").is_some(), "fill lost key {k}");
     }
     start.elapsed().as_secs_f64()
-}
-
-struct AbuseResult {
-    flood_scan_secs: f64,
-    seek_storm_secs: f64,
-    surviving_entries: u64,
 }
 
 /// Tombstone flood + range abuse: delete every key and, while every
 /// tombstone is still live (unmerged against the SST data), full-scan and
 /// seek-storm across the graveyard. The merging iterator must read every
-/// (verified) data block just to conclude nothing is there.
-fn tombstone_abuse(ctx: &Ctx, keys: u64, seeks: u64) -> AbuseResult {
-    let handle = ctx.open();
-    let db = handle.db();
+/// (verified) data block just to conclude nothing is there. Returns
+/// `(flood scan seconds, seek storm seconds)`.
+fn tombstone_abuse(sys: &SystemHandle, keys: u64, seeks: u64) -> (f64, f64) {
+    let db = sys.db();
     let w = WriteOptions::default();
     for i in 0..keys {
-        db.delete(&w, &key_bytes(i)).expect("delete");
+        db.delete(&w, &ds_key(i)).expect("delete");
     }
-    let start = Instant::now();
-    let mut it = db.iter(&ReadOptions::default()).expect("iter");
-    it.seek_to_first();
-    let mut surviving = 0u64;
-    while it.valid() {
-        surviving += 1;
-        it.next();
-    }
-    it.status().expect("flood scan status");
-    let flood_scan_secs = start.elapsed().as_secs_f64();
+    let (surviving, flood_scan_secs) = harness::scan_all(sys);
+    assert_eq!(surviving, 0, "tombstone flood must delete everything");
 
     let mut rng = Rng::new(0xab05_ed00);
     let start = Instant::now();
     let mut it = db.iter(&ReadOptions::default()).expect("iter");
     for _ in 0..seeks {
-        let k = rng.next_below(keys);
-        it.seek(&key_bytes(k));
+        it.seek(&ds_key(rng.next_below(keys)));
         // Hostile pattern: each seek lands in a deleted range and must
         // skip tombstones to find out nothing is there.
         for _ in 0..4 {
@@ -238,170 +76,105 @@ fn tombstone_abuse(ctx: &Ctx, keys: u64, seeks: u64) -> AbuseResult {
         }
     }
     it.status().expect("seek storm status");
-    let seek_storm_secs = start.elapsed().as_secs_f64();
-    AbuseResult { flood_scan_secs, seek_storm_secs, surviving_entries: surviving }
+    (flood_scan_secs, start.elapsed().as_secs_f64())
 }
 
-struct IntegrityModeReport {
-    scan: ScanResult,
-    readrandom_secs: f64,
-    abuse: AbuseResult,
-}
+/// Fills a fresh store under `integrity`, measures it and writes the
+/// mode's section.
+fn run_mode(
+    bench: &mut Bench,
+    kind: SystemKind,
+    model: NetworkModel,
+    integrity: Integrity,
+    section: &str,
+) -> ModeResult {
+    let keys: u64 = bench.pick(2_000, 10_000);
+    let readrandom_ops: u64 = bench.pick(500, 3_000);
+    let seeks: u64 = bench.pick(200, 1_000);
+    let with_integrity =
+        |opts: Options| opts.with_integrity(integrity).with_integrity_key(ENGINE_KEY);
 
-struct SystemReport {
-    system: System,
-    crc: IntegrityModeReport,
-    hmac: IntegrityModeReport,
-    scan_overhead_pct: f64,
-    readrandom_overhead_pct: f64,
-}
+    let store = harness::ds_read_store(kind, model);
+    harness::ds_fill(&store, keys, with_integrity);
+    let sys = open_cold(&store, with_integrity);
+    let (entries, scan_secs) = harness::scan_all(&sys);
+    let s = sys.db().statistics().snapshot();
+    assert_eq!(entries, keys, "scan missed entries");
+    let readrandom_secs = readrandom(&open_cold(&store, with_integrity), keys, readrandom_ops);
+    let (flood_scan_secs, seek_storm_secs) =
+        tombstone_abuse(&open_cold(&store, with_integrity), keys, seeks);
 
-fn run_mode(system: System, integrity: Integrity, smoke: bool) -> IntegrityModeReport {
-    let keys: u64 = if smoke { 2_000 } else { 10_000 };
-    let readrandom_ops: u64 = if smoke { 500 } else { 3_000 };
-    let seeks: u64 = if smoke { 200 } else { 1_000 };
-
-    let ctx = Ctx::new(system, integrity, smoke);
-    fill(&ctx, keys);
-    let scan = cold_scan(&ctx);
-    assert_eq!(scan.entries, keys, "scan missed entries");
-    assert_eq!(scan.integrity_failures, 0, "bench data must verify clean");
-    let readrandom_secs = readrandom(&ctx, keys, readrandom_ops);
-    let abuse = tombstone_abuse(&ctx, keys, seeks);
-    assert_eq!(abuse.surviving_entries, 0, "tombstone flood must delete everything");
-    IntegrityModeReport { scan, readrandom_secs, abuse }
-}
-
-fn overhead_pct(crc: f64, hmac: f64) -> f64 {
-    (hmac - crc) / crc.max(1e-9) * 100.0
-}
-
-fn run_system(system: System, smoke: bool) -> SystemReport {
-    let crc = run_mode(system, Integrity::Crc, smoke);
-    let hmac = run_mode(system, Integrity::Hmac, smoke);
-    let scan_overhead_pct = overhead_pct(crc.scan.secs, hmac.scan.secs);
-    let readrandom_overhead_pct = overhead_pct(crc.readrandom_secs, hmac.readrandom_secs);
-    SystemReport { system, crc, hmac, scan_overhead_pct, readrandom_overhead_pct }
-}
-
-fn mode_json(s: &mut String, label: &str, r: &IntegrityModeReport, comma: bool) {
-    let _ = writeln!(s, "      \"{label}\": {{");
-    let _ = writeln!(s, "        \"cold_scan_secs\": {:.3},", r.scan.secs);
-    let _ = writeln!(s, "        \"scan_entries\": {},", r.scan.entries);
-    let _ = writeln!(s, "        \"integrity_checks\": {},", r.scan.integrity_checks);
-    let _ = writeln!(s, "        \"integrity_failures\": {},", r.scan.integrity_failures);
-    let _ = writeln!(s, "        \"readrandom_secs\": {:.3},", r.readrandom_secs);
-    let _ = writeln!(s, "        \"tombstone_flood_scan_secs\": {:.3},", r.abuse.flood_scan_secs);
-    let _ = writeln!(s, "        \"seek_storm_secs\": {:.3}", r.abuse.seek_storm_secs);
-    let _ = writeln!(s, "      }}{}", if comma { "," } else { "" });
-}
-
-fn report_json(mode: &str, model: &NetworkModel, reports: &[SystemReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"integrity\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"cold scan + readrandom + tombstone flood, crc vs hmac, remote storage\","
-    );
-    let _ = writeln!(s, "  \"network\": {{");
-    let _ = writeln!(s, "    \"rtt_us\": {},", model.rtt.as_micros());
-    let _ = writeln!(
-        s,
-        "    \"bandwidth_bytes_per_sec\": {},",
-        model.bandwidth_bytes_per_sec.map_or("null".to_string(), |b| b.to_string())
-    );
-    let _ = writeln!(s, "    \"write_packet_bytes\": {}", model.write_packet_bytes);
-    let _ = writeln!(s, "  }},");
-    s.push_str("  \"systems\": {\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(s, "    \"{}\": {{", r.system.label());
-        mode_json(&mut s, "crc", &r.crc, true);
-        mode_json(&mut s, "hmac", &r.hmac, true);
-        let _ = writeln!(s, "      \"scan_overhead_pct\": {:.2},", r.scan_overhead_pct);
-        let _ = writeln!(s, "      \"readrandom_overhead_pct\": {:.2}", r.readrandom_overhead_pct);
-        let _ = writeln!(s, "    }}{}", if i + 1 < reports.len() { "," } else { "" });
+    let j = bench.json();
+    j.open_obj(section);
+    j.field_f64("cold_scan_secs", scan_secs);
+    j.field_u64("scan_entries", entries);
+    j.field_u64("integrity_checks", s.integrity_checks);
+    j.field_u64("integrity_failures", s.integrity_failures);
+    j.field_f64("readrandom_secs", readrandom_secs);
+    j.field_f64("tombstone_flood_scan_secs", flood_scan_secs);
+    j.field_f64("seek_storm_secs", seek_storm_secs);
+    j.close_obj();
+    ModeResult {
+        scan_secs,
+        readrandom_secs,
+        integrity_checks: s.integrity_checks,
+        integrity_failures: s.integrity_failures,
     }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
+}
+
+fn overhead_pct(crc: f64, hmac: f64) -> Option<f64> {
+    harness::ratio(hmac - crc, crc).map(|r| r * 100.0)
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    let model = network(cfg.smoke);
-    println!(
-        "integrity bench ({mode} mode, rtt {} us over 1 Gbps pipe)",
-        model.rtt.as_micros()
+    let mut bench = Bench::from_args("integrity");
+    let model = bench.network();
+    let j = bench.json();
+    j.field_str(
+        "workload",
+        "cold scan + readrandom + tombstone flood, crc vs hmac, remote storage",
     );
-
-    let reports: Vec<SystemReport> =
-        System::ALL.into_iter().map(|sys| run_system(sys, cfg.smoke)).collect();
-    for r in &reports {
+    j.open_obj("systems");
+    for kind in [SystemKind::Plain, SystemKind::Shield] {
+        let label = kind.slug();
+        bench.json().open_obj(label);
+        let crc = run_mode(&mut bench, kind, model, Integrity::Crc, "crc");
+        let hmac = run_mode(&mut bench, kind, model, Integrity::Hmac, "hmac");
+        let scan_overhead = overhead_pct(crc.scan_secs, hmac.scan_secs);
+        let readrandom_overhead = overhead_pct(crc.readrandom_secs, hmac.readrandom_secs);
+        let j = bench.json();
+        j.field_opt_f64("scan_overhead_pct", scan_overhead);
+        j.field_opt_f64("readrandom_overhead_pct", readrandom_overhead);
+        j.close_obj();
+        let shown = scan_overhead.unwrap_or(f64::NAN);
         println!(
-            "  {:>6}: scan {:.3}s -> {:.3}s ({:+.2}%) | readrandom {:.3}s -> {:.3}s ({:+.2}%) \
-             | {} blocks verified | flood scan {:.3}s, seek storm {:.3}s",
-            r.system.label(),
-            r.crc.scan.secs,
-            r.hmac.scan.secs,
-            r.scan_overhead_pct,
-            r.crc.readrandom_secs,
-            r.hmac.readrandom_secs,
-            r.readrandom_overhead_pct,
-            r.hmac.scan.integrity_checks,
-            r.hmac.abuse.flood_scan_secs,
-            r.hmac.abuse.seek_storm_secs,
+            "  {label:>6}: scan {:.3}s -> {:.3}s ({shown:+.2}%) | readrandom {:.3}s -> {:.3}s \
+             ({:+.2}%) | {} blocks verified",
+            crc.scan_secs,
+            hmac.scan_secs,
+            crc.readrandom_secs,
+            hmac.readrandom_secs,
+            readrandom_overhead.unwrap_or(f64::NAN),
+            hmac.integrity_checks,
         );
-    }
-
-    let json = report_json(mode, &model, &reports);
-    if let Err(e) = std::fs::write(&cfg.out, &json) {
-        eprintln!("failed to write {}: {e}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", cfg.out);
-
-    // Engagement gates (both modes): HMAC runs must actually verify
-    // blocks and must verify them all clean.
-    for r in &reports {
-        if r.hmac.scan.integrity_checks == 0 {
-            eprintln!("FAIL: {} hmac scan verified zero blocks", r.system.label());
-            return ExitCode::FAILURE;
-        }
-        if r.hmac.scan.integrity_failures != 0 {
-            eprintln!(
-                "FAIL: {} hmac scan reported {} failures on clean data",
-                r.system.label(),
-                r.hmac.scan.integrity_failures
+        bench.engaged(
+            &format!(
+                "{label} hmac scan verified {} blocks with {} failures on clean data",
+                hmac.integrity_checks, hmac.integrity_failures
+            ),
+            hmac.integrity_checks > 0 && hmac.integrity_failures == 0,
+        );
+        bench.engaged(
+            &format!("{label} crc scan ran no MAC verification"),
+            crc.integrity_checks == 0,
+        );
+        if kind == SystemKind::Shield {
+            bench.full_gate(
+                &format!("shield hmac scan overhead {shown:.2}% < 10%"),
+                scan_overhead.is_some_and(|pct| pct < 10.0),
             );
-            return ExitCode::FAILURE;
-        }
-        if r.crc.scan.integrity_checks != 0 {
-            eprintln!("FAIL: {} crc scan ran MAC verification", r.system.label());
-            return ExitCode::FAILURE;
         }
     }
-    // Perf gate (full mode only): HMAC must cost < 10% on SHIELD cold
-    // scans over the 500 µs RTT env.
-    if !cfg.smoke {
-        for r in reports.iter().filter(|r| r.system == System::Shield) {
-            if r.scan_overhead_pct >= 10.0 {
-                eprintln!(
-                    "FAIL: {} hmac scan overhead {:.2}% >= 10%",
-                    r.system.label(),
-                    r.scan_overhead_pct
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    bench.json().close_obj();
+    bench.finish()
 }

@@ -3,11 +3,10 @@
 //! readahead point re-measured over the *concurrent* `RemoteEnv`, in
 //! three encryption modes (plain, EncFS, SHIELD).
 //!
-//! The setup mirrors the paper's DS read experiments (§6.2): SSTs live
-//! behind a [`RemoteEnv`] with 500 µs RTT over a 1 Gbps link (PR 7's
-//! honest model: RTTs of concurrent requests overlap, bandwidth is
-//! FIFO-shared, and a `read_at_many` batch pays one RTT). That makes the
-//! two batched-read behaviors directly measurable:
+//! The setup is [`harness::ds_read_store`] over the paper's DS link
+//! (PR 7's honest model: RTTs of concurrent requests overlap, bandwidth
+//! is FIFO-shared, and a `read_at_many` batch pays one RTT). That makes
+//! the two batched-read behaviors directly measurable:
 //!
 //! - **multi_get.** 64 serial cold gets pay ~64 RTTs; `multi_get`
 //!   partitions the batch per file and issues one bounded-depth
@@ -18,407 +17,106 @@
 //!   seq-scan speedup must clear 2x (it was capped at ~1.3x before).
 //!
 //! `--smoke` (the verify tier) only asserts both mechanisms *engage* —
-//! nonzero `batched_reads` and `readahead_issued` — CI timing noise is
-//! no place for a perf gate. The committed full-mode
-//! `BENCH_multiget.json` is the perf record.
+//! nonzero `batched_reads` and `readahead_issued`. The committed
+//! full-mode `BENCH_multiget.json` is the perf record.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use shield::{open_encfs, open_plain, open_shield, EncFsDb, ShieldDb, ShieldOptions};
-use shield_bench::rng::Rng;
-use shield_crypto::{Algorithm, Dek};
-use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Options, ReadOptions, StatsSnapshot, WriteOptions};
+use shield_bench::harness::{self, ds_key, open_cold, Bench};
+use shield_bench::{SystemKind, SystemStore};
+use shield_lsm::ReadOptions;
 
 const BATCH: usize = 64;
-const READAHEAD_BLOCKS: usize = 16;
-
-struct Config {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config { smoke: false, out: "BENCH_multiget.json".to_string() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                cfg.out = args.next().ok_or_else(|| "--out needs a path".to_string())?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: multiget [--smoke] [--out BENCH_multiget.json]".to_string())
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
-
-fn network(smoke: bool) -> NetworkModel {
-    NetworkModel {
-        rtt: Duration::from_micros(if smoke { 100 } else { 500 }),
-        bandwidth_bytes_per_sec: Some(125_000_000), // 1 Gbps
-        write_packet_bytes: 64 * 1024,
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Plain,
-    EncFs,
-    Shield,
-}
-
-impl Mode {
-    const ALL: [Mode; 3] = [Mode::Plain, Mode::EncFs, Mode::Shield];
-
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Plain => "plain",
-            Mode::EncFs => "encfs",
-            Mode::Shield => "shield",
-        }
-    }
-}
-
-enum Handle {
-    Plain(Db),
-    EncFs(EncFsDb),
-    Shield(ShieldDb),
-}
-
-impl Handle {
-    fn db(&self) -> &Db {
-        match self {
-            Handle::Plain(db) => db,
-            Handle::EncFs(db) => &db.db,
-            Handle::Shield(db) => &db.db,
-        }
-    }
-}
-
-/// One mode's persistent state: the remote env holding its SSTs plus the
-/// key material that must survive reopens.
-struct ModeCtx {
-    mode: Mode,
-    env: Arc<dyn Env>,
-    dek: Dek,
-    kds: Arc<LocalKds>,
-}
-
-impl ModeCtx {
-    fn new(mode: Mode, smoke: bool) -> Self {
-        ModeCtx {
-            mode,
-            env: Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), network(smoke))),
-            dek: Dek::generate(Algorithm::Aes128Ctr),
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
-        }
-    }
-
-    /// Opens (or reopens, with a cold block cache) the mode's database.
-    fn open(&self, readahead_blocks: usize) -> Handle {
-        let mut opts = Options::new(self.env.clone())
-            .with_write_buffer_size(256 << 10)
-            .with_background_jobs(4)
-            .with_readahead_blocks(readahead_blocks);
-        opts.block_cache_bytes = 8 << 20;
-        opts.compaction.l0_compaction_trigger = 4;
-        opts.compaction.target_file_size = 256 << 10;
-        // The read phases never write; the fill phase flushes explicitly.
-        opts.disable_wal = true;
-        match self.mode {
-            Mode::Plain => Handle::Plain(open_plain(opts, "db").expect("open plain")),
-            Mode::EncFs => {
-                Handle::EncFs(open_encfs(opts, "db", self.dek.clone(), 0).expect("open encfs"))
-            }
-            Mode::Shield => {
-                let mut sopts = ShieldOptions::new(
-                    self.kds.clone() as Arc<dyn Kds>,
-                    ServerId(1),
-                    b"bench-passkey",
-                );
-                sopts.wal_buffer_size = 0;
-                Handle::Shield(open_shield(opts, "db", sopts).expect("open shield"))
-            }
-        }
-    }
-}
-
-struct MultiGetReport {
-    batch: usize,
-    rounds: u64,
-    serial_secs: f64,
-    batched_secs: f64,
-    speedup: f64,
-    batched_reads: u64,
-    batch_read_requests: u64,
-    env_inflight_reads: u64,
-}
-
-struct ScanReport {
-    entries: u64,
-    no_readahead_secs: f64,
-    readahead_secs: f64,
-    readahead_issued: u64,
-    readahead_useful: u64,
-    speedup: f64,
-}
-
-struct ModeReport {
-    mode: Mode,
-    multi_get: MultiGetReport,
-    scan: ScanReport,
-}
-
-fn key_bytes(i: u64) -> Vec<u8> {
-    format!("k{i:08}").into_bytes()
-}
-
-/// Sequentially fills `keys` entries and compacts them into read-only SSTs.
-fn fill(ctx: &ModeCtx, keys: u64) {
-    let handle = ctx.open(0);
-    let db = handle.db();
-    let w = WriteOptions::default();
-    let mut rng = Rng::new(0x7ead_bea7);
-    let mut value = vec![0u8; 256];
-    for i in 0..keys {
-        rng.fill(&mut value);
-        db.put(&w, &key_bytes(i), &value).expect("put");
-    }
-    db.flush().expect("flush");
-    db.compact_all().expect("compact");
-}
 
 /// `rounds` distinct batches of `BATCH` cold keys each. Every round
 /// reopens the database (cold block cache) twice — once for the serial
 /// baseline, once for the batched run — over the same key set.
-fn run_multi_get(ctx: &ModeCtx, keys: u64, rounds: u64) -> MultiGetReport {
+fn run_multi_get(bench: &mut Bench, store: &SystemStore, keys: u64, rounds: u64) {
+    let label = store.kind().slug();
+    let ropts = ReadOptions::default();
     let mut serial_secs = 0.0;
     let mut batched_secs = 0.0;
-    let mut final_stats: Option<StatsSnapshot> = None;
+    let mut stats = None;
     for round in 0..rounds {
         // Stride the round's keys across the whole space so every key
         // lands in a different (cold) block where possible.
         let stride = keys / BATCH as u64;
         let batch: Vec<Vec<u8>> = (0..BATCH as u64)
-            .map(|i| key_bytes((i * stride + round * (stride / rounds.max(1)).max(1)) % keys))
+            .map(|i| ds_key((i * stride + round * (stride / rounds).max(1)) % keys))
             .collect();
         let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
 
-        let handle = ctx.open(0);
-        let db = handle.db();
-        let ropts = ReadOptions::default();
+        let sys = open_cold(store, |opts| opts);
         let start = Instant::now();
         for key in &refs {
-            let got = db.get(&ropts, key).expect("serial get");
-            assert!(got.is_some(), "fill lost a key");
+            assert!(sys.db().get(&ropts, key).expect("serial get").is_some(), "fill lost a key");
         }
         serial_secs += start.elapsed().as_secs_f64();
 
-        let handle = ctx.open(0);
-        let db = handle.db();
+        let sys = open_cold(store, |opts| opts);
         let start = Instant::now();
-        let results = db.multi_get(&ropts, &refs);
+        let results = sys.db().multi_get(&ropts, &refs);
         batched_secs += start.elapsed().as_secs_f64();
         for r in results {
             assert!(r.expect("batched get").is_some(), "multi_get lost a key");
         }
-        final_stats = Some(db.statistics().snapshot());
+        stats = Some(sys.db().statistics().snapshot());
     }
-    let s = final_stats.expect("at least one round");
-    MultiGetReport {
-        batch: BATCH,
-        rounds,
-        serial_secs,
-        batched_secs,
-        speedup: serial_secs / batched_secs.max(1e-9),
-        batched_reads: s.batched_reads,
-        batch_read_requests: s.batch_read_requests,
-        env_inflight_reads: s.env_inflight_reads,
-    }
-}
-
-/// Full forward scan; returns (entries, seconds, stats at the end).
-fn scan_once(ctx: &ModeCtx, readahead_blocks: usize) -> (u64, f64, StatsSnapshot) {
-    let handle = ctx.open(readahead_blocks);
-    let db = handle.db();
-    let start = Instant::now();
-    let mut it = db.iter(&ReadOptions::default()).expect("iter");
-    it.seek_to_first();
-    let mut entries = 0u64;
-    while it.valid() {
-        entries += 1;
-        it.next();
-    }
-    it.status().expect("scan status");
-    let secs = start.elapsed().as_secs_f64();
-    let s = db.statistics().snapshot();
-    (entries, secs, s)
-}
-
-fn run_scans(ctx: &ModeCtx, keys: u64) -> ScanReport {
-    let (base_entries, no_readahead_secs, _) = scan_once(ctx, 0);
-    let (entries, readahead_secs, s) = scan_once(ctx, READAHEAD_BLOCKS);
-    assert_eq!(base_entries, entries, "readahead changed the scan's entry count");
-    assert_eq!(entries, keys, "scan missed entries");
-    ScanReport {
-        entries,
-        no_readahead_secs,
-        readahead_secs,
-        readahead_issued: s.readahead_issued,
-        readahead_useful: s.readahead_useful,
-        speedup: no_readahead_secs / readahead_secs.max(1e-9),
-    }
-}
-
-fn run_mode(mode: Mode, smoke: bool) -> ModeReport {
-    let keys: u64 = if smoke { 2_000 } else { 10_000 };
-    let rounds: u64 = if smoke { 1 } else { 4 };
-    let ctx = ModeCtx::new(mode, smoke);
-    fill(&ctx, keys);
-    let multi_get = run_multi_get(&ctx, keys, rounds);
-    let scan = run_scans(&ctx, keys);
-    ModeReport { mode, multi_get, scan }
-}
-
-fn report_json(mode: &str, model: &NetworkModel, reports: &[ModeReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"multiget\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"multi_get({BATCH}) vs {BATCH} serial cold gets + seq scan, remote storage\","
+    let s = stats.expect("at least one round");
+    let speedup = harness::ratio(serial_secs, batched_secs);
+    let shown = speedup.unwrap_or(f64::NAN);
+    println!(
+        "  {label:>6}: multi_get({BATCH}) {batched_secs:.4}s vs serial {serial_secs:.4}s \
+         ({shown:.2}x, {} submissions / {} reads, inflight peak {})",
+        s.batched_reads, s.batch_read_requests, s.env_inflight_reads,
     );
-    let _ = writeln!(s, "  \"readahead_blocks\": {READAHEAD_BLOCKS},");
-    let _ = writeln!(s, "  \"network\": {{");
-    let _ = writeln!(s, "    \"rtt_us\": {},", model.rtt.as_micros());
-    let _ = writeln!(
-        s,
-        "    \"bandwidth_bytes_per_sec\": {},",
-        model.bandwidth_bytes_per_sec.map_or("null".to_string(), |b| b.to_string())
+    let j = bench.json();
+    j.open_obj("multi_get");
+    j.field_u64("batch", BATCH as u64);
+    j.field_u64("rounds", rounds);
+    j.field_f64("serial_secs", serial_secs);
+    j.field_f64("batched_secs", batched_secs);
+    j.field_opt_f64("speedup", speedup);
+    j.field_u64("batched_reads", s.batched_reads);
+    j.field_u64("batch_read_requests", s.batch_read_requests);
+    j.field_u64("env_inflight_reads", s.env_inflight_reads);
+    j.close_obj();
+    bench.engaged(
+        &format!(
+            "{label} multi_get batched: {} requests over {} submissions",
+            s.batch_read_requests, s.batched_reads
+        ),
+        s.batched_reads > 0 && s.batch_read_requests > s.batched_reads,
     );
-    let _ = writeln!(s, "    \"write_packet_bytes\": {}", model.write_packet_bytes);
-    let _ = writeln!(s, "  }},");
-    s.push_str("  \"systems\": {\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(s, "    \"{}\": {{", r.mode.label());
-        let mg = &r.multi_get;
-        let _ = writeln!(s, "      \"multi_get\": {{");
-        let _ = writeln!(s, "        \"batch\": {},", mg.batch);
-        let _ = writeln!(s, "        \"rounds\": {},", mg.rounds);
-        let _ = writeln!(s, "        \"serial_secs\": {:.4},", mg.serial_secs);
-        let _ = writeln!(s, "        \"batched_secs\": {:.4},", mg.batched_secs);
-        let _ = writeln!(s, "        \"speedup\": {:.2},", mg.speedup);
-        let _ = writeln!(s, "        \"batched_reads\": {},", mg.batched_reads);
-        let _ = writeln!(s, "        \"batch_read_requests\": {},", mg.batch_read_requests);
-        let _ = writeln!(s, "        \"env_inflight_reads\": {}", mg.env_inflight_reads);
-        let _ = writeln!(s, "      }},");
-        let sc = &r.scan;
-        let _ = writeln!(s, "      \"seq_scan\": {{");
-        let _ = writeln!(s, "        \"entries\": {},", sc.entries);
-        let _ = writeln!(s, "        \"no_readahead_secs\": {:.3},", sc.no_readahead_secs);
-        let _ = writeln!(s, "        \"readahead_secs\": {:.3},", sc.readahead_secs);
-        let _ = writeln!(s, "        \"readahead_issued\": {},", sc.readahead_issued);
-        let _ = writeln!(s, "        \"readahead_useful\": {},", sc.readahead_useful);
-        let _ = writeln!(s, "        \"speedup\": {:.2}", sc.speedup);
-        let _ = writeln!(s, "      }}");
-        let _ = writeln!(s, "    }}{}", if i + 1 < reports.len() { "," } else { "" });
+    if store.kind() == SystemKind::Shield {
+        bench.full_gate(
+            &format!("shield multi_get speedup {shown:.2}x >= 4x"),
+            speedup.is_some_and(|s| s >= 4.0),
+        );
     }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    let model = network(cfg.smoke);
-    println!("multiget bench ({mode} mode, rtt {} us over 1 Gbps pipe)", model.rtt.as_micros());
-
-    let reports: Vec<ModeReport> =
-        Mode::ALL.into_iter().map(|m| run_mode(m, cfg.smoke)).collect();
-    for r in &reports {
-        println!(
-            "  {:>6}: multi_get({}) {:.4}s vs serial {:.4}s ({:.2}x, {} submissions / {} reads, \
-             inflight peak {}) | scan {:.3}s -> {:.3}s ({:.2}x)",
-            r.mode.label(),
-            r.multi_get.batch,
-            r.multi_get.batched_secs,
-            r.multi_get.serial_secs,
-            r.multi_get.speedup,
-            r.multi_get.batched_reads,
-            r.multi_get.batch_read_requests,
-            r.multi_get.env_inflight_reads,
-            r.scan.no_readahead_secs,
-            r.scan.readahead_secs,
-            r.scan.speedup,
-        );
+    let mut bench = Bench::from_args("multiget");
+    let model = bench.network();
+    let keys: u64 = bench.pick(2_000, 10_000);
+    let rounds: u64 = bench.pick(1, 4);
+    let j = bench.json();
+    j.field_str(
+        "workload",
+        &format!("multi_get({BATCH}) vs {BATCH} serial cold gets + seq scan, remote storage"),
+    );
+    j.field_u64("readahead_blocks", harness::SCAN_READAHEAD_BLOCKS as u64);
+    j.open_obj("systems");
+    for kind in [SystemKind::Plain, SystemKind::EncFs, SystemKind::Shield] {
+        let store = harness::ds_read_store(kind, model);
+        harness::ds_fill(&store, keys, |opts| opts);
+        bench.json().open_obj(kind.slug());
+        run_multi_get(&mut bench, &store, keys, rounds);
+        bench.seq_scan(&store, keys);
+        bench.json().close_obj();
     }
-
-    let json = report_json(mode, &model, &reports);
-    if let Err(e) = std::fs::write(&cfg.out, &json) {
-        eprintln!("failed to write {}: {e}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", cfg.out);
-
-    // Engagement gates (both modes): the batched path must actually batch
-    // and the scan must actually prefetch.
-    for r in &reports {
-        if r.multi_get.batched_reads == 0 {
-            eprintln!("FAIL: {} multi_get never hit the batched read path", r.mode.label());
-            return ExitCode::FAILURE;
-        }
-        if r.multi_get.batch_read_requests <= r.multi_get.batched_reads {
-            eprintln!(
-                "FAIL: {} batches carried {} requests over {} submissions — no batching",
-                r.mode.label(),
-                r.multi_get.batch_read_requests,
-                r.multi_get.batched_reads
-            );
-            return ExitCode::FAILURE;
-        }
-        if r.scan.readahead_issued == 0 {
-            eprintln!("FAIL: {} scan with readahead never prefetched", r.mode.label());
-            return ExitCode::FAILURE;
-        }
-    }
-    // Perf gates (full mode only): multi_get(64) must beat 64 serial cold
-    // gets by ≥ 4x in SHIELD mode, and the concurrent RemoteEnv must let
-    // seq-scan readahead pipeline past 2x (it was ~1.3x when the env
-    // serialized round trips).
-    if !cfg.smoke {
-        for r in &reports {
-            if r.mode == Mode::Shield && r.multi_get.speedup < 4.0 {
-                eprintln!(
-                    "FAIL: shield multi_get speedup {:.2}x < 4x",
-                    r.multi_get.speedup
-                );
-                return ExitCode::FAILURE;
-            }
-            if r.scan.speedup < 2.0 {
-                eprintln!(
-                    "FAIL: {} readahead speedup {:.2}x < 2x over the concurrent env",
-                    r.mode.label(),
-                    r.scan.speedup
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    bench.json().close_obj();
+    bench.finish()
 }

@@ -1,8 +1,8 @@
 //! Observability smoke gate — `verify.sh`'s obs-smoke tier.
 //!
-//! ```text
-//! obs_smoke [--out PATH]      # default PATH: OBS_metrics.json
-//! ```
+//! A smoke-only gate: it writes `target/OBS_metrics_smoke.json` unless
+//! `--out` names another file (the committed `OBS_metrics.json` comes
+//! from `--out OBS_metrics.json`).
 //!
 //! Three checks, any failure exits non-zero:
 //!
@@ -20,80 +20,41 @@
 //!    actually engage the paths behind the headline tickers: synced
 //!    WAL writes (`wal_syncs`), a batched lookup (`multi_gets`), and a
 //!    cold scan with readahead (`readahead_issued`) all end up nonzero
-//!    in the committed document. The document is written to `--out`
+//!    in the document, which is written out under the harness header
 //!    for inspection.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
-use shield::{open_shield, ReadOptions, ShieldOptions, WriteOptions};
+use shield_bench::harness::{self, Bench};
+use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_core::{json, perf, LogConfig, LogLevel, PerfMetric};
-use shield_crypto::{Algorithm, CipherContext, Dek, NONCE_LEN};
 use shield_env::PosixEnv;
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::Options;
-
-/// Gate: a disabled timer pair must stay under this fraction of one
-/// 4 KiB chunk encryption.
-const MAX_DISABLED_OVERHEAD: f64 = 0.02;
+use shield_lsm::{ReadOptions, WriteOptions};
 
 fn main() -> ExitCode {
-    let mut out = "OBS_metrics.json".to_string();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = p.clone(),
-                    None => return die("--out needs a path"),
-                }
-            }
-            other => return die(&format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
+    let mut bench = Bench::smoke_only_from_args("obs_smoke", "target/OBS_metrics_smoke.json");
 
-    let mut failed = false;
-
-    // 1. Disabled-path overhead gate.
-    let pair_ns = measure_disabled_pair_ns();
-    let chunk_ns = measure_chunk_encrypt_ns();
-    let ratio = pair_ns / chunk_ns;
-    println!(
-        "perf disabled pair: {pair_ns:.2} ns, 4 KiB encrypt: {chunk_ns:.0} ns, ratio {:.3}%",
-        ratio * 100.0
-    );
-    if ratio >= MAX_DISABLED_OVERHEAD {
-        println!(
-            "FAIL: disabled PerfContext pair costs {:.2}% of a 4 KiB chunk (gate {:.0}%)",
-            ratio * 100.0,
-            MAX_DISABLED_OVERHEAD * 100.0
-        );
-        failed = true;
-    }
+    // 1. Disabled-path overhead gate: the exact instrumentation the hot
+    // read path runs when no PerfContext is collecting.
+    let pair_ns = harness::best_of_3_ns(200_000, || {
+        let t = perf::timer();
+        perf::add_elapsed(PerfMetric::BlockDecrypt, black_box(t));
+    });
+    bench.disabled_hook_gate("PerfContext timer pair", pair_ns);
 
     // 2 + 3. Small SHIELD workload on a real FS; LOG pairing and the
     // metrics JSON both come out of it.
     let dir = std::env::temp_dir().join(format!("shield-obs-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.to_string_lossy().into_owned();
-    let (json, log) = run_workload(&path);
+    let (metrics, log) = run_workload(&dir.to_string_lossy());
     let _ = std::fs::remove_dir_all(&dir);
 
-    for (begin, end) in
-        [("flush_begin", "flush_end"), ("compaction_begin", "compaction_end")]
-    {
+    for (begin, end) in [("flush_begin", "flush_end"), ("compaction_begin", "compaction_end")] {
         let b = log.matches(begin).count();
         let e = log.matches(end).count();
-        println!("LOG: {b} {begin} / {e} {end}");
-        if b == 0 || b != e {
-            println!("FAIL: expected paired {begin}/{end} lines, got {b}/{e}");
-            failed = true;
-        }
+        bench.engaged(&format!("LOG pairs {b} {begin} with {e} {end} lines"), b > 0 && b == e);
     }
 
     for key in [
@@ -106,85 +67,20 @@ fn main() -> ExitCode {
         "\"gauges\"",
         "\"windows\"",
     ] {
-        if !json.contains(key) {
-            println!("FAIL: metrics JSON missing {key}");
-            failed = true;
-        }
+        bench.engaged(&format!("metrics JSON carries {key}"), metrics.contains(key));
     }
 
     // Ticker engagement: the workload is built to drive these paths, so
     // zeros mean the instrumentation (or the path) silently regressed.
-    match json::parse(&json) {
-        Ok(doc) => {
-            for ticker in ["wal_syncs", "multi_gets", "readahead_issued", "batched_reads"] {
-                let v = doc
-                    .get("tickers")
-                    .and_then(|t| t.get(ticker))
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0);
-                println!("ticker {ticker}: {v}");
-                if v <= 0.0 {
-                    println!("FAIL: ticker {ticker} is zero after an engaging workload");
-                    failed = true;
-                }
-            }
-        }
-        Err(e) => {
-            println!("FAIL: metrics JSON does not parse: {e}");
-            failed = true;
-        }
+    let doc = json::parse(&metrics);
+    bench.engaged("metrics JSON parses", doc.is_ok());
+    for ticker in ["wal_syncs", "multi_gets", "readahead_issued", "batched_reads"] {
+        let v =
+            doc.as_ref().ok().and_then(|d| d.get("tickers")?.get(ticker)?.as_f64()).unwrap_or(0.0);
+        bench.engaged(&format!("ticker {ticker} = {v} after an engaging workload"), v > 0.0);
     }
-
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        println!("FAIL: writing {out}: {e}");
-        failed = true;
-    } else {
-        println!("metrics report → {out}");
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!("obs-smoke ok");
-        ExitCode::SUCCESS
-    }
-}
-
-/// Best-of-3 cost of one *disabled* `timer()`/`add_elapsed()` pair — the
-/// exact instrumentation the hot read path runs when no PerfContext is
-/// collecting.
-fn measure_disabled_pair_ns() -> f64 {
-    const ITERS: u32 = 200_000;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            let t = perf::timer();
-            perf::add_elapsed(PerfMetric::BlockDecrypt, black_box(t));
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(ITERS));
-    }
-    best
-}
-
-/// Best-of-3 cost of encrypting one 4 KiB chunk with the paper-default
-/// cipher.
-fn measure_chunk_encrypt_ns() -> f64 {
-    const ITERS: u32 = 2_000;
-    let dek = Dek::generate(Algorithm::Aes128Ctr);
-    let mut nonce = [0u8; NONCE_LEN];
-    shield_crypto::secure_random(&mut nonce);
-    let ctx = CipherContext::new(&dek, &nonce);
-    let mut buf = vec![0xa5u8; 4096];
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            ctx.xor_at(0, black_box(&mut buf));
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(ITERS));
-    }
-    best
+    bench.splice_object(&metrics);
+    bench.finish()
 }
 
 /// Runs a tiny SHIELD workload tuned to force flushes and compactions
@@ -195,37 +91,39 @@ fn measure_chunk_encrypt_ns() -> f64 {
 /// guarantees the LOG is complete. Returns the metrics JSON plus the
 /// concatenated LOG text of both phases (each open truncates the file).
 fn run_workload(path: &str) -> (String, String) {
-    let opts = |readahead: usize| {
-        let mut o = Options::new(Arc::new(PosixEnv::new())).with_readahead_blocks(readahead);
-        o.write_buffer_size = 16 << 10;
-        o.compaction.l0_compaction_trigger = 2;
-        o.info_log = Some(LogConfig { level: Some(LogLevel::Info), json: false });
-        o
+    let tuning =
+        Tuning { write_buffer_size: 16 << 10, l0_compaction_trigger: 2, ..Tuning::default() };
+    let store = SystemStore::new(SystemKind::ShieldBuf, Arc::new(PosixEnv::new()), path, tuning);
+    let open = |readahead: usize| {
+        store
+            .open_with(|mut o| {
+                o.info_log = Some(LogConfig { level: Some(LogLevel::Info), json: false });
+                o.with_readahead_blocks(readahead)
+            })
+            .expect("open_shield")
     };
-    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let shield_opts =
-        || ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"obs-smoke");
+    let read_log =
+        || std::fs::read_to_string(std::path::Path::new(path).join("LOG")).unwrap_or_default();
+    let value = vec![0x5au8; 256];
 
     // Write phase: enough entries to flush and compact, then drop the
     // handle to empty the block cache.
     {
-        let db = open_shield(opts(0), path, shield_opts()).expect("open_shield");
+        let sys = open(0);
         let wopts = WriteOptions::default();
-        let value = vec![0x5au8; 256];
         for id in 0..2_000u64 {
             let key = format!("key-{id:06}");
-            db.put(&wopts, key.as_bytes(), &value).expect("put");
+            sys.db().put(&wopts, key.as_bytes(), &value).expect("put");
         }
-        db.compact_all().expect("compact_all");
+        sys.db().compact_all().expect("compact_all");
     }
-    let phase1_log =
-        std::fs::read_to_string(std::path::Path::new(path).join("LOG")).unwrap_or_default();
+    let phase1_log = read_log();
 
     // Read phase, cold: serial gets, one batched lookup, a full scan
     // with readahead enabled, and a synced write tail (the report comes
     // from this handle, so the `wal_syncs` ticks must happen here too).
-    let db = open_shield(opts(4), path, shield_opts()).expect("reopen");
-    let value = vec![0x5au8; 256];
+    let sys = open(4);
+    let db = sys.db();
     let synced = WriteOptions { sync: true };
     for id in 0..8u64 {
         let key = format!("sync-{id:02}");
@@ -241,23 +139,9 @@ fn run_workload(path: &str) -> (String, String) {
     for slot in db.multi_get(&ropts, &refs) {
         assert!(slot.expect("multi_get slot").is_some());
     }
-    let mut iter = db.iter(&ropts).expect("iter");
-    let mut scanned = 0u64;
-    iter.seek_to_first();
-    while iter.valid() {
-        scanned += 1;
-        iter.next();
-    }
+    let (scanned, _) = harness::scan_all(&sys);
     assert!(scanned >= 2_000, "scan saw {scanned} entries");
     let json = db.metrics_report().to_json();
-    drop(iter);
-    drop(db);
-    let phase2_log =
-        std::fs::read_to_string(std::path::Path::new(path).join("LOG")).unwrap_or_default();
-    (json, phase1_log + &phase2_log)
-}
-
-fn die(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    drop(sys);
+    (json, phase1_log + &read_log())
 }

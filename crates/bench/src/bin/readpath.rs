@@ -2,232 +2,70 @@
 //! hot-key single-flight coalescing, and sequential scans with and
 //! without readahead, in three encryption modes (plain, EncFS, SHIELD).
 //!
-//! The setup mirrors the paper's DS read experiments (§6.2): SSTs live
-//! behind a [`RemoteEnv`] charging a round trip per storage operation, so
-//! every cache miss costs ~an RTT. That makes the two new read-path
-//! behaviors directly measurable:
+//! The setup is [`harness::ds_read_store`] over the paper's DS link, so
+//! every cache miss costs ~an RTT. That makes the two read-path behaviors
+//! directly measurable:
 //!
 //! - **Single-flight.** Eight threads issuing `get`s for the same cold
 //!   key miss the same `(table, offset)`; the fetcher must coalesce them
 //!   into one remote read. The dedup ratio (cache misses per underlying
 //!   read) must exceed 1.
-//! - **Readahead.** A cold sequential scan with `readahead_blocks = 8`
+//! - **Readahead.** A cold sequential scan with `readahead_blocks = 16`
 //!   overlaps prefetch round trips with iteration and must beat the
 //!   serial no-readahead scan. The full run gates on a ≥ 2x speedup;
-//!   `--smoke` (the verify tier) only asserts both mechanisms *engage* —
-//!   CI timing noise is no place for a perf gate. The committed full-mode
-//!   `BENCH_readpath.json` is the perf record.
+//!   `--smoke` (the verify tier) only asserts both mechanisms *engage*.
+//!   The committed full-mode `BENCH_readpath.json` is the perf record.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Barrier;
+use std::time::Instant;
 
-use shield::{open_encfs, open_plain, open_shield, EncFsDb, ShieldDb, ShieldOptions};
+use shield_bench::harness::{self, ds_key, open_cold, Bench};
 use shield_bench::rng::Rng;
-use shield_crypto::{Algorithm, Dek};
-use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Options, ReadOptions, StatsSnapshot, WriteOptions};
+use shield_bench::{SystemKind, SystemStore};
+use shield_lsm::ReadOptions;
 
 const MISS_THREADS: usize = 8;
-const READAHEAD_BLOCKS: usize = 16;
-
-struct Config {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config { smoke: false, out: "BENCH_readpath.json".to_string() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                cfg.out = args.next().ok_or_else(|| "--out needs a path".to_string())?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: readpath [--smoke] [--out BENCH_readpath.json]".to_string())
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
-
-fn network(smoke: bool) -> NetworkModel {
-    NetworkModel {
-        rtt: Duration::from_micros(if smoke { 100 } else { 500 }),
-        bandwidth_bytes_per_sec: Some(125_000_000), // 1 Gbps
-        write_packet_bytes: 64 * 1024,
-    }
-}
-
-/// Which encryption sits under the read path.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Plain,
-    EncFs,
-    Shield,
-}
-
-impl Mode {
-    const ALL: [Mode; 3] = [Mode::Plain, Mode::EncFs, Mode::Shield];
-
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Plain => "plain",
-            Mode::EncFs => "encfs",
-            Mode::Shield => "shield",
-        }
-    }
-}
-
-enum Handle {
-    Plain(Db),
-    EncFs(EncFsDb),
-    Shield(ShieldDb),
-}
-
-impl Handle {
-    fn db(&self) -> &Db {
-        match self {
-            Handle::Plain(db) => db,
-            Handle::EncFs(db) => &db.db,
-            Handle::Shield(db) => &db.db,
-        }
-    }
-}
-
-/// One mode's persistent state: the remote env holding its SSTs plus the
-/// key material that must survive reopens (the EncFS instance DEK, the
-/// SHIELD KDS).
-struct ModeCtx {
-    mode: Mode,
-    env: Arc<dyn Env>,
-    dek: Dek,
-    kds: Arc<LocalKds>,
-}
-
-impl ModeCtx {
-    fn new(mode: Mode, smoke: bool) -> Self {
-        ModeCtx {
-            mode,
-            env: Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), network(smoke))),
-            dek: Dek::generate(Algorithm::Aes128Ctr),
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
-        }
-    }
-
-    /// Opens (or reopens, with a cold block cache) the mode's database.
-    fn open(&self, readahead_blocks: usize) -> Handle {
-        let mut opts = Options::new(self.env.clone())
-            .with_write_buffer_size(256 << 10)
-            .with_background_jobs(4)
-            .with_readahead_blocks(readahead_blocks);
-        opts.block_cache_bytes = 8 << 20;
-        opts.compaction.l0_compaction_trigger = 4;
-        opts.compaction.target_file_size = 256 << 10;
-        // The read phases never write; the fill phase flushes explicitly.
-        opts.disable_wal = true;
-        match self.mode {
-            Mode::Plain => Handle::Plain(open_plain(opts, "db").expect("open plain")),
-            Mode::EncFs => {
-                Handle::EncFs(open_encfs(opts, "db", self.dek.clone(), 0).expect("open encfs"))
-            }
-            Mode::Shield => {
-                let mut sopts = ShieldOptions::new(
-                    self.kds.clone() as Arc<dyn Kds>,
-                    ServerId(1),
-                    b"bench-passkey",
-                );
-                sopts.wal_buffer_size = 0;
-                Handle::Shield(open_shield(opts, "db", sopts).expect("open shield"))
-            }
-        }
-    }
-}
-
-struct ReadRandomReport {
-    ops: u64,
-    secs: f64,
-    hits: u64,
-    misses: u64,
-}
-
-struct SingleFlightReport {
-    hot_keys: u64,
-    waits: u64,
-    misses: u64,
-    dedup_ratio: f64,
-}
-
-struct ScanReport {
-    entries: u64,
-    no_readahead_secs: f64,
-    readahead_secs: f64,
-    readahead_issued: u64,
-    readahead_useful: u64,
-    speedup: f64,
-}
-
-struct ModeReport {
-    mode: Mode,
-    readrandom: ReadRandomReport,
-    single_flight: SingleFlightReport,
-    scan: ScanReport,
-}
-
-fn key_bytes(i: u64) -> Vec<u8> {
-    format!("k{i:08}").into_bytes()
-}
-
-fn cache_snapshot(db: &Db) -> StatsSnapshot {
-    db.statistics().snapshot()
-}
-
-/// Sequentially fills `keys` entries and compacts them into read-only SSTs.
-fn fill(ctx: &ModeCtx, keys: u64) {
-    let handle = ctx.open(0);
-    let db = handle.db();
-    let w = WriteOptions::default();
-    let mut rng = Rng::new(0x7ead_bea7);
-    let mut value = vec![0u8; 256];
-    for i in 0..keys {
-        rng.fill(&mut value);
-        db.put(&w, &key_bytes(i), &value).expect("put");
-    }
-    db.flush().expect("flush");
-    db.compact_all().expect("compact");
-}
+const HOT_KEYS: u64 = 32;
 
 /// Uniform random gets over the full key space, cold cache at the start.
-fn run_readrandom(ctx: &ModeCtx, keys: u64, ops: u64) -> ReadRandomReport {
-    let handle = ctx.open(0);
-    let db = handle.db();
+fn run_readrandom(bench: &mut Bench, store: &SystemStore, keys: u64, ops: u64) {
+    let sys = open_cold(store, |opts| opts);
     let ropts = ReadOptions::default();
-    let mut rng = Rng::new(0x0eadca11);
+    let mut rng = Rng::new(0x0ead_ca11);
     let start = Instant::now();
     for _ in 0..ops {
         let k = rng.next_below(keys);
-        let got = db.get(&ropts, &key_bytes(k)).expect("get");
-        assert!(got.is_some(), "fill lost key {k}");
+        assert!(sys.db().get(&ropts, &ds_key(k)).expect("get").is_some(), "fill lost key {k}");
     }
     let secs = start.elapsed().as_secs_f64();
-    let s = cache_snapshot(db);
-    ReadRandomReport { ops, secs, hits: s.block_cache_hits, misses: s.block_cache_misses }
+    let s = sys.db().statistics().snapshot();
+    let ops_per_sec = harness::ratio(ops as f64, secs);
+    println!(
+        "  {:>6}: readrandom {:>7.0} ops/s",
+        store.kind().slug(),
+        ops_per_sec.unwrap_or(f64::NAN)
+    );
+    let j = bench.json();
+    j.open_obj("readrandom");
+    j.field_u64("ops", ops);
+    j.field_f64("secs", secs);
+    j.field_opt_f64("ops_per_sec", ops_per_sec);
+    j.field_u64("cache_hits", s.block_cache_hits);
+    j.field_u64("cache_misses", s.block_cache_misses);
+    j.close_obj();
 }
 
-/// For each of `hot_keys` cold keys, eight threads `get` it at the same
+/// For each of `HOT_KEYS` cold keys, eight threads `get` it at the same
 /// instant. Under an RTT-dominated env the seven late misses must join
 /// the leader's in-flight read instead of issuing their own.
-fn run_single_flight(ctx: &ModeCtx, keys: u64, hot_keys: u64) -> SingleFlightReport {
-    let handle = ctx.open(0);
-    let db = handle.db();
-    let stride = keys / hot_keys;
-    for h in 0..hot_keys {
-        let key = key_bytes(h * stride);
+fn run_single_flight(bench: &mut Bench, store: &SystemStore, keys: u64) {
+    let label = store.kind().slug();
+    let sys = open_cold(store, |opts| opts);
+    let db = sys.db();
+    let stride = keys / HOT_KEYS;
+    for h in 0..HOT_KEYS {
+        let key = ds_key(h * stride);
         let barrier = Barrier::new(MISS_THREADS);
         std::thread::scope(|scope| {
             for _ in 0..MISS_THREADS {
@@ -239,187 +77,45 @@ fn run_single_flight(ctx: &ModeCtx, keys: u64, hot_keys: u64) -> SingleFlightRep
             }
         });
     }
-    let s = cache_snapshot(db);
+    let s = db.statistics().snapshot();
     let misses = s.block_cache_misses;
     let waits = s.block_cache_singleflight_waits;
-    let underlying = misses.saturating_sub(waits).max(1);
-    SingleFlightReport {
-        hot_keys,
-        waits,
-        misses,
-        dedup_ratio: misses as f64 / underlying as f64,
-    }
-}
-
-/// Full forward scan; returns (entries, seconds, stats at the end).
-fn scan_once(ctx: &ModeCtx, readahead_blocks: usize) -> (u64, f64, StatsSnapshot) {
-    let handle = ctx.open(readahead_blocks);
-    let db = handle.db();
-    let start = Instant::now();
-    let mut it = db.iter(&ReadOptions::default()).expect("iter");
-    it.seek_to_first();
-    let mut entries = 0u64;
-    while it.valid() {
-        entries += 1;
-        it.next();
-    }
-    it.status().expect("scan status");
-    let secs = start.elapsed().as_secs_f64();
-    let s = cache_snapshot(db);
-    (entries, secs, s)
-}
-
-fn run_scans(ctx: &ModeCtx, keys: u64) -> ScanReport {
-    let (base_entries, no_readahead_secs, _) = scan_once(ctx, 0);
-    let (entries, readahead_secs, s) = scan_once(ctx, READAHEAD_BLOCKS);
-    assert_eq!(base_entries, entries, "readahead changed the scan's entry count");
-    assert_eq!(entries, keys, "scan missed entries");
-    ScanReport {
-        entries,
-        no_readahead_secs,
-        readahead_secs,
-        readahead_issued: s.readahead_issued,
-        readahead_useful: s.readahead_useful,
-        speedup: no_readahead_secs / readahead_secs.max(1e-9),
-    }
-}
-
-fn run_mode(mode: Mode, smoke: bool) -> ModeReport {
-    let keys: u64 = if smoke { 2_000 } else { 10_000 };
-    let readrandom_ops: u64 = if smoke { 1_000 } else { 5_000 };
-    let hot_keys: u64 = 32;
-
-    let ctx = ModeCtx::new(mode, smoke);
-    fill(&ctx, keys);
-    let readrandom = run_readrandom(&ctx, keys, readrandom_ops);
-    let single_flight = run_single_flight(&ctx, keys, hot_keys);
-    let scan = run_scans(&ctx, keys);
-    ModeReport { mode, readrandom, single_flight, scan }
-}
-
-fn report_json(mode: &str, model: &NetworkModel, reports: &[ModeReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"readpath\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"readrandom + hot-key miss storm + seq scan, remote storage\","
+    let dedup_ratio = misses as f64 / misses.saturating_sub(waits).max(1) as f64;
+    println!(
+        "  {label:>6}: single-flight dedup {dedup_ratio:>5.2}x ({waits} waits / {misses} misses)"
     );
-    let _ = writeln!(s, "  \"miss_threads\": {MISS_THREADS},");
-    let _ = writeln!(s, "  \"readahead_blocks\": {READAHEAD_BLOCKS},");
-    let _ = writeln!(s, "  \"network\": {{");
-    let _ = writeln!(s, "    \"rtt_us\": {},", model.rtt.as_micros());
-    let _ = writeln!(
-        s,
-        "    \"bandwidth_bytes_per_sec\": {},",
-        model.bandwidth_bytes_per_sec.map_or("null".to_string(), |b| b.to_string())
+    let j = bench.json();
+    j.open_obj("single_flight");
+    j.field_u64("hot_keys", HOT_KEYS);
+    j.field_u64("cache_misses", misses);
+    j.field_u64("singleflight_waits", waits);
+    j.field_f64("dedup_ratio", dedup_ratio);
+    j.close_obj();
+    bench.engaged(
+        &format!("{label} single-flight dedup ratio {dedup_ratio:.2} > 1 ({waits} waits)"),
+        dedup_ratio > 1.0,
     );
-    let _ = writeln!(s, "    \"write_packet_bytes\": {}", model.write_packet_bytes);
-    let _ = writeln!(s, "  }},");
-    s.push_str("  \"systems\": {\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(s, "    \"{}\": {{", r.mode.label());
-        let rr = &r.readrandom;
-        let _ = writeln!(s, "      \"readrandom\": {{");
-        let _ = writeln!(s, "        \"ops\": {},", rr.ops);
-        let _ = writeln!(s, "        \"secs\": {:.3},", rr.secs);
-        let _ = writeln!(s, "        \"ops_per_sec\": {:.0},", rr.ops as f64 / rr.secs.max(1e-9));
-        let _ = writeln!(s, "        \"cache_hits\": {},", rr.hits);
-        let _ = writeln!(s, "        \"cache_misses\": {}", rr.misses);
-        let _ = writeln!(s, "      }},");
-        let sf = &r.single_flight;
-        let _ = writeln!(s, "      \"single_flight\": {{");
-        let _ = writeln!(s, "        \"hot_keys\": {},", sf.hot_keys);
-        let _ = writeln!(s, "        \"cache_misses\": {},", sf.misses);
-        let _ = writeln!(s, "        \"singleflight_waits\": {},", sf.waits);
-        let _ = writeln!(s, "        \"dedup_ratio\": {:.2}", sf.dedup_ratio);
-        let _ = writeln!(s, "      }},");
-        let sc = &r.scan;
-        let _ = writeln!(s, "      \"seq_scan\": {{");
-        let _ = writeln!(s, "        \"entries\": {},", sc.entries);
-        let _ = writeln!(s, "        \"no_readahead_secs\": {:.3},", sc.no_readahead_secs);
-        let _ = writeln!(s, "        \"readahead_secs\": {:.3},", sc.readahead_secs);
-        let _ = writeln!(s, "        \"readahead_issued\": {},", sc.readahead_issued);
-        let _ = writeln!(s, "        \"readahead_useful\": {},", sc.readahead_useful);
-        let _ = writeln!(s, "        \"speedup\": {:.2}", sc.speedup);
-        let _ = writeln!(s, "      }}");
-        let _ = writeln!(s, "    }}{}", if i + 1 < reports.len() { "," } else { "" });
-    }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    let model = network(cfg.smoke);
-    println!("readpath bench ({mode} mode, rtt {} us over 1 Gbps pipe)", model.rtt.as_micros());
-
-    let reports: Vec<ModeReport> =
-        Mode::ALL.into_iter().map(|m| run_mode(m, cfg.smoke)).collect();
-    for r in &reports {
-        println!(
-            "  {:>6}: readrandom {:>7.0} ops/s | single-flight dedup {:>5.2}x \
-             ({} waits / {} misses) | scan {:.3}s -> {:.3}s ({:.2}x, {} prefetches)",
-            r.mode.label(),
-            r.readrandom.ops as f64 / r.readrandom.secs.max(1e-9),
-            r.single_flight.dedup_ratio,
-            r.single_flight.waits,
-            r.single_flight.misses,
-            r.scan.no_readahead_secs,
-            r.scan.readahead_secs,
-            r.scan.speedup,
-            r.scan.readahead_issued,
-        );
+    let mut bench = Bench::from_args("readpath");
+    let model = bench.network();
+    let keys: u64 = bench.pick(2_000, 10_000);
+    let readrandom_ops: u64 = bench.pick(1_000, 5_000);
+    let j = bench.json();
+    j.field_str("workload", "readrandom + hot-key miss storm + seq scan, remote storage");
+    j.field_u64("readahead_blocks", harness::SCAN_READAHEAD_BLOCKS as u64);
+    j.field_u64("miss_threads", MISS_THREADS as u64);
+    j.open_obj("systems");
+    for kind in [SystemKind::Plain, SystemKind::EncFs, SystemKind::Shield] {
+        let store = harness::ds_read_store(kind, model);
+        harness::ds_fill(&store, keys, |opts| opts);
+        bench.json().open_obj(kind.slug());
+        run_readrandom(&mut bench, &store, keys, readrandom_ops);
+        run_single_flight(&mut bench, &store, keys);
+        bench.seq_scan(&store, keys);
+        bench.json().close_obj();
     }
-
-    let json = report_json(mode, &model, &reports);
-    if let Err(e) = std::fs::write(&cfg.out, &json) {
-        eprintln!("failed to write {}: {e}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", cfg.out);
-
-    // Engagement gates (both modes): every system must coalesce concurrent
-    // misses and must actually issue prefetches.
-    for r in &reports {
-        if r.single_flight.dedup_ratio <= 1.0 {
-            eprintln!(
-                "FAIL: {} single-flight dedup ratio {:.2} <= 1 ({} waits)",
-                r.mode.label(),
-                r.single_flight.dedup_ratio,
-                r.single_flight.waits
-            );
-            return ExitCode::FAILURE;
-        }
-        if r.scan.readahead_issued == 0 {
-            eprintln!("FAIL: {} scan with readahead never prefetched", r.mode.label());
-            return ExitCode::FAILURE;
-        }
-    }
-    // Perf gate (full mode only): readahead must beat the serial scan by
-    // ≥ 2x over the 500 µs RTT env. The concurrent RemoteEnv (PR 7)
-    // overlaps prefetch round trips, so the old ~1.3x ceiling — set when
-    // the env serialized RTTs — no longer applies.
-    if !cfg.smoke {
-        for r in &reports {
-            if r.scan.speedup < 2.0 {
-                eprintln!(
-                    "FAIL: {} readahead speedup {:.2}x < 2x",
-                    r.mode.label(),
-                    r.scan.speedup
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    bench.json().close_obj();
+    bench.finish()
 }

@@ -12,131 +12,73 @@
 //!   * **replica read throughput** — random gets served from the
 //!     replica's published view vs. the same reads on the primary.
 //!
-//! Results land in `BENCH_replica.json` (override with `--out`).
-//! `--smoke` shrinks the workload and *asserts* the engagement gate:
-//! the replica must have applied >0 manifest edits and >0 WAL records,
-//! finished with zero staleness, and a sampled read-back must match
-//! the primary byte for byte — the `bench-smoke` tier of
+//! `--smoke` shrinks the workload; both modes assert the engagement
+//! gate: the replica must have applied >0 manifest edits and >0 WAL
+//! records, finished with zero staleness, and a sampled read-back must
+//! match the primary byte for byte — the `bench-smoke` tier of
 //! `scripts/verify.sh`.
+//!
+//! The primary opens through `shield_bench::systems`; the replica open
+//! stays here — a `ReplicaDb` is not one of the five systems it builds.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use shield::{open_shield, open_shield_replica, ShieldOptions};
+use shield::{open_shield_replica, ShieldOptions};
+use shield_bench::harness::{self, Bench};
+use shield_bench::rng::Rng;
+use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Options, ReadOptions, ReplicaOptions, WriteOptions};
+use shield_kds::{Kds, ServerId};
+use shield_lsm::{ReadOptions, ReplicaOptions, WriteOptions};
 
-const PRIMARY: ServerId = ServerId(1);
 const READER: ServerId = ServerId(3);
-
-struct Config {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config { smoke: false, out: "BENCH_replica.json".to_string() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                cfg.out = args.next().ok_or_else(|| "--out needs a path".to_string())?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: replica [--smoke] [--out BENCH_replica.json]".to_string())
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
 
 fn key_of(id: u32) -> Vec<u8> {
     format!("key-{id:08}").into_bytes()
 }
 
-/// Simple deterministic PRNG (xorshift*) for read sampling.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
+fn mean(samples: &[u64]) -> Option<f64> {
+    harness::ratio(samples.iter().sum::<u64>() as f64, samples.len() as f64)
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (live_keys, backlog_keys, reads) =
-        if cfg.smoke { (2_000u32, 2_000u32, 2_000u32) } else { (20_000, 20_000, 20_000) };
+    let mut bench = Bench::from_args("replica");
+    let (live_keys, backlog_keys, reads): (u32, u32, u32) =
+        bench.pick((2_000, 2_000, 2_000), (20_000, 20_000, 20_000));
     let value = vec![0x5au8; 100];
 
     // One shared store; primary and replica each pay their own network
     // path to it (the paper's compute/storage split). The measured run
     // uses the paper's intra-datacenter figures; smoke keeps the gate
     // fast with an unmetered link.
-    let model = if cfg.smoke {
-        NetworkModel::unlimited
-    } else {
-        NetworkModel::intra_datacenter
-    };
+    let model = bench.pick(NetworkModel::unlimited(), NetworkModel::intra_datacenter());
+    let model = bench.record_network(model);
     let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let primary_mount: Arc<dyn Env> = Arc::new(RemoteEnv::new(backing.clone(), model()));
-    let replica_mount: Arc<dyn Env> = Arc::new(RemoteEnv::new(backing.clone(), model()));
+    let primary_mount: Arc<dyn Env> = Arc::new(RemoteEnv::new(backing.clone(), model));
+    let replica_mount: Arc<dyn Env> = Arc::new(RemoteEnv::new(backing, model));
 
-    let mut opts = Options::new(primary_mount).with_write_buffer_size(4 << 20);
-    opts.compaction.l0_compaction_trigger = 4;
-    let primary = match open_shield(
-        opts,
-        "db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, PRIMARY, b"primary-pass"),
-    ) {
-        Ok(db) => db,
-        Err(err) => {
-            eprintln!("open primary: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let store = SystemStore::new(SystemKind::ShieldBuf, primary_mount, "db", Tuning::default());
+    let primary_sys = store.open().expect("open primary");
+    let primary = primary_sys.db();
     let w = WriteOptions { sync: true };
 
     // Seed a little state so the replica opens onto a real manifest.
     for id in 0..64u32 {
-        if let Err(err) = primary.put(&w, &key_of(id), &value) {
-            eprintln!("seed put: {err}");
-            return ExitCode::FAILURE;
-        }
+        primary.put(&w, &key_of(id), &value).expect("seed put");
     }
-    if let Err(err) = primary.flush() {
-        eprintln!("seed flush: {err}");
-        return ExitCode::FAILURE;
-    }
+    primary.flush().expect("seed flush");
 
-    let replica = match open_shield_replica(
+    let replica = open_shield_replica(
         replica_mount,
         "db",
         "reader.cache",
-        ShieldOptions::new(kds as Arc<dyn Kds>, READER, b"reader-pass"),
+        ShieldOptions::new(store.kds.clone() as Arc<dyn Kds>, READER, b"reader-pass"),
         ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
-    ) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("open replica: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .expect("open replica");
 
     // Phase 1 — live tail: the primary ingests while the replica polls
     // every `batch` writes; lag is sampled after each round.
@@ -145,16 +87,10 @@ fn main() -> ExitCode {
     let mut round_micros: Vec<u64> = Vec::new();
     let live_start = Instant::now();
     for id in 64..live_keys {
-        if let Err(err) = primary.put(&w, &key_of(id), &value) {
-            eprintln!("live put: {err}");
-            return ExitCode::FAILURE;
-        }
+        primary.put(&w, &key_of(id), &value).expect("live put");
         if id % batch == 0 {
             let t = Instant::now();
-            if let Err(err) = replica.catch_up() {
-                eprintln!("live catch_up: {err}");
-                return ExitCode::FAILURE;
-            }
+            replica.catch_up().expect("live catch_up");
             round_micros.push(t.elapsed().as_micros() as u64);
             lag_samples.push(replica.staleness());
         }
@@ -165,146 +101,82 @@ fn main() -> ExitCode {
     // the middle so the replay crosses a manifest edit), then time the
     // replica catching up from a standstill.
     for id in live_keys..live_keys + backlog_keys {
-        if let Err(err) = primary.put(&w, &key_of(id), &value) {
-            eprintln!("backlog put: {err}");
-            return ExitCode::FAILURE;
-        }
+        primary.put(&w, &key_of(id), &value).expect("backlog put");
         if id == live_keys + backlog_keys / 2 {
-            if let Err(err) = primary.flush() {
-                eprintln!("backlog flush: {err}");
-                return ExitCode::FAILURE;
-            }
+            primary.flush().expect("backlog flush");
         }
     }
     let stats = replica.statistics();
     let records_before = stats.replica_wal_records_applied.load(Ordering::Relaxed);
     let drain_start = Instant::now();
-    loop {
-        match replica.catch_up() {
-            Ok(true) => break,
-            Ok(false) => {}
-            Err(err) => {
-                eprintln!("drain catch_up: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    while !replica.catch_up().expect("drain catch_up") {}
     let drain_secs = drain_start.elapsed().as_secs_f64();
     let drained = stats.replica_wal_records_applied.load(Ordering::Relaxed) - records_before;
-    let catchup_records_s = drained as f64 / drain_secs.max(1e-9);
 
     // Phase 3 — read throughput: the same random gets on replica and
     // primary (both paths pay their RemoteEnv mount).
-    let total_keys = live_keys + backlog_keys;
+    let total_keys = u64::from(live_keys + backlog_keys);
     let r = ReadOptions::new();
-    let mut rng = Rng(0x5eed_1234_5678_9abc);
+    let mut rng = Rng::new(0x5eed_1234);
     let replica_read_start = Instant::now();
     for _ in 0..reads {
-        let id = (rng.next() % u64::from(total_keys)) as u32;
-        match replica.get(&key_of(id)) {
-            Ok(Some(_)) => {}
-            Ok(None) => {
-                eprintln!("replica lost key {id}");
-                return ExitCode::FAILURE;
-            }
-            Err(err) => {
-                eprintln!("replica get: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let id = rng.next_below(total_keys) as u32;
+        assert!(replica.get(&key_of(id)).expect("replica get").is_some(), "replica lost key {id}");
     }
-    let replica_reads_s = f64::from(reads) / replica_read_start.elapsed().as_secs_f64();
-    let mut rng = Rng(0x5eed_1234_5678_9abc);
+    let replica_read_secs = replica_read_start.elapsed().as_secs_f64();
+    let mut rng = Rng::new(0x5eed_1234);
     let primary_read_start = Instant::now();
     for _ in 0..reads {
-        let id = (rng.next() % u64::from(total_keys)) as u32;
-        if let Err(err) = primary.get(&r, &key_of(id)) {
-            eprintln!("primary get: {err}");
-            return ExitCode::FAILURE;
-        }
+        let id = rng.next_below(total_keys) as u32;
+        primary.get(&r, &key_of(id)).expect("primary get");
     }
-    let primary_reads_s = f64::from(reads) / primary_read_start.elapsed().as_secs_f64();
+    let primary_read_secs = primary_read_start.elapsed().as_secs_f64();
 
     // Differential spot-check: replica ≡ primary on a sample.
-    let mut rng = Rng(0xd1ff_0000_0000_0001);
-    for _ in 0..256 {
-        let id = (rng.next() % u64::from(total_keys)) as u32;
-        let key = key_of(id);
-        let (a, b) = match (replica.get(&key), primary.get(&r, &key)) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                eprintln!("spot-check error on key {id}: {a:?} vs {b:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if a != b {
-            eprintln!("replica diverged from primary on key {id}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let mut rng = Rng::new(0xd1ff_0001);
+    let diverged = (0..256)
+        .filter(|_| {
+            let key = key_of(rng.next_below(total_keys) as u32);
+            replica.get(&key).expect("replica get") != primary.get(&r, &key).expect("primary get")
+        })
+        .count();
 
     let snapshot = stats.snapshot();
-    let lag_max = lag_samples.iter().copied().max().unwrap_or(0);
-    let lag_mean = if lag_samples.is_empty() {
-        0.0
-    } else {
-        lag_samples.iter().sum::<u64>() as f64 / lag_samples.len() as f64
-    };
-    let round_mean_us = if round_micros.is_empty() {
-        0.0
-    } else {
-        round_micros.iter().sum::<u64>() as f64 / round_micros.len() as f64
-    };
+    let final_staleness = replica.staleness();
+    let j = bench.json();
+    j.field_str("encryption", "shield");
+    j.field_str("topology", "remote_env_per_node");
+    j.field_u64("live_keys", u64::from(live_keys));
+    j.field_u64("backlog_keys", u64::from(backlog_keys));
+    j.field_u64("value_bytes", value.len() as u64);
+    j.field_opt_f64("live_ingest_records_s", harness::ratio(f64::from(live_keys), live_secs));
+    j.field_u64("live_lag_records_max", lag_samples.iter().copied().max().unwrap_or(0));
+    j.field_opt_f64("live_lag_records_mean", mean(&lag_samples));
+    j.field_opt_f64("live_poll_round_us_mean", mean(&round_micros));
+    j.field_u64("catchup_drain_records", drained);
+    j.field_opt_f64("catchup_records_s", harness::ratio(drained as f64, drain_secs));
+    j.field_opt_f64("replica_reads_s", harness::ratio(f64::from(reads), replica_read_secs));
+    j.field_opt_f64("primary_reads_s", harness::ratio(f64::from(reads), primary_read_secs));
+    j.field_u64("manifest_edits_applied", snapshot.replica_manifest_edits_applied);
+    j.field_u64("wal_records_applied", snapshot.replica_wal_records_applied);
+    j.field_u64("rollovers_followed", snapshot.replica_rollovers_followed);
+    j.field_u64("final_staleness", final_staleness);
 
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"replica_tailing\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"encryption\": \"shield\",");
-    let _ = writeln!(s, "  \"topology\": \"remote_env_per_node\",");
-    let _ = writeln!(
-        s,
-        "  \"network\": \"{}\",",
-        if cfg.smoke { "unlimited" } else { "intra_datacenter" }
+    // The replay engine must actually have been driven.
+    bench.engaged(
+        &format!(
+            "replica applied {} manifest edits and {} WAL records",
+            snapshot.replica_manifest_edits_applied, snapshot.replica_wal_records_applied
+        ),
+        snapshot.replica_manifest_edits_applied > 0 && snapshot.replica_wal_records_applied > 0,
     );
-    let _ = writeln!(s, "  \"live_keys\": {live_keys},");
-    let _ = writeln!(s, "  \"backlog_keys\": {backlog_keys},");
-    let _ = writeln!(s, "  \"value_bytes\": {},", value.len());
-    let _ = writeln!(s, "  \"live_ingest_records_s\": {:.0},", f64::from(live_keys) / live_secs);
-    let _ = writeln!(s, "  \"live_lag_records_max\": {lag_max},");
-    let _ = writeln!(s, "  \"live_lag_records_mean\": {lag_mean:.1},");
-    let _ = writeln!(s, "  \"live_poll_round_us_mean\": {round_mean_us:.0},");
-    let _ = writeln!(s, "  \"catchup_drain_records\": {drained},");
-    let _ = writeln!(s, "  \"catchup_records_s\": {catchup_records_s:.0},");
-    let _ = writeln!(s, "  \"replica_reads_s\": {replica_reads_s:.0},");
-    let _ = writeln!(s, "  \"primary_reads_s\": {primary_reads_s:.0},");
-    let _ = writeln!(s, "  \"manifest_edits_applied\": {},", snapshot.replica_manifest_edits_applied);
-    let _ = writeln!(s, "  \"wal_records_applied\": {},", snapshot.replica_wal_records_applied);
-    let _ = writeln!(s, "  \"rollovers_followed\": {},", snapshot.replica_rollovers_followed);
-    let _ = writeln!(s, "  \"final_staleness\": {}", replica.staleness());
-    s.push_str("}\n");
-    print!("{s}");
-    if let Err(err) = std::fs::write(&cfg.out, &s) {
-        eprintln!("write {}: {err}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", cfg.out);
-
-    // Engagement gate: the replay engine must actually have been driven.
-    if cfg.smoke {
-        if snapshot.replica_manifest_edits_applied == 0 {
-            eprintln!("gate: no manifest edits applied");
-            return ExitCode::FAILURE;
-        }
-        if snapshot.replica_wal_records_applied == 0 {
-            eprintln!("gate: no WAL records applied");
-            return ExitCode::FAILURE;
-        }
-        if replica.staleness() != 0 {
-            eprintln!("gate: replica finished stale ({})", replica.staleness());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    bench.engaged(
+        &format!("replica finished with staleness {final_staleness} == 0"),
+        final_staleness == 0,
+    );
+    bench.engaged(
+        &format!("replica matched the primary on all but {diverged} of 256 sampled keys"),
+        diverged == 0,
+    );
+    bench.finish()
 }

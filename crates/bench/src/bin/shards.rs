@@ -21,72 +21,43 @@
 //!
 //! Full mode gates on `fillrandom` scaling: 4 shards must clear ≥ 2.5x
 //! the single-shard ingest rate. `--smoke` (the verify tier) only
-//! asserts engagement — every shard takes keys and flushes — since CI
-//! timing noise is no place for a perf gate. The committed full-mode
-//! `BENCH_shards.json` is the perf record.
+//! asserts engagement — every shard takes keys and flushes. The
+//! committed full-mode `BENCH_shards.json` is the perf record.
+//!
+//! The sharded opens stay in this bin: `shield_bench::systems` hands out
+//! `Db` handles, and a `ShardedDb` is a different type.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use shield::{open_shield_sharded, ShieldOptions};
+use shield_bench::harness::{self, Bench};
 use shield_bench::rng::Rng;
+use shield_bench::workloads::key_bytes;
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{Options, ReadOptions, ShardedDb, WriteOptions};
 
 const WRITERS: usize = 4;
 const READERS: usize = 3;
+const KEY_BYTES: usize = 11;
 const VALUE_BYTES: usize = 400;
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Shield runs fewer points: it shows encryption preserves the scaling
 /// shape without doubling the sweep's wall time.
 const SHIELD_SWEEP: [usize; 2] = [1, 4];
 
-struct Config {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config { smoke: false, out: "BENCH_shards.json".to_string() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                cfg.out = args.next().ok_or_else(|| "--out needs a path".to_string())?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: shards [--smoke] [--out BENCH_shards.json]".to_string())
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
-
-/// RTT-dominated remote profile: propagation delay is the resource the
-/// shards overlap, so bandwidth is left uncapped to keep the pipe from
-/// re-serializing concurrent flushes.
-fn network(smoke: bool) -> NetworkModel {
-    NetworkModel {
-        rtt: Duration::from_micros(if smoke { 100 } else { 1_000 }),
-        bandwidth_bytes_per_sec: None,
-        write_packet_bytes: 64 * 1024,
-    }
-}
-
-fn keys_per_writer(smoke: bool) -> u64 {
-    if smoke {
-        400
-    } else {
-        1_500
-    }
-}
-
-fn base_opts(env: Arc<dyn Env>, shards: usize) -> Options {
+/// Opens a fresh `shards`-way store behind its own [`RemoteEnv`] and runs
+/// `f` against it.
+fn with_sharded_db<R>(
+    shield: bool,
+    model: NetworkModel,
+    shards: usize,
+    f: impl FnOnce(&ShardedDb) -> R,
+) -> R {
+    let env: Arc<dyn Env> = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), model));
     let mut opts = Options::new(env)
         .with_write_buffer_size(32 << 10)
         .with_background_jobs(8)
@@ -96,73 +67,32 @@ fn base_opts(env: Arc<dyn Env>, shards: usize) -> Options {
     opts.compaction.l0_compaction_trigger = 4;
     opts.compaction.target_file_size = 64 << 10;
     opts.disable_wal = true;
-    opts
-}
-
-enum Handle {
-    Plain(ShardedDb),
-    Shield(shield::ShieldShardedDb),
-}
-
-impl Handle {
-    fn db(&self) -> &ShardedDb {
-        match self {
-            Handle::Plain(db) => db,
-            Handle::Shield(db) => &db.db,
-        }
+    if shield {
+        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+        let mut sopts = ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"bench-passkey");
+        sopts.wal_buffer_size = 0;
+        f(&open_shield_sharded(opts, "db", sopts).expect("open shield sharded").db)
+    } else {
+        f(&ShardedDb::open(opts, "db").expect("open plain sharded"))
     }
-}
-
-fn open(mode: &str, env: Arc<dyn Env>, kds: &Arc<LocalKds>, shards: usize) -> Handle {
-    let opts = base_opts(env, shards);
-    match mode {
-        "plain" => Handle::Plain(ShardedDb::open(opts, "db").expect("open plain sharded")),
-        "shield" => {
-            let mut sopts =
-                ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"bench-passkey");
-            sopts.wal_buffer_size = 0;
-            Handle::Shield(open_shield_sharded(opts, "db", sopts).expect("open shield sharded"))
-        }
-        other => panic!("unknown mode {other}"),
-    }
-}
-
-fn key_bytes(i: u64) -> Vec<u8> {
-    format!("k{i:010}").into_bytes()
-}
-
-struct FillReport {
-    shards: usize,
-    keys: u64,
-    secs: f64,
-    ops_per_sec: f64,
-    flushes: u64,
-    compactions: u64,
-    write_stalls: u64,
-    shards_with_flushes: usize,
 }
 
 /// `WRITERS` threads blast random keys at the sharded engine until each
-/// has written its quota; wall time is the fill time.
-fn run_fillrandom(mode: &str, shards: usize, smoke: bool) -> FillReport {
-    let env: Arc<dyn Env> = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), network(smoke)));
-    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let handle = open(mode, env, &kds, shards);
-    let db = handle.db();
-    let per_writer = keys_per_writer(smoke);
+/// has written its quota; wall time is the fill time. Writes the point's
+/// section and returns its ops/s.
+fn run_fillrandom(bench: &mut Bench, label: &str, db: &ShardedDb, per_writer: u64) -> f64 {
+    let shards = db.shard_count();
     let keyspace = per_writer * WRITERS as u64 * 4;
-
     let start = Instant::now();
     std::thread::scope(|s| {
         for tid in 0..WRITERS {
-            let db = &db;
             s.spawn(move || {
                 let mut rng = Rng::new(0x5eed_0001 + tid as u64);
                 let mut value = vec![0u8; VALUE_BYTES];
                 let w = WriteOptions::default();
                 for _ in 0..per_writer {
                     rng.fill(&mut value);
-                    let key = key_bytes(rng.next_below(keyspace));
+                    let key = key_bytes(rng.next_below(keyspace), KEY_BYTES);
                     db.put(&w, &key, &value).expect("put");
                 }
             });
@@ -171,275 +101,183 @@ fn run_fillrandom(mode: &str, shards: usize, smoke: bool) -> FillReport {
     let secs = start.elapsed().as_secs_f64();
     db.wait_for_background_work().expect("drain");
 
-    let mut flushes = 0;
-    let mut compactions = 0;
-    let mut write_stalls = 0;
-    let mut shards_with_flushes = 0;
-    for i in 0..db.shard_count() {
-        let s = db.shard(i).statistics().snapshot();
-        flushes += s.flushes;
-        compactions += s.compactions;
-        write_stalls += s.write_stalls;
-        if s.flushes > 0 {
-            shards_with_flushes += 1;
-        }
-    }
+    let per_shard: Vec<_> = (0..shards).map(|i| db.shard(i).statistics().snapshot()).collect();
+    let flushes: u64 = per_shard.iter().map(|s| s.flushes).sum();
+    let compactions: u64 = per_shard.iter().map(|s| s.compactions).sum();
+    let write_stalls: u64 = per_shard.iter().map(|s| s.write_stalls).sum();
+    let shards_with_flushes = per_shard.iter().filter(|s| s.flushes > 0).count();
     let keys = per_writer * WRITERS as u64;
-    FillReport {
-        shards,
-        keys,
-        secs,
-        ops_per_sec: keys as f64 / secs.max(1e-9),
-        flushes,
-        compactions,
-        write_stalls,
-        shards_with_flushes,
-    }
-}
-
-struct RwwReport {
-    shards: usize,
-    reads: u64,
-    read_secs: f64,
-    reads_per_sec: f64,
-    writes_per_sec: f64,
-    hits: u64,
+    let ops_per_sec = keys as f64 / secs.max(1e-9);
+    println!(
+        "  {label:>6} fillrandom x{shards}: {secs:.3}s ({ops_per_sec:.0} ops/s, {flushes} flushes / \
+         {compactions} compactions, {write_stalls} stalls)"
+    );
+    let j = bench.json();
+    j.open_obj(&shards.to_string());
+    j.field_u64("keys", keys);
+    j.field_f64("secs", secs);
+    j.field_f64("ops_per_sec", ops_per_sec);
+    j.field_u64("flushes", flushes);
+    j.field_u64("compactions", compactions);
+    j.field_u64("write_stalls", write_stalls);
+    j.field_u64("shards_with_flushes", shards_with_flushes as u64);
+    j.close_obj();
+    // The sweep must actually shard: from 4 shards up, every shard has
+    // to take keys and flush them.
+    bench.engaged(
+        &format!("{label} x{shards}: {shards_with_flushes}/{shards} shards flushed"),
+        shards < 4 || shards_with_flushes == shards,
+    );
+    ops_per_sec
 }
 
 /// One writer keeps ingesting while `READERS` threads issue random gets
 /// over the already-persisted keyspace; read throughput is the figure.
-fn run_readwhilewriting(mode: &str, shards: usize, smoke: bool) -> RwwReport {
-    let env: Arc<dyn Env> = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), network(smoke)));
-    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let handle = open(mode, env, &kds, shards);
-    let db = handle.db();
-    let preload = keys_per_writer(smoke) * 2;
+fn run_readwhilewriting(bench: &mut Bench, label: &str, db: &ShardedDb, per_reader: u64) {
+    let shards = db.shard_count();
+    let preload = per_reader * 2;
     {
         let w = WriteOptions::default();
         let mut rng = Rng::new(0x5eed_1001);
         let mut value = vec![0u8; VALUE_BYTES];
         for i in 0..preload {
             rng.fill(&mut value);
-            db.put(&w, &key_bytes(i), &value).expect("preload put");
+            db.put(&w, &key_bytes(i, KEY_BYTES), &value).expect("preload put");
         }
         db.flush().expect("preload flush");
     }
 
-    let reads_per_thread = keys_per_writer(smoke);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let written = std::sync::atomic::AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let written = AtomicU64::new(0);
     let mut hits = 0u64;
     let start = Instant::now();
     std::thread::scope(|s| {
-        {
-            let db = &db;
-            let stop = &stop;
-            let written = &written;
-            s.spawn(move || {
-                let mut rng = Rng::new(0x5eed_2001);
-                let mut value = vec![0u8; VALUE_BYTES];
-                let w = WriteOptions::default();
-                let mut i = preload;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    rng.fill(&mut value);
-                    db.put(&w, &key_bytes(i), &value).expect("put");
-                    i += 1;
-                    written.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-            });
-        }
-        let mut readers = Vec::new();
-        for tid in 0..READERS {
-            let db = &db;
-            readers.push(s.spawn(move || {
-                let mut rng = Rng::new(0x5eed_3001 + tid as u64);
-                let r = ReadOptions::new();
-                let mut hits = 0u64;
-                for _ in 0..reads_per_thread {
-                    let key = key_bytes(rng.next_below(preload));
-                    if db.get(&r, &key).expect("get").is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            }));
-        }
+        s.spawn(|| {
+            let mut rng = Rng::new(0x5eed_2001);
+            let mut value = vec![0u8; VALUE_BYTES];
+            let w = WriteOptions::default();
+            let mut i = preload;
+            while !stop.load(Ordering::Relaxed) {
+                rng.fill(&mut value);
+                db.put(&w, &key_bytes(i, KEY_BYTES), &value).expect("put");
+                i += 1;
+                written.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let readers: Vec<_> = (0..READERS)
+            .map(|tid| {
+                s.spawn(move || {
+                    let mut rng = Rng::new(0x5eed_3001 + tid as u64);
+                    let r = ReadOptions::new();
+                    (0..per_reader)
+                        .filter(|_| {
+                            let key = key_bytes(rng.next_below(preload), KEY_BYTES);
+                            db.get(&r, &key).expect("get").is_some()
+                        })
+                        .count() as u64
+                })
+            })
+            .collect();
         for h in readers {
             hits += h.join().expect("reader");
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.store(true, Ordering::Relaxed);
     });
     let read_secs = start.elapsed().as_secs_f64();
-    let reads = reads_per_thread * READERS as u64;
-    RwwReport {
-        shards,
-        reads,
-        read_secs,
-        reads_per_sec: reads as f64 / read_secs.max(1e-9),
-        writes_per_sec: written.load(std::sync::atomic::Ordering::Relaxed) as f64
-            / read_secs.max(1e-9),
-        hits,
-    }
-}
-
-struct ModeReport {
-    mode: &'static str,
-    fills: Vec<FillReport>,
-    rww: Vec<RwwReport>,
-}
-
-fn speedup_at(fills: &[FillReport], shards: usize) -> f64 {
-    let base = fills.iter().find(|f| f.shards == 1).map_or(0.0, |f| f.ops_per_sec);
-    let at = fills.iter().find(|f| f.shards == shards).map_or(0.0, |f| f.ops_per_sec);
-    if base <= 0.0 {
-        0.0
-    } else {
-        at / base
-    }
-}
-
-fn report_json(mode: &str, model: &NetworkModel, smoke: bool, reports: &[ModeReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"shards\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"fillrandom({WRITERS} writers) + readwhilewriting({READERS} readers), remote storage, shard sweep\","
+    let reads = per_reader * READERS as u64;
+    let reads_per_sec = reads as f64 / read_secs.max(1e-9);
+    let writes_per_sec = written.load(Ordering::Relaxed) as f64 / read_secs.max(1e-9);
+    println!(
+        "  {label:>6} readwhilewriting x{shards}: {reads_per_sec:.0} reads/s, \
+         {writes_per_sec:.0} writes/s ({hits} hits / {reads} reads)"
     );
-    let _ = writeln!(s, "  \"wal\": \"disabled\",");
-    let _ = writeln!(s, "  \"value_bytes\": {VALUE_BYTES},");
-    let _ = writeln!(s, "  \"keys_per_writer\": {},", keys_per_writer(smoke));
-    let _ = writeln!(s, "  \"network\": {{");
-    let _ = writeln!(s, "    \"rtt_us\": {},", model.rtt.as_micros());
-    let _ = writeln!(
-        s,
-        "    \"bandwidth_bytes_per_sec\": {},",
-        model.bandwidth_bytes_per_sec.map_or("null".to_string(), |b| b.to_string())
+    let j = bench.json();
+    j.open_obj(&shards.to_string());
+    j.field_u64("reads", reads);
+    j.field_f64("read_secs", read_secs);
+    j.field_f64("reads_per_sec", reads_per_sec);
+    j.field_f64("writes_per_sec", writes_per_sec);
+    j.field_u64("hits", hits);
+    j.close_obj();
+    bench.engaged(
+        &format!("{label} x{shards}: {hits}/{reads} reads hit preloaded keys"),
+        hits == reads,
     );
-    let _ = writeln!(s, "    \"write_packet_bytes\": {}", model.write_packet_bytes);
-    let _ = writeln!(s, "  }},");
-    s.push_str("  \"systems\": {\n");
-    for (mi, r) in reports.iter().enumerate() {
-        let _ = writeln!(s, "    \"{}\": {{", r.mode);
-        s.push_str("      \"fillrandom\": {\n");
-        for (i, f) in r.fills.iter().enumerate() {
-            let _ = writeln!(s, "        \"{}\": {{", f.shards);
-            let _ = writeln!(s, "          \"keys\": {},", f.keys);
-            let _ = writeln!(s, "          \"secs\": {:.3},", f.secs);
-            let _ = writeln!(s, "          \"ops_per_sec\": {:.0},", f.ops_per_sec);
-            let _ = writeln!(s, "          \"flushes\": {},", f.flushes);
-            let _ = writeln!(s, "          \"compactions\": {},", f.compactions);
-            let _ = writeln!(s, "          \"write_stalls\": {},", f.write_stalls);
-            let _ = writeln!(s, "          \"shards_with_flushes\": {}", f.shards_with_flushes);
-            let _ = writeln!(s, "        }}{}", if i + 1 < r.fills.len() { "," } else { "" });
-        }
-        s.push_str("      },\n");
-        s.push_str("      \"readwhilewriting\": {\n");
-        for (i, w) in r.rww.iter().enumerate() {
-            let _ = writeln!(s, "        \"{}\": {{", w.shards);
-            let _ = writeln!(s, "          \"reads\": {},", w.reads);
-            let _ = writeln!(s, "          \"read_secs\": {:.3},", w.read_secs);
-            let _ = writeln!(s, "          \"reads_per_sec\": {:.0},", w.reads_per_sec);
-            let _ = writeln!(s, "          \"writes_per_sec\": {:.0},", w.writes_per_sec);
-            let _ = writeln!(s, "          \"hits\": {}", w.hits);
-            let _ = writeln!(s, "        }}{}", if i + 1 < r.rww.len() { "," } else { "" });
-        }
-        s.push_str("      },\n");
-        let _ = writeln!(s, "      \"fillrandom_speedup_4\": {:.2},", speedup_at(&r.fills, 4));
-        let _ = writeln!(s, "      \"fillrandom_speedup_8\": {:.2}", speedup_at(&r.fills, 8));
-        let _ = writeln!(s, "    }}{}", if mi + 1 < reports.len() { "," } else { "" });
-    }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
-fn run_mode(mode: &'static str, sweep: &[usize], smoke: bool) -> ModeReport {
-    let mut fills = Vec::new();
-    let mut rww = Vec::new();
+/// Ingest rate at `shards` over the single-shard rate — `None` when the
+/// sweep never ran either point.
+fn speedup_at(fills: &[(usize, f64)], shards: usize) -> Option<f64> {
+    let rate = |n| fills.iter().find(|(s, _)| *s == n).map(|&(_, ops_per_sec)| ops_per_sec);
+    harness::ratio(rate(shards)?, rate(1)?)
+}
+
+fn run_mode(
+    bench: &mut Bench,
+    shield: bool,
+    model: NetworkModel,
+    sweep: &[usize],
+    per_thread: u64,
+) {
+    let label = if shield { "shield" } else { "plain" };
+    bench.json().open_obj(label);
+    bench.json().open_obj("fillrandom");
+    let fills: Vec<(usize, f64)> = sweep
+        .iter()
+        .map(|&shards| {
+            let rate = with_sharded_db(shield, model, shards, |db| {
+                run_fillrandom(bench, label, db, per_thread)
+            });
+            (shards, rate)
+        })
+        .collect();
+    bench.json().close_obj();
+    bench.json().open_obj("readwhilewriting");
     for &shards in sweep {
-        let f = run_fillrandom(mode, shards, smoke);
-        println!(
-            "  {mode:>6} fillrandom x{shards}: {:.3}s ({:.0} ops/s, {} flushes / {} compactions, {} stalls)",
-            f.secs, f.ops_per_sec, f.flushes, f.compactions, f.write_stalls
-        );
-        fills.push(f);
-        let w = run_readwhilewriting(mode, shards, smoke);
-        println!(
-            "  {mode:>6} readwhilewriting x{shards}: {:.0} reads/s, {:.0} writes/s ({} hits / {} reads)",
-            w.reads_per_sec, w.writes_per_sec, w.hits, w.reads
-        );
-        rww.push(w);
+        with_sharded_db(shield, model, shards, |db| {
+            run_readwhilewriting(bench, label, db, per_thread);
+        });
     }
-    ModeReport { mode, fills, rww }
+    bench.json().close_obj();
+    let s4 = speedup_at(&fills, 4);
+    bench.json().field_opt_f64("fillrandom_speedup_4", s4);
+    bench.json().field_opt_f64("fillrandom_speedup_8", speedup_at(&fills, 8));
+    bench.json().close_obj();
+    // The scaling claim: four flush/compaction pipelines overlapping
+    // their remote round trips must beat one pipeline by ≥ 2.5x on ingest.
+    if !shield {
+        bench.full_gate(
+            &format!("fillrandom at 4 shards scaled {:.2}x >= 2.5x", s4.unwrap_or(f64::NAN)),
+            s4.is_some_and(|s| s >= 2.5),
+        );
+    }
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if cfg.smoke { "smoke" } else { "full" };
-    let model = network(cfg.smoke);
-    println!(
-        "shards bench ({mode} mode, rtt {} us, uncapped pipe, shard sweep {SHARD_SWEEP:?})",
-        model.rtt.as_micros()
+    let mut bench = Bench::from_args("shards");
+    // RTT-dominated remote profile: propagation delay is the resource the
+    // shards overlap, so bandwidth is left uncapped to keep the pipe from
+    // re-serializing concurrent flushes.
+    let rtt_us = bench.pick(100, 1_000);
+    let model = bench.record_network(NetworkModel {
+        rtt: std::time::Duration::from_micros(rtt_us),
+        ..NetworkModel::unlimited()
+    });
+    let keys_per_writer: u64 = bench.pick(400, 1_500);
+    let j = bench.json();
+    j.field_str(
+        "workload",
+        &format!(
+            "fillrandom({WRITERS} writers) + readwhilewriting({READERS} readers), remote storage, \
+             shard sweep"
+        ),
     );
-
-    let reports = vec![
-        run_mode("plain", &SHARD_SWEEP, cfg.smoke),
-        run_mode("shield", &SHIELD_SWEEP, cfg.smoke),
-    ];
-
-    let json = report_json(mode, &model, cfg.smoke, &reports);
-    if let Err(e) = std::fs::write(&cfg.out, &json) {
-        eprintln!("failed to write {}: {e}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", cfg.out);
-
-    // Engagement gates (both modes): the sweep must actually shard — at
-    // 4 shards every shard has to take keys and flush them, all reads
-    // must hit, and the fill must have exercised the stall path it
-    // claims to relieve.
-    for r in &reports {
-        for f in &r.fills {
-            if f.shards >= 4 && f.shards_with_flushes < f.shards {
-                eprintln!(
-                    "FAIL: {} x{}: only {}/{} shards ever flushed — routing is not spreading load",
-                    r.mode, f.shards, f.shards_with_flushes, f.shards
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        for w in &r.rww {
-            if w.hits != w.reads {
-                eprintln!(
-                    "FAIL: {} x{}: {}/{} reads missed preloaded keys",
-                    r.mode, w.shards, w.hits, w.reads
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Perf gate (full mode only): the tentpole's scaling claim. Four
-    // flush/compaction pipelines overlapping their remote round trips
-    // must beat one pipeline by ≥ 2.5x on ingest.
-    if !cfg.smoke {
-        for r in &reports {
-            if r.mode != "plain" {
-                continue;
-            }
-            let s4 = speedup_at(&r.fills, 4);
-            if s4 < 2.5 {
-                eprintln!("FAIL: fillrandom at 4 shards scaled only {s4:.2}x (< 2.5x)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    j.field_str("wal", "disabled");
+    j.field_u64("value_bytes", VALUE_BYTES as u64);
+    j.field_u64("keys_per_writer", keys_per_writer);
+    j.open_obj("systems");
+    run_mode(&mut bench, false, model, &SHARD_SWEEP, keys_per_writer);
+    run_mode(&mut bench, true, model, &SHIELD_SWEEP, keys_per_writer);
+    bench.json().close_obj();
+    bench.finish()
 }

@@ -1,8 +1,7 @@
 //! Flight-recorder smoke gate — `verify.sh`'s trace tier.
 //!
-//! ```text
-//! trace_smoke [--out PATH]     # default PATH: TRACE_smoke.json
-//! ```
+//! A smoke-only gate: it writes `target/TRACE_smoke.json` unless `--out`
+//! names another file.
 //!
 //! Five checks, any failure exits non-zero:
 //!
@@ -27,20 +26,13 @@
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use shield::{open_shield, ReadOptions, ShieldDb, ShieldOptions, WriteOptions};
-use shield_core::{json, trace, Event, EventListener, JsonBuilder};
-use shield_crypto::{Algorithm, CipherContext, Dek, NONCE_LEN};
-use shield_env::{
-    Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RemoteEnv,
-};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::Options;
-
-/// Gate: a disabled `trace::span()` must stay under this fraction of
-/// one 4 KiB chunk encryption.
-const MAX_DISABLED_OVERHEAD: f64 = 0.02;
+use shield_bench::harness::{self, Bench};
+use shield_bench::{SystemHandle, SystemKind, SystemStore, Tuning};
+use shield_core::{json, trace, Event, EventListener};
+use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv, RemoteEnv};
+use shield_lsm::{Options, ReadOptions, WriteOptions};
 
 #[derive(Default)]
 struct Capture {
@@ -53,42 +45,28 @@ impl EventListener for Capture {
     }
 }
 
-struct Fixture {
-    env: Arc<dyn Env>,
-    kds: Arc<LocalKds>,
+/// A SHIELD store of `n` small entries over `env`, tuned (16 KiB
+/// memtable, 256 B blocks, L0 trigger 2) so they span many blocks.
+fn populated(env: Arc<dyn Env>, n: u32) -> SystemStore {
+    let tuning =
+        Tuning { write_buffer_size: 16 << 10, l0_compaction_trigger: 2, ..Tuning::default() };
+    let store = SystemStore::new(SystemKind::ShieldBuf, env, "db", tuning);
+    let sys = open(&store, |opts| opts);
+    let w = WriteOptions::default();
+    for i in 0..n {
+        sys.db().put(&w, &key(i), format!("value-{i}").as_bytes()).expect("put");
+    }
+    sys.db().compact_all().expect("compact_all");
+    store
 }
 
-impl Fixture {
-    fn new(env: Arc<dyn Env>) -> Self {
-        Fixture { env, kds: Arc::new(LocalKds::new(KdsConfig::default())) }
-    }
-
-    fn base_opts(&self) -> Options {
-        let mut opts =
-            Options::new(self.env.clone()).with_write_buffer_size(16 << 10);
-        opts.block_size = 256;
-        opts.compaction.l0_compaction_trigger = 2;
-        opts
-    }
-
-    fn open(&self, opts: Options) -> ShieldDb {
-        open_shield(
-            opts,
-            "db",
-            ShieldOptions::new(self.kds.clone() as Arc<dyn Kds>, ServerId(1), b"ts"),
-        )
+fn open(store: &SystemStore, adjust: impl FnOnce(Options) -> Options) -> SystemHandle {
+    store
+        .open_with(|mut opts| {
+            opts.block_size = 256;
+            adjust(opts)
+        })
         .expect("open shield")
-    }
-
-    fn populate(&self, n: u32) {
-        let db = self.open(self.base_opts());
-        let w = WriteOptions::default();
-        for i in 0..n {
-            let key = format!("key-{i:05}");
-            db.put(&w, key.as_bytes(), format!("value-{i}").as_bytes()).expect("put");
-        }
-        db.compact_all().expect("compact_all");
-    }
 }
 
 fn key(i: u32) -> Vec<u8> {
@@ -96,67 +74,36 @@ fn key(i: u32) -> Vec<u8> {
 }
 
 fn main() -> ExitCode {
-    let mut out = "TRACE_smoke.json".to_string();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = p.clone(),
-                    None => return die("--out needs a path"),
-                }
-            }
-            other => return die(&format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
+    let mut bench = Bench::smoke_only_from_args("trace_smoke", "target/TRACE_smoke.json");
+    bench.json().field_str("schema", "shield_trace_smoke_v1");
 
-    let mut failed = false;
-    let mut j = JsonBuilder::new();
-    j.open_obj_item();
-    j.field_str("schema", "shield_trace_smoke_v1");
-
-    // 1. Disabled-tracing overhead gate.
-    let span_ns = measure_disabled_span_ns();
-    let chunk_ns = measure_chunk_encrypt_ns();
-    let ratio = span_ns / chunk_ns;
-    println!(
-        "disabled trace::span: {span_ns:.2} ns, 4 KiB encrypt: {chunk_ns:.0} ns, ratio {:.3}%",
-        ratio * 100.0
-    );
+    // 1. Disabled-tracing overhead gate: one `trace::span()` call with no
+    // op active — the exact hook the WAL, fetcher, and compaction paths
+    // carry.
+    let span_ns = harness::best_of_3_ns(200_000, || {
+        let s = trace::span(black_box("bench"));
+        black_box(&s);
+    });
+    let (chunk_ns, overhead) = bench.disabled_hook_gate("trace::span", span_ns);
+    let j = bench.json();
     j.field_f64("disabled_span_ns", span_ns);
     j.field_f64("chunk_encrypt_ns", chunk_ns);
-    j.field_f64("disabled_overhead_ratio", ratio);
-    if ratio >= MAX_DISABLED_OVERHEAD {
-        println!(
-            "FAIL: disabled trace::span costs {:.2}% of a 4 KiB chunk (gate {:.0}%)",
-            ratio * 100.0,
-            MAX_DISABLED_OVERHEAD * 100.0
-        );
-        failed = true;
-    }
+    j.field_f64("disabled_overhead_ratio", overhead);
 
     // 2. Trace engagement: cold multi_get(64) over remote storage.
     {
-        let net = NetworkModel {
-            rtt: Duration::from_micros(200),
-            bandwidth_bytes_per_sec: Some(125_000_000),
-            write_packet_bytes: 64 * 1024,
-        };
-        let fx = Fixture::new(Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), net)));
-        fx.populate(256);
-        let db = fx.open(fx.base_opts().with_tracing());
+        let net = harness::ds_network(200);
+        let store = populated(Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), net)), 256);
+        let sys = open(&store, Options::with_tracing);
         let keys: Vec<Vec<u8>> = (0..256).step_by(4).take(64).map(key).collect();
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        for slot in db.multi_get(&ReadOptions::new(), &refs) {
-            if slot.expect("multi_get slot").is_none() {
-                println!("FAIL: multi_get lost a key");
-                failed = true;
-            }
-        }
-        let spans = db.trace_spans();
+        let found = sys
+            .db()
+            .multi_get(&ReadOptions::new(), &refs)
+            .into_iter()
+            .all(|slot| slot.expect("multi_get slot").is_some());
+        bench.engaged("multi_get found every key", found);
+        let spans = sys.db().trace_spans();
         let roots: Vec<_> =
             spans.iter().filter(|s| s.parent_id == 0 && s.name == "multi_get").collect();
         let windows: Vec<_> = roots
@@ -170,69 +117,60 @@ fn main() -> ExitCode {
             .unwrap_or_default();
         let window_nanos: u64 = windows.iter().map(|s| s.dur_nanos).sum();
         let wall_nanos = roots.first().map_or(0, |r| r.dur_nanos);
-        println!(
-            "trace: {} multi_get root(s), {} read_window span(s), {window_nanos} ns \
-             windows / {wall_nanos} ns wall",
-            roots.len(),
-            windows.len()
-        );
+        let j = bench.json();
         j.field_u64("multi_get_traces", roots.len() as u64);
         j.field_u64("read_window_spans", windows.len() as u64);
         j.field_u64("window_nanos", window_nanos);
         j.field_u64("op_wall_nanos", wall_nanos);
-        if roots.len() != 1 {
-            println!("FAIL: expected exactly one multi_get trace");
-            failed = true;
-        }
-        if windows.len() < 2 {
-            println!("FAIL: expected >= 2 batched read_window spans");
-            failed = true;
-        }
-        if window_nanos > wall_nanos {
-            println!("FAIL: window spans exceed the op's wall time");
-            failed = true;
-        }
+        bench
+            .engaged(&format!("{} multi_get trace(s), exactly one", roots.len()), roots.len() == 1);
+        bench.engaged(
+            &format!("{} batched read_window span(s), at least 2", windows.len()),
+            windows.len() >= 2,
+        );
+        bench.engaged(
+            &format!("window spans ({window_nanos} ns) fit the op's wall time ({wall_nanos} ns)"),
+            window_nanos <= wall_nanos,
+        );
     }
 
     // 3. Slow-op capture under an injected 10 ms delay.
     {
         let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
-        let fx = Fixture::new(Arc::new(fenv.clone()));
-        fx.populate(128);
+        let store = populated(Arc::new(fenv.clone()), 128);
         let capture = Arc::new(Capture::default());
-        let db = fx.open(
-            fx.base_opts()
-                .with_slow_op_threshold(Duration::from_millis(2))
-                .with_event_listener(capture.clone()),
-        );
+        let sys = open(&store, |opts| {
+            opts.with_slow_op_threshold(Duration::from_millis(2))
+                .with_event_listener(capture.clone())
+        });
         fenv.delay_n_times(FileKind::Sst, FaultOp::Read, Duration::from_millis(10), 8);
-        let got = db.get(&ReadOptions::new(), &key(17)).expect("get");
+        let got = sys.db().get(&ReadOptions::new(), &key(17)).expect("get");
         fenv.disarm_all();
-        let slow = db.slow_ops();
+        let slow = sys.db().slow_ops();
         let captured = got.is_some() && slow.iter().any(|s| s.op == "get" && !s.spans.is_empty());
         let event = capture.events.lock().unwrap().iter().any(|e| e.name() == "slow_op");
-        println!("slow-op: {} capture(s), event={event}", slow.len());
-        j.field_u64("slow_ops_captured", slow.len() as u64);
-        j.field_bool("slow_op_event", event);
-        if !captured || !event {
-            println!("FAIL: 10 ms-delayed get not captured as a slow op");
-            failed = true;
-        }
+        bench.json().field_u64("slow_ops_captured", slow.len() as u64);
+        bench.json().field_bool("slow_op_event", event);
+        bench.engaged(
+            &format!(
+                "10 ms-delayed get captured as a slow op ({} captures, event={event})",
+                slow.len()
+            ),
+            captured && event,
+        );
     }
 
     // 4. Watchdog fires while a read is stuck.
     {
         let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
-        let fx = Fixture::new(Arc::new(fenv.clone()));
-        fx.populate(128);
+        let store = populated(Arc::new(fenv.clone()), 128);
         let capture = Arc::new(Capture::default());
-        let db = fx.open(
-            fx.base_opts()
-                .with_watchdog_deadline(Duration::from_millis(40))
-                .with_event_listener(capture.clone()),
-        );
+        let sys = open(&store, |opts| {
+            opts.with_watchdog_deadline(Duration::from_millis(40))
+                .with_event_listener(capture.clone())
+        });
         fenv.delay_always(FileKind::Sst, FaultOp::Read, Duration::from_millis(300));
-        let got = db.get(&ReadOptions::new(), &key(31)).expect("get");
+        let got = sys.db().get(&ReadOptions::new(), &key(31)).expect("get");
         fenv.disarm_all();
         let flagged = capture
             .events
@@ -241,86 +179,22 @@ fn main() -> ExitCode {
             .iter()
             .filter(|e| matches!(e, Event::Watchdog { op: "get", .. }))
             .count();
-        println!("watchdog: flagged {flagged} time(s)");
-        j.field_u64("watchdog_flags", flagged as u64);
-        if got.is_none() || flagged != 1 {
-            println!("FAIL: watchdog must flag the stuck get exactly once");
-            failed = true;
-        }
+        bench.json().field_u64("watchdog_flags", flagged as u64);
+        bench.engaged(
+            &format!("watchdog flagged the stuck get {flagged} time(s), exactly once"),
+            got.is_some() && flagged == 1,
+        );
 
         // 5. Debug bundle parses, on the same (traced, eventful) DB.
-        let bundle = db.debug_bundle();
-        match json::parse(&bundle) {
-            Ok(doc) => {
-                for section in ["metrics", "windows", "slow_ops", "trace_spans", "log_tail"] {
-                    if doc.get(section).is_none() {
-                        println!("FAIL: debug bundle missing section {section}");
-                        failed = true;
-                    }
-                }
-                j.field_bool("debug_bundle_parses", true);
-            }
-            Err(e) => {
-                println!("FAIL: debug bundle does not parse: {e}");
-                j.field_bool("debug_bundle_parses", false);
-                failed = true;
-            }
+        let bundle = json::parse(&sys.db().debug_bundle());
+        bench.json().field_bool("debug_bundle_parses", bundle.is_ok());
+        bench.engaged("debug bundle parses", bundle.is_ok());
+        for section in ["metrics", "windows", "slow_ops", "trace_spans", "log_tail"] {
+            bench.engaged(
+                &format!("debug bundle has section {section}"),
+                bundle.as_ref().is_ok_and(|doc| doc.get(section).is_some()),
+            );
         }
     }
-
-    j.close_obj();
-    if let Err(e) = std::fs::write(&out, format!("{}\n", j.finish())) {
-        println!("FAIL: writing {out}: {e}");
-        failed = true;
-    } else {
-        println!("trace smoke report → {out}");
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!("trace-smoke ok");
-        ExitCode::SUCCESS
-    }
-}
-
-/// Best-of-3 cost of one `trace::span()` call with no op active — the
-/// exact hook the WAL, fetcher, and compaction paths now carry.
-fn measure_disabled_span_ns() -> f64 {
-    const ITERS: u32 = 200_000;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            let s = trace::span(black_box("bench"));
-            black_box(&s);
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(ITERS));
-    }
-    best
-}
-
-/// Best-of-3 cost of encrypting one 4 KiB chunk with the paper-default
-/// cipher.
-fn measure_chunk_encrypt_ns() -> f64 {
-    const ITERS: u32 = 2_000;
-    let dek = Dek::generate(Algorithm::Aes128Ctr);
-    let mut nonce = [0u8; NONCE_LEN];
-    shield_crypto::secure_random(&mut nonce);
-    let ctx = CipherContext::new(&dek, &nonce);
-    let mut buf = vec![0xa5u8; 4096];
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            ctx.xor_at(0, black_box(&mut buf));
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(ITERS));
-    }
-    best
-}
-
-fn die(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    bench.finish()
 }

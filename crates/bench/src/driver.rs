@@ -3,9 +3,9 @@
 
 use std::time::{Duration, Instant};
 
+use shield_core::Histogram;
 use shield_lsm::{Db, ReadOptions, WriteOptions};
 
-use crate::hist::Histogram;
 use crate::workloads::{key_bytes, Op, OpGenerator, WorkloadConfig};
 
 /// Driver parameters.

@@ -9,15 +9,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shield::{open_shield, ShieldOptions};
 use shield_crypto::Algorithm;
 use shield_env::PosixEnv;
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::Options;
+use shield_kds::{Kds, KdsConfig};
 
 use crate::driver::{run_workload, DriverConfig};
 use crate::experiments::common::{Scale, TempDir};
 use crate::report::{fmt_ops, Table};
+use crate::systems::{build_system, SystemKind, SystemStore, Tuning};
 use crate::workloads::{Workload, WorkloadConfig};
 
 /// Secure-cache ablation: restart latency and KDS traffic with the cache
@@ -30,35 +29,43 @@ pub fn ablation_cache(scale: &Scale) -> Vec<Table> {
     );
     for use_cache in [true, false] {
         let tmp = TempDir::new("ablation");
-        let env = Arc::new(PosixEnv::new());
-        let kds = Arc::new(LocalKds::new(KdsConfig::sstoolkit_like()));
-        let db_path = shield_env::join_path(&tmp.path(), "db");
-        let mut sopts =
-            ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk");
-        if !use_cache {
-            sopts.passkey = None;
-        }
         // Build a database with many live files (small memtables, no
         // compaction) — the restart then needs one DEK per file.
-        let make_base = || {
-            let mut base = Options::new(env.clone()).with_write_buffer_size(32 << 10);
-            base.compaction.l0_compaction_trigger = 10_000; // keep L0 files
-            base.l0_slowdown_trigger = usize::MAX; // no backpressure either
-            base.l0_stop_trigger = usize::MAX;
-            base
+        let tuning = Tuning {
+            write_buffer_size: 32 << 10,
+            l0_compaction_trigger: 10_000, // keep L0 files
+            secure_dek_cache: use_cache,
+            kds_config: KdsConfig::sstoolkit_like(),
+            ..Tuning::default()
+        };
+        let store = SystemStore::new(
+            SystemKind::ShieldBuf,
+            Arc::new(PosixEnv::new()),
+            &shield_env::join_path(&tmp.path(), "db"),
+            tuning,
+        );
+        let open = || {
+            store
+                .open_with(|mut base| {
+                    base.l0_slowdown_trigger = usize::MAX; // no backpressure either
+                    base.l0_stop_trigger = usize::MAX;
+                    base
+                })
+                .expect("open")
         };
         {
-            let db = open_shield(make_base(), &db_path, sopts.clone()).expect("open");
+            let sys = open();
             let cfg = WorkloadConfig::new(Workload::FillRandom, scale.key_space());
-            run_workload(&db.db, &DriverConfig::new(cfg, scale.write_ops() / 2));
-            db.flush().expect("flush");
+            run_workload(sys.db(), &DriverConfig::new(cfg, scale.write_ops() / 2));
+            sys.db().flush().expect("flush");
         }
         // Measure restart + first read across all files.
+        let kds = &store.kds;
         let fetched_before = kds.stats().fetched;
         let t0 = Instant::now();
-        let db = open_shield(make_base(), &db_path, sopts).expect("reopen");
+        let sys = open();
         let cfg = WorkloadConfig::new(Workload::ReadRandom, scale.key_space());
-        let read = run_workload(&db.db, &DriverConfig::new(cfg, 2000));
+        let read = run_workload(sys.db(), &DriverConfig::new(cfg, 2000));
         let restart = t0.elapsed();
         table.push_row(vec![
             if use_cache { "secure cache ON" } else { "secure cache OFF" }.to_string(),
@@ -79,19 +86,15 @@ pub fn ablation_cipher(scale: &Scale) -> Vec<Table> {
     );
     for algorithm in [Algorithm::Aes128Ctr, Algorithm::ChaCha20] {
         let tmp = TempDir::new("cipher");
-        let env = Arc::new(PosixEnv::new());
-        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let mut sopts =
-            ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"pk");
-        sopts.algorithm = algorithm;
-        let db = open_shield(
-            Options::new(env),
+        let sys = build_system(
+            SystemKind::ShieldBuf,
+            Arc::new(PosixEnv::new()),
             &shield_env::join_path(&tmp.path(), "db"),
-            sopts,
+            &Tuning { algorithm, ..Tuning::default() },
         )
         .expect("open");
         let cfg = WorkloadConfig::new(Workload::FillRandom, scale.key_space());
-        let r = run_workload(&db.db, &DriverConfig::new(cfg, scale.write_ops()));
+        let r = run_workload(sys.db(), &DriverConfig::new(cfg, scale.write_ops()));
         table.push_row(vec![
             algorithm.to_string(),
             fmt_ops(r.throughput()),
@@ -112,19 +115,24 @@ pub fn ablation_kds_path(scale: &Scale) -> Vec<Table> {
     );
     for micros in [0u64, 500, 2750, 10_000] {
         let tmp = TempDir::new("kdspath");
-        let env = Arc::new(PosixEnv::new());
-        let kds = Arc::new(LocalKds::new(KdsConfig {
-            generation_latency: Duration::from_micros(micros),
-            ..KdsConfig::default()
-        }));
-        let db = open_shield(
-            Options::new(env).with_write_buffer_size(256 << 10),
+        let tuning = Tuning {
+            write_buffer_size: 256 << 10,
+            kds_config: KdsConfig {
+                generation_latency: Duration::from_micros(micros),
+                ..KdsConfig::default()
+            },
+            ..Tuning::default()
+        };
+        let sys = build_system(
+            SystemKind::ShieldBuf,
+            Arc::new(PosixEnv::new()),
             &shield_env::join_path(&tmp.path(), "db"),
-            ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
+            &tuning,
         )
         .expect("open");
+        let kds = sys.kds.as_ref().expect("SHIELD system has a KDS");
         let cfg = WorkloadConfig::new(Workload::FillRandom, scale.key_space());
-        let r = run_workload(&db.db, &DriverConfig::new(cfg, scale.write_ops() / 2));
+        let r = run_workload(sys.db(), &DriverConfig::new(cfg, scale.write_ops() / 2));
         table.push_row(vec![
             format!("{micros} µs"),
             fmt_ops(r.throughput()),

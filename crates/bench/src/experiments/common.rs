@@ -85,17 +85,11 @@ impl Scale {
     }
 }
 
-/// The network profile used for DS experiments. The paper's testbed is a
-/// 1 Gbps switch with ~500 µs intra-DC RTT; the harness scales the RTT
-/// down 5× (100 µs) so runs finish in minutes, preserving the
-/// latency-dominates-encryption effect.
+/// The network profile used for DS experiments: the paper's 1 Gbps link
+/// at the harness's scaled-down round trip.
 #[must_use]
 pub fn bench_network() -> NetworkModel {
-    NetworkModel {
-        rtt: std::time::Duration::from_micros(100),
-        bandwidth_bytes_per_sec: Some(125_000_000),
-        write_packet_bytes: 64 * 1024,
-    }
+    crate::harness::ds_network(crate::harness::SCALED_RTT_US)
 }
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);

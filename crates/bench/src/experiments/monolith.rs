@@ -3,15 +3,12 @@
 
 use std::sync::Arc;
 
-use shield::{open_plain, open_shield, ShieldOptions};
 use shield_env::PosixEnv;
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::Options;
 
 use crate::driver::{preload, run_workload, DriverConfig, RunResult};
 use crate::experiments::common::{deploy, DeployKind, Scale, TempDir};
 use crate::report::{fmt_ops, fmt_overhead, Table};
-use crate::systems::{SystemKind, Tuning};
+use crate::systems::{build_system, SystemKind, Tuning};
 use crate::workloads::{Workload, WorkloadConfig};
 
 /// Runs `workload` on a fresh monolithic deployment of `kind`.
@@ -70,34 +67,23 @@ fn systems_table(
 pub fn table2(scale: &Scale) -> Vec<Table> {
     let ops = scale.write_ops();
 
-    let run_shield = |encrypt_wal: bool| -> f64 {
+    let run = |kind: SystemKind, encrypt_wal: bool| -> f64 {
         let tmp = TempDir::new("table2");
-        let env = Arc::new(PosixEnv::new());
-        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let mut sopts =
-            ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"pk");
-        sopts.wal_buffer_size = 0; // Table 2 measures unbuffered encryption
-        sopts.encrypt_wal = encrypt_wal;
-        let sdb = open_shield(
-            Options::new(env),
+        let sys = build_system(
+            kind,
+            Arc::new(PosixEnv::new()),
             &shield_env::join_path(&tmp.path(), "db"),
-            sopts,
+            &Tuning { encrypt_wal, ..Tuning::default() },
         )
         .expect("open");
         let cfg = WorkloadConfig::new(Workload::FillRandom, scale.key_space());
-        run_workload(&sdb.db, &DriverConfig::new(cfg, ops)).throughput()
+        run_workload(sys.db(), &DriverConfig::new(cfg, ops)).throughput()
     };
 
-    let plain = {
-        let tmp = TempDir::new("table2");
-        let env = Arc::new(PosixEnv::new());
-        let db = open_plain(Options::new(env), &shield_env::join_path(&tmp.path(), "db"))
-            .expect("open");
-        let cfg = WorkloadConfig::new(Workload::FillRandom, scale.key_space());
-        run_workload(&db, &DriverConfig::new(cfg, ops)).throughput()
-    };
-    let sst_only = run_shield(false);
-    let all = run_shield(true);
+    let plain = run(SystemKind::Plain, true);
+    // Table 2 measures unbuffered encryption.
+    let sst_only = run(SystemKind::Shield, false);
+    let all = run(SystemKind::Shield, true);
 
     let mut t = Table::new(
         "table2",

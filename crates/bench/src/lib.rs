@@ -4,21 +4,22 @@
 //! readrandom / mixed ratios, Mixgraph, YCSB A–F), a multi-threaded driver
 //! with latency histograms, system builders for the five configurations
 //! the paper compares (unencrypted, EncFS ± WAL-Buf, SHIELD ± WAL-Buf),
-//! and one experiment per table/figure of the paper's §6 — see
-//! [`experiments::all_experiments`] and the `paper` binary.
+//! one experiment per table/figure of the paper's §6 — see
+//! [`experiments::all_experiments`] and the `paper` binary — and the
+//! [`harness`] every other measurement bin runs under.
 
 #![allow(clippy::field_reassign_with_default)]
 
 pub mod driver;
 pub mod experiments;
-pub mod hist;
+pub mod harness;
 pub mod report;
 pub mod rng;
 pub mod systems;
 pub mod workloads;
 
 pub use driver::{run_workload, DriverConfig, RunResult};
-pub use hist::Histogram;
+pub use harness::Bench;
 pub use report::Table;
 pub use rng::{Rng, Zipfian};
-pub use systems::{build_system, SystemHandle, SystemKind, Tuning};
+pub use systems::{build_system, SystemHandle, SystemKind, SystemStore, Tuning};

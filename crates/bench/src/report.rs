@@ -163,19 +163,6 @@ pub fn fmt_mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1u64 << 20) as f64)
 }
 
-/// The checkout's commit (`-dirty` if the tree differs from it), or
-/// "unknown" outside a checkout — the stamp a committed `BENCH_*.json`
-/// carries.
-pub fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

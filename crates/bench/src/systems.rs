@@ -1,5 +1,7 @@
 //! Builders for the five systems the paper compares (§6.1):
-//! unencrypted baseline, EncFS ± WAL-Buf, SHIELD ± WAL-Buf.
+//! unencrypted baseline, EncFS ± WAL-Buf, SHIELD ± WAL-Buf — the only
+//! place in this crate that maps a system to `open_plain` / `open_encfs`
+//! / `open_shield`.
 
 use std::sync::Arc;
 
@@ -46,6 +48,18 @@ impl SystemKind {
             SystemKind::ShieldBuf => "SHIELD+WAL-Buf",
         }
     }
+
+    /// Key of this system's section in a `BENCH_*.json`.
+    #[must_use]
+    pub fn slug(self) -> &'static str {
+        match self {
+            SystemKind::Plain => "plain",
+            SystemKind::EncFs => "encfs",
+            SystemKind::EncFsBuf => "encfs_buf",
+            SystemKind::Shield => "shield",
+            SystemKind::ShieldBuf => "shield_buf",
+        }
+    }
 }
 
 /// Engine + encryption tuning shared by an experiment.
@@ -73,6 +87,14 @@ pub struct Tuning {
     pub chunk_size: usize,
     /// Chunked-encryption threads.
     pub encryption_threads: usize,
+    /// Cipher for SHIELD's DEKs.
+    pub algorithm: Algorithm,
+    /// SHIELD's secure DEK cache (§5.2); off, every resolution goes to
+    /// the KDS.
+    pub secure_dek_cache: bool,
+    /// When false SHIELD leaves the WAL plaintext (Table 2's "Encrypted
+    /// SST" configuration).
+    pub encrypt_wal: bool,
     /// KDS latency profile (used when `kds` is not supplied).
     pub kds_config: KdsConfig,
     /// Pre-built KDS to share with other components (e.g. an offloaded
@@ -96,6 +118,9 @@ impl Default for Tuning {
             wal_buffer_size: 512,
             chunk_size: 4096,
             encryption_threads: 1,
+            algorithm: Algorithm::Aes128Ctr,
+            secure_dek_cache: true,
+            encrypt_wal: true,
             kds_config: KdsConfig::default(),
             kds: None,
             compaction_executor: None,
@@ -163,36 +188,87 @@ fn base_options(env: Arc<dyn Env>, tuning: &Tuning) -> Options {
     opts
 }
 
-/// Opens `kind` at `path` over `env`.
+/// One system's store: where it lives plus the key material that must
+/// outlive a handle — the EncFS instance DEK, the SHIELD KDS — so the
+/// same data can be opened again, cold, as often as a bench needs.
+pub struct SystemStore {
+    kind: SystemKind,
+    env: Arc<dyn Env>,
+    path: String,
+    tuning: Tuning,
+    dek: Dek,
+    /// The KDS every SHIELD open of this store talks to (`tuning.kds`
+    /// when supplied).
+    pub kds: Arc<LocalKds>,
+}
+
+impl SystemStore {
+    /// A store for `kind` at `path` over `env`; nothing is opened yet.
+    #[must_use]
+    pub fn new(kind: SystemKind, env: Arc<dyn Env>, path: &str, tuning: Tuning) -> Self {
+        let kds = tuning
+            .kds
+            .clone()
+            .unwrap_or_else(|| Arc::new(LocalKds::new(tuning.kds_config.clone())));
+        let dek = Dek::generate(Algorithm::Aes128Ctr);
+        SystemStore { kind, env, path: path.to_string(), tuning, dek, kds }
+    }
+
+    /// Which of the five systems this store holds.
+    #[must_use]
+    pub fn kind(&self) -> SystemKind {
+        self.kind
+    }
+
+    /// Opens the store (creating it the first time) with `tuning`'s
+    /// options.
+    pub fn open(&self) -> Result<SystemHandle> {
+        self.open_with(|opts| opts)
+    }
+
+    /// [`SystemStore::open`] with this open's own adjustments to the
+    /// engine options (readahead, integrity mode, tracing, …).
+    pub fn open_with(&self, adjust: impl FnOnce(Options) -> Options) -> Result<SystemHandle> {
+        let kind = self.kind;
+        let tuning = &self.tuning;
+        let opts = adjust(base_options(self.env.clone(), tuning));
+        let (inner, kds) = match kind {
+            SystemKind::Plain => (SystemDb::Plain(open_plain(opts, &self.path)?), None),
+            SystemKind::EncFs | SystemKind::EncFsBuf => {
+                let buf = if kind == SystemKind::EncFsBuf { tuning.wal_buffer_size } else { 0 };
+                (SystemDb::EncFs(open_encfs(opts, &self.path, self.dek.clone(), buf)?), None)
+            }
+            SystemKind::Shield | SystemKind::ShieldBuf => {
+                let mut shield_opts = ShieldOptions::new(
+                    self.kds.clone() as Arc<dyn Kds>,
+                    ServerId(1),
+                    b"bench-passkey",
+                );
+                shield_opts.wal_buffer_size =
+                    if kind == SystemKind::ShieldBuf { tuning.wal_buffer_size } else { 0 };
+                shield_opts.chunk_size = tuning.chunk_size;
+                shield_opts.encryption_threads = tuning.encryption_threads;
+                shield_opts.algorithm = tuning.algorithm;
+                shield_opts.encrypt_wal = tuning.encrypt_wal;
+                if !tuning.secure_dek_cache {
+                    shield_opts.passkey = None;
+                }
+                let db = open_shield(opts, &self.path, shield_opts)?;
+                (SystemDb::Shield(db), Some(self.kds.clone()))
+            }
+        };
+        Ok(SystemHandle { kind, kds, inner })
+    }
+}
+
+/// Opens `kind` at `path` over `env`, once.
 pub fn build_system(
     kind: SystemKind,
     env: Arc<dyn Env>,
     path: &str,
     tuning: &Tuning,
 ) -> Result<SystemHandle> {
-    let opts = base_options(env, tuning);
-    let (inner, kds) = match kind {
-        SystemKind::Plain => (SystemDb::Plain(open_plain(opts, path)?), None),
-        SystemKind::EncFs | SystemKind::EncFsBuf => {
-            let dek = Dek::generate(Algorithm::Aes128Ctr);
-            let buf = if kind == SystemKind::EncFsBuf { tuning.wal_buffer_size } else { 0 };
-            (SystemDb::EncFs(open_encfs(opts, path, dek, buf)?), None)
-        }
-        SystemKind::Shield | SystemKind::ShieldBuf => {
-            let kds = tuning
-                .kds
-                .clone()
-                .unwrap_or_else(|| Arc::new(LocalKds::new(tuning.kds_config.clone())));
-            let mut shield_opts =
-                ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"bench-passkey");
-            shield_opts.wal_buffer_size =
-                if kind == SystemKind::ShieldBuf { tuning.wal_buffer_size } else { 0 };
-            shield_opts.chunk_size = tuning.chunk_size;
-            shield_opts.encryption_threads = tuning.encryption_threads;
-            (SystemDb::Shield(open_shield(opts, path, shield_opts)?), Some(kds))
-        }
-    };
-    Ok(SystemHandle { kind, kds, inner })
+    SystemStore::new(kind, env, path, tuning.clone()).open()
 }
 
 #[cfg(test)]
@@ -214,6 +290,29 @@ mod tests {
                 "{}",
                 kind.label()
             );
+        }
+    }
+
+    #[test]
+    fn encrypted_stores_reopen_over_their_own_data() {
+        for kind in [SystemKind::EncFs, SystemKind::Shield] {
+            let store =
+                SystemStore::new(kind, Arc::new(MemEnv::new()), "db", Tuning::default());
+            {
+                let sys = store.open().unwrap();
+                sys.db().put(&WriteOptions::default(), b"k", b"v").unwrap();
+                sys.db().flush().unwrap();
+                sys.db().put(&WriteOptions::default(), b"in-wal", b"w").unwrap();
+            }
+            let sys = store.open_with(|opts| opts.with_readahead_blocks(4)).unwrap();
+            for (key, value) in [(&b"k"[..], &b"v"[..]), (b"in-wal", b"w")] {
+                assert_eq!(
+                    sys.db().get(&ReadOptions::new(), key).unwrap().as_deref(),
+                    Some(value),
+                    "{}",
+                    kind.label()
+                );
+            }
         }
     }
 

@@ -801,19 +801,13 @@ impl DbInner {
     /// Creates a new WAL file (encrypted, with the §5.3 buffer, when
     /// SHIELD is enabled).
     fn new_wal(&self, number: u64) -> Result<LogWriter> {
-        let path = shield_env::join_path(&self.path, &wal_file_name(number));
-        let (file, dek_mac) = match &self.opts.encryption {
-            Some(cfg) => {
-                let (f, _, mac) = cfg.new_writable_with_mac(self.env.as_ref(), &path, FileKind::Wal)?;
-                (f, mac)
-            }
-            None => (self.env.new_writable_file(&path, FileKind::Wal)?, None),
-        };
-        // Under Hmac, tag WAL records with the file DEK's subkey, or the
-        // engine key when the WAL is plaintext.
-        let mac_key = (self.opts.integrity == crate::integrity::Integrity::Hmac)
-            .then(|| dek_mac.unwrap_or(self.opts.integrity_key));
-        LogWriter::with_integrity(file, mac_key)
+        crate::wal::create_wal_writer(
+            self.env.as_ref(),
+            &shield_env::join_path(&self.path, &wal_file_name(number)),
+            self.opts.encryption.as_ref(),
+            self.opts.integrity,
+            self.opts.integrity_key,
+        )
     }
 
     /// Starts a traced (and perf-contexted) op if the flight recorder is
@@ -931,8 +925,8 @@ impl DbInner {
         let Some(mut w) = self.window.lock().diff(sample) else { return };
         let secs = (w.duration_micros as f64 / 1e6).max(1e-9);
         let writes_per_sec = w.delta("writes").unwrap_or(0) as f64 / secs;
-        let reads = w.delta("gets").unwrap_or(0) + w.delta("multi_gets").unwrap_or(0);
-        let reads_per_sec = reads as f64 / secs;
+        // `gets` already counts every key of a `multi_get`.
+        let reads_per_sec = w.delta("gets").unwrap_or(0) as f64 / secs;
         let hits = w.delta("block_cache_hits").unwrap_or(0);
         let lookups = hits + w.delta("block_cache_misses").unwrap_or(0);
         let cache_hit_ratio = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };

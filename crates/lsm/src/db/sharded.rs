@@ -54,7 +54,7 @@ use crate::iter::{ShardMergeIterator, UserIterator};
 use crate::statistics::{Statistics, StatsSnapshot};
 use crate::types::ValueType;
 use crate::version::filenames::{parse_file_name, wal_file_name, FileType};
-use crate::wal::{LogReader, LogWriter};
+use crate::wal::{create_wal_writer, open_wal_tailer, LogWriter, TailPoll};
 
 /// The `schema` field of [`ShardedDb::metrics_json`].
 pub const SHARDED_METRICS_SCHEMA: &str = "shield_sharded_metrics_v1";
@@ -159,14 +159,6 @@ struct SwalState {
     next_number: u64,
 }
 
-/// The subset of [`Options`] needed to (re)create SWAL segment writers
-/// after open.
-struct SwalConfig {
-    encryption: Option<EncryptionConfig>,
-    integrity: Integrity,
-    integrity_key: [u8; 32],
-}
-
 impl SwalFile {
     /// Syncs the active segment (the [`Options::flush_barrier`] hook).
     fn sync(&self, stats: &Statistics) -> Result<()> {
@@ -207,7 +199,11 @@ pub struct ShardedDb {
     /// `write_groups` for top-level batches, integrity tallies from
     /// replay. Shard-level work lives in each shard's own statistics.
     stats: Arc<Statistics>,
-    swal_cfg: SwalConfig,
+    /// What [`create_wal_writer`] needs to start a SWAL segment after
+    /// open.
+    encryption: Option<EncryptionConfig>,
+    integrity: Integrity,
+    integrity_key: [u8; 32],
     env: Arc<dyn Env>,
     path: String,
     pool: Arc<JobPool>,
@@ -291,11 +287,9 @@ impl ShardedDb {
             active_bytes: AtomicU64::new(0),
             ckpt_mu: Mutex::new(()),
             stats,
-            swal_cfg: SwalConfig {
-                encryption: opts.encryption.clone(),
-                integrity: opts.integrity,
-                integrity_key: opts.integrity_key,
-            },
+            encryption: opts.encryption.clone(),
+            integrity: opts.integrity,
+            integrity_key: opts.integrity_key,
             env: env.clone(),
             path: path.to_string(),
             pool,
@@ -305,7 +299,7 @@ impl ShardedDb {
         };
 
         if !opts.disable_wal {
-            let segments = db.replay_swal(&opts)?;
+            let segments = db.replay_swal()?;
             let next = segments.iter().copied().max().unwrap_or(0) + 1;
             let writer = db.new_swal_writer(next)?;
             let mut live = segments;
@@ -319,17 +313,13 @@ impl ShardedDb {
     /// Creates a writer for a fresh SWAL segment. Old segments are never
     /// reopened for append (truncation semantics) — always a new file.
     fn new_swal_writer(&self, number: u64) -> Result<LogWriter> {
-        let p = shield_env::join_path(&self.path, &wal_file_name(number));
-        let (file, dek_mac) = match &self.swal_cfg.encryption {
-            Some(cfg) => {
-                let (f, _, mac) = cfg.new_writable_with_mac(self.env.as_ref(), &p, FileKind::Wal)?;
-                (f, mac)
-            }
-            None => (self.env.new_writable_file(&p, FileKind::Wal)?, None),
-        };
-        let mac_key = (self.swal_cfg.integrity == Integrity::Hmac)
-            .then(|| dek_mac.unwrap_or(self.swal_cfg.integrity_key));
-        LogWriter::with_integrity(file, mac_key)
+        create_wal_writer(
+            self.env.as_ref(),
+            &shield_env::join_path(&self.path, &wal_file_name(number)),
+            self.encryption.as_ref(),
+            self.integrity,
+            self.integrity_key,
+        )
     }
 
     /// Replays every retained SWAL segment in number order. Record
@@ -337,7 +327,7 @@ impl ShardedDb {
     /// is dropped whole — cross-shard atomicity on recovery. Reapplying
     /// batches already flushed into shard SSTs is idempotent (same
     /// contents at higher sequences). Returns the segment numbers seen.
-    fn replay_swal(&self, opts: &Options) -> Result<Vec<u64>> {
+    fn replay_swal(&self) -> Result<Vec<u64>> {
         let names = self.env.list_dir(&self.path)?;
         let mut segments: Vec<u64> = names
             .iter()
@@ -348,22 +338,24 @@ impl ShardedDb {
             .collect();
         segments.sort_unstable();
         for &number in &segments {
-            let p = shield_env::join_path(&self.path, &wal_file_name(number));
-            let (file, dek_mac) = match &opts.encryption {
-                Some(cfg) => cfg.open_sequential_with_mac(self.env.as_ref(), &p, FileKind::Wal)?,
-                None => (self.env.new_sequential_file(&p, FileKind::Wal)?, None),
-            };
-            let mut reader =
-                LogReader::with_integrity(file, Some(dek_mac.unwrap_or(opts.integrity_key)))
-                    .with_sinks(number, Some(self.stats.clone()), None);
-            while let Some(record) = reader.read_record()? {
+            let mut tailer = open_wal_tailer(
+                self.env.as_ref(),
+                &shield_env::join_path(&self.path, &wal_file_name(number)),
+                self.encryption.as_ref(),
+                self.integrity_key,
+            )?
+            .with_sinks(number, Some(self.stats.clone()), None);
+            // A segment of a closed database cannot grow: `Pending` is
+            // the crash aftermath and ends the replay.
+            while let TailPoll::Record(record) = tailer.poll()? {
                 let batch = WriteBatch::from_data(&record)?;
                 // Open is single-threaded: apply directly, no tickets.
                 for (shard, part) in self.split(&batch)? {
                     self.shards[shard].write(&WriteOptions { sync: false }, part)?;
                 }
             }
-            if opts.integrity == Integrity::Hmac && reader.is_legacy() {
+            tailer.assume_legacy();
+            if self.integrity == Integrity::Hmac && tailer.is_legacy() {
                 self.stats.integrity_unprotected_files.fetch_add(1, Ordering::Relaxed);
             }
         }

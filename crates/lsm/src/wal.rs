@@ -20,7 +20,7 @@ use shield_env::{Env, FileKind, SequentialFile, WritableFile};
 
 use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
-use crate::integrity::{position_tag, IntegrityCtx, BLOCK_TAG_LEN, CONTEXT_LEN};
+use crate::integrity::{position_tag, Integrity, IntegrityCtx, BLOCK_TAG_LEN, CONTEXT_LEN};
 use crate::statistics::Statistics;
 
 /// Log block size (32 KiB, as in RocksDB).
@@ -598,7 +598,8 @@ impl WalTailer {
 /// offset across polls, and hands the tailer a MAC key — the DEK subkey,
 /// or `integrity_key` for plaintext segments — so authenticated logs
 /// verify regardless of the current integrity mode. Primary recovery,
-/// read-only refresh, and live replica catch-up all open WALs here.
+/// sharded shared-WAL replay and live replica catch-up all open WALs
+/// here.
 pub fn open_wal_tailer(
     env: &dyn Env,
     path: &str,
@@ -610,6 +611,30 @@ pub fn open_wal_tailer(
         None => (env.new_sequential_file(path, FileKind::Wal)?, None),
     };
     Ok(WalTailer::with_integrity(file, Some(dek_mac.unwrap_or(integrity_key))))
+}
+
+/// Creates WAL segment `path` for appending — the counterpart of
+/// [`open_wal_tailer`]: encrypted under a fresh DEK (with the §5.3
+/// buffer) when `encryption` is set, and under [`Integrity::Hmac`]
+/// tagging every record with the DEK subkey, or `integrity_key` when the
+/// segment is plaintext. `Db` and the sharded shared WAL both create
+/// segments here.
+pub fn create_wal_writer(
+    env: &dyn Env,
+    path: &str,
+    encryption: Option<&EncryptionConfig>,
+    integrity: Integrity,
+    integrity_key: [u8; 32],
+) -> Result<LogWriter> {
+    let (file, dek_mac) = match encryption {
+        Some(cfg) => {
+            let (f, _, mac) = cfg.new_writable_with_mac(env, path, FileKind::Wal)?;
+            (f, mac)
+        }
+        None => (env.new_writable_file(path, FileKind::Wal)?, None),
+    };
+    let mac_key = (integrity == Integrity::Hmac).then(|| dek_mac.unwrap_or(integrity_key));
+    LogWriter::with_integrity(file, mac_key)
 }
 
 /// Reads records written by [`LogWriter`] from a finite log: a thin

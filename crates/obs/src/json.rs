@@ -114,6 +114,20 @@ impl JsonBuilder {
         }
     }
 
+    /// An unmeasured value: `null`, never a stand-in `0`.
+    pub fn field_null(&mut self, key: &str) {
+        self.keyed(key);
+        self.out.push_str("null");
+    }
+
+    /// [`JsonBuilder::field_f64`], or `null` when `v` was not measured.
+    pub fn field_opt_f64(&mut self, key: &str, v: Option<f64>) {
+        match v {
+            Some(v) => self.field_f64(key, v),
+            None => self.field_null(key),
+        }
+    }
+
     pub fn field_str(&mut self, key: &str, v: &str) {
         self.keyed(key);
         self.out.push_str(&escaped(v));
@@ -414,6 +428,22 @@ mod tests {
         j.field_f64("y", f64::INFINITY);
         j.close_obj();
         assert_eq!(j.finish(), r#"{"x":null,"y":null}"#);
+    }
+
+    #[test]
+    fn unmeasured_values_read_back_as_null() {
+        let mut j = JsonBuilder::new();
+        j.open_obj_item();
+        j.field_null("never_ran");
+        j.field_opt_f64("speedup_8", None);
+        j.field_opt_f64("speedup_4", Some(2.5));
+        j.close_obj();
+        let text = j.finish();
+        assert_eq!(text, r#"{"never_ran":null,"speedup_8":null,"speedup_4":2.500}"#);
+        let doc = parse(&text).expect("parse");
+        assert_eq!(doc.get("never_ran"), Some(&JsonValue::Null));
+        assert_eq!(doc.get("speedup_8"), Some(&JsonValue::Null));
+        assert_eq!(doc.get("speedup_4").and_then(JsonValue::as_f64), Some(2.5));
     }
 
     #[test]

@@ -10,11 +10,12 @@
 #           root package's integration suites — fault injection, tamper,
 #           multi_get, sharded, replica, model check, … all of them), then
 #           the member crates' own unit tests.
-#   tiers 3–11: what the tests cannot check — each runs one shield-bench
-#           bin in smoke mode, and the bin (or the grep after it) fails
-#           unless the feature actually engaged. All output goes under
-#           target/; committed BENCH_*.json / OBS_metrics.json come from
-#           full runs only.
+#   tiers 3–11: what the tests cannot check — the shield-bench bins are
+#           built once, then each runs in smoke mode, and the bin (or the
+#           grep after it) fails unless the feature actually engaged. A
+#           smoke run writes under target/ (shield_bench::harness);
+#           committed BENCH_*.json / OBS_metrics.json come from full runs
+#           only.
 #     3  crypto        kernel speedups vs the scalar reference (§ perf kernels)
 #     4  obs_smoke     paired LOG events, shield_metrics_v1 keys, < 2%
 #                      disabled PerfContext cost (§4e)
@@ -80,12 +81,15 @@ if [[ $quick -eq 1 ]]; then
     exit 0
 fi
 
+echo "== bench bins =="
+cargo build --release -q -p shield-bench --bins
+
 # Runs one shield-bench bin in smoke mode; the bin exits non-zero when
 # its own engagement gate fails.
 smoke() {
     local bin=$1
     shift
-    cargo run --release -q -p shield-bench --bin "$bin" -- "$@"
+    "target/release/$bin" "$@"
 }
 
 # Fails unless every pattern occurs in the file.
@@ -106,7 +110,7 @@ require target/BENCH_crypto_smoke.json '"batched_mib_s"' '"scalar_mib_s"' '"ciph
     '"speedup_4096"' '"hardware_mib_s"' '"reference_mib_s"'
 
 echo "== tier 4: observability =="
-smoke obs_smoke --out target/OBS_metrics_smoke.json
+smoke obs_smoke
 require target/OBS_metrics_smoke.json '"schema"' '"levels"' '"latencies_us"' '"tickers"' '"gauges"'
 
 echo "== tier 5: parallel subcompactions =="
@@ -114,25 +118,25 @@ smoke subcompaction --smoke
 require target/BENCH_subcompaction_smoke.json '"read_calls_per_input_mib"'
 
 echo "== tier 6: read path =="
-smoke readpath --smoke --out target/BENCH_readpath_smoke.json
+smoke readpath --smoke
 
 echo "== tier 7: integrity =="
-smoke integrity --smoke --out target/BENCH_integrity_smoke.json
+smoke integrity --smoke
 
 echo "== tier 8: batched I/O =="
-smoke multiget --smoke --out target/BENCH_multiget_smoke.json
+smoke multiget --smoke
 require target/BENCH_multiget_smoke.json '"batched_reads": [1-9]'
 
 echo "== tier 9: flight recorder =="
-smoke trace_smoke --out target/TRACE_smoke.json
+smoke trace_smoke
 
 echo "== tier 10: sharded engine =="
-smoke shards --smoke --out target/BENCH_shards_smoke.json
+smoke shards --smoke
 require target/BENCH_shards_smoke.json '"fillrandom"' '"readwhilewriting"' \
     '"fillrandom_speedup_4"' '"shards_with_flushes"'
 
 echo "== tier 11: read replica =="
-smoke replica --smoke --out target/BENCH_replica_smoke.json
+smoke replica --smoke
 require target/BENCH_replica_smoke.json '"manifest_edits_applied"' '"wal_records_applied"' \
     '"catchup_records_s"' '"final_staleness"'
 

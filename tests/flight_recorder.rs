@@ -240,6 +240,12 @@ fn stats_windows_roll_with_rates() {
     while std::time::Instant::now() < deadline {
         db.db.put(&w, &key(i % 64), b"window-payload").unwrap();
         assert!(db.db.get(&ReadOptions::new(), &key(i % 64)).unwrap().is_some());
+        if i % 8 == 7 {
+            // A batched lookup is one read per key, not one more on top.
+            let keys: Vec<Vec<u8>> = (0..8).map(key).collect();
+            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            db.db.multi_get(&ReadOptions::new(), &refs);
+        }
         i += 1;
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -262,6 +268,17 @@ fn stats_windows_roll_with_rates() {
         .map(|&(_, v)| v)
         .unwrap();
     assert!(writes_rate > 0.0, "writes_per_sec must be positive under a write loop");
+    // `reads_per_sec` is the `gets` ticker over the interval: every key a
+    // `get` or a `multi_get` looked up, counted once.
+    assert!(
+        windows.iter().any(|w| w.delta("multi_gets").unwrap_or(0) > 0),
+        "no window saw a multi_get"
+    );
+    for w in &windows {
+        let rate = w.rates.iter().find(|(k, _)| *k == "reads_per_sec").map(|&(_, v)| v).unwrap();
+        let reads = (rate * w.duration_micros as f64 / 1e6).round() as u64;
+        assert_eq!(Some(reads), w.delta("gets"), "window {} over-counts reads: {w:?}", w.seq);
+    }
     assert!(capture.names().contains(&"stats_window"), "no stats_window event emitted");
 
     // The windows ride along in the stable metrics JSON.
