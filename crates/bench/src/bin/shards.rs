@@ -1,44 +1,41 @@
 //! Shard-scaling benchmark over disaggregated storage: `fillrandom` and
-//! `readwhilewriting` against a [`ShardedDb`] at 1, 2, 4, and 8 shards,
-//! with every shard's SSTs behind one [`RemoteEnv`].
+//! `readwhilewriting` against a [`Db`] of 1, 2, 4, and 8 trees, with
+//! every tree's SSTs behind one [`RemoteEnv`].
 //!
 //! What scales and why: a single LSM ingests at the speed of its one
 //! flush/compaction pipeline — writers stall the moment the immutable
 //! list or L0 fills, and every stall waits out full network round trips
 //! to remote storage. Sharding multiplies the pipelines: N memtables
-//! absorb writes while N flushes and compactions ride the shared
-//! [`JobPool`] concurrently, *overlapping* their RTT sleeps on the
-//! remote link (the env models per-request propagation delay, so
-//! concurrent requests don't queue behind each other). The sweep holds
-//! the writer count, key count, and network fixed — only the shard
-//! count moves.
+//! absorb writes while N flushes and compactions ride the shared job
+//! pool concurrently, *overlapping* their RTT sleeps on the remote link
+//! (the env models per-request propagation delay, so concurrent requests
+//! don't queue behind each other). The sweep holds the writer count, key
+//! count, and network fixed — only the shard count moves.
 //!
-//! The WAL is disabled for the sweep: a shared group-commit WAL is one
-//! serial append stream at *every* shard count, so leaving it on would
-//! measure the WAL's packet cadence, not the sharded flush pipeline
-//! this bench isolates (crash-consistency of the shared WAL is the
-//! crash-recovery suite's job, not a throughput story).
+//! The scaling rows (`fillrandom`, `readwhilewriting`) run with the WAL
+//! disabled: the WAL is one serial append stream at *every* shard count,
+//! so leaving it on measures the WAL's packet cadence, not the flush
+//! pipelines this bench isolates. The `fillrandom_wal` rows run the same
+//! fill in the production configuration — WAL on — and record exactly
+//! that cadence (crash-consistency of the WAL is the crash-recovery
+//! suite's job).
 //!
 //! Full mode gates on `fillrandom` scaling: 4 shards must clear ≥ 2.5x
 //! the single-shard ingest rate. `--smoke` (the verify tier) only
 //! asserts engagement — every shard takes keys and flushes. The
 //! committed full-mode `BENCH_shards.json` is the perf record.
-//!
-//! The sharded opens stay in this bin: `shield_bench::systems` hands out
-//! `Db` handles, and a `ShardedDb` is a different type.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use shield::{open_shield_sharded, ShieldOptions};
 use shield_bench::harness::{self, Bench};
 use shield_bench::rng::Rng;
+use shield_bench::systems::{SystemKind, SystemStore, Tuning};
 use shield_bench::workloads::key_bytes;
-use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Options, ReadOptions, ShardedDb, WriteOptions};
+use shield_env::{MemEnv, NetworkModel, RemoteEnv};
+use shield_lsm::{Db, ReadOptions, WriteOptions};
 
 const WRITERS: usize = 4;
 const READERS: usize = 3;
@@ -52,36 +49,35 @@ const SHIELD_SWEEP: [usize; 2] = [1, 4];
 /// Opens a fresh `shards`-way store behind its own [`RemoteEnv`] and runs
 /// `f` against it.
 fn with_sharded_db<R>(
-    shield: bool,
+    kind: SystemKind,
     model: NetworkModel,
     shards: usize,
-    f: impl FnOnce(&ShardedDb) -> R,
+    wal: bool,
+    f: impl FnOnce(&Db) -> R,
 ) -> R {
-    let env: Arc<dyn Env> = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), model));
-    let mut opts = Options::new(env)
-        .with_write_buffer_size(32 << 10)
-        .with_background_jobs(8)
-        .with_shards(shards);
-    opts.block_size = 16 << 10;
-    opts.block_cache_bytes = 8 << 20;
-    opts.compaction.l0_compaction_trigger = 4;
-    opts.compaction.target_file_size = 64 << 10;
-    opts.disable_wal = true;
-    if shield {
-        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let mut sopts = ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"bench-passkey");
-        sopts.wal_buffer_size = 0;
-        f(&open_shield_sharded(opts, "db", sopts).expect("open shield sharded").db)
-    } else {
-        f(&ShardedDb::open(opts, "db").expect("open plain sharded"))
-    }
+    let tuning = Tuning {
+        write_buffer_size: 32 << 10,
+        background_jobs: 8,
+        block_cache_bytes: 8 << 20,
+        l0_compaction_trigger: 4,
+        target_file_size: 64 << 10,
+        ..Tuning::default()
+    };
+    let env = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), model));
+    let sys = SystemStore::new(kind, env, "db", tuning)
+        .open_with(|mut opts| {
+            opts.block_size = 16 << 10;
+            opts.disable_wal = !wal;
+            opts.with_shards(shards)
+        })
+        .expect("open sharded store");
+    f(sys.db())
 }
 
 /// `WRITERS` threads blast random keys at the sharded engine until each
 /// has written its quota; wall time is the fill time. Writes the point's
 /// section and returns its ops/s.
-fn run_fillrandom(bench: &mut Bench, label: &str, db: &ShardedDb, per_writer: u64) -> f64 {
-    let shards = db.shard_count();
+fn run_fillrandom(bench: &mut Bench, label: &str, db: &Db, per_writer: u64) -> f64 {
     let keyspace = per_writer * WRITERS as u64 * 4;
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -101,15 +97,15 @@ fn run_fillrandom(bench: &mut Bench, label: &str, db: &ShardedDb, per_writer: u6
     let secs = start.elapsed().as_secs_f64();
     db.wait_for_background_work().expect("drain");
 
-    let per_shard: Vec<_> = (0..shards).map(|i| db.shard(i).statistics().snapshot()).collect();
-    let flushes: u64 = per_shard.iter().map(|s| s.flushes).sum();
-    let compactions: u64 = per_shard.iter().map(|s| s.compactions).sum();
-    let write_stalls: u64 = per_shard.iter().map(|s| s.write_stalls).sum();
-    let shards_with_flushes = per_shard.iter().filter(|s| s.flushes > 0).count();
+    let report = db.metrics_report();
+    let shards = report.trees.len();
+    let (flushes, compactions, write_stalls) =
+        (report.tickers.flushes, report.tickers.compactions, report.tickers.write_stalls);
+    let shards_with_flushes = report.trees.iter().filter(|tree| tree.flushes > 0).count();
     let keys = per_writer * WRITERS as u64;
     let ops_per_sec = keys as f64 / secs.max(1e-9);
     println!(
-        "  {label:>6} fillrandom x{shards}: {secs:.3}s ({ops_per_sec:.0} ops/s, {flushes} flushes / \
+        "  {label:>21} x{shards}: {secs:.3}s ({ops_per_sec:.0} ops/s, {flushes} flushes / \
          {compactions} compactions, {write_stalls} stalls)"
     );
     let j = bench.json();
@@ -133,8 +129,8 @@ fn run_fillrandom(bench: &mut Bench, label: &str, db: &ShardedDb, per_writer: u6
 
 /// One writer keeps ingesting while `READERS` threads issue random gets
 /// over the already-persisted keyspace; read throughput is the figure.
-fn run_readwhilewriting(bench: &mut Bench, label: &str, db: &ShardedDb, per_reader: u64) {
-    let shards = db.shard_count();
+fn run_readwhilewriting(bench: &mut Bench, label: &str, db: &Db, per_reader: u64) {
+    let shards = db.metrics_report().trees.len();
     let preload = per_reader * 2;
     {
         let w = WriteOptions::default();
@@ -214,27 +210,32 @@ fn speedup_at(fills: &[(usize, f64)], shards: usize) -> Option<f64> {
 
 fn run_mode(
     bench: &mut Bench,
-    shield: bool,
+    kind: SystemKind,
     model: NetworkModel,
     sweep: &[usize],
     per_thread: u64,
 ) {
-    let label = if shield { "shield" } else { "plain" };
+    let label = kind.slug();
     bench.json().open_obj(label);
-    bench.json().open_obj("fillrandom");
-    let fills: Vec<(usize, f64)> = sweep
-        .iter()
-        .map(|&shards| {
-            let rate = with_sharded_db(shield, model, shards, |db| {
-                run_fillrandom(bench, label, db, per_thread)
-            });
-            (shards, rate)
-        })
-        .collect();
-    bench.json().close_obj();
+    let fill_sweep = |bench: &mut Bench, section: &str, wal: bool| -> Vec<(usize, f64)> {
+        bench.json().open_obj(section);
+        let fills = sweep
+            .iter()
+            .map(|&shards| {
+                let rate = with_sharded_db(kind, model, shards, wal, |db| {
+                    run_fillrandom(bench, &format!("{label} {section}"), db, per_thread)
+                });
+                (shards, rate)
+            })
+            .collect();
+        bench.json().close_obj();
+        fills
+    };
+    let fills = fill_sweep(bench, "fillrandom", false);
+    let wal_fills = fill_sweep(bench, "fillrandom_wal", true);
     bench.json().open_obj("readwhilewriting");
     for &shards in sweep {
-        with_sharded_db(shield, model, shards, |db| {
+        with_sharded_db(kind, model, shards, false, |db| {
             run_readwhilewriting(bench, label, db, per_thread);
         });
     }
@@ -242,10 +243,11 @@ fn run_mode(
     let s4 = speedup_at(&fills, 4);
     bench.json().field_opt_f64("fillrandom_speedup_4", s4);
     bench.json().field_opt_f64("fillrandom_speedup_8", speedup_at(&fills, 8));
+    bench.json().field_opt_f64("fillrandom_wal_speedup_4", speedup_at(&wal_fills, 4));
     bench.json().close_obj();
     // The scaling claim: four flush/compaction pipelines overlapping
     // their remote round trips must beat one pipeline by ≥ 2.5x on ingest.
-    if !shield {
+    if kind == SystemKind::Plain {
         bench.full_gate(
             &format!("fillrandom at 4 shards scaled {:.2}x >= 2.5x", s4.unwrap_or(f64::NAN)),
             s4.is_some_and(|s| s >= 2.5),
@@ -272,12 +274,12 @@ fn main() -> ExitCode {
              shard sweep"
         ),
     );
-    j.field_str("wal", "disabled");
+    j.field_str("wal", "disabled, except the fillrandom_wal rows");
     j.field_u64("value_bytes", VALUE_BYTES as u64);
     j.field_u64("keys_per_writer", keys_per_writer);
     j.open_obj("systems");
-    run_mode(&mut bench, false, model, &SHARD_SWEEP, keys_per_writer);
-    run_mode(&mut bench, true, model, &SHIELD_SWEEP, keys_per_writer);
+    run_mode(&mut bench, SystemKind::Plain, model, &SHARD_SWEEP, keys_per_writer);
+    run_mode(&mut bench, SystemKind::Shield, model, &SHIELD_SWEEP, keys_per_writer);
     bench.json().close_obj();
     bench.finish()
 }

@@ -17,8 +17,10 @@
 //! * [`open_shield_replica`] — read-only instances (paper §2.2): a
 //!   [`ReplicaDb`] serving the shared files through its own DEK resolver.
 //!
-//! Every `open_*` function returns the engine handle inside one of two
-//! wrappers — [`EncFs`] or [`Shield`] — that deref to it and expose the
+//! Shard count and routing are [`Options`] fields
+//! ([`Options::with_shards`]), so each of these opens 1..N trees. The
+//! encrypting opens return the engine handle inside a wrapper —
+//! [`EncFsDb`] or [`Shield`] — that derefs to it and exposes the
 //! encryption layer's own state.
 
 pub mod deploy;
@@ -37,9 +39,8 @@ use shield_lsm::{Db, Error, Options, Result};
 pub use encfs::EncryptedEnv;
 pub use shield_lsm::{
     CompactionStyle, DbIterator, Event, EventListener, LogConfig, LogLevel, MetricsReport,
-    MetricsWindow, PerfContext, ReadOptions, ReplicaDb, ReplicaOptions, ShardBy, ShardedDb,
-    ShardedDbIterator, ShardedSnapshot, SlowOp, Snapshot, SpanRecord, Statistics, StatsSnapshot,
-    WriteBatch, WriteOptions, REPLICA_METRICS_SCHEMA, SHARDED_METRICS_SCHEMA,
+    MetricsWindow, PerfContext, ReadOptions, ReplicaDb, ReplicaOptions, ShardBy, SlowOp, Snapshot,
+    SpanRecord, Statistics, StatsSnapshot, WriteBatch, WriteOptions, REPLICA_METRICS_SCHEMA,
 };
 
 /// Name of the secure DEK cache file inside a database directory.
@@ -50,25 +51,19 @@ pub fn open_plain(opts: Options, path: &str) -> Result<Db> {
     Db::open(opts, path)
 }
 
-/// An engine handle (`H`: [`Db`] or [`ShardedDb`]) over an instance-level
-/// encrypting environment. Derefs to the handle.
-pub struct EncFs<H> {
+/// An instance-level-encrypted database handle ([`open_encfs`]). Derefs to
+/// the engine handle.
+pub struct EncFsDb {
     /// The engine handle.
-    pub db: H,
-    /// The encrypting environment (exposes the cipher-init counter); for a
-    /// sharded handle it is shared by all shards and the SWAL.
+    pub db: Db,
+    /// The encrypting environment (exposes the cipher-init counter),
+    /// under every tree and the WAL.
     pub env: Arc<EncryptedEnv>,
 }
 
-/// An instance-level-encrypted database handle ([`open_encfs`]).
-pub type EncFsDb = EncFs<Db>;
-/// An instance-level-encrypted *sharded* database handle
-/// ([`open_encfs_sharded`]).
-pub type EncFsShardedDb = EncFs<ShardedDb>;
-
-impl<H> Deref for EncFs<H> {
-    type Target = H;
-    fn deref(&self) -> &H {
+impl Deref for EncFsDb {
+    type Target = Db;
+    fn deref(&self) -> &Db {
         &self.db
     }
 }
@@ -89,22 +84,7 @@ pub fn open_encfs(
     let env = Arc::new(EncryptedEnv::new(base.env.clone(), dek, wal_buffer_size));
     base.env = env.clone();
     debug_assert!(base.encryption.is_none(), "EncFS encrypts below the engine");
-    Ok(EncFs { db: Db::open(base, path)?, env })
-}
-
-/// [`open_encfs`] for a [`ShardedDb`]: one instance DEK encrypts every
-/// file of every shard *and* the shared WAL, below the engine.
-/// Shard count/routing come from `base` ([`Options::with_shards`]).
-pub fn open_encfs_sharded(
-    mut base: Options,
-    path: &str,
-    dek: shield_crypto::Dek,
-    wal_buffer_size: usize,
-) -> Result<EncFsShardedDb> {
-    let env = Arc::new(EncryptedEnv::new(base.env.clone(), dek, wal_buffer_size));
-    base.env = env.clone();
-    debug_assert!(base.encryption.is_none(), "EncFS encrypts below the engine");
-    Ok(EncFs { db: ShardedDb::open(base, path)?, env })
+    Ok(EncFsDb { db: Db::open(base, path)?, env })
 }
 
 /// Configuration for [`open_shield`].
@@ -152,13 +132,14 @@ impl ShieldOptions {
     }
 }
 
-/// An engine handle (`H`: [`Db`], [`ShardedDb`] or `Arc<`[`ReplicaDb`]`>`)
-/// with its SHIELD encryption layer. Derefs to the handle.
+/// An engine handle (`H`: [`Db`] or `Arc<`[`ReplicaDb`]`>`) with its SHIELD
+/// encryption layer. Derefs to the handle.
 pub struct Shield<H> {
     /// The engine handle.
     pub db: H,
-    /// The encryption layer (cipher-init counters, chunk settings); shared
-    /// by all shards of a sharded handle.
+    /// The encryption layer (cipher-init counters, chunk settings): one
+    /// resolver, one KDS identity and one secure DEK cache, however many
+    /// trees draw per-file DEKs from it.
     pub encryption: EncryptionConfig,
     /// This identity's own DEK resolver (cache hit/miss statistics). A
     /// replica's never receives key material from the primary, only
@@ -168,8 +149,6 @@ pub struct Shield<H> {
 
 /// A SHIELD-encrypted database handle ([`open_shield`]).
 pub type ShieldDb = Shield<Db>;
-/// A SHIELD-encrypted *sharded* database handle ([`open_shield_sharded`]).
-pub type ShieldShardedDb = Shield<ShardedDb>;
 /// A SHIELD read-replica handle ([`open_shield_replica`]).
 pub type ShieldReplica = Shield<Arc<ReplicaDb>>;
 
@@ -255,24 +234,6 @@ pub fn open_shield(mut base: Options, path: &str, shield: ShieldOptions) -> Resu
     // KDS retries/failovers/degraded transitions land in the same event
     // stream (and LOG file) as the engine's own events.
     resolver.set_event_listener(db.events());
-    Ok(Shield { db, encryption, resolver })
-}
-
-/// [`open_shield`] for a [`ShardedDb`]: every shard draws per-file DEKs
-/// from one shared resolver (one KDS identity, one secure DEK cache in
-/// the parent directory), so sharding multiplies neither KDS round trips
-/// nor passkey surfaces. Shard count/routing come from `base`.
-pub fn open_shield_sharded(
-    mut base: Options,
-    path: &str,
-    shield: ShieldOptions,
-) -> Result<ShieldShardedDb> {
-    base.env.create_dir_all(path)?;
-    let cache_path = shield_env::join_path(path, DEK_CACHE_FILE);
-    let (encryption, resolver) = shield_encryption(base.env.clone(), &cache_path, &shield)?;
-    base.encryption = Some(encryption.clone());
-    let db = ShardedDb::open(base, path)?;
-    resolver.set_event_listener(db.shard(0).events());
     Ok(Shield { db, encryption, resolver })
 }
 

@@ -174,7 +174,7 @@ pub fn plan_subcompactions(
 }
 
 /// A unit of compaction work.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CompactionTask {
     /// Merge `inputs` (at `input_level`) with `overlaps` (at
     /// `output_level`) into new files at `output_level`.

@@ -1,5 +1,6 @@
-//! The metrics report pipeline: per-operation latency histograms and the
-//! [`MetricsReport`] produced by [`crate::Db::metrics_report`].
+//! The metrics report pipeline: per-operation latency histograms, the
+//! [`MetricsReport`] produced by [`crate::Db::metrics_report`], and the
+//! ticker thread behind windowed stats and the stall watchdog.
 //!
 //! The report is the engine's attribution story in one artifact: per-level
 //! shape (files/bytes, read/write amplification), per-op latency quantiles
@@ -9,9 +10,14 @@
 //! that the bench driver writes as a sidecar next to every experiment.
 
 use std::fmt::Write as _;
+use std::sync::atomic::Ordering;
 
-use shield_core::{AtomicHistogram, HistogramSummary, JsonBuilder, MetricsWindow};
+use shield_core::{
+    AtomicHistogram, Event, HistogramSummary, JsonBuilder, MetricsWindow, WindowSample,
+};
 
+use crate::db::db::DbInner;
+use crate::db::tree::Tree;
 use crate::statistics::StatsSnapshot;
 
 /// The `schema` field value of the JSON report.
@@ -60,16 +66,28 @@ pub struct LevelStats {
     pub bytes: u64,
 }
 
+/// One tree's share of a [`MetricsReport`].
+#[derive(Debug, Clone)]
+pub struct TreeMetrics {
+    /// The tree's non-empty levels (level 0 always included).
+    pub levels: Vec<LevelStats>,
+    /// Memtable flushes this tree completed.
+    pub flushes: u64,
+    /// Compactions this tree completed.
+    pub compactions: u64,
+}
+
 /// Everything [`crate::Db::metrics_report`] knows, in one report.
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
-    /// Non-empty levels (level 0 always included).
+    /// Non-empty levels (level 0 always included), summed over the trees.
     pub levels: Vec<LevelStats>,
     /// Total bytes written to storage (flush + compaction output) per byte
     /// of user write (WAL bytes).
     pub write_amplification: f64,
-    /// Worst-case tables consulted by a point lookup: every L0 file plus
-    /// one per non-empty deeper level.
+    /// Worst-case tables consulted by a point lookup — every L0 file plus
+    /// one per non-empty deeper level — in the worst tree (a lookup
+    /// touches exactly one).
     pub read_amplification: u64,
     /// Per-op latency summaries, in [`OP_TYPES`] order.
     pub latencies: Vec<(&'static str, HistogramSummary)>,
@@ -78,6 +96,22 @@ pub struct MetricsReport {
     /// Recent windowed-stats intervals (`shield_metrics_window_v1`
     /// objects), oldest first. Empty unless `stats_dump_period` is set.
     pub windows: Vec<MetricsWindow>,
+    /// How keys route to trees: `"hash"` or `"range"`.
+    pub shard_by: &'static str,
+    /// Per-tree shape and background work, in tree order.
+    pub trees: Vec<TreeMetrics>,
+}
+
+fn push_levels(j: &mut JsonBuilder, levels: &[LevelStats]) {
+    j.open_arr("levels");
+    for l in levels {
+        j.open_obj_item();
+        j.field_u64("level", l.level as u64);
+        j.field_u64("files", l.files as u64);
+        j.field_u64("bytes", l.bytes);
+        j.close_obj();
+    }
+    j.close_arr();
 }
 
 impl MetricsReport {
@@ -86,21 +120,15 @@ impl MetricsReport {
     /// Key order is fixed: `schema`, `levels`, `total_files`,
     /// `total_bytes`, `write_amplification`, `read_amplification`,
     /// `latencies_us` (one object per op with `count`/`mean`/`p50`/
-    /// `p99`/`p999`/`max`), `tickers`, `gauges`, `windows`.
+    /// `p99`/`p999`/`max`), `tickers`, `gauges`, `windows` — and, for a
+    /// database of more than one tree, `shards` (`shard_by` plus one
+    /// `levels`/`flushes`/`compactions` object per tree).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut j = JsonBuilder::new();
         j.open_obj_item();
         j.field_str("schema", METRICS_SCHEMA);
-        j.open_arr("levels");
-        for l in &self.levels {
-            j.open_obj_item();
-            j.field_u64("level", l.level as u64);
-            j.field_u64("files", l.files as u64);
-            j.field_u64("bytes", l.bytes);
-            j.close_obj();
-        }
-        j.close_arr();
+        push_levels(&mut j, &self.levels);
         j.field_u64("total_files", self.levels.iter().map(|l| l.files as u64).sum());
         j.field_u64("total_bytes", self.levels.iter().map(|l| l.bytes).sum());
         j.field_f64("write_amplification", self.write_amplification);
@@ -132,6 +160,20 @@ impl MetricsReport {
             w.push_json(&mut j);
         }
         j.close_arr();
+        if self.trees.len() > 1 {
+            j.open_obj("shards");
+            j.field_str("shard_by", self.shard_by);
+            j.open_arr("trees");
+            for tree in &self.trees {
+                j.open_obj_item();
+                push_levels(&mut j, &tree.levels);
+                j.field_u64("flushes", tree.flushes);
+                j.field_u64("compactions", tree.compactions);
+                j.close_obj();
+            }
+            j.close_arr();
+            j.close_obj();
+        }
         j.close_obj();
         j.finish()
     }
@@ -192,6 +234,191 @@ impl MetricsReport {
     }
 }
 
+/// Drops the empty levels above 0 from a `(files, bytes)`-per-level list.
+fn level_stats(per_level: &[(usize, u64)]) -> Vec<LevelStats> {
+    per_level
+        .iter()
+        .enumerate()
+        .filter(|(l, (files, _))| *l == 0 || *files > 0)
+        .map(|(l, &(files, bytes))| LevelStats { level: l, files, bytes })
+        .collect()
+}
+
+/// Per-level sums over every tree's `(files, bytes)`-per-level list.
+fn sum_levels(per_tree: &[Vec<(usize, u64)>]) -> Vec<(usize, u64)> {
+    let depth = per_tree.iter().map(Vec::len).max().unwrap_or(0);
+    (0..depth)
+        .map(|level| {
+            per_tree
+                .iter()
+                .filter_map(|levels| levels.get(level))
+                .fold((0, 0), |sum, level| (sum.0 + level.0, sum.1 + level.1))
+        })
+        .collect()
+}
+
+impl DbInner {
+    /// `(files, bytes)` per level, summed over the trees.
+    pub(super) fn level_summary(&self) -> Vec<(usize, u64)> {
+        sum_levels(&self.trees.iter().map(Tree::level_summary).collect::<Vec<_>>())
+    }
+
+    pub(super) fn metrics_report(&self) -> MetricsReport {
+        self.refresh_stat_mirrors();
+        let snap = self.stats.snapshot();
+        let per_tree: Vec<Vec<(usize, u64)>> = self.trees.iter().map(Tree::level_summary).collect();
+        // Worst-case tables a point lookup consults in one tree: every L0
+        // file plus one per non-empty deeper level.
+        let read_amplification = |levels: &Vec<(usize, u64)>| {
+            levels.first().map_or(0, |&(files, _)| files as u64)
+                + levels.iter().skip(1).filter(|&&(files, _)| files > 0).count() as u64
+        };
+        let bytes_to_storage = snap.flush_bytes + snap.compaction_bytes_written;
+        MetricsReport {
+            levels: level_stats(&sum_levels(&per_tree)),
+            write_amplification: bytes_to_storage as f64 / (snap.wal_bytes.max(1)) as f64,
+            read_amplification: per_tree.iter().map(read_amplification).max().unwrap_or(0),
+            latencies: self.op_hists.summaries(),
+            tickers: snap,
+            windows: self.window.lock().recent(),
+            shard_by: self.router.shard_by(),
+            trees: self
+                .trees
+                .iter()
+                .zip(&per_tree)
+                .map(|(tree, levels)| TreeMetrics {
+                    levels: level_stats(levels),
+                    flushes: tree.flushes.load(Ordering::Relaxed),
+                    compactions: tree.compactions.load(Ordering::Relaxed),
+                })
+                .collect(),
+        }
+    }
+
+    /// Refreshes ticker mirrors (env faults, block-cache totals, gauges)
+    /// from their live sources.
+    pub(super) fn refresh_stat_mirrors(&self) {
+        if let Some(faults) = self.env.fault_stats() {
+            self.stats
+                .env_faults_injected
+                .store(faults.injected_total(), Ordering::Relaxed);
+        }
+        if let Some(cache) = &self.block_cache {
+            let c = cache.stats();
+            let s = &self.stats;
+            s.block_cache_hits.store(c.hits(), Ordering::Relaxed);
+            s.block_cache_misses.store(c.misses(), Ordering::Relaxed);
+            s.block_cache_data_hits.store(c.data_hits, Ordering::Relaxed);
+            s.block_cache_data_misses.store(c.data_misses, Ordering::Relaxed);
+            s.block_cache_index_hits.store(c.index_hits, Ordering::Relaxed);
+            s.block_cache_index_misses.store(c.index_misses, Ordering::Relaxed);
+            s.block_cache_filter_hits.store(c.filter_hits, Ordering::Relaxed);
+            s.block_cache_filter_misses.store(c.filter_misses, Ordering::Relaxed);
+            s.block_cache_singleflight_waits.store(c.singleflight_waits, Ordering::Relaxed);
+            s.block_cache_oversized_bypass.store(c.oversized_bypass, Ordering::Relaxed);
+            s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
+            s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
+            s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
+        }
+        self.stats
+            .env_inflight_reads
+            .store(shield_env::inflight_reads_peak(), Ordering::Relaxed);
+    }
+
+    /// Watchdog + windowed-stats ticker loop. The tick is the finer of
+    /// the stats period and half the watchdog deadline, so a pinned op
+    /// is flagged within ~1.5x its deadline.
+    pub(super) fn ticker_loop(&self) {
+        let stats_period = self.opts.stats_dump_period;
+        let deadline = self.opts.watchdog_deadline.filter(|_| self.opts.trace_ops);
+        let min_tick = std::time::Duration::from_millis(1);
+        let tick = match (stats_period, deadline) {
+            (Some(p), Some(d)) => p.min(d / 2).max(min_tick),
+            (Some(p), None) => p.max(min_tick),
+            (None, Some(d)) => (d / 2).max(min_tick),
+            (None, None) => return,
+        };
+        let mut next_stats = stats_period.map(|p| std::time::Instant::now() + p);
+        loop {
+            {
+                let mut g = self.ticker_mu.lock();
+                if self.shutting_down.load(Ordering::Acquire) {
+                    return;
+                }
+                self.ticker_cv.wait_for(&mut g, tick);
+            }
+            if self.shutting_down.load(Ordering::Acquire) {
+                return;
+            }
+            if let Some(d) = deadline {
+                self.check_watchdog(d);
+            }
+            if let (Some(p), Some(at)) = (stats_period, next_stats.as_mut()) {
+                if std::time::Instant::now() >= *at {
+                    *at = std::time::Instant::now() + p;
+                    self.roll_stats_window();
+                }
+            }
+        }
+    }
+
+    /// Flags traced ops pinned past `deadline` — once each, with their
+    /// live span stack.
+    fn check_watchdog(&self, deadline: std::time::Duration) {
+        let deadline_nanos = deadline.as_nanos() as u64;
+        for op in self.tracer.active_ops() {
+            if op.elapsed_nanos() >= deadline_nanos && op.flag_watchdog() {
+                self.events.emit(&Event::Watchdog {
+                    op: op.op(),
+                    trace_id: op.trace_id(),
+                    elapsed_micros: op.elapsed_nanos() / 1_000,
+                    deadline_micros: deadline.as_micros() as u64,
+                    stack: op.live_stack().join(" > "),
+                });
+            }
+        }
+    }
+
+    /// Rolls one windowed-stats interval: refresh mirrors, diff the
+    /// cumulative counters, derive interval rates, log, and store.
+    fn roll_stats_window(&self) {
+        self.refresh_stat_mirrors();
+        let snap = self.stats.snapshot();
+        let sample = WindowSample {
+            at: std::time::Instant::now(),
+            unix_micros: std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_micros() as u64)
+                .unwrap_or(0),
+            counters: snap.counters(),
+        };
+        let Some(mut w) = self.window.lock().diff(sample) else { return };
+        let secs = (w.duration_micros as f64 / 1e6).max(1e-9);
+        let writes_per_sec = w.delta("writes").unwrap_or(0) as f64 / secs;
+        // `gets` already counts every key of a `multi_get`.
+        let reads_per_sec = w.delta("gets").unwrap_or(0) as f64 / secs;
+        let hits = w.delta("block_cache_hits").unwrap_or(0);
+        let lookups = hits + w.delta("block_cache_misses").unwrap_or(0);
+        let cache_hit_ratio = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+        let stall_fraction = (w.delta("stall_micros").unwrap_or(0) as f64
+            / w.duration_micros.max(1) as f64)
+            .min(1.0);
+        w.rates.push(("writes_per_sec", writes_per_sec));
+        w.rates.push(("reads_per_sec", reads_per_sec));
+        w.rates.push(("cache_hit_ratio", cache_hit_ratio));
+        w.rates.push(("stall_fraction", stall_fraction));
+        self.events.emit(&Event::StatsWindow {
+            seq: w.seq,
+            duration_micros: w.duration_micros,
+            writes_per_sec,
+            reads_per_sec,
+            cache_hit_ratio,
+            stall_fraction,
+        });
+        self.window.lock().store(w);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +438,8 @@ mod tests {
             latencies: hists.summaries(),
             tickers: StatsSnapshot::default(),
             windows: Vec::new(),
+            shard_by: "hash",
+            trees: Vec::new(),
         }
     }
 

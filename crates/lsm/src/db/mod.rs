@@ -1,5 +1,6 @@
 //! The database facade: options, write batches, the shared read path,
-//! and the [`Db`] itself.
+//! and the [`Db`] itself — a write front ([`db`], [`write`], [`recover`])
+//! over 1..N trees ([`tree`]).
 
 pub mod batch;
 #[allow(clippy::module_inception)]
@@ -8,14 +9,16 @@ pub mod metrics;
 pub mod options;
 pub mod pool;
 pub mod read;
+mod recover;
 pub mod replica;
-pub mod sharded;
+mod sharded;
+mod tree;
+mod write;
 
 pub use batch::WriteBatch;
 pub use db::Db;
-pub use metrics::{LevelStats, MetricsReport, METRICS_SCHEMA, OP_TYPES};
+pub use metrics::{LevelStats, MetricsReport, TreeMetrics, METRICS_SCHEMA, OP_TYPES};
 pub use options::{Options, ReadOptions, ShardBy, WriteOptions};
 pub use pool::{JobClass, JobPool};
 pub use read::{DbIterator, Snapshot};
 pub use replica::{ReplicaDb, ReplicaOptions, REPLICA_METRICS_SCHEMA};
-pub use sharded::{ShardedDb, ShardedDbIterator, ShardedSnapshot, SHARDED_METRICS_SCHEMA};

@@ -8,25 +8,21 @@ use shield_env::Env;
 pub use crate::compaction::CompactionStyle;
 use crate::cache::BlockCache;
 use crate::compaction::CompactionParams;
-use crate::db::pool::JobPool;
 use crate::encryption::EncryptionConfig;
-use crate::error::Result;
 use crate::integrity::Integrity;
 use crate::statistics::Statistics;
 
-/// How a [`crate::ShardedDb`] routes user keys to shards.
+/// How a [`crate::Db`] with more than one tree routes user keys to them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardBy {
     /// FNV-1a hash of the user key, modulo the shard count. Needs no
-    /// configuration and balances any key distribution, at the cost of
-    /// cross-shard merged scans touching every shard.
+    /// configuration and balances any key distribution.
     Hash,
     /// Key ranges split at the given boundaries (sorted, strictly
     /// increasing, `shards - 1` entries): shard `i` owns keys in
     /// `[boundaries[i-1], boundaries[i])`, with the first shard owning
     /// everything below `boundaries[0]` and the last everything from
-    /// `boundaries[last]` up. Scans over a subrange touch only the
-    /// shards that own it.
+    /// `boundaries[last]` up.
     Range(Vec<Vec<u8>>),
 }
 
@@ -141,27 +137,15 @@ pub struct Options {
     pub trace_ring_spans: usize,
     /// Slow-op ring capacity (captured operations, oldest dropped first).
     pub slow_op_ring: usize,
-    /// Shard count for [`crate::ShardedDb::open`] (1 = a single LSM).
-    /// Plain [`crate::Db::open`] ignores this.
+    /// How many trees the database keeps behind its one write front
+    /// (1 = a single LSM). Fixed when the database is created.
     pub shards: usize,
-    /// Key→shard routing policy for [`crate::ShardedDb`].
+    /// Key→tree routing policy. Fixed when the database is created.
     pub shard_by: ShardBy,
-    /// Shared-WAL segment size at which a [`crate::ShardedDb`] checkpoint
-    /// rotates to a fresh segment.
-    pub swal_rotate_bytes: usize,
-    /// Run background work on this shared pool instead of spawning a
-    /// private one. Set by [`crate::ShardedDb`] so all shards share
-    /// `max_background_jobs` workers with flush-priority fairness.
-    pub job_pool: Option<Arc<JobPool>>,
     /// Use this block cache instead of building a private one (ignores
-    /// [`Options::block_cache_bytes`]). Set by [`crate::ShardedDb`] so
-    /// all shards share one cache.
+    /// [`Options::block_cache_bytes`]), e.g. to share one cache between
+    /// databases or to read its counters directly.
     pub shared_block_cache: Option<Arc<BlockCache>>,
-    /// Invoked (and required to succeed) before any memtable flush writes
-    /// its L0 table. [`crate::ShardedDb`] syncs its shared WAL here so a
-    /// shard can never persist a batch whose commit record is not yet
-    /// durable.
-    pub flush_barrier: Option<Arc<dyn Fn() -> Result<()> + Send + Sync>>,
 }
 
 impl Options {
@@ -207,15 +191,12 @@ impl Options {
             slow_op_ring: 32,
             shards: 1,
             shard_by: ShardBy::Hash,
-            swal_rotate_bytes: 4 * 1024 * 1024,
-            job_pool: None,
             shared_block_cache: None,
-            flush_barrier: None,
         }
     }
 
-    /// Opens [`crate::ShardedDb`] with `n` hash-routed shards (clamped
-    /// to ≥ 1). Use [`Options::with_shard_ranges`] for range routing.
+    /// Keeps `n` hash-routed trees (clamped to ≥ 1). Use
+    /// [`Options::with_shard_ranges`] for range routing.
     #[must_use]
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
@@ -223,8 +204,8 @@ impl Options {
         self
     }
 
-    /// Opens [`crate::ShardedDb`] with `boundaries.len() + 1` range-routed
-    /// shards split at the given (sorted, strictly increasing) keys.
+    /// Keeps `boundaries.len() + 1` range-routed trees split at the given
+    /// (sorted, strictly increasing) keys.
     #[must_use]
     pub fn with_shard_ranges(mut self, boundaries: Vec<Vec<u8>>) -> Self {
         self.shards = boundaries.len() + 1;

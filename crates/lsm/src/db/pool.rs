@@ -1,8 +1,7 @@
 //! Shared background job pool with flush-priority fair scheduling.
 //!
-//! One [`JobPool`] can serve many [`crate::Db`] instances (the shards of a
-//! [`crate::ShardedDb`]), generalizing the per-database worker channel the
-//! engine grew up with. Work is class-tagged:
+//! One [`JobPool`] serves every tree of a [`crate::Db`]. Work is
+//! class-tagged:
 //!
 //! - [`JobClass::Flush`] — memtable flushes. Short, latency-critical:
 //!   writers stall the moment the immutable list fills, so a delayed flush

@@ -1,9 +1,9 @@
 //! The read path, shared by every handle: a [`ReadView`] pins what one
-//! read operates on and owns the only point lookup, the only batched
-//! lookup and the only constructor of [`DbIterator`]. [`crate::Db`] pins a
-//! view per operation under its state lock, [`crate::ReplicaDb`] publishes
-//! one per catch-up round, and [`crate::ShardedDb`] reads through its
-//! `Db` shards.
+//! read of one tree operates on and owns the only point lookup and the
+//! only batched lookup; [`DbIterator::new`] is the only scan, over any
+//! number of views. [`crate::Db`] pins a view per tree per operation
+//! under that tree's state lock, and [`crate::ReplicaDb`] publishes one
+//! per catch-up round.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -81,7 +81,8 @@ impl ReadView {
     /// per-file batched block reads, so a cold batch pays one
     /// `read_at_many` submission per table instead of one file read per
     /// key. Errors are per-slot: a fault on one key's block never corrupts
-    /// its neighbors.
+    /// its neighbors. The caller credits `multi_gets` (one user call may
+    /// span several views).
     pub fn multi_get(
         &self,
         tables: &TableCache,
@@ -89,7 +90,6 @@ impl ReadView {
         keys: &[&[u8]],
         fill_cache: bool,
     ) -> Vec<Result<Option<Vec<u8>>>> {
-        stats.multi_gets.fetch_add(1, Ordering::Relaxed);
         // Every key is a point lookup: `gets_found` below is credited per
         // key, so `gets` must be too or found would exceed served.
         stats.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
@@ -110,28 +110,6 @@ impl ReadView {
         let found = out.iter().filter(|slot| matches!(slot, Ok(Some(_)))).count();
         stats.gets_found.fetch_add(found as u64, Ordering::Relaxed);
         out
-    }
-
-    /// An iterator over this view's live keys. `iter_next` receives the
-    /// latency of every [`DbIterator::next`].
-    pub fn iter(
-        self,
-        tables: &Arc<TableCache>,
-        iter_next: Option<Arc<AtomicHistogram>>,
-    ) -> Result<DbIterator> {
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(self.mem.iter()));
-        for imm in self.imm.iter().rev() {
-            children.push(Box::new(imm.iter()));
-        }
-        children.extend(self.version.iterators(tables)?);
-        Ok(DbIterator {
-            merged: MergingIterator::new(children),
-            seq: self.seq,
-            current: None,
-            iter_next,
-            _pins: self,
-        })
     }
 }
 
@@ -175,11 +153,36 @@ pub struct DbIterator {
     current: Option<(Vec<u8>, Vec<u8>)>,
     /// The owning handle's `iter_next` latency histogram, if it keeps one.
     iter_next: Option<Arc<AtomicHistogram>>,
-    /// Keeps the memtables and the version alive while the iterator exists.
-    _pins: ReadView,
+    /// Keeps the memtables and the versions alive while the iterator exists.
+    _pins: Vec<ReadView>,
 }
 
 impl DbIterator {
+    /// An iterator over the live keys of `views` — one per tree, all at
+    /// the same sequence; trees own disjoint keys, so one merge over every
+    /// view's memtables and files is the scan. `iter_next` receives the
+    /// latency of every [`DbIterator::next`].
+    pub(crate) fn new(
+        views: Vec<(ReadView, &Arc<TableCache>)>,
+        iter_next: Option<Arc<AtomicHistogram>>,
+    ) -> Result<DbIterator> {
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        for (view, tables) in &views {
+            children.push(Box::new(view.mem.iter()));
+            for imm in view.imm.iter().rev() {
+                children.push(Box::new(imm.iter()));
+            }
+            children.extend(view.version.iterators(tables)?);
+        }
+        Ok(DbIterator {
+            merged: MergingIterator::new(children),
+            seq: views.first().map_or(0, |(view, _)| view.seq),
+            current: None,
+            iter_next,
+            _pins: views.into_iter().map(|(view, _)| view).collect(),
+        })
+    }
+
     /// True if positioned on an entry.
     #[must_use]
     pub fn valid(&self) -> bool {
@@ -274,29 +277,5 @@ impl DbIterator {
                 }
             }
         }
-    }
-}
-
-impl crate::iter::UserIterator for DbIterator {
-    fn valid(&self) -> bool {
-        DbIterator::valid(self)
-    }
-    fn seek_to_first(&mut self) {
-        DbIterator::seek_to_first(self);
-    }
-    fn seek(&mut self, target: &[u8]) {
-        DbIterator::seek(self, target);
-    }
-    fn next(&mut self) {
-        DbIterator::next(self);
-    }
-    fn key(&self) -> &[u8] {
-        DbIterator::key(self)
-    }
-    fn value(&self) -> &[u8] {
-        DbIterator::value(self)
-    }
-    fn status(&self) -> Result<()> {
-        DbIterator::status(self)
     }
 }

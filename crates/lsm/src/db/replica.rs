@@ -48,10 +48,10 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use shield_core::JsonBuilder;
-use shield_env::Env;
+use shield_env::{Env, EnvError};
 
 use crate::db::batch::WriteBatch;
-use crate::db::read::ReadView;
+use crate::db::read::{DbIterator, ReadView};
 use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
 use crate::integrity::IntegrityOptions;
@@ -513,23 +513,46 @@ impl ReplicaDb {
         self.stats.clone()
     }
 
+    /// Runs `read` against the published view. A file the view names can
+    /// be gone by the time the read reaches it: the primary compacted it
+    /// away and its obsolete-file pass, which knows nothing of replicas,
+    /// unlinked it. That is a view too old, not data lost — the primary's
+    /// current version names the file's replacement — so the replica
+    /// catches up and reads once more.
+    fn read_published<T>(&self, read: impl Fn(&ReadView) -> Result<T>) -> Result<T> {
+        let first = read(&*self.fresh_view()?);
+        if !matches!(first, Err(Error::Io(EnvError::NotFound(_)))) {
+            return first;
+        }
+        self.catch_up()?;
+        read(&*self.fresh_view()?).map_err(|err| match err {
+            Error::Io(EnvError::NotFound(file)) => Error::Io(EnvError::Io(format!(
+                "{file} is named by the replica's view and still missing after a catch-up: \
+                 the primary deleted it under the new view too (retry), or it is lost"
+            ))),
+            other => other,
+        })
+    }
+
     /// Point lookup against the published view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.fresh_view()?.get(&self.table_cache, &self.stats, key, true)
+        self.read_published(|view| view.get(&self.table_cache, &self.stats, key, true))
     }
 
     /// Batched point lookup; every key reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.fresh_view()?
-            .multi_get(&self.table_cache, &self.stats, keys, true)
-            .into_iter()
-            .collect()
+        self.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
+        self.read_published(|view| {
+            view.multi_get(&self.table_cache, &self.stats, keys, true).into_iter().collect()
+        })
     }
 
     /// Range scan from `start` (inclusive), at most `limit` entries, over
     /// one published view.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        ReadView::clone(&*self.fresh_view()?).iter(&self.table_cache, None)?.scan(start, limit)
+        self.read_published(|view| {
+            DbIterator::new(vec![(view.clone(), &self.table_cache)], None)?.scan(start, limit)
+        })
     }
 
     /// Replica health as one `shield_replica_metrics_v1` JSON object:

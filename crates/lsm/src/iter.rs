@@ -129,116 +129,6 @@ impl InternalIterator for MergingIterator {
     }
 }
 
-/// Forward iterator over *user-visible* `(user key, value)` entries —
-/// the shape of [`crate::DbIterator`], one level above
-/// [`InternalIterator`]: sequence numbers and tombstones are already
-/// resolved, every key appears at most once.
-pub trait UserIterator {
-    /// True if positioned on an entry.
-    fn valid(&self) -> bool;
-    /// Positions on the first entry.
-    fn seek_to_first(&mut self);
-    /// Positions on the first entry with user key >= `target`.
-    fn seek(&mut self, target: &[u8]);
-    /// Advances to the next entry. Requires `valid()`.
-    fn next(&mut self);
-    /// Current user key. Requires `valid()`.
-    fn key(&self) -> &[u8];
-    /// Current value. Requires `valid()`.
-    fn value(&self) -> &[u8];
-    /// First error encountered, if any.
-    fn status(&self) -> Result<()>;
-}
-
-/// Merges the user-level iterators of a [`crate::ShardedDb`]'s shards
-/// into one stream sorted by user key.
-///
-/// Shards own disjoint key sets (the router partitions the keyspace),
-/// so no user key can surface from two children; ties are nonetheless
-/// broken by child order for defense in depth. Bytewise user-key
-/// comparison keeps the merged order identical to a single database's
-/// scan order.
-pub struct ShardMergeIterator<I: UserIterator> {
-    children: Vec<I>,
-    current: Option<usize>,
-}
-
-impl<I: UserIterator> ShardMergeIterator<I> {
-    /// Creates a merged scan over `children` (may be empty).
-    #[must_use]
-    pub fn new(children: Vec<I>) -> Self {
-        ShardMergeIterator { children, current: None }
-    }
-
-    fn find_smallest(&mut self) {
-        let mut best: Option<usize> = None;
-        for (i, child) in self.children.iter().enumerate() {
-            if !child.valid() {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if child.key() < self.children[b].key() {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        self.current = best;
-    }
-
-    /// The index of the child currently at the front, if any.
-    #[must_use]
-    pub fn current_child(&self) -> Option<usize> {
-        self.current
-    }
-}
-
-impl<I: UserIterator> UserIterator for ShardMergeIterator<I> {
-    fn valid(&self) -> bool {
-        self.current.is_some()
-    }
-
-    fn seek_to_first(&mut self) {
-        for c in &mut self.children {
-            c.seek_to_first();
-        }
-        self.find_smallest();
-    }
-
-    fn seek(&mut self, target: &[u8]) {
-        for c in &mut self.children {
-            c.seek(target);
-        }
-        self.find_smallest();
-    }
-
-    fn next(&mut self) {
-        if let Some(cur) = self.current {
-            self.children[cur].next();
-            self.find_smallest();
-        }
-    }
-
-    fn key(&self) -> &[u8] {
-        debug_assert!(self.valid(), "key on invalid iterator");
-        self.current.map_or(&[], |c| self.children[c].key())
-    }
-
-    fn value(&self) -> &[u8] {
-        debug_assert!(self.valid(), "value on invalid iterator");
-        self.current.map_or(&[], |c| self.children[c].value())
-    }
-
-    fn status(&self) -> Result<()> {
-        for c in &self.children {
-            c.status()?;
-        }
-        Ok(())
-    }
-}
-
 /// An iterator over an in-memory vector of entries; used in tests and as
 /// the recovery path's batch view.
 pub struct VecIterator {
@@ -360,97 +250,5 @@ mod tests {
         let mut it = vec_iter(&[("a", 1, "1")]);
         it.seek(&ik("b", 1));
         assert!(!it.valid());
-    }
-
-    /// Minimal user-level iterator for exercising [`ShardMergeIterator`].
-    struct UserVec {
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-        pos: usize,
-        started: bool,
-    }
-
-    impl UserVec {
-        fn new(pairs: &[(&str, &str)]) -> Self {
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = pairs
-                .iter()
-                .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
-                .collect();
-            entries.sort();
-            UserVec { entries, pos: 0, started: false }
-        }
-    }
-
-    impl UserIterator for UserVec {
-        fn valid(&self) -> bool {
-            self.started && self.pos < self.entries.len()
-        }
-        fn seek_to_first(&mut self) {
-            self.pos = 0;
-            self.started = true;
-        }
-        fn seek(&mut self, target: &[u8]) {
-            self.started = true;
-            self.pos = self.entries.partition_point(|(k, _)| k.as_slice() < target);
-        }
-        fn next(&mut self) {
-            self.pos += 1;
-        }
-        fn key(&self) -> &[u8] {
-            &self.entries[self.pos].0
-        }
-        fn value(&self) -> &[u8] {
-            &self.entries[self.pos].1
-        }
-        fn status(&self) -> Result<()> {
-            Ok(())
-        }
-    }
-
-    fn drain_user(it: &mut impl UserIterator) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        it.seek_to_first();
-        while it.valid() {
-            out.push((it.key().to_vec(), it.value().to_vec()));
-            it.next();
-        }
-        out
-    }
-
-    #[test]
-    fn shard_merge_interleaves_disjoint_children() {
-        // Hash-style routing interleaves keys arbitrarily across shards.
-        let mut m = ShardMergeIterator::new(vec![
-            UserVec::new(&[("b", "1"), ("d", "2"), ("x", "3")]),
-            UserVec::new(&[("a", "4"), ("m", "5")]),
-            UserVec::new(&[]),
-            UserVec::new(&[("c", "6")]),
-        ]);
-        let out = drain_user(&mut m);
-        let keys: Vec<&[u8]> = out.iter().map(|(k, _)| k.as_slice()).collect();
-        assert_eq!(keys, [b"a" as &[u8], b"b", b"c", b"d", b"m", b"x"]);
-        assert!(m.status().is_ok());
-    }
-
-    #[test]
-    fn shard_merge_seek_lands_on_owning_child() {
-        let mut m = ShardMergeIterator::new(vec![
-            UserVec::new(&[("a", "1"), ("z", "2")]),
-            UserVec::new(&[("k", "3")]),
-        ]);
-        m.seek(b"g");
-        assert!(m.valid());
-        assert_eq!(m.key(), b"k");
-        assert_eq!(m.current_child(), Some(1));
-        m.next();
-        assert_eq!(m.key(), b"z");
-        m.next();
-        assert!(!m.valid());
-    }
-
-    #[test]
-    fn shard_merge_empty() {
-        let mut m: ShardMergeIterator<UserVec> = ShardMergeIterator::new(vec![]);
-        m.seek_to_first();
-        assert!(!m.valid());
     }
 }

@@ -40,13 +40,11 @@ pub mod varint;
 pub mod version;
 pub mod wal;
 
-pub use db::metrics::{LevelStats, MetricsReport, METRICS_SCHEMA, OP_TYPES};
+pub use db::metrics::{LevelStats, MetricsReport, TreeMetrics, METRICS_SCHEMA, OP_TYPES};
 pub use db::options::{CompactionStyle, Options, ReadOptions, ShardBy, WriteOptions};
 pub use db::pool::{JobClass, JobPool};
 pub use db::replica::{ReplicaDb, ReplicaOptions, REPLICA_METRICS_SCHEMA};
-pub use db::sharded::{ShardedDb, ShardedDbIterator, ShardedSnapshot, SHARDED_METRICS_SCHEMA};
 pub use db::{Db, DbIterator, Snapshot, WriteBatch};
-pub use iter::{ShardMergeIterator, UserIterator};
 pub use encryption::EncryptionConfig;
 pub use error::{Error, Result, Severity};
 pub use integrity::{Integrity, IntegrityOptions};

@@ -2,22 +2,18 @@
 //! breakdowns, Table 3 I/O attribution, DEK accounting).
 //!
 //! Tickers come in three kinds and the `tickers!` macro keeps them in
-//! distinct sections, because they have different delta *and merge*
-//! semantics (a [`crate::ShardedDb`] merges its shards' snapshots into
-//! one aggregate via [`StatsSnapshot::merged_with`]):
+//! distinct sections, because they differ in what a snapshot delta means:
 //!
 //! - **counters** are monotonic work done *by this database*; the
 //!   difference of two snapshots ([`StatsSnapshot::delta_since`]) is
-//!   the activity in the interval, and merging shards sums them.
+//!   the activity in the interval.
 //! - **shared** tickers are monotonic mirrors of a subsystem the
-//!   shards *share* (block cache, fault env, DEK resolver). They delta
-//!   like counters, but every shard mirrors the same source, so
-//!   merging sums duplicates — the aggregate takes the max (the most
-//!   recently refreshed mirror) instead.
+//!   database may share with others (block cache, fault env, DEK
+//!   resolver). They delta like counters.
 //! - **gauges** are point-in-time values that can go *down* (pinned
 //!   bytes, in-flight high-water marks); subtracting them is
 //!   meaningless, so `delta_since` carries the later snapshot's value
-//!   through unchanged, and merging takes the max.
+//!   through unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,19 +68,6 @@ macro_rules! tickers {
                     $($cname: self.$cname.saturating_sub(earlier.$cname),)*
                     $($sname: self.$sname.saturating_sub(earlier.$sname),)*
                     $($gname: self.$gname,)*
-                }
-            }
-
-            /// Cross-shard aggregate: per-database counters add, mirrors
-            /// of shared subsystems and gauges take the max (each shard
-            /// mirrors the *same* source; summing would multiply it by
-            /// the shard count).
-            #[must_use]
-            pub fn merged_with(&self, other: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
-                    $($cname: self.$cname.saturating_add(other.$cname),)*
-                    $($sname: self.$sname.max(other.$sname),)*
-                    $($gname: self.$gname.max(other.$gname),)*
                 }
             }
 

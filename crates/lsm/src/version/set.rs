@@ -94,6 +94,12 @@ impl VersionSet {
         n
     }
 
+    /// Keeps allocation above `number`: a file found on disk that this
+    /// set's manifest may not have heard of (a WAL segment at recovery).
+    pub fn mark_file_number_used(&mut self, number: u64) {
+        self.next_file_number = self.next_file_number.max(number + 1);
+    }
+
     /// Last sequence number assigned to a write.
     #[must_use]
     pub fn last_sequence(&self) -> u64 {

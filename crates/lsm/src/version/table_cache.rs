@@ -24,8 +24,8 @@ struct Inner {
 }
 
 /// Process-wide counter handing every [`TableCache`] a distinct owner id.
-/// Folded into block-cache keys so databases *sharing* one
-/// [`BlockCache`] (a [`crate::ShardedDb`]'s shards) can never collide on
+/// Folded into block-cache keys so table caches *sharing* one
+/// [`BlockCache`] (the trees of a [`crate::Db`]) can never collide on
 /// equal file numbers.
 static NEXT_CACHE_OWNER: AtomicU64 = AtomicU64::new(0);
 

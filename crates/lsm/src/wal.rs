@@ -597,9 +597,8 @@ impl WalTailer {
 /// by DEK-ID (SHIELD mode) so the decrypting wrapper tracks its own CTR
 /// offset across polls, and hands the tailer a MAC key — the DEK subkey,
 /// or `integrity_key` for plaintext segments — so authenticated logs
-/// verify regardless of the current integrity mode. Primary recovery,
-/// sharded shared-WAL replay and live replica catch-up all open WALs
-/// here.
+/// verify regardless of the current integrity mode. Primary recovery
+/// and live replica catch-up both open WALs here.
 pub fn open_wal_tailer(
     env: &dyn Env,
     path: &str,
@@ -617,8 +616,7 @@ pub fn open_wal_tailer(
 /// [`open_wal_tailer`]: encrypted under a fresh DEK (with the §5.3
 /// buffer) when `encryption` is set, and under [`Integrity::Hmac`]
 /// tagging every record with the DEK subkey, or `integrity_key` when the
-/// segment is plaintext. `Db` and the sharded shared WAL both create
-/// segments here.
+/// segment is plaintext.
 pub fn create_wal_writer(
     env: &dyn Env,
     path: &str,

@@ -9,7 +9,16 @@
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
 #           root package's integration suites — fault injection, tamper,
 #           multi_get, sharded, replica, model check, … all of them), then
-#           the member crates' own unit tests.
+#           the member crates' own unit tests, then the replica suite 25
+#           more times (its reads race the primary's obsolete-file pass;
+#           a retry that loses that race shows as a rare failure, not a
+#           steady one).
+#   tier 2: the benchmark of record. benchmark/ is its own package
+#           outside the workspace, so tier 1 never compiles it and a PR
+#           that shrinks the engine's API could break it unseen: build it,
+#           run its tests (one-second smokes of every workload, the
+#           BENCHMARK.json equality check), and fail if the checkout's
+#           benchmark/ or BENCHMARK.json differ from HEAD.
 #   tiers 3–11: what the tests cannot check — the shield-bench bins are
 #           built once, then each runs in smoke mode, and the bin (or the
 #           grep after it) fails unless the feature actually engaged. A
@@ -26,13 +35,13 @@
 #                      clean (§4h)
 #     8  multiget      batches reach the batched read path (§4i)
 #     9  trace_smoke   flight-recorder scenarios + < 2% disabled span cost (§4j)
-#     10 shards        every shard takes keys and flushes (§4k)
+#     10 shards        every tree takes keys and flushes (§4k)
 #     11 replica       tailer applies manifest edits and WAL records and
 #                      ends with zero staleness (§4l)
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick skips everything that needs the release build (clippy, the
-#   release build itself, tiers 3–11).
+#   release build itself, tiers 2–11) and the 25 replica re-runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,6 +89,23 @@ if [[ $quick -eq 1 ]]; then
     echo "ALL QUICK TIERS PASSED (bench smokes skipped)"
     exit 0
 fi
+
+echo "== tier 1d: replica suite x25 =="
+for i in $(seq 1 25); do
+    cargo test -q --test replica >/dev/null 2>&1 || {
+        echo "FAIL: tests/replica.rs failed on run $i of 25"
+        exit 1
+    }
+done
+echo "ok"
+
+echo "== tier 2: benchmark of record =="
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+if ! git diff --quiet -- benchmark BENCHMARK.json; then
+    echo "FAIL: benchmark/ or BENCHMARK.json differ from HEAD; a PR does not edit its own yardstick"
+    exit 1
+fi
+echo "ok"
 
 echo "== bench bins =="
 cargo build --release -q -p shield-bench --bins

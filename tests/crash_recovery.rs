@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use shield::{open_shield, ShieldOptions};
-use shield_env::{FaultInjectionEnv, FaultOp, FileKind, MemEnv};
+use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Options, ReadOptions, ShardedDb, WriteBatch, WriteOptions};
+use shield_lsm::{Db, Integrity, Options, ReadOptions, WriteBatch, WriteOptions};
 
 fn shield_db(env: &MemEnv, kds: &Arc<LocalKds>, wal_buffer: usize) -> shield::ShieldDb {
     let mut sopts = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk");
@@ -320,9 +320,9 @@ fn fault_mid_compaction_then_crash_exposes_no_partial_outputs() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded crash recovery: the shared WAL must make cross-shard batches
-// all-or-nothing across any crash, even though each shard replays only
-// its own slice of every record.
+// Sharded crash recovery: the WAL the trees share must make cross-shard
+// batches all-or-nothing across any crash, even though each tree replays
+// only its own slice of every record.
 // ---------------------------------------------------------------------
 
 /// Range-sharded options: four shards split at k0100/k0200/k0300, so a
@@ -348,7 +348,7 @@ fn cross_shard_batch(n: u32) -> WriteBatch {
 }
 
 /// How many of batch `n`'s four keys carry batch `n`'s value.
-fn batch_keys_present(db: &ShardedDb, n: u32) -> usize {
+fn batch_keys_present(db: &Db, n: u32) -> usize {
     let r = ReadOptions::new();
     (0..4u32)
         .filter(|part| {
@@ -363,15 +363,15 @@ fn batch_keys_present(db: &ShardedDb, n: u32) -> usize {
 fn sharded_process_crash_keeps_acked_cross_shard_batches() {
     let env = MemEnv::new();
     {
-        let db = ShardedDb::open(sharded_opts(&env), "db").expect("open");
+        let db = Db::open(sharded_opts(&env), "db").expect("open");
         for n in 0..60u32 {
             db.write(&WriteOptions::default(), cross_shard_batch(n)).expect("write");
         }
         db.simulate_process_crash();
     }
-    // Every shard's memtable died unflushed; replaying the shared WAL
-    // must restore the latest value of every key in every shard.
-    let db = ShardedDb::open(sharded_opts(&env), "db").expect("reopen");
+    // Every shard's memtable died unflushed; replaying the WAL must
+    // restore the latest value of every key in every shard.
+    let db = Db::open(sharded_opts(&env), "db").expect("reopen");
     for n in 0..60u32 {
         assert_eq!(batch_keys_present(&db, n), 4, "batch {n} lost a shard's slice");
     }
@@ -383,7 +383,7 @@ fn sharded_system_crash_between_wal_syncs_is_all_or_nothing() {
     const TOTAL: u32 = 40;
     let env = MemEnv::new();
     {
-        let db = ShardedDb::open(sharded_opts(&env), "db").expect("open");
+        let db = Db::open(sharded_opts(&env), "db").expect("open");
         for n in 0..TOTAL {
             // One durability point partway through; everything after it
             // sits in the OS buffer when the machine dies.
@@ -394,7 +394,7 @@ fn sharded_system_crash_between_wal_syncs_is_all_or_nothing() {
     }
     env.crash_system();
 
-    let db = ShardedDb::open(sharded_opts(&env), "db").expect("reopen");
+    let db = Db::open(sharded_opts(&env), "db").expect("reopen");
     // The synced prefix survives in full.
     for n in 0..=SYNCED {
         assert_eq!(batch_keys_present(&db, n), 4, "synced batch {n} lost a shard's slice");
@@ -412,21 +412,22 @@ fn sharded_system_crash_between_wal_syncs_is_all_or_nothing() {
     }
 }
 
-/// Checkpoints (shared-WAL rotation + per-shard flush + segment GC)
-/// interleaved with system crashes: recovery must always equal the
-/// model, whether a batch's home is a live WAL segment or a flushed SST.
+/// Flushes (WAL switch + per-shard flush + segment GC) interleaved with
+/// system crashes, on memtables small enough that shards also switch the
+/// WAL on their own mid-round: recovery must always equal the model,
+/// whether a write's home is a live WAL segment or a flushed SST.
 #[test]
 fn sharded_crashes_around_checkpoints_never_corrupt_state() {
     let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
     let mk_opts = || {
-        let mut o = Options::new(Arc::new(fenv.clone())).with_shards(4);
+        let mut o =
+            Options::new(Arc::new(fenv.clone())).with_shards(4).with_write_buffer_size(4 << 10);
         o.compaction.l0_compaction_trigger = 2;
-        o.swal_rotate_bytes = 16 << 10;
         o
     };
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for round in 0..4u32 {
-        let db = ShardedDb::open(mk_opts(), "db").expect("open");
+        let db = Db::open(mk_opts(), "db").expect("open");
         for j in 0..120u32 {
             let i = (round * 37 + j) % 300;
             let key = format!("c{i:04}").into_bytes();
@@ -440,11 +441,11 @@ fn sharded_crashes_around_checkpoints_never_corrupt_state() {
             }
         }
         if round % 2 == 0 {
-            // Checkpoint: everything so far moves into synced SSTs and
-            // old WAL segments are deleted.
-            db.flush().expect("checkpoint");
+            // Everything so far moves into synced SSTs and old WAL
+            // segments are deleted.
+            db.flush().expect("flush");
         } else {
-            // Plain durability point: data stays in the shared WAL.
+            // Plain durability point: data stays in the WAL.
             db.put(&WriteOptions { sync: true }, b"marker", round.to_le_bytes().as_ref())
                 .expect("sync put");
             model.insert(b"marker".to_vec(), round.to_le_bytes().to_vec());
@@ -452,7 +453,7 @@ fn sharded_crashes_around_checkpoints_never_corrupt_state() {
         db.simulate_process_crash();
         fenv.crash().expect("system crash");
 
-        let db = ShardedDb::open(mk_opts(), "db").expect("reopen");
+        let db = Db::open(mk_opts(), "db").expect("reopen");
         let live: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
         let got = db.scan(&ReadOptions::new(), b"", usize::MAX >> 1).expect("scan");
         assert_eq!(got, live, "round {round}: recovered sharded state diverges from model");
@@ -467,7 +468,7 @@ fn shield_sharded_process_crash_keeps_acked_writes() {
     let mk = || {
         let mut base = Options::new(Arc::new(env.clone())).with_shards(4);
         base.compaction.l0_compaction_trigger = 2;
-        shield::open_shield_sharded(
+        open_shield(
             base,
             "db",
             ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
@@ -481,11 +482,99 @@ fn shield_sharded_process_crash_keeps_acked_writes() {
         }
         sdb.db.simulate_process_crash();
     }
-    // The encrypted shared WAL replays through the same DEK resolver.
+    // The encrypted WAL replays through the same DEK resolver.
     let sdb = mk();
     for n in 0..40u32 {
         assert_eq!(batch_keys_present(&sdb, n), 4, "encrypted batch {n} lost a slice");
     }
+}
+
+/// Live WAL segments in `db/`.
+fn wal_segments(env: &MemEnv) -> usize {
+    env.list_dir("db").expect("list").iter().filter(|name| name.ends_with(".log")).count()
+}
+
+/// A cold tree — one early write, then nothing — must not pin the WAL:
+/// once its memtable alone keeps more than the live-WAL bound alive it is
+/// flushed early, so the segment count stays bounded however much the
+/// hot trees write, and a crash at the end loses nothing from either.
+#[test]
+fn cold_tree_bounds_live_wal_and_crash_loses_nothing() {
+    let env = MemEnv::new();
+    let opts = || sharded_opts(&env).with_write_buffer_size(4 << 10);
+    let w = WriteOptions::default();
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut most_segments = 0;
+    {
+        let db = Db::open(opts(), "db").expect("open");
+        db.put(&w, b"k0001", b"cold").expect("cold put");
+        model.insert(b"k0001".to_vec(), b"cold".to_vec());
+        for i in 0..3000u32 {
+            // Keys k0100..k0399: every tree but the first.
+            let key = format!("k{:04}", 100 + i % 300).into_bytes();
+            let value = format!("v{i:05}-{}", "y".repeat(48)).into_bytes();
+            db.put(&w, &key, &value).expect("hot put");
+            model.insert(key, value);
+            if i % 50 == 0 {
+                most_segments = most_segments.max(wal_segments(&env));
+            }
+        }
+        let report = db.metrics_report();
+        let switches: u64 = report.trees.iter().map(|tree| tree.flushes).sum();
+        assert!(switches > 60, "only {switches} flushes: the history is too short to tell");
+        assert!(
+            report.trees[0].flushes >= 1,
+            "the cold tree was never flushed, so it pinned every segment since open"
+        );
+        // 4 write buffers per tree = 64 KiB of WAL; a segment ends when a
+        // 4 KiB memtable fills, so it holds at least ~1 KiB of records.
+        assert!(most_segments <= 64, "{most_segments} live WAL segments at once");
+        db.simulate_process_crash();
+    }
+    let db = Db::open(opts(), "db").expect("reopen");
+    let got = db.scan(&ReadOptions::new(), b"", usize::MAX >> 1).expect("scan");
+    assert_eq!(got, model.into_iter().collect::<Vec<_>>());
+}
+
+/// A directory written by the commit before the trees moved behind one
+/// write front (one tree, SHIELD, HMAC integrity: flushed and compacted
+/// SSTs plus a synced WAL tail, process-crashed) opens, recovers the tail
+/// and verifies clean.
+#[test]
+fn parent_commit_directory_reopens_and_verifies() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_n1_shield_hmac");
+    let env = MemEnv::new();
+    for entry in std::fs::read_dir(fixture).expect("fixture dir") {
+        let entry = entry.expect("entry");
+        let name = entry.file_name().into_string().expect("utf-8 name");
+        let mut f = env.new_writable_file(&format!("db/{name}"), FileKind::Other).expect("create");
+        f.append(&std::fs::read(entry.path()).expect("read")).expect("append");
+        f.sync().expect("sync");
+    }
+    // Every DEK the directory needs is in its secure cache; the KDS that
+    // issued them is gone.
+    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+    let db = open_shield(
+        Options::new(Arc::new(env)).with_integrity(Integrity::Hmac),
+        "db",
+        ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"fixture-passkey"),
+    )
+    .expect("reopen the parent commit's directory");
+    assert_eq!(db.last_sequence(), 478);
+    let r = ReadOptions::new();
+    for i in 0..420u32 {
+        let want = match i {
+            400.. => Some(b"wal-tail".to_vec()),
+            _ if i % 7 == 0 => None,
+            _ => Some(format!("value-{i:04}-{}", "x".repeat(40)).into_bytes()),
+        };
+        assert_eq!(db.get(&r, format!("key-{i:04}").as_bytes()).expect("get"), want, "key-{i:04}");
+    }
+    let report = db.verify_integrity().expect("verify");
+    assert!(report.files >= 5, "four fixture SSTs plus the recovered tail, got {report:?}");
+    let stats = db.statistics().snapshot();
+    assert_eq!(stats.integrity_failures, 0);
+    assert_eq!(stats.integrity_unprotected_files, 0, "every fixture file carries HMAC tags");
 }
 
 #[test]

@@ -190,21 +190,19 @@ fn window_v1_key_set_is_golden() {
     }
 }
 
-/// Top-level keys of `shield_sharded_metrics_v1`, in emission order.
-const SHARDED_TOP_KEYS: [&str; 5] = ["schema", "shard_count", "shard_by", "aggregate", "shards"];
-
-/// The sharded document wraps the single-database contract twice over:
-/// the aggregate and every per-shard entry must each be a full
-/// `shield_metrics_v1` document with the golden key sets above.
+/// A database of several trees reports through the same document: the
+/// `shield_metrics_v1` key set above, database-wide totals in it, plus
+/// one trailing `shards` section with each tree's share — and the debug
+/// bundle stays `shield_debug_bundle_v1` around it.
 #[test]
-fn sharded_metrics_v1_key_set_is_golden() {
+fn sharded_metrics_are_one_document_with_a_shards_section() {
     let mut opts = Options::new(Arc::new(MemEnv::new()))
         .with_write_buffer_size(16 << 10)
         .with_shards(4);
     opts.block_size = 256;
     opts.compaction.l0_compaction_trigger = 2;
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let db = shield::open_shield_sharded(
+    let db = open_shield(
         opts,
         "db",
         ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"schema"),
@@ -223,45 +221,38 @@ fn sharded_metrics_v1_key_set_is_golden() {
         assert!(db.get(&r, key.as_bytes()).unwrap().is_some());
     }
 
-    let doc = json::parse(&db.metrics_json()).expect("sharded metrics JSON parses");
-    assert_eq!(
-        doc.get("schema").and_then(JsonValue::as_str),
-        Some(shield::SHARDED_METRICS_SCHEMA)
-    );
-    assert_exact_keys(&doc, &SHARDED_TOP_KEYS, "shield_sharded_metrics_v1 top level");
-    assert_eq!(doc.get("shard_count").and_then(JsonValue::as_f64), Some(4.0));
-    assert_eq!(doc.get("shard_by").and_then(JsonValue::as_str), Some("hash"));
+    let doc = json::parse(&db.metrics_report().to_json()).expect("metrics JSON parses");
+    assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some("shield_metrics_v1"));
+    let mut keys = TOP_KEYS.to_vec();
+    keys.push("shards");
+    assert_exact_keys(&doc, &keys, "sharded shield_metrics_v1 top level");
+    assert_exact_keys(doc.get("latencies_us").unwrap(), &OP_TYPES, "ops");
+    assert_exact_keys(doc.get("tickers").unwrap(), &TICKER_KEYS, "tickers");
+    assert_exact_keys(doc.get("gauges").unwrap(), &GAUGE_KEYS, "gauges");
 
-    let check_report = |report: &JsonValue, what: &str| {
-        assert_eq!(
-            report.get("schema").and_then(JsonValue::as_str),
-            Some("shield_metrics_v1"),
-            "{what}: wrong inner schema"
-        );
-        assert_exact_keys(report, &TOP_KEYS, &format!("{what} top level"));
-        assert_exact_keys(report.get("latencies_us").unwrap(), &OP_TYPES, &format!("{what} ops"));
-        assert_exact_keys(report.get("tickers").unwrap(), &TICKER_KEYS, &format!("{what} tickers"));
-        assert_exact_keys(report.get("gauges").unwrap(), &GAUGE_KEYS, &format!("{what} gauges"));
-    };
-    check_report(doc.get("aggregate").expect("aggregate"), "aggregate");
-
-    let shards = doc.get("shards").and_then(JsonValue::as_arr).expect("shards");
-    assert_eq!(shards.len(), 4, "one entry per shard");
-    for (i, entry) in shards.iter().enumerate() {
-        assert_exact_keys(entry, &["shard", "metrics"], "shards[i]");
-        assert_eq!(entry.get("shard").and_then(JsonValue::as_f64), Some(i as f64));
-        check_report(entry.get("metrics").unwrap(), &format!("shards[{i}].metrics"));
+    let shards = doc.get("shards").expect("shards");
+    assert_exact_keys(shards, &["shard_by", "trees"], "shards");
+    assert_eq!(shards.get("shard_by").and_then(JsonValue::as_str), Some("hash"));
+    let trees = shards.get("trees").and_then(JsonValue::as_arr).expect("trees");
+    assert_eq!(trees.len(), 4, "one entry per tree");
+    let number = |obj: &JsonValue, key: &str| obj.get(key).and_then(JsonValue::as_f64).unwrap();
+    let (mut files, mut flushes) = (0.0, 0.0);
+    for tree in trees {
+        assert_exact_keys(tree, &["levels", "flushes", "compactions"], "shards.trees[i]");
+        for level in tree.get("levels").and_then(JsonValue::as_arr).expect("tree levels") {
+            assert_exact_keys(level, &["level", "files", "bytes"], "shards.trees[i].levels[j]");
+            files += number(level, "files");
+        }
+        assert!(number(tree, "flushes") > 0.0, "hash routing left a tree without a flush");
+        flushes += number(tree, "flushes");
     }
+    // The per-tree numbers are shares of the database-wide ones.
+    assert_eq!(files, number(&doc, "total_files"));
+    assert_eq!(flushes, number(doc.get("tickers").unwrap(), "flushes"));
 
-    let bundle = json::parse(&db.debug_bundle()).expect("sharded debug bundle parses");
-    assert_eq!(
-        bundle.get("schema").and_then(JsonValue::as_str),
-        Some("shield_sharded_debug_bundle_v1")
-    );
-    assert_exact_keys(&bundle, &["schema", "shard_count", "shards"], "sharded debug bundle");
-    for entry in bundle.get("shards").and_then(JsonValue::as_arr).expect("bundle shards") {
-        assert_exact_keys(entry, &["shard", "bundle"], "bundle shards[i]");
-    }
+    let bundle = json::parse(&db.debug_bundle()).expect("debug bundle parses");
+    assert_eq!(bundle.get("schema").and_then(JsonValue::as_str), Some("shield_debug_bundle_v1"));
+    assert!(bundle.get("metrics").and_then(|m| m.get("shards")).is_some());
 }
 
 #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use shield::{open_shield, ShieldOptions};
 use shield_env::MemEnv;
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Options, ReadOptions, ShardedDb, WriteOptions};
+use shield_lsm::{Db, Options, ReadOptions, WriteOptions};
 
 #[derive(Clone, Debug)]
 enum Action {
@@ -256,29 +256,15 @@ fn concurrent_workload_under_parallel_compactions_matches_oracle() {
     );
 }
 
-/// Sharded counterpart of [`prefix_scan`]: merged scan across shards,
-/// cut at the first foreign key.
-fn sharded_prefix_scan(
-    db: &ShardedDb,
-    r: &ReadOptions,
-    prefix: &str,
-) -> Vec<(Vec<u8>, Vec<u8>)> {
-    db.scan(r, prefix.as_bytes(), usize::MAX >> 1)
-        .expect("scan")
-        .into_iter()
-        .take_while(|(k, _)| k.starts_with(prefix.as_bytes()))
-        .collect()
-}
-
-/// The same four-writer stress, but against a [`ShardedDb`]: every key
-/// is hashed to one of four shards that share a job pool and a block
-/// cache, and every checkpoint churns all shards at once. Each writer
-/// owns a disjoint prefix whose keys scatter *across* shards, so the
-/// per-prefix oracle checks exercise the merged iterator and the
-/// consistent-cut snapshot rather than any single shard:
+/// The same four-writer stress, but against a [`Db`] of four trees:
+/// every key is hashed to one of four shards that share the write front,
+/// a job pool and a block cache, and every `flush()` churns all shards at
+/// once. Each writer owns a disjoint prefix whose keys scatter *across*
+/// shards, so the per-prefix oracle checks exercise the merged iterator
+/// and the consistent-cut snapshot rather than any single shard:
 ///
-/// * snapshot stability: one `ShardedSnapshot` scanned twice is
-///   identical, even while other shards flush;
+/// * snapshot stability: one `Snapshot` scanned twice is identical, even
+///   while other shards flush;
 /// * snapshot correctness: the cut equals the oracle at capture time;
 /// * live-view correctness: a merged latest-view scan equals the oracle.
 #[test]
@@ -294,8 +280,7 @@ fn concurrent_sharded_workload_matches_per_prefix_oracles() {
         .with_shards(4);
     opts.compaction.l0_compaction_trigger = 2;
     opts.compaction.target_file_size = 4 << 10;
-    opts.swal_rotate_bytes = 64 << 10;
-    let db = ShardedDb::open(opts, "db").expect("open");
+    let db = Db::open(opts, "db").expect("open");
 
     let oracles: Vec<BTreeMap<Vec<u8>, Vec<u8>>> = std::thread::scope(|s| {
         let mut handles = Vec::new();
@@ -321,33 +306,23 @@ fn concurrent_sharded_workload_matches_per_prefix_oracles() {
                         let snap = db.snapshot();
                         let at_snap: Vec<(Vec<u8>, Vec<u8>)> =
                             oracle.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                        let scan1 = db
-                            .scan_at(&snap, prefix.as_bytes(), usize::MAX >> 1)
-                            .expect("scan_at")
-                            .into_iter()
-                            .take_while(|(k, _)| k.starts_with(prefix.as_bytes()))
-                            .collect::<Vec<_>>();
-                        let scan2 = db
-                            .scan_at(&snap, prefix.as_bytes(), usize::MAX >> 1)
-                            .expect("scan_at")
-                            .into_iter()
-                            .take_while(|(k, _)| k.starts_with(prefix.as_bytes()))
-                            .collect::<Vec<_>>();
+                        let scan1 = prefix_scan(db, &snap.read_options(), &prefix);
+                        let scan2 = prefix_scan(db, &snap.read_options(), &prefix);
                         assert_eq!(scan1, scan2, "{prefix}: same snapshot diverged");
                         assert_eq!(scan1, at_snap, "{prefix}: snapshot cut != oracle");
                     }
                     if op % 45 == 20 {
                         let now: Vec<(Vec<u8>, Vec<u8>)> =
                             oracle.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                        let scan = sharded_prefix_scan(db, &ReadOptions::new(), &prefix);
+                        let scan = prefix_scan(db, &ReadOptions::new(), &prefix);
                         assert_eq!(scan, now, "{prefix}: live merged view != oracle");
                     }
                 }
                 oracle
             }));
         }
-        // Checkpoint churn: rotates the shared WAL and flushes every
-        // shard on the shared pool while the writers run.
+        // Flush churn: switches the WAL and flushes every shard on the
+        // shared pool while the writers run.
         let db_ref = &db;
         let churner = s.spawn(move || {
             for _ in 0..15 {
@@ -370,18 +345,14 @@ fn concurrent_sharded_workload_matches_per_prefix_oracles() {
     assert_eq!(all, want, "final merged state diverges from the union of oracles");
 
     // The hash router must actually have spread the load, and the
-    // checkpoint churner must have driven real flushes on each shard.
-    let mut flushed_shards = 0;
-    for i in 0..db.shard_count() {
-        if db.shard(i).statistics().snapshot().flushes > 0 {
-            flushed_shards += 1;
-        }
-        assert!(
-            !db.shard(i).scan(&ReadOptions::new(), b"", 1).expect("shard scan").is_empty(),
-            "shard {i} never received a key"
-        );
+    // flush churner must have driven real flushes on each shard.
+    let trees = db.metrics_report().trees;
+    assert_eq!(trees.len(), 4);
+    for (i, tree) in trees.iter().enumerate() {
+        assert!(tree.levels.iter().any(|l| l.files > 0), "shard {i} never received a key");
     }
-    assert!(flushed_shards >= 2, "checkpoints flushed only {flushed_shards} shards");
+    let flushed_shards = trees.iter().filter(|tree| tree.flushes > 0).count();
+    assert!(flushed_shards >= 2, "flush() calls flushed only {flushed_shards} shards");
 }
 
 proptest! {

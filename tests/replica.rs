@@ -451,6 +451,86 @@ fn replica_scan_fails_on_mid_scan_read_fault() {
     assert_eq!(replica.scan(b"key-", 300).expect("scan after faults clear"), want);
 }
 
+/// The primary's obsolete-file pass knows nothing of replicas: it unlinks
+/// SSTs a replica's published view still names, and a read that then
+/// opens one used to fail with `Io(NotFound)` (ROADMAP item 4, one to
+/// five runs in 25 of this suite). Forced here without a thread: publish
+/// a view, let the primary compact the files it names away and unlink
+/// them — the delay rule on the primary's SST `remove_file` counts the
+/// unlinks, fencing the interleaving — then read cold. The read must
+/// notice the view is too old, catch up and serve the primary's current
+/// state. A file that is still missing after that catch-up is reported
+/// as such, not as a bare `NotFound`.
+#[test]
+fn replica_reads_survive_primary_unlinking_files_under_the_view() {
+    let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let fenv = Arc::new(FaultInjectionEnv::new(backing.clone()));
+    fenv.delay_always(FileKind::Sst, FaultOp::Remove, Duration::from_millis(1));
+    let db = Db::open(small_opts(fenv.clone()), "db").expect("open primary");
+    let replica = ReplicaDb::open(backing.clone(), "db", None, manual()).expect("open replica");
+    let w = WriteOptions { sync: true };
+    let value = |round: u32, id: u16| format!("round-{round}-{id:04}").into_bytes();
+
+    type Read = fn(&ReplicaDb) -> Result<Vec<Option<Vec<u8>>>, Error>;
+    let reads: [(&str, Read); 3] = [
+        ("get", |r| (0..64).map(|id| r.get(&key_of(id))).collect()),
+        ("multi_get", |r| {
+            let keys: Vec<Vec<u8>> = (0..64).map(key_of).collect();
+            r.multi_get(&keys.iter().map(Vec::as_slice).collect::<Vec<_>>())
+        }),
+        ("scan", |r| Ok(r.scan(b"key-", 64)?.into_iter().map(|(_, v)| Some(v)).collect())),
+    ];
+    let ssts = || -> Vec<String> {
+        let names = backing.list_dir("db").expect("list");
+        names.into_iter().filter(|name| name.ends_with(".sst")).collect()
+    };
+    let rewrite = |round: u32| {
+        for id in 0..64 {
+            db.put(&w, &key_of(id), &value(round, id)).expect("put");
+        }
+        db.compact_all().expect("compact");
+    };
+    for (n, (what, read)) in reads.into_iter().enumerate() {
+        let mut round = n as u32 * 100;
+        rewrite(round);
+        // The view now names the files of a quiescent primary, unopened.
+        drain(&replica);
+        let named = ssts();
+        assert!(!named.is_empty());
+
+        // Rewrite until compaction has replaced, and the obsolete-file
+        // pass unlinked, every file the view names.
+        let unlinked = fenv.stats().delays;
+        while ssts().iter().any(|file| named.contains(file)) {
+            round += 1;
+            assert!(round % 100 < 10, "{what}: {named:?} never compacted away");
+            rewrite(round);
+        }
+        assert!(fenv.stats().delays >= unlinked + named.len() as u64);
+
+        let got = read(&replica).unwrap_or_else(|e| panic!("{what} under unlinked files: {e}"));
+        let want: Vec<Option<Vec<u8>>> = (0..64).map(|id| Some(value(round, id))).collect();
+        assert_eq!(got, want, "{what}: the retried read must serve the caught-up view");
+    }
+
+    // Files the *current* version names go missing: catching up cannot
+    // help, and the error says a catch-up was tried.
+    for id in 64..128 {
+        db.put(&w, &key_of(id), b"doomed").expect("put");
+    }
+    db.compact_all().expect("compact");
+    drain(&replica);
+    for file in ssts() {
+        backing.remove_file(&format!("db/{file}")).expect("remove");
+    }
+    match replica.get(&key_of(100)) {
+        Err(Error::Io(shield_env::EnvError::Io(msg))) => {
+            assert!(msg.contains("after a catch-up"), "unhelpful message: {msg}");
+        }
+        other => panic!("expected the still-missing-after-catch-up error, got {other:?}"),
+    }
+}
+
 /// A tampered data block under `Integrity::Hmac` fails the replica scan
 /// as an integrity violation, not as a prefix of the range.
 #[test]

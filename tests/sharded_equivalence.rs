@@ -1,20 +1,20 @@
-//! Differential proof that [`ShardedDb`] is observably identical to a
-//! single [`Db`]: random operation histories — puts, deletes,
-//! cross-shard batches, flushes, reopens, scans, snapshot reads — are
-//! applied in lockstep to a sharded instance (1, 2, 4, or 8 shards;
-//! hash- and range-routed) and to a plain single-LSM oracle, and every
-//! observation must match byte-for-byte, in every encryption mode
-//! (plain, EncFS, SHIELD).
+//! Differential proof that a [`Db`] of several trees is observably
+//! identical to a [`Db`] of one: random operation histories — puts,
+//! deletes, cross-shard batches, flushes, reopens, scans, snapshot reads —
+//! are applied in lockstep to a sharded instance (1, 2, 4, or 8 shards;
+//! hash- and range-routed) and to a plain single-tree oracle, and every
+//! observation — sequence numbers included — must match byte-for-byte,
+//! in every encryption mode (plain, EncFS, SHIELD).
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use shield::{open_encfs_sharded, open_shield_sharded, ShieldOptions};
+use shield::{open_encfs, open_shield, ShieldOptions};
 use shield_crypto::{Algorithm, Dek};
 use shield_env::MemEnv;
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Options, ReadOptions, ShardedDb, WriteBatch, WriteOptions};
+use shield_lsm::{Db, Options, ReadOptions, WriteBatch, WriteOptions};
 
 /// Keys live in `key-00000 .. key-00511`.
 const KEYSPACE: u16 = 512;
@@ -90,31 +90,22 @@ fn small_opts(env: &MemEnv) -> Options {
     let mut opts = Options::new(Arc::new(env.clone())).with_write_buffer_size(8 << 10);
     opts.compaction.l0_compaction_trigger = 2;
     opts.compaction.target_file_size = 32 << 10;
-    opts.swal_rotate_bytes = 64 << 10; // exercise rotation mid-history
     opts
 }
 
 /// One encryption mode's way of opening (and reopening) a sharded DB.
 trait ShardedOpener {
-    fn open(&self, layout: usize) -> Box<dyn Deref<Target = ShardedDb>>;
+    fn open(&self, layout: usize) -> Box<dyn Deref<Target = Db>>;
 }
 
 struct PlainSharded {
     env: MemEnv,
 }
 
-struct ShardedBox(ShardedDb);
-impl Deref for ShardedBox {
-    type Target = ShardedDb;
-    fn deref(&self) -> &ShardedDb {
-        &self.0
-    }
-}
-
 impl ShardedOpener for PlainSharded {
-    fn open(&self, layout: usize) -> Box<dyn Deref<Target = ShardedDb>> {
+    fn open(&self, layout: usize) -> Box<dyn Deref<Target = Db>> {
         let (_, opts) = layout_opts(&self.env, layout);
-        Box::new(ShardedBox(ShardedDb::open(opts, "sdb").expect("open sharded")))
+        Box::new(Box::new(Db::open(opts, "sdb").expect("open sharded")))
     }
 }
 
@@ -124,9 +115,9 @@ struct EncFsSharded {
 }
 
 impl ShardedOpener for EncFsSharded {
-    fn open(&self, layout: usize) -> Box<dyn Deref<Target = ShardedDb>> {
+    fn open(&self, layout: usize) -> Box<dyn Deref<Target = Db>> {
         let (_, opts) = layout_opts(&self.env, layout);
-        Box::new(open_encfs_sharded(opts, "sdb", self.dek.clone(), 512).expect("open encfs"))
+        Box::new(open_encfs(opts, "sdb", self.dek.clone(), 512).expect("open encfs"))
     }
 }
 
@@ -136,10 +127,10 @@ struct ShieldSharded {
 }
 
 impl ShardedOpener for ShieldSharded {
-    fn open(&self, layout: usize) -> Box<dyn Deref<Target = ShardedDb>> {
+    fn open(&self, layout: usize) -> Box<dyn Deref<Target = Db>> {
         let (_, opts) = layout_opts(&self.env, layout);
         Box::new(
-            open_shield_sharded(
+            open_shield(
                 opts,
                 "sdb",
                 ShieldOptions::new(self.kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
@@ -198,7 +189,9 @@ fn run_differential(opener: &dyn ShardedOpener, layout: usize, actions: &[Action
                 let snap = sharded.snapshot();
                 let osnap = oracle.snapshot();
                 let start = key_of(*k);
-                let got = sharded.scan_at(&snap, &start, *n as usize).expect("scan_at");
+                assert_eq!(snap.sequence(), osnap.sequence(), "layout {layout}: sequence spaces");
+                let got =
+                    sharded.scan(&snap.read_options(), &start, *n as usize).expect("snap scan");
                 let want = oracle
                     .scan(&osnap.read_options(), &start, *n as usize)
                     .expect("oracle snap scan");
@@ -206,7 +199,7 @@ fn run_differential(opener: &dyn ShardedOpener, layout: usize, actions: &[Action
                 // Point reads through the same snapshot agree too.
                 for (key, value) in &want {
                     assert_eq!(
-                        sharded.get_at(&snap, key).expect("get_at").as_ref(),
+                        sharded.get(&snap.read_options(), key).expect("snap get").as_ref(),
                         Some(value),
                         "layout {layout}: snapshot get diverged"
                     );
@@ -242,7 +235,7 @@ fn run_all_layouts(make: &dyn Fn() -> Box<dyn ShardedOpener>, actions: &[Action]
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, max_shrink_iters: 120, ..ProptestConfig::default() })]
 
-    /// Plain mode: ShardedDb{1,2,4,8 hash; 4 range} ≡ single Db.
+    /// Plain mode: Db{1,2,4,8 hash; 4 range trees} ≡ single-tree Db.
     #[test]
     fn sharded_plain_matches_single_db(
         actions in proptest::collection::vec(action_strategy(), 1..90)
@@ -257,7 +250,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, max_shrink_iters: 80, ..ProptestConfig::default() })]
 
-    /// EncFS mode: the instance DEK wraps every shard and the SWAL.
+    /// EncFS mode: the instance DEK wraps every shard and the WAL.
     #[test]
     fn sharded_encfs_matches_single_db(
         actions in proptest::collection::vec(action_strategy(), 1..70)
@@ -332,4 +325,114 @@ fn boundary_straddling_batch_is_atomic_across_modes() {
         4,
         &histories,
     );
+}
+
+/// Deterministic pseudo-random stream for the seeded histories below.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+}
+
+/// One step of a seeded history: mostly puts, some deletes, cross-shard
+/// batches and point reads (hits and misses). Single-threaded, so every
+/// write is its own commit group on any tree count.
+fn seeded_step(db: &Db, rng: &mut Lcg) {
+    let w = WriteOptions::default();
+    let key = key_of(rng.next() as u16);
+    match rng.next() % 10 {
+        0..=4 => db.put(&w, &key, &rng.next().to_le_bytes()).expect("put"),
+        5 => db.delete(&w, &key).expect("delete"),
+        6 | 7 => {
+            let mut batch = WriteBatch::new();
+            for _ in 0..(2 + rng.next() % 6) {
+                batch.put(&key_of(rng.next() as u16), &rng.next().to_le_bytes());
+            }
+            db.write(&w, batch).expect("batch");
+        }
+        _ => {
+            db.get(&ReadOptions::new(), &key).expect("get");
+        }
+    }
+}
+
+fn four_trees_and_oracle() -> (Db, Db) {
+    let (_, opts) = layout_opts(&MemEnv::new(), 4);
+    let sharded = Db::open(opts, "sdb").expect("open 4 trees");
+    let oracle = Db::open(small_opts(&MemEnv::new()), "oracle").expect("open oracle");
+    (sharded, oracle)
+}
+
+/// One sequence space: a `Snapshot` held across overwrites, flushes and
+/// compactions, and bare `ReadOptions::snapshot_seq` reads at arbitrary
+/// past sequences, see on four range-routed trees exactly what a
+/// one-tree database sees.
+#[test]
+fn snapshot_reads_on_four_trees_equal_a_one_tree_oracle() {
+    let (sharded, oracle) = four_trees_and_oracle();
+    let (mut a, mut b) = (Lcg(7), Lcg(7));
+    for _ in 0..600 {
+        seeded_step(&sharded, &mut a);
+        seeded_step(&oracle, &mut b);
+    }
+    let (snap, osnap) = (sharded.snapshot(), oracle.snapshot());
+    assert_eq!(snap.sequence(), osnap.sequence());
+    let at_snapshot = oracle.scan(&osnap.read_options(), b"", usize::MAX >> 1).expect("scan");
+    for _ in 0..600 {
+        seeded_step(&sharded, &mut a);
+        seeded_step(&oracle, &mut b);
+    }
+    sharded.compact_all().expect("compact");
+    oracle.compact_all().expect("compact");
+    assert_eq!(sharded.last_sequence(), oracle.last_sequence());
+    assert_eq!(
+        sharded.scan(&snap.read_options(), b"", usize::MAX >> 1).expect("scan"),
+        at_snapshot,
+        "held snapshot moved"
+    );
+    // Unpinned sequences at or after the held snapshot: compaction may
+    // not have dropped anything they see.
+    for seq in (snap.sequence()..=oracle.last_sequence()).step_by(97) {
+        let at = ReadOptions { snapshot_seq: Some(seq), fill_cache: true };
+        assert_eq!(
+            sharded.scan(&at, &key_of(100), 64).expect("scan"),
+            oracle.scan(&at, &key_of(100), 64).expect("scan"),
+            "scan at sequence {seq}"
+        );
+        for k in (0..KEYSPACE).step_by(31) {
+            assert_eq!(
+                sharded.get(&at, &key_of(k)).expect("get"),
+                oracle.get(&at, &key_of(k)).expect("get"),
+                "get({k}) at sequence {seq}"
+            );
+        }
+    }
+}
+
+/// Conservation across tree counts: the same seeded history costs one
+/// tree and four trees the same writes, WAL bytes and point lookups.
+#[test]
+fn tickers_are_conserved_across_tree_counts() {
+    let (sharded, oracle) = four_trees_and_oracle();
+    let (mut a, mut b) = (Lcg(11), Lcg(11));
+    for _ in 0..1500 {
+        seeded_step(&sharded, &mut a);
+        seeded_step(&oracle, &mut b);
+    }
+    let keys: Vec<Vec<u8>> = (0..KEYSPACE).step_by(5).map(key_of).collect();
+    let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    assert_eq!(
+        sharded.multi_get(&ReadOptions::new(), &keys).into_iter().collect::<Result<Vec<_>, _>>(),
+        oracle.multi_get(&ReadOptions::new(), &keys).into_iter().collect::<Result<Vec<_>, _>>()
+    );
+    let (s, o) = (sharded.statistics().snapshot(), oracle.statistics().snapshot());
+    assert!(s.flushes > 0 && o.flushes > 0, "history must outgrow the memtables");
+    assert_eq!(
+        (s.writes, s.write_groups, s.wal_bytes, s.gets, s.gets_found, s.multi_gets),
+        (o.writes, o.write_groups, o.wal_bytes, o.gets, o.gets_found, o.multi_gets)
+    );
+    assert!(s.gets_found <= s.gets);
 }
