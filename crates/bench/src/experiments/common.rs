@@ -10,6 +10,7 @@ use shield_crypto::Algorithm;
 use shield_env::{Env, IoStats, NetworkModel, PosixEnv, RemoteEnv};
 use shield_kds::{DekResolver, Kds, LocalKds, SecureDekCache, ServerId};
 use shield_lsm::encryption::EncryptionConfig;
+use shield_lsm::{FileStore, IntegrityOptions};
 
 use crate::systems::{build_system, SystemHandle, SystemKind, Tuning};
 
@@ -212,7 +213,12 @@ pub fn deploy(kind: SystemKind, deploy: DeployKind, tuning: &Tuning, tag: &str) 
                         )
                     }
                 };
-                let c = OffloadedCompactor::new(storage_env, &db_path, encryption);
+                // The experiments open with the default integrity options.
+                let c = OffloadedCompactor::new(FileStore::new(
+                    storage_env,
+                    encryption,
+                    IntegrityOptions::default(),
+                ));
                 tuning.compaction_executor = Some(c.clone());
                 compactor = Some(c);
             }

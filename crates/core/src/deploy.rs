@@ -12,16 +12,18 @@
 //! the compute mount — with `auto_poll: false` it refreshes only when
 //! `catch_up` is called.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use shield_env::{Env, NetworkModel, RemoteEnv};
 use shield_lsm::compaction::{
     run_compaction, CompactionContext, CompactionExecutor, CompactionOutcome, CompactionRequest,
 };
-use shield_lsm::encryption::EncryptionConfig;
 use shield_lsm::error::Result;
 use shield_lsm::version::table_cache::TableCache;
+use shield_lsm::FileStore;
 
 /// A disaggregated storage cluster: one backing store, two views.
 ///
@@ -70,33 +72,23 @@ impl DisaggregatedStorage {
 /// fresh DEKs requested under the compactor's identity — so revoking the
 /// compactor's authorization at the KDS immediately locks it out.
 pub struct OffloadedCompactor {
-    env: Arc<dyn Env>,
-    db_path: String,
-    encryption: Option<EncryptionConfig>,
-    table_cache: Arc<TableCache>,
+    files: FileStore,
+    /// One table cache per tree directory a request has named.
+    table_caches: Mutex<HashMap<String, Arc<TableCache>>>,
     jobs: AtomicU64,
 }
 
 impl OffloadedCompactor {
-    /// Creates a compactor over the storage-local env.
+    /// Creates a compactor working through `files`: the storage-local env,
+    /// the compactor's own DEK resolver and the primary's integrity
+    /// settings. It reads inputs and creates outputs through the same
+    /// store, so the primary (and any replica) can authenticate what it
+    /// writes.
     #[must_use]
-    pub fn new(
-        env: Arc<dyn Env>,
-        db_path: &str,
-        encryption: Option<EncryptionConfig>,
-    ) -> Arc<Self> {
-        let table_cache = TableCache::new(
-            env.clone(),
-            db_path.to_string(),
-            encryption.clone(),
-            None,
-            128,
-        );
+    pub fn new(files: FileStore) -> Arc<Self> {
         Arc::new(OffloadedCompactor {
-            env,
-            db_path: db_path.to_string(),
-            encryption,
-            table_cache,
+            files,
+            table_caches: Mutex::new(HashMap::new()),
             jobs: AtomicU64::new(0),
         })
     }
@@ -106,6 +98,17 @@ impl OffloadedCompactor {
     pub fn jobs_executed(&self) -> u64 {
         self.jobs.load(Ordering::Relaxed)
     }
+
+    /// The table cache for the tree in `db_path`.
+    fn table_cache(&self, db_path: &str) -> Arc<TableCache> {
+        self.table_caches
+            .lock()
+            .entry(db_path.to_string())
+            .or_insert_with(|| {
+                TableCache::new(self.files.clone(), db_path.to_string(), None, 128, 0)
+            })
+            .clone()
+    }
 }
 
 impl CompactionExecutor for OffloadedCompactor {
@@ -114,12 +117,9 @@ impl CompactionExecutor for OffloadedCompactor {
         request: &CompactionRequest<'_>,
         alloc: &mut dyn FnMut() -> u64,
     ) -> Result<CompactionOutcome> {
-        debug_assert_eq!(request.db_path, self.db_path, "compactor bound to one database");
+        let table_cache = self.table_cache(request.db_path);
         let mut ctx = CompactionContext {
-            env: &self.env,
-            db_path: &self.db_path,
-            encryption: self.encryption.as_ref(),
-            table_cache: &self.table_cache,
+            table_cache: &table_cache,
             version: request.version,
             smallest_snapshot: request.smallest_snapshot,
             table_options: request.table_options.clone(),
@@ -130,7 +130,7 @@ impl CompactionExecutor for OffloadedCompactor {
         // Evict inputs from the compactor-side cache; they are about to be
         // deleted by the primary.
         for (_, number) in &outcome.edit.deleted_files {
-            self.table_cache.evict(*number);
+            table_cache.evict(*number);
         }
         self.jobs.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
@@ -144,7 +144,8 @@ mod tests {
     use shield_crypto::Algorithm;
     use shield_env::MemEnv;
     use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, ServerId};
-    use shield_lsm::{Options, ReadOptions, WriteOptions};
+    use shield_lsm::encryption::EncryptionConfig;
+    use shield_lsm::{IntegrityOptions, Options, ReadOptions, WriteOptions};
 
     const PRIMARY: ServerId = ServerId(1);
     const COMPACTOR: ServerId = ServerId(2);
@@ -180,7 +181,11 @@ mod tests {
 
         let storage_env = ds.storage_local();
         let compactor_cfg = remote_cfg(&kds, &storage_env, COMPACTOR, "compactor.cache");
-        let compactor = OffloadedCompactor::new(storage_env, "db", Some(compactor_cfg.clone()));
+        let compactor = OffloadedCompactor::new(FileStore::new(
+            storage_env,
+            Some(compactor_cfg.clone()),
+            IntegrityOptions::default(),
+        ));
 
         let mut base = Options::new(ds.compute_mount());
         base.write_buffer_size = 8 << 10;
@@ -225,7 +230,11 @@ mod tests {
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
         let storage_env = ds.storage_local();
         let compactor_cfg = remote_cfg(&kds, &storage_env, COMPACTOR, "compactor.cache");
-        let compactor = OffloadedCompactor::new(storage_env, "db", Some(compactor_cfg));
+        let compactor = OffloadedCompactor::new(FileStore::new(
+            storage_env,
+            Some(compactor_cfg),
+            IntegrityOptions::default(),
+        ));
 
         let mut base = Options::new(ds.compute_mount());
         base.write_buffer_size = 8 << 10;

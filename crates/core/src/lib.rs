@@ -34,7 +34,7 @@ use shield_crypto::Algorithm;
 use shield_env::Env;
 use shield_kds::{DekResolver, Kds, RetryPolicy, SecureDekCache, ServerId};
 use shield_lsm::encryption::EncryptionConfig;
-use shield_lsm::{Db, Error, Options, Result};
+use shield_lsm::{Db, Error, FileStore, IntegrityOptions, Options, Result};
 
 pub use encfs::EncryptedEnv;
 pub use shield_lsm::{
@@ -248,6 +248,13 @@ pub fn open_shield(mut base: Options, path: &str, shield: ShieldOptions) -> Resu
 /// replica out without touching the primary. `cache_path` locates the
 /// replica's private secure DEK cache; it must not be the primary's
 /// database directory (the primary owns the `DEK_CACHE` file in there).
+///
+/// This is [`ReplicaDb::open`] over a [`FileStore`] of that env, that
+/// identity's encryption layer and the default [`IntegrityOptions`] —
+/// SHIELD files authenticate under their own DEK's subkey, so the
+/// engine-wide key only matters for files without a DEK
+/// ([`ShieldOptions::encrypt_wal`]` = false` under a non-default
+/// `integrity_key`); such a deployment builds the store itself.
 pub fn open_shield_replica(
     env: Arc<dyn Env>,
     path: &str,
@@ -256,7 +263,8 @@ pub fn open_shield_replica(
     opts: ReplicaOptions,
 ) -> Result<ShieldReplica> {
     let (encryption, resolver) = shield_encryption(env.clone(), cache_path, &shield)?;
-    let db = ReplicaDb::open(env, path, Some(encryption.clone()), opts)?;
+    let files = FileStore::new(env, Some(encryption.clone()), IntegrityOptions::default());
+    let db = ReplicaDb::open(files, path, opts)?;
     Ok(Shield { db, encryption, resolver })
 }
 

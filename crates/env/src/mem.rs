@@ -67,12 +67,6 @@ impl MemEnv {
         }
     }
 
-    /// Total number of files currently stored.
-    #[must_use]
-    pub fn file_count(&self) -> usize {
-        self.inner.lock().files.len()
-    }
-
     /// Returns the current (OS-visible) content of a file, for tests that
     /// inspect raw bytes (e.g. the confidentiality greps).
     pub fn raw_content(&self, path: &str) -> EnvResult<Vec<u8>> {

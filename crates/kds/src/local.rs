@@ -104,13 +104,6 @@ impl LocalKds {
         }
     }
 
-    /// Replaces the latency profile at runtime (used by the Fig. 16 sweep).
-    pub fn set_latencies(&self, generation: Duration, fetch: Duration) {
-        let mut cfg = self.config.lock();
-        cfg.generation_latency = generation;
-        cfg.fetch_latency = fetch;
-    }
-
     /// Number of live (non-revoked) DEKs currently stored.
     #[must_use]
     pub fn live_dek_count(&self) -> usize {

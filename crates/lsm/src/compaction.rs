@@ -1,7 +1,7 @@
 //! Compaction: picking work (leveled / universal / FIFO) and executing it.
 //!
 //! SHIELD-relevant behavior: every compaction output file gets a **fresh
-//! DEK** from the KDS (via [`EncryptionConfig::new_writable`]), and the
+//! DEK** from the KDS (via [`TableCache::create`]), and the
 //! input files' DEKs are revoked when the inputs are deleted — so routine
 //! compaction *is* DEK rotation (§5.2), at zero additional I/O cost.
 //! Output encryption happens in configurable-size chunks, optionally
@@ -10,21 +10,18 @@
 //!
 //! [`run_compaction`] is deliberately a free function over explicit inputs
 //! so the disaggregated deployment can run it on a *different server* (the
-//! offloaded-compaction case study, §5.6): all it needs is the shared
-//! storage env, the file metadata (which carries DEK-IDs), and its own
-//! DEK resolver.
+//! offloaded-compaction case study, §5.6): all it needs is a
+//! [`TableCache`] over that server's [`crate::files::FileStore`] (the
+//! shared storage under its own DEK resolver) and the file metadata
+//! (which carries DEK-IDs).
 
 use std::sync::Arc;
 
-use shield_env::{Env, FileKind};
-
-use crate::encryption::EncryptionConfig;
 use crate::error::Result;
 use crate::iter::{InternalIterator, MergingIterator};
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType, MAX_SEQUENCE};
 use crate::version::edit::{FileMeta, VersionEdit};
-use crate::version::filenames::sst_file_name;
 use crate::version::table_cache::TableCache;
 use crate::version::version::{LevelIterator, Version, NUM_LEVELS};
 
@@ -329,7 +326,8 @@ pub struct CompactionRequest<'a> {
     pub version: &'a Version,
     /// Oldest sequence any snapshot can still read.
     pub smallest_snapshot: SequenceNumber,
-    /// SST construction knobs.
+    /// SST construction knobs; the executor's own file layer decides each
+    /// output's DEK and tag key.
     pub table_options: TableBuilderOptions,
     /// Output file size cap.
     pub target_file_size: u64,
@@ -338,19 +336,14 @@ pub struct CompactionRequest<'a> {
 /// Everything [`run_compaction`] needs, bundled so remote compactors can
 /// construct it from shared state.
 pub struct CompactionContext<'a> {
-    /// Storage the SSTs live on (local or disaggregated).
-    pub env: &'a Arc<dyn Env>,
-    /// Database directory.
-    pub db_path: &'a str,
-    /// Encryption config of the *executing* server (its own resolver).
-    pub encryption: Option<&'a EncryptionConfig>,
-    /// Table cache for opening inputs.
+    /// The tree's tables as the *executing* server sees them: opens the
+    /// inputs, creates the outputs.
     pub table_cache: &'a Arc<TableCache>,
     /// The version the task was picked against (for tombstone elision).
     pub version: &'a Version,
     /// Oldest sequence any snapshot can still read; `MAX_SEQUENCE` if none.
     pub smallest_snapshot: SequenceNumber,
-    /// SST construction knobs.
+    /// SST construction knobs (`dek_id` and `mac_key` are set per output).
     pub table_options: TableBuilderOptions,
     /// Cut outputs at this size.
     pub target_file_size: u64,
@@ -555,18 +548,7 @@ pub fn run_compaction_range(
         } else {
             if builder.is_none() {
                 let number = (ctx.next_file_number)();
-                let path = shield_env::join_path(ctx.db_path, &sst_file_name(number));
-                let (file, dek_id, dek_mac) = match ctx.encryption {
-                    Some(cfg) => {
-                        let (f, id, mac) =
-                            cfg.new_writable_with_mac(ctx.env.as_ref(), &path, FileKind::Sst)?;
-                        (f, Some(id), mac)
-                    }
-                    None => (ctx.env.new_writable_file(&path, FileKind::Sst)?, None, None),
-                };
-                // `table_options.mac_key` carries the Hmac policy (engine
-                // key); encrypted outputs tag with their own DEK's subkey.
-                let mac_key = ctx.table_options.mac_key.map(|engine| dek_mac.unwrap_or(engine));
+                let (file, dek_id, mac_key) = ctx.table_cache.create(number)?;
                 let opts = TableBuilderOptions { dek_id, mac_key, ..ctx.table_options.clone() };
                 builder = Some((number, TableBuilder::new(file, opts)));
             }
@@ -597,8 +579,10 @@ pub fn run_compaction_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::files::FileStore;
     use crate::types::make_internal_key;
-    use shield_env::MemEnv;
+    use crate::version::filenames::sst_file_name;
+    use shield_env::{FileKind, MemEnv};
 
     fn meta_with(number: u64, lo: &str, hi: &str, size: u64) -> Arc<FileMeta> {
         Arc::new(FileMeta {
@@ -734,7 +718,8 @@ mod tests {
         use shield_env::Env;
 
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let tc = TableCache::new(env.clone(), "db".into(), None, None, 8);
+        let files = FileStore::new(env.clone(), None, crate::IntegrityOptions::default());
+        let tc = TableCache::new(files, "db".into(), None, 8, 0);
 
         // File 1 (older): a=1@5, b=1@6, c=1@7
         // File 2 (newer): a=2@10, b deleted @11
@@ -781,9 +766,6 @@ mod tests {
             next
         };
         let mut ctx = CompactionContext {
-            env: &env,
-            db_path: "db",
-            encryption: None,
             table_cache: &tc,
             version: &version,
             smallest_snapshot: MAX_SEQUENCE,
@@ -813,7 +795,8 @@ mod tests {
         use shield_env::Env;
 
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let tc = TableCache::new(env.clone(), "db".into(), None, None, 8);
+        let files = FileStore::new(env.clone(), None, crate::IntegrityOptions::default());
+        let tc = TableCache::new(files, "db".into(), None, 8, 0);
         let path = shield_env::join_path("db", &sst_file_name(1));
         let file = env.new_writable_file(&path, FileKind::Sst).unwrap();
         let mut b = TableBuilder::new(file, TableBuilderOptions::default());
@@ -842,9 +825,6 @@ mod tests {
         };
         // A snapshot at seq 5 still needs v4.
         let mut ctx = CompactionContext {
-            env: &env,
-            db_path: "db",
-            encryption: None,
             table_cache: &tc,
             version: &version,
             smallest_snapshot: 5,

@@ -21,7 +21,7 @@ use shield_core::{
     perf, Event, EventDispatcher, InfoLog, JsonBuilder, LogConfig, MetricsWindow, PerfContext,
     PerfGuard, SlowOp, SpanRecord, Tracer, WindowTracker,
 };
-use shield_env::{Env, FileKind};
+use shield_env::FileKind;
 
 use crate::cache::BlockCache;
 use crate::compaction::pick_compaction;
@@ -34,13 +34,21 @@ use crate::db::sharded::Router;
 use crate::db::tree::{Subtask, Tree};
 use crate::db::write::{Pending, WalState};
 use crate::error::{Error, Result, Severity};
+use crate::files::FileStore;
+use crate::integrity::IntegrityOptions;
 use crate::iter::InternalIterator;
 use crate::obs::{EnvLogSink, LOG_FILE_NAME};
 use crate::statistics::Statistics;
 use crate::types::SequenceNumber;
 use crate::version::edit::VersionEdit;
-use crate::version::table_cache::TableCache;
+use crate::version::table_cache::{TableCache, MAX_OPEN_FILES};
 use crate::version::VersionSet;
+
+/// Completed-span ring capacity of the flight recorder (oldest
+/// overwritten first).
+const TRACE_RING_SPANS: usize = 4096;
+/// Slow-op ring capacity (captured operations, oldest dropped first).
+const SLOW_OP_RING: usize = 32;
 
 /// Sequence pins of live [`Snapshot`]s.
 #[derive(Default)]
@@ -52,12 +60,14 @@ pub(super) struct SnapshotRegistry {
 /// The write front and the trees behind it.
 pub(super) struct DbInner {
     pub(super) opts: Options,
-    pub(super) env: Arc<dyn Env>,
+    /// Storage, encryption, integrity settings, tickers and the event
+    /// fan-out (the `LOG` file is one of its listeners), as every tree's
+    /// file accesses see them.
+    pub(super) files: FileStore,
     pub(super) path: String,
     pub(super) router: Router,
     pub(super) trees: Vec<Tree>,
     pub(super) block_cache: Option<Arc<BlockCache>>,
-    pub(super) stats: Arc<Statistics>,
     pub(super) wal: Mutex<WalState>,
     /// Writers waiting to be committed by a group leader.
     pub(super) commit_queue: Mutex<Vec<Pending>>,
@@ -90,8 +100,6 @@ pub(super) struct DbInner {
     pub(super) sub_queue: Mutex<std::collections::VecDeque<Subtask>>,
     /// In-engine per-op latency histograms (see `Db::metrics_report`).
     pub(super) op_hists: OpHistograms,
-    /// Fan-out for engine events; the `LOG` file is one of its listeners.
-    pub(super) events: Arc<EventDispatcher>,
     /// Flight recorder: span ring, slow-op ring, active-op registry.
     pub(super) tracer: Arc<Tracer>,
     /// Windowed-stats differ plus the ring of recent finished windows.
@@ -138,7 +146,6 @@ impl Db {
         let router = Router::new(&opts)?;
         env.create_dir_all(path)?;
         router.check_or_write_manifest(env.as_ref(), path)?;
-        let stats = opts.statistics.clone();
 
         // Event plumbing first, so recovery and the env itself can report.
         let events = Arc::new(EventDispatcher::new());
@@ -158,7 +165,7 @@ impl Db {
         // Faults injected by a wrapping fault env surface in the same LOG.
         env.set_event_listener(events.clone());
 
-        let tracer = Tracer::new(opts.trace_ring_spans, opts.slow_op_ring);
+        let tracer = Tracer::new(TRACE_RING_SPANS, SLOW_OP_RING);
         tracer.set_enabled(opts.trace_ops);
         tracer.set_slow_op_threshold(opts.slow_op_threshold);
         tracer.set_listener(events.clone());
@@ -168,16 +175,20 @@ impl Db {
         } else if opts.block_cache_bytes > 0 {
             Some(BlockCache::with_config(crate::cache::CacheConfig {
                 capacity: opts.block_cache_bytes,
-                strict_capacity: opts.block_cache_strict_capacity,
                 high_pri_pool_ratio: opts.high_pri_pool_ratio,
                 ..crate::cache::CacheConfig::default()
             })?)
         } else {
             None
         };
-        let integrity = crate::integrity::IntegrityOptions {
-            mode: opts.integrity,
-            key: opts.integrity_key,
+        // The one place an env, an encryption config and an integrity key
+        // are combined; everything below opens files through this store.
+        let files = FileStore {
+            env: env.clone(),
+            encryption: opts.encryption.clone(),
+            integrity: IntegrityOptions { mode: opts.integrity, key: opts.integrity_key },
+            stats: opts.statistics.clone(),
+            events,
         };
         let mut trees = Vec::with_capacity(router.shards());
         for i in 0..router.shards() {
@@ -185,25 +196,15 @@ impl Db {
             env.create_dir_all(&tree_path)?;
             // One block cache for every tree, so hot trees steal capacity
             // from cold ones instead of each being boxed into a fixed slice.
-            let table_cache = TableCache::new_with_stats(
-                env.clone(),
+            let table_cache = TableCache::new(
+                files.clone(),
                 tree_path.clone(),
-                opts.encryption.clone(),
                 block_cache.clone(),
-                Some(stats.clone()),
-                opts.max_open_files,
+                MAX_OPEN_FILES,
                 opts.readahead_blocks,
-                opts.max_inflight_reads,
-                integrity,
-                Some(events.clone()),
             );
-            let mut versions = VersionSet::new(
-                env.clone(),
-                tree_path.clone(),
-                opts.encryption.clone(),
-                table_cache.clone(),
-            );
-            versions.set_integrity(integrity);
+            let mut versions =
+                VersionSet::new(files.clone(), tree_path.clone(), table_cache.clone());
             if VersionSet::db_exists(env.as_ref(), &tree_path) {
                 if opts.error_if_exists {
                     return Err(Error::InvalidArgument(format!("{path} already exists")));
@@ -222,12 +223,11 @@ impl Db {
 
         let pool = JobPool::new(opts.max_background_jobs);
         let inner = Arc::new_cyclic(|weak_self| DbInner {
-            env: env.clone(),
+            files,
             path: path.to_string(),
             router,
             trees,
             block_cache,
-            stats,
             wal: Mutex::new(WalState::default()),
             commit_queue: Mutex::new(Vec::new()),
             leader: Mutex::new(()),
@@ -242,7 +242,6 @@ impl Db {
             bg_cv: Condvar::new(),
             sub_queue: Mutex::new(std::collections::VecDeque::new()),
             op_hists: OpHistograms::default(),
-            events,
             tracer,
             window: Mutex::new(WindowTracker::default()),
             ticker_mu: Mutex::new(()),
@@ -282,9 +281,7 @@ impl Db {
         for (t, tree) in inner.trees.iter().enumerate() {
             inner.maybe_schedule(t, &mut tree.state.lock());
         }
-        inner
-            .events
-            .emit(&Event::DbOpen { path: path.to_string(), recovered_wals });
+        inner.files.events.emit(&Event::DbOpen { path: path.to_string(), recovered_wals });
         Ok(Db { inner, threads, crash_on_drop: false })
     }
 
@@ -344,7 +341,7 @@ impl Db {
         let tree = &self.inner.trees[self.inner.router.shard_of(key)];
         let result = tree.read_view(self.read_seq(ropts)).get(
             &tree.table_cache,
-            &self.inner.stats,
+            &self.inner.files.stats,
             key,
             ropts.fill_cache,
         );
@@ -371,7 +368,7 @@ impl Db {
     pub fn multi_get(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         let _trace = self.inner.traced_op("multi_get");
         let op_start = std::time::Instant::now();
-        self.inner.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
+        self.inner.files.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
         let seq = self.read_seq(ropts);
         let owners: Vec<usize> = keys.iter().map(|key| self.inner.router.shard_of(key)).collect();
         let mut results: Vec<Option<Result<Option<Vec<u8>>>>> = keys.iter().map(|_| None).collect();
@@ -383,7 +380,7 @@ impl Db {
             let tree_keys: Vec<&[u8]> = slots.iter().map(|&i| keys[i]).collect();
             let found = tree.read_view(seq).multi_get(
                 &tree.table_cache,
-                &self.inner.stats,
+                &self.inner.files.stats,
                 &tree_keys,
                 ropts.fill_cache,
             );
@@ -494,7 +491,7 @@ impl Db {
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
         self.inner.refresh_stat_mirrors();
-        self.inner.stats.clone()
+        self.inner.files.stats.clone()
     }
 
     /// Slow operations captured so far (oldest first): every op whose
@@ -547,7 +544,7 @@ impl Db {
         j.close_arr();
         let log_path = shield_env::join_path(&self.inner.path, LOG_FILE_NAME);
         let tail = shield_env::read_file_to_vec(
-            self.inner.env.as_ref(),
+            self.inner.files.env.as_ref(),
             &log_path,
             FileKind::Other,
         )
@@ -567,7 +564,7 @@ impl Db {
     /// file in the DB directory is itself one such listener.
     #[must_use]
     pub fn events(&self) -> Arc<EventDispatcher> {
-        self.inner.events.clone()
+        self.inner.files.events.clone()
     }
 
     /// The background pool every tree's flushes and compactions run on.
@@ -629,8 +626,8 @@ impl Db {
             }
             *bg_error = None;
         }
-        self.inner.stats.resumes.fetch_add(1, Ordering::Relaxed);
-        self.inner.events.emit(&Event::Resume);
+        self.inner.files.stats.resumes.fetch_add(1, Ordering::Relaxed);
+        self.inner.files.events.emit(&Event::Resume);
         for (t, tree) in self.inner.trees.iter().enumerate() {
             self.inner.maybe_schedule(t, &mut tree.state.lock());
         }
@@ -694,12 +691,6 @@ impl Db {
         self.inner.level_summary()
     }
 
-    /// Block-cache `(hits, misses)`.
-    #[must_use]
-    pub fn cache_hit_miss(&self) -> (u64, u64) {
-        self.inner.block_cache.as_ref().map_or((0, 0), |c| c.hit_miss())
-    }
-
     /// The database directory.
     #[must_use]
     pub fn path(&self) -> &str {
@@ -744,7 +735,7 @@ impl Db {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.inner.events.emit(&Event::DbClose { path: self.inner.path.clone() });
+        self.inner.files.events.emit(&Event::DbClose { path: self.inner.path.clone() });
     }
 }
 
@@ -790,7 +781,7 @@ pub struct IntegrityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield_env::MemEnv;
+    use shield_env::{Env, MemEnv};
 
     fn open_mem() -> (MemEnv, Db) {
         let env = MemEnv::new();

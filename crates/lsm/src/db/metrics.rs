@@ -265,7 +265,7 @@ impl DbInner {
 
     pub(super) fn metrics_report(&self) -> MetricsReport {
         self.refresh_stat_mirrors();
-        let snap = self.stats.snapshot();
+        let snap = self.files.stats.snapshot();
         let per_tree: Vec<Vec<(usize, u64)>> = self.trees.iter().map(Tree::level_summary).collect();
         // Worst-case tables a point lookup consults in one tree: every L0
         // file plus one per non-empty deeper level.
@@ -298,14 +298,14 @@ impl DbInner {
     /// Refreshes ticker mirrors (env faults, block-cache totals, gauges)
     /// from their live sources.
     pub(super) fn refresh_stat_mirrors(&self) {
-        if let Some(faults) = self.env.fault_stats() {
-            self.stats
+        if let Some(faults) = self.files.env.fault_stats() {
+            self.files.stats
                 .env_faults_injected
                 .store(faults.injected_total(), Ordering::Relaxed);
         }
         if let Some(cache) = &self.block_cache {
             let c = cache.stats();
-            let s = &self.stats;
+            let s = &self.files.stats;
             s.block_cache_hits.store(c.hits(), Ordering::Relaxed);
             s.block_cache_misses.store(c.misses(), Ordering::Relaxed);
             s.block_cache_data_hits.store(c.data_hits, Ordering::Relaxed);
@@ -320,7 +320,7 @@ impl DbInner {
             s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
             s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
         }
-        self.stats
+        self.files.stats
             .env_inflight_reads
             .store(shield_env::inflight_reads_peak(), Ordering::Relaxed);
     }
@@ -368,7 +368,7 @@ impl DbInner {
         let deadline_nanos = deadline.as_nanos() as u64;
         for op in self.tracer.active_ops() {
             if op.elapsed_nanos() >= deadline_nanos && op.flag_watchdog() {
-                self.events.emit(&Event::Watchdog {
+                self.files.events.emit(&Event::Watchdog {
                     op: op.op(),
                     trace_id: op.trace_id(),
                     elapsed_micros: op.elapsed_nanos() / 1_000,
@@ -383,7 +383,7 @@ impl DbInner {
     /// cumulative counters, derive interval rates, log, and store.
     fn roll_stats_window(&self) {
         self.refresh_stat_mirrors();
-        let snap = self.stats.snapshot();
+        let snap = self.files.stats.snapshot();
         let sample = WindowSample {
             at: std::time::Instant::now(),
             unix_micros: std::time::SystemTime::now()
@@ -407,7 +407,7 @@ impl DbInner {
         w.rates.push(("reads_per_sec", reads_per_sec));
         w.rates.push(("cache_hit_ratio", cache_hit_ratio));
         w.rates.push(("stall_fraction", stall_fraction));
-        self.events.emit(&Event::StatsWindow {
+        self.files.events.emit(&Event::StatsWindow {
             seq: w.seq,
             duration_micros: w.duration_micros,
             writes_per_sec,

@@ -52,10 +52,6 @@ pub struct Options {
     pub bloom_bits_per_key: usize,
     /// Block cache capacity in bytes (0 disables the cache).
     pub block_cache_bytes: usize,
-    /// Fail inserts (serve blocks uncached) instead of overfilling when
-    /// the cache is full of pinned entries. Mirrors RocksDB's
-    /// `strict_capacity_limit`.
-    pub block_cache_strict_capacity: bool,
     /// Fraction of the block cache reserved for index/filter blocks
     /// (the high-priority pool), in `[0, 1]`.
     pub high_pri_pool_ratio: f64,
@@ -63,12 +59,6 @@ pub struct Options {
     /// (0 disables readahead). Compaction does not use it: its inputs
     /// stream around the block cache ([`crate::sst::TableScanner`]).
     pub readahead_blocks: usize,
-    /// Upper bound on concurrently in-flight block reads per batched
-    /// read submission ([`crate::Db::multi_get`], block prefetch) —
-    /// the depth of the env's `read_at_many` queue. Clamped to ≥ 1.
-    pub max_inflight_reads: usize,
-    /// Max open table readers.
-    pub max_open_files: usize,
     /// Compaction policy and thresholds.
     pub compaction: CompactionParams,
     /// L0 file count at which writes are slowed.
@@ -133,10 +123,6 @@ pub struct Options {
     /// with the live span stack). `None` disables the watchdog.
     /// Requires [`Options::trace_ops`].
     pub watchdog_deadline: Option<std::time::Duration>,
-    /// Completed-span ring capacity (spans, oldest overwritten first).
-    pub trace_ring_spans: usize,
-    /// Slow-op ring capacity (captured operations, oldest dropped first).
-    pub slow_op_ring: usize,
     /// How many trees the database keeps behind its one write front
     /// (1 = a single LSM). Fixed when the database is created.
     pub shards: usize,
@@ -162,11 +148,8 @@ impl Options {
             restart_interval: 16,
             bloom_bits_per_key: 10,
             block_cache_bytes: 32 * 1024 * 1024,
-            block_cache_strict_capacity: false,
             high_pri_pool_ratio: 0.1,
             readahead_blocks: 0,
-            max_inflight_reads: crate::sst::fetcher::DEFAULT_INFLIGHT_READS,
-            max_open_files: 500,
             compaction: CompactionParams::default(),
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 16,
@@ -187,8 +170,6 @@ impl Options {
             slow_op_threshold: None,
             stats_dump_period: None,
             watchdog_deadline: None,
-            trace_ring_spans: 4096,
-            slow_op_ring: 32,
             shards: 1,
             shard_by: ShardBy::Hash,
             shared_block_cache: None,
@@ -281,14 +262,6 @@ impl Options {
     #[must_use]
     pub fn with_readahead_blocks(mut self, blocks: usize) -> Self {
         self.readahead_blocks = blocks;
-        self
-    }
-
-    /// Bounds concurrently in-flight block reads per batched submission
-    /// (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_max_inflight_reads(mut self, depth: usize) -> Self {
-        self.max_inflight_reads = depth.max(1);
         self
     }
 

@@ -4,6 +4,8 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use shield_env::FileKind;
+
 use crate::db::batch::WriteBatch;
 use crate::db::db::DbInner;
 use crate::error::Result;
@@ -20,7 +22,7 @@ impl DbInner {
     /// record, so a group torn by the crash is dropped whole, on every
     /// tree. Returns the number of segments replayed.
     pub(super) fn recover_wals(&self) -> Result<u64> {
-        let names = self.env.list_dir(&self.path)?;
+        let names = self.files.env.list_dir(&self.path)?;
         let mut wals: Vec<u64> = names
             .iter()
             .filter_map(|n| match parse_file_name(n) {
@@ -43,13 +45,7 @@ impl DbInner {
             // The same resumable tailer a live replica polls; recovery is
             // one drain over a segment that can no longer grow, so any
             // `Pending` tail is the crash aftermath and ends the replay.
-            let mut tailer = crate::wal::open_wal_tailer(
-                self.env.as_ref(),
-                &path,
-                self.opts.encryption.as_ref(),
-                self.opts.integrity_key,
-            )?
-            .with_sinks(number, Some(self.stats.clone()), Some(self.events.clone()));
+            let mut tailer = self.files.open_log(&path, FileKind::Wal, number)?;
             loop {
                 match tailer.poll()? {
                     TailPoll::Record(record) => {
@@ -71,7 +67,7 @@ impl DbInner {
             // Legacy segments replay as-is but count as unprotected
             // under Hmac.
             if self.opts.integrity == crate::integrity::Integrity::Hmac && tailer.is_legacy() {
-                self.stats.integrity_unprotected_files.fetch_add(1, Ordering::Relaxed);
+                self.files.stats.integrity_unprotected_files.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.last_sequence.store(max_seq, Ordering::Release);

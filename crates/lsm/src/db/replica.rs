@@ -3,7 +3,7 @@
 //! reads with a reportable staleness bound.
 //!
 //! The replica owns nothing on disk. It opens the primary's directory
-//! through any [`Env`] (a `MemEnv` for tests, `PosixEnv` for a shared
+//! through any [`shield_env::Env`] (a `MemEnv` for tests, `PosixEnv` for a shared
 //! mount, [`shield_env::RemoteEnv`] for the paper's disaggregated-storage
 //! topology) and runs a catch-up loop built entirely from the replay
 //! engine's parts:
@@ -16,7 +16,7 @@
 //!   a record torn mid-append is picked up once the primary finishes it.
 //!
 //! In SHIELD mode every file's DEK is resolved by DEK-ID through the
-//! replica's **own** resolver ([`EncryptionConfig`]) — the paper's
+//! replica's **own** resolver (its [`FileStore`]) — the paper's
 //! metadata-enabled sharing path: the primary never ships key material,
 //! and revoking the replica's KDS authorization locks it out.
 //!
@@ -48,13 +48,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use shield_core::JsonBuilder;
-use shield_env::{Env, EnvError};
+use shield_env::{EnvError, FileKind};
 
 use crate::db::batch::WriteBatch;
 use crate::db::read::{DbIterator, ReadView};
-use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
-use crate::integrity::IntegrityOptions;
+use crate::files::FileStore;
 use crate::memtable::MemTable;
 use crate::statistics::Statistics;
 use crate::types::SequenceNumber;
@@ -63,7 +62,7 @@ use crate::version::version::Version;
 use crate::version::{
     parse_file_name, wal_file_name, EditApplier, FileType, ManifestPoll, ManifestTailer,
 };
-use crate::wal::{open_wal_tailer, TailEnd, TailPoll, WalTailer};
+use crate::wal::{TailEnd, TailPoll, WalTailer};
 
 /// The `schema` field of [`ReplicaDb::metrics_json`].
 pub const REPLICA_METRICS_SCHEMA: &str = "shield_replica_metrics_v1";
@@ -123,13 +122,12 @@ struct TailState {
 /// [`ReplicaDb::open`]; reads are [`ReplicaDb::get`],
 /// [`ReplicaDb::multi_get`] and [`ReplicaDb::scan`].
 pub struct ReplicaDb {
-    env: Arc<dyn Env>,
+    /// The primary's files under this replica's own identity;
+    /// `files.stats` are the replica's tickers.
+    files: FileStore,
     path: String,
-    encryption: Option<EncryptionConfig>,
-    integrity: IntegrityOptions,
     opts: ReplicaOptions,
     table_cache: Arc<TableCache>,
-    stats: Arc<Statistics>,
     tail: Mutex<TailState>,
     /// The view reads run against, replaced whole by each catch-up round.
     view: RwLock<Arc<ReadView>>,
@@ -147,51 +145,20 @@ pub struct ReplicaDb {
 }
 
 impl ReplicaDb {
-    /// Opens a replica over `path` with default integrity settings and
-    /// runs the first catch-up round (so the returned replica already
-    /// serves the primary's durable state).
-    pub fn open(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-        opts: ReplicaOptions,
-    ) -> Result<Arc<Self>> {
-        Self::open_with_integrity(env, path, encryption, IntegrityOptions::default(), opts)
-    }
-
-    /// [`ReplicaDb::open`] with explicit integrity settings: the MAC key
-    /// verifies authenticated plaintext files (SHIELD files always verify
-    /// with their own DEK's subkey).
-    pub fn open_with_integrity(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-        integrity: IntegrityOptions,
-        opts: ReplicaOptions,
-    ) -> Result<Arc<Self>> {
-        let stats = Statistics::new();
-        let table_cache = TableCache::new_with_stats(
-            env.clone(),
-            path.to_string(),
-            encryption.clone(),
-            None,
-            Some(stats.clone()),
-            128,
-            0,
-            crate::sst::fetcher::DEFAULT_INFLIGHT_READS,
-            integrity,
-            None,
-        );
-        let manifest = ManifestTailer::open(env.as_ref(), path, encryption.as_ref(), integrity.key)?
-            .with_sinks(Some(stats.clone()), None);
+    /// Opens a replica over the database in `path`, reading it through
+    /// `files` — this replica's env mount and DEK resolver, and the
+    /// primary's integrity settings (the engine key verifies authenticated
+    /// files that have no DEK; SHIELD files verify under their own DEK's
+    /// subkey) — and runs the first catch-up round, so the returned
+    /// replica already serves the primary's durable state.
+    pub fn open(files: FileStore, path: &str, opts: ReplicaOptions) -> Result<Arc<Self>> {
+        let table_cache = TableCache::new(files.clone(), path.to_string(), None, 128, 0);
+        let manifest = ManifestTailer::open(&files, path)?;
         let replica = Arc::new(ReplicaDb {
-            env,
+            files,
             path: path.to_string(),
-            encryption,
-            integrity,
             opts,
             table_cache,
-            stats,
             tail: Mutex::new(TailState {
                 manifest,
                 applier: EditApplier::new(),
@@ -276,16 +243,16 @@ impl ReplicaDb {
         // 1. Manifest: fold new edits into the applier; a rollover resets
         // the file set for the new manifest's leading snapshot.
         loop {
-            match tail.manifest.poll(self.env.as_ref()) {
+            match tail.manifest.poll() {
                 Ok(ManifestPoll::Edit(edit)) => {
                     tail.applier.apply(&edit);
                     tail.version_dirty = true;
-                    self.stats.replica_manifest_edits_applied.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.replica_manifest_edits_applied.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(ManifestPoll::Rollover) => {
                     tail.applier.reset();
                     tail.version_dirty = true;
-                    self.stats.replica_rollovers_followed.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.replica_rollovers_followed.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(ManifestPoll::Pending(end)) => {
                     clean &= end == TailEnd::Clean;
@@ -306,7 +273,7 @@ impl ReplicaDb {
         tail.wals.retain(|seg| seg.number >= log_number);
 
         // 3. Discover segments the primary created since the last round.
-        match self.env.list_dir(&self.path) {
+        match self.files.env.list_dir(&self.path) {
             Ok(names) => {
                 let mut numbers: Vec<u64> = names
                     .iter()
@@ -337,16 +304,8 @@ impl ReplicaDb {
             let seg = &mut tail.wals[i];
             if seg.tailer.is_none() {
                 let wal_path = shield_env::join_path(&self.path, &wal_file_name(seg.number));
-                match open_wal_tailer(
-                    self.env.as_ref(),
-                    &wal_path,
-                    self.encryption.as_ref(),
-                    self.integrity.key,
-                ) {
-                    Ok(tailer) => {
-                        seg.tailer =
-                            Some(tailer.with_sinks(seg.number, Some(self.stats.clone()), None));
-                    }
+                match self.files.open_log(&wal_path, FileKind::Wal, seg.number) {
+                    Ok(tailer) => seg.tailer = Some(tailer),
                     Err(err) => {
                         // A listed-then-deleted segment races with the
                         // primary's GC; corruption is final either way.
@@ -378,7 +337,7 @@ impl ReplicaDb {
                         }
                         let last = batch.sequence() + u64::from(batch.count()).max(1) - 1;
                         seg.max_seq = seg.max_seq.max(last);
-                        self.stats.replica_wal_records_applied.fetch_add(1, Ordering::Relaxed);
+                        self.files.stats.replica_wal_records_applied.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok(TailPoll::Pending(end)) => {
                         seg.clean = end == TailEnd::Clean;
@@ -444,11 +403,11 @@ impl ReplicaDb {
             self.published_seq.store(seq, Ordering::Relaxed);
         }
 
-        self.stats.replica_polls.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.replica_polls.fetch_add(1, Ordering::Relaxed);
         if !clean {
-            self.stats.replica_incomplete_tails.fetch_add(1, Ordering::Relaxed);
+            self.files.stats.replica_incomplete_tails.fetch_add(1, Ordering::Relaxed);
         }
-        self.stats
+        self.files.stats
             .replica_lag_records
             .store(self.staleness(), Ordering::Relaxed);
         Ok(clean)
@@ -510,7 +469,7 @@ impl ReplicaDb {
     /// `batched_reads`, …) its reads credit like a primary's.
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
-        self.stats.clone()
+        self.files.stats.clone()
     }
 
     /// Runs `read` against the published view. A file the view names can
@@ -536,14 +495,14 @@ impl ReplicaDb {
 
     /// Point lookup against the published view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.read_published(|view| view.get(&self.table_cache, &self.stats, key, true))
+        self.read_published(|view| view.get(&self.table_cache, &self.files.stats, key, true))
     }
 
     /// Batched point lookup; every key reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
         self.read_published(|view| {
-            view.multi_get(&self.table_cache, &self.stats, keys, true).into_iter().collect()
+            view.multi_get(&self.table_cache, &self.files.stats, keys, true).into_iter().collect()
         })
     }
 
@@ -560,7 +519,7 @@ impl ReplicaDb {
     /// engine's work counters.
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        let snapshot = self.stats.snapshot();
+        let snapshot = self.files.stats.snapshot();
         let mut out = JsonBuilder::new();
         out.open_obj_item();
         out.field_str("schema", REPLICA_METRICS_SCHEMA);

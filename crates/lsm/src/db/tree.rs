@@ -31,7 +31,7 @@ use crate::memtable::MemTable;
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::types::{make_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE};
 use crate::version::edit::{FileMeta, VersionEdit};
-use crate::version::filenames::{parse_file_name, sst_file_name, FileType};
+use crate::version::filenames::{parse_file_name, FileType};
 use crate::version::table_cache::TableCache;
 use crate::version::version::Version;
 use crate::version::VersionSet;
@@ -181,21 +181,8 @@ impl DbInner {
         mem: &MemTable,
         number: u64,
     ) -> Result<FileMeta> {
-        let path = shield_env::join_path(&tree.path, &sst_file_name(number));
-        let (file, dek_id, dek_mac) = match &self.opts.encryption {
-            Some(cfg) => {
-                let (f, id, mac) =
-                    cfg.new_writable_with_mac(self.env.as_ref(), &path, FileKind::Sst)?;
-                (f, Some(id), mac)
-            }
-            None => (self.env.new_writable_file(&path, FileKind::Sst)?, None, None),
-        };
-        let opts = TableBuilderOptions {
-            dek_id,
-            mac_key: (self.opts.integrity == crate::integrity::Integrity::Hmac)
-                .then(|| dek_mac.unwrap_or(self.opts.integrity_key)),
-            ..self.table_options()
-        };
+        let (file, dek_id, mac_key) = tree.table_cache.create(number)?;
+        let opts = TableBuilderOptions { dek_id, mac_key, ..self.table_options() };
         let mut builder = TableBuilder::new(file, opts);
         let mut it = mem.iter();
         it.seek_to_first();
@@ -209,8 +196,8 @@ impl DbInner {
         // that reaches it does not pay for header, footer, index, filter
         // and properties — six to seven round trips on remote storage.
         tree.table_cache.get(number)?;
-        self.stats.flush_bytes.fetch_add(size, Ordering::Relaxed);
-        self.stats.sst_files_created.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.flush_bytes.fetch_add(size, Ordering::Relaxed);
+        self.files.stats.sst_files_created.fetch_add(1, Ordering::Relaxed);
         Ok(FileMeta {
             number,
             file_size: size,
@@ -220,17 +207,14 @@ impl DbInner {
         })
     }
 
-    /// Builder options for compaction outputs: no DEK yet, and the Hmac
-    /// policy carried by the engine key — output-creation sites swap in
-    /// the per-file DEK subkey when encryption is on.
+    /// Builder options without a file's identity: the site that creates an
+    /// output fills in its DEK id and tag key from the [`FileStore`].
     fn table_options(&self) -> TableBuilderOptions {
         TableBuilderOptions {
             block_size: self.opts.block_size,
             restart_interval: self.opts.restart_interval,
             bloom_bits_per_key: self.opts.bloom_bits_per_key,
-            dek_id: None,
-            mac_key: (self.opts.integrity == crate::integrity::Integrity::Hmac)
-                .then_some(self.opts.integrity_key),
+            ..TableBuilderOptions::default()
         }
     }
 
@@ -244,8 +228,8 @@ impl DbInner {
             match f() {
                 Ok(v) => return Ok(v),
                 Err(e) if e.retryable() && attempt < self.opts.max_background_retries => {
-                    self.stats.bg_retries.fetch_add(1, Ordering::Relaxed);
-                    self.events.emit(&Event::BackgroundRetry {
+                    self.files.stats.bg_retries.fetch_add(1, Ordering::Relaxed);
+                    self.files.events.emit(&Event::BackgroundRetry {
                         job,
                         attempt: u64::from(attempt + 1),
                         message: e.to_string(),
@@ -269,7 +253,7 @@ impl DbInner {
     /// tree than the one whose job failed. Call without any tree's state
     /// lock.
     pub(super) fn set_bg_error(&self, job: &'static str, e: Error) {
-        self.events.emit(&Event::BackgroundError {
+        self.files.events.emit(&Event::BackgroundError {
             job,
             severity: match e.severity() {
                 Severity::Soft => "soft",
@@ -307,7 +291,7 @@ impl DbInner {
                 (mem, number, state.imm.len() as u64)
             };
             let _trace = self.traced_op("flush");
-            self.events.emit(&Event::FlushBegin { immutables });
+            self.files.events.emit(&Event::FlushBegin { immutables });
             let flush_start = std::time::Instant::now();
             let result = if mem.is_empty() {
                 Ok(None)
@@ -335,9 +319,9 @@ impl DbInner {
             match installed {
                 Ok((file_number, bytes)) => {
                     state.imm.remove(0);
-                    self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.flushes.fetch_add(1, Ordering::Relaxed);
                     tree.flushes.fetch_add(1, Ordering::Relaxed);
-                    self.events.emit(&Event::FlushEnd {
+                    self.files.events.emit(&Event::FlushEnd {
                         file_number,
                         bytes,
                         micros: flush_start.elapsed().as_micros() as u64,
@@ -400,7 +384,7 @@ impl DbInner {
             }
         };
         let _trace = self.traced_op("compaction");
-        self.events.emit(&Event::CompactionBegin {
+        self.files.events.emit(&Event::CompactionBegin {
             level: task_level,
             inputs: task_inputs,
             input_bytes: task_input_bytes,
@@ -465,9 +449,6 @@ impl DbInner {
                 }
                 None => {
                     let mut ctx = CompactionContext {
-                        env: &self.env,
-                        db_path: &tree.path,
-                        encryption: self.opts.encryption.as_ref(),
                         table_cache: &tree.table_cache,
                         version: &version,
                         smallest_snapshot,
@@ -479,7 +460,7 @@ impl DbInner {
                 }
             })
         };
-        self.stats
+        self.files.stats
             .compaction_micros
             .fetch_add(exec_start.elapsed().as_micros() as u64, Ordering::Relaxed);
         self.op_hists.compaction.record_elapsed(exec_start);
@@ -501,14 +482,14 @@ impl DbInner {
         });
         match installed {
             Ok(outcome) => {
-                self.stats.compactions.fetch_add(1, Ordering::Relaxed);
+                self.files.stats.compactions.fetch_add(1, Ordering::Relaxed);
                 tree.compactions.fetch_add(1, Ordering::Relaxed);
-                self.stats.compaction_bytes_read.fetch_add(outcome.bytes_read, Ordering::Relaxed);
-                self.stats
+                self.files.stats.compaction_bytes_read.fetch_add(outcome.bytes_read, Ordering::Relaxed);
+                self.files.stats
                     .compaction_bytes_written
                     .fetch_add(outcome.bytes_written, Ordering::Relaxed);
-                self.stats.sst_files_created.fetch_add(outcome.outputs as u64, Ordering::Relaxed);
-                self.events.emit(&Event::CompactionEnd {
+                self.files.stats.sst_files_created.fetch_add(outcome.outputs as u64, Ordering::Relaxed);
+                self.files.events.emit(&Event::CompactionEnd {
                     level: task_level,
                     bytes_read: outcome.bytes_read,
                     bytes_written: outcome.bytes_written,
@@ -584,7 +565,7 @@ impl DbInner {
         allocated: &Arc<Mutex<Vec<u64>>>,
     ) -> Result<CompactionOutcome> {
         let n = plan.len();
-        self.events.emit(&Event::SubcompactionBegin {
+        self.files.events.emit(&Event::SubcompactionBegin {
             level: task_level,
             subtasks: n as u64,
             input_bytes: task_input_bytes,
@@ -721,9 +702,6 @@ impl DbInner {
         let result = self.with_bg_retries("subcompaction", || {
             let mut alloc = || self.alloc_compaction_output(tree, allocated);
             let mut ctx = CompactionContext {
-                env: &self.env,
-                db_path: &tree.path,
-                encryption: self.opts.encryption.as_ref(),
                 table_cache: &tree.table_cache,
                 version,
                 smallest_snapshot,
@@ -734,10 +712,10 @@ impl DbInner {
             run_compaction_range(&mut ctx, task, range)
         });
         let micros = start.elapsed().as_micros() as u64;
-        self.stats.subcompactions.fetch_add(1, Ordering::Relaxed);
-        self.stats.subcompaction_micros.fetch_add(micros, Ordering::Relaxed);
+        self.files.stats.subcompactions.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.subcompaction_micros.fetch_add(micros, Ordering::Relaxed);
         self.op_hists.subcompaction.record_elapsed(start);
-        self.events.emit(&Event::SubcompactionEnd {
+        self.files.events.emit(&Event::SubcompactionEnd {
             index: index as u64,
             bytes_written: result.as_ref().map_or(0, |o| o.bytes_written),
             micros,
@@ -779,7 +757,7 @@ impl DbInner {
             if listings.iter().any(|(d, _)| *d == dir) {
                 continue;
             }
-            let Ok(names) = self.env.list_dir(dir) else { return };
+            let Ok(names) = self.files.env.list_dir(dir) else { return };
             listings.push((dir, names));
         }
         // A segment is dead once every tree has persisted what it took
@@ -834,19 +812,13 @@ impl DbInner {
                 .collect()
         };
         for victim in victims {
-            if let Some(cfg) = &self.opts.encryption {
-                let _ = match victim.dek_id {
-                    Some(dek_id) => cfg.revoke_dek(dek_id),
-                    // WALs, manifests and SSTs no version ever named
-                    // (leftovers of a crash or a failed job): the id is
-                    // only in the file's own header.
-                    None => cfg.note_file_deleted(self.env.as_ref(), &victim.path, victim.kind),
-                };
-            }
-            if self.env.remove_file(&victim.path).is_ok() {
+            // A compacted-away SST's DEK id came with its `FileMeta`; for
+            // WALs, manifests and SSTs no version ever named (leftovers of
+            // a crash or a failed job) it is only in the file's own header.
+            if self.files.retire(&victim.path, victim.kind, victim.dek_id) {
                 if let Some(n) = victim.sst {
                     tree.table_cache.evict(n);
-                    self.stats.sst_files_deleted.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.sst_files_deleted.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }

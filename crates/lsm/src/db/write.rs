@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use shield_core::{perf, trace, Event, PerfMetric};
+use shield_env::FileKind;
 
 use crate::compaction::{pick_compaction, CompactionStyle};
 use crate::db::batch::WriteBatch;
@@ -102,9 +103,9 @@ impl DbInner {
                 w.add_record(combined.data())
                     .and_then(|()| w.flush())
                     .and_then(|()| if sync { w.sync() } else { Ok(()) })?;
-                self.stats.wal_bytes.fetch_add(combined.data().len() as u64, Ordering::Relaxed);
+                self.files.stats.wal_bytes.fetch_add(combined.data().len() as u64, Ordering::Relaxed);
                 if sync {
-                    self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -115,8 +116,8 @@ impl DbInner {
         perf::add_elapsed(PerfMetric::MemtableInsert, t);
         inserted?;
         self.last_published.store(base + count - 1, Ordering::Release);
-        self.stats.writes.fetch_add(count, Ordering::Relaxed);
-        self.stats.write_groups.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.writes.fetch_add(count, Ordering::Relaxed);
+        self.files.stats.write_groups.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -145,14 +146,14 @@ impl DbInner {
                 {
                     // Gentle backpressure: sleep once outside the lock.
                     slowed_down = true;
-                    self.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
-                    self.events
+                    self.files.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
+                    self.files.events
                         .emit(&Event::WriteStall { reason: "l0_slowdown", l0_files: l0 as u64 });
                     let t0 = std::time::Instant::now();
                     MutexGuard::unlocked(&mut state, || {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     });
-                    self.stats
+                    self.files.stats
                         .stall_micros
                         .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                     continue;
@@ -169,12 +170,12 @@ impl DbInner {
                     // Hard stall until background work catches up. An L0 pile-up
                     // that no compaction can reduce (e.g. compaction disabled by
                     // configuration) must not stall forever.
-                    self.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
-                    self.events.emit(&Event::WriteStall { reason: "stop", l0_files: l0 as u64 });
+                    self.files.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
+                    self.files.events.emit(&Event::WriteStall { reason: "stop", l0_files: l0 as u64 });
                     let t0 = std::time::Instant::now();
                     self.maybe_schedule(t, &mut state);
                     tree.work_cv.wait(&mut state);
-                    self.stats
+                    self.files.stats
                         .stall_micros
                         .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                     continue;
@@ -197,12 +198,9 @@ impl DbInner {
         // Segment numbers come from tree 0's file numbers: a single tree
         // numbers WALs, SSTs and manifests from one counter.
         let number = self.trees[0].state.lock().versions.new_file_number();
-        let writer = crate::wal::create_wal_writer(
-            self.env.as_ref(),
+        let writer = self.files.create_log(
             &shield_env::join_path(&self.path, &wal_file_name(number)),
-            self.opts.encryption.as_ref(),
-            self.opts.integrity,
-            self.opts.integrity_key,
+            FileKind::Wal,
         )?;
         if let Some(old) = wal.writer.as_mut() {
             // Drain any buffered (possibly still-unencrypted) bytes; the

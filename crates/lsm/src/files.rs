@@ -1,0 +1,353 @@
+//! The file layer: the one place an [`Env`], an [`EncryptionConfig`] and an
+//! integrity key meet.
+//!
+//! SHIELD's disaggregated story (paper §5.2, §5.4) rests on one rule: *any*
+//! server — primary, read replica, offloaded compactor — opens *any* file
+//! from the DEK-ID in its plaintext header under its own identity. A
+//! [`FileStore`] is that server's view of the shared files, and states the
+//! two rules every persistent file obeys:
+//!
+//! * **Key rule.** A file that got a DEK (every SST, MANIFEST and WAL
+//!   segment of a SHIELD engine, except WAL segments under
+//!   [`EncryptionConfig::with_plaintext_wal`]) is authenticated with a
+//!   subkey of *that* DEK; a file without one (plain and EncFS
+//!   deployments, plaintext WALs) with the engine-wide
+//!   [`IntegrityOptions::key`]. Writers tag only under
+//!   [`Integrity::Hmac`]; readers always hold the key, because
+//!   verification is format-driven (a tagged file is verified whatever
+//!   the current mode).
+//! * **Retire rule.** A dead file's DEK is revoked (KDS and secure cache)
+//!   before the file is unlinked, so keys die with their files (§5.2).
+//!
+//! Everything above this module — [`crate::Db`], [`crate::ReplicaDb`],
+//! [`crate::version::TableCache`] (through which flushes and compactions
+//! create and open tables), [`crate::version::VersionSet`],
+//! [`crate::version::ManifestTailer`], the offloaded compactor — holds a
+//! `FileStore` and calls it; none of them decides a key.
+
+use std::sync::Arc;
+
+use shield_core::EventDispatcher;
+use shield_crypto::DekId;
+use shield_env::{Env, FileKind, RandomAccessFile, WritableFile};
+
+use crate::encryption::EncryptionConfig;
+use crate::error::Result;
+use crate::integrity::{Integrity, IntegrityOptions, ReadIntegrity};
+use crate::statistics::Statistics;
+use crate::wal::{LogWriter, WalTailer};
+
+/// What [`FileStore::create`] returns: the file, the id of the DEK
+/// encrypting it (`None`: the file is plaintext) and the key to tag it
+/// with (`None` under [`Integrity::Crc`]).
+pub type CreatedFile = (Box<dyn WritableFile>, Option<DekId>, Option<[u8; 32]>);
+
+/// One server's access to a database's persistent files: storage, this
+/// server's own DEK resolver, the deployment's integrity settings and the
+/// sinks integrity checks report to. Cheap to clone (five `Arc`s and a
+/// key).
+#[derive(Clone)]
+pub struct FileStore {
+    /// Storage the files live on (local, in-memory or disaggregated).
+    pub env: Arc<dyn Env>,
+    /// SHIELD encryption under *this* server's identity; `None` runs
+    /// plaintext (or EncFS, which encrypts below `env`).
+    pub encryption: Option<EncryptionConfig>,
+    /// Write-side integrity mode and the engine-wide MAC key.
+    pub integrity: IntegrityOptions,
+    /// Ticker sink (`integrity_checks`, `bloom_useful`, batched reads…).
+    pub stats: Arc<Statistics>,
+    /// Event sink for [`shield_core::Event::IntegrityViolation`].
+    pub events: Arc<EventDispatcher>,
+}
+
+impl FileStore {
+    /// A store with private, initially silent sinks (replicas, compactors,
+    /// tools); [`crate::Db::open`] supplies the engine's own.
+    #[must_use]
+    pub fn new(
+        env: Arc<dyn Env>,
+        encryption: Option<EncryptionConfig>,
+        integrity: IntegrityOptions,
+    ) -> Self {
+        FileStore {
+            env,
+            encryption,
+            integrity,
+            stats: Statistics::new(),
+            events: Arc::new(EventDispatcher::new()),
+        }
+    }
+
+    /// The key rule: the file's own DEK subkey, else the engine key.
+    fn mac_key(&self, dek_mac: Option<[u8; 32]>) -> [u8; 32] {
+        dek_mac.unwrap_or(self.integrity.key)
+    }
+
+    /// Creates `path` for appending, under a fresh DEK when this kind of
+    /// file is encrypted.
+    pub fn create(&self, path: &str, kind: FileKind) -> Result<CreatedFile> {
+        let (file, dek_id, dek_mac) = match &self.encryption {
+            Some(cfg) => {
+                let (file, id, mac) = cfg.new_writable_with_mac(self.env.as_ref(), path, kind)?;
+                (file, mac.map(|_| id), mac)
+            }
+            None => (self.env.new_writable_file(path, kind)?, None, None),
+        };
+        let tag_key = (self.integrity.mode == Integrity::Hmac).then(|| self.mac_key(dek_mac));
+        Ok((file, dek_id, tag_key))
+    }
+
+    /// Opens `path` for random access — resolving the DEK named in its
+    /// header under this server's identity — with the integrity context a
+    /// [`crate::sst::Table`] verifies it under.
+    pub fn open_random(
+        &self,
+        path: &str,
+        kind: FileKind,
+    ) -> Result<(Arc<dyn RandomAccessFile>, ReadIntegrity)> {
+        let (file, dek_mac) = match &self.encryption {
+            Some(cfg) => cfg.open_random_with_mac(self.env.as_ref(), path, kind)?,
+            None => (self.env.new_random_access_file(path, kind)?, None),
+        };
+        let integrity = ReadIntegrity {
+            key: self.mac_key(dek_mac),
+            expect_hmac: self.integrity.mode == Integrity::Hmac,
+            events: Some(self.events.clone()),
+        };
+        Ok((file, integrity))
+    }
+
+    /// Creates record log `path` (a WAL segment or a MANIFEST) for
+    /// appending; under [`Integrity::Hmac`] every record is tagged.
+    pub fn create_log(&self, path: &str, kind: FileKind) -> Result<LogWriter> {
+        let (file, _, tag_key) = self.create(path, kind)?;
+        LogWriter::with_integrity(file, tag_key)
+    }
+
+    /// Opens record log `path` for replay or live tailing. The decrypting
+    /// wrapper tracks its own stream offset across polls; violations are
+    /// reported against file `number`.
+    pub fn open_log(&self, path: &str, kind: FileKind, number: u64) -> Result<WalTailer> {
+        let (file, dek_mac) = match &self.encryption {
+            Some(cfg) => cfg.open_sequential_with_mac(self.env.as_ref(), path, kind)?,
+            None => (self.env.new_sequential_file(path, kind)?, None),
+        };
+        Ok(WalTailer::with_integrity(file, Some(self.mac_key(dek_mac))).with_sinks(
+            number,
+            Some(self.stats.clone()),
+            Some(self.events.clone()),
+        ))
+    }
+
+    /// The retire rule, for a file nothing references any more. The DEK
+    /// id is `known_dek` when the caller has it (an SST's `FileMeta`),
+    /// else whatever the file's own header names; a plaintext or missing
+    /// file has none. A failed revoke does not keep the file. Returns
+    /// whether this call unlinked it (`false`: it was already gone, or
+    /// the unlink failed and a later pass retries).
+    pub fn retire(&self, path: &str, kind: FileKind, known_dek: Option<DekId>) -> bool {
+        if let Some(cfg) = &self.encryption {
+            let _ = match known_dek {
+                Some(dek_id) => cfg.revoke_dek(dek_id),
+                None => cfg.note_file_deleted(self.env.as_ref(), path, kind),
+            };
+        }
+        self.env.remove_file(path).is_ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use super::*;
+    use crate::error::Error;
+    use crate::integrity::derive_mac_subkey;
+    use crate::wal::TailPoll;
+    use shield_crypto::{Algorithm, Dek};
+    use shield_env::MemEnv;
+    use shield_kds::{DekResolver, Kds, KdsResult, KdsStats, LocalKds, ServerId};
+
+    const ENGINE_KEY: [u8; 32] = [0x42; 32];
+    const KINDS: [FileKind; 3] = [FileKind::Sst, FileKind::Wal, FileKind::Manifest];
+
+    /// A KDS that counts the revocations it is asked for.
+    #[derive(Default)]
+    struct CountingKds {
+        inner: LocalKds,
+        revokes: AtomicU64,
+    }
+
+    impl Kds for CountingKds {
+        fn generate_dek(&self, requester: ServerId, algorithm: Algorithm) -> KdsResult<Dek> {
+            self.inner.generate_dek(requester, algorithm)
+        }
+        fn fetch_dek(&self, requester: ServerId, id: DekId) -> KdsResult<Dek> {
+            self.inner.fetch_dek(requester, id)
+        }
+        fn revoke_dek(&self, id: DekId) -> KdsResult<()> {
+            self.revokes.fetch_add(1, Ordering::Relaxed);
+            self.inner.revoke_dek(id)
+        }
+        fn authorize_server(&self, server: ServerId) {
+            self.inner.authorize_server(server);
+        }
+        fn revoke_server(&self, server: ServerId) {
+            self.inner.revoke_server(server);
+        }
+        fn stats(&self) -> KdsStats {
+            self.inner.stats()
+        }
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Encryption {
+        None,
+        Shield,
+        ShieldPlaintextWal,
+    }
+
+    fn store(
+        env: &MemEnv,
+        encryption: Encryption,
+        mode: Integrity,
+    ) -> (FileStore, Arc<CountingKds>) {
+        let kds = Arc::new(CountingKds::default());
+        let shield = || {
+            EncryptionConfig::new(Arc::new(DekResolver::new(
+                kds.clone(),
+                None,
+                ServerId(1),
+                Algorithm::Aes128Ctr,
+            )))
+        };
+        let cfg = match encryption {
+            Encryption::None => None,
+            Encryption::Shield => Some(shield()),
+            Encryption::ShieldPlaintextWal => Some(shield().with_plaintext_wal()),
+        };
+        let integrity = IntegrityOptions { mode, key: ENGINE_KEY };
+        (FileStore::new(Arc::new(env.clone()), cfg, integrity), kds)
+    }
+
+    /// The key rule, as a table: a file is authenticated with a subkey of
+    /// its own DEK iff it got one, with the engine key otherwise; writers
+    /// hold a key only under `Hmac`, readers always.
+    #[test]
+    fn key_rule_for_every_encryption_integrity_and_kind() {
+        for encryption in [Encryption::None, Encryption::Shield, Encryption::ShieldPlaintextWal] {
+            for mode in [Integrity::Crc, Integrity::Hmac] {
+                for kind in KINDS {
+                    let what = format!("{encryption:?}/{mode:?}/{kind:?}");
+                    let env = MemEnv::new();
+                    let (files, _) = store(&env, encryption, mode);
+                    let (mut file, dek_id, write_key) = files.create("f", kind).expect(&what);
+                    file.append(&[7u8; 100]).expect(&what);
+                    file.sync().expect(&what);
+                    drop(file);
+                    let (_, read) = files.open_random("f", kind).expect(&what);
+
+                    let gets_dek = match encryption {
+                        Encryption::None => false,
+                        Encryption::Shield => true,
+                        Encryption::ShieldPlaintextWal => kind != FileKind::Wal,
+                    };
+                    assert_eq!(dek_id.is_some(), gets_dek, "{what}: dek id");
+                    let expected_key = match dek_id {
+                        Some(id) => {
+                            let cfg = files.encryption.as_ref().expect("encrypted");
+                            derive_mac_subkey(cfg.resolver.resolve(id).expect(&what).key_bytes())
+                        }
+                        None => ENGINE_KEY,
+                    };
+                    assert_eq!(
+                        write_key,
+                        (mode == Integrity::Hmac).then_some(expected_key),
+                        "{what}: write key"
+                    );
+                    assert_eq!(read.key, expected_key, "{what}: read key");
+                    assert_eq!(read.expect_hmac, mode == Integrity::Hmac, "{what}");
+                }
+            }
+        }
+    }
+
+    /// What `create_log` writes, `open_log` of any store with the same
+    /// settings replays; a store holding another engine key refuses an
+    /// authenticated log that has no DEK, and is indifferent when the
+    /// log has one.
+    #[test]
+    fn logs_round_trip_and_bind_the_key_the_rule_names() {
+        for encryption in [Encryption::None, Encryption::Shield, Encryption::ShieldPlaintextWal] {
+            for kind in [FileKind::Wal, FileKind::Manifest] {
+                let what = format!("{encryption:?}/{kind:?}");
+                let env = MemEnv::new();
+                let (files, _) = store(&env, encryption, Integrity::Hmac);
+                let mut writer = files.create_log("log", kind).expect(&what);
+                assert!(writer.is_hmac(), "{what}");
+                writer.add_record(b"first").expect(&what);
+                writer.add_record(b"second").expect(&what);
+                writer.sync().expect(&what);
+
+                let mut tailer = files.open_log("log", kind, 9).expect(&what);
+                for expected in [&b"first"[..], b"second"] {
+                    match tailer.poll().expect(&what) {
+                        TailPoll::Record(r) => assert_eq!(r, expected, "{what}"),
+                        TailPoll::Pending(end) => panic!("{what}: log ended early ({end:?})"),
+                    }
+                }
+                assert!(tailer.is_hmac(), "{what}");
+
+                // Verification is format-driven: a `Crc` store still holds
+                // the key and verifies; a different engine key matters
+                // exactly when the log has no DEK.
+                let other = FileStore {
+                    integrity: IntegrityOptions { mode: Integrity::Crc, key: [0x17; 32] },
+                    ..files.clone()
+                };
+                let has_dek = encryption == Encryption::Shield
+                    || (encryption == Encryption::ShieldPlaintextWal && kind != FileKind::Wal);
+                let polled = other.open_log("log", kind, 9).expect(&what).poll();
+                match polled {
+                    Ok(TailPoll::Record(_)) => assert!(has_dek, "{what}: wrong key accepted"),
+                    Err(Error::IntegrityViolation(_)) => assert!(!has_dek, "{what}"),
+                    other => panic!("{what}: {other:?}"),
+                }
+                let failures = files.stats.snapshot().integrity_failures;
+                assert_eq!(failures, u64::from(!has_dek), "{what}: sinks attached");
+            }
+        }
+    }
+
+    /// The retire rule: revoke once from a known id without touching the
+    /// file, from the header otherwise; a missing file is already retired.
+    #[test]
+    fn retire_revokes_then_unlinks() {
+        let env = MemEnv::new();
+        let (files, kds) = store(&env, Encryption::Shield, Integrity::Crc);
+        let reads = || env.io_stats().expect("stats").snapshot().read_ops[FileKind::Sst.index()];
+
+        let (_, known, _) = files.create("a.sst", FileKind::Sst).expect("create");
+        let known = known.expect("dek");
+        let before = reads();
+        assert!(files.retire("a.sst", FileKind::Sst, Some(known)));
+        assert_eq!(kds.revokes.load(Ordering::Relaxed), 1);
+        assert_eq!(reads(), before, "a known id needs no header peek");
+        assert!(!kds.inner.has_dek(known) && !env.file_exists("a.sst"));
+
+        let (_, peeked, _) = files.create("b.sst", FileKind::Sst).expect("create");
+        assert!(files.retire("b.sst", FileKind::Sst, None));
+        assert_eq!(kds.revokes.load(Ordering::Relaxed), 2);
+        assert!(!kds.inner.has_dek(peeked.expect("dek")) && !env.file_exists("b.sst"));
+
+        assert!(!files.retire("b.sst", FileKind::Sst, None), "already gone");
+        assert_eq!(kds.revokes.load(Ordering::Relaxed), 2, "nothing left to revoke");
+
+        // Without encryption there is no key to revoke: just the unlink.
+        let (plain, plain_kds) = store(&env, Encryption::None, Integrity::Crc);
+        drop(plain.create("c.sst", FileKind::Sst).expect("create"));
+        assert!(plain.retire("c.sst", FileKind::Sst, None));
+        assert_eq!(plain_kds.revokes.load(Ordering::Relaxed), 0);
+    }
+}

@@ -63,8 +63,8 @@ const PREFETCH_WORKERS: usize = 4;
 /// multi-gigabyte "block" and turn one `read_at` into an OOM
 /// (allocation-by-length-field, the SecureDekCache bug pattern).
 const MAX_BLOCK_LEN: usize = 1 << 26; // 64 MiB
-/// Default bounded in-flight depth for batched reads
-/// ([`crate::Options::max_inflight_reads`] overrides it per engine).
+/// Bounded in-flight depth for batched reads: block reads per
+/// `read_at_many` submission window of every engine's fetcher.
 pub const DEFAULT_INFLIGHT_READS: usize = 16;
 
 /// A block obtained through the fetcher. `Cached` keeps the entry pinned

@@ -7,9 +7,8 @@ use std::sync::{Arc, Weak};
 use shield_crypto::DekId;
 use shield_env::{Env, FileKind};
 
-use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
-use crate::integrity::{Integrity, IntegrityOptions};
+use crate::files::FileStore;
 use crate::version::edit::VersionEdit;
 use crate::version::filenames::{current_file_name, manifest_file_name};
 use crate::version::table_cache::TableCache;
@@ -19,9 +18,8 @@ use crate::wal::LogWriter;
 
 /// Owns the mutable metadata state of a database.
 pub struct VersionSet {
-    env: Arc<dyn Env>,
+    files: FileStore,
     path: String,
-    encryption: Option<EncryptionConfig>,
     table_cache: Arc<TableCache>,
     current: Arc<Version>,
     /// Superseded versions that may still be pinned by in-flight readers
@@ -29,7 +27,6 @@ pub struct VersionSet {
     /// its files without the state lock). Obsolete-file deletion must
     /// treat their files as live until the last reader drops its pin.
     retired: Vec<Weak<Version>>,
-    integrity: IntegrityOptions,
     manifest: Option<LogWriter>,
     manifest_number: u64,
     next_file_number: u64,
@@ -43,22 +40,16 @@ pub struct VersionSet {
 }
 
 impl VersionSet {
-    /// Creates an empty, not-yet-recovered version set.
+    /// Creates an empty, not-yet-recovered version set over the tree in
+    /// `path`.
     #[must_use]
-    pub fn new(
-        env: Arc<dyn Env>,
-        path: String,
-        encryption: Option<EncryptionConfig>,
-        table_cache: Arc<TableCache>,
-    ) -> Self {
+    pub fn new(files: FileStore, path: String, table_cache: Arc<TableCache>) -> Self {
         VersionSet {
-            env,
+            files,
             path,
-            encryption,
             table_cache,
             current: Arc::new(Version::new()),
             retired: Vec::new(),
-            integrity: IntegrityOptions::default(),
             manifest: None,
             manifest_number: 0,
             next_file_number: 1,
@@ -66,13 +57,6 @@ impl VersionSet {
             log_number: 0,
             obsolete_deks: HashMap::new(),
         }
-    }
-
-    /// Sets the integrity settings used for manifests written (and
-    /// verified) by this set. Call before [`create_new`](Self::create_new)
-    /// or [`recover`](Self::recover).
-    pub fn set_integrity(&mut self, integrity: IntegrityOptions) {
-        self.integrity = integrity;
     }
 
     /// The current version.
@@ -147,15 +131,10 @@ impl VersionSet {
     /// rewrites a clean snapshot), where a live tailer would instead hold
     /// position and retry.
     pub fn recover(&mut self) -> Result<()> {
-        let mut tailer = ManifestTailer::open(
-            self.env.as_ref(),
-            &self.path,
-            self.encryption.as_ref(),
-            self.integrity.key,
-        )?;
+        let mut tailer = ManifestTailer::open(&self.files, &self.path)?;
         let mut applier = EditApplier::new();
         loop {
-            match tailer.poll(self.env.as_ref())? {
+            match tailer.poll()? {
                 ManifestPoll::Edit(edit) => applier.apply(&edit),
                 // CURRENT cannot move under a one-shot recovery (we are
                 // the only writer), but follow it all the same.
@@ -174,10 +153,7 @@ impl VersionSet {
         let old_manifest =
             shield_env::join_path(&self.path, tailer.manifest_name());
         self.roll_manifest()?;
-        if let Some(cfg) = &self.encryption {
-            cfg.note_file_deleted(self.env.as_ref(), &old_manifest, FileKind::Manifest)?;
-        }
-        let _ = self.env.remove_file(&old_manifest);
+        self.files.retire(&old_manifest, FileKind::Manifest, None);
         Ok(())
     }
 
@@ -187,17 +163,7 @@ impl VersionSet {
         let number = self.new_file_number();
         let name = manifest_file_name(number);
         let manifest_path = shield_env::join_path(&self.path, &name);
-        let (file, dek_mac) = match &self.encryption {
-            Some(cfg) => {
-                let (f, _, mac) =
-                    cfg.new_writable_with_mac(self.env.as_ref(), &manifest_path, FileKind::Manifest)?;
-                (f, mac)
-            }
-            None => (self.env.new_writable_file(&manifest_path, FileKind::Manifest)?, None),
-        };
-        let mac_key = (self.integrity.mode == Integrity::Hmac)
-            .then(|| dek_mac.unwrap_or(self.integrity.key));
-        let mut writer = LogWriter::with_integrity(file, mac_key)?;
+        let mut writer = self.files.create_log(&manifest_path, FileKind::Manifest)?;
         // Snapshot edit.
         let mut snapshot = VersionEdit {
             log_number: Some(self.log_number),
@@ -215,7 +181,7 @@ impl VersionSet {
         self.manifest = Some(writer);
         self.manifest_number = number;
         shield_env::write_file_atomic(
-            self.env.as_ref(),
+            self.files.env.as_ref(),
             &shield_env::join_path(&self.path, &current_file_name()),
             FileKind::Manifest,
             name.as_bytes(),
@@ -275,6 +241,8 @@ impl VersionSet {
 mod tests {
     use super::*;
     use crate::types::{make_internal_key, ValueType};
+    use crate::encryption::EncryptionConfig;
+    use crate::integrity::{Integrity, IntegrityOptions};
     use crate::version::edit::FileMeta;
     use shield_env::MemEnv;
 
@@ -288,9 +256,13 @@ mod tests {
         }
     }
 
+    fn set_over(files: FileStore) -> VersionSet {
+        let tc = TableCache::new(files.clone(), "db".into(), None, 8, 0);
+        VersionSet::new(files, "db".into(), tc)
+    }
+
     fn new_set(env: &MemEnv) -> VersionSet {
-        let tc = TableCache::new(Arc::new(env.clone()), "db".into(), None, None, 8);
-        VersionSet::new(Arc::new(env.clone()), "db".into(), None, tc)
+        set_over(FileStore::new(Arc::new(env.clone()), None, IntegrityOptions::default()))
     }
 
     #[test]
@@ -376,11 +348,10 @@ mod tests {
     #[test]
     fn hmac_manifest_roundtrip_and_replay_detection() {
         let env = MemEnv::new();
-        let key = [9u8; 32];
-        let opts = IntegrityOptions { mode: Integrity::Hmac, key };
+        let opts = IntegrityOptions { mode: Integrity::Hmac, key: [9u8; 32] };
+        let new_set = |env: &MemEnv| set_over(FileStore::new(Arc::new(env.clone()), None, opts));
         {
             let mut vs = new_set(&env);
-            vs.set_integrity(opts);
             vs.create_new().unwrap();
             vs.log_and_apply(VersionEdit {
                 new_files: vec![(1, meta(10, "a", "z"))],
@@ -391,7 +362,6 @@ mod tests {
         let manifest;
         {
             let mut vs = new_set(&env);
-            vs.set_integrity(opts);
             vs.recover().unwrap();
             assert_eq!(vs.current().level_files(1), 1);
             manifest = manifest_file_name(vs.manifest_number());
@@ -405,7 +375,6 @@ mod tests {
         raw.extend_from_slice(&dup);
         env.set_raw_content(&path, raw).unwrap();
         let mut vs = new_set(&env);
-        vs.set_integrity(opts);
         let err = vs.recover().unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation(_)), "got {err:?}");
     }
@@ -420,10 +389,10 @@ mod tests {
         let resolver =
             Arc::new(DekResolver::new(kds, None, ServerId(1), Algorithm::Aes128Ctr));
         let cfg = EncryptionConfig::new(resolver);
-        let tc = TableCache::new(Arc::new(env.clone()), "db".into(), Some(cfg.clone()), None, 8);
+        let files =
+            FileStore::new(Arc::new(env.clone()), Some(cfg), IntegrityOptions::default());
         {
-            let mut vs =
-                VersionSet::new(Arc::new(env.clone()), "db".into(), Some(cfg.clone()), tc.clone());
+            let mut vs = set_over(files.clone());
             vs.create_new().unwrap();
             vs.log_and_apply(VersionEdit {
                 new_files: vec![(1, meta(10, "secretkey-a", "secretkey-z"))],
@@ -435,7 +404,7 @@ mod tests {
             let raw = env.raw_content(&shield_env::join_path("db", &name)).unwrap();
             assert!(!raw.windows(9).any(|w| w == b"secretkey"));
         }
-        let mut vs = VersionSet::new(Arc::new(env.clone()), "db".into(), Some(cfg), tc);
+        let mut vs = set_over(files);
         vs.recover().unwrap();
         assert_eq!(vs.current().level_files(1), 1);
     }

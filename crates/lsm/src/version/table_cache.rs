@@ -9,14 +9,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shield_env::{Env, FileKind};
+use shield_env::FileKind;
 
 use crate::cache::BlockCache;
-use crate::encryption::EncryptionConfig;
 use crate::error::Result;
-use crate::integrity::{Integrity, IntegrityOptions, ReadIntegrity};
+use crate::files::{CreatedFile, FileStore};
+use crate::sst::fetcher::DEFAULT_INFLIGHT_READS;
 use crate::sst::{BlockFetcher, Table};
 use crate::version::filenames::sst_file_name;
+
+/// Open table readers a primary keeps per tree.
+pub const MAX_OPEN_FILES: usize = 500;
 
 struct Inner {
     tables: HashMap<u64, (Arc<Table>, u64)>,
@@ -39,13 +42,9 @@ const FILE_NUMBER_BITS: u32 = 40;
 /// Owns the engine's one [`BlockFetcher`]: every table opened here shares
 /// its block cache, single-flight table, and prefetch pool.
 pub struct TableCache {
-    env: Arc<dyn Env>,
+    files: FileStore,
     db_path: String,
-    encryption: Option<EncryptionConfig>,
     fetcher: Arc<BlockFetcher>,
-    stats: Option<Arc<crate::statistics::Statistics>>,
-    integrity: IntegrityOptions,
-    events: Option<Arc<shield_core::EventDispatcher>>,
     capacity: usize,
     /// This cache's slice of the block-cache key space.
     cache_owner: u64,
@@ -53,61 +52,27 @@ pub struct TableCache {
 }
 
 impl TableCache {
-    /// Creates a cache holding at most `capacity` open tables.
+    /// Creates a cache holding at most `capacity` open tables of the tree
+    /// in `db_path`, opened through `files` and read through
+    /// `block_cache`; `readahead_blocks` is the default prefetch depth of
+    /// iterators over them.
     #[must_use]
     pub fn new(
-        env: Arc<dyn Env>,
+        files: FileStore,
         db_path: String,
-        encryption: Option<EncryptionConfig>,
         block_cache: Option<Arc<BlockCache>>,
-        capacity: usize,
-    ) -> Arc<Self> {
-        Self::new_with_stats(
-            env,
-            db_path,
-            encryption,
-            block_cache,
-            None,
-            capacity,
-            0,
-            crate::sst::fetcher::DEFAULT_INFLIGHT_READS,
-            IntegrityOptions::default(),
-            None,
-        )
-    }
-
-    /// [`TableCache::new`] with an engine ticker sink handed to every
-    /// opened [`Table`] (for `bloom_useful` accounting), a default
-    /// readahead depth for iterators over these tables, the in-flight
-    /// depth for batched reads, and the engine's integrity settings plus
-    /// the event sink violations report to.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_stats(
-        env: Arc<dyn Env>,
-        db_path: String,
-        encryption: Option<EncryptionConfig>,
-        block_cache: Option<Arc<BlockCache>>,
-        stats: Option<Arc<crate::statistics::Statistics>>,
         capacity: usize,
         readahead_blocks: usize,
-        max_inflight_reads: usize,
-        integrity: IntegrityOptions,
-        events: Option<Arc<shield_core::EventDispatcher>>,
     ) -> Arc<Self> {
         Arc::new(TableCache {
-            env,
-            db_path,
-            encryption,
             fetcher: BlockFetcher::with_depth(
                 block_cache,
                 readahead_blocks,
-                max_inflight_reads,
-                stats.clone(),
+                DEFAULT_INFLIGHT_READS,
+                Some(files.stats.clone()),
             ),
-            stats,
-            integrity,
-            events,
+            files,
+            db_path,
             capacity: capacity.max(4),
             cache_owner: NEXT_CACHE_OWNER.fetch_add(1, Ordering::Relaxed),
             inner: Mutex::new(Inner { tables: HashMap::new(), tick: 0 }),
@@ -118,6 +83,17 @@ impl TableCache {
     #[must_use]
     pub fn fetcher(&self) -> &Arc<BlockFetcher> {
         &self.fetcher
+    }
+
+    /// Where table `file_number` of this tree lives.
+    fn table_path(&self, file_number: u64) -> String {
+        shield_env::join_path(&self.db_path, &sst_file_name(file_number))
+    }
+
+    /// Creates the file of table `file_number` for a flush or compaction
+    /// to build: the store that will open it decides its DEK and tag key.
+    pub fn create(&self, file_number: u64) -> Result<CreatedFile> {
+        self.files.create(&self.table_path(file_number), FileKind::Sst)
     }
 
     /// Returns the open table for `file_number`, opening it if needed.
@@ -132,24 +108,14 @@ impl TableCache {
             }
         }
         // Open outside the lock: DEK resolution may hit the network.
-        let path = shield_env::join_path(&self.db_path, &sst_file_name(file_number));
-        // SHIELD files verify with a subkey of their own DEK; plaintext
-        // files fall back to the engine-wide integrity key.
-        let (file, dek_mac) = match &self.encryption {
-            Some(cfg) => cfg.open_random_with_mac(self.env.as_ref(), &path, FileKind::Sst)?,
-            None => (self.env.new_random_access_file(&path, FileKind::Sst)?, None),
-        };
-        let read_integrity = ReadIntegrity {
-            key: dek_mac.unwrap_or(self.integrity.key),
-            expect_hmac: self.integrity.mode == Integrity::Hmac,
-            events: self.events.clone(),
-        };
+        let (file, read_integrity) =
+            self.files.open_random(&self.table_path(file_number), FileKind::Sst)?;
         let table = Arc::new(Table::open_with_fetcher(
             file,
             (self.cache_owner << FILE_NUMBER_BITS) | (file_number & ((1 << FILE_NUMBER_BITS) - 1)),
             file_number,
             self.fetcher.clone(),
-            self.stats.clone(),
+            Some(self.files.stats.clone()),
             read_integrity,
         )?);
         let mut inner = self.inner.lock();
@@ -190,8 +156,14 @@ impl TableCache {
 mod tests {
     use super::*;
     use crate::sst::builder::{TableBuilder, TableBuilderOptions};
+    use crate::integrity::IntegrityOptions;
     use crate::types::{make_internal_key, ValueType};
-    use shield_env::MemEnv;
+    use shield_env::{Env, MemEnv};
+
+    fn cache_over(env: MemEnv, capacity: usize) -> Arc<TableCache> {
+        let files = FileStore::new(Arc::new(env), None, IntegrityOptions::default());
+        TableCache::new(files, "db".into(), None, capacity, 0)
+    }
 
     fn build(env: &MemEnv, number: u64) {
         let path = shield_env::join_path("db", &sst_file_name(number));
@@ -206,7 +178,7 @@ mod tests {
     fn opens_and_caches() {
         let env = MemEnv::new();
         build(&env, 1);
-        let cache = TableCache::new(Arc::new(env), "db".into(), None, None, 8);
+        let cache = cache_over(env, 8);
         let a = cache.get(1).unwrap();
         let b = cache.get(1).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -219,7 +191,7 @@ mod tests {
         for n in 1..=10 {
             build(&env, n);
         }
-        let cache = TableCache::new(Arc::new(env), "db".into(), None, None, 4);
+        let cache = cache_over(env, 4);
         for n in 1..=10 {
             cache.get(n).unwrap();
         }
@@ -230,7 +202,7 @@ mod tests {
     fn explicit_evict() {
         let env = MemEnv::new();
         build(&env, 1);
-        let cache = TableCache::new(Arc::new(env), "db".into(), None, None, 8);
+        let cache = cache_over(env, 8);
         cache.get(1).unwrap();
         cache.evict(1);
         assert!(cache.is_empty());
@@ -239,7 +211,7 @@ mod tests {
     #[test]
     fn missing_file_is_error() {
         let env = MemEnv::new();
-        let cache = TableCache::new(Arc::new(env), "db".into(), None, None, 8);
+        let cache = cache_over(env, 8);
         assert!(cache.get(42).is_err());
     }
 }

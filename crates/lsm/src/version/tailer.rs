@@ -12,12 +12,10 @@
 
 use std::sync::Arc;
 
-use shield_core::EventDispatcher;
-use shield_env::{Env, FileKind};
+use shield_env::FileKind;
 
-use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
-use crate::statistics::Statistics;
+use crate::files::FileStore;
 use crate::version::edit::{FileMeta, VersionEdit};
 use crate::version::filenames::current_file_name;
 use crate::version::version::{Version, NUM_LEVELS};
@@ -44,55 +42,25 @@ pub enum ManifestPoll {
 /// across polls (byte/fragment exact, via [`WalTailer`]) and follows
 /// MANIFEST rollovers through the CURRENT pointer.
 pub struct ManifestTailer {
+    files: FileStore,
     path: String,
-    encryption: Option<EncryptionConfig>,
-    /// Engine-wide MAC key; authenticated manifests verify regardless of
-    /// the current integrity mode (format-driven verification). In
-    /// SHIELD mode the file's DEK subkey overrides this.
-    integrity_key: [u8; 32],
     manifest_name: String,
     tailer: WalTailer,
     rollovers: u64,
-    stats: Option<Arc<Statistics>>,
-    events: Option<Arc<EventDispatcher>>,
 }
 
 impl ManifestTailer {
     /// Opens the manifest CURRENT points at, positioned at its start.
-    pub fn open(
-        env: &dyn Env,
-        path: &str,
-        encryption: Option<&EncryptionConfig>,
-        integrity_key: [u8; 32],
-    ) -> Result<Self> {
-        let name = read_current(env, path)?;
-        let tailer =
-            open_manifest(env, path, &name, encryption, integrity_key, None, None)?;
+    pub fn open(files: &FileStore, path: &str) -> Result<Self> {
+        let name = read_current(files, path)?;
+        let tailer = open_manifest(files, path, &name)?;
         Ok(ManifestTailer {
+            files: files.clone(),
             path: path.to_string(),
-            encryption: encryption.cloned(),
-            integrity_key,
             manifest_name: name,
             tailer,
             rollovers: 0,
-            stats: None,
-            events: None,
         })
-    }
-
-    /// Attaches observability sinks used when a violation is reported.
-    /// Must be called before the first poll.
-    #[must_use]
-    pub fn with_sinks(
-        mut self,
-        stats: Option<Arc<Statistics>>,
-        events: Option<Arc<EventDispatcher>>,
-    ) -> Self {
-        self.stats = stats;
-        self.events = events;
-        let number = manifest_number(&self.manifest_name);
-        self.tailer.set_sinks(number, self.stats.clone(), self.events.clone());
-        self
     }
 
     /// Name of the manifest file currently being tailed.
@@ -108,10 +76,8 @@ impl ManifestTailer {
     }
 
     /// Pulls the next manifest edit, follows a rollover, or reports that
-    /// the tail holds nothing further yet. `env` is the same environment
-    /// the tailer was opened against (passed per call so borrowing
-    /// callers and `Arc` holders both work).
-    pub fn poll(&mut self, env: &dyn Env) -> Result<ManifestPoll> {
+    /// the tail holds nothing further yet.
+    pub fn poll(&mut self) -> Result<ManifestPoll> {
         match self.tailer.poll()? {
             TailPoll::Record(record) => Ok(ManifestPoll::Edit(VersionEdit::decode(&record)?)),
             TailPoll::Pending(end) => {
@@ -119,9 +85,10 @@ impl ManifestTailer {
                 // new manifest (recovery and compaction both do): follow
                 // the CURRENT pointer. A deleted-but-held old manifest
                 // simply stops growing, so this is the only signal.
-                let name = read_current(env, &self.path)?;
+                let name = read_current(&self.files, &self.path)?;
                 if name != self.manifest_name {
-                    self.reopen(env, name)?;
+                    self.tailer = open_manifest(&self.files, &self.path, &name)?;
+                    self.manifest_name = name;
                     self.rollovers += 1;
                     return Ok(ManifestPoll::Rollover);
                 }
@@ -129,42 +96,11 @@ impl ManifestTailer {
             }
         }
     }
-
-    /// Points the tailer at the start of manifest `name`.
-    fn reopen(&mut self, env: &dyn Env, name: String) -> Result<()> {
-        self.tailer = open_manifest(
-            env,
-            &self.path,
-            &name,
-            self.encryption.as_ref(),
-            self.integrity_key,
-            self.stats.clone(),
-            self.events.clone(),
-        )?;
-        self.manifest_name = name;
-        Ok(())
-    }
 }
 
-/// Opens manifest `name` for tailing, resolving its DEK (SHIELD mode)
-/// and handing the tailer a MAC key so authenticated manifests verify
-/// regardless of the current integrity mode.
-fn open_manifest(
-    env: &dyn Env,
-    path: &str,
-    name: &str,
-    encryption: Option<&EncryptionConfig>,
-    integrity_key: [u8; 32],
-    stats: Option<Arc<Statistics>>,
-    events: Option<Arc<EventDispatcher>>,
-) -> Result<WalTailer> {
-    let manifest_path = shield_env::join_path(path, name);
-    let (file, dek_mac) = match encryption {
-        Some(cfg) => cfg.open_sequential_with_mac(env, &manifest_path, FileKind::Manifest)?,
-        None => (env.new_sequential_file(&manifest_path, FileKind::Manifest)?, None),
-    };
-    Ok(WalTailer::with_integrity(file, Some(dek_mac.unwrap_or(integrity_key)))
-        .with_sinks(manifest_number(name), stats, events))
+/// Opens manifest `name` of the database in `path` at its start.
+fn open_manifest(files: &FileStore, path: &str, name: &str) -> Result<WalTailer> {
+    files.open_log(&shield_env::join_path(path, name), FileKind::Manifest, manifest_number(name))
 }
 
 /// The manifest's file number (0 if the name does not parse).
@@ -176,9 +112,9 @@ fn manifest_number(name: &str) -> u64 {
 }
 
 /// Reads and validates the CURRENT pointer.
-fn read_current(env: &dyn Env, path: &str) -> Result<String> {
+fn read_current(files: &FileStore, path: &str) -> Result<String> {
     let current_path = shield_env::join_path(path, &current_file_name());
-    let name = shield_env::read_file_to_vec(env, &current_path, FileKind::Manifest)?;
+    let name = shield_env::read_file_to_vec(files.env.as_ref(), &current_path, FileKind::Manifest)?;
     let name =
         String::from_utf8(name).map_err(|_| Error::Corruption("CURRENT not utf-8".into()))?;
     Ok(name.trim().to_string())
@@ -321,9 +257,13 @@ mod tests {
         }
     }
 
+    fn store(env: &MemEnv) -> FileStore {
+        FileStore::new(Arc::new(env.clone()), None, IntegrityOptions::default())
+    }
+
     fn new_set(env: &MemEnv) -> VersionSet {
-        let tc = TableCache::new(Arc::new(env.clone()), "db".into(), None, None, 8);
-        VersionSet::new(Arc::new(env.clone()), "db".into(), None, tc)
+        let tc = TableCache::new(store(env), "db".into(), None, 8, 0);
+        VersionSet::new(store(env), "db".into(), tc)
     }
 
     #[test]
@@ -332,12 +272,11 @@ mod tests {
         let mut vs = new_set(&env);
         vs.create_new().unwrap();
 
-        let key = IntegrityOptions::default().key;
-        let mut tailer = ManifestTailer::open(&env, "db", None, key).unwrap();
+        let mut tailer = ManifestTailer::open(&store(&env), "db").unwrap();
         let mut applier = EditApplier::new();
         // Drain the initial snapshot.
         loop {
-            match tailer.poll(&env).unwrap() {
+            match tailer.poll().unwrap() {
                 ManifestPoll::Edit(e) => applier.apply(&e),
                 ManifestPoll::Pending(TailEnd::Clean) => break,
                 other => panic!("unexpected {other:?}"),
@@ -351,12 +290,12 @@ mod tests {
             ..VersionEdit::default()
         })
         .unwrap();
-        let ManifestPoll::Edit(e) = tailer.poll(&env).unwrap() else {
+        let ManifestPoll::Edit(e) = tailer.poll().unwrap() else {
             panic!("expected edit")
         };
         applier.apply(&e);
         assert!(matches!(
-            tailer.poll(&env).unwrap(),
+            tailer.poll().unwrap(),
             ManifestPoll::Pending(TailEnd::Clean)
         ));
         assert_eq!(applier.version().level_files(1), 1);
@@ -367,7 +306,7 @@ mod tests {
             ..VersionEdit::default()
         })
         .unwrap();
-        let ManifestPoll::Edit(e) = tailer.poll(&env).unwrap() else {
+        let ManifestPoll::Edit(e) = tailer.poll().unwrap() else {
             panic!("expected edit")
         };
         applier.apply(&e);
@@ -380,7 +319,6 @@ mod tests {
     #[test]
     fn follows_manifest_rollover() {
         let env = MemEnv::new();
-        let key = IntegrityOptions::default().key;
         {
             let mut vs = new_set(&env);
             vs.create_new().unwrap();
@@ -390,10 +328,10 @@ mod tests {
             })
             .unwrap();
         }
-        let mut tailer = ManifestTailer::open(&env, "db", None, key).unwrap();
+        let mut tailer = ManifestTailer::open(&store(&env), "db").unwrap();
         let mut applier = EditApplier::new();
         loop {
-            match tailer.poll(&env).unwrap() {
+            match tailer.poll().unwrap() {
                 ManifestPoll::Edit(e) => applier.apply(&e),
                 ManifestPoll::Pending(_) => break,
                 ManifestPoll::Rollover => panic!("no rollover yet"),
@@ -416,7 +354,7 @@ mod tests {
         }
         let mut saw_rollover = false;
         loop {
-            match tailer.poll(&env).unwrap() {
+            match tailer.poll().unwrap() {
                 ManifestPoll::Edit(e) => applier.apply(&e),
                 ManifestPoll::Rollover => {
                     saw_rollover = true;
@@ -436,7 +374,6 @@ mod tests {
     #[test]
     fn torn_tail_edit_retries_from_same_offset() {
         let env = MemEnv::new();
-        let key = IntegrityOptions::default().key;
         let mut vs = new_set(&env);
         vs.create_new().unwrap();
         let manifest = shield_env::join_path(
@@ -445,10 +382,10 @@ mod tests {
         );
         let complete = env.raw_content(&manifest).unwrap();
 
-        let mut tailer = ManifestTailer::open(&env, "db", None, key).unwrap();
+        let mut tailer = ManifestTailer::open(&store(&env), "db").unwrap();
         let mut applier = EditApplier::new();
         loop {
-            match tailer.poll(&env).unwrap() {
+            match tailer.poll().unwrap() {
                 ManifestPoll::Edit(e) => applier.apply(&e),
                 ManifestPoll::Pending(TailEnd::Clean) => break,
                 other => panic!("unexpected {other:?}"),
@@ -466,14 +403,14 @@ mod tests {
         assert!(full.len() > complete.len());
         env.set_raw_content(&manifest, full[..full.len() - 3].to_vec()).unwrap();
         assert!(matches!(
-            tailer.poll(&env).unwrap(),
+            tailer.poll().unwrap(),
             ManifestPoll::Pending(TailEnd::Incomplete)
         ));
         assert_eq!(applier.version().level_files(1), 0, "torn edit must not apply");
 
         // The primary finishes the write; the same poll loop resumes.
         env.set_raw_content(&manifest, full).unwrap();
-        let ManifestPoll::Edit(e) = tailer.poll(&env).unwrap() else {
+        let ManifestPoll::Edit(e) = tailer.poll().unwrap() else {
             panic!("expected completed edit")
         };
         applier.apply(&e);

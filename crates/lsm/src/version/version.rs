@@ -471,7 +471,8 @@ mod tests {
     }
 
     fn cache(env: &MemEnv) -> Arc<TableCache> {
-        TableCache::new(Arc::new(env.clone()), "db".into(), None, None, 16)
+        let files = crate::FileStore::new(Arc::new(env.clone()), None, Default::default());
+        TableCache::new(files, "db".into(), None, 16, 0)
     }
 
     #[test]

@@ -16,11 +16,10 @@ use std::sync::Arc;
 
 use shield_core::EventDispatcher;
 use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, crc32c_unmask, HmacKey};
-use shield_env::{Env, FileKind, SequentialFile, WritableFile};
+use shield_env::{SequentialFile, WritableFile};
 
-use crate::encryption::EncryptionConfig;
 use crate::error::{Error, Result};
-use crate::integrity::{position_tag, Integrity, IntegrityCtx, BLOCK_TAG_LEN, CONTEXT_LEN};
+use crate::integrity::{position_tag, IntegrityCtx, BLOCK_TAG_LEN, CONTEXT_LEN};
 use crate::statistics::Statistics;
 
 /// Log block size (32 KiB, as in RocksDB).
@@ -333,20 +332,10 @@ impl WalTailer {
         stats: Option<Arc<Statistics>>,
         events: Option<Arc<EventDispatcher>>,
     ) -> Self {
-        self.set_sinks(file_number, stats, events);
-        self
-    }
-
-    /// In-place form of [`with_sinks`](Self::with_sinks).
-    pub fn set_sinks(
-        &mut self,
-        file_number: u64,
-        stats: Option<Arc<Statistics>>,
-        events: Option<Arc<EventDispatcher>>,
-    ) {
         self.file_number = file_number;
         self.stats = stats;
         self.events = events;
+        self
     }
 
     /// True once the log was identified as authenticated.
@@ -593,48 +582,6 @@ impl WalTailer {
     }
 }
 
-/// Opens WAL segment `path` for tailing/replay: resolves the file's DEK
-/// by DEK-ID (SHIELD mode) so the decrypting wrapper tracks its own CTR
-/// offset across polls, and hands the tailer a MAC key — the DEK subkey,
-/// or `integrity_key` for plaintext segments — so authenticated logs
-/// verify regardless of the current integrity mode. Primary recovery
-/// and live replica catch-up both open WALs here.
-pub fn open_wal_tailer(
-    env: &dyn Env,
-    path: &str,
-    encryption: Option<&EncryptionConfig>,
-    integrity_key: [u8; 32],
-) -> Result<WalTailer> {
-    let (file, dek_mac) = match encryption {
-        Some(cfg) => cfg.open_sequential_with_mac(env, path, FileKind::Wal)?,
-        None => (env.new_sequential_file(path, FileKind::Wal)?, None),
-    };
-    Ok(WalTailer::with_integrity(file, Some(dek_mac.unwrap_or(integrity_key))))
-}
-
-/// Creates WAL segment `path` for appending — the counterpart of
-/// [`open_wal_tailer`]: encrypted under a fresh DEK (with the §5.3
-/// buffer) when `encryption` is set, and under [`Integrity::Hmac`]
-/// tagging every record with the DEK subkey, or `integrity_key` when the
-/// segment is plaintext.
-pub fn create_wal_writer(
-    env: &dyn Env,
-    path: &str,
-    encryption: Option<&EncryptionConfig>,
-    integrity: Integrity,
-    integrity_key: [u8; 32],
-) -> Result<LogWriter> {
-    let (file, dek_mac) = match encryption {
-        Some(cfg) => {
-            let (f, _, mac) = cfg.new_writable_with_mac(env, path, FileKind::Wal)?;
-            (f, mac)
-        }
-        None => (env.new_writable_file(path, FileKind::Wal)?, None),
-    };
-    let mac_key = (integrity == Integrity::Hmac).then(|| dek_mac.unwrap_or(integrity_key));
-    LogWriter::with_integrity(file, mac_key)
-}
-
 /// Reads records written by [`LogWriter`] from a finite log: a thin
 /// wrapper mapping [`WalTailer`]'s `Pending` (the tail cannot grow any
 /// further) to end-of-log, so one-shot recovery and live catch-up run
@@ -656,19 +603,6 @@ impl LogReader {
     #[must_use]
     pub fn with_integrity(src: Box<dyn SequentialFile>, key: Option<[u8; 32]>) -> Self {
         LogReader { tailer: WalTailer::with_integrity(src, key) }
-    }
-
-    /// Attaches the file number and observability sinks used when a
-    /// violation is reported. Must be called before the first read.
-    #[must_use]
-    pub fn with_sinks(
-        mut self,
-        file_number: u64,
-        stats: Option<Arc<Statistics>>,
-        events: Option<Arc<EventDispatcher>>,
-    ) -> Self {
-        self.tailer = self.tailer.with_sinks(file_number, stats, events);
-        self
     }
 
     /// True once the log was identified as authenticated.

@@ -14,7 +14,7 @@ use shield_crypto::Algorithm;
 use shield_env::{Env, MemEnv, NetworkModel};
 use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, SecureDekCache, ServerId};
 use shield_lsm::encryption::EncryptionConfig;
-use shield_lsm::Options;
+use shield_lsm::{FileStore, IntegrityOptions, Options};
 
 fn main() {
     let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
@@ -34,11 +34,13 @@ fn main() {
         ServerId(2),
         Algorithm::Aes128Ctr,
     ));
-    let compactor = OffloadedCompactor::new(
+    // Its file layer: that env, that resolver, and the integrity settings
+    // the primary opens with (the defaults here).
+    let compactor = OffloadedCompactor::new(FileStore::new(
         storage_env,
-        "db",
         Some(EncryptionConfig::new(compactor_resolver.clone()).with_chunks(64 << 10, 4)),
-    );
+        IntegrityOptions::default(),
+    ));
 
     // The primary (server-1) hands its compactions to the worker.
     let mut base = Options::new(ds.compute_mount()).with_write_buffer_size(64 << 10);

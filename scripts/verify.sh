@@ -2,10 +2,15 @@
 # Repo verification: lint, then every test once, then the bench smokes.
 #
 #   lint  : no .unwrap() in library (non-test) code of the hardened
-#           engine paths crates/lsm/src/{wal.rs,sst/,db/} — recoverable
-#           errors must stay errors (DESIGN.md §4c); clippy -D warnings
-#           over shield-crypto, shield-core, shield-env, shield-lsm and
-#           shield (skipped if clippy is unavailable).
+#           engine paths crates/lsm/src/{wal.rs,files.rs,sst/,db/} —
+#           recoverable errors must stay errors (DESIGN.md §4c); the key
+#           rule stays in the file layer (DESIGN.md §4m): no `_with_mac(`
+#           call and no read of the engine-wide integrity key in
+#           crates/{lsm,core}/src library code outside files.rs,
+#           encryption.rs, integrity.rs, db/options.rs and the one
+#           FileStore construction in Db::open; clippy -D warnings over
+#           shield-crypto, shield-core, shield-env, shield-lsm and shield
+#           (skipped if clippy is unavailable).
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
 #           root package's integration suites — fault injection, tamper,
 #           multi_get, sharded, replica, model check, … all of them), then
@@ -49,9 +54,9 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
-echo "== lint: unwrap gate (crates/lsm/src/{wal,sst,db} library code) =="
+echo "== lint: unwrap gate (crates/lsm/src/{wal,files,sst,db} library code) =="
 fail=0
-for f in crates/lsm/src/wal.rs $(find crates/lsm/src/sst crates/lsm/src/db -name '*.rs' | sort); do
+for f in crates/lsm/src/wal.rs crates/lsm/src/files.rs $(find crates/lsm/src/sst crates/lsm/src/db -name '*.rs' | sort); do
     # Only scan up to the first #[cfg(test)]: tests may unwrap freely.
     hits=$(awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(\)/{print FILENAME": "FNR": "$0}' "$f")
     if [[ -n "$hits" ]]; then
@@ -62,6 +67,25 @@ done
 if [[ $fail -ne 0 ]]; then
     echo "FAIL: .unwrap() in engine library code; return an Error (or route"
     echo "      infallible slice→array conversions through shield_lsm::varint::fixed)."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: key-rule gate (crates/{lsm,core}/src library code) =="
+hits=""
+for f in $(find crates/lsm/src crates/core/src -name '*.rs' | sort); do
+    case "$f" in
+        crates/lsm/src/files.rs | crates/lsm/src/encryption.rs | crates/lsm/src/integrity.rs | crates/lsm/src/db/options.rs) continue ;;
+    esac
+    hits+=$(awk '/#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\//{next}
+        /IntegrityOptions \{ mode: opts\.integrity, key: opts\.integrity_key \}/{next}
+        /_with_mac\(|integrity_key|\.integrity\.key/{print FILENAME": "FNR": "$0}' "$f")
+done
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: which key authenticates a file is decided in crates/lsm/src/files.rs"
+    echo "      (FileStore); open and create files through it."
     exit 1
 fi
 echo "ok"

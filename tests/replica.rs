@@ -25,8 +25,8 @@ use shield_env::{
 };
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{
-    Db, Error, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb, ReplicaOptions,
-    WriteOptions,
+    Db, Error, FileStore, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb,
+    ReplicaOptions, WriteOptions,
 };
 
 const PRIMARY: ServerId = ServerId(1);
@@ -43,6 +43,12 @@ fn small_opts(env: Arc<dyn Env>) -> Options {
     let mut opts = Options::new(env).with_write_buffer_size(8 << 10);
     opts.compaction.l0_compaction_trigger = 2;
     opts
+}
+
+/// A replica's file layer over an unencrypted (or EncFS) primary opened
+/// with the default integrity options.
+fn plain_files(env: Arc<dyn Env>) -> FileStore {
+    FileStore::new(env, None, IntegrityOptions::default())
 }
 
 /// Replica options for deterministic tests: no background thread, rounds
@@ -111,7 +117,7 @@ fn replica_tails_live_plain_primary() {
         db.put(&w, &k, &v).expect("put");
         model.insert(k, v);
     }
-    let replica = ReplicaDb::open(env.clone(), "db", None, manual()).expect("open replica");
+    let replica = ReplicaDb::open(plain_files(env.clone()), "db", manual()).expect("open replica");
     assert_matches_model(&replica, &model, "initial open");
     assert_eq!(replica.staleness(), 0);
 
@@ -149,7 +155,7 @@ fn replica_auto_poll_catches_up() {
     db.put(&w, b"k-before", b"1").expect("put");
 
     let opts = ReplicaOptions { poll_interval: Duration::from_millis(1), ..Default::default() };
-    let replica = ReplicaDb::open(env, "db", None, opts).expect("open replica");
+    let replica = ReplicaDb::open(plain_files(env), "db", opts).expect("open replica");
     assert_eq!(replica.get(b"k-before").expect("get"), Some(b"1".to_vec()));
 
     db.put(&w, b"k-after", b"2").expect("put");
@@ -177,7 +183,7 @@ fn replica_follows_wal_switches_under_load() {
     let w = WriteOptions { sync: true };
     let mut model = BTreeMap::new();
 
-    let replica = ReplicaDb::open(env, "db", None, manual()).expect("open replica");
+    let replica = ReplicaDb::open(plain_files(env), "db", manual()).expect("open replica");
     for round in 0..12u16 {
         for id in 0..60u16 {
             let key = key_of(round.wrapping_mul(37).wrapping_add(id * 3));
@@ -214,7 +220,7 @@ fn replica_survives_primary_crash_mid_manifest_edit() {
         model.insert(k, v);
     }
     db.flush().expect("flush");
-    let replica = ReplicaDb::open(env.clone(), "db", None, manual()).expect("open replica");
+    let replica = ReplicaDb::open(plain_files(env.clone()), "db", manual()).expect("open replica");
     assert_matches_model(&replica, &model, "pre-crash");
 
     // More committed writes, then a flush whose manifest append tears
@@ -271,7 +277,7 @@ fn replica_staleness_bound_trips_under_faults() {
 
     let fenv = Arc::new(FaultInjectionEnv::new(backing));
     let opts = ReplicaOptions { max_staleness: Some(0), ..manual() };
-    let replica = ReplicaDb::open(fenv.clone() as Arc<dyn Env>, "db", None, opts)
+    let replica = ReplicaDb::open(plain_files(fenv.clone() as Arc<dyn Env>), "db", opts)
         .expect("open replica");
     drain(&replica);
     assert_matches_model(&replica, &model, "before faults");
@@ -433,7 +439,7 @@ fn replica_scan_fails_on_mid_scan_read_fault() {
 
     let fenv = Arc::new(FaultInjectionEnv::new(backing));
     let replica =
-        ReplicaDb::open(fenv.clone() as Arc<dyn Env>, "db", None, manual()).expect("open replica");
+        ReplicaDb::open(plain_files(fenv.clone() as Arc<dyn Env>), "db", manual()).expect("open replica");
     // Opens the table, so the faulted scan below reads data blocks only.
     assert_eq!(replica.scan(b"key-", 300).expect("clean scan"), want);
 
@@ -467,7 +473,7 @@ fn replica_reads_survive_primary_unlinking_files_under_the_view() {
     let fenv = Arc::new(FaultInjectionEnv::new(backing.clone()));
     fenv.delay_always(FileKind::Sst, FaultOp::Remove, Duration::from_millis(1));
     let db = Db::open(small_opts(fenv.clone()), "db").expect("open primary");
-    let replica = ReplicaDb::open(backing.clone(), "db", None, manual()).expect("open replica");
+    let replica = ReplicaDb::open(plain_files(backing.clone()), "db", manual()).expect("open replica");
     let w = WriteOptions { sync: true };
     let value = |round: u32, id: u16| format!("round-{round}-{id:04}").into_bytes();
 
@@ -558,7 +564,7 @@ fn replica_scan_fails_on_tampered_block() {
     raw[mid] ^= 0x01;
     mem.set_raw_content(&path, raw).expect("tamper");
 
-    let replica = ReplicaDb::open_with_integrity(env, "db", None, integrity, manual())
+    let replica = ReplicaDb::open(FileStore::new(env, None, integrity), "db", manual())
         .expect("open replica");
     match replica.scan(b"key-", 300) {
         Err(Error::IntegrityViolation(_)) => {}
@@ -660,14 +666,14 @@ fn run_differential(mode: &Mode, actions: &[Action]) {
     }
     let replica = match mode {
         Mode::Plain => Replica::Direct(
-            ReplicaDb::open(backing.clone(), "db", None, manual()).expect("open replica"),
+            ReplicaDb::open(plain_files(backing.clone()), "db", manual()).expect("open replica"),
         ),
         Mode::EncFs => {
             // Instance-level encryption sits below the engine: the
             // replica mounts through its own EncryptedEnv with the same
             // instance DEK.
             let env: Arc<dyn Env> = Arc::new(EncryptedEnv::new(backing.clone(), dek, 0));
-            Replica::Direct(ReplicaDb::open(env, "db", None, manual()).expect("open replica"))
+            Replica::Direct(ReplicaDb::open(plain_files(env), "db", manual()).expect("open replica"))
         }
         Mode::Shield => Replica::Shield(
             open_shield_replica(

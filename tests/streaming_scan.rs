@@ -33,7 +33,6 @@ use shield_lsm::cache::BlockCache;
 use shield_lsm::compaction::{run_compaction, CompactionContext, CompactionTask};
 use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
-use shield_lsm::sst::fetcher::DEFAULT_INFLIGHT_READS;
 use shield_lsm::sst::format::{COMPRESSION_NONE, FOOTER_LEN};
 use shield_lsm::sst::{
     BlockBuilder, BlockHandle, Footer, Table, TableProperties, SCAN_SPAN_BYTES,
@@ -44,7 +43,7 @@ use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
 use shield_lsm::{
-    Db, EncryptionConfig, Error, Integrity, IntegrityOptions, Options, ReadOptions, Statistics,
+    Db, EncryptionConfig, Error, FileStore, Integrity, IntegrityOptions, Options, ReadOptions,
     WriteOptions,
 };
 
@@ -65,10 +64,7 @@ type Entry = (Vec<u8>, Vec<u8>);
 /// attacker's view of the medium.
 struct Fixture {
     base: MemEnv,
-    env: Arc<dyn Env>,
-    encryption: Option<EncryptionConfig>,
-    integrity: Integrity,
-    stats: Arc<Statistics>,
+    files: FileStore,
 }
 
 impl Fixture {
@@ -93,46 +89,24 @@ impl Fixture {
             }
         };
         env.create_dir_all("db").expect("mkdir");
-        Fixture { base, env, encryption, integrity, stats: Statistics::new() }
+        let files =
+            FileStore::new(env, encryption, IntegrityOptions { mode: integrity, key: ENGINE_KEY });
+        Fixture { base, files }
     }
 
     /// A table cache with no open tables, over `cache` (or none).
     fn table_cache(&self, cache: Option<Arc<BlockCache>>) -> Arc<TableCache> {
-        TableCache::new_with_stats(
-            self.env.clone(),
-            "db".into(),
-            self.encryption.clone(),
-            cache,
-            Some(self.stats.clone()),
-            64,
-            0,
-            DEFAULT_INFLIGHT_READS,
-            IntegrityOptions { mode: self.integrity, key: ENGINE_KEY },
-            None,
-        )
+        TableCache::new(self.files.clone(), "db".into(), cache, 64, 0)
     }
 
     fn table_options(&self, block_size: usize) -> TableBuilderOptions {
-        TableBuilderOptions {
-            block_size,
-            mac_key: (self.integrity == Integrity::Hmac).then_some(ENGINE_KEY),
-            ..TableBuilderOptions::default()
-        }
+        TableBuilderOptions { block_size, ..TableBuilderOptions::default() }
     }
 
     fn build_table(&self, number: u64, entries: &[Entry], block_size: usize) -> Arc<FileMeta> {
-        let path = sst_path(number);
-        let opts = self.table_options(block_size);
-        let (file, opts) = match &self.encryption {
-            Some(cfg) => {
-                let (f, id, mac) = cfg
-                    .new_writable_with_mac(self.env.as_ref(), &path, FileKind::Sst)
-                    .expect("writable");
-                let mac_key = opts.mac_key.map(|engine| mac.unwrap_or(engine));
-                (f, TableBuilderOptions { dek_id: Some(id), mac_key, ..opts })
-            }
-            None => (self.env.new_writable_file(&path, FileKind::Sst).expect("writable"), opts),
-        };
+        let (file, dek_id, mac_key) =
+            self.files.create(&sst_path(number), FileKind::Sst).expect("writable");
+        let opts = TableBuilderOptions { dek_id, mac_key, ..self.table_options(block_size) };
         let mut b = TableBuilder::new(file, opts);
         for (ikey, value) in entries {
             b.add(ikey, value).expect("add");
@@ -554,7 +528,7 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
 
         let cache_before = cache.stats();
         let io_before = fx.base.io_stats().expect("io stats").snapshot();
-        let stats_before = fx.stats.snapshot();
+        let stats_before = fx.files.stats.snapshot();
         let checks_before = stats_before.integrity_checks;
         let perf = PerfGuard::enable();
         let mut next = 100u64;
@@ -563,9 +537,6 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
             next
         };
         let mut ctx = CompactionContext {
-            env: &fx.env,
-            db_path: "db",
-            encryption: fx.encryption.as_ref(),
             table_cache: &tc,
             version: &version,
             smallest_snapshot: MAX_SEQUENCE,
@@ -576,7 +547,7 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
         let outcome = run_compaction(&mut ctx, &task).expect("compaction");
         let blocks_read = shield_core::perf::take().blocks_read;
         drop(perf);
-        let checks = fx.stats.snapshot().integrity_checks - checks_before;
+        let checks = fx.files.stats.snapshot().integrity_checks - checks_before;
         let reads = fx.base.io_stats().expect("io stats").snapshot().delta_since(&io_before).read_ops
             [FileKind::Sst.index()];
         let cache_after = cache.stats();
@@ -593,7 +564,7 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
             (
                 cache_after.singleflight_waits,
                 cache_after.readahead_issued,
-                fx.stats.snapshot().batched_reads,
+                fx.files.stats.snapshot().batched_reads,
             ),
             (
                 cache_before.singleflight_waits,

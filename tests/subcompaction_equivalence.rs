@@ -38,7 +38,9 @@ use shield_lsm::version::edit::{FileMeta, VersionEdit};
 use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
-use shield_lsm::{Db, EncryptionConfig, Options, ReadOptions, WriteOptions};
+use shield_lsm::{
+    Db, EncryptionConfig, FileStore, IntegrityOptions, Options, ReadOptions, WriteOptions,
+};
 
 // ---------------------------------------------------------------------
 // Compaction-layer differential
@@ -68,8 +70,7 @@ fn value_for(seed: u8, seq: u64) -> Vec<u8> {
 /// Storage + engine-side crypto for one mode. The env already encrypts
 /// in EncFS mode; the engine config encrypts in SHIELD mode.
 struct ModeCtx {
-    env: Arc<dyn Env>,
-    encryption: Option<EncryptionConfig>,
+    files: FileStore,
     table_cache: Arc<TableCache>,
 }
 
@@ -94,9 +95,9 @@ impl ModeCtx {
             }
         };
         env.create_dir_all("db").expect("mkdir");
-        let table_cache =
-            TableCache::new(env.clone(), "db".into(), encryption.clone(), None, 32);
-        ModeCtx { env, encryption, table_cache }
+        let files = FileStore::new(env, encryption, IntegrityOptions::default());
+        let table_cache = TableCache::new(files.clone(), "db".into(), None, 32, 0);
+        ModeCtx { files, table_cache }
     }
 
     /// Builds one input SST from pre-sorted internal entries. Tiny
@@ -105,14 +106,8 @@ impl ModeCtx {
     fn build_table(&self, number: u64, entries: &[(Vec<u8>, Vec<u8>)]) -> Arc<FileMeta> {
         let path = shield_env::join_path("db", &sst_file_name(number));
         let opts = TableBuilderOptions { block_size: 128, ..TableBuilderOptions::default() };
-        let (file, opts) = match &self.encryption {
-            Some(cfg) => {
-                let (f, id) =
-                    cfg.new_writable(self.env.as_ref(), &path, FileKind::Sst).expect("writable");
-                (f, TableBuilderOptions { dek_id: Some(id), ..opts })
-            }
-            None => (self.env.new_writable_file(&path, FileKind::Sst).expect("writable"), opts),
-        };
+        let (file, dek_id, _) = self.files.create(&path, FileKind::Sst).expect("writable");
+        let opts = TableBuilderOptions { dek_id, ..opts };
         let mut b = TableBuilder::new(file, opts);
         for (ikey, value) in entries {
             b.add(ikey, value).expect("add");
@@ -196,9 +191,6 @@ fn assert_equivalent(
         next
     };
     let mut serial_ctx = CompactionContext {
-        env: &ctx.env,
-        db_path: "db",
-        encryption: ctx.encryption.as_ref(),
         table_cache: &ctx.table_cache,
         version,
         smallest_snapshot,
@@ -222,9 +214,6 @@ fn assert_equivalent(
     let mut stitched = CompactionOutcome::default();
     for range in &plan {
         let mut range_ctx = CompactionContext {
-            env: &ctx.env,
-            db_path: "db",
-            encryption: ctx.encryption.as_ref(),
             table_cache: &ctx.table_cache,
             version,
             smallest_snapshot,
