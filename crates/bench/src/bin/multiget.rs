@@ -1,7 +1,7 @@
 //! Batched-read benchmark over disaggregated storage: `Db::multi_get`
 //! of 64 cold keys vs 64 serial `get`s, plus the sequential-scan
-//! readahead point re-measured over the *concurrent* `RemoteEnv`, in
-//! three encryption modes (plain, EncFS, SHIELD).
+//! readahead point — the same batched read path, driven by an iterator —
+//! in three encryption modes (plain, EncFS, SHIELD).
 //!
 //! The setup is [`harness::ds_read_store`] over the paper's DS link
 //! (PR 7's honest model: RTTs of concurrent requests overlap, bandwidth
@@ -12,9 +12,9 @@
 //!   partitions the batch per file and issues one bounded-depth
 //!   `read_at_many` per file, paying ~one RTT per submission window.
 //!   The full run gates on a ≥ 4x speedup in SHIELD mode.
-//! - **Readahead over the concurrent env.** Scan prefetch RTTs now
-//!   overlap instead of queueing on one serialized pipe, so the
-//!   seq-scan speedup must clear 2x (it was capped at ~1.3x before).
+//! - **Readahead.** A scan's readahead batch is one `read_at_many`
+//!   window, so a cold scan pays one RTT per batch of blocks and the
+//!   seq-scan speedup must clear 2x.
 //!
 //! `--smoke` (the verify tier) only asserts both mechanisms *engage* —
 //! nonzero `batched_reads` and `readahead_issued`. The committed

@@ -11,8 +11,9 @@
 //!   into one remote read. The dedup ratio (cache misses per underlying
 //!   read) must exceed 1.
 //! - **Readahead.** A cold sequential scan with `readahead_blocks = 16`
-//!   overlaps prefetch round trips with iteration and must beat the
-//!   serial no-readahead scan. The full run gates on a ≥ 2x speedup;
+//!   fetches each uncached block together with the blocks after it — one
+//!   round trip per batch — and must beat the serial no-readahead scan.
+//!   The full run gates on a ≥ 2x speedup;
 //!   `--smoke` (the verify tier) only asserts both mechanisms *engage*.
 //!   The committed full-mode `BENCH_readpath.json` is the perf record.
 

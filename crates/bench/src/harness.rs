@@ -113,7 +113,7 @@ pub fn ds_fill(store: &SystemStore, keys: u64, adjust: impl FnOnce(Options) -> O
     crate::driver::preload(open_cold(store, adjust).db(), keys, DS_KEY_BYTES, DS_VALUE_BYTES);
 }
 
-/// Prefetch depth of [`Bench::seq_scan`]'s readahead pass.
+/// Readahead depth of [`Bench::seq_scan`]'s second pass.
 pub const SCAN_READAHEAD_BLOCKS: usize = 16;
 
 /// Full forward scan; returns entries seen and seconds taken.
@@ -351,9 +351,9 @@ impl Bench {
 
     /// The `seq_scan` section `readpath` and `multiget` share: a cold
     /// scan of a filled [`ds_read_store`] without readahead, then with
-    /// [`SCAN_READAHEAD_BLOCKS`]. The scan must prefetch in both modes
-    /// and, in a full run, beat the serial scan by ≥ 2x — prefetch round
-    /// trips overlap on the concurrent `RemoteEnv`.
+    /// [`SCAN_READAHEAD_BLOCKS`]. The scan must read ahead in both modes
+    /// and, in a full run, beat the serial scan by ≥ 2x — it pays one
+    /// round trip per batch of blocks instead of one per block.
     pub fn seq_scan(&mut self, store: &SystemStore, keys: u64) {
         let label = store.kind().slug();
         let (base_entries, base_secs) = scan_all(&open_cold(store, |opts| opts));

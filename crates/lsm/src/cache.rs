@@ -103,9 +103,10 @@ pub struct CacheStats {
     /// Threads that piggybacked on another thread's in-flight block fetch
     /// instead of issuing their own read (maintained by the fetcher).
     pub singleflight_waits: AtomicU64,
-    /// Prefetch requests issued by readahead (maintained by the fetcher).
+    /// Blocks a readahead batch read beyond the one its iterator stood on
+    /// (maintained by the fetcher).
     pub readahead_issued: AtomicU64,
-    /// Prefetched blocks that later served a lookup.
+    /// Blocks read ahead that later served a lookup.
     pub readahead_useful: AtomicU64,
 }
 

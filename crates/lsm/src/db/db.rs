@@ -175,7 +175,6 @@ impl Db {
         } else if opts.block_cache_bytes > 0 {
             Some(BlockCache::with_config(crate::cache::CacheConfig {
                 capacity: opts.block_cache_bytes,
-                high_pri_pool_ratio: opts.high_pri_pool_ratio,
                 ..crate::cache::CacheConfig::default()
             })?)
         } else {
@@ -417,7 +416,7 @@ impl Db {
         let seq = self.read_seq(ropts);
         let views =
             self.inner.trees.iter().map(|tree| (tree.read_view(seq), &tree.table_cache)).collect();
-        DbIterator::new(views, Some(self.inner.op_hists.iter_next.clone()))
+        DbIterator::new(views, ropts.fill_cache, Some(self.inner.op_hists.iter_next.clone()))
     }
 
     /// Range scan: up to `limit` live `(key, value)` pairs with

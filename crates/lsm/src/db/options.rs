@@ -50,14 +50,15 @@ pub struct Options {
     pub restart_interval: usize,
     /// Bloom bits per key (0 disables filters).
     pub bloom_bits_per_key: usize,
-    /// Block cache capacity in bytes (0 disables the cache).
+    /// Block cache capacity in bytes (0 disables the cache). A tenth is
+    /// reserved for index/filter blocks; for another split, build the
+    /// cache from a [`crate::cache::CacheConfig`] and pass it as
+    /// [`Options::shared_block_cache`].
     pub block_cache_bytes: usize,
-    /// Fraction of the block cache reserved for index/filter blocks
-    /// (the high-priority pool), in `[0, 1]`.
-    pub high_pri_pool_ratio: f64,
-    /// Data blocks iterators prefetch ahead of the read position
-    /// (0 disables readahead). Compaction does not use it: its inputs
-    /// stream around the block cache ([`crate::sst::TableScanner`]).
+    /// Data blocks an iterator reads together with one that is not
+    /// cached, in one batched read (0 disables readahead). Compaction
+    /// does not use it: its inputs stream around the block cache
+    /// ([`crate::sst::TableScanner`]).
     pub readahead_blocks: usize,
     /// Compaction policy and thresholds.
     pub compaction: CompactionParams,
@@ -67,8 +68,6 @@ pub struct Options {
     pub l0_stop_trigger: usize,
     /// Background worker threads (flushes + compactions).
     pub max_background_jobs: usize,
-    /// Make every write group durable (`sync`) before acknowledging.
-    pub wal_sync_writes: bool,
     /// Skip the WAL entirely (crash-unsafe; for experiments only).
     pub disable_wal: bool,
     /// SHIELD encryption; `None` runs plaintext.
@@ -148,13 +147,11 @@ impl Options {
             restart_interval: 16,
             bloom_bits_per_key: 10,
             block_cache_bytes: 32 * 1024 * 1024,
-            high_pri_pool_ratio: 0.1,
             readahead_blocks: 0,
             compaction: CompactionParams::default(),
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 16,
             max_background_jobs: 4,
-            wal_sync_writes: false,
             disable_wal: false,
             encryption: None,
             integrity: Integrity::Crc,

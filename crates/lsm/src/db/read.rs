@@ -164,6 +164,7 @@ impl DbIterator {
     /// latency of every [`DbIterator::next`].
     pub(crate) fn new(
         views: Vec<(ReadView, &Arc<TableCache>)>,
+        fill_cache: bool,
         iter_next: Option<Arc<AtomicHistogram>>,
     ) -> Result<DbIterator> {
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
@@ -172,7 +173,7 @@ impl DbIterator {
             for imm in view.imm.iter().rev() {
                 children.push(Box::new(imm.iter()));
             }
-            children.extend(view.version.iterators(tables)?);
+            children.extend(view.version.iterators(tables, fill_cache)?);
         }
         Ok(DbIterator {
             merged: MergingIterator::new(children),

@@ -87,7 +87,7 @@ impl DbInner {
         if count == 0 {
             return Ok(());
         }
-        let sync = self.opts.wal_sync_writes || group.iter().any(|p| p.sync);
+        let sync = group.iter().any(|p| p.sync);
 
         let mut wal = self.wal.lock();
         self.make_room_for_write(&mut wal)?;

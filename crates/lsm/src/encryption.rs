@@ -643,9 +643,9 @@ mod tests {
 
     #[test]
     fn concurrent_random_reads_decrypt_consistently() {
-        // The block fetcher's prefetch workers decrypt through the same
-        // shared `EncryptedRandomAccessFile` as foreground reads; heavily
-        // interleaved offsets must never corrupt either side's plaintext.
+        // Every reader of a table decrypts through one shared
+        // `EncryptedRandomAccessFile`; heavily interleaved offsets must
+        // never corrupt any thread's plaintext.
         let (cfg, _) = config();
         let env = MemEnv::new();
         let payload: Vec<u8> =

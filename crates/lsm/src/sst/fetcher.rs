@@ -1,44 +1,44 @@
 //! The read path for point lookups, user iterators and table opens:
 //! cache lookup → env read → verify → block construction, behind one
-//! choke point. (Whole-file scans — compaction, `verify_integrity` — read
-//! around the cache in large spans through [`crate::sst::scanner`]; the
-//! two paths meet in `split_verified`, the one function that turns raw
-//! bytes into trusted ones.)
+//! choke point with three entries, chosen by what the reader wants:
 //!
-//! Before this module, the cache→read→verify→decrypt sequence was
-//! duplicated across `sst/reader.rs` (data blocks), the table-open path
-//! (index/filter/properties), and implicitly in `version/table_cache.rs`.
-//! Every block-at-a-time reader now goes through [`BlockFetcher::fetch`],
-//! which adds behaviors the scattered code could not provide:
+//! - **One block: [`BlockFetcher::fetch`].** Point gets, table opens and
+//!   iterators without readahead. A miss is single-flight: N threads
+//!   missing the same `(table_id, offset)` perform one underlying read
+//!   (and, for encrypted files, one decrypt — the decryption wrapper sits
+//!   below the file handle this module reads through). Late arrivals park
+//!   on the in-flight entry's condvar and share the leader's result,
+//!   including its error. Under a disaggregated env's ~500 µs RTT this
+//!   turns a thundering herd on a hot cold block into a single round trip.
+//! - **A batch of blocks: [`BlockFetcher::get_many`].** `multi_get` and
+//!   iterator readahead. The batch is partitioned into cache hits,
+//!   joinable in-flight reads, and leader reads; the leader reads are
+//!   submitted as `read_at_many` windows of at most the configured
+//!   in-flight depth — one round trip per window on a remote env — and
+//!   with more than one window each completed window is verified while
+//!   the next one's payload is still in flight. Readahead is such a batch
+//!   ([`BlockFetcher::read_ahead`]): the block the iterator stands on
+//!   plus the next few index entries, sized to one window. The followers
+//!   land in the cache flagged `prefetched`, so `readahead_issued` counts
+//!   the follower reads a batch led and the cache credits
+//!   `readahead_useful` on each one's first hit — both are functions of
+//!   the data and the scan, not of thread timing.
+//! - **A whole file: [`crate::sst::scanner`].** Compaction and
+//!   `verify_integrity` read around the cache in large spans.
 //!
-//! - **Single-flight miss coalescing.** N threads missing the same
-//!   `(table_id, offset)` perform one underlying read (and, for encrypted
-//!   files, one decrypt — the decryption wrapper sits below the file
-//!   handle this module reads through). Late arrivals park on the
-//!   in-flight entry's condvar and share the leader's result, including
-//!   its error. Under a disaggregated env's ~500 µs RTT this turns a
-//!   thundering herd on a hot cold block into a single round trip.
-//! - **Readahead.** [`BlockFetcher::prefetch`] queues bounded prefetch
-//!   requests served by a small worker pool; workers run the same
-//!   single-flight fetch and drop the pin immediately, leaving the block
-//!   resident for the iterator that is about to need it. Blocks inserted
-//!   this way are flagged so the first hit credits `readahead_useful`;
-//!   a foreground read that *joins* a still-in-flight prefetch claims
-//!   the same credit, so usefulness accounting survives the race between
-//!   the iterator and the worker.
-//! - **Batched reads.** [`BlockFetcher::get_many`] partitions a batch of
-//!   wanted blocks into cache hits, joinable in-flight reads, and leader
-//!   reads; the leader reads are submitted as `read_at_many` windows of
-//!   at most the configured in-flight depth, and each completed window
-//!   is verified while the next window's payload is still in flight.
+//! All three meet in `split_verified`, the one function that turns raw
+//! bytes into trusted ones, and none owns a thread: a read happens on the
+//! thread that asked for it (a multi-window batch borrows one scoped
+//! thread for the duration of the call).
 //!
 //! Decryption itself stays in [`crate::encryption`]'s file wrapper: a
 //! fetch against an encrypted table reads through
 //! `EncryptedRandomAccessFile`, so coalescing the read coalesces the
 //! keystream work too.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
@@ -53,11 +53,6 @@ use crate::sst::block::Block;
 use crate::sst::format::{BlockHandle, BLOCK_TRAILER_LEN, HMAC_BLOCK_TRAILER_LEN};
 use crate::statistics::Statistics;
 
-/// Upper bound on queued prefetch requests; beyond it, readahead sheds
-/// load instead of buffering unbounded file handles.
-const PREFETCH_QUEUE_CAP: usize = 64;
-/// Prefetch worker threads (enough to overlap several remote RTTs).
-const PREFETCH_WORKERS: usize = 4;
 /// Upper bound on a single block read. Block handles come from on-disk
 /// index/footer bytes, so a hostile file could otherwise name a
 /// multi-gigabyte "block" and turn one `read_at` into an OOM
@@ -89,49 +84,10 @@ impl FetchedBlock {
 }
 
 /// One in-flight read; late missers wait on `cv` for `done`.
+#[derive(Default)]
 struct Flight {
     done: Mutex<Option<Result<Arc<Block>>>>,
     cv: Condvar,
-    /// True when a prefetch worker initiated this read.
-    prefetch: bool,
-    /// Set by the first foreground read that joins a prefetch-initiated
-    /// flight: the prefetch was useful even though the block never got
-    /// the chance to serve a cache hit. Claimed at most once, and the
-    /// leader skips the cache-entry `prefetched` flag once claimed so the
-    /// first later hit cannot credit the same prefetch twice.
-    useful_claimed: AtomicBool,
-}
-
-impl Flight {
-    fn new(prefetch: bool) -> Self {
-        Flight {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-            prefetch,
-            useful_claimed: AtomicBool::new(false),
-        }
-    }
-}
-
-/// State shared between foreground fetches and prefetch workers.
-struct FetcherCore {
-    cache: Option<Arc<BlockCache>>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
-}
-
-struct PrefetchRequest {
-    file: Arc<dyn RandomAccessFile>,
-    table_id: u64,
-    handle: BlockHandle,
-    /// Owned verification context for v2 tables (the worker outlives the
-    /// caller's borrow).
-    integrity: Option<IntegrityCtx>,
-}
-
-struct PrefetchPool {
-    queue: Mutex<VecDeque<PrefetchRequest>>,
-    cv: Condvar,
-    shutdown: AtomicBool,
 }
 
 /// One block wanted by a batched fetch ([`BlockFetcher::get_many`]).
@@ -145,20 +101,20 @@ pub struct BlockRequest {
 
 /// The single entry point for reading SST blocks.
 pub struct BlockFetcher {
-    core: Arc<FetcherCore>,
+    cache: Option<Arc<BlockCache>>,
+    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
     /// Engine tickers credited with batched-read submissions.
     stats: Option<Arc<Statistics>>,
     readahead_blocks: usize,
     inflight_depth: usize,
-    pool: Option<Arc<PrefetchPool>>,
 }
 
 impl BlockFetcher {
     /// Creates a fetcher over `cache` (or none). `readahead_blocks` is the
-    /// default prefetch depth for iterators; 0 disables readahead and its
-    /// worker pool. Readahead also requires a cache — prefetched blocks
-    /// have nowhere to land without one. Batched reads use the default
-    /// in-flight depth; [`BlockFetcher::with_depth`] overrides it.
+    /// default readahead depth for iterators; 0 disables readahead.
+    /// Readahead also requires a cache — blocks read ahead have nowhere to
+    /// land without one. Batched reads use the default in-flight depth;
+    /// [`BlockFetcher::with_depth`] overrides it.
     #[must_use]
     pub fn new(cache: Option<Arc<BlockCache>>, readahead_blocks: usize) -> Arc<Self> {
         Self::with_depth(cache, readahead_blocks, DEFAULT_INFLIGHT_READS, None)
@@ -174,26 +130,12 @@ impl BlockFetcher {
         inflight_depth: usize,
         stats: Option<Arc<Statistics>>,
     ) -> Arc<Self> {
-        let core = Arc::new(FetcherCore { cache, inflight: Mutex::new(HashMap::new()) });
-        let pool = (readahead_blocks > 0 && core.cache.is_some()).then(|| {
-            let pool = Arc::new(PrefetchPool {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            });
-            for _ in 0..PREFETCH_WORKERS {
-                let pool = pool.clone();
-                let core = core.clone();
-                std::thread::spawn(move || prefetch_worker(&pool, &core));
-            }
-            pool
-        });
         Arc::new(BlockFetcher {
-            core,
+            cache,
+            inflight: Mutex::new(HashMap::new()),
             stats,
             readahead_blocks,
             inflight_depth: inflight_depth.max(1),
-            pool,
         })
     }
 
@@ -212,7 +154,7 @@ impl BlockFetcher {
     /// The cache this fetcher fills, if any.
     #[must_use]
     pub fn cache(&self) -> Option<&Arc<BlockCache>> {
-        self.core.cache.as_ref()
+        self.cache.as_ref()
     }
 
     /// Fetches one verified block: cache lookup, then a single-flight
@@ -230,17 +172,10 @@ impl BlockFetcher {
         integrity: Option<&IntegrityCtx>,
     ) -> Result<FetchedBlock> {
         let key = (table_id, handle.offset);
-        if fill_cache {
-            if let Some(cache) = &self.core.cache {
-                let t = perf::timer();
-                let cached = cache.lookup(&key, kind);
-                perf::add_elapsed(PerfMetric::CacheLookup, t);
-                if let Some(h) = cached {
-                    return Ok(FetchedBlock::Cached(h));
-                }
-            }
+        if let Some(h) = self.lookup(&key, kind, fill_cache) {
+            return Ok(FetchedBlock::Cached(h));
         }
-        self.core.fetch_miss(file, key, handle, kind, fill_cache, false, integrity)
+        self.fetch_miss(file, key, handle, kind, fill_cache, integrity)
     }
 
     /// Fetches a batch of blocks from one table file, returning one
@@ -250,12 +185,13 @@ impl BlockFetcher {
     /// immediately, misses another thread is already reading are joined
     /// (single-flight), and the remaining leader reads are submitted as
     /// `read_at_many` windows of at most [`Self::inflight_depth`]
-    /// requests. While a window's payload is still in flight (a single
-    /// round trip on a remote env), the previous window's blocks are
-    /// MAC-verified, CRC-checked, and admitted to the cache — verify
-    /// overlaps transfer. Every slot fails independently: a hostile
-    /// handle, an injected fault, or a corrupt block errors its own
-    /// result and never poisons a neighbor.
+    /// requests. A batch that fits one window is read on the calling
+    /// thread (a single round trip on a remote env). With more windows,
+    /// while one's payload is still in flight the previous window's
+    /// blocks are MAC-verified, CRC-checked, and admitted to the cache —
+    /// verify overlaps transfer. Every slot fails independently: a
+    /// hostile handle, an injected fault, or a corrupt block errors its
+    /// own result and never poisons a neighbor.
     pub fn get_many(
         &self,
         file: &Arc<dyn RandomAccessFile>,
@@ -264,23 +200,59 @@ impl BlockFetcher {
         fill_cache: bool,
         integrity: Option<&IntegrityCtx>,
     ) -> Vec<Result<FetchedBlock>> {
+        self.batch(file, table_id, requests, fill_cache, false, integrity)
+            .into_iter()
+            .map(|slot| slot.expect("every batch slot resolved"))
+            .collect()
+    }
+
+    /// Iterator readahead, as one batch: fetches `requests[0]` — the
+    /// block the iterator stands on — and reads the *followers* after it
+    /// into the cache in the same submission, flagged `prefetched`.
+    /// `readahead_issued` counts the followers this batch led the read
+    /// of; one already in flight elsewhere is left to its reader, and a
+    /// follower that fails is dropped silently — the scan re-reads it,
+    /// and reports the error, if it ever gets there. The caller leaves
+    /// out followers that are already resident and keeps the batch within
+    /// one window ([`Self::inflight_depth`]).
+    pub(super) fn read_ahead(
+        &self,
+        file: &Arc<dyn RandomAccessFile>,
+        table_id: u64,
+        requests: &[BlockRequest],
+        integrity: Option<&IntegrityCtx>,
+    ) -> Result<FetchedBlock> {
+        self.batch(file, table_id, requests, true, true, integrity)
+            .swap_remove(0)
+            .expect("the first slot of a batch is always resolved")
+    }
+
+    /// The batched read behind [`Self::get_many`] and
+    /// [`Self::read_ahead`]. With `readahead`, every slot after the first
+    /// is a follower: wanted in the cache, not by the caller, so it is
+    /// neither looked up nor joined, and its slot may stay `None`.
+    fn batch(
+        &self,
+        file: &Arc<dyn RandomAccessFile>,
+        table_id: u64,
+        requests: &[BlockRequest],
+        fill_cache: bool,
+        readahead: bool,
+        integrity: Option<&IntegrityCtx>,
+    ) -> Vec<Option<Result<FetchedBlock>>> {
         let mut batch_span = trace::span("fetch_batch");
         batch_span.attr("requests", requests.len() as u64);
         let mut out: Vec<Option<Result<FetchedBlock>>> = Vec::with_capacity(requests.len());
         out.resize_with(requests.len(), || None);
+        let follower = |i: usize| readahead && i > 0;
 
         // Phase 1: cache hits.
         let mut misses: Vec<usize> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
-            if fill_cache {
-                if let Some(cache) = &self.core.cache {
-                    let t = perf::timer();
-                    let cached = cache.lookup(&(table_id, req.handle.offset), req.kind);
-                    perf::add_elapsed(PerfMetric::CacheLookup, t);
-                    if let Some(h) = cached {
-                        out[i] = Some(Ok(FetchedBlock::Cached(h)));
-                        continue;
-                    }
+            if !follower(i) {
+                if let Some(h) = self.lookup(&(table_id, req.handle.offset), req.kind, fill_cache) {
+                    out[i] = Some(Ok(FetchedBlock::Cached(h)));
+                    continue;
                 }
             }
             misses.push(i);
@@ -293,14 +265,29 @@ impl BlockFetcher {
         // joiners wait, so the self-join cannot deadlock.
         let mut joiners: Vec<(usize, Arc<Flight>)> = Vec::new();
         let mut leaders: Vec<(usize, Arc<Flight>)> = Vec::new();
-        match lock_inflight(&self.core.inflight) {
+        let mut landed: Vec<usize> = Vec::new();
+        match lock_inflight(&self.inflight) {
             Ok(mut map) => {
                 for &i in &misses {
                     let key = (table_id, requests[i].handle.offset);
                     match map.get(&key) {
+                        Some(_) if follower(i) => {}
                         Some(f) => joiners.push((i, f.clone())),
+                        // A leader admits its block before it retires the
+                        // flight, so a block another batch finished since
+                        // phase 1 is resident by now: under this lock,
+                        // "not in flight and not resident" means nobody
+                        // else has read it, and concurrent scans read
+                        // each block once.
+                        None if fill_cache
+                            && self.cache.as_ref().is_some_and(|c| c.contains(&key)) =>
+                        {
+                            if !follower(i) {
+                                landed.push(i);
+                            }
+                        }
                         None => {
-                            let f = Arc::new(Flight::new(false));
+                            let f = Arc::new(Flight::default());
                             map.insert(key, f.clone());
                             leaders.push((i, f));
                         }
@@ -311,7 +298,7 @@ impl BlockFetcher {
                 for &i in &misses {
                     out[i] = Some(Err(e.clone()));
                 }
-                return out.into_iter().map(|o| o.expect("slot resolved")).collect();
+                return out;
             }
         }
 
@@ -323,7 +310,7 @@ impl BlockFetcher {
             match batch_read_plan(req.handle, trailer_len(integrity)) {
                 Ok(plan) => ready.push((i, flight, plan)),
                 Err(e) => {
-                    self.core.publish((table_id, req.handle.offset), &flight, Err(e.clone()));
+                    self.publish((table_id, req.handle.offset), &flight, Err(e.clone()));
                     out[i] = Some(Err(e));
                 }
             }
@@ -331,7 +318,7 @@ impl BlockFetcher {
         if !ready.is_empty() {
             let queue = ReadQueue::new(self.inflight_depth);
             let read_reqs: Vec<ReadRequest> = ready.iter().map(|r| r.2).collect();
-            let windows: Vec<std::ops::Range<usize>> = (0..ready.len())
+            let windows: Vec<Range<usize>> = (0..ready.len())
                 .step_by(queue.depth())
                 .map(|start| start..(start + queue.depth()).min(ready.len()))
                 .collect();
@@ -339,153 +326,87 @@ impl BlockFetcher {
                 stats.batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
                 stats.batch_read_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
             }
+            if let Some(cache) = self.cache.as_ref().filter(|_| readahead) {
+                let led = ready.iter().filter(|r| follower(r.0)).count();
+                cache.counters().readahead_issued.fetch_add(led as u64, Ordering::Relaxed);
+            }
             batch_span.attr("windows", windows.len() as u64);
-            std::thread::scope(|s| {
-                let spawn_window = |range: std::ops::Range<usize>| {
-                    let file = file.clone();
-                    let queue = &queue;
-                    let reqs = &read_reqs;
-                    s.spawn(move || queue.submit_window(file.as_ref(), &reqs[range]))
-                };
-                let mut widx = 0;
-                let mut inflight = spawn_window(windows[0].clone());
-                loop {
-                    // Kick off the next window before verifying this one:
-                    // its transfer rides concurrently with our MAC/CRC
-                    // work below.
-                    let next = (widx + 1 < windows.len())
-                        .then(|| spawn_window(windows[widx + 1].clone()));
-                    // The window span lives on this (coordinator) thread,
-                    // not the worker: joins are sequential here, so the
-                    // per-window durations always sum to at most the op's
-                    // wall time, and it needs no cross-thread context.
-                    let raws: Vec<crate::error::Result<Bytes>> = {
-                        let mut span = trace::span("read_window");
-                        span.attr("blocks", (windows[widx].end - windows[widx].start) as u64);
-                        let t = perf::timer();
-                        let raws = match inflight.join() {
-                            Ok(r) => r.into_iter().map(|x| x.map_err(Error::from)).collect(),
-                            Err(_) => windows[widx]
-                                .clone()
-                                .map(|_| {
-                                    Err(Error::Corruption("batch read worker panicked".into()))
-                                })
-                                .collect(),
-                        };
-                        perf::add_elapsed(PerfMetric::IoBatchWait, t);
-                        raws
-                    };
-                    let mut vspan = trace::span("verify_window");
-                    vspan.attr("blocks", (windows[widx].end - windows[widx].start) as u64);
-                    for (slot, raw) in windows[widx].clone().zip(raws) {
-                        let (i, flight, _) = &ready[slot];
-                        let req = requests[*i];
-                        let key = (table_id, req.handle.offset);
-                        perf::incr(PerfCounter::BlocksRead, 1);
-                        let result = raw
-                            .and_then(|bytes| split_verified(&bytes, req.handle, integrity))
-                            .map(|contents| {
-                                Arc::new(match req.kind {
-                                    BlockKind::Filter => Block::from_raw_opaque(contents),
-                                    BlockKind::Data | BlockKind::Index => {
-                                        Block::from_raw(contents)
-                                    }
-                                })
-                            });
-                        let outcome = match &result {
-                            Ok(block) => {
-                                let admitted = if fill_cache {
-                                    self.core.cache.as_ref().and_then(|c| {
-                                        c.insert(key, block, block.size(), req.kind, false)
-                                    })
-                                } else {
-                                    None
-                                };
-                                Ok(match admitted {
-                                    Some(h) => FetchedBlock::Cached(h),
-                                    None => FetchedBlock::Uncached(block.clone()),
-                                })
-                            }
-                            Err(e) => Err(e.clone()),
-                        };
-                        self.core.publish(key, flight, result);
-                        out[*i] = Some(outcome);
-                    }
-                    match next {
-                        Some(h) => {
-                            widx += 1;
-                            inflight = h;
-                        }
-                        None => break,
-                    }
+            let read = |window: Range<usize>| -> Vec<Result<Bytes>> {
+                queue
+                    .submit_window(file.as_ref(), &read_reqs[window])
+                    .into_iter()
+                    .map(|raw| raw.map_err(Error::from))
+                    .collect()
+            };
+            // Verifies, admits and publishes one window's reads.
+            let mut settle = |window: Range<usize>, raws: Vec<Result<Bytes>>| {
+                let mut span = trace::span("verify_window");
+                span.attr("blocks", window.len() as u64);
+                for (slot, raw) in window.zip(raws) {
+                    let (i, flight, _) = &ready[slot];
+                    let req = requests[*i];
+                    let key = (table_id, req.handle.offset);
+                    perf::incr(PerfCounter::BlocksRead, 1);
+                    let result = raw
+                        .and_then(|bytes| split_verified(&bytes, req.handle, integrity))
+                        .map(|contents| parse_block(contents, req.kind));
+                    out[*i] = Some(self.admit(key, &result, req.kind, fill_cache, follower(*i)));
+                    self.publish(key, flight, result);
                 }
-            });
+            };
+            if let [only] = windows.as_slice() {
+                // There is no next window to overlap this one's
+                // verification with: read it on the calling thread.
+                let raws = wait_for_window(only, || read(only.clone()));
+                settle(only.clone(), raws);
+            } else {
+                std::thread::scope(|s| {
+                    let mut inflight = s.spawn(|| read(windows[0].clone()));
+                    for (widx, window) in windows.iter().enumerate() {
+                        // Kick off the next window before verifying this
+                        // one: its transfer rides concurrently with our
+                        // MAC/CRC work below.
+                        let next = windows.get(widx + 1).map(|w| s.spawn(|| read(w.clone())));
+                        let raws = wait_for_window(window, || inflight.join()).unwrap_or_else(|_| {
+                            let panicked = Error::Corruption("batch read worker panicked".into());
+                            window.clone().map(|_| Err(panicked.clone())).collect()
+                        });
+                        settle(window.clone(), raws);
+                        match next {
+                            Some(handle) => inflight = handle,
+                            None => break,
+                        }
+                    }
+                });
+            }
         }
 
         // Phase 4: collect the joined flights (all our own leaders have
-        // published by now, so self-joins resolve immediately).
+        // published by now, so self-joins resolve immediately) and the
+        // blocks that landed under our feet.
         for (i, flight) in joiners {
-            out[i] = Some(self.core.join_flight(&flight, false).map(FetchedBlock::Uncached));
+            out[i] = Some(self.join_flight(&flight).map(FetchedBlock::Uncached));
         }
-        out.into_iter().map(|o| o.expect("every batch slot resolved")).collect()
+        for i in landed {
+            let BlockRequest { handle, kind } = requests[i];
+            out[i] = Some(self.fetch(file, table_id, handle, kind, fill_cache, integrity));
+        }
+        out
     }
 
-    /// Queues background prefetch of `handle` if it is not already
-    /// resident. Best-effort: a full queue or disabled readahead drops the
-    /// request, and worker errors are swallowed (the foreground read will
-    /// surface them if the block is ever actually needed).
-    /// `readahead_issued` is credited only when a worker actually leads
-    /// the read, so shed, superseded, and duplicate requests never count.
-    pub fn prefetch(
-        &self,
-        file: &Arc<dyn RandomAccessFile>,
-        table_id: u64,
-        handle: BlockHandle,
-        integrity: Option<&IntegrityCtx>,
-    ) {
-        let Some(pool) = &self.pool else { return };
-        let Some(cache) = &self.core.cache else { return };
-        let key = (table_id, handle.offset);
-        // A poisoned in-flight map reads as "not in flight": prefetch is
-        // best-effort and must never propagate another thread's panic.
-        let in_flight =
-            self.core.inflight.lock().map(|g| g.contains_key(&key)).unwrap_or(false);
-        if cache.contains(&key) || in_flight {
-            return;
-        }
-        {
-            let mut q = match pool.queue.lock() {
-                Ok(q) => q,
-                Err(_) => return,
-            };
-            if q.len() >= PREFETCH_QUEUE_CAP {
-                return;
-            }
-            q.push_back(PrefetchRequest {
-                file: file.clone(),
-                table_id,
-                handle,
-                integrity: integrity.cloned(),
-            });
-        }
-        pool.cv.notify_one();
+    /// The timed cache probe of [`Self::fetch`] and [`Self::batch`];
+    /// `None` without a cache or with `fill_cache = false`.
+    fn lookup(&self, key: &CacheKey, kind: BlockKind, fill_cache: bool) -> Option<CacheHandle> {
+        let cache = self.cache.as_ref().filter(|_| fill_cache)?;
+        let t = perf::timer();
+        let cached = cache.lookup(key, kind);
+        perf::add_elapsed(PerfMetric::CacheLookup, t);
+        cached
     }
-}
 
-impl Drop for BlockFetcher {
-    fn drop(&mut self) {
-        if let Some(pool) = &self.pool {
-            pool.shutdown.store(true, Ordering::SeqCst);
-            pool.cv.notify_all();
-        }
-    }
-}
-
-impl FetcherCore {
     /// The miss path: join an in-flight read for `key` or become its
     /// leader. Exactly one thread per concurrent miss group performs the
     /// verified read (and thus the decrypt below it).
-    #[allow(clippy::too_many_arguments)]
     fn fetch_miss(
         &self,
         file: &Arc<dyn RandomAccessFile>,
@@ -493,7 +414,6 @@ impl FetcherCore {
         handle: BlockHandle,
         kind: BlockKind,
         fill_cache: bool,
-        prefetched: bool,
         integrity: Option<&IntegrityCtx>,
     ) -> Result<FetchedBlock> {
         let (flight, is_leader) = {
@@ -501,7 +421,7 @@ impl FetcherCore {
             match map.get(&key) {
                 Some(flight) => (flight.clone(), false),
                 None => {
-                    let flight = Arc::new(Flight::new(prefetched));
+                    let flight = Arc::new(Flight::default());
                     map.insert(key, flight.clone());
                     (flight, true)
                 }
@@ -510,66 +430,52 @@ impl FetcherCore {
 
         if !is_leader {
             // Another thread is already reading this block: wait for it.
-            return self.join_flight(&flight, prefetched).map(FetchedBlock::Uncached);
+            return self.join_flight(&flight).map(FetchedBlock::Uncached);
         }
 
         // Leader: do the read, publish the result, then retire the flight.
-        if prefetched {
-            // A prefetch counts as issued only once it actually leads a
-            // read; shed, superseded, and duplicate requests never get
-            // here, so `readahead_issued` measures prefetches that did
-            // real I/O.
-            if let Some(cache) = &self.cache {
-                cache.counters().readahead_issued.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let result = {
             let mut span = trace::span("read_block");
             span.attr("offset", handle.offset);
             span.attr("len", handle.size);
-            read_block(file.as_ref(), handle, kind, integrity)
+            read_verified(file.as_ref(), handle, integrity).map(|raw| parse_block(raw, kind))
         };
-        let out = match &result {
-            Ok(block) => {
-                let admitted = if fill_cache {
-                    // Skip the cache entry's `prefetched` flag if a joiner
-                    // already claimed this prefetch as useful — otherwise
-                    // the first hit would credit it a second time.
-                    let flag = prefetched && !flight.useful_claimed.load(Ordering::Relaxed);
-                    self.cache
-                        .as_ref()
-                        .and_then(|cache| cache.insert(key, block, block.size(), kind, flag))
-                } else {
-                    None
-                };
-                Ok(match admitted {
-                    Some(h) => FetchedBlock::Cached(h),
-                    None => FetchedBlock::Uncached(block.clone()),
-                })
-            }
-            Err(e) => Err(e.clone()),
-        };
+        let out = self.admit(key, &result, kind, fill_cache, false);
         self.publish(key, &flight, result);
         out
     }
 
+    /// What a leader hands its caller for a finished read: the block,
+    /// admitted to the cache when `fill_cache` says so and the cache takes
+    /// it. `prefetched` marks a readahead follower, whose first hit the
+    /// cache credits to `readahead_useful`.
+    fn admit(
+        &self,
+        key: CacheKey,
+        result: &Result<Arc<Block>>,
+        kind: BlockKind,
+        fill_cache: bool,
+        prefetched: bool,
+    ) -> Result<FetchedBlock> {
+        let block = result.as_ref().map_err(Clone::clone)?;
+        let admitted = self
+            .cache
+            .as_ref()
+            .filter(|_| fill_cache)
+            .and_then(|cache| cache.insert(key, block, block.size(), kind, prefetched));
+        Ok(match admitted {
+            Some(h) => FetchedBlock::Cached(h),
+            None => FetchedBlock::Uncached(block.clone()),
+        })
+    }
+
     /// Waits on another thread's in-flight read and shares its result.
-    /// A foreground join of a prefetch-initiated flight claims the
-    /// prefetch as useful (exactly once).
-    fn join_flight(&self, flight: &Flight, prefetched: bool) -> Result<Arc<Block>> {
+    fn join_flight(&self, flight: &Flight) -> Result<Arc<Block>> {
         let _span = trace::span("singleflight_wait");
         if let Some(cache) = &self.cache {
             cache.counters().singleflight_waits.fetch_add(1, Ordering::Relaxed);
         }
         perf::incr(PerfCounter::SingleflightWaits, 1);
-        if flight.prefetch
-            && !prefetched
-            && !flight.useful_claimed.swap(true, Ordering::Relaxed)
-        {
-            if let Some(cache) = &self.cache {
-                cache.counters().readahead_useful.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let mut done = flight
             .done
             .lock()
@@ -606,60 +512,27 @@ fn lock_inflight(
     m.lock().map_err(|_| Error::Corruption("in-flight block table poisoned".into()))
 }
 
-fn prefetch_worker(pool: &PrefetchPool, core: &FetcherCore) {
-    loop {
-        let req = {
-            let Ok(mut q) = pool.queue.lock() else { return };
-            loop {
-                if pool.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(req) = q.pop_front() {
-                    break req;
-                }
-                q = match pool.cv.wait(q) {
-                    Ok(q) => q,
-                    Err(_) => return,
-                };
-            }
-        };
-        let key = (req.table_id, req.handle.offset);
-        // Re-check residency *and* in-flight status at execution time: if
-        // the foreground got here first (resident or mid-read), this
-        // prefetch is moot — skipping before fetch_miss keeps the worker
-        // from parking on a foreground flight and keeps the request out
-        // of `readahead_issued`.
-        let in_flight = core.inflight.lock().map(|g| g.contains_key(&key)).unwrap_or(false);
-        if in_flight || core.cache.as_ref().is_some_and(|c| c.contains(&key)) {
-            continue;
-        }
-        // Fill the cache and release the pin at once; errors are the
-        // foreground's to report if it ever reads this block for real.
-        let _ = core.fetch_miss(
-            &req.file,
-            key,
-            req.handle,
-            BlockKind::Data,
-            true,
-            true,
-            req.integrity.as_ref(),
-        );
-    }
+/// Runs `wait` — one window's read, or the join of the thread reading it
+/// — under the `read_window` span and the `IoBatchWait` timer. Both live
+/// on the coordinating thread, never the reader: its waits are
+/// sequential, so the per-window durations always sum to at most the op's
+/// wall time, and the span needs no cross-thread context.
+fn wait_for_window<T>(window: &Range<usize>, wait: impl FnOnce() -> T) -> T {
+    let mut span = trace::span("read_window");
+    span.attr("blocks", window.len() as u64);
+    let t = perf::timer();
+    let out = wait();
+    perf::add_elapsed(PerfMetric::IoBatchWait, t);
+    out
 }
 
-/// Reads `handle`'s bytes, verifies the trailer, and parses the block
-/// (opaque wrapping for filter payloads, which are not in entry format).
-fn read_block(
-    file: &dyn RandomAccessFile,
-    handle: BlockHandle,
-    kind: BlockKind,
-    integrity: Option<&IntegrityCtx>,
-) -> Result<Arc<Block>> {
-    let raw = read_verified(file, handle, integrity)?;
-    Ok(Arc::new(match kind {
-        BlockKind::Filter => Block::from_raw_opaque(raw),
-        BlockKind::Data | BlockKind::Index => Block::from_raw(raw),
-    }))
+/// Parses verified block contents (opaque wrapping for filter payloads,
+/// which are not in entry format).
+fn parse_block(contents: Bytes, kind: BlockKind) -> Arc<Block> {
+    Arc::new(match kind {
+        BlockKind::Filter => Block::from_raw_opaque(contents),
+        BlockKind::Data | BlockKind::Index => Block::from_raw(contents),
+    })
 }
 
 /// Reads a block's contents and verifies its trailer (`split_verified`
@@ -763,6 +636,7 @@ mod tests {
     use crate::sst::format::FOOTER_LEN;
     use crate::types::{make_internal_key, ValueType};
     use shield_env::{Env, FileKind, MemEnv};
+    use std::sync::atomic::AtomicBool;
 
     fn build_sst(env: &MemEnv, path: &str, n: u32) -> BlockHandle {
         let file = env.new_writable_file(path, FileKind::Sst).unwrap();
@@ -835,27 +709,63 @@ mod tests {
         assert_eq!(cache.stats().oversized_bypass, 1);
     }
 
+    fn data_requests(handles: &[BlockHandle]) -> Vec<BlockRequest> {
+        handles.iter().map(|h| BlockRequest { handle: *h, kind: BlockKind::Data }).collect()
+    }
+
     #[test]
-    fn prefetch_lands_block_in_cache() {
+    fn read_ahead_lands_followers_in_cache_in_one_submission() {
         let env = MemEnv::new();
-        let handle = build_sst(&env, "t.sst", 300);
+        build_sst(&env, "t.sst", 300);
+        let handles = all_data_handles(&env, "t.sst");
+        let cache = BlockCache::new(1 << 20);
+        let stats = Statistics::new();
+        let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 4, 16, Some(stats.clone()));
+        let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
+        let got = fetcher.read_ahead(&file, 1, &data_requests(&handles[..5]), None).unwrap();
+        assert!(matches!(got, FetchedBlock::Cached(_)), "the cursor block is served from slot 0");
+        assert_eq!(
+            got.block().raw_bytes(),
+            &read_verified(file.as_ref(), handles[0], None).unwrap()
+        );
+        for h in &handles[..5] {
+            assert!(cache.contains(&(1, h.offset)), "block at {} never landed", h.offset);
+        }
+        assert!(!cache.contains(&(1, handles[5].offset)));
+        let s = cache.stats();
+        assert_eq!((s.readahead_issued, s.readahead_useful), (4, 0), "followers, not the cursor");
+        assert_eq!((s.data_hits, s.data_misses), (0, 1), "followers are not looked up");
+        let t = stats.snapshot();
+        assert_eq!((t.batched_reads, t.batch_read_requests), (1, 5));
+        // A follower's first real read is a hit credited to readahead,
+        // once.
+        for _ in 0..2 {
+            let got = fetcher.fetch(&file, 1, handles[3], BlockKind::Data, true, None).unwrap();
+            assert!(matches!(got, FetchedBlock::Cached(_)));
+        }
+        assert_eq!(cache.stats().readahead_useful, 1);
+        // Nor does the cursor's: it was wanted, not read ahead.
+        drop(fetcher.fetch(&file, 1, handles[0], BlockKind::Data, true, None).unwrap());
+        assert_eq!(cache.stats().readahead_useful, 1);
+    }
+
+    #[test]
+    fn failed_follower_is_dropped_and_does_not_fail_the_cursor() {
+        let env = MemEnv::new();
+        build_sst(&env, "t.sst", 300);
+        let handles = all_data_handles(&env, "t.sst");
+        let mut raw = env.raw_content("t.sst").unwrap();
+        raw[handles[2].offset as usize + 3] ^= 0x40;
+        env.set_raw_content("t.sst", raw).unwrap();
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::new(Some(cache.clone()), 4);
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-        fetcher.prefetch(&file, 1, handle, None);
-        // The worker pool is asynchronous; wait briefly for it.
-        for _ in 0..200 {
-            if cache.contains(&(1, handle.offset)) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(cache.contains(&(1, handle.offset)), "prefetch never landed");
-        assert_eq!(cache.stats().readahead_issued, 1);
-        // First real read is a hit credited to readahead.
-        let got = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, None).unwrap();
-        assert!(matches!(got, FetchedBlock::Cached(_)));
-        assert_eq!(cache.stats().readahead_useful, 1);
+        fetcher.read_ahead(&file, 1, &data_requests(&handles[..4]), None).unwrap();
+        assert!(cache.contains(&(1, handles[1].offset)) && cache.contains(&(1, handles[3].offset)));
+        assert!(!cache.contains(&(1, handles[2].offset)), "a corrupt block must not be cached");
+        // The block is reported when it is actually wanted.
+        let err = fetcher.read_ahead(&file, 1, &data_requests(&handles[2..4]), None).err();
+        assert!(matches!(err, Some(Error::Corruption(_))), "got {err:?}");
     }
 
     /// Collects every data-block handle from a table's index, in order.
@@ -902,8 +812,7 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let stats = Statistics::new();
         let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 0, 3, Some(stats.clone()));
-        let reqs: Vec<BlockRequest> =
-            handles.iter().map(|h| BlockRequest { handle: *h, kind: BlockKind::Data }).collect();
+        let reqs = data_requests(&handles);
         let before = env.io_stats().unwrap().snapshot();
         let got = fetcher.get_many(&file, 1, &reqs, true, None);
         let delta = env.io_stats().unwrap().snapshot().delta_since(&before);
@@ -970,21 +879,19 @@ mod tests {
     }
 
     #[test]
-    fn foreground_join_of_inflight_prefetch_counts_useful() {
-        // A block whose prefetch read is still in flight when the
-        // foreground arrives: the join itself must claim the readahead
-        // credit, and the later first cache hit must not double it.
+    fn follower_in_flight_elsewhere_is_neither_joined_nor_counted() {
         let env = MemEnv::new();
-        let handle = build_sst(&env, "t.sst", 300);
+        build_sst(&env, "t.sst", 300);
+        let handles = all_data_handles(&env, "t.sst");
+        let (cursor, busy) = (handles[0], handles[1]);
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::new(Some(cache.clone()), 4);
-        let raw = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
 
         /// Holds reads at `gate_offset` open until released.
         struct SlowFile {
             inner: Arc<dyn RandomAccessFile>,
             gate_offset: u64,
-            release: Arc<AtomicBool>,
+            release: AtomicBool,
         }
         impl RandomAccessFile for SlowFile {
             fn read_at(&self, offset: u64, len: usize) -> shield_env::EnvResult<Bytes> {
@@ -999,44 +906,73 @@ mod tests {
                 self.inner.len()
             }
         }
-
-        let release = Arc::new(AtomicBool::new(false));
-        let file: Arc<dyn RandomAccessFile> = Arc::new(SlowFile {
-            inner: raw,
-            gate_offset: handle.offset,
-            release: release.clone(),
+        let slow = Arc::new(SlowFile {
+            inner: env.new_random_access_file("t.sst", FileKind::Sst).unwrap(),
+            gate_offset: busy.offset,
+            release: AtomicBool::new(false),
         });
-        fetcher.prefetch(&file, 1, handle, None);
-        // Wait until the prefetch worker is actually in flight.
-        for _ in 0..500 {
-            if fetcher.core.inflight.lock().unwrap().contains_key(&(1, handle.offset)) {
-                break;
+        let file: Arc<dyn RandomAccessFile> = slow.clone();
+
+        std::thread::scope(|s| {
+            // Another reader leads `busy` and is held mid-read.
+            let reader = s.spawn(|| fetcher.fetch(&file, 1, busy, BlockKind::Data, true, None));
+            while !fetcher.inflight.lock().unwrap().contains_key(&(1, busy.offset)) {
+                std::thread::yield_now();
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            // A readahead batch naming `busy` as a follower returns its
+            // cursor block without waiting for it (a join would never
+            // return: the gate opens only afterwards).
+            fetcher.read_ahead(&file, 1, &data_requests(&[cursor, busy]), None).unwrap();
+            let s = cache.stats();
+            assert_eq!((s.readahead_issued, s.singleflight_waits), (0, 0));
+            slow.release.store(true, Ordering::SeqCst);
+            reader.join().unwrap().unwrap();
+        });
+        // `busy` landed through its own reader, unflagged: a hit on it is
+        // no readahead credit.
+        drop(fetcher.fetch(&file, 1, busy, BlockKind::Data, true, None).unwrap());
+        assert_eq!(cache.stats().readahead_useful, 0);
+    }
+
+    #[test]
+    fn one_window_batch_reads_on_the_calling_thread() {
+        /// Records which thread performed each read.
+        struct ThreadLog {
+            inner: Arc<dyn RandomAccessFile>,
+            readers: Mutex<Vec<std::thread::ThreadId>>,
         }
-        assert!(
-            fetcher.core.inflight.lock().unwrap().contains_key(&(1, handle.offset)),
-            "prefetch never took flight"
-        );
-        // Foreground arrives mid-prefetch; release the gate from a helper
-        // so the join resolves.
-        let releaser = {
-            let release = release.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                release.store(true, Ordering::SeqCst);
-            })
-        };
-        let got = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, None).unwrap();
-        releaser.join().unwrap();
-        drop(got);
-        let s = cache.stats();
-        assert_eq!(s.readahead_issued, 1);
-        assert_eq!(s.readahead_useful, 1, "join of in-flight prefetch must count as useful");
-        // The entry's prefetched flag was suppressed: a later hit must
-        // not credit the same prefetch twice.
-        drop(fetcher.fetch(&file, 1, handle, BlockKind::Data, true, None).unwrap());
-        assert_eq!(cache.stats().readahead_useful, 1, "double-credited prefetch");
+        impl RandomAccessFile for ThreadLog {
+            fn read_at(&self, offset: u64, len: usize) -> shield_env::EnvResult<Bytes> {
+                self.readers.lock().unwrap().push(std::thread::current().id());
+                self.inner.read_at(offset, len)
+            }
+            fn len(&self) -> shield_env::EnvResult<u64> {
+                self.inner.len()
+            }
+        }
+        let env = MemEnv::new();
+        build_sst(&env, "t.sst", 400);
+        let handles = all_data_handles(&env, "t.sst");
+        let log = Arc::new(ThreadLog {
+            inner: env.new_random_access_file("t.sst", FileKind::Sst).unwrap(),
+            readers: Mutex::new(Vec::new()),
+        });
+        let file: Arc<dyn RandomAccessFile> = log.clone();
+        let me = std::thread::current().id();
+        let fetcher = BlockFetcher::with_depth(None, 0, 3, None);
+        for got in fetcher.get_many(&file, 1, &data_requests(&handles[..3]), true, None) {
+            got.unwrap();
+        }
+        let one_window = std::mem::take(&mut *log.readers.lock().unwrap());
+        assert_eq!(one_window, vec![me; 3], "a lone window has nothing to overlap with");
+        // More windows: reads move to the scoped reader so window k + 1
+        // transfers while window k is verified here.
+        for got in fetcher.get_many(&file, 1, &data_requests(&handles[..7]), true, None) {
+            got.unwrap();
+        }
+        let readers = log.readers.lock().unwrap();
+        assert_eq!(readers.len(), 7);
+        assert!(readers.iter().all(|id| *id != me));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::error::{Error, Result};
 use crate::integrity::{IntegrityCtx, ReadIntegrity};
 use crate::iter::InternalIterator;
 use crate::sst::block::BlockIter;
-use crate::sst::fetcher::{read_verified, BlockFetcher, FetchedBlock};
+use crate::sst::fetcher::{read_verified, BlockFetcher, BlockRequest, FetchedBlock};
 use crate::sst::filter::BloomFilterReader;
 use crate::sst::format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, FOOTER_V2_LEN};
 use crate::sst::scanner::TableScanner;
@@ -82,8 +82,8 @@ impl Table {
     }
 
     /// Opens a table over a shared fetcher (the normal engine path: one
-    /// fetcher per `TableCache`, so all tables share its cache, in-flight
-    /// table, and prefetch pool). `table_id` keys the block cache and must
+    /// fetcher per `TableCache`, so all tables share its cache and
+    /// in-flight table). `table_id` keys the block cache and must
     /// be unique across every table the cache serves; `file_number` is the
     /// on-disk file number used in integrity-violation reports (the two
     /// differ when the cache is shared across databases). `integrity`
@@ -267,10 +267,10 @@ impl Table {
         // One deduplicated get_many over this file: as in `get_opt`, the
         // block the index seek lands on decides each key.
         let mut req_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        let mut reqs: Vec<crate::sst::fetcher::BlockRequest> = Vec::new();
+        let mut reqs: Vec<BlockRequest> = Vec::new();
         for &(_, _, handle) in &wanted {
             req_of.entry(handle.offset).or_insert_with(|| {
-                reqs.push(crate::sst::fetcher::BlockRequest { handle, kind: BlockKind::Data });
+                reqs.push(BlockRequest { handle, kind: BlockKind::Data });
                 reqs.len() - 1
             });
         }
@@ -320,18 +320,25 @@ impl Table {
         Ok(spans)
     }
 
-    /// A full-table iterator through the block cache, prefetching up to
-    /// the fetcher's readahead depth ahead of the read position. This is
-    /// the user-iterator path; whole-file scans use [`Table::scan`].
+    /// A full-table iterator through the block cache, reading up to the
+    /// fetcher's readahead depth ahead of the read position. This is the
+    /// user-iterator path; whole-file scans use [`Table::scan`].
     #[must_use]
     pub fn iter(self: &Arc<Self>) -> TableIterator {
+        self.iter_opt(true)
+    }
+
+    /// [`Table::iter`] with cache-admission control: `fill_cache = false`
+    /// reads every block around the cache, and so without readahead —
+    /// blocks read ahead would have nowhere to land.
+    #[must_use]
+    pub fn iter_opt(self: &Arc<Self>, fill_cache: bool) -> TableIterator {
         TableIterator {
             table: self.clone(),
             index_iter: self.index.block().iter(),
             data_iter: None,
             data_pin: None,
-            readahead_blocks: self.fetcher.readahead_blocks(),
-            prefetch_watermark: 0,
+            fill_cache,
             status: Ok(()),
         }
     }
@@ -348,19 +355,16 @@ impl Table {
 /// Two-level iterator: index entries → data blocks.
 ///
 /// Holds a pin on the current data block (so the cache cannot evict it
-/// mid-iteration) and, when readahead is enabled, issues bounded prefetch
-/// of upcoming blocks each time it crosses into a new one.
+/// mid-iteration). With readahead on, a block that is not resident is
+/// fetched together with the blocks after it, in one batched read.
 pub struct TableIterator {
     table: Arc<Table>,
     index_iter: BlockIter,
     data_iter: Option<BlockIter>,
     /// Cache pin for the block `data_iter` walks (`None` when uncached).
     data_pin: Option<FetchedBlock>,
-    /// How many blocks ahead to prefetch (0 = off).
-    readahead_blocks: usize,
-    /// File offset up to which prefetch has been issued, so each block is
-    /// requested at most once per forward pass.
-    prefetch_watermark: u64,
+    /// Whether this iterator's reads look in, and land in, the cache.
+    fill_cache: bool,
     status: Result<()>,
 }
 
@@ -372,48 +376,45 @@ impl TableIterator {
         if !self.index_iter.valid() {
             return;
         }
-        match BlockHandle::decode_varint(self.index_iter.value())
-            .and_then(|h| self.table.data_block(h, true))
-        {
+        match BlockHandle::decode_varint(self.index_iter.value()).and_then(|h| self.load(h)) {
             Ok(block) => {
                 self.data_iter = Some(block.block().iter());
                 self.data_pin = Some(block);
-                self.issue_readahead();
             }
             Err(e) => self.status = Err(e),
         }
     }
 
-    /// Queues prefetch for up to `readahead_blocks` index entries past the
-    /// current one. Uses a fresh iterator over the (pinned) index block so
-    /// the read position is untouched; the watermark keeps a forward scan
-    /// from re-requesting blocks it already asked for.
-    fn issue_readahead(&mut self) {
-        if self.readahead_blocks == 0 || !self.index_iter.valid() {
-            return;
+    /// Fetches the block at `handle`, where the index cursor stands. With
+    /// readahead on and the block not resident, the same read brings in
+    /// the following index entries' blocks that are not resident either —
+    /// at most the readahead depth of them, and no more than fit one
+    /// submission window with the cursor block — so a cold forward scan
+    /// pays one round trip per batch instead of one per block.
+    fn load(&self, handle: BlockHandle) -> Result<FetchedBlock> {
+        let t = &self.table;
+        let ahead = t.fetcher.readahead_blocks().min(t.fetcher.inflight_depth() - 1);
+        let cache = match t.fetcher.cache() {
+            Some(cache) if self.fill_cache && ahead > 0 => cache,
+            _ => return t.data_block(handle, self.fill_cache),
+        };
+        let resident = |h: &BlockHandle| cache.contains(&(t.table_id, h.offset));
+        if resident(&handle) {
+            return t.data_block(handle, true);
         }
-        let mut it = self.table.index.block().iter();
-        it.seek(self.index_iter.key());
-        if !it.valid() {
-            return;
-        }
-        for _ in 0..self.readahead_blocks {
-            it.next();
-            if !it.valid() {
-                return;
+        let mut upcoming = self.index_iter.clone();
+        let followers = std::iter::from_fn(|| {
+            upcoming.next();
+            if !upcoming.valid() {
+                return None;
             }
-            let Ok(handle) = BlockHandle::decode_varint(it.value()) else { return };
-            if handle.offset <= self.prefetch_watermark {
-                continue;
-            }
-            self.prefetch_watermark = handle.offset;
-            self.table.fetcher.prefetch(
-                &self.table.file,
-                self.table.table_id,
-                handle,
-                self.table.integrity.as_ref(),
-            );
-        }
+            BlockHandle::decode_varint(upcoming.value()).ok()
+        });
+        let requests: Vec<BlockRequest> = std::iter::once(handle)
+            .chain(followers.take(ahead).filter(|h| !resident(h)))
+            .map(|handle| BlockRequest { handle, kind: BlockKind::Data })
+            .collect();
+        t.fetcher.read_ahead(&t.file, t.table_id, &requests, t.integrity.as_ref())
     }
 
     /// Moves forward past empty blocks until the data iterator is valid or
@@ -784,42 +785,48 @@ mod tests {
     #[test]
     fn readahead_iterator_scans_correctly() {
         let env = MemEnv::new();
-        {
-            let t = build_table(&env, "t.sst", 500, 256);
-            drop(t);
-        }
-        // `readahead_issued` counts prefetches that actually lead a read,
-        // so give the link a little latency: on an instant in-memory file
-        // the foreground scan can win every race and legitimately issue 0.
-        let remote = shield_env::RemoteEnv::new(
-            Arc::new(env),
-            shield_env::NetworkModel {
-                rtt: std::time::Duration::from_micros(200),
-                bandwidth_bytes_per_sec: None,
-                write_packet_bytes: 64 * 1024,
-            },
-        );
+        drop(build_table(&env, "t.sst", 500, 256));
         let cache = BlockCache::new(1 << 20);
-        let file = remote.new_random_access_file("t.sst", FileKind::Sst).unwrap();
+        let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
         let fetcher = BlockFetcher::new(Some(cache.clone()), 4);
         let t = Arc::new(
             Table::open_with_fetcher(file, 7, 7, fetcher, None, ReadIntegrity::default()).unwrap(),
         );
-        let mut it = t.iter(); // inherits readahead depth 4
-        it.seek_to_first();
-        let mut count = 0;
-        while it.valid() {
-            count += 1;
-            it.next();
-        }
-        assert_eq!(count, 500);
-        it.status().unwrap();
-        // Workers may still be draining the queue; poll briefly.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while cache.stats().readahead_issued == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(cache.stats().readahead_issued > 0, "scan should issue prefetch");
+        let blocks = t.index_spans().unwrap().len() as u64;
+        let scan = |mut it: TableIterator| {
+            it.seek_to_first();
+            let mut count = 0;
+            while it.valid() {
+                count += 1;
+                it.next();
+            }
+            it.status().unwrap();
+            count
+        };
+
+        // Around the cache there is nowhere to read ahead into: every
+        // block is its own read and residency does not move.
+        let (resident, usage) = (cache.len(), cache.usage());
+        let reads = sst_reads(&env, || assert_eq!(scan(t.iter_opt(false)), 500));
+        assert_eq!(reads, blocks);
+        let s = cache.stats();
+        assert_eq!((cache.len(), cache.usage()), (resident, usage));
+        assert_eq!((s.data_hits, s.data_misses, s.readahead_issued), (0, 0, 0));
+
+        // Depth 4: the cold scan reads five blocks per batch, each block
+        // once; every follower is issued once and useful once.
+        let batches = blocks.div_ceil(5);
+        let reads = sst_reads(&env, || assert_eq!(scan(t.iter()), 500));
+        assert_eq!(reads, blocks);
+        let s = cache.stats();
+        assert_eq!((s.readahead_issued, s.readahead_useful), (blocks - batches, blocks - batches));
+        assert_eq!((s.data_misses, s.data_hits), (batches, blocks - batches));
+
+        // Warm, there is nothing left to read or to read ahead.
+        let reads = sst_reads(&env, || assert_eq!(scan(t.iter()), 500));
+        assert_eq!(reads, 0);
+        let s = cache.stats();
+        assert_eq!((s.readahead_issued, s.readahead_useful), (blocks - batches, blocks - batches));
     }
 
     #[test]

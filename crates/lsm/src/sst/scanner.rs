@@ -13,7 +13,7 @@
 //! block is then cut out of the span as a zero-copy slice and passed
 //! through `split_verified`, the same function that authenticates every
 //! block the fetcher reads: HMAC first, then CRC. Nothing here touches the
-//! block cache, the in-flight map or the prefetch pool.
+//! block cache or the in-flight map.
 //!
 //! Verification is lazy, block by block, as the scan position enters each
 //! block: a tampered block fails with the same error class and offset the

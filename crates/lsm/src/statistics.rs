@@ -154,7 +154,8 @@ tickers! {
         /// or WAL) and will retry from the held position.
         replica_incomplete_tails,
         /// `read_at_many` batch submissions issued by this engine's block
-        /// fetcher (each covers ≥ 1 block read).
+        /// fetcher (each covers ≥ 1 block read), for `multi_get` and for
+        /// iterator readahead alike.
         batched_reads,
         /// Individual block reads carried by those batch submissions.
         batch_read_requests,
@@ -183,9 +184,10 @@ tickers! {
         block_cache_singleflight_waits,
         /// Inserts larger than a cache shard, served uncached.
         block_cache_oversized_bypass,
-        /// Prefetch requests issued by iterator/compaction readahead.
+        /// Blocks an iterator's readahead batch read beyond the one the
+        /// iterator stood on.
         readahead_issued,
-        /// Prefetched blocks that were subsequently hit.
+        /// Blocks read ahead that were subsequently hit.
         readahead_useful,
         /// Storage faults injected by a fault-injection env, mirrored from
         /// [`shield_env::Env::fault_stats`].

@@ -40,7 +40,7 @@ const FILE_NUMBER_BITS: u32 = 40;
 /// An LRU cache of open table readers.
 ///
 /// Owns the engine's one [`BlockFetcher`]: every table opened here shares
-/// its block cache, single-flight table, and prefetch pool.
+/// its block cache and single-flight table.
 pub struct TableCache {
     files: FileStore,
     db_path: String,
@@ -54,7 +54,7 @@ pub struct TableCache {
 impl TableCache {
     /// Creates a cache holding at most `capacity` open tables of the tree
     /// in `db_path`, opened through `files` and read through
-    /// `block_cache`; `readahead_blocks` is the default prefetch depth of
+    /// `block_cache`; `readahead_blocks` is the readahead depth of
     /// iterators over them.
     #[must_use]
     pub fn new(

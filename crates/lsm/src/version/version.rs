@@ -289,21 +289,24 @@ impl Version {
 
     /// Iterators covering every persistent entry: one per L0 file plus one
     /// concatenating iterator per deeper non-empty level. Listed newest
-    /// first, as the merging iterator's tie-break requires.
+    /// first, as the merging iterator's tie-break requires. With
+    /// `fill_cache = false` they read data blocks around the block cache.
     pub fn iterators(
         &self,
         table_cache: &Arc<TableCache>,
+        fill_cache: bool,
     ) -> Result<Vec<Box<dyn InternalIterator>>> {
         let mut out: Vec<Box<dyn InternalIterator>> = Vec::new();
         for meta in &self.files[0] {
             let table = table_cache.get(meta.number)?;
-            out.push(Box::new(table.iter()));
+            out.push(Box::new(table.iter_opt(fill_cache)));
         }
         for level in 1..self.files.len() {
             if !self.files[level].is_empty() {
                 out.push(Box::new(LevelIterator::new(
                     self.files[level].clone(),
                     table_cache.clone(),
+                    fill_cache,
                 )));
             }
         }
@@ -327,11 +330,13 @@ pub struct LevelIterator<I = TableIterator> {
 }
 
 impl LevelIterator<TableIterator> {
-    /// Creates a cached iterator over `files`, which must be disjoint and
-    /// sorted by smallest key.
+    /// Creates an iterator through the block cache (around it for data
+    /// blocks with `fill_cache = false`) over `files`, which must be
+    /// disjoint and sorted by smallest key.
     #[must_use]
-    pub fn new(files: Vec<Arc<FileMeta>>, table_cache: Arc<TableCache>) -> Self {
-        Self::with_opener(files, table_cache, Table::iter)
+    pub fn new(files: Vec<Arc<FileMeta>>, table_cache: Arc<TableCache>, fill_cache: bool) -> Self {
+        let open = if fill_cache { Table::iter } else { |table: &Arc<Table>| table.iter_opt(false) };
+        Self::with_opener(files, table_cache, open)
     }
 }
 
@@ -550,7 +555,7 @@ mod tests {
         let f1 = build(&env, 1, &["a", "b"]);
         let f2 = build(&env, 2, &["c", "d"]);
         let tc = cache(&env);
-        let mut it = LevelIterator::new(vec![f1, f2], tc);
+        let mut it = LevelIterator::new(vec![f1, f2], tc, true);
         it.seek_to_first();
         let mut keys = Vec::new();
         while it.valid() {
@@ -576,7 +581,7 @@ mod tests {
         v.files[0] = vec![l0b, l0a];
         v.files[1] = vec![l1];
         let tc = cache(&env);
-        let iters = v.iterators(&tc).unwrap();
+        let iters = v.iterators(&tc, true).unwrap();
         assert_eq!(iters.len(), 3); // two L0 + one level iterator
         let mut m = crate::iter::MergingIterator::new(iters);
         m.seek_to_first();

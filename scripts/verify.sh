@@ -8,7 +8,12 @@
 #           call and no read of the engine-wide integrity key in
 #           crates/{lsm,core}/src library code outside files.rs,
 #           encryption.rs, integrity.rs, db/options.rs and the one
-#           FileStore construction in Db::open; clippy -D warnings over
+#           FileStore construction in Db::open; no thread of its own
+#           in the read path — no `thread::spawn` / `thread::Builder` in
+#           library code under crates/lsm/src/sst/ (a multi-window batch
+#           borrows a scoped thread for the call, DESIGN.md §4g), so the
+#           threads the engine keeps are exactly the JobPool workers, the
+#           optional ticker and the replica poller; clippy -D warnings over
 #           shield-crypto, shield-core, shield-env, shield-lsm and shield
 #           (skipped if clippy is unavailable).
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
@@ -35,7 +40,7 @@
 #                      disabled PerfContext cost (§4e)
 #     5  subcompaction compactions split; inputs stream (≤ 32 scan read
 #                      calls per MiB) (§4f, §4g)
-#     6  readpath      hot-key misses coalesce, readahead prefetches (§4g)
+#     6  readpath      hot-key misses coalesce, scans read ahead (§4g)
 #     7  integrity     HMAC runs verify every block, clean data verifies
 #                      clean (§4h)
 #     8  multiget      batches reach the batched read path (§4i)
@@ -86,6 +91,21 @@ if [[ -n "$hits" ]]; then
     echo "$hits"
     echo "FAIL: which key authenticates a file is decided in crates/lsm/src/files.rs"
     echo "      (FileStore); open and create files through it."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: thread gate (crates/lsm/src/sst library code) =="
+hits=""
+for f in $(find crates/lsm/src/sst -name '*.rs' | sort); do
+    hits+=$(awk '/#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\//{next}
+        /thread::spawn|thread::Builder/{print FILENAME": "FNR": "$0}' "$f")
+done
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: the SST read path owns no thread; read on the caller's thread"
+    echo "      (BlockFetcher::get_many batches, TableScanner spans)."
     exit 1
 fi
 echo "ok"

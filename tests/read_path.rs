@@ -8,21 +8,21 @@
 //!   exactly one underlying read — proven twice, once by `MemEnv` I/O op
 //!   counters and once by a `FaultInjectionEnv` armed with a *single*
 //!   read error that all N threads must observe,
-//! - iterator readahead yielding byte-identical scans, and
+//! - iterator readahead: byte-identical scans, accounting that is exact
+//!   straight after the scan, a fault that matters only on the block the
+//!   scan stands on, and one read per block under eight concurrent scans,
+//! - `fill_cache = false` honoured by `Db::scan`, and
 //! - a multi-threaded stress run whose post-join state must satisfy the
 //!   cache's capacity and pin invariants.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use shield_env::{
-    Env, EnvResult, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RandomAccessFile,
-    RemoteEnv,
-};
+use shield_env::{Env, EnvResult, FaultInjectionEnv, FaultOp, FileKind, MemEnv, RandomAccessFile};
 use shield_lsm::cache::{BlockCache, BlockKind, CacheConfig, CacheKey};
 use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
@@ -30,6 +30,7 @@ use shield_lsm::sst::fetcher::read_verified;
 use shield_lsm::sst::format::{BlockHandle, Footer, FOOTER_LEN};
 use shield_lsm::sst::{Block, BlockFetcher, Table};
 use shield_lsm::types::{make_internal_key, ValueType};
+use shield_lsm::{Db, Options, ReadOptions, WriteOptions};
 
 /// A minimal well-formed block body of `n` bytes (one restart at 0).
 fn test_block(n: usize) -> Arc<Block> {
@@ -327,104 +328,204 @@ fn single_flight_shares_one_injected_error() {
 // Readahead
 // ---------------------------------------------------------------------------
 
-/// A slightly-latent link over `MemEnv`: `readahead_issued` counts
-/// prefetches that actually *lead* a read, so on an instantaneous file
-/// the foreground can legitimately win every race and issue 0.
-fn latent_link(mem: MemEnv) -> RemoteEnv {
-    RemoteEnv::new(
-        Arc::new(mem),
-        NetworkModel {
-            rtt: Duration::from_micros(200),
-            bandwidth_bytes_per_sec: None,
-            write_packet_bytes: 64 * 1024,
-        },
-    )
+type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Every entry of `t`, through a fresh iterator, with the scan's status.
+fn scan_table(t: &Arc<Table>) -> (Rows, shield_lsm::error::Result<()>) {
+    let mut out = Vec::new();
+    let mut it = t.iter();
+    it.seek_to_first();
+    while it.valid() {
+        out.push((it.key().to_vec(), it.value().to_vec()));
+        it.next();
+    }
+    (out, it.status())
 }
 
-/// Polls until the readahead counters go quiet (the prefetch workers are
-/// asynchronous), returning `(issued, useful)`.
-fn quiesced_readahead_counters(cache: &Arc<BlockCache>) -> (u64, u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut prev = (u64::MAX, u64::MAX);
-    loop {
-        let s = cache.stats();
-        let now = (s.readahead_issued, s.readahead_useful);
-        if now == prev || Instant::now() > deadline {
-            return now;
-        }
-        prev = now;
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// Opens `file` as table 1 over a fresh 32 MiB cache (larger than any
+/// table here: no eviction) with iterator readahead `depth`.
+fn open_ahead(file: Arc<dyn RandomAccessFile>, depth: usize) -> (Arc<Table>, Arc<BlockCache>) {
+    let cache = BlockCache::new(32 << 20);
+    let fetcher = BlockFetcher::new(Some(cache.clone()), depth);
+    let table = Table::open_with_fetcher(file, 1, 1, fetcher, None, Default::default()).unwrap();
+    (Arc::new(table), cache)
 }
 
 /// A readahead iterator must yield byte-identical entries to a plain one,
-/// and must actually issue prefetches while scanning.
+/// and must actually read ahead while scanning.
 #[test]
 fn readahead_scan_yields_identical_entries() {
     let env = MemEnv::new();
     write_sst(&env, "t.sst", 500);
     let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-    let plain = Arc::new(Table::open(file, 1, None).unwrap());
+    let plain = Arc::new(Table::open(file.clone(), 1, None).unwrap());
+    let (ahead, cache) = open_ahead(file, 4);
 
-    let remote = latent_link(env);
-    let rfile = remote.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-    let cache = BlockCache::new(1 << 20);
-    let fetcher = BlockFetcher::new(Some(cache.clone()), 4);
-    let ahead =
-        Arc::new(Table::open_with_fetcher(rfile, 1, 1, fetcher, None, Default::default()).unwrap());
-
-    let collect = |t: &Arc<Table>| {
-        let mut out = Vec::new();
-        let mut it = t.iter();
-        it.seek_to_first();
-        while it.valid() {
-            out.push((it.key().to_vec(), it.value().to_vec()));
-            it.next();
-        }
-        it.status().unwrap();
-        out
-    };
-    let a = collect(&plain);
-    let b = collect(&ahead);
+    let (a, status) = scan_table(&plain);
+    status.unwrap();
+    let (b, status) = scan_table(&ahead);
+    status.unwrap();
     assert_eq!(a.len(), 500);
     assert_eq!(a, b, "readahead changed scan results");
-    let (issued, _) = quiesced_readahead_counters(&cache);
-    assert!(issued > 0, "depth-4 scan never prefetched");
+    assert!(cache.stats().readahead_issued > 0, "depth-4 scan never read ahead");
 }
 
-/// Regression for the readahead-usefulness accounting (PR 7 satellite):
-/// the old scheme counted every *enqueued* prefetch as issued (even ones
-/// superseded by the foreground) and only cache-flagged hits as useful
-/// (missing foreground joins of in-flight prefetches), reporting e.g.
-/// 613 issued / 51 useful on a plain sequential scan. With honest
-/// accounting — issued when a prefetch worker actually leads a read,
-/// useful claimed on join or first hit — a sequential scan over a
-/// cache-larger-than-file table must be ≥ 80% useful.
+/// Readahead accounting is a function of the table and the depth, not of
+/// timing: a cold single-threaded forward scan of an N-block table at
+/// depth K reads ⌈N / (K + 1)⌉ batches — one cursor block and K followers
+/// each — and every follower is issued once and useful once. (The scheme
+/// before PR 7 reported 613 issued / 51 useful on such a scan; the
+/// worker-pool scheme after it was right only once its threads had
+/// drained.) Asserted straight after the scan: nothing runs behind it.
 #[test]
 fn readahead_usefulness_is_honest_on_sequential_scan() {
+    const DEPTH: u64 = 8;
     let mem = MemEnv::new();
     write_sst(&mem, "t.sst", 2000);
-    let remote = latent_link(mem);
-    let file = remote.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-    let cache = BlockCache::new(32 << 20); // larger than the file: no eviction
-    let fetcher = BlockFetcher::new(Some(cache.clone()), 8);
-    let t = Arc::new(Table::open_with_fetcher(file, 1, 1, fetcher, None, Default::default()).unwrap());
-    let mut it = t.iter();
-    it.seek_to_first();
-    let mut n = 0;
-    while it.valid() {
-        n += 1;
-        it.next();
+    let file = mem.new_random_access_file("t.sst", FileKind::Sst).unwrap();
+    let (t, cache) = open_ahead(file, DEPTH as usize);
+    let blocks = t.index_spans().unwrap().len() as u64;
+    let batches = blocks.div_ceil(DEPTH + 1);
+    assert!(batches > 10, "want many batches, got {batches} over {blocks} blocks");
+
+    let before = mem.io_stats().unwrap().snapshot();
+    let (rows, status) = scan_table(&t);
+    status.unwrap();
+    assert_eq!(rows.len(), 2000);
+    let s = cache.stats();
+    assert_eq!((s.readahead_issued, s.readahead_useful), (blocks - batches, blocks - batches));
+    assert_eq!((s.data_misses, s.data_hits), (batches, blocks - batches));
+    let reads = mem.io_stats().unwrap().snapshot().delta_since(&before).read_ops;
+    assert_eq!(reads[FileKind::Sst.index()], blocks, "each block is read once");
+}
+
+/// Arms one SST read error on `fault` just before the first read at
+/// `offset` goes down, so the fault lands on a chosen slot of a batch.
+struct ArmAt {
+    inner: Arc<dyn RandomAccessFile>,
+    fault: FaultInjectionEnv,
+    offset: u64,
+    armed: AtomicBool,
+}
+
+impl RandomAccessFile for ArmAt {
+    fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes> {
+        if offset == self.offset && !self.armed.swap(true, Ordering::SeqCst) {
+            self.fault.error_once(FileKind::Sst, FaultOp::Read);
+        }
+        self.inner.read_at(offset, len)
     }
-    assert_eq!(n, 2000);
-    it.status().unwrap();
-    let (issued, useful) = quiesced_readahead_counters(&cache);
-    assert!(issued > 0, "depth-8 scan never prefetched");
-    assert!(useful <= issued, "useful ({useful}) exceeds issued ({issued})");
-    assert!(
-        useful * 10 >= issued * 8,
-        "sequential-scan readahead only {useful}/{issued} useful (< 0.8)"
+
+    fn len(&self) -> EnvResult<u64> {
+        self.inner.len()
+    }
+}
+
+/// A read fault inside a readahead batch costs the scan nothing unless it
+/// hit the block the scan stood on: a failed follower is dropped and read
+/// again when the scan reaches it. On the cursor block the scan stops with
+/// the error, every earlier row yielded, and a retry succeeds.
+#[test]
+fn readahead_batch_fault_fails_the_scan_only_at_the_cursor() {
+    const DEPTH: usize = 8;
+    let mem = MemEnv::new();
+    write_sst(&mem, "t.sst", 2000);
+    let (expected, status) =
+        scan_table(&open_ahead(mem.new_random_access_file("t.sst", FileKind::Sst).unwrap(), 0).0);
+    status.unwrap();
+    let fault = FaultInjectionEnv::new(Arc::new(mem));
+    let open = |armed_block: usize| {
+        let inner = fault.new_random_access_file("t.sst", FileKind::Sst).unwrap();
+        // Data blocks lie back to back from offset 0.
+        let offset = open_ahead(inner.clone(), 0).0.index_spans().unwrap()[..armed_block]
+            .iter()
+            .map(|(_, stored)| stored)
+            .sum();
+        let armed = AtomicBool::new(false);
+        open_ahead(Arc::new(ArmAt { inner, fault: fault.clone(), offset, armed }), DEPTH).0
+    };
+
+    // Block 12 is the fourth slot of the second batch (blocks 9..=17).
+    let t = open(12);
+    let (rows, status) = scan_table(&t);
+    status.expect("a failed follower must not fail the scan");
+    assert_eq!(rows, expected);
+    assert_eq!(fault.stats().injected_for(FaultOp::Read), 1, "the fault never fired");
+
+    // Block 9 is the block the scan stands on when that batch goes down.
+    let t = open(DEPTH + 1);
+    let (rows, status) = scan_table(&t);
+    assert!(status.is_err(), "a failed cursor block must fail the scan");
+    assert_eq!(fault.stats().injected_for(FaultOp::Read), 2);
+    assert!(!rows.is_empty() && rows.len() < expected.len());
+    assert_eq!(rows, expected[..rows.len()], "every row before the fault is yielded");
+    let (rows, status) = scan_table(&t);
+    status.expect("the fault was transient");
+    assert_eq!(rows, expected);
+}
+
+/// Single-flight holds across batches: eight threads scanning one cold
+/// table with readahead read each block once between them.
+#[test]
+fn concurrent_readahead_scans_read_each_block_once() {
+    let mem = MemEnv::new();
+    write_sst(&mem, "t.sst", 2000);
+    let (t, cache) = open_ahead(mem.new_random_access_file("t.sst", FileKind::Sst).unwrap(), 8);
+    let blocks = t.index_spans().unwrap().len() as u64;
+    let barrier = Barrier::new(MISS_THREADS);
+    let before = mem.io_stats().unwrap().snapshot();
+    let scans: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..MISS_THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    scan_table(&t)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let reads = mem.io_stats().unwrap().snapshot().delta_since(&before).read_ops;
+    assert_eq!(reads[FileKind::Sst.index()], blocks, "a block was read twice");
+    for (rows, status) in &scans {
+        status.as_ref().expect("scan");
+        assert_eq!(rows, &scans[0].0);
+    }
+    assert_eq!(scans[0].0.len(), 2000);
+    let s = cache.stats();
+    assert!(s.readahead_issued > 0);
+    assert!(s.readahead_useful <= s.readahead_issued, "{s:?}");
+}
+
+/// `ReadOptions::fill_cache = false` reaches the iterators: a cold scan
+/// reads every data block around the cache — and so without readahead,
+/// which has nowhere to land — and returns the rows a filling scan does.
+#[test]
+fn scan_without_fill_cache_leaves_residency_untouched() {
+    let cache = BlockCache::new(32 << 20);
+    let mut opts = Options::new(Arc::new(MemEnv::new())).with_readahead_blocks(16);
+    opts.shared_block_cache = Some(cache.clone());
+    let db = Db::open(opts, "db").unwrap();
+    for i in 0..3000u32 {
+        db.put(&WriteOptions::default(), format!("k{i:05}").as_bytes(), &[b'v'; 100]).unwrap();
+    }
+    db.flush().unwrap();
+
+    let (resident, usage, before) = (cache.len(), cache.usage(), cache.stats());
+    let around = db.scan(&ReadOptions { fill_cache: false, ..ReadOptions::default() }, b"", usize::MAX);
+    let around = around.unwrap();
+    assert_eq!(around.len(), 3000);
+    let after = cache.stats();
+    assert_eq!((cache.len(), cache.usage()), (resident, usage), "a no-fill scan admitted blocks");
+    assert_eq!(
+        (after.data_hits, after.data_misses, after.readahead_issued),
+        (before.data_hits, before.data_misses, 0),
+        "a no-fill scan looked data blocks up, or read ahead"
     );
+
+    let filling = db.scan(&ReadOptions::default(), b"", usize::MAX).unwrap();
+    assert_eq!(filling, around);
+    assert!(cache.len() > resident && cache.stats().readahead_issued > 0);
 }
 
 // ---------------------------------------------------------------------------

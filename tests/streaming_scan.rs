@@ -13,6 +13,8 @@
 //!   to every subcompaction boundary candidate;
 //! - a tampered block inside a span fails with the same error (class and
 //!   block offset) as the cached path, after the same verified prefix;
+//! - the same for a tampered block a readahead batch reads as a follower:
+//!   the scan fails where, and as, the scan without readahead does;
 //! - a file truncated under an open table and hostile index handles fail
 //!   cleanly;
 //! - a soft read fault in the middle of a compaction is retried and the
@@ -298,6 +300,51 @@ fn tampered_block_fails_like_the_cached_path_and_poisons_nothing_before_it() {
                 };
                 assert_eq!(streamed, cached, "{what}: prefix");
                 assert_eq!(streamed, entries[..before], "{what}: verified prefix");
+            }
+            fx.base.set_raw_content(&sst_path(1), clean).expect("restore");
+        }
+    }
+}
+
+/// A tampered block that a readahead batch brings in as a *follower* is
+/// dropped there and read again when the scan stands on it: the scan
+/// fails at that block with the error class and offset it has with
+/// readahead off, and every earlier row is already out.
+#[test]
+fn tampered_follower_block_fails_the_readahead_scan_like_the_serial_one() {
+    const DEPTH: usize = 15; // sixteen blocks per batch
+    for mode in MODES {
+        for integrity in INTEGRITIES {
+            let fx = Fixture::new(mode, integrity);
+            let entries = make_entries(2500, 1);
+            let meta = fx.build_table(1, &entries, 1024);
+            let (clean, header) = fx.raw(&meta);
+            let offsets = block_offsets(&fx.table_cache(None).get(1).expect("open"));
+            // Second slot of the first batch, deep in the second, last
+            // slot of the third — and one block a batch starts on.
+            for victim in [1, 16 + 9, 32 + 15, 64] {
+                let what = format!("{mode:?}/{integrity:?} block {victim}");
+                let mut raw = clean.clone();
+                raw[header + offsets[victim] as usize + 17] ^= 0x04;
+                fx.base.set_raw_content(&sst_path(1), raw).expect("tamper");
+
+                let serial = fx.table_cache(Some(BlockCache::new(8 << 20))).get(1).expect("open");
+                let (serial_rows, serial_end) = from_first(serial.iter());
+                let cache = BlockCache::new(8 << 20);
+                let ahead = TableCache::new(fx.files.clone(), "db".into(), Some(cache.clone()), 64, DEPTH)
+                    .get(1)
+                    .expect("open");
+                let (rows, end) = from_first(ahead.iter());
+                assert!(cache.stats().readahead_issued > 0, "{what}: never read ahead");
+                let err = end.clone().expect_err("tampering must be detected");
+                assert_eq!(end, serial_end, "{what}: same error, same offset");
+                assert!(err.to_string().contains(&format!("offset {}", offsets[victim])), "{what}: {err}");
+                match integrity {
+                    Integrity::Hmac => assert!(matches!(err, Error::IntegrityViolation(_)), "{what}"),
+                    Integrity::Crc => assert!(matches!(err, Error::Corruption(_)), "{what}"),
+                }
+                assert!(!rows.is_empty(), "{what}");
+                assert_eq!(rows, serial_rows, "{what}: every earlier row is yielded");
             }
             fx.base.set_raw_content(&sst_path(1), clean).expect("restore");
         }
