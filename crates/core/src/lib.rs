@@ -27,7 +27,6 @@ pub mod deploy;
 pub mod encfs;
 
 use std::ops::Deref;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use shield_crypto::Algorithm;
@@ -160,17 +159,11 @@ impl<H> Deref for Shield<H> {
 }
 
 impl Shield<Db> {
-    /// Engine counters with the resolver gauges (`resolver_retries`,
-    /// `resolver_failovers`, `resolver_degraded_hits`) refreshed from the
-    /// DEK resolver, so one snapshot covers both layers.
+    /// Engine counters ([`Db::statistics`]); the engine mirrors its
+    /// resolver's gauges itself, so one snapshot covers both layers.
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
-        let stats = self.db.statistics();
-        let r = self.resolver.stats();
-        stats.resolver_retries.store(r.retries, Ordering::Relaxed);
-        stats.resolver_failovers.store(r.failovers, Ordering::Relaxed);
-        stats.resolver_degraded_hits.store(r.degraded_hits, Ordering::Relaxed);
-        stats
+        self.db.statistics()
     }
 }
 

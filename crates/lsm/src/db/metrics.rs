@@ -295,8 +295,9 @@ impl DbInner {
         }
     }
 
-    /// Refreshes ticker mirrors (env faults, block-cache totals, gauges)
-    /// from their live sources.
+    /// Refreshes ticker mirrors (env faults, block-cache totals, the DEK
+    /// resolver's retry/failover/degraded counts, gauges) from their live
+    /// sources.
     pub(super) fn refresh_stat_mirrors(&self) {
         if let Some(faults) = self.files.env.fault_stats() {
             self.files.stats
@@ -319,6 +320,13 @@ impl DbInner {
             s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
             s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
             s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
+        }
+        if let Some(encryption) = &self.files.encryption {
+            let r = encryption.resolver.stats();
+            let s = &self.files.stats;
+            s.resolver_retries.store(r.retries, Ordering::Relaxed);
+            s.resolver_failovers.store(r.failovers, Ordering::Relaxed);
+            s.resolver_degraded_hits.store(r.degraded_hits, Ordering::Relaxed);
         }
         self.files.stats
             .env_inflight_reads

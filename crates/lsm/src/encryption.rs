@@ -258,19 +258,9 @@ impl EncryptionConfig {
         }
     }
 
-    /// Opens an encrypted (or plaintext) file for sequential reads.
-    pub fn open_sequential(
-        &self,
-        env: &dyn Env,
-        path: &str,
-        kind: FileKind,
-    ) -> Result<Box<dyn SequentialFile>> {
-        let (file, _mac) = self.open_sequential_with_mac(env, path, kind)?;
-        Ok(file)
-    }
-
-    /// Like [`open_sequential`](Self::open_sequential), also returning the
-    /// MAC subkey derived from the file's DEK — `None` for plaintext files.
+    /// Opens an encrypted (or plaintext) file for sequential reads, also
+    /// returning the MAC subkey derived from the file's DEK — `None` for
+    /// plaintext files.
     pub fn open_sequential_with_mac(
         &self,
         env: &dyn Env,
@@ -706,7 +696,7 @@ mod tests {
             f.append(&payload).unwrap();
             f.sync().unwrap();
         }
-        let mut s = cfg.open_sequential(&env, "f.log", FileKind::Wal).unwrap();
+        let (mut s, _) = cfg.open_sequential_with_mac(&env, "f.log", FileKind::Wal).unwrap();
         let mut out = Vec::new();
         let mut buf = [0u8; 333];
         loop {
@@ -731,7 +721,7 @@ mod tests {
         }
         let r = cfg.open_random(&env, "plain", FileKind::Other).unwrap();
         assert_eq!(&r.read_at(0, 5).unwrap()[..], b"hello");
-        let mut s = cfg.open_sequential(&env, "plain", FileKind::Other).unwrap();
+        let (mut s, _) = cfg.open_sequential_with_mac(&env, "plain", FileKind::Other).unwrap();
         let mut buf = [0u8; 5];
         s.read(&mut buf).unwrap();
         assert_eq!(&buf, b"hello");
@@ -783,7 +773,7 @@ mod tests {
         let inits = cfg.cipher_inits() - before;
         assert!(inits <= 3, "inits = {inits}");
         // And the data still round-trips.
-        let mut s = cfg.open_sequential(&env, "w", FileKind::Wal).unwrap();
+        let (mut s, _) = cfg.open_sequential_with_mac(&env, "w", FileKind::Wal).unwrap();
         let mut buf = vec![0u8; 2000];
         let mut total = 0;
         loop {

@@ -60,23 +60,12 @@ impl Table {
         table_id: u64,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<Table> {
-        Self::open_with_stats(file, table_id, cache, None)
-    }
-
-    /// [`Table::open`] with an engine ticker sink, so bloom-filter
-    /// negatives are credited to `bloom_useful`.
-    pub fn open_with_stats(
-        file: Arc<dyn RandomAccessFile>,
-        table_id: u64,
-        cache: Option<Arc<BlockCache>>,
-        stats: Option<Arc<crate::statistics::Statistics>>,
-    ) -> Result<Table> {
         Self::open_with_fetcher(
             file,
             table_id,
             table_id,
             BlockFetcher::new(cache, 0),
-            stats,
+            None,
             ReadIntegrity::default(),
         )
     }

@@ -13,9 +13,17 @@
 #           library code under crates/lsm/src/sst/ (a multi-window batch
 #           borrows a scoped thread for the call, DESIGN.md §4g), so the
 #           threads the engine keeps are exactly the JobPool workers, the
-#           optional ticker and the replica poller; clippy -D warnings over
-#           shield-crypto, shield-core, shield-env, shield-lsm and shield
-#           (skipped if clippy is unavailable).
+#           optional ticker and the replica poller; one test bench
+#           (DESIGN.md "Testing"): under tests/ but outside tests/support/
+#           no `enum Mode`, `enum Action`, `fn action_strategy`,
+#           `Deref<Target = Db>` box, `EncryptedEnv::new(`,
+#           `DekResolver::new(` / `::with_policy(` or
+#           `EncryptionConfig::new(` — a suite that rebuilds the mode
+#           matrix, the history or the mode→file-layer switch by hand
+#           skips cells the shared store, history and oracle would have
+#           run it through; clippy -D warnings over shield-crypto,
+#           shield-core, shield-env, shield-lsm and shield (skipped if
+#           clippy is unavailable).
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
 #           root package's integration suites — fault injection, tamper,
 #           multi_get, sharded, replica, model check, … all of them), then
@@ -106,6 +114,16 @@ if [[ -n "$hits" ]]; then
     echo "$hits"
     echo "FAIL: the SST read path owns no thread; read on the caller's thread"
     echo "      (BlockFetcher::get_many batches, TableScanner spans)."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: test-bench gate (tests/ outside tests/support/) =="
+if grep -nE 'enum (Mode|Action)\b|fn action_strategy|Deref<Target = Db>|EncryptedEnv::new\(|DekResolver::(new|with_policy)\(|EncryptionConfig::new\(' \
+    $(find tests -name '*.rs' -not -path 'tests/support/*' | sort); then
+    echo "FAIL: one store, one history, one oracle — open databases and other servers'"
+    echo "      file layers through tests/support (Store::open / Store::files_for), draw"
+    echo "      histories from support::{actions, history} and check with support::check."
     exit 1
 fi
 echo "ok"

@@ -10,14 +10,16 @@
 //! * a total KDS outage degrades SHIELD to cached-DEK service: files whose
 //!   DEKs are in the secure cache stay readable, new files stall.
 
-use std::sync::Arc;
-use std::time::Duration;
+mod support;
 
-use shield::{open_encfs, open_plain, open_shield, ShieldOptions, DEK_CACHE_FILE};
-use shield_crypto::{Algorithm, Dek};
+use std::sync::Arc;
+
+use shield::DEK_CACHE_FILE;
+use shield_crypto::Algorithm;
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
-use shield_kds::{Kds, KdsConfig, KdsError, ReplicatedKds, RetryPolicy, SecureDekCache, ServerId};
+use shield_kds::{Kds, KdsConfig, KdsError, ReplicatedKds, SecureDekCache, ServerId};
 use shield_lsm::{Db, Error, Options, ReadOptions, WriteOptions};
+use support::{laws, Mode, Store, MODES};
 
 fn key(round: u32, i: u32) -> Vec<u8> {
     format!("r{round:02}-k{i:04}").into_bytes()
@@ -27,57 +29,21 @@ fn wsync() -> WriteOptions {
     WriteOptions { sync: true }
 }
 
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_micros(100),
-        max_backoff: Duration::from_millis(1),
-        ..RetryPolicy::default()
-    }
+/// A deployment over `medium` whose KDS is `replicas` replicas that can
+/// be failed by hand.
+fn replicated(mode: Mode, medium: Arc<dyn Env>, replicas: usize) -> (Store, Arc<ReplicatedKds>) {
+    let kds = Arc::new(ReplicatedKds::new(replicas, KdsConfig::default()));
+    (Store { kds: kds.clone(), ..Store::over(mode, medium) }, kds)
 }
 
-/// One encryption mode of the crash loop: everything needed to open the
-/// same database again after a crash.
-enum Mode {
-    Plain,
-    EncFs { dek: Dek },
-    Shield { kds: Arc<ReplicatedKds> },
-}
-
-impl Mode {
-    fn label(&self) -> &'static str {
-        match self {
-            Mode::Plain => "plain",
-            Mode::EncFs { .. } => "encfs",
-            Mode::Shield { .. } => "shield",
-        }
-    }
-
-    /// Runs `work` against a freshly opened handle, then lets the handle
-    /// die like a crashed process (no clean shutdown work).
-    fn with_db(&self, fenv: &FaultInjectionEnv, work: impl FnOnce(&Db)) {
-        let opts = Options::new(Arc::new(fenv.clone()));
-        match self {
-            Mode::Plain => {
-                let db = open_plain(opts, "db").expect("open plain");
-                work(&db);
-                db.simulate_process_crash();
-            }
-            Mode::EncFs { dek } => {
-                let db = open_encfs(opts, "db", dek.clone(), 0).expect("open encfs");
-                work(&db.db);
-                db.db.simulate_process_crash();
-            }
-            Mode::Shield { kds } => {
-                let mut sopts =
-                    ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk");
-                sopts.retry_policy = fast_retry();
-                let db = open_shield(opts, "db", sopts).expect("open shield");
-                work(&db.db);
-                db.db.simulate_process_crash();
-            }
-        }
-    }
+/// Runs `work` against a freshly opened handle, then lets the handle die
+/// like a crashed process (no clean shutdown work) — after its tickers
+/// passed the conservation laws.
+fn with_db(store: &Store, work: impl FnOnce(&Db)) {
+    let db = store.open(|opts| opts);
+    work(&db);
+    laws(&db.statistics().snapshot());
+    db.db.simulate_process_crash();
 }
 
 /// Acceptance (a): a crash right after a synced write loses none of the
@@ -85,17 +51,13 @@ impl Mode {
 /// rounds, with torn WAL writes armed for the unsynced tail.
 #[test]
 fn crash_after_sync_loses_no_acked_writes_in_all_modes() {
-    let modes = [
-        Mode::Plain,
-        Mode::EncFs { dek: Dek::generate(Algorithm::Aes128Ctr) },
-        Mode::Shield { kds: Arc::new(ReplicatedKds::new(2, KdsConfig::default())) },
-    ];
-    for mode in &modes {
+    for mode in MODES {
         let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
+        let (store, _) = replicated(mode, Arc::new(fenv.clone()), 2);
         const ROUNDS: u32 = 3;
         const N: u32 = 40;
         for round in 0..ROUNDS {
-            mode.with_db(&fenv, |db| {
+            with_db(&store, |db| {
                 for i in 0..N - 1 {
                     db.put(&WriteOptions::default(), &key(round, i), b"v").unwrap();
                 }
@@ -113,14 +75,13 @@ fn crash_after_sync_loses_no_acked_writes_in_all_modes() {
             // System crash: unsynced bytes vanish.
             fenv.crash().unwrap();
             // Reopen and verify every synced round so far, then keep going.
-            mode.with_db(&fenv, |db| {
+            with_db(&store, |db| {
                 let r = ReadOptions::new();
                 for vr in 0..=round {
                     for i in 0..N {
                         assert!(
                             db.get(&r, &key(vr, i)).unwrap().is_some(),
-                            "{}: round {round}: lost acked {}",
-                            mode.label(),
+                            "{mode:?}: round {round}: lost acked {}",
                             String::from_utf8_lossy(&key(vr, i)),
                         );
                     }
@@ -128,8 +89,8 @@ fn crash_after_sync_loses_no_acked_writes_in_all_modes() {
             });
         }
         let stats = fenv.stats();
-        assert_eq!(stats.crashes, ROUNDS as u64, "{}", mode.label());
-        assert!(stats.torn_writes >= 1, "{}: torn writes never fired", mode.label());
+        assert_eq!(stats.crashes, ROUNDS as u64, "{mode:?}");
+        assert!(stats.torn_writes >= 1, "{mode:?}: torn writes never fired");
     }
 }
 
@@ -140,10 +101,11 @@ fn crash_after_sync_loses_no_acked_writes_in_all_modes() {
 #[test]
 fn sst_read_fault_during_compaction_is_resumable() {
     let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
-    let mut opts = Options::new(Arc::new(fenv.clone()));
-    opts.write_buffer_size = 4 << 10;
-    opts.compaction.l0_compaction_trigger = 2;
-    let db = open_plain(opts, "db").expect("open");
+    let db = Store::over(Mode::Plain, Arc::new(fenv.clone())).open(|mut opts| {
+        opts.write_buffer_size = 4 << 10;
+        opts.compaction.l0_compaction_trigger = 2;
+        opts
+    });
 
     // A clean first batch, flushed to SSTs with no faults armed.
     for i in 0..200u32 {
@@ -201,6 +163,7 @@ fn sst_read_fault_during_compaction_is_resumable() {
     db.put(&WriteOptions::default(), b"post-resume", b"v").unwrap();
     db.compact_all().unwrap();
     assert!(db.get(&r, b"post-resume").unwrap().is_some());
+    laws(&db.statistics().snapshot());
 }
 
 /// Acceptance (c): with every KDS replica down, DEKs in the secure cache
@@ -210,10 +173,9 @@ fn sst_read_fault_during_compaction_is_resumable() {
 #[test]
 fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let kds = Arc::new(ReplicatedKds::new(3, KdsConfig::default()));
-    let mut sopts = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk");
-    sopts.retry_policy = fast_retry();
-    let db = open_shield(Options::new(env.clone()), "db", sopts).expect("open shield");
+    let (store, kds) = replicated(Mode::Shield, env.clone(), 3);
+    let db = store.open(|opts| opts);
+    let resolver = db.resolver.clone().expect("a SHIELD primary has a resolver");
 
     for i in 0..100u32 {
         db.put(&WriteOptions::default(), &key(0, i), b"v").unwrap();
@@ -230,21 +192,21 @@ fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
     kds.fail_all();
 
     // Uncached fetch: retried to exhaustion, then Unavailable.
-    match db.resolver.resolve(uncached.id()) {
+    match resolver.resolve(uncached.id()) {
         Err(shield_kds::ResolverError::Kds(KdsError::Unavailable(_))) => {}
         other => panic!("uncached resolve during outage: {other:?}"),
     }
-    assert!(db.resolver.is_degraded());
+    assert!(resolver.is_degraded());
 
     // Cached DEKs keep resolving: existing files stay readable.
-    db.resolver.resolve(cached_id).expect("cached DEK must survive the outage");
+    resolver.resolve(cached_id).expect("cached DEK must survive the outage");
     let r = ReadOptions::new();
     for i in 0..100u32 {
         assert!(db.get(&r, &key(0, i)).unwrap().is_some(), "read lost during KDS outage");
     }
 
     // Retries, failovers and degraded hits are all observable.
-    let rs = db.resolver.stats();
+    let rs = resolver.stats();
     assert_eq!(rs.retries, 2, "max_attempts=3 → 2 retries: {rs:?}");
     assert!(rs.degraded_hits >= 1, "{rs:?}");
     assert!(rs.failovers >= 1, "{rs:?}");
@@ -272,23 +234,57 @@ fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
     db.resume().expect("resume clears any parked state after recovery");
     assert!(db.background_error().is_none());
     db.flush().expect("flush succeeds once the KDS is back");
-    assert!(!db.resolver.is_degraded());
+    assert!(!resolver.is_degraded());
     db.put(&wsync(), b"post-recovery", b"v").unwrap();
     assert!(db.get(&r, b"post-recovery").unwrap().is_some());
     for i in 0..50u32 {
         assert!(db.get(&r, &key(1, i)).unwrap().is_some(), "outage-era write lost");
     }
+    laws(&db.statistics().snapshot());
+}
+
+/// Counters are true without anyone asking the right handle: the
+/// resolver's retry / failover / degraded counts reach
+/// `metrics_report()` (and so the LOG stats dump, the windowed stats and
+/// `debug_bundle()`) through the engine's own mirror refresh —
+/// `statistics()` is never called here.
+#[test]
+fn resolver_gauges_reach_the_metrics_report_without_a_statistics_call() {
+    let (store, kds) = replicated(Mode::Shield, Arc::new(MemEnv::new()), 3);
+    let db = store.open(|opts| opts);
+    for i in 0..100u32 {
+        db.put(&WriteOptions::default(), &key(0, i), b"v").unwrap();
+    }
+    db.flush().unwrap();
+    drop(db);
+
+    // Reopen cold, take the KDS away and let the resolver notice (a DEK
+    // it never cached is unreachable): the table the next read opens
+    // resolves its DEK from the secure cache, in degraded mode.
+    let db = store.open(|opts| opts);
+    let uncached = kds.generate_dek(ServerId(9), Algorithm::Aes128Ctr).unwrap();
+    kds.fail_all();
+    let resolver = db.resolver.as_ref().expect("a SHIELD primary has a resolver");
+    assert!(resolver.resolve(uncached.id()).is_err());
+    assert!(db.get(&ReadOptions::new(), &key(0, 7)).unwrap().is_some());
+    let report = db.metrics_report();
+    assert!(report.tickers.resolver_degraded_hits >= 1, "the engine never mirrored its resolver");
+    let doc = shield_core::json::parse(&report.to_json()).expect("metrics parse");
+    let in_json = doc.get("tickers").and_then(|t| t.get("resolver_degraded_hits"));
+    assert_eq!(
+        in_json.and_then(|v| v.as_f64()),
+        Some(report.tickers.resolver_degraded_hits as f64)
+    );
 }
 
 /// The full stack composes: fault env under SHIELD, crash loops with SST
 /// write faults armed, ending in an intact, verifiable database.
 #[test]
 fn shield_crash_loop_with_write_faults_converges() {
-    let kds = Arc::new(ReplicatedKds::new(2, KdsConfig::default()));
-    let mode = Mode::Shield { kds };
     let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
+    let (store, _) = replicated(Mode::Shield, Arc::new(fenv.clone()), 2);
     for round in 0..4u32 {
-        mode.with_db(&fenv, |db| {
+        with_db(&store, |db| {
             // One transient SST append fault per round: the flush retries
             // (soft I/O error) and must still land the data.
             fenv.error_once(FileKind::Sst, FaultOp::Append);
@@ -301,7 +297,7 @@ fn shield_crash_loop_with_write_faults_converges() {
         });
         fenv.crash().unwrap();
     }
-    mode.with_db(&fenv, |db| {
+    with_db(&store, |db| {
         let r = ReadOptions::new();
         for round in 0..4u32 {
             for i in 0..=60u32 {
@@ -335,7 +331,7 @@ fn tampered_sst_during_compaction_is_unrecoverable() {
     // L0 files, so the eventual compaction must merge — a trivial move
     // would never read the tampered input.
     {
-        let db = open_plain(hmac_opts(100), "db").unwrap();
+        let db = Db::open(hmac_opts(100), "db").unwrap();
         let w = WriteOptions::default();
         for round in 0..2 {
             for i in 0..500u32 {
@@ -359,7 +355,7 @@ fn tampered_sst_during_compaction_is_unrecoverable() {
 
     // Phase 2: reopen with a low trigger; the L0→L1 merge now reads the
     // forged input.
-    let db = open_plain(hmac_opts(2), "db").unwrap();
+    let db = Db::open(hmac_opts(2), "db").unwrap();
     assert!(db.compact_all().is_err(), "merge over forged input must fail");
     let bg = db.background_error().expect("violation parks as background error");
     assert!(

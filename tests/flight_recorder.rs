@@ -13,14 +13,15 @@
 //! `Db::debug_bundle()` must parse as one JSON document carrying all of
 //! it.
 
+mod support;
+
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use shield::{open_shield, ShieldDb, ShieldOptions};
 use shield_core::{json, Event, EventListener};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{Options, ReadOptions, WriteOptions};
+use support::{Mode, Primary, Store};
 
 /// Captures every event name (and the rendered payload of the ones the
 /// tests assert on) emitted by the engine.
@@ -47,41 +48,31 @@ impl EventListener for Capture {
 
 /// One SHIELD instance over `env`, with small files/blocks so workloads
 /// span several tables and many blocks.
-struct Fixture {
-    env: Arc<dyn Env>,
-    kds: Arc<LocalKds>,
-}
+/// A SHIELD store over `env`.
+struct Fixture(Store);
 
 impl Fixture {
     fn new(env: Arc<dyn Env>) -> Self {
-        Fixture { env, kds: Arc::new(LocalKds::new(KdsConfig::default())) }
+        Fixture(Store::over(Mode::Shield, env))
     }
 
-    fn base_opts(&self) -> Options {
-        let mut opts =
-            Options::new(self.env.clone()).with_write_buffer_size(16 << 10);
-        opts.block_size = 256;
-        opts.compaction.l0_compaction_trigger = 2;
-        opts
-    }
-
-    fn open(&self, opts: Options) -> ShieldDb {
-        open_shield(
-            opts,
-            "db",
-            ShieldOptions::new(self.kds.clone() as Arc<dyn Kds>, ServerId(1), b"fr"),
-        )
-        .expect("open shield")
+    /// Opens with tiny blocks and an eager compaction trigger, then `tweak`.
+    fn open(&self, tweak: impl FnOnce(Options) -> Options) -> Primary {
+        self.0.open(|opts| {
+            let mut opts = opts.with_write_buffer_size(16 << 10);
+            opts.block_size = 256;
+            opts.compaction.l0_compaction_trigger = 2;
+            tweak(opts)
+        })
     }
 
     /// Writes `n` keys and compacts them into persistent tables, then
     /// closes the DB so the next open starts with a cold cache.
     fn populate(&self, n: u32) {
-        let db = self.open(self.base_opts());
+        let db = self.open(|opts| opts);
         let w = WriteOptions::default();
         for i in 0..n {
-            let key = format!("key-{i:05}");
-            db.db.put(&w, key.as_bytes(), format!("value-{i}").as_bytes()).unwrap();
+            db.db.put(&w, &key(i), format!("value-{i}").as_bytes()).unwrap();
         }
         db.db.compact_all().unwrap();
     }
@@ -104,7 +95,7 @@ fn cold_multi_get_trace_has_batched_window_spans() {
     let fx = Fixture::new(Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), net)));
     fx.populate(256);
 
-    let db = fx.open(fx.base_opts().with_tracing());
+    let db = fx.open(Options::with_tracing);
     let keys: Vec<Vec<u8>> = (0..256).step_by(4).take(64).map(key).collect();
     let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
     let results = db.db.multi_get(&ReadOptions::new(), &refs);
@@ -159,11 +150,10 @@ fn slow_op_captured_under_injected_delay() {
     fx.populate(128);
 
     let capture = Arc::new(Capture::default());
-    let opts = fx
-        .base_opts()
-        .with_slow_op_threshold(Duration::from_millis(2))
-        .with_event_listener(capture.clone());
-    let db = fx.open(opts);
+    let db = fx.open(|opts| {
+        opts.with_slow_op_threshold(Duration::from_millis(2))
+            .with_event_listener(capture.clone())
+    });
     fenv.delay_n_times(FileKind::Sst, FaultOp::Read, Duration::from_millis(10), 8);
     assert!(db.db.get(&ReadOptions::new(), &key(17)).unwrap().is_some());
     fenv.disarm_all();
@@ -197,11 +187,10 @@ fn watchdog_flags_stuck_read() {
     fx.populate(128);
 
     let capture = Arc::new(Capture::default());
-    let opts = fx
-        .base_opts()
-        .with_watchdog_deadline(Duration::from_millis(40))
-        .with_event_listener(capture.clone());
-    let db = fx.open(opts);
+    let db = fx.open(|opts| {
+        opts.with_watchdog_deadline(Duration::from_millis(40))
+            .with_event_listener(capture.clone())
+    });
     fenv.delay_always(FileKind::Sst, FaultOp::Read, Duration::from_millis(300));
     assert!(db.db.get(&ReadOptions::new(), &key(31)).unwrap().is_some());
     fenv.disarm_all();
@@ -228,11 +217,10 @@ fn watchdog_flags_stuck_read() {
 fn stats_windows_roll_with_rates() {
     let fx = Fixture::new(Arc::new(MemEnv::new()));
     let capture = Arc::new(Capture::default());
-    let opts = fx
-        .base_opts()
-        .with_stats_dump_period(Duration::from_millis(20))
-        .with_event_listener(capture.clone());
-    let db = fx.open(opts);
+    let db = fx.open(|opts| {
+        opts.with_stats_dump_period(Duration::from_millis(20))
+            .with_event_listener(capture.clone())
+    });
 
     let w = WriteOptions::default();
     let deadline = std::time::Instant::now() + Duration::from_millis(160);
@@ -298,11 +286,10 @@ fn stats_windows_roll_with_rates() {
 fn debug_bundle_is_one_parseable_document() {
     let fx = Fixture::new(Arc::new(MemEnv::new()));
     fx.populate(128);
-    let opts = fx
-        .base_opts()
-        .with_slow_op_threshold(Duration::ZERO) // every op is "slow"
-        .with_stats_dump_period(Duration::from_millis(10));
-    let db = fx.open(opts);
+    let db = fx.open(|opts| {
+        opts.with_slow_op_threshold(Duration::ZERO) // every op is "slow"
+            .with_stats_dump_period(Duration::from_millis(10))
+    });
     let w = WriteOptions::default();
     for i in 0..32 {
         db.db.put(&w, &key(i), b"bundle").unwrap();
@@ -334,7 +321,7 @@ fn debug_bundle_is_one_parseable_document() {
 fn disabled_tracing_records_nothing() {
     let fx = Fixture::new(Arc::new(MemEnv::new()));
     fx.populate(64);
-    let db = fx.open(fx.base_opts());
+    let db = fx.open(|opts| opts);
     let w = WriteOptions::default();
     for i in 0..64 {
         db.db.put(&w, &key(i), b"quiet").unwrap();

@@ -3,40 +3,26 @@
 //! compactions, restarts — and leave no plaintext behind in the encrypted
 //! modes.
 
+mod support;
+
 use std::sync::Arc;
 
 use shield::deploy::OffloadedCompactor;
-use shield::{open_encfs, open_plain, open_shield, EncryptedEnv, ShieldOptions};
-use shield_crypto::{Algorithm, Dek};
 use shield_env::{Env, MemEnv};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, ServerId};
+use shield_kds::{Kds, KdsConfig, LocalKds};
 use shield_lsm::{
-    Db, EncryptionConfig, Error, FileStore, Integrity, IntegrityOptions, Options, ReadOptions,
-    ReplicaDb, ReplicaOptions, WriteBatch, WriteOptions,
+    Db, Error, Integrity, IntegrityOptions, Options, ReadOptions, WriteBatch, WriteOptions,
 };
+use support::{Mode, Primary, Store, COMPACTOR, ENGINE_KEY, MODES, READER};
 
 const MARKER: &[u8] = b"PLAINTEXT-CANARY-VALUE";
-/// A non-default engine-wide MAC key: a reader that falls back to the
-/// default key cannot verify what a primary tagged with this one.
-const ENGINE_KEY: [u8; 32] = [0x42; 32];
-const COMPACTOR: ServerId = ServerId(2);
-const READER: ServerId = ServerId(3);
 
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Mode {
-    Plain,
-    EncFs,
-    Shield,
-}
-
-const MODES: [Mode; 3] = [Mode::Plain, Mode::EncFs, Mode::Shield];
-
+/// A store, the medium under it (the attacker's view of the disk) and
+/// its KDS's own counters.
 struct TestDb {
     env: MemEnv,
     kds: Arc<LocalKds>,
-    dek: Dek,
-    mode: Mode,
-    integrity: IntegrityOptions,
+    store: Store,
 }
 
 impl TestDb {
@@ -45,79 +31,40 @@ impl TestDb {
     }
 
     fn with_integrity(mode: Mode, integrity: IntegrityOptions) -> Self {
-        TestDb {
-            env: MemEnv::new(),
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
-            dek: Dek::generate(Algorithm::Aes128Ctr),
-            mode,
+        let env = MemEnv::new();
+        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+        let store = Store {
+            kds: kds.clone() as Arc<dyn Kds>,
             integrity,
-        }
+            ..Store::over(mode, Arc::new(env.clone()))
+        };
+        TestDb { env, kds, store }
     }
 
-    fn opts(&self) -> Options {
-        let mut o = Options::new(Arc::new(self.env.clone()))
-            .with_write_buffer_size(16 << 10)
-            .with_integrity(self.integrity.mode)
-            .with_integrity_key(self.integrity.key);
-        o.compaction.l0_compaction_trigger = 2;
+    fn tune(opts: Options) -> Options {
+        let mut o = support::small(opts).with_write_buffer_size(16 << 10);
         o.compaction.target_file_size = 64 << 10;
         o
     }
 
-    /// Opens (or reopens) the database; returns a uniform handle.
-    fn open(&self) -> Box<dyn std::ops::Deref<Target = Db>> {
-        self.open_with(self.opts())
+    /// Opens (or reopens) the database.
+    fn open(&self) -> Primary {
+        self.store.open(Self::tune)
     }
 
-    fn open_with(&self, opts: Options) -> Box<dyn std::ops::Deref<Target = Db>> {
-        match self.mode {
-            Mode::Plain => {
-                let db = open_plain(opts, "db").expect("open plain");
-                Box::new(DbBox(db))
-            }
-            Mode::EncFs => {
-                Box::new(open_encfs(opts, "db", self.dek.clone(), 512).expect("open encfs"))
-            }
-            Mode::Shield => Box::new(
-                open_shield(
-                    opts,
-                    "db",
-                    ShieldOptions::new(self.kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
-                )
-                .expect("open shield"),
-            ),
-        }
-    }
-
-    /// The file layer of another server (a replica, a compactor) over the
-    /// same medium: its own mount, in SHIELD mode its own identity at the
-    /// KDS, and the deployment's integrity settings.
-    fn files_for(&self, server: ServerId) -> FileStore {
-        let base: Arc<dyn Env> = Arc::new(self.env.clone());
-        let (env, encryption) = match self.mode {
-            Mode::Plain => (base, None),
-            Mode::EncFs => {
-                (Arc::new(EncryptedEnv::new(base, self.dek.clone(), 512)) as Arc<dyn Env>, None)
-            }
-            Mode::Shield => {
-                let resolver = DekResolver::new(
-                    self.kds.clone() as Arc<dyn Kds>,
-                    None,
-                    server,
-                    Algorithm::Aes128Ctr,
-                );
-                (base, Some(EncryptionConfig::new(Arc::new(resolver))))
-            }
-        };
-        FileStore::new(env, encryption, self.integrity)
-    }
-
-    /// Options that hand every compaction to a fresh offloaded compactor.
-    fn offloaded_opts(&self) -> (Options, Arc<OffloadedCompactor>) {
-        let compactor = OffloadedCompactor::new(self.files_for(COMPACTOR));
-        let mut opts = self.opts();
-        opts.compaction_executor = Some(compactor.clone());
-        (opts, compactor)
+    /// Opens with every compaction handed to a fresh offloaded compactor
+    /// under its own identity.
+    fn open_offloaded(
+        &self,
+        tune: impl FnOnce(Options) -> Options,
+    ) -> (Primary, Arc<OffloadedCompactor>) {
+        let compactor = OffloadedCompactor::new(self.store.files_for(COMPACTOR));
+        let db = self.store.open(|opts| {
+            let mut opts = tune(Self::tune(opts));
+            opts.compaction_executor = Some(compactor.clone());
+            opts
+        });
+        (db, compactor)
     }
 
     /// All raw database bytes currently on "disk".
@@ -127,15 +74,6 @@ impl TestDb {
             all.extend(self.env.raw_content(&format!("db/{name}")).expect("raw"));
         }
         all
-    }
-}
-
-struct DbBox(Db);
-
-impl std::ops::Deref for DbBox {
-    type Target = Db;
-    fn deref(&self) -> &Db {
-        &self.0
     }
 }
 
@@ -309,8 +247,7 @@ fn offloaded_compaction_authenticates_with_the_engine_key() {
             mode,
             IntegrityOptions { mode: Integrity::Hmac, key: ENGINE_KEY },
         );
-        let (opts, compactor) = t.offloaded_opts();
-        let db = t.open_with(opts);
+        let (db, compactor) = t.open_offloaded(|opts| opts);
         for i in 0..3000 {
             db.put(&WriteOptions::default(), &key(i), &[b'v'; 32]).expect("put");
         }
@@ -326,8 +263,7 @@ fn offloaded_compaction_authenticates_with_the_engine_key() {
 #[test]
 fn offloaded_compaction_serves_every_tree() {
     let t = TestDb::new(Mode::Plain);
-    let (opts, compactor) = t.offloaded_opts();
-    let db = t.open_with(opts.with_shards(2));
+    let (db, compactor) = t.open_offloaded(|opts| opts.with_shards(2));
     for i in 0..3000 {
         db.put(&WriteOptions::default(), &key(i), &[b'v'; 32]).expect("put");
     }
@@ -362,19 +298,16 @@ fn every_reader_authenticates_what_the_primary_wrote() {
             let t = TestDb::with_integrity(mode, IntegrityOptions { mode: integrity, key: ENGINE_KEY });
             // No compaction until asked for: every reader sees the files
             // the first primary wrote.
-            let quiet = || {
-                let mut opts = t.opts();
+            let quiet = |opts| {
+                let mut opts = TestDb::tune(opts);
                 opts.compaction.l0_compaction_trigger = 1000;
                 opts.l0_slowdown_trigger = 1000;
                 opts.l0_stop_trigger = 1000;
                 opts
             };
-            let replica = || {
-                let opts = ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() };
-                ReplicaDb::open(t.files_for(READER), "db", opts)
-            };
+            let replica = || t.store.replica(READER);
             {
-                let db = t.open_with(quiet());
+                let db = t.store.open(quiet);
                 for i in 0..KEYS {
                     db.put(&WriteOptions::default(), &key(i), &[b'v'; 100]).expect("put");
                 }
@@ -383,7 +316,7 @@ fn every_reader_authenticates_what_the_primary_wrote() {
 
             // Accepted by a reopened primary, its integrity walk and a replica.
             {
-                let db = t.open_with(quiet());
+                let db = t.store.open(quiet);
                 assert_all_readable(primary_get(&db), KEYS, &what);
                 assert!(db.verify_integrity().expect(&what).files >= 2, "{what}");
             }
@@ -411,7 +344,7 @@ fn every_reader_authenticates_what_the_primary_wrote() {
                 Integrity::Crc => "corruption",
             };
             {
-                let db = t.open_with(quiet());
+                let db = t.store.open(quiet);
                 let scan = db.scan(&ReadOptions::new(), b"", usize::MAX).expect_err(&what);
                 assert_eq!(error_class(&scan), expected, "{what}: primary scan: {scan}");
                 let walk = db.verify_integrity().expect_err(&what);
@@ -420,8 +353,7 @@ fn every_reader_authenticates_what_the_primary_wrote() {
             let scan = replica().expect(&what).scan(b"", usize::MAX).expect_err(&what);
             assert_eq!(error_class(&scan), expected, "{what}: replica scan: {scan}");
             {
-                let (opts, _) = t.offloaded_opts();
-                let db = t.open_with(opts);
+                let (db, _) = t.open_offloaded(|opts| opts);
                 let job = db.compact_all().expect_err(&what);
                 assert_eq!(error_class(&job), expected, "{what}: offloaded compaction: {job}");
             }
@@ -429,8 +361,7 @@ fn every_reader_authenticates_what_the_primary_wrote() {
             // The honest bytes again: the compactor accepts them too, and
             // everyone accepts what the compactor wrote.
             t.env.set_raw_content(&victim, pristine).expect("restore");
-            let (opts, compactor) = t.offloaded_opts();
-            let db = t.open_with(opts);
+            let (db, compactor) = t.open_offloaded(|opts| opts);
             db.compact_all().expect(&what);
             assert!(compactor.jobs_executed() >= 1, "{what}: nothing was offloaded");
             assert_all_readable(primary_get(&db), KEYS, &what);

@@ -10,14 +10,13 @@
 //! mirrored-but-monotonic cache/readahead/fault/resolver counters as
 //! tickers, leaving only the three true point-in-time gauges.
 
-use std::sync::Arc;
+mod support;
+
 use std::time::Duration;
 
-use shield::{open_shield, ShieldDb, ShieldOptions};
 use shield_core::{json, JsonValue};
-use shield_env::MemEnv;
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{Options, ReadOptions, WriteOptions, OP_TYPES};
+use support::{Mode, Primary, Store};
 
 /// Top-level keys of `shield_metrics_v1`, in emission order.
 const TOP_KEYS: [&str; 10] = [
@@ -115,21 +114,16 @@ const SLOW_OP_KEYS: [&str; 8] = [
     "spans",
 ];
 
-fn open_db(opts_tweak: impl FnOnce(Options) -> Options) -> ShieldDb {
-    let mut opts =
-        Options::new(Arc::new(MemEnv::new())).with_write_buffer_size(16 << 10);
-    opts.block_size = 256;
-    opts.compaction.l0_compaction_trigger = 2;
-    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    open_shield(
-        opts_tweak(opts),
-        "db",
-        ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"schema"),
-    )
-    .expect("open shield")
+fn open_db(opts_tweak: impl FnOnce(Options) -> Options) -> Primary {
+    Store::new(Mode::Shield).open(|opts| {
+        let mut opts = opts.with_write_buffer_size(16 << 10);
+        opts.block_size = 256;
+        opts.compaction.l0_compaction_trigger = 2;
+        opts_tweak(opts)
+    })
 }
 
-fn workload(db: &ShieldDb) {
+fn workload(db: &Primary) {
     let w = WriteOptions::default();
     for i in 0..512u32 {
         let key = format!("key-{i:05}");
@@ -196,18 +190,7 @@ fn window_v1_key_set_is_golden() {
 /// bundle stays `shield_debug_bundle_v1` around it.
 #[test]
 fn sharded_metrics_are_one_document_with_a_shards_section() {
-    let mut opts = Options::new(Arc::new(MemEnv::new()))
-        .with_write_buffer_size(16 << 10)
-        .with_shards(4);
-    opts.block_size = 256;
-    opts.compaction.l0_compaction_trigger = 2;
-    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let db = open_shield(
-        opts,
-        "db",
-        ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"schema"),
-    )
-    .expect("open shield sharded");
+    let db = open_db(|opts| opts.with_shards(4));
 
     let w = WriteOptions::default();
     for i in 0..512u32 {

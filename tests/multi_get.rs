@@ -12,82 +12,37 @@
 //!   park the engine (I/O faults are retryable), and succeed on retry
 //!   once disarmed.
 
+mod support;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use shield::{open_encfs, open_plain, open_shield, EncFsDb, ShieldDb, ShieldOptions};
-use shield_crypto::{Algorithm, Dek};
 use shield_env::{FaultInjectionEnv, FaultOp, FileKind, MemEnv};
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Db, Options, ReadOptions, WriteOptions};
+use shield_lsm::{Db, ReadOptions, WriteOptions};
+use support::{Mode, Primary, Store, MODES};
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Mode {
-    Plain,
-    EncFs,
-    Shield,
-}
-
-const MODES: [Mode; 3] = [Mode::Plain, Mode::EncFs, Mode::Shield];
-
-enum Handle {
-    Plain(Db),
-    EncFs(EncFsDb),
-    Shield(ShieldDb),
-}
-
-impl Handle {
-    fn db(&self) -> &Db {
-        match self {
-            Handle::Plain(db) => db,
-            Handle::EncFs(db) => &db.db,
-            Handle::Shield(db) => &db.db,
-        }
-    }
-}
-
-/// One mode's persistent state: the fault-injection env holding the
-/// files plus the key material that must survive reopens.
+/// One mode's persistent state: the store plus the fault-injection env
+/// holding its files.
 struct TestDb {
     fenv: FaultInjectionEnv,
-    kds: Arc<LocalKds>,
-    dek: Dek,
-    mode: Mode,
+    store: Store,
 }
 
 impl TestDb {
     fn new(mode: Mode) -> Self {
-        TestDb {
-            fenv: FaultInjectionEnv::new(Arc::new(MemEnv::new())),
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
-            dek: Dek::generate(Algorithm::Aes128Ctr),
-            mode,
-        }
+        let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
+        TestDb { store: Store::over(mode, Arc::new(fenv.clone())), fenv }
     }
 
     /// Opens (or reopens, with a cold block cache) the database.
-    fn open(&self) -> Handle {
-        let mut opts =
-            Options::new(Arc::new(self.fenv.clone())).with_write_buffer_size(16 << 10);
+    fn open(&self) -> Primary {
         // Small files and an eager trigger so batches span several
         // levels and tables; tiny blocks so they span many blocks.
-        opts.block_size = 256;
-        opts.compaction.l0_compaction_trigger = 2;
-        opts.compaction.target_file_size = 32 << 10;
-        match self.mode {
-            Mode::Plain => Handle::Plain(open_plain(opts, "db").expect("open plain")),
-            Mode::EncFs => {
-                Handle::EncFs(open_encfs(opts, "db", self.dek.clone(), 0).expect("open encfs"))
-            }
-            Mode::Shield => Handle::Shield(
-                open_shield(
-                    opts,
-                    "db",
-                    ShieldOptions::new(self.kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
-                )
-                .expect("open shield"),
-            ),
-        }
+        self.store.open(|opts| {
+            let mut opts = support::small(opts).with_write_buffer_size(16 << 10);
+            opts.block_size = 256;
+            opts
+        })
     }
 }
 
@@ -122,8 +77,7 @@ fn run_history(
     queries: &[u8],
 ) {
     let t = TestDb::new(mode);
-    let handle = t.open();
-    let db = handle.db();
+    let db = t.open();
     let w = WriteOptions::default();
     for &(k, is_delete) in persistent {
         if is_delete {
@@ -142,11 +96,11 @@ fn run_history(
         }
     }
     let keys: Vec<Vec<u8>> = queries.iter().map(|&k| key_bytes(k)).collect();
-    assert_batch_matches_serial(db, &ReadOptions::new(), &keys, "latest");
-    assert_batch_matches_serial(db, &snap.read_options(), &keys, "snapshot");
+    assert_batch_matches_serial(&db, &ReadOptions::new(), &keys, "latest");
+    assert_batch_matches_serial(&db, &snap.read_options(), &keys, "snapshot");
     // And with fill_cache off (reads around the cache).
     let ropts = ReadOptions { snapshot_seq: None, fill_cache: false };
-    assert_batch_matches_serial(db, &ropts, &keys, "no-fill");
+    assert_batch_matches_serial(&db, &ropts, &keys, "no-fill");
 }
 
 proptest! {
@@ -174,8 +128,7 @@ fn large_cold_batch_engages_batched_reads() {
     for mode in MODES {
         let t = TestDb::new(mode);
         {
-            let handle = t.open();
-            let db = handle.db();
+            let db = t.open();
             let w = WriteOptions::default();
             for i in 0..=255u8 {
                 db.put(&w, &key_bytes(i), format!("value-{i}").as_bytes()).unwrap();
@@ -183,10 +136,9 @@ fn large_cold_batch_engages_batched_reads() {
             db.compact_all().unwrap();
         }
         // Reopen: cold block cache, everything on "disk".
-        let handle = t.open();
-        let db = handle.db();
+        let db = t.open();
         let keys: Vec<Vec<u8>> = (0..=255u8).step_by(3).map(key_bytes).collect();
-        assert_batch_matches_serial(db, &ReadOptions::new(), &keys, "cold batch");
+        assert_batch_matches_serial(&db, &ReadOptions::new(), &keys, "cold batch");
         let snap = db.statistics().snapshot();
         assert!(snap.multi_gets >= 1, "{mode:?}: multi_gets ticker never bumped");
         assert!(snap.batched_reads > 0, "{mode:?}: batch never hit the batched read path");
@@ -207,8 +159,7 @@ fn large_cold_batch_engages_batched_reads() {
 fn gets_found_never_exceeds_gets_after_mixed_history() {
     for mode in MODES {
         let t = TestDb::new(mode);
-        let handle = t.open();
-        let db = handle.db();
+        let db = t.open();
         let w = WriteOptions::default();
         for i in 0..100u8 {
             db.put(&w, &key_bytes(i), b"persistent").unwrap();
@@ -255,8 +206,7 @@ fn injected_fault_errors_only_affected_slots() {
     for mode in MODES {
         let t = TestDb::new(mode);
         {
-            let handle = t.open();
-            let db = handle.db();
+            let db = t.open();
             let w = WriteOptions::default();
             for i in 0..=255u8 {
                 db.put(&w, &key_bytes(i), format!("value-{i}").as_bytes()).unwrap();
@@ -265,8 +215,7 @@ fn injected_fault_errors_only_affected_slots() {
         }
         // Reopen cold so the batch must actually read, then arm exactly
         // one SST read fault.
-        let handle = t.open();
-        let db = handle.db();
+        let db = t.open();
         let keys: Vec<Vec<u8>> = (0..=255u8).step_by(2).map(key_bytes).collect();
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         t.fenv.error_n_times(FileKind::Sst, FaultOp::Read, 1);

@@ -23,14 +23,14 @@
 //!   side, verifies exactly the blocks it reads, and issues at most
 //!   ⌈bytes / span⌉ + files reads for its inputs.
 
+mod support;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use shield::EncryptedEnv;
 use shield_core::perf::PerfGuard;
-use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, Algorithm, Dek};
+use shield_crypto::{crc32c, crc32c_extend, crc32c_masked};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::cache::BlockCache;
 use shield_lsm::compaction::{run_compaction, CompactionContext, CompactionTask};
 use shield_lsm::iter::InternalIterator;
@@ -45,20 +45,11 @@ use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
 use shield_lsm::{
-    Db, EncryptionConfig, Error, FileStore, Integrity, IntegrityOptions, Options, ReadOptions,
-    WriteOptions,
+    Db, Error, FileStore, Integrity, IntegrityOptions, Options, ReadOptions, WriteOptions,
 };
+use support::{Mode, Store, ENGINE_KEY, MODES, PRIMARY};
 
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Mode {
-    Plain,
-    EncFs,
-    Shield,
-}
-
-const MODES: [Mode; 3] = [Mode::Plain, Mode::EncFs, Mode::Shield];
 const INTEGRITIES: [Integrity; 2] = [Integrity::Crc, Integrity::Hmac];
-const ENGINE_KEY: [u8; 32] = [0x5a; 32];
 
 type Entry = (Vec<u8>, Vec<u8>);
 
@@ -72,27 +63,10 @@ struct Fixture {
 impl Fixture {
     fn new(mode: Mode, integrity: Integrity) -> Fixture {
         let base = MemEnv::new();
-        let shared: Arc<dyn Env> = Arc::new(base.clone());
-        let (env, encryption): (Arc<dyn Env>, Option<EncryptionConfig>) = match mode {
-            Mode::Plain => (shared, None),
-            Mode::EncFs => {
-                let dek = Dek::generate(Algorithm::Aes128Ctr);
-                (Arc::new(EncryptedEnv::new(shared, dek, 512)), None)
-            }
-            Mode::Shield => {
-                let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-                let resolver = Arc::new(DekResolver::new(
-                    kds as Arc<dyn Kds>,
-                    None,
-                    ServerId(1),
-                    Algorithm::Aes128Ctr,
-                ));
-                (shared, Some(EncryptionConfig::new(resolver)))
-            }
-        };
-        env.create_dir_all("db").expect("mkdir");
-        let files =
-            FileStore::new(env, encryption, IntegrityOptions { mode: integrity, key: ENGINE_KEY });
+        let integrity = IntegrityOptions { mode: integrity, key: ENGINE_KEY };
+        let files = Store { integrity, ..Store::over(mode, Arc::new(base.clone())) }
+            .files_for(PRIMARY);
+        files.env.create_dir_all("db").expect("mkdir");
         Fixture { base, files }
     }
 

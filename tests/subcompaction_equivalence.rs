@@ -19,14 +19,12 @@
 //! versions of one hot key straddling candidate boundaries must never
 //! be split across subranges.
 
-use std::ops::Deref;
+mod support;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use shield::{open_encfs, open_plain, open_shield, EncryptedEnv, ShieldOptions};
-use shield_crypto::{Algorithm, Dek};
-use shield_env::{Env, FileKind, MemEnv};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, ServerId};
+use shield_env::FileKind;
 use shield_lsm::compaction::{
     append_input_deletions, plan_subcompactions, run_compaction, run_compaction_range,
     CompactionContext, CompactionOutcome, CompactionTask,
@@ -38,22 +36,12 @@ use shield_lsm::version::edit::{FileMeta, VersionEdit};
 use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
-use shield_lsm::{
-    Db, EncryptionConfig, FileStore, IntegrityOptions, Options, ReadOptions, WriteOptions,
-};
+use shield_lsm::{FileStore, ReadOptions, WriteOptions};
+use support::{Mode, Primary, Store, MODES, PRIMARY};
 
 // ---------------------------------------------------------------------
 // Compaction-layer differential
 // ---------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Mode {
-    None,
-    EncFs,
-    Shield,
-}
-
-const MODES: [Mode; 3] = [Mode::None, Mode::EncFs, Mode::Shield];
 
 /// One logical input entry: (key id, sequence, is_delete, value seed).
 type Entry = (u16, u64, bool, u8);
@@ -76,26 +64,8 @@ struct ModeCtx {
 
 impl ModeCtx {
     fn new(mode: Mode) -> ModeCtx {
-        let base: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let (env, encryption): (Arc<dyn Env>, Option<EncryptionConfig>) = match mode {
-            Mode::None => (base, None),
-            Mode::EncFs => {
-                let dek = Dek::generate(Algorithm::Aes128Ctr);
-                (Arc::new(EncryptedEnv::new(base, dek, 512)), None)
-            }
-            Mode::Shield => {
-                let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-                let resolver = Arc::new(DekResolver::new(
-                    kds as Arc<dyn Kds>,
-                    None,
-                    ServerId(1),
-                    Algorithm::Aes128Ctr,
-                ));
-                (base, Some(EncryptionConfig::new(resolver)))
-            }
-        };
-        env.create_dir_all("db").expect("mkdir");
-        let files = FileStore::new(env, encryption, IntegrityOptions::default());
+        let files = Store::new(mode).files_for(PRIMARY);
+        files.env.create_dir_all("db").expect("mkdir");
         let table_cache = TableCache::new(files.clone(), "db".into(), None, 32, 0);
         ModeCtx { files, table_cache }
     }
@@ -316,7 +286,7 @@ fn hot_key_versions_never_straddle_a_boundary() {
         seq += 1;
         entries.push((id, seq, false, id as u8));
     }
-    let ctx = ModeCtx::new(Mode::None);
+    let ctx = ModeCtx::new(Mode::Plain);
     let (version, task) = build_inputs(&ctx, &entries, 2);
 
     let plan = plan_subcompactions(&ctx.table_cache, &task, 4);
@@ -357,63 +327,16 @@ fn hot_key_versions_never_straddle_a_boundary() {
 // DB-level differential: max_subcompactions = 1 vs 4
 // ---------------------------------------------------------------------
 
-struct EnginePair {
-    serial: EngineUnderTest,
-    parallel: EngineUnderTest,
-}
-
-struct EngineUnderTest {
-    env: MemEnv,
-    kds: Arc<LocalKds>,
-    dek: Dek,
-    mode: Mode,
-    max_subcompactions: usize,
-}
-
-impl EngineUnderTest {
-    fn new(mode: Mode, max_subcompactions: usize) -> Self {
-        EngineUnderTest {
-            env: MemEnv::new(),
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
-            dek: Dek::generate(Algorithm::Aes128Ctr),
-            mode,
-            max_subcompactions,
-        }
-    }
-
-    fn opts(&self) -> Options {
-        let mut o = Options::new(Arc::new(self.env.clone()))
-            .with_write_buffer_size(8 << 10)
+/// A fresh engine of `mode` that splits compactions `max_subcompactions`
+/// ways.
+fn open_engine(mode: Mode, max_subcompactions: usize) -> Primary {
+    Store::new(mode).open(|opts| {
+        let mut o = support::small(opts)
             .with_background_jobs(4)
-            .with_max_subcompactions(self.max_subcompactions);
-        o.compaction.l0_compaction_trigger = 2;
+            .with_max_subcompactions(max_subcompactions);
         o.compaction.target_file_size = 8 << 10;
         o
-    }
-
-    fn open(&self) -> Box<dyn Deref<Target = Db>> {
-        struct DbBox(Db);
-        impl Deref for DbBox {
-            type Target = Db;
-            fn deref(&self) -> &Db {
-                &self.0
-            }
-        }
-        match self.mode {
-            Mode::None => Box::new(DbBox(open_plain(self.opts(), "db").expect("open plain"))),
-            Mode::EncFs => {
-                Box::new(open_encfs(self.opts(), "db", self.dek.clone(), 512).expect("open encfs"))
-            }
-            Mode::Shield => Box::new(
-                open_shield(
-                    self.opts(),
-                    "db",
-                    ShieldOptions::new(self.kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
-                )
-                .expect("open shield"),
-            ),
-        }
-    }
+    })
 }
 
 /// A step of the DB-level workload.
@@ -435,12 +358,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 fn run_pair(mode: Mode, steps: &[Step]) {
-    let pair = EnginePair {
-        serial: EngineUnderTest::new(mode, 1),
-        parallel: EngineUnderTest::new(mode, 4),
-    };
-    let db1 = pair.serial.open();
-    let db4 = pair.parallel.open();
+    let (db1, db4) = (open_engine(mode, 1), open_engine(mode, 4));
     let w = WriteOptions::default();
     let mut snaps = Vec::new();
     for (i, step) in steps.iter().enumerate() {
@@ -498,8 +416,7 @@ proptest! {
 /// heavy multi-level workload.
 #[test]
 fn parallel_engine_actually_subcompacts() {
-    let under_test = EngineUnderTest::new(Mode::None, 4);
-    let db = under_test.open();
+    let db = open_engine(Mode::Plain, 4);
     let w = WriteOptions::default();
     for i in 0..6_000u32 {
         let id = (i % 900) as u16;

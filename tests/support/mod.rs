@@ -1,0 +1,596 @@
+//! The one test bench (DESIGN.md "Testing"): every oracle-backed suite
+//! draws its mode matrix, its history and its oracle from here.
+//!
+//! * **The store** — [`Mode`] × medium × KDS → [`Store::open`] (a
+//!   [`Primary`], the same struct in every mode) and [`Store::files_for`]
+//!   (another server's file layer: replicas, compactors, table fixtures).
+//! * **The history** — one [`Action`], [`Profile`]s that weight it,
+//!   [`actions`] for `proptest!` and [`history`] for a `u64` seed.
+//! * **The oracle** — [`Oracle`], [`apply`] and [`check`] (which also
+//!   asserts the ticker conservation laws).
+#![allow(dead_code)]
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
+use std::sync::Arc;
+use std::time::Duration;
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use proptest::TestRng;
+use shield::{open_encfs, open_plain, open_shield, EncryptedEnv, Shield, ShieldOptions};
+use shield_crypto::{Algorithm, Dek};
+use shield_env::{Env, MemEnv};
+use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, RetryPolicy, ServerId};
+use shield_lsm::{
+    Db, EncryptionConfig, FileStore, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb,
+    ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch, WriteOptions,
+};
+
+// ---------------------------------------------------------------------
+// The store
+// ---------------------------------------------------------------------
+
+/// Directory every store keeps its database in.
+pub const PATH: &str = "db";
+pub const PRIMARY: ServerId = ServerId(1);
+pub const COMPACTOR: ServerId = ServerId(2);
+pub const READER: ServerId = ServerId(3);
+/// A non-default engine-wide MAC key: a reader that falls back to the
+/// default key cannot verify what a primary tagged with this one.
+pub const ENGINE_KEY: [u8; 32] = [0x42; 32];
+/// WAL application buffer of the EncFS mount (the paper's "EncFS +
+/// WAL-Buf" variant; SHIELD's own default is the same 512 B).
+const ENCFS_WAL_BUFFER: usize = 512;
+
+/// The paper's three encryption designs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Mode {
+    Plain,
+    EncFs,
+    Shield,
+}
+
+pub const MODES: [Mode; 3] = [Mode::Plain, Mode::EncFs, Mode::Shield];
+
+/// One deployment's persistent state: the medium holding the files and
+/// the key material that must survive reopens. Any server opens it —
+/// the primary through [`Store::open`], everyone else through
+/// [`Store::files_for`].
+pub struct Store {
+    pub mode: Mode,
+    pub medium: Arc<dyn Env>,
+    pub kds: Arc<dyn Kds>,
+    /// The EncFS instance DEK.
+    pub dek: Dek,
+    pub integrity: IntegrityOptions,
+}
+
+/// A primary handle, the same shape in every mode. Derefs to [`Db`];
+/// `primary.db.simulate_process_crash()` moves the engine out.
+pub struct Primary {
+    pub db: Db,
+    /// The SHIELD identity's resolver; `None` in the other modes.
+    pub resolver: Option<Arc<DekResolver>>,
+}
+
+impl Deref for Primary {
+    type Target = Db;
+    fn deref(&self) -> &Db {
+        &self.db
+    }
+}
+
+impl Store {
+    /// A fresh in-memory deployment with its own KDS.
+    pub fn new(mode: Mode) -> Store {
+        Store::over(mode, Arc::new(MemEnv::new()))
+    }
+
+    /// A deployment over `medium` (a `MemEnv` the test keeps a clone of,
+    /// a `FaultInjectionEnv`, a `RemoteEnv` mount…). Swap the KDS or the
+    /// integrity settings with struct-update syntax.
+    pub fn over(mode: Mode, medium: Arc<dyn Env>) -> Store {
+        Store {
+            mode,
+            medium,
+            kds: Arc::new(LocalKds::new(KdsConfig::default())),
+            dek: Dek::generate(Algorithm::Aes128Ctr),
+            integrity: IntegrityOptions::default(),
+        }
+    }
+
+    /// `server`'s SHIELD identity: the default options with a retry
+    /// policy short enough for outage tests.
+    pub fn shield_options(&self, server: ServerId) -> ShieldOptions {
+        let mut sopts = ShieldOptions::new(self.kds.clone(), server, b"pk");
+        sopts.retry_policy = RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_micros(100),
+            max_backoff: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        };
+        sopts
+    }
+
+    /// Opens (or reopens) the primary through the product's own open for
+    /// this mode. `tune` edits the options — start from [`small`] for an
+    /// LSM tree that flushes and compacts under short histories.
+    pub fn open(&self, tune: impl FnOnce(Options) -> Options) -> Primary {
+        let opts = tune(
+            Options::new(self.medium.clone())
+                .with_integrity(self.integrity.mode)
+                .with_integrity_key(self.integrity.key),
+        );
+        match self.mode {
+            Mode::Plain => {
+                Primary { db: open_plain(opts, PATH).expect("open plain"), resolver: None }
+            }
+            Mode::EncFs => {
+                let encfs = open_encfs(opts, PATH, self.dek.clone(), ENCFS_WAL_BUFFER);
+                Primary { db: encfs.expect("open encfs").db, resolver: None }
+            }
+            Mode::Shield => {
+                let Shield { db, resolver, .. } =
+                    open_shield(opts, PATH, self.shield_options(PRIMARY)).expect("open shield");
+                Primary { db, resolver: Some(resolver) }
+            }
+        }
+    }
+
+    /// The file layer of another server (a replica, a compactor, a table
+    /// fixture) over the same medium: its own mount, in SHIELD mode its
+    /// own identity at the KDS, and the deployment's integrity settings.
+    /// The only place under `tests/` where a mode becomes
+    /// `(env, Option<EncryptionConfig>)`.
+    pub fn files_for(&self, server: ServerId) -> FileStore {
+        let medium = self.medium.clone();
+        let (env, encryption): (Arc<dyn Env>, _) = match self.mode {
+            Mode::Plain => (medium, None),
+            Mode::EncFs => {
+                (Arc::new(EncryptedEnv::new(medium, self.dek.clone(), ENCFS_WAL_BUFFER)), None)
+            }
+            Mode::Shield => {
+                let resolver =
+                    DekResolver::new(self.kds.clone(), None, server, Algorithm::Aes128Ctr);
+                (medium, Some(EncryptionConfig::new(Arc::new(resolver))))
+            }
+        };
+        FileStore::new(env, encryption, self.integrity)
+    }
+
+    /// A read-only instance under `server`'s identity, refreshed by hand
+    /// ([`drain`]).
+    pub fn replica(&self, server: ServerId) -> shield_lsm::Result<Arc<ReplicaDb>> {
+        ReplicaDb::open(self.files_for(server), PATH, manual())
+    }
+}
+
+/// Replica options for deterministic tests: no background thread, rounds
+/// are driven by hand.
+pub fn manual() -> ReplicaOptions {
+    ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() }
+}
+
+/// The small-tree tuning: 8 KiB memtables, compaction at two L0 files,
+/// 32 KiB output files — a hundred-action history reaches every level.
+pub fn small(opts: Options) -> Options {
+    let mut opts = opts.with_write_buffer_size(8 << 10);
+    opts.compaction.l0_compaction_trigger = 2;
+    opts.compaction.target_file_size = 32 << 10;
+    opts
+}
+
+/// One cell of the configuration matrix.
+#[derive(Clone, Copy, Debug)]
+pub struct Cell {
+    pub mode: Mode,
+    pub integrity: Integrity,
+    pub trees: usize,
+}
+
+impl Cell {
+    /// A fresh in-memory store for this cell, under [`ENGINE_KEY`].
+    pub fn store(&self) -> Store {
+        let integrity = IntegrityOptions { mode: self.integrity, key: ENGINE_KEY };
+        Store { integrity, ..Store::new(self.mode) }
+    }
+
+    /// [`small`] with this cell's tree count.
+    pub fn tune(&self, opts: Options) -> Options {
+        small(opts).with_shards(self.trees)
+    }
+}
+
+/// Modes × `{Crc, Hmac}` × trees `{1, 4}`.
+pub fn matrix() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for mode in MODES {
+        for integrity in [Integrity::Crc, Integrity::Hmac] {
+            for trees in [1, 4] {
+                cells.push(Cell { mode, integrity, trees });
+            }
+        }
+    }
+    cells
+}
+
+/// The matrix cells of one mode.
+pub fn cells_of(mode: Mode) -> impl Iterator<Item = Cell> {
+    matrix().into_iter().filter(move |cell| cell.mode == mode)
+}
+
+// ---------------------------------------------------------------------
+// The history
+// ---------------------------------------------------------------------
+
+/// `key-00000`, `key-00001`, …
+pub fn key(id: u16) -> Vec<u8> {
+    format!("key-{id:05}").into_bytes()
+}
+
+/// One step of a history. Key ids are already inside the profile's
+/// keyspace.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Action {
+    Put(u16, Vec<u8>),
+    Delete(u16),
+    /// An atomic batch over consecutive key ids (`None` deletes): they
+    /// straddle range boundaries and hash onto different trees.
+    Batch(Vec<(u16, Option<Vec<u8>>)>),
+    Flush,
+    CompactAll,
+    /// Clean close and open again; the caller owns the handle.
+    Reopen,
+    /// A bounded scan from a key must equal the oracle's range.
+    ScanCheck(u16, u8),
+    /// The same through a fresh snapshot, which the oracle then holds.
+    SnapshotCheck(u16, u8),
+    /// Full [`check`] (a replica suite catches up first).
+    Check,
+}
+
+/// Relative frequency of each [`Action`].
+#[derive(Clone, Copy, Debug)]
+pub struct Weights {
+    pub put: u32,
+    pub delete: u32,
+    pub batch: u32,
+    pub flush: u32,
+    pub compact_all: u32,
+    pub reopen: u32,
+    pub scan_check: u32,
+    pub snapshot_check: u32,
+    pub check: u32,
+}
+
+/// What a history is made of. Lengths are exclusive upper bounds.
+#[derive(Clone, Copy, Debug)]
+pub struct Profile {
+    pub keyspace: u16,
+    pub max_value_len: usize,
+    /// Entries per batch: `2..max_batch`.
+    pub max_batch: usize,
+    pub max_batch_value_len: usize,
+    /// Rows per scan check: `1..max_scan`.
+    pub max_scan: u8,
+    pub weights: Weights,
+}
+
+const NEVER: Weights = Weights {
+    put: 0,
+    delete: 0,
+    batch: 0,
+    flush: 0,
+    compact_all: 0,
+    reopen: 0,
+    scan_check: 0,
+    snapshot_check: 0,
+    check: 0,
+};
+
+/// `model_check`: single-key writes, every maintenance action.
+pub const MODEL_CHECK: Profile = Profile {
+    keyspace: 512,
+    max_value_len: 60,
+    max_batch: 12,
+    max_batch_value_len: 32,
+    max_scan: 20,
+    weights: Weights {
+        put: 8,
+        delete: 3,
+        flush: 1,
+        compact_all: 1,
+        reopen: 1,
+        scan_check: 2,
+        ..NEVER
+    },
+};
+
+/// `sharded_equivalence`: cross-tree batches and snapshot cuts.
+pub const SHARDED: Profile = Profile {
+    keyspace: 512,
+    max_value_len: 48,
+    max_batch: 12,
+    max_batch_value_len: 32,
+    max_scan: 24,
+    weights: Weights {
+        put: 6,
+        delete: 2,
+        batch: 3,
+        flush: 1,
+        reopen: 1,
+        scan_check: 2,
+        snapshot_check: 1,
+        ..NEVER
+    },
+};
+
+/// `replica`: writes and flushes with checkpoints to catch up at.
+pub const REPLICA: Profile = Profile {
+    keyspace: 256,
+    max_value_len: 40,
+    max_batch: 10,
+    max_batch_value_len: 24,
+    max_scan: 24,
+    weights: Weights { put: 6, delete: 2, batch: 2, flush: 1, check: 1, ..NEVER },
+};
+
+/// One action drawn from `profile`, for `proptest!`.
+pub fn actions(profile: &Profile) -> impl Strategy<Value = Action> {
+    let Profile { keyspace, max_value_len, max_batch, max_batch_value_len, max_scan, weights: w } =
+        *profile;
+    let id = move || (0..keyspace).boxed();
+    let batch_entry = (any::<bool>(), vec(any::<u8>(), 0..max_batch_value_len));
+    prop_oneof![
+        w.put => (id(), vec(any::<u8>(), 0..max_value_len)).prop_map(|(k, v)| Action::Put(k, v)),
+        w.delete => id().prop_map(Action::Delete),
+        w.batch => (id(), vec(batch_entry, 2..max_batch)).prop_map(move |(base, entries)| {
+            let ids = (0..).map(|i| (base + i) % keyspace);
+            Action::Batch(ids.zip(entries).map(|(k, (del, v))| (k, (!del).then_some(v))).collect())
+        }),
+        w.flush => Just(Action::Flush),
+        w.compact_all => Just(Action::CompactAll),
+        w.reopen => Just(Action::Reopen),
+        w.scan_check => (id(), 1..max_scan).prop_map(|(k, n)| Action::ScanCheck(k, n)),
+        w.snapshot_check => (id(), 1..max_scan).prop_map(|(k, n)| Action::SnapshotCheck(k, n)),
+        w.check => Just(Action::Check),
+    ]
+}
+
+/// The history of `len` actions that `seed` names: a pure function of its
+/// arguments, so a failure that prints the seed reproduces anywhere.
+pub fn history(seed: u64, profile: &Profile, len: usize) -> Vec<Action> {
+    let (strategy, mut rng) = (actions(profile), TestRng::new(seed));
+    (0..len).map(|_| strategy.generate(&mut rng)).collect()
+}
+
+// ---------------------------------------------------------------------
+// The oracle
+// ---------------------------------------------------------------------
+
+type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// What a history has done so far: the live map, every key it ever
+/// touched (so deleted keys are probed too), the snapshots it still
+/// holds with the map as it was when each was taken, and how many
+/// entries it wrote through the current handle.
+#[derive(Default)]
+pub struct Oracle {
+    pub map: BTreeMap<Vec<u8>, Vec<u8>>,
+    touched: BTreeSet<Vec<u8>>,
+    held: Vec<(Snapshot, Rows)>,
+    writes: u64,
+    /// Write with `WriteOptions { sync: true }` (what a replica can see).
+    pub sync: bool,
+}
+
+impl Oracle {
+    /// An oracle whose writes are synced: an unsynced record may still
+    /// sit in the primary's WAL buffer, where no replica can see it.
+    pub fn synced() -> Oracle {
+        Oracle { sync: true, ..Oracle::default() }
+    }
+
+    /// The handle was closed or crashed and opened again: its snapshots
+    /// are gone and its tickers start from zero.
+    pub fn reopened(&mut self) {
+        self.held.clear();
+        self.writes = 0;
+    }
+
+    pub fn rows(&self) -> Rows {
+        self.range(b"", usize::MAX)
+    }
+
+    fn range(&self, start: &[u8], limit: usize) -> Rows {
+        let rows = self.map.range(start.to_vec()..).take(limit);
+        rows.map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    fn write(&mut self, key: Vec<u8>, value: Option<&Vec<u8>>) {
+        match value {
+            Some(value) => self.map.insert(key.clone(), value.clone()),
+            None => self.map.remove(&key),
+        };
+        self.touched.insert(key);
+        self.writes += 1;
+    }
+}
+
+/// Applies one action to `db` and to `oracle`; the check actions assert.
+/// [`Action::Reopen`] is the caller's: only it can replace the handle
+/// (then [`Oracle::reopened`]).
+pub fn apply(db: &Db, oracle: &mut Oracle, action: &Action) {
+    let w = WriteOptions { sync: oracle.sync };
+    match action {
+        Action::Put(k, v) => {
+            db.put(&w, &key(*k), v).expect("put");
+            oracle.write(key(*k), Some(v));
+        }
+        Action::Delete(k) => {
+            db.delete(&w, &key(*k)).expect("delete");
+            oracle.write(key(*k), None);
+        }
+        Action::Batch(entries) => {
+            let mut batch = WriteBatch::new();
+            for (k, v) in entries {
+                match v {
+                    Some(v) => batch.put(&key(*k), v),
+                    None => batch.delete(&key(*k)),
+                }
+                oracle.write(key(*k), v.as_ref());
+            }
+            db.write(&w, batch).expect("batch");
+        }
+        Action::Flush => db.flush().expect("flush"),
+        Action::CompactAll => db.compact_all().expect("compact_all"),
+        Action::Reopen => panic!("Reopen belongs to the caller, who owns the handle"),
+        Action::ScanCheck(k, n) => {
+            let got = db.scan(&ReadOptions::new(), &key(*k), *n as usize).expect("scan");
+            assert_eq!(got, oracle.range(&key(*k), *n as usize), "scan from key {k}");
+        }
+        Action::SnapshotCheck(k, n) => {
+            let snap = db.snapshot();
+            let at = snap.read_options();
+            let want = oracle.range(&key(*k), *n as usize);
+            assert_eq!(db.scan(&at, &key(*k), *n as usize).expect("scan"), want, "snapshot scan");
+            for (key, value) in &want {
+                assert_eq!(db.get(&at, key).expect("get").as_ref(), Some(value), "snapshot get");
+            }
+            // Hold the newest two: they must keep reading what they saw.
+            if oracle.held.len() == 2 {
+                oracle.held.remove(0);
+            }
+            oracle.held.push((snap, oracle.rows()));
+        }
+        Action::Check => check(db, oracle),
+    }
+    if matches!(action, Action::Put(..) | Action::Delete(..) | Action::Batch(..)) {
+        return;
+    }
+    for (snap, rows) in &oracle.held {
+        let got = db.scan(&snap.read_options(), b"", usize::MAX >> 1).expect("held snapshot scan");
+        assert_eq!(&got, rows, "a snapshot held since sequence {} moved", snap.sequence());
+    }
+}
+
+/// Runs `actions` on a primary of `store` opened (and reopened) with
+/// `tune`, ending in a full [`check`].
+pub fn run(
+    store: &Store,
+    tune: impl Fn(Options) -> Options,
+    actions: &[Action],
+) -> (Primary, Oracle) {
+    let (mut db, mut oracle) = (store.open(&tune), Oracle::default());
+    for action in actions {
+        if *action == Action::Reopen {
+            oracle.reopened();
+            drop(db);
+            db = store.open(&tune);
+        } else {
+            apply(&db, &mut oracle, action);
+        }
+    }
+    check(&*db, &oracle);
+    (db, oracle)
+}
+
+/// Anything that serves reads of a store's contents.
+pub trait Reads {
+    /// Whether the oracle's writes went through this handle.
+    const WRITER: bool;
+    fn point(&self, key: &[u8]) -> Option<Vec<u8>>;
+    fn points(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>>;
+    fn range(&self, start: &[u8], limit: usize) -> Rows;
+    fn tickers(&self) -> StatsSnapshot;
+}
+
+impl Reads for Db {
+    const WRITER: bool = true;
+    fn point(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.get(&ReadOptions::new(), key).expect("get")
+    }
+    fn points(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
+        let slots = self.multi_get(&ReadOptions::new(), keys);
+        slots.into_iter().map(|slot| slot.expect("multi_get slot")).collect()
+    }
+    fn range(&self, start: &[u8], limit: usize) -> Rows {
+        self.scan(&ReadOptions::new(), start, limit).expect("scan")
+    }
+    fn tickers(&self) -> StatsSnapshot {
+        self.statistics().snapshot()
+    }
+}
+
+impl Reads for ReplicaDb {
+    const WRITER: bool = false;
+    fn point(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.get(key).expect("replica get")
+    }
+    fn points(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
+        self.multi_get(keys).expect("replica multi_get")
+    }
+    fn range(&self, start: &[u8], limit: usize) -> Rows {
+        self.scan(start, limit).expect("replica scan")
+    }
+    fn tickers(&self) -> StatsSnapshot {
+        self.statistics().snapshot()
+    }
+}
+
+/// Runs catch-up rounds until every tail is clean (bounded: against a
+/// quiesced primary the second round at the latest comes up clean).
+pub fn drain(replica: &ReplicaDb) {
+    for _ in 0..64 {
+        if replica.catch_up().expect("catch_up") {
+            return;
+        }
+    }
+    panic!("replica never reached a clean tail against a quiesced primary");
+}
+
+/// `reader` serves exactly the oracle's state — every key the history
+/// touched (live or deleted) and a never-written neighbour of each, by
+/// point read and by `multi_get`; the full scan; a bounded scan from
+/// mid-range — and its tickers obey the conservation laws ([`laws`])
+/// with the lookups counted here and the writes counted by [`apply`].
+pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
+    let before = reader.tickers();
+    let absent = |k: &Vec<u8>| [k.as_slice(), b"-absent"].concat();
+    let probes: Vec<Vec<u8>> = oracle.touched.iter().flat_map(|k| [k.clone(), absent(k)]).collect();
+    let want: Vec<Option<&Vec<u8>>> = probes.iter().map(|k| oracle.map.get(k)).collect();
+    for (key, want) in probes.iter().zip(&want) {
+        let name = String::from_utf8_lossy(key);
+        assert_eq!(reader.point(key).as_ref(), *want, "get({name})");
+    }
+    let refs: Vec<&[u8]> = probes.iter().map(Vec::as_slice).collect();
+    for (slot, got) in reader.points(&refs).iter().enumerate() {
+        assert_eq!(got.as_ref(), want[slot], "multi_get slot {slot}");
+    }
+    assert_eq!(reader.range(b"", usize::MAX >> 1), oracle.rows(), "full scan");
+    if let Some(mid) = oracle.touched.iter().nth(oracle.touched.len() / 2) {
+        assert_eq!(reader.range(mid, 10), oracle.range(mid, 10), "bounded scan");
+    }
+
+    let after = reader.tickers();
+    let found = want.iter().flatten().count() as u64;
+    assert_eq!(after.gets - before.gets, 2 * probes.len() as u64, "gets != lookups issued");
+    assert_eq!(after.gets_found - before.gets_found, 2 * found, "gets_found != lookups found");
+    assert_eq!(after.multi_gets - before.multi_gets, 1, "multi_gets != batches issued");
+    let writes = if R::WRITER { oracle.writes } else { 0 };
+    assert_eq!(after.writes, writes, "writes != entries applied since the handle opened");
+    laws(&after);
+}
+
+/// Conservation laws every handle's tickers obey at any quiet moment.
+pub fn laws(s: &StatsSnapshot) {
+    assert!(s.gets_found <= s.gets, "gets_found {} > gets {}", s.gets_found, s.gets);
+    assert!(s.write_groups <= s.writes, "write_groups {} > writes {}", s.write_groups, s.writes);
+    assert!(
+        s.readahead_useful <= s.readahead_issued,
+        "readahead_useful {} > readahead_issued {}",
+        s.readahead_useful,
+        s.readahead_issued
+    );
+}
