@@ -73,7 +73,7 @@ fn main() {
         let tables = (e.run)(&scale);
         for table in &tables {
             print!("{}", table.render());
-            match table.save_csv(&out_dir) {
+            match table.save_csv(&out_dir, scale.factor) {
                 Ok(path) => println!("  → {path}"),
                 Err(err) => eprintln!("  ! failed to save CSV: {err}"),
             }

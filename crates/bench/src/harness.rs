@@ -130,7 +130,7 @@ const MAX_DISABLED_HOOK_OVERHEAD: f64 = 0.02;
 
 /// The checkout's commit (`-dirty` if the tree differs from it), or
 /// "unknown" outside a checkout.
-fn commit() -> String {
+pub(crate) fn commit() -> String {
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .output()

@@ -119,12 +119,16 @@ impl Table {
         out
     }
 
-    /// Writes `<dir>/<id>.csv` (creating the directory) and returns the
-    /// path.
-    pub fn save_csv(&self, dir: &str) -> std::io::Result<String> {
+    /// Writes `<dir>/<id>.csv` (creating the directory) under a
+    /// `# commit / nproc / scale` line saying what produced it, and
+    /// returns the path.
+    pub fn save_csv(&self, dir: &str, scale: f64) -> std::io::Result<String> {
         std::fs::create_dir_all(dir)?;
         let path = format!("{dir}/{}.csv", self.id);
-        std::fs::write(&path, self.to_csv())?;
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let commit = crate::harness::commit();
+        let stamp = format!("# commit={commit} nproc={nproc} scale={scale}\n");
+        std::fs::write(&path, stamp + &self.to_csv())?;
         Ok(path)
     }
 }

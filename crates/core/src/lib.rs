@@ -43,7 +43,7 @@ pub use shield_lsm::{
 };
 
 /// Name of the secure DEK cache file inside a database directory.
-pub const DEK_CACHE_FILE: &str = "DEK_CACHE";
+pub const DEK_CACHE_FILE: &str = shield_lsm::version::filenames::DEK_CACHE_FILE_NAME;
 
 /// Opens an unencrypted database (the evaluation baseline).
 pub fn open_plain(opts: Options, path: &str) -> Result<Db> {

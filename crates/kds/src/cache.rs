@@ -10,7 +10,7 @@
 //! on the same server may share one cache (ZippyDB-style co-location), and
 //! entries are pruned when their file — and therefore their DEK — dies.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,8 +61,18 @@ impl From<EnvError> for CacheError {
     }
 }
 
+/// A cached DEK and its file record (id, algorithm, nonce, wrapped key,
+/// MAC), serialised once — when the key is wrapped by [`SecureDekCache::insert`]
+/// or read back by `load` — so that a persist concatenates records
+/// instead of re-drawing a nonce and re-wrapping every entry.
+struct Entry {
+    dek: Dek,
+    record: Vec<u8>,
+}
+
 struct Inner {
-    entries: HashMap<DekId, Dek>,
+    /// Ordered by id: the file is stable for equal contents.
+    entries: BTreeMap<DekId, Entry>,
 }
 
 /// An on-disk DEK cache encrypted under a passkey-derived key.
@@ -72,7 +82,7 @@ pub struct SecureDekCache {
     salt: [u8; 16],
     iterations: u32,
     enc_key: Vec<u8>,
-    /// Expanded once at unlock; every persist MACs each entry with it.
+    /// Expanded once at unlock; MACs each entry as it is wrapped.
     mac_key: HmacKey,
     inner: Mutex<Inner>,
 }
@@ -121,9 +131,9 @@ impl SecureDekCache {
                 iterations,
                 enc_key,
                 mac_key,
-                inner: Mutex::new(Inner { entries: HashMap::new() }),
+                inner: Mutex::new(Inner { entries: BTreeMap::new() }),
             };
-            cache.persist()?;
+            cache.persist(&cache.inner.lock())?;
             Ok(cache)
         }
     }
@@ -166,8 +176,9 @@ impl SecureDekCache {
         if count > r.remaining() / min_entry {
             return Err(CacheError::Corrupt(format!("implausible entry count {count}")));
         }
-        let mut entries = HashMap::with_capacity(count);
+        let mut entries = BTreeMap::new();
         for _ in 0..count {
+            let start = r.pos;
             let id_bytes: [u8; 16] = r.take(16)?.try_into().unwrap();
             let id = DekId::from_bytes(id_bytes);
             let algo_tag = r.u8()?;
@@ -186,7 +197,8 @@ impl SecureDekCache {
             }
             let mut key = wrapped;
             unwrap_key(&enc_key, &nonce, &mut key);
-            entries.insert(id, Dek::from_parts(id, algorithm, key));
+            let record = data[start..r.pos].to_vec();
+            entries.insert(id, Entry { dek: Dek::from_parts(id, algorithm, key), record });
         }
         Ok(SecureDekCache {
             env,
@@ -202,7 +214,7 @@ impl SecureDekCache {
     /// Looks up a DEK by id.
     #[must_use]
     pub fn get(&self, id: DekId) -> Option<Dek> {
-        self.inner.lock().entries.get(&id).cloned()
+        self.inner.lock().entries.get(&id).map(|entry| entry.dek.clone())
     }
 
     /// True if the cache holds `id`.
@@ -213,18 +225,35 @@ impl SecureDekCache {
 
     /// Inserts (or replaces) a DEK and persists the cache.
     pub fn insert(&self, dek: Dek) -> Result<(), CacheError> {
-        self.inner.lock().entries.insert(dek.id(), dek);
-        self.persist()
+        let record = self.wrap(&dek);
+        let mut inner = self.inner.lock();
+        inner.entries.insert(dek.id(), Entry { dek, record });
+        self.persist(&inner)
     }
 
     /// Removes a DEK (when its file dies) and persists the cache.
     /// Removing an absent id is a no-op.
     pub fn remove(&self, id: DekId) -> Result<(), CacheError> {
-        let removed = self.inner.lock().entries.remove(&id).is_some();
-        if removed {
-            self.persist()?;
+        self.remove_many(&[id])
+    }
+
+    /// Removes every id of `ids` the cache holds and persists once for
+    /// the batch (not at all if it held none).
+    pub fn remove_many(&self, ids: &[DekId]) -> Result<(), CacheError> {
+        let mut inner = self.inner.lock();
+        let before = inner.entries.len();
+        for id in ids {
+            inner.entries.remove(id);
         }
-        Ok(())
+        if inner.entries.len() == before {
+            return Ok(());
+        }
+        self.persist(&inner)
+    }
+
+    /// The file this cache persists to.
+    pub(crate) fn path(&self) -> &str {
+        &self.path
     }
 
     /// Number of cached DEKs.
@@ -245,8 +274,29 @@ impl SecureDekCache {
         self.inner.lock().entries.keys().copied().collect()
     }
 
-    fn persist(&self) -> Result<(), CacheError> {
-        let inner = self.inner.lock();
+    /// The file record of `dek`: wrapped under a fresh nonce and MACed.
+    fn wrap(&self, dek: &Dek) -> Vec<u8> {
+        let algo_tag = dek.algorithm().tag();
+        let mut nonce = [0u8; NONCE_LEN];
+        shield_crypto::secure_random(&mut nonce);
+        let mut wrapped = dek.key_bytes().to_vec();
+        unwrap_key(&self.enc_key, &nonce, &mut wrapped); // XOR: wrap == unwrap
+        let mac = entry_mac(&self.mac_key, dek.id(), algo_tag, &nonce, &wrapped);
+        let mut record = Vec::with_capacity(16 + 1 + 2 + NONCE_LEN + wrapped.len() + 32);
+        record.extend_from_slice(&dek.id().to_bytes());
+        record.push(algo_tag);
+        record.extend_from_slice(&(wrapped.len() as u16).to_le_bytes());
+        record.extend_from_slice(&nonce);
+        record.extend_from_slice(&wrapped);
+        record.extend_from_slice(&mac);
+        record
+    }
+
+    /// Writes the header and every entry's record. The caller holds the
+    /// entries lock across the temp-file + rename, so concurrent persists
+    /// (a commit leader and a background flush both inserting fresh DEKs)
+    /// cannot race on the shared temp name.
+    fn persist(&self, inner: &Inner) -> Result<(), CacheError> {
         let mut out = Vec::with_capacity(64 + inner.entries.len() * 96);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -255,29 +305,10 @@ impl SecureDekCache {
         let verifier = self.mac_key.mac(&[VERIFIER_LABEL]);
         out.extend_from_slice(&verifier[..16]);
         out.extend_from_slice(&(inner.entries.len() as u32).to_le_bytes());
-        // Deterministic order keeps the file stable for equal contents.
-        let mut ids: Vec<_> = inner.entries.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let dek = &inner.entries[&id];
-            let algo_tag = dek.algorithm().tag();
-            let mut nonce = [0u8; NONCE_LEN];
-            shield_crypto::secure_random(&mut nonce);
-            let mut wrapped = dek.key_bytes().to_vec();
-            unwrap_key(&self.enc_key, &nonce, &mut wrapped); // XOR: wrap == unwrap
-            let mac = entry_mac(&self.mac_key, id, algo_tag, &nonce, &wrapped);
-            out.extend_from_slice(&id.to_bytes());
-            out.push(algo_tag);
-            out.extend_from_slice(&(wrapped.len() as u16).to_le_bytes());
-            out.extend_from_slice(&nonce);
-            out.extend_from_slice(&wrapped);
-            out.extend_from_slice(&mac);
+        for entry in inner.entries.values() {
+            out.extend_from_slice(&entry.record);
         }
-        // Hold the entry lock across the temp-file + rename so concurrent
-        // persists (e.g. the commit leader and a background flush both
-        // inserting fresh DEKs) cannot race on the shared temp name.
         shield_env::write_file_atomic(self.env.as_ref(), &self.path, FileKind::Other, &out)?;
-        drop(inner);
         Ok(())
     }
 }
@@ -427,6 +458,44 @@ mod tests {
         drop(cache);
         let cache = open(&env, b"pk").unwrap();
         assert!(!cache.contains(dek.id()));
+    }
+
+    /// A batch removal persists once, and the records of the entries that
+    /// stay are the bytes they were first written (or loaded) with.
+    #[test]
+    fn remove_many_persists_once_and_keeps_the_survivors_records() {
+        let env = MemEnv::new();
+        let deks: Vec<Dek> = (0..4).map(|_| Dek::generate(Algorithm::Aes128Ctr)).collect();
+        let cache = open(&env, b"pk").unwrap();
+        for dek in &deks {
+            cache.insert(dek.clone()).unwrap();
+        }
+        let writes = || env.io_stats().unwrap().snapshot().write_ops[FileKind::Other.index()];
+        let record_of = |raw: &[u8], dek: &Dek| {
+            let id = dek.id().to_bytes();
+            let at = raw.windows(16).position(|w| w == id).expect("record present");
+            raw[at..at + 16 + 1 + 2 + NONCE_LEN + 16 + 32].to_vec()
+        };
+        let before = env.raw_content("dek.cache").unwrap();
+        let persists = writes();
+        let absent = Dek::generate(Algorithm::Aes128Ctr).id();
+        cache.remove_many(&[deks[0].id(), deks[2].id(), absent]).unwrap();
+        assert_eq!(writes(), persists + 1, "one persist for the batch");
+        cache.remove_many(&[deks[0].id(), absent]).unwrap();
+        assert_eq!(writes(), persists + 1, "nothing removed, nothing written");
+        assert_eq!(cache.len(), 2);
+
+        let after = env.raw_content("dek.cache").unwrap();
+        for kept in [&deks[1], &deks[3]] {
+            assert_eq!(record_of(&after, kept), record_of(&before, kept));
+        }
+        // A reopened cache re-persists the records it loaded, verbatim.
+        drop(cache);
+        let cache = open(&env, b"pk").unwrap();
+        cache.remove(deks[1].id()).unwrap();
+        let reloaded = env.raw_content("dek.cache").unwrap();
+        assert_eq!(record_of(&reloaded, &deks[3]), record_of(&before, &deks[3]));
+        assert_eq!(cache.get(deks[3].id()).unwrap().key_bytes(), deks[3].key_bytes());
     }
 
     #[test]

@@ -356,15 +356,39 @@ impl DekResolver {
     /// Called when a file is deleted: prunes the cache entry and revokes
     /// the DEK at the KDS so it can never be provisioned again.
     pub fn on_file_deleted(&self, id: DekId) -> Result<(), ResolverError> {
+        self.on_files_deleted(&[id])
+    }
+
+    /// [`on_file_deleted`](Self::on_file_deleted) for a batch: the cache
+    /// is pruned of all of `ids` and persisted once, then each DEK is
+    /// revoked at the KDS. Every id is attempted; the first failure is
+    /// returned.
+    pub fn on_files_deleted(&self, ids: &[DekId]) -> Result<(), ResolverError> {
         if let Some(cache) = &self.cache {
-            cache.remove(id)?;
+            cache.remove_many(ids)?;
         }
-        // The DEK may already be unknown (e.g. another instance revoked it);
-        // that is not an error for the caller.
-        match self.with_retries(|| self.kds.revoke_dek(id)) {
-            Ok(()) | Err(KdsError::UnknownDek(_)) => Ok(()),
-            Err(e) => Err(e.into()),
+        let mut first_err = None;
+        for &id in ids {
+            // The DEK may already be unknown (e.g. another instance revoked
+            // it); that is not an error for the caller.
+            match self.with_retries(|| self.kds.revoke_dek(id)) {
+                Ok(()) | Err(KdsError::UnknownDek(_)) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
         }
+        first_err.map_or(Ok(()), |e| Err(e.into()))
+    }
+
+    /// Ids the secure cache holds when it is the file at `cache_path`
+    /// (order unspecified); `None` without a cache or for a cache kept
+    /// elsewhere. A database whose directory holds the cache file is the
+    /// cache's only writer, so an id in it that no live file of that
+    /// database names belongs to nothing.
+    #[must_use]
+    pub fn cached_ids_at(&self, cache_path: &str) -> Option<Vec<DekId>> {
+        self.cache.as_ref().filter(|cache| cache.path() == cache_path).map(|cache| cache.ids())
     }
 
     /// Traffic counters. `failovers` is read live from the backing KDS.

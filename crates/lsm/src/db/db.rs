@@ -12,7 +12,7 @@
 //! encrypt at SST-build time; compaction outputs are chunk-encrypted and
 //! always carry fresh DEKs, making compaction double as key rotation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -21,6 +21,7 @@ use shield_core::{
     perf, Event, EventDispatcher, InfoLog, JsonBuilder, LogConfig, MetricsWindow, PerfContext,
     PerfGuard, SlowOp, SpanRecord, Tracer, WindowTracker,
 };
+use shield_crypto::DekId;
 use shield_env::FileKind;
 
 use crate::cache::BlockCache;
@@ -188,7 +189,16 @@ impl Db {
             integrity: IntegrityOptions { mode: opts.integrity, key: opts.integrity_key },
             stats: opts.statistics.clone(),
             events,
+            ready: Arc::default(),
         };
+        // The ready rule (files.rs). What the secure cache holds before
+        // this open generates anything is what the orphan sweep below may
+        // revoke; from here on the pool keeps keys ready, so the WAL
+        // segment this open creates finds its key generated beside the
+        // manifest's.
+        let cached_before = files.cached_deks(path);
+        let pool = JobPool::new(opts.max_background_jobs);
+        files.refill_on(&pool);
         let mut trees = Vec::with_capacity(router.shards());
         for i in 0..router.shards() {
             let tree_path = router.tree_path(path, i);
@@ -220,7 +230,6 @@ impl Db {
         let last_sequence =
             trees.iter().map(|tree| tree.state.lock().versions.last_sequence()).max().unwrap_or(0);
 
-        let pool = JobPool::new(opts.max_background_jobs);
         let inner = Arc::new_cyclic(|weak_self| DbInner {
             files,
             path: path.to_string(),
@@ -265,6 +274,14 @@ impl Db {
         }
         for t in 0..inner.trees.len() {
             inner.delete_obsolete_files(t);
+        }
+        if !cached_before.is_empty() {
+            let live: HashSet<DekId> = inner
+                .trees
+                .iter()
+                .flat_map(|tree| tree.state.lock().versions.current().live_deks())
+                .collect();
+            inner.files.revoke_orphans(path, &cached_before, &live);
         }
 
         // Background work runs on the job pool; the only thread this
@@ -734,6 +751,9 @@ impl Db {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // The close half of the ready rule; a crash leaves the unbound
+        // keys for the next open's sweep.
+        self.inner.files.close(!self.crash_on_drop);
         self.inner.files.events.emit(&Event::DbClose { path: self.inner.path.clone() });
     }
 }

@@ -53,7 +53,7 @@ impl ReadView {
         })
     }
 
-    /// Point lookup.
+    /// Point lookup, credited to `stats` as one `get`.
     pub fn get(
         &self,
         tables: &TableCache,
@@ -61,18 +61,26 @@ impl ReadView {
         key: &[u8],
         fill_cache: bool,
     ) -> Result<Option<Vec<u8>>> {
-        stats.gets.fetch_add(1, Ordering::Relaxed);
+        let value = self.lookup(tables, key, fill_cache);
+        credit_gets(stats, 1, matches!(value, Ok(Some(_))) as u64);
+        value
+    }
+
+    /// Point lookup that credits nothing: a caller that may run it more
+    /// than once per user call ([`crate::ReplicaDb`]) credits the call.
+    pub(super) fn lookup(
+        &self,
+        tables: &TableCache,
+        key: &[u8],
+        fill_cache: bool,
+    ) -> Result<Option<Vec<u8>>> {
         let t = perf::timer();
         let hit = self.probe_memtables(key);
         perf::add_elapsed(PerfMetric::MemtableLookup, t);
-        let value = match hit {
-            Some(hit) => hit,
-            None => self.version.get_opt(tables, key, self.seq, fill_cache)?.into_value(),
-        };
-        if value.is_some() {
-            stats.gets_found.fetch_add(1, Ordering::Relaxed);
+        match hit {
+            Some(hit) => Ok(hit),
+            None => Ok(self.version.get_opt(tables, key, self.seq, fill_cache)?.into_value()),
         }
-        Ok(value)
     }
 
     /// Batched point lookup: one result slot per key, each equivalent to
@@ -81,8 +89,9 @@ impl ReadView {
     /// per-file batched block reads, so a cold batch pays one
     /// `read_at_many` submission per table instead of one file read per
     /// key. Errors are per-slot: a fault on one key's block never corrupts
-    /// its neighbors. The caller credits `multi_gets` (one user call may
-    /// span several views).
+    /// its neighbors. Every key is credited to `stats` as a point lookup;
+    /// the caller credits `multi_gets` (one user call may span several
+    /// views).
     pub fn multi_get(
         &self,
         tables: &TableCache,
@@ -90,9 +99,20 @@ impl ReadView {
         keys: &[&[u8]],
         fill_cache: bool,
     ) -> Vec<Result<Option<Vec<u8>>>> {
-        // Every key is a point lookup: `gets_found` below is credited per
-        // key, so `gets` must be too or found would exceed served.
-        stats.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let out = self.multi_lookup(tables, keys, fill_cache);
+        let found = out.iter().filter(|slot| matches!(slot, Ok(Some(_)))).count();
+        credit_gets(stats, keys.len() as u64, found as u64);
+        out
+    }
+
+    /// [`multi_get`](Self::multi_get) that credits nothing (see
+    /// [`lookup`](Self::lookup)).
+    pub(super) fn multi_lookup(
+        &self,
+        tables: &TableCache,
+        keys: &[&[u8]],
+        fill_cache: bool,
+    ) -> Vec<Result<Option<Vec<u8>>>> {
         let t = perf::timer();
         let mut out: Vec<Option<Result<Option<Vec<u8>>>>> =
             keys.iter().map(|key| self.probe_memtables(key).map(Ok)).collect();
@@ -105,12 +125,16 @@ impl ReadView {
                 out[i] = Some(result.map(|found| found.into_value()));
             }
         }
-        let out: Vec<Result<Option<Vec<u8>>>> =
-            out.into_iter().map(|slot| slot.expect("every key resolved")).collect();
-        let found = out.iter().filter(|slot| matches!(slot, Ok(Some(_)))).count();
-        stats.gets_found.fetch_add(found as u64, Ordering::Relaxed);
-        out
+        out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
     }
+}
+
+/// Credits one user call's point lookups: `gets` per key looked up
+/// (found, absent or failed), `gets_found` per value returned — so
+/// `gets_found <= gets` and both count user calls, not attempts.
+pub(super) fn credit_gets(stats: &Statistics, lookups: u64, found: u64) {
+    stats.gets.fetch_add(lookups, Ordering::Relaxed);
+    stats.gets_found.fetch_add(found, Ordering::Relaxed);
 }
 
 /// A point-in-time read view. Dropping it releases the sequence pin so

@@ -51,7 +51,7 @@ use shield_core::JsonBuilder;
 use shield_env::{EnvError, FileKind};
 
 use crate::db::batch::WriteBatch;
-use crate::db::read::{DbIterator, ReadView};
+use crate::db::read::{credit_gets, DbIterator, ReadView};
 use crate::error::{Error, Result};
 use crate::files::FileStore;
 use crate::memtable::MemTable;
@@ -477,7 +477,9 @@ impl ReplicaDb {
     /// away and its obsolete-file pass, which knows nothing of replicas,
     /// unlinked it. That is a view too old, not data lost — the primary's
     /// current version names the file's replacement — so the replica
-    /// catches up and reads once more.
+    /// catches up and reads once more. `read` may therefore run twice for
+    /// one user call and must credit no ticker; the caller credits the
+    /// call's outcome.
     fn read_published<T>(&self, read: impl Fn(&ReadView) -> Result<T>) -> Result<T> {
         let first = read(&*self.fresh_view()?);
         if !matches!(first, Err(Error::Io(EnvError::NotFound(_)))) {
@@ -495,15 +497,20 @@ impl ReplicaDb {
 
     /// Point lookup against the published view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.read_published(|view| view.get(&self.table_cache, &self.files.stats, key, true))
+        let value = self.read_published(|view| view.lookup(&self.table_cache, key, true));
+        credit_gets(&self.files.stats, 1, matches!(value, Ok(Some(_))) as u64);
+        value
     }
 
     /// Batched point lookup; every key reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
         self.files.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
-        self.read_published(|view| {
-            view.multi_get(&self.table_cache, &self.files.stats, keys, true).into_iter().collect()
-        })
+        let values: Result<Vec<Option<Vec<u8>>>> = self.read_published(|view| {
+            view.multi_lookup(&self.table_cache, keys, true).into_iter().collect()
+        });
+        let found = values.as_ref().map_or(0, |values| values.iter().flatten().count());
+        credit_gets(&self.files.stats, keys.len() as u64, found as u64);
+        values
     }
 
     /// Range scan from `start` (inclusive), at most `limit` entries, over

@@ -811,16 +811,16 @@ impl DbInner {
                 })
                 .collect()
         };
-        for victim in victims {
-            // A compacted-away SST's DEK id came with its `FileMeta`; for
-            // WALs, manifests and SSTs no version ever named (leftovers of
-            // a crash or a failed job) it is only in the file's own header.
-            if self.files.retire(&victim.path, victim.kind, victim.dek_id) {
-                if let Some(n) = victim.sst {
-                    tree.table_cache.evict(n);
-                    self.files.stats.sst_files_deleted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        // A compacted-away SST's DEK id came with its `FileMeta`; for
+        // WALs, manifests and SSTs no version ever named (leftovers of a
+        // crash or a failed job) it is only in the file's own header. One
+        // batch: the secure cache is persisted once, not once per file.
+        let files: Vec<_> =
+            victims.iter().map(|v| (v.path.as_str(), v.kind, v.dek_id)).collect();
+        let unlinked = self.files.retire_many(&files);
+        for n in victims.iter().zip(unlinked).filter_map(|(v, gone)| v.sst.filter(|_| gone)) {
+            tree.table_cache.evict(n);
+            self.files.stats.sst_files_deleted.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

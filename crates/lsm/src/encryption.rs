@@ -186,12 +186,33 @@ impl EncryptionConfig {
         path: &str,
         kind: FileKind,
     ) -> Result<WritableWithMac> {
-        if kind == FileKind::Wal && !self.encrypt_wal {
+        if !self.encrypts(kind) {
             let file = env.new_writable_file(path, kind)?;
             // No header, no DEK: the file is plaintext and self-describing.
             return Ok((file, DekId(0), None));
         }
         let dek = self.resolver.new_dek()?;
+        self.wrap_writable(env, path, kind, dek)
+    }
+
+    /// Whether a new file of `kind` gets a DEK (everything but a WAL
+    /// segment under [`with_plaintext_wal`](Self::with_plaintext_wal)).
+    #[must_use]
+    pub(crate) fn encrypts(&self, kind: FileKind) -> bool {
+        kind != FileKind::Wal || self.encrypt_wal
+    }
+
+    /// Creates `path` encrypted under `dek`, a key of this config's
+    /// resolver that no other file was ever bound to: the second half of
+    /// [`new_writable_with_mac`](Self::new_writable_with_mac), for a
+    /// caller that already holds the file's key.
+    pub(crate) fn wrap_writable(
+        &self,
+        env: &dyn Env,
+        path: &str,
+        kind: FileKind,
+        dek: Dek,
+    ) -> Result<WritableWithMac> {
         let mut nonce = [0u8; NONCE_LEN];
         shield_crypto::secure_random(&mut nonce);
         let header = FileHeader { algorithm: dek.algorithm(), dek_id: dek.id(), nonce };
@@ -301,22 +322,13 @@ impl EncryptionConfig {
         Ok(FileHeader::decode(&head)?.map(|h| h.dek_id))
     }
 
-    /// Called before deleting `path`: prunes the cache entry and revokes
-    /// the file's DEK at the KDS, so compaction doubles as key rotation —
-    /// once the old files die, their DEKs die with them (§5.2).
-    pub fn note_file_deleted(&self, env: &dyn Env, path: &str, kind: FileKind) -> Result<()> {
-        match Self::peek_dek_id(env, path, kind) {
-            Ok(Some(dek_id)) => self.revoke_dek(dek_id),
-            // Missing or plaintext files have no key to revoke.
-            Ok(None) | Err(_) => Ok(()),
-        }
-    }
-
-    /// [`note_file_deleted`](Self::note_file_deleted) for a caller that
-    /// already knows the file's DEK id (an SST's `FileMeta` carries it)
-    /// and so need not open the file to read its header.
-    pub fn revoke_dek(&self, dek_id: DekId) -> Result<()> {
-        self.resolver.on_file_deleted(dek_id)?;
+    /// Called before deleting the files these DEKs encrypt (or for keys
+    /// no file was ever bound to): prunes the secure cache — one persist
+    /// for the batch — and revokes each DEK at the KDS, so compaction
+    /// doubles as key rotation: once the old files die, their DEKs die
+    /// with them (§5.2).
+    pub fn revoke_deks(&self, dek_ids: &[DekId]) -> Result<()> {
+        self.resolver.on_files_deleted(dek_ids)?;
         Ok(())
     }
 }
@@ -828,7 +840,9 @@ mod tests {
         f.sync().unwrap();
         drop(f);
         assert!(kds.has_dek(dek_id));
-        cfg.note_file_deleted(&env, "f", FileKind::Sst).unwrap();
+        let peeked = EncryptionConfig::peek_dek_id(&env, "f", FileKind::Sst).unwrap();
+        assert_eq!(peeked, Some(dek_id));
+        cfg.revoke_deks(&[dek_id]).unwrap();
         env.remove_file("f").unwrap();
         assert!(!kds.has_dek(dek_id), "DEK must die with its file");
     }

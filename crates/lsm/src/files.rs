@@ -5,7 +5,7 @@
 //! server — primary, read replica, offloaded compactor — opens *any* file
 //! from the DEK-ID in its plaintext header under its own identity. A
 //! [`FileStore`] is that server's view of the shared files, and states the
-//! two rules every persistent file obeys:
+//! three rules every persistent file obeys:
 //!
 //! * **Key rule.** A file that got a DEK (every SST, MANIFEST and WAL
 //!   segment of a SHIELD engine, except WAL segments under
@@ -18,6 +18,22 @@
 //!   the current mode).
 //! * **Retire rule.** A dead file's DEK is revoked (KDS and secure cache)
 //!   before the file is unlinked, so keys die with their files (§5.2).
+//! * **Ready rule.** Creating a file *takes or generates* its key: a
+//!   store whose database hooked it to a job pool ([`crate::Db::open`],
+//!   nobody else) keeps up to [`READY_DEKS`] keys generated ahead of need
+//!   — each already at the KDS and in the secure cache, each bound to at
+//!   most one file — and a creation pops one instead of waiting out a KDS
+//!   round trip; on an empty queue, and in every store without the hook,
+//!   it generates inline. A take that leaves the queue short schedules
+//!   one generation per pool job on the flush lane, again while the queue
+//!   is short and never after a failure. Keys that were never bound die
+//!   too: at **close** the store stops refilling, waits for the refill in
+//!   flight (nothing touches the cache file once the database is gone)
+//!   and revokes them as one batch; after a **crash** the next open of
+//!   the database whose directory holds the cache file revokes every
+//!   cached id that none of its live files names; in a **KDS outage**
+//!   what is queued (plus one refill that was in flight) still creates
+//!   files, then `Unavailable` surfaces as it always did.
 //!
 //! Everything above this module — [`crate::Db`], [`crate::ReplicaDb`],
 //! [`crate::version::TableCache`] (through which flushes and compactions
@@ -25,16 +41,21 @@
 //! [`crate::version::ManifestTailer`], the offloaded compactor — holds a
 //! `FileStore` and calls it; none of them decides a key.
 
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Weak};
 
-use shield_core::EventDispatcher;
-use shield_crypto::DekId;
+use parking_lot::{Condvar, Mutex};
+use shield_core::{perf, EventDispatcher, PerfMetric};
+use shield_crypto::{Dek, DekId};
 use shield_env::{Env, FileKind, RandomAccessFile, WritableFile};
 
+use crate::db::pool::{JobClass, JobPool};
 use crate::encryption::EncryptionConfig;
 use crate::error::Result;
 use crate::integrity::{Integrity, IntegrityOptions, ReadIntegrity};
 use crate::statistics::Statistics;
+use crate::version::filenames::DEK_CACHE_FILE_NAME;
 use crate::wal::{LogWriter, WalTailer};
 
 /// What [`FileStore::create`] returns: the file, the id of the DEK
@@ -42,9 +63,32 @@ use crate::wal::{LogWriter, WalTailer};
 /// with (`None` under [`Integrity::Crc`]).
 pub type CreatedFile = (Box<dyn WritableFile>, Option<DekId>, Option<[u8; 32]>);
 
+/// Keys a hooked store keeps ready: about what one L0→L1 merge emits (a
+/// 12 MB merge into 2 MiB outputs) plus the next WAL segment and flush
+/// output.
+pub const READY_DEKS: usize = 8;
+
+/// The ready queue a store shares with its clones (the ready rule).
+#[derive(Default)]
+pub(crate) struct ReadyDeks {
+    state: Mutex<ReadyState>,
+    /// Signalled when a refill job ends; [`FileStore::close`] waits on it.
+    refilled: Condvar,
+}
+
+#[derive(Default)]
+struct ReadyState {
+    deks: VecDeque<Dek>,
+    /// Where refills run. `None` (never hooked, or closed): nothing is
+    /// queued any more.
+    pool: Option<Weak<JobPool>>,
+    /// A refill job is queued or running (at most one is).
+    refilling: bool,
+}
+
 /// One server's access to a database's persistent files: storage, this
 /// server's own DEK resolver, the deployment's integrity settings and the
-/// sinks integrity checks report to. Cheap to clone (five `Arc`s and a
+/// sinks integrity checks report to. Cheap to clone (six `Arc`s and a
 /// key).
 #[derive(Clone)]
 pub struct FileStore {
@@ -59,6 +103,9 @@ pub struct FileStore {
     pub stats: Arc<Statistics>,
     /// Event sink for [`shield_core::Event::IntegrityViolation`].
     pub events: Arc<EventDispatcher>,
+    /// Keys generated ahead of need; stays empty until
+    /// [`refill_on`](Self::refill_on).
+    pub(crate) ready: Arc<ReadyDeks>,
 }
 
 impl FileStore {
@@ -76,6 +123,7 @@ impl FileStore {
             integrity,
             stats: Statistics::new(),
             events: Arc::new(EventDispatcher::new()),
+            ready: Arc::default(),
         }
     }
 
@@ -84,18 +132,140 @@ impl FileStore {
         dek_mac.unwrap_or(self.integrity.key)
     }
 
-    /// Creates `path` for appending, under a fresh DEK when this kind of
-    /// file is encrypted.
+    /// Creates `path` for appending, under a DEK no other file has when
+    /// this kind of file is encrypted.
     pub fn create(&self, path: &str, kind: FileKind) -> Result<CreatedFile> {
         let (file, dek_id, dek_mac) = match &self.encryption {
-            Some(cfg) => {
-                let (file, id, mac) = cfg.new_writable_with_mac(self.env.as_ref(), path, kind)?;
-                (file, mac.map(|_| id), mac)
+            Some(cfg) if cfg.encrypts(kind) => {
+                let dek = self.take_dek(cfg)?;
+                let t = perf::timer();
+                let wrapped = cfg.wrap_writable(self.env.as_ref(), path, kind, dek);
+                perf::add_elapsed(PerfMetric::FileCreate, t);
+                let (file, id, mac) = wrapped?;
+                (file, Some(id), mac)
             }
-            None => (self.env.new_writable_file(path, kind)?, None, None),
+            _ => {
+                let t = perf::timer();
+                let file = self.env.new_writable_file(path, kind);
+                perf::add_elapsed(PerfMetric::FileCreate, t);
+                (file?, None, None)
+            }
         };
         let tag_key = (self.integrity.mode == Integrity::Hmac).then(|| self.mac_key(dek_mac));
         Ok((file, dek_id, tag_key))
+    }
+
+    /// Take or generate: a ready key, else one from the resolver.
+    fn take_dek(&self, cfg: &EncryptionConfig) -> Result<Dek> {
+        let t = perf::timer();
+        let ready = self.ready.state.lock().deks.pop_front();
+        let dek = match ready {
+            Some(dek) => {
+                self.stats.dek_queue_hits.fetch_add(1, Ordering::Relaxed);
+                dek
+            }
+            None => {
+                let dek = cfg.resolver.new_dek()?;
+                self.stats.dek_queue_misses.fetch_add(1, Ordering::Relaxed);
+                dek
+            }
+        };
+        perf::add_elapsed(PerfMetric::DekWait, t);
+        self.refill_if_short();
+        Ok(dek)
+    }
+
+    /// Hooks the ready queue to `pool` and starts filling it.
+    pub(crate) fn refill_on(&self, pool: &Arc<JobPool>) {
+        self.ready.state.lock().pool = Some(Arc::downgrade(pool));
+        self.refill_if_short();
+    }
+
+    /// Schedules a refill job unless one is scheduled, the queue is full,
+    /// or this store has no hook (any more) or no encryption.
+    fn refill_if_short(&self) {
+        if self.encryption.is_none() {
+            return;
+        }
+        let pool = {
+            let mut state = self.ready.state.lock();
+            if state.refilling || state.deks.len() >= READY_DEKS {
+                return;
+            }
+            let Some(pool) = state.pool.as_ref().and_then(Weak::upgrade) else { return };
+            state.refilling = true;
+            pool
+        };
+        let store = self.clone();
+        pool.spawn(JobClass::Flush, Box::new(move || store.refill_one()));
+    }
+
+    /// One refill job: one key, so that a flush queued behind it waits
+    /// out at most one KDS round trip. It schedules its successor only
+    /// after a success — in an outage the next creation tries again.
+    fn refill_one(&self) {
+        let generated = self.encryption.as_ref().and_then(|cfg| cfg.resolver.new_dek().ok());
+        let succeeded = generated.is_some();
+        {
+            let mut state = self.ready.state.lock();
+            state.refilling = false;
+            state.deks.extend(generated);
+            self.ready.refilled.notify_all();
+        }
+        if succeeded {
+            self.refill_if_short();
+        }
+    }
+
+    /// The close half of the ready rule. `revoke_unused: false` is a
+    /// simulated crash: the unbound keys stay at the KDS and in the
+    /// secure cache for the next open to find.
+    pub(crate) fn close(&self, revoke_unused: bool) {
+        let unused: Vec<DekId> = {
+            let mut state = self.ready.state.lock();
+            state.pool = None;
+            while state.refilling {
+                self.ready.refilled.wait(&mut state);
+            }
+            state.deks.drain(..).map(|dek| dek.id()).collect()
+        };
+        if revoke_unused {
+            self.revoke_unbound(&unused);
+        }
+    }
+
+    /// The crash half of the ready rule, for the database in `db_path`
+    /// when that directory holds the secure cache: `suspects` is what
+    /// [`cached_deks`](Self::cached_deks) returned before this open
+    /// created or generated anything, `live` the ids its recovered
+    /// versions name. What is in the first, not in the second, and still
+    /// cached (recovery retired the old MANIFEST and WAL segments itself)
+    /// was generated by an earlier process and bound to no surviving file.
+    pub(crate) fn revoke_orphans(&self, db_path: &str, suspects: &[DekId], live: &HashSet<DekId>) {
+        let cached: HashSet<DekId> = self.cached_deks(db_path).into_iter().collect();
+        let orphans: Vec<DekId> = suspects
+            .iter()
+            .copied()
+            .filter(|id| cached.contains(id) && !live.contains(id))
+            .collect();
+        self.revoke_unbound(&orphans);
+    }
+
+    /// Ids in the secure cache, if it is the database's own: the file
+    /// named [`DEK_CACHE_FILE_NAME`] in `db_path`. Empty otherwise.
+    pub(crate) fn cached_deks(&self, db_path: &str) -> Vec<DekId> {
+        let cache_path = shield_env::join_path(db_path, DEK_CACHE_FILE_NAME);
+        let cfg = self.encryption.as_ref();
+        cfg.and_then(|cfg| cfg.resolver.cached_ids_at(&cache_path)).unwrap_or_default()
+    }
+
+    /// Revokes keys no file was bound to, through the revoke half of the
+    /// retire rule (one cache persist for the batch).
+    fn revoke_unbound(&self, ids: &[DekId]) {
+        if let (Some(cfg), false) = (&self.encryption, ids.is_empty()) {
+            let _ = cfg.revoke_deks(ids);
+            self.stats.deks_retired_unused.fetch_add(ids.len() as u64, Ordering::Relaxed);
+        }
     }
 
     /// Opens `path` for random access — resolving the DEK named in its
@@ -147,19 +317,32 @@ impl FileStore {
     /// whether this call unlinked it (`false`: it was already gone, or
     /// the unlink failed and a later pass retries).
     pub fn retire(&self, path: &str, kind: FileKind, known_dek: Option<DekId>) -> bool {
+        self.retire_many(&[(path, kind, known_dek)])[0]
+    }
+
+    /// [`retire`](Self::retire) for a batch of `(path, kind, known_dek)`:
+    /// every DEK is revoked (one secure-cache persist for all of them),
+    /// then every file unlinked. One result per file, in order.
+    pub fn retire_many(&self, files: &[(&str, FileKind, Option<DekId>)]) -> Vec<bool> {
         if let Some(cfg) = &self.encryption {
-            let _ = match known_dek {
-                Some(dek_id) => cfg.revoke_dek(dek_id),
-                None => cfg.note_file_deleted(self.env.as_ref(), path, kind),
+            let peek = |path, kind| {
+                EncryptionConfig::peek_dek_id(self.env.as_ref(), path, kind).ok().flatten()
             };
+            let ids: Vec<DekId> = files
+                .iter()
+                .filter_map(|&(path, kind, known)| known.or_else(|| peek(path, kind)))
+                .collect();
+            if !ids.is_empty() {
+                let _ = cfg.revoke_deks(&ids);
+            }
         }
-        self.env.remove_file(path).is_ok()
+        files.iter().map(|(path, ..)| self.env.remove_file(path).is_ok()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     use super::*;
     use crate::error::Error;
@@ -318,6 +501,56 @@ mod tests {
                 assert_eq!(failures, u64::from(!has_dek), "{what}: sinks attached");
             }
         }
+    }
+
+    /// The ready rule under contention: four threads create 2,500 files
+    /// each through one hooked store; every file gets a key no other file
+    /// has, every creation counts as one hit or one miss, and close
+    /// revokes exactly the keys left ready.
+    #[test]
+    fn concurrent_creates_bind_every_key_to_exactly_one_file() {
+        const THREADS: usize = 4;
+        const FILES: usize = 2_500;
+        let env = MemEnv::new();
+        let (files, kds) = store(&env, Encryption::Shield, Integrity::Crc);
+        let pool = JobPool::new(2);
+        files.refill_on(&pool);
+        let ids: Vec<DekId> = std::thread::scope(|s| {
+            let creators: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let files = &files;
+                    s.spawn(move || {
+                        (0..FILES)
+                            .map(|i| {
+                                let path = format!("{t}-{i}.sst");
+                                let created = files.create(&path, FileKind::Sst).expect("create");
+                                created.1.expect("dek")
+                            })
+                            .collect::<Vec<DekId>>()
+                    })
+                })
+                .collect();
+            creators.into_iter().flat_map(|c| c.join().expect("creator")).collect()
+        });
+        let distinct: HashSet<DekId> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), THREADS * FILES, "a key was bound twice");
+        for (n, id) in ids.iter().enumerate().step_by(97) {
+            let path = format!("{}-{}.sst", n / FILES, n % FILES);
+            let named = EncryptionConfig::peek_dek_id(&env, &path, FileKind::Sst).expect("peek");
+            assert_eq!(named, Some(*id), "{path}");
+        }
+        let s = files.stats.snapshot();
+        assert_eq!(s.dek_queue_hits + s.dek_queue_misses, (THREADS * FILES) as u64);
+        assert!(s.dek_queue_hits > 0, "the queue never served a creation");
+
+        files.close(true);
+        let retired = files.stats.snapshot().deks_retired_unused;
+        assert!(retired <= READY_DEKS as u64);
+        assert_eq!(kds.revokes.load(Ordering::Relaxed), retired);
+        assert_eq!(kds.inner.live_dek_count(), THREADS * FILES, "one live key per file");
+        // A closed store generates inline, like one that was never hooked.
+        drop(files.create("late.sst", FileKind::Sst).expect("create"));
+        assert_eq!(kds.inner.live_dek_count(), THREADS * FILES + 1);
     }
 
     /// The retire rule: revoke once from a known id without touching the

@@ -48,7 +48,7 @@ pub use db::replica::{ReplicaDb, ReplicaOptions, REPLICA_METRICS_SCHEMA};
 pub use db::{Db, DbIterator, Snapshot, WriteBatch};
 pub use encryption::EncryptionConfig;
 pub use error::{Error, Result, Severity};
-pub use files::FileStore;
+pub use files::{FileStore, READY_DEKS};
 pub use integrity::{Integrity, IntegrityOptions};
 // Observability vocabulary, re-exported from the dependency-free
 // `shield-core` crate so embedders need only one `use shield_lsm::...`.

@@ -159,6 +159,15 @@ tickers! {
         batched_reads,
         /// Individual block reads carried by those batch submissions.
         batch_read_requests,
+        /// DEK-bearing files created under a key that was waiting in the
+        /// file store's ready queue ([`crate::files::READY_DEKS`]).
+        dek_queue_hits,
+        /// DEK-bearing files whose creation generated its key inline (the
+        /// queue was empty, or the store has none). Hits plus misses is
+        /// the number of DEK-bearing files created.
+        dek_queue_misses,
+        /// Ready DEKs revoked at close without ever being bound to a file.
+        deks_retired_unused,
     }
     shared {
         /// Block-cache lifetime hits, mirrored from the cache when
@@ -302,6 +311,6 @@ mod tests {
         for (n, _) in &counters {
             assert!(!gauges.iter().any(|(g, _)| g == n), "{n} in both sections");
         }
-        assert_eq!(counters.len() + gauges.len(), 51);
+        assert_eq!(counters.len() + gauges.len(), 54);
     }
 }

@@ -42,13 +42,16 @@ pub fn current_file_name() -> String {
     "CURRENT".to_string()
 }
 
+/// Name of the secure DEK cache a SHIELD database keeps in its directory.
+pub const DEK_CACHE_FILE_NAME: &str = "DEK_CACHE";
+
 /// Classifies a file name from the database directory.
 #[must_use]
 pub fn parse_file_name(name: &str) -> Option<FileType> {
     if name == "CURRENT" {
         return Some(FileType::Current);
     }
-    if name == "DEK_CACHE" {
+    if name == DEK_CACHE_FILE_NAME {
         return Some(FileType::DekCache);
     }
     if name.ends_with(".tmp") {

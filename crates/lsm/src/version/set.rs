@@ -4,6 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
+use shield_core::{perf, PerfMetric};
 use shield_crypto::DekId;
 use shield_env::{Env, FileKind};
 
@@ -199,7 +200,10 @@ impl VersionSet {
         edit.last_sequence = Some(self.last_sequence);
         let writer = self.manifest.as_mut().ok_or(Error::Shutdown)?;
         writer.add_record(&edit.encode())?;
-        writer.sync()?;
+        let t = perf::timer();
+        let synced = writer.sync();
+        perf::add_elapsed(PerfMetric::ManifestSync, t);
+        synced?;
         let mut applier = EditApplier::from_version((*self.current).clone());
         applier.apply(&edit);
         let next = Arc::new(applier.version());

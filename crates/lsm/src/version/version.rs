@@ -74,6 +74,12 @@ impl Version {
         self.files.iter().flatten().map(|f| f.number).collect()
     }
 
+    /// The DEK ids of all live files (plaintext files have none).
+    #[must_use]
+    pub fn live_deks(&self) -> Vec<shield_crypto::DekId> {
+        self.files.iter().flatten().filter_map(|f| f.dek_id).collect()
+    }
+
     /// Point lookup at sequence `seq` (`fill_cache = false` reads around
     /// the block cache).
     pub fn get_opt(

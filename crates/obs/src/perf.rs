@@ -31,7 +31,8 @@ use std::time::Instant;
 /// wrapper; `block_decrypt` covers only the in-place keystream XOR;
 /// `dek_resolve` only the KDS round-trip), so on a get the sum of
 /// components is ≤ the operation's wall time. On the write path
-/// `block_encrypt` nests inside `wal_append` when WAL encryption is on.
+/// `block_encrypt` nests inside `wal_append` when WAL encryption is on,
+/// and `dek_wait` contains the `dek_resolve` of a key generated inline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfContext {
     /// Time appending (and buffering) WAL records, including encryption.
@@ -66,6 +67,16 @@ pub struct PerfContext {
     /// Block-cache misses that waited on another thread's in-flight read
     /// instead of issuing their own (single-flight coalescing).
     pub singleflight_waits: u64,
+    /// Time a file creation waited for its DEK: ≈ 0 when a ready key was
+    /// queued, the KDS round trip (also charged to `dek_resolve_nanos`)
+    /// when it had to be generated inline. Not part of
+    /// [`timed_nanos`](Self::timed_nanos) for that reason.
+    pub dek_wait_nanos: u64,
+    /// Time creating a persistent file on storage (and writing its
+    /// encryption header), after its key was in hand.
+    pub file_create_nanos: u64,
+    /// Time syncing a MANIFEST edit.
+    pub manifest_sync_nanos: u64,
 }
 
 impl PerfContext {
@@ -85,6 +96,9 @@ impl PerfContext {
         bloom_probes: 0,
         cipher_inits: 0,
         singleflight_waits: 0,
+        dek_wait_nanos: 0,
+        file_create_nanos: 0,
+        manifest_sync_nanos: 0,
     };
 
     /// Sum of all timed components, in nanoseconds.
@@ -100,14 +114,18 @@ impl PerfContext {
             + self.cache_lookup_nanos
             + self.subcompaction_nanos
             + self.io_batch_wait_nanos
+            + self.file_create_nanos
+            + self.manifest_sync_nanos
     }
 
     pub fn is_zero(&self) -> bool {
         *self == Self::ZERO
     }
 
-    /// Field (name, value) pairs, for rendering. Times first, then counts.
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
+    /// Field (name, value) pairs, for rendering: times, then counts, then
+    /// the file-creation times (appended, so the positions readers of the
+    /// first fifteen rely on did not move).
+    pub fn fields(&self) -> [(&'static str, u64); 18] {
         [
             ("wal_append_nanos", self.wal_append_nanos),
             ("wal_sync_nanos", self.wal_sync_nanos),
@@ -124,6 +142,9 @@ impl PerfContext {
             ("bloom_probes", self.bloom_probes),
             ("cipher_inits", self.cipher_inits),
             ("singleflight_waits", self.singleflight_waits),
+            ("dek_wait_nanos", self.dek_wait_nanos),
+            ("file_create_nanos", self.file_create_nanos),
+            ("manifest_sync_nanos", self.manifest_sync_nanos),
         ]
     }
 }
@@ -142,6 +163,9 @@ pub enum PerfMetric {
     CacheLookup,
     Subcompaction,
     IoBatchWait,
+    DekWait,
+    FileCreate,
+    ManifestSync,
 }
 
 /// Counted events of [`PerfContext`].
@@ -204,6 +228,9 @@ pub fn add_nanos(metric: PerfMetric, ns: u64) {
             PerfMetric::CacheLookup => &mut ctx.cache_lookup_nanos,
             PerfMetric::Subcompaction => &mut ctx.subcompaction_nanos,
             PerfMetric::IoBatchWait => &mut ctx.io_batch_wait_nanos,
+            PerfMetric::DekWait => &mut ctx.dek_wait_nanos,
+            PerfMetric::FileCreate => &mut ctx.file_create_nanos,
+            PerfMetric::ManifestSync => &mut ctx.manifest_sync_nanos,
         };
         *slot = slot.saturating_add(ns);
         c.set(ctx);

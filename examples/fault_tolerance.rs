@@ -121,12 +121,23 @@ fn run() {
     // succeeds — the failure needs actual data, because only a real flush
     // rotates the WAL and demands a fresh DEK.
     db.flush().expect("empty flush is a no-op even during an outage");
-    for i in 0..30u32 {
-        db.put(&w, format!("outage:{i:02}").as_bytes(), b"v").expect("puts use the live WAL DEK");
-    }
-    let err = db.flush().expect_err("WAL rotation needs a fresh DEK");
+    // The engine keeps a few DEKs ready (`READY_DEKS`), and a flush takes
+    // two (next WAL segment, the SST): the first flushes of an outage
+    // still succeed, and nothing refills the queue until the KDS is back.
+    let mut flushed = 0;
+    let err = loop {
+        for i in 0..30u32 {
+            let key = format!("outage:{flushed}:{i:02}");
+            db.put(&w, key.as_bytes(), b"v").expect("puts use the live WAL DEK");
+        }
+        match db.flush() {
+            Ok(()) => flushed += 1,
+            Err(err) => break err,
+        }
+        assert!(flushed <= shield_lsm::READY_DEKS + 1, "flushes outlived the ready DEKs");
+    };
     assert!(matches!(err, Error::Encryption(_)), "unexpected error class: {err}");
-    println!("  flush during outage: {err}");
+    println!("  {flushed} flushes on ready DEKs, then: {err}");
     assert!(db.resolver.is_degraded(), "resolver should be degraded");
     assert_eq!(db.get(&r, b"acked:marker").expect("degraded read"), Some(b"synced".to_vec()));
     let rs = db.resolver.stats();
@@ -139,7 +150,9 @@ fn run() {
     db.resume().expect("resume after KDS recovery");
     db.flush().expect("flush after recovery");
     assert!(!db.resolver.is_degraded());
-    assert_eq!(db.get(&r, b"outage:00").expect("get"), Some(b"v".to_vec()));
+    assert_eq!(db.get(&r, b"outage:0:00").expect("get"), Some(b"v".to_vec()));
+    let last = format!("outage:{flushed}:29");
+    assert_eq!(db.get(&r, last.as_bytes()).expect("get"), Some(b"v".to_vec()));
     println!("  KDS back: resume + flush ok, outage-era writes durable, degraded flag cleared");
 
     // ---- Final: integrity sweep ------------------------------------------

@@ -8,7 +8,13 @@
 #           call and no read of the engine-wide integrity key in
 #           crates/{lsm,core}/src library code outside files.rs,
 #           encryption.rs, integrity.rs, db/options.rs and the one
-#           FileStore construction in Db::open; no thread of its own
+#           FileStore construction in Db::open; and one creator, one
+#           queue: a file gets its key in FileStore::create (take a ready
+#           DEK or generate one), so no library code under crates/*/src
+#           calls `.new_dek(` outside lsm's files.rs and encryption.rs and
+#           the resolver that defines it — a second caller would be a
+#           second way for a file to get a key, outside the ready queue's
+#           accounting and its close / crash rules; no thread of its own
 #           in the read path — no `thread::spawn` / `thread::Builder` in
 #           library code under crates/lsm/src/sst/ (a multi-window batch
 #           borrows a scoped thread for the call, DESIGN.md §4g), so the
@@ -99,6 +105,21 @@ if [[ -n "$hits" ]]; then
     echo "$hits"
     echo "FAIL: which key authenticates a file is decided in crates/lsm/src/files.rs"
     echo "      (FileStore); open and create files through it."
+    exit 1
+fi
+hits=""
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in
+        crates/lsm/src/files.rs | crates/lsm/src/encryption.rs | crates/kds/src/resolver.rs) continue ;;
+    esac
+    hits+=$(awk '/#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\//{next}
+        /\.new_dek\(/{print FILENAME": "FNR": "$0}' "$f")
+done
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: a file gets its key in FileStore::create (crates/lsm/src/files.rs): it takes"
+    echo "      a ready DEK or generates one. Create the file through a FileStore."
     exit 1
 fi
 echo "ok"

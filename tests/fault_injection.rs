@@ -18,7 +18,7 @@ use shield::DEK_CACHE_FILE;
 use shield_crypto::Algorithm;
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_kds::{Kds, KdsConfig, KdsError, ReplicatedKds, SecureDekCache, ServerId};
-use shield_lsm::{Db, Error, Options, ReadOptions, WriteOptions};
+use shield_lsm::{Db, Error, Options, ReadOptions, WriteOptions, READY_DEKS};
 use support::{laws, Mode, Store, MODES};
 
 fn key(round: u32, i: u32) -> Vec<u8> {
@@ -33,7 +33,7 @@ fn wsync() -> WriteOptions {
 /// be failed by hand.
 fn replicated(mode: Mode, medium: Arc<dyn Env>, replicas: usize) -> (Store, Arc<ReplicatedKds>) {
     let kds = Arc::new(ReplicatedKds::new(replicas, KdsConfig::default()));
-    (Store { kds: kds.clone(), ..Store::over(mode, medium) }, kds)
+    (Store { kds: kds.clone(), local: None, ..Store::over(mode, medium) }, kds)
 }
 
 /// Runs `work` against a freshly opened handle, then lets the handle die
@@ -219,15 +219,28 @@ fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
         gauges.resolver_degraded_hits.load(std::sync::atomic::Ordering::Relaxed) >= 1
     );
 
-    // New files need fresh DEKs: flushing during the outage fails up
-    // front (rotating the WAL requires a KDS generation), while the data
+    // New files need fresh DEKs. The ones the file store had ready still
+    // create files (a flush takes two: the next WAL segment and the SST),
+    // so a few more flushes succeed; nothing refills the queue during the
+    // outage, and then a flush fails as it always did, while the data
     // already written stays queryable from the memtable.
-    for i in 0..50u32 {
-        db.put(&WriteOptions::default(), &key(1, i), b"v").unwrap();
-    }
-    let flush_err = db.flush().expect_err("flush needs a fresh DEK during an outage");
+    let mut rounds = 0u32;
+    let flush_err = loop {
+        rounds += 1;
+        for i in 0..50u32 {
+            db.put(&WriteOptions::default(), &key(rounds, i), b"v").unwrap();
+        }
+        match db.flush() {
+            Ok(()) => assert!(
+                rounds as usize <= READY_DEKS + 1,
+                "{rounds} flushes succeeded on {READY_DEKS} ready keys and a dead KDS"
+            ),
+            Err(e) => break e,
+        }
+    };
     assert!(matches!(flush_err, Error::Encryption(_)), "got {flush_err}");
-    assert!(db.get(&r, &key(1, 0)).unwrap().is_some());
+    assert!(flush_err.to_string().contains("KDS unavailable"), "got {flush_err}");
+    assert!(db.get(&r, &key(rounds, 0)).unwrap().is_some());
 
     // Replicas return; the same handle recovers without a restart.
     kds.recover_all();
@@ -237,8 +250,10 @@ fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
     assert!(!resolver.is_degraded());
     db.put(&wsync(), b"post-recovery", b"v").unwrap();
     assert!(db.get(&r, b"post-recovery").unwrap().is_some());
-    for i in 0..50u32 {
-        assert!(db.get(&r, &key(1, i)).unwrap().is_some(), "outage-era write lost");
+    for round in 1..=rounds {
+        for i in 0..50u32 {
+            assert!(db.get(&r, &key(round, i)).unwrap().is_some(), "outage-era write lost");
+        }
     }
     laws(&db.statistics().snapshot());
 }

@@ -12,6 +12,7 @@ use shield_env::{Env, MemEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds};
 use shield_lsm::{
     Db, Error, Integrity, IntegrityOptions, Options, ReadOptions, WriteBatch, WriteOptions,
+    READY_DEKS,
 };
 use support::{Mode, Primary, Store, COMPACTOR, ENGINE_KEY, MODES, READER};
 
@@ -35,6 +36,7 @@ impl TestDb {
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
         let store = Store {
             kds: kds.clone() as Arc<dyn Kds>,
+            local: Some(kds.clone()),
             integrity,
             ..Store::over(mode, Arc::new(env.clone()))
         };
@@ -205,16 +207,18 @@ fn shield_dek_count_tracks_live_files() {
             .unwrap();
     }
     db.compact_all().unwrap();
-    // Live DEKs = live files (SSTs + active WAL + manifest). Compaction
-    // must have revoked the rotated-away keys.
+    // While open, the KDS also holds the keys the file store keeps ready.
     let live_files = t.env.list_dir("db").unwrap().len();
     let live_deks = t.kds.live_dek_count();
     assert!(
-        live_deks <= live_files,
-        "live DEKs ({live_deks}) must not exceed live files ({live_files})"
+        live_deks <= live_files + READY_DEKS,
+        "live DEKs ({live_deks}) exceed live files ({live_files}) by more than the ready queue"
     );
     let stats = t.kds.stats();
     assert!(stats.generated as usize > live_deks, "rotation must have retired DEKs");
+    // Closed, live DEKs = live files (SSTs + WAL + manifest), exactly:
+    // compaction revoked the rotated-away keys, close the unused ones.
+    t.store.close(db);
 }
 
 fn key(i: u32) -> Vec<u8> {

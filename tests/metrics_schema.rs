@@ -36,7 +36,7 @@ const TOP_KEYS: [&str; 10] = [
 /// values (`block_cache_*`, `readahead_*`, `env_faults_injected`,
 /// `resolver_*`) are tickers too: they only ever grow, so interval
 /// deltas are meaningful.
-const TICKER_KEYS: [&str; 47] = [
+const TICKER_KEYS: [&str; 50] = [
     "writes",
     "write_groups",
     "wal_bytes",
@@ -68,6 +68,9 @@ const TICKER_KEYS: [&str; 47] = [
     "replica_incomplete_tails",
     "batched_reads",
     "batch_read_requests",
+    "dek_queue_hits",
+    "dek_queue_misses",
+    "deks_retired_unused",
     "block_cache_hits",
     "block_cache_misses",
     "block_cache_data_hits",

@@ -20,7 +20,9 @@ use support::{
 fn run_cells(cells: impl Iterator<Item = Cell>, actions: &[Action]) {
     for cell in cells {
         eprintln!("{cell:?}");
-        run(&cell.store(), |opts| cell.tune(opts), actions);
+        let store = cell.store();
+        let (db, _) = run(&store, |opts| cell.tune(opts), actions);
+        store.close(db);
     }
 }
 

@@ -44,13 +44,8 @@ fn put_all(db: &Db, oracle: &mut Oracle, ids: std::ops::Range<u16>, prefix: &str
     }
 }
 
-/// The replica equals the oracle once the pair is quiet. The primary
-/// finishes its background work first: a replica read that races the
-/// obsolete-file pass is retried after a catch-up, and the retry credits
-/// `gets` a second time (a finding of the exact law in [`check`], see
-/// CHANGES.md PR 21) — then the replica catches up.
-fn check_caught_up(db: &Db, replica: &ReplicaDb, oracle: &Oracle) {
-    db.wait_for_background_work().expect("quiesce the primary");
+/// The replica equals the oracle once it has caught up.
+fn check_caught_up(replica: &ReplicaDb, oracle: &Oracle) {
     drain(replica);
     check(replica, oracle);
 }
@@ -64,7 +59,7 @@ fn replica_tails_live_plain_primary() {
 
     put_all(&db, &mut oracle, 0..100, "v");
     let replica = store.replica(READER).expect("open replica");
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
     assert_eq!(replica.staleness(), 0);
 
     // Live updates: new puts, overwrites, deletes — visible after a round.
@@ -74,12 +69,12 @@ fn replica_tails_live_plain_primary() {
     }
     // Stale until the next round: the view only moves in `catch_up`.
     assert_eq!(replica.get(&key(120)).expect("get"), None);
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
 
     // A flush retires the WAL into an SST; the replica follows the
     // manifest edit and drops its replayed memtable without a blip.
     db.flush().expect("flush");
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
     let stats = replica.statistics().snapshot();
     assert!(stats.replica_wal_records_applied > 0);
     assert!(stats.replica_manifest_edits_applied > 0);
@@ -128,7 +123,7 @@ fn replica_follows_wal_switches_under_load() {
         // Poll mid-stream; no quiesce, so this round may be unclean.
         let _ = replica.catch_up().expect("catch_up");
     }
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
     let flushes = replica.statistics().snapshot().replica_manifest_edits_applied;
     assert!(flushes >= 3, "expected several flush edits, saw {flushes}");
 }
@@ -146,7 +141,7 @@ fn replica_survives_primary_crash_mid_manifest_edit() {
     put_all(&db, &mut oracle, 0..80, "v");
     db.flush().expect("flush");
     let replica = store.replica(READER).expect("open replica");
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
 
     // More committed writes, then a flush whose manifest append tears
     // mid-record — the paper's crash-mid-metadata-update window.
@@ -169,7 +164,7 @@ fn replica_survives_primary_crash_mid_manifest_edit() {
     let db = store.open(small);
     oracle.reopened();
     apply(&db, &mut oracle, &Action::Put(999, b"alive".to_vec()));
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
     let stats = replica.statistics().snapshot();
     assert!(stats.replica_rollovers_followed >= 1, "replica must follow the recovery rollover");
     assert!(stats.replica_incomplete_tails >= 1);
@@ -191,7 +186,7 @@ fn replica_staleness_bound_trips_under_faults() {
     let opts = ReplicaOptions { max_staleness: Some(0), ..manual() };
     let replica = ReplicaDb::open(plain(fenv.clone()).files_for(READER), PATH, opts)
         .expect("open replica");
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
 
     // Block every WAL read on the replica side, then commit + flush on
     // the primary: the manifest says the database moved on, but the
@@ -216,7 +211,7 @@ fn replica_staleness_bound_trips_under_faults() {
 
     // Faults clear; the replica verifies the gap and catches up.
     fenv.disarm_all();
-    check_caught_up(&db, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
     assert_eq!(replica.staleness(), 0);
 }
 
@@ -254,7 +249,7 @@ fn replica_shield_over_remote_env_end_to_end() {
     assert_eq!(cold.gets, 64);
     assert!(cold.gets_found <= cold.gets, "{} found of {}", cold.gets_found, cold.gets);
 
-    check_caught_up(&sdb, &replica, &oracle);
+    check_caught_up(&replica, &oracle);
 
     // DEKs came through the replica's own resolver, by DEK-ID.
     let rstats = replica.resolver.stats();
@@ -395,9 +390,15 @@ fn replica_reads_survive_primary_unlinking_files_under_the_view() {
         }
         assert!(fenv.stats().delays >= unlinked + named.len() as u64);
 
+        let before = replica.statistics().snapshot();
         let got = read(&replica).unwrap_or_else(|e| panic!("{what} under unlinked files: {e}"));
         let want: Vec<Option<Vec<u8>>> = (0..64).map(|id| Some(value(round, id))).collect();
         assert_eq!(got, want, "{what}: the retried read must serve the caught-up view");
+        // Tickers count user reads, not the attempts a retry took.
+        let credited = replica.statistics().snapshot().delta_since(&before);
+        let lookups = if what == "scan" { 0 } else { 64 };
+        assert_eq!((credited.gets, credited.gets_found), (lookups, lookups), "{what}: gets");
+        assert_eq!(credited.multi_gets, u64::from(what == "multi_get"), "{what}: multi_gets");
     }
 
     // Files the *current* version names go missing: catching up cannot
@@ -467,7 +468,7 @@ fn run_differential(mode: Mode, actions: &[Action]) {
         let mut oracle = Oracle::synced();
         for action in actions.iter().chain([&Action::Check]) {
             if *action == Action::Check {
-                check_caught_up(&primary, &replica, &oracle);
+                check_caught_up(&replica, &oracle);
             }
             apply(&primary, &mut oracle, action);
         }

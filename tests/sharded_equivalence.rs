@@ -50,7 +50,7 @@ fn run_differential(store: &Store, (layout, tune): Layout, actions: &[Action]) {
         match action {
             Action::Reopen => {
                 model.reopened();
-                drop(sharded);
+                store.close(sharded);
                 sharded = store.open(tune);
                 continue;
             }
@@ -64,7 +64,7 @@ fn run_differential(store: &Store, (layout, tune): Layout, actions: &[Action]) {
         apply(&sharded, &mut model, action);
         apply(&single, &mut single_model, action);
     }
-    check(&*sharded, &model);
+    check(&sharded, &model);
     check(&*single, &single_model);
     // Final state: full contents byte-identical, in identical order.
     let r = ReadOptions::new();
@@ -72,6 +72,7 @@ fn run_differential(store: &Store, (layout, tune): Layout, actions: &[Action]) {
     let want = single.scan(&r, b"", usize::MAX >> 1).expect("single final scan");
     assert_eq!(got, want, "{what}: final contents diverged");
     assert_eq!(sharded.last_sequence(), single.last_sequence(), "{what}: sequence spaces");
+    store.close(sharded);
 }
 
 /// Each cell gets a fresh store per layout, so layouts can't contaminate

@@ -7,21 +7,29 @@
 //! * **The history** — one [`Action`], [`Profile`]s that weight it,
 //!   [`actions`] for `proptest!` and [`history`] for a `u64` seed.
 //! * **The oracle** — [`Oracle`], [`apply`] and [`check`] (which also
-//!   asserts the ticker conservation laws).
+//!   asserts the ticker conservation laws), and [`Store::close`] (keys die
+//!   with their files, used or not).
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::TestRng;
-use shield::{open_encfs, open_plain, open_shield, EncryptedEnv, Shield, ShieldOptions};
+use shield::{
+    open_encfs, open_plain, open_shield, EncryptedEnv, Shield, ShieldOptions, DEK_CACHE_FILE,
+};
 use shield_crypto::{Algorithm, Dek};
-use shield_env::{Env, MemEnv};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, RetryPolicy, ServerId};
+use shield_env::{
+    Env, EnvResult, FileKind, IoStats, MemEnv, RandomAccessFile, SequentialFile, WritableFile,
+};
+use shield_kds::{
+    DekResolver, Kds, KdsConfig, LocalKds, RetryPolicy, SecureDekCache, ServerId,
+};
 use shield_lsm::{
     Db, EncryptionConfig, FileStore, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb,
     ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch, WriteOptions,
@@ -61,6 +69,9 @@ pub struct Store {
     pub mode: Mode,
     pub medium: Arc<dyn Env>,
     pub kds: Arc<dyn Kds>,
+    /// The KDS's own ledger of live keys, which [`Store::close`] checks;
+    /// `None` when `kds` was swapped for one that keeps none.
+    pub local: Option<Arc<LocalKds>>,
     /// The EncFS instance DEK.
     pub dek: Dek,
     pub integrity: IntegrityOptions,
@@ -72,6 +83,8 @@ pub struct Primary {
     pub db: Db,
     /// The SHIELD identity's resolver; `None` in the other modes.
     pub resolver: Option<Arc<DekResolver>>,
+    /// Files of the DEK-bearing kinds this handle has created.
+    created: Arc<AtomicU64>,
 }
 
 impl Deref for Primary {
@@ -91,10 +104,12 @@ impl Store {
     /// a `FaultInjectionEnv`, a `RemoteEnv` mount…). Swap the KDS or the
     /// integrity settings with struct-update syntax.
     pub fn over(mode: Mode, medium: Arc<dyn Env>) -> Store {
+        let local = Arc::new(LocalKds::new(KdsConfig::default()));
         Store {
             mode,
             medium,
-            kds: Arc::new(LocalKds::new(KdsConfig::default())),
+            kds: local.clone(),
+            local: Some(local),
             dek: Dek::generate(Algorithm::Aes128Ctr),
             integrity: IntegrityOptions::default(),
         }
@@ -117,25 +132,44 @@ impl Store {
     /// this mode. `tune` edits the options — start from [`small`] for an
     /// LSM tree that flushes and compacts under short histories.
     pub fn open(&self, tune: impl FnOnce(Options) -> Options) -> Primary {
+        let created = Arc::new(AtomicU64::new(0));
+        let (inner, counter) = (self.medium.clone(), created.clone());
+        let medium = Arc::new(CreateCounter { inner, created: counter });
         let opts = tune(
-            Options::new(self.medium.clone())
+            Options::new(medium)
                 .with_integrity(self.integrity.mode)
                 .with_integrity_key(self.integrity.key),
         );
-        match self.mode {
-            Mode::Plain => {
-                Primary { db: open_plain(opts, PATH).expect("open plain"), resolver: None }
-            }
+        let (db, resolver) = match self.mode {
+            Mode::Plain => (open_plain(opts, PATH).expect("open plain"), None),
             Mode::EncFs => {
                 let encfs = open_encfs(opts, PATH, self.dek.clone(), ENCFS_WAL_BUFFER);
-                Primary { db: encfs.expect("open encfs").db, resolver: None }
+                (encfs.expect("open encfs").db, None)
             }
             Mode::Shield => {
                 let Shield { db, resolver, .. } =
                     open_shield(opts, PATH, self.shield_options(PRIMARY)).expect("open shield");
-                Primary { db, resolver: Some(resolver) }
+                (db, Some(resolver))
             }
-        }
+        };
+        Primary { db, resolver, created }
+    }
+
+    /// Closes `primary` cleanly. In SHIELD mode *keys die with their
+    /// files, used or not*: what the KDS still holds, what the secure
+    /// cache still holds and the DEK-bearing files left in the directory
+    /// are the same number — no key outlives its file, none was left
+    /// behind unbound.
+    pub fn close(&self, primary: Primary) {
+        drop(primary);
+        let (Mode::Shield, Some(kds)) = (self.mode, &self.local) else { return };
+        let files = dek_files(self.medium.as_ref(), PATH);
+        let cache_path = format!("{PATH}/{DEK_CACHE_FILE}");
+        let cached = SecureDekCache::open(self.medium.clone(), &cache_path, b"pk")
+            .expect("the primary's secure cache")
+            .len();
+        assert_eq!(kds.live_dek_count(), files, "after a clean close: KDS keys != DEK files");
+        assert_eq!(cached, files, "after a clean close: cached keys != DEK files");
     }
 
     /// The file layer of another server (a replica, a compactor, a table
@@ -163,6 +197,86 @@ impl Store {
     /// ([`drain`]).
     pub fn replica(&self, server: ServerId) -> shield_lsm::Result<Arc<ReplicaDb>> {
         ReplicaDb::open(self.files_for(server), PATH, manual())
+    }
+}
+
+/// Whether a file of this name gets a DEK in SHIELD mode.
+fn bears_dek(name: &str) -> bool {
+    use shield_lsm::version::filenames::{parse_file_name, FileType};
+    let kind = parse_file_name(name);
+    matches!(kind, Some(FileType::Sst(_) | FileType::Wal(_) | FileType::Manifest(_)))
+}
+
+/// DEK-bearing files in `dir` and in its `shard-<i>` tree directories
+/// (probed by name: a `MemEnv` lists files only).
+fn dek_files(env: &dyn Env, dir: &str) -> usize {
+    let count = |dir: &str| {
+        let names = env.list_dir(dir).unwrap_or_default();
+        (!names.is_empty()).then(|| names.iter().filter(|name| bears_dek(name)).count())
+    };
+    let shards = (0..).map_while(|i| count(&format!("{dir}/shard-{i}")));
+    count(dir).unwrap_or(0) + shards.sum::<usize>()
+}
+
+/// The medium as a primary sees it, counting the files of DEK-bearing
+/// kinds it creates: the other side of the `dek_queue_hits +
+/// dek_queue_misses` law in [`check`].
+struct CreateCounter {
+    inner: Arc<dyn Env>,
+    created: Arc<AtomicU64>,
+}
+
+impl Env for CreateCounter {
+    fn new_writable_file(&self, path: &str, kind: FileKind) -> EnvResult<Box<dyn WritableFile>> {
+        let file = self.inner.new_writable_file(path, kind)?;
+        if bears_dek(path.rsplit('/').next().unwrap_or(path)) {
+            self.created.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(file)
+    }
+    fn new_random_access_file(
+        &self,
+        path: &str,
+        kind: FileKind,
+    ) -> EnvResult<Arc<dyn RandomAccessFile>> {
+        self.inner.new_random_access_file(path, kind)
+    }
+    fn new_sequential_file(
+        &self,
+        path: &str,
+        kind: FileKind,
+    ) -> EnvResult<Box<dyn SequentialFile>> {
+        self.inner.new_sequential_file(path, kind)
+    }
+    fn remove_file(&self, path: &str) -> EnvResult<()> {
+        self.inner.remove_file(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> EnvResult<()> {
+        self.inner.rename(from, to)
+    }
+    fn file_exists(&self, path: &str) -> bool {
+        self.inner.file_exists(path)
+    }
+    fn file_size(&self, path: &str) -> EnvResult<u64> {
+        self.inner.file_size(path)
+    }
+    fn list_dir(&self, dir: &str) -> EnvResult<Vec<String>> {
+        self.inner.list_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &str) -> EnvResult<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn remove_dir_all(&self, dir: &str) -> EnvResult<()> {
+        self.inner.remove_dir_all(dir)
+    }
+    fn io_stats(&self) -> Option<Arc<IoStats>> {
+        self.inner.io_stats()
+    }
+    fn fault_stats(&self) -> Option<shield_env::FaultStatsSnapshot> {
+        self.inner.fault_stats()
+    }
+    fn set_event_listener(&self, listener: Arc<dyn shield_core::EventListener>) {
+        self.inner.set_event_listener(listener);
     }
 }
 
@@ -486,13 +600,13 @@ pub fn run(
     for action in actions {
         if *action == Action::Reopen {
             oracle.reopened();
-            drop(db);
+            store.close(db);
             db = store.open(&tune);
         } else {
             apply(&db, &mut oracle, action);
         }
     }
-    check(&*db, &oracle);
+    check(&db, &oracle);
     (db, oracle)
 }
 
@@ -504,6 +618,35 @@ pub trait Reads {
     fn points(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>>;
     fn range(&self, start: &[u8], limit: usize) -> Rows;
     fn tickers(&self) -> StatsSnapshot;
+    /// Files this handle's engine had to key (SSTs, WAL segments and
+    /// manifests it created while encrypting them itself), read at a
+    /// quiet moment; `None` when the handle cannot tell.
+    fn dek_files_created(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// A primary reads like its [`Db`], and knows what it created.
+impl Reads for Primary {
+    const WRITER: bool = true;
+    fn point(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.db.point(key)
+    }
+    fn points(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
+        self.db.points(keys)
+    }
+    fn range(&self, start: &[u8], limit: usize) -> Rows {
+        Reads::range(&self.db, start, limit)
+    }
+    fn tickers(&self) -> StatsSnapshot {
+        self.db.tickers()
+    }
+    fn dek_files_created(&self) -> Option<u64> {
+        // A background job counts its key before it creates its file.
+        self.db.wait_for_background_work().expect("quiesce");
+        // Only a SHIELD engine keys files (EncFS encrypts below it).
+        Some(self.resolver.as_ref().map_or(0, |_| self.created.load(Ordering::Relaxed)))
+    }
 }
 
 impl Reads for Db {
@@ -581,6 +724,11 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
     let writes = if R::WRITER { oracle.writes } else { 0 };
     assert_eq!(after.writes, writes, "writes != entries applied since the handle opened");
     laws(&after);
+    if let Some(created) = reader.dek_files_created() {
+        // Take or generate: every DEK-bearing file took exactly one key.
+        let s = reader.tickers();
+        assert_eq!(s.dek_queue_hits + s.dek_queue_misses, created, "keys taken != files created");
+    }
 }
 
 /// Conservation laws every handle's tickers obey at any quiet moment.
