@@ -52,6 +52,11 @@ fn run_one(bench: &mut Bench, model: NetworkModel, max_subcompactions: usize) ->
         .with_max_subcompactions(max_subcompactions);
     opts.compaction.l0_compaction_trigger = 4;
     opts.compaction.target_file_size = 192 << 10;
+    // The baseline has to be serial, and an engine splits a merge itself
+    // while its tree is behind (DESIGN.md §4f): no L0 count slows this
+    // fill down, so neither configuration ever counts as behind and
+    // `max_subcompactions` alone decides. The stop trigger still bounds L0.
+    opts.l0_slowdown_trigger = usize::MAX;
     // Fillrandom over remote storage: the WAL would double every byte's
     // network cost without touching the compaction path under test.
     opts.disable_wal = true;

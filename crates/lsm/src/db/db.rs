@@ -87,6 +87,10 @@ pub(super) struct DbInner {
     /// Background worker pool every tree schedules on, with
     /// flush-priority fair scheduling.
     pub(super) pool: Arc<JobPool>,
+    /// Key ranges a merge is split into while its tree is behind
+    /// (DESIGN.md §4f "When a merge is split"): the pool's general lanes,
+    /// but no more than the host has cores to run them on.
+    pub(super) idle_lanes: usize,
     /// Self-reference so background jobs (closures on the pool) can keep
     /// the database alive while they run.
     pub(super) weak_self: Weak<DbInner>,
@@ -199,6 +203,8 @@ impl Db {
         let cached_before = files.cached_deks(path);
         let pool = JobPool::new(opts.max_background_jobs);
         files.refill_on(&pool);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let idle_lanes = pool.general_lanes().min(cores);
         let mut trees = Vec::with_capacity(router.shards());
         for i in 0..router.shards() {
             let tree_path = router.tree_path(path, i);
@@ -245,6 +251,7 @@ impl Db {
             bg_error: Mutex::new(None),
             shutting_down: AtomicBool::new(false),
             pool,
+            idle_lanes,
             weak_self: weak_self.clone(),
             bg_pending: Mutex::new(0),
             bg_cv: Condvar::new(),

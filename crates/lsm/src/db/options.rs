@@ -62,7 +62,9 @@ pub struct Options {
     pub readahead_blocks: usize,
     /// Compaction policy and thresholds.
     pub compaction: CompactionParams,
-    /// L0 file count at which writes are slowed.
+    /// L0 file count at which writes are slowed, and from which the tree
+    /// counts as behind: its merges are split across the lanes the
+    /// sleeping writers leave idle.
     pub l0_slowdown_trigger: usize,
     /// L0 file count at which writes stop until compaction catches up.
     pub l0_stop_trigger: usize,
@@ -233,8 +235,10 @@ impl Options {
         self
     }
 
-    /// Splits each compaction into up to `n` key-disjoint subranges
-    /// merged concurrently on the background pool (1 = serial).
+    /// Splits every compaction into up to `n` key-disjoint subranges
+    /// merged concurrently on the background pool. A floor, not a switch:
+    /// at the default of 1 the engine still splits a merge while its tree
+    /// is behind (L0 at [`Options::l0_slowdown_trigger`]).
     #[must_use]
     pub fn with_max_subcompactions(mut self, n: usize) -> Self {
         self.compaction.max_subcompactions = n.max(1);

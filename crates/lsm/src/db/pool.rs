@@ -99,6 +99,13 @@ impl JobPool {
         self.shared.workers
     }
 
+    /// How many general-class jobs can run at once (the workers minus the
+    /// lane reserved for flushes).
+    #[must_use]
+    pub fn general_lanes(&self) -> usize {
+        self.shared.general_cap()
+    }
+
     /// Enqueues `job` under `class`. Jobs submitted after the pool began
     /// shutting down are silently dropped.
     pub fn spawn(&self, class: JobClass, job: Job) {

@@ -396,15 +396,19 @@ impl DbInner {
         // including numbers abandoned by failed retry attempts, which
         // would otherwise leak and keep their garbage files undeletable.
         let allocated: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        // A tree whose L0 has reached the slowdown trigger has its writers
+        // asleep in `make_room_for_write` right now: the core they leave
+        // idle takes a share of this merge. A tree that keeps up merges
+        // serially unless `max_subcompactions` asks for more.
+        let l0_files = version.level_files(0);
+        let behind = l0_files >= self.opts.l0_slowdown_trigger;
+        let floor = self.opts.compaction.max_subcompactions;
+        let ranges = if behind { floor.max(self.idle_lanes) } else { floor };
         let plan = match &self.opts.compaction_executor {
             // Offloaded executors own their whole task; only the
             // in-process path splits work.
             Some(_) => vec![SubcompactionRange::full()],
-            None => plan_subcompactions(
-                &tree.table_cache,
-                &task,
-                self.opts.compaction.max_subcompactions,
-            ),
+            None => plan_subcompactions(&tree.table_cache, &task, ranges),
         };
         let exec_start = std::time::Instant::now();
         // Soft failures (transient storage/network faults) are retried
@@ -412,14 +416,18 @@ impl DbInner {
         // output numbers, and the env truncates on reopen, so a
         // half-written attempt is harmless.
         let result = if plan.len() > 1 {
+            self.files.events.emit(&Event::SubcompactionBegin {
+                level: task_level,
+                subtasks: plan.len() as u64,
+                input_bytes: task_input_bytes,
+                l0_files: l0_files as u64,
+            });
             self.run_subcompactions(
                 t,
                 Arc::new(task.clone()),
                 &version,
                 smallest_snapshot,
                 &table_options,
-                task_level,
-                task_input_bytes,
                 plan,
                 &allocated,
             )
@@ -559,17 +567,10 @@ impl DbInner {
         version: &Arc<Version>,
         smallest_snapshot: SequenceNumber,
         table_options: &TableBuilderOptions,
-        task_level: u64,
-        task_input_bytes: u64,
         plan: Vec<SubcompactionRange>,
         allocated: &Arc<Mutex<Vec<u64>>>,
     ) -> Result<CompactionOutcome> {
         let n = plan.len();
-        self.files.events.emit(&Event::SubcompactionBegin {
-            level: task_level,
-            subtasks: n as u64,
-            input_bytes: task_input_bytes,
-        });
         let results: Arc<Mutex<Vec<Option<Result<CompactionOutcome>>>>> =
             Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         let remaining = Arc::new((Mutex::new(n), Condvar::new()));

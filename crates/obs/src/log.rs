@@ -116,8 +116,10 @@ pub enum Event {
         output_files: u64,
         micros: u64,
     },
-    /// A compaction split into parallel subrange merges.
-    SubcompactionBegin { level: u64, subtasks: u64, input_bytes: u64 },
+    /// A compaction split into parallel subrange merges. `l0_files` is the
+    /// tree's L0 backlog when the merge was picked: at or above the
+    /// slowdown trigger it is why the merge was split.
+    SubcompactionBegin { level: u64, subtasks: u64, input_bytes: u64, l0_files: u64 },
     /// One subrange merge of a parallel compaction finished.
     SubcompactionEnd { index: u64, bytes_written: u64, micros: u64 },
     /// A writer was slowed or stopped by L0 pressure.
@@ -253,10 +255,11 @@ impl Event {
                     ("micros", U64(*micros)),
                 ]
             }
-            Event::SubcompactionBegin { level, subtasks, input_bytes } => vec![
+            Event::SubcompactionBegin { level, subtasks, input_bytes, l0_files } => vec![
                 ("level", U64(*level)),
                 ("subtasks", U64(*subtasks)),
                 ("input_bytes", U64(*input_bytes)),
+                ("l0_files", U64(*l0_files)),
             ],
             Event::SubcompactionEnd { index, bytes_written, micros } => vec![
                 ("index", U64(*index)),
@@ -618,7 +621,7 @@ mod tests {
                 output_files: 1,
                 micros: 9,
             },
-            Event::SubcompactionBegin { level: 0, subtasks: 4, input_bytes: 5 },
+            Event::SubcompactionBegin { level: 0, subtasks: 4, input_bytes: 5, l0_files: 8 },
             Event::SubcompactionEnd { index: 1, bytes_written: 2, micros: 3 },
             Event::WriteStall { reason: "l0_slowdown", l0_files: 8 },
             Event::BackgroundError { job: "compaction", severity: "hard", message: "io".into() },

@@ -1,11 +1,12 @@
 //! Parallel subcompactions over disaggregated storage (DESIGN.md §4f).
 //!
 //! Loads the same workload into two SHIELD stores on simulated remote
-//! storage — one compacting serially, one with `max_subcompactions = 4` —
-//! then compacts both to the bottom and shows that the parallel store did
-//! the identical work (same data, fully readable, DEKs rotated) while
-//! splitting every large merge into byte-balanced key subranges whose
-//! network waits overlap.
+//! storage — one with the default `max_subcompactions = 1`, which splits
+//! a merge only while its tree is behind (L0 at the slowdown trigger), one
+//! with a floor of 4 — then compacts both to the bottom and shows that
+//! they did the identical work (same data, fully readable, DEKs rotated)
+//! while the second split every large merge into byte-balanced key
+//! subranges whose network waits overlap.
 //!
 //! ```sh
 //! cargo run --release --example subcompaction
@@ -34,7 +35,7 @@ fn open(max_subcompactions: usize) -> shield::ShieldDb {
 
 fn main() {
     let w = WriteOptions::default();
-    let stores = [("serial", open(1)), ("parallel", open(4))];
+    let stores = [("default", open(1)), ("floor 4", open(4))];
     for (name, db) in &stores {
         for i in 0..8_000u32 {
             let key = format!("k{:06}", i.wrapping_mul(2654435761) % 12_000);
@@ -61,13 +62,14 @@ fn main() {
     assert_eq!(serial, parallel, "stores diverged");
     assert!(!serial.is_empty());
 
-    let serial_subs = stores[0].1.statistics().snapshot().subcompactions;
+    let default_subs = stores[0].1.statistics().snapshot().subcompactions;
     let parallel_subs = stores[1].1.statistics().snapshot().subcompactions;
-    assert_eq!(serial_subs, 0, "serial store must never split");
-    assert!(parallel_subs > 0, "parallel store never split a compaction");
+    assert!(parallel_subs > 0, "a floor of 4 never split a compaction");
     println!(
-        "identical contents ({} keys); parallel store split its merges into {} subranges",
+        "identical contents ({} keys); the default store ran {} subranges (only while it was \
+         behind), the floor-4 store {}",
         serial.len(),
+        default_subs,
         parallel_subs,
     );
 }

@@ -18,6 +18,11 @@
 //! Plus the boundary regression for the user-key invariant: many
 //! versions of one hot key straddling candidate boundaries must never
 //! be split across subranges.
+//!
+//! 3. **When a merge is split** (DESIGN.md §4f): a tree whose L0 has
+//!    reached the slowdown trigger splits its merges without being asked
+//!    to, a tree that keeps up does not, `max_subcompactions` is a floor
+//!    under both, and a one-worker pool still finishes.
 
 mod support;
 
@@ -36,8 +41,9 @@ use shield_lsm::version::edit::{FileMeta, VersionEdit};
 use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
-use shield_lsm::{FileStore, ReadOptions, WriteOptions};
-use support::{Mode, Primary, Store, MODES, PRIMARY};
+use shield_core::{Event, EventListener};
+use shield_lsm::{FileStore, Options, ReadOptions, WriteOptions};
+use support::{Mode, Primary, Profile, Store, Weights, MODEL_CHECK, MODES, PRIMARY};
 
 // ---------------------------------------------------------------------
 // Compaction-layer differential
@@ -436,5 +442,111 @@ fn parallel_engine_actually_subcompacts() {
     let r = ReadOptions::new();
     for id in 0..900u16 {
         assert!(db.get(&r, &user_key(id)).expect("get").is_some(), "missing key {id}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// When a merge is split: the backlog rule and the floor
+// ---------------------------------------------------------------------
+
+/// `MODEL_CHECK` without reopens: tickers count from the open, and these
+/// tests read them at the end of the history.
+const ONE_HANDLE: Profile =
+    Profile { weights: Weights { reopen: 0, ..MODEL_CHECK.weights }, ..MODEL_CHECK };
+
+/// A tree that is behind whenever it has an L0→L1 merge to run: writers
+/// are slowed from the file count that triggers the merge.
+fn always_behind(opts: Options) -> Options {
+    let mut opts = support::small(opts);
+    opts.l0_slowdown_trigger = opts.compaction.l0_compaction_trigger;
+    opts
+}
+
+/// A tree no history here can get behind.
+fn never_behind(opts: Options) -> Options {
+    let mut opts = support::small(opts);
+    opts.l0_slowdown_trigger = 1 << 20;
+    opts.l0_stop_trigger = 1 << 21;
+    opts
+}
+
+/// The backlog rule splits across cores the writer leaves idle; a host
+/// with one core has none to give.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The same history on a tree that is behind and on one that never is:
+/// only the first splits its merges (nobody set `max_subcompactions`),
+/// and both end holding exactly what the oracle holds — `support::run`
+/// ends in the full `check`, laws included.
+#[test]
+fn a_tree_behind_splits_its_merges_and_ends_identical() {
+    for cell in support::matrix().into_iter().filter(|cell| cell.trees == 1) {
+        let actions = support::history(0x5b17, &ONE_HANDLE, 1_500);
+        let (behind, oracle) = support::run(&cell.store(), always_behind, &actions);
+        let (ahead, _) = support::run(&cell.store(), never_behind, &actions);
+        let rows = |db: &Primary| db.scan(&ReadOptions::new(), b"", usize::MAX).expect("scan");
+        assert_eq!(rows(&behind), oracle.rows(), "{cell:?}: the tree behind lost the history");
+        assert_eq!(rows(&behind), rows(&ahead), "{cell:?}: the two trees diverge");
+
+        let (behind, ahead) = (behind.statistics().snapshot(), ahead.statistics().snapshot());
+        assert!(behind.compactions > 0 && ahead.compactions > 0, "{cell:?}: nothing compacted");
+        assert_eq!(ahead.subcompactions, 0, "{cell:?}: a tree that keeps up split a merge");
+        if cores() >= 2 {
+            assert!(behind.subcompactions > 0, "{cell:?}: a tree behind split no merge");
+        }
+    }
+}
+
+/// Every `SubcompactionBegin` an engine emits, as `(subtasks, l0_files)`.
+#[derive(Default)]
+struct Splits(std::sync::Mutex<Vec<(u64, u64)>>);
+
+impl EventListener for Splits {
+    fn on_event(&self, event: &Event) {
+        if let Event::SubcompactionBegin { subtasks, l0_files, .. } = event {
+            self.0.lock().expect("no panic under this lock").push((*subtasks, *l0_files));
+        }
+    }
+}
+
+/// `max_subcompactions` is a floor: a tree with nothing in L0, so as far
+/// from behind as a tree gets, still splits an L1→L2 merge four ways
+/// when the caller asked for four.
+#[test]
+fn an_explicit_max_subcompactions_splits_with_an_empty_l0() {
+    let splits = Arc::new(Splits::default());
+    let db = Store::new(Mode::Shield).open(|opts| {
+        let mut o = never_behind(opts).with_max_subcompactions(4).with_event_listener(splits.clone());
+        o.compaction.base_level_bytes = 64 << 10;
+        o
+    });
+    let w = WriteOptions::default();
+    for i in 0..12_000u32 {
+        let id = (i % 4_000) as u16;
+        db.put(&w, &user_key(id), &value_for((i % 251) as u8, u64::from(i))).expect("put");
+    }
+    db.compact_all().expect("compact");
+    let splits = splits.0.lock().expect("no panic under this lock");
+    assert!(
+        splits.iter().any(|&(subtasks, l0_files)| l0_files == 0 && subtasks > 1),
+        "no merge picked with an empty L0 was split: (subtasks, l0_files) = {splits:?}"
+    );
+}
+
+/// One background worker: the rule finds no second lane and leaves the
+/// merge whole; a floor of two splits it anyway and the coordinator, the
+/// only thread there is, runs its own ranges. Both finish and hold the
+/// history.
+#[test]
+fn one_background_job_under_backlog_completes() {
+    let actions = support::history(0x0b0e, &ONE_HANDLE, 1_000);
+    for floor in [1, 2] {
+        let tune = |opts| always_behind(opts).with_background_jobs(1).with_max_subcompactions(floor);
+        let (db, _) = support::run(&Store::new(Mode::Shield), tune, &actions);
+        let stats = db.statistics().snapshot();
+        assert!(stats.compactions > 0, "floor {floor}: nothing compacted");
+        assert_eq!(stats.subcompactions > 0, floor > 1, "floor {floor}: {}", stats.subcompactions);
     }
 }

@@ -7,8 +7,10 @@
 //! * **The history** — one [`Action`], [`Profile`]s that weight it,
 //!   [`actions`] for `proptest!` and [`history`] for a `u64` seed.
 //! * **The oracle** — [`Oracle`], [`apply`] and [`check`] (which also
-//!   asserts the ticker conservation laws), and [`Store::close`] (keys die
-//!   with their files, used or not).
+//!   asserts the ticker conservation laws, against the lookups it issues,
+//!   the files the medium saw created and the events the engine
+//!   announced), and [`Store::close`] (keys die with their files, used or
+//!   not).
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -23,6 +25,7 @@ use proptest::TestRng;
 use shield::{
     open_encfs, open_plain, open_shield, EncryptedEnv, Shield, ShieldOptions, DEK_CACHE_FILE,
 };
+use shield_core::{Event, EventListener};
 use shield_crypto::{Algorithm, Dek};
 use shield_env::{
     Env, EnvResult, FileKind, IoStats, MemEnv, RandomAccessFile, SequentialFile, WritableFile,
@@ -85,6 +88,8 @@ pub struct Primary {
     pub resolver: Option<Arc<DekResolver>>,
     /// Files of the DEK-bearing kinds this handle has created.
     created: Arc<AtomicU64>,
+    /// What this handle's engine has announced in events.
+    announced: Arc<Announced>,
 }
 
 impl Deref for Primary {
@@ -135,11 +140,13 @@ impl Store {
         let created = Arc::new(AtomicU64::new(0));
         let (inner, counter) = (self.medium.clone(), created.clone());
         let medium = Arc::new(CreateCounter { inner, created: counter });
+        let announced = Arc::new(Announced::default());
         let opts = tune(
             Options::new(medium)
                 .with_integrity(self.integrity.mode)
                 .with_integrity_key(self.integrity.key),
-        );
+        )
+        .with_event_listener(announced.clone());
         let (db, resolver) = match self.mode {
             Mode::Plain => (open_plain(opts, PATH).expect("open plain"), None),
             Mode::EncFs => {
@@ -152,7 +159,7 @@ impl Store {
                 (db, Some(resolver))
             }
         };
-        Primary { db, resolver, created }
+        Primary { db, resolver, created, announced }
     }
 
     /// Closes `primary` cleanly. In SHIELD mode *keys die with their
@@ -277,6 +284,30 @@ impl Env for CreateCounter {
     }
     fn set_event_listener(&self, listener: Arc<dyn shield_core::EventListener>) {
         self.inner.set_event_listener(listener);
+    }
+}
+
+/// Sums over the events a primary's engine has emitted since it opened:
+/// the other side of the compaction laws in [`check`].
+#[derive(Default)]
+struct Announced {
+    /// Σ `SubcompactionBegin.subtasks`.
+    subtasks: AtomicU64,
+    /// Σ `CompactionEnd.bytes_written`.
+    compaction_bytes_written: AtomicU64,
+}
+
+impl EventListener for Announced {
+    fn on_event(&self, event: &Event) {
+        match event {
+            Event::SubcompactionBegin { subtasks, .. } => {
+                self.subtasks.fetch_add(*subtasks, Ordering::Relaxed);
+            }
+            Event::CompactionEnd { bytes_written, .. } => {
+                self.compaction_bytes_written.fetch_add(*bytes_written, Ordering::Relaxed);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -624,9 +655,16 @@ pub trait Reads {
     fn dek_files_created(&self) -> Option<u64> {
         None
     }
+    /// `(Σ SubcompactionBegin.subtasks, Σ CompactionEnd.bytes_written)`
+    /// over the events this handle's engine has emitted, read at a quiet
+    /// moment; `None` when nobody listened.
+    fn announced(&self) -> Option<(u64, u64)> {
+        None
+    }
 }
 
-/// A primary reads like its [`Db`], and knows what it created.
+/// A primary reads like its [`Db`], and knows what it created and what
+/// it announced.
 impl Reads for Primary {
     const WRITER: bool = true;
     fn point(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -646,6 +684,15 @@ impl Reads for Primary {
         self.db.wait_for_background_work().expect("quiesce");
         // Only a SHIELD engine keys files (EncFS encrypts below it).
         Some(self.resolver.as_ref().map_or(0, |_| self.created.load(Ordering::Relaxed)))
+    }
+    fn announced(&self) -> Option<(u64, u64)> {
+        // A split merge announces its subtasks before it runs them.
+        self.db.wait_for_background_work().expect("quiesce");
+        let a = &self.announced;
+        Some((
+            a.subtasks.load(Ordering::Relaxed),
+            a.compaction_bytes_written.load(Ordering::Relaxed),
+        ))
     }
 }
 
@@ -728,6 +775,15 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
         // Take or generate: every DEK-bearing file took exactly one key.
         let s = reader.tickers();
         assert_eq!(s.dek_queue_hits + s.dek_queue_misses, created, "keys taken != files created");
+    }
+    if let Some((subtasks, bytes_written)) = reader.announced() {
+        // The LOG and the tickers tell one story about compaction.
+        let s = reader.tickers();
+        assert_eq!(s.subcompactions, subtasks, "subcompactions != subtasks announced");
+        assert_eq!(
+            s.compaction_bytes_written, bytes_written,
+            "compaction_bytes_written != bytes the CompactionEnd events announced"
+        );
     }
 }
 
