@@ -16,15 +16,20 @@
 //!   The full run gates on a ≥ 2x speedup;
 //!   `--smoke` (the verify tier) only asserts both mechanisms *engage*.
 //!   The committed full-mode `BENCH_readpath.json` is the perf record.
+//! - **The skip rule.** One SHIELD store in memory whose hot keys hold
+//!   1,000 versions each across three L0 files and the memtable: a full
+//!   scan must re-seek those runs (`version_chain_reseeks` > 0) and take
+//!   at most 3 merge steps per returned row, in both modes.
 
 use std::process::ExitCode;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use shield_bench::harness::{self, ds_key, open_cold, Bench};
 use shield_bench::rng::Rng;
-use shield_bench::{SystemKind, SystemStore};
-use shield_lsm::ReadOptions;
+use shield_bench::{SystemKind, SystemStore, Tuning};
+use shield_env::MemEnv;
+use shield_lsm::{ReadOptions, WriteOptions};
 
 const MISS_THREADS: usize = 8;
 const HOT_KEYS: u64 = 32;
@@ -98,6 +103,73 @@ fn run_single_flight(bench: &mut Bench, store: &SystemStore, keys: u64) {
     );
 }
 
+/// Keys of the version-chain row; one in `CHAIN_HOT_STRIDE` of them is
+/// hot.
+const CHAIN_KEYS: u64 = 2_000;
+const CHAIN_HOT_STRIDE: usize = 100;
+/// Write rounds of the hot keys: each of the first three ends in a flush
+/// (three L0 files, under the compaction trigger), the last stays in the
+/// memtable.
+const CHAIN_ROUNDS: u32 = 4;
+const CHAIN_VERSIONS_PER_ROUND: u32 = 250;
+/// A scan's merge steps per returned row with the skip rule engaged (one
+/// to leave each row, plus the entries it steps over); ~11 without it.
+const MAX_CHAIN_STEPS_PER_ROW: f64 = 3.0;
+
+/// Mixgraph's hot keys in miniature: one key in a hundred holds 1,000
+/// versions, 250 in each of three L0 files and the memtable, and a full
+/// scan returns one row per key. The skip rule must re-seek those runs
+/// rather than step through them.
+fn run_version_chain(bench: &mut Bench) {
+    let store = SystemStore::new(
+        SystemKind::Shield,
+        Arc::new(MemEnv::new()),
+        "chain",
+        Tuning::default(),
+    );
+    let sys = store.open().expect("open");
+    let db = sys.db();
+    let w = WriteOptions::default();
+    for k in 0..CHAIN_KEYS {
+        db.put(&w, &ds_key(k), b"cold").expect("put");
+    }
+    for round in 0..CHAIN_ROUNDS {
+        for version in 0..CHAIN_VERSIONS_PER_ROUND {
+            for k in (0..CHAIN_KEYS).step_by(CHAIN_HOT_STRIDE) {
+                db.put(&w, &ds_key(k), format!("v{round}.{version}").as_bytes()).expect("put");
+            }
+        }
+        if round + 1 < CHAIN_ROUNDS {
+            db.flush().expect("flush");
+        }
+    }
+    let before = db.statistics().snapshot();
+    let start = Instant::now();
+    let rows = db.scan(&ReadOptions::default(), b"", usize::MAX).expect("scan");
+    let scan_us = start.elapsed().as_secs_f64() * 1e6;
+    let s = db.statistics().snapshot().delta_since(&before);
+    assert_eq!(rows.len() as u64, CHAIN_KEYS, "version-chain scan lost rows");
+    let newest = format!("v{}.{}", CHAIN_ROUNDS - 1, CHAIN_VERSIONS_PER_ROUND - 1);
+    assert_eq!(rows[0].1, newest.as_bytes(), "version-chain scan returned an old version");
+    let steps_per_row = (s.iter_skipped + CHAIN_KEYS) as f64 / CHAIN_KEYS as f64;
+    println!(
+        "  version chain: {CHAIN_KEYS} rows, {} skipped, {} re-seeks, {steps_per_row:.2} \
+         steps/row, {scan_us:.0} us",
+        s.iter_skipped, s.iter_reseeks
+    );
+    let j = bench.json();
+    j.field_u64("version_chain_rows", CHAIN_KEYS);
+    j.field_u64("version_chain_skipped", s.iter_skipped);
+    j.field_u64("version_chain_reseeks", s.iter_reseeks);
+    j.field_f64("version_chain_steps_per_row", steps_per_row);
+    j.field_f64("version_chain_scan_us", scan_us);
+    bench.engaged("the version-chain scan re-seeked a run", s.iter_reseeks > 0);
+    bench.engaged(
+        &format!("version-chain scan {steps_per_row:.2} steps/row <= {MAX_CHAIN_STEPS_PER_ROW}"),
+        steps_per_row <= MAX_CHAIN_STEPS_PER_ROW,
+    );
+}
+
 fn main() -> ExitCode {
     let mut bench = Bench::from_args("readpath");
     let model = bench.network();
@@ -118,5 +190,6 @@ fn main() -> ExitCode {
         bench.json().close_obj();
     }
     bench.json().close_obj();
+    run_version_chain(&mut bench);
     bench.finish()
 }

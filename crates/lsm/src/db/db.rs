@@ -440,7 +440,12 @@ impl Db {
         let seq = self.read_seq(ropts);
         let views =
             self.inner.trees.iter().map(|tree| (tree.read_view(seq), &tree.table_cache)).collect();
-        DbIterator::new(views, ropts.fill_cache, Some(self.inner.op_hists.iter_next.clone()))
+        DbIterator::new(
+            views,
+            ropts.fill_cache,
+            self.inner.files.stats.clone(),
+            Some(self.inner.op_hists.iter_next.clone()),
+        )
     }
 
     /// Range scan: up to `limit` live `(key, value)` pairs with

@@ -17,7 +17,8 @@ use crate::iter::{InternalIterator, MergingIterator};
 use crate::memtable::{LookupResult, MemTable};
 use crate::statistics::Statistics;
 use crate::types::{
-    extract_seq_type, extract_user_key, make_lookup_key, SequenceNumber, ValueType,
+    extract_seq_type, extract_user_key, make_internal_key, make_lookup_key, SequenceNumber,
+    ValueType,
 };
 use crate::version::table_cache::TableCache;
 use crate::version::version::Version;
@@ -170,11 +171,23 @@ impl Drop for Snapshot {
     }
 }
 
+/// Consecutive entries of one user key an iterator steps over with
+/// `next()` before it re-seeks the merge child that holds them (RocksDB's
+/// `max_sequential_skip_in_iterations`; DESIGN.md §4g).
+pub const MAX_SEQUENTIAL_SKIP: u64 = 8;
+
 /// Iterator over live user keys and values.
 pub struct DbIterator {
     merged: MergingIterator,
     seq: SequenceNumber,
     current: Option<(Vec<u8>, Vec<u8>)>,
+    /// User key of the run of stepped-over entries being counted.
+    run_key: Vec<u8>,
+    /// Entries stepped over and children re-seeked so far, credited to
+    /// `stats` (`iter_skipped`, `iter_reseeks`) once, on drop.
+    skipped: u64,
+    reseeks: u64,
+    stats: Arc<Statistics>,
     /// The owning handle's `iter_next` latency histogram, if it keeps one.
     iter_next: Option<Arc<AtomicHistogram>>,
     /// Keeps the memtables and the versions alive while the iterator exists.
@@ -185,10 +198,11 @@ impl DbIterator {
     /// An iterator over the live keys of `views` — one per tree, all at
     /// the same sequence; trees own disjoint keys, so one merge over every
     /// view's memtables and files is the scan. `iter_next` receives the
-    /// latency of every [`DbIterator::next`].
+    /// latency of every step; `stats` the skip tickers.
     pub(crate) fn new(
         views: Vec<(ReadView, &Arc<TableCache>)>,
         fill_cache: bool,
+        stats: Arc<Statistics>,
         iter_next: Option<Arc<AtomicHistogram>>,
     ) -> Result<DbIterator> {
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
@@ -203,6 +217,10 @@ impl DbIterator {
             merged: MergingIterator::new(children),
             seq: views.first().map_or(0, |(view, _)| view.seq),
             current: None,
+            run_key: Vec::new(),
+            skipped: 0,
+            reseeks: 0,
+            stats,
             iter_next,
             _pins: views.into_iter().map(|(view, _)| view).collect(),
         })
@@ -240,9 +258,19 @@ impl DbIterator {
 
     /// Advances to the next live key.
     pub fn next(&mut self) {
-        let op_start = std::time::Instant::now();
         let skip = self.current.take().map(|(k, _)| k);
-        self.advance_to_visible(skip);
+        self.step_past(skip.as_deref());
+    }
+
+    /// Steps off the row just returned, whose user key is `key`, and on
+    /// past that key's older versions to the next live key, timed into
+    /// `iter_next`.
+    fn step_past(&mut self, key: Option<&[u8]>) {
+        let op_start = std::time::Instant::now();
+        if key.is_some() {
+            self.merged.next();
+        }
+        self.advance_to_visible(key);
         if let Some(hist) = &self.iter_next {
             hist.record_elapsed(op_start);
         }
@@ -259,9 +287,14 @@ impl DbIterator {
     pub(crate) fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.seek(start);
         let mut out = Vec::with_capacity(limit.min(1024));
-        while self.valid() && out.len() < limit {
-            out.push((self.key().to_vec(), self.value().to_vec()));
-            self.next();
+        while out.len() < limit {
+            // The row moves into the result; its key, borrowed back from
+            // there, is what the next step skips.
+            let Some(row) = self.current.take() else { break };
+            out.push(row);
+            if out.len() < limit {
+                self.step_past(out.last().map(|(key, _)| key.as_slice()));
+            }
         }
         // A read error mid-iteration leaves the iterator invalid with the
         // error parked in its status; a partial result must not pass as a
@@ -270,37 +303,64 @@ impl DbIterator {
         Ok(out)
     }
 
-    /// Skips invisible/shadowed/deleted entries. `skip_key` is a user key
-    /// whose remaining versions must be bypassed.
-    fn advance_to_visible(&mut self, mut skip_key: Option<Vec<u8>>) {
+    /// Moves to the next live entry, stepping over what a read may not
+    /// return: versions above the read sequence, tombstones, and versions
+    /// that a newer one or a tombstone shadows (`skip` is the user key of
+    /// the row just returned). At the [`MAX_SEQUENTIAL_SKIP`]th
+    /// consecutive stepped-over entry of one user key it re-seeks only
+    /// the merge child standing on the run: past every version of a
+    /// shadowed key, or to the first visible version of a too-new one.
+    fn advance_to_visible(&mut self, skip: Option<&[u8]>) {
         self.current = None;
+        let mut deleted: Option<Vec<u8>> = None;
+        let mut run = 0;
         while self.merged.valid() {
             let ikey = self.merged.key();
             let user_key = extract_user_key(ikey);
             let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > self.seq {
+            let too_new = entry_seq > self.seq;
+            let mut shadowed = deleted.as_deref().or(skip) == Some(user_key);
+            if !too_new && !shadowed {
+                match vtype {
+                    Some(ValueType::Value) => {
+                        self.current = Some((user_key.to_vec(), self.merged.value().to_vec()));
+                        return;
+                    }
+                    Some(ValueType::Deletion) => {
+                        deleted = Some(user_key.to_vec());
+                        shadowed = true;
+                    }
+                    // Corrupt tag: step over it, but never seek past the
+                    // versions below it.
+                    None => {}
+                }
+            }
+            self.skipped += 1;
+            if self.run_key != user_key {
+                self.run_key.clear();
+                self.run_key.extend_from_slice(user_key);
+                run = 0;
+            }
+            run += 1;
+            if run < MAX_SEQUENTIAL_SKIP || !(too_new || shadowed) {
                 self.merged.next();
                 continue;
             }
-            if skip_key.as_deref() == Some(user_key) {
-                self.merged.next();
-                continue;
-            }
-            match vtype {
-                Some(ValueType::Deletion) => {
-                    skip_key = Some(user_key.to_vec());
-                    self.merged.next();
-                }
-                Some(ValueType::Value) => {
-                    self.current =
-                        Some((user_key.to_vec(), self.merged.value().to_vec()));
-                    return;
-                }
-                None => {
-                    // Corrupt tag: skip defensively.
-                    self.merged.next();
-                }
-            }
+            let target = if too_new {
+                make_lookup_key(user_key, self.seq)
+            } else {
+                make_internal_key(user_key, 0, ValueType::Deletion)
+            };
+            self.merged.seek_current(&target);
+            self.reseeks += 1;
+            run = 0;
         }
+    }
+}
+
+impl Drop for DbIterator {
+    fn drop(&mut self) {
+        self.stats.iter_skipped.fetch_add(self.skipped, Ordering::Relaxed);
+        self.stats.iter_reseeks.fetch_add(self.reseeks, Ordering::Relaxed);
     }
 }

@@ -517,7 +517,8 @@ impl ReplicaDb {
     /// one published view.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.read_published(|view| {
-            DbIterator::new(vec![(view.clone(), &self.table_cache)], true, None)?.scan(start, limit)
+            let views = vec![(view.clone(), &self.table_cache)];
+            DbIterator::new(views, true, self.files.stats.clone(), None)?.scan(start, limit)
         })
     }
 

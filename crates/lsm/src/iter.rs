@@ -86,6 +86,20 @@ impl MergingIterator {
         }
         self.current = best;
     }
+
+    /// Seeks only the child the merge stands on to `target`, which must
+    /// not sort before [`key`](InternalIterator::key), then picks the
+    /// smallest child again. Every other child already stands at or past
+    /// the current key and keeps its position, so no entry between the
+    /// current key and `target` that another child holds is lost, and
+    /// ties still break by child order. The scan's skip rule uses it to
+    /// jump one child over a run of one user key's versions.
+    pub fn seek_current(&mut self, target: &[u8]) {
+        let cur = self.current.expect("seek_current on invalid iterator");
+        debug_assert_ne!(internal_key_cmp(target, self.children[cur].key()), Ordering::Less);
+        self.children[cur].seek(target);
+        self.find_smallest();
+    }
 }
 
 impl InternalIterator for MergingIterator {
@@ -243,6 +257,46 @@ mod tests {
         let mut m = MergingIterator::new(vec![]);
         m.seek_to_first();
         assert!(!m.valid());
+    }
+
+    /// Values from the merge's current position to its end.
+    fn rest(m: &mut MergingIterator) -> Vec<String> {
+        let mut out = Vec::new();
+        while m.valid() {
+            out.push(String::from_utf8(m.value().to_vec()).unwrap());
+            m.next();
+        }
+        out
+    }
+
+    /// Child 0 holds a run of "k"; child 1 an older copy of "k"; child 2
+    /// has already been stepped past its first entry.
+    fn run_over_three_children() -> MergingIterator {
+        let run = vec_iter(&[("k", 30, "k30"), ("k", 29, "k29"), ("k", 28, "k28"), ("q", 1, "q")]);
+        let older = vec_iter(&[("k", 5, "k5"), ("z", 1, "z")]);
+        let stepped = vec_iter(&[("a", 1, "a"), ("m", 1, "m")]);
+        let mut m = MergingIterator::new(vec![run, older, stepped]);
+        m.seek_to_first();
+        assert_eq!(m.value(), b"a");
+        m.next();
+        assert_eq!(m.value(), b"k30");
+        m
+    }
+
+    #[test]
+    fn seek_current_moves_only_the_current_child() {
+        let mut m = run_over_three_children();
+        m.seek_current(&make_internal_key(b"k", 0, ValueType::Deletion));
+        // Child 0 jumped its run; child 1's copy of "k" is still visited,
+        // and child 2 did not go back to "a".
+        assert_eq!(rest(&mut m), ["k5", "m", "q", "z"]);
+    }
+
+    #[test]
+    fn seek_current_to_a_lookup_key_lands_inside_the_run() {
+        let mut m = run_over_three_children();
+        m.seek_current(&crate::types::make_lookup_key(b"k", 28));
+        assert_eq!(rest(&mut m), ["k28", "k5", "m", "q", "z"]);
     }
 
     #[test]

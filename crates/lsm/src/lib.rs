@@ -45,7 +45,7 @@ pub use db::metrics::{LevelStats, MetricsReport, TreeMetrics, METRICS_SCHEMA, OP
 pub use db::options::{CompactionStyle, Options, ReadOptions, ShardBy, WriteOptions};
 pub use db::pool::{JobClass, JobPool};
 pub use db::replica::{ReplicaDb, ReplicaOptions, REPLICA_METRICS_SCHEMA};
-pub use db::{Db, DbIterator, Snapshot, WriteBatch};
+pub use db::{Db, DbIterator, Snapshot, WriteBatch, MAX_SEQUENTIAL_SKIP};
 pub use encryption::EncryptionConfig;
 pub use error::{Error, Result, Severity};
 pub use files::{FileStore, READY_DEKS};

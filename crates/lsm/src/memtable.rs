@@ -146,7 +146,7 @@ impl MemTable {
         let mut guard = self.inner.insert_lock.lock();
 
         let mut prev = [std::ptr::null::<Node>(); MAX_HEIGHT];
-        let found = self.find_greater_or_equal(&ikey, Some(&mut prev));
+        let found = self.inner.find_greater_or_equal(&ikey, Some(&mut prev));
         if !found.is_null()
             && internal_key_cmp(unsafe { &*found }.ikey(), &ikey) == Ordering::Equal
         {
@@ -202,46 +202,11 @@ impl MemTable {
         drop(guard);
     }
 
-    /// Finds the first node with internal key >= `target`; optionally
-    /// records the predecessor at every level into `prev`.
-    fn find_greater_or_equal(
-        &self,
-        target: &[u8],
-        mut prev: Option<&mut [*const Node; MAX_HEIGHT]>,
-    ) -> *const Node {
-        let mut level = self.inner.max_height.load(AtomicOrd::Relaxed) - 1;
-        let mut node: &Node = &self.inner.head;
-        loop {
-            let next = node.next[level].load(AtomicOrd::Acquire);
-            let advance = if next.is_null() {
-                false
-            } else {
-                let next_ref = unsafe { &*next };
-                internal_key_cmp(next_ref.ikey(), target) == Ordering::Less
-            };
-            if advance {
-                node = unsafe { &*next };
-            } else {
-                if let Some(p) = prev.as_deref_mut() {
-                    p[level] = if std::ptr::eq(node, &*self.inner.head) {
-                        std::ptr::null()
-                    } else {
-                        node as *const Node
-                    };
-                }
-                if level == 0 {
-                    return next;
-                }
-                level -= 1;
-            }
-        }
-    }
-
     /// Point lookup at read sequence `seq`.
     #[must_use]
     pub fn get(&self, user_key: &[u8], seq: SequenceNumber) -> LookupResult {
         let lookup = make_lookup_key(user_key, seq);
-        let node = self.find_greater_or_equal(&lookup, None);
+        let node = self.inner.find_greater_or_equal(&lookup, None);
         if node.is_null() {
             return LookupResult::NotFound;
         }
@@ -289,6 +254,46 @@ impl MemTable {
     }
 }
 
+impl Inner {
+    /// Finds the first node with internal key >= `target`; optionally
+    /// records the predecessor at every level into `prev`.
+    fn find_greater_or_equal(
+        &self,
+        target: &[u8],
+        mut prev: Option<&mut [*const Node; MAX_HEIGHT]>,
+    ) -> *const Node {
+        let mut level = self.max_height.load(AtomicOrd::Relaxed) - 1;
+        let mut node: &Node = &self.head;
+        loop {
+            let next = node.next[level].load(AtomicOrd::Acquire);
+            // SAFETY (both derefs of `next`): a non-null link was stored with
+            // Release by `MemTable::add` after the node was fully built, and
+            // nodes are freed only when `Inner` drops, which `&self` prevents.
+            let advance = if next.is_null() {
+                false
+            } else {
+                let next_ref = unsafe { &*next };
+                internal_key_cmp(next_ref.ikey(), target) == Ordering::Less
+            };
+            if advance {
+                node = unsafe { &*next };
+            } else {
+                if let Some(p) = prev.as_deref_mut() {
+                    p[level] = if std::ptr::eq(node, &*self.head) {
+                        std::ptr::null()
+                    } else {
+                        node as *const Node
+                    };
+                }
+                if level == 0 {
+                    return next;
+                }
+                level -= 1;
+            }
+        }
+    }
+}
+
 /// Iterator over a memtable's entries in internal-key order.
 ///
 /// Holds an `Arc` to the table internals, so it remains valid even if the
@@ -314,8 +319,7 @@ impl MemTableIterator {
 
     /// Positions on the first entry with internal key >= `target`.
     pub fn seek(&mut self, target: &[u8]) {
-        let mt = MemTable { inner: self.inner.clone(), wal_number: 0 };
-        self.node = mt.find_greater_or_equal(target, None);
+        self.node = self.inner.find_greater_or_equal(target, None);
     }
 
     /// Advances to the next entry.

@@ -217,8 +217,7 @@ impl BlockIter {
         let (mut lo, mut hi) = (0usize, self.block.num_restarts - 1);
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let key = self.restart_key(mid);
-            if internal_key_cmp(&key, target) == Ordering::Less {
+            if internal_key_cmp(self.restart_key(mid), target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -244,11 +243,13 @@ impl BlockIter {
         self.parse_next();
     }
 
-    /// Decodes the full key at restart point `i` (shared is 0 there).
-    /// Malformed entries — reachable from hostile blocks whose restart
-    /// array points at garbage — yield an empty key instead of panicking;
-    /// the subsequent linear scan re-validates every entry it lands on.
-    fn restart_key(&self, i: usize) -> Vec<u8> {
+    /// The full key at restart point `i`: shared is 0 there, so the key
+    /// is one contiguous slice of the block and the binary search probes
+    /// it in place. Malformed entries — reachable from hostile blocks
+    /// whose restart array points at garbage — yield an empty key instead
+    /// of panicking; the subsequent linear scan re-validates every entry
+    /// it lands on.
+    fn restart_key(&self, i: usize) -> &[u8] {
         let mut off = self.block.restart_point(i);
         let data = &self.block.data[..self.block.restarts_offset];
         let mut varint = || -> Option<u32> {
@@ -256,11 +257,11 @@ impl BlockIter {
             off += n;
             Some(v)
         };
-        let Some(_shared) = varint() else { return Vec::new() };
-        let Some(non_shared) = varint() else { return Vec::new() };
-        let Some(_vlen) = varint() else { return Vec::new() };
+        let Some(_shared) = varint() else { return &[] };
+        let Some(non_shared) = varint() else { return &[] };
+        let Some(_vlen) = varint() else { return &[] };
         let end = off.saturating_add(non_shared as usize);
-        data.get(off..end).map(<[u8]>::to_vec).unwrap_or_default()
+        data.get(off..end).unwrap_or_default()
     }
 
     /// Parses the entry at `self.offset`; false at end of block.

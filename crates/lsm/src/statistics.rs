@@ -168,6 +168,14 @@ tickers! {
         dek_queue_misses,
         /// Ready DEKs revoked at close without ever being bound to a file.
         deks_retired_unused,
+        /// Entries user iterators and scans stepped over instead of
+        /// returning: versions above the read sequence, tombstones and
+        /// shadowed versions. Credited when the iterator drops.
+        iter_skipped,
+        /// Merge children re-seeked past a run of one key's versions (the
+        /// skip rule, DESIGN.md §4g); each follows at least
+        /// `MAX_SEQUENTIAL_SKIP` (8) entries counted in `iter_skipped`.
+        iter_reseeks,
     }
     shared {
         /// Block-cache lifetime hits, mirrored from the cache when
@@ -311,6 +319,6 @@ mod tests {
         for (n, _) in &counters {
             assert!(!gauges.iter().any(|(g, _)| g == n), "{n} in both sections");
         }
-        assert_eq!(counters.len() + gauges.len(), 54);
+        assert_eq!(counters.len() + gauges.len(), 56);
     }
 }

@@ -54,7 +54,9 @@
 #                      disabled PerfContext cost (§4e)
 #     5  subcompaction compactions split; inputs stream (≤ 32 scan read
 #                      calls per MiB) (§4f, §4g)
-#     6  readpath      hot-key misses coalesce, scans read ahead (§4g)
+#     6  readpath      hot-key misses coalesce, scans read ahead, a scan
+#                      re-seeks a hot key's buried versions (≤ 3 merge
+#                      steps per row) (§4g)
 #     7  integrity     HMAC runs verify every block, clean data verifies
 #                      clean (§4h)
 #     8  multiget      batches reach the batched read path (§4i)
@@ -228,6 +230,12 @@ require target/BENCH_subcompaction_smoke.json '"read_calls_per_input_mib"'
 
 echo "== tier 6: read path =="
 smoke readpath --smoke
+require target/BENCH_readpath_smoke.json '"version_chain_reseeks": [1-9]'
+steps=$(grep -o '"version_chain_steps_per_row": [0-9.eE+-]*' target/BENCH_readpath_smoke.json | awk '{print $2}')
+if ! awk -v s="$steps" 'BEGIN { exit !(s != "" && s <= 3) }'; then
+    echo "FAIL: version-chain scan took ${steps:-?} merge steps per row (> 3): the skip rule did not engage"
+    exit 1
+fi
 
 echo "== tier 7: integrity =="
 smoke integrity --smoke

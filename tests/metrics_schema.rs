@@ -36,7 +36,7 @@ const TOP_KEYS: [&str; 10] = [
 /// values (`block_cache_*`, `readahead_*`, `env_faults_injected`,
 /// `resolver_*`) are tickers too: they only ever grow, so interval
 /// deltas are meaningful.
-const TICKER_KEYS: [&str; 50] = [
+const TICKER_KEYS: [&str; 52] = [
     "writes",
     "write_groups",
     "wal_bytes",
@@ -71,6 +71,8 @@ const TICKER_KEYS: [&str; 50] = [
     "dek_queue_hits",
     "dek_queue_misses",
     "deks_retired_unused",
+    "iter_skipped",
+    "iter_reseeks",
     "block_cache_hits",
     "block_cache_misses",
     "block_cache_data_hits",

@@ -13,6 +13,7 @@ use shield_env::MemEnv;
 use shield_lsm::{Db, Options, ReadOptions, WriteOptions};
 use support::{
     actions, cells_of, history, matrix, run, Action, Cell, Mode, Store, MODEL_CHECK, MODES,
+    VERSION_CHAIN,
 };
 
 /// Runs one history through every given cell of the matrix (named on
@@ -193,6 +194,38 @@ fn regression_seeds_cover_reopen_after_compaction() {
         }
         assert!(actions.iter().any(|a| matches!(a, Action::Put(_, v) if v.is_empty())));
         run_cells(matrix().into_iter(), &actions);
+    }
+}
+
+/// Version chains: six keys with dozens of versions each, tombstones
+/// among them, in every layer of the tree, read by scans, snapshot scans
+/// and iterators held across later writes — in every cell, with the
+/// scan's skip rule engaged in each.
+#[test]
+fn version_chains_read_like_the_oracle_in_every_cell() {
+    let actions = history(27, &VERSION_CHAIN, 480);
+    for id in 0..VERSION_CHAIN.keyspace {
+        let versions: usize = actions
+            .iter()
+            .map(|action| match action {
+                Action::Put(k, _) | Action::Delete(k) => usize::from(*k == id),
+                Action::Batch(entries) => entries.iter().filter(|(k, _)| *k == id).count(),
+                _ => 0,
+            })
+            .sum();
+        assert!(versions >= 50, "key {id} has only {versions} versions");
+    }
+    for shape in [Action::Flush, Action::CompactAll, Action::IterCheck] {
+        assert!(actions.contains(&shape), "the history lost its {shape:?}");
+    }
+    for cell in matrix() {
+        eprintln!("{cell:?}");
+        let store = cell.store();
+        let (db, oracle) = run(&store, |opts| cell.tune(opts), &actions);
+        drop(oracle);
+        let s = db.statistics().snapshot();
+        assert!(s.iter_reseeks > 0, "{cell:?}: no read re-seeked a run of versions");
+        store.close(db);
     }
 }
 

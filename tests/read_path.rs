@@ -11,9 +11,11 @@
 //! - iterator readahead: byte-identical scans, accounting that is exact
 //!   straight after the scan, a fault that matters only on the block the
 //!   scan stands on, and one read per block under eight concurrent scans,
-//! - `fill_cache = false` honoured by `Db::scan`, and
+//! - `fill_cache = false` honoured by `Db::scan`,
 //! - a multi-threaded stress run whose post-join state must satisfy the
-//!   cache's capacity and pin invariants.
+//!   cache's capacity and pin invariants, and
+//! - the scan's skip rule: a run of one key's shadowed or too-new
+//!   versions costs at most `MAX_SEQUENTIAL_SKIP` steps and one re-seek.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +32,7 @@ use shield_lsm::sst::fetcher::read_verified;
 use shield_lsm::sst::format::{BlockHandle, Footer, FOOTER_LEN};
 use shield_lsm::sst::{Block, BlockFetcher, Table};
 use shield_lsm::types::{make_internal_key, ValueType};
-use shield_lsm::{Db, Options, ReadOptions, WriteOptions};
+use shield_lsm::{Db, Options, ReadOptions, WriteOptions, MAX_SEQUENTIAL_SKIP};
 
 /// A minimal well-formed block body of `n` bytes (one restart at 0).
 fn test_block(n: usize) -> Arc<Block> {
@@ -600,4 +602,59 @@ fn concurrent_stress_keeps_cache_invariants() {
     // Still functional after the storm.
     let h = cache.insert((1000, 0), &test_block(128), 128, BlockKind::Data, false);
     assert!(h.is_some());
+}
+
+// ---------------------------------------------------------------------------
+// The skip rule
+// ---------------------------------------------------------------------------
+
+fn put(db: &Db, key: &[u8], value: &[u8]) {
+    db.put(&WriteOptions::default(), key, value).unwrap();
+}
+
+/// A scan that starts on a key with 10,000 versions in the memtable
+/// steps over at most `MAX_SEQUENTIAL_SKIP` of the shadowed ones, then
+/// re-seeks the one merge child holding them: the tickers bound the
+/// work, whatever the length of the run.
+#[test]
+fn a_scan_seeks_past_a_hot_keys_shadowed_versions() {
+    let db = Db::open(Options::new(Arc::new(MemEnv::new())), "db").unwrap();
+    for i in 0..10_000u32 {
+        put(&db, b"hot", format!("v{i}").as_bytes());
+    }
+    put(&db, b"next", b"n");
+    let before = db.statistics().snapshot();
+    let rows = db.scan(&ReadOptions::new(), b"hot", 2).unwrap();
+    assert_eq!(rows, [(b"hot".to_vec(), b"v9999".to_vec()), (b"next".to_vec(), b"n".to_vec())]);
+    let s = db.statistics().snapshot().delta_since(&before);
+    assert_eq!(s.iter_reseeks, 1, "one child holds the run: {s:?}");
+    assert!(s.iter_skipped <= MAX_SEQUENTIAL_SKIP, "{s:?}");
+}
+
+/// The other kind of run: versions written after an iterator opened, or
+/// after a snapshot was taken, are above its sequence. Stepping into the
+/// key re-seeks to its first visible version instead of walking them.
+#[test]
+fn a_scan_seeks_past_versions_newer_than_its_sequence() {
+    let db = Db::open(Options::new(Arc::new(MemEnv::new())), "db").unwrap();
+    put(&db, b"apple", b"a");
+    put(&db, b"hot", b"old");
+    put(&db, b"next", b"n");
+    let want = db.scan(&ReadOptions::new(), b"", 10).unwrap();
+    let (mut iter, snap) = (db.iter(&ReadOptions::new()).unwrap(), db.snapshot());
+    let before = db.statistics().snapshot();
+    for i in 0..1_000u32 {
+        put(&db, b"hot", format!("new{i}").as_bytes());
+    }
+    let mut held = Vec::new();
+    iter.seek_to_first();
+    while iter.valid() {
+        held.push((iter.key().to_vec(), iter.value().to_vec()));
+        iter.next();
+    }
+    drop(iter);
+    assert_eq!(held, want, "held iterator");
+    assert_eq!(db.scan(&snap.read_options(), b"", 10).unwrap(), want, "snapshot scan");
+    let s = db.statistics().snapshot().delta_since(&before);
+    assert_eq!((s.iter_skipped, s.iter_reseeks), (2 * MAX_SEQUENTIAL_SKIP, 2), "{s:?}");
 }

@@ -34,8 +34,9 @@ use shield_kds::{
     DekResolver, Kds, KdsConfig, LocalKds, RetryPolicy, SecureDekCache, ServerId,
 };
 use shield_lsm::{
-    Db, EncryptionConfig, FileStore, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb,
-    ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch, WriteOptions,
+    Db, DbIterator, EncryptionConfig, FileStore, Integrity, IntegrityOptions, Options,
+    ReadOptions, ReplicaDb, ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch, WriteOptions,
+    MAX_SEQUENTIAL_SKIP,
 };
 
 // ---------------------------------------------------------------------
@@ -391,6 +392,9 @@ pub enum Action {
     ScanCheck(u16, u8),
     /// The same through a fresh snapshot, which the oracle then holds.
     SnapshotCheck(u16, u8),
+    /// A [`Db::iter`] opened now and held: at the next action that is not
+    /// a write it must still read what the oracle held when it opened.
+    IterCheck,
     /// Full [`check`] (a replica suite catches up first).
     Check,
 }
@@ -406,6 +410,7 @@ pub struct Weights {
     pub reopen: u32,
     pub scan_check: u32,
     pub snapshot_check: u32,
+    pub iter_check: u32,
     pub check: u32,
 }
 
@@ -431,6 +436,7 @@ const NEVER: Weights = Weights {
     reopen: 0,
     scan_check: 0,
     snapshot_check: 0,
+    iter_check: 0,
     check: 0,
 };
 
@@ -481,6 +487,31 @@ pub const REPLICA: Profile = Profile {
     weights: Weights { put: 6, delete: 2, batch: 2, flush: 1, check: 1, ..NEVER },
 };
 
+/// `version_chain`: six keys rewritten ~60 times each, tombstones mixed
+/// in, spread by flushes, memtable switches and compactions over the
+/// memtable, the immutable memtables, L0 and L1, with held snapshots and
+/// iterators that see later versions as too new — the runs of one key's
+/// versions the scan's skip rule seeks past (DESIGN.md §4g).
+pub const VERSION_CHAIN: Profile = Profile {
+    keyspace: 6,
+    max_value_len: 40,
+    max_batch: 6,
+    max_batch_value_len: 16,
+    max_scan: 6,
+    weights: Weights {
+        put: 60,
+        delete: 6,
+        batch: 4,
+        flush: 2,
+        compact_all: 1,
+        scan_check: 4,
+        snapshot_check: 2,
+        iter_check: 2,
+        check: 1,
+        ..NEVER
+    },
+};
+
 /// One action drawn from `profile`, for `proptest!`.
 pub fn actions(profile: &Profile) -> impl Strategy<Value = Action> {
     let Profile { keyspace, max_value_len, max_batch, max_batch_value_len, max_scan, weights: w } =
@@ -499,6 +530,7 @@ pub fn actions(profile: &Profile) -> impl Strategy<Value = Action> {
         w.reopen => Just(Action::Reopen),
         w.scan_check => (id(), 1..max_scan).prop_map(|(k, n)| Action::ScanCheck(k, n)),
         w.snapshot_check => (id(), 1..max_scan).prop_map(|(k, n)| Action::SnapshotCheck(k, n)),
+        w.iter_check => Just(Action::IterCheck),
         w.check => Just(Action::Check),
     ]
 }
@@ -517,14 +549,15 @@ pub fn history(seed: u64, profile: &Profile, len: usize) -> Vec<Action> {
 type Rows = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// What a history has done so far: the live map, every key it ever
-/// touched (so deleted keys are probed too), the snapshots it still
-/// holds with the map as it was when each was taken, and how many
-/// entries it wrote through the current handle.
+/// touched (so deleted keys are probed too), the snapshots and the
+/// iterator it still holds with the map as it was when each was taken,
+/// and how many entries it wrote through the current handle.
 #[derive(Default)]
 pub struct Oracle {
     pub map: BTreeMap<Vec<u8>, Vec<u8>>,
     touched: BTreeSet<Vec<u8>>,
     held: Vec<(Snapshot, Rows)>,
+    iter: Option<(DbIterator, Rows)>,
     writes: u64,
     /// Write with `WriteOptions { sync: true }` (what a replica can see).
     pub sync: bool,
@@ -538,9 +571,10 @@ impl Oracle {
     }
 
     /// The handle was closed or crashed and opened again: its snapshots
-    /// are gone and its tickers start from zero.
+    /// and iterator are gone and its tickers start from zero.
     pub fn reopened(&mut self) {
         self.held.clear();
+        self.iter = None;
         self.writes = 0;
     }
 
@@ -609,15 +643,40 @@ pub fn apply(db: &Db, oracle: &mut Oracle, action: &Action) {
             }
             oracle.held.push((snap, oracle.rows()));
         }
+        Action::IterCheck => {}
         Action::Check => check(db, oracle),
     }
     if matches!(action, Action::Put(..) | Action::Delete(..) | Action::Batch(..)) {
         return;
     }
+    if let Some((mut iter, rows)) = oracle.iter.take() {
+        iter.seek_to_first();
+        assert_eq!(rest(&mut iter), rows, "an iterator held across writes moved");
+        // A seek re-enters the runs a held iterator now sees as too new.
+        let mid = rows.len() / 2;
+        if let Some((key, _)) = rows.get(mid) {
+            iter.seek(key);
+            assert_eq!(rest(&mut iter), rows[mid..], "an iterator held across writes moved");
+        }
+    }
+    if *action == Action::IterCheck {
+        oracle.iter = Some((db.iter(&ReadOptions::new()).expect("iter"), oracle.rows()));
+    }
     for (snap, rows) in &oracle.held {
         let got = db.scan(&snap.read_options(), b"", usize::MAX >> 1).expect("held snapshot scan");
         assert_eq!(&got, rows, "a snapshot held since sequence {} moved", snap.sequence());
     }
+}
+
+/// The rows from `iter`'s position to its end.
+fn rest(iter: &mut DbIterator) -> Rows {
+    let mut rows = Vec::new();
+    while iter.valid() {
+        rows.push((iter.key().to_vec(), iter.value().to_vec()));
+        iter.next();
+    }
+    iter.status().expect("iterator status");
+    rows
 }
 
 /// Runs `actions` on a primary of `store` opened (and reopened) with
@@ -796,5 +855,12 @@ pub fn laws(s: &StatsSnapshot) {
         "readahead_useful {} > readahead_issued {}",
         s.readahead_useful,
         s.readahead_issued
+    );
+    // The skip rule re-seeks only at the 8th stepped-over entry of a run.
+    assert!(
+        s.iter_skipped >= MAX_SEQUENTIAL_SKIP * s.iter_reseeks,
+        "iter_skipped {} < {MAX_SEQUENTIAL_SKIP} x iter_reseeks {}",
+        s.iter_skipped,
+        s.iter_reseeks
     );
 }
