@@ -6,11 +6,13 @@
 //!
 //! Three checks, any failure exits non-zero:
 //!
-//! 1. **Disabled-path overhead** — one `perf::timer()` +
-//!    `perf::add_elapsed()` pair with PerfContext *disabled* must cost
-//!    < 2% of encrypting one 4 KiB chunk (the cheapest crypto unit a
-//!    SHIELD read path touches), so leaving the hooks compiled in is
-//!    free for production workloads.
+//! 1. **Disabled-hook overhead** — each hook the hot paths carry must,
+//!    while switched off, cost < 2% of encrypting one 4 KiB chunk (the
+//!    cheapest crypto unit a SHIELD read path touches), so leaving the
+//!    hooks compiled in is free for production workloads: one
+//!    `perf::timer()` + `perf::add_elapsed()` pair with PerfContext
+//!    disabled, and one `trace::span()` call with no traced op active.
+//!    Both costs go into the document's `disabled_hooks` section.
 //! 2. **Event log** — a small SHIELD workload on a real filesystem must
 //!    leave a `LOG` whose `flush_begin`/`flush_end` and
 //!    `compaction_begin`/`compaction_end` lines pair up (and occur at
@@ -22,6 +24,10 @@
 //!    cold scan with readahead (`readahead_issued`) all end up nonzero
 //!    in the document, which is written out under the harness header
 //!    for inspection.
+//!
+//! The flight recorder's scenarios — a traced cold `multi_get`, slow-op
+//! capture, the watchdog, the debug bundle — are asserted by
+//! `tests/flight_recorder.rs`.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -29,20 +35,64 @@ use std::sync::Arc;
 
 use shield_bench::harness::{self, Bench};
 use shield_bench::{SystemKind, SystemStore, Tuning};
-use shield_core::{json, perf, LogConfig, LogLevel, PerfMetric};
+use shield_core::{json, perf, trace, LogConfig, LogLevel, PerfMetric};
+use shield_crypto::{Algorithm, CipherContext, Dek, NONCE_LEN};
 use shield_env::PosixEnv;
 use shield_lsm::{ReadOptions, WriteOptions};
+
+/// A compiled-in but disabled observability hook must cost less than
+/// this fraction of one 4 KiB chunk encryption.
+const MAX_DISABLED_HOOK_OVERHEAD: f64 = 0.02;
+
+/// Cost of encrypting one 4 KiB chunk with the paper-default cipher: the
+/// yardstick of [`disabled_hook_gate`].
+fn measure_chunk_encrypt_ns() -> f64 {
+    let dek = Dek::generate(Algorithm::Aes128Ctr);
+    let mut nonce = [0u8; NONCE_LEN];
+    shield_crypto::secure_random(&mut nonce);
+    let ctx = CipherContext::new(&dek, &nonce);
+    let mut buf = vec![0xa5u8; 4096];
+    harness::best_of_3_ns(2_000, || ctx.xor_at(0, black_box(&mut buf)))
+}
+
+/// Gates a disabled `hook` costing `hook_ns` per call at under 2 % of
+/// one chunk encryption (`chunk_ns`) and records both figures under the
+/// hook's name in the open `disabled_hooks` object.
+fn disabled_hook_gate(bench: &mut Bench, hook: &str, hook_ns: f64, chunk_ns: f64) {
+    let overhead = hook_ns / chunk_ns;
+    let pct = overhead * 100.0;
+    println!("disabled {hook}: {hook_ns:.2} ns, 4 KiB encrypt: {chunk_ns:.0} ns, {pct:.3}%");
+    let j = bench.json();
+    j.field_f64(&format!("{hook}_ns"), hook_ns);
+    j.field_f64(&format!("{hook}_overhead_pct"), pct);
+    bench.engaged(
+        &format!(
+            "disabled {hook} costs {pct:.2}% of a 4 KiB chunk encryption (gate {:.0}%)",
+            MAX_DISABLED_HOOK_OVERHEAD * 100.0
+        ),
+        overhead < MAX_DISABLED_HOOK_OVERHEAD,
+    );
+}
 
 fn main() -> ExitCode {
     let mut bench = Bench::smoke_only_from_args("obs_smoke", "target/OBS_metrics_smoke.json");
 
-    // 1. Disabled-path overhead gate: the exact instrumentation the hot
-    // read path runs when no PerfContext is collecting.
+    // 1. Disabled-hook overhead gates: the exact instrumentation the hot
+    // paths run when no PerfContext is collecting and no op is traced.
     let pair_ns = harness::best_of_3_ns(200_000, || {
         let t = perf::timer();
         perf::add_elapsed(PerfMetric::BlockDecrypt, black_box(t));
     });
-    bench.disabled_hook_gate("PerfContext timer pair", pair_ns);
+    let span_ns = harness::best_of_3_ns(200_000, || {
+        let s = trace::span(black_box("bench"));
+        black_box(&s);
+    });
+    let chunk_ns = measure_chunk_encrypt_ns();
+    bench.json().open_obj("disabled_hooks");
+    bench.json().field_f64("chunk_encrypt_ns", chunk_ns);
+    disabled_hook_gate(&mut bench, "perf_timer_pair", pair_ns, chunk_ns);
+    disabled_hook_gate(&mut bench, "trace_span", span_ns, chunk_ns);
+    bench.json().close_obj();
 
     // 2 + 3. Small SHIELD workload on a real FS; LOG pairing and the
     // metrics JSON both come out of it.

@@ -1,31 +1,40 @@
 //! Read-path benchmark over disaggregated storage: readrandom, 8-thread
-//! hot-key single-flight coalescing, and sequential scans with and
-//! without readahead, in three encryption modes (plain, EncFS, SHIELD).
+//! hot-key single-flight coalescing, `multi_get(64)` against 64 serial
+//! gets, and sequential scans with and without readahead, in three
+//! encryption modes (plain, EncFS, SHIELD), all over one fill per mode.
 //!
 //! The setup is [`harness::ds_read_store`] over the paper's DS link, so
-//! every cache miss costs ~an RTT. That makes the two read-path behaviors
-//! directly measurable:
+//! every cache miss costs ~an RTT (RTTs of concurrent requests overlap,
+//! bandwidth is FIFO-shared, and a `read_at_many` batch pays one RTT).
+//! That makes the read-path behaviors directly measurable:
 //!
 //! - **Single-flight.** Eight threads issuing `get`s for the same cold
 //!   key miss the same `(table, offset)`; the fetcher must coalesce them
 //!   into one remote read. The dedup ratio (cache misses per underlying
 //!   read) must exceed 1.
+//! - **multi_get.** 64 serial cold gets pay ~64 RTTs; `multi_get`
+//!   partitions the batch per file and issues one bounded-depth
+//!   `read_at_many` per file, paying ~one RTT per submission window.
+//!   The batch must reach the batched read path (`batched_reads` > 0);
+//!   the full run gates on a ≥ 4x speedup in SHIELD mode.
 //! - **Readahead.** A cold sequential scan with `readahead_blocks = 16`
 //!   fetches each uncached block together with the blocks after it — one
-//!   round trip per batch — and must beat the serial no-readahead scan.
-//!   The full run gates on a ≥ 2x speedup;
-//!   `--smoke` (the verify tier) only asserts both mechanisms *engage*.
-//!   The committed full-mode `BENCH_readpath.json` is the perf record.
+//!   `read_at_many` window per batch — and must beat the serial
+//!   no-readahead scan. The full run gates on a ≥ 2x speedup.
 //! - **The skip rule.** One SHIELD store in memory whose hot keys hold
 //!   1,000 versions each across three L0 files and the memtable: a full
 //!   scan must re-seek those runs (`version_chain_reseeks` > 0) and take
 //!   at most 3 merge steps per returned row, in both modes.
+//!
+//! `--smoke` (the verify tier) only asserts that each mechanism
+//! *engages*; the committed full-mode `BENCH_readpath.json` is the perf
+//! record.
 
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use shield_bench::harness::{self, ds_key, open_cold, Bench};
+use shield_bench::harness::{self, ds_key, open_cold, scan_all, Bench};
 use shield_bench::rng::Rng;
 use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_env::MemEnv;
@@ -33,6 +42,9 @@ use shield_lsm::{ReadOptions, WriteOptions};
 
 const MISS_THREADS: usize = 8;
 const HOT_KEYS: u64 = 32;
+const MULTI_GET_BATCH: usize = 64;
+/// Readahead depth of [`run_seq_scan`]'s second pass.
+const SCAN_READAHEAD_BLOCKS: usize = 16;
 
 /// Uniform random gets over the full key space, cold cache at the start.
 fn run_readrandom(bench: &mut Bench, store: &SystemStore, keys: u64, ops: u64) {
@@ -86,20 +98,121 @@ fn run_single_flight(bench: &mut Bench, store: &SystemStore, keys: u64) {
     let s = db.statistics().snapshot();
     let misses = s.block_cache_misses;
     let waits = s.block_cache_singleflight_waits;
-    let dedup_ratio = misses as f64 / misses.saturating_sub(waits).max(1) as f64;
-    println!(
-        "  {label:>6}: single-flight dedup {dedup_ratio:>5.2}x ({waits} waits / {misses} misses)"
-    );
+    // Misses per underlying read; `null` when no miss went to storage.
+    let dedup_ratio = harness::ratio(misses as f64, misses.saturating_sub(waits) as f64);
+    let shown = dedup_ratio.unwrap_or(f64::NAN);
+    println!("  {label:>6}: single-flight dedup {shown:>5.2}x ({waits} waits / {misses} misses)");
     let j = bench.json();
     j.open_obj("single_flight");
     j.field_u64("hot_keys", HOT_KEYS);
     j.field_u64("cache_misses", misses);
     j.field_u64("singleflight_waits", waits);
-    j.field_f64("dedup_ratio", dedup_ratio);
+    j.field_opt_f64("dedup_ratio", dedup_ratio);
     j.close_obj();
     bench.engaged(
-        &format!("{label} single-flight dedup ratio {dedup_ratio:.2} > 1 ({waits} waits)"),
-        dedup_ratio > 1.0,
+        &format!("{label} single-flight dedup ratio {shown:.2} > 1 ({waits} waits)"),
+        dedup_ratio.is_some_and(|r| r > 1.0),
+    );
+}
+
+/// `rounds` distinct batches of `MULTI_GET_BATCH` cold keys each. Every
+/// round reopens the database (cold block cache) twice — once for the
+/// serial baseline, once for the batched run — over the same key set.
+fn run_multi_get(bench: &mut Bench, store: &SystemStore, keys: u64, rounds: u64) {
+    let label = store.kind().slug();
+    let ropts = ReadOptions::default();
+    let mut serial_secs = 0.0;
+    let mut batched_secs = 0.0;
+    let mut stats = None;
+    for round in 0..rounds {
+        // Stride the round's keys across the whole space so every key
+        // lands in a different (cold) block where possible.
+        let stride = keys / MULTI_GET_BATCH as u64;
+        let batch: Vec<Vec<u8>> = (0..MULTI_GET_BATCH as u64)
+            .map(|i| ds_key((i * stride + round * (stride / rounds).max(1)) % keys))
+            .collect();
+        let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+
+        let sys = open_cold(store, |opts| opts);
+        let start = Instant::now();
+        for key in &refs {
+            assert!(sys.db().get(&ropts, key).expect("serial get").is_some(), "fill lost a key");
+        }
+        serial_secs += start.elapsed().as_secs_f64();
+
+        let sys = open_cold(store, |opts| opts);
+        let start = Instant::now();
+        let results = sys.db().multi_get(&ropts, &refs);
+        batched_secs += start.elapsed().as_secs_f64();
+        for r in results {
+            assert!(r.expect("batched get").is_some(), "multi_get lost a key");
+        }
+        stats = Some(sys.db().statistics().snapshot());
+    }
+    let s = stats.expect("at least one round");
+    let speedup = harness::ratio(serial_secs, batched_secs);
+    let shown = speedup.unwrap_or(f64::NAN);
+    println!(
+        "  {label:>6}: multi_get({MULTI_GET_BATCH}) {batched_secs:.4}s vs serial \
+         {serial_secs:.4}s ({shown:.2}x, {} submissions / {} reads)",
+        s.batched_reads, s.batch_read_requests,
+    );
+    let j = bench.json();
+    j.open_obj("multi_get");
+    j.field_u64("batch", MULTI_GET_BATCH as u64);
+    j.field_u64("rounds", rounds);
+    j.field_f64("serial_secs", serial_secs);
+    j.field_f64("batched_secs", batched_secs);
+    j.field_opt_f64("speedup", speedup);
+    j.field_u64("batched_reads", s.batched_reads);
+    j.field_u64("batch_read_requests", s.batch_read_requests);
+    j.close_obj();
+    bench.engaged(
+        &format!(
+            "{label} multi_get batched: {} requests over {} submissions",
+            s.batch_read_requests, s.batched_reads
+        ),
+        s.batched_reads > 0 && s.batch_read_requests > s.batched_reads,
+    );
+    if store.kind() == SystemKind::Shield {
+        bench.full_gate(
+            &format!("shield multi_get speedup {shown:.2}x >= 4x"),
+            speedup.is_some_and(|s| s >= 4.0),
+        );
+    }
+}
+
+/// A cold scan without readahead, then with [`SCAN_READAHEAD_BLOCKS`].
+/// The scan must read ahead in both modes and, in a full run, beat the
+/// serial scan by ≥ 2x — it pays one round trip per batch of blocks
+/// instead of one per block.
+fn run_seq_scan(bench: &mut Bench, store: &SystemStore, keys: u64) {
+    let label = store.kind().slug();
+    let (base_entries, base_secs) = scan_all(&open_cold(store, |opts| opts));
+    let sys = open_cold(store, |opts| opts.with_readahead_blocks(SCAN_READAHEAD_BLOCKS));
+    let (entries, secs) = scan_all(&sys);
+    assert_eq!(base_entries, entries, "readahead changed the scan's entry count");
+    assert_eq!(entries, keys, "scan missed entries");
+    let stats = sys.db().statistics().snapshot();
+    let speedup = harness::ratio(base_secs, secs);
+    let shown = speedup.unwrap_or(f64::NAN);
+    println!(
+        "  {label:>6}: scan {base_secs:.3}s -> {secs:.3}s ({shown:.2}x, {} prefetches)",
+        stats.readahead_issued
+    );
+    let j = bench.json();
+    j.open_obj("seq_scan");
+    j.field_u64("entries", entries);
+    j.field_f64("no_readahead_secs", base_secs);
+    j.field_f64("readahead_secs", secs);
+    j.field_u64("readahead_issued", stats.readahead_issued);
+    j.field_u64("readahead_useful", stats.readahead_useful);
+    j.field_opt_f64("speedup", speedup);
+    j.close_obj();
+    bench.engaged(&format!("{label} scan with readahead prefetched"), stats.readahead_issued > 0);
+    bench.full_gate(
+        &format!("{label} readahead speedup {shown:.2}x >= 2x"),
+        speedup.is_some_and(|s| s >= 2.0),
     );
 }
 
@@ -175,9 +288,14 @@ fn main() -> ExitCode {
     let model = bench.network();
     let keys: u64 = bench.pick(2_000, 10_000);
     let readrandom_ops: u64 = bench.pick(1_000, 5_000);
+    let multi_get_rounds: u64 = bench.pick(1, 4);
     let j = bench.json();
-    j.field_str("workload", "readrandom + hot-key miss storm + seq scan, remote storage");
-    j.field_u64("readahead_blocks", harness::SCAN_READAHEAD_BLOCKS as u64);
+    j.field_str(
+        "workload",
+        "readrandom + hot-key miss storm + multi_get(64) vs 64 serial gets + seq scan, \
+         remote storage",
+    );
+    j.field_u64("readahead_blocks", SCAN_READAHEAD_BLOCKS as u64);
     j.field_u64("miss_threads", MISS_THREADS as u64);
     j.open_obj("systems");
     for kind in [SystemKind::Plain, SystemKind::EncFs, SystemKind::Shield] {
@@ -186,10 +304,14 @@ fn main() -> ExitCode {
         bench.json().open_obj(kind.slug());
         run_readrandom(&mut bench, &store, keys, readrandom_ops);
         run_single_flight(&mut bench, &store, keys);
-        bench.seq_scan(&store, keys);
+        run_multi_get(&mut bench, &store, keys, multi_get_rounds);
+        run_seq_scan(&mut bench, &store, keys);
         bench.json().close_obj();
     }
     bench.json().close_obj();
+    // A process-wide high-water mark of in-flight env reads since start,
+    // not a per-system reading: written once, after every system ran.
+    bench.json().field_u64("env_inflight_reads_peak", shield_env::inflight_reads_peak());
     run_version_chain(&mut bench);
     bench.finish()
 }

@@ -10,17 +10,15 @@
 //! turns the gates into the exit code.
 //!
 //! Default output: a full run writes the committed `BENCH_<name>.json`;
-//! a smoke run — and the smoke-only gates `obs_smoke` / `trace_smoke` —
-//! writes under `target/`, so no bin rewrites a committed file unless
-//! asked to with `--out`.
+//! a smoke run — and the smoke-only gate `obs_smoke` — writes under
+//! `target/`, so no bin rewrites a committed file unless asked to with
+//! `--out`.
 
-use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shield_core::JsonBuilder;
-use shield_crypto::{Algorithm, CipherContext, Dek, NONCE_LEN};
 use shield_env::{MemEnv, NetworkModel, RemoteEnv};
 use shield_lsm::{Options, ReadOptions};
 
@@ -59,20 +57,7 @@ pub fn best_of_3_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Cost of encrypting one 4 KiB chunk with the paper-default cipher: the
-/// cheapest crypto unit a SHIELD read touches, and the yardstick of
-/// [`Bench::disabled_hook_gate`].
-fn measure_chunk_encrypt_ns() -> f64 {
-    let dek = Dek::generate(Algorithm::Aes128Ctr);
-    let mut nonce = [0u8; NONCE_LEN];
-    shield_crypto::secure_random(&mut nonce);
-    let ctx = CipherContext::new(&dek, &nonce);
-    let mut buf = vec![0xa5u8; 4096];
-    best_of_3_ns(2_000, || ctx.xor_at(0, black_box(&mut buf)))
-}
-
-/// Entry shape of the DS read benches (`readpath`, `multiget`,
-/// `integrity`).
+/// Entry shape of the DS read benches (`readpath`, `integrity`).
 const DS_KEY_BYTES: usize = 9;
 const DS_VALUE_BYTES: usize = 256;
 
@@ -113,9 +98,6 @@ pub fn ds_fill(store: &SystemStore, keys: u64, adjust: impl FnOnce(Options) -> O
     crate::driver::preload(open_cold(store, adjust).db(), keys, DS_KEY_BYTES, DS_VALUE_BYTES);
 }
 
-/// Readahead depth of [`Bench::seq_scan`]'s second pass.
-pub const SCAN_READAHEAD_BLOCKS: usize = 16;
-
 /// Full forward scan; returns entries seen and seconds taken.
 #[must_use]
 pub fn scan_all(sys: &SystemHandle) -> (u64, f64) {
@@ -123,10 +105,6 @@ pub fn scan_all(sys: &SystemHandle) -> (u64, f64) {
     let rows = sys.db().scan(&ReadOptions::default(), b"", usize::MAX).expect("scan");
     (rows.len() as u64, start.elapsed().as_secs_f64())
 }
-
-/// A compiled-in but disabled observability hook must cost less than
-/// this fraction of one 4 KiB chunk encryption.
-const MAX_DISABLED_HOOK_OVERHEAD: f64 = 0.02;
 
 /// The checkout's commit (`-dirty` if the tree differs from it), or
 /// "unknown" outside a checkout.
@@ -349,66 +327,6 @@ impl Bench {
         }
     }
 
-    /// The `seq_scan` section `readpath` and `multiget` share: a cold
-    /// scan of a filled [`ds_read_store`] without readahead, then with
-    /// [`SCAN_READAHEAD_BLOCKS`]. The scan must read ahead in both modes
-    /// and, in a full run, beat the serial scan by ≥ 2x — it pays one
-    /// round trip per batch of blocks instead of one per block.
-    pub fn seq_scan(&mut self, store: &SystemStore, keys: u64) {
-        let label = store.kind().slug();
-        let (base_entries, base_secs) = scan_all(&open_cold(store, |opts| opts));
-        let sys = open_cold(store, |opts| opts.with_readahead_blocks(SCAN_READAHEAD_BLOCKS));
-        let (entries, secs) = scan_all(&sys);
-        assert_eq!(base_entries, entries, "readahead changed the scan's entry count");
-        assert_eq!(entries, keys, "scan missed entries");
-        let stats = sys.db().statistics().snapshot();
-        let speedup = ratio(base_secs, secs);
-        let shown = speedup.unwrap_or(f64::NAN);
-        println!(
-            "  {label:>6}: scan {base_secs:.3}s -> {secs:.3}s ({shown:.2}x, {} prefetches)",
-            stats.readahead_issued
-        );
-        let j = &mut self.doc;
-        j.open_obj("seq_scan");
-        j.field_u64("entries", entries);
-        j.field_f64("no_readahead_secs", base_secs);
-        j.field_f64("readahead_secs", secs);
-        j.field_u64("readahead_issued", stats.readahead_issued);
-        j.field_u64("readahead_useful", stats.readahead_useful);
-        j.field_opt_f64("speedup", speedup);
-        j.close_obj();
-        self.engaged(
-            &format!("{label} scan with readahead prefetched"),
-            stats.readahead_issued > 0,
-        );
-        self.full_gate(
-            &format!("{label} readahead speedup {shown:.2}x >= 2x"),
-            speedup.is_some_and(|s| s >= 2.0),
-        );
-    }
-
-    /// Gate of `obs_smoke` and `trace_smoke`: a disabled `hook` costing
-    /// `hook_ns` per call must stay under 2 % of one 4 KiB chunk
-    /// encryption, so leaving it compiled in is free. Returns the chunk
-    /// cost and the ratio.
-    pub fn disabled_hook_gate(&mut self, hook: &str, hook_ns: f64) -> (f64, f64) {
-        let chunk_ns = measure_chunk_encrypt_ns();
-        let overhead = hook_ns / chunk_ns;
-        println!(
-            "disabled {hook}: {hook_ns:.2} ns, 4 KiB encrypt: {chunk_ns:.0} ns, ratio {:.3}%",
-            overhead * 100.0
-        );
-        self.engaged(
-            &format!(
-                "disabled {hook} costs {:.2}% of a 4 KiB chunk encryption (gate {:.0}%)",
-                overhead * 100.0,
-                MAX_DISABLED_HOOK_OVERHEAD * 100.0
-            ),
-            overhead < MAX_DISABLED_HOOK_OVERHEAD,
-        );
-        (chunk_ns, overhead)
-    }
-
     /// Writes the document, reports every failed gate and returns the
     /// process's exit code.
     #[must_use]
@@ -446,20 +364,20 @@ mod tests {
     use shield_core::json::{self, JsonValue};
 
     fn bench(args: &[&str]) -> Result<Bench, String> {
-        Bench::parse("multiget", None, args.iter().map(|s| (*s).to_string()))
+        Bench::parse("readpath", None, args.iter().map(|s| (*s).to_string()))
     }
 
     #[test]
     fn bad_command_lines_are_errors() {
         assert!(bench(&["--fast"]).is_err_and(|e| e.contains("--fast")));
         assert!(bench(&["--out"]).is_err_and(|e| e.contains("needs a path")));
-        assert!(bench(&["--help"]).is_err_and(|e| e.starts_with("usage: multiget")));
+        assert!(bench(&["--help"]).is_err_and(|e| e.starts_with("usage: readpath")));
     }
 
     #[test]
     fn only_a_full_run_defaults_to_the_committed_file() {
-        assert_eq!(bench(&[]).unwrap().out, "BENCH_multiget.json");
-        assert_eq!(bench(&["--smoke"]).unwrap().out, "target/BENCH_multiget_smoke.json");
+        assert_eq!(bench(&[]).unwrap().out, "BENCH_readpath.json");
+        assert_eq!(bench(&["--smoke"]).unwrap().out, "target/BENCH_readpath_smoke.json");
         assert_eq!(bench(&["--smoke", "--out", "x.json"]).unwrap().out, "x.json");
         let gate = Bench::parse("obs_smoke", Some("target/OBS.json"), std::iter::empty()).unwrap();
         assert!(gate.smoke());
@@ -495,7 +413,7 @@ mod tests {
         assert!(text.contains("\n    \"speedup_8\": null"), "{text}");
         let doc = json::parse(&text).expect("document parses");
         assert_eq!(doc.keys()[..4], ["bench", "mode", "commit", "nproc"]);
-        assert_eq!(doc.get("bench").and_then(JsonValue::as_str), Some("multiget"));
+        assert_eq!(doc.get("bench").and_then(JsonValue::as_str), Some("readpath"));
         assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("smoke"));
         assert!(doc.get("nproc").and_then(JsonValue::as_f64).is_some_and(|n| n >= 1.0));
         assert!(doc.get("cpu_features").and_then(JsonValue::as_arr).is_some());

@@ -545,8 +545,8 @@ impl Db {
     }
 
     /// One JSON document with everything needed to debug the engine:
-    /// the full metrics report, recent stats windows, the slow-op ring,
-    /// the recent span ring, and the tail of the `LOG` file.
+    /// the full metrics report (recent stats windows included), the
+    /// slow-op ring, the recent span ring, and the tail of the `LOG` file.
     #[must_use]
     pub fn debug_bundle(&self) -> String {
         const LOG_TAIL_BYTES: usize = 16 * 1024;
@@ -555,11 +555,6 @@ impl Db {
         j.open_obj_item();
         j.field_str("schema", "shield_debug_bundle_v1");
         j.field_raw("metrics", &metrics);
-        j.open_arr("windows");
-        for w in self.inner.window.lock().recent() {
-            w.push_json(&mut j);
-        }
-        j.close_arr();
         j.open_arr("slow_ops");
         for s in self.inner.tracer.slow_ops() {
             s.push_json(&mut j);

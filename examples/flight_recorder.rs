@@ -143,11 +143,12 @@ fn main() {
     println!("watchdog: '{}' pinned for {} µs, stack: {}", flagged.0, flagged.1, flagged.2);
 
     // 4. Windowed stats + the debug bundle: one JSON document carrying
-    //    the metrics report, recent windows, slow ops, the trace ring,
-    //    and the LOG tail — everything above, shippable in one blob.
+    //    the metrics report (recent windows included), slow ops, the
+    //    trace ring, and the LOG tail — everything above, shippable in
+    //    one blob.
     let bundle = db.debug_bundle();
     let doc = json::parse(&bundle).expect("bundle parses");
-    for section in ["metrics", "windows", "slow_ops", "trace_spans", "log_tail"] {
+    for section in ["metrics", "slow_ops", "trace_spans", "log_tail"] {
         assert!(doc.get(section).is_some(), "bundle missing {section}");
     }
     let schema = doc

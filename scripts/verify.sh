@@ -27,9 +27,12 @@
 #           `EncryptionConfig::new(` — a suite that rebuilds the mode
 #           matrix, the history or the mode→file-layer switch by hand
 #           skips cells the shared store, history and oracle would have
-#           run it through; clippy -D warnings over shield-crypto,
-#           shield-core, shield-env, shield-lsm and shield (skipped if
-#           clippy is unavailable).
+#           run it through; one bench per claim: every
+#           crates/bench/src/bin/<name>.rs but `paper` has a `smoke <name>`
+#           tier below and a `B <name>` row in README.md's claim table, so
+#           a bin that carries no claim cannot come back; clippy -D
+#           warnings over shield-crypto, shield-core, shield-env,
+#           shield-lsm and shield (skipped if clippy is unavailable).
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
 #           root package's integration suites — fault injection, tamper,
 #           multi_get, sharded, replica, model check, … all of them), then
@@ -43,31 +46,30 @@
 #           run its tests (one-second smokes of every workload, the
 #           BENCHMARK.json equality check), and fail if the checkout's
 #           benchmark/ or BENCHMARK.json differ from HEAD.
-#   tiers 3–11: what the tests cannot check — the shield-bench bins are
+#   tiers 3–9: what the tests cannot check — the shield-bench bins are
 #           built once, then each runs in smoke mode, and the bin (or the
 #           grep after it) fails unless the feature actually engaged. A
 #           smoke run writes under target/ (shield_bench::harness);
 #           committed BENCH_*.json / OBS_metrics.json come from full runs
 #           only.
-#     3  crypto        kernel speedups vs the scalar reference (§ perf kernels)
+#     3  crypto        kernel speedups vs the scalar reference (§4d)
 #     4  obs_smoke     paired LOG events, shield_metrics_v1 keys, < 2%
-#                      disabled PerfContext cost (§4e)
+#                      disabled PerfContext and trace::span cost (§4e, §4j)
 #     5  subcompaction compactions split; inputs stream (≤ 32 scan read
 #                      calls per MiB) (§4f, §4g)
-#     6  readpath      hot-key misses coalesce, scans read ahead, a scan
+#     6  readpath      hot-key misses coalesce, multi_get batches reach the
+#                      batched read path, scans read ahead, a scan
 #                      re-seeks a hot key's buried versions (≤ 3 merge
-#                      steps per row) (§4g)
+#                      steps per row) (§4g, §4i)
 #     7  integrity     HMAC runs verify every block, clean data verifies
 #                      clean (§4h)
-#     8  multiget      batches reach the batched read path (§4i)
-#     9  trace_smoke   flight-recorder scenarios + < 2% disabled span cost (§4j)
-#     10 shards        every tree takes keys and flushes (§4k)
-#     11 replica       tailer applies manifest edits and WAL records and
+#     8  shards        every tree takes keys and flushes (§4k)
+#     9  replica       tailer applies manifest edits and WAL records and
 #                      ends with zero staleness (§4l)
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick skips everything that needs the release build (clippy, the
-#   release build itself, tiers 2–11) and the 25 replica re-runs.
+#   release build itself, tiers 2–9) and the 25 replica re-runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -151,6 +153,22 @@ if grep -nE 'enum (Mode|Action)\b|fn action_strategy|Deref<Target = Db>|Encrypte
 fi
 echo "ok"
 
+echo "== lint: bench-claim gate (crates/bench/src/bin) =="
+hits=""
+for f in crates/bench/src/bin/*.rs; do
+    name=$(basename "$f" .rs)
+    [[ "$name" == paper ]] && continue
+    grep -qE "^smoke $name( |$)" scripts/verify.sh || hits+="$f: no 'smoke $name' tier in scripts/verify.sh"$'\n'
+    grep -qE "\`B $name( [^\`]*)?\`" README.md || hits+="$f: no \`B $name\` row in README.md's claim table"$'\n'
+done
+if [[ -n "$hits" ]]; then
+    printf '%s' "$hits"
+    echo "FAIL: one bench per claim — a bin needs a verify tier and a row in README.md's"
+    echo "      committed-files table naming the DESIGN.md section and gate it carries."
+    exit 1
+fi
+echo "ok"
+
 if [[ $quick -eq 0 ]]; then
     echo "== lint: clippy gate =="
     if cargo clippy --version >/dev/null 2>&1; then
@@ -222,15 +240,16 @@ require target/BENCH_crypto_smoke.json '"batched_mib_s"' '"scalar_mib_s"' '"ciph
 
 echo "== tier 4: observability =="
 smoke obs_smoke
-require target/OBS_metrics_smoke.json '"schema"' '"levels"' '"latencies_us"' '"tickers"' '"gauges"'
+require target/OBS_metrics_smoke.json '"perf_timer_pair_ns"' '"trace_span_ns"' \
+    '"schema"' '"levels"' '"latencies_us"' '"tickers"' '"gauges"'
 
 echo "== tier 5: parallel subcompactions =="
 smoke subcompaction --smoke
 require target/BENCH_subcompaction_smoke.json '"read_calls_per_input_mib"'
 
-echo "== tier 6: read path =="
+echo "== tier 6: read path and batched I/O =="
 smoke readpath --smoke
-require target/BENCH_readpath_smoke.json '"version_chain_reseeks": [1-9]'
+require target/BENCH_readpath_smoke.json '"batched_reads": [1-9]' '"version_chain_reseeks": [1-9]'
 steps=$(grep -o '"version_chain_steps_per_row": [0-9.eE+-]*' target/BENCH_readpath_smoke.json | awk '{print $2}')
 if ! awk -v s="$steps" 'BEGIN { exit !(s != "" && s <= 3) }'; then
     echo "FAIL: version-chain scan took ${steps:-?} merge steps per row (> 3): the skip rule did not engage"
@@ -240,19 +259,12 @@ fi
 echo "== tier 7: integrity =="
 smoke integrity --smoke
 
-echo "== tier 8: batched I/O =="
-smoke multiget --smoke
-require target/BENCH_multiget_smoke.json '"batched_reads": [1-9]'
-
-echo "== tier 9: flight recorder =="
-smoke trace_smoke
-
-echo "== tier 10: sharded engine =="
+echo "== tier 8: sharded engine =="
 smoke shards --smoke
 require target/BENCH_shards_smoke.json '"fillrandom"' '"readwhilewriting"' \
     '"fillrandom_speedup_4"' '"shards_with_flushes"'
 
-echo "== tier 11: read replica =="
+echo "== tier 9: read replica =="
 smoke replica --smoke
 require target/BENCH_replica_smoke.json '"manifest_edits_applied"' '"wal_records_applied"' \
     '"catchup_records_s"' '"final_staleness"'

@@ -280,8 +280,8 @@ fn stats_windows_roll_with_rates() {
 }
 
 /// `Db::debug_bundle()` is one parseable JSON document: the metrics
-/// report, the stats windows, the slow-op ring, the trace ring, and the
-/// LOG tail.
+/// report (which carries the stats windows, once), the slow-op ring, the
+/// trace ring, and the LOG tail.
 #[test]
 fn debug_bundle_is_one_parseable_document() {
     let fx = Fixture::new(Arc::new(MemEnv::new()));
@@ -300,13 +300,14 @@ fn debug_bundle_is_one_parseable_document() {
     let bundle = db.db.debug_bundle();
     let doc = json::parse(&bundle).expect("debug bundle parses as JSON");
     assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("shield_debug_bundle_v1"));
-    for section in ["metrics", "windows", "slow_ops", "trace_spans", "log_tail"] {
+    for section in ["metrics", "slow_ops", "trace_spans", "log_tail"] {
         assert!(doc.get(section).is_some(), "bundle missing section {section}");
     }
-    assert_eq!(
-        doc.get("metrics").and_then(|m| m.get("schema")).and_then(|s| s.as_str()),
-        Some("shield_metrics_v1")
-    );
+    let metrics = doc.get("metrics").expect("metrics section");
+    assert_eq!(metrics.get("schema").and_then(|s| s.as_str()), Some("shield_metrics_v1"));
+    let windows = metrics.get("windows").and_then(|w| w.as_arr()).expect("metrics windows");
+    assert!(!windows.is_empty(), "no stats window rolled in 30 ms at a 10 ms period");
+    assert!(doc.get("windows").is_none(), "the windows ride in the metrics report only");
     let slow = doc.get("slow_ops").and_then(|s| s.as_arr()).expect("slow_ops array");
     assert!(!slow.is_empty(), "zero threshold captured no slow ops");
     let spans = doc.get("trace_spans").and_then(|s| s.as_arr()).expect("trace_spans array");
