@@ -39,7 +39,7 @@ pub use encfs::EncryptedEnv;
 pub use shield_lsm::{
     CompactionStyle, DbIterator, Event, EventListener, LogConfig, LogLevel, MetricsReport,
     MetricsWindow, PerfContext, ReadOptions, ReplicaDb, ReplicaOptions, ShardBy, SlowOp, Snapshot,
-    SpanRecord, Statistics, StatsSnapshot, WriteBatch, WriteOptions, REPLICA_METRICS_SCHEMA,
+    SpanRecord, Statistics, StatsSnapshot, WriteBatch, WriteOptions,
 };
 
 /// Name of the secure DEK cache file inside a database directory.
@@ -155,15 +155,6 @@ impl<H> Deref for Shield<H> {
     type Target = H;
     fn deref(&self) -> &H {
         &self.db
-    }
-}
-
-impl Shield<Db> {
-    /// Engine counters ([`Db::statistics`]); the engine mirrors its
-    /// resolver's gauges itself, so one snapshot covers both layers.
-    #[must_use]
-    pub fn statistics(&self) -> Arc<Statistics> {
-        self.db.statistics()
     }
 }
 

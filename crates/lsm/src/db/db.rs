@@ -18,8 +18,8 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
 use shield_core::{
-    perf, Event, EventDispatcher, InfoLog, JsonBuilder, LogConfig, MetricsWindow, PerfContext,
-    PerfGuard, SlowOp, SpanRecord, Tracer, WindowTracker,
+    perf, Event, EventDispatcher, InfoLog, LogConfig, PerfContext, PerfGuard, SlowOp, SpanRecord,
+    Tracer, WindowTracker,
 };
 use shield_crypto::DekId;
 use shield_env::FileKind;
@@ -27,7 +27,7 @@ use shield_env::FileKind;
 use crate::cache::BlockCache;
 use crate::compaction::pick_compaction;
 use crate::db::batch::WriteBatch;
-use crate::db::metrics::{MetricsReport, OpHistograms};
+use crate::db::metrics::{Diagnostics, MetricsReport, OpHistograms};
 use crate::db::options::{Options, ReadOptions, WriteOptions};
 use crate::db::pool::JobPool;
 use crate::db::read::{DbIterator, Snapshot};
@@ -50,6 +50,8 @@ use crate::version::VersionSet;
 const TRACE_RING_SPANS: usize = 4096;
 /// Slow-op ring capacity (captured operations, oldest dropped first).
 const SLOW_OP_RING: usize = 32;
+/// How much of the `LOG` file's end a debug bundle carries.
+const LOG_TAIL_BYTES: u64 = 16 * 1024;
 
 /// Sequence pins of live [`Snapshot`]s.
 #[derive(Default)]
@@ -514,12 +516,11 @@ impl Db {
     }
 
     /// Engine counters. Mirrored tickers (fault-injection counts from
-    /// the env, block-cache hit/miss totals) and gauges are refreshed on
-    /// each call.
+    /// the env, block-cache totals, the DEK resolver's retries) and
+    /// gauges are refreshed on each call.
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
-        self.inner.refresh_stat_mirrors();
-        self.inner.files.stats.clone()
+        self.inner.files.refresh_mirrors(self.inner.block_cache.as_deref()).clone()
     }
 
     /// Slow operations captured so far (oldest first): every op whose
@@ -537,49 +538,34 @@ impl Db {
         self.inner.tracer.recent_spans()
     }
 
-    /// Recent windowed-stats intervals (oldest first), populated every
-    /// [`Options::stats_dump_period`].
+    /// Everything needed to debug the engine in one document: the
+    /// metrics report (recent stats windows included) with its
+    /// `diagnostics` section filled — the slow-op ring, the recent span
+    /// ring and the last 16 KiB of the `LOG` file.
     #[must_use]
-    pub fn metrics_windows(&self) -> Vec<MetricsWindow> {
-        self.inner.window.lock().recent()
+    pub fn debug_bundle(&self) -> MetricsReport {
+        MetricsReport {
+            diagnostics: Some(Diagnostics {
+                slow_ops: self.inner.tracer.slow_ops(),
+                trace_spans: self.inner.tracer.recent_spans(),
+                log_tail: self.log_tail(),
+            }),
+            ..self.metrics_report()
+        }
     }
 
-    /// One JSON document with everything needed to debug the engine:
-    /// the full metrics report (recent stats windows included), the
-    /// slow-op ring, the recent span ring, and the tail of the `LOG` file.
-    #[must_use]
-    pub fn debug_bundle(&self) -> String {
-        const LOG_TAIL_BYTES: usize = 16 * 1024;
-        let metrics = self.metrics_report().to_json();
-        let mut j = JsonBuilder::new();
-        j.open_obj_item();
-        j.field_str("schema", "shield_debug_bundle_v1");
-        j.field_raw("metrics", &metrics);
-        j.open_arr("slow_ops");
-        for s in self.inner.tracer.slow_ops() {
-            s.push_json(&mut j);
-        }
-        j.close_arr();
-        j.open_arr("trace_spans");
-        for s in self.inner.tracer.recent_spans() {
-            s.push_json(&mut j);
-        }
-        j.close_arr();
-        let log_path = shield_env::join_path(&self.inner.path, LOG_FILE_NAME);
-        let tail = shield_env::read_file_to_vec(
-            self.inner.files.env.as_ref(),
-            &log_path,
-            FileKind::Other,
-        )
-        .ok()
-        .map(|bytes| {
-            let start = bytes.len().saturating_sub(LOG_TAIL_BYTES);
-            String::from_utf8_lossy(&bytes[start..]).into_owned()
-        })
-        .unwrap_or_default();
-        j.field_str("log_tail", &tail);
-        j.close_obj();
-        j.finish()
+    /// The last [`LOG_TAIL_BYTES`] of the `LOG` file, read with one
+    /// `read_at` whatever the file's size; empty when there is no `LOG`.
+    fn log_tail(&self) -> String {
+        let path = shield_env::join_path(&self.inner.path, LOG_FILE_NAME);
+        let env = &self.inner.files.env;
+        let Ok(file) = env.new_random_access_file(&path, FileKind::Other) else {
+            return String::new();
+        };
+        let len = file.len().unwrap_or(0);
+        let start = len.saturating_sub(LOG_TAIL_BYTES);
+        let tail = file.read_at(start, (len - start) as usize);
+        tail.map(|bytes| String::from_utf8_lossy(&bytes).into_owned()).unwrap_or_default()
     }
 
     /// The engine's event dispatcher. Listeners added here (or via
@@ -613,8 +599,8 @@ impl Db {
 
     /// One structured report of everything the engine measures: per-level
     /// shape, write/read amplification, per-op latency quantiles, all
-    /// tickers, and each tree's share. See [`MetricsReport::to_json`] for
-    /// the stable schema.
+    /// tickers, recent stats windows and each tree's share. See
+    /// [`MetricsReport::to_json`] for the stable schema.
     #[must_use]
     pub fn metrics_report(&self) -> MetricsReport {
         self.inner.metrics_report()
@@ -706,12 +692,6 @@ impl Db {
             }
         }
         Ok(report)
-    }
-
-    /// `(files, bytes)` per level, summed over the trees, for reporting.
-    #[must_use]
-    pub fn level_summary(&self) -> Vec<(usize, u64)> {
-        self.inner.level_summary()
     }
 
     /// The database directory.
@@ -843,6 +823,32 @@ mod tests {
         assert_eq!(begins, ends, "unpaired flush events:\n{log}");
     }
 
+    /// However long the LOG has grown, a debug bundle reads its last
+    /// 16 KiB in one read.
+    #[test]
+    fn debug_bundle_reads_only_the_log_tail() {
+        let env = MemEnv::new();
+        let mut opts = Options::new(Arc::new(env.clone()));
+        opts.info_log = Some(LogConfig { level: Some(shield_core::LogLevel::Info), json: false });
+        let db = Db::open(opts, "db").unwrap();
+        for i in 0..300u32 {
+            db.put(&w(), format!("k{i:04}").as_bytes(), b"v").unwrap();
+            db.flush().unwrap();
+        }
+        db.wait_for_background_work().unwrap();
+        let log_len = env.file_size("db/LOG").unwrap();
+        assert!(log_len > 2 * LOG_TAIL_BYTES, "the LOG is only {log_len} bytes");
+
+        let io = env.io_stats().unwrap();
+        let before = io.snapshot();
+        let tail = db.debug_bundle().diagnostics.unwrap().log_tail;
+        let read = io.snapshot().delta_since(&before);
+        assert_eq!(read.read_ops[FileKind::Other.index()], 1);
+        assert_eq!(read.read_for(FileKind::Other), LOG_TAIL_BYTES);
+        assert_eq!(tail.len() as u64, LOG_TAIL_BYTES);
+        assert!(tail.ends_with('\n'), "the tail ends at the LOG's last line");
+    }
+
     #[test]
     fn listeners_and_metrics_report() {
         struct Capture(Mutex<Vec<&'static str>>);
@@ -886,7 +892,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\":\"shield_metrics_v1\""));
         assert!(json.contains("\"tickers\":{\"writes\":200"));
-        assert!(report.write_amplification > 0.0);
+        assert!(report.write_amplification.is_some_and(|w| w > 0.0));
     }
 
     #[test]
@@ -926,7 +932,7 @@ mod tests {
             db.put(&w(), format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
         db.flush().unwrap();
-        assert!(db.level_summary()[0].0 >= 1, "flush should create an L0 file");
+        assert!(db.metrics_report().levels[0].files >= 1, "flush should create an L0 file");
         for i in 0..100u32 {
             assert_eq!(
                 db.get(&r(), format!("k{i:03}").as_bytes()).unwrap(),
@@ -990,9 +996,9 @@ mod tests {
             db.put(&w(), format!("key{i:06}").as_bytes(), &[b'x'; 64]).unwrap();
         }
         db.compact_all().unwrap();
-        let summary = db.level_summary();
-        assert!(summary[0].0 <= 2, "L0 should drain, got {summary:?}");
-        assert!(summary[1].0 >= 1, "L1 should be populated, got {summary:?}");
+        let levels = db.metrics_report().levels;
+        assert!(levels[0].files <= 2, "L0 should drain, got {levels:?}");
+        assert!(levels.iter().any(|l| l.level == 1), "L1 should be populated, got {levels:?}");
         // Everything still readable.
         for i in (0..2000u32).step_by(97) {
             assert!(db.get(&r(), format!("key{i:06}").as_bytes()).unwrap().is_some());

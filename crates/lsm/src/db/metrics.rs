@@ -1,6 +1,7 @@
 //! The metrics report pipeline: per-operation latency histograms, the
-//! [`MetricsReport`] produced by [`crate::Db::metrics_report`], and the
-//! ticker thread behind windowed stats and the stall watchdog.
+//! [`MetricsReport`] every handle answers with ([`crate::Db::metrics_report`],
+//! [`crate::ReplicaDb::metrics_report`], [`crate::Db::debug_bundle`]), and
+//! the ticker thread behind windowed stats and the stall watchdog.
 //!
 //! The report is the engine's attribution story in one artifact: per-level
 //! shape (files/bytes, read/write amplification), per-op latency quantiles
@@ -8,17 +9,23 @@
 //! both as a human-readable table ([`MetricsReport::render`]) and as the
 //! stable JSON schema `shield_metrics_v1` ([`MetricsReport::to_json`])
 //! that the bench driver writes as a sidecar next to every experiment.
+//! One function builds it for every handle (`MetricsReport::build`);
+//! what only one kind of handle knows rides in optional trailing sections.
 
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 
 use shield_core::{
-    AtomicHistogram, Event, HistogramSummary, JsonBuilder, MetricsWindow, WindowSample,
+    AtomicHistogram, Event, HistogramSummary, JsonBuilder, MetricsWindow, SlowOp, SpanRecord,
+    WindowSample,
 };
 
+use crate::cache::BlockCache;
 use crate::db::db::DbInner;
-use crate::db::tree::Tree;
+use crate::files::FileStore;
 use crate::statistics::StatsSnapshot;
+use crate::types::SequenceNumber;
+use crate::version::version::Version;
 
 /// The `schema` field value of the JSON report.
 pub const METRICS_SCHEMA: &str = "shield_metrics_v1";
@@ -77,21 +84,70 @@ pub struct TreeMetrics {
     pub compactions: u64,
 }
 
-/// Everything [`crate::Db::metrics_report`] knows, in one report.
+impl TreeMetrics {
+    /// The share of a tree whose current file layout is `version`.
+    pub(crate) fn of(version: &Version, flushes: u64, compactions: u64) -> TreeMetrics {
+        let levels = version
+            .files
+            .iter()
+            .enumerate()
+            .filter(|(level, files)| *level == 0 || !files.is_empty())
+            .map(|(level, files)| LevelStats {
+                level,
+                files: files.len(),
+                bytes: files.iter().map(|f| f.file_size).sum(),
+            })
+            .collect();
+        TreeMetrics { levels, flushes, compactions }
+    }
+
+    /// Worst-case tables a point lookup consults in this tree: every L0
+    /// file plus one per non-empty deeper level.
+    fn read_amplification(&self) -> u64 {
+        self.levels.iter().map(|l| if l.level == 0 { l.files as u64 } else { 1 }).sum()
+    }
+}
+
+/// A read replica's position in the primary's history: the two values
+/// no ticker or gauge holds.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplicaProgress {
+    /// The sequence the replica's reads serve at.
+    pub last_applied_seq: SequenceNumber,
+    /// The highest sequence the replica has observed at the primary (WAL
+    /// tail and manifest high-water mark).
+    pub last_seen_seq: SequenceNumber,
+}
+
+/// The flight recorder's contents, for incident capture.
+#[derive(Debug, Clone)]
+pub struct Diagnostics {
+    /// Captured slow operations, oldest first.
+    pub slow_ops: Vec<SlowOp>,
+    /// The recent span ring, oldest first.
+    pub trace_spans: Vec<SpanRecord>,
+    /// The last 16 KiB of the `LOG` file.
+    pub log_tail: String,
+}
+
+/// Everything a handle knows about itself, in one report.
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Non-empty levels (level 0 always included), summed over the trees.
     pub levels: Vec<LevelStats>,
     /// Total bytes written to storage (flush + compaction output) per byte
-    /// of user write (WAL bytes).
-    pub write_amplification: f64,
+    /// of user write (WAL bytes); `None` when no WAL byte was written (a
+    /// replica, a store opened with `disable_wal`), where there is no
+    /// user write to divide by.
+    pub write_amplification: Option<f64>,
     /// Worst-case tables consulted by a point lookup — every L0 file plus
     /// one per non-empty deeper level — in the worst tree (a lookup
     /// touches exactly one).
     pub read_amplification: u64,
-    /// Per-op latency summaries, in [`OP_TYPES`] order.
+    /// Per-op latency summaries, in [`OP_TYPES`] order; an op with no
+    /// samples has `count == 0` and nothing else measured.
     pub latencies: Vec<(&'static str, HistogramSummary)>,
-    /// All tickers at report time (gauges already refreshed).
+    /// All tickers at report time (mirrors and gauges already refreshed).
     pub tickers: StatsSnapshot,
     /// Recent windowed-stats intervals (`shield_metrics_window_v1`
     /// objects), oldest first. Empty unless `stats_dump_period` is set.
@@ -100,6 +156,11 @@ pub struct MetricsReport {
     pub shard_by: &'static str,
     /// Per-tree shape and background work, in tree order.
     pub trees: Vec<TreeMetrics>,
+    /// A read replica's progress; `None` on a primary.
+    pub replica: Option<ReplicaProgress>,
+    /// The flight recorder's contents; filled by [`crate::Db::debug_bundle`]
+    /// only.
+    pub diagnostics: Option<Diagnostics>,
 }
 
 fn push_levels(j: &mut JsonBuilder, levels: &[LevelStats]) {
@@ -114,15 +175,77 @@ fn push_levels(j: &mut JsonBuilder, levels: &[LevelStats]) {
     j.close_arr();
 }
 
+/// The JSON keys of [`quantiles`], in order.
+const QUANTILE_KEYS: [&str; 5] = ["mean", "p50", "p99", "p999", "max"];
+
+/// `s`'s mean, p50, p99, p99.9 and max; none of them measured when `s`
+/// holds no sample.
+fn quantiles(s: &HistogramSummary) -> [Option<f64>; 5] {
+    [s.mean_us, s.p50_us, s.p99_us, s.p999_us, s.max_us].map(|v| (s.count > 0).then_some(v))
+}
+
+/// Per-level sums over the trees' levels.
+fn sum_levels(trees: &[TreeMetrics]) -> Vec<LevelStats> {
+    let mut levels: Vec<LevelStats> = Vec::new();
+    for l in trees.iter().flat_map(|tree| &tree.levels) {
+        match levels.iter_mut().find(|sum| sum.level == l.level) {
+            Some(sum) => {
+                sum.files += l.files;
+                sum.bytes += l.bytes;
+            }
+            None => levels.push(*l),
+        }
+    }
+    levels.sort_by_key(|l| l.level);
+    levels
+}
+
 impl MetricsReport {
+    /// The one report builder, for every handle: the tickers of `files`
+    /// with every mirror refreshed (`block_cache` is the handle's cache,
+    /// if it has one), the shape of `trees`, and everything no handle
+    /// has measured left unmeasured — no latency samples, no windows, no
+    /// optional section. A handle fills in what only it knows.
+    pub(crate) fn build(
+        files: &FileStore,
+        block_cache: Option<&BlockCache>,
+        trees: Vec<TreeMetrics>,
+    ) -> MetricsReport {
+        let tickers = files.refresh_mirrors(block_cache).snapshot();
+        let bytes_to_storage = tickers.flush_bytes + tickers.compaction_bytes_written;
+        MetricsReport {
+            levels: sum_levels(&trees),
+            write_amplification: (tickers.wal_bytes > 0)
+                .then(|| bytes_to_storage as f64 / tickers.wal_bytes as f64),
+            read_amplification: trees
+                .iter()
+                .map(TreeMetrics::read_amplification)
+                .max()
+                .unwrap_or(0),
+            latencies: OP_TYPES.iter().map(|&op| (op, HistogramSummary::default())).collect(),
+            tickers,
+            windows: Vec::new(),
+            shard_by: "hash",
+            trees,
+            replica: None,
+            diagnostics: None,
+        }
+    }
+
     /// The stable JSON document (`shield_metrics_v1`).
     ///
     /// Key order is fixed: `schema`, `levels`, `total_files`,
     /// `total_bytes`, `write_amplification`, `read_amplification`,
     /// `latencies_us` (one object per op with `count`/`mean`/`p50`/
-    /// `p99`/`p999`/`max`), `tickers`, `gauges`, `windows` — and, for a
-    /// database of more than one tree, `shards` (`shard_by` plus one
-    /// `levels`/`flushes`/`compactions` object per tree).
+    /// `p99`/`p999`/`max`), `tickers`, `gauges`, `windows` — then the
+    /// optional sections, each only when present: `shards` for a
+    /// database of more than one tree (`shard_by` plus one
+    /// `levels`/`flushes`/`compactions` object per tree), `replica` for a
+    /// read replica (`last_applied_seq`, `last_seen_seq`) and
+    /// `diagnostics` for a debug bundle (`slow_ops`, `trace_spans`,
+    /// `log_tail`). An unmeasured value — the write amplification of a
+    /// store that wrote no WAL, the quantiles of an op with no samples —
+    /// is `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut j = JsonBuilder::new();
@@ -131,17 +254,15 @@ impl MetricsReport {
         push_levels(&mut j, &self.levels);
         j.field_u64("total_files", self.levels.iter().map(|l| l.files as u64).sum());
         j.field_u64("total_bytes", self.levels.iter().map(|l| l.bytes).sum());
-        j.field_f64("write_amplification", self.write_amplification);
+        j.field_opt_f64("write_amplification", self.write_amplification);
         j.field_u64("read_amplification", self.read_amplification);
         j.open_obj("latencies_us");
         for (op, s) in &self.latencies {
             j.open_obj(op);
             j.field_u64("count", s.count);
-            j.field_f64("mean", s.mean_us);
-            j.field_f64("p50", s.p50_us);
-            j.field_f64("p99", s.p99_us);
-            j.field_f64("p999", s.p999_us);
-            j.field_f64("max", s.max_us);
+            for (key, v) in QUANTILE_KEYS.into_iter().zip(quantiles(s)) {
+                j.field_opt_f64(key, v);
+            }
             j.close_obj();
         }
         j.close_obj();
@@ -174,11 +295,33 @@ impl MetricsReport {
             j.close_arr();
             j.close_obj();
         }
+        if let Some(replica) = &self.replica {
+            j.open_obj("replica");
+            j.field_u64("last_applied_seq", replica.last_applied_seq);
+            j.field_u64("last_seen_seq", replica.last_seen_seq);
+            j.close_obj();
+        }
+        if let Some(d) = &self.diagnostics {
+            j.open_obj("diagnostics");
+            j.open_arr("slow_ops");
+            for s in &d.slow_ops {
+                s.push_json(&mut j);
+            }
+            j.close_arr();
+            j.open_arr("trace_spans");
+            for s in &d.trace_spans {
+                s.push_json(&mut j);
+            }
+            j.close_arr();
+            j.field_str("log_tail", &d.log_tail);
+            j.close_obj();
+        }
         j.close_obj();
         j.finish()
     }
 
-    /// A human-readable table of the same data.
+    /// A human-readable table of the sections every handle shares (the
+    /// optional ones are JSON only); `-` marks an unmeasured value.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -194,11 +337,9 @@ impl MetricsReport {
             self.levels.iter().map(|l| l.files).sum::<usize>(),
             self.levels.iter().map(|l| l.bytes).sum::<u64>()
         );
-        let _ = writeln!(
-            out,
-            "write_amp {:.2}   read_amp {}",
-            self.write_amplification, self.read_amplification
-        );
+        let write_amp =
+            self.write_amplification.map_or_else(|| "-".to_string(), |w| format!("{w:.2}"));
+        let _ = writeln!(out, "write_amp {write_amp}   read_amp {}", self.read_amplification);
         let _ = writeln!(out, "\n== latencies (us) ==");
         let _ = writeln!(
             out,
@@ -206,11 +347,12 @@ impl MetricsReport {
             "op", "count", "mean", "p50", "p99", "p99.9", "max"
         );
         for (op, s) in &self.latencies {
-            let _ = writeln!(
-                out,
-                "{:<12}{:>10}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}",
-                op, s.count, s.mean_us, s.p50_us, s.p99_us, s.p999_us, s.max_us
-            );
+            let _ = write!(out, "{op:<12}{:>10}", s.count);
+            for v in quantiles(s) {
+                let cell = v.map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
+                let _ = write!(out, "{cell:>10}");
+            }
+            let _ = writeln!(out);
         }
         let _ = writeln!(out, "\n== tickers ==");
         for (name, value) in self.tickers.counters() {
@@ -234,103 +376,23 @@ impl MetricsReport {
     }
 }
 
-/// Drops the empty levels above 0 from a `(files, bytes)`-per-level list.
-fn level_stats(per_level: &[(usize, u64)]) -> Vec<LevelStats> {
-    per_level
-        .iter()
-        .enumerate()
-        .filter(|(l, (files, _))| *l == 0 || *files > 0)
-        .map(|(l, &(files, bytes))| LevelStats { level: l, files, bytes })
-        .collect()
-}
-
-/// Per-level sums over every tree's `(files, bytes)`-per-level list.
-fn sum_levels(per_tree: &[Vec<(usize, u64)>]) -> Vec<(usize, u64)> {
-    let depth = per_tree.iter().map(Vec::len).max().unwrap_or(0);
-    (0..depth)
-        .map(|level| {
-            per_tree
-                .iter()
-                .filter_map(|levels| levels.get(level))
-                .fold((0, 0), |sum, level| (sum.0 + level.0, sum.1 + level.1))
-        })
-        .collect()
-}
-
 impl DbInner {
-    /// `(files, bytes)` per level, summed over the trees.
-    pub(super) fn level_summary(&self) -> Vec<(usize, u64)> {
-        sum_levels(&self.trees.iter().map(Tree::level_summary).collect::<Vec<_>>())
-    }
-
     pub(super) fn metrics_report(&self) -> MetricsReport {
-        self.refresh_stat_mirrors();
-        let snap = self.files.stats.snapshot();
-        let per_tree: Vec<Vec<(usize, u64)>> = self.trees.iter().map(Tree::level_summary).collect();
-        // Worst-case tables a point lookup consults in one tree: every L0
-        // file plus one per non-empty deeper level.
-        let read_amplification = |levels: &Vec<(usize, u64)>| {
-            levels.first().map_or(0, |&(files, _)| files as u64)
-                + levels.iter().skip(1).filter(|&&(files, _)| files > 0).count() as u64
-        };
-        let bytes_to_storage = snap.flush_bytes + snap.compaction_bytes_written;
+        let trees = self
+            .trees
+            .iter()
+            .map(|tree| {
+                let version = tree.state.lock().versions.current();
+                let flushes = tree.flushes.load(Ordering::Relaxed);
+                TreeMetrics::of(&version, flushes, tree.compactions.load(Ordering::Relaxed))
+            })
+            .collect();
         MetricsReport {
-            levels: level_stats(&sum_levels(&per_tree)),
-            write_amplification: bytes_to_storage as f64 / (snap.wal_bytes.max(1)) as f64,
-            read_amplification: per_tree.iter().map(read_amplification).max().unwrap_or(0),
             latencies: self.op_hists.summaries(),
-            tickers: snap,
             windows: self.window.lock().recent(),
             shard_by: self.router.shard_by(),
-            trees: self
-                .trees
-                .iter()
-                .zip(&per_tree)
-                .map(|(tree, levels)| TreeMetrics {
-                    levels: level_stats(levels),
-                    flushes: tree.flushes.load(Ordering::Relaxed),
-                    compactions: tree.compactions.load(Ordering::Relaxed),
-                })
-                .collect(),
+            ..MetricsReport::build(&self.files, self.block_cache.as_deref(), trees)
         }
-    }
-
-    /// Refreshes ticker mirrors (env faults, block-cache totals, the DEK
-    /// resolver's retry/failover/degraded counts, gauges) from their live
-    /// sources.
-    pub(super) fn refresh_stat_mirrors(&self) {
-        if let Some(faults) = self.files.env.fault_stats() {
-            self.files.stats
-                .env_faults_injected
-                .store(faults.injected_total(), Ordering::Relaxed);
-        }
-        if let Some(cache) = &self.block_cache {
-            let c = cache.stats();
-            let s = &self.files.stats;
-            s.block_cache_hits.store(c.hits(), Ordering::Relaxed);
-            s.block_cache_misses.store(c.misses(), Ordering::Relaxed);
-            s.block_cache_data_hits.store(c.data_hits, Ordering::Relaxed);
-            s.block_cache_data_misses.store(c.data_misses, Ordering::Relaxed);
-            s.block_cache_index_hits.store(c.index_hits, Ordering::Relaxed);
-            s.block_cache_index_misses.store(c.index_misses, Ordering::Relaxed);
-            s.block_cache_filter_hits.store(c.filter_hits, Ordering::Relaxed);
-            s.block_cache_filter_misses.store(c.filter_misses, Ordering::Relaxed);
-            s.block_cache_singleflight_waits.store(c.singleflight_waits, Ordering::Relaxed);
-            s.block_cache_oversized_bypass.store(c.oversized_bypass, Ordering::Relaxed);
-            s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
-            s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
-            s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
-        }
-        if let Some(encryption) = &self.files.encryption {
-            let r = encryption.resolver.stats();
-            let s = &self.files.stats;
-            s.resolver_retries.store(r.retries, Ordering::Relaxed);
-            s.resolver_failovers.store(r.failovers, Ordering::Relaxed);
-            s.resolver_degraded_hits.store(r.degraded_hits, Ordering::Relaxed);
-        }
-        self.files.stats
-            .env_inflight_reads
-            .store(shield_env::inflight_reads_peak(), Ordering::Relaxed);
     }
 
     /// Watchdog + windowed-stats ticker loop. The tick is the finer of
@@ -390,8 +452,7 @@ impl DbInner {
     /// Rolls one windowed-stats interval: refresh mirrors, diff the
     /// cumulative counters, derive interval rates, log, and store.
     fn roll_stats_window(&self) {
-        self.refresh_stat_mirrors();
-        let snap = self.files.stats.snapshot();
+        let snap = self.files.refresh_mirrors(self.block_cache.as_deref()).snapshot();
         let sample = WindowSample {
             at: std::time::Instant::now(),
             unix_micros: std::time::SystemTime::now()
@@ -441,13 +502,15 @@ mod tests {
                 LevelStats { level: 0, files: 2, bytes: 4096 },
                 LevelStats { level: 1, files: 1, bytes: 8192 },
             ],
-            write_amplification: 1.5,
+            write_amplification: Some(1.5),
             read_amplification: 3,
             latencies: hists.summaries(),
             tickers: StatsSnapshot::default(),
             windows: Vec::new(),
             shard_by: "hash",
             trees: Vec::new(),
+            replica: None,
+            diagnostics: None,
         }
     }
 
@@ -484,5 +547,53 @@ mod tests {
         }
         assert!(text.contains("write_amp 1.50"));
         assert!(text.contains("L0"));
+    }
+
+    /// An op with no samples and a store that wrote no WAL measured
+    /// nothing: `null` in the document, `-` in the table, never `0`.
+    #[test]
+    fn unmeasured_values_are_null_not_zero() {
+        let report = MetricsReport { write_amplification: None, ..sample() };
+        let doc = shield_core::json::parse(&report.to_json()).expect("parse");
+        assert_eq!(doc.get("write_amplification"), Some(&shield_core::JsonValue::Null));
+        let lats = doc.get("latencies_us").expect("latencies_us");
+        let multi_get = lats.get("multi_get").expect("multi_get");
+        assert_eq!(multi_get.get("count").and_then(shield_core::JsonValue::as_f64), Some(0.0));
+        for key in ["mean", "p50", "p99", "p999", "max"] {
+            assert_eq!(multi_get.get(key), Some(&shield_core::JsonValue::Null), "multi_get.{key}");
+        }
+        let get = lats.get("get").expect("get");
+        assert!(get.get("p50").and_then(shield_core::JsonValue::as_f64).is_some_and(|p| p > 0.0));
+
+        let text = report.render();
+        assert!(text.contains("write_amp -"), "{text}");
+        let row = text.lines().find(|l| l.starts_with("multi_get")).expect("multi_get row");
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["multi_get", "0", "-", "-", "-", "-", "-"]
+        );
+    }
+
+    /// Levels sum per level over the trees; read amplification is the
+    /// worst tree's.
+    #[test]
+    fn trees_sum_into_the_front() {
+        let tree = |levels: Vec<LevelStats>| TreeMetrics { levels, flushes: 1, compactions: 0 };
+        let trees = vec![
+            tree(vec![
+                LevelStats { level: 0, files: 3, bytes: 30 },
+                LevelStats { level: 2, files: 1, bytes: 10 },
+            ]),
+            tree(vec![
+                LevelStats { level: 0, files: 0, bytes: 0 },
+                LevelStats { level: 1, files: 2, bytes: 20 },
+                LevelStats { level: 2, files: 1, bytes: 5 },
+            ]),
+        ];
+        let summed: Vec<(usize, usize, u64)> =
+            sum_levels(&trees).iter().map(|l| (l.level, l.files, l.bytes)).collect();
+        assert_eq!(summed, [(0, 3, 30), (1, 2, 20), (2, 2, 15)]);
+        let worst = trees.iter().map(TreeMetrics::read_amplification).max();
+        assert_eq!(worst, Some(4), "3 L0 files + one L2 table");
     }
 }

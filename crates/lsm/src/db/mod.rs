@@ -17,8 +17,10 @@ mod write;
 
 pub use batch::WriteBatch;
 pub use db::Db;
-pub use metrics::{LevelStats, MetricsReport, TreeMetrics, METRICS_SCHEMA, OP_TYPES};
+pub use metrics::{
+    Diagnostics, LevelStats, MetricsReport, ReplicaProgress, TreeMetrics, METRICS_SCHEMA, OP_TYPES,
+};
 pub use options::{Options, ReadOptions, ShardBy, WriteOptions};
 pub use pool::{JobClass, JobPool};
 pub use read::{DbIterator, Snapshot, MAX_SEQUENTIAL_SKIP};
-pub use replica::{ReplicaDb, ReplicaOptions, REPLICA_METRICS_SCHEMA};
+pub use replica::{ReplicaDb, ReplicaOptions};

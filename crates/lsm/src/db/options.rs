@@ -116,8 +116,8 @@ pub struct Options {
     pub slow_op_threshold: Option<std::time::Duration>,
     /// How often the stats thread diffs ticker snapshots into a
     /// [`shield_core::MetricsWindow`] (interval rates, logged and kept in
-    /// a bounded ring for [`crate::Db::metrics_windows`]). `None`
-    /// disables windowed stats.
+    /// a bounded ring, the `windows` of [`crate::Db::metrics_report`]).
+    /// `None` disables windowed stats.
     pub stats_dump_period: Option<std::time::Duration>,
     /// Traced operations/jobs still running past this deadline are
     /// flagged once by the watchdog ([`shield_core::Event::Watchdog`]

@@ -47,10 +47,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use shield_core::JsonBuilder;
 use shield_env::{EnvError, FileKind};
 
 use crate::db::batch::WriteBatch;
+use crate::db::metrics::{MetricsReport, ReplicaProgress, TreeMetrics};
 use crate::db::read::{credit_gets, DbIterator, ReadView};
 use crate::error::{Error, Result};
 use crate::files::FileStore;
@@ -63,9 +63,6 @@ use crate::version::{
     parse_file_name, wal_file_name, EditApplier, FileType, ManifestPoll, ManifestTailer,
 };
 use crate::wal::{TailEnd, TailPoll, WalTailer};
-
-/// The `schema` field of [`ReplicaDb::metrics_json`].
-pub const REPLICA_METRICS_SCHEMA: &str = "shield_replica_metrics_v1";
 
 /// Tuning for a [`ReplicaDb`].
 #[derive(Debug, Clone)]
@@ -464,12 +461,30 @@ impl ReplicaDb {
             .saturating_sub(self.published_seq.load(Ordering::Relaxed))
     }
 
-    /// This replica's ticker set: the `replica_*` counters and gauges, and
-    /// the read-path tickers (`gets`, `gets_found`, `multi_gets`,
-    /// `batched_reads`, …) its reads credit like a primary's.
+    /// This replica's ticker set: the `replica_*` counters and gauges, the
+    /// read-path tickers (`gets`, `gets_found`, `multi_gets`,
+    /// `batched_reads`, …) its reads credit like a primary's, and the
+    /// mirrors of its own DEK resolver and env, refreshed on each call.
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
-        self.files.stats.clone()
+        self.files.refresh_mirrors(None).clone()
+    }
+
+    /// The replica's metrics report: the `shield_metrics_v1` document a
+    /// primary answers with, over the published view's files, with a
+    /// `replica` section. A replica runs no flush or compaction and
+    /// records no latency histogram, so those read as zero counts and
+    /// unmeasured quantiles; its lag is the `replica_lag_records` gauge.
+    #[must_use]
+    pub fn metrics_report(&self) -> MetricsReport {
+        let view = self.view.read().clone();
+        MetricsReport {
+            replica: Some(ReplicaProgress {
+                last_applied_seq: view.seq,
+                last_seen_seq: self.last_seen_seq.load(Ordering::Relaxed),
+            }),
+            ..MetricsReport::build(&self.files, None, vec![TreeMetrics::of(&view.version, 0, 0)])
+        }
     }
 
     /// Runs `read` against the published view. A file the view names can
@@ -520,27 +535,6 @@ impl ReplicaDb {
             let views = vec![(view.clone(), &self.table_cache)];
             DbIterator::new(views, true, self.files.stats.clone(), None)?.scan(start, limit)
         })
-    }
-
-    /// Replica health as one `shield_replica_metrics_v1` JSON object:
-    /// served/observed sequences, the lag between them, and the replay
-    /// engine's work counters.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        let snapshot = self.files.stats.snapshot();
-        let mut out = JsonBuilder::new();
-        out.open_obj_item();
-        out.field_str("schema", REPLICA_METRICS_SCHEMA);
-        out.field_u64("last_applied_seq", self.sequence());
-        out.field_u64("last_seen_seq", self.last_seen_seq.load(Ordering::Relaxed));
-        out.field_u64("lag_records", self.staleness());
-        out.field_u64("polls", snapshot.replica_polls);
-        out.field_u64("manifest_edits_applied", snapshot.replica_manifest_edits_applied);
-        out.field_u64("wal_records_applied", snapshot.replica_wal_records_applied);
-        out.field_u64("rollovers_followed", snapshot.replica_rollovers_followed);
-        out.field_u64("incomplete_tails", snapshot.replica_incomplete_tails);
-        out.close_obj();
-        out.finish()
     }
 }
 

@@ -90,12 +90,6 @@ impl Tree {
         }
     }
 
-    /// `(files, bytes)` per level.
-    pub fn level_summary(&self) -> Vec<(usize, u64)> {
-        let v = self.state.lock().versions.current();
-        (0..v.files.len()).map(|l| (v.level_files(l), v.level_size(l))).collect()
-    }
-
     /// Pins what one read of this tree operates on, under a single
     /// `state` lock acquisition.
     pub fn read_view(&self, seq: SequenceNumber) -> ReadView {

@@ -50,6 +50,7 @@ use shield_core::{perf, EventDispatcher, PerfMetric};
 use shield_crypto::{Dek, DekId};
 use shield_env::{Env, FileKind, RandomAccessFile, WritableFile};
 
+use crate::cache::BlockCache;
 use crate::db::pool::{JobClass, JobPool};
 use crate::encryption::EncryptionConfig;
 use crate::error::Result;
@@ -125,6 +126,42 @@ impl FileStore {
             events: Arc::new(EventDispatcher::new()),
             ready: Arc::default(),
         }
+    }
+
+    /// The one mirror refresh, for every handle: copies what this store's
+    /// parts count themselves — the env's injected faults, the DEK
+    /// resolver's retries, failovers and degraded hits, `block_cache`'s
+    /// totals (the handle's cache, if it has one) and the process's peak
+    /// of in-flight batched reads — into [`Self::stats`], and returns it.
+    pub(crate) fn refresh_mirrors(&self, block_cache: Option<&BlockCache>) -> &Arc<Statistics> {
+        let s = &self.stats;
+        if let Some(faults) = self.env.fault_stats() {
+            s.env_faults_injected.store(faults.injected_total(), Ordering::Relaxed);
+        }
+        if let Some(cache) = block_cache {
+            let c = cache.stats();
+            s.block_cache_hits.store(c.hits(), Ordering::Relaxed);
+            s.block_cache_misses.store(c.misses(), Ordering::Relaxed);
+            s.block_cache_data_hits.store(c.data_hits, Ordering::Relaxed);
+            s.block_cache_data_misses.store(c.data_misses, Ordering::Relaxed);
+            s.block_cache_index_hits.store(c.index_hits, Ordering::Relaxed);
+            s.block_cache_index_misses.store(c.index_misses, Ordering::Relaxed);
+            s.block_cache_filter_hits.store(c.filter_hits, Ordering::Relaxed);
+            s.block_cache_filter_misses.store(c.filter_misses, Ordering::Relaxed);
+            s.block_cache_singleflight_waits.store(c.singleflight_waits, Ordering::Relaxed);
+            s.block_cache_oversized_bypass.store(c.oversized_bypass, Ordering::Relaxed);
+            s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
+            s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
+            s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
+        }
+        if let Some(encryption) = &self.encryption {
+            let r = encryption.resolver.stats();
+            s.resolver_retries.store(r.retries, Ordering::Relaxed);
+            s.resolver_failovers.store(r.failovers, Ordering::Relaxed);
+            s.resolver_degraded_hits.store(r.degraded_hits, Ordering::Relaxed);
+        }
+        s.env_inflight_reads.store(shield_env::inflight_reads_peak(), Ordering::Relaxed);
+        s
     }
 
     /// The key rule: the file's own DEK subkey, else the engine key.

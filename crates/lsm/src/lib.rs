@@ -41,10 +41,12 @@ pub mod varint;
 pub mod version;
 pub mod wal;
 
-pub use db::metrics::{LevelStats, MetricsReport, TreeMetrics, METRICS_SCHEMA, OP_TYPES};
+pub use db::metrics::{
+    Diagnostics, LevelStats, MetricsReport, ReplicaProgress, TreeMetrics, METRICS_SCHEMA, OP_TYPES,
+};
 pub use db::options::{CompactionStyle, Options, ReadOptions, ShardBy, WriteOptions};
 pub use db::pool::{JobClass, JobPool};
-pub use db::replica::{ReplicaDb, ReplicaOptions, REPLICA_METRICS_SCHEMA};
+pub use db::replica::{ReplicaDb, ReplicaOptions};
 pub use db::{Db, DbIterator, Snapshot, WriteBatch, MAX_SEQUENTIAL_SKIP};
 pub use encryption::EncryptionConfig;
 pub use error::{Error, Result, Severity};

@@ -142,21 +142,17 @@ fn main() {
     drop(events);
     println!("watchdog: '{}' pinned for {} µs, stack: {}", flagged.0, flagged.1, flagged.2);
 
-    // 4. Windowed stats + the debug bundle: one JSON document carrying
-    //    the metrics report (recent windows included), slow ops, the
-    //    trace ring, and the LOG tail — everything above, shippable in
-    //    one blob.
-    let bundle = db.debug_bundle();
+    // 4. The debug bundle: the metrics report (recent windows included)
+    //    with its diagnostics section filled — slow ops, the trace ring
+    //    and the LOG tail — everything above, shippable in one document.
+    let bundle = db.debug_bundle().to_json();
     let doc = json::parse(&bundle).expect("bundle parses");
-    for section in ["metrics", "slow_ops", "trace_spans", "log_tail"] {
-        assert!(doc.get(section).is_some(), "bundle missing {section}");
+    let diagnostics = doc.get("diagnostics").expect("bundle has a diagnostics section");
+    for section in ["slow_ops", "trace_spans", "log_tail"] {
+        assert!(diagnostics.get(section).is_some(), "diagnostics missing {section}");
     }
-    let schema = doc
-        .get("metrics")
-        .and_then(|m| m.get("schema"))
-        .and_then(|s| s.as_str())
-        .expect("metrics schema");
-    println!("debug bundle: {} bytes, metrics schema {schema}", bundle.len());
+    let schema = doc.get("schema").and_then(|s| s.as_str()).expect("schema");
+    println!("debug bundle: {} bytes, schema {schema}", bundle.len());
 
     println!("\nflight-recorder tour complete");
 }

@@ -79,6 +79,8 @@ fn main() {
         rstats.cache_hits, rstats.cache_misses
     );
     println!("live DEKs at the KDS: {}", kds.live_dek_count());
-    println!("levels: {:?}", db.level_summary());
+    for level in db.metrics_report().levels {
+        println!("L{}: {} files, {} bytes", level.level, level.files, level.bytes);
+    }
     println!("\nDatabase at {path} — every byte of WAL/SST/MANIFEST is ciphertext.");
 }

@@ -121,7 +121,16 @@ fn main() {
         std::thread::sleep(Duration::from_millis(2));
     }
     replica.stop();
-    println!("  replica followed the new WAL/manifest generation: {}", replica.metrics_json());
+    let report = replica.metrics_report();
+    let progress = report.replica.expect("a replica's report has a replica section");
+    println!(
+        "  replica followed the new WAL/manifest generation: serving seq {} of {} seen, \
+         {} rollover(s) followed, {} KDS retries",
+        progress.last_applied_seq,
+        progress.last_seen_seq,
+        report.tickers.replica_rollovers_followed,
+        report.tickers.resolver_retries
+    );
 
     println!("== scene 6: revoking the reader locks out fresh replicas ==");
     kds.revoke_server(READER);

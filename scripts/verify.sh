@@ -30,7 +30,11 @@
 #           run it through; one bench per claim: every
 #           crates/bench/src/bin/<name>.rs but `paper` has a `smoke <name>`
 #           tier below and a `B <name>` row in README.md's claim table, so
-#           a bin that carries no claim cannot come back; clippy -D
+#           a bin that carries no claim cannot come back; one metrics
+#           document: no "shield_*_v<N>" schema literal under crates/
+#           but shield_metrics_v1 and its shield_metrics_window_v1
+#           windows — what a handle adds is an optional section of
+#           MetricsReport, not a second schema; clippy -D
 #           warnings over shield-crypto, shield-core, shield-env,
 #           shield-lsm and shield (skipped if clippy is unavailable).
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
@@ -169,6 +173,18 @@ if [[ -n "$hits" ]]; then
 fi
 echo "ok"
 
+echo "== lint: one-document gate (schema literals under crates/) =="
+hits=$(grep -rnoE '"shield_[a-z0-9_]+_v[0-9]+"' crates --include='*.rs' \
+    | grep -vE ':"shield_metrics(_window)?_v1"$' || true)
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: every handle reports through one document, shield_metrics_v1 (its windows"
+    echo "      are shield_metrics_window_v1); add an optional section to MetricsReport"
+    echo "      (crates/lsm/src/db/metrics.rs) instead of a new schema."
+    exit 1
+fi
+echo "ok"
+
 if [[ $quick -eq 0 ]]; then
     echo "== lint: clippy gate =="
     if cargo clippy --version >/dev/null 2>&1; then
@@ -241,7 +257,7 @@ require target/BENCH_crypto_smoke.json '"batched_mib_s"' '"scalar_mib_s"' '"ciph
 echo "== tier 4: observability =="
 smoke obs_smoke
 require target/OBS_metrics_smoke.json '"perf_timer_pair_ns"' '"trace_span_ns"' \
-    '"schema"' '"levels"' '"latencies_us"' '"tickers"' '"gauges"'
+    '"schema"' '"levels"' '"write_amplification"' '"latencies_us"' '"tickers"' '"gauges"'
 
 echo "== tier 5: parallel subcompactions =="
 smoke subcompaction --smoke

@@ -34,9 +34,9 @@ fn leveled_pushes_data_down() {
     let db = Db::open(opts(&env, CompactionStyle::Leveled), "db").unwrap();
     fill(&db, 4000, 1000);
     db.compact_all().unwrap();
-    let summary = db.level_summary();
-    assert!(summary[0].0 <= 2, "L0 should drain: {summary:?}");
-    assert!(summary[1].0 >= 1, "L1 should fill: {summary:?}");
+    let levels = db.metrics_report().levels;
+    assert!(levels[0].files <= 2, "L0 should drain: {levels:?}");
+    assert!(levels.iter().any(|l| l.level == 1), "L1 should fill: {levels:?}");
     // All latest values readable.
     let r = ReadOptions::new();
     for i in (0..1000).step_by(111) {
@@ -50,12 +50,11 @@ fn universal_merges_runs_in_l0() {
     let db = Db::open(opts(&env, CompactionStyle::Universal), "db").unwrap();
     fill(&db, 4000, 1000);
     db.compact_all().unwrap();
-    let summary = db.level_summary();
-    // Universal keeps everything as few L0 runs; deeper levels stay empty.
-    assert!(summary[0].0 <= 3, "runs should merge: {summary:?}");
-    for (files, _) in &summary[1..] {
-        assert_eq!(*files, 0, "universal must not populate deeper levels: {summary:?}");
-    }
+    let levels = db.metrics_report().levels;
+    // Universal keeps everything as few L0 runs; deeper levels stay empty
+    // (the report lists non-empty levels only, level 0 always).
+    assert!(levels[0].files <= 3, "runs should merge: {levels:?}");
+    assert_eq!(levels.len(), 1, "universal must not populate deeper levels: {levels:?}");
     assert!(db.statistics().snapshot().compactions >= 1);
     let r = ReadOptions::new();
     for i in (0..1000).step_by(111) {
@@ -74,7 +73,7 @@ fn fifo_evicts_oldest_data() {
     }
     db.compact_all().unwrap();
     // Total size bounded.
-    let total: u64 = db.level_summary().iter().map(|(_, b)| b).sum();
+    let total: u64 = db.metrics_report().levels.iter().map(|l| l.bytes).sum();
     assert!(total <= 80 << 10, "FIFO must bound size, got {total}");
     let r = ReadOptions::new();
     // Newest keys present (still in memtable/new files)…
@@ -151,7 +150,7 @@ fn overwrites_reclaim_space_under_leveled() {
     // Write the same small key set many times over.
     fill(&db, 20_000, 100);
     db.compact_all().unwrap();
-    let total: u64 = db.level_summary().iter().map(|(_, b)| b).sum();
+    let total: u64 = db.metrics_report().levels.iter().map(|l| l.bytes).sum();
     // 100 keys × ~80 bytes ≈ 8 KiB of live data; compaction must have
     // dropped the shadowed versions (allow generous slack for metadata).
     assert!(total < 64 << 10, "space not reclaimed: {total} bytes live");

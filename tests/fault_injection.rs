@@ -17,9 +17,9 @@ use std::sync::Arc;
 use shield::DEK_CACHE_FILE;
 use shield_crypto::Algorithm;
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
-use shield_kds::{Kds, KdsConfig, KdsError, ReplicatedKds, SecureDekCache, ServerId};
+use shield_kds::{Kds, KdsError, SecureDekCache, ServerId};
 use shield_lsm::{Db, Error, Options, ReadOptions, WriteOptions, READY_DEKS};
-use support::{laws, Mode, Store, MODES};
+use support::{laws, replicated, Mode, Store, MODES, READER};
 
 fn key(round: u32, i: u32) -> Vec<u8> {
     format!("r{round:02}-k{i:04}").into_bytes()
@@ -29,20 +29,13 @@ fn wsync() -> WriteOptions {
     WriteOptions { sync: true }
 }
 
-/// A deployment over `medium` whose KDS is `replicas` replicas that can
-/// be failed by hand.
-fn replicated(mode: Mode, medium: Arc<dyn Env>, replicas: usize) -> (Store, Arc<ReplicatedKds>) {
-    let kds = Arc::new(ReplicatedKds::new(replicas, KdsConfig::default()));
-    (Store { kds: kds.clone(), local: None, ..Store::over(mode, medium) }, kds)
-}
-
 /// Runs `work` against a freshly opened handle, then lets the handle die
 /// like a crashed process (no clean shutdown work) — after its tickers
 /// passed the conservation laws.
 fn with_db(store: &Store, work: impl FnOnce(&Db)) {
     let db = store.open(|opts| opts);
     work(&db);
-    laws(&db.statistics().snapshot());
+    laws(&db.metrics_report().tickers);
     db.db.simulate_process_crash();
 }
 
@@ -163,7 +156,7 @@ fn sst_read_fault_during_compaction_is_resumable() {
     db.put(&WriteOptions::default(), b"post-resume", b"v").unwrap();
     db.compact_all().unwrap();
     assert!(db.get(&r, b"post-resume").unwrap().is_some());
-    laws(&db.statistics().snapshot());
+    laws(&db.metrics_report().tickers);
 }
 
 /// Acceptance (c): with every KDS replica down, DEKs in the secure cache
@@ -255,7 +248,7 @@ fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
             assert!(db.get(&r, &key(round, i)).unwrap().is_some(), "outage-era write lost");
         }
     }
-    laws(&db.statistics().snapshot());
+    laws(&db.metrics_report().tickers);
 }
 
 /// Counters are true without anyone asking the right handle: the
@@ -290,6 +283,35 @@ fn resolver_gauges_reach_the_metrics_report_without_a_statistics_call() {
         in_json.and_then(|v| v.as_f64()),
         Some(report.tickers.resolver_degraded_hits as f64)
     );
+}
+
+/// A replica's counters are true too: it resolves every DEK through its
+/// own identity, so a KDS that fails while a table opens shows up as the
+/// replica's resolver retries in the replica's own report — the same
+/// document, built by the same function, as a primary's.
+#[test]
+fn replica_resolver_retries_reach_its_metrics_report() {
+    let (store, kds) = replicated(Mode::Shield, Arc::new(MemEnv::new()), 3);
+    let db = store.open(|opts| opts);
+    for i in 0..100u32 {
+        db.put(&wsync(), &key(0, i), b"v").unwrap();
+    }
+    db.flush().unwrap();
+    // The open resolves the MANIFEST's and the WAL segment's keys; the
+    // SST's is resolved when the first read opens the table.
+    let replica = store.replica(READER).expect("open replica");
+    kds.fail_all();
+    assert!(replica.get(&key(0, 7)).is_err(), "a table opened without its DEK");
+
+    let report = replica.metrics_report();
+    assert!(report.tickers.resolver_retries > 0, "the replica never mirrored its resolver");
+    let doc = shield_core::json::parse(&report.to_json()).expect("metrics parse");
+    let in_json = doc.get("tickers").and_then(|t| t.get("resolver_retries"));
+    assert_eq!(in_json.and_then(|v| v.as_f64()), Some(report.tickers.resolver_retries as f64));
+    let progress = report.replica.expect("a replica's report has a replica section");
+    assert_eq!(progress.last_applied_seq, replica.sequence());
+    assert_eq!(report.tickers.replica_lag_records, replica.staleness());
+    kds.recover_all();
 }
 
 /// The full stack composes: fault env under SHIELD, crash loops with SST

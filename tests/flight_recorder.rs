@@ -10,8 +10,8 @@
 //! threshold sits below that latency the same op must land in the
 //! slow-op ring with its span tree and PerfContext; a read pinned past
 //! the watchdog deadline must be flagged *while still running*; and
-//! `Db::debug_bundle()` must parse as one JSON document carrying all of
-//! it.
+//! `Db::debug_bundle()` must be the metrics document carrying all of it
+//! in its `diagnostics` section.
 
 mod support;
 
@@ -211,8 +211,8 @@ fn watchdog_flags_stuck_read() {
 
 /// `stats_dump_period` must roll interval windows: counter deltas with
 /// derived rates, a `stats_window` event per interval, and the window
-/// objects surfaced through both `Db::metrics_windows()` and the
-/// `windows` section of the metrics JSON.
+/// objects surfaced through the metrics report, as typed values and as
+/// the `windows` section of its JSON.
 #[test]
 fn stats_windows_roll_with_rates() {
     let fx = Fixture::new(Arc::new(MemEnv::new()));
@@ -238,7 +238,7 @@ fn stats_windows_roll_with_rates() {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let windows = db.db.metrics_windows();
+    let windows = db.db.metrics_report().windows;
     assert!(!windows.is_empty(), "no stats window rolled in 160 ms at a 20 ms period");
     let last = windows.last().unwrap();
     assert!(last.duration_micros > 0);
@@ -279,9 +279,10 @@ fn stats_windows_roll_with_rates() {
     );
 }
 
-/// `Db::debug_bundle()` is one parseable JSON document: the metrics
-/// report (which carries the stats windows, once), the slow-op ring, the
-/// trace ring, and the LOG tail.
+/// `Db::debug_bundle()` is the one metrics document with its
+/// `diagnostics` section filled: the report (which carries the stats
+/// windows, once), then the slow-op ring, the trace ring, and the LOG
+/// tail.
 #[test]
 fn debug_bundle_is_one_parseable_document() {
     let fx = Fixture::new(Arc::new(MemEnv::new()));
@@ -297,22 +298,18 @@ fn debug_bundle_is_one_parseable_document() {
     assert!(db.db.get(&ReadOptions::new(), &key(7)).unwrap().is_some());
     std::thread::sleep(Duration::from_millis(30));
 
-    let bundle = db.db.debug_bundle();
+    let bundle = db.db.debug_bundle().to_json();
     let doc = json::parse(&bundle).expect("debug bundle parses as JSON");
-    assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("shield_debug_bundle_v1"));
-    for section in ["metrics", "slow_ops", "trace_spans", "log_tail"] {
-        assert!(doc.get(section).is_some(), "bundle missing section {section}");
-    }
-    let metrics = doc.get("metrics").expect("metrics section");
-    assert_eq!(metrics.get("schema").and_then(|s| s.as_str()), Some("shield_metrics_v1"));
-    let windows = metrics.get("windows").and_then(|w| w.as_arr()).expect("metrics windows");
+    assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("shield_metrics_v1"));
+    let windows = doc.get("windows").and_then(|w| w.as_arr()).expect("metrics windows");
     assert!(!windows.is_empty(), "no stats window rolled in 30 ms at a 10 ms period");
-    assert!(doc.get("windows").is_none(), "the windows ride in the metrics report only");
-    let slow = doc.get("slow_ops").and_then(|s| s.as_arr()).expect("slow_ops array");
+    let diagnostics = doc.get("diagnostics").expect("diagnostics section");
+    assert!(diagnostics.get("windows").is_none(), "the windows ride in the report once");
+    let slow = diagnostics.get("slow_ops").and_then(|s| s.as_arr()).expect("slow_ops array");
     assert!(!slow.is_empty(), "zero threshold captured no slow ops");
-    let spans = doc.get("trace_spans").and_then(|s| s.as_arr()).expect("trace_spans array");
+    let spans = diagnostics.get("trace_spans").and_then(|s| s.as_arr()).expect("trace_spans");
     assert!(!spans.is_empty(), "trace ring empty despite traced ops");
-    let tail = doc.get("log_tail").and_then(|t| t.as_str()).expect("log_tail string");
+    let tail = diagnostics.get("log_tail").and_then(|t| t.as_str()).expect("log_tail string");
     assert!(tail.contains("db_open"), "LOG tail lost the open event: {tail:?}");
 }
 

@@ -112,7 +112,7 @@ fn concurrent_stress(db: &Db) {
     let want: Vec<(Vec<u8>, Vec<u8>)> = oracles.into_iter().flatten().collect();
     let all = db.scan(&ReadOptions::new(), b"", usize::MAX >> 1).expect("scan all");
     assert_eq!(all, want, "final state diverges from the union of oracles");
-    support::laws(&db.statistics().snapshot());
+    support::laws(&db.metrics_report().tickers);
 }
 
 fn stress_opts() -> Options {

@@ -7,10 +7,10 @@
 //! * **The history** — one [`Action`], [`Profile`]s that weight it,
 //!   [`actions`] for `proptest!` and [`history`] for a `u64` seed.
 //! * **The oracle** — [`Oracle`], [`apply`] and [`check`] (which also
-//!   asserts the ticker conservation laws, against the lookups it issues,
-//!   the files the medium saw created and the events the engine
-//!   announced), and [`Store::close`] (keys die with their files, used or
-//!   not).
+//!   asserts the conservation laws on the handle's metrics report,
+//!   against the lookups it issues, the files the medium saw created and
+//!   the events the engine announced), and [`Store::close`] (keys die
+//!   with their files, used or not).
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,12 +31,12 @@ use shield_env::{
     Env, EnvResult, FileKind, IoStats, MemEnv, RandomAccessFile, SequentialFile, WritableFile,
 };
 use shield_kds::{
-    DekResolver, Kds, KdsConfig, LocalKds, RetryPolicy, SecureDekCache, ServerId,
+    DekResolver, Kds, KdsConfig, LocalKds, ReplicatedKds, RetryPolicy, SecureDekCache, ServerId,
 };
 use shield_lsm::{
-    Db, DbIterator, EncryptionConfig, FileStore, Integrity, IntegrityOptions, Options,
-    ReadOptions, ReplicaDb, ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch, WriteOptions,
-    MAX_SEQUENTIAL_SKIP,
+    Db, DbIterator, EncryptionConfig, FileStore, Integrity, IntegrityOptions, MetricsReport,
+    Options, ReadOptions, ReplicaDb, ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch,
+    WriteOptions, MAX_SEQUENTIAL_SKIP,
 };
 
 // ---------------------------------------------------------------------
@@ -206,6 +206,17 @@ impl Store {
     pub fn replica(&self, server: ServerId) -> shield_lsm::Result<Arc<ReplicaDb>> {
         ReplicaDb::open(self.files_for(server), PATH, manual())
     }
+}
+
+/// A deployment over `medium` whose KDS is `replicas` replicas that can
+/// be failed by hand.
+pub fn replicated(
+    mode: Mode,
+    medium: Arc<dyn Env>,
+    replicas: usize,
+) -> (Store, Arc<ReplicatedKds>) {
+    let kds = Arc::new(ReplicatedKds::new(replicas, KdsConfig::default()));
+    (Store { kds: kds.clone(), local: None, ..Store::over(mode, medium) }, kds)
 }
 
 /// Whether a file of this name gets a DEK in SHIELD mode.
@@ -707,16 +718,23 @@ pub trait Reads {
     fn point(&self, key: &[u8]) -> Option<Vec<u8>>;
     fn points(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>>;
     fn range(&self, start: &[u8], limit: usize) -> Rows;
-    fn tickers(&self) -> StatsSnapshot;
+    /// The handle's metrics document.
+    fn report(&self) -> MetricsReport;
+    /// The document at a moment no background work is in flight, which
+    /// lasts until the next write; `None` when the handle cannot wait
+    /// for one.
+    fn quiet_report(&self) -> Option<MetricsReport> {
+        None
+    }
     /// Files this handle's engine had to key (SSTs, WAL segments and
-    /// manifests it created while encrypting them itself), read at a
-    /// quiet moment; `None` when the handle cannot tell.
+    /// manifests it created while encrypting them itself), read after
+    /// [`Reads::quiet_report`]; `None` when the handle cannot tell.
     fn dek_files_created(&self) -> Option<u64> {
         None
     }
     /// `(Σ SubcompactionBegin.subtasks, Σ CompactionEnd.bytes_written)`
-    /// over the events this handle's engine has emitted, read at a quiet
-    /// moment; `None` when nobody listened.
+    /// over the events this handle's engine has emitted, read after
+    /// [`Reads::quiet_report`]; `None` when nobody listened.
     fn announced(&self) -> Option<(u64, u64)> {
         None
     }
@@ -735,18 +753,21 @@ impl Reads for Primary {
     fn range(&self, start: &[u8], limit: usize) -> Rows {
         Reads::range(&self.db, start, limit)
     }
-    fn tickers(&self) -> StatsSnapshot {
-        self.db.tickers()
+    fn report(&self) -> MetricsReport {
+        self.db.report()
+    }
+    fn quiet_report(&self) -> Option<MetricsReport> {
+        // A flush or compaction bumps its tree's count and the ticker
+        // apart, counts its key before it creates its file, and a split
+        // merge announces its subtasks before it runs them.
+        self.db.wait_for_background_work().expect("quiesce");
+        Some(self.db.metrics_report())
     }
     fn dek_files_created(&self) -> Option<u64> {
-        // A background job counts its key before it creates its file.
-        self.db.wait_for_background_work().expect("quiesce");
         // Only a SHIELD engine keys files (EncFS encrypts below it).
         Some(self.resolver.as_ref().map_or(0, |_| self.created.load(Ordering::Relaxed)))
     }
     fn announced(&self) -> Option<(u64, u64)> {
-        // A split merge announces its subtasks before it runs them.
-        self.db.wait_for_background_work().expect("quiesce");
         let a = &self.announced;
         Some((
             a.subtasks.load(Ordering::Relaxed),
@@ -767,8 +788,8 @@ impl Reads for Db {
     fn range(&self, start: &[u8], limit: usize) -> Rows {
         self.scan(&ReadOptions::new(), start, limit).expect("scan")
     }
-    fn tickers(&self) -> StatsSnapshot {
-        self.statistics().snapshot()
+    fn report(&self) -> MetricsReport {
+        self.metrics_report()
     }
 }
 
@@ -783,8 +804,12 @@ impl Reads for ReplicaDb {
     fn range(&self, start: &[u8], limit: usize) -> Rows {
         self.scan(start, limit).expect("replica scan")
     }
-    fn tickers(&self) -> StatsSnapshot {
-        self.statistics().snapshot()
+    fn report(&self) -> MetricsReport {
+        self.metrics_report()
+    }
+    fn quiet_report(&self) -> Option<MetricsReport> {
+        // A replica runs no background flush or compaction.
+        Some(self.metrics_report())
     }
 }
 
@@ -802,10 +827,11 @@ pub fn drain(replica: &ReplicaDb) {
 /// `reader` serves exactly the oracle's state — every key the history
 /// touched (live or deleted) and a never-written neighbour of each, by
 /// point read and by `multi_get`; the full scan; a bounded scan from
-/// mid-range — and its tickers obey the conservation laws ([`laws`])
-/// with the lookups counted here and the writes counted by [`apply`].
+/// mid-range — and its metrics report obeys the conservation laws
+/// ([`laws`], [`front`]) with the lookups counted here and the writes
+/// counted by [`apply`].
 pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
-    let before = reader.tickers();
+    let before = reader.report().tickers;
     let absent = |k: &Vec<u8>| [k.as_slice(), b"-absent"].concat();
     let probes: Vec<Vec<u8>> = oracle.touched.iter().flat_map(|k| [k.clone(), absent(k)]).collect();
     let want: Vec<Option<&Vec<u8>>> = probes.iter().map(|k| oracle.map.get(k)).collect();
@@ -822,7 +848,7 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
         assert_eq!(reader.range(mid, 10), oracle.range(mid, 10), "bounded scan");
     }
 
-    let after = reader.tickers();
+    let after = reader.report().tickers;
     let found = want.iter().flatten().count() as u64;
     assert_eq!(after.gets - before.gets, 2 * probes.len() as u64, "gets != lookups issued");
     assert_eq!(after.gets_found - before.gets_found, 2 * found, "gets_found != lookups found");
@@ -830,14 +856,15 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
     let writes = if R::WRITER { oracle.writes } else { 0 };
     assert_eq!(after.writes, writes, "writes != entries applied since the handle opened");
     laws(&after);
+    let Some(quiet) = reader.quiet_report() else { return };
+    front(&quiet);
+    let s = &quiet.tickers;
     if let Some(created) = reader.dek_files_created() {
         // Take or generate: every DEK-bearing file took exactly one key.
-        let s = reader.tickers();
         assert_eq!(s.dek_queue_hits + s.dek_queue_misses, created, "keys taken != files created");
     }
     if let Some((subtasks, bytes_written)) = reader.announced() {
         // The LOG and the tickers tell one story about compaction.
-        let s = reader.tickers();
         assert_eq!(s.subcompactions, subtasks, "subcompactions != subtasks announced");
         assert_eq!(
             s.compaction_bytes_written, bytes_written,
@@ -863,4 +890,21 @@ pub fn laws(s: &StatsSnapshot) {
         s.iter_skipped,
         s.iter_reseeks
     );
+}
+
+/// Σ per-tree = front, in a report taken with no background work in
+/// flight: the trees' level files and bytes add up to the database-wide
+/// levels, and their flushes and compactions to the tickers.
+pub fn front(r: &MetricsReport) {
+    let tree_levels = || r.trees.iter().flat_map(|tree| &tree.levels);
+    let files: usize = tree_levels().map(|l| l.files).sum();
+    let bytes: u64 = tree_levels().map(|l| l.bytes).sum();
+    let total_files: usize = r.levels.iter().map(|l| l.files).sum();
+    let total_bytes: u64 = r.levels.iter().map(|l| l.bytes).sum();
+    assert_eq!(files, total_files, "Σ tree files != total_files");
+    assert_eq!(bytes, total_bytes, "Σ tree bytes != total_bytes");
+    let flushes: u64 = r.trees.iter().map(|tree| tree.flushes).sum();
+    let compactions: u64 = r.trees.iter().map(|tree| tree.compactions).sum();
+    assert_eq!(flushes, r.tickers.flushes, "Σ tree flushes != tickers.flushes");
+    assert_eq!(compactions, r.tickers.compactions, "Σ tree compactions != tickers.compactions");
 }
