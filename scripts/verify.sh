@@ -34,7 +34,11 @@
 #           document: no "shield_*_v<N>" schema literal under crates/
 #           but shield_metrics_v1 and its shield_metrics_window_v1
 #           windows — what a handle adds is an optional section of
-#           MetricsReport, not a second schema; clippy -D
+#           MetricsReport, not a second schema; one unsafe module: no
+#           `unsafe` in crates/lsm/src outside memtable.rs (the arena
+#           skiplist), and there every `unsafe` block or `unsafe impl`
+#           has a `SAFETY:` comment ending within the three lines above it;
+#           clippy -D
 #           warnings over shield-crypto, shield-core, shield-env,
 #           shield-lsm and shield (skipped if clippy is unavailable).
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
@@ -181,6 +185,23 @@ if [[ -n "$hits" ]]; then
     echo "FAIL: every handle reports through one document, shield_metrics_v1 (its windows"
     echo "      are shield_metrics_window_v1); add an optional section to MetricsReport"
     echo "      (crates/lsm/src/db/metrics.rs) instead of a new schema."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: unsafe gate (crates/lsm/src) =="
+outside=$(grep -rnw --include='*.rs' 'unsafe' crates/lsm/src | grep -v '^crates/lsm/src/memtable\.rs:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+# `safety` is the last line of the latest comment that says SAFETY:.
+unexplained=$(awk '/^[[:space:]]*\/\//{ if ($0 ~ /SAFETY:/) open = 1; if (open) safety = FNR; next }
+    { open = 0 }
+    /unsafe[[:space:]]*(\{|impl)/ && FNR - safety > 3 { print FILENAME": "FNR": "$0 }' crates/lsm/src/memtable.rs)
+hits=$(printf '%s\n%s' "$outside" "$unexplained" | sed '/^$/d')
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: unsafe code in shield-lsm lives in crates/lsm/src/memtable.rs, and every"
+    echo "      unsafe block or impl there says why it is sound in a SAFETY: comment"
+    echo "      that ends within the three lines above it."
     exit 1
 fi
 echo "ok"
