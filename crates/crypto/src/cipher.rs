@@ -145,30 +145,50 @@ impl CipherContext {
     }
 }
 
+const BATCH_LEN: usize = aes::BLOCK_LEN * aes::BATCH_BLOCKS;
+
+/// Writes the keystream of the eight counter blocks from `*ctr` on into
+/// `batch`, and advances `*ctr` past them.
+fn keystream_batch(schedule: &Aes128, ctr: &mut u128, batch: &mut [u8; BATCH_LEN]) {
+    for block in batch.chunks_exact_mut(aes::BLOCK_LEN) {
+        block.copy_from_slice(&ctr.to_be_bytes());
+        *ctr = ctr.wrapping_add(1);
+    }
+    schedule.encrypt_blocks8(batch);
+}
+
 /// Batched AES-CTR keystream XOR (DESIGN.md § perf kernels).
 ///
 /// Keystream is generated [`aes::BATCH_BLOCKS`] counter blocks (128 B) at a
 /// time into a stack staging buffer through [`Aes128::encrypt_blocks8`],
 /// driven by a native `u128` counter that is incremented across the whole
 /// call — no per-block `from_be_bytes` round-trip — and combined into the
-/// payload 8 bytes per operation. Unaligned offsets get a scalar head
-/// (partial first block) and sub-batch lengths a per-block tail. The
-/// pre-batching kernel survives as [`crate::reference::aes_ctr_xor`], which
-/// the equivalence tests and the `bench-smoke` perf gate run against this
-/// one.
+/// payload 8 bytes per operation. Unaligned offsets get a head (the
+/// partial first block) and sub-batch lengths a tail; both are one
+/// over-generated batch when the batch kernel is hardware, and per-block
+/// software otherwise. The pre-batching kernel survives as
+/// [`crate::reference::aes_ctr_xor`], which the equivalence tests and the
+/// `bench-smoke` perf gate run against this one.
 fn aes_ctr_xor(schedule: &Aes128, base: u128, offset: u64, data: &mut [u8]) {
     if data.is_empty() {
         return;
     }
-    const BATCH_LEN: usize = aes::BLOCK_LEN * aes::BATCH_BLOCKS;
     let mut ctr = base.wrapping_add(u128::from(offset / aes::BLOCK_LEN as u64));
     let mut pos = 0usize;
     let mut batch = [0u8; BATCH_LEN];
     let mut single = [0u8; aes::BLOCK_LEN];
 
-    // Head: a partial first block when `offset` is mid-block.
+    // Head: a partial first block when `offset` is mid-block. With a
+    // hardware batch kernel it is the first block of one batch, whose other
+    // seven blocks cover the bytes after it: never a software (T-table)
+    // block, which would cost more and index its tables by key bytes.
     let in_block = (offset % aes::BLOCK_LEN as u64) as usize;
-    if in_block != 0 {
+    if in_block != 0 && aes::batch_is_accelerated() {
+        keystream_batch(schedule, &mut ctr, &mut batch);
+        let n = (BATCH_LEN - in_block).min(data.len());
+        xor::xor_in_place(&mut data[..n], &batch[in_block..in_block + n]);
+        pos = n;
+    } else if in_block != 0 {
         single = ctr.to_be_bytes();
         ctr = ctr.wrapping_add(1);
         schedule.encrypt_block(&mut single);
@@ -179,11 +199,7 @@ fn aes_ctr_xor(schedule: &Aes128, base: u128, offset: u64, data: &mut [u8]) {
 
     // Body: full 8-block batches.
     while data.len() - pos >= BATCH_LEN {
-        for block in batch.chunks_exact_mut(aes::BLOCK_LEN) {
-            block.copy_from_slice(&ctr.to_be_bytes());
-            ctr = ctr.wrapping_add(1);
-        }
-        schedule.encrypt_blocks8(&mut batch);
+        keystream_batch(schedule, &mut ctr, &mut batch);
         xor::xor_in_place(&mut data[pos..pos + BATCH_LEN], &batch);
         pos += BATCH_LEN;
     }
@@ -196,11 +212,7 @@ fn aes_ctr_xor(schedule: &Aes128, base: u128, offset: u64, data: &mut [u8]) {
     // block-at-a-time there.
     let rem = data.len() - pos;
     if rem > 0 && aes::batch_is_accelerated() {
-        for block in batch.chunks_exact_mut(aes::BLOCK_LEN) {
-            block.copy_from_slice(&ctr.to_be_bytes());
-            ctr = ctr.wrapping_add(1);
-        }
-        schedule.encrypt_blocks8(&mut batch);
+        keystream_batch(schedule, &mut ctr, &mut batch);
         xor::xor_in_place(&mut data[pos..], &batch[..rem]);
     } else {
         while pos < data.len() {

@@ -18,6 +18,7 @@
 
 pub mod fault;
 pub mod mem;
+mod mmap;
 pub mod posix;
 pub mod remote;
 pub mod stats;
@@ -144,11 +145,17 @@ pub struct ReadRequest {
 }
 
 /// A file readable at arbitrary offsets (used for SST files).
+///
+/// The engine opens only finished files, so a reader may be a snapshot of
+/// the file's length at open: [`PosixEnv`] maps exactly that many bytes
+/// and serves a read past them short, as at end-of-file. Each returned
+/// [`Bytes`] is the caller's own copy; nothing the file's storage does
+/// later changes it.
 pub trait RandomAccessFile: Send + Sync {
     /// Reads up to `len` bytes starting at `offset`. Returns fewer bytes
     /// only at end-of-file.
     fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes>;
-    /// Total file length in bytes.
+    /// Total file length in bytes (for [`PosixEnv`], the length at open).
     fn len(&self) -> EnvResult<u64>;
     /// True if the file is empty.
     fn is_empty(&self) -> EnvResult<bool> {

@@ -1,17 +1,36 @@
 //! Local-filesystem [`Env`] built on `std::fs`, used for the monolithic
 //! benchmarks and anywhere real disk behavior matters.
+//!
+//! A random-access file (in the engine: an SST, opened by the table
+//! cache after `TableBuilder::finish` synced it) is mapped read-only
+//! (`PROT_READ`, `MAP_SHARED`) when it is opened, and its descriptor is
+//! closed once the mapping exists. A read is then a bounds clamp plus one
+//! copy out of the page cache into a vector the caller owns: no lock, no
+//! `lseek`, no `read` syscall. The copy is the only fetch from storage —
+//! the MAC, the CRC and the decryption all run on it, never on the mapped
+//! pages, which another writer of the file could change between two
+//! looks (DESIGN.md §4h).
+//!
+//! * The file is the snapshot of its length at open (`len()`); reads past
+//!   it return short, as at end of file. A zero-length file is served
+//!   empty, with no mapping.
+//! * Unlinking the file, or renaming another over it, leaves an open
+//!   reader on the old contents. Truncating a file under a live mapping
+//!   makes the next read of the lost pages raise `SIGBUS`, as with
+//!   LevelDB's and RocksDB's mmap readers; so re-creating a path here
+//!   unlinks the old file instead of truncating it.
+//! * The only `unsafe` code of this crate is the mapping (`mmap.rs`).
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
+use crate::mmap::Mapping;
 use crate::{
-    Env, EnvResult, FileKind, IoStats, RandomAccessFile, ReadRequest, SequentialFile,
-    WritableFile,
+    Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, SequentialFile, WritableFile,
 };
 
 /// Local filesystem environment. Paths are interpreted as OS paths.
@@ -78,76 +97,29 @@ impl WritableFile for PosixWritable {
     }
 }
 
+/// A random-access file: a read-only shared mapping of the file as it was
+/// at open, or nothing for a zero-length file.
 struct PosixReadable {
-    file: Mutex<File>,
-    len: u64,
+    map: Option<Mapping>,
     kind: FileKind,
     stats: Arc<IoStats>,
 }
 
+// A batch needs no override: each read is one copy, and the default
+// `read_at_many` makes them one after another.
 impl RandomAccessFile for PosixReadable {
     fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes> {
         // Leaf-level read: PerfContext block_read covers exactly the raw
         // file I/O, below any decryption wrapper.
         let t = shield_core::perf::timer();
-        let mut buf = vec![0u8; len];
-        let n = {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(offset))?;
-            let mut read = 0usize;
-            while read < len {
-                match f.read(&mut buf[read..]) {
-                    Ok(0) => break,
-                    Ok(k) => read += k,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            read
-        };
-        buf.truncate(n);
-        self.stats.record_read(self.kind, n as u64);
+        let buf = self.map.as_ref().map_or_else(Vec::new, |map| map.copy_out(offset, len));
+        self.stats.record_read(self.kind, buf.len() as u64);
         shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
         Ok(Bytes::from(buf))
     }
 
     fn len(&self) -> EnvResult<u64> {
-        Ok(self.len)
-    }
-
-    fn read_at_many(&self, requests: &[ReadRequest]) -> Vec<EnvResult<Bytes>> {
-        // One lock acquisition for the whole batch, served in ascending
-        // offset order so a spinning disk seeks monotonically; results
-        // are returned in request order regardless.
-        let t = shield_core::perf::timer();
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| requests[i].offset);
-        let mut out: Vec<EnvResult<Bytes>> = Vec::with_capacity(requests.len());
-        out.resize_with(requests.len(), || Ok(Bytes::new()));
-        {
-            let mut f = self.file.lock();
-            for i in order {
-                let r = requests[i];
-                out[i] = (|| {
-                    let mut buf = vec![0u8; r.len];
-                    f.seek(SeekFrom::Start(r.offset))?;
-                    let mut read = 0usize;
-                    while read < r.len {
-                        match f.read(&mut buf[read..]) {
-                            Ok(0) => break,
-                            Ok(k) => read += k,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    buf.truncate(read);
-                    self.stats.record_read(self.kind, read as u64);
-                    Ok(Bytes::from(buf))
-                })();
-            }
-        }
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
-        out
+        Ok(self.map.as_ref().map_or(0, |map| map.len() as u64))
     }
 }
 
@@ -172,6 +144,12 @@ impl Env for PosixEnv {
                 std::fs::create_dir_all(parent)?;
             }
         }
+        // A new inode rather than a truncated one: a reader may still map
+        // the old file (module docs).
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         let file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
         Ok(Box::new(PosixWritable {
             writer: BufWriter::with_capacity(64 * 1024, file),
@@ -188,13 +166,12 @@ impl Env for PosixEnv {
         kind: FileKind,
     ) -> EnvResult<Arc<dyn RandomAccessFile>> {
         let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Arc::new(PosixReadable {
-            file: Mutex::new(file),
-            len,
-            kind,
-            stats: self.stats.clone(),
-        }))
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| EnvError::Io(format!("{path}: too large to map")))?;
+        // The descriptor closes when `file` drops on return; the mapping
+        // stays.
+        let map = if len == 0 { None } else { Some(Mapping::of(&file, len)?) };
+        Ok(Arc::new(PosixReadable { map, kind, stats: self.stats.clone() }))
     }
 
     fn new_sequential_file(
@@ -262,6 +239,7 @@ impl Env for PosixEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReadRequest;
 
     fn tmp_dir(name: &str) -> String {
         let dir = std::env::temp_dir().join(format!("shield-posix-test-{name}-{}", std::process::id()));
@@ -308,6 +286,126 @@ mod tests {
         )
         .unwrap();
         assert_eq!(env.list_dir(&dir).unwrap(), vec!["b.sst", "c.log"]);
+        env.remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a plain `std::fs` read of `offset..offset + len` returns,
+    /// clamped to the file the way `read_at` clamps to its snapshot.
+    fn fs_read(path: &str, offset: u64, len: usize) -> Vec<u8> {
+        let whole = std::fs::read(path).unwrap();
+        let start = usize::try_from(offset).unwrap().min(whole.len());
+        whole[start..(start + len).min(whole.len())].to_vec()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 48,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// `read_at` and `read_at_many` return what `std::fs` reads, for
+        /// reads inside the file, across its end and past it.
+        #[test]
+        fn mapped_reads_match_std_fs(
+            len in 0usize..20_000,
+            seed in proptest::prelude::any::<u8>(),
+            reads in proptest::collection::vec((0u64..20_500, 0usize..5_000), 1..24),
+        ) {
+            let dir = tmp_dir("mapped-reads");
+            let path = crate::join_path(&dir, "f.sst");
+            let content: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+            std::fs::write(&path, &content).unwrap();
+            let env = PosixEnv::new();
+            let r = env.new_random_access_file(&path, FileKind::Sst).unwrap();
+            proptest::prop_assert_eq!(r.len().unwrap(), len as u64);
+            let requests: Vec<ReadRequest> =
+                reads.iter().map(|&(offset, len)| ReadRequest { offset, len }).collect();
+            for (req, got) in requests.iter().zip(r.read_at_many(&requests)) {
+                let want = fs_read(&path, req.offset, req.len);
+                proptest::prop_assert_eq!(&r.read_at(req.offset, req.len).unwrap()[..], &want[..]);
+                proptest::prop_assert_eq!(&got.unwrap()[..], &want[..]);
+            }
+            env.remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A zero-length file has no mapping and reads back empty everywhere.
+    #[test]
+    fn zero_length_file_reads_empty() {
+        let dir = tmp_dir("empty");
+        let path = crate::join_path(&dir, "f.sst");
+        std::fs::write(&path, b"").unwrap();
+        let r = PosixEnv::new().new_random_access_file(&path, FileKind::Sst).unwrap();
+        assert_eq!(r.len().unwrap(), 0);
+        assert!(r.read_at(0, 4096).unwrap().is_empty());
+        assert!(r.read_at(1 << 40, 1).unwrap().is_empty());
+        let requests = [ReadRequest { offset: 0, len: 8 }, ReadRequest { offset: 9, len: 0 }];
+        let batch = r.read_at_many(&requests);
+        assert!(batch.iter().all(|b| b.as_ref().unwrap().is_empty()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A returned buffer is the caller's: rewriting the file in place
+    /// afterwards (same inode, so the mapped pages change) leaves it as
+    /// it was, while a later read sees the new bytes.
+    #[test]
+    fn returned_bytes_are_private() {
+        use std::os::unix::fs::FileExt;
+        let dir = tmp_dir("private");
+        let path = crate::join_path(&dir, "f.sst");
+        std::fs::write(&path, vec![0xaa; 8192]).unwrap();
+        let env = PosixEnv::new();
+        let r = env.new_random_access_file(&path, FileKind::Sst).unwrap();
+        let before = r.read_at(100, 4096).unwrap();
+        let batch = r.read_at_many(&[ReadRequest { offset: 0, len: 64 }]);
+        let writer = OpenOptions::new().write(true).open(&path).unwrap();
+        writer.write_all_at(&[0x55; 8192], 0).unwrap();
+        writer.sync_all().unwrap();
+        assert!(before.iter().all(|&b| b == 0xaa), "an earlier read changed under its holder");
+        assert!(batch[0].as_ref().unwrap().iter().all(|&b| b == 0xaa));
+        assert!(r.read_at(100, 16).unwrap().iter().all(|&b| b == 0x55), "the mapping is shared");
+        env.remove_dir_all(&dir).unwrap();
+    }
+
+    /// Unlinking the path, or renaming another file over it, leaves an open
+    /// reader on the old contents.
+    #[test]
+    fn reader_survives_unlink_and_rename_over() {
+        let dir = tmp_dir("unlink");
+        let env = PosixEnv::new();
+        let (a, b) = (crate::join_path(&dir, "a.sst"), crate::join_path(&dir, "b.sst"));
+        std::fs::write(&a, b"old contents of a").unwrap();
+        let unlinked = env.new_random_access_file(&a, FileKind::Sst).unwrap();
+        env.remove_file(&a).unwrap();
+        assert_eq!(&unlinked.read_at(0, 64).unwrap()[..], b"old contents of a");
+
+        std::fs::write(&a, b"second a").unwrap();
+        std::fs::write(&b, b"a replacement, longer than the file it replaces").unwrap();
+        let replaced = env.new_random_access_file(&a, FileKind::Sst).unwrap();
+        env.rename(&b, &a).unwrap();
+        assert_eq!(&replaced.read_at(0, 64).unwrap()[..], b"second a");
+        assert_eq!(replaced.len().unwrap(), 8);
+        env.remove_dir_all(&dir).unwrap();
+    }
+
+    /// Re-creating a path through the env leaves a reader of the old file
+    /// on its old contents (no truncation under its mapping).
+    #[test]
+    fn recreating_a_path_spares_its_reader() {
+        let dir = tmp_dir("recreate");
+        let env = PosixEnv::new();
+        let path = crate::join_path(&dir, "f.sst");
+        let write = |data: &[u8]| {
+            let mut f = env.new_writable_file(&path, FileKind::Sst).unwrap();
+            f.append(data).unwrap();
+            f.sync().unwrap();
+        };
+        write(&[1; 10_000]);
+        let old = env.new_random_access_file(&path, FileKind::Sst).unwrap();
+        write(&[2; 100]);
+        assert!(old.read_at(0, 10_000).unwrap().iter().all(|&b| b == 1));
+        let new = env.new_random_access_file(&path, FileKind::Sst).unwrap();
+        assert_eq!(&new.read_at(0, 10_000).unwrap()[..], &[2; 100][..]);
         env.remove_dir_all(&dir).unwrap();
     }
 

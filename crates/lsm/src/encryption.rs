@@ -542,13 +542,7 @@ struct EncryptedRandomAccessFile {
 impl RandomAccessFile for EncryptedRandomAccessFile {
     fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes> {
         let raw = self.inner.read_at(offset + FILE_HEADER_LEN as u64, len)?;
-        let mut data = raw.to_vec();
-        // block_read was charged by the inner (leaf) read above; only the
-        // keystream XOR is block_decrypt, so the two never overlap.
-        let t = perf::timer();
-        self.ctx.decrypt_at(offset, &mut data);
-        perf::add_elapsed(PerfMetric::BlockDecrypt, t);
-        Ok(Bytes::from(data))
+        Ok(self.decrypt(offset, raw))
     }
 
     fn len(&self) -> EnvResult<u64> {
@@ -566,14 +560,24 @@ impl RandomAccessFile for EncryptedRandomAccessFile {
         let raw = self.inner.read_at_many(&shifted);
         raw.into_iter()
             .zip(requests.iter())
-            .map(|(res, req)| {
-                let mut data = res?.to_vec();
-                let t = perf::timer();
-                self.ctx.decrypt_at(req.offset, &mut data);
-                perf::add_elapsed(PerfMetric::BlockDecrypt, t);
-                Ok(Bytes::from(data))
-            })
+            .map(|(res, req)| Ok(self.decrypt(req.offset, res?)))
             .collect()
+    }
+}
+
+impl EncryptedRandomAccessFile {
+    /// Decrypts `raw`, the ciphertext at logical `offset`. A read that
+    /// holds the only handle on its buffer (a `PosixEnv` read is one
+    /// private copy out of the file's mapping) is decrypted where it lies;
+    /// a buffer another handle shares is copied first.
+    fn decrypt(&self, offset: u64, raw: Bytes) -> Bytes {
+        let mut data = Vec::from(raw);
+        // block_read was charged by the inner (leaf) read; only the
+        // keystream XOR is block_decrypt, so the two never overlap.
+        let t = perf::timer();
+        self.ctx.decrypt_at(offset, &mut data);
+        perf::add_elapsed(PerfMetric::BlockDecrypt, t);
+        Bytes::from(data)
     }
 }
 

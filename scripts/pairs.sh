@@ -19,12 +19,13 @@
 # result file per run, `runs.tsv` and `summary.txt` — goes under DIR and
 # nowhere else, except that --record appends the session to FILE (a JSON
 # array, created if missing; the repo's record is BENCH_e2e.json): both
-# sides' stamped commits, nproc, the workload, seeds and window, and per
-# end-to-end metric each side's runs, median and quartiles and the change's
-# wins, losses and ties.
+# sides' stamped commits and file-system types, nproc, the host's CPU model
+# (/proc/cpuinfo), the workload, seeds and window, and per end-to-end
+# metric each side's runs, median and quartiles and the change's wins,
+# losses and ties.
 set -euo pipefail
 
-usage() { sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 PARENT="" CHANGE="" WORKLOAD="" OUT="" PAIRS=10 SEED=1 WINDOW=() RECORD=""
 while [ $# -gt 0 ]; do
@@ -93,12 +94,15 @@ stamp() { grep -o "\"$2\": *[^,]*" "$OUT/$WORKLOAD.$1.1.json" | head -n 1 | sed 
 # With --record, the awk below also writes the session as one JSON object.
 JSON=/dev/null
 [ -n "$RECORD" ] && JSON="$OUT/session.json"
+CPU_MODEL="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 |
+    sed -e 's/[\\"]/\\&/g')"
 
 # Median, and quartiles by the exclusive method (Python's
 # statistics.quantiles(n=4)), as benchmark/src/compare.rs takes them.
 awk -F'\t' -v better="$BETTER" -v workload="$WORKLOAD" -v pairs="$PAIRS" -v seed="$SEED" \
     -v json="$JSON" -v parent_commit="$(stamp parent commit)" -v change_commit="$(stamp change commit)" \
-    -v nproc="$(stamp parent nproc)" -v window="$(stamp parent seconds)" '
+    -v nproc="$(stamp parent nproc)" -v window="$(stamp parent seconds)" \
+    -v parent_fs="$(stamp parent fs_type)" -v change_fs="$(stamp change fs_type)" -v cpu_model="$CPU_MODEL" '
 function sorted(side, m, v,    n, i, j, t) {
     n = 0
     for (i = 1; i <= pairs; i++) v[++n] = val[i, side, m]
@@ -123,6 +127,8 @@ END {
     printf "%s: %d alternated pairs\n", workload, pairs
     printf "{\"parent_commit\": %s, \"change_commit\": %s, \"nproc\": %s, \"workload\": \"%s\", \"seeds\": [%d, %d], \"window_s\": %s,\n", \
         parent_commit, change_commit, nproc, workload, seed, seed + pairs - 1, window > json
+    printf " \"fs_type\": {\"parent\": %s, \"change\": %s}, \"cpu_model\": \"%s\",\n", \
+        parent_fs, change_fs, cpu_model > json
     printf " \"metrics\": {" > json
     sep = "\n"
     for (k = 1; k <= metrics; k++) {

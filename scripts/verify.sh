@@ -34,10 +34,16 @@
 #           document: no "shield_*_v<N>" schema literal under crates/
 #           but shield_metrics_v1 and its shield_metrics_window_v1
 #           windows — what a handle adds is an optional section of
-#           MetricsReport, not a second schema; one unsafe module: no
-#           `unsafe` in crates/lsm/src outside memtable.rs (the arena
-#           skiplist), and there every `unsafe` block or `unsafe impl`
-#           has a `SAFETY:` comment ending within the three lines above it;
+#           MetricsReport, not a second schema; one unsafe module per
+#           crate: no `unsafe` in crates/lsm/src outside memtable.rs (the
+#           arena skiplist) nor in crates/env/src outside mmap.rs (the
+#           read-only file mapping), and there every `unsafe` block or
+#           `unsafe impl` has a `SAFETY:` comment ending within the three
+#           lines above it; one record per claim: a CHANGES.md entry cites
+#           a paired session as `e2e <parent commit> <workload>`, each
+#           cited session is an object of BENCH_e2e.json (scripts/pairs.sh
+#           --record), and from the first citing entry on every entry
+#           tagged [perf_opt] cites at least one;
 #           clippy -D
 #           warnings over shield-crypto, shield-core, shield-env,
 #           shield-lsm and shield (skipped if clippy is unavailable).
@@ -189,19 +195,56 @@ if [[ -n "$hits" ]]; then
 fi
 echo "ok"
 
-echo "== lint: unsafe gate (crates/lsm/src) =="
-outside=$(grep -rnw --include='*.rs' 'unsafe' crates/lsm/src | grep -v '^crates/lsm/src/memtable\.rs:' |
-    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-# `safety` is the last line of the latest comment that says SAFETY:.
-unexplained=$(awk '/^[[:space:]]*\/\//{ if ($0 ~ /SAFETY:/) open = 1; if (open) safety = FNR; next }
-    { open = 0 }
-    /unsafe[[:space:]]*(\{|impl)/ && FNR - safety > 3 { print FILENAME": "FNR": "$0 }' crates/lsm/src/memtable.rs)
-hits=$(printf '%s\n%s' "$outside" "$unexplained" | sed '/^$/d')
+echo "== lint: unsafe gate (crates/lsm/src, crates/env/src) =="
+hits=""
+# `<crate source dir>:<the one file there that may hold unsafe code>`.
+for rule in crates/lsm/src:crates/lsm/src/memtable.rs crates/env/src:crates/env/src/mmap.rs; do
+    dir=${rule%%:*} allowed=${rule#*:}
+    outside=$(grep -rnw --include='*.rs' 'unsafe' "$dir" | grep -v "^${allowed//./\\.}:" |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+    # `safety` is the last line of the latest comment that says SAFETY:.
+    unexplained=$(awk '/^[[:space:]]*\/\//{ if ($0 ~ /SAFETY:/) open = 1; if (open) safety = FNR; next }
+        { open = 0 }
+        /unsafe[[:space:]]*(\{|impl)/ && FNR - safety > 3 { print FILENAME": "FNR": "$0 }' "$allowed")
+    found=$(printf '%s\n%s' "$outside" "$unexplained" | sed '/^$/d')
+    [[ -n "$found" ]] && hits+="$found"$'\n'
+done
+if [[ -n "$hits" ]]; then
+    printf '%s' "$hits"
+    echo "FAIL: unsafe code in shield-lsm lives in crates/lsm/src/memtable.rs (the arena"
+    echo "      skiplist) and in shield-env in crates/env/src/mmap.rs (the read-only file"
+    echo "      mapping); every unsafe block or impl there says why it is sound in a"
+    echo "      SAFETY: comment that ends within the three lines above it."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: perf-record gate (CHANGES.md [perf_opt] entries) =="
+# Every session in the record, as `<parent commit> <workload>` lines.
+sessions=$(sed -n 's/^{"parent_commit": "\([0-9a-f]*\)".*"workload": "\([a-z_]*\)".*/\1 \2/p' BENCH_e2e.json)
+# Entries written before the record existed cite nothing: the rule binds
+# every [perf_opt] entry from the first entry that cites a session on.
+hits=$(awk -v sessions="$sessions" '
+    BEGIN { n = split(sessions, line, "\n") }
+    match($0, /^PR [0-9]+ /) {
+        entry = substr($0, 1, RLENGTH - 1); rest = $0; cited = 0
+        while (match(rest, /`e2e [0-9a-f]+ [a-z_]+`/)) {
+            split(substr(rest, RSTART + 1, RLENGTH - 2), c, " "); rest = substr(rest, RSTART + RLENGTH); cited++
+            found = 0
+            for (i = 1; i <= n; i++) {
+                split(line[i], s, " ")
+                if (length(c[2]) >= 7 && index(s[1], c[2]) == 1 && s[2] == c[3]) found = 1
+            }
+            if (!found) print entry ": cites `e2e " c[2] " " c[3] "`, which names no BENCH_e2e.json session"
+        }
+        if (cited) binding = 1
+        else if (binding && /\[perf_opt\]/) print entry ": a [perf_opt] entry that cites no BENCH_e2e.json session"
+    }' CHANGES.md)
 if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: unsafe code in shield-lsm lives in crates/lsm/src/memtable.rs, and every"
-    echo "      unsafe block or impl there says why it is sound in a SAFETY: comment"
-    echo "      that ends within the three lines above it."
+    echo "FAIL: a [perf_opt] claim is a recorded session: run scripts/pairs.sh --record"
+    echo "      BENCH_e2e.json, and cite each session in the CHANGES.md entry as"
+    echo "      \`e2e <parent commit, 7+ hex digits> <workload>\`."
     exit 1
 fi
 echo "ok"

@@ -12,9 +12,11 @@
 //!   per-entry rule, and the arena reserves at most that charge plus one
 //!   chunk.
 //! * **The engine**, against [`BUDGET`]: a warmed SHIELD + HMAC store
-//!   over `MemEnv`. Each row is the median over [`REPS`] operations. The
-//!   test fails when a count grows; a change that lowers one lowers its
-//!   row here in the same diff.
+//!   over `MemEnv`, plus one cold SST get over `PosixEnv` in a temporary
+//!   directory (the read path a deployment runs: one copy out of the
+//!   file's mapping, decrypted in place). Each row is the median over
+//!   [`REPS`] operations. The test fails when a count grows; a change
+//!   that lowers one lowers its row here in the same diff.
 
 mod support;
 
@@ -23,8 +25,11 @@ use std::cell::Cell;
 
 use shield_lsm::memtable::{LookupResult, MemTable};
 use shield_lsm::types::ValueType;
+use std::sync::Arc;
+
+use shield_env::PosixEnv;
 use shield_lsm::{Integrity, IntegrityOptions, ReadOptions, WriteOptions};
-use support::{Mode, Store, ENGINE_KEY};
+use support::{Mode, Primary, Store, ENGINE_KEY};
 
 struct Counting;
 
@@ -194,9 +199,10 @@ const BUDGET: &[(&str, u64, u64)] = &[
     ("put", 10, 985),
     ("memtable get", 1, 90),
     ("cached SST get", 5, 166),
-    ("cold SST get", 11, 16_930),
+    ("cold SST get", 10, 4_516),
     ("multi_get(64)", 361, 42_300),
     ("100-row scan", 214, 10_779),
+    ("cold SST get (PosixEnv)", 10, 4_516),
 ];
 
 fn key(i: usize) -> Vec<u8> {
@@ -216,27 +222,50 @@ fn median(mut op: impl FnMut(usize)) -> Count {
     Count { allocs, bytes: counts[REPS / 2].bytes, net: 0 }
 }
 
+/// Fails unless every row is within its [`BUDGET`] entry.
+fn check(rows: &[(&str, Count)]) {
+    println!("{:<24} {:>7} {:>8}   budget", "row", "allocs", "bytes");
+    let mut grew = Vec::new();
+    for (name, got) in rows {
+        let &(_, allocs, bytes) =
+            BUDGET.iter().find(|(row, ..)| row == name).expect("every row has a budget");
+        println!("{name:<24} {:>7} {:>8}   {allocs} / {bytes}", got.allocs, got.bytes);
+        if got.allocs > allocs || got.bytes > bytes {
+            let (a, b) = (got.allocs, got.bytes);
+            grew.push(format!("{name}: {a} allocations / {b} B > budget {allocs} / {bytes}"));
+        }
+    }
+    assert!(grew.is_empty(), "allocation budget exceeded:\n{}", grew.join("\n"));
+}
+
+fn shield_hmac(store: Store) -> Store {
+    Store { integrity: IntegrityOptions { mode: Integrity::Hmac, key: ENGINE_KEY }, ..store }
+}
+
+/// Keys `0..ROWS + 2 * REPS` and values `0..ROWS`, built up front so the
+/// rows count the engine's allocations only; rows `0..ROWS` are put into
+/// `db` and flushed into one SST.
+fn load(db: &Primary) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let keys: Vec<Vec<u8>> = (0..ROWS + 2 * REPS).map(key).collect();
+    let values: Vec<Vec<u8>> = (0..ROWS).map(value).collect();
+    for i in 0..ROWS {
+        db.put(&WriteOptions::default(), &keys[i], &values[i]).unwrap();
+    }
+    db.flush().unwrap();
+    (keys, values)
+}
+
 #[test]
 fn engine_rows() {
-    let store = Store {
-        integrity: IntegrityOptions { mode: Integrity::Hmac, key: ENGINE_KEY },
-        ..Store::new(Mode::Shield)
-    };
+    let store = shield_hmac(Store::new(Mode::Shield));
     let db = store.open(|opts| opts);
     let (w, cached, cold) = (
         WriteOptions::default(),
         ReadOptions::new(),
         ReadOptions { fill_cache: false, ..ReadOptions::new() },
     );
-    // Built up front, so the rows count the engine's allocations only.
-    let keys: Vec<Vec<u8>> = (0..ROWS + 2 * REPS).map(key).collect();
-    let values: Vec<Vec<u8>> = (0..ROWS).map(value).collect();
-    // Rows 0..ROWS sit in one flushed SST; the puts measured below go to
-    // the memtable above it.
-    for i in 0..ROWS {
-        db.put(&w, &keys[i], &values[i]).unwrap();
-    }
-    db.flush().unwrap();
+    // The puts measured below go to the memtable above the SST.
+    let (keys, values) = load(&db);
     let stride = ROWS / REPS;
     // Warm: the block cache holds every SST block, and every lazily built
     // structure on these paths exists.
@@ -274,15 +303,29 @@ fn engine_rows() {
         ),
     ];
 
-    println!("{:<16} {:>7} {:>8}   budget", "row", "allocs", "bytes");
-    let mut grew = Vec::new();
-    for ((name, got), &(row, allocs, bytes)) in rows.iter().zip(BUDGET) {
-        assert_eq!(*name, row);
-        println!("{name:<16} {:>7} {:>8}   {allocs} / {bytes}", got.allocs, got.bytes);
-        if got.allocs > allocs || got.bytes > bytes {
-            grew.push(format!("{name}: {} allocations / {} B > budget {allocs} / {bytes}", got.allocs, got.bytes));
-        }
-    }
-    assert!(grew.is_empty(), "allocation budget exceeded:\n{}", grew.join("\n"));
+    check(&rows);
     store.close(db);
+}
+
+/// A cold SST get on a real file system: the table is open (mapped) and
+/// warmed by a cold get of a neighbouring key; the data block is never
+/// cached (`fill_cache: false`).
+#[test]
+fn posix_cold_get_row() {
+    let dir = std::env::temp_dir().join(format!("shield-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("a UTF-8 temporary directory").to_string();
+    let store = shield_hmac(Store { path, ..Store::over(Mode::Shield, Arc::new(PosixEnv::new())) });
+    let db = store.open(|opts| opts);
+    let cold = ReadOptions { fill_cache: false, ..ReadOptions::new() };
+    let (keys, values) = load(&db);
+    let stride = ROWS / REPS;
+    for i in 0..REPS {
+        let row = i * stride + 1;
+        assert_eq!(db.get(&cold, &keys[row]).unwrap().as_ref(), Some(&values[row]));
+    }
+    let row = median(|i| assert!(db.get(&cold, &keys[i * stride + 2]).unwrap().is_some()));
+    check(&[("cold SST get (PosixEnv)", row)]);
+    store.close(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -79,6 +79,9 @@ pub struct Store {
     /// The EncFS instance DEK.
     pub dek: Dek,
     pub integrity: IntegrityOptions,
+    /// The database directory on `medium` ([`PATH`] unless a test on a
+    /// real file system gives it a temporary one).
+    pub path: String,
 }
 
 /// A primary handle, the same shape in every mode. Derefs to [`Db`];
@@ -118,6 +121,7 @@ impl Store {
             local: Some(local),
             dek: Dek::generate(Algorithm::Aes128Ctr),
             integrity: IntegrityOptions::default(),
+            path: PATH.to_string(),
         }
     }
 
@@ -149,14 +153,15 @@ impl Store {
         )
         .with_event_listener(announced.clone());
         let (db, resolver) = match self.mode {
-            Mode::Plain => (open_plain(opts, PATH).expect("open plain"), None),
+            Mode::Plain => (open_plain(opts, &self.path).expect("open plain"), None),
             Mode::EncFs => {
-                let encfs = open_encfs(opts, PATH, self.dek.clone(), ENCFS_WAL_BUFFER);
+                let encfs = open_encfs(opts, &self.path, self.dek.clone(), ENCFS_WAL_BUFFER);
                 (encfs.expect("open encfs").db, None)
             }
             Mode::Shield => {
+                let sopts = self.shield_options(PRIMARY);
                 let Shield { db, resolver, .. } =
-                    open_shield(opts, PATH, self.shield_options(PRIMARY)).expect("open shield");
+                    open_shield(opts, &self.path, sopts).expect("open shield");
                 (db, Some(resolver))
             }
         };
@@ -171,8 +176,8 @@ impl Store {
     pub fn close(&self, primary: Primary) {
         drop(primary);
         let (Mode::Shield, Some(kds)) = (self.mode, &self.local) else { return };
-        let files = dek_files(self.medium.as_ref(), PATH);
-        let cache_path = format!("{PATH}/{DEK_CACHE_FILE}");
+        let files = dek_files(self.medium.as_ref(), &self.path);
+        let cache_path = format!("{}/{DEK_CACHE_FILE}", self.path);
         let cached = SecureDekCache::open(self.medium.clone(), &cache_path, b"pk")
             .expect("the primary's secure cache")
             .len();
@@ -204,7 +209,7 @@ impl Store {
     /// A read-only instance under `server`'s identity, refreshed by hand
     /// ([`drain`]).
     pub fn replica(&self, server: ServerId) -> shield_lsm::Result<Arc<ReplicaDb>> {
-        ReplicaDb::open(self.files_for(server), PATH, manual())
+        ReplicaDb::open(self.files_for(server), &self.path, manual())
     }
 }
 

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use shield::{open_encfs, open_plain, open_shield, ShieldOptions};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, Algorithm, Dek};
-use shield_env::{Env, FileKind, MemEnv};
+use shield_env::{Env, FileKind, MemEnv, PosixEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::sst::format::{BlockHandle, Footer, COMPRESSION_NONE};
 use shield_lsm::sst::Block;
@@ -35,7 +35,11 @@ const ENGINE_KEY: [u8; 32] = [0x42; 32];
 const N: u32 = 2000;
 
 fn opts(env: &MemEnv, mode: Integrity) -> Options {
-    let mut o = Options::new(Arc::new(env.clone()))
+    opts_over(Arc::new(env.clone()), mode)
+}
+
+fn opts_over(env: Arc<dyn Env>, mode: Integrity) -> Options {
+    let mut o = Options::new(env)
         .with_write_buffer_size(1 << 20)
         .with_integrity(mode)
         .with_integrity_key(ENGINE_KEY);
@@ -533,6 +537,48 @@ fn shield_ciphertext_bitflip_detected() {
             assert!(matches!(e, Error::Corruption(_)), "shield+crc sees corruption: {e}");
         }
     }
+}
+
+/// SHIELD + HMAC over `PosixEnv`, which reads tables through a read-only
+/// shared mapping: a byte flipped in place on disk after the table is
+/// open — so the mapped page itself changes — is refused at the next cold
+/// read. The block is verified on the private copy the read made, so the
+/// mapping lets nothing through unverified.
+#[test]
+fn shield_hmac_flip_under_a_live_mapping_is_detected() {
+    use std::os::unix::fs::FileExt;
+    let dir = std::env::temp_dir().join(format!("shield-tamper-mapped-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_str().unwrap().to_string();
+    let env: Arc<dyn Env> = Arc::new(PosixEnv::new());
+    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+    let sopts = ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"pk");
+    {
+        let db = open_shield(opts_over(env.clone(), Integrity::Hmac), &dir, sopts.clone()).unwrap();
+        fill(&db, "good", N);
+    }
+    let db = open_shield(opts_over(env.clone(), Integrity::Hmac), &dir, sopts).unwrap();
+    let cold = ReadOptions { fill_cache: false, ..ReadOptions::new() };
+    // Opens, and so maps, the one table; reads only its last data block.
+    assert_eq!(db.get(&cold, &key(N - 1)).unwrap(), Some(value("good", N - 1)));
+    let ssts: Vec<String> =
+        env.list_dir(&dir).unwrap().into_iter().filter(|n| n.ends_with(".sst")).collect();
+    assert_eq!(ssts.len(), 1, "one table: {ssts:?}");
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(format!("{dir}/{}", ssts[0]))
+        .unwrap();
+    // Byte 8 of the first data block (after the 64-byte header): key(0)'s.
+    let mut byte = [0u8; 1];
+    file.read_exact_at(&mut byte, 64 + 8).unwrap();
+    file.write_all_at(&[byte[0] ^ 0x01], 64 + 8).unwrap();
+    file.sync_all().unwrap();
+
+    let e = db.get(&cold, &key(0)).expect_err("a flipped block must not read back");
+    assert!(is_iv(&e), "shield+hmac over a mapping must classify the flip as a violation: {e}");
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Truncation fails loudly in every mode (any error class is acceptable:
