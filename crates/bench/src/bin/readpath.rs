@@ -25,6 +25,12 @@
 //!   1,000 versions each across three L0 files and the memtable: a full
 //!   scan must re-seek those runs (`version_chain_reseeks` > 0) and take
 //!   at most 3 merge steps per returned row, in both modes.
+//! - **Reader scaling.** One SHIELD + HMAC store in memory, cold gets
+//!   (`fill_cache: false`, so every get reads, decrypts and verifies its
+//!   data block) on one thread and then on two: gets/s per thread and the
+//!   2-to-1 ratio of total gets/s. On a 2-core host a read path whose
+//!   readers write no shared cache line scales toward 2x; `--smoke`
+//!   asserts both passes complete.
 //!
 //! `--smoke` (the verify tier) only asserts that each mechanism
 //! *engages*; the committed full-mode `BENCH_readpath.json` is the perf
@@ -38,7 +44,7 @@ use shield_bench::harness::{self, ds_key, open_cold, scan_all, Bench};
 use shield_bench::rng::Rng;
 use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_env::MemEnv;
-use shield_lsm::{ReadOptions, WriteOptions};
+use shield_lsm::{Integrity, ReadOptions, WriteOptions};
 
 const MISS_THREADS: usize = 8;
 const HOT_KEYS: u64 = 32;
@@ -283,6 +289,63 @@ fn run_version_chain(bench: &mut Bench) {
     );
 }
 
+/// Keys of the reader-scaling store.
+const SCALING_KEYS: u64 = 20_000;
+
+/// Cold gets on one thread, then on two, over one SHIELD + HMAC store in
+/// memory: the cost of whatever state concurrent readers share.
+fn run_reader_scaling(bench: &mut Bench, gets_per_thread: u64) {
+    let tuning = Tuning { write_buffer_size: 512 << 10, ..Tuning::default() };
+    let store = SystemStore::new(SystemKind::Shield, Arc::new(MemEnv::new()), "scaling", tuning);
+    let sys = store.open_with(|opts| opts.with_integrity(Integrity::Hmac)).expect("open");
+    let db = sys.db();
+    let w = WriteOptions::default();
+    for k in 0..SCALING_KEYS {
+        db.put(&w, &ds_key(k), format!("value-{k:08}-").repeat(8).as_bytes()).expect("put");
+    }
+    db.compact_all().expect("compact");
+    let cold = ReadOptions { fill_cache: false, ..ReadOptions::default() };
+    // Gets per second per thread with `threads` readers.
+    let pass = |threads: u64| {
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let cold = &cold;
+                scope.spawn(move || {
+                    let mut rng = Rng::new(0x5ca1_ab1e + t);
+                    for _ in 0..gets_per_thread {
+                        let k = rng.next_below(SCALING_KEYS);
+                        assert!(db.get(cold, &ds_key(k)).expect("get").is_some(), "lost key {k}");
+                    }
+                });
+            }
+        });
+        harness::ratio(gets_per_thread as f64, start.elapsed().as_secs_f64())
+    };
+    pass(1); // warm: every table open, every lazily built structure built
+    let one = pass(1);
+    let two = pass(2);
+    let ratio = two.zip(one).and_then(|(two, one)| harness::ratio(2.0 * two, one));
+    println!(
+        "  reader scaling: {:.0} gets/s on 1 thread, {:.0} per thread on 2 ({:.2}x total)",
+        one.unwrap_or(f64::NAN),
+        two.unwrap_or(f64::NAN),
+        ratio.unwrap_or(f64::NAN),
+    );
+    let j = bench.json();
+    j.open_obj("reader_scaling");
+    j.field_u64("keys", SCALING_KEYS);
+    j.field_u64("gets_per_thread", gets_per_thread);
+    j.field_opt_f64("one_thread_gets_per_sec", one);
+    j.field_opt_f64("two_threads_gets_per_sec_per_thread", two);
+    j.field_opt_f64("two_to_one_ratio", ratio);
+    j.close_obj();
+    bench.engaged(
+        "reader scaling: the 1-thread and 2-thread passes completed",
+        one.is_some() && two.is_some(),
+    );
+}
+
 fn main() -> ExitCode {
     let mut bench = Bench::from_args("readpath");
     let model = bench.network();
@@ -313,5 +376,7 @@ fn main() -> ExitCode {
     // not a per-system reading: written once, after every system ran.
     bench.json().field_u64("env_inflight_reads_peak", shield_env::inflight_reads_peak());
     run_version_chain(&mut bench);
+    let gets_per_thread = bench.pick(2_000, 200_000);
+    run_reader_scaling(&mut bench, gets_per_thread);
     bench.finish()
 }

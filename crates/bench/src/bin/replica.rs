@@ -22,7 +22,6 @@
 //! stays here — a `ReplicaDb` is not one of the five systems it builds.
 
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,11 +106,11 @@ fn main() -> ExitCode {
         }
     }
     let stats = replica.statistics();
-    let records_before = stats.replica_wal_records_applied.load(Ordering::Relaxed);
+    let records_before = stats.snapshot().replica_wal_records_applied;
     let drain_start = Instant::now();
     while !replica.catch_up().expect("drain catch_up") {}
     let drain_secs = drain_start.elapsed().as_secs_f64();
-    let drained = stats.replica_wal_records_applied.load(Ordering::Relaxed) - records_before;
+    let drained = stats.snapshot().replica_wal_records_applied - records_before;
 
     // Phase 3 — read throughput: the same random gets on replica and
     // primary (both paths pay their RemoteEnv mount).

@@ -12,11 +12,9 @@
 //! the compute mount — with `auto_poll: false` it refreshes only when
 //! `catch_up` is called.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use shield_env::{Env, NetworkModel, RemoteEnv};
 use shield_lsm::compaction::{
     run_compaction, CompactionContext, CompactionExecutor, CompactionOutcome, CompactionRequest,
@@ -73,8 +71,6 @@ impl DisaggregatedStorage {
 /// compactor's authorization at the KDS immediately locks it out.
 pub struct OffloadedCompactor {
     files: FileStore,
-    /// One table cache per tree directory a request has named.
-    table_caches: Mutex<HashMap<String, Arc<TableCache>>>,
     jobs: AtomicU64,
 }
 
@@ -86,28 +82,13 @@ impl OffloadedCompactor {
     /// writes.
     #[must_use]
     pub fn new(files: FileStore) -> Arc<Self> {
-        Arc::new(OffloadedCompactor {
-            files,
-            table_caches: Mutex::new(HashMap::new()),
-            jobs: AtomicU64::new(0),
-        })
+        Arc::new(OffloadedCompactor { files, jobs: AtomicU64::new(0) })
     }
 
     /// Number of compaction jobs executed.
     #[must_use]
     pub fn jobs_executed(&self) -> u64 {
         self.jobs.load(Ordering::Relaxed)
-    }
-
-    /// The table cache for the tree in `db_path`.
-    fn table_cache(&self, db_path: &str) -> Arc<TableCache> {
-        self.table_caches
-            .lock()
-            .entry(db_path.to_string())
-            .or_insert_with(|| {
-                TableCache::new(self.files.clone(), db_path.to_string(), None, 128, 0)
-            })
-            .clone()
     }
 }
 
@@ -117,7 +98,12 @@ impl CompactionExecutor for OffloadedCompactor {
         request: &CompactionRequest<'_>,
         alloc: &mut dyn FnMut() -> u64,
     ) -> Result<CompactionOutcome> {
-        let table_cache = self.table_cache(request.db_path);
+        // This server opens the inputs itself, under its own identity:
+        // it works from the request's metadata alone, never from tables
+        // the primary has open, and the tables it opens die with the job
+        // (the primary deletes every input once the edit installs).
+        let table_cache = TableCache::new(self.files.clone(), request.db_path.into(), None, 0);
+        let task = request.task.detached();
         let mut ctx = CompactionContext {
             table_cache: &table_cache,
             version: request.version,
@@ -126,12 +112,7 @@ impl CompactionExecutor for OffloadedCompactor {
             target_file_size: request.target_file_size,
             next_file_number: alloc,
         };
-        let outcome = run_compaction(&mut ctx, request.task)?;
-        // Evict inputs from the compactor-side cache; they are about to be
-        // deleted by the primary.
-        for (_, number) in &outcome.edit.deleted_files {
-            table_cache.evict(*number);
-        }
+        let outcome = run_compaction(&mut ctx, &task)?;
         self.jobs.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
     }

@@ -4,19 +4,29 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use shield_core::Striped;
+
 use crate::FileKind;
+
+/// One stripe of an [`IoStats`]: every counter, once (128 bytes).
+#[derive(Default)]
+struct IoCounters {
+    read_bytes: [AtomicU64; 4],
+    written_bytes: [AtomicU64; 4],
+    read_ops: [AtomicU64; 4],
+    write_ops: [AtomicU64; 4],
+}
 
 /// Thread-safe read/write byte counters, broken down by [`FileKind`].
 ///
 /// One `IoStats` instance represents one "node" (e.g. the compute server's
 /// view of local storage, or the storage server's view of HDFS). Multiple
-/// envs may share an instance.
+/// envs may share an instance. Every block read records here, so the
+/// counters are striped per thread ([`Striped`]) and a snapshot sums the
+/// stripes.
 #[derive(Default)]
 pub struct IoStats {
-    read_bytes: [AtomicU64; 4],
-    written_bytes: [AtomicU64; 4],
-    read_ops: [AtomicU64; 4],
-    write_ops: [AtomicU64; 4],
+    stripes: Striped<IoCounters>,
 }
 
 impl IoStats {
@@ -28,37 +38,42 @@ impl IoStats {
 
     /// Records `n` bytes read from a file of `kind`.
     pub fn record_read(&self, kind: FileKind, n: u64) {
-        self.read_bytes[kind.index()].fetch_add(n, Ordering::Relaxed);
-        self.read_ops[kind.index()].fetch_add(1, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.read_bytes[kind.index()].fetch_add(n, Ordering::Relaxed);
+        s.read_ops[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `n` bytes written to a file of `kind`.
     pub fn record_write(&self, kind: FileKind, n: u64) {
-        self.written_bytes[kind.index()].fetch_add(n, Ordering::Relaxed);
-        self.write_ops[kind.index()].fetch_add(1, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.written_bytes[kind.index()].fetch_add(n, Ordering::Relaxed);
+        s.write_ops[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot of all counters.
     #[must_use]
     pub fn snapshot(&self) -> IoStatsSnapshot {
-        let mut s = IoStatsSnapshot::default();
-        for k in FileKind::ALL {
-            let i = k.index();
-            s.read_bytes[i] = self.read_bytes[i].load(Ordering::Relaxed);
-            s.written_bytes[i] = self.written_bytes[i].load(Ordering::Relaxed);
-            s.read_ops[i] = self.read_ops[i].load(Ordering::Relaxed);
-            s.write_ops[i] = self.write_ops[i].load(Ordering::Relaxed);
+        let mut out = IoStatsSnapshot::default();
+        for s in self.stripes.all() {
+            for i in 0..4 {
+                out.read_bytes[i] += s.read_bytes[i].load(Ordering::Relaxed);
+                out.written_bytes[i] += s.written_bytes[i].load(Ordering::Relaxed);
+                out.read_ops[i] += s.read_ops[i].load(Ordering::Relaxed);
+                out.write_ops[i] += s.write_ops[i].load(Ordering::Relaxed);
+            }
         }
-        s
+        out
     }
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
-        for i in 0..4 {
-            self.read_bytes[i].store(0, Ordering::Relaxed);
-            self.written_bytes[i].store(0, Ordering::Relaxed);
-            self.read_ops[i].store(0, Ordering::Relaxed);
-            self.write_ops[i].store(0, Ordering::Relaxed);
+        for s in self.stripes.all() {
+            for i in 0..4 {
+                s.read_bytes[i].store(0, Ordering::Relaxed);
+                s.written_bytes[i].store(0, Ordering::Relaxed);
+                s.read_ops[i].store(0, Ordering::Relaxed);
+                s.write_ops[i].store(0, Ordering::Relaxed);
+            }
         }
     }
 }

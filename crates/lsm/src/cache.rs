@@ -25,12 +25,22 @@
 //!   tickers) rather than wedging usage above capacity forever — the seed
 //!   cache's `map.len() > 1` guard let one oversized block survive
 //!   eviction indefinitely.
+//!
+//! The bookkeeping is built for two readers missing at once on two
+//! cores: a miss allocates nothing here (a freed slab slot holds no
+//! block), a handle pins its shard rather than the whole cache, evicted
+//! blocks are dropped after the shard lock is released, the hit/miss
+//! counters are striped per thread ([`Striped`]), and keys hash with a
+//! keyed multiply-mix ([`KeyMix`]) instead of SipHash.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use shield_core::Striped;
 
 use crate::error::{Error, Result};
 use crate::sst::block::Block;
@@ -86,28 +96,37 @@ impl Default for CacheConfig {
     }
 }
 
-/// Lifetime counters for the whole cache. Monotonic except
-/// `pinned_bytes`/`usage_bytes`, which are point-in-time gauges.
+/// The counters a lookup or an insert writes: one stripe per thread.
+#[derive(Default)]
+struct CacheCounters {
+    data_hits: AtomicU64,
+    data_misses: AtomicU64,
+    index_hits: AtomicU64,
+    index_misses: AtomicU64,
+    filter_hits: AtomicU64,
+    filter_misses: AtomicU64,
+    /// Entries evicted to make room.
+    evictions: AtomicU64,
+    /// Inserts that bypassed the cache (oversized or strict-capacity).
+    oversized_bypass: AtomicU64,
+    /// Blocks read ahead that later served a lookup.
+    readahead_useful: AtomicU64,
+}
+
+/// Lifetime counters for the whole cache, all monotonic. The ones every
+/// lookup and insert writes are striped per thread and summed by
+/// [`BlockCache::stats`]; the two the fetcher maintains are written only
+/// on slow paths (a miss that parks on another thread's read, a
+/// readahead batch) and stay plain atomics.
 #[derive(Default)]
 pub struct CacheStats {
-    pub data_hits: AtomicU64,
-    pub data_misses: AtomicU64,
-    pub index_hits: AtomicU64,
-    pub index_misses: AtomicU64,
-    pub filter_hits: AtomicU64,
-    pub filter_misses: AtomicU64,
-    /// Entries evicted to make room.
-    pub evictions: AtomicU64,
-    /// Inserts that bypassed the cache (oversized or strict-capacity).
-    pub oversized_bypass: AtomicU64,
+    hot: Striped<CacheCounters>,
     /// Threads that piggybacked on another thread's in-flight block fetch
     /// instead of issuing their own read (maintained by the fetcher).
     pub singleflight_waits: AtomicU64,
     /// Blocks a readahead batch read beyond the one its iterator stood on
     /// (maintained by the fetcher).
     pub readahead_issued: AtomicU64,
-    /// Blocks read ahead that later served a lookup.
-    pub readahead_useful: AtomicU64,
 }
 
 /// A point-in-time copy of [`CacheStats`] plus the byte gauges.
@@ -144,9 +163,84 @@ impl CacheStatsSnapshot {
     }
 }
 
+/// The map's and the single-flight table's hash of a [`CacheKey`]: a
+/// folded multiply (the 64 × 64 → 128-bit product, halves XORed) of the
+/// two words under a per-cache secret key drawn from [`RandomState`]. A
+/// forged index can choose block offsets but not the key, so it cannot
+/// aim collisions at one bucket; under `Integrity::Hmac` a forged index
+/// does not verify in the first place.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyMix {
+    k0: u64,
+    k1: u64,
+    k2: u64,
+}
+
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl KeyMix {
+    /// A freshly keyed mix.
+    pub(crate) fn new() -> Self {
+        let seed = RandomState::new();
+        KeyMix { k0: seed.hash_one(0u64), k1: seed.hash_one(1u64), k2: seed.hash_one(2u64) | 1 }
+    }
+
+    /// The keyed hash of `(table_id, offset)`.
+    #[inline]
+    pub(crate) fn hash(&self, key: &CacheKey) -> u64 {
+        folded_multiply(folded_multiply(key.0 ^ self.k0, key.1 ^ self.k1), self.k2)
+    }
+
+    /// Which of `shards` (a power of two) holds `key`. Bits 32 and up:
+    /// the maps inside a shard index with the low bits and tag with the
+    /// top seven, so the shard choice leaves both free.
+    #[inline]
+    pub(crate) fn shard(&self, key: &CacheKey, shards: usize) -> usize {
+        (self.hash(key) >> 32) as usize & (shards - 1)
+    }
+}
+
+impl BuildHasher for KeyMix {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher { mix: *self, words: [0; 2], written: 0 }
+    }
+}
+
+/// [`KeyMix`] as a [`Hasher`] of the one key it serves: a [`CacheKey`]
+/// hashes as exactly two `write_u64` calls.
+pub(crate) struct KeyHasher {
+    mix: KeyMix,
+    words: [u64; 2],
+    written: usize,
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a CacheKey hashes as two u64 words");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.words[self.written] = word;
+        self.written += 1;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.mix.hash(&(self.words[0], self.words[1]))
+    }
+}
+
 struct Node {
     key: CacheKey,
-    block: Arc<Block>,
+    /// `None` once the slot is freed: a free slot holds no allocation.
+    block: Option<Arc<Block>>,
     charge: usize,
     /// Pin count; > 0 means off-list and not evictable.
     refs: u32,
@@ -207,8 +301,27 @@ impl LruList {
     }
 }
 
+/// Blocks a shard operation unmapped, for the caller to drop after it
+/// releases the shard lock. An insert into a full shard evicts one block
+/// of the same size, so the first needs no allocation.
+#[derive(Default)]
+struct Evicted {
+    first: Option<Arc<Block>>,
+    rest: Vec<Arc<Block>>,
+}
+
+impl Evicted {
+    fn push(&mut self, block: Option<Arc<Block>>) {
+        match (&self.first, block) {
+            (_, None) => {}
+            (None, block) => self.first = block,
+            (Some(_), Some(block)) => self.rest.push(block),
+        }
+    }
+}
+
 struct Shard {
-    map: HashMap<CacheKey, usize>,
+    map: HashMap<CacheKey, usize, KeyMix>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     low: LruList,
@@ -225,9 +338,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity: usize, high_pri_capacity: usize, strict: bool) -> Self {
+    fn new(capacity: usize, high_pri_capacity: usize, strict: bool, mix: KeyMix) -> Self {
         Shard {
-            map: HashMap::new(),
+            map: HashMap::with_hasher(mix),
             nodes: Vec::new(),
             free: Vec::new(),
             low: LruList::new(),
@@ -280,7 +393,10 @@ impl Shard {
             self.pinned_usage += node.charge;
         }
         node.refs += 1;
-        node.block.clone()
+        match &node.block {
+            Some(block) => block.clone(),
+            None => unreachable!("a mapped or pinned slot holds its block"),
+        }
     }
 
     /// Looks up `key`, pins the entry, and reports whether it was a
@@ -292,13 +408,14 @@ impl Shard {
     }
 
     /// Drops one pin from `idx`; re-lists (or frees a detached zombie)
-    /// when the last pin goes away.
-    fn release(&mut self, idx: usize) {
+    /// when the last pin goes away. Returns what it unmapped.
+    fn release(&mut self, idx: usize) -> Evicted {
+        let mut evicted = Evicted::default();
         let node = &mut self.nodes[idx];
         debug_assert!(node.refs > 0, "release without a pin");
         node.refs -= 1;
         if node.refs > 0 {
-            return;
+            return evicted;
         }
         let charge = node.charge;
         self.pinned_usage -= charge;
@@ -306,27 +423,29 @@ impl Shard {
         if in_cache {
             self.attach_front(idx);
             // The release may have made an over-capacity shard shrinkable.
-            self.evict_to_fit(0);
+            self.evict_to_fit(0, &mut evicted);
             self.maintain_high_pool();
         } else {
-            self.free_node(idx);
+            evicted.push(self.free_node(idx));
         }
+        evicted
     }
 
-    fn free_node(&mut self, idx: usize) {
+    /// Returns `idx` to the free list and hands back its block.
+    fn free_node(&mut self, idx: usize) -> Option<Arc<Block>> {
         let node = &mut self.nodes[idx];
         self.usage -= node.charge;
         if node.high_pri {
             self.high_usage -= node.charge;
         }
-        node.block = dead_block();
         self.free.push(idx);
+        node.block.take()
     }
 
     /// Evicts list tails (low first, then high) until `incoming` more
-    /// bytes fit. Returns the number of evictions; fitting is reported by
-    /// re-checking usage at the caller.
-    fn evict_to_fit(&mut self, incoming: usize) -> u64 {
+    /// bytes fit, moving their blocks into `out`. Returns the number of
+    /// evictions; fitting is reported by re-checking usage at the caller.
+    fn evict_to_fit(&mut self, incoming: usize, out: &mut Evicted) -> u64 {
         let mut evicted = 0;
         while self.usage + incoming > self.capacity {
             let victim = if self.low.tail != NIL {
@@ -339,7 +458,7 @@ impl Shard {
             self.detach(victim);
             let key = self.nodes[victim].key;
             self.map.remove(&key);
-            self.free_node(victim);
+            out.push(self.free_node(victim));
             evicted += 1;
         }
         evicted
@@ -357,7 +476,7 @@ impl Shard {
         }
     }
 
-    /// Outcome of [`Shard::insert`].
+    /// Outcome of [`Shard::insert`]; what it evicted goes to `out`.
     fn insert(
         &mut self,
         key: CacheKey,
@@ -365,6 +484,7 @@ impl Shard {
         charge: usize,
         kind: BlockKind,
         prefetched: bool,
+        out: &mut Evicted,
     ) -> ShardInsert {
         if let Some(&idx) = self.map.get(&key) {
             // Blocks are immutable and keyed by (file, offset): a racing
@@ -374,14 +494,14 @@ impl Shard {
         if charge > self.capacity {
             return ShardInsert::Bypassed;
         }
-        let evicted = self.evict_to_fit(charge);
+        let evicted = self.evict_to_fit(charge, out);
         if self.strict && self.usage + charge > self.capacity {
             return ShardInsert::Rejected(evicted);
         }
         let high_pri = kind.high_priority();
         let idx = self.alloc(Node {
             key,
-            block: block.clone(),
+            block: Some(block.clone()),
             charge,
             refs: 1, // born pinned by the returned handle
             on_list: None,
@@ -412,23 +532,22 @@ enum ShardInsert {
     Rejected(u64),
 }
 
-/// Placeholder block for freed slab slots (avoids `Option` in every node).
-fn dead_block() -> Arc<Block> {
-    Arc::new(Block::from_raw(bytes::Bytes::new()))
-}
+/// One shard behind its lock, on lines of its own.
+#[repr(align(128))]
+struct ShardCell(Mutex<Shard>);
 
 /// A sharded LRU cache with a global byte capacity.
 pub struct BlockCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_bits: u32,
+    shards: Box<[Arc<ShardCell>]>,
+    mix: KeyMix,
     stats: CacheStats,
 }
 
 /// A pinned reference to a cached block. The entry's bytes stay charged
-/// and it cannot be evicted until every handle is dropped.
+/// and it cannot be evicted until every handle is dropped. The handle
+/// keeps its shard alive, not the whole cache.
 pub struct CacheHandle {
-    cache: Arc<BlockCache>,
-    shard: usize,
+    shard: Arc<ShardCell>,
     idx: usize,
     block: Arc<Block>,
 }
@@ -443,7 +562,8 @@ impl CacheHandle {
 
 impl Drop for CacheHandle {
     fn drop(&mut self) {
-        self.cache.shards[self.shard].lock().release(self.idx);
+        let evicted = self.shard.0.lock().release(self.idx);
+        drop(evicted); // after the lock
     }
 }
 
@@ -484,50 +604,53 @@ impl BlockCache {
         let shards = 1usize << config.shard_bits;
         let per_shard = (config.capacity / shards).max(1);
         let high_pri = (per_shard as f64 * config.high_pri_pool_ratio) as usize;
+        let mix = KeyMix::new();
         Ok(Arc::new(BlockCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard, high_pri, config.strict_capacity)))
+                .map(|_| {
+                    let shard = Shard::new(per_shard, high_pri, config.strict_capacity, mix);
+                    Arc::new(ShardCell(Mutex::new(shard)))
+                })
                 .collect(),
-            shard_bits: config.shard_bits,
+            mix,
             stats: CacheStats::default(),
         }))
     }
 
-    fn shard_for(&self, key: &CacheKey) -> usize {
-        if self.shard_bits == 0 {
-            return 0;
-        }
-        // Mix table id and offset.
-        let h = key
-            .0
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key.1.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
-        (h >> (64 - self.shard_bits)) as usize
+    fn shard_for(&self, key: &CacheKey) -> &Arc<ShardCell> {
+        &self.shards[self.mix.shard(key, self.shards.len())]
+    }
+
+    /// The keyed hash this cache's maps use; the fetcher's single-flight
+    /// table shards by it too.
+    pub(crate) fn key_mix(&self) -> KeyMix {
+        self.mix
     }
 
     fn count_lookup(&self, kind: BlockKind, hit: bool) {
+        let c = self.stats.hot.local();
         let counter = match (kind, hit) {
-            (BlockKind::Data, true) => &self.stats.data_hits,
-            (BlockKind::Data, false) => &self.stats.data_misses,
-            (BlockKind::Index, true) => &self.stats.index_hits,
-            (BlockKind::Index, false) => &self.stats.index_misses,
-            (BlockKind::Filter, true) => &self.stats.filter_hits,
-            (BlockKind::Filter, false) => &self.stats.filter_misses,
+            (BlockKind::Data, true) => &c.data_hits,
+            (BlockKind::Data, false) => &c.data_misses,
+            (BlockKind::Index, true) => &c.index_hits,
+            (BlockKind::Index, false) => &c.index_misses,
+            (BlockKind::Filter, true) => &c.filter_hits,
+            (BlockKind::Filter, false) => &c.filter_misses,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Looks up a block, pinning it and refreshing its recency.
     #[must_use]
-    pub fn lookup(self: &Arc<Self>, key: &CacheKey, kind: BlockKind) -> Option<CacheHandle> {
+    pub fn lookup(&self, key: &CacheKey, kind: BlockKind) -> Option<CacheHandle> {
         let shard = self.shard_for(key);
-        let found = self.shards[shard].lock().lookup(key);
+        let found = shard.0.lock().lookup(key);
         self.count_lookup(kind, found.is_some());
         found.map(|(idx, block, was_prefetched)| {
             if was_prefetched {
-                self.stats.readahead_useful.fetch_add(1, Ordering::Relaxed);
+                self.stats.hot.local().readahead_useful.fetch_add(1, Ordering::Relaxed);
             }
-            CacheHandle { cache: self.clone(), shard, idx, block }
+            CacheHandle { shard: shard.clone(), idx, block }
         })
     }
 
@@ -536,7 +659,7 @@ impl BlockCache {
     /// strict-capacity with only pinned entries left — in which case the
     /// caller simply keeps its own `Arc<Block>` uncached.
     pub fn insert(
-        self: &Arc<Self>,
+        &self,
         key: CacheKey,
         block: &Arc<Block>,
         charge: usize,
@@ -544,26 +667,29 @@ impl BlockCache {
         prefetched: bool,
     ) -> Option<CacheHandle> {
         let shard = self.shard_for(&key);
-        let outcome = self.shards[shard].lock().insert(key, block, charge, kind, prefetched);
+        let mut evicted = Evicted::default();
+        let outcome = shard.0.lock().insert(key, block, charge, kind, prefetched, &mut evicted);
+        drop(evicted); // after the lock
+        let c = self.stats.hot.local();
         match outcome {
             ShardInsert::Inserted(idx, evicted) => {
                 if evicted > 0 {
-                    self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
+                    c.evictions.fetch_add(evicted, Ordering::Relaxed);
                 }
-                Some(CacheHandle { cache: self.clone(), shard, idx, block: block.clone() })
+                Some(CacheHandle { shard: shard.clone(), idx, block: block.clone() })
             }
             ShardInsert::Existing(idx, resident) => {
-                Some(CacheHandle { cache: self.clone(), shard, idx, block: resident })
+                Some(CacheHandle { shard: shard.clone(), idx, block: resident })
             }
             ShardInsert::Bypassed => {
-                self.stats.oversized_bypass.fetch_add(1, Ordering::Relaxed);
+                c.oversized_bypass.fetch_add(1, Ordering::Relaxed);
                 None
             }
             ShardInsert::Rejected(evicted) => {
                 if evicted > 0 {
-                    self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
+                    c.evictions.fetch_add(evicted, Ordering::Relaxed);
                 }
-                self.stats.oversized_bypass.fetch_add(1, Ordering::Relaxed);
+                c.oversized_bypass.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -573,7 +699,7 @@ impl BlockCache {
     /// (used by readahead to skip already-cached blocks).
     #[must_use]
     pub fn contains(&self, key: &CacheKey) -> bool {
-        self.shards[self.shard_for(key)].lock().map.contains_key(key)
+        self.shard_for(key).0.lock().map.contains_key(key)
     }
 
     /// Lifetime counters shared with the fetcher layer.
@@ -582,26 +708,28 @@ impl BlockCache {
         &self.stats
     }
 
-    /// Snapshot of all counters plus the byte gauges.
+    /// Snapshot of all counters (each striped one summed) plus the byte
+    /// gauges.
     #[must_use]
     pub fn stats(&self) -> CacheStatsSnapshot {
         let mut snap = CacheStatsSnapshot {
-            data_hits: self.stats.data_hits.load(Ordering::Relaxed),
-            data_misses: self.stats.data_misses.load(Ordering::Relaxed),
-            index_hits: self.stats.index_hits.load(Ordering::Relaxed),
-            index_misses: self.stats.index_misses.load(Ordering::Relaxed),
-            filter_hits: self.stats.filter_hits.load(Ordering::Relaxed),
-            filter_misses: self.stats.filter_misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            oversized_bypass: self.stats.oversized_bypass.load(Ordering::Relaxed),
             singleflight_waits: self.stats.singleflight_waits.load(Ordering::Relaxed),
             readahead_issued: self.stats.readahead_issued.load(Ordering::Relaxed),
-            readahead_useful: self.stats.readahead_useful.load(Ordering::Relaxed),
-            pinned_bytes: 0,
-            usage_bytes: 0,
+            ..CacheStatsSnapshot::default()
         };
-        for s in &self.shards {
-            let s = s.lock();
+        for c in self.stats.hot.all() {
+            snap.data_hits += c.data_hits.load(Ordering::Relaxed);
+            snap.data_misses += c.data_misses.load(Ordering::Relaxed);
+            snap.index_hits += c.index_hits.load(Ordering::Relaxed);
+            snap.index_misses += c.index_misses.load(Ordering::Relaxed);
+            snap.filter_hits += c.filter_hits.load(Ordering::Relaxed);
+            snap.filter_misses += c.filter_misses.load(Ordering::Relaxed);
+            snap.evictions += c.evictions.load(Ordering::Relaxed);
+            snap.oversized_bypass += c.oversized_bypass.load(Ordering::Relaxed);
+            snap.readahead_useful += c.readahead_useful.load(Ordering::Relaxed);
+        }
+        for s in self.shards.iter() {
+            let s = s.0.lock();
             snap.pinned_bytes += s.pinned_usage as u64;
             snap.usage_bytes += s.usage as u64;
         }
@@ -618,19 +746,19 @@ impl BlockCache {
     /// Total bytes currently charged (pinned + resident).
     #[must_use]
     pub fn usage(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().usage).sum()
+        self.shards.iter().map(|s| s.0.lock().usage).sum()
     }
 
     /// Bytes currently held by pinned entries.
     #[must_use]
     pub fn pinned_usage(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pinned_usage).sum()
+        self.shards.iter().map(|s| s.0.lock().pinned_usage).sum()
     }
 
     /// Number of cached blocks.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.0.lock().map.len()).sum()
     }
 
     /// True if no blocks are cached.
@@ -831,6 +959,63 @@ mod tests {
         // Only the first hit counts.
         let _ = cache.lookup(&(1, 0), BlockKind::Data);
         assert_eq!(cache.stats().readahead_useful, 1);
+    }
+
+    #[test]
+    fn a_handle_outlives_its_cache() {
+        let cache = single_shard(1 << 20);
+        let h = cache.insert((1, 0), &block(100), 100, BlockKind::Data, false).expect("ins");
+        drop(cache);
+        assert_eq!(h.block().size(), 100);
+        drop(h); // releases into the shard it pinned
+    }
+
+    #[test]
+    fn an_evicted_slot_keeps_no_block() {
+        let cache = single_shard(300);
+        let first = block(100);
+        drop(cache.insert((1, 0), &first, 100, BlockKind::Data, false));
+        assert_eq!(Arc::strong_count(&first), 2, "resident: the cache holds one reference");
+        for i in 1..4u64 {
+            drop(cache.insert((1, i), &block(100), 100, BlockKind::Data, false));
+        }
+        assert!(!cache.contains(&(1, 0)));
+        assert_eq!(Arc::strong_count(&first), 1, "evicted: the freed slot holds nothing");
+        // The freed slot is reused without a placeholder.
+        drop(cache.insert((2, 0), &block(100), 100, BlockKind::Data, false));
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn key_mix_is_keyed_per_cache_and_hashes_as_the_map_does() {
+        let (a, b) = (KeyMix::new(), KeyMix::new());
+        let keys: Vec<CacheKey> = (0..64u64).map(|i| (7, i * 4096)).collect();
+        assert!(keys.iter().any(|k| a.hash(k) != b.hash(k)), "two caches, one key");
+        for k in &keys {
+            assert_eq!(a.hash_one(k), a.hash(k), "the map hashes a key as `hash` does");
+            assert!(a.shard(k, 16) < 16);
+        }
+        let shards: std::collections::HashSet<usize> =
+            keys.iter().map(|k| a.shard(k, 16)).collect();
+        assert!(shards.len() > 8, "64 offsets of one table land in {} of 16 shards", shards.len());
+    }
+
+    #[test]
+    fn striped_counters_sum_across_threads() {
+        let cache = BlockCache::new(1 << 20);
+        drop(cache.insert((1, 0), &block(100), 100, BlockKind::Data, false));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        drop(cache.lookup(&(1, 0), BlockKind::Data));
+                        drop(cache.lookup(&(1, 1), BlockKind::Index));
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.data_hits, stats.index_misses), (4000, 4000));
     }
 
     #[test]

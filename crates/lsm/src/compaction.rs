@@ -21,7 +21,7 @@ use crate::error::Result;
 use crate::iter::{InternalIterator, MergingIterator};
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType, MAX_SEQUENCE};
-use crate::version::edit::{FileMeta, VersionEdit};
+use crate::version::edit::{FileMeta, TableSlot, VersionEdit};
 use crate::version::table_cache::TableCache;
 use crate::version::version::{LevelIterator, Version, NUM_LEVELS};
 
@@ -125,7 +125,7 @@ pub fn plan_subcompactions(
     }
     let mut spans: Vec<(Vec<u8>, u64)> = Vec::new();
     for meta in inputs.iter().chain(overlaps.iter()) {
-        let table = match table_cache.get(meta.number) {
+        let table = match meta.table(table_cache) {
             Ok(t) => t,
             Err(_) => return single,
         };
@@ -195,6 +195,28 @@ pub enum CompactionTask {
 }
 
 impl CompactionTask {
+    /// The same task over detached copies of its files' metadata
+    /// ([`FileMeta::detached`]): what an offloaded executor works from,
+    /// so the tables it opens stay its own and never land in the
+    /// primary's versions.
+    #[must_use]
+    pub fn detached(&self) -> CompactionTask {
+        let detach = |files: &[Arc<FileMeta>]| -> Vec<Arc<FileMeta>> {
+            files.iter().map(|f| Arc::new(f.detached())).collect()
+        };
+        match self {
+            CompactionTask::Merge { input_level, output_level, inputs, overlaps } => {
+                CompactionTask::Merge {
+                    input_level: *input_level,
+                    output_level: *output_level,
+                    inputs: detach(inputs),
+                    overlaps: detach(overlaps),
+                }
+            }
+            CompactionTask::FifoTrim { files } => CompactionTask::FifoTrim { files: detach(files) },
+        }
+    }
+
     /// Total input bytes this task will read (0 for FIFO trims).
     #[must_use]
     pub fn input_bytes(&self) -> u64 {
@@ -449,7 +471,7 @@ pub fn run_compaction_range(
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     if *input_level == 0 {
         for meta in inputs {
-            children.push(Box::new(ctx.table_cache.get(meta.number)?.scan()));
+            children.push(Box::new(meta.table(ctx.table_cache)?.scan()));
         }
     } else if !inputs.is_empty() {
         children.push(Box::new(LevelIterator::scanning(inputs.clone(), ctx.table_cache.clone())));
@@ -486,9 +508,10 @@ pub fn run_compaction_range(
                 let (props, size) = b.finish()?;
                 // Open the output here, on the background thread: it
                 // checks the file is readable before the edit installs it,
-                // and the first foreground read of it finds the table
-                // (header, footer, index, filter) already resident.
-                table_cache.get(number)?;
+                // and the table (header, footer, index, filter) rides into
+                // the version in the file's meta, so no foreground read
+                // opens it.
+                let table = table_cache.open(number)?;
                 outcome.bytes_written += size;
                 outcome.outputs += 1;
                 outcome.edit.new_files.push((
@@ -507,6 +530,7 @@ pub fn run_compaction_range(
                             ValueType::Deletion,
                         ),
                         dek_id: props.dek_id,
+                        table: TableSlot::holding(table),
                     },
                 ));
             }
@@ -596,6 +620,7 @@ mod tests {
             smallest: make_internal_key(lo.as_bytes(), 1, ValueType::Value),
             largest: make_internal_key(hi.as_bytes(), 1, ValueType::Value),
             dek_id: None,
+            table: TableSlot::default(),
         })
     }
 
@@ -772,7 +797,7 @@ mod tests {
 
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let files = FileStore::new(env.clone(), None, crate::IntegrityOptions::default());
-        let tc = TableCache::new(files, "db".into(), None, 8, 0);
+        let tc = TableCache::new(files, "db".into(), None, 0);
 
         // File 1 (older): a=1@5, b=1@6, c=1@7
         // File 2 (newer): a=2@10, b deleted @11
@@ -790,6 +815,7 @@ mod tests {
                 smallest: make_internal_key(&props.smallest_user_key, MAX_SEQUENCE, ValueType::Value),
                 largest: make_internal_key(&props.largest_user_key, 0, ValueType::Deletion),
                 dek_id: None,
+                table: TableSlot::default(),
             })
         };
         let old = mk_table(
@@ -834,7 +860,7 @@ mod tests {
         let (level, out_meta) = &outcome.edit.new_files[0];
         assert_eq!(*level, 1);
         // The output holds exactly a@10 and c@7.
-        let table = tc.get(out_meta.number).unwrap();
+        let table = out_meta.table(&tc).unwrap();
         assert_eq!(table.properties().num_entries, 2);
         assert_eq!(table.get(b"a", 100).unwrap().unwrap().1, b"a2");
         assert!(table.get(b"b", 100).unwrap().is_none());
@@ -849,7 +875,7 @@ mod tests {
 
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let files = FileStore::new(env.clone(), None, crate::IntegrityOptions::default());
-        let tc = TableCache::new(files, "db".into(), None, 8, 0);
+        let tc = TableCache::new(files, "db".into(), None, 0);
         let path = shield_env::join_path("db", &sst_file_name(1));
         let file = env.new_writable_file(&path, FileKind::Sst).unwrap();
         let mut b = TableBuilder::new(file, TableBuilderOptions::default());
@@ -862,6 +888,7 @@ mod tests {
             smallest: make_internal_key(b"k", MAX_SEQUENCE, ValueType::Value),
             largest: make_internal_key(b"k", 0, ValueType::Deletion),
             dek_id: None,
+            table: TableSlot::default(),
         });
         let mut version = Version::new();
         version.files[0] = vec![meta.clone()];
@@ -887,7 +914,7 @@ mod tests {
         };
         let outcome = run_compaction(&mut ctx, &task).unwrap();
         assert_eq!(outcome.entries_dropped, 0);
-        let table = tc.get(outcome.edit.new_files[0].1.number).unwrap();
+        let table = outcome.edit.new_files[0].1.table(&tc).unwrap();
         assert_eq!(table.properties().num_entries, 2);
     }
 }

@@ -42,7 +42,7 @@ use crate::obs::{EnvLogSink, LOG_FILE_NAME};
 use crate::statistics::Statistics;
 use crate::types::SequenceNumber;
 use crate::version::edit::VersionEdit;
-use crate::version::table_cache::{TableCache, MAX_OPEN_FILES};
+use crate::version::table_cache::TableCache;
 use crate::version::VersionSet;
 
 /// Completed-span ring capacity of the flight recorder (oldest
@@ -217,7 +217,6 @@ impl Db {
                 files.clone(),
                 tree_path.clone(),
                 block_cache.clone(),
-                MAX_OPEN_FILES,
                 opts.readahead_blocks,
             );
             let mut versions =
@@ -352,19 +351,12 @@ impl Db {
         result
     }
 
-    /// The sequence a read with `ropts` sees.
-    fn read_seq(&self, ropts: &ReadOptions) -> SequenceNumber {
-        ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire))
-    }
-
     /// Point lookup at the latest state (or the snapshot in `ropts`).
     pub fn get(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _trace = self.inner.traced_op("get");
         let op_start = std::time::Instant::now();
         let tree = &self.inner.trees[self.inner.router.shard_of(key)];
-        let result = tree.read_view(self.read_seq(ropts)).get(
+        let result = tree.read_view(ropts.snapshot_seq, &self.inner.last_published).get(
             &tree.table_cache,
             &self.inner.files.stats,
             key,
@@ -393,22 +385,18 @@ impl Db {
     pub fn multi_get(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         let _trace = self.inner.traced_op("multi_get");
         let op_start = std::time::Instant::now();
-        self.inner.files.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
-        let seq = self.read_seq(ropts);
+        self.inner.files.stats.local().multi_gets.fetch_add(1, Ordering::Relaxed);
+        let (stats, fill) = (&self.inner.files.stats, ropts.fill_cache);
+        let views = self.inner.read_views(ropts.snapshot_seq, |_, view| view);
         let owners: Vec<usize> = keys.iter().map(|key| self.inner.router.shard_of(key)).collect();
         let mut results: Vec<Option<Result<Option<Vec<u8>>>>> = keys.iter().map(|_| None).collect();
-        for (t, tree) in self.inner.trees.iter().enumerate() {
+        for (t, (tree, view)) in self.inner.trees.iter().zip(&views).enumerate() {
             let slots: Vec<usize> = (0..keys.len()).filter(|&i| owners[i] == t).collect();
             if slots.is_empty() {
                 continue;
             }
             let tree_keys: Vec<&[u8]> = slots.iter().map(|&i| keys[i]).collect();
-            let found = tree.read_view(seq).multi_get(
-                &tree.table_cache,
-                &self.inner.files.stats,
-                &tree_keys,
-                ropts.fill_cache,
-            );
+            let found = view.multi_get(&tree.table_cache, stats, &tree_keys, fill);
             for (i, r) in slots.into_iter().zip(found) {
                 results[i] = Some(r);
             }
@@ -439,9 +427,7 @@ impl Db {
     /// An iterator over live keys in byte order across every tree,
     /// visible at the latest state (or the snapshot in `ropts`).
     pub fn iter(&self, ropts: &ReadOptions) -> Result<DbIterator> {
-        let seq = self.read_seq(ropts);
-        let views =
-            self.inner.trees.iter().map(|tree| (tree.read_view(seq), &tree.table_cache)).collect();
+        let views = self.inner.read_views(ropts.snapshot_seq, |tree, view| (view, &tree.table_cache));
         DbIterator::new(
             views,
             ropts.fill_cache,
@@ -635,7 +621,7 @@ impl Db {
             }
             *bg_error = None;
         }
-        self.inner.files.stats.resumes.fetch_add(1, Ordering::Relaxed);
+        self.inner.files.stats.local().resumes.fetch_add(1, Ordering::Relaxed);
         self.inner.files.events.emit(&Event::Resume);
         for (t, tree) in self.inner.trees.iter().enumerate() {
             self.inner.maybe_schedule(t, &mut tree.state.lock());
@@ -652,8 +638,9 @@ impl Db {
         let mut report = IntegrityReport::default();
         for tree in &self.inner.trees {
             let version = tree.state.lock().versions.current();
-            for number in version.live_files() {
-                let table = tree.table_cache.get(number)?;
+            for meta in version.files.iter().flatten() {
+                let number = meta.number;
+                let table = meta.table(&tree.table_cache)?;
                 // The streaming scanner reads every data block from storage:
                 // a block resident in the cache must not vouch for its bytes
                 // on disk.
@@ -683,12 +670,7 @@ impl Db {
                 }
                 report.files += 1;
                 report.entries += entries;
-                report.bytes += version
-                    .files
-                    .iter()
-                    .flatten()
-                    .find(|f| f.number == number)
-                    .map_or(0, |f| f.file_size);
+                report.bytes += meta.file_size;
             }
         }
         Ok(report)

@@ -134,8 +134,8 @@ impl ReadView {
 /// (found, absent or failed), `gets_found` per value returned — so
 /// `gets_found <= gets` and both count user calls, not attempts.
 pub(super) fn credit_gets(stats: &Statistics, lookups: u64, found: u64) {
-    stats.gets.fetch_add(lookups, Ordering::Relaxed);
-    stats.gets_found.fetch_add(found, Ordering::Relaxed);
+    stats.local().gets.fetch_add(lookups, Ordering::Relaxed);
+    stats.local().gets_found.fetch_add(found, Ordering::Relaxed);
 }
 
 /// A point-in-time read view. Dropping it releases the sequence pin so
@@ -360,7 +360,7 @@ impl DbIterator {
 
 impl Drop for DbIterator {
     fn drop(&mut self) {
-        self.stats.iter_skipped.fetch_add(self.skipped, Ordering::Relaxed);
-        self.stats.iter_reseeks.fetch_add(self.reseeks, Ordering::Relaxed);
+        self.stats.local().iter_skipped.fetch_add(self.skipped, Ordering::Relaxed);
+        self.stats.local().iter_reseeks.fetch_add(self.reseeks, Ordering::Relaxed);
     }
 }

@@ -149,7 +149,7 @@ impl ReplicaDb {
     /// subkey) — and runs the first catch-up round, so the returned
     /// replica already serves the primary's durable state.
     pub fn open(files: FileStore, path: &str, opts: ReplicaOptions) -> Result<Arc<Self>> {
-        let table_cache = TableCache::new(files.clone(), path.to_string(), None, 128, 0);
+        let table_cache = TableCache::new(files.clone(), path.to_string(), None, 0);
         let manifest = ManifestTailer::open(&files, path)?;
         let replica = Arc::new(ReplicaDb {
             files,
@@ -244,12 +244,12 @@ impl ReplicaDb {
                 Ok(ManifestPoll::Edit(edit)) => {
                     tail.applier.apply(&edit);
                     tail.version_dirty = true;
-                    self.files.stats.replica_manifest_edits_applied.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().replica_manifest_edits_applied.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(ManifestPoll::Rollover) => {
                     tail.applier.reset();
                     tail.version_dirty = true;
-                    self.files.stats.replica_rollovers_followed.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().replica_rollovers_followed.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(ManifestPoll::Pending(end)) => {
                     clean &= end == TailEnd::Clean;
@@ -334,7 +334,7 @@ impl ReplicaDb {
                         }
                         let last = batch.sequence() + u64::from(batch.count()).max(1) - 1;
                         seg.max_seq = seg.max_seq.max(last);
-                        self.files.stats.replica_wal_records_applied.fetch_add(1, Ordering::Relaxed);
+                        self.files.stats.local().replica_wal_records_applied.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok(TailPoll::Pending(end)) => {
                         seg.clean = end == TailEnd::Clean;
@@ -400,9 +400,9 @@ impl ReplicaDb {
             self.published_seq.store(seq, Ordering::Relaxed);
         }
 
-        self.files.stats.replica_polls.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.local().replica_polls.fetch_add(1, Ordering::Relaxed);
         if !clean {
-            self.files.stats.replica_incomplete_tails.fetch_add(1, Ordering::Relaxed);
+            self.files.stats.local().replica_incomplete_tails.fetch_add(1, Ordering::Relaxed);
         }
         self.files.stats
             .replica_lag_records
@@ -519,7 +519,7 @@ impl ReplicaDb {
 
     /// Batched point lookup; every key reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.files.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.local().multi_gets.fetch_add(1, Ordering::Relaxed);
         let values: Result<Vec<Option<Vec<u8>>>> = self.read_published(|view| {
             view.multi_lookup(&self.table_cache, keys, true).into_iter().collect()
         });

@@ -30,7 +30,7 @@ use crate::iter::InternalIterator;
 use crate::memtable::MemTable;
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::types::{make_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE};
-use crate::version::edit::{FileMeta, VersionEdit};
+use crate::version::edit::{FileMeta, TableSlot, VersionEdit};
 use crate::version::filenames::{parse_file_name, FileType};
 use crate::version::table_cache::TableCache;
 use crate::version::version::Version;
@@ -68,6 +68,12 @@ pub(super) struct Tree {
     pub work_cv: Condvar,
     pub flushes: AtomicU64,
     pub compactions: AtomicU64,
+    /// Bumped, with `state` held, by every install that drops entries — a
+    /// compaction or a FIFO trim. A read over several trees that saw no
+    /// bump while it took its views reads at its sequence in every tree
+    /// ([`DbInner::read_views`]); a flush or a memtable switch moves
+    /// entries but drops none.
+    pub views_changed: AtomicU64,
 }
 
 impl Tree {
@@ -87,18 +93,27 @@ impl Tree {
             work_cv: Condvar::new(),
             flushes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            views_changed: AtomicU64::new(0),
         }
     }
 
     /// Pins what one read of this tree operates on, under a single
-    /// `state` lock acquisition.
-    pub fn read_view(&self, seq: SequenceNumber) -> ReadView {
+    /// `state` lock acquisition, at `seq` — or, for `None`, at the latest
+    /// `published` sequence, loaded under that same lock. Loaded there,
+    /// the sequence covers only writes the captured memtables and version
+    /// hold, and it is at least the horizon of every compaction whose
+    /// install the view sees (a compaction keeps what its horizon — the
+    /// published sequence when it started — reads), so no version it
+    /// reads was compacted away. Loaded before the lock, a compaction
+    /// could start and install in between and drop the version that
+    /// sequence reads.
+    pub fn read_view(&self, seq: Option<SequenceNumber>, published: &AtomicU64) -> ReadView {
         let state = self.state.lock();
         ReadView {
             mem: state.mem.clone(),
             imm: state.imm.clone(),
             version: state.versions.current(),
-            seq,
+            seq: seq.unwrap_or_else(|| published.load(Ordering::SeqCst)),
         }
     }
 }
@@ -167,6 +182,37 @@ impl DbInner {
         state.versions.log_and_apply(edit).map(|_| ())
     }
 
+    /// One read view per tree, all at one sequence — `seq`, or the latest
+    /// published one — each passed through `each`. With several trees the
+    /// latest sequence is loaded before the views, so they are retaken
+    /// until no tree installed a compaction meanwhile: one that started
+    /// after the load and installed before a view could have dropped the
+    /// version that sequence reads in that tree. (One tree loads it under
+    /// its lock: [`Tree::read_view`].)
+    pub(super) fn read_views<'a, T>(
+        &'a self,
+        seq: Option<SequenceNumber>,
+        each: impl Fn(&'a Tree, ReadView) -> T,
+    ) -> Vec<T> {
+        let take = |seq| -> Vec<T> {
+            self.trees.iter().map(|t| each(t, t.read_view(seq, &self.last_published))).collect()
+        };
+        if seq.is_some() || self.trees.len() == 1 {
+            return take(seq);
+        }
+        // Each count only grows, so an unchanged sum is no change at all.
+        let changes = || -> u64 {
+            self.trees.iter().map(|t| t.views_changed.load(Ordering::SeqCst)).sum()
+        };
+        loop {
+            let before = changes();
+            let views = take(Some(self.last_published.load(Ordering::SeqCst)));
+            if changes() == before {
+                return views;
+            }
+        }
+    }
+
     /// Builds an L0 table of tree `t` from a memtable. Runs without the
     /// state lock.
     pub(super) fn write_level0_table(
@@ -186,18 +232,20 @@ impl DbInner {
         }
         let (props, size) = builder.finish()?;
         // Open the new table on this (background) thread before the edit
-        // installs it: the file is checked readable, and the first `get`
-        // that reaches it does not pay for header, footer, index, filter
-        // and properties — six to seven round trips on remote storage.
-        tree.table_cache.get(number)?;
-        self.files.stats.flush_bytes.fetch_add(size, Ordering::Relaxed);
-        self.files.stats.sst_files_created.fetch_add(1, Ordering::Relaxed);
+        // installs it: the file is checked readable, and the table rides
+        // into the version in the file's meta, so no `get` pays for
+        // header, footer, index, filter and properties — six to seven
+        // round trips on remote storage.
+        let table = tree.table_cache.open(number)?;
+        self.files.stats.local().flush_bytes.fetch_add(size, Ordering::Relaxed);
+        self.files.stats.local().sst_files_created.fetch_add(1, Ordering::Relaxed);
         Ok(FileMeta {
             number,
             file_size: size,
             smallest: make_internal_key(&props.smallest_user_key, MAX_SEQUENCE, ValueType::Value),
             largest: make_internal_key(&props.largest_user_key, 0, ValueType::Deletion),
             dek_id: props.dek_id,
+            table: TableSlot::holding(table),
         })
     }
 
@@ -222,7 +270,7 @@ impl DbInner {
             match f() {
                 Ok(v) => return Ok(v),
                 Err(e) if e.retryable() && attempt < self.opts.max_background_retries => {
-                    self.files.stats.bg_retries.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().bg_retries.fetch_add(1, Ordering::Relaxed);
                     self.files.events.emit(&Event::BackgroundRetry {
                         job,
                         attempt: u64::from(attempt + 1),
@@ -313,7 +361,7 @@ impl DbInner {
             match installed {
                 Ok((file_number, bytes)) => {
                     state.imm.remove(0);
-                    self.files.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().flushes.fetch_add(1, Ordering::Relaxed);
                     tree.flushes.fetch_add(1, Ordering::Relaxed);
                     self.files.events.emit(&Event::FlushEnd {
                         file_number,
@@ -439,13 +487,13 @@ impl DbInner {
                         table_options: table_options.clone(),
                         target_file_size: self.opts.compaction.target_file_size,
                     };
-                    let outcome = executor.execute(&request, &mut alloc)?;
-                    // The worker opened its outputs in *its* table cache;
-                    // open them in ours too, here on the background
-                    // thread, so no foreground read pays for it — and so a
-                    // file this node cannot open never gets installed.
-                    for (_, meta) in &outcome.edit.new_files {
-                        tree.table_cache.get(meta.number)?;
+                    let mut outcome = executor.execute(&request, &mut alloc)?;
+                    // The worker opened its outputs its own way; open them
+                    // here too, on the background thread, so no foreground
+                    // read pays for it — and so a file this node cannot
+                    // open never gets installed.
+                    for (_, meta) in &mut outcome.edit.new_files {
+                        meta.table = TableSlot::holding(tree.table_cache.open(meta.number)?);
                     }
                     Ok(outcome)
                 }
@@ -462,7 +510,7 @@ impl DbInner {
                 }
             })
         };
-        self.files.stats
+        self.files.stats.local()
             .compaction_micros
             .fetch_add(exec_start.elapsed().as_micros() as u64, Ordering::Relaxed);
         self.op_hists.compaction.record_elapsed(exec_start);
@@ -482,15 +530,17 @@ impl DbInner {
         let installed = result.and_then(|outcome| {
             self.log_and_apply(&mut state, outcome.edit.clone()).map(|()| outcome)
         });
+        if installed.is_ok() {
+            tree.views_changed.fetch_add(1, Ordering::SeqCst);
+        }
         match installed {
             Ok(outcome) => {
-                self.files.stats.compactions.fetch_add(1, Ordering::Relaxed);
+                let stats = self.files.stats.local();
+                stats.compactions.fetch_add(1, Ordering::Relaxed);
                 tree.compactions.fetch_add(1, Ordering::Relaxed);
-                self.files.stats.compaction_bytes_read.fetch_add(outcome.bytes_read, Ordering::Relaxed);
-                self.files.stats
-                    .compaction_bytes_written
-                    .fetch_add(outcome.bytes_written, Ordering::Relaxed);
-                self.files.stats.sst_files_created.fetch_add(outcome.outputs as u64, Ordering::Relaxed);
+                stats.compaction_bytes_read.fetch_add(outcome.bytes_read, Ordering::Relaxed);
+                stats.compaction_bytes_written.fetch_add(outcome.bytes_written, Ordering::Relaxed);
+                stats.sst_files_created.fetch_add(outcome.outputs as u64, Ordering::Relaxed);
                 self.files.events.emit(&Event::CompactionEnd {
                     level: task_level,
                     bytes_read: outcome.bytes_read,
@@ -707,8 +757,8 @@ impl DbInner {
             run_compaction_range(&mut ctx, task, range)
         });
         let micros = start.elapsed().as_micros() as u64;
-        self.files.stats.subcompactions.fetch_add(1, Ordering::Relaxed);
-        self.files.stats.subcompaction_micros.fetch_add(micros, Ordering::Relaxed);
+        self.files.stats.local().subcompactions.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.local().subcompaction_micros.fetch_add(micros, Ordering::Relaxed);
         self.op_hists.subcompaction.record_elapsed(start);
         self.files.events.emit(&Event::SubcompactionEnd {
             index: index as u64,
@@ -813,9 +863,10 @@ impl DbInner {
         let files: Vec<_> =
             victims.iter().map(|v| (v.path.as_str(), v.kind, v.dek_id)).collect();
         let unlinked = self.files.retire_many(&files);
-        for n in victims.iter().zip(unlinked).filter_map(|(v, gone)| v.sst.filter(|_| gone)) {
-            tree.table_cache.evict(n);
-            self.files.stats.sst_files_deleted.fetch_add(1, Ordering::Relaxed);
-        }
+        // An unlinked SST's table closes when the last version listing it
+        // drops; nothing here holds it.
+        let deleted = victims.iter().zip(unlinked).filter(|(v, gone)| v.sst.is_some() && *gone);
+        let deleted = deleted.count() as u64;
+        self.files.stats.local().sst_files_deleted.fetch_add(deleted, Ordering::Relaxed);
     }
 }

@@ -103,9 +103,9 @@ impl DbInner {
                 w.add_record(combined.data())
                     .and_then(|()| w.flush())
                     .and_then(|()| if sync { w.sync() } else { Ok(()) })?;
-                self.files.stats.wal_bytes.fetch_add(combined.data().len() as u64, Ordering::Relaxed);
+                self.files.stats.local().wal_bytes.fetch_add(combined.data().len() as u64, Ordering::Relaxed);
                 if sync {
-                    self.files.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().wal_syncs.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -116,8 +116,8 @@ impl DbInner {
         perf::add_elapsed(PerfMetric::MemtableInsert, t);
         inserted?;
         self.last_published.store(base + count - 1, Ordering::Release);
-        self.files.stats.writes.fetch_add(count, Ordering::Relaxed);
-        self.files.stats.write_groups.fetch_add(1, Ordering::Relaxed);
+        self.files.stats.local().writes.fetch_add(count, Ordering::Relaxed);
+        self.files.stats.local().write_groups.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -146,14 +146,14 @@ impl DbInner {
                 {
                     // Gentle backpressure: sleep once outside the lock.
                     slowed_down = true;
-                    self.files.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().write_stalls.fetch_add(1, Ordering::Relaxed);
                     self.files.events
                         .emit(&Event::WriteStall { reason: "l0_slowdown", l0_files: l0 as u64 });
                     let t0 = std::time::Instant::now();
                     MutexGuard::unlocked(&mut state, || {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     });
-                    self.files.stats
+                    self.files.stats.local()
                         .stall_micros
                         .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                     continue;
@@ -170,12 +170,12 @@ impl DbInner {
                     // Hard stall until background work catches up. An L0 pile-up
                     // that no compaction can reduce (e.g. compaction disabled by
                     // configuration) must not stall forever.
-                    self.files.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
+                    self.files.stats.local().write_stalls.fetch_add(1, Ordering::Relaxed);
                     self.files.events.emit(&Event::WriteStall { reason: "stop", l0_files: l0 as u64 });
                     let t0 = std::time::Instant::now();
                     self.maybe_schedule(t, &mut state);
                     tree.work_cv.wait(&mut state);
-                    self.files.stats
+                    self.files.stats.local()
                         .stall_micros
                         .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                     continue;

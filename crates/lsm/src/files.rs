@@ -198,12 +198,12 @@ impl FileStore {
         let ready = self.ready.state.lock().deks.pop_front();
         let dek = match ready {
             Some(dek) => {
-                self.stats.dek_queue_hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.local().dek_queue_hits.fetch_add(1, Ordering::Relaxed);
                 dek
             }
             None => {
                 let dek = cfg.resolver.new_dek()?;
-                self.stats.dek_queue_misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.local().dek_queue_misses.fetch_add(1, Ordering::Relaxed);
                 dek
             }
         };
@@ -301,7 +301,7 @@ impl FileStore {
     fn revoke_unbound(&self, ids: &[DekId]) {
         if let (Some(cfg), false) = (&self.encryption, ids.is_empty()) {
             let _ = cfg.revoke_deks(ids);
-            self.stats.deks_retired_unused.fetch_add(ids.len() as u64, Ordering::Relaxed);
+            self.stats.local().deks_retired_unused.fetch_add(ids.len() as u64, Ordering::Relaxed);
         }
     }
 

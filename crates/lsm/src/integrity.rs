@@ -205,13 +205,13 @@ impl IntegrityCtx {
     fn finish(&self, offset: u64, expect: &[u8], stored: &[u8], what: &str) -> Result<()> {
         use std::sync::atomic::Ordering;
         if let Some(stats) = &self.stats {
-            stats.integrity_checks.fetch_add(1, Ordering::Relaxed);
+            stats.local().integrity_checks.fetch_add(1, Ordering::Relaxed);
         }
         if shield_crypto::constant_time_eq(expect, stored) {
             return Ok(());
         }
         if let Some(stats) = &self.stats {
-            stats.integrity_failures.fetch_add(1, Ordering::Relaxed);
+            stats.local().integrity_failures.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(events) = &self.events {
             events.emit(&Event::IntegrityViolation { file: self.file_number, offset });

@@ -46,7 +46,7 @@ use shield_core::{perf, trace, PerfCounter, PerfMetric};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_unmask};
 use shield_env::{RandomAccessFile, ReadQueue, ReadRequest};
 
-use crate::cache::{BlockCache, BlockKind, CacheHandle, CacheKey};
+use crate::cache::{BlockCache, BlockKind, CacheHandle, CacheKey, KeyMix};
 use crate::error::{Error, Result};
 use crate::integrity::IntegrityCtx;
 use crate::sst::block::Block;
@@ -61,6 +61,12 @@ const MAX_BLOCK_LEN: usize = 1 << 26; // 64 MiB
 /// Bounded in-flight depth for batched reads: block reads per
 /// `read_at_many` submission window of every engine's fetcher.
 pub const DEFAULT_INFLIGHT_READS: usize = 16;
+/// Shards of the single-flight table (a power of two): two readers
+/// missing different blocks lock different shards.
+const INFLIGHT_SHARDS: usize = 16;
+
+/// One shard of the single-flight table.
+type InflightShard = Mutex<HashMap<CacheKey, Arc<Flight>, KeyMix>>;
 
 /// A block obtained through the fetcher. `Cached` keeps the entry pinned
 /// (charged, not evictable) until dropped; `Uncached` is a plain
@@ -102,7 +108,9 @@ pub struct BlockRequest {
 /// The single entry point for reading SST blocks.
 pub struct BlockFetcher {
     cache: Option<Arc<BlockCache>>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    /// The single-flight table, sharded by the cache's keyed hash.
+    inflight: Box<[InflightShard]>,
+    mix: KeyMix,
     /// Engine tickers credited with batched-read submissions.
     stats: Option<Arc<Statistics>>,
     readahead_blocks: usize,
@@ -130,9 +138,11 @@ impl BlockFetcher {
         inflight_depth: usize,
         stats: Option<Arc<Statistics>>,
     ) -> Arc<Self> {
+        let mix = cache.as_ref().map_or_else(KeyMix::new, |c| c.key_mix());
         Arc::new(BlockFetcher {
             cache,
-            inflight: Mutex::new(HashMap::new()),
+            inflight: (0..INFLIGHT_SHARDS).map(|_| Mutex::new(HashMap::with_hasher(mix))).collect(),
+            mix,
             stats,
             readahead_blocks,
             inflight_depth: inflight_depth.max(1),
@@ -258,47 +268,42 @@ impl BlockFetcher {
             misses.push(i);
         }
 
-        // Phase 2: one pass over the in-flight map splits the misses into
-        // joiners (another thread is reading that block) and leaders (this
-        // batch will). A duplicate handle within the batch joins the
-        // leader slot created moments earlier; leaders publish before
-        // joiners wait, so the self-join cannot deadlock.
+        // Phase 2: one pass over the in-flight table splits the misses
+        // into joiners (another thread is reading that block) and leaders
+        // (this batch will), locking each key's shard in turn. A
+        // duplicate handle within the batch joins the leader slot created
+        // moments earlier; leaders publish before joiners wait, so the
+        // self-join cannot deadlock.
         let mut joiners: Vec<(usize, Arc<Flight>)> = Vec::new();
         let mut leaders: Vec<(usize, Arc<Flight>)> = Vec::new();
         let mut landed: Vec<usize> = Vec::new();
-        match lock_inflight(&self.inflight) {
-            Ok(mut map) => {
-                for &i in &misses {
-                    let key = (table_id, requests[i].handle.offset);
-                    match map.get(&key) {
-                        Some(_) if follower(i) => {}
-                        Some(f) => joiners.push((i, f.clone())),
-                        // A leader admits its block before it retires the
-                        // flight, so a block another batch finished since
-                        // phase 1 is resident by now: under this lock,
-                        // "not in flight and not resident" means nobody
-                        // else has read it, and concurrent scans read
-                        // each block once.
-                        None if fill_cache
-                            && self.cache.as_ref().is_some_and(|c| c.contains(&key)) =>
-                        {
-                            if !follower(i) {
-                                landed.push(i);
-                            }
-                        }
-                        None => {
-                            let f = Arc::new(Flight::default());
-                            map.insert(key, f.clone());
-                            leaders.push((i, f));
-                        }
+        for &i in &misses {
+            let key = (table_id, requests[i].handle.offset);
+            let mut map = match self.lock_inflight(&key) {
+                Ok(map) => map,
+                Err(e) => {
+                    out[i] = Some(Err(e));
+                    continue;
+                }
+            };
+            match map.get(&key) {
+                Some(_) if follower(i) => {}
+                Some(f) => joiners.push((i, f.clone())),
+                // A leader admits its block before it retires the flight,
+                // so a block another batch finished since phase 1 is
+                // resident by now: under this key's shard lock, "not in
+                // flight and not resident" means nobody else has read it,
+                // and concurrent scans read each block once.
+                None if fill_cache && self.cache.as_ref().is_some_and(|c| c.contains(&key)) => {
+                    if !follower(i) {
+                        landed.push(i);
                     }
                 }
-            }
-            Err(e) => {
-                for &i in &misses {
-                    out[i] = Some(Err(e.clone()));
+                None => {
+                    let f = Arc::new(Flight::default());
+                    map.insert(key, f.clone());
+                    leaders.push((i, f));
                 }
-                return out;
             }
         }
 
@@ -323,8 +328,8 @@ impl BlockFetcher {
                 .map(|start| start..(start + queue.depth()).min(ready.len()))
                 .collect();
             if let Some(stats) = &self.stats {
-                stats.batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
-                stats.batch_read_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
+                stats.local().batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
+                stats.local().batch_read_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
             }
             if let Some(cache) = self.cache.as_ref().filter(|_| readahead) {
                 let led = ready.iter().filter(|r| follower(r.0)).count();
@@ -417,7 +422,7 @@ impl BlockFetcher {
         integrity: Option<&IntegrityCtx>,
     ) -> Result<FetchedBlock> {
         let (flight, is_leader) = {
-            let mut map = lock_inflight(&self.inflight)?;
+            let mut map = self.lock_inflight(&key)?;
             match map.get(&key) {
                 Some(flight) => (flight.clone(), false),
                 None => {
@@ -493,10 +498,10 @@ impl BlockFetcher {
         }
     }
 
-    /// Retires `key`'s flight from the in-flight map and wakes its
+    /// Retires `key`'s flight from the in-flight table and wakes its
     /// joiners with `result`.
     fn publish(&self, key: CacheKey, flight: &Arc<Flight>, result: Result<Arc<Block>>) {
-        if let Ok(mut map) = self.inflight.lock() {
+        if let Ok(mut map) = self.lock_inflight(&key) {
             map.remove(&key);
         }
         if let Ok(mut done) = flight.done.lock() {
@@ -504,12 +509,16 @@ impl BlockFetcher {
         }
         flight.cv.notify_all();
     }
-}
 
-fn lock_inflight(
-    m: &Mutex<HashMap<CacheKey, Arc<Flight>>>,
-) -> Result<std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<Flight>>>> {
-    m.lock().map_err(|_| Error::Corruption("in-flight block table poisoned".into()))
+    /// Locks the single-flight shard that holds `key`.
+    fn lock_inflight(
+        &self,
+        key: &CacheKey,
+    ) -> Result<std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<Flight>, KeyMix>>> {
+        self.inflight[self.mix.shard(key, INFLIGHT_SHARDS)]
+            .lock()
+            .map_err(|_| Error::Corruption("in-flight block table poisoned".into()))
+    }
 }
 
 /// Runs `wait` — one window's read, or the join of the thread reading it
@@ -916,7 +925,8 @@ mod tests {
         std::thread::scope(|s| {
             // Another reader leads `busy` and is held mid-read.
             let reader = s.spawn(|| fetcher.fetch(&file, 1, busy, BlockKind::Data, true, None));
-            while !fetcher.inflight.lock().unwrap().contains_key(&(1, busy.offset)) {
+            let key = (1, busy.offset);
+            while !fetcher.lock_inflight(&key).unwrap().contains_key(&key) {
                 std::thread::yield_now();
             }
             // A readahead batch naming `busy` as a follower returns its

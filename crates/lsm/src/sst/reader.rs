@@ -3,8 +3,8 @@
 //! Point reads and user iterators go through [`BlockFetcher`] (cache
 //! lookup → single-flight verified read), so a `Table` no longer owns
 //! private copies of its index and filter: they are cached, charged blocks
-//! pinned for the table's lifetime, and survive table-cache eviction as
-//! block cache hits on reopen. Whole-file scans (compaction,
+//! pinned for the table's lifetime, and survive the table as block cache
+//! hits on reopen. Whole-file scans (compaction,
 //! `verify_integrity`) take the other path, [`Table::scan`], which reads
 //! around the cache in large spans (see [`crate::sst::scanner`]).
 
@@ -22,11 +22,11 @@ use crate::sst::fetcher::{read_verified, BlockFetcher, BlockRequest, FetchedBloc
 use crate::sst::filter::BloomFilterReader;
 use crate::sst::format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, FOOTER_V2_LEN};
 use crate::sst::scanner::TableScanner;
-use crate::types::{extract_user_key, make_lookup_key, SequenceNumber};
+use crate::types::{extract_seq_type, extract_user_key, make_lookup_key, SequenceNumber, ValueType};
 
-/// One resolved point lookup: the matching `(internal_key, value)` entry
-/// if the table holds one visible at the queried sequence.
-pub type LookupResult = Result<Option<(Vec<u8>, Vec<u8>)>>;
+/// One resolved point lookup: the type and value of the newest entry
+/// visible at the queried sequence, if the table holds one.
+pub type LookupResult = Result<Option<(ValueType, Vec<u8>)>>;
 
 /// An open, immutable table file.
 pub struct Table {
@@ -173,31 +173,32 @@ impl Table {
     }
 
     /// Point lookup: returns the first entry for `user_key` visible at
-    /// `seq`, as `(internal_key, value)`, or `None`.
-    pub fn get(&self, user_key: &[u8], seq: SequenceNumber) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    /// `seq`, as `(type, value)`, or `None`.
+    pub fn get(&self, user_key: &[u8], seq: SequenceNumber) -> LookupResult {
         self.get_opt(user_key, seq, true)
     }
 
     /// [`Table::get`] with cache-admission control (`fill_cache = false`
     /// reads around the cache without disturbing residency).
-    pub fn get_opt(
-        &self,
-        user_key: &[u8],
-        seq: SequenceNumber,
-        fill_cache: bool,
-    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    pub fn get_opt(&self, user_key: &[u8], seq: SequenceNumber, fill_cache: bool) -> LookupResult {
+        self.get_at(&make_lookup_key(user_key, seq), fill_cache)
+    }
+
+    /// [`Table::get_opt`] for a lookup key (`make_lookup_key`) the caller
+    /// built once for every table it probes.
+    pub fn get_at(&self, lookup: &[u8], fill_cache: bool) -> LookupResult {
+        let user_key = extract_user_key(lookup);
         if let Some((_, filter)) = &self.filter {
             perf::incr(PerfCounter::BloomProbes, 1);
             if !filter.may_contain(user_key) {
                 if let Some(stats) = &self.stats {
-                    stats.bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    stats.local().bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
                 return Ok(None);
             }
         }
-        let lookup = make_lookup_key(user_key, seq);
         let mut index_iter = self.index.block().iter();
-        index_iter.seek(&lookup);
+        index_iter.seek(lookup);
         if !index_iter.valid() {
             return Ok(None);
         }
@@ -207,11 +208,8 @@ impl Table {
         // entry >= the lookup key: one block decides the lookup.
         let block = self.data_block(handle, fill_cache)?;
         let mut it = block.block().iter();
-        it.seek(&lookup);
-        if it.valid() && extract_user_key(it.key()) == user_key {
-            return Ok(Some((it.key().to_vec(), it.value().to_vec())));
-        }
-        Ok(None)
+        it.seek(lookup);
+        entry_of(&it, user_key)
     }
 
     /// Batched point lookup: one slot per key, each equivalent to
@@ -235,7 +233,7 @@ impl Table {
                 perf::incr(PerfCounter::BloomProbes, 1);
                 if !filter.may_contain(user_key) {
                     if let Some(stats) = &self.stats {
-                        stats.bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        stats.local().bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                     out[i] = Some(Ok(None));
                     continue;
@@ -274,8 +272,7 @@ impl Table {
                 Ok(block) => {
                     let mut it = block.block().iter();
                     it.seek(&lookup);
-                    Ok((it.valid() && extract_user_key(it.key()) == keys[slot])
-                        .then(|| (it.key().to_vec(), it.value().to_vec())))
+                    entry_of(&it, keys[slot])
                 }
             });
         }
@@ -338,6 +335,18 @@ impl Table {
     #[must_use]
     pub fn scan(self: &Arc<Self>) -> TableScanner {
         TableScanner::new(self.clone())
+    }
+}
+
+/// The entry `it` stands on, if it belongs to `user_key`: its type and a
+/// copy of its value (the one copy a point lookup makes).
+fn entry_of(it: &BlockIter, user_key: &[u8]) -> LookupResult {
+    if !it.valid() || extract_user_key(it.key()) != user_key {
+        return Ok(None);
+    }
+    match extract_seq_type(it.key()).1 {
+        Some(vtype) => Ok(Some((vtype, it.value().to_vec()))),
+        None => Err(Error::Corruption("bad value type in table entry".into())),
     }
 }
 
@@ -627,7 +636,7 @@ mod tests {
                         .range((key.to_vec(), std::cmp::Reverse(snapshot))..)
                         .next()
                         .filter(|((k, _), _)| k == key)
-                        .map(|((k, seq), v)| (make_internal_key(k, seq.0, ValueType::Value), v.clone()));
+                        .map(|(_, v)| (ValueType::Value, v.clone()));
                     proptest::prop_assert_eq!(&t.get(key, snapshot).unwrap(), &expected);
                     proptest::prop_assert_eq!(&batched.unwrap(), &expected);
                 }

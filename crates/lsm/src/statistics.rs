@@ -14,9 +14,19 @@
 //!   bytes, in-flight high-water marks); subtracting them is
 //!   meaningless, so `delta_since` carries the later snapshot's value
 //!   through unchanged.
+//!
+//! The counters are the ones the foreground writes: every get bumps
+//! `gets`, `bloom_useful`, `integrity_checks`… So they are striped per
+//! thread ([`Striped`], one 128-byte-aligned copy of the whole section
+//! per stripe): concurrent readers add into different cache lines, and
+//! [`Statistics::snapshot`] sums the stripes, exactly. Shared mirrors
+//! and gauges are `store`-written by one refresher and stay plain
+//! atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use shield_core::Striped;
 
 macro_rules! tickers {
     (
@@ -24,10 +34,19 @@ macro_rules! tickers {
         shared { $($(#[$sdoc:meta])* $sname:ident),* $(,)? }
         gauges { $($(#[$gdoc:meta])* $gname:ident),* $(,)? }
     ) => {
-        /// Engine tickers: monotonic counters plus mirrored gauges.
+        /// One stripe of the counters section: every counter, once.
+        /// Written only through [`Statistics::local`]; a total is a
+        /// [`Statistics::snapshot`].
+        #[derive(Default)]
+        pub struct Counters {
+            $($(#[$cdoc])* pub $cname: AtomicU64,)*
+        }
+
+        /// Engine tickers: striped monotonic counters plus mirrored
+        /// tickers and gauges.
         #[derive(Default)]
         pub struct Statistics {
-            $($(#[$cdoc])* pub $cname: AtomicU64,)*
+            counters: Striped<Counters>,
             $($(#[$sdoc])* pub $sname: AtomicU64,)*
             $($(#[$gdoc])* pub $gname: AtomicU64,)*
         }
@@ -47,14 +66,24 @@ macro_rules! tickers {
                 Arc::new(Self::default())
             }
 
-            /// Copies all tickers.
+            /// The calling thread's stripe of the counters: add here.
+            #[inline]
+            pub fn local(&self) -> &Counters {
+                self.counters.local()
+            }
+
+            /// Copies all tickers; each counter is the sum of its stripes.
             #[must_use]
             pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $($cname: self.$cname.load(Ordering::Relaxed),)*
+                let mut snap = StatsSnapshot {
                     $($sname: self.$sname.load(Ordering::Relaxed),)*
                     $($gname: self.$gname.load(Ordering::Relaxed),)*
+                    ..StatsSnapshot::default()
+                };
+                for c in self.counters.all() {
+                    $(snap.$cname += c.$cname.load(Ordering::Relaxed);)*
                 }
+                snap
             }
         }
 
@@ -243,10 +272,10 @@ mod tests {
     #[test]
     fn snapshot_and_delta() {
         let s = Statistics::new();
-        s.writes.fetch_add(10, Ordering::Relaxed);
+        s.local().writes.fetch_add(10, Ordering::Relaxed);
         let a = s.snapshot();
-        s.writes.fetch_add(5, Ordering::Relaxed);
-        s.gets.fetch_add(2, Ordering::Relaxed);
+        s.local().writes.fetch_add(5, Ordering::Relaxed);
+        s.local().gets.fetch_add(2, Ordering::Relaxed);
         let b = s.snapshot();
         let d = b.delta_since(&a);
         assert_eq!(d.writes, 5);
@@ -308,7 +337,7 @@ mod tests {
     #[test]
     fn name_value_iteration_matches_fields() {
         let s = Statistics::new();
-        s.writes.fetch_add(4, Ordering::Relaxed);
+        s.local().writes.fetch_add(4, Ordering::Relaxed);
         s.block_cache_pinned_bytes.store(2, Ordering::Relaxed);
         let snap = s.snapshot();
         let counters = snap.counters();
@@ -320,5 +349,30 @@ mod tests {
             assert!(!gauges.iter().any(|(g, _)| g == n), "{n} in both sections");
         }
         assert_eq!(counters.len() + gauges.len(), 56);
+    }
+
+    #[test]
+    fn striped_counters_sum_exactly_and_delta() {
+        let s = Statistics::new();
+        let a = s.snapshot();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..100_000 {
+                        s.local().gets.fetch_add(1, Ordering::Relaxed);
+                        s.local().integrity_checks.fetch_add(3, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        let b = s.snapshot();
+        assert_eq!((b.gets, b.integrity_checks), (400_000, 1_200_000));
+        let d = b.delta_since(&a);
+        assert_eq!(d, b, "a delta from zero is the snapshot");
+        assert_eq!(b.delta_since(&b).gets, 0);
+        // Deltas compose: (c - b) + (b - a) = c - a.
+        s.local().gets.fetch_add(7, Ordering::Relaxed);
+        let c = s.snapshot();
+        assert_eq!(c.delta_since(&b).gets + b.delta_since(&a).gets, c.delta_since(&a).gets);
     }
 }

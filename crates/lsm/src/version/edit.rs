@@ -1,8 +1,13 @@
 //! Version edits: the records appended to the MANIFEST.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use shield_crypto::DekId;
 
 use crate::error::{Error, Result};
+use crate::sst::Table;
+use crate::version::table_cache::TableCache;
 use crate::varint::{
     get_length_prefixed, get_varint32, get_varint64, put_length_prefixed, put_varint32,
     put_varint64,
@@ -23,9 +28,72 @@ pub struct FileMeta {
     /// paper's LSM-KVS metadata embedding) so the version state alone is
     /// enough to prefetch DEKs for, e.g., offloaded compaction.
     pub dek_id: Option<DekId>,
+    /// The file's open table once anyone opened it — shared by every
+    /// clone of this meta, so by every version that lists the file. Not
+    /// persisted and not compared.
+    pub table: TableSlot,
+}
+
+/// Where a file's open [`Table`] lives: one slot per file, shared by
+/// every clone of its [`FileMeta`] (RocksDB keeps its table reader in
+/// `FileMetaData` the same way when `max_open_files = -1`). The table
+/// closes when the last version, task or iterator holding the file
+/// drops, so a table lives exactly as long as its file is reachable.
+#[derive(Clone, Default)]
+pub struct TableSlot(Arc<OnceLock<Arc<Table>>>);
+
+impl TableSlot {
+    /// A slot holding `table`: a flush or compaction output, opened on the
+    /// background thread right after it was built.
+    #[must_use]
+    pub fn holding(table: Arc<Table>) -> Self {
+        TableSlot(Arc::new(OnceLock::from(table)))
+    }
+
+    /// The open table, if the file has been opened.
+    #[must_use]
+    pub fn get(&self) -> Option<&Arc<Table>> {
+        self.0.get()
+    }
+}
+
+/// An open table is not metadata: two metas describing the same file are
+/// equal whether or not either has been opened.
+impl PartialEq for TableSlot {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for TableSlot {}
+
+impl fmt::Debug for TableSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.get().is_some() { "open" } else { "closed" })
+    }
 }
 
 impl FileMeta {
+    /// The file's table, opened through `tables` on first use and kept
+    /// in the slot for every later reader. A failed open caches nothing,
+    /// so the next reader retries it (a replica that lost a race with the
+    /// primary's file GC catches up and retries). Two first readers may
+    /// both open; one table wins the slot and the other is dropped.
+    pub fn table(&self, tables: &TableCache) -> Result<&Arc<Table>> {
+        if let Some(table) = self.table.get() {
+            return Ok(table);
+        }
+        let table = tables.open(self.number)?;
+        Ok(self.table.0.get_or_init(|| table))
+    }
+
+    /// The metadata alone, without the open table: what another server
+    /// (an offloaded compactor) receives, to open the file its own way.
+    #[must_use]
+    pub fn detached(&self) -> FileMeta {
+        FileMeta { table: TableSlot::default(), ..self.clone() }
+    }
+
     /// Smallest user key.
     #[must_use]
     pub fn smallest_user_key(&self) -> &[u8] {
@@ -157,7 +225,14 @@ impl VersionEdit {
                     };
                     edit.new_files.push((
                         level,
-                        FileMeta { number, file_size, smallest, largest, dek_id },
+                        FileMeta {
+                            number,
+                            file_size,
+                            smallest,
+                            largest,
+                            dek_id,
+                            table: TableSlot::default(),
+                        },
                     ));
                 }
                 other => return Err(corrupt(&format!("unknown tag {other}"))),
@@ -179,6 +254,7 @@ mod tests {
             smallest: make_internal_key(b"aaa", 5, ValueType::Value),
             largest: make_internal_key(b"zzz", 90, ValueType::Value),
             dek_id: Some(DekId(number as u128 * 7)),
+            table: TableSlot::default(),
         }
     }
 

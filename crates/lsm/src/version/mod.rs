@@ -10,7 +10,7 @@ pub mod tailer;
 #[allow(clippy::module_inception)]
 pub mod version;
 
-pub use edit::{FileMeta, VersionEdit};
+pub use edit::{FileMeta, TableSlot, VersionEdit};
 pub use filenames::{
     current_file_name, manifest_file_name, parse_file_name, sst_file_name, wal_file_name,
     FileType,

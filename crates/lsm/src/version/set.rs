@@ -66,7 +66,7 @@ impl VersionSet {
         self.current.clone()
     }
 
-    /// The table cache shared with readers.
+    /// The tree's table opener, shared with readers.
     #[must_use]
     pub fn table_cache(&self) -> Arc<TableCache> {
         self.table_cache.clone()
@@ -257,11 +257,12 @@ mod tests {
             smallest: make_internal_key(lo.as_bytes(), 1, ValueType::Value),
             largest: make_internal_key(hi.as_bytes(), 1, ValueType::Value),
             dek_id: None,
+            table: Default::default(),
         }
     }
 
     fn set_over(files: FileStore) -> VersionSet {
-        let tc = TableCache::new(files.clone(), "db".into(), None, 8, 0);
+        let tc = TableCache::new(files.clone(), "db".into(), None, 0);
         VersionSet::new(files, "db".into(), tc)
     }
 

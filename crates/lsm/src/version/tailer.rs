@@ -254,6 +254,7 @@ mod tests {
             smallest: make_internal_key(lo.as_bytes(), 1, ValueType::Value),
             largest: make_internal_key(hi.as_bytes(), 1, ValueType::Value),
             dek_id: None,
+            table: Default::default(),
         }
     }
 
@@ -262,7 +263,7 @@ mod tests {
     }
 
     fn new_set(env: &MemEnv) -> VersionSet {
-        let tc = TableCache::new(store(env), "db".into(), None, 8, 0);
+        let tc = TableCache::new(store(env), "db".into(), None, 0);
         VersionSet::new(store(env), "db".into(), tc)
     }
 

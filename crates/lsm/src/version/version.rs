@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::iter::InternalIterator;
 use crate::sst::{Table, TableIterator, TableScanner};
-use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType};
+use crate::types::{extract_user_key, make_lookup_key, SequenceNumber, ValueType};
 use crate::version::edit::FileMeta;
 use crate::version::table_cache::TableCache;
 
@@ -89,30 +89,20 @@ impl Version {
         seq: SequenceNumber,
         fill_cache: bool,
     ) -> Result<GetResult> {
-        // L0: newest file first; files may overlap.
-        for meta in &self.files[0] {
-            if user_key < meta.smallest_user_key() || user_key > meta.largest_user_key() {
-                continue;
-            }
-            if let Some(result) =
-                self.get_in_file(table_cache, meta, user_key, seq, fill_cache)?
-            {
-                return Ok(result);
-            }
-        }
-        // L1+: at most one candidate file per level.
-        for level in 1..self.files.len() {
-            let files = &self.files[level];
-            if files.is_empty() {
-                continue;
-            }
-            let idx = files.partition_point(|f| f.largest_user_key() < user_key);
-            if idx >= files.len() || user_key < files[idx].smallest_user_key() {
-                continue;
-            }
-            if let Some(result) =
-                self.get_in_file(table_cache, &files[idx], user_key, seq, fill_cache)?
-            {
+        // L0 newest first (its files may overlap), then at most one
+        // candidate file per deeper level.
+        let l0 = self.files[0]
+            .iter()
+            .filter(|f| user_key >= f.smallest_user_key() && user_key <= f.largest_user_key());
+        let deeper = self.files[1..].iter().filter_map(|files| {
+            let f = files.get(files.partition_point(|f| f.largest_user_key() < user_key))?;
+            (user_key >= f.smallest_user_key()).then_some(f)
+        });
+        // Built once, at the first file that may hold the key.
+        let mut lookup = None;
+        for meta in l0.chain(deeper) {
+            let lookup = lookup.get_or_insert_with(|| make_lookup_key(user_key, seq));
+            if let Some(result) = self.get_in_file(table_cache, meta, lookup, fill_cache)? {
                 return Ok(result);
             }
         }
@@ -163,30 +153,34 @@ impl Version {
     /// trips (footer, index, bloom, properties — plus the DEK resolve in
     /// SHIELD mode); opening a batch's candidate files one after another
     /// would serialize those trips and dominate the whole batch on a
-    /// remote env. [`TableCache::get`] is concurrency-safe and
+    /// remote env. [`FileMeta::table`] is concurrency-safe and
     /// idempotent, so this is a pure warm-up: open errors are ignored
     /// here — the resolution pass re-encounters them and attributes them
     /// to the right slots. Candidacy is over-approximate on purpose (a
     /// key that resolves at L0 still warms its L1+ candidates); those
-    /// tables stay in the cache for the next lookup.
+    /// tables stay open in their files' slots for the next lookup.
     fn warm_candidate_tables(&self, table_cache: &TableCache, keys: &[&[u8]]) {
         const WARM_THREADS: usize = 8;
-        let mut candidates: Vec<u64> = Vec::new();
+        let mut candidates: Vec<&FileMeta> = Vec::new();
         for meta in &self.files[0] {
-            if keys.iter().any(|&k| {
-                k >= meta.smallest_user_key() && k <= meta.largest_user_key()
-            }) {
-                candidates.push(meta.number);
+            if meta.table.get().is_none()
+                && keys.iter().any(|&k| {
+                    k >= meta.smallest_user_key() && k <= meta.largest_user_key()
+                })
+            {
+                candidates.push(meta);
             }
         }
         for level in 1..self.files.len() {
             let files = &self.files[level];
             for (fidx, meta) in files.iter().enumerate() {
-                if keys.iter().any(|&k| {
-                    files.partition_point(|f| f.largest_user_key() < k) == fidx
-                        && k >= meta.smallest_user_key()
-                }) {
-                    candidates.push(meta.number);
+                if meta.table.get().is_none()
+                    && keys.iter().any(|&k| {
+                        files.partition_point(|f| f.largest_user_key() < k) == fidx
+                            && k >= meta.smallest_user_key()
+                    })
+                {
+                    candidates.push(meta);
                 }
             }
         }
@@ -198,8 +192,8 @@ impl Version {
             for _ in 0..candidates.len().min(WARM_THREADS) {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&number) = candidates.get(i) else { break };
-                    let _ = table_cache.get(number);
+                    let Some(meta) = candidates.get(i) else { break };
+                    let _ = meta.table(table_cache);
                 });
             }
         });
@@ -224,7 +218,7 @@ impl Version {
         if slots.is_empty() {
             return;
         }
-        let table = match table_cache.get(meta.number) {
+        let table = match meta.table(table_cache) {
             Ok(t) => t,
             Err(e) => {
                 for &i in &slots {
@@ -237,40 +231,32 @@ impl Version {
         for (&i, result) in slots.iter().zip(table.get_many_opt(&sub, seq, fill_cache)) {
             match result {
                 Ok(None) => {} // not in this file; deeper sources may hold it
-                Ok(Some((ikey, value))) => {
-                    debug_assert_eq!(extract_user_key(&ikey), keys[i]);
-                    out[i] = Some(Self::classify_entry(&ikey, value));
-                }
+                Ok(Some(entry)) => out[i] = Some(Ok(Self::classify_entry(entry))),
                 Err(e) => out[i] = Some(Err(e)),
             }
         }
     }
 
-    /// Maps a raw table entry to its visible [`GetResult`].
-    fn classify_entry(ikey: &[u8], value: Vec<u8>) -> Result<GetResult> {
-        match extract_seq_type(ikey).1 {
-            Some(ValueType::Value) => Ok(GetResult::Found(value)),
-            Some(ValueType::Deletion) => Ok(GetResult::Deleted),
-            None => Err(crate::error::Error::Corruption("bad value type in table entry".into())),
+    /// Maps a table entry to its visible [`GetResult`].
+    fn classify_entry((vtype, value): (ValueType, Vec<u8>)) -> GetResult {
+        match vtype {
+            ValueType::Value => GetResult::Found(value),
+            ValueType::Deletion => GetResult::Deleted,
         }
     }
 
+    /// Probes one file with the lookup key `get_opt` built once for every
+    /// file it probes. The table is borrowed from the file's meta: no
+    /// lookup, lock or reference count per probe.
     fn get_in_file(
         &self,
         table_cache: &TableCache,
         meta: &FileMeta,
-        user_key: &[u8],
-        seq: SequenceNumber,
+        lookup: &[u8],
         fill_cache: bool,
     ) -> Result<Option<GetResult>> {
-        let table = table_cache.get(meta.number)?;
-        match table.get_opt(user_key, seq, fill_cache)? {
-            None => Ok(None),
-            Some((ikey, value)) => {
-                debug_assert_eq!(extract_user_key(&ikey), user_key);
-                Self::classify_entry(&ikey, value).map(Some)
-            }
-        }
+        let entry = meta.table(table_cache)?.get_at(lookup, fill_cache)?;
+        Ok(entry.map(Self::classify_entry))
     }
 
     /// Files at `level` whose user-key range intersects
@@ -304,8 +290,7 @@ impl Version {
     ) -> Result<Vec<Box<dyn InternalIterator>>> {
         let mut out: Vec<Box<dyn InternalIterator>> = Vec::new();
         for meta in &self.files[0] {
-            let table = table_cache.get(meta.number)?;
-            out.push(Box::new(table.iter_opt(fill_cache)));
+            out.push(Box::new(meta.table(table_cache)?.iter_opt(fill_cache)));
         }
         for level in 1..self.files.len() {
             if !self.files[level].is_empty() {
@@ -370,8 +355,8 @@ impl<I: InternalIterator> LevelIterator<I> {
         if index >= self.files.len() {
             return;
         }
-        match self.table_cache.get(self.files[index].number) {
-            Ok(table) => self.current = Some((self.open_table)(&table)),
+        match self.files[index].table(&self.table_cache) {
+            Ok(table) => self.current = Some((self.open_table)(table)),
             Err(e) => self.status = Err(e),
         }
     }
@@ -478,12 +463,13 @@ mod tests {
             smallest: make_internal_key(sorted.first().unwrap().as_bytes(), 10, ValueType::Value),
             largest: make_internal_key(sorted.last().unwrap().as_bytes(), 10, ValueType::Value),
             dek_id: None,
+            table: Default::default(),
         })
     }
 
     fn cache(env: &MemEnv) -> Arc<TableCache> {
         let files = crate::FileStore::new(Arc::new(env.clone()), None, Default::default());
-        TableCache::new(files, "db".into(), None, 16, 0)
+        TableCache::new(files, "db".into(), None, 0)
     }
 
     #[test]

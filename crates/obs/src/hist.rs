@@ -10,11 +10,13 @@
 //! Two flavours:
 //! - [`Histogram`]: plain, single-writer; `merge` combines per-thread
 //!   instances (this is what the bench driver uses).
-//! - [`AtomicHistogram`]: lock-free multi-writer; the engine records
-//!   per-operation latencies into one of these per op type and takes
-//!   [`AtomicHistogram::snapshot`]s for reports.
+//! - [`AtomicHistogram`]: lock-free multi-writer, striped per thread;
+//!   the engine records per-operation latencies into one of these per op
+//!   type and takes [`AtomicHistogram::snapshot`]s for reports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::stripe::Striped;
 
 /// Number of geometric buckets. `bucket_bound(47)` = 250 << 47 ns.
 pub const NUM_BUCKETS: usize = 48;
@@ -137,41 +139,50 @@ impl Histogram {
     }
 }
 
-/// Lock-free multi-writer histogram for in-engine recording.
-///
-/// `record` is wait-free (relaxed `fetch_add`s plus a `fetch_max`);
-/// `snapshot` folds the atomics into a plain [`Histogram`]. Snapshots
-/// are not atomic across buckets — a concurrent `record` may be half
-/// visible — which is fine for reporting.
-pub struct AtomicHistogram {
+/// One stripe of an [`AtomicHistogram`]: every field a `record` writes.
+struct HistStripe {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
-impl Default for AtomicHistogram {
+impl Default for HistStripe {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    pub fn new() -> Self {
-        AtomicHistogram {
+        HistStripe {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
     }
+}
+
+/// Lock-free multi-writer histogram for in-engine recording.
+///
+/// `record` is wait-free (relaxed `fetch_add`s plus a `fetch_max`) and
+/// writes only the calling thread's stripe ([`Striped`]), so readers on
+/// different cores never share its lines; `snapshot` sums the stripes
+/// (and takes the largest `max_ns`) into a plain [`Histogram`].
+/// Snapshots are not atomic across buckets — a concurrent `record` may
+/// be half visible — which is fine for reporting.
+#[derive(Default)]
+pub struct AtomicHistogram {
+    stripes: Striped<HistStripe>,
+}
+
+impl AtomicHistogram {
+    pub fn new() -> Self {
+        Self::default()
+    }
 
     #[inline]
     pub fn record(&self, ns: u64) {
-        self.buckets[bucket_for(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.buckets[bucket_for(ns)].fetch_add(1, Ordering::Relaxed);
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        s.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Record the time elapsed since `start`.
@@ -181,12 +192,16 @@ impl AtomicHistogram {
     }
 
     pub fn snapshot(&self) -> Histogram {
-        Histogram {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
+        let mut h = Histogram::new();
+        for s in self.stripes.all() {
+            for (total, b) in h.buckets.iter_mut().zip(&s.buckets) {
+                *total += b.load(Ordering::Relaxed);
+            }
+            h.count += s.count.load(Ordering::Relaxed);
+            h.sum_ns = h.sum_ns.saturating_add(s.sum_ns.load(Ordering::Relaxed));
+            h.max_ns = h.max_ns.max(s.max_ns.load(Ordering::Relaxed));
         }
+        h
     }
 }
 
@@ -281,6 +296,32 @@ mod tests {
         assert_eq!(snap.mean_us(), plain.mean_us());
         assert_eq!(snap.quantile_us(0.99), plain.quantile_us(0.99));
         assert_eq!(snap.max_us(), plain.max_us());
+    }
+
+    #[test]
+    fn striped_snapshot_is_exact_across_threads() {
+        let ah = AtomicHistogram::new();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let ah = &ah;
+                scope.spawn(move || {
+                    for i in 0..100_000u64 {
+                        ah.record(i % 1000 + t * 1_000_000);
+                    }
+                });
+            }
+        });
+        let snap = ah.snapshot();
+        let mut plain = Histogram::new();
+        for t in 0..4u64 {
+            for i in 0..100_000u64 {
+                plain.record(i % 1000 + t * 1_000_000);
+            }
+        }
+        assert_eq!(snap.count(), 400_000);
+        assert_eq!(snap.buckets, plain.buckets);
+        assert_eq!(snap.sum_ns, plain.sum_ns);
+        assert_eq!(snap.max_ns, 3_000_999, "max is the largest stripe's max");
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! - [`trace`]: the flight recorder — hierarchical per-op spans in a
 //!   bounded ring, slow-op capture, and the active-op registry the
 //!   stall watchdog scans.
+//! - [`stripe`]: [`Striped`], the per-thread counter stripes every
+//!   ticker set and histogram writes through, so readers on different
+//!   cores never write one cache line.
 //! - [`window`]: the windowed-stats differ turning cumulative tickers
 //!   into per-interval deltas and rates (`shield_metrics_window_v1`).
 
@@ -25,6 +28,7 @@ pub mod hist;
 pub mod json;
 pub mod log;
 pub mod perf;
+pub mod stripe;
 pub mod trace;
 pub mod window;
 
@@ -34,5 +38,6 @@ pub use log::{
     Event, EventDispatcher, EventListener, FieldValue, InfoLog, LogConfig, LogLevel, LogSink,
 };
 pub use perf::{PerfContext, PerfCounter, PerfGuard, PerfMetric};
+pub use stripe::{Striped, STRIPES};
 pub use trace::{ActiveOp, SlowOp, SpanContext, SpanRecord, Tracer};
 pub use window::{MetricsWindow, WindowSample, WindowTracker, WINDOW_SCHEMA};

@@ -20,12 +20,13 @@
 # nowhere else, except that --record appends the session to FILE (a JSON
 # array, created if missing; the repo's record is BENCH_e2e.json): both
 # sides' stamped commits and file-system types, nproc, the host's CPU model
-# (/proc/cpuinfo), the workload, seeds and window, and per end-to-end
-# metric each side's runs, median and quartiles and the change's wins,
-# losses and ties.
+# and the crypto-relevant CPU features it has (/proc/cpuinfo: aes,
+# pclmulqdq, sha_ni, sse4_2, avx2, avx512f, vaes, vpclmulqdq), the
+# workload, seeds and window, and per end-to-end metric each side's runs,
+# median and quartiles and the change's wins, losses and ties.
 set -euo pipefail
 
-usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 PARENT="" CHANGE="" WORKLOAD="" OUT="" PAIRS=10 SEED=1 WINDOW=() RECORD=""
 while [ $# -gt 0 ]; do
@@ -96,13 +97,18 @@ JSON=/dev/null
 [ -n "$RECORD" ] && JSON="$OUT/session.json"
 CPU_MODEL="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 |
     sed -e 's/[\\"]/\\&/g')"
+# The features the cipher, MAC and CRC kernels dispatch on, as a JSON list.
+CPU_FEATURES="$(sed -n 's/^flags[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 |
+    tr ' ' '\n' | grep -x -E 'aes|pclmulqdq|sha_ni|sse4_2|avx2|avx512f|vaes|vpclmulqdq' |
+    sed -e 's/.*/"&"/' | paste -s -d, - || true)"
 
 # Median, and quartiles by the exclusive method (Python's
 # statistics.quantiles(n=4)), as benchmark/src/compare.rs takes them.
 awk -F'\t' -v better="$BETTER" -v workload="$WORKLOAD" -v pairs="$PAIRS" -v seed="$SEED" \
     -v json="$JSON" -v parent_commit="$(stamp parent commit)" -v change_commit="$(stamp change commit)" \
     -v nproc="$(stamp parent nproc)" -v window="$(stamp parent seconds)" \
-    -v parent_fs="$(stamp parent fs_type)" -v change_fs="$(stamp change fs_type)" -v cpu_model="$CPU_MODEL" '
+    -v parent_fs="$(stamp parent fs_type)" -v change_fs="$(stamp change fs_type)" -v cpu_model="$CPU_MODEL" \
+    -v cpu_features="$CPU_FEATURES" '
 function sorted(side, m, v,    n, i, j, t) {
     n = 0
     for (i = 1; i <= pairs; i++) v[++n] = val[i, side, m]
@@ -127,8 +133,8 @@ END {
     printf "%s: %d alternated pairs\n", workload, pairs
     printf "{\"parent_commit\": %s, \"change_commit\": %s, \"nproc\": %s, \"workload\": \"%s\", \"seeds\": [%d, %d], \"window_s\": %s,\n", \
         parent_commit, change_commit, nproc, workload, seed, seed + pairs - 1, window > json
-    printf " \"fs_type\": {\"parent\": %s, \"change\": %s}, \"cpu_model\": \"%s\",\n", \
-        parent_fs, change_fs, cpu_model > json
+    printf " \"fs_type\": {\"parent\": %s, \"change\": %s}, \"cpu_model\": \"%s\", \"cpu_features\": [%s],\n", \
+        parent_fs, change_fs, cpu_model, cpu_features > json
     printf " \"metrics\": {" > json
     sep = "\n"
     for (k = 1; k <= metrics; k++) {

@@ -14,7 +14,9 @@
 //! * **The engine**, against [`BUDGET`]: a warmed SHIELD + HMAC store
 //!   over `MemEnv`, plus one cold SST get over `PosixEnv` in a temporary
 //!   directory (the read path a deployment runs: one copy out of the
-//!   file's mapping, decrypted in place). Each row is the median over
+//!   file's mapping, decrypted in place), plus one cold get into a full
+//!   block cache (it inserts its data block and evicts another). Each
+//!   row is the median over
 //!   [`REPS`] operations. The test fails when a count grows; a change
 //!   that lowers one lowers its row here in the same diff.
 
@@ -28,7 +30,8 @@ use shield_lsm::types::ValueType;
 use std::sync::Arc;
 
 use shield_env::PosixEnv;
-use shield_lsm::{Integrity, IntegrityOptions, ReadOptions, WriteOptions};
+use shield_lsm::cache::{BlockCache, CacheConfig};
+use shield_lsm::{Integrity, IntegrityOptions, Options, ReadOptions, WriteOptions};
 use support::{Mode, Primary, Store, ENGINE_KEY};
 
 struct Counting;
@@ -198,11 +201,12 @@ const ROWS: usize = 4_000;
 const BUDGET: &[(&str, u64, u64)] = &[
     ("put", 10, 985),
     ("memtable get", 1, 90),
-    ("cached SST get", 5, 166),
-    ("cold SST get", 10, 4_516),
-    ("multi_get(64)", 361, 42_300),
-    ("100-row scan", 214, 10_779),
-    ("cold SST get (PosixEnv)", 10, 4_516),
+    ("cached SST get", 4, 147),
+    ("cold SST get", 9, 4_497),
+    ("multi_get(64)", 297, 40_076),
+    ("100-row scan", 214, 10_771),
+    ("cold SST get (PosixEnv)", 9, 4_497),
+    ("cold SST get, evicting", 9, 4_497),
 ];
 
 fn key(i: usize) -> Vec<u8> {
@@ -328,4 +332,34 @@ fn posix_cold_get_row() {
     check(&[("cold SST get (PosixEnv)", row)]);
     store.close(db);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cold get into a full block cache: the cache holds a few data blocks
+/// beside the table's pinned index and filter, the gets walk more blocks
+/// than that with `fill_cache: true`, so every measured get inserts its
+/// data block and evicts another.
+#[test]
+fn evicting_cold_get_row() {
+    let store = shield_hmac(Store::new(Mode::Shield));
+    let cache = BlockCache::with_config(CacheConfig {
+        capacity: 64 << 10,
+        shard_bits: 0,
+        ..CacheConfig::default()
+    })
+    .unwrap();
+    let db = store.open(|opts| Options { shared_block_cache: Some(cache.clone()), ..opts });
+    let cached = ReadOptions::new();
+    let (keys, values) = load(&db);
+    let stride = ROWS / REPS;
+    for i in 0..REPS {
+        let row = i * stride + 1;
+        assert_eq!(db.get(&cached, &keys[row]).unwrap().as_ref(), Some(&values[row]));
+    }
+    let before = cache.stats();
+    let row = median(|i| assert!(db.get(&cached, &keys[i * stride + 2]).unwrap().is_some()));
+    let after = cache.stats();
+    assert_eq!(after.data_misses - before.data_misses, REPS as u64, "every measured get missed");
+    assert!(after.evictions - before.evictions >= REPS as u64, "every measured get evicted");
+    check(&[("cold SST get, evicting", row)]);
+    store.close(db);
 }

@@ -129,7 +129,7 @@ fn sst_read_fault_during_compaction_is_resumable() {
     // Soft faults were retried before sticking.
     let stats = db.statistics();
     assert!(
-        stats.bg_retries.load(std::sync::atomic::Ordering::Relaxed) >= 1,
+        stats.snapshot().bg_retries >= 1,
         "soft faults should be retried before parking"
     );
     assert!(
@@ -150,7 +150,7 @@ fn sst_read_fault_during_compaction_is_resumable() {
     db.resume().expect("resume after disarm");
     assert!(db.background_error().is_none());
     assert_eq!(
-        db.statistics().resumes.load(std::sync::atomic::Ordering::Relaxed),
+        db.statistics().snapshot().resumes,
         1
     );
     db.put(&WriteOptions::default(), b"post-resume", b"v").unwrap();

@@ -40,7 +40,7 @@ use shield_lsm::sst::{
     BlockBuilder, BlockHandle, Footer, Table, TableProperties, SCAN_SPAN_BYTES,
 };
 use shield_lsm::types::{extract_user_key, make_internal_key, ValueType, MAX_SEQUENCE};
-use shield_lsm::version::edit::FileMeta;
+use shield_lsm::version::edit::{FileMeta, TableSlot};
 use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
@@ -72,7 +72,7 @@ impl Fixture {
 
     /// A table cache with no open tables, over `cache` (or none).
     fn table_cache(&self, cache: Option<Arc<BlockCache>>) -> Arc<TableCache> {
-        TableCache::new(self.files.clone(), "db".into(), cache, 64, 0)
+        TableCache::new(self.files.clone(), "db".into(), cache, 0)
     }
 
     fn table_options(&self, block_size: usize) -> TableBuilderOptions {
@@ -94,6 +94,7 @@ impl Fixture {
             smallest: make_internal_key(&props.smallest_user_key, MAX_SEQUENCE, ValueType::Value),
             largest: make_internal_key(&props.largest_user_key, 0, ValueType::Deletion),
             dek_id: props.dek_id,
+            table: TableSlot::default(),
         })
     }
 
@@ -185,7 +186,7 @@ fn scanner_equals_cached_iterator_in_every_mode_and_block_size() {
                 let what = format!("{mode:?}/{integrity:?} shape {keys}x{versions}@{block_size}");
                 let entries = make_entries(keys, versions);
                 fx.build_table(number, &entries, block_size);
-                let table = fx.table_cache(None).get(number).expect("open");
+                let table = fx.table_cache(None).open(number).expect("open");
 
                 let (cached, status) = from_first(table.iter());
                 status.expect("cached scan");
@@ -235,7 +236,7 @@ fn tampered_block_fails_like_the_cached_path_and_poisons_nothing_before_it() {
             let entries = make_entries(2500, 1);
             let meta = fx.build_table(1, &entries, 1024);
             let (clean, header) = fx.raw(&meta);
-            let table = fx.table_cache(None).get(1).expect("open");
+            let table = fx.table_cache(None).open(1).expect("open");
             let offsets = block_offsets(&table);
             let boundaries = table.index_spans().expect("index");
             let per_span = SCAN_SPAN_BYTES / 1100;
@@ -252,7 +253,7 @@ fn tampered_block_fails_like_the_cached_path_and_poisons_nothing_before_it() {
                 raw[header + offsets[victim] as usize + 17] ^= 0x04;
                 fx.base.set_raw_content(&sst_path(1), raw).expect("tamper");
 
-                let table = fx.table_cache(None).get(1).expect("open tampered");
+                let table = fx.table_cache(None).open(1).expect("open tampered");
                 let (cached, cached_end) = from_first(table.iter());
                 let (streamed, streamed_end) = from_first(table.scan());
                 let err = streamed_end.clone().expect_err("tampering must be detected");
@@ -293,7 +294,7 @@ fn tampered_follower_block_fails_the_readahead_scan_like_the_serial_one() {
             let entries = make_entries(2500, 1);
             let meta = fx.build_table(1, &entries, 1024);
             let (clean, header) = fx.raw(&meta);
-            let offsets = block_offsets(&fx.table_cache(None).get(1).expect("open"));
+            let offsets = block_offsets(&fx.table_cache(None).open(1).expect("open"));
             // Second slot of the first batch, deep in the second, last
             // slot of the third — and one block a batch starts on.
             for victim in [1, 16 + 9, 32 + 15, 64] {
@@ -302,11 +303,11 @@ fn tampered_follower_block_fails_the_readahead_scan_like_the_serial_one() {
                 raw[header + offsets[victim] as usize + 17] ^= 0x04;
                 fx.base.set_raw_content(&sst_path(1), raw).expect("tamper");
 
-                let serial = fx.table_cache(Some(BlockCache::new(8 << 20))).get(1).expect("open");
+                let serial = fx.table_cache(Some(BlockCache::new(8 << 20))).open(1).expect("open");
                 let (serial_rows, serial_end) = from_first(serial.iter());
                 let cache = BlockCache::new(8 << 20);
-                let ahead = TableCache::new(fx.files.clone(), "db".into(), Some(cache.clone()), 64, DEPTH)
-                    .get(1)
+                let ahead = TableCache::new(fx.files.clone(), "db".into(), Some(cache.clone()), DEPTH)
+                    .open(1)
                     .expect("open");
                 let (rows, end) = from_first(ahead.iter());
                 assert!(cache.stats().readahead_issued > 0, "{what}: never read ahead");
@@ -332,7 +333,7 @@ fn file_truncated_under_an_open_table_fails_cleanly() {
             let fx = Fixture::new(mode, integrity);
             let entries = make_entries(3000, 1);
             let meta = fx.build_table(1, &entries, 4096);
-            let table = fx.table_cache(None).get(1).expect("open");
+            let table = fx.table_cache(None).open(1).expect("open");
             let (mut raw, header) = fx.raw(&meta);
             // Cut in the middle of a block in the second span.
             raw.truncate(header + SCAN_SPAN_BYTES + SCAN_SPAN_BYTES / 2 + 100);
@@ -346,7 +347,7 @@ fn file_truncated_under_an_open_table_fails_cleanly() {
             assert_eq!(streamed, entries[..streamed.len()]);
             assert!(!streamed.is_empty() && streamed.len() < entries.len());
             // And a fresh open of the footer-less file is an error, not a panic.
-            assert!(fx.table_cache(None).get(1).is_err());
+            assert!(fx.table_cache(None).open(1).is_err());
         }
     }
 }
@@ -536,7 +537,7 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
         // Open the inputs first (a live engine has them open): what is
         // measured below is the merge, not the table opens.
         for meta in &inputs {
-            tc.get(meta.number).expect("open input");
+            meta.table(&tc).expect("open input");
         }
         let mut version = Version::new();
         version.files[0] = inputs.clone();

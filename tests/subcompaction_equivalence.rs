@@ -37,7 +37,7 @@ use shield_lsm::compaction::{
 use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
 use shield_lsm::types::{internal_key_cmp, make_internal_key, ValueType, MAX_SEQUENCE};
-use shield_lsm::version::edit::{FileMeta, VersionEdit};
+use shield_lsm::version::edit::{FileMeta, TableSlot, VersionEdit};
 use shield_lsm::version::filenames::sst_file_name;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::version::version::Version;
@@ -72,7 +72,7 @@ impl ModeCtx {
     fn new(mode: Mode) -> ModeCtx {
         let files = Store::new(mode).files_for(PRIMARY);
         files.env.create_dir_all("db").expect("mkdir");
-        let table_cache = TableCache::new(files.clone(), "db".into(), None, 32, 0);
+        let table_cache = TableCache::new(files.clone(), "db".into(), None, 0);
         ModeCtx { files, table_cache }
     }
 
@@ -95,6 +95,7 @@ impl ModeCtx {
             smallest: entries.first().expect("non-empty").0.clone(),
             largest: entries.last().expect("non-empty").0.clone(),
             dek_id: props.dek_id,
+            table: TableSlot::default(),
         })
     }
 }
@@ -136,8 +137,7 @@ fn build_inputs(ctx: &ModeCtx, entries: &[Entry], files: usize) -> (Version, Com
 fn dump_outputs(tc: &Arc<TableCache>, edit: &VersionEdit) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut out = Vec::new();
     for (_, meta) in &edit.new_files {
-        let table = tc.get(meta.number).expect("open output");
-        let mut it = table.iter();
+        let mut it = meta.table(tc).expect("open output").iter();
         it.seek_to_first();
         while it.valid() {
             out.push((it.key().to_vec(), it.value().to_vec()));
