@@ -11,7 +11,9 @@
 //!
 //! and for the integrity kernels (SHA-256, keyed HMAC-SHA256, CRC32C) the
 //! dispatching production path against the scalar reference at 64 B and
-//! 4 KiB.
+//! 4 KiB; and, per 4 KiB SST block, opening it in one stitched pass
+//! (`shield_crypto::open`) against copy + decrypt + MAC + CRC, from a
+//! warm source and from a cold one (`one_pass_4k_ns`).
 //!
 //! Gates (both modes): batched AES-CTR ≥2× and ChaCha20 ≥1.5× the scalar
 //! reference on 4 KiB payloads; SHA-256 ≥3× and CRC32C ≥8× where the CPU
@@ -23,12 +25,15 @@
 
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::atomic::AtomicU8;
 
 use shield_bench::harness::{best_of_3_ns, Bench};
 use shield_core::JsonBuilder;
 use shield_crypto::aes::Aes128;
 use shield_crypto::chacha20::ChaCha20;
-use shield_crypto::{crc32c, reference, sha256, Algorithm, CipherContext, Dek, HmacKey, NONCE_LEN};
+use shield_crypto::{
+    crc32c, open, reference, sha256, Algorithm, CipherContext, Dek, HmacKey, NONCE_LEN,
+};
 
 /// Payload sizes measured, smallest to largest: a WAL-record-sized write,
 /// an SST block, and a compaction-sized bulk run.
@@ -232,6 +237,86 @@ fn integrity_row(
     IntegrityReport { slug, accelerated, min_speedup, hardware, reference, speedup_4096 }
 }
 
+/// Bytes of an SST block's contents in the `one_pass_4k_ns` rows.
+const OPEN_BLOCK: usize = 4096;
+
+/// Bytes of the cold source the `one_pass_4k_ns` rows draw blocks from:
+/// several times the last-level cache, so a block is not resident.
+const COLD_SOURCE: usize = 64 << 20;
+
+/// ns per 4 KiB block of each way to open one, from a source that is
+/// warm (one block, read over and over) or cold (a block drawn from
+/// [`COLD_SOURCE`] bytes).
+struct OpenReport {
+    stitched: bool,
+    /// `(source, one pass, copy + one pass, copy + decrypt + MAC + CRC)`.
+    rows: Vec<(&'static str, f64, f64, f64)>,
+}
+
+/// Times the three ways of opening a block: one pass straight out of the
+/// source, as `PosixEnv` reads a file's mapping; one copy into the
+/// block's buffer and one pass there, as other envs do; and the copy,
+/// the keystream, the MAC and the CRC, as every read did before the one
+/// pass.
+fn bench_open(smoke: bool) -> OpenReport {
+    let dek = Dek::generate(Algorithm::Aes128Ctr);
+    let cipher = CipherContext::new(&dek, &[0x5a; NONCE_LEN]);
+    let mac = HmacKey::new(&[9u8; 32]);
+    // The engine's MAC prefix: context ‖ offset ‖ compression.
+    let prefix = [3u8; 25];
+    let source_len = if smoke { 8 << 20 } else { COLD_SOURCE };
+    let mut random = vec![0u8; source_len];
+    shield_crypto::secure_random(&mut random);
+    let source: Vec<AtomicU8> = random.into_iter().map(AtomicU8::new).collect();
+    let mut out = Vec::with_capacity(OPEN_BLOCK);
+    // Self-check: the stitched pass must be the two-pass composition.
+    {
+        let src = &source[..OPEN_BLOCK];
+        open::copy_shared(src, &mut out);
+        let want = reference::open_in_place(&cipher, &mac, 13, &prefix, &mut out);
+        let want_plain = std::mem::take(&mut out);
+        assert_eq!(open::open_shared_into(&cipher, &mac, 13, &prefix, src, &mut out), want);
+        assert_eq!(out, want_plain, "one pass and two passes diverged");
+    }
+    let iters = if smoke { 2_000 } else { 20_000 };
+    let blocks = source_len / OPEN_BLOCK;
+    let mut rows = Vec::new();
+    for (label, cold) in [("warm", false), ("cold", true)] {
+        // Draw blocks in a fixed pseudo-random order (a full-period LCG
+        // over the block indices), so neither the caches nor the
+        // prefetcher hold the next one.
+        let mut at = 0usize;
+        let mut next_src = move || {
+            if cold {
+                at = (at * 5 + 1) % blocks;
+            }
+            at * OPEN_BLOCK
+        };
+        let mut time = |f: &mut dyn FnMut(&[AtomicU8], &mut Vec<u8>)| {
+            best_of_3_ns(iters, || {
+                let from = next_src();
+                out.clear();
+                f(black_box(&source[from..from + OPEN_BLOCK]), black_box(&mut out));
+            })
+        };
+        let one_pass = time(&mut |src, out| {
+            black_box(open::open_shared_into(&cipher, &mac, 4096, &prefix, src, out));
+        });
+        let copy_one_pass = time(&mut |src, out| {
+            open::copy_shared(src, out);
+            black_box(open::open_in_place(&cipher, &mac, 4096, &prefix, out));
+        });
+        let four_passes = time(&mut |src, out| {
+            open::copy_shared(src, out);
+            cipher.decrypt_at(4096, out);
+            black_box(mac.mac(&[&prefix, out]));
+            black_box(crc32c(out));
+        });
+        rows.push((label, one_pass, copy_one_pass, four_passes));
+    }
+    OpenReport { stitched: open::is_stitched(&cipher), rows }
+}
+
 fn rates_json(j: &mut JsonBuilder, key: &str, rates: &[(usize, f64)]) {
     j.open_obj(key);
     for (size, mib_s) in rates {
@@ -324,5 +409,22 @@ fn main() -> ExitCode {
         );
     }
     bench.json().close_obj();
+
+    let r = bench_open(smoke);
+    let j = bench.json();
+    j.open_obj("one_pass_4k_ns");
+    j.field_bool("stitched", r.stitched);
+    for (label, one_pass, copy_one_pass, four_passes) in &r.rows {
+        println!(
+            "  open 4 KiB, {label} source: one pass {one_pass:.0} ns, copy + one pass \
+             {copy_one_pass:.0} ns, copy + decrypt + MAC + CRC {four_passes:.0} ns"
+        );
+        j.open_obj(label);
+        j.field_f64("one_pass", *one_pass);
+        j.field_f64("copy_one_pass", *copy_one_pass);
+        j.field_f64("copy_decrypt_mac_crc", *four_passes);
+        j.close_obj();
+    }
+    j.close_obj();
     bench.finish()
 }

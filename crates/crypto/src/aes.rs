@@ -9,7 +9,7 @@
 pub const BLOCK_LEN: usize = 16;
 /// Number of bytes in an AES-128 key.
 pub const KEY_LEN: usize = 16;
-const ROUNDS: usize = 10;
+pub(crate) const ROUNDS: usize = 10;
 
 /// The AES S-box (FIPS-197 figure 7).
 #[rustfmt::skip]
@@ -144,6 +144,12 @@ impl Aes128 {
             }
         }
         Aes128 { round_keys, round_key_bytes }
+    }
+
+    /// The round keys in FIPS-197 byte order, as the hardware kernels
+    /// load them.
+    pub(crate) fn round_key_bytes(&self) -> &[[u8; BLOCK_LEN]; ROUNDS + 1] {
+        &self.round_key_bytes
     }
 
     /// Encrypts a single 16-byte block in place.

@@ -134,6 +134,15 @@ impl CipherContext {
         }
     }
 
+    /// The AES key schedule and initial counter, for the stitched kernel
+    /// of [`crate::open`]; `None` for ChaCha20.
+    pub(crate) fn aes(&self) -> Option<(&Aes128, u128)> {
+        match &self.inner {
+            Inner::Aes { schedule, base } => Some((schedule, *base)),
+            Inner::ChaCha(_) => None,
+        }
+    }
+
     /// Convenience alias for encrypting a buffer that starts at `offset`.
     pub fn encrypt_at(&self, offset: u64, data: &mut [u8]) {
         self.xor_at(offset, data);

@@ -45,10 +45,20 @@ impl HmacKey {
     /// materializing the concatenation.
     #[must_use]
     pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
-        let mut inner = Sha256::from_midstate(self.inner, BLOCK_LEN as u64);
+        let mut inner = self.inner();
         for part in parts {
             inner.update(part);
         }
+        self.finish(inner)
+    }
+
+    /// The inner hash, keyed and ready for the message.
+    pub(crate) fn inner(&self) -> Sha256 {
+        Sha256::from_midstate(self.inner, BLOCK_LEN as u64)
+    }
+
+    /// The MAC of the message `inner` has absorbed.
+    pub(crate) fn finish(&self, inner: Sha256) -> [u8; 32] {
         let mut outer = Sha256::from_midstate(self.outer, BLOCK_LEN as u64);
         outer.update(&inner.finalize());
         outer.finalize()

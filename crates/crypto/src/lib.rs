@@ -21,7 +21,9 @@
 //! untouched. SHA-256 and CRC32C dispatch at run time to SHA-NI and SSE4.2
 //! kernels, and HMAC keys are expanded once into an [`HmacKey`]. The scalar
 //! kernels live on in [`reference`] as the portable path and the
-//! bit-for-bit and performance baseline.
+//! bit-for-bit and performance baseline. A tagged, encrypted block is
+//! opened — decrypted and authenticated — in one stitched pass
+//! ([`open`]).
 
 pub mod aes;
 pub mod chacha20;
@@ -30,6 +32,7 @@ pub mod crc32c;
 pub mod dek;
 pub mod hmac;
 pub mod kdf;
+pub mod open;
 pub mod reference;
 pub mod sha256;
 pub mod xor;

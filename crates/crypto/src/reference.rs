@@ -6,6 +6,11 @@
 //! counter derivation on the AES side) and byte-indexed XOR combining.
 //! Nothing on a production path calls them.
 //!
+//! The two-pass open ([`open_in_place`]) is the keystream
+//! XOR followed by the keyed HMAC: the baseline [`crate::open`] stitches,
+//! and its production path for ChaCha20 keys and for CPUs without `aes` +
+//! `sha`.
+//!
 //! The integrity half holds the scalar SHA-256 compression and the
 //! byte-at-a-time CRC32C. These *are* the production path on a CPU
 //! without SHA-NI / SSE4.2 ([`crate::sha256`] and [`crate::crc32c`]
@@ -19,6 +24,8 @@
 
 use crate::aes::{Aes128, BLOCK_LEN as AES_BLOCK_LEN};
 use crate::chacha20::{ChaCha20, BLOCK_LEN as CHACHA_BLOCK_LEN};
+use crate::cipher::CipherContext;
+use crate::hmac::HmacKey;
 use crate::sha256::{BLOCK_LEN as SHA256_BLOCK_LEN, H0 as SHA256_H0, K as SHA256_K};
 
 /// 128-bit big-endian add of `v` into counter block `base`.
@@ -79,6 +86,20 @@ pub fn chacha20_xor(cipher: &ChaCha20, offset: u64, data: &mut [u8]) {
     for b in &mut block {
         unsafe { std::ptr::write_volatile(b, 0) };
     }
+}
+
+/// Two-pass open: decrypts `buf` in place (the stream bytes from
+/// `offset` on), then returns `HMAC(mac, prefix ‖ plaintext)`.
+#[must_use]
+pub fn open_in_place(
+    cipher: &CipherContext,
+    mac: &HmacKey,
+    offset: u64,
+    prefix: &[u8],
+    buf: &mut [u8],
+) -> [u8; 32] {
+    cipher.decrypt_at(offset, buf);
+    mac.mac(&[prefix, buf])
 }
 
 /// Scalar SHA-256 compression (FIPS 180-4 §6.2.2) of `blocks`, a whole

@@ -59,54 +59,116 @@ fn compress(state: &mut [u32; 8], blocks: &[u8]) {
 
 /// SHA-NI kernel: four rounds per `sha256rnds2` pair, message schedule by
 /// `sha256msg1/msg2`, reading each block straight from `blocks` and
-/// keeping the working state in two vector registers across the run. The
-/// sixteen four-round groups are written out so the schedule words stay
-/// in registers.
+/// keeping the working state in two vector registers across the run.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
-    use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
-        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
-    };
-    // SAFETY: `loadu`/`storeu` tolerate unaligned pointers; every pointer
-    // stays inside `state` (two 16-byte halves), `K` (sixteen 16-byte
-    // groups) or one 64-byte chunk of `blocks`.
+    // SAFETY: the caller has the features; every block pointer stays
+    // inside `blocks`.
     unsafe {
-        // Big-endian word loads: byte-reverse each 32-bit lane.
-        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        let state_ptr = state.as_mut_ptr().cast::<__m128i>();
-        // The instructions want the state as (ABEF, CDGH), not (ABCD, EFGH).
-        let cdab = _mm_shuffle_epi32(_mm_loadu_si128(state_ptr), 0xb1);
-        let efgh = _mm_shuffle_epi32(_mm_loadu_si128(state_ptr.add(1)), 0x1b);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
-
-        // Rounds 4g..4g+4 on schedule words `$w`.
-        macro_rules! rounds {
-            ($g:literal, $w:ident) => {{
-                let wk = _mm_add_epi32($w, _mm_loadu_si128(K.as_ptr().add(4 * $g).cast()));
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
-            }};
-        }
-        // The same, and while they are in flight advance the schedule: the
-        // next group's words are finished from the previous and current
-        // ones (`msg2`), and the previous group's get the first half of
-        // their next use (`msg1`).
-        macro_rules! rounds_and_schedule {
-            ($g:literal, $cur:ident, $prev:ident, $next:ident) => {{
-                rounds!($g, $cur);
-                let carried = _mm_add_epi32($next, _mm_alignr_epi8($cur, $prev, 4));
-                $next = _mm_sha256msg2_epu32(carried, $cur);
-                $prev = _mm_sha256msg1_epu32($prev, $cur);
-            }};
-        }
-
+        let mut lanes = ni::load_state(state);
         for block in blocks.chunks_exact(BLOCK_LEN) {
-            let (abef_in, cdgh_in) = (abef, cdgh);
-            let words = block.as_ptr().cast::<__m128i>();
+            ni::block(&mut lanes, block.as_ptr(), |_| {});
+        }
+        ni::store_state(state, lanes);
+    }
+}
+
+/// The SHA-NI rounds, shared by [`compress_sha_ni`] and the stitched
+/// decrypt-and-authenticate kernel in [`crate::open`], which inline them
+/// under the same target features.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    use super::K;
+
+    /// The working state as the instructions want it: (ABEF, CDGH).
+    pub(crate) type Lanes = (__m128i, __m128i);
+
+    /// `state` (ABCD, EFGH) → (ABEF, CDGH).
+    ///
+    /// # Safety
+    /// The CPU has `sha`, `ssse3` and `sse4.1`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(crate) unsafe fn load_state(state: &[u32; 8]) -> Lanes {
+        // SAFETY: two unaligned 16-byte loads inside `state`.
+        unsafe {
+            let ptr = state.as_ptr().cast::<__m128i>();
+            let cdab = _mm_shuffle_epi32(_mm_loadu_si128(ptr), 0xb1);
+            let efgh = _mm_shuffle_epi32(_mm_loadu_si128(ptr.add(1)), 0x1b);
+            (
+                _mm_alignr_epi8(cdab, efgh, 8),
+                _mm_blend_epi16(efgh, cdab, 0xf0),
+            )
+        }
+    }
+
+    /// (ABEF, CDGH) → `state` (ABCD, EFGH).
+    ///
+    /// # Safety
+    /// The CPU has `sha`, `ssse3` and `sse4.1`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(crate) unsafe fn store_state(state: &mut [u32; 8], (abef, cdgh): Lanes) {
+        // SAFETY: two unaligned 16-byte stores inside `state`.
+        unsafe {
+            let ptr = state.as_mut_ptr().cast::<__m128i>();
+            let feba = _mm_shuffle_epi32(abef, 0x1b);
+            let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+            _mm_storeu_si128(ptr, _mm_blend_epi16(feba, dchg, 0xf0));
+            _mm_storeu_si128(ptr.add(1), _mm_alignr_epi8(dchg, feba, 8));
+        }
+    }
+
+    /// Compresses the 64 bytes at `block` into `lanes`. The sixteen
+    /// four-round groups are written out so the schedule words stay in
+    /// registers, and `between(g)` is issued before group `g`: work
+    /// independent of the chain placed there runs in the shadow of its
+    /// latency (the stitched kernel's AES rounds; `|_| {}` otherwise).
+    ///
+    /// # Safety
+    /// The CPU has `sha`, `ssse3` and `sse4.1`, and `block` is valid for
+    /// reads of 64 bytes.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(crate) unsafe fn block(lanes: &mut Lanes, block: *const u8, mut between: impl FnMut(usize)) {
+        // SAFETY: `loadu` tolerates unaligned pointers; every pointer
+        // stays inside `K` (sixteen 16-byte groups) or the 64 bytes at
+        // `block`.
+        unsafe {
+            // Big-endian word loads: byte-reverse each 32-bit lane.
+            let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+            let (mut abef, mut cdgh) = *lanes;
+
+            // Rounds 4g..4g+4 on schedule words `$w`.
+            macro_rules! rounds {
+                ($g:literal, $w:ident) => {{
+                    between($g);
+                    let wk = _mm_add_epi32($w, _mm_loadu_si128(K.as_ptr().add(4 * $g).cast()));
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                }};
+            }
+            // The same, and while they are in flight advance the schedule:
+            // the next group's words are finished from the previous and
+            // current ones (`msg2`), and the previous group's get the first
+            // half of their next use (`msg1`).
+            macro_rules! rounds_and_schedule {
+                ($g:literal, $cur:ident, $prev:ident, $next:ident) => {{
+                    rounds!($g, $cur);
+                    let carried = _mm_add_epi32($next, _mm_alignr_epi8($cur, $prev, 4));
+                    $next = _mm_sha256msg2_epu32(carried, $cur);
+                    $prev = _mm_sha256msg1_epu32($prev, $cur);
+                }};
+            }
+
+            let words = block.cast::<__m128i>();
             let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(words), be_words);
             let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), be_words);
             let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), be_words);
@@ -133,14 +195,8 @@ unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
             rounds!(14, w2);
             w3 = _mm_sha256msg2_epu32(_mm_add_epi32(w3, _mm_alignr_epi8(w2, w1, 4)), w2);
             rounds!(15, w3);
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            *lanes = (_mm_add_epi32(abef, lanes.0), _mm_add_epi32(cdgh, lanes.1));
         }
-
-        let feba = _mm_shuffle_epi32(abef, 0x1b);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-        _mm_storeu_si128(state_ptr, _mm_blend_epi16(feba, dchg, 0xf0));
-        _mm_storeu_si128(state_ptr.add(1), _mm_alignr_epi8(dchg, feba, 8));
     }
 }
 
@@ -171,6 +227,21 @@ impl Sha256 {
     pub(crate) fn from_midstate(state: [u32; 8], absorbed: u64) -> Self {
         debug_assert_eq!(absorbed % BLOCK_LEN as u64, 0);
         Sha256 { state, buf: [0; BLOCK_LEN], buf_len: 0, total_len: absorbed }
+    }
+
+    /// The chaining state, for `n` whole blocks compressed outside this
+    /// hasher (the stitched kernel of [`crate::open`]): only between
+    /// blocks, with nothing buffered.
+    pub(crate) fn state_for_blocks(&mut self, n: usize) -> &mut [u32; 8] {
+        assert_eq!(self.buf_len, 0, "a partial block is buffered");
+        self.total_len = self.total_len.wrapping_add((n * BLOCK_LEN) as u64);
+        &mut self.state
+    }
+
+    /// Bytes that would complete the buffered partial block (0 when
+    /// nothing is buffered).
+    pub(crate) fn to_block_boundary(&self) -> usize {
+        (BLOCK_LEN - self.buf_len) % BLOCK_LEN
     }
 
     /// The chaining value after exactly one absorbed block.

@@ -12,13 +12,21 @@
 //! scalar `reference::sha256` / `reference::crc32c_extend`. Both sides are
 //! called directly, so a host with the instructions still tests the
 //! portable path, and both are pinned to the published vectors.
+//!
+//! And for the one-pass open (`shield_crypto::open`, AES-CTR stitched into
+//! HMAC-SHA256 where the host has `aes` + `sha`): in place and from a
+//! separate source (shared memory, as a file's mapping is), it and the
+//! forced portable path (`reference::open_in_place`) equal the scalar
+//! keystream followed by the scalar HMAC, at every `offset % 16`.
+
+use std::sync::atomic::AtomicU8;
 
 use proptest::prelude::*;
 use shield_crypto::aes::Aes128;
 use shield_crypto::chacha20::ChaCha20;
 use shield_crypto::{
-    crc32c, crc32c_extend, hmac_sha256, reference, sha256, Algorithm, CipherContext, Dek, DekId,
-    HmacKey, Sha256, NONCE_LEN,
+    crc32c, crc32c_extend, hmac_sha256, open, reference, sha256, Algorithm, CipherContext, Dek,
+    DekId, HmacKey, Sha256, NONCE_LEN,
 };
 
 fn hex(s: &str) -> Vec<u8> {
@@ -65,8 +73,68 @@ fn dek_for(algo: Algorithm, seed: u64) -> Dek {
     Dek::from_parts(DekId(u128::from(seed)), algo, key)
 }
 
+/// Opens `ciphertext` (the stream bytes from `offset` on) every way there
+/// is — the dispatching one pass in place and from shared memory onto the
+/// end of a buffer, and the forced portable path — and checks each
+/// against the scalar keystream followed by the scalar HMAC over
+/// `prefix ‖ plaintext`.
+fn check_open(
+    dek: &Dek,
+    nonce: &[u8; NONCE_LEN],
+    mac_key: &[u8],
+    offset: u64,
+    prefix: &[u8],
+    ciphertext: &[u8],
+) -> Result<(), proptest::TestCaseError> {
+    let mut plain = ciphertext.to_vec();
+    scalar_xor(dek, nonce, offset, &mut plain);
+    let tag = reference::hmac_sha256(mac_key, &[prefix, plain.as_slice()].concat());
+    let cipher = CipherContext::new(dek, nonce);
+    let mac = HmacKey::new(mac_key);
+    let (algo, len, prefix_len) = (dek.algorithm(), plain.len(), prefix.len());
+    let what = format!("{algo} offset {offset} len {len} prefix {prefix_len}");
+    type InPlace = fn(&CipherContext, &HmacKey, u64, &[u8], &mut [u8]) -> [u8; 32];
+    let in_place: [(&str, InPlace); 2] =
+        [("one pass", open::open_in_place), ("portable", reference::open_in_place)];
+    for (path, open_in_place) in in_place {
+        let mut buf = ciphertext.to_vec();
+        let got = open_in_place(&cipher, &mac, offset, prefix, &mut buf);
+        prop_assert_eq!(&buf, &plain, "{} in place: plaintext, {}", path, what);
+        prop_assert_eq!(got, tag, "{} in place: MAC, {}", path, what);
+    }
+    let shared: Vec<AtomicU8> = ciphertext.iter().map(|&b| AtomicU8::new(b)).collect();
+    let mut out = vec![7u8; 3];
+    let got = open::open_shared_into(&cipher, &mac, offset, prefix, &shared, &mut out);
+    prop_assert_eq!(&out[..3], &[7u8; 3], "shared: bytes before kept, {}", what);
+    prop_assert_eq!(&out[3..], &plain[..], "shared: plaintext, {}", what);
+    prop_assert_eq!(got, tag, "shared: MAC, {}", what);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random keys, nonces, offsets (every `offset % 16`), prefixes and
+    /// lengths up to 12 KiB — a third of them shorter than the first
+    /// SHA-256 block the engine's 25-byte prefix leaves room for (39 B).
+    #[test]
+    fn one_pass_open_matches_scalar_reference(
+        algo_tag in 1u8..=2,
+        seed in any::<u64>(),
+        block in 0u64..1_000_000,
+        in_block in 0u64..16,
+        len in prop_oneof![0usize..39, 39usize..=200, 0usize..=12 * 1024],
+        prefix_len in prop_oneof![Just(25usize), 0usize..=130],
+    ) {
+        let algo = Algorithm::from_tag(algo_tag).unwrap();
+        let dek = dek_for(algo, seed);
+        let mut nonce = [0u8; NONCE_LEN];
+        nonce.copy_from_slice(&payload(seed ^ 0x0f0f, NONCE_LEN));
+        let mac_key = payload(seed ^ 0x3a3a, 32);
+        let prefix = payload(seed ^ 0x7777, prefix_len);
+        let ciphertext = payload(seed ^ 0xc1c1, len);
+        check_open(&dek, &nonce, &mac_key, block * 16 + in_block, &prefix, &ciphertext)?;
+    }
 
     /// Random (offset, length, algorithm, key, nonce): batched == scalar.
     #[test]
@@ -156,6 +224,26 @@ proptest! {
         let keyed = HmacKey::new(&key);
         prop_assert_eq!(keyed.mac(&[&a, &b, &c]), hmac_sha256(&key, &whole));
         prop_assert_eq!(keyed.mac(&[&whole]), reference::hmac_sha256(&key, &whole));
+    }
+}
+
+/// The engine's shape exhaustively: a 25-byte prefix, every length to
+/// 300 B — the first SHA-256 block filled or not, the tails whose
+/// padding spills into a second block — at every `offset % 16`, for
+/// both ciphers.
+#[test]
+fn one_pass_open_at_every_short_length_and_alignment() {
+    let prefix = payload(0x9a9a, 25);
+    let ciphertext = payload(0x1b1b, 300);
+    for algo in [Algorithm::Aes128Ctr, Algorithm::ChaCha20] {
+        let dek = dek_for(algo, 0x5eed);
+        let nonce = [0xc3u8; NONCE_LEN];
+        for in_block in 0..16u64 {
+            for len in 0..=300 {
+                check_open(&dek, &nonce, b"key", 4096 + in_block, &prefix, &ciphertext[..len])
+                    .unwrap();
+            }
+        }
     }
 }
 

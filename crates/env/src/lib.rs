@@ -24,7 +24,7 @@ pub mod remote;
 pub mod stats;
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -144,6 +144,18 @@ pub struct ReadRequest {
     pub len: usize,
 }
 
+/// Where the bytes of a [`RandomAccessFile::read_at_with`] are when its
+/// pass runs.
+#[derive(Clone, Copy)]
+pub enum ReadSource<'a> {
+    /// Already copied into the pass's buffer: transform them in place.
+    Copied,
+    /// Still in memory another process may write while they are read — a
+    /// file's shared mapping. The buffer is empty: read each byte once
+    /// into it, and trust only what is there.
+    Shared(&'a [AtomicU8]),
+}
+
 /// A file readable at arbitrary offsets (used for SST files).
 ///
 /// The engine opens only finished files, so a reader may be a snapshot of
@@ -169,6 +181,27 @@ pub trait RandomAccessFile: Send + Sync {
     /// trip) override it.
     fn read_at_many(&self, requests: &[ReadRequest]) -> Vec<EnvResult<Bytes>> {
         requests.iter().map(|r| self.read_at(r.offset, r.len)).collect()
+    }
+    /// Reads like [`read_at`](Self::read_at), with `pass` turning what
+    /// was read into the result in a buffer of the caller's own: the
+    /// bytes become the result without a second copy or a second
+    /// allocation. `pass` runs once, on everything read, and leaves the
+    /// result in the buffer; the [`ReadSource`] says where the read bytes
+    /// are.
+    ///
+    /// The default makes one `read_at` copy into the buffer
+    /// ([`ReadSource::Copied`]), as does [`MemEnv`] out of its contents;
+    /// [`PosixEnv`] copies nothing and hands the pass the file's mapping
+    /// ([`ReadSource::Shared`]), to read each mapped byte once.
+    fn read_at_with(
+        &self,
+        offset: u64,
+        len: usize,
+        pass: &mut dyn FnMut(ReadSource<'_>, &mut Vec<u8>),
+    ) -> EnvResult<Bytes> {
+        let mut buf = Vec::from(self.read_at(offset, len)?);
+        pass(ReadSource::Copied, &mut buf);
+        Ok(Bytes::from(buf))
     }
 }
 

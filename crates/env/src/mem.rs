@@ -16,8 +16,8 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::{
-    Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, ReadRequest, SequentialFile,
-    WritableFile,
+    Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, ReadRequest, ReadSource,
+    SequentialFile, WritableFile,
 };
 
 #[derive(Default)]
@@ -138,18 +138,37 @@ struct MemReadable {
     stats: Arc<IoStats>,
 }
 
-impl RandomAccessFile for MemReadable {
-    fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes> {
+impl MemReadable {
+    /// The bytes `offset..offset + len`, clamped to the file, copied into
+    /// a buffer of the caller's own.
+    fn copy_out(&self, offset: u64, len: usize) -> Vec<u8> {
         // Leaf-level read: PerfContext block_read covers exactly the raw
-        // "device" copy, below any decryption wrapper.
+        // "device" copy, below any decryption.
         let t = shield_core::perf::timer();
         let f = self.file.read();
         let start = (offset as usize).min(f.os_content.len());
         let end = (start + len).min(f.os_content.len());
         self.stats.record_read(self.kind, (end - start) as u64);
-        let data = Bytes::copy_from_slice(&f.os_content[start..end]);
+        let data = f.os_content[start..end].to_vec();
         shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
-        Ok(data)
+        data
+    }
+}
+
+impl RandomAccessFile for MemReadable {
+    fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes> {
+        Ok(Bytes::from(self.copy_out(offset, len)))
+    }
+
+    fn read_at_with(
+        &self,
+        offset: u64,
+        len: usize,
+        pass: &mut dyn FnMut(ReadSource<'_>, &mut Vec<u8>),
+    ) -> EnvResult<Bytes> {
+        let mut buf = self.copy_out(offset, len);
+        pass(ReadSource::Copied, &mut buf);
+        Ok(Bytes::from(buf))
     }
 
     fn len(&self) -> EnvResult<u64> {

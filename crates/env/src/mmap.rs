@@ -7,6 +7,7 @@ use std::ffi::{c_int, c_void};
 use std::fs::File;
 use std::os::unix::io::AsRawFd;
 use std::ptr::{self, NonNull};
+use std::sync::atomic::AtomicU8;
 
 const PROT_READ: c_int = 1;
 const MAP_SHARED: c_int = 1;
@@ -25,8 +26,9 @@ extern "C" {
 
 /// `len` bytes of a file mapped `PROT_READ` / `MAP_SHARED`, unmapped on
 /// drop. The pages are the page cache's, so another writer of the file
-/// can change them under a reader: they are only ever copied out, never
-/// lent out as a slice.
+/// can change them under a reader: they are copied out, or lent out as
+/// `&[AtomicU8]` — memory that may change while it is read — and never
+/// as a `&[u8]`.
 pub(crate) struct Mapping {
     ptr: NonNull<u8>,
     len: usize,
@@ -59,10 +61,28 @@ impl Mapping {
         self.len
     }
 
+    /// The bytes `offset..offset + len`, clamped to the mapping, for a
+    /// pass that reads each of them once straight into a buffer of its
+    /// own (`RandomAccessFile::read_at_with`): the transform-out twin of
+    /// [`Self::copy_out`].
+    pub(crate) fn shared(&self, offset: u64, len: usize) -> &[AtomicU8] {
+        let (start, n) = self.clamp(offset, len);
+        // SAFETY: `start + n <= self.len`, so the range lies inside the
+        // live mapping, which outlives the borrow of `self`. `AtomicU8`
+        // has the layout of `u8` and admits writes by others while it is
+        // read; the pages are readable, and an atomic load never writes.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().add(start).cast::<AtomicU8>(), n) }
+    }
+
+    /// `offset..offset + len` clamped to the mapping, as (start, length).
+    fn clamp(&self, offset: u64, len: usize) -> (usize, usize) {
+        let start = usize::try_from(offset).unwrap_or(usize::MAX).min(self.len);
+        (start, len.min(self.len - start))
+    }
+
     /// Copies the bytes `offset..offset + len`, clamped to the mapping.
     pub(crate) fn copy_out(&self, offset: u64, len: usize) -> Vec<u8> {
-        let start = usize::try_from(offset).unwrap_or(usize::MAX).min(self.len);
-        let n = len.min(self.len - start);
+        let (start, n) = self.clamp(offset, len);
         let mut buf = Vec::with_capacity(n);
         // SAFETY: `start + n <= self.len`, so the source lies inside the
         // live mapping; the destination is `n` bytes of fresh capacity

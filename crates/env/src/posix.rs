@@ -30,7 +30,8 @@ use bytes::Bytes;
 
 use crate::mmap::Mapping;
 use crate::{
-    Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, SequentialFile, WritableFile,
+    Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, ReadSource, SequentialFile,
+    WritableFile,
 };
 
 /// Local filesystem environment. Paths are interpreted as OS paths.
@@ -115,6 +116,24 @@ impl RandomAccessFile for PosixReadable {
         let buf = self.map.as_ref().map_or_else(Vec::new, |map| map.copy_out(offset, len));
         self.stats.record_read(self.kind, buf.len() as u64);
         shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
+        Ok(Bytes::from(buf))
+    }
+
+    fn read_at_with(
+        &self,
+        offset: u64,
+        len: usize,
+        pass: &mut dyn FnMut(ReadSource<'_>, &mut Vec<u8>),
+    ) -> EnvResult<Bytes> {
+        // No copy here: the pass reads the mapped bytes once, into its
+        // buffer, and its time is the pass's.
+        let mut buf = Vec::new();
+        let source = self.map.as_ref().map_or(ReadSource::Copied, |map| {
+            let shared = map.shared(offset, len);
+            self.stats.record_read(self.kind, shared.len() as u64);
+            ReadSource::Shared(shared)
+        });
+        pass(source, &mut buf);
         Ok(Bytes::from(buf))
     }
 
@@ -240,6 +259,7 @@ impl Env for PosixEnv {
 mod tests {
     use super::*;
     use crate::ReadRequest;
+    use std::sync::atomic::Ordering;
 
     fn tmp_dir(name: &str) -> String {
         let dir = std::env::temp_dir().join(format!("shield-posix-test-{name}-{}", std::process::id()));
@@ -303,8 +323,9 @@ mod tests {
             ..proptest::ProptestConfig::default()
         })]
 
-        /// `read_at` and `read_at_many` return what `std::fs` reads, for
-        /// reads inside the file, across its end and past it.
+        /// `read_at`, `read_at_many` and `read_at_with` return what
+        /// `std::fs` reads, for reads inside the file, across its end and
+        /// past it.
         #[test]
         fn mapped_reads_match_std_fs(
             len in 0usize..20_000,
@@ -324,6 +345,20 @@ mod tests {
                 let want = fs_read(&path, req.offset, req.len);
                 proptest::prop_assert_eq!(&r.read_at(req.offset, req.len).unwrap()[..], &want[..]);
                 proptest::prop_assert_eq!(&got.unwrap()[..], &want[..]);
+                // A pass over the mapping sees the same bytes and keeps
+                // what it puts in its buffer.
+                let with = r.read_at_with(req.offset, req.len, &mut |source, buf| {
+                    match source {
+                        ReadSource::Shared(raw) => {
+                            let load = |b: &std::sync::atomic::AtomicU8| b.load(Ordering::Relaxed);
+                            buf.extend(raw.iter().map(load));
+                        }
+                        ReadSource::Copied => {}
+                    }
+                    buf.reverse();
+                });
+                let reversed: Vec<u8> = want.iter().rev().copied().collect();
+                proptest::prop_assert_eq!(&with.unwrap()[..], &reversed[..]);
             }
             env.remove_dir_all(&dir).unwrap();
         }

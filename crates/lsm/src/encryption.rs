@@ -48,6 +48,10 @@ pub type WritableWithMac = (Box<dyn WritableFile>, DekId, Option<[u8; 32]>);
 /// A random-access file plus its DEK-derived MAC subkey (`None` when the
 /// file is plaintext).
 pub type RandomWithMac = (Arc<dyn RandomAccessFile>, Option<[u8; 32]>);
+/// A random-access file as stored, plus — when it is encrypted — its
+/// body's cipher and DEK-derived MAC subkey
+/// ([`EncryptionConfig::open_raw_with_mac`]).
+pub type RawRandom = (Arc<dyn RandomAccessFile>, Option<(CipherContext, [u8; 32])>);
 /// A sequential file plus its DEK-derived MAC subkey (`None` when the
 /// file is plaintext).
 pub type SequentialWithMac = (Box<dyn SequentialFile>, Option<[u8; 32]>);
@@ -264,19 +268,35 @@ impl EncryptionConfig {
         path: &str,
         kind: FileKind,
     ) -> Result<RandomWithMac> {
+        let (inner, body) = self.open_raw_with_mac(env, path, kind)?;
+        Ok(match body {
+            None => (inner, None),
+            Some((ctx, mac)) => (Arc::new(EncryptedRandomAccessFile { inner, ctx }), Some(mac)),
+        })
+    }
+
+    /// Opens `path` for random access *without* a decrypting wrapper:
+    /// the file as stored, and — when its header names a DEK — the
+    /// cipher of its body (which starts [`FILE_HEADER_LEN`] bytes in)
+    /// and the MAC subkey derived from the DEK. The engine reads SSTs
+    /// this way and decrypts each block in the pass that authenticates
+    /// it.
+    pub fn open_raw_with_mac(
+        &self,
+        env: &dyn Env,
+        path: &str,
+        kind: FileKind,
+    ) -> Result<RawRandom> {
         let inner = env.new_random_access_file(path, kind)?;
         let head = inner.read_at(0, FILE_HEADER_LEN)?;
-        match FileHeader::decode(&head)? {
-            None => Ok((inner, None)),
-            Some(header) => {
-                let dek = self.resolver.resolve(header.dek_id)?;
-                self.inits.fetch_add(1, Ordering::Relaxed);
-                perf::incr(PerfCounter::CipherInits, 1);
-                let mac = derive_mac_subkey(dek.key_bytes());
-                let ctx = CipherContext::new(&dek, &header.nonce);
-                Ok((Arc::new(EncryptedRandomAccessFile { inner, ctx }), Some(mac)))
-            }
-        }
+        let Some(header) = FileHeader::decode(&head)? else {
+            return Ok((inner, None));
+        };
+        let dek = self.resolver.resolve(header.dek_id)?;
+        self.inits.fetch_add(1, Ordering::Relaxed);
+        perf::incr(PerfCounter::CipherInits, 1);
+        let mac = derive_mac_subkey(dek.key_bytes());
+        Ok((inner, Some((CipherContext::new(&dek, &header.nonce), mac))))
     }
 
     /// Opens an encrypted (or plaintext) file for sequential reads, also
@@ -514,7 +534,7 @@ impl WritableFile for EncryptedWritableFile {
 }
 
 /// Wraps an already-open random-access file whose body is encrypted under
-/// `dek` with `nonce` (used by EncFS and read-only instances).
+/// `dek` with `nonce` (used by EncFS).
 #[must_use]
 pub fn wrap_random_access(
     inner: Arc<dyn RandomAccessFile>,

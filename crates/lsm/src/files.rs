@@ -47,7 +47,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
 use shield_core::{perf, EventDispatcher, PerfMetric};
-use shield_crypto::{Dek, DekId};
+use shield_crypto::{CipherContext, Dek, DekId};
 use shield_env::{Env, FileKind, RandomAccessFile, WritableFile};
 
 use crate::cache::BlockCache;
@@ -58,6 +58,11 @@ use crate::integrity::{Integrity, IntegrityOptions, ReadIntegrity};
 use crate::statistics::Statistics;
 use crate::version::filenames::DEK_CACHE_FILE_NAME;
 use crate::wal::{LogWriter, WalTailer};
+
+/// A file opened for random access as stored: the file, its body's
+/// cipher when it is encrypted, and the integrity a table verifies it
+/// under ([`FileStore::open_random`]).
+pub type RawFile = (Arc<dyn RandomAccessFile>, Option<CipherContext>, ReadIntegrity);
 
 /// What [`FileStore::create`] returns: the file, the id of the DEK
 /// encrypting it (`None`: the file is plaintext) and the key to tag it
@@ -305,24 +310,25 @@ impl FileStore {
         }
     }
 
-    /// Opens `path` for random access — resolving the DEK named in its
-    /// header under this server's identity — with the integrity context a
-    /// [`crate::sst::Table`] verifies it under.
-    pub fn open_random(
-        &self,
-        path: &str,
-        kind: FileKind,
-    ) -> Result<(Arc<dyn RandomAccessFile>, ReadIntegrity)> {
-        let (file, dek_mac) = match &self.encryption {
-            Some(cfg) => cfg.open_random_with_mac(self.env.as_ref(), path, kind)?,
+    /// Opens `path` for random access as stored — resolving the DEK
+    /// named in its header under this server's identity — with the cipher
+    /// of its body when it is encrypted (the body starts
+    /// [`crate::encryption::FILE_HEADER_LEN`] bytes in) and the integrity
+    /// context a [`crate::sst::Table`] verifies it under. The table
+    /// decrypts each block in the pass that authenticates it
+    /// (`crate::sst::fetcher`).
+    pub fn open_random(&self, path: &str, kind: FileKind) -> Result<RawFile> {
+        let (file, body) = match &self.encryption {
+            Some(cfg) => cfg.open_raw_with_mac(self.env.as_ref(), path, kind)?,
             None => (self.env.new_random_access_file(path, kind)?, None),
         };
+        let (cipher, dek_mac) = body.unzip();
         let integrity = ReadIntegrity {
             key: self.mac_key(dek_mac),
             expect_hmac: self.integrity.mode == Integrity::Hmac,
             events: Some(self.events.clone()),
         };
-        Ok((file, integrity))
+        Ok((file, cipher, integrity))
     }
 
     /// Creates record log `path` (a WAL segment or a MANIFEST) for
@@ -466,7 +472,7 @@ mod tests {
                     file.append(&[7u8; 100]).expect(&what);
                     file.sync().expect(&what);
                     drop(file);
-                    let (_, read) = files.open_random("f", kind).expect(&what);
+                    let (_, _, read) = files.open_random("f", kind).expect(&what);
 
                     let gets_dek = match encryption {
                         Encryption::None => false,

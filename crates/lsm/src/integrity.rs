@@ -122,7 +122,26 @@ pub(crate) fn position_tag(
     kind: u8,
     bytes: &[u8],
 ) -> [u8; BLOCK_TAG_LEN] {
-    let full = key.mac(&[context, &position.to_le_bytes(), &[kind], bytes]);
+    truncate(&key.mac(&[&tag_prefix(context, position, kind), bytes]))
+}
+
+/// What a tag's message starts with, before the bytes it covers:
+/// `context ‖ position (u64 LE) ‖ kind`.
+#[must_use]
+pub(crate) fn tag_prefix(
+    context: &[u8; CONTEXT_LEN],
+    position: u64,
+    kind: u8,
+) -> [u8; CONTEXT_LEN + 9] {
+    let mut prefix = [0u8; CONTEXT_LEN + 9];
+    prefix[..CONTEXT_LEN].copy_from_slice(context);
+    prefix[CONTEXT_LEN..CONTEXT_LEN + 8].copy_from_slice(&position.to_le_bytes());
+    prefix[CONTEXT_LEN + 8] = kind;
+    prefix
+}
+
+/// The stored (truncated) form of a full HMAC-SHA256.
+fn truncate(full: &[u8; 32]) -> [u8; BLOCK_TAG_LEN] {
     let mut tag = [0u8; BLOCK_TAG_LEN];
     tag.copy_from_slice(&full[..BLOCK_TAG_LEN]);
     tag
@@ -187,6 +206,14 @@ impl IntegrityCtx {
     ) -> Result<()> {
         let expect = position_tag(&self.key, &self.context, offset, compression, contents);
         self.finish(offset, &expect, stored_tag, "block")
+    }
+
+    /// Checks one SST block's tag against `mac`, the full HMAC of its
+    /// message computed elsewhere — by the pass that decrypted the block
+    /// ([`shield_crypto::open`]) — bumping tickers and emitting the
+    /// violation event on mismatch, as [`Self::verify_block`] does.
+    pub fn check_block(&self, offset: u64, mac: &[u8; 32], stored_tag: &[u8]) -> Result<()> {
+        self.finish(offset, &truncate(mac), stored_tag, "block")
     }
 
     /// Verifies one WAL/MANIFEST record tag (offset in the event payload

@@ -5,8 +5,7 @@
 //! - **One block: [`BlockFetcher::fetch`].** Point gets, table opens and
 //!   iterators without readahead. A miss is single-flight: N threads
 //!   missing the same `(table_id, offset)` perform one underlying read
-//!   (and, for encrypted files, one decrypt — the decryption wrapper sits
-//!   below the file handle this module reads through). Late arrivals park
+//!   and one pass that decrypts and verifies it. Late arrivals park
 //!   on the in-flight entry's condvar and share the leader's result,
 //!   including its error. Under a disaggregated env's ~500 µs RTT this
 //!   turns a thundering herd on a hot cold block into a single round trip.
@@ -26,15 +25,19 @@
 //! - **A whole file: [`crate::sst::scanner`].** Compaction and
 //!   `verify_integrity` read around the cache in large spans.
 //!
-//! All three meet in `split_verified`, the one function that turns raw
-//! bytes into trusted ones, and none owns a thread: a read happens on the
-//! thread that asked for it (a multi-window batch borrows one scoped
-//! thread for the duration of the call).
+//! All three meet in `split_verified`, the one function that turns a
+//! block as stored — ciphertext, for a SHIELD table — into trusted
+//! plaintext, and none owns a thread: a read happens on the thread that
+//! asked for it (a multi-window batch borrows one scoped thread for the
+//! duration of the call).
 //!
-//! Decryption itself stays in [`crate::encryption`]'s file wrapper: a
-//! fetch against an encrypted table reads through
-//! `EncryptedRandomAccessFile`, so coalescing the read coalesces the
-//! keystream work too.
+//! The engine reads a table's file as stored and holds its body's cipher
+//! in the table's [`TableKeys`], beside the MAC context: a block is
+//! decrypted and authenticated in one pass over its own buffer
+//! ([`shield_crypto::open`]), and coalescing a read coalesces that pass
+//! too. A single fetch reads through [`RandomAccessFile::read_at_with`],
+//! so on `PosixEnv` the block's buffer is the one copy out of the file's
+//! mapping.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -43,12 +46,13 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
 use shield_core::{perf, trace, PerfCounter, PerfMetric};
-use shield_crypto::{crc32c, crc32c_extend, crc32c_unmask};
-use shield_env::{RandomAccessFile, ReadQueue, ReadRequest};
+use shield_crypto::{crc32c, crc32c_extend, crc32c_unmask, open, CipherContext};
+use shield_env::{RandomAccessFile, ReadQueue, ReadRequest, ReadSource};
 
 use crate::cache::{BlockCache, BlockKind, CacheHandle, CacheKey, KeyMix};
+use crate::encryption::FILE_HEADER_LEN;
 use crate::error::{Error, Result};
-use crate::integrity::IntegrityCtx;
+use crate::integrity::{tag_prefix, IntegrityCtx};
 use crate::sst::block::Block;
 use crate::sst::format::{BlockHandle, BLOCK_TRAILER_LEN, HMAC_BLOCK_TRAILER_LEN};
 use crate::statistics::Statistics;
@@ -85,6 +89,40 @@ impl FetchedBlock {
         match self {
             FetchedBlock::Cached(h) => h.block(),
             FetchedBlock::Uncached(b) => b,
+        }
+    }
+}
+
+/// What a table's blocks are opened with: the cipher of its body when
+/// the file is read as stored (a SHIELD table the engine opened through
+/// [`crate::FileStore`]), and the MAC context when it is format v2. The
+/// default opens a plaintext, CRC-checked table.
+#[derive(Default)]
+pub struct TableKeys {
+    /// The body's cipher: blocks start [`FILE_HEADER_LEN`] bytes into the
+    /// file and are decrypted in the pass that authenticates them.
+    pub cipher: Option<CipherContext>,
+    /// HMAC verification context (`Some` iff the file is format v2).
+    pub integrity: Option<IntegrityCtx>,
+}
+
+impl TableKeys {
+    /// Where the table's logical byte 0 sits in the file.
+    pub(crate) fn body(&self) -> u64 {
+        if self.cipher.is_some() {
+            FILE_HEADER_LEN as u64
+        } else {
+            0
+        }
+    }
+
+    /// Per-block trailer length: v2 (HMAC-tagged) tables are exactly
+    /// those read with a verification context.
+    pub(crate) fn trailer_len(&self) -> usize {
+        if self.integrity.is_some() {
+            HMAC_BLOCK_TRAILER_LEN
+        } else {
+            BLOCK_TRAILER_LEN
         }
     }
 }
@@ -169,9 +207,9 @@ impl BlockFetcher {
 
     /// Fetches one verified block: cache lookup, then a single-flight
     /// read. `fill_cache = false` skips both cache lookup and admission
-    /// (one-shot reads that should not disturb residency). `integrity`
-    /// must be `Some` exactly for v2 (HMAC-tagged) tables; every cache
-    /// miss then verifies the block's tag before the bytes are trusted.
+    /// (one-shot reads that should not disturb residency). `keys` holds a
+    /// MAC context exactly for v2 (HMAC-tagged) tables; every cache miss
+    /// then verifies the block's tag before the bytes are trusted.
     pub fn fetch(
         &self,
         file: &Arc<dyn RandomAccessFile>,
@@ -179,13 +217,13 @@ impl BlockFetcher {
         handle: BlockHandle,
         kind: BlockKind,
         fill_cache: bool,
-        integrity: Option<&IntegrityCtx>,
+        keys: &TableKeys,
     ) -> Result<FetchedBlock> {
         let key = (table_id, handle.offset);
         if let Some(h) = self.lookup(&key, kind, fill_cache) {
             return Ok(FetchedBlock::Cached(h));
         }
-        self.fetch_miss(file, key, handle, kind, fill_cache, integrity)
+        self.fetch_miss(file, key, handle, kind, fill_cache, keys)
     }
 
     /// Fetches a batch of blocks from one table file, returning one
@@ -198,7 +236,7 @@ impl BlockFetcher {
     /// requests. A batch that fits one window is read on the calling
     /// thread (a single round trip on a remote env). With more windows,
     /// while one's payload is still in flight the previous window's
-    /// blocks are MAC-verified, CRC-checked, and admitted to the cache —
+    /// blocks are opened (decrypted and verified) and admitted to the cache —
     /// verify overlaps transfer. Every slot fails independently: a
     /// hostile handle, an injected fault, or a corrupt block errors its
     /// own result and never poisons a neighbor.
@@ -208,9 +246,9 @@ impl BlockFetcher {
         table_id: u64,
         requests: &[BlockRequest],
         fill_cache: bool,
-        integrity: Option<&IntegrityCtx>,
+        keys: &TableKeys,
     ) -> Vec<Result<FetchedBlock>> {
-        self.batch(file, table_id, requests, fill_cache, false, integrity)
+        self.batch(file, table_id, requests, fill_cache, false, keys)
             .into_iter()
             .map(|slot| slot.expect("every batch slot resolved"))
             .collect()
@@ -230,9 +268,9 @@ impl BlockFetcher {
         file: &Arc<dyn RandomAccessFile>,
         table_id: u64,
         requests: &[BlockRequest],
-        integrity: Option<&IntegrityCtx>,
+        keys: &TableKeys,
     ) -> Result<FetchedBlock> {
-        self.batch(file, table_id, requests, true, true, integrity)
+        self.batch(file, table_id, requests, true, true, keys)
             .swap_remove(0)
             .expect("the first slot of a batch is always resolved")
     }
@@ -248,7 +286,7 @@ impl BlockFetcher {
         requests: &[BlockRequest],
         fill_cache: bool,
         readahead: bool,
-        integrity: Option<&IntegrityCtx>,
+        keys: &TableKeys,
     ) -> Vec<Option<Result<FetchedBlock>>> {
         let mut batch_span = trace::span("fetch_batch");
         batch_span.attr("requests", requests.len() as u64);
@@ -312,7 +350,7 @@ impl BlockFetcher {
         let mut ready: Vec<(usize, Arc<Flight>, ReadRequest)> = Vec::new();
         for (i, flight) in leaders {
             let req = requests[i];
-            match batch_read_plan(req.handle, trailer_len(integrity)) {
+            match batch_read_plan(req.handle, keys.trailer_len()) {
                 Ok(plan) => ready.push((i, flight, plan)),
                 Err(e) => {
                     self.publish((table_id, req.handle.offset), &flight, Err(e.clone()));
@@ -322,7 +360,14 @@ impl BlockFetcher {
         }
         if !ready.is_empty() {
             let queue = ReadQueue::new(self.inflight_depth);
-            let read_reqs: Vec<ReadRequest> = ready.iter().map(|r| r.2).collect();
+            let body = keys.body();
+            let read_reqs: Vec<ReadRequest> = ready
+                .iter()
+                .map(|r| ReadRequest {
+                    offset: body + r.2.offset,
+                    len: r.2.len,
+                })
+                .collect();
             let windows: Vec<Range<usize>> = (0..ready.len())
                 .step_by(queue.depth())
                 .map(|start| start..(start + queue.depth()).min(ready.len()))
@@ -352,9 +397,11 @@ impl BlockFetcher {
                     let req = requests[*i];
                     let key = (table_id, req.handle.offset);
                     perf::incr(PerfCounter::BlocksRead, 1);
-                    let result = raw
-                        .and_then(|bytes| split_verified(&bytes, req.handle, integrity))
-                        .map(|contents| parse_block(contents, req.kind));
+                    let result = raw.and_then(|bytes| {
+                        let mut block = Vec::from(bytes);
+                        split_verified(ReadSource::Copied, &mut block, req.handle, keys)?;
+                        Ok(parse_block(Bytes::from(block), req.kind))
+                    });
                     out[*i] = Some(self.admit(key, &result, req.kind, fill_cache, follower(*i)));
                     self.publish(key, flight, result);
                 }
@@ -370,7 +417,7 @@ impl BlockFetcher {
                     for (widx, window) in windows.iter().enumerate() {
                         // Kick off the next window before verifying this
                         // one: its transfer rides concurrently with our
-                        // MAC/CRC work below.
+                        // decrypt-and-verify work below.
                         let next = windows.get(widx + 1).map(|w| s.spawn(|| read(w.clone())));
                         let raws = wait_for_window(window, || inflight.join()).unwrap_or_else(|_| {
                             let panicked = Error::Corruption("batch read worker panicked".into());
@@ -394,7 +441,7 @@ impl BlockFetcher {
         }
         for i in landed {
             let BlockRequest { handle, kind } = requests[i];
-            out[i] = Some(self.fetch(file, table_id, handle, kind, fill_cache, integrity));
+            out[i] = Some(self.fetch(file, table_id, handle, kind, fill_cache, keys));
         }
         out
     }
@@ -411,7 +458,7 @@ impl BlockFetcher {
 
     /// The miss path: join an in-flight read for `key` or become its
     /// leader. Exactly one thread per concurrent miss group performs the
-    /// verified read (and thus the decrypt below it).
+    /// read and the pass that decrypts and verifies it.
     fn fetch_miss(
         &self,
         file: &Arc<dyn RandomAccessFile>,
@@ -419,7 +466,7 @@ impl BlockFetcher {
         handle: BlockHandle,
         kind: BlockKind,
         fill_cache: bool,
-        integrity: Option<&IntegrityCtx>,
+        keys: &TableKeys,
     ) -> Result<FetchedBlock> {
         let (flight, is_leader) = {
             let mut map = self.lock_inflight(&key)?;
@@ -443,7 +490,7 @@ impl BlockFetcher {
             let mut span = trace::span("read_block");
             span.attr("offset", handle.offset);
             span.attr("len", handle.size);
-            read_verified(file.as_ref(), handle, integrity).map(|raw| parse_block(raw, kind))
+            read_verified(file.as_ref(), handle, keys).map(|raw| parse_block(raw, kind))
         };
         let out = self.admit(key, &result, kind, fill_cache, false);
         self.publish(key, &flight, result);
@@ -544,41 +591,28 @@ fn parse_block(contents: Bytes, kind: BlockKind) -> Arc<Block> {
     })
 }
 
-/// Reads a block's contents and verifies its trailer (`split_verified`
-/// is the one place raw SST bytes become trusted plaintext; everything
-/// above works on verified blocks).
-///
-/// With `integrity = None` (v1 tables) the trailer is 5 bytes
-/// (compression tag + masked CRC32C); with `Some` (v2 tables) it is 21
-/// bytes and the HMAC tag is verified **first**: a forged block fails as
-/// [`Error::IntegrityViolation`] even when the attacker fixed up the CRC
-/// (trivial — CRC32C is keyless), and garbled-plaintext splices under
-/// encryption classify as tampering rather than generic corruption.
+/// Reads a block's contents and opens it: `split_verified` is the pass
+/// of one [`RandomAccessFile::read_at_with`], so the block's own buffer
+/// is the only copy — on `PosixEnv`, the pass reads the mapped bytes
+/// once, straight into it.
 pub fn read_verified(
     file: &dyn RandomAccessFile,
     handle: BlockHandle,
-    integrity: Option<&IntegrityCtx>,
+    keys: &TableKeys,
 ) -> Result<Bytes> {
     perf::incr(PerfCounter::BlocksRead, 1);
-    let plan = batch_read_plan(handle, trailer_len(integrity))?;
-    let raw = file.read_at(plan.offset, plan.len)?;
-    split_verified(&raw, handle, integrity)
-}
-
-/// Per-block trailer length: v2 (HMAC-tagged) tables are exactly those
-/// read with a verification context.
-fn trailer_len(integrity: Option<&IntegrityCtx>) -> usize {
-    if integrity.is_some() {
-        HMAC_BLOCK_TRAILER_LEN
-    } else {
-        BLOCK_TRAILER_LEN
-    }
+    let plan = batch_read_plan(handle, keys.trailer_len())?;
+    let mut opened = Ok(());
+    let contents = file.read_at_with(keys.body() + plan.offset, plan.len, &mut |source, block| {
+        opened = split_verified(source, block, handle, keys);
+    })?;
+    opened.map(|()| contents)
 }
 
 /// Validates a block handle's hostile length fields and returns the raw
-/// read covering contents + trailer. This is the pre-I/O half of
-/// [`read_verified`]; the batched path runs it per slot before any read
-/// is submitted.
+/// read covering contents + trailer, at the block's logical offset. This
+/// is the pre-I/O half of [`read_verified`]; the batched path runs it
+/// per slot before any read is submitted.
 pub(super) fn batch_read_plan(handle: BlockHandle, trailer_len: usize) -> Result<ReadRequest> {
     // `handle` decodes from on-disk bytes: treat its size as hostile.
     // Checked arithmetic plus a hard cap stop a forged index entry from
@@ -586,54 +620,127 @@ pub(super) fn batch_read_plan(handle: BlockHandle, trailer_len: usize) -> Result
     let size = usize::try_from(handle.size)
         .ok()
         .filter(|s| *s <= MAX_BLOCK_LEN)
-        .ok_or_else(|| {
-            Error::Corruption(format!("implausible block length {}", handle.size))
-        })?;
+        .ok_or_else(|| Error::Corruption(format!("implausible block length {}", handle.size)))?;
     let total = size
         .checked_add(trailer_len)
         .ok_or_else(|| Error::Corruption("block length overflow".into()))?;
-    Ok(ReadRequest { offset: handle.offset, len: total })
+    Ok(ReadRequest {
+        offset: handle.offset,
+        len: total,
+    })
 }
 
-/// The post-I/O half of [`read_verified`]: trailer split, MAC-first
-/// verification, CRC, and compression checks over already-read bytes.
-/// Every block of every read path — single fetch, batch, streaming scan —
-/// is authenticated here and nowhere else. `handle.size` must have passed
-/// [`batch_read_plan`].
+/// The post-I/O half of [`read_verified`]: the block's contents and
+/// trailer as stored are in `block` ([`ReadSource::Copied`]) or still in
+/// the file's mapping ([`ReadSource::Shared`], read once, into `block`),
+/// and on success `block` holds its trusted plaintext contents. Every
+/// block of every read path — single fetch, batch, streaming scan, table
+/// open — is opened here and nowhere else, timed as
+/// `PerfMetric::BlockDecrypt` (decrypt + authenticate).
+/// `handle.size` must have passed [`batch_read_plan`].
+///
+/// The trailer is decrypted first: its compression byte is part of the
+/// MAC's message. Then the contents, in one pass:
+/// - under a MAC and a cipher, AES-CTR stitched into the HMAC chain;
+/// - under a MAC alone, the HMAC;
+/// - without a MAC, the keystream (if any) and then the CRC.
+///
+/// The MAC is checked **instead of** the CRC, not before it: it covers
+/// the same bytes, and a forged block fails as
+/// [`Error::IntegrityViolation`] whatever its CRC says (CRC32C is
+/// keyless, so an attacker fixes it up for free). Builders still write
+/// the CRC.
 pub(super) fn split_verified(
-    raw: &Bytes,
+    source: ReadSource<'_>,
+    block: &mut Vec<u8>,
     handle: BlockHandle,
-    integrity: Option<&IntegrityCtx>,
-) -> Result<Bytes> {
-    let trailer_len = trailer_len(integrity);
+    keys: &TableKeys,
+) -> Result<()> {
+    let t = perf::timer();
+    let opened = open_block(source, block, handle, keys);
+    perf::add_elapsed(PerfMetric::BlockDecrypt, t);
+    opened
+}
+
+fn open_block(
+    source: ReadSource<'_>,
+    block: &mut Vec<u8>,
+    handle: BlockHandle,
+    keys: &TableKeys,
+) -> Result<()> {
+    let trailer_len = keys.trailer_len();
     let size = handle.size as usize;
-    let total = size + trailer_len;
-    if raw.len() < total {
+    let read = match source {
+        ReadSource::Copied => block.len(),
+        ReadSource::Shared(raw) => raw.len(),
+    };
+    if read < size + trailer_len {
         return Err(Error::Corruption("block truncated".into()));
     }
-    let contents = raw.slice(..size);
-    let trailer = &raw[size..];
-    let compression = trailer[0];
-    if let Some(ctx) = integrity {
-        ctx.verify_block(
-            handle.offset,
-            compression,
-            &contents,
-            &trailer[BLOCK_TRAILER_LEN..HMAC_BLOCK_TRAILER_LEN],
-        )?;
+    let mut trailer = [0u8; HMAC_BLOCK_TRAILER_LEN];
+    let trailer = &mut trailer[..trailer_len];
+    match source {
+        ReadSource::Copied => {
+            trailer.copy_from_slice(&block[size..size + trailer_len]);
+            block.truncate(size);
+        }
+        ReadSource::Shared(raw) => {
+            for (byte, shared) in trailer.iter_mut().zip(&raw[size..]) {
+                *byte = shared.load(Ordering::Relaxed);
+            }
+        }
     }
-    let stored = u32::from_le_bytes([trailer[1], trailer[2], trailer[3], trailer[4]]);
-    let actual = crc32c_extend(crc32c(&contents), &[compression]);
-    if crc32c_unmask(stored) != actual {
-        return Err(Error::Corruption(format!(
-            "block checksum mismatch at offset {}",
-            handle.offset
-        )));
+    if let Some(cipher) = &keys.cipher {
+        cipher.decrypt_at(handle.offset + size as u64, trailer);
+    }
+    let compression = trailer[0];
+    match (&keys.cipher, &keys.integrity) {
+        (Some(cipher), Some(ctx)) => {
+            let prefix = tag_prefix(&ctx.context, handle.offset, compression);
+            let mac = match source {
+                ReadSource::Copied => {
+                    open::open_in_place(cipher, &ctx.key, handle.offset, &prefix, block)
+                }
+                ReadSource::Shared(raw) => open::open_shared_into(
+                    cipher,
+                    &ctx.key,
+                    handle.offset,
+                    &prefix,
+                    &raw[..size],
+                    block,
+                ),
+            };
+            ctx.check_block(handle.offset, &mac, &trailer[BLOCK_TRAILER_LEN..])?;
+        }
+        (cipher, integrity) => {
+            if let ReadSource::Shared(raw) = source {
+                open::copy_shared(&raw[..size], block);
+            }
+            if let Some(cipher) = cipher {
+                cipher.decrypt_at(handle.offset, block);
+            }
+            let stored_tag = &trailer[BLOCK_TRAILER_LEN..];
+            match integrity {
+                Some(ctx) => ctx.verify_block(handle.offset, compression, block, stored_tag)?,
+                None => {
+                    let stored =
+                        u32::from_le_bytes([trailer[1], trailer[2], trailer[3], trailer[4]]);
+                    if crc32c_unmask(stored) != crc32c_extend(crc32c(block), &[compression]) {
+                        return Err(Error::Corruption(format!(
+                            "block checksum mismatch at offset {}",
+                            handle.offset
+                        )));
+                    }
+                }
+            }
+        }
     }
     if compression != crate::sst::format::COMPRESSION_NONE {
-        return Err(Error::Corruption(format!("unsupported compression {compression}")));
+        return Err(Error::Corruption(format!(
+            "unsupported compression {compression}"
+        )));
     }
-    Ok(contents)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -646,6 +753,9 @@ mod tests {
     use crate::types::{make_internal_key, ValueType};
     use shield_env::{Env, FileKind, MemEnv};
     use std::sync::atomic::AtomicBool;
+
+    /// A plaintext, CRC-checked table's keys.
+    const PLAIN: TableKeys = TableKeys { cipher: None, integrity: None };
 
     fn build_sst(env: &MemEnv, path: &str, n: u32) -> BlockHandle {
         let file = env.new_writable_file(path, FileKind::Sst).unwrap();
@@ -663,7 +773,7 @@ mod tests {
         let footer =
             Footer::decode(&file.read_at(len - FOOTER_LEN as u64, FOOTER_LEN).unwrap()).unwrap();
         let index = Arc::new(Block::from_raw(
-            read_verified(file.as_ref(), footer.index, None).unwrap(),
+            read_verified(file.as_ref(), footer.index, &PLAIN).unwrap(),
         ));
         let mut it = index.iter();
         it.seek_to_first();
@@ -677,11 +787,11 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::new(Some(cache.clone()), 0);
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-        let a = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, None).unwrap();
+        let a = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, &PLAIN).unwrap();
         assert!(matches!(a, FetchedBlock::Cached(_)));
         let s = cache.stats();
         assert_eq!((s.data_hits, s.data_misses), (0, 1));
-        let b = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, None).unwrap();
+        let b = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, &PLAIN).unwrap();
         assert!(Arc::ptr_eq(a.block(), b.block()));
         assert_eq!(cache.stats().data_hits, 1);
     }
@@ -693,7 +803,7 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::new(Some(cache.clone()), 0);
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-        let a = fetcher.fetch(&file, 1, handle, BlockKind::Data, false, None).unwrap();
+        let a = fetcher.fetch(&file, 1, handle, BlockKind::Data, false, &PLAIN).unwrap();
         assert!(matches!(a, FetchedBlock::Uncached(_)));
         assert!(cache.is_empty());
         let s = cache.stats();
@@ -713,7 +823,7 @@ mod tests {
         .unwrap();
         let fetcher = BlockFetcher::new(Some(cache.clone()), 0);
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-        let got = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, None).unwrap();
+        let got = fetcher.fetch(&file, 1, handle, BlockKind::Data, true, &PLAIN).unwrap();
         assert!(matches!(got, FetchedBlock::Uncached(_)));
         assert_eq!(cache.stats().oversized_bypass, 1);
     }
@@ -731,11 +841,11 @@ mod tests {
         let stats = Statistics::new();
         let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 4, 16, Some(stats.clone()));
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-        let got = fetcher.read_ahead(&file, 1, &data_requests(&handles[..5]), None).unwrap();
+        let got = fetcher.read_ahead(&file, 1, &data_requests(&handles[..5]), &PLAIN).unwrap();
         assert!(matches!(got, FetchedBlock::Cached(_)), "the cursor block is served from slot 0");
         assert_eq!(
             got.block().raw_bytes(),
-            &read_verified(file.as_ref(), handles[0], None).unwrap()
+            &read_verified(file.as_ref(), handles[0], &PLAIN).unwrap()
         );
         for h in &handles[..5] {
             assert!(cache.contains(&(1, h.offset)), "block at {} never landed", h.offset);
@@ -749,12 +859,12 @@ mod tests {
         // A follower's first real read is a hit credited to readahead,
         // once.
         for _ in 0..2 {
-            let got = fetcher.fetch(&file, 1, handles[3], BlockKind::Data, true, None).unwrap();
+            let got = fetcher.fetch(&file, 1, handles[3], BlockKind::Data, true, &PLAIN).unwrap();
             assert!(matches!(got, FetchedBlock::Cached(_)));
         }
         assert_eq!(cache.stats().readahead_useful, 1);
         // Nor does the cursor's: it was wanted, not read ahead.
-        drop(fetcher.fetch(&file, 1, handles[0], BlockKind::Data, true, None).unwrap());
+        drop(fetcher.fetch(&file, 1, handles[0], BlockKind::Data, true, &PLAIN).unwrap());
         assert_eq!(cache.stats().readahead_useful, 1);
     }
 
@@ -769,11 +879,11 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::new(Some(cache.clone()), 4);
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
-        fetcher.read_ahead(&file, 1, &data_requests(&handles[..4]), None).unwrap();
+        fetcher.read_ahead(&file, 1, &data_requests(&handles[..4]), &PLAIN).unwrap();
         assert!(cache.contains(&(1, handles[1].offset)) && cache.contains(&(1, handles[3].offset)));
         assert!(!cache.contains(&(1, handles[2].offset)), "a corrupt block must not be cached");
         // The block is reported when it is actually wanted.
-        let err = fetcher.read_ahead(&file, 1, &data_requests(&handles[2..4]), None).err();
+        let err = fetcher.read_ahead(&file, 1, &data_requests(&handles[2..4]), &PLAIN).err();
         assert!(matches!(err, Some(Error::Corruption(_))), "got {err:?}");
     }
 
@@ -784,7 +894,7 @@ mod tests {
         let footer =
             Footer::decode(&file.read_at(len - FOOTER_LEN as u64, FOOTER_LEN).unwrap()).unwrap();
         let index = Arc::new(Block::from_raw(
-            read_verified(file.as_ref(), footer.index, None).unwrap(),
+            read_verified(file.as_ref(), footer.index, &PLAIN).unwrap(),
         ));
         let mut it = index.iter();
         it.seek_to_first();
@@ -810,7 +920,7 @@ mod tests {
             .iter()
             .map(|h| {
                 serial_fetcher
-                    .fetch(&file, 1, *h, BlockKind::Data, true, None)
+                    .fetch(&file, 1, *h, BlockKind::Data, true, &PLAIN)
                     .unwrap()
                     .block()
                     .raw_bytes()
@@ -823,7 +933,7 @@ mod tests {
         let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 0, 3, Some(stats.clone()));
         let reqs = data_requests(&handles);
         let before = env.io_stats().unwrap().snapshot();
-        let got = fetcher.get_many(&file, 1, &reqs, true, None);
+        let got = fetcher.get_many(&file, 1, &reqs, true, &PLAIN);
         let delta = env.io_stats().unwrap().snapshot().delta_since(&before);
         for (g, e) in got.iter().zip(expected.iter()) {
             assert_eq!(g.as_ref().unwrap().block().raw_bytes(), e);
@@ -837,7 +947,7 @@ mod tests {
 
         // Second batch: all cache hits, no new I/O.
         let before = env.io_stats().unwrap().snapshot();
-        let again = fetcher.get_many(&file, 1, &reqs, true, None);
+        let again = fetcher.get_many(&file, 1, &reqs, true, &PLAIN);
         for (g, e) in again.iter().zip(expected.iter()) {
             assert_eq!(g.as_ref().unwrap().block().raw_bytes(), e);
         }
@@ -854,7 +964,7 @@ mod tests {
         let fetcher = BlockFetcher::new(Some(cache.clone()), 0);
         let reqs = [BlockRequest { handle, kind: BlockKind::Data }; 4];
         let before = env.io_stats().unwrap().snapshot();
-        let got = fetcher.get_many(&file, 1, &reqs, true, None);
+        let got = fetcher.get_many(&file, 1, &reqs, true, &PLAIN);
         let delta = env.io_stats().unwrap().snapshot().delta_since(&before);
         let first = got[0].as_ref().unwrap().block().raw_bytes().clone();
         for g in &got {
@@ -882,7 +992,7 @@ mod tests {
                 kind: BlockKind::Data,
             },
         ];
-        let got = fetcher.get_many(&file, 1, &reqs, true, None);
+        let got = fetcher.get_many(&file, 1, &reqs, true, &PLAIN);
         assert!(got[0].is_ok(), "good slot poisoned by hostile neighbor");
         assert!(matches!(got[1], Err(Error::Corruption(_))));
     }
@@ -924,7 +1034,9 @@ mod tests {
 
         std::thread::scope(|s| {
             // Another reader leads `busy` and is held mid-read.
-            let reader = s.spawn(|| fetcher.fetch(&file, 1, busy, BlockKind::Data, true, None));
+            let reader = s.spawn(|| {
+                fetcher.fetch(&file, 1, busy, BlockKind::Data, true, &PLAIN)
+            });
             let key = (1, busy.offset);
             while !fetcher.lock_inflight(&key).unwrap().contains_key(&key) {
                 std::thread::yield_now();
@@ -932,7 +1044,7 @@ mod tests {
             // A readahead batch naming `busy` as a follower returns its
             // cursor block without waiting for it (a join would never
             // return: the gate opens only afterwards).
-            fetcher.read_ahead(&file, 1, &data_requests(&[cursor, busy]), None).unwrap();
+            fetcher.read_ahead(&file, 1, &data_requests(&[cursor, busy]), &PLAIN).unwrap();
             let s = cache.stats();
             assert_eq!((s.readahead_issued, s.singleflight_waits), (0, 0));
             slow.release.store(true, Ordering::SeqCst);
@@ -940,7 +1052,7 @@ mod tests {
         });
         // `busy` landed through its own reader, unflagged: a hit on it is
         // no readahead credit.
-        drop(fetcher.fetch(&file, 1, busy, BlockKind::Data, true, None).unwrap());
+        drop(fetcher.fetch(&file, 1, busy, BlockKind::Data, true, &PLAIN).unwrap());
         assert_eq!(cache.stats().readahead_useful, 0);
     }
 
@@ -970,14 +1082,26 @@ mod tests {
         let file: Arc<dyn RandomAccessFile> = log.clone();
         let me = std::thread::current().id();
         let fetcher = BlockFetcher::with_depth(None, 0, 3, None);
-        for got in fetcher.get_many(&file, 1, &data_requests(&handles[..3]), true, None) {
+        for got in fetcher.get_many(
+            &file,
+            1,
+            &data_requests(&handles[..3]),
+            true,
+            &PLAIN,
+        ) {
             got.unwrap();
         }
         let one_window = std::mem::take(&mut *log.readers.lock().unwrap());
         assert_eq!(one_window, vec![me; 3], "a lone window has nothing to overlap with");
         // More windows: reads move to the scoped reader so window k + 1
         // transfers while window k is verified here.
-        for got in fetcher.get_many(&file, 1, &data_requests(&handles[..7]), true, None) {
+        for got in fetcher.get_many(
+            &file,
+            1,
+            &data_requests(&handles[..7]),
+            true,
+            &PLAIN,
+        ) {
             got.unwrap();
         }
         let readers = log.readers.lock().unwrap();
@@ -993,10 +1117,10 @@ mod tests {
         // A forged index entry naming a huge block must fail cleanly
         // without attempting the allocation.
         let huge = BlockHandle { offset: 0, size: u64::MAX - 4 };
-        let err = read_verified(file.as_ref(), huge, None).unwrap_err();
+        let err = read_verified(file.as_ref(), huge, &PLAIN).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)));
         let big = BlockHandle { offset: 0, size: (MAX_BLOCK_LEN as u64) + 1 };
-        let err = read_verified(file.as_ref(), big, None).unwrap_err();
+        let err = read_verified(file.as_ref(), big, &PLAIN).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)));
     }
 
@@ -1025,20 +1149,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(footer.version, 2);
-        let ctx = IntegrityCtx::new(key, footer.context, 1);
+        let ctx = TableKeys {
+            cipher: None,
+            integrity: Some(IntegrityCtx::new(key, footer.context, 1)),
+        };
         // Clean read verifies.
-        let index = read_verified(file.as_ref(), footer.index, Some(&ctx)).unwrap();
+        let index = read_verified(file.as_ref(), footer.index, &ctx).unwrap();
         let index = Arc::new(Block::from_raw(index));
         let mut it = index.iter();
         it.seek_to_first();
         let handle = BlockHandle::decode_varint(it.value()).unwrap();
-        read_verified(file.as_ref(), handle, Some(&ctx)).unwrap();
+        read_verified(file.as_ref(), handle, &ctx).unwrap();
         // Bit-flip one data byte: MAC catches it as IntegrityViolation,
         // not Corruption, even though the CRC would also have failed.
         let mut raw = env.raw_content("t.sst").unwrap();
         raw[handle.offset as usize + 3] ^= 0x40;
         env.set_raw_content("t.sst", raw.clone()).unwrap();
-        let err = read_verified(file.as_ref(), handle, Some(&ctx)).unwrap_err();
+        let err = read_verified(file.as_ref(), handle, &ctx).unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation(_)), "got {err:?}");
         // Fix the CRC over the mutated bytes (keyless, so an attacker
         // can): MAC still catches it.
@@ -1050,7 +1177,7 @@ mod tests {
         let crc_at = (handle.offset + handle.size) as usize + 1;
         raw[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         env.set_raw_content("t.sst", raw).unwrap();
-        let err = read_verified(file.as_ref(), handle, Some(&ctx)).unwrap_err();
+        let err = read_verified(file.as_ref(), handle, &ctx).unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation(_)), "got {err:?}");
     }
 }

@@ -27,7 +27,7 @@ pub mod scanner;
 
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use builder::TableBuilder;
-pub use fetcher::{BlockFetcher, BlockRequest, FetchedBlock};
+pub use fetcher::{BlockFetcher, BlockRequest, FetchedBlock, TableKeys};
 pub use filter::{BloomFilterBuilder, BloomFilterReader};
 pub use format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, TABLE_MAGIC};
 pub use reader::{Table, TableIterator};

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use shield_core::{perf, PerfCounter};
+use shield_crypto::CipherContext;
 use shield_env::RandomAccessFile;
 
 use crate::cache::{BlockCache, BlockKind};
@@ -18,7 +19,7 @@ use crate::error::{Error, Result};
 use crate::integrity::{IntegrityCtx, ReadIntegrity};
 use crate::iter::InternalIterator;
 use crate::sst::block::BlockIter;
-use crate::sst::fetcher::{read_verified, BlockFetcher, BlockRequest, FetchedBlock};
+use crate::sst::fetcher::{read_verified, BlockFetcher, BlockRequest, FetchedBlock, TableKeys};
 use crate::sst::filter::BloomFilterReader;
 use crate::sst::format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, FOOTER_V2_LEN};
 use crate::sst::scanner::TableScanner;
@@ -45,11 +46,10 @@ pub struct Table {
     props: TableProperties,
     /// Engine tickers (bloom_useful); `None` for standalone tables.
     stats: Option<Arc<crate::statistics::Statistics>>,
-    /// HMAC verification context (`Some` iff the file is format v2);
-    /// threaded into every block fetch.
-    pub(super) integrity: Option<IntegrityCtx>,
-    /// Per-block trailer length for this file's format version.
-    pub(super) trailer_len: usize,
+    /// The body's cipher (a table read as stored) and the HMAC
+    /// verification context (`Some` iff the file is format v2); threaded
+    /// into every block fetch.
+    pub(super) keys: TableKeys,
 }
 
 impl Table {
@@ -87,15 +87,38 @@ impl Table {
         stats: Option<Arc<crate::statistics::Statistics>>,
         integrity: ReadIntegrity,
     ) -> Result<Table> {
-        let len = file.len()?;
-        if (len as usize) < FOOTER_LEN {
-            return Err(Error::Corruption("table smaller than footer".into()));
-        }
+        Self::open_raw(file, None, table_id, file_number, fetcher, stats, integrity)
+    }
+
+    /// [`Table::open_with_fetcher`] over a file read as stored: with
+    /// `cipher`, the table's body starts
+    /// [`crate::encryption::FILE_HEADER_LEN`] bytes into `file` and is
+    /// encrypted under it, and each block is decrypted in the pass that
+    /// authenticates it. This is how the engine opens its tables
+    /// ([`crate::FileStore::open_random`]).
+    pub fn open_raw(
+        file: Arc<dyn RandomAccessFile>,
+        cipher: Option<CipherContext>,
+        table_id: u64,
+        file_number: u64,
+        fetcher: Arc<BlockFetcher>,
+        stats: Option<Arc<crate::statistics::Statistics>>,
+        integrity: ReadIntegrity,
+    ) -> Result<Table> {
+        let mut keys = TableKeys { cipher, integrity: None };
+        let len = file
+            .len()?
+            .checked_sub(keys.body())
+            .filter(|len| *len as usize >= FOOTER_LEN)
+            .ok_or_else(|| Error::Corruption("table smaller than footer".into()))?;
         let tail_len = (len as usize).min(FOOTER_V2_LEN);
-        let footer_data = file.read_at(len - tail_len as u64, tail_len)?;
+        let tail_at = len - tail_len as u64;
+        let mut footer_data = Vec::from(file.read_at(keys.body() + tail_at, tail_len)?);
+        if let Some(cipher) = &keys.cipher {
+            cipher.decrypt_at(tail_at, &mut footer_data);
+        }
         let footer = Footer::decode_from_tail(&footer_data)?;
-        let trailer_len = footer.block_trailer_len();
-        let ctx = if footer.version >= 2 {
+        keys.integrity = if footer.version >= 2 {
             Some(IntegrityCtx {
                 key: shield_crypto::HmacKey::new(&integrity.key),
                 context: footer.context,
@@ -115,8 +138,7 @@ impl Table {
             }
             None
         };
-        let index =
-            fetcher.fetch(&file, table_id, footer.index, BlockKind::Index, true, ctx.as_ref())?;
+        let index = fetcher.fetch(&file, table_id, footer.index, BlockKind::Index, true, &keys)?;
         let filter = if footer.filter.size > 0 {
             let block = fetcher.fetch(
                 &file,
@@ -124,7 +146,7 @@ impl Table {
                 footer.filter,
                 BlockKind::Filter,
                 true,
-                ctx.as_ref(),
+                &keys,
             )?;
             let reader = BloomFilterReader::from_bytes(block.block().raw_bytes().clone());
             Some((block, reader))
@@ -133,19 +155,9 @@ impl Table {
         };
         // Properties are decoded once into owned fields; no reason to
         // hold the raw block in cache.
-        let props_raw = read_verified(file.as_ref(), footer.properties, ctx.as_ref())?;
+        let props_raw = read_verified(file.as_ref(), footer.properties, &keys)?;
         let props = TableProperties::decode(&props_raw)?;
-        Ok(Table {
-            file,
-            table_id,
-            fetcher,
-            index,
-            filter,
-            props,
-            stats,
-            integrity: ctx,
-            trailer_len,
-        })
+        Ok(Table { file, table_id, fetcher, index, filter, props, stats, keys })
     }
 
     /// Table-level metadata.
@@ -168,7 +180,7 @@ impl Table {
             handle,
             BlockKind::Data,
             fill_cache,
-            self.integrity.as_ref(),
+            &self.keys,
         )
     }
 
@@ -264,7 +276,7 @@ impl Table {
         let fetched = if reqs.is_empty() {
             Vec::new()
         } else {
-            self.fetcher.get_many(&self.file, self.table_id, &reqs, fill_cache, self.integrity.as_ref())
+            self.fetcher.get_many(&self.file, self.table_id, &reqs, fill_cache, &self.keys)
         };
         for (slot, lookup, handle) in wanted {
             out[slot] = Some(match &fetched[req_of[&handle.offset]] {
@@ -299,7 +311,7 @@ impl Table {
             let handle = BlockHandle::decode_varint(it.value())?;
             spans.push((
                 extract_user_key(it.key()).to_vec(),
-                handle.size + self.trailer_len as u64,
+                handle.size + self.keys.trailer_len() as u64,
             ));
             it.next();
         }
@@ -412,7 +424,7 @@ impl TableIterator {
             .chain(followers.take(ahead).filter(|h| !resident(h)))
             .map(|handle| BlockRequest { handle, kind: BlockKind::Data })
             .collect();
-        t.fetcher.read_ahead(&t.file, t.table_id, &requests, t.integrity.as_ref())
+        t.fetcher.read_ahead(&t.file, t.table_id, &requests, &t.keys)
     }
 
     /// Moves forward past empty blocks until the data iterator is valid or

@@ -7,13 +7,13 @@
 //! [`crate::sst::BlockFetcher`] at all. [`TableScanner`] walks the table's
 //! pinned index block, groups consecutive data blocks into contiguous
 //! spans of at least [`SCAN_SPAN_BYTES`], and fetches each span with **one**
-//! `read_at` through the table's (decrypting) file handle: one round trip
-//! on a remote env, one `pread` locally, one keystream pass per span — the
-//! read-side twin of the chunked output encryption of §5.2 / Fig. 13. Each
-//! block is then cut out of the span as a zero-copy slice and passed
-//! through `split_verified`, the same function that authenticates every
-//! block the fetcher reads: HMAC first, then CRC. Nothing here touches the
-//! block cache or the in-flight map.
+//! `read_at` of the table's file as stored: one round trip on a remote
+//! env, one copy out of the mapping locally — the read-side twin of the
+//! chunked output encryption of §5.2 / Fig. 13. Each block is then copied
+//! out of the span into its own buffer and opened there by
+//! `split_verified`, the same function that opens every block the fetcher
+//! reads: decrypted and authenticated in one pass. Nothing here touches
+//! the block cache or the in-flight map.
 //!
 //! Verification is lazy, block by block, as the scan position enters each
 //! block: a tampered block fails with the same error class and offset the
@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use shield_core::{perf, trace, PerfCounter};
+use shield_env::ReadSource;
 
 use crate::error::{Error, Result};
 use crate::iter::InternalIterator;
@@ -85,7 +86,7 @@ impl TableScanner {
 
     fn load_block(&mut self) -> Result<Block> {
         let handle = BlockHandle::decode_varint(self.index_iter.value())?;
-        let (offset, end) = block_extent(handle, self.table.trailer_len)?;
+        let (offset, end) = block_extent(handle, self.table.keys.trailer_len())?;
         if !self.span.as_ref().is_some_and(|s| s.start <= offset && end <= s.end) {
             self.span = Some(self.fetch_span(offset, end)?);
         }
@@ -95,9 +96,9 @@ impl TableScanner {
         let from = ((offset - span.start) as usize).min(span.bytes.len());
         let to = ((end - span.start) as usize).min(span.bytes.len());
         perf::incr(PerfCounter::BlocksRead, 1);
-        let contents =
-            split_verified(&span.bytes.slice(from..to), handle, self.table.integrity.as_ref())?;
-        Ok(Block::from_raw(contents))
+        let mut block = span.bytes[from..to].to_vec();
+        split_verified(ReadSource::Copied, &mut block, handle, &self.table.keys)?;
+        Ok(Block::from_raw(Bytes::from(block)))
     }
 
     /// Reads the span starting with the block at `[start, end)` and
@@ -113,7 +114,7 @@ impl TableScanner {
             // A malformed or out-of-place later entry just ends the span:
             // it fails (or starts its own span) when the scan gets there.
             let next = BlockHandle::decode_varint(ahead.value())
-                .and_then(|h| block_extent(h, self.table.trailer_len));
+                .and_then(|h| block_extent(h, self.table.keys.trailer_len()));
             match next {
                 Ok((offset, next_end)) if offset == end => end = next_end,
                 _ => break,
@@ -122,7 +123,11 @@ impl TableScanner {
         let mut span = trace::span("read_span");
         span.attr("offset", start);
         span.attr("len", end - start);
-        let bytes = self.table.file.read_at(start, (end - start) as usize)?;
+        let body = self.table.keys.body();
+        let bytes = self
+            .table
+            .file
+            .read_at(body + start, (end - start) as usize)?;
         Ok(Span { start, end, bytes })
     }
 

@@ -88,10 +88,11 @@ impl TableCache {
     /// a live file go through [`crate::version::FileMeta::table`], which
     /// opens it here once and keeps it.
     pub fn open(&self, file_number: u64) -> Result<Arc<Table>> {
-        let (file, read_integrity) =
+        let (file, cipher, read_integrity) =
             self.files.open_random(&self.table_path(file_number), FileKind::Sst)?;
-        Ok(Arc::new(Table::open_with_fetcher(
+        Ok(Arc::new(Table::open_raw(
             file,
+            cipher,
             (self.cache_owner << FILE_NUMBER_BITS) | (file_number & ((1 << FILE_NUMBER_BITS) - 1)),
             file_number,
             self.fetcher.clone(),

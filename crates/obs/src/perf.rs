@@ -27,10 +27,10 @@ use std::time::Instant;
 /// Per-operation timing and count breakdown. All times in nanoseconds.
 ///
 /// The timed sections are chosen to be non-overlapping on the read path
-/// (`block_read` is measured at the raw-file leaf, *below* the decrypt
-/// wrapper; `block_decrypt` covers only the in-place keystream XOR;
-/// `dek_resolve` only the KDS round-trip), so on a get the sum of
-/// components is ≤ the operation's wall time. On the write path
+/// (`block_read` is measured at the raw-file leaf; `block_decrypt` covers
+/// only the pass over a block's own buffer that decrypts and
+/// authenticates it; `dek_resolve` only the KDS round-trip), so on a get
+/// the sum of components is ≤ the operation's wall time. On the write path
 /// `block_encrypt` nests inside `wal_append` when WAL encryption is on,
 /// and `dek_wait` contains the `dek_resolve` of a key generated inline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,7 +45,10 @@ pub struct PerfContext {
     pub memtable_lookup_nanos: u64,
     /// Time in raw file reads (below any encryption wrapper).
     pub block_read_nanos: u64,
-    /// Time decrypting file payloads (keystream XOR only).
+    /// Time opening read blocks: decrypt + authenticate (the keystream
+    /// and the MAC, or the CRC where a block has no MAC) in one pass over
+    /// the block's own buffer, after the read. Also the keystream XOR of
+    /// files read through a decrypting wrapper (EncFS, logs).
     pub block_decrypt_nanos: u64,
     /// Time encrypting file payloads.
     pub block_encrypt_nanos: u64,
@@ -290,6 +293,34 @@ impl Drop for PerfGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Readers outside the workspace (the repo's benchmark) sum
+    /// `fields()` by position and look the first fifteen up by index:
+    /// their order is fixed, and a new field goes after the last.
+    #[test]
+    fn first_fifteen_field_names_keep_their_positions() {
+        let names: Vec<&str> = PerfContext::ZERO.fields().iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names[..15],
+            [
+                "wal_append_nanos",
+                "wal_sync_nanos",
+                "memtable_insert_nanos",
+                "memtable_lookup_nanos",
+                "block_read_nanos",
+                "block_decrypt_nanos",
+                "block_encrypt_nanos",
+                "dek_resolve_nanos",
+                "cache_lookup_nanos",
+                "subcompaction_nanos",
+                "io_batch_wait_nanos",
+                "blocks_read",
+                "bloom_probes",
+                "cipher_inits",
+                "singleflight_waits",
+            ]
+        );
+    }
 
     #[test]
     fn disabled_records_nothing() {

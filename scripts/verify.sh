@@ -316,7 +316,7 @@ require() {
 echo "== tier 3: crypto kernels =="
 smoke crypto --smoke
 require target/BENCH_crypto_smoke.json '"batched_mib_s"' '"scalar_mib_s"' '"cipher_init_ns"' \
-    '"speedup_4096"' '"hardware_mib_s"' '"reference_mib_s"'
+    '"speedup_4096"' '"hardware_mib_s"' '"reference_mib_s"' '"one_pass_4k_ns"'
 
 echo "== tier 4: observability =="
 smoke obs_smoke

@@ -14,7 +14,8 @@
 //! * **The engine**, against [`BUDGET`]: a warmed SHIELD + HMAC store
 //!   over `MemEnv`, plus one cold SST get over `PosixEnv` in a temporary
 //!   directory (the read path a deployment runs: one copy out of the
-//!   file's mapping, decrypted in place), plus one cold get into a full
+//!   file's mapping into the block's own buffer, decrypted and
+//!   authenticated there in one pass), plus one cold get into a full
 //!   block cache (it inserts its data block and evicts another). Each
 //!   row is the median over
 //!   [`REPS`] operations. The test fails when a count grows; a change
@@ -202,11 +203,11 @@ const BUDGET: &[(&str, u64, u64)] = &[
     ("put", 10, 985),
     ("memtable get", 1, 90),
     ("cached SST get", 4, 147),
-    ("cold SST get", 9, 4_497),
+    ("cold SST get", 8, 4_457),
     ("multi_get(64)", 297, 40_076),
     ("100-row scan", 214, 10_771),
-    ("cold SST get (PosixEnv)", 9, 4_497),
-    ("cold SST get, evicting", 9, 4_497),
+    ("cold SST get (PosixEnv)", 8, 4_457),
+    ("cold SST get, evicting", 8, 4_457),
 ];
 
 fn key(i: usize) -> Vec<u8> {

@@ -30,7 +30,7 @@ use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
 use shield_lsm::sst::fetcher::read_verified;
 use shield_lsm::sst::format::{BlockHandle, Footer, FOOTER_LEN};
-use shield_lsm::sst::{Block, BlockFetcher, Table};
+use shield_lsm::sst::{Block, BlockFetcher, Table, TableKeys};
 use shield_lsm::types::{make_internal_key, ValueType};
 use shield_lsm::{Db, Options, ReadOptions, WriteOptions, MAX_SEQUENTIAL_SKIP};
 
@@ -61,7 +61,8 @@ fn first_data_handle(file: &Arc<dyn RandomAccessFile>) -> BlockHandle {
     let len = file.len().unwrap();
     let footer =
         Footer::decode(&file.read_at(len - FOOTER_LEN as u64, FOOTER_LEN).unwrap()).unwrap();
-    let index = Arc::new(Block::from_raw(read_verified(file.as_ref(), footer.index, None).unwrap()));
+    let plain = TableKeys::default();
+    let index = Arc::new(Block::from_raw(read_verified(file.as_ref(), footer.index, &plain).unwrap()));
     let mut it = index.iter();
     it.seek_to_first();
     BlockHandle::decode_varint(it.value()).unwrap()
@@ -241,7 +242,7 @@ fn spawn_miss_group(
             std::thread::spawn(move || {
                 barrier.wait();
                 fetcher
-                    .fetch(&file, 1, handle, BlockKind::Data, true, None)
+                    .fetch(&file, 1, handle, BlockKind::Data, true, &TableKeys::default())
                     .map(|b| b.block().raw_bytes().clone())
             })
         })
@@ -321,7 +322,7 @@ fn single_flight_shares_one_injected_error() {
     );
     assert!(!cache.contains(&(1, handle.offset)), "failed read must not be cached");
     // The flight retired with its error; a fresh fetch retries and works.
-    let retry = fetcher.fetch(&gated, 1, handle, BlockKind::Data, true, None);
+    let retry = fetcher.fetch(&gated, 1, handle, BlockKind::Data, true, &TableKeys::default());
     assert!(retry.is_ok(), "retry after transient fault failed: {:?}", retry.err());
     assert!(cache.contains(&(1, handle.offset)));
 }

@@ -581,6 +581,76 @@ fn shield_hmac_flip_under_a_live_mapping_is_detected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Flips byte `at` of the first data block's trailer (0: compression, 1–4:
+/// CRC, 5–20: HMAC tag) in the one table of a store in `mode`, plain or
+/// SHIELD, and reopens it. A SHIELD table's body lays out exactly like
+/// the plain table of the same fill, and CTR flips the plaintext bit under
+/// the ciphertext bit, so the plain layout names the byte in both.
+fn flip_first_trailer_byte(shield: bool, mode: Integrity, at: u64) -> Db {
+    let env = MemEnv::new();
+    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+    let sopts = ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"pk");
+    let layout = MemEnv::new();
+    {
+        let db = open_plain(opts(&layout, mode), "db").unwrap();
+        fill(&db, "good", N);
+    }
+    let (_, handles) = data_handles(&layout.raw_content(&sst_paths(&layout, "db")[0]).unwrap());
+    let open = |env: &MemEnv| {
+        if shield {
+            open_shield(opts(env, mode), "db", sopts.clone()).unwrap().db
+        } else {
+            open_plain(opts(env, mode), "db").unwrap()
+        }
+    };
+    fill(&open(&env), "good", N);
+    let path = sst_paths(&env, "db").remove(0);
+    let mut raw = env.raw_content(&path).unwrap();
+    let header = if shield { 64 } else { 0 };
+    raw[(header + handles[0].offset + handles[0].size + at) as usize] ^= 0x01;
+    env.set_raw_content(&path, raw).unwrap();
+    open(&env)
+}
+
+/// Under `Hmac` the tag covers the block, and the read path checks it
+/// instead of the CRC: an authentic block whose stored CRC was flipped
+/// still reads back, and nothing is counted as a failure.
+#[test]
+fn hmac_reads_an_authentic_block_whose_crc_was_flipped() {
+    for shield in [false, true] {
+        let db = flip_first_trailer_byte(shield, Integrity::Hmac, 2);
+        let r = ReadOptions::new();
+        for i in 0..N {
+            assert_eq!(db.get(&r, &key(i)).unwrap(), Some(value("good", i)), "shield {shield}");
+        }
+        let snap = db.statistics().snapshot();
+        assert!(snap.integrity_checks > 0, "shield {shield}: verification must have run");
+        assert_eq!(snap.integrity_failures, 0, "shield {shield}");
+    }
+}
+
+/// The compression byte is part of the tag's message: flipped, the block
+/// is refused as a violation, not read as a block of another kind.
+#[test]
+fn hmac_flipped_compression_byte_is_integrity_violation() {
+    for shield in [false, true] {
+        let db = flip_first_trailer_byte(shield, Integrity::Hmac, 0);
+        let e = first_get_error(&db, N).expect("flip must not read back clean");
+        assert!(is_iv(&e), "shield {shield}: expected IntegrityViolation, got: {e}");
+    }
+}
+
+/// Without a MAC the CRC is the only check, and a flipped CRC is
+/// corruption.
+#[test]
+fn crc_flipped_crc_byte_is_corruption() {
+    for shield in [false, true] {
+        let db = flip_first_trailer_byte(shield, Integrity::Crc, 2);
+        let e = first_get_error(&db, N).expect("flip must not read back clean");
+        assert!(matches!(e, Error::Corruption(_)), "shield {shield}: expected Corruption: {e}");
+    }
+}
+
 /// Truncation fails loudly in every mode (any error class is acceptable:
 /// a truncated file is indistinguishable from a torn write).
 #[test]
