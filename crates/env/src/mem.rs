@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use shield_core::Section;
 
 use crate::{
     Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, ReadRequest, ReadSource,
@@ -144,14 +145,12 @@ impl MemReadable {
     fn copy_out(&self, offset: u64, len: usize) -> Vec<u8> {
         // Leaf-level read: PerfContext block_read covers exactly the raw
         // "device" copy, below any decryption.
-        let t = shield_core::perf::timer();
+        let _t = Section::BlockRead.enter();
         let f = self.file.read();
         let start = (offset as usize).min(f.os_content.len());
         let end = (start + len).min(f.os_content.len());
         self.stats.record_read(self.kind, (end - start) as u64);
-        let data = f.os_content[start..end].to_vec();
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
-        data
+        f.os_content[start..end].to_vec()
     }
 }
 
@@ -178,9 +177,9 @@ impl RandomAccessFile for MemReadable {
     fn read_at_many(&self, requests: &[ReadRequest]) -> Vec<EnvResult<Bytes>> {
         // One lock acquisition and one I/O op per request kind of copy:
         // the batch is served against a single consistent view of the file.
-        let t = shield_core::perf::timer();
+        let _t = Section::BlockRead.enter();
         let f = self.file.read();
-        let out = requests
+        requests
             .iter()
             .map(|r| {
                 let start = (r.offset as usize).min(f.os_content.len());
@@ -188,9 +187,7 @@ impl RandomAccessFile for MemReadable {
                 self.stats.record_read(self.kind, (end - start) as u64);
                 Ok(Bytes::copy_from_slice(&f.os_content[start..end]))
             })
-            .collect();
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
-        out
+            .collect()
     }
 }
 

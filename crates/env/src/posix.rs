@@ -27,6 +27,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use shield_core::Section;
 
 use crate::mmap::Mapping;
 use crate::{
@@ -112,10 +113,9 @@ impl RandomAccessFile for PosixReadable {
     fn read_at(&self, offset: u64, len: usize) -> EnvResult<Bytes> {
         // Leaf-level read: PerfContext block_read covers exactly the raw
         // file I/O, below any decryption wrapper.
-        let t = shield_core::perf::timer();
+        let _t = Section::BlockRead.enter();
         let buf = self.map.as_ref().map_or_else(Vec::new, |map| map.copy_out(offset, len));
         self.stats.record_read(self.kind, buf.len() as u64);
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::BlockRead, t);
         Ok(Bytes::from(buf))
     }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use shield_core::{perf, Event, EventListener, PerfMetric};
+use shield_core::{Event, EventListener, Section};
 use shield_crypto::{Algorithm, Dek, DekId};
 
 use crate::{CacheError, Kds, KdsError, SecureDekCache, ServerId};
@@ -307,13 +307,7 @@ impl DekResolver {
 
     /// Requests a fresh DEK from the KDS (one per new file) and caches it.
     pub fn new_dek(&self) -> Result<Dek, ResolverError> {
-        let t = perf::timer();
-        let result = self.new_dek_inner();
-        perf::add_elapsed(PerfMetric::DekResolve, t);
-        result
-    }
-
-    fn new_dek_inner(&self) -> Result<Dek, ResolverError> {
+        let _t = Section::DekResolve.enter();
         let dek = self.with_retries(|| self.kds.generate_dek(self.server, self.algorithm))?;
         self.generated.fetch_add(1, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
@@ -329,13 +323,7 @@ impl DekResolver {
     /// KDS outage — and only uncached ids propagate
     /// [`KdsError::Unavailable`].
     pub fn resolve(&self, id: DekId) -> Result<Dek, ResolverError> {
-        let t = perf::timer();
-        let result = self.resolve_inner(id);
-        perf::add_elapsed(PerfMetric::DekResolve, t);
-        result
-    }
-
-    fn resolve_inner(&self, id: DekId) -> Result<Dek, ResolverError> {
+        let _t = Section::DekResolve.enter();
         if let Some(cache) = &self.cache {
             if let Some(dek) = cache.get(id) {
                 self.hits.fetch_add(1, Ordering::Relaxed);

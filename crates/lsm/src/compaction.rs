@@ -17,6 +17,8 @@
 
 use std::sync::Arc;
 
+use shield_core::Section;
+
 use crate::error::Result;
 use crate::iter::{InternalIterator, MergingIterator};
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
@@ -412,6 +414,9 @@ pub fn run_compaction(
     ctx: &mut CompactionContext<'_>,
     task: &CompactionTask,
 ) -> Result<CompactionOutcome> {
+    // The whole task is one subrange here; a parallel run times each of
+    // its subranges as a `subcompaction` op instead.
+    let _t = Section::Subcompaction.enter();
     let mut outcome = run_compaction_range(ctx, task, &SubcompactionRange::full())?;
     outcome.bytes_read = task.input_bytes();
     append_input_deletions(task, &mut outcome.edit);
@@ -461,7 +466,6 @@ pub fn run_compaction_range(
         return Ok(CompactionOutcome::default());
     };
 
-    let perf_start = shield_core::perf::timer();
     let mut outcome = CompactionOutcome::default();
 
     // Build the merged input stream from streaming scanners: every input
@@ -601,7 +605,6 @@ pub fn run_compaction_range(
     }
     merged.status()?;
     finish_output(builder.take(), &mut outcome)?;
-    shield_core::perf::add_elapsed(shield_core::PerfMetric::Subcompaction, perf_start);
     Ok(outcome)
 }
 

@@ -18,8 +18,8 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
 use shield_core::{
-    perf, Event, EventDispatcher, InfoLog, LogConfig, PerfContext, PerfGuard, SlowOp, SpanRecord,
-    Tracer, WindowTracker,
+    perf, Event, EventDispatcher, InfoLog, LogConfig, Op, PerfContext, PerfGuard, Section,
+    SlowOp, SpanRecord, Tracer, WindowTracker,
 };
 use shield_crypto::DekId;
 use shield_env::FileKind;
@@ -27,7 +27,7 @@ use shield_env::FileKind;
 use crate::cache::BlockCache;
 use crate::compaction::pick_compaction;
 use crate::db::batch::WriteBatch;
-use crate::db::metrics::{Diagnostics, MetricsReport, OpHistograms};
+use crate::db::metrics::{Diagnostics, MetricsReport, OpHistograms, OpKind, OP_TYPES};
 use crate::db::options::{Options, ReadOptions, WriteOptions};
 use crate::db::pool::JobPool;
 use crate::db::read::{DbIterator, Snapshot};
@@ -105,8 +105,9 @@ pub(super) struct DbInner {
     /// compaction thread drains whatever is left itself (work stealing),
     /// so the parallel path cannot deadlock even with a 1-thread pool.
     pub(super) sub_queue: Mutex<std::collections::VecDeque<Subtask>>,
-    /// In-engine per-op latency histograms (see `Db::metrics_report`).
-    pub(super) op_hists: OpHistograms,
+    /// In-engine per-op latency histograms (see `Db::metrics_report`),
+    /// shared with the iterators the database hands out.
+    pub(super) op_hists: Arc<OpHistograms>,
     /// Flight recorder: span ring, slow-op ring, active-op registry.
     pub(super) tracer: Arc<Tracer>,
     /// Windowed-stats differ plus the ring of recent finished windows.
@@ -116,16 +117,6 @@ pub(super) struct DbInner {
     /// promptly instead of finishing its tick.
     pub(super) ticker_mu: Mutex<()>,
     pub(super) ticker_cv: Condvar,
-}
-
-/// RAII pair for one traced operation. Field order matters: `op` drops
-/// first, so the tracer's slow-op capture still sees the live
-/// [`PerfContext`] the `perf` guard enables for the op's duration. Both
-/// are `None` when tracing is disabled — the whole struct then costs one
-/// atomic load per op.
-pub(super) struct TracedOp {
-    _op: Option<shield_core::trace::OpGuard>,
-    _perf: Option<PerfGuard>,
 }
 
 /// An LSM-KVS instance: one write front over the 1..N trees
@@ -257,7 +248,7 @@ impl Db {
             bg_pending: Mutex::new(0),
             bg_cv: Condvar::new(),
             sub_queue: Mutex::new(std::collections::VecDeque::new()),
-            op_hists: OpHistograms::default(),
+            op_hists: Arc::default(),
             tracer,
             window: Mutex::new(WindowTracker::default()),
             ticker_mu: Mutex::new(()),
@@ -336,25 +327,15 @@ impl Db {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(Error::Shutdown);
         }
-        let op_start = std::time::Instant::now();
-        let single_op = batch.count() == 1;
-        let _trace = self.inner.traced_op(if single_op { "put" } else { "write_batch" });
-        let result = self.inner.write(wopts.sync, batch);
-        // Each writer records its own wall time (queue wait included):
-        // single-op batches land in the `put` histogram, larger ones in
-        // `write_batch`.
-        if single_op {
-            self.inner.op_hists.put.record_elapsed(op_start);
-        } else {
-            self.inner.op_hists.write_batch.record_elapsed(op_start);
-        }
-        result
+        // Each writer times its own call (queue wait included): a
+        // single-op batch is a `put`, a larger one a `write_batch`.
+        let _op = self.inner.op(if batch.count() == 1 { OpKind::Put } else { OpKind::WriteBatch });
+        self.inner.write(wopts.sync, batch)
     }
 
     /// Point lookup at the latest state (or the snapshot in `ropts`).
     pub fn get(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _trace = self.inner.traced_op("get");
-        let op_start = std::time::Instant::now();
+        let _op = self.inner.op(OpKind::Get);
         let tree = &self.inner.trees[self.inner.router.shard_of(key)];
         let result = tree.read_view(ropts.snapshot_seq, &self.inner.last_published).get(
             &tree.table_cache,
@@ -362,7 +343,6 @@ impl Db {
             key,
             ropts.fill_cache,
         );
-        self.inner.op_hists.get.record_elapsed(op_start);
         if let Err(e) = &result {
             self.park_if_unrecoverable(e);
         }
@@ -383,8 +363,7 @@ impl Db {
     /// [`Db::get`] at the same snapshot, with per-file batched block reads
     /// for the keys the memtables do not answer. Errors are per-slot.
     pub fn multi_get(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
-        let _trace = self.inner.traced_op("multi_get");
-        let op_start = std::time::Instant::now();
+        let _op = self.inner.op(OpKind::MultiGet);
         self.inner.files.stats.local().multi_gets.fetch_add(1, Ordering::Relaxed);
         let (stats, fill) = (&self.inner.files.stats, ropts.fill_cache);
         let views = self.inner.read_views(ropts.snapshot_seq, |_, view| view);
@@ -403,7 +382,6 @@ impl Db {
         }
         let results: Vec<Result<Option<Vec<u8>>>> =
             results.into_iter().map(|slot| slot.expect("every key has an owner")).collect();
-        self.inner.op_hists.multi_get.record_elapsed(op_start);
         for r in &results {
             if let Err(e) = r {
                 self.park_if_unrecoverable(e);
@@ -432,7 +410,7 @@ impl Db {
             views,
             ropts.fill_cache,
             self.inner.files.stats.clone(),
-            Some(self.inner.op_hists.iter_next.clone()),
+            Some(self.inner.op_hists.clone()),
         )
     }
 
@@ -739,19 +717,15 @@ impl DbInner {
         self.snapshots.lock().pinned.remove(&id);
     }
 
-    /// Starts a traced (and perf-contexted) op if the flight recorder is
-    /// on. Disabled cost: one atomic load.
-    pub(super) fn traced_op(&self, name: &'static str) -> TracedOp {
-        let op = self.tracer.start_op(name);
-        // Enable a PerfContext for the op so a slow-op capture carries
-        // the breakdown — unless the caller already holds one (e.g.
-        // `with_perf_context`), whose accumulation we must not reset.
-        let perf = if op.is_some() && !perf::enabled() {
-            Some(PerfGuard::enable())
-        } else {
-            None
-        };
-        TracedOp { _op: op, _perf: perf }
+    /// Starts timing one `kind` op into its histogram. A subcompaction is
+    /// a `subcompaction` section of its compaction's trace; every other
+    /// op roots its own trace while the flight recorder is on.
+    pub(super) fn op(&self, kind: OpKind) -> Op<'_> {
+        let hist = &self.op_hists.0[kind as usize];
+        match kind {
+            OpKind::Subcompaction => Op::nested(Section::Subcompaction, hist),
+            _ => self.tracer.op(OP_TYPES[kind as usize], hist),
+        }
     }
 }
 

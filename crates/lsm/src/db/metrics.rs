@@ -34,34 +34,30 @@ pub const METRICS_SCHEMA: &str = "shield_metrics_v1";
 pub const OP_TYPES: [&str; 8] =
     ["get", "multi_get", "put", "write_batch", "iter_next", "flush", "compaction", "subcompaction"];
 
-/// One [`AtomicHistogram`] per op type; lives in `DbInner` and is
-/// recorded by foreground ops and background jobs alike.
-#[derive(Default)]
-pub(crate) struct OpHistograms {
-    pub get: AtomicHistogram,
-    pub multi_get: AtomicHistogram,
-    pub put: AtomicHistogram,
-    pub write_batch: AtomicHistogram,
-    /// Shared with every [`crate::DbIterator`] the database hands out.
-    pub iter_next: std::sync::Arc<AtomicHistogram>,
-    pub flush: AtomicHistogram,
-    pub compaction: AtomicHistogram,
-    pub subcompaction: AtomicHistogram,
+/// An operation type, in [`OP_TYPES`] order.
+#[derive(Clone, Copy)]
+pub(crate) enum OpKind {
+    Get,
+    MultiGet,
+    Put,
+    WriteBatch,
+    IterNext,
+    Flush,
+    Compaction,
+    Subcompaction,
 }
+
+/// One [`AtomicHistogram`] per [`OpKind`], indexed by it; lives in
+/// `DbInner` (shared with every [`crate::DbIterator`] it hands out) and
+/// is recorded by foreground ops and background jobs alike, each through
+/// one [`shield_core::Op`] guard.
+#[derive(Default)]
+pub(crate) struct OpHistograms(pub [AtomicHistogram; OP_TYPES.len()]);
 
 impl OpHistograms {
     /// Snapshot summaries in [`OP_TYPES`] order.
     pub fn summaries(&self) -> Vec<(&'static str, HistogramSummary)> {
-        vec![
-            ("get", self.get.snapshot().summary()),
-            ("multi_get", self.multi_get.snapshot().summary()),
-            ("put", self.put.snapshot().summary()),
-            ("write_batch", self.write_batch.snapshot().summary()),
-            ("iter_next", self.iter_next.snapshot().summary()),
-            ("flush", self.flush.snapshot().summary()),
-            ("compaction", self.compaction.snapshot().summary()),
-            ("subcompaction", self.subcompaction.snapshot().summary()),
-        ]
+        OP_TYPES.iter().zip(&self.0).map(|(&op, h)| (op, h.snapshot().summary())).collect()
     }
 }
 
@@ -494,9 +490,9 @@ mod tests {
 
     fn sample() -> MetricsReport {
         let hists = OpHistograms::default();
-        hists.get.record(1_000);
-        hists.get.record(2_000);
-        hists.put.record(5_000);
+        hists.0[OpKind::Get as usize].record(1_000);
+        hists.0[OpKind::Get as usize].record(2_000);
+        hists.0[OpKind::Put as usize].record(5_000);
         MetricsReport {
             levels: vec![
                 LevelStats { level: 0, files: 2, bytes: 4096 },

@@ -8,9 +8,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use shield_core::{perf, AtomicHistogram, PerfMetric};
+use shield_core::{Op, Section};
 
 use crate::db::db::DbInner;
+use crate::db::metrics::{OpHistograms, OpKind};
 use crate::db::options::ReadOptions;
 use crate::error::Result;
 use crate::iter::{InternalIterator, MergingIterator};
@@ -75,10 +76,7 @@ impl ReadView {
         key: &[u8],
         fill_cache: bool,
     ) -> Result<Option<Vec<u8>>> {
-        let t = perf::timer();
-        let hit = self.probe_memtables(key);
-        perf::add_elapsed(PerfMetric::MemtableLookup, t);
-        match hit {
+        match Section::MemtableLookup.time(|| self.probe_memtables(key)) {
             Some(hit) => Ok(hit),
             None => Ok(self.version.get_opt(tables, key, self.seq, fill_cache)?.into_value()),
         }
@@ -114,10 +112,8 @@ impl ReadView {
         keys: &[&[u8]],
         fill_cache: bool,
     ) -> Vec<Result<Option<Vec<u8>>>> {
-        let t = perf::timer();
-        let mut out: Vec<Option<Result<Option<Vec<u8>>>>> =
-            keys.iter().map(|key| self.probe_memtables(key).map(Ok)).collect();
-        perf::add_elapsed(PerfMetric::MemtableLookup, t);
+        let mut out: Vec<Option<Result<Option<Vec<u8>>>>> = Section::MemtableLookup
+            .time(|| keys.iter().map(|key| self.probe_memtables(key).map(Ok)).collect());
         let unresolved: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
         if !unresolved.is_empty() {
             let sub: Vec<&[u8]> = unresolved.iter().map(|&i| keys[i]).collect();
@@ -188,8 +184,9 @@ pub struct DbIterator {
     skipped: u64,
     reseeks: u64,
     stats: Arc<Statistics>,
-    /// The owning handle's `iter_next` latency histogram, if it keeps one.
-    iter_next: Option<Arc<AtomicHistogram>>,
+    /// The owning handle's latency histograms, if it keeps them: every
+    /// step is an `iter_next` op.
+    op_hists: Option<Arc<OpHistograms>>,
     /// Keeps the memtables and the versions alive while the iterator exists.
     _pins: Vec<ReadView>,
 }
@@ -197,13 +194,13 @@ pub struct DbIterator {
 impl DbIterator {
     /// An iterator over the live keys of `views` — one per tree, all at
     /// the same sequence; trees own disjoint keys, so one merge over every
-    /// view's memtables and files is the scan. `iter_next` receives the
+    /// view's memtables and files is the scan. `op_hists` receives the
     /// latency of every step; `stats` the skip tickers.
     pub(crate) fn new(
         views: Vec<(ReadView, &Arc<TableCache>)>,
         fill_cache: bool,
         stats: Arc<Statistics>,
-        iter_next: Option<Arc<AtomicHistogram>>,
+        op_hists: Option<Arc<OpHistograms>>,
     ) -> Result<DbIterator> {
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
         for (view, tables) in &views {
@@ -221,7 +218,7 @@ impl DbIterator {
             skipped: 0,
             reseeks: 0,
             stats,
-            iter_next,
+            op_hists,
             _pins: views.into_iter().map(|(view, _)| view).collect(),
         })
     }
@@ -266,14 +263,15 @@ impl DbIterator {
     /// past that key's older versions to the next live key, timed into
     /// `iter_next`.
     fn step_past(&mut self, key: Option<&[u8]>) {
-        let op_start = std::time::Instant::now();
+        // The histograms step out of `self` while the op guard borrows them.
+        let op_hists = self.op_hists.take();
+        let op = op_hists.as_deref().map(|h| Op::untraced(&h.0[OpKind::IterNext as usize]));
         if key.is_some() {
             self.merged.next();
         }
         self.advance_to_visible(key);
-        if let Some(hist) = &self.iter_next {
-            hist.record_elapsed(op_start);
-        }
+        drop(op);
+        self.op_hists = op_hists;
     }
 
     /// First error any underlying source hit. An iterator that went

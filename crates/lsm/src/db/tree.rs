@@ -23,6 +23,7 @@ use crate::compaction::{
     SubcompactionRange,
 };
 use crate::db::db::DbInner;
+use crate::db::metrics::OpKind;
 use crate::db::pool::JobClass;
 use crate::db::read::ReadView;
 use crate::error::{Error, Result, Severity};
@@ -332,9 +333,8 @@ impl DbInner {
                 state.pending_outputs.insert(number);
                 (mem, number, state.imm.len() as u64)
             };
-            let _trace = self.traced_op("flush");
+            let op = self.op(OpKind::Flush);
             self.files.events.emit(&Event::FlushBegin { immutables });
-            let flush_start = std::time::Instant::now();
             let result = if mem.is_empty() {
                 Ok(None)
             } else {
@@ -344,7 +344,6 @@ impl DbInner {
                 self.with_bg_retries("flush", || self.write_level0_table(tree, &mem, number))
                     .map(Some)
             };
-            self.op_hists.flush.record_elapsed(flush_start);
             let mut state = tree.state.lock();
             state.pending_outputs.remove(&number);
             let installed = result.and_then(|meta| {
@@ -358,6 +357,7 @@ impl DbInner {
                 }
                 self.log_and_apply(&mut state, edit).map(|()| output)
             });
+            let micros = op.finish().as_micros() as u64;
             match installed {
                 Ok((file_number, bytes)) => {
                     state.imm.remove(0);
@@ -366,7 +366,7 @@ impl DbInner {
                     self.files.events.emit(&Event::FlushEnd {
                         file_number,
                         bytes,
-                        micros: flush_start.elapsed().as_micros() as u64,
+                        micros,
                     });
                     // GC does env and KDS round trips: never under the
                     // state lock, which every get and commit takes. It
@@ -425,7 +425,7 @@ impl DbInner {
                 (0, files.len() as u64, files.iter().map(|f| f.file_size).sum())
             }
         };
-        let _trace = self.traced_op("compaction");
+        let op = self.op(OpKind::Compaction);
         self.files.events.emit(&Event::CompactionBegin {
             level: task_level,
             inputs: task_inputs,
@@ -452,7 +452,6 @@ impl DbInner {
             Some(_) => vec![SubcompactionRange::full()],
             None => plan_subcompactions(&tree.table_cache, &task, ranges),
         };
-        let exec_start = std::time::Instant::now();
         // Soft failures (transient storage/network faults) are retried
         // (per subrange in the parallel path); each retry allocates fresh
         // output numbers, and the env truncates on reopen, so a
@@ -510,10 +509,6 @@ impl DbInner {
                 }
             })
         };
-        self.files.stats.local()
-            .compaction_micros
-            .fetch_add(exec_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.op_hists.compaction.record_elapsed(exec_start);
 
         let mut state = tree.state.lock();
         for n in task_files(&task) {
@@ -533,6 +528,8 @@ impl DbInner {
         if installed.is_ok() {
             tree.views_changed.fetch_add(1, Ordering::SeqCst);
         }
+        let micros = op.finish().as_micros() as u64;
+        self.files.stats.local().compaction_micros.fetch_add(micros, Ordering::Relaxed);
         match installed {
             Ok(outcome) => {
                 let stats = self.files.stats.local();
@@ -546,7 +543,7 @@ impl DbInner {
                     bytes_read: outcome.bytes_read,
                     bytes_written: outcome.bytes_written,
                     output_files: outcome.outputs as u64,
-                    micros: exec_start.elapsed().as_micros() as u64,
+                    micros,
                 });
                 // Collect the inputs without the state lock (env and KDS
                 // round trips), but before `compaction_scheduled` clears,
@@ -741,9 +738,8 @@ impl DbInner {
         allocated: &Mutex<Vec<u64>>,
     ) {
         let tree = &self.trees[t];
-        let start = std::time::Instant::now();
-        let mut span = trace::span("subcompaction");
-        span.attr("index", index as u64);
+        let mut op = self.op(OpKind::Subcompaction);
+        op.attr("index", index as u64);
         let result = self.with_bg_retries("subcompaction", || {
             let mut alloc = || self.alloc_compaction_output(tree, allocated);
             let mut ctx = CompactionContext {
@@ -756,10 +752,9 @@ impl DbInner {
             };
             run_compaction_range(&mut ctx, task, range)
         });
-        let micros = start.elapsed().as_micros() as u64;
+        let micros = op.finish().as_micros() as u64;
         self.files.stats.local().subcompactions.fetch_add(1, Ordering::Relaxed);
         self.files.stats.local().subcompaction_micros.fetch_add(micros, Ordering::Relaxed);
-        self.op_hists.subcompaction.record_elapsed(start);
         self.files.events.emit(&Event::SubcompactionEnd {
             index: index as u64,
             bytes_written: result.as_ref().map_or(0, |o| o.bytes_written),

@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
-use shield_core::{perf, trace, Event, PerfMetric};
+use shield_core::{Event, Section};
 use shield_env::FileKind;
 
 use crate::compaction::{pick_compaction, CompactionStyle};
@@ -72,8 +72,8 @@ impl DbInner {
 
     /// Group-commit body, run by the leader.
     fn commit_group(&self, group: &[Pending]) -> Result<()> {
-        let mut span = trace::span("group_commit");
-        span.attr("batches", group.len() as u64);
+        let mut t = Section::GroupCommit.enter();
+        t.attr("batches", group.len() as u64);
         let mut combined = if group.len() == 1 {
             group[0].batch.clone()
         } else {
@@ -109,12 +109,11 @@ impl DbInner {
                 }
             }
         }
-        let t = perf::timer();
-        let inserted = combined.for_each(|seq, vtype, key, value| {
-            wal.mems[self.router.shard_of(key)].add(seq, vtype, key, value);
-        });
-        perf::add_elapsed(PerfMetric::MemtableInsert, t);
-        inserted?;
+        Section::MemtableInsert.time(|| {
+            combined.for_each(|seq, vtype, key, value| {
+                wal.mems[self.router.shard_of(key)].add(seq, vtype, key, value);
+            })
+        })?;
         self.last_published.store(base + count - 1, Ordering::Release);
         self.files.stats.local().writes.fetch_add(count, Ordering::Relaxed);
         self.files.stats.local().write_groups.fetch_add(1, Ordering::Relaxed);

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use shield_core::{perf, PerfCounter, PerfMetric};
+use shield_core::{perf, PerfCounter, Section};
 use shield_crypto::{Algorithm, CipherContext, Dek, DekId, NONCE_LEN};
 use shield_env::{
     Env, EnvResult, FileKind, RandomAccessFile, ReadRequest, SequentialFile, WritableFile,
@@ -430,7 +430,7 @@ impl EncryptedWritableFile {
         // PerfContext: the whole chunked encryption is charged to the
         // calling thread (worker threads have their own, disabled,
         // context), as are all chunk cipher inits.
-        let t = perf::timer();
+        let _t = Section::BlockEncrypt.enter();
         let chunk = self.chunk_size;
         let n_chunks = data.len().div_ceil(chunk.min(data.len().max(1)));
         perf::incr(PerfCounter::CipherInits, n_chunks as u64);
@@ -479,7 +479,6 @@ impl EncryptedWritableFile {
                 }
             });
         }
-        perf::add_elapsed(PerfMetric::BlockEncrypt, t);
     }
 
     /// Encrypts and appends everything in the buffer.
@@ -594,9 +593,7 @@ impl EncryptedRandomAccessFile {
         let mut data = Vec::from(raw);
         // block_read was charged by the inner (leaf) read; only the
         // keystream XOR is block_decrypt, so the two never overlap.
-        let t = perf::timer();
-        self.ctx.decrypt_at(offset, &mut data);
-        perf::add_elapsed(PerfMetric::BlockDecrypt, t);
+        Section::BlockDecrypt.time(|| self.ctx.decrypt_at(offset, &mut data));
         Bytes::from(data)
     }
 }
@@ -610,9 +607,7 @@ struct EncryptedSequentialFile {
 impl SequentialFile for EncryptedSequentialFile {
     fn read(&mut self, buf: &mut [u8]) -> EnvResult<usize> {
         let n = self.inner.read(buf)?;
-        let t = perf::timer();
-        self.ctx.decrypt_at(self.offset, &mut buf[..n]);
-        perf::add_elapsed(PerfMetric::BlockDecrypt, t);
+        Section::BlockDecrypt.time(|| self.ctx.decrypt_at(self.offset, &mut buf[..n]));
         self.offset += n as u64;
         Ok(n)
     }

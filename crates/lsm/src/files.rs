@@ -46,7 +46,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
-use shield_core::{perf, EventDispatcher, PerfMetric};
+use shield_core::{EventDispatcher, Section};
 use shield_crypto::{CipherContext, Dek, DekId};
 use shield_env::{Env, FileKind, RandomAccessFile, WritableFile};
 
@@ -180,18 +180,11 @@ impl FileStore {
         let (file, dek_id, dek_mac) = match &self.encryption {
             Some(cfg) if cfg.encrypts(kind) => {
                 let dek = self.take_dek(cfg)?;
-                let t = perf::timer();
-                let wrapped = cfg.wrap_writable(self.env.as_ref(), path, kind, dek);
-                perf::add_elapsed(PerfMetric::FileCreate, t);
-                let (file, id, mac) = wrapped?;
+                let (file, id, mac) = Section::FileCreate
+                    .time(|| cfg.wrap_writable(self.env.as_ref(), path, kind, dek))?;
                 (file, Some(id), mac)
             }
-            _ => {
-                let t = perf::timer();
-                let file = self.env.new_writable_file(path, kind);
-                perf::add_elapsed(PerfMetric::FileCreate, t);
-                (file?, None, None)
-            }
+            _ => (Section::FileCreate.time(|| self.env.new_writable_file(path, kind))?, None, None),
         };
         let tag_key = (self.integrity.mode == Integrity::Hmac).then(|| self.mac_key(dek_mac));
         Ok((file, dek_id, tag_key))
@@ -199,7 +192,7 @@ impl FileStore {
 
     /// Take or generate: a ready key, else one from the resolver.
     fn take_dek(&self, cfg: &EncryptionConfig) -> Result<Dek> {
-        let t = perf::timer();
+        let wait = Section::DekWait.enter();
         let ready = self.ready.state.lock().deks.pop_front();
         let dek = match ready {
             Some(dek) => {
@@ -212,7 +205,7 @@ impl FileStore {
                 dek
             }
         };
-        perf::add_elapsed(PerfMetric::DekWait, t);
+        drop(wait);
         self.refill_if_short();
         Ok(dek)
     }

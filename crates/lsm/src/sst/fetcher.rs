@@ -45,7 +45,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
-use shield_core::{perf, trace, PerfCounter, PerfMetric};
+use shield_core::{perf, PerfCounter, Section};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_unmask, open, CipherContext};
 use shield_env::{RandomAccessFile, ReadQueue, ReadRequest, ReadSource};
 
@@ -288,8 +288,8 @@ impl BlockFetcher {
         readahead: bool,
         keys: &TableKeys,
     ) -> Vec<Option<Result<FetchedBlock>>> {
-        let mut batch_span = trace::span("fetch_batch");
-        batch_span.attr("requests", requests.len() as u64);
+        let mut batch = Section::FetchBatch.enter();
+        batch.attr("requests", requests.len() as u64);
         let mut out: Vec<Option<Result<FetchedBlock>>> = Vec::with_capacity(requests.len());
         out.resize_with(requests.len(), || None);
         let follower = |i: usize| readahead && i > 0;
@@ -380,7 +380,7 @@ impl BlockFetcher {
                 let led = ready.iter().filter(|r| follower(r.0)).count();
                 cache.counters().readahead_issued.fetch_add(led as u64, Ordering::Relaxed);
             }
-            batch_span.attr("windows", windows.len() as u64);
+            batch.attr("windows", windows.len() as u64);
             let read = |window: Range<usize>| -> Vec<Result<Bytes>> {
                 queue
                     .submit_window(file.as_ref(), &read_reqs[window])
@@ -390,8 +390,8 @@ impl BlockFetcher {
             };
             // Verifies, admits and publishes one window's reads.
             let mut settle = |window: Range<usize>, raws: Vec<Result<Bytes>>| {
-                let mut span = trace::span("verify_window");
-                span.attr("blocks", window.len() as u64);
+                let mut t = Section::VerifyWindow.enter();
+                t.attr("blocks", window.len() as u64);
                 for (slot, raw) in window.zip(raws) {
                     let (i, flight, _) = &ready[slot];
                     let req = requests[*i];
@@ -450,10 +450,7 @@ impl BlockFetcher {
     /// `None` without a cache or with `fill_cache = false`.
     fn lookup(&self, key: &CacheKey, kind: BlockKind, fill_cache: bool) -> Option<CacheHandle> {
         let cache = self.cache.as_ref().filter(|_| fill_cache)?;
-        let t = perf::timer();
-        let cached = cache.lookup(key, kind);
-        perf::add_elapsed(PerfMetric::CacheLookup, t);
-        cached
+        Section::CacheLookup.time(|| cache.lookup(key, kind))
     }
 
     /// The miss path: join an in-flight read for `key` or become its
@@ -487,9 +484,9 @@ impl BlockFetcher {
 
         // Leader: do the read, publish the result, then retire the flight.
         let result = {
-            let mut span = trace::span("read_block");
-            span.attr("offset", handle.offset);
-            span.attr("len", handle.size);
+            let mut t = Section::ReadBlock.enter();
+            t.attr("offset", handle.offset);
+            t.attr("len", handle.size);
             read_verified(file.as_ref(), handle, keys).map(|raw| parse_block(raw, kind))
         };
         let out = self.admit(key, &result, kind, fill_cache, false);
@@ -523,7 +520,7 @@ impl BlockFetcher {
 
     /// Waits on another thread's in-flight read and shares its result.
     fn join_flight(&self, flight: &Flight) -> Result<Arc<Block>> {
-        let _span = trace::span("singleflight_wait");
+        let _t = Section::SingleflightWait.enter();
         if let Some(cache) = &self.cache {
             cache.counters().singleflight_waits.fetch_add(1, Ordering::Relaxed);
         }
@@ -569,17 +566,14 @@ impl BlockFetcher {
 }
 
 /// Runs `wait` — one window's read, or the join of the thread reading it
-/// — under the `read_window` span and the `IoBatchWait` timer. Both live
-/// on the coordinating thread, never the reader: its waits are
-/// sequential, so the per-window durations always sum to at most the op's
-/// wall time, and the span needs no cross-thread context.
+/// — as an `IoBatchWait` section (the `read_window` span). It lives on
+/// the coordinating thread, never the reader: its waits are sequential,
+/// so the per-window durations always sum to at most the op's wall time,
+/// and the span needs no cross-thread context.
 fn wait_for_window<T>(window: &Range<usize>, wait: impl FnOnce() -> T) -> T {
-    let mut span = trace::span("read_window");
-    span.attr("blocks", window.len() as u64);
-    let t = perf::timer();
-    let out = wait();
-    perf::add_elapsed(PerfMetric::IoBatchWait, t);
-    out
+    let mut t = Section::IoBatchWait.enter();
+    t.attr("blocks", window.len() as u64);
+    wait()
 }
 
 /// Parses verified block contents (opaque wrapping for filter payloads,
@@ -636,7 +630,7 @@ pub(super) fn batch_read_plan(handle: BlockHandle, trailer_len: usize) -> Result
 /// and on success `block` holds its trusted plaintext contents. Every
 /// block of every read path — single fetch, batch, streaming scan, table
 /// open — is opened here and nowhere else, timed as
-/// `PerfMetric::BlockDecrypt` (decrypt + authenticate).
+/// [`Section::BlockDecrypt`] (decrypt + authenticate).
 /// `handle.size` must have passed [`batch_read_plan`].
 ///
 /// The trailer is decrypted first: its compression byte is part of the
@@ -656,18 +650,7 @@ pub(super) fn split_verified(
     handle: BlockHandle,
     keys: &TableKeys,
 ) -> Result<()> {
-    let t = perf::timer();
-    let opened = open_block(source, block, handle, keys);
-    perf::add_elapsed(PerfMetric::BlockDecrypt, t);
-    opened
-}
-
-fn open_block(
-    source: ReadSource<'_>,
-    block: &mut Vec<u8>,
-    handle: BlockHandle,
-    keys: &TableKeys,
-) -> Result<()> {
+    let _t = Section::BlockDecrypt.enter();
     let trailer_len = keys.trailer_len();
     let size = handle.size as usize;
     let read = match source {

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use shield_core::{perf, trace, PerfCounter};
+use shield_core::{perf, PerfCounter, Section};
 use shield_env::ReadSource;
 
 use crate::error::{Error, Result};
@@ -120,9 +120,9 @@ impl TableScanner {
                 _ => break,
             }
         }
-        let mut span = trace::span("read_span");
-        span.attr("offset", start);
-        span.attr("len", end - start);
+        let mut t = Section::ReadSpan.enter();
+        t.attr("offset", start);
+        t.attr("len", end - start);
         let body = self.table.keys.body();
         let bytes = self
             .table

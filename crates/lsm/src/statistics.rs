@@ -140,7 +140,8 @@ tickers! {
         flush_bytes,
         /// Compactions completed.
         compactions,
-        /// Microseconds spent executing compactions.
+        /// Microseconds compactions took, from their begin event to their
+        /// install (each `compaction` op's wall time).
         compaction_micros,
         /// Subrange merges run by parallel compactions.
         subcompactions,

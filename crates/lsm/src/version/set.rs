@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
-use shield_core::{perf, PerfMetric};
+use shield_core::Section;
 use shield_crypto::DekId;
 use shield_env::{Env, FileKind};
 
@@ -200,10 +200,7 @@ impl VersionSet {
         edit.last_sequence = Some(self.last_sequence);
         let writer = self.manifest.as_mut().ok_or(Error::Shutdown)?;
         writer.add_record(&edit.encode())?;
-        let t = perf::timer();
-        let synced = writer.sync();
-        perf::add_elapsed(PerfMetric::ManifestSync, t);
-        synced?;
+        Section::ManifestSync.time(|| writer.sync())?;
         let mut applier = EditApplier::from_version((*self.current).clone());
         applier.apply(&edit);
         let next = Arc::new(applier.version());

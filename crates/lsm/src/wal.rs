@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use shield_core::EventDispatcher;
+use shield_core::{EventDispatcher, Section};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, crc32c_unmask, HmacKey};
 use shield_env::{SequentialFile, WritableFile};
 
@@ -106,18 +106,10 @@ impl LogWriter {
 
     /// Appends one record (atomically recoverable as a unit).
     pub fn add_record(&mut self, payload: &[u8]) -> Result<()> {
-        // PerfContext wal_append covers fragmenting + buffering (and, in
-        // SHIELD mode, the encryption wrapper's work inside `append`).
-        let t = shield_core::perf::timer();
-        let mut span = shield_core::trace::span("wal_append");
-        span.attr("bytes", payload.len() as u64);
-        let result = self.add_record_inner(payload);
-        drop(span);
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::WalAppend, t);
-        result
-    }
-
-    fn add_record_inner(&mut self, payload: &[u8]) -> Result<()> {
+        // wal_append covers fragmenting + buffering (and, in SHIELD mode,
+        // the encryption wrapper's work inside `append`).
+        let mut t = Section::WalAppend.enter();
+        t.attr("bytes", payload.len() as u64);
         let header_size = self.header_size();
         let mut left = payload;
         let mut begin = true;
@@ -175,22 +167,12 @@ impl LogWriter {
 
     /// Flushes buffered bytes towards the OS.
     pub fn flush(&mut self) -> Result<()> {
-        let t = shield_core::perf::timer();
-        let result = self.dest.flush();
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::WalAppend, t);
-        result?;
-        Ok(())
+        Ok(Section::WalAppend.time(|| self.dest.flush())?)
     }
 
     /// Makes the log durable.
     pub fn sync(&mut self) -> Result<()> {
-        let t = shield_core::perf::timer();
-        let span = shield_core::trace::span("wal_sync");
-        let result = self.dest.sync();
-        drop(span);
-        shield_core::perf::add_elapsed(shield_core::PerfMetric::WalSync, t);
-        result?;
-        Ok(())
+        Ok(Section::WalSync.time(|| self.dest.sync())?)
     }
 
     /// Logical bytes written so far.

@@ -185,12 +185,6 @@ impl AtomicHistogram {
         s.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Record the time elapsed since `start`.
-    #[inline]
-    pub fn record_elapsed(&self, start: std::time::Instant) {
-        self.record(start.elapsed().as_nanos() as u64);
-    }
-
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
         for s in self.stripes.all() {

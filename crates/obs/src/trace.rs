@@ -2,14 +2,13 @@
 //! span ring, a slow-op capture ring, and the active-op registry the
 //! stall watchdog scans.
 //!
-//! The design mirrors [`crate::perf`]: instrumentation sites call the
-//! free function [`span`], whose disabled fast path is a single
-//! thread-local boolean read plus a branch — no clock read, no
-//! allocation — so tracing compiled in but switched off stays within the
-//! obs-smoke <2% overhead gate. When a [`Tracer`] op is active on the
-//! thread, [`span`] opens a child of the innermost open span and records
-//! a [`SpanRecord`] (trace id, parent id, start offset, duration,
-//! `key=value` attrs) on drop.
+//! Spans are opened by [`Section`] guards (see [`crate::perf`]): when
+//! a [`Tracer`] op is active on the thread, a section's guard opens a
+//! child of the innermost open span and records a [`SpanRecord`] (trace
+//! id, parent id, start offset, duration, `key=value` attrs) on drop,
+//! from the same two clock readings that charge its `PerfContext` field.
+//! An op is timed by one [`Op`] guard, which records its latency
+//! histogram and, while the recorder is on, roots its trace.
 //!
 //! Completed spans land in a bounded ring whose slots are claimed by a
 //! lock-free `fetch_add` head (writers never wait on each other for a
@@ -28,15 +27,16 @@
 //! into a dedicated ring ([`Tracer::slow_ops`]) and announced through
 //! the registered listener as [`Event::SlowOp`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::hist::AtomicHistogram;
 use crate::json::JsonBuilder;
 use crate::log::{Event, EventListener};
-use crate::perf::{self, PerfContext};
+use crate::perf::{self, PerfContext, PerfGuard, Section, SectionGuard, TRACE};
 
 /// Spans one op may accumulate before further children are counted as
 /// dropped instead of stored (the global ring still sees them).
@@ -57,7 +57,7 @@ pub struct SpanRecord {
     pub start_rel_micros: u64,
     /// Span duration in nanoseconds.
     pub dur_nanos: u64,
-    /// Numeric attributes attached via [`SpanGuard::attr`].
+    /// Numeric attributes attached via [`SectionGuard::attr`].
     pub attrs: Vec<(&'static str, u64)>,
 }
 
@@ -175,7 +175,7 @@ impl SpanRing {
 }
 
 /// One in-flight traced operation; lives in the tracer's active registry
-/// until its [`OpGuard`] drops, which is what the stall watchdog scans.
+/// until its [`Op`] guard ends, which is what the stall watchdog scans.
 pub struct ActiveOp {
     ring: Arc<SpanRing>,
     op: &'static str,
@@ -246,30 +246,12 @@ struct ThreadCtx {
 }
 
 thread_local! {
-    static TRACING: Cell<bool> = const { Cell::new(false) };
     static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
 }
 
-/// Is a traced op active on this thread?
-#[inline]
-#[must_use]
-pub fn active() -> bool {
-    TRACING.with(Cell::get)
-}
-
-/// Opens a child span of the innermost open span on this thread.
-///
-/// The disabled fast path (no op active) is one thread-local read and a
-/// branch; the returned guard is inert.
-#[inline]
-pub fn span(name: &'static str) -> SpanGuard {
-    if !active() {
-        return SpanGuard { inner: None };
-    }
-    SpanGuard { inner: begin_span(name) }
-}
-
-fn begin_span(name: &'static str) -> Option<SpanInner> {
+/// Opens a child of the innermost open span on this thread; `None` when
+/// no op is attached.
+pub(crate) fn begin_span(name: &'static str) -> Option<Box<SpanInner>> {
     CTX.with(|c| {
         let mut ctx = c.borrow_mut();
         let t = ctx.as_mut()?;
@@ -279,45 +261,24 @@ fn begin_span(name: &'static str) -> Option<SpanInner> {
         if let Ok(mut stack) = t.op.stack.lock() {
             stack.push((span_id, name));
         }
-        Some(SpanInner {
-            op: t.op.clone(),
-            span_id,
-            prev_parent,
-            name,
-            start: Instant::now(),
-            attrs: Vec::new(),
-        })
+        let op = t.op.clone();
+        Some(Box::new(SpanInner { op, span_id, prev_parent, name, attrs: Vec::new() }))
     })
 }
 
-struct SpanInner {
+/// An open span; a [`SectionGuard`] holds it until the section ends.
+pub(crate) struct SpanInner {
     op: Arc<ActiveOp>,
     span_id: u64,
     prev_parent: u64,
     name: &'static str,
-    start: Instant,
-    attrs: Vec<(&'static str, u64)>,
+    pub(crate) attrs: Vec<(&'static str, u64)>,
 }
 
-/// RAII child span; records a [`SpanRecord`] when dropped.
-#[must_use = "a span measures the scope it is alive for"]
-pub struct SpanGuard {
-    inner: Option<SpanInner>,
-}
-
-impl SpanGuard {
-    /// Attaches a numeric attribute. No-op on an inert guard.
-    pub fn attr(&mut self, key: &'static str, value: u64) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.attrs.push((key, value));
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else { return };
-        let SpanInner { op, span_id, prev_parent, name, start, attrs } = inner;
+impl SpanInner {
+    /// Closes the span, which started at `start` and lasted `dur_nanos`.
+    pub(crate) fn end(self, start: Instant, dur_nanos: u64) {
+        let SpanInner { op, span_id, prev_parent, name, attrs } = self;
         // Restore the parent pointer if this thread is still attached to
         // the same op (an attach guard may already have detached it).
         CTX.with(|c| {
@@ -338,7 +299,7 @@ impl Drop for SpanGuard {
             parent_id: prev_parent,
             name,
             start_rel_micros: start.saturating_duration_since(op.start).as_micros() as u64,
-            dur_nanos: start.elapsed().as_nanos() as u64,
+            dur_nanos,
             attrs,
         };
         op.record(rec);
@@ -357,7 +318,7 @@ pub struct SpanContext {
 /// The current thread's trace position, if an op is active.
 #[must_use]
 pub fn context() -> Option<SpanContext> {
-    if !active() {
+    if perf::flags() & TRACE == 0 {
         return None;
     }
     CTX.with(|c| {
@@ -372,7 +333,7 @@ impl SpanContext {
     /// the guard lives parent under the captured span. Restores the
     /// thread's previous state (usually: not tracing) on drop.
     pub fn attach(&self) -> AttachGuard {
-        let prev_active = TRACING.with(|t| t.replace(true));
+        let prev_active = perf::set_flag(TRACE, true);
         let prev = CTX.with(|c| {
             c.borrow_mut()
                 .replace(ThreadCtx { op: self.op.clone(), parent: self.parent })
@@ -390,7 +351,7 @@ pub struct AttachGuard {
 
 impl Drop for AttachGuard {
     fn drop(&mut self) {
-        TRACING.with(|t| t.set(self.prev_active));
+        perf::set_flag(TRACE, self.prev_active);
         let prev = self.prev.take();
         CTX.with(|c| *c.borrow_mut() = prev);
     }
@@ -432,6 +393,7 @@ impl Tracer {
     }
 
     /// Is span collection on?
+    #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
@@ -450,18 +412,29 @@ impl Tracer {
         }
     }
 
-    /// Starts a traced op on this thread. `None` while disabled — the
-    /// caller then skips tracing entirely for the op.
-    pub fn start_op(self: &Arc<Self>, op: &'static str) -> Option<OpGuard> {
-        if !self.enabled() {
-            return None;
+    /// Starts op `name` on this thread, timed once into `hist`. While the
+    /// recorder is on, the op roots its own trace, with a [`PerfContext`]
+    /// for its slow-op capture (unless the caller already collects one,
+    /// whose accumulation must not be reset).
+    #[inline]
+    pub fn op<'a>(self: &Arc<Self>, name: &'static str, hist: &'a AtomicHistogram) -> Op<'a> {
+        let mut op = Op::untraced(hist);
+        if self.enabled() {
+            op.root = Some(self.start_root(name, op.start));
         }
+        op
+    }
+
+    /// Makes op `name`, started at `start`, the root of a new trace on
+    /// this thread.
+    fn start_root(self: &Arc<Self>, name: &'static str, start: Instant) -> Box<Root> {
+        let perf = (!perf::enabled()).then(PerfGuard::enable);
         let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
         let active_op = Arc::new(ActiveOp {
             ring: self.ring.clone(),
-            op,
+            op: name,
             trace_id,
-            start: Instant::now(),
+            start,
             next_span_id: AtomicU64::new(2),
             spans: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
@@ -471,17 +444,12 @@ impl Tracer {
         if let Ok(mut reg) = self.active.lock() {
             reg.push(active_op.clone());
         }
-        let prev_active = TRACING.with(|t| t.replace(true));
+        let prev_active = perf::set_flag(TRACE, true);
         let prev_ctx = CTX.with(|c| {
             c.borrow_mut()
                 .replace(ThreadCtx { op: active_op.clone(), parent: 1 })
         });
-        Some(OpGuard {
-            tracer: self.clone(),
-            op: active_op,
-            prev_active,
-            prev_ctx,
-        })
+        Box::new(Root { tracer: self.clone(), op: active_op, prev_active, prev_ctx, perf })
     }
 
     /// Ops currently in flight (for the stall watchdog).
@@ -504,9 +472,26 @@ impl Tracer {
             .map(|s| s.iter().cloned().collect())
             .unwrap_or_default()
     }
+}
 
-    fn finish_op(&self, op: &Arc<ActiveOp>) {
-        let wall = op.start.elapsed();
+/// The root of a traced op: the thread state it replaced, restored by
+/// [`Root::finish`], and the perf guard its slow-op capture reads.
+struct Root {
+    tracer: Arc<Tracer>,
+    op: Arc<ActiveOp>,
+    prev_active: bool,
+    prev_ctx: Option<ThreadCtx>,
+    perf: Option<PerfGuard>,
+}
+
+impl Root {
+    /// Ends the trace `wall` after the op's start: restores the thread,
+    /// records the root span and runs the slow-op check, which reads the
+    /// op's breakdown while `_perf` still keeps it live.
+    fn finish(self, wall: Duration) {
+        let Root { tracer, op, prev_active, prev_ctx, perf: _perf } = self;
+        perf::set_flag(TRACE, prev_active);
+        CTX.with(|c| *c.borrow_mut() = prev_ctx);
         let root = SpanRecord {
             trace_id: op.trace_id,
             span_id: 1,
@@ -517,10 +502,10 @@ impl Tracer {
             attrs: Vec::new(),
         };
         op.ring.push(root.clone());
-        if let Ok(mut reg) = self.active.lock() {
+        if let Ok(mut reg) = tracer.active.lock() {
             reg.retain(|a| a.trace_id != op.trace_id);
         }
-        let threshold = self.slow_threshold_nanos.load(Ordering::Acquire);
+        let threshold = tracer.slow_threshold_nanos.load(Ordering::Acquire);
         if threshold == 0 || (wall.as_nanos() as u64) < threshold {
             return;
         }
@@ -539,9 +524,6 @@ impl Tracer {
                 .unwrap_or(0),
             spans,
             dropped_spans: op.dropped.load(Ordering::Relaxed),
-            // The engine enables PerfContext for traced ops, so the
-            // breakdown is still live here (the op guard drops before
-            // the perf guard).
             perf: perf::current(),
         };
         let event = Event::SlowOp {
@@ -551,35 +533,83 @@ impl Tracer {
             threshold_micros: capture.threshold_nanos / 1_000,
             spans: capture.spans.len() as u64,
         };
-        if let Ok(mut slow) = self.slow.lock() {
-            while slow.len() >= self.slow_capacity {
+        if let Ok(mut slow) = tracer.slow.lock() {
+            while slow.len() >= tracer.slow_capacity {
                 slow.pop_front();
             }
             slow.push_back(capture);
         }
-        let listener = self.listener.lock().ok().and_then(|l| l.clone());
+        let listener = tracer.listener.lock().ok().and_then(|l| l.clone());
         if let Some(l) = listener {
             l.on_event(&event);
         }
     }
 }
 
-/// RAII root of a traced op; finishes the trace (root span, slow-op
-/// check, registry removal) and restores the thread's state on drop.
-#[must_use = "the op is traced while the guard is alive"]
-pub struct OpGuard {
-    tracer: Arc<Tracer>,
-    op: Arc<ActiveOp>,
-    prev_active: bool,
-    prev_ctx: Option<ThreadCtx>,
+/// One operation, timed once: the clock is read when it starts and when
+/// it ends, and that one wall time feeds its latency histogram, its
+/// trace (root span or section) and the caller ([`Op::finish`]). Ends on
+/// drop if not finished.
+#[must_use = "the op is timed while the guard is alive"]
+pub struct Op<'a> {
+    /// `None` once the op has ended.
+    hist: Option<&'a AtomicHistogram>,
+    start: Instant,
+    /// The trace the op roots, while the recorder is on.
+    root: Option<Box<Root>>,
+    /// The section a nested op records as.
+    section: Option<SectionGuard>,
 }
 
-impl Drop for OpGuard {
+impl<'a> Op<'a> {
+    /// An op that is never traced on its own, timed into `hist`.
+    #[inline]
+    pub fn untraced(hist: &'a AtomicHistogram) -> Op<'a> {
+        Op { hist: Some(hist), start: Instant::now(), root: None, section: None }
+    }
+
+    /// An op that runs as `section` of the thread's trace (if any),
+    /// charged and recorded from the op's own readings.
+    pub fn nested(section: Section, hist: &'a AtomicHistogram) -> Op<'a> {
+        let mut op = Op::untraced(hist);
+        op.section = Some(SectionGuard::started(section, op.start));
+        op
+    }
+
+    /// Attaches a numeric attribute to a nested op's span.
+    pub fn attr(&mut self, key: &'static str, value: u64) {
+        if let Some(section) = &mut self.section {
+            section.attr(key, value);
+        }
+    }
+
+    /// Ends the op and returns its wall time.
+    pub fn finish(mut self) -> Duration {
+        self.end()
+    }
+
+    #[inline]
+    fn end(&mut self) -> Duration {
+        let wall = self.start.elapsed();
+        if let Some(hist) = self.hist.take() {
+            hist.record(wall.as_nanos() as u64);
+            if let Some(section) = &mut self.section {
+                section.end(wall.as_nanos() as u64);
+            }
+            if let Some(root) = self.root.take() {
+                root.finish(wall);
+            }
+        }
+        wall
+    }
+}
+
+impl Drop for Op<'_> {
+    #[inline]
     fn drop(&mut self) {
-        TRACING.with(|t| t.set(self.prev_active));
-        let prev = self.prev_ctx.take();
-        CTX.with(|c| *c.borrow_mut() = prev);
-        self.tracer.finish_op(&self.op);
+        if self.hist.is_some() {
+            self.end();
+        }
     }
 }
 
@@ -587,33 +617,45 @@ impl Drop for OpGuard {
 mod tests {
     use super::*;
 
+    fn active() -> bool {
+        perf::flags() & TRACE != 0
+    }
+
     #[test]
     fn disabled_is_inert() {
         assert!(!active());
-        let mut g = span("noop");
+        let mut g = Section::ReadSpan.enter();
         g.attr("x", 1);
         drop(g);
         let tracer = Tracer::new(16, 4);
-        assert!(tracer.start_op("get").is_none());
+        let hist = AtomicHistogram::new();
+        {
+            let _op = tracer.op("get", &hist);
+            assert!(!active(), "a disabled recorder roots no trace");
+            assert!(!perf::enabled(), "nor enables a PerfContext");
+        }
         assert!(tracer.recent_spans().is_empty());
         assert!(context().is_none());
+        assert_eq!(hist.snapshot().count(), 1, "the histogram still times the op");
     }
 
     #[test]
     fn spans_nest_and_record() {
         let tracer = Tracer::new(64, 4);
         tracer.set_enabled(true);
-        {
-            let _op = tracer.start_op("multi_get").expect("enabled");
+        let hist = AtomicHistogram::new();
+        let wall = {
+            let op = tracer.op("multi_get", &hist);
             assert!(active());
             {
-                let mut outer = span("fetch_batch");
+                let mut outer = Section::FetchBatch.enter();
                 outer.attr("requests", 8);
                 {
-                    let _inner = span("read_window");
+                    let _inner = Section::IoBatchWait.enter();
                 }
             }
-        }
+            op.finish()
+        };
         assert!(!active());
         let spans = tracer.recent_spans();
         assert_eq!(spans.len(), 3);
@@ -624,6 +666,8 @@ mod tests {
         assert_eq!(root.name, "multi_get");
         assert_eq!(root.span_id, 1);
         assert_eq!(root.parent_id, 0);
+        assert_eq!(root.dur_nanos, wall.as_nanos() as u64, "one reading for root and caller");
+        assert_eq!(hist.snapshot().max_us(), root.dur_nanos as f64 / 1e3, "and for the histogram");
         assert_eq!(outer.name, "fetch_batch");
         assert_eq!(outer.parent_id, 1);
         assert_eq!(outer.attrs, vec![("requests", 8)]);
@@ -633,18 +677,62 @@ mod tests {
         assert!(root.dur_nanos >= outer.dur_nanos);
     }
 
+    /// A traced op's sections charge the op's PerfContext and record
+    /// their spans from the same readings: per section, the two agree to
+    /// the nanosecond.
+    #[test]
+    fn section_span_and_field_agree() {
+        let tracer = Tracer::new(64, 4);
+        tracer.set_enabled(true);
+        tracer.set_slow_op_threshold(Some(Duration::from_nanos(1)));
+        let hist = AtomicHistogram::new();
+        {
+            let _op = tracer.op("get", &hist);
+            for _ in 0..3 {
+                let _t = Section::BlockRead.enter();
+                std::thread::sleep(Duration::from_micros(20));
+            }
+        }
+        let slow = tracer.slow_ops();
+        let capture = &slow[0];
+        let spans: u64 =
+            capture.spans.iter().filter(|s| s.name == "block_read").map(|s| s.dur_nanos).sum();
+        assert!(spans >= 60_000);
+        assert_eq!(spans, capture.perf.block_read_nanos);
+        assert!(!perf::enabled(), "the op's perf guard is gone with it");
+    }
+
+    #[test]
+    fn nested_op_records_its_section() {
+        let tracer = Tracer::new(64, 4);
+        tracer.set_enabled(true);
+        let (root_hist, sub_hist) = (AtomicHistogram::new(), AtomicHistogram::new());
+        let root = tracer.op("compaction", &root_hist);
+        let mut sub = Op::nested(Section::Subcompaction, &sub_hist);
+        sub.attr("index", 3);
+        let wall = sub.finish();
+        drop(root);
+        let spans = tracer.recent_spans();
+        let span = spans.iter().find(|s| s.name == "subcompaction").expect("subcompaction span");
+        assert_eq!(span.parent_id, 1);
+        assert_eq!(span.attrs, vec![("index", 3)]);
+        assert_eq!(span.dur_nanos, wall.as_nanos() as u64);
+        assert_eq!(sub_hist.snapshot().max_us(), span.dur_nanos as f64 / 1e3);
+    }
+
     #[test]
     fn context_attaches_across_threads() {
         let tracer = Tracer::new(64, 4);
         tracer.set_enabled(true);
-        let _op = tracer.start_op("multi_get").expect("enabled");
-        let parent_span = span("fetch_batch");
+        let hist = AtomicHistogram::new();
+        let _op = tracer.op("multi_get", &hist);
+        let parent_span = Section::FetchBatch.enter();
         let ctx = context().expect("active");
         let handle = std::thread::spawn(move || {
             assert!(!active(), "fresh thread starts untraced");
             {
                 let _attach = ctx.attach();
-                let mut w = span("read_window");
+                let mut w = Section::IoBatchWait.enter();
                 w.attr("requests", 4);
             }
             assert!(!active(), "attach guard restores");
@@ -662,8 +750,9 @@ mod tests {
     fn ring_overwrites_oldest() {
         let tracer = Tracer::new(4, 4);
         tracer.set_enabled(true);
+        let hist = AtomicHistogram::new();
         for _ in 0..10 {
-            let _op = tracer.start_op("get").expect("enabled");
+            let _op = tracer.op("get", &hist);
         }
         let spans = tracer.recent_spans();
         assert_eq!(spans.len(), 4, "bounded at capacity");
@@ -687,9 +776,10 @@ mod tests {
         tracer.set_enabled(true);
         tracer.set_slow_op_threshold(Some(Duration::from_nanos(1)));
         tracer.set_listener(capture.clone());
+        let hist = AtomicHistogram::new();
         {
-            let _op = tracer.start_op("get").expect("enabled");
-            let _child = span("read_block");
+            let _op = tracer.op("get", &hist);
+            let _child = Section::ReadBlock.enter();
             std::thread::sleep(Duration::from_millis(1));
         }
         let slow = tracer.slow_ops();
@@ -705,7 +795,7 @@ mod tests {
         assert_eq!(capture.0.lock().unwrap().as_slice(), ["slow_op"]);
         // Ring is bounded: two more slow ops evict the first.
         for _ in 0..2 {
-            let _op = tracer.start_op("put").expect("enabled");
+            let _op = tracer.op("put", &hist);
             std::thread::sleep(Duration::from_micros(100));
         }
         let slow = tracer.slow_ops();
@@ -718,8 +808,9 @@ mod tests {
         let tracer = Tracer::new(16, 4);
         tracer.set_enabled(true);
         tracer.set_slow_op_threshold(Some(Duration::from_secs(3600)));
+        let hist = AtomicHistogram::new();
         {
-            let _op = tracer.start_op("get").expect("enabled");
+            let _op = tracer.op("get", &hist);
         }
         assert!(tracer.slow_ops().is_empty());
     }
@@ -728,8 +819,9 @@ mod tests {
     fn watchdog_sees_active_ops_and_flags_once() {
         let tracer = Tracer::new(16, 4);
         tracer.set_enabled(true);
-        let op = tracer.start_op("compaction").expect("enabled");
-        let sp = span("subcompaction");
+        let hist = AtomicHistogram::new();
+        let op = tracer.op("compaction", &hist);
+        let sp = Section::Subcompaction.enter();
         let live = tracer.active_ops();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].op(), "compaction");
@@ -745,10 +837,11 @@ mod tests {
     fn nested_ops_restore_outer_trace() {
         let tracer = Tracer::new(64, 4);
         tracer.set_enabled(true);
-        let _outer = tracer.start_op("write_batch").expect("enabled");
+        let hist = AtomicHistogram::new();
+        let _outer = tracer.op("write_batch", &hist);
         let outer_ctx = context().expect("outer active");
         {
-            let _inner = tracer.start_op("flush").expect("enabled");
+            let _inner = tracer.op("flush", &hist);
             let inner_ctx = context().expect("inner active");
             assert_ne!(
                 inner_ctx.op.trace_id,
@@ -765,10 +858,11 @@ mod tests {
         let tracer = Tracer::new(8, 4);
         tracer.set_enabled(true);
         tracer.set_slow_op_threshold(Some(Duration::from_nanos(1)));
+        let hist = AtomicHistogram::new();
         {
-            let _op = tracer.start_op("scan").expect("enabled");
+            let _op = tracer.op("scan", &hist);
             for _ in 0..(MAX_SPANS_PER_OP + 10) {
-                let _s = span("iter_next");
+                let _s = Section::ReadSpan.enter();
             }
             std::thread::sleep(Duration::from_micros(10));
         }

@@ -43,7 +43,11 @@
 #           a paired session as `e2e <parent commit> <workload>`, each
 #           cited session is an object of BENCH_e2e.json (scripts/pairs.sh
 #           --record), and from the first citing entry on every entry
-#           tagged [perf_opt] cites at least one;
+#           tagged [perf_opt] cites at least one; one instrument per
+#           timed section: outside crates/obs, no library source under
+#           crates/*/src or src/ calls `trace::span(`, `perf::timer(` or
+#           `record_elapsed(` — a timed site holds a `Section` guard and
+#           an operation one op guard (DESIGN.md §4e);
 #           clippy -D
 #           warnings over shield-crypto, shield-core, shield-env,
 #           shield-lsm and shield (skipped if clippy is unavailable).
@@ -68,7 +72,7 @@
 #           only.
 #     3  crypto        kernel speedups vs the scalar reference (§4d)
 #     4  obs_smoke     paired LOG events, shield_metrics_v1 keys, < 2%
-#                      disabled PerfContext and trace::span cost (§4e, §4j)
+#                      disabled Section guard and op-guard hook cost (§4e)
 #     5  subcompaction compactions split; inputs stream (≤ 32 scan read
 #                      calls per MiB) (§4f, §4g)
 #     6  readpath      hot-key misses coalesce, multi_get batches reach the
@@ -80,10 +84,13 @@
 #     8  shards        every tree takes keys and flushes (§4k)
 #     9  replica       tailer applies manifest edits and WAL records and
 #                      ends with zero staleness (§4l)
+#   tier 10: every program under examples/ runs to a zero exit
+#           (`cargo run --release --example <name>`); each asserts what
+#           it narrates.
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick skips everything that needs the release build (clippy, the
-#   release build itself, tiers 2–9) and the 25 replica re-runs.
+#   release build itself, tiers 2–10) and the 25 replica re-runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -249,6 +256,22 @@ if [[ -n "$hits" ]]; then
 fi
 echo "ok"
 
+echo "== lint: one-instrument gate (crates/*/src and src/ outside crates/obs) =="
+hits=""
+for f in $(find crates/*/src src -name '*.rs' -not -path 'crates/obs/*' | sort); do
+    hits+=$(awk '/#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\//{next}
+        /trace::span\(|perf::timer\(|record_elapsed\(/{print FILENAME": "FNR": "$0}' "$f")
+done
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: one instrument per timed section: time a scope with a shield_core::Section"
+    echo "      guard (it charges the PerfContext and records the span from one pair of"
+    echo "      clock reads) and an operation with one op guard (shield_core::Op)."
+    exit 1
+fi
+echo "ok"
+
 if [[ $quick -eq 0 ]]; then
     echo "== lint: clippy gate =="
     if cargo clippy --version >/dev/null 2>&1; then
@@ -320,7 +343,7 @@ require target/BENCH_crypto_smoke.json '"batched_mib_s"' '"scalar_mib_s"' '"ciph
 
 echo "== tier 4: observability =="
 smoke obs_smoke
-require target/OBS_metrics_smoke.json '"perf_timer_pair_ns"' '"trace_span_ns"' \
+require target/OBS_metrics_smoke.json '"section_guard_ns"' '"op_guard_hook_ns"' \
     '"schema"' '"levels"' '"write_amplification"' '"latencies_us"' '"tickers"' '"gauges"'
 
 echo "== tier 5: parallel subcompactions =="
@@ -348,5 +371,15 @@ echo "== tier 9: read replica =="
 smoke replica --smoke
 require target/BENCH_replica_smoke.json '"manifest_edits_applied"' '"wal_records_applied"' \
     '"catchup_records_s"' '"final_staleness"'
+
+echo "== tier 10: examples =="
+for f in examples/*.rs; do
+    name=$(basename "$f" .rs)
+    cargo run --release -q --example "$name" >/dev/null || {
+        echo "FAIL: example $name exited non-zero"
+        exit 1
+    }
+done
+echo "ok"
 
 echo "ALL VERIFICATION TIERS PASSED"

@@ -18,7 +18,7 @@ mod support;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use shield_core::{json, Event, EventListener};
+use shield_core::{json, Event, EventListener, Section};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RemoteEnv};
 use shield_lsm::{Options, ReadOptions, WriteOptions};
 use support::{Mode, Primary, Store};
@@ -175,6 +175,48 @@ fn slow_op_captured_under_injected_delay() {
         hit.spans
     );
     assert!(capture.names().contains(&"slow_op"), "no slow_op event emitted");
+}
+
+/// One instrument per timed section: in the slow-op captures of a traced
+/// cold `get` and a traced `put`, the spans of every section that has a
+/// `PerfContext` field add up to exactly that field (span and field come
+/// from the same two clock readings), and the sections directly under
+/// the root fit inside its wall time.
+#[test]
+fn section_spans_add_up_to_their_perf_fields() {
+    let fx = Fixture::new(Arc::new(MemEnv::new()));
+    fx.populate(128);
+    let db = fx.open(|opts| opts.with_slow_op_threshold(Duration::from_nanos(1)));
+    assert!(db.db.get(&ReadOptions::new(), &key(17)).unwrap().is_some());
+    db.db.put(&WriteOptions::default(), &key(1_000), b"section").unwrap();
+
+    let slow = db.db.slow_ops();
+    for op in ["get", "put"] {
+        let capture = slow
+            .iter()
+            .find(|s| s.op == op)
+            .unwrap_or_else(|| panic!("no {op} captured in {slow:?}"));
+        let perf = capture.perf.fields();
+        for section in Section::ALL {
+            let Some(field) = section.field() else { continue };
+            let spans: u64 = capture
+                .spans
+                .iter()
+                .filter(|s| s.parent_id != 0 && s.name == section.name())
+                .map(|s| s.dur_nanos)
+                .sum();
+            let charged = perf.iter().find(|(name, _)| *name == field).map(|&(_, v)| v);
+            assert_eq!(Some(spans), charged, "{op}: {field} vs its `{}` spans", section.name());
+        }
+        let root = &capture.spans[0];
+        let top: u64 =
+            capture.spans.iter().filter(|s| s.parent_id == root.span_id).map(|s| s.dur_nanos).sum();
+        assert!(top <= root.dur_nanos, "{op}: sections {top} ns > wall {} ns", root.dur_nanos);
+    }
+    let get = &slow.iter().find(|s| s.op == "get").unwrap().perf;
+    assert!(get.block_read_nanos > 0 && get.block_decrypt_nanos > 0, "get was not cold: {get:?}");
+    let put = &slow.iter().find(|s| s.op == "put").unwrap().perf;
+    assert!(put.wal_append_nanos > 0 && put.memtable_insert_nanos > 0, "{put:?}");
 }
 
 /// A read pinned past `watchdog_deadline` must be flagged by the
