@@ -25,6 +25,16 @@
 //!   1,000 versions each across three L0 files and the memtable: a full
 //!   scan must re-seek those runs (`version_chain_reseeks` > 0) and take
 //!   at most 3 merge steps per returned row, in both modes.
+//! - **One round trip per get.** A SHIELD store over the DS link with
+//!   every key compacted below L0 and one key in eight rewritten into L0
+//!   above them: a cold get (`fill_cache: false`) of a key below probes
+//!   the L0 table's filter first, and reads a second block — a second
+//!   round trip — only when that filter passes the key. The row reports
+//!   `remote_reads_per_get` and `filter_fp_rate` (false positives per
+//!   probe of a table that did not hold the key); the verify tier fails
+//!   above 0.2 % (16-bit filters pass ~0.05 %, 10-bit ones ~0.8 %), and
+//!   the bin fails unless every read beyond one per get is a false
+//!   positive.
 //! - **Reader scaling.** One SHIELD + HMAC store in memory, cold gets
 //!   (`fill_cache: false`, so every get reads, decrypts and verifies its
 //!   data block) on one thread and then on two: gets/s per thread and the
@@ -43,7 +53,7 @@ use std::time::Instant;
 use shield_bench::harness::{self, ds_key, open_cold, scan_all, Bench};
 use shield_bench::rng::Rng;
 use shield_bench::{SystemKind, SystemStore, Tuning};
-use shield_env::MemEnv;
+use shield_env::{FileKind, MemEnv, NetworkModel};
 use shield_lsm::{Integrity, ReadOptions, WriteOptions};
 
 const MISS_THREADS: usize = 8;
@@ -289,6 +299,78 @@ fn run_version_chain(bench: &mut Bench) {
     );
 }
 
+/// One key in this many is rewritten into L0 by [`run_one_round_trip`];
+/// the row gets the others.
+const REWRITE_STRIDE: u64 = 8;
+
+/// Cold gets of present keys over two levels of the DS link: the remote
+/// reads they take, and how often a filter passed a key its table did not
+/// hold.
+fn run_one_round_trip(bench: &mut Bench, model: NetworkModel, keys: u64) {
+    let store = harness::ds_read_store(SystemKind::Shield, model);
+    // Every key compacted below L0, then one in eight rewritten above.
+    harness::ds_fill(&store, keys, |mut opts| {
+        opts.compaction.l0_compaction_trigger = 1;
+        opts
+    });
+    {
+        let sys = open_cold(&store, |opts| opts);
+        for k in (0..keys).step_by(REWRITE_STRIDE as usize) {
+            sys.db().put(&WriteOptions::default(), &ds_key(k), b"rewritten").expect("put");
+        }
+        sys.db().compact_all().expect("flush");
+    }
+    let sys = open_cold(&store, |opts| opts);
+    let db = sys.db();
+    let levels = db.metrics_report().levels.iter().filter(|l| l.files > 0).count() as u64;
+    let below: Vec<Vec<u8>> = (0..keys).filter(|k| k % REWRITE_STRIDE != 0).map(ds_key).collect();
+    let refs: Vec<&[u8]> = below.iter().map(Vec::as_slice).collect();
+    let cold = ReadOptions { fill_cache: false, ..ReadOptions::default() };
+    // Opens every table the gets probe, concurrently: an open's reads
+    // are not a get's.
+    db.multi_get(&cold, &refs);
+    let io = store.env().io_stats().expect("RemoteEnv keeps IoStats");
+    let sst_reads = || io.snapshot().read_ops[FileKind::Sst.index()];
+    let (reads_before, before) = (sst_reads(), db.statistics().snapshot());
+    let start = Instant::now();
+    for key in &below {
+        assert!(db.get(&cold, key).expect("get").is_some(), "fill lost a key");
+    }
+    let us_per_get = start.elapsed().as_secs_f64() * 1e6 / below.len() as f64;
+    let reads = sst_reads() - reads_before;
+    let s = db.statistics().snapshot().delta_since(&before);
+    let gets = below.len() as u64;
+    let false_positives = s.bloom_full_positive - s.bloom_true_positive;
+    let negative_probes = s.bloom_useful + false_positives;
+    let reads_per_get = harness::ratio(reads as f64, gets as f64);
+    let fp_rate = harness::ratio(false_positives as f64, negative_probes as f64);
+    println!(
+        "  one round trip: {gets} cold gets over {levels} levels, {:.4} remote reads/get, \
+         {false_positives} false positives in {negative_probes} negative probes ({:.3} %), \
+         {us_per_get:.0} us/get",
+        reads_per_get.unwrap_or(f64::NAN),
+        fp_rate.map_or(f64::NAN, |r| r * 100.0),
+    );
+    // Six decimals: a rate near 5e-4 is 0.001 at `field_f64`'s three.
+    let fine = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |v| format!("{v:.6}"));
+    let j = bench.json();
+    j.open_obj("one_round_trip");
+    j.field_u64("gets", gets);
+    j.field_u64("levels", levels);
+    j.field_u64("remote_reads", reads);
+    j.field_raw("remote_reads_per_get", &fine(reads_per_get));
+    j.field_u64("negative_probes", negative_probes);
+    j.field_u64("false_positives", false_positives);
+    j.field_raw("filter_fp_rate", &fine(fp_rate));
+    j.field_f64("us_per_get", us_per_get);
+    j.close_obj();
+    bench.engaged(&format!("one-round-trip gets span {levels} >= 2 levels"), levels >= 2);
+    bench.engaged(
+        &format!("{reads} remote reads = {gets} gets + {false_positives} false positives"),
+        reads == gets + false_positives && s.bloom_true_positive == gets,
+    );
+}
+
 /// Keys of the reader-scaling store.
 const SCALING_KEYS: u64 = 20_000;
 
@@ -376,6 +458,8 @@ fn main() -> ExitCode {
     // not a per-system reading: written once, after every system ran.
     bench.json().field_u64("env_inflight_reads_peak", shield_env::inflight_reads_peak());
     run_version_chain(&mut bench);
+    let round_trip_keys = bench.pick(4_000, 16_000);
+    run_one_round_trip(&mut bench, model, round_trip_keys);
     let gets_per_thread = bench.pick(2_000, 200_000);
     run_reader_scaling(&mut bench, gets_per_thread);
     bench.finish()

@@ -220,6 +220,12 @@ impl SystemStore {
         self.kind
     }
 
+    /// The medium the store's files live on.
+    #[must_use]
+    pub fn env(&self) -> &Arc<dyn Env> {
+        &self.env
+    }
+
     /// Opens the store (creating it the first time) with `tuning`'s
     /// options.
     pub fn open(&self) -> Result<SystemHandle> {

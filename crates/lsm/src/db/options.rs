@@ -29,8 +29,9 @@ pub enum ShardBy {
 /// Configuration for opening a [`crate::Db`].
 ///
 /// Defaults follow the paper's scaled-down benchmark profile: 4 MiB
-/// memtables, 4 KiB blocks, 10-bit blooms, leveled compaction with
-/// fanout 10, and no encryption. Enable SHIELD with
+/// memtables, 4 KiB blocks, leveled compaction with fanout 10, and no
+/// encryption; bloom filters take 16 bits per key
+/// ([`crate::sst::filter::BITS_PER_KEY`]). Enable SHIELD with
 /// [`Options::with_encryption`].
 #[derive(Clone)]
 pub struct Options {
@@ -48,7 +49,8 @@ pub struct Options {
     pub block_size: usize,
     /// Restart interval within blocks.
     pub restart_interval: usize,
-    /// Bloom bits per key (0 disables filters).
+    /// Bloom bits per key (0 disables filters); defaults to
+    /// [`crate::sst::filter::BITS_PER_KEY`].
     pub bloom_bits_per_key: usize,
     /// Block cache capacity in bytes (0 disables the cache). A tenth is
     /// reserved for index/filter blocks; for another split, build the
@@ -147,7 +149,7 @@ impl Options {
             max_immutable_memtables: 2,
             block_size: 4096,
             restart_interval: 16,
-            bloom_bits_per_key: 10,
+            bloom_bits_per_key: crate::sst::filter::BITS_PER_KEY,
             block_cache_bytes: 32 * 1024 * 1024,
             readahead_blocks: 0,
             compaction: CompactionParams::default(),

@@ -11,7 +11,7 @@ use shield_env::WritableFile;
 use crate::error::Result;
 use crate::integrity::{position_tag, CONTEXT_LEN};
 use crate::sst::block::BlockBuilder;
-use crate::sst::filter::BloomFilterBuilder;
+use crate::sst::filter::{BloomFilterBuilder, BITS_PER_KEY};
 use crate::sst::format::{
     BlockHandle, Footer, TableProperties, BLOCK_TRAILER_LEN, COMPRESSION_NONE,
     HMAC_BLOCK_TRAILER_LEN,
@@ -40,7 +40,7 @@ impl Default for TableBuilderOptions {
         TableBuilderOptions {
             block_size: 4096,
             restart_interval: 16,
-            bloom_bits_per_key: 10,
+            bloom_bits_per_key: BITS_PER_KEY,
             dek_id: None,
             mac_key: None,
         }

@@ -41,7 +41,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
@@ -132,6 +132,12 @@ impl TableKeys {
 struct Flight {
     done: Mutex<Option<Result<Arc<Block>>>>,
     cv: Condvar,
+    /// Joiners that came for `done`, counted under its lock. The leader
+    /// notifies only when there is one: a futex condvar's `notify_all`
+    /// enters the kernel on every call, and most flights have no joiner.
+    /// (Atomic only to be writable under the lock; it fills the
+    /// condvar's padding, so a flight is no larger for it.)
+    joiners: AtomicU32,
 }
 
 /// One block wanted by a batched fetch ([`BlockFetcher::get_many`]).
@@ -525,33 +531,35 @@ impl BlockFetcher {
             cache.counters().singleflight_waits.fetch_add(1, Ordering::Relaxed);
         }
         perf::incr(PerfCounter::SingleflightWaits, 1);
-        let mut done = flight
-            .done
-            .lock()
-            .map_err(|_| Error::Corruption("in-flight block fetch poisoned".into()))?;
-        while done.is_none() {
-            done = flight
-                .cv
-                .wait(done)
-                .map_err(|_| Error::Corruption("in-flight block fetch poisoned".into()))?;
-        }
-        match done.clone() {
-            Some(Ok(block)) => Ok(block),
-            Some(Err(e)) => Err(e),
-            None => unreachable!("loop exits only when done is Some"),
+        let poisoned = |_| Error::Corruption("in-flight block fetch poisoned".into());
+        let mut done = flight.done.lock().map_err(poisoned)?;
+        flight.joiners.fetch_add(1, Ordering::Relaxed);
+        loop {
+            if let Some(result) = &*done {
+                return result.clone();
+            }
+            done = flight.cv.wait(done).map_err(poisoned)?;
         }
     }
 
     /// Retires `key`'s flight from the in-flight table and wakes its
-    /// joiners with `result`.
+    /// joiners, if any, with `result`. A joiner counts itself under the
+    /// lock that `result` lands under, so one that has not counted itself
+    /// yet will find the result without waiting.
     fn publish(&self, key: CacheKey, flight: &Arc<Flight>, result: Result<Arc<Block>>) {
         if let Ok(mut map) = self.lock_inflight(&key) {
             map.remove(&key);
         }
-        if let Ok(mut done) = flight.done.lock() {
-            *done = Some(result);
+        let waiting = match flight.done.lock() {
+            Ok(mut done) => {
+                *done = Some(result);
+                flight.joiners.load(Ordering::Relaxed) > 0
+            }
+            Err(_) => true,
+        };
+        if waiting {
+            flight.cv.notify_all();
         }
-        flight.cv.notify_all();
     }
 
     /// Locks the single-flight shard that holds `key`.
@@ -736,6 +744,12 @@ mod tests {
     use crate::types::{make_internal_key, ValueType};
     use shield_env::{Env, FileKind, MemEnv};
     use std::sync::atomic::AtomicBool;
+
+    #[test]
+    fn counting_joiners_costs_a_flight_no_bytes() {
+        type Bare = (Mutex<Option<Result<Arc<Block>>>>, Condvar);
+        assert_eq!(std::mem::size_of::<Flight>(), std::mem::size_of::<Bare>());
+    }
 
     /// A plaintext, CRC-checked table's keys.
     const PLAIN: TableKeys = TableKeys { cipher: None, integrity: None };

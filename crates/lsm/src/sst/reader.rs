@@ -8,6 +8,7 @@
 //! `verify_integrity`) take the other path, [`Table::scan`], which reads
 //! around the cache in large spans (see [`crate::sst::scanner`]).
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use shield_core::{perf, PerfCounter};
@@ -20,7 +21,7 @@ use crate::integrity::{IntegrityCtx, ReadIntegrity};
 use crate::iter::InternalIterator;
 use crate::sst::block::BlockIter;
 use crate::sst::fetcher::{read_verified, BlockFetcher, BlockRequest, FetchedBlock, TableKeys};
-use crate::sst::filter::BloomFilterReader;
+use crate::sst::filter::{bloom_hash, BloomFilterReader};
 use crate::sst::format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, FOOTER_V2_LEN};
 use crate::sst::scanner::TableScanner;
 use crate::types::{extract_seq_type, extract_user_key, make_lookup_key, SequenceNumber, ValueType};
@@ -44,7 +45,8 @@ pub struct Table {
     /// Filter block pin plus a reader sharing the block's allocation.
     filter: Option<(FetchedBlock, BloomFilterReader)>,
     props: TableProperties,
-    /// Engine tickers (bloom_useful); `None` for standalone tables.
+    /// Engine tickers (the `bloom_*` outcomes); `None` for standalone
+    /// tables.
     stats: Option<Arc<crate::statistics::Statistics>>,
     /// The body's cipher (a table read as stored) and the HMAC
     /// verification context (`Some` iff the file is format v2); threaded
@@ -133,7 +135,7 @@ impl Table {
                 if let Some(stats) = &stats {
                     stats
                         .integrity_unprotected_files
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
             None
@@ -193,21 +195,16 @@ impl Table {
     /// [`Table::get`] with cache-admission control (`fill_cache = false`
     /// reads around the cache without disturbing residency).
     pub fn get_opt(&self, user_key: &[u8], seq: SequenceNumber, fill_cache: bool) -> LookupResult {
-        self.get_at(&make_lookup_key(user_key, seq), fill_cache)
+        self.get_at(&make_lookup_key(user_key, seq), bloom_hash(user_key), fill_cache)
     }
 
-    /// [`Table::get_opt`] for a lookup key (`make_lookup_key`) the caller
-    /// built once for every table it probes.
-    pub fn get_at(&self, lookup: &[u8], fill_cache: bool) -> LookupResult {
+    /// [`Table::get_opt`] for a lookup key (`make_lookup_key`) and a
+    /// [`bloom_hash`] of its user key that the caller computed once for
+    /// every table it probes.
+    pub fn get_at(&self, lookup: &[u8], hash: u32, fill_cache: bool) -> LookupResult {
         let user_key = extract_user_key(lookup);
-        if let Some((_, filter)) = &self.filter {
-            perf::incr(PerfCounter::BloomProbes, 1);
-            if !filter.may_contain(user_key) {
-                if let Some(stats) = &self.stats {
-                    stats.local().bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                return Ok(None);
-            }
+        if !self.filter_passes(hash) {
+            return Ok(None);
         }
         let mut index_iter = self.index.block().iter();
         index_iter.seek(lookup);
@@ -221,18 +218,44 @@ impl Table {
         let block = self.data_block(handle, fill_cache)?;
         let mut it = block.block().iter();
         it.seek(lookup);
-        entry_of(&it, user_key)
+        let entry = entry_of(&it, user_key);
+        self.credit_true_positive(&entry);
+        entry
     }
 
-    /// Batched point lookup: one slot per key, each equivalent to
-    /// [`Table::get_opt`] at the same `seq`, but every data block the
-    /// batch needs is fetched through [`BlockFetcher::get_many`] — the
-    /// file sees one `read_at_many` submission per round instead of one
-    /// read per key. Errors are per-slot: a corrupt block fails only the
-    /// keys that needed it.
-    pub fn get_many_opt(
+    /// Probes the filter, if the table has one, with a key's
+    /// [`bloom_hash`], and credits the answer: `bloom_useful` when it
+    /// rules the key out, `bloom_full_positive` when it passes it. Every
+    /// probe is one of the two.
+    fn filter_passes(&self, hash: u32) -> bool {
+        let Some((_, filter)) = &self.filter else { return true };
+        perf::incr(PerfCounter::BloomProbes, 1);
+        let passes = filter.may_contain_hash(hash);
+        if let Some(stats) = &self.stats {
+            let local = stats.local();
+            let ticker = if passes { &local.bloom_full_positive } else { &local.bloom_useful };
+            ticker.fetch_add(1, Ordering::Relaxed);
+        }
+        passes
+    }
+
+    /// Credits `bloom_true_positive` for a lookup the filter passed and
+    /// the table answered: a filtered table that held the key.
+    fn credit_true_positive(&self, entry: &LookupResult) {
+        if let (Some(stats), Some(_), Ok(Some(_))) = (&self.stats, &self.filter, entry) {
+            stats.local().bloom_true_positive.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Batched point lookup: one slot per `(user key, bloom_hash)` pair,
+    /// each equivalent to [`Table::get_at`] at the same `seq`, but every
+    /// data block the batch needs is fetched through
+    /// [`BlockFetcher::get_many`] — the file sees one `read_at_many`
+    /// submission per round instead of one read per key. Errors are
+    /// per-slot: a corrupt block fails only the keys that needed it.
+    pub fn get_many_opt<'k>(
         &self,
-        keys: &[&[u8]],
+        keys: impl ExactSizeIterator<Item = (&'k [u8], u32)>,
         seq: SequenceNumber,
         fill_cache: bool,
     ) -> Vec<LookupResult> {
@@ -240,16 +263,10 @@ impl Table {
         let mut out: Vec<Slot> = vec![None; keys.len()];
         // (slot, lookup key, handle of the one block that decides it)
         let mut wanted: Vec<(usize, Vec<u8>, BlockHandle)> = Vec::new();
-        for (i, user_key) in keys.iter().enumerate() {
-            if let Some((_, filter)) = &self.filter {
-                perf::incr(PerfCounter::BloomProbes, 1);
-                if !filter.may_contain(user_key) {
-                    if let Some(stats) = &self.stats {
-                        stats.local().bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    out[i] = Some(Ok(None));
-                    continue;
-                }
+        for (i, (user_key, hash)) in keys.enumerate() {
+            if !self.filter_passes(hash) {
+                out[i] = Some(Ok(None));
+                continue;
             }
             let lookup = make_lookup_key(user_key, seq);
             let mut index_iter = self.index.block().iter();
@@ -263,7 +280,7 @@ impl Table {
                 Err(e) => out[i] = Some(Err(e)),
             }
         }
-        // One deduplicated get_many over this file: as in `get_opt`, the
+        // One deduplicated get_many over this file: as in `get_at`, the
         // block the index seek lands on decides each key.
         let mut req_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut reqs: Vec<BlockRequest> = Vec::new();
@@ -279,14 +296,16 @@ impl Table {
             self.fetcher.get_many(&self.file, self.table_id, &reqs, fill_cache, &self.keys)
         };
         for (slot, lookup, handle) in wanted {
-            out[slot] = Some(match &fetched[req_of[&handle.offset]] {
+            let entry = match &fetched[req_of[&handle.offset]] {
                 Err(e) => Err(e.clone()),
                 Ok(block) => {
                     let mut it = block.block().iter();
                     it.seek(&lookup);
-                    entry_of(&it, keys[slot])
+                    entry_of(&it, extract_user_key(&lookup))
                 }
-            });
+            };
+            self.credit_true_positive(&entry);
+            out[slot] = Some(entry);
         }
         out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
     }
@@ -530,15 +549,21 @@ mod tests {
             .chain(["key999999".into(), "absent".into(), "key000000".into()])
             .collect();
         let keys: Vec<&[u8]> = names.iter().map(String::as_bytes).collect();
-        let batched = t.get_many_opt(&keys, 100, true);
+        let batched = t.get_many_opt(hashed(&keys), 100, true);
         assert_eq!(batched.len(), keys.len());
         for (key, got) in keys.iter().zip(batched) {
             let serial = t.get_opt(key, 100, true).unwrap();
             assert_eq!(got.unwrap(), serial, "divergence on {:?}", String::from_utf8_lossy(key));
         }
         // Sequence visibility carries through the batched path.
-        let early = t.get_many_opt(&[b"key000001"], 5, true);
+        let one: [&[u8]; 1] = [b"key000001"];
+        let early = t.get_many_opt(hashed(&one), 5, true);
         assert!(early[0].as_ref().unwrap().is_none());
+    }
+
+    /// Each key with its bloom hash, as a batched lookup takes them.
+    fn hashed<'a>(keys: &'a [&'a [u8]]) -> impl ExactSizeIterator<Item = (&'a [u8], u32)> + 'a {
+        keys.iter().map(|&k| (k, bloom_hash(k)))
     }
 
     /// SST read ops `f` causes on `env`.
@@ -554,11 +579,12 @@ mod tests {
         // Many small blocks; absent keys of the form `key000123x` sort
         // between two stored keys, some of them between two blocks.
         let t = build_table(&env, "t.sst", 2000, 256);
+        // ~0.05 % of absent keys pass a 16-bit filter: probe 52,000.
         let false_positives: Vec<String> = (0..2000)
-            .map(|i| format!("key{i:06}x"))
+            .flat_map(|i| ('a'..='z').map(move |c| format!("key{i:06}{c}")))
             .filter(|k| !t.filter_rules_out(k.as_bytes()))
             .collect();
-        assert!(!false_positives.is_empty(), "no bloom false positive among 2000 absent keys");
+        assert!(!false_positives.is_empty(), "no bloom false positive among 52,000 absent keys");
         for key in &false_positives {
             let reads = sst_reads(&env, || assert!(t.get(key.as_bytes(), 100).unwrap().is_none()));
             assert_eq!(reads, 1, "{key}: a filter false positive must cost one block read");
@@ -572,7 +598,8 @@ mod tests {
             blocks.insert(BlockHandle::decode_varint(it.value()).unwrap().offset);
         }
         let reads = sst_reads(&env, || {
-            assert!(t.get_many_opt(&keys, 100, true).iter().all(|r| r.as_ref().unwrap().is_none()));
+            let got = t.get_many_opt(hashed(&keys), 100, true);
+            assert!(got.iter().all(|r| r.as_ref().unwrap().is_none()));
         });
         assert_eq!(reads, blocks.len() as u64);
 
@@ -642,7 +669,7 @@ mod tests {
                 (0..=194u32).map(|n| format!("k{n:05}").into_bytes()).collect();
             let keys: Vec<&[u8]> = probes.iter().map(Vec::as_slice).collect();
             for snapshot in [0, 1, max_seq / 3, max_seq / 2, max_seq, max_seq + 7] {
-                let batched = t.get_many_opt(&keys, snapshot, true);
+                let batched = t.get_many_opt(hashed(&keys), snapshot, true);
                 for (key, batched) in keys.iter().zip(batched) {
                     let expected = model
                         .range((key.to_vec(), std::cmp::Reverse(snapshot))..)

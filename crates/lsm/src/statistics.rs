@@ -156,8 +156,17 @@ tickers! {
         sst_files_created,
         /// SST files deleted (obsolete after compaction).
         sst_files_deleted,
-        /// Bloom-filter negative hits (reads avoided).
+        /// Filter probes that ruled the key out (reads avoided).
         bloom_useful,
+        /// Filter probes that passed the key ("maybe"): each costs the
+        /// lookup a data block. `bloom_useful + bloom_full_positive` is
+        /// every filter probe.
+        bloom_full_positive,
+        /// Passed probes where the table held the key. The rest of
+        /// `bloom_full_positive` are false positives: each a data block
+        /// read for nothing (for a key inside the table's range), on
+        /// disaggregated storage a round trip.
+        bloom_true_positive,
         /// Write stalls triggered by L0/immutable backpressure.
         write_stalls,
         /// Microseconds writers spent stalled.
@@ -349,7 +358,7 @@ mod tests {
         for (n, _) in &counters {
             assert!(!gauges.iter().any(|(g, _)| g == n), "{n} in both sections");
         }
-        assert_eq!(counters.len() + gauges.len(), 56);
+        assert_eq!(counters.len() + gauges.len(), 58);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use crate::error::Result;
 use crate::iter::InternalIterator;
+use crate::sst::filter::bloom_hash;
 use crate::sst::{Table, TableIterator, TableScanner};
 use crate::types::{extract_user_key, make_lookup_key, SequenceNumber, ValueType};
 use crate::version::edit::FileMeta;
@@ -98,11 +99,13 @@ impl Version {
             let f = files.get(files.partition_point(|f| f.largest_user_key() < user_key))?;
             (user_key >= f.smallest_user_key()).then_some(f)
         });
-        // Built once, at the first file that may hold the key.
+        // The lookup key and the bloom hash are built once, at the first
+        // file that may hold the key; every filter is probed with the hash.
         let mut lookup = None;
         for meta in l0.chain(deeper) {
-            let lookup = lookup.get_or_insert_with(|| make_lookup_key(user_key, seq));
-            if let Some(result) = self.get_in_file(table_cache, meta, lookup, fill_cache)? {
+            let (lookup, hash) =
+                lookup.get_or_insert_with(|| (make_lookup_key(user_key, seq), bloom_hash(user_key)));
+            if let Some(result) = self.get_in_file(table_cache, meta, lookup, *hash, fill_cache)? {
                 return Ok(result);
             }
         }
@@ -114,7 +117,8 @@ impl Version {
     /// file (per L0 file newest-first, then per level), so each table
     /// sees its whole sub-batch in one [`crate::sst::Table::get_many_opt`]
     /// — one batched read submission per file instead of one read per
-    /// key. Errors are per-slot.
+    /// key. Each key is bloom-hashed once, for every filter it meets.
+    /// Errors are per-slot.
     pub fn multi_get_opt(
         &self,
         table_cache: &TableCache,
@@ -125,9 +129,10 @@ impl Version {
         let mut out: Vec<Option<Result<GetResult>>> = Vec::new();
         out.resize_with(keys.len(), || None);
         self.warm_candidate_tables(table_cache, keys);
+        let hashes: Vec<u32> = keys.iter().map(|k| bloom_hash(k)).collect();
         // L0: newest file first; files may overlap.
         for meta in &self.files[0] {
-            self.multi_get_in_file(table_cache, meta, keys, seq, fill_cache, &mut out, |k| {
+            self.multi_get_in_file(table_cache, meta, keys, &hashes, seq, fill_cache, &mut out, |k| {
                 k >= meta.smallest_user_key() && k <= meta.largest_user_key()
             });
         }
@@ -138,7 +143,7 @@ impl Version {
                 continue;
             }
             for (fidx, meta) in files.iter().enumerate() {
-                self.multi_get_in_file(table_cache, meta, keys, seq, fill_cache, &mut out, |k| {
+                self.multi_get_in_file(table_cache, meta, keys, &hashes, seq, fill_cache, &mut out, |k| {
                     files.partition_point(|f| f.largest_user_key() < k) == fidx
                         && k >= meta.smallest_user_key()
                 });
@@ -200,13 +205,15 @@ impl Version {
     }
 
     /// Probes `meta` with every still-unresolved key matched by
-    /// `candidate`, resolving found/deleted/errored slots in `out`.
+    /// `candidate` (and its bloom hash, at the same index of `hashes`),
+    /// resolving found/deleted/errored slots in `out`.
     #[allow(clippy::too_many_arguments)]
     fn multi_get_in_file(
         &self,
         table_cache: &TableCache,
         meta: &FileMeta,
         keys: &[&[u8]],
+        hashes: &[u32],
         seq: SequenceNumber,
         fill_cache: bool,
         out: &mut [Option<Result<GetResult>>],
@@ -227,8 +234,8 @@ impl Version {
                 return;
             }
         };
-        let sub: Vec<&[u8]> = slots.iter().map(|&i| keys[i]).collect();
-        for (&i, result) in slots.iter().zip(table.get_many_opt(&sub, seq, fill_cache)) {
+        let sub = slots.iter().map(|&i| (keys[i], hashes[i]));
+        for (&i, result) in slots.iter().zip(table.get_many_opt(sub, seq, fill_cache)) {
             match result {
                 Ok(None) => {} // not in this file; deeper sources may hold it
                 Ok(Some(entry)) => out[i] = Some(Ok(Self::classify_entry(entry))),
@@ -245,17 +252,18 @@ impl Version {
         }
     }
 
-    /// Probes one file with the lookup key `get_opt` built once for every
-    /// file it probes. The table is borrowed from the file's meta: no
-    /// lookup, lock or reference count per probe.
+    /// Probes one file with the lookup key and bloom hash `get_opt` built
+    /// once for every file it probes. The table is borrowed from the
+    /// file's meta: no lookup, lock or reference count per probe.
     fn get_in_file(
         &self,
         table_cache: &TableCache,
         meta: &FileMeta,
         lookup: &[u8],
+        hash: u32,
         fill_cache: bool,
     ) -> Result<Option<GetResult>> {
-        let entry = meta.table(table_cache)?.get_at(lookup, fill_cache)?;
+        let entry = meta.table(table_cache)?.get_at(lookup, hash, fill_cache)?;
         Ok(entry.map(Self::classify_entry))
     }
 

@@ -78,7 +78,10 @@
 #     6  readpath      hot-key misses coalesce, multi_get batches reach the
 #                      batched read path, scans read ahead, a scan
 #                      re-seeks a hot key's buried versions (≤ 3 merge
-#                      steps per row) (§4g, §4i)
+#                      steps per row), a cold get over two levels of
+#                      remote storage reads a second block only for a
+#                      filter false positive, and filters pass ≤ 0.2 %
+#                      of the keys their tables do not hold (§4g, §4i)
 #     7  integrity     HMAC runs verify every block, clean data verifies
 #                      clean (§4h)
 #     8  shards        every tree takes keys and flushes (§4k)
@@ -356,6 +359,13 @@ require target/BENCH_readpath_smoke.json '"batched_reads": [1-9]' '"version_chai
 steps=$(grep -o '"version_chain_steps_per_row": [0-9.eE+-]*' target/BENCH_readpath_smoke.json | awk '{print $2}')
 if ! awk -v s="$steps" 'BEGIN { exit !(s != "" && s <= 3) }'; then
     echo "FAIL: version-chain scan took ${steps:-?} merge steps per row (> 3): the skip rule did not engage"
+    exit 1
+fi
+require target/BENCH_readpath_smoke.json '"remote_reads_per_get": [0-9]' '"filter_fp_rate": [0-9]'
+fp=$(grep -o '"filter_fp_rate": [0-9.eE+-]*' target/BENCH_readpath_smoke.json | awk '{print $2}')
+if ! awk -v r="$fp" 'BEGIN { exit !(r != "" && r <= 0.002) }'; then
+    echo "FAIL: filters passed ${fp:-?} of the keys their tables did not hold (> 0.002): a get on"
+    echo "      remote storage pays a second round trip for each"
     exit 1
 fi
 

@@ -204,7 +204,7 @@ const BUDGET: &[(&str, u64, u64)] = &[
     ("memtable get", 1, 90),
     ("cached SST get", 4, 147),
     ("cold SST get", 8, 4_457),
-    ("multi_get(64)", 297, 40_076),
+    ("multi_get(64)", 297, 39_308),
     ("100-row scan", 214, 10_771),
     ("cold SST get (PosixEnv)", 8, 4_457),
     ("cold SST get, evicting", 8, 4_457),

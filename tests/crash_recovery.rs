@@ -9,7 +9,7 @@ mod support;
 
 use std::sync::Arc;
 
-use shield::{open_shield, ShieldOptions};
+use shield::{open_shield, ShieldDb, ShieldOptions};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{Db, Integrity, Options, ReadOptions, WriteBatch, WriteOptions};
@@ -513,12 +513,10 @@ fn cold_tree_bounds_live_wal_and_crash_loses_nothing() {
     check_recovered(&db, &mut oracle);
 }
 
-/// A directory written by the commit before the trees moved behind one
-/// write front (one tree, SHIELD, HMAC integrity: flushed and compacted
-/// SSTs plus a synced WAL tail, process-crashed) opens, recovers the tail
-/// and verifies clean.
-#[test]
-fn parent_commit_directory_reopens_and_verifies() {
+/// The committed directory of an older commit (one tree, SHIELD, HMAC
+/// integrity, 10-bit bloom filters: flushed and compacted SSTs plus a
+/// synced WAL tail, process-crashed), copied into memory and opened.
+fn open_fixture() -> ShieldDb {
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_n1_shield_hmac");
     let env = MemEnv::new();
     for entry in std::fs::read_dir(fixture).expect("fixture dir") {
@@ -531,27 +529,70 @@ fn parent_commit_directory_reopens_and_verifies() {
     // Every DEK the directory needs is in its secure cache; the KDS that
     // issued them is gone.
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let db = open_shield(
+    open_shield(
         Options::new(Arc::new(env)).with_integrity(Integrity::Hmac),
         "db",
         ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"fixture-passkey"),
     )
-    .expect("reopen the parent commit's directory");
+    .expect("reopen the parent commit's directory")
+}
+
+/// What the fixture holds for `key-{i:04}`.
+fn fixture_value(i: u32) -> Option<Vec<u8>> {
+    match i {
+        400.. => Some(b"wal-tail".to_vec()),
+        _ if i % 7 == 0 => None,
+        _ => Some(format!("value-{i:04}-{}", "x".repeat(40)).into_bytes()),
+    }
+}
+
+/// A directory written by the commit before the trees moved behind one
+/// write front opens, recovers the tail and verifies clean.
+#[test]
+fn parent_commit_directory_reopens_and_verifies() {
+    let db = open_fixture();
     assert_eq!(db.last_sequence(), 478);
     let r = ReadOptions::new();
     for i in 0..420u32 {
-        let want = match i {
-            400.. => Some(b"wal-tail".to_vec()),
-            _ if i % 7 == 0 => None,
-            _ => Some(format!("value-{i:04}-{}", "x".repeat(40)).into_bytes()),
-        };
-        assert_eq!(db.get(&r, format!("key-{i:04}").as_bytes()).expect("get"), want, "key-{i:04}");
+        let got = db.get(&r, format!("key-{i:04}").as_bytes()).expect("get");
+        assert_eq!(got, fixture_value(i), "key-{i:04}");
     }
     let report = db.verify_integrity().expect("verify");
     assert!(report.files >= 5, "four fixture SSTs plus the recovered tail, got {report:?}");
     let stats = db.statistics().snapshot();
     assert_eq!(stats.integrity_failures, 0);
     assert_eq!(stats.integrity_unprotected_files, 0, "every fixture file carries HMAC tags");
+}
+
+/// Filters of two budgets answer side by side: the fixture's tables
+/// carry 10-bit filters, and a put and a flush add one with the default
+/// 16 bits. Present keys are found through both, and absent keys inside
+/// every table's range are ruled out by both.
+#[test]
+fn ten_bit_filters_answer_beside_sixteen_bit_ones() {
+    let db = open_fixture();
+    let w = WriteOptions::default();
+    for i in (0..420u32).step_by(3) {
+        db.put(&w, format!("key-{i:04}+").as_bytes(), b"new").expect("put");
+    }
+    db.flush().expect("flush");
+    let r = ReadOptions::new();
+    let before = db.statistics().snapshot();
+    for i in 0..420u32 {
+        let got = db.get(&r, format!("key-{i:04}").as_bytes()).expect("get");
+        assert_eq!(got, fixture_value(i), "key-{i:04}");
+        let new = (i % 3 == 0).then(|| b"new".to_vec());
+        assert_eq!(db.get(&r, format!("key-{i:04}+").as_bytes()).expect("get"), new);
+        assert_eq!(db.get(&r, format!("key-{i:04}-absent").as_bytes()).expect("get"), None);
+    }
+    let s = db.statistics().snapshot().delta_since(&before);
+    let probes = s.bloom_useful + s.bloom_full_positive;
+    let false_positives = s.bloom_full_positive - s.bloom_true_positive;
+    assert!(s.bloom_useful > 0, "no filter ruled a key out: {s:?}");
+    assert!(
+        false_positives * 50 <= probes,
+        "{false_positives} false positives in {probes} filter probes"
+    );
 }
 
 #[test]

@@ -41,7 +41,7 @@ const TOP_KEYS: [&str; 10] = [
 /// values (`block_cache_*`, `readahead_*`, `env_faults_injected`,
 /// `resolver_*`) are tickers too: they only ever grow, so interval
 /// deltas are meaningful.
-const TICKER_KEYS: [&str; 52] = [
+const TICKER_KEYS: [&str; 54] = [
     "writes",
     "write_groups",
     "wal_bytes",
@@ -59,6 +59,8 @@ const TICKER_KEYS: [&str; 52] = [
     "sst_files_created",
     "sst_files_deleted",
     "bloom_useful",
+    "bloom_full_positive",
+    "bloom_true_positive",
     "write_stalls",
     "stall_micros",
     "bg_retries",

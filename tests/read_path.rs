@@ -15,7 +15,12 @@
 //! - a multi-threaded stress run whose post-join state must satisfy the
 //!   cache's capacity and pin invariants, and
 //! - the scan's skip rule: a run of one key's shadowed or too-new
-//!   versions costs at most `MAX_SEQUENTIAL_SKIP` steps and one re-seek.
+//!   versions costs at most `MAX_SEQUENTIAL_SKIP` steps and one re-seek,
+//!   and
+//! - over remote storage, a get of a present key reads one block plus one
+//!   per filter false positive the `bloom_*` tickers count.
+
+mod support;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,7 +29,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use shield_env::{Env, EnvResult, FaultInjectionEnv, FaultOp, FileKind, MemEnv, RandomAccessFile};
+use shield_env::{
+    Env, EnvResult, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RandomAccessFile,
+    RemoteEnv,
+};
 use shield_lsm::cache::{BlockCache, BlockKind, CacheConfig, CacheKey};
 use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
@@ -658,4 +666,58 @@ fn a_scan_seeks_past_versions_newer_than_its_sequence() {
     assert_eq!(db.scan(&snap.read_options(), b"", 10).unwrap(), want, "snapshot scan");
     let s = db.statistics().snapshot().delta_since(&before);
     assert_eq!((s.iter_skipped, s.iter_reseeks), (2 * MAX_SEQUENTIAL_SKIP, 2), "{s:?}");
+}
+
+/// On disaggregated storage every block a get reads is a round trip, and
+/// the only second block a get of a present key reads is the one a filter
+/// false positive sends it to. Keys live on two levels: a get of a bottom
+/// key probes the L0 table's filter first, and reads from remote storage
+/// exactly `1 + (bloom_full_positive - bloom_true_positive)` blocks. The
+/// filters take 4 bits per key here so that a few thousand gets see
+/// hundreds of false positives.
+#[test]
+fn a_remote_get_reads_a_second_block_only_for_a_false_positive() {
+    let remote = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), NetworkModel::unlimited()));
+    let store = support::Store::over(support::Mode::Shield, remote.clone());
+    let db = store.open(|mut opts| {
+        opts.bloom_bits_per_key = 4;
+        opts.compaction.l0_compaction_trigger = 2;
+        opts
+    });
+    let w = WriteOptions::default();
+    let key = |i: u32| format!("key-{i:05}").into_bytes();
+    // Two L0 files of even keys compact into L1; the odd keys stay in L0.
+    for half in [0..2_000, 2_000..4_000] {
+        for i in half.step_by(2) {
+            db.put(&w, &key(i), b"bottom").unwrap();
+        }
+        db.compact_all().unwrap();
+    }
+    for i in (1..4_000).step_by(2) {
+        db.put(&w, &key(i), b"l0").unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_for_background_work().unwrap();
+    let levels = db.metrics_report().levels;
+    assert!(levels[0].files == 1 && levels[1..].iter().any(|l| l.files > 0), "{levels:?}");
+    let cold = ReadOptions { fill_cache: false, ..ReadOptions::default() };
+    let bottom: Vec<Vec<u8>> = (0..4_000).step_by(2).map(key).collect();
+    for k in &bottom {
+        db.get(&cold, k).unwrap(); // opens every table the pass below probes
+    }
+    let sst_reads = || remote.io_stats().unwrap().snapshot().read_ops[FileKind::Sst.index()];
+    let (mut two_block_gets, mut false_positive_gets) = (0, 0);
+    for k in &bottom {
+        let (reads, stats) = (sst_reads(), db.statistics().snapshot());
+        assert_eq!(db.get(&cold, k).unwrap().as_deref(), Some(&b"bottom"[..]));
+        let reads = sst_reads() - reads;
+        let s = db.statistics().snapshot().delta_since(&stats);
+        let false_positives = s.bloom_full_positive - s.bloom_true_positive;
+        assert_eq!(s.bloom_true_positive, 1, "the bottom table held the key");
+        assert_eq!(reads, 1 + false_positives, "{}: {s:?}", String::from_utf8_lossy(k));
+        two_block_gets += u32::from(reads == 2);
+        false_positive_gets += u32::from(false_positives == 1);
+    }
+    assert_eq!(two_block_gets, false_positive_gets);
+    assert!(false_positive_gets > 0, "no false positive in {} gets", bottom.len());
 }

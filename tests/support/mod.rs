@@ -25,7 +25,7 @@ use proptest::TestRng;
 use shield::{
     open_encfs, open_plain, open_shield, EncryptedEnv, Shield, ShieldOptions, DEK_CACHE_FILE,
 };
-use shield_core::{Event, EventListener};
+use shield_core::{Event, EventListener, PerfGuard};
 use shield_crypto::{Algorithm, Dek};
 use shield_env::{
     Env, EnvResult, FileKind, IoStats, MemEnv, RandomAccessFile, SequentialFile, WritableFile,
@@ -837,6 +837,8 @@ pub fn drain(replica: &ReplicaDb) {
 /// counted by [`apply`].
 pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
     let before = reader.report().tickers;
+    // The filter probes of these lookups, counted on this thread.
+    let perf = PerfGuard::enable();
     let absent = |k: &Vec<u8>| [k.as_slice(), b"-absent"].concat();
     let probes: Vec<Vec<u8>> = oracle.touched.iter().flat_map(|k| [k.clone(), absent(k)]).collect();
     let want: Vec<Option<&Vec<u8>>> = probes.iter().map(|k| oracle.map.get(k)).collect();
@@ -852,12 +854,21 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
     if let Some(mid) = oracle.touched.iter().nth(oracle.touched.len() / 2) {
         assert_eq!(reader.range(mid, 10), oracle.range(mid, 10), "bounded scan");
     }
+    let filter_probes = shield_core::perf::current().bloom_probes;
+    drop(perf);
 
     let after = reader.report().tickers;
     let found = want.iter().flatten().count() as u64;
     assert_eq!(after.gets - before.gets, 2 * probes.len() as u64, "gets != lookups issued");
     assert_eq!(after.gets_found - before.gets_found, 2 * found, "gets_found != lookups found");
     assert_eq!(after.multi_gets - before.multi_gets, 1, "multi_gets != batches issued");
+    // Every filter probe rules the key out or passes it.
+    let outcomes = |s: &StatsSnapshot| s.bloom_useful + s.bloom_full_positive;
+    assert_eq!(
+        outcomes(&after) - outcomes(&before),
+        filter_probes,
+        "bloom_useful + bloom_full_positive != filter probes"
+    );
     let writes = if R::WRITER { oracle.writes } else { 0 };
     assert_eq!(after.writes, writes, "writes != entries applied since the handle opened");
     laws(&after);
@@ -882,6 +893,12 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
 pub fn laws(s: &StatsSnapshot) {
     assert!(s.gets_found <= s.gets, "gets_found {} > gets {}", s.gets_found, s.gets);
     assert!(s.write_groups <= s.writes, "write_groups {} > writes {}", s.write_groups, s.writes);
+    assert!(
+        s.bloom_true_positive <= s.bloom_full_positive,
+        "bloom_true_positive {} > bloom_full_positive {}",
+        s.bloom_true_positive,
+        s.bloom_full_positive
+    );
     assert!(
         s.readahead_useful <= s.readahead_issued,
         "readahead_useful {} > readahead_issued {}",
