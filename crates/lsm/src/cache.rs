@@ -5,26 +5,23 @@
 //! and caching plaintext blocks is what makes read-path encryption overhead
 //! nearly invisible (§6.2's readrandom results).
 //!
-//! Each shard is an intrusive doubly-linked LRU over slab-allocated nodes,
-//! so eviction is O(1) (the seed design scanned every entry per insert).
-//! Three properties matter to the read path built on top
-//! ([`crate::sst::fetcher::BlockFetcher`]):
+//! Each shard is one intrusive doubly-linked LRU list over slab-allocated
+//! nodes, so eviction is O(1). Every block kind shares that list: an open
+//! table pins its own index and filter blocks for as long as it lives,
+//! so an unpinned index or filter block belongs to a closed table and
+//! ages out like any other block. Two rules matter to the read path built
+//! on top ([`crate::sst::fetcher::BlockFetcher`]):
 //!
 //! - **Pinned handles.** [`BlockCache::lookup`] and [`BlockCache::insert`]
 //!   return a [`CacheHandle`] that holds a reference on the entry. Pinned
 //!   entries leave the LRU list and cannot be evicted, but their bytes stay
-//!   charged against capacity (strict accounting) — an iterator mid-block
-//!   never has its block's charge silently dropped.
-//! - **High-priority pool.** Index and filter blocks land in a separate
-//!   LRU segment sized by `high_pri_pool_ratio`; data-block scans cannot
-//!   flush them. When the pool overflows, its coldest entries demote into
-//!   the ordinary LRU instead of being lost.
-//! - **Fail-soft admission.** An entry larger than a shard, or any entry
-//!   that cannot fit in strict-capacity mode without evicting pinned
-//!   blocks, bypasses the cache (`oversized_bypass` / strict rejection
-//!   tickers) rather than wedging usage above capacity forever — the seed
-//!   cache's `map.len() > 1` guard let one oversized block survive
-//!   eviction indefinitely.
+//!   charged against capacity — an iterator mid-block never has its
+//!   block's charge silently dropped. An insert is always admitted, even
+//!   when only pinned entries are left to evict; the shard sheds the
+//!   excess as the pins are released, so the unpinned charge never
+//!   exceeds capacity.
+//! - **Oversized bypass.** An entry larger than a shard is not admitted
+//!   (the `oversized_bypass` ticker); the caller keeps its own block.
 //!
 //! The bookkeeping is built for two readers missing at once on two
 //! cores: a miss allocates nothing here (a freed slab slot holds no
@@ -52,8 +49,7 @@ const NIL: usize = usize::MAX;
 /// Cache key: owning table id + block offset within the table file.
 pub type CacheKey = (u64, u64);
 
-/// What kind of SST block an entry holds; drives per-kind tickers and the
-/// high-priority pool (index/filter are high-priority).
+/// What kind of SST block an entry holds; drives the per-kind tickers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BlockKind {
     /// Prefix-compressed key/value data block.
@@ -64,35 +60,18 @@ pub enum BlockKind {
     Filter,
 }
 
-impl BlockKind {
-    fn high_priority(self) -> bool {
-        !matches!(self, BlockKind::Data)
-    }
-}
-
 /// Construction-time cache knobs (see [`crate::Options`]).
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Total byte capacity across all shards. Must be > 0.
     pub capacity: usize,
-    /// Reject inserts that cannot fit after evicting every unpinned entry
-    /// (the caller falls back to an uncached block). When false, such
-    /// inserts are admitted and usage may temporarily exceed capacity.
-    pub strict_capacity: bool,
-    /// Fraction of capacity reserved for index/filter blocks, in `[0, 1]`.
-    pub high_pri_pool_ratio: f64,
     /// log2 of the shard count (0 = one shard, useful for model tests).
     pub shard_bits: u32,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            capacity: 32 * 1024 * 1024,
-            strict_capacity: false,
-            high_pri_pool_ratio: 0.1,
-            shard_bits: DEFAULT_SHARD_BITS,
-        }
+        CacheConfig { capacity: 32 * 1024 * 1024, shard_bits: DEFAULT_SHARD_BITS }
     }
 }
 
@@ -105,9 +84,7 @@ struct CacheCounters {
     index_misses: AtomicU64,
     filter_hits: AtomicU64,
     filter_misses: AtomicU64,
-    /// Entries evicted to make room.
-    evictions: AtomicU64,
-    /// Inserts that bypassed the cache (oversized or strict-capacity).
+    /// Inserts larger than a shard, served uncached.
     oversized_bypass: AtomicU64,
     /// Blocks read ahead that later served a lookup.
     readahead_useful: AtomicU64,
@@ -117,7 +94,8 @@ struct CacheCounters {
 /// lookup and insert writes are striped per thread and summed by
 /// [`BlockCache::stats`]; the two the fetcher maintains are written only
 /// on slow paths (a miss that parks on another thread's read, a
-/// readahead batch) and stay plain atomics.
+/// readahead batch) and stay plain atomics. Evictions are counted by
+/// each shard under its lock, where they happen.
 #[derive(Default)]
 pub struct CacheStats {
     hot: Striped<CacheCounters>,
@@ -138,6 +116,7 @@ pub struct CacheStatsSnapshot {
     pub index_misses: u64,
     pub filter_hits: u64,
     pub filter_misses: u64,
+    /// Entries evicted to make room, on insert or on release.
     pub evictions: u64,
     pub oversized_bypass: u64,
     pub singleflight_waits: u64,
@@ -242,22 +221,13 @@ struct Node {
     /// `None` once the slot is freed: a free slot holds no allocation.
     block: Option<Arc<Block>>,
     charge: usize,
-    /// Pin count; > 0 means off-list and not evictable.
+    /// Pin count. A mapped node is either pinned (> 0) or on the LRU
+    /// list (0), and only listed nodes are evicted.
     refs: u32,
-    /// Which LRU list the node is on (`None` while pinned).
-    on_list: Option<ListId>,
-    /// Entry currently lives in the high-priority pool.
-    high_pri: bool,
     /// Inserted by readahead and not yet hit.
     prefetched: bool,
     prev: usize,
     next: usize,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ListId {
-    Low,
-    High,
 }
 
 /// Intrusive doubly-linked list over slab indices. `head` is MRU.
@@ -324,33 +294,28 @@ struct Shard {
     map: HashMap<CacheKey, usize, KeyMix>,
     nodes: Vec<Node>,
     free: Vec<usize>,
-    low: LruList,
-    high: LruList,
+    /// Every unpinned entry, most recently used at the head.
+    lru: LruList,
     /// Total charge of all live nodes (listed + pinned).
     usage: usize,
     /// Charge of nodes with `refs > 0`.
     pinned_usage: usize,
-    /// Charge of nodes currently flagged high-priority.
-    high_usage: usize,
     capacity: usize,
-    high_pri_capacity: usize,
-    strict: bool,
+    /// Entries evicted so far.
+    evictions: u64,
 }
 
 impl Shard {
-    fn new(capacity: usize, high_pri_capacity: usize, strict: bool, mix: KeyMix) -> Self {
+    fn new(capacity: usize, mix: KeyMix) -> Self {
         Shard {
             map: HashMap::with_hasher(mix),
             nodes: Vec::new(),
             free: Vec::new(),
-            low: LruList::new(),
-            high: LruList::new(),
+            lru: LruList::new(),
             usage: 0,
             pinned_usage: 0,
-            high_usage: 0,
             capacity,
-            high_pri_capacity,
-            strict,
+            evictions: 0,
         }
     }
 
@@ -364,38 +329,17 @@ impl Shard {
         }
     }
 
-    fn list_mut(&mut self, id: ListId) -> (&mut LruList, &mut Vec<Node>) {
-        match id {
-            ListId::Low => (&mut self.low, &mut self.nodes),
-            ListId::High => (&mut self.high, &mut self.nodes),
-        }
-    }
-
-    fn detach(&mut self, idx: usize) {
-        if let Some(id) = self.nodes[idx].on_list.take() {
-            let (list, nodes) = self.list_mut(id);
-            list.unlink(nodes, idx);
-        }
-    }
-
-    fn attach_front(&mut self, idx: usize) {
-        let id = if self.nodes[idx].high_pri { ListId::High } else { ListId::Low };
-        self.nodes[idx].on_list = Some(id);
-        let (list, nodes) = self.list_mut(id);
-        list.push_front(nodes, idx);
-    }
-
-    /// Pins `idx` (takes it off its list) and returns its block.
+    /// Pins `idx` (takes it off the list) and returns its block.
     fn pin(&mut self, idx: usize) -> Arc<Block> {
-        self.detach(idx);
-        let node = &mut self.nodes[idx];
-        if node.refs == 0 {
-            self.pinned_usage += node.charge;
+        if self.nodes[idx].refs == 0 {
+            self.lru.unlink(&mut self.nodes, idx);
+            self.pinned_usage += self.nodes[idx].charge;
         }
+        let node = &mut self.nodes[idx];
         node.refs += 1;
         match &node.block {
             Some(block) => block.clone(),
-            None => unreachable!("a mapped or pinned slot holds its block"),
+            None => unreachable!("a mapped slot holds its block"),
         }
     }
 
@@ -407,105 +351,63 @@ impl Shard {
         Some((idx, self.pin(idx), was_prefetched))
     }
 
-    /// Drops one pin from `idx`; re-lists (or frees a detached zombie)
-    /// when the last pin goes away. Returns what it unmapped.
+    /// Drops one pin from `idx`. The last pin puts the entry back on the
+    /// list, which may evict: an insert admitted while everything else
+    /// was pinned leaves the shard over capacity until pins go. Returns
+    /// what it unmapped.
     fn release(&mut self, idx: usize) -> Evicted {
         let mut evicted = Evicted::default();
         let node = &mut self.nodes[idx];
         debug_assert!(node.refs > 0, "release without a pin");
         node.refs -= 1;
-        if node.refs > 0 {
-            return evicted;
-        }
-        let charge = node.charge;
-        self.pinned_usage -= charge;
-        let in_cache = self.map.get(&node.key).copied() == Some(idx);
-        if in_cache {
-            self.attach_front(idx);
-            // The release may have made an over-capacity shard shrinkable.
+        if node.refs == 0 {
+            self.pinned_usage -= node.charge;
+            self.lru.push_front(&mut self.nodes, idx);
             self.evict_to_fit(0, &mut evicted);
-            self.maintain_high_pool();
-        } else {
-            evicted.push(self.free_node(idx));
         }
         evicted
     }
 
-    /// Returns `idx` to the free list and hands back its block.
-    fn free_node(&mut self, idx: usize) -> Option<Arc<Block>> {
-        let node = &mut self.nodes[idx];
-        self.usage -= node.charge;
-        if node.high_pri {
-            self.high_usage -= node.charge;
-        }
-        self.free.push(idx);
-        node.block.take()
-    }
-
-    /// Evicts list tails (low first, then high) until `incoming` more
-    /// bytes fit, moving their blocks into `out`. Returns the number of
-    /// evictions; fitting is reported by re-checking usage at the caller.
-    fn evict_to_fit(&mut self, incoming: usize, out: &mut Evicted) -> u64 {
-        let mut evicted = 0;
-        while self.usage + incoming > self.capacity {
-            let victim = if self.low.tail != NIL {
-                self.low.tail
-            } else if self.high.tail != NIL {
-                self.high.tail
-            } else {
-                break; // everything left is pinned
-            };
-            self.detach(victim);
-            let key = self.nodes[victim].key;
-            self.map.remove(&key);
-            out.push(self.free_node(victim));
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Demotes the coldest high-priority entries into the ordinary LRU
-    /// while the pool exceeds its budget.
-    fn maintain_high_pool(&mut self) {
-        while self.high_usage > self.high_pri_capacity && self.high.tail != NIL {
-            let idx = self.high.tail;
-            self.detach(idx);
-            self.nodes[idx].high_pri = false;
-            self.high_usage -= self.nodes[idx].charge;
-            self.attach_front(idx); // now lands on the low list (MRU end)
+    /// Evicts list tails until `incoming` more bytes fit or only pinned
+    /// entries are left, moving their blocks into `out`.
+    fn evict_to_fit(&mut self, incoming: usize, out: &mut Evicted) {
+        while self.usage + incoming > self.capacity && self.lru.tail != NIL {
+            let victim = self.lru.tail;
+            self.lru.unlink(&mut self.nodes, victim);
+            let node = &mut self.nodes[victim];
+            self.map.remove(&node.key);
+            self.usage -= node.charge;
+            out.push(node.block.take());
+            self.free.push(victim);
+            self.evictions += 1;
         }
     }
 
-    /// Outcome of [`Shard::insert`]; what it evicted goes to `out`.
+    /// Pins the entry for `key`, inserting `block` if none is resident;
+    /// `None` when `charge` exceeds the shard. What it evicted goes to
+    /// `out`.
     fn insert(
         &mut self,
         key: CacheKey,
         block: &Arc<Block>,
         charge: usize,
-        kind: BlockKind,
         prefetched: bool,
         out: &mut Evicted,
-    ) -> ShardInsert {
+    ) -> Option<(usize, Arc<Block>)> {
         if let Some(&idx) = self.map.get(&key) {
             // Blocks are immutable and keyed by (file, offset): a racing
             // insert carries identical content, so serve the resident copy.
-            return ShardInsert::Existing(idx, self.pin(idx));
+            return Some((idx, self.pin(idx)));
         }
         if charge > self.capacity {
-            return ShardInsert::Bypassed;
+            return None;
         }
-        let evicted = self.evict_to_fit(charge, out);
-        if self.strict && self.usage + charge > self.capacity {
-            return ShardInsert::Rejected(evicted);
-        }
-        let high_pri = kind.high_priority();
+        self.evict_to_fit(charge, out);
         let idx = self.alloc(Node {
             key,
             block: Some(block.clone()),
             charge,
             refs: 1, // born pinned by the returned handle
-            on_list: None,
-            high_pri,
             prefetched,
             prev: NIL,
             next: NIL,
@@ -513,23 +415,8 @@ impl Shard {
         self.map.insert(key, idx);
         self.usage += charge;
         self.pinned_usage += charge;
-        if high_pri {
-            self.high_usage += charge;
-            self.maintain_high_pool();
-        }
-        ShardInsert::Inserted(idx, evicted)
+        Some((idx, block.clone()))
     }
-}
-
-enum ShardInsert {
-    /// New entry at this slab index, pinned; carries the eviction count.
-    Inserted(usize, u64),
-    /// The key was already resident; its block is returned pinned.
-    Existing(usize, Arc<Block>),
-    /// Entry larger than the shard: caller keeps its own copy.
-    Bypassed,
-    /// Strict-capacity rejection (everything evictable already evicted).
-    Rejected(u64),
 }
 
 /// One shard behind its lock, on lines of its own.
@@ -583,17 +470,11 @@ impl BlockCache {
     }
 
     /// Creates a cache, validating the configuration: zero capacity and
-    /// ratios outside `[0, 1]` are configuration errors, not silent
+    /// more than 2^10 shards are configuration errors, not silent
     /// misbehavior.
     pub fn with_config(config: CacheConfig) -> Result<Arc<Self>> {
         if config.capacity == 0 {
             return Err(Error::InvalidArgument("block cache capacity must be > 0".into()));
-        }
-        if !(0.0..=1.0).contains(&config.high_pri_pool_ratio) {
-            return Err(Error::InvalidArgument(format!(
-                "high_pri_pool_ratio {} outside [0, 1]",
-                config.high_pri_pool_ratio
-            )));
         }
         if config.shard_bits > 10 {
             return Err(Error::InvalidArgument(format!(
@@ -603,14 +484,10 @@ impl BlockCache {
         }
         let shards = 1usize << config.shard_bits;
         let per_shard = (config.capacity / shards).max(1);
-        let high_pri = (per_shard as f64 * config.high_pri_pool_ratio) as usize;
         let mix = KeyMix::new();
         Ok(Arc::new(BlockCache {
             shards: (0..shards)
-                .map(|_| {
-                    let shard = Shard::new(per_shard, high_pri, config.strict_capacity, mix);
-                    Arc::new(ShardCell(Mutex::new(shard)))
-                })
+                .map(|_| Arc::new(ShardCell(Mutex::new(Shard::new(per_shard, mix)))))
                 .collect(),
             mix,
             stats: CacheStats::default(),
@@ -655,41 +532,25 @@ impl BlockCache {
     }
 
     /// Inserts a block (pinned by the returned handle). Returns `None`
-    /// when the entry was not admitted — oversized for a shard, or
-    /// strict-capacity with only pinned entries left — in which case the
-    /// caller simply keeps its own `Arc<Block>` uncached.
+    /// when the entry is larger than a shard, in which case the caller
+    /// simply keeps its own `Arc<Block>` uncached. Every block kind
+    /// shares one LRU list, so `kind` does not change admission.
     pub fn insert(
         &self,
         key: CacheKey,
         block: &Arc<Block>,
         charge: usize,
-        kind: BlockKind,
+        _kind: BlockKind,
         prefetched: bool,
     ) -> Option<CacheHandle> {
         let shard = self.shard_for(&key);
         let mut evicted = Evicted::default();
-        let outcome = shard.0.lock().insert(key, block, charge, kind, prefetched, &mut evicted);
+        let pinned = shard.0.lock().insert(key, block, charge, prefetched, &mut evicted);
         drop(evicted); // after the lock
-        let c = self.stats.hot.local();
-        match outcome {
-            ShardInsert::Inserted(idx, evicted) => {
-                if evicted > 0 {
-                    c.evictions.fetch_add(evicted, Ordering::Relaxed);
-                }
-                Some(CacheHandle { shard: shard.clone(), idx, block: block.clone() })
-            }
-            ShardInsert::Existing(idx, resident) => {
-                Some(CacheHandle { shard: shard.clone(), idx, block: resident })
-            }
-            ShardInsert::Bypassed => {
-                c.oversized_bypass.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            ShardInsert::Rejected(evicted) => {
-                if evicted > 0 {
-                    c.evictions.fetch_add(evicted, Ordering::Relaxed);
-                }
-                c.oversized_bypass.fetch_add(1, Ordering::Relaxed);
+        match pinned {
+            Some((idx, block)) => Some(CacheHandle { shard: shard.clone(), idx, block }),
+            None => {
+                self.stats.hot.local().oversized_bypass.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -724,7 +585,6 @@ impl BlockCache {
             snap.index_misses += c.index_misses.load(Ordering::Relaxed);
             snap.filter_hits += c.filter_hits.load(Ordering::Relaxed);
             snap.filter_misses += c.filter_misses.load(Ordering::Relaxed);
-            snap.evictions += c.evictions.load(Ordering::Relaxed);
             snap.oversized_bypass += c.oversized_bypass.load(Ordering::Relaxed);
             snap.readahead_useful += c.readahead_useful.load(Ordering::Relaxed);
         }
@@ -732,27 +592,15 @@ impl BlockCache {
             let s = s.0.lock();
             snap.pinned_bytes += s.pinned_usage as u64;
             snap.usage_bytes += s.usage as u64;
+            snap.evictions += s.evictions;
         }
         snap
-    }
-
-    /// `(hits, misses)` since creation, summed over block kinds.
-    #[must_use]
-    pub fn hit_miss(&self) -> (u64, u64) {
-        let s = self.stats();
-        (s.hits(), s.misses())
     }
 
     /// Total bytes currently charged (pinned + resident).
     #[must_use]
     pub fn usage(&self) -> usize {
         self.shards.iter().map(|s| s.0.lock().usage).sum()
-    }
-
-    /// Bytes currently held by pinned entries.
-    #[must_use]
-    pub fn pinned_usage(&self) -> usize {
-        self.shards.iter().map(|s| s.0.lock().pinned_usage).sum()
     }
 
     /// Number of cached blocks.
@@ -782,13 +630,7 @@ mod tests {
     }
 
     fn single_shard(capacity: usize) -> Arc<BlockCache> {
-        BlockCache::with_config(CacheConfig {
-            capacity,
-            shard_bits: 0,
-            high_pri_pool_ratio: 0.0,
-            ..CacheConfig::default()
-        })
-        .expect("config")
+        BlockCache::with_config(CacheConfig { capacity, shard_bits: 0 }).expect("config")
     }
 
     #[test]
@@ -797,8 +639,8 @@ mod tests {
         assert!(cache.lookup(&(1, 0), BlockKind::Data).is_none());
         drop(cache.insert((1, 0), &block(100), 100, BlockKind::Data, false));
         assert!(cache.lookup(&(1, 0), BlockKind::Data).is_some());
-        let (h, m) = cache.hit_miss();
-        assert_eq!((h, m), (1, 1));
+        let s = cache.stats();
+        assert_eq!((s.hits(), s.misses()), (1, 1));
     }
 
     #[test]
@@ -846,13 +688,13 @@ mod tests {
         }
         // The pinned entry is still resident and still charged.
         assert!(cache.lookup(&(7, 7), BlockKind::Data).is_some());
-        assert!(cache.pinned_usage() >= 100);
+        assert!(cache.stats().pinned_bytes >= 100);
         drop(pin);
         // Unpinned now: enough pressure evicts it.
         for i in 100..150u64 {
             drop(cache.insert((1, i), &block(100), 100, BlockKind::Data, false));
         }
-        assert_eq!(cache.pinned_usage(), 0);
+        assert_eq!(cache.stats().pinned_bytes, 0);
         assert!(cache.usage() <= 1000);
     }
 
@@ -868,70 +710,16 @@ mod tests {
     }
 
     #[test]
-    fn strict_capacity_rejects_when_all_pinned() {
-        let cache = BlockCache::with_config(CacheConfig {
-            capacity: 1000,
-            strict_capacity: true,
-            high_pri_pool_ratio: 0.0,
-            shard_bits: 0,
-        })
-        .expect("config");
-        let _pins: Vec<_> = (0..9u64)
-            .map(|i| cache.insert((1, i), &block(100), 100, BlockKind::Data, false))
-            .collect();
-        // 900/1000 pinned; a 200-byte entry cannot fit and nothing is
-        // evictable, so strict mode must refuse it.
-        assert!(cache.insert((2, 0), &block(200), 200, BlockKind::Data, false).is_none());
-        assert_eq!(cache.usage(), 900);
-    }
-
-    #[test]
-    fn non_strict_overfills_rather_than_failing() {
+    fn evictions_on_release_are_counted() {
         let cache = single_shard(1000);
-        let _pins: Vec<_> = (0..9u64)
-            .map(|i| cache.insert((1, i), &block(100), 100, BlockKind::Data, false))
-            .collect();
-        let handle = cache.insert((2, 0), &block(200), 200, BlockKind::Data, false);
-        assert!(handle.is_some());
-        assert_eq!(cache.usage(), 1100); // temporarily over while pinned
-        drop(handle);
-        assert!(cache.usage() <= 1000, "release must evict back under capacity");
-    }
-
-    #[test]
-    fn high_pri_pool_shields_index_blocks_from_scans() {
-        let cache = BlockCache::with_config(CacheConfig {
-            capacity: 1000,
-            strict_capacity: false,
-            high_pri_pool_ratio: 0.3,
-            shard_bits: 0,
-        })
-        .expect("config");
-        drop(cache.insert((9, 0), &block(200), 200, BlockKind::Index, false));
-        // A long data scan floods the cache…
-        for i in 0..100u64 {
-            drop(cache.insert((1, i), &block(100), 100, BlockKind::Data, false));
-        }
-        // …but the index block, in the high-priority pool, survives.
-        assert!(cache.lookup(&(9, 0), BlockKind::Index).is_some(), "index evicted by scan");
-    }
-
-    #[test]
-    fn high_pool_overflow_demotes_rather_than_drops() {
-        let cache = BlockCache::with_config(CacheConfig {
-            capacity: 1000,
-            strict_capacity: false,
-            high_pri_pool_ratio: 0.2, // 200-byte pool
-            shard_bits: 0,
-        })
-        .expect("config");
-        for i in 0..4u64 {
-            drop(cache.insert((9, i), &block(100), 100, BlockKind::Index, false));
-        }
-        // All four remain resident: overflowed pool entries demote to the
-        // ordinary LRU instead of disappearing.
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.usage(), 400);
+        let kept = cache.insert((1, 0), &block(600), 600, BlockKind::Data, false).expect("ins");
+        let released = cache.insert((1, 1), &block(600), 600, BlockKind::Data, false);
+        assert_eq!(cache.usage(), 1200, "both admitted while pinned");
+        drop(released); // the shard is over capacity: its release evicts it
+        let s = cache.stats();
+        assert_eq!((cache.len(), s.evictions), (1, 1));
+        assert_eq!(cache.len() as u64 + s.evictions, 2, "admitted = resident + evicted");
+        drop(kept);
     }
 
     #[test]
@@ -941,12 +729,7 @@ mod tests {
             ..CacheConfig::default()
         })
         .is_err());
-        assert!(BlockCache::with_config(CacheConfig {
-            capacity: 100,
-            high_pri_pool_ratio: 1.5,
-            ..CacheConfig::default()
-        })
-        .is_err());
+        assert!(BlockCache::with_config(CacheConfig { capacity: 100, shard_bits: 11 }).is_err());
     }
 
     #[test]

@@ -52,9 +52,10 @@ pub struct Options {
     /// Bloom bits per key (0 disables filters); defaults to
     /// [`crate::sst::filter::BITS_PER_KEY`].
     pub bloom_bits_per_key: usize,
-    /// Block cache capacity in bytes (0 disables the cache). A tenth is
-    /// reserved for index/filter blocks; for another split, build the
-    /// cache from a [`crate::cache::CacheConfig`] and pass it as
+    /// Block cache capacity in bytes (0 disables the cache). Open tables'
+    /// index and filter blocks are pinned in it and charged to it. To
+    /// share one cache between databases, or to choose its shard count,
+    /// build it from a [`crate::cache::CacheConfig`] and pass it as
     /// [`Options::shared_block_cache`].
     pub block_cache_bytes: usize,
     /// Data blocks an iterator reads together with one that is not

@@ -808,13 +808,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_full_cache_falls_back_to_uncached() {
+    fn a_block_larger_than_the_cache_falls_back_to_uncached() {
         let env = MemEnv::new();
         let handle = build_sst(&env, "t.sst", 300);
         let cache = BlockCache::with_config(CacheConfig {
             capacity: 16, // smaller than any block
-            strict_capacity: true,
-            high_pri_pool_ratio: 0.0,
             shard_bits: 0,
         })
         .unwrap();

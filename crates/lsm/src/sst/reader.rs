@@ -772,9 +772,9 @@ mod tests {
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
         let t = Arc::new(Table::open(file, 7, Some(cache.clone())).unwrap());
         let _ = t.get(b"key000100", 100).unwrap();
-        let (h0, _) = cache.hit_miss();
+        let h0 = cache.stats().hits();
         let _ = t.get(b"key000100", 100).unwrap();
-        let (h1, _) = cache.hit_miss();
+        let h1 = cache.stats().hits();
         assert!(h1 > h0, "second read should hit the cache");
     }
 

@@ -43,7 +43,10 @@
 #           a paired session as `e2e <parent commit> <workload>`, each
 #           cited session is an object of BENCH_e2e.json (scripts/pairs.sh
 #           --record), and from the first citing entry on every entry
-#           tagged [perf_opt] cites at least one; one instrument per
+#           tagged [perf_opt] cites at least one; short entries: every
+#           CHANGES.md entry numbered 39 or later is at most 4,096 bytes
+#           (it cites sessions and EXPERIMENTS.md sections instead of
+#           restating them); one instrument per
 #           timed section: outside crates/obs, no library source under
 #           crates/*/src or src/ calls `trace::span(`, `perf::timer(` or
 #           `record_elapsed(` — a timed site holds a `Section` guard and
@@ -255,6 +258,22 @@ if [[ -n "$hits" ]]; then
     echo "FAIL: a [perf_opt] claim is a recorded session: run scripts/pairs.sh --record"
     echo "      BENCH_e2e.json, and cite each session in the CHANGES.md entry as"
     echo "      \`e2e <parent commit, 7+ hex digits> <workload>\`."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: entry-size gate (CHANGES.md) =="
+# Entries before the rule stay as written; from this number on, one
+# entry is one line of at most 4,096 bytes.
+first_sized=39
+hits=$(LC_ALL=C awk -v first="$first_sized" 'match($0, /^PR [0-9]+ /) {
+        n = substr($0, 4, RLENGTH - 4) + 0
+        if (n >= first && length($0) > 4096) print "PR " n ": " length($0) " bytes"
+    }' CHANGES.md)
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: a CHANGES.md entry is at most 4,096 bytes: cite BENCH_e2e.json sessions"
+    echo "      and EXPERIMENTS.md sections instead of restating them."
     exit 1
 fi
 echo "ok"

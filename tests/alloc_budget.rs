@@ -342,12 +342,7 @@ fn posix_cold_get_row() {
 #[test]
 fn evicting_cold_get_row() {
     let store = shield_hmac(Store::new(Mode::Shield));
-    let cache = BlockCache::with_config(CacheConfig {
-        capacity: 64 << 10,
-        shard_bits: 0,
-        ..CacheConfig::default()
-    })
-    .unwrap();
+    let cache = BlockCache::with_config(CacheConfig { capacity: 64 << 10, shard_bits: 0 }).unwrap();
     let db = store.open(|opts| Options { shared_block_cache: Some(cache.clone()), ..opts });
     let cached = ReadOptions::new();
     let (keys, values) = load(&db);

@@ -3,7 +3,8 @@
 //! - the sharded intrusive-LRU block cache checked against a reference
 //!   `HashMap` + `VecDeque` model under arbitrary op sequences (proptest),
 //! - pinned-handle charge accounting (a held handle blocks eviction but
-//!   stays charged),
+//!   stays charged), and a closed table's index and filter blocks aging
+//!   out ahead of newer data,
 //! - single-flight miss coalescing: N threads missing the same block issue
 //!   exactly one underlying read — proven twice, once by `MemEnv` I/O op
 //!   counters and once by a `FaultInjectionEnv` armed with a *single*
@@ -12,7 +13,8 @@
 //!   straight after the scan, a fault that matters only on the block the
 //!   scan stands on, and one read per block under eight concurrent scans,
 //! - `fill_cache = false` honoured by `Db::scan`,
-//! - a multi-threaded stress run whose post-join state must satisfy the
+//! - a multi-threaded stress run in which the evictable charge never
+//!   exceeds capacity, and whose post-join state must satisfy the
 //!   cache's capacity and pin invariants, and
 //! - the scan's skip rule: a run of one key's shadowed or too-new
 //!   versions costs at most `MAX_SEQUENTIAL_SKIP` steps and one re-seek,
@@ -82,8 +84,8 @@ fn first_data_handle(file: &Arc<dyn RandomAccessFile>) -> BlockHandle {
 
 const MODEL_CAPACITY: usize = 1000;
 
-/// The executable spec for a single-shard, no-high-pool, non-strict LRU
-/// whose handles are dropped immediately: a map plus an MRU-front deque.
+/// The executable spec for one shard of the cache whose handles are
+/// dropped immediately: a map plus an MRU-front deque.
 struct RefLru {
     map: HashMap<CacheKey, usize>,
     lru: VecDeque<CacheKey>,
@@ -140,13 +142,8 @@ proptest! {
     fn cache_matches_reference_lru(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..400)
     ) {
-        let cache = BlockCache::with_config(CacheConfig {
-            capacity: MODEL_CAPACITY,
-            strict_capacity: false,
-            high_pri_pool_ratio: 0.0, // one list, like the model
-            shard_bits: 0,
-        })
-        .unwrap();
+        let cache =
+            BlockCache::with_config(CacheConfig { capacity: MODEL_CAPACITY, shard_bits: 0 }).unwrap();
         let mut model = RefLru::new();
         for (i, &(k, c, is_insert)) in ops.iter().enumerate() {
             let key: CacheKey = (u64::from(k % 24), 0);
@@ -176,13 +173,7 @@ proptest! {
 /// under eviction pressure, and release must restore the capacity bound.
 #[test]
 fn pinned_handle_blocks_eviction_but_stays_charged() {
-    let cache = BlockCache::with_config(CacheConfig {
-        capacity: 1000,
-        strict_capacity: false,
-        high_pri_pool_ratio: 0.0,
-        shard_bits: 0,
-    })
-    .unwrap();
+    let cache = BlockCache::with_config(CacheConfig { capacity: 1000, shard_bits: 0 }).unwrap();
     let pin = cache.insert((9, 9), &test_block(300), 300, BlockKind::Data, false).unwrap();
     for i in 0..100u64 {
         drop(cache.insert((1, i), &test_block(100), 100, BlockKind::Data, false));
@@ -199,6 +190,40 @@ fn pinned_handle_blocks_eviction_but_stays_charged() {
     assert!(cache.lookup(&(9, 9), BlockKind::Data).is_none(), "unpinned entry survived flood");
     assert_eq!(cache.stats().pinned_bytes, 0);
     assert!(cache.usage() <= 1000);
+}
+
+/// An open table pins its index and filter blocks; once it closes they
+/// are its last use, and they age out in LRU order ahead of every data
+/// block inserted after it, however small a share of the cache they take.
+#[test]
+fn a_closed_tables_blocks_do_not_outlive_newer_data() {
+    const CAPACITY: usize = 32 * 1024;
+    const DATA: usize = 512;
+    let env = MemEnv::new();
+    write_sst(&env, "t.sst", 400);
+    let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
+    let len = file.len().unwrap();
+    let footer =
+        Footer::decode(&file.read_at(len - FOOTER_LEN as u64, FOOTER_LEN).unwrap()).unwrap();
+    let cache = BlockCache::with_config(CacheConfig { capacity: CAPACITY, shard_bits: 0 }).unwrap();
+    let table = Table::open(file, 7, Some(cache.clone())).unwrap();
+    let (index, filter) = ((7, footer.index.offset), (7, footer.filter.offset));
+    assert!(cache.contains(&index) && cache.contains(&filter));
+    let pinned = cache.stats().pinned_bytes as usize;
+    assert!(pinned * 10 <= CAPACITY, "index + filter take {pinned} B, over a tenth of the cache");
+    drop(table); // releases the index, then the filter
+
+    let watched = [index, filter, (8, 0)];
+    let mut gone = Vec::new();
+    for i in 0..(3 * CAPACITY / DATA) as u64 {
+        drop(cache.insert((8, i), &test_block(DATA), DATA, BlockKind::Data, false));
+        for key in watched {
+            if !gone.contains(&key) && !cache.contains(&key) {
+                gone.push(key);
+            }
+        }
+    }
+    assert_eq!(gone, watched, "evicted out of LRU order");
 }
 
 // ---------------------------------------------------------------------------
@@ -544,18 +569,13 @@ fn scan_without_fill_cache_leaves_residency_untouched() {
 // ---------------------------------------------------------------------------
 
 /// Eight threads hammer a small sharded cache with mixed kinds, sizes,
-/// and held pins. Afterwards every invariant must hold: nothing pinned,
-/// usage within capacity, and the cache still serves inserts.
+/// and held pins. After every step the evictable charge (usage − pinned)
+/// is within capacity; afterwards every invariant must hold: nothing
+/// pinned, usage within capacity, and the cache still serves inserts.
 #[test]
 fn concurrent_stress_keeps_cache_invariants() {
     const CAPACITY: usize = 64 * 1024;
-    let cache = BlockCache::with_config(CacheConfig {
-        capacity: CAPACITY,
-        strict_capacity: false,
-        high_pri_pool_ratio: 0.2,
-        shard_bits: 2,
-    })
-    .unwrap();
+    let cache = BlockCache::with_config(CacheConfig { capacity: CAPACITY, shard_bits: 2 }).unwrap();
     let joins: Vec<_> = (0..8u64)
         .map(|t| {
             let cache = cache.clone();
@@ -592,6 +612,10 @@ fn concurrent_stress_keeps_cache_invariants() {
                     while held.len() > 4 {
                         held.pop_front();
                     }
+                    // Both gauges of a shard are read under one lock.
+                    let s = cache.stats();
+                    let evictable = s.usage_bytes - s.pinned_bytes;
+                    assert!(evictable <= CAPACITY as u64, "evictable {evictable} B over {CAPACITY}");
                 }
             })
         })
