@@ -35,6 +35,15 @@
 //!   above 0.2 % (16-bit filters pass ~0.05 %, 10-bit ones ~0.8 %), and
 //!   the bin fails unless every read beyond one per get is a false
 //!   positive.
+//! - **What a scan pays per row.** Cached 50-row scans (mixgraph's
+//!   length) over one SHIELD store in memory whose merge holds the
+//!   memtable and three L0 tables: `scan_ns_per_row`.
+//! - **Key comparisons.** The engine's user-key comparator
+//!   (`types::user_key_cmp`) beside `[u8]::cmp`, on shuffled 16-byte
+//!   benchmark keys (zero-padded digits, so the first word is shared) and
+//!   on 128-byte keys sharing a 120-byte prefix: ns per comparison. The
+//!   full run fails if the engine's is more than a quarter slower than
+//!   `[u8]::cmp` on either.
 //! - **Reader scaling.** One SHIELD + HMAC store in memory, cold gets
 //!   (`fill_cache: false`, so every get reads, decrypts and verifies its
 //!   data block) on one thread and then on two: gets/s per thread and the
@@ -46,14 +55,18 @@
 //! *engages*; the committed full-mode `BENCH_readpath.json` is the perf
 //! record.
 
+use std::cmp::Ordering;
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use shield_bench::harness::{self, ds_key, open_cold, scan_all, Bench};
 use shield_bench::rng::Rng;
+use shield_bench::workloads::key_bytes;
 use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_env::{FileKind, MemEnv, NetworkModel};
+use shield_lsm::types::user_key_cmp;
 use shield_lsm::{Integrity, ReadOptions, WriteOptions};
 
 const MISS_THREADS: usize = 8;
@@ -371,6 +384,112 @@ fn run_one_round_trip(bench: &mut Bench, model: NetworkModel, keys: u64) {
     );
 }
 
+/// Keys of the scan row, 16 bytes as the benchmark's.
+const SCAN_KEYS: u64 = 20_000;
+/// Rows per scan: mixgraph's mean scan length.
+const SCAN_ROWS: usize = 50;
+/// L0 tables the scan row's merge reads (under the compaction trigger):
+/// all keys, then a rewrite of every fourth key per further table; one
+/// more round of rewrites stays in the memtable.
+const SCAN_L0_TABLES: u64 = 3;
+
+/// `scans` cached scans of [`SCAN_ROWS`] rows from random keys, over a
+/// merge of the memtable and [`SCAN_L0_TABLES`] L0 tables: the best of
+/// three passes, in ns per returned row.
+fn run_scan_rows(bench: &mut Bench, scans: u64) {
+    let store =
+        SystemStore::new(SystemKind::Shield, Arc::new(MemEnv::new()), "scan", Tuning::default());
+    let sys = store.open().expect("open");
+    let db = sys.db();
+    let (w, r) = (WriteOptions::default(), ReadOptions::default());
+    let key = |k: u64| key_bytes(k, 16);
+    for round in 0..=SCAN_L0_TABLES {
+        let stride = if round == 0 { 1 } else { 4 };
+        for k in (round..SCAN_KEYS).step_by(stride) {
+            db.put(&w, &key(k), format!("round-{round}").as_bytes()).expect("put");
+        }
+        if round < SCAN_L0_TABLES {
+            db.flush().expect("flush");
+        }
+    }
+    let l0 = db.metrics_report().levels.first().map_or(0, |l| l.files as u64);
+    // Warm: every block of every table in the cache.
+    assert_eq!(db.scan(&r, b"", usize::MAX).expect("scan").len() as u64, SCAN_KEYS);
+    let mut rng = Rng::new(0x5ca2_0f50);
+    let starts: Vec<Vec<u8>> =
+        (0..scans).map(|_| key(rng.next_below(SCAN_KEYS - SCAN_ROWS as u64))).collect();
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let begin = Instant::now();
+        for start in &starts {
+            let rows = db.scan(&r, start, SCAN_ROWS).expect("scan");
+            assert_eq!(black_box(rows).len(), SCAN_ROWS, "a scan came back short");
+        }
+        let ns = begin.elapsed().as_nanos() as f64;
+        best = best.min(ns / (scans * SCAN_ROWS as u64) as f64);
+    }
+    println!("  scan: {SCAN_ROWS}-row cached scans over a memtable + {l0} L0 tables, {best:.1} ns/row");
+    let j = bench.json();
+    j.open_obj("scan_rows");
+    j.field_u64("scans", scans);
+    j.field_u64("rows_per_scan", SCAN_ROWS as u64);
+    j.field_u64("l0_tables", l0);
+    j.field_f64("scan_ns_per_row", best);
+    j.close_obj();
+    bench.engaged(&format!("the scan row merged {l0} L0 tables"), l0 == SCAN_L0_TABLES);
+}
+
+/// Keys per comparison row, compared as adjacent pairs of a shuffled list.
+const CMP_KEYS: u64 = 1024;
+/// Alternated timing rounds per comparator; each keeps its best.
+const CMP_ROUNDS: u32 = 16;
+
+/// ns per comparison of adjacent `keys` under `cmp`, over `passes` passes.
+fn cmp_ns(keys: &[Vec<u8>], passes: u32, cmp: impl Fn(&[u8], &[u8]) -> Ordering) -> f64 {
+    let mut sum = 0i64;
+    let begin = Instant::now();
+    for _ in 0..passes {
+        for pair in keys.windows(2) {
+            sum += cmp(black_box(&pair[0]), black_box(&pair[1])) as i64;
+        }
+    }
+    black_box(sum);
+    begin.elapsed().as_nanos() as f64 / f64::from(passes) / (keys.len() - 1) as f64
+}
+
+/// One comparison row: the engine's comparator and `[u8]::cmp` over the
+/// same shuffled keys, each `prefix` followed by a key's last 8 digits,
+/// timed in alternated rounds (the best round of each).
+fn run_key_cmp(bench: &mut Bench, name: &str, prefix: &[u8], passes: u32) {
+    let mut rng = Rng::new(0xc0_4ba2e);
+    let keys: Vec<Vec<u8>> = (0..CMP_KEYS)
+        .map(|_| [prefix, &key_bytes(rng.next_below(3_000_000), 8)].concat())
+        .collect();
+    let (mut engine, mut slice) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..CMP_ROUNDS {
+        // Each goes first in every other round.
+        if round % 2 == 0 {
+            engine = engine.min(cmp_ns(&keys, passes, user_key_cmp));
+        }
+        slice = slice.min(cmp_ns(&keys, passes, |a, b| a.cmp(b)));
+        if round % 2 == 1 {
+            engine = engine.min(cmp_ns(&keys, passes, user_key_cmp));
+        }
+    }
+    let width = keys[0].len();
+    println!("  key cmp, {width} B keys: engine {engine:.2} ns, [u8]::cmp {slice:.2} ns");
+    let j = bench.json();
+    j.open_obj(name);
+    j.field_u64("key_bytes", width as u64);
+    j.field_f64("engine", engine);
+    j.field_f64("slice_cmp", slice);
+    j.close_obj();
+    bench.full_gate(
+        &format!("{width} B keys: engine comparator {engine:.2} ns <= 1.25 x [u8]::cmp {slice:.2} ns"),
+        engine <= 1.25 * slice,
+    );
+}
+
 /// Keys of the reader-scaling store.
 const SCALING_KEYS: u64 = 20_000;
 
@@ -460,6 +579,11 @@ fn main() -> ExitCode {
     run_version_chain(&mut bench);
     let round_trip_keys = bench.pick(4_000, 16_000);
     run_one_round_trip(&mut bench, model, round_trip_keys);
+    let scans = bench.pick(200, 4_000);
+    run_scan_rows(&mut bench, scans);
+    let passes = bench.pick(20, 200);
+    run_key_cmp(&mut bench, "key_cmp_16b_ns", b"00000000", passes);
+    run_key_cmp(&mut bench, "key_cmp_128b_shared120_ns", &[b'p'; 120], passes);
     let gets_per_thread = bench.pick(2_000, 200_000);
     run_reader_scaling(&mut bench, gets_per_thread);
     bench.finish()

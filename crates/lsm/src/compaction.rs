@@ -22,7 +22,9 @@ use shield_core::Section;
 use crate::error::Result;
 use crate::iter::{InternalIterator, MergingIterator};
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
-use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType, MAX_SEQUENCE};
+use crate::types::{
+    extract_seq_type, extract_user_key, user_key_cmp, SequenceNumber, ValueType, MAX_SEQUENCE,
+};
 use crate::version::edit::{FileMeta, TableSlot, VersionEdit};
 use crate::version::table_cache::TableCache;
 use crate::version::version::{LevelIterator, Version, NUM_LEVELS};
@@ -403,8 +405,8 @@ fn is_base_level_for_key(version: &Version, level: usize, user_key: &[u8]) -> bo
     // Deeper levels are ≥ 1, so sorted and disjoint: one candidate file
     // each, found as `Version::get_opt` finds it.
     version.files[level + 1..].iter().all(|files| {
-        let idx = files.partition_point(|f| f.largest_user_key() < user_key);
-        files.get(idx).is_none_or(|f| user_key < f.smallest_user_key())
+        let idx = files.partition_point(|f| f.ends_before(user_key));
+        files.get(idx).is_none_or(|f| user_key_cmp(user_key, f.smallest_user_key()).is_lt())
     })
 }
 
@@ -546,7 +548,7 @@ pub fn run_compaction_range(
         let ikey = merged.key();
         let user_key = extract_user_key(ikey);
         if let Some(upper) = &range.upper {
-            if user_key >= upper.as_slice() {
+            if user_key_cmp(user_key, upper).is_ge() {
                 // End of this subrange; keys past `upper` belong to the
                 // next subcompaction.
                 break;

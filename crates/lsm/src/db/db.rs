@@ -404,20 +404,22 @@ impl Db {
 
     /// An iterator over live keys in byte order across every tree,
     /// visible at the latest state (or the snapshot in `ropts`).
+    /// Each `next` is timed as one `iter_next` op.
     pub fn iter(&self, ropts: &ReadOptions) -> Result<DbIterator> {
+        self.iterator(ropts, Some(self.inner.op_hists.clone()))
+    }
+
+    fn iterator(&self, ropts: &ReadOptions, op_hists: Option<Arc<OpHistograms>>) -> Result<DbIterator> {
         let views = self.inner.read_views(ropts.snapshot_seq, |tree, view| (view, &tree.table_cache));
-        DbIterator::new(
-            views,
-            ropts.fill_cache,
-            self.inner.files.stats.clone(),
-            Some(self.inner.op_hists.clone()),
-        )
+        DbIterator::new(views, ropts.fill_cache, self.inner.files.stats.clone(), op_hists)
     }
 
     /// Range scan: up to `limit` live `(key, value)` pairs with
-    /// `key >= start`.
+    /// `key >= start`, timed as one `scan` op (its rows are not
+    /// `iter_next` ops).
     pub fn scan(&self, ropts: &ReadOptions, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let result = self.iter(ropts)?.scan(start, limit);
+        let _op = self.inner.op(OpKind::Scan);
+        let result = self.iterator(ropts, None)?.scan(start, limit);
         if let Err(e) = &result {
             self.park_if_unrecoverable(e);
         }

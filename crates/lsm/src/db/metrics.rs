@@ -31,8 +31,17 @@ use crate::version::version::Version;
 pub const METRICS_SCHEMA: &str = "shield_metrics_v1";
 
 /// Operation types with an in-engine latency histogram.
-pub const OP_TYPES: [&str; 8] =
-    ["get", "multi_get", "put", "write_batch", "iter_next", "flush", "compaction", "subcompaction"];
+pub const OP_TYPES: [&str; 9] = [
+    "get",
+    "multi_get",
+    "put",
+    "write_batch",
+    "scan",
+    "iter_next",
+    "flush",
+    "compaction",
+    "subcompaction",
+];
 
 /// An operation type, in [`OP_TYPES`] order.
 #[derive(Clone, Copy)]
@@ -41,6 +50,7 @@ pub(crate) enum OpKind {
     MultiGet,
     Put,
     WriteBatch,
+    Scan,
     IterNext,
     Flush,
     Compaction,

@@ -185,7 +185,7 @@ pub struct DbIterator {
     reseeks: u64,
     stats: Arc<Statistics>,
     /// The owning handle's latency histograms, if it keeps them: every
-    /// step is an `iter_next` op.
+    /// [`next`](Self::next) is an `iter_next` op.
     op_hists: Option<Arc<OpHistograms>>,
     /// Keeps the memtables and the versions alive while the iterator exists.
     _pins: Vec<ReadView>,
@@ -195,7 +195,7 @@ impl DbIterator {
     /// An iterator over the live keys of `views` — one per tree, all at
     /// the same sequence; trees own disjoint keys, so one merge over every
     /// view's memtables and files is the scan. `op_hists` receives the
-    /// latency of every step; `stats` the skip tickers.
+    /// latency of every `next`; `stats` the skip tickers.
     pub(crate) fn new(
         views: Vec<(ReadView, &Arc<TableCache>)>,
         fill_cache: bool,
@@ -253,25 +253,24 @@ impl DbIterator {
         self.advance_to_visible(None);
     }
 
-    /// Advances to the next live key.
+    /// Advances to the next live key, timed into `iter_next`.
     pub fn next(&mut self) {
-        let skip = self.current.take().map(|(k, _)| k);
-        self.step_past(skip.as_deref());
-    }
-
-    /// Steps off the row just returned, whose user key is `key`, and on
-    /// past that key's older versions to the next live key, timed into
-    /// `iter_next`.
-    fn step_past(&mut self, key: Option<&[u8]>) {
         // The histograms step out of `self` while the op guard borrows them.
         let op_hists = self.op_hists.take();
         let op = op_hists.as_deref().map(|h| Op::untraced(&h.0[OpKind::IterNext as usize]));
+        let skip = self.current.take().map(|(k, _)| k);
+        self.step_past(skip.as_deref());
+        drop(op);
+        self.op_hists = op_hists;
+    }
+
+    /// Steps off the row just returned, whose user key is `key`, and on
+    /// past that key's older versions to the next live key.
+    fn step_past(&mut self, key: Option<&[u8]>) {
         if key.is_some() {
             self.merged.next();
         }
         self.advance_to_visible(key);
-        drop(op);
-        self.op_hists = op_hists;
     }
 
     /// First error any underlying source hit. An iterator that went
@@ -281,7 +280,8 @@ impl DbIterator {
     }
 
     /// Range scan: up to `limit` live `(key, value)` pairs with
-    /// `key >= start`.
+    /// `key >= start`. Its steps are not timed: the caller times the
+    /// whole scan as one op.
     pub(crate) fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.seek(start);
         let mut out = Vec::with_capacity(limit.min(1024));

@@ -155,7 +155,9 @@ impl FileStore {
             s.block_cache_filter_misses.store(c.filter_misses, Ordering::Relaxed);
             s.block_cache_singleflight_waits.store(c.singleflight_waits, Ordering::Relaxed);
             s.block_cache_oversized_bypass.store(c.oversized_bypass, Ordering::Relaxed);
+            s.block_cache_evictions.store(c.evictions, Ordering::Relaxed);
             s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
+            s.block_cache_usage_bytes.store(c.usage_bytes, Ordering::Relaxed);
             s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
             s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
         }

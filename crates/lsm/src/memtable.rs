@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::types::{pack_seq_type, unpack_seq_type, SequenceNumber, ValueType};
+use crate::types::{pack_seq_type, unpack_seq_type, user_key_cmp, SequenceNumber, ValueType};
 use crate::varint::fixed;
 
 const MAX_HEIGHT: usize = 12;
@@ -142,7 +142,7 @@ impl Node {
     /// key ascending, then tag descending (newest first).
     fn cmp(&self, user_key: &[u8], tag: u64) -> Ordering {
         let (own_key, own_tag) = split_internal_key(self.key());
-        own_key.cmp(user_key).then_with(|| tag.cmp(&own_tag))
+        user_key_cmp(own_key, user_key).then_with(|| tag.cmp(&own_tag))
     }
 }
 

@@ -16,6 +16,7 @@ use crate::sst::format::{
     BlockHandle, Footer, TableProperties, BLOCK_TRAILER_LEN, COMPRESSION_NONE,
     HMAC_BLOCK_TRAILER_LEN,
 };
+use crate::sst::scanner::SCAN_SPAN_BYTES;
 use crate::types::extract_user_key;
 
 /// Tuning knobs for table construction.
@@ -56,6 +57,8 @@ pub struct TableBuilder {
     index_entries: Vec<(Vec<u8>, BlockHandle)>,
     filter: BloomFilterBuilder,
     offset: u64,
+    /// `offset` at the last flush of `file`.
+    flushed: u64,
     last_key: Vec<u8>,
     props: TableProperties,
     /// `opts.mac_key` expanded once for all of the file's block tags.
@@ -85,6 +88,7 @@ impl TableBuilder {
             index_entries: Vec::new(),
             filter,
             offset: 0,
+            flushed: 0,
             last_key: Vec::new(),
             props: TableProperties { dek_id, ..TableProperties::default() },
             mac,
@@ -160,6 +164,13 @@ impl TableBuilder {
         };
         self.file.append(&trailer[..trailer_len])?;
         self.offset += (contents.len() + trailer_len) as u64;
+        // Hand the file a flush per `SCAN_SPAN_BYTES` of output: on remote
+        // storage each is one packet on the link, and a table that went as
+        // one multi-MB transfer would queue every read behind it.
+        if self.offset - self.flushed >= SCAN_SPAN_BYTES as u64 {
+            self.file.flush()?;
+            self.flushed = self.offset;
+        }
         Ok(handle)
     }
 
@@ -274,6 +285,25 @@ mod tests {
         let expect =
             crate::integrity::block_tag(&[7u8; 32], &context, h.offset, trailer[0], contents);
         assert_eq!(&trailer[BLOCK_TRAILER_LEN..], &expect[..]);
+    }
+
+    #[test]
+    fn a_table_reaches_remote_storage_in_packets() {
+        use shield_env::{NetworkModel, RemoteEnv};
+        let env = RemoteEnv::new(std::sync::Arc::new(MemEnv::new()), NetworkModel::unlimited());
+        let file = env.new_writable_file("t.sst", FileKind::Sst).unwrap();
+        let mut b = TableBuilder::new(file, TableBuilderOptions::default());
+        for i in 0..1024u32 {
+            let ik = make_internal_key(format!("k{i:06}").as_bytes(), 1, ValueType::Value);
+            b.add(&ik, &[7u8; 1000]).unwrap();
+        }
+        b.finish().unwrap();
+        let io = env.io_stats().unwrap().snapshot();
+        let kind = FileKind::Sst.index();
+        let (bytes, transfers) = (io.written_bytes[kind], io.write_ops[kind]);
+        assert!(bytes >= 1 << 20, "{bytes} bytes");
+        // One transfer per 64 KiB span, give or take a block.
+        assert!(transfers >= bytes / (128 << 10), "{bytes} bytes went in {transfers} transfers");
     }
 
     #[test]

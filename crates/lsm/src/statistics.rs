@@ -240,6 +240,8 @@ tickers! {
         block_cache_singleflight_waits,
         /// Inserts larger than a cache shard, served uncached.
         block_cache_oversized_bypass,
+        /// Blocks the cache dropped to make room, mirrored from the cache.
+        block_cache_evictions,
         /// Blocks an iterator's readahead batch read beyond the one the
         /// iterator stood on.
         readahead_issued,
@@ -261,6 +263,8 @@ tickers! {
         /// Bytes currently pinned in the cache by in-use handles
         /// (open tables' index/filter blocks, live iterators).
         block_cache_pinned_bytes,
+        /// Bytes the cache holds, pinned or not, mirrored from the cache.
+        block_cache_usage_bytes,
         /// Legacy (pre-HMAC format) files opened while
         /// [`crate::integrity::Integrity::Hmac`] is on: readable but
         /// unverified until compaction rewrites them.
@@ -333,13 +337,17 @@ mod tests {
         assert_eq!(d.env_faults_injected, 2);
         assert_eq!(d.resolver_retries, 2);
         let counters = s.snapshot().counters();
-        for name in
-            ["block_cache_hits", "readahead_useful", "env_faults_injected", "resolver_failovers"]
-        {
+        for name in [
+            "block_cache_hits",
+            "block_cache_evictions",
+            "readahead_useful",
+            "env_faults_injected",
+            "resolver_failovers",
+        ] {
             assert!(counters.iter().any(|&(n, _)| n == name), "{name} must be a ticker");
         }
         let gauges = s.snapshot().gauges();
-        for name in ["block_cache_pinned_bytes", "env_inflight_reads"] {
+        for name in ["block_cache_pinned_bytes", "block_cache_usage_bytes", "env_inflight_reads"] {
             assert!(gauges.iter().any(|&(n, _)| n == name), "{name} must stay a gauge");
         }
     }
@@ -358,7 +366,7 @@ mod tests {
         for (n, _) in &counters {
             assert!(!gauges.iter().any(|(g, _)| g == n), "{n} in both sections");
         }
-        assert_eq!(counters.len() + gauges.len(), 58);
+        assert_eq!(counters.len() + gauges.len(), 60);
     }
 
     #[test]

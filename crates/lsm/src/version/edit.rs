@@ -7,6 +7,7 @@ use shield_crypto::DekId;
 
 use crate::error::{Error, Result};
 use crate::sst::Table;
+use crate::types::user_key_cmp;
 use crate::version::table_cache::TableCache;
 use crate::varint::{
     get_length_prefixed, get_varint32, get_varint64, put_length_prefixed, put_varint32,
@@ -104,6 +105,23 @@ impl FileMeta {
     #[must_use]
     pub fn largest_user_key(&self) -> &[u8] {
         crate::types::extract_user_key(&self.largest)
+    }
+
+    /// True if `user_key` lies within the file's key range.
+    #[inline]
+    #[must_use]
+    pub fn covers(&self, user_key: &[u8]) -> bool {
+        user_key_cmp(user_key, self.smallest_user_key()).is_ge()
+            && user_key_cmp(user_key, self.largest_user_key()).is_le()
+    }
+
+    /// True if every key of the file sorts before `user_key`: the
+    /// predicate a sorted level's `partition_point` finds a key's one
+    /// candidate file with.
+    #[inline]
+    #[must_use]
+    pub fn ends_before(&self, user_key: &[u8]) -> bool {
+        user_key_cmp(self.largest_user_key(), user_key).is_lt()
     }
 }
 

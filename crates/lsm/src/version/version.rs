@@ -6,7 +6,7 @@ use crate::error::Result;
 use crate::iter::InternalIterator;
 use crate::sst::filter::bloom_hash;
 use crate::sst::{Table, TableIterator, TableScanner};
-use crate::types::{extract_user_key, make_lookup_key, SequenceNumber, ValueType};
+use crate::types::{extract_user_key, make_lookup_key, user_key_cmp, SequenceNumber, ValueType};
 use crate::version::edit::FileMeta;
 use crate::version::table_cache::TableCache;
 
@@ -92,12 +92,10 @@ impl Version {
     ) -> Result<GetResult> {
         // L0 newest first (its files may overlap), then at most one
         // candidate file per deeper level.
-        let l0 = self.files[0]
-            .iter()
-            .filter(|f| user_key >= f.smallest_user_key() && user_key <= f.largest_user_key());
+        let l0 = self.files[0].iter().filter(|f| f.covers(user_key));
         let deeper = self.files[1..].iter().filter_map(|files| {
-            let f = files.get(files.partition_point(|f| f.largest_user_key() < user_key))?;
-            (user_key >= f.smallest_user_key()).then_some(f)
+            let f = files.get(files.partition_point(|f| f.ends_before(user_key)))?;
+            user_key_cmp(user_key, f.smallest_user_key()).is_ge().then_some(f)
         });
         // The lookup key and the bloom hash are built once, at the first
         // file that may hold the key; every filter is probed with the hash.
@@ -133,7 +131,7 @@ impl Version {
         // L0: newest file first; files may overlap.
         for meta in &self.files[0] {
             self.multi_get_in_file(table_cache, meta, keys, &hashes, seq, fill_cache, &mut out, |k| {
-                k >= meta.smallest_user_key() && k <= meta.largest_user_key()
+                meta.covers(k)
             });
         }
         // L1+: at most one candidate file per level and key.
@@ -144,8 +142,7 @@ impl Version {
             }
             for (fidx, meta) in files.iter().enumerate() {
                 self.multi_get_in_file(table_cache, meta, keys, &hashes, seq, fill_cache, &mut out, |k| {
-                    files.partition_point(|f| f.largest_user_key() < k) == fidx
-                        && k >= meta.smallest_user_key()
+                    files.partition_point(|f| f.ends_before(k)) == fidx && meta.covers(k)
                 });
             }
         }
@@ -169,9 +166,7 @@ impl Version {
         let mut candidates: Vec<&FileMeta> = Vec::new();
         for meta in &self.files[0] {
             if meta.table.get().is_none()
-                && keys.iter().any(|&k| {
-                    k >= meta.smallest_user_key() && k <= meta.largest_user_key()
-                })
+                && keys.iter().any(|&k| meta.covers(k))
             {
                 candidates.push(meta);
             }
@@ -181,8 +176,7 @@ impl Version {
             for (fidx, meta) in files.iter().enumerate() {
                 if meta.table.get().is_none()
                     && keys.iter().any(|&k| {
-                        files.partition_point(|f| f.largest_user_key() < k) == fidx
-                            && k >= meta.smallest_user_key()
+                        files.partition_point(|f| f.ends_before(k)) == fidx && meta.covers(k)
                     })
                 {
                     candidates.push(meta);
@@ -408,7 +402,7 @@ impl<I: InternalIterator> InternalIterator for LevelIterator<I> {
 
     fn seek(&mut self, target: &[u8]) {
         let user = extract_user_key(target);
-        let idx = self.files.partition_point(|f| f.largest_user_key() < user);
+        let idx = self.files.partition_point(|f| f.ends_before(user));
         if idx >= self.files.len() {
             self.current = None;
             self.file_index = self.files.len();

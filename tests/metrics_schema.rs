@@ -41,7 +41,7 @@ const TOP_KEYS: [&str; 10] = [
 /// values (`block_cache_*`, `readahead_*`, `env_faults_injected`,
 /// `resolver_*`) are tickers too: they only ever grow, so interval
 /// deltas are meaningful.
-const TICKER_KEYS: [&str; 54] = [
+const TICKER_KEYS: [&str; 55] = [
     "writes",
     "write_groups",
     "wal_bytes",
@@ -90,6 +90,7 @@ const TICKER_KEYS: [&str; 54] = [
     "block_cache_filter_misses",
     "block_cache_singleflight_waits",
     "block_cache_oversized_bypass",
+    "block_cache_evictions",
     "readahead_issued",
     "readahead_useful",
     "env_faults_injected",
@@ -99,11 +100,26 @@ const TICKER_KEYS: [&str; 54] = [
 ];
 
 /// The only true gauges: point-in-time readings that can shrink.
-const GAUGE_KEYS: [&str; 4] = [
+const GAUGE_KEYS: [&str; 5] = [
     "block_cache_pinned_bytes",
+    "block_cache_usage_bytes",
     "integrity_unprotected_files",
     "env_inflight_reads",
     "replica_lag_records",
+];
+
+/// Ops with a latency histogram: the keys of `latencies_us`, in emission
+/// order.
+const OP_KEYS: [&str; 9] = [
+    "get",
+    "multi_get",
+    "put",
+    "write_batch",
+    "scan",
+    "iter_next",
+    "flush",
+    "compaction",
+    "subcompaction",
 ];
 
 /// Keys of one `latencies_us.<op>` object, in emission order.
@@ -175,7 +191,8 @@ fn top_keys(sections: &[&'static str]) -> Vec<&'static str> {
 fn assert_shared_sections(doc: &JsonValue, what: &str) {
     assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some("shield_metrics_v1"), "{what}");
     let lats = doc.get("latencies_us").expect("latencies_us");
-    assert_exact_keys(lats, &OP_TYPES, &format!("{what}: latencies_us ops"));
+    assert_eq!(OP_TYPES, OP_KEYS, "OP_TYPES drifted");
+    assert_exact_keys(lats, &OP_KEYS, &format!("{what}: latencies_us ops"));
     for op in OP_TYPES {
         let what = format!("{what}: latencies_us.{op}");
         assert_exact_keys(lats.get(op).unwrap(), &LATENCY_KEYS, &what);

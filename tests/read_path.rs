@@ -18,7 +18,8 @@
 //!   cache's capacity and pin invariants, and
 //! - the scan's skip rule: a run of one key's shadowed or too-new
 //!   versions costs at most `MAX_SEQUENTIAL_SKIP` steps and one re-seek,
-//!   and
+//! - `Db::scan` is timed as one op per call, while a user iterator times
+//!   each step, and
 //! - over remote storage, a get of a present key reads one block plus one
 //!   per filter false positive the `bloom_*` tickers count.
 
@@ -690,6 +691,49 @@ fn a_scan_seeks_past_versions_newer_than_its_sequence() {
     assert_eq!(db.scan(&snap.read_options(), b"", 10).unwrap(), want, "snapshot scan");
     let s = db.statistics().snapshot().delta_since(&before);
     assert_eq!((s.iter_skipped, s.iter_reseeks), (2 * MAX_SEQUENTIAL_SKIP, 2), "{s:?}");
+}
+
+/// Ops of `op` the handle's latency histograms have recorded.
+fn op_count(db: &Db, op: &str) -> u64 {
+    let report = db.metrics_report();
+    report.latencies.iter().find(|(name, _)| *name == op).map_or(0, |(_, h)| h.count)
+}
+
+/// `Db::scan` is one `scan` op per call, over one tree or several, and
+/// its rows are not `iter_next` ops; a user's iterator still times each
+/// `next` as one.
+#[test]
+fn a_scan_is_one_op_and_an_iterator_step_is_one() {
+    for shards in [1, 4] {
+        let opts = Options::new(Arc::new(MemEnv::new())).with_shards(shards);
+        let db = Db::open(opts, "db").unwrap();
+        let key = |i: u32| format!("key-{i:05}").into_bytes();
+        for i in 0..200 {
+            put(&db, &key(i), b"old");
+        }
+        db.flush().unwrap();
+        // A memtable over L0: every scan merges several children.
+        for i in (0..200).step_by(3) {
+            put(&db, &key(i), b"new");
+        }
+        let (scans, steps) = (op_count(&db, "scan"), op_count(&db, "iter_next"));
+        for n in 0..10 {
+            let rows = db.scan(&ReadOptions::new(), &key(n * 15), 50).unwrap();
+            assert_eq!(rows.len(), 50, "{shards} trees");
+        }
+        assert_eq!(op_count(&db, "scan") - scans, 10, "{shards} trees");
+        assert_eq!(op_count(&db, "iter_next") - steps, 0, "{shards} trees");
+        let mut iter = db.iter(&ReadOptions::new()).unwrap();
+        iter.seek(&key(100));
+        let mut nexts = 0;
+        while iter.valid() {
+            iter.next();
+            nexts += 1;
+        }
+        assert_eq!(nexts, 100, "{shards} trees");
+        assert_eq!(op_count(&db, "iter_next") - steps, nexts, "{shards} trees");
+        assert_eq!(op_count(&db, "scan") - scans, 10, "{shards} trees");
+    }
 }
 
 /// On disaggregated storage every block a get reads is a round trip, and
