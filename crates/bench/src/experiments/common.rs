@@ -6,10 +6,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use shield::deploy::{DisaggregatedStorage, OffloadedCompactor};
-use shield_crypto::Algorithm;
+use shield::{shield_encryption, ShieldOptions};
 use shield_env::{Env, IoStats, NetworkModel, PosixEnv, RemoteEnv};
-use shield_kds::{DekResolver, Kds, LocalKds, SecureDekCache, ServerId};
-use shield_lsm::encryption::EncryptionConfig;
+use shield_kds::{Kds, LocalKds, ServerId};
 use shield_lsm::{FileStore, IntegrityOptions};
 
 use crate::systems::{build_system, SystemHandle, SystemKind, Tuning};
@@ -195,22 +194,15 @@ pub fn deploy(kind: SystemKind, deploy: DeployKind, tuning: &Tuning, tag: &str) 
                             })
                             .clone();
                         let cache_path = shield_env::join_path(&tmp.path(), "compactor.cache");
-                        let cache = SecureDekCache::open(
-                            storage_env.clone(),
-                            &cache_path,
-                            b"compactor-pass",
-                        )
-                        .expect("compactor cache");
-                        let resolver = Arc::new(DekResolver::new(
-                            kds as Arc<dyn Kds>,
-                            Some(Arc::new(cache)),
-                            ServerId(2),
-                            Algorithm::Aes128Ctr,
-                        ));
-                        Some(
-                            EncryptionConfig::new(resolver)
-                                .with_chunks(tuning.chunk_size, tuning.encryption_threads),
-                        )
+                        let shield = ShieldOptions {
+                            chunk_size: tuning.chunk_size,
+                            encryption_threads: tuning.encryption_threads,
+                            ..ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(2), b"compactor-pass")
+                        };
+                        let (encryption, _) =
+                            shield_encryption(storage_env.clone(), &cache_path, &shield)
+                                .expect("compactor cache");
+                        Some(encryption)
                     }
                 };
                 // The experiments open with the default integrity options.

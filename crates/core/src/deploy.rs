@@ -121,10 +121,9 @@ impl CompactionExecutor for OffloadedCompactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{open_shield, ShieldOptions};
-    use shield_crypto::Algorithm;
+    use crate::{open_shield, shield_encryption, ShieldOptions};
     use shield_env::MemEnv;
-    use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, ServerId};
+    use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
     use shield_lsm::encryption::EncryptionConfig;
     use shield_lsm::{IntegrityOptions, Options, ReadOptions, WriteOptions};
 
@@ -137,15 +136,8 @@ mod tests {
         server: ServerId,
         cache_path: &str,
     ) -> EncryptionConfig {
-        let cache = shield_kds::SecureDekCache::open(env.clone(), cache_path, b"worker-pass")
-            .unwrap();
-        let resolver = Arc::new(DekResolver::new(
-            kds.clone() as Arc<dyn Kds>,
-            Some(Arc::new(cache)),
-            server,
-            Algorithm::Aes128Ctr,
-        ));
-        EncryptionConfig::new(resolver)
+        let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, server, b"worker-pass");
+        shield_encryption(env.clone(), cache_path, &identity).unwrap().0
     }
 
     /// Full offloaded-compaction round trip: the compute node writes

@@ -72,7 +72,7 @@ impl Env for EncryptedEnv {
         inner.append(&header.encode())?;
         inner.flush()?;
         let buffer = if kind == FileKind::Wal { self.wal_buffer_size } else { 0 };
-        Ok(Box::new(EncryptedWritableFile::wrap(
+        Ok(Box::new(EncryptedWritableFile::new(
             inner,
             self.dek.clone(),
             nonce,

@@ -159,9 +159,13 @@ impl<H> Deref for Shield<H> {
 }
 
 /// Builds one identity's SHIELD encryption layer: the secure DEK cache at
-/// `cache_path` (when a passkey is set), the resolver over it, and the
-/// engine's encryption config.
-fn shield_encryption(
+/// `cache_path` on `env` (when a passkey is set), the resolver over it
+/// under `shield.server`, and the engine's encryption config. This is the
+/// one way to build an identity: [`open_shield`] and
+/// [`open_shield_replica`] call it, and a server that opens the shared
+/// files itself (an [`deploy::OffloadedCompactor`]) hands the config to
+/// its [`FileStore`].
+pub fn shield_encryption(
     env: Arc<dyn Env>,
     cache_path: &str,
     shield: &ShieldOptions,

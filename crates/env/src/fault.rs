@@ -14,8 +14,9 @@
 //!   or hung storage link (the trace/watchdog tier drives slow-op
 //!   capture and stall detection with these),
 //! * **crash()** — drops all data appended since the last successful
-//!   `sync` on every file written through this env, modelling a system
-//!   crash on top of envs that cannot simulate one natively.
+//!   `sync` on every file written through this env: the engine's one
+//!   system-crash model, over any backing env. Files the inner env wrote
+//!   before it was wrapped are not tracked and survive whole.
 //!
 //! Every injected fault is counted in [`FaultStats`], surfaced through
 //! [`Env::fault_stats`] so higher layers (the DB statistics mirror, the
@@ -414,12 +415,6 @@ impl FaultInjectionEnv {
             error: injected_error(kind, op),
             torn: false,
         });
-    }
-
-    /// Fails the next matching operation with a specific error (e.g. a
-    /// [`EnvError::Corruption`] to model an unrecoverable medium fault).
-    pub fn error_once_with(&self, kind: FileKind, op: FaultOp, error: EnvError) {
-        self.arm(kind, op, Rule { mode: Mode::Times { remaining: 1 }, error, torn: false });
     }
 
     /// Fails each matching operation with probability `p`, driven by a
@@ -850,6 +845,21 @@ mod tests {
     }
 
     #[test]
+    fn crash_spares_files_written_around_the_wrapper() {
+        // Only files written through the wrapper have a watermark: bytes
+        // the bare inner env wrote, never synced, survive `crash()` whole.
+        let mem = MemEnv::new();
+        let mut f = mem.new_writable_file("pre", FileKind::Other).unwrap();
+        f.append(b"written before wrapping").unwrap();
+        f.flush().unwrap();
+        drop(f);
+        let env = FaultInjectionEnv::new(Arc::new(mem.clone()));
+        env.crash().unwrap();
+        assert_eq!(mem.raw_content("pre").unwrap(), b"written before wrapping");
+        assert_eq!(env.stats().lost_bytes, 0);
+    }
+
+    #[test]
     fn rename_carries_watermark() {
         let (env, _) = faulty();
         let mut f = env.new_writable_file("tmp", FileKind::Manifest).unwrap();
@@ -875,22 +885,6 @@ mod tests {
         env.disarm_all();
         assert!(env.new_writable_file("b", FileKind::Sst).is_ok());
         assert_eq!(env.stats().injected_total(), 0);
-    }
-
-    #[test]
-    fn custom_error_kind_is_preserved() {
-        let (env, _) = faulty();
-        env.error_once_with(
-            FileKind::Sst,
-            FaultOp::Read,
-            EnvError::Corruption("injected bad checksum".into()),
-        );
-        let mut f = env.new_writable_file("s", FileKind::Sst).unwrap();
-        f.append(b"abcd").unwrap();
-        f.sync().unwrap();
-        drop(f);
-        let r = env.new_random_access_file("s", FileKind::Sst).unwrap();
-        assert!(matches!(r.read_at(0, 4), Err(EnvError::Corruption(_))));
     }
 
     #[test]

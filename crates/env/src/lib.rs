@@ -5,9 +5,10 @@
 //!
 //! * [`PosixEnv`] — the local filesystem (the paper's monolithic setup),
 //! * [`MemEnv`] — an in-memory filesystem that models the OS page-cache
-//!   buffer and can simulate *process* crashes (flushed data survives) and
-//!   *system* crashes (only synced data survives), which is exactly the
-//!   persistence distinction behind the paper's WAL-buffer trade-off (§5.3),
+//!   buffer: a *process* crash keeps flushed data; wrapped in a
+//!   [`FaultInjectionEnv`], whose `crash` is the one *system* crash, only
+//!   synced data survives. That is exactly the persistence distinction
+//!   behind the paper's WAL-buffer trade-off (§5.3),
 //! * [`RemoteEnv`] — any inner env wrapped with a network model (round-trip
 //!   latency plus a bandwidth token bucket) and per-node I/O accounting,
 //!   standing in for the paper's HDFS disaggregated-storage cluster (§6.1).
@@ -205,82 +206,32 @@ pub trait RandomAccessFile: Send + Sync {
     }
 }
 
-/// Reads currently in flight through [`ReadQueue`] submissions,
-/// process-wide.
+/// Reads currently in flight through [`submit_window`], process-wide.
 static INFLIGHT_READS: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`INFLIGHT_READS`] since process start.
 static INFLIGHT_READS_PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// Current number of batched reads in flight across all [`ReadQueue`]s.
-#[must_use]
-pub fn inflight_reads() -> u64 {
-    INFLIGHT_READS.load(Ordering::Relaxed)
-}
-
 /// High-water mark of concurrently in-flight batched reads since process
 /// start. This is the value mirrored into the `env_inflight_reads`
 /// gauge: the instantaneous count is almost always zero when a metrics
-/// snapshot is taken, the peak shows how deep the queue actually ran.
+/// snapshot is taken, the peak shows how deep the windows actually ran.
 #[must_use]
 pub fn inflight_reads_peak() -> u64 {
     INFLIGHT_READS_PEAK.load(Ordering::Relaxed)
 }
 
-/// An io_uring-style submission queue over [`RandomAccessFile::read_at_many`]
-/// with a bounded in-flight depth.
-///
-/// Submitting a batch larger than `depth` splits it into windows of at
-/// most `depth` requests; each window is handed to the file's batch read
-/// as one submission, so no more than `depth` reads from this queue are
-/// ever in flight against a single file at once. The queue also maintains
-/// the process-wide in-flight gauge read by [`inflight_reads`] /
-/// [`inflight_reads_peak`].
-pub struct ReadQueue {
-    depth: usize,
-}
-
-impl ReadQueue {
-    /// Creates a queue with the given in-flight depth (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        ReadQueue { depth: depth.max(1) }
-    }
-
-    /// The bounded in-flight depth of this queue.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Submits `requests` against `file` in windows of at most `depth`,
-    /// returning one result per request in request order.
-    pub fn submit(
-        &self,
-        file: &dyn RandomAccessFile,
-        requests: &[ReadRequest],
-    ) -> Vec<EnvResult<Bytes>> {
-        let mut out = Vec::with_capacity(requests.len());
-        for window in requests.chunks(self.depth) {
-            out.extend(self.submit_window(file, window));
-        }
-        out
-    }
-
-    /// Submits a single window (at most `depth` requests) as one batch,
-    /// keeping the in-flight gauge accurate for its duration.
-    pub fn submit_window(
-        &self,
-        file: &dyn RandomAccessFile,
-        window: &[ReadRequest],
-    ) -> Vec<EnvResult<Bytes>> {
-        debug_assert!(window.len() <= self.depth, "window exceeds queue depth");
-        let n = window.len() as u64;
-        let inflight = INFLIGHT_READS.fetch_add(n, Ordering::Relaxed) + n;
-        INFLIGHT_READS_PEAK.fetch_max(inflight, Ordering::Relaxed);
-        let results = file.read_at_many(window);
-        INFLIGHT_READS.fetch_sub(n, Ordering::Relaxed);
-        results
-    }
+/// Submits one window of reads to `file` as one
+/// [`RandomAccessFile::read_at_many`] batch, returning one result per
+/// request in request order. The caller bounds the window's size (the
+/// block fetcher's in-flight depth); this keeps the process-wide
+/// in-flight gauge behind [`inflight_reads_peak`] for its duration.
+pub fn submit_window(file: &dyn RandomAccessFile, window: &[ReadRequest]) -> Vec<EnvResult<Bytes>> {
+    let n = window.len() as u64;
+    let inflight = INFLIGHT_READS.fetch_add(n, Ordering::Relaxed) + n;
+    INFLIGHT_READS_PEAK.fetch_max(inflight, Ordering::Relaxed);
+    let results = file.read_at_many(window);
+    INFLIGHT_READS.fetch_sub(n, Ordering::Relaxed);
+    results
 }
 
 /// A file read front to back (used for WAL/MANIFEST replay).
@@ -457,28 +408,20 @@ mod tests {
     }
 
     #[test]
-    fn read_queue_windows_by_depth_and_tracks_inflight_peak() {
+    fn submit_window_is_one_batch_and_tracks_inflight_peak() {
         let f = CountingFile {
             data: (0u8..255).collect(),
             batch_sizes: std::sync::Mutex::new(Vec::new()),
         };
-        let queue = ReadQueue::new(4);
-        assert_eq!(queue.depth(), 4);
         let reqs: Vec<ReadRequest> =
-            (0..10).map(|i| ReadRequest { offset: i * 8, len: 8 }).collect();
-        let out = queue.submit(&f, &reqs);
-        assert_eq!(out.len(), 10);
+            (0..4).map(|i| ReadRequest { offset: i * 8, len: 8 }).collect();
+        let out = submit_window(&f, &reqs);
+        assert_eq!(out.len(), 4);
         for (i, r) in out.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap().as_ref(), &f.data[i * 8..i * 8 + 8]);
         }
-        // 10 requests at depth 4 → windows of 4, 4, 2.
-        assert_eq!(*f.batch_sizes.lock().unwrap(), vec![4, 4, 2]);
-        assert!(inflight_reads_peak() >= 4, "peak gauge must see the full window depth");
-        assert_eq!(inflight_reads(), 0, "gauge must drain after submission");
-    }
-
-    #[test]
-    fn read_queue_depth_clamped_to_one() {
-        assert_eq!(ReadQueue::new(0).depth(), 1);
+        assert_eq!(*f.batch_sizes.lock().unwrap(), vec![4]);
+        assert!(inflight_reads_peak() >= 4, "peak gauge must see the full window");
+        assert_eq!(INFLIGHT_READS.load(Ordering::Relaxed), 0, "gauge must drain after the window");
     }
 }

@@ -1,13 +1,12 @@
-//! An in-memory [`Env`] with explicit durability modeling.
+//! An in-memory [`Env`] that models a process crash.
 //!
-//! Every file tracks two watermarks: the bytes handed to the "OS"
-//! (`flush`ed) and the bytes made durable (`sync`ed). Dropping a writable
-//! handle without flushing loses the application buffer — a *process*
-//! crash. Calling [`MemEnv::crash_system`] truncates every file to its
-//! synced length — a *system* crash, losing whatever only the OS buffer
-//! held. This is precisely the persistence distinction the paper's WAL
-//! discussion (§2.1, §5.3) is built on, and the crash-recovery integration
-//! tests exercise both failure modes.
+//! A file holds the bytes handed to the "OS" (`flush`ed). Dropping a
+//! writable handle without flushing loses the application buffer — a
+//! *process* crash. A *system* crash, which also loses what only the OS
+//! buffer held, is [`crate::FaultInjectionEnv::crash`] over this env: the
+//! wrapper tracks each file's synced length. Together they give the
+//! persistence distinction the paper's WAL discussion (§2.1, §5.3) is
+//! built on, and the crash-recovery integration tests exercise both.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,15 +20,8 @@ use crate::{
     SequentialFile, WritableFile,
 };
 
-#[derive(Default)]
-struct FileData {
-    /// Bytes the OS has (flushed). Readers see exactly this.
-    os_content: Vec<u8>,
-    /// Prefix of `os_content` that is durable (synced).
-    synced_len: usize,
-}
-
-type FileRef = Arc<RwLock<FileData>>;
+/// A file's bytes as the OS has them (flushed). Readers see exactly this.
+type FileRef = Arc<RwLock<Vec<u8>>>;
 
 #[derive(Default)]
 struct Inner {
@@ -37,7 +29,7 @@ struct Inner {
     dirs: std::collections::HashSet<String>,
 }
 
-/// In-memory filesystem with crash simulation. Cloning shares the store.
+/// In-memory filesystem. Cloning shares the store.
 #[derive(Clone)]
 pub struct MemEnv {
     inner: Arc<Mutex<Inner>>,
@@ -57,33 +49,17 @@ impl MemEnv {
         MemEnv { inner: Arc::new(Mutex::new(Inner::default())), stats: IoStats::new() }
     }
 
-    /// Simulates a whole-system crash: every file is truncated to its last
-    /// synced length. Data that reached only the OS buffer is lost.
-    pub fn crash_system(&self) {
-        let inner = self.inner.lock();
-        for file in inner.files.values() {
-            let mut f = file.write();
-            let keep = f.synced_len;
-            f.os_content.truncate(keep);
-        }
-    }
-
     /// Returns the current (OS-visible) content of a file, for tests that
     /// inspect raw bytes (e.g. the confidentiality greps).
     pub fn raw_content(&self, path: &str) -> EnvResult<Vec<u8>> {
-        let f = self.get(path)?;
-        let content = f.read().os_content.clone();
-        Ok(content)
+        Ok(self.get(path)?.read().clone())
     }
 
-    /// Replaces a file's content wholesale, marking it durable — the
-    /// tamper-injection primitive for the adversarial test suite (an
-    /// attacker with media access can rewrite anything).
+    /// Replaces a file's content wholesale — the tamper-injection
+    /// primitive for the adversarial test suite (an attacker with media
+    /// access can rewrite anything).
     pub fn set_raw_content(&self, path: &str, content: Vec<u8>) -> EnvResult<()> {
-        let f = self.get(path)?;
-        let mut g = f.write();
-        g.synced_len = content.len();
-        g.os_content = content;
+        *self.get(path)?.write() = content;
         Ok(())
     }
 
@@ -115,17 +91,13 @@ impl WritableFile for MemWritable {
     fn flush(&mut self) -> EnvResult<()> {
         if !self.app_buffer.is_empty() {
             self.stats.record_write(self.kind, self.app_buffer.len() as u64);
-            let mut f = self.file.write();
-            f.os_content.append(&mut self.app_buffer);
+            self.file.write().append(&mut self.app_buffer);
         }
         Ok(())
     }
 
     fn sync(&mut self) -> EnvResult<()> {
-        self.flush()?;
-        let mut f = self.file.write();
-        f.synced_len = f.os_content.len();
-        Ok(())
+        self.flush()
     }
 
     fn len(&self) -> u64 {
@@ -147,10 +119,10 @@ impl MemReadable {
         // "device" copy, below any decryption.
         let _t = Section::BlockRead.enter();
         let f = self.file.read();
-        let start = (offset as usize).min(f.os_content.len());
-        let end = (start + len).min(f.os_content.len());
+        let start = (offset as usize).min(f.len());
+        let end = (start + len).min(f.len());
         self.stats.record_read(self.kind, (end - start) as u64);
-        f.os_content[start..end].to_vec()
+        f[start..end].to_vec()
     }
 }
 
@@ -171,7 +143,7 @@ impl RandomAccessFile for MemReadable {
     }
 
     fn len(&self) -> EnvResult<u64> {
-        Ok(self.file.read().os_content.len() as u64)
+        Ok(self.file.read().len() as u64)
     }
 
     fn read_at_many(&self, requests: &[ReadRequest]) -> Vec<EnvResult<Bytes>> {
@@ -182,10 +154,10 @@ impl RandomAccessFile for MemReadable {
         requests
             .iter()
             .map(|r| {
-                let start = (r.offset as usize).min(f.os_content.len());
-                let end = (start + r.len).min(f.os_content.len());
+                let start = (r.offset as usize).min(f.len());
+                let end = (start + r.len).min(f.len());
                 self.stats.record_read(self.kind, (end - start) as u64);
-                Ok(Bytes::copy_from_slice(&f.os_content[start..end]))
+                Ok(Bytes::copy_from_slice(&f[start..end]))
             })
             .collect()
     }
@@ -201,9 +173,9 @@ struct MemSequential {
 impl SequentialFile for MemSequential {
     fn read(&mut self, buf: &mut [u8]) -> EnvResult<usize> {
         let f = self.file.read();
-        let available = f.os_content.len().saturating_sub(self.pos);
+        let available = f.len().saturating_sub(self.pos);
         let n = available.min(buf.len());
-        buf[..n].copy_from_slice(&f.os_content[self.pos..self.pos + n]);
+        buf[..n].copy_from_slice(&f[self.pos..self.pos + n]);
         self.pos += n;
         self.stats.record_read(self.kind, n as u64);
         Ok(n)
@@ -214,7 +186,7 @@ impl Env for MemEnv {
     fn new_writable_file(&self, path: &str, kind: FileKind) -> EnvResult<Box<dyn WritableFile>> {
         let file = {
             let mut inner = self.inner.lock();
-            let file: FileRef = Arc::new(RwLock::new(FileData::default()));
+            let file: FileRef = Arc::default();
             inner.files.insert(path.to_string(), file.clone());
             file
         };
@@ -272,7 +244,7 @@ impl Env for MemEnv {
     }
 
     fn file_size(&self, path: &str) -> EnvResult<u64> {
-        Ok(self.get(path)?.read().os_content.len() as u64)
+        Ok(self.get(path)?.read().len() as u64)
     }
 
     fn list_dir(&self, dir: &str) -> EnvResult<Vec<String>> {
@@ -350,20 +322,6 @@ mod tests {
         assert_eq!(s.read(&mut buf).unwrap(), 2);
         assert_eq!(&buf[..2], b"ef");
         assert_eq!(s.read(&mut buf).unwrap(), 0);
-    }
-
-    #[test]
-    fn system_crash_loses_unsynced_data() {
-        let env = MemEnv::new();
-        let mut f = env.new_writable_file("wal", FileKind::Wal).unwrap();
-        f.append(b"durable").unwrap();
-        f.sync().unwrap();
-        f.append(b"-volatile").unwrap();
-        f.flush().unwrap(); // reaches the OS buffer only
-        drop(f);
-        assert_eq!(env.file_size("wal").unwrap(), 16);
-        env.crash_system();
-        assert_eq!(env.raw_content("wal").unwrap(), b"durable");
     }
 
     #[test]

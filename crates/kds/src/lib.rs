@@ -12,9 +12,6 @@
 //!   [`ProvisioningPolicy`] including the one-time provisioning safeguard.
 //! * [`ReplicatedKds`] — a decentralized ensemble of replicas with failure
 //!   injection, modeling the high-availability requirement of §5.2.
-//! * [`DerivedKds`] — the "hierarchical derivation" policy of §5.4: DEKs
-//!   derived from a master key via HKDF-style expansion, so replicas need
-//!   almost no shared state.
 //! * [`SecureDekCache`] — the on-disk DEK cache of §5.2: entries wrapped
 //!   with a PBKDF2(passkey)-derived key and authenticated with HMAC-SHA-256.
 //!   The passkey is never persisted; the cache is shared by instances on the
@@ -23,7 +20,6 @@
 //!   `resolve` consults the cache first and only then pays the network trip.
 
 pub mod cache;
-pub mod derived;
 pub mod local;
 pub mod replicated;
 pub mod resolver;
@@ -31,7 +27,6 @@ pub mod resolver;
 use std::fmt;
 
 pub use cache::{CacheError, SecureDekCache};
-pub use derived::DerivedKds;
 pub use local::{KdsConfig, LocalKds, ProvisioningPolicy};
 pub use replicated::ReplicatedKds;
 pub use resolver::{DekResolver, ResolverError, ResolverStats, RetryPolicy};

@@ -86,15 +86,6 @@ impl ReplicatedKds {
         self.failovers.load(Ordering::Relaxed)
     }
 
-    /// Number of replicas currently marked available.
-    #[must_use]
-    pub fn available_count(&self) -> usize {
-        self.endpoints
-            .iter()
-            .filter(|r| r.available.load(Ordering::SeqCst))
-            .count()
-    }
-
     /// Picks an available endpoint round-robin, counting failovers for each
     /// unavailable endpoint skipped. Returns `None` if everything is down.
     fn pick_endpoint(&self) -> Option<usize> {
@@ -156,12 +147,17 @@ mod tests {
 
     const S: ServerId = ServerId(1);
 
+    /// Number of replicas currently marked available.
+    fn available(kds: &ReplicatedKds) -> usize {
+        kds.endpoints.iter().filter(|r| r.available.load(Ordering::SeqCst)).count()
+    }
+
     #[test]
     fn survives_single_replica_failure() {
         let kds = ReplicatedKds::new(3, KdsConfig::default());
         let dek = kds.generate_dek(S, Algorithm::Aes128Ctr).unwrap();
         kds.fail_replica(0);
-        assert_eq!(kds.available_count(), 2);
+        assert_eq!(available(&kds), 2);
         // Still serving.
         assert!(kds.fetch_dek(S, dek.id()).is_ok());
     }
@@ -203,7 +199,7 @@ mod tests {
         // Indexes past the ensemble must not panic and must not change state.
         kds.fail_replica(7);
         kds.recover_replica(100);
-        assert_eq!(kds.available_count(), 2);
+        assert_eq!(available(&kds), 2);
         assert!(kds.generate_dek(S, Algorithm::Aes128Ctr).is_ok());
     }
 
@@ -212,7 +208,7 @@ mod tests {
         let kds = ReplicatedKds::new(3, KdsConfig::default());
         let dek = kds.generate_dek(S, Algorithm::Aes128Ctr).unwrap();
         kds.fail_all();
-        assert_eq!(kds.available_count(), 0);
+        assert_eq!(available(&kds), 0);
         assert!(matches!(
             kds.generate_dek(S, Algorithm::Aes128Ctr),
             Err(KdsError::Unavailable(_))
@@ -222,7 +218,7 @@ mod tests {
         // Outage errors are the retryable kind.
         assert!(kds.fetch_dek(S, dek.id()).unwrap_err().is_retryable());
         kds.recover_all();
-        assert_eq!(kds.available_count(), 3);
+        assert_eq!(available(&kds), 3);
         assert!(kds.fetch_dek(S, dek.id()).is_ok());
     }
 

@@ -57,13 +57,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries and never times out — the behavior of
-    /// the unhardened resolver, useful for tests asserting exact traffic.
-    #[must_use]
-    pub fn no_retries() -> Self {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
     /// Backoff before retry number `retry` (0-based), jittered by `rng`:
     /// the exponential delay is scaled into `[50%, 100%]` so concurrent
     /// resolvers do not retry in lockstep.
@@ -341,16 +334,10 @@ impl DekResolver {
         Ok(dek)
     }
 
-    /// Called when a file is deleted: prunes the cache entry and revokes
-    /// the DEK at the KDS so it can never be provisioned again.
-    pub fn on_file_deleted(&self, id: DekId) -> Result<(), ResolverError> {
-        self.on_files_deleted(&[id])
-    }
-
-    /// [`on_file_deleted`](Self::on_file_deleted) for a batch: the cache
-    /// is pruned of all of `ids` and persisted once, then each DEK is
-    /// revoked at the KDS. Every id is attempted; the first failure is
-    /// returned.
+    /// Called when files are deleted: the cache is pruned of all of `ids`
+    /// and persisted once, then each DEK is revoked at the KDS so it can
+    /// never be provisioned again. Every id is attempted; the first
+    /// failure is returned.
     pub fn on_files_deleted(&self, ids: &[DekId]) -> Result<(), ResolverError> {
         if let Some(cache) = &self.cache {
             cache.remove_many(ids)?;
@@ -457,7 +444,7 @@ mod tests {
     fn file_deletion_revokes_and_prunes() {
         let (kds, resolver) = setup(true);
         let dek = resolver.new_dek().unwrap();
-        resolver.on_file_deleted(dek.id()).unwrap();
+        resolver.on_files_deleted(&[dek.id()]).unwrap();
         assert!(!kds.has_dek(dek.id()));
         // Now unresolvable anywhere.
         assert!(matches!(
@@ -465,7 +452,7 @@ mod tests {
             Err(ResolverError::Kds(KdsError::UnknownDek(_)))
         ));
         // Deleting twice is fine.
-        resolver.on_file_deleted(dek.id()).unwrap();
+        resolver.on_files_deleted(&[dek.id()]).unwrap();
     }
 
     use crate::ReplicatedKds;
@@ -622,7 +609,7 @@ mod tests {
             None,
             ServerId(1),
             Algorithm::Aes128Ctr,
-            RetryPolicy::no_retries(),
+            RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
         );
         assert!(resolver.new_dek().is_err());
         assert_eq!(resolver.stats().retries, 0);

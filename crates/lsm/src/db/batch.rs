@@ -62,12 +62,6 @@ impl WriteBatch {
         self.count() == 0
     }
 
-    /// Approximate encoded size in bytes.
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        self.rep.len()
-    }
-
     /// Sets the base sequence number (done by the commit leader).
     pub fn set_sequence(&mut self, seq: SequenceNumber) {
         self.ensure_header();
@@ -242,6 +236,6 @@ mod tests {
         b.put(b"k", b"v");
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.size_bytes(), 12);
+        assert_eq!(b.rep.len(), 12);
     }
 }

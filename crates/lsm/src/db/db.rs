@@ -30,7 +30,7 @@ use crate::db::batch::WriteBatch;
 use crate::db::metrics::{Diagnostics, MetricsReport, OpHistograms, OpKind, OP_TYPES};
 use crate::db::options::{Options, ReadOptions, WriteOptions};
 use crate::db::pool::JobPool;
-use crate::db::read::{DbIterator, Snapshot};
+use crate::db::read::{credit_gets, DbIterator, Snapshot};
 use crate::db::sharded::Router;
 use crate::db::tree::{Subtask, Tree};
 use crate::db::write::{Pending, WalState};
@@ -139,7 +139,10 @@ impl Db {
     /// reopen with a different layout is refused (the `SHARDING` manifest
     /// records the original). A single tree lives in `path` itself,
     /// several in `path/shard-<i>/` beside the WAL they share.
-    pub fn open(opts: Options, path: &str) -> Result<Db> {
+    pub fn open(mut opts: Options, path: &str) -> Result<Db> {
+        // Slow-op capture and the watchdog read the flight recorder, so
+        // either one turns it on, set as a field or through its builder.
+        opts.trace_ops |= opts.slow_op_threshold.is_some() || opts.watchdog_deadline.is_some();
         let env = opts.env.clone();
         let router = Router::new(&opts)?;
         env.create_dir_all(path)?;
@@ -287,9 +290,7 @@ impl Db {
         // database spawns itself is the ticker.
         let mut threads = Vec::new();
         // Watchdog + windowed-stats ticker (only when either is on).
-        if inner.opts.stats_dump_period.is_some()
-            || (inner.opts.trace_ops && inner.opts.watchdog_deadline.is_some())
-        {
+        if inner.opts.stats_dump_period.is_some() || inner.opts.watchdog_deadline.is_some() {
             let inner = inner.clone();
             threads.push(std::thread::spawn(move || inner.ticker_loop()));
         }
@@ -337,12 +338,12 @@ impl Db {
     pub fn get(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _op = self.inner.op(OpKind::Get);
         let tree = &self.inner.trees[self.inner.router.shard_of(key)];
-        let result = tree.read_view(ropts.snapshot_seq, &self.inner.last_published).get(
+        let result = tree.read_view(ropts.snapshot_seq, &self.inner.last_published).lookup(
             &tree.table_cache,
-            &self.inner.files.stats,
             key,
             ropts.fill_cache,
         );
+        credit_gets(&self.inner.files.stats, 1, matches!(result, Ok(Some(_))) as u64);
         if let Err(e) = &result {
             self.park_if_unrecoverable(e);
         }
@@ -365,7 +366,6 @@ impl Db {
     pub fn multi_get(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         let _op = self.inner.op(OpKind::MultiGet);
         self.inner.files.stats.local().multi_gets.fetch_add(1, Ordering::Relaxed);
-        let (stats, fill) = (&self.inner.files.stats, ropts.fill_cache);
         let views = self.inner.read_views(ropts.snapshot_seq, |_, view| view);
         let owners: Vec<usize> = keys.iter().map(|key| self.inner.router.shard_of(key)).collect();
         let mut results: Vec<Option<Result<Option<Vec<u8>>>>> = keys.iter().map(|_| None).collect();
@@ -375,13 +375,15 @@ impl Db {
                 continue;
             }
             let tree_keys: Vec<&[u8]> = slots.iter().map(|&i| keys[i]).collect();
-            let found = view.multi_get(&tree.table_cache, stats, &tree_keys, fill);
+            let found = view.multi_lookup(&tree.table_cache, &tree_keys, ropts.fill_cache);
             for (i, r) in slots.into_iter().zip(found) {
                 results[i] = Some(r);
             }
         }
         let results: Vec<Result<Option<Vec<u8>>>> =
             results.into_iter().map(|slot| slot.expect("every key has an owner")).collect();
+        let found = results.iter().filter(|r| matches!(r, Ok(Some(_)))).count();
+        credit_gets(&self.inner.files.stats, keys.len() as u64, found as u64);
         for r in &results {
             if let Err(e) = r {
                 self.park_if_unrecoverable(e);
@@ -745,7 +747,7 @@ pub struct IntegrityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield_env::{Env, MemEnv};
+    use shield_env::{Env, FaultInjectionEnv, MemEnv};
 
     fn open_mem() -> (MemEnv, Db) {
         let env = MemEnv::new();
@@ -1073,17 +1075,17 @@ mod tests {
 
     #[test]
     fn system_crash_respects_sync() {
-        let env = MemEnv::new();
+        let env = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
         {
             let db = Db::open(Options::new(Arc::new(env.clone())), "db").unwrap();
             db.put(&WriteOptions { sync: true }, b"synced", b"1").unwrap();
             db.put(&w(), b"unsynced", b"2").unwrap();
             db.simulate_process_crash();
         }
-        env.crash_system();
+        env.crash().unwrap();
         let db = Db::open(Options::new(Arc::new(env)), "db").unwrap();
         assert_eq!(db.get(&r(), b"synced").unwrap(), Some(b"1".to_vec()));
-        // Unsynced write may or may not survive; here the MemEnv dropped it.
+        // Unsynced write may or may not survive; here the crash dropped it.
         assert_eq!(db.get(&r(), b"unsynced").unwrap(), None);
     }
 

@@ -59,8 +59,8 @@ pub(crate) enum OpKind {
 
 /// One [`AtomicHistogram`] per [`OpKind`], indexed by it; lives in
 /// `DbInner` (shared with every [`crate::DbIterator`] it hands out) and
-/// is recorded by foreground ops and background jobs alike, each through
-/// one [`shield_core::Op`] guard.
+/// in each [`crate::ReplicaDb`], and is recorded by foreground ops and
+/// background jobs alike, each through one [`shield_core::Op`] guard.
 #[derive(Default)]
 pub(crate) struct OpHistograms(pub [AtomicHistogram; OP_TYPES.len()]);
 
@@ -209,12 +209,13 @@ fn sum_levels(trees: &[TreeMetrics]) -> Vec<LevelStats> {
 impl MetricsReport {
     /// The one report builder, for every handle: the tickers of `files`
     /// with every mirror refreshed (`block_cache` is the handle's cache,
-    /// if it has one), the shape of `trees`, and everything no handle
-    /// has measured left unmeasured — no latency samples, no windows, no
-    /// optional section. A handle fills in what only it knows.
+    /// if it has one), the handle's op latencies `op_hists`, the shape of
+    /// `trees`, and no windows and no optional section. A handle fills in
+    /// what only it knows.
     pub(crate) fn build(
         files: &FileStore,
         block_cache: Option<&BlockCache>,
+        op_hists: &OpHistograms,
         trees: Vec<TreeMetrics>,
     ) -> MetricsReport {
         let tickers = files.refresh_mirrors(block_cache).snapshot();
@@ -228,7 +229,7 @@ impl MetricsReport {
                 .map(TreeMetrics::read_amplification)
                 .max()
                 .unwrap_or(0),
-            latencies: OP_TYPES.iter().map(|&op| (op, HistogramSummary::default())).collect(),
+            latencies: op_hists.summaries(),
             tickers,
             windows: Vec::new(),
             shard_by: "hash",
@@ -394,10 +395,9 @@ impl DbInner {
             })
             .collect();
         MetricsReport {
-            latencies: self.op_hists.summaries(),
             windows: self.window.lock().recent(),
             shard_by: self.router.shard_by(),
-            ..MetricsReport::build(&self.files, self.block_cache.as_deref(), trees)
+            ..MetricsReport::build(&self.files, self.block_cache.as_deref(), &self.op_hists, trees)
         }
     }
 
@@ -406,7 +406,7 @@ impl DbInner {
     /// is flagged within ~1.5x its deadline.
     pub(super) fn ticker_loop(&self) {
         let stats_period = self.opts.stats_dump_period;
-        let deadline = self.opts.watchdog_deadline.filter(|_| self.opts.trace_ops);
+        let deadline = self.opts.watchdog_deadline;
         let min_tick = std::time::Duration::from_millis(1);
         let tick = match (stats_period, deadline) {
             (Some(p), Some(d)) => p.min(d / 2).max(min_tick),

@@ -31,8 +31,9 @@ pub enum ShardBy {
 /// Defaults follow the paper's scaled-down benchmark profile: 4 MiB
 /// memtables, 4 KiB blocks, leveled compaction with fanout 10, and no
 /// encryption; bloom filters take 16 bits per key
-/// ([`crate::sst::filter::BITS_PER_KEY`]). Enable SHIELD with
-/// [`Options::with_encryption`].
+/// ([`crate::sst::filter::BITS_PER_KEY`]). SHIELD is enabled by opening
+/// through `shield::open_shield`, which builds the identity's encryption
+/// layer and sets [`Options::encryption`].
 #[derive(Clone)]
 pub struct Options {
     /// Storage environment (local, in-memory, or disaggregated).
@@ -115,7 +116,8 @@ pub struct Options {
     pub trace_ops: bool,
     /// Operations slower than this are captured into the slow-op ring
     /// (full span tree + [`shield_core::PerfContext`]) and logged at
-    /// warn level. `None` disables capture. Requires [`Options::trace_ops`].
+    /// warn level. `None` disables capture. `Some` turns the flight
+    /// recorder on at open, as [`Options::trace_ops`] does.
     pub slow_op_threshold: Option<std::time::Duration>,
     /// How often the stats thread diffs ticker snapshots into a
     /// [`shield_core::MetricsWindow`] (interval rates, logged and kept in
@@ -124,8 +126,9 @@ pub struct Options {
     pub stats_dump_period: Option<std::time::Duration>,
     /// Traced operations/jobs still running past this deadline are
     /// flagged once by the watchdog ([`shield_core::Event::Watchdog`]
-    /// with the live span stack). `None` disables the watchdog.
-    /// Requires [`Options::trace_ops`].
+    /// with the live span stack). `None` disables the watchdog. `Some`
+    /// turns the flight recorder on at open, as [`Options::trace_ops`]
+    /// does.
     pub watchdog_deadline: Option<std::time::Duration>,
     /// How many trees the database keeps behind its one write front
     /// (1 = a single LSM). Fixed when the database is created.
@@ -193,13 +196,6 @@ impl Options {
     pub fn with_shard_ranges(mut self, boundaries: Vec<Vec<u8>>) -> Self {
         self.shards = boundaries.len() + 1;
         self.shard_by = ShardBy::Range(boundaries);
-        self
-    }
-
-    /// Enables SHIELD encryption.
-    #[must_use]
-    pub fn with_encryption(mut self, cfg: EncryptionConfig) -> Self {
-        self.encryption = Some(cfg);
         self
     }
 

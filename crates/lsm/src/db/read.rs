@@ -55,21 +55,8 @@ impl ReadView {
         })
     }
 
-    /// Point lookup, credited to `stats` as one `get`.
-    pub fn get(
-        &self,
-        tables: &TableCache,
-        stats: &Statistics,
-        key: &[u8],
-        fill_cache: bool,
-    ) -> Result<Option<Vec<u8>>> {
-        let value = self.lookup(tables, key, fill_cache);
-        credit_gets(stats, 1, matches!(value, Ok(Some(_))) as u64);
-        value
-    }
-
-    /// Point lookup that credits nothing: a caller that may run it more
-    /// than once per user call ([`crate::ReplicaDb`]) credits the call.
+    /// Point lookup. It credits nothing: the handle credits each user
+    /// call once ([`credit_gets`]), however many views it looked in.
     pub(super) fn lookup(
         &self,
         tables: &TableCache,
@@ -83,29 +70,13 @@ impl ReadView {
     }
 
     /// Batched point lookup: one result slot per key, each equivalent to
-    /// [`ReadView::get`]. Memtables are probed per key (they are in memory
-    /// anyway); keys that miss are resolved against the version with
-    /// per-file batched block reads, so a cold batch pays one
+    /// [`ReadView::lookup`]. Memtables are probed per key (they are in
+    /// memory anyway); keys that miss are resolved against the version
+    /// with per-file batched block reads, so a cold batch pays one
     /// `read_at_many` submission per table instead of one file read per
-    /// key. Errors are per-slot: a fault on one key's block never corrupts
-    /// its neighbors. Every key is credited to `stats` as a point lookup;
-    /// the caller credits `multi_gets` (one user call may span several
-    /// views).
-    pub fn multi_get(
-        &self,
-        tables: &TableCache,
-        stats: &Statistics,
-        keys: &[&[u8]],
-        fill_cache: bool,
-    ) -> Vec<Result<Option<Vec<u8>>>> {
-        let out = self.multi_lookup(tables, keys, fill_cache);
-        let found = out.iter().filter(|slot| matches!(slot, Ok(Some(_)))).count();
-        credit_gets(stats, keys.len() as u64, found as u64);
-        out
-    }
-
-    /// [`multi_get`](Self::multi_get) that credits nothing (see
-    /// [`lookup`](Self::lookup)).
+    /// key. Errors are per-slot: a fault on one key's block never
+    /// corrupts its neighbors. Like [`lookup`](Self::lookup), it credits
+    /// nothing.
     pub(super) fn multi_lookup(
         &self,
         tables: &TableCache,

@@ -47,10 +47,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
+use shield_core::Op;
 use shield_env::{EnvError, FileKind};
 
 use crate::db::batch::WriteBatch;
-use crate::db::metrics::{MetricsReport, ReplicaProgress, TreeMetrics};
+use crate::db::metrics::{MetricsReport, OpHistograms, OpKind, ReplicaProgress, TreeMetrics};
 use crate::db::read::{credit_gets, DbIterator, ReadView};
 use crate::error::{Error, Result};
 use crate::files::FileStore;
@@ -139,6 +140,9 @@ pub struct ReplicaDb {
     stop: Mutex<bool>,
     stop_cv: Condvar,
     poller: Mutex<Option<JoinHandle<()>>>,
+    /// Latency of this replica's reads, one histogram per op kind (only
+    /// `get`, `multi_get` and `scan` are recorded).
+    op_hists: OpHistograms,
 }
 
 impl ReplicaDb {
@@ -174,6 +178,7 @@ impl ReplicaDb {
             stop: Mutex::new(false),
             stop_cv: Condvar::new(),
             poller: Mutex::new(None),
+            op_hists: OpHistograms::default(),
         });
         replica.catch_up()?;
         if replica.opts.auto_poll {
@@ -472,9 +477,10 @@ impl ReplicaDb {
 
     /// The replica's metrics report: the `shield_metrics_v1` document a
     /// primary answers with, over the published view's files, with a
-    /// `replica` section. A replica runs no flush or compaction and
-    /// records no latency histogram, so those read as zero counts and
-    /// unmeasured quantiles; its lag is the `replica_lag_records` gauge.
+    /// `replica` section. Its latencies are its own `get`, `multi_get`
+    /// and `scan` calls; it runs no write, flush or compaction, so those
+    /// read as zero counts and unmeasured quantiles. Its lag is the
+    /// `replica_lag_records` gauge.
     #[must_use]
     pub fn metrics_report(&self) -> MetricsReport {
         let view = self.view.read().clone();
@@ -483,7 +489,12 @@ impl ReplicaDb {
                 last_applied_seq: view.seq,
                 last_seen_seq: self.last_seen_seq.load(Ordering::Relaxed),
             }),
-            ..MetricsReport::build(&self.files, None, vec![TreeMetrics::of(&view.version, 0, 0)])
+            ..MetricsReport::build(
+                &self.files,
+                None,
+                &self.op_hists,
+                vec![TreeMetrics::of(&view.version, 0, 0)],
+            )
         }
     }
 
@@ -510,8 +521,14 @@ impl ReplicaDb {
         })
     }
 
+    /// Times one `kind` read into the replica's histogram.
+    fn op(&self, kind: OpKind) -> Op<'_> {
+        Op::untraced(&self.op_hists.0[kind as usize])
+    }
+
     /// Point lookup against the published view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let _op = self.op(OpKind::Get);
         let value = self.read_published(|view| view.lookup(&self.table_cache, key, true));
         credit_gets(&self.files.stats, 1, matches!(value, Ok(Some(_))) as u64);
         value
@@ -519,6 +536,7 @@ impl ReplicaDb {
 
     /// Batched point lookup; every key reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
+        let _op = self.op(OpKind::MultiGet);
         self.files.stats.local().multi_gets.fetch_add(1, Ordering::Relaxed);
         let values: Result<Vec<Option<Vec<u8>>>> = self.read_published(|view| {
             view.multi_lookup(&self.table_cache, keys, true).into_iter().collect()
@@ -531,6 +549,7 @@ impl ReplicaDb {
     /// Range scan from `start` (inclusive), at most `limit` entries, over
     /// one published view.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let _op = self.op(OpKind::Scan);
         self.read_published(|view| {
             let views = vec![(view.clone(), &self.table_cache)];
             DbIterator::new(views, true, self.files.stats.clone(), None)?.scan(start, limit)

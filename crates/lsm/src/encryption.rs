@@ -380,25 +380,12 @@ pub struct EncryptedWritableFile {
 }
 
 impl EncryptedWritableFile {
-    /// Wraps `inner` (whose encrypted-stream offset starts at 0, i.e. the
-    /// plaintext header has already been written) for external users such
-    /// as the instance-level EncFS environment.
+    /// Wraps `inner`, whose encrypted-stream offset starts at 0: the
+    /// plaintext header has already been written. The engine's own files
+    /// and the instance-level EncFS environment both come through here.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
-    pub fn wrap(
-        inner: Box<dyn WritableFile>,
-        dek: Dek,
-        nonce: [u8; NONCE_LEN],
-        buffer_capacity: usize,
-        chunk_size: usize,
-        threads: usize,
-        inits: Arc<AtomicU64>,
-    ) -> Self {
-        Self::new(inner, dek, nonce, buffer_capacity, chunk_size, threads, inits)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn new(
+    pub fn new(
         inner: Box<dyn WritableFile>,
         dek: Dek,
         nonce: [u8; NONCE_LEN],

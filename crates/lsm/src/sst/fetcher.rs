@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use bytes::Bytes;
 use shield_core::{perf, PerfCounter, Section};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_unmask, open, CipherContext};
-use shield_env::{RandomAccessFile, ReadQueue, ReadRequest, ReadSource};
+use shield_env::{submit_window, RandomAccessFile, ReadRequest, ReadSource};
 
 use crate::cache::{BlockCache, BlockKind, CacheHandle, CacheKey, KeyMix};
 use crate::encryption::FILE_HEADER_LEN;
@@ -365,7 +365,6 @@ impl BlockFetcher {
             }
         }
         if !ready.is_empty() {
-            let queue = ReadQueue::new(self.inflight_depth);
             let body = keys.body();
             let read_reqs: Vec<ReadRequest> = ready
                 .iter()
@@ -375,8 +374,8 @@ impl BlockFetcher {
                 })
                 .collect();
             let windows: Vec<Range<usize>> = (0..ready.len())
-                .step_by(queue.depth())
-                .map(|start| start..(start + queue.depth()).min(ready.len()))
+                .step_by(self.inflight_depth)
+                .map(|start| start..(start + self.inflight_depth).min(ready.len()))
                 .collect();
             if let Some(stats) = &self.stats {
                 stats.local().batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
@@ -388,8 +387,7 @@ impl BlockFetcher {
             }
             batch.attr("windows", windows.len() as u64);
             let read = |window: Range<usize>| -> Vec<Result<Bytes>> {
-                queue
-                    .submit_window(file.as_ref(), &read_reqs[window])
+                submit_window(file.as_ref(), &read_reqs[window])
                     .into_iter()
                     .map(|raw| raw.map_err(Error::from))
                     .collect()

@@ -310,12 +310,6 @@ impl Table {
         out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
     }
 
-    /// True if the bloom filter rules out `user_key` (used by stats).
-    #[must_use]
-    pub fn filter_rules_out(&self, user_key: &[u8]) -> bool {
-        self.filter.as_ref().is_some_and(|(_, f)| !f.may_contain(user_key))
-    }
-
     /// Per-data-block `(last user key, stored bytes)` spans from the
     /// index block, in key order. Subcompaction planning uses these to
     /// place byte-balanced boundaries without reading any data blocks.
@@ -566,6 +560,11 @@ mod tests {
         keys.iter().map(|&k| (k, bloom_hash(k)))
     }
 
+    /// True if `t`'s bloom filter rules out `user_key`.
+    fn rules_out(t: &Table, user_key: &[u8]) -> bool {
+        t.filter.as_ref().is_some_and(|(_, f)| !f.may_contain(user_key))
+    }
+
     /// SST read ops `f` causes on `env`.
     fn sst_reads(env: &MemEnv, f: impl FnOnce()) -> u64 {
         let before = env.io_stats().unwrap().snapshot();
@@ -582,7 +581,7 @@ mod tests {
         // ~0.05 % of absent keys pass a 16-bit filter: probe 52,000.
         let false_positives: Vec<String> = (0..2000)
             .flat_map(|i| ('a'..='z').map(move |c| format!("key{i:06}{c}")))
-            .filter(|k| !t.filter_rules_out(k.as_bytes()))
+            .filter(|k| !rules_out(&t, k.as_bytes()))
             .collect();
         assert!(!false_positives.is_empty(), "no bloom false positive among 52,000 absent keys");
         for key in &false_positives {
@@ -754,7 +753,7 @@ mod tests {
         // A key far outside the table: bloom should rule it out.
         let mut ruled_out = 0;
         for i in 0..100 {
-            if t.filter_rules_out(format!("zzz-{i}").as_bytes()) {
+            if rules_out(&t, format!("zzz-{i}").as_bytes()) {
                 ruled_out += 1;
             }
         }

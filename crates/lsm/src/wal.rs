@@ -257,8 +257,6 @@ pub struct WalTailer {
     block_len: usize,
     /// Parse cursor within the current block.
     pos: usize,
-    /// Bytes of all fully-consumed earlier blocks.
-    blocks_consumed: u64,
     /// Sticky structural failure: once the stream is corrupt or forged
     /// it stays unreadable (transient I/O errors are not sticky).
     poisoned: Option<Error>,
@@ -292,7 +290,6 @@ impl WalTailer {
             block: vec![0u8; BLOCK_SIZE],
             block_len: 0,
             pos: 0,
-            blocks_consumed: 0,
             poisoned: None,
             key,
             mode: ReaderMode::Unknown,
@@ -330,13 +327,6 @@ impl WalTailer {
     #[must_use]
     pub fn is_legacy(&self) -> bool {
         matches!(self.mode, ReaderMode::Legacy)
-    }
-
-    /// Byte offset of the parse cursor (consumed blocks + position in
-    /// the current block).
-    #[must_use]
-    pub fn consumed_bytes(&self) -> u64 {
-        self.blocks_consumed + self.pos as u64
     }
 
     /// Fragments verified and consumed so far.
@@ -442,7 +432,6 @@ impl WalTailer {
 
     /// Drops the current (fully consumed) block and starts the next.
     fn advance_block(&mut self) {
-        self.blocks_consumed += self.block_len as u64;
         self.block_len = 0;
         self.pos = 0;
     }
@@ -944,9 +933,10 @@ mod tests {
         let TailPoll::Record(r) = t.poll().unwrap() else { panic!("expected record") };
         assert_eq!(r, b"committed");
         assert!(matches!(t.poll().unwrap(), TailPoll::Pending(TailEnd::Incomplete)));
-        let held = t.consumed_bytes();
+        // Both records sit in the first block: the cursor is `pos`.
+        let held = t.pos;
         assert!(matches!(t.poll().unwrap(), TailPoll::Pending(TailEnd::Incomplete)));
-        assert_eq!(t.consumed_bytes(), held, "pending must not consume bytes");
+        assert_eq!(t.pos, held, "pending must not consume bytes");
 
         rewrite(&env, "log", &raw);
         let TailPoll::Record(r) = t.poll().unwrap() else { panic!("expected record") };

@@ -9,11 +9,9 @@
 use std::sync::Arc;
 
 use shield::deploy::{DisaggregatedStorage, OffloadedCompactor};
-use shield::{open_shield, ShieldOptions, WriteOptions};
-use shield_crypto::Algorithm;
+use shield::{open_shield, shield_encryption, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, SecureDekCache, ServerId};
-use shield_lsm::encryption::EncryptionConfig;
+use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{FileStore, IntegrityOptions, Options};
 
 fn main() {
@@ -25,20 +23,18 @@ fn main() {
     // I/O is storage-local, its DEKs come from the KDS via the DEK-IDs in
     // SST metadata, and its secure cache is its own.
     let storage_env = ds.storage_local();
-    let compactor_cache =
-        SecureDekCache::open(storage_env.clone(), "compactor.cache", b"compactor-pass")
-            .expect("cache");
-    let compactor_resolver = Arc::new(DekResolver::new(
-        kds.clone() as Arc<dyn Kds>,
-        Some(Arc::new(compactor_cache)),
-        ServerId(2),
-        Algorithm::Aes128Ctr,
-    ));
-    // Its file layer: that env, that resolver, and the integrity settings
+    let identity = ShieldOptions {
+        chunk_size: 64 << 10,
+        encryption_threads: 4,
+        ..ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(2), b"compactor-pass")
+    };
+    let (encryption, compactor_resolver) =
+        shield_encryption(storage_env.clone(), "compactor.cache", &identity).expect("cache");
+    // Its file layer: that env, that identity, and the integrity settings
     // the primary opens with (the defaults here).
     let compactor = OffloadedCompactor::new(FileStore::new(
         storage_env,
-        Some(EncryptionConfig::new(compactor_resolver.clone()).with_chunks(64 << 10, 4)),
+        Some(encryption),
         IntegrityOptions::default(),
     ));
 

@@ -27,7 +27,12 @@
 #           `EncryptionConfig::new(` — a suite that rebuilds the mode
 #           matrix, the history or the mode→file-layer switch by hand
 #           skips cells the shared store, history and oracle would have
-#           run it through; one bench per claim: every
+#           run it through; one identity builder: under crates/bench/src,
+#           crates/core/src (outside `shield_encryption` itself, tests
+#           included) and examples/ no `DekResolver::new(`,
+#           `::with_policy(` or `SecureDekCache::open(` — a server's
+#           cache, resolver and encryption config come from
+#           shield::shield_encryption; one bench per claim: every
 #           crates/bench/src/bin/<name>.rs but `paper` has a `smoke <name>`
 #           tier below and a `B <name>` row in README.md's claim table, so
 #           a bin that carries no claim cannot come back; one metrics
@@ -172,12 +177,25 @@ if [[ -n "$hits" ]]; then
 fi
 echo "ok"
 
-echo "== lint: test-bench gate (tests/ outside tests/support/) =="
+echo "== lint: test-bench gate (tests/ outside tests/support/; one identity builder) =="
 if grep -nE 'enum (Mode|Action)\b|fn action_strategy|Deref<Target = Db>|EncryptedEnv::new\(|DekResolver::(new|with_policy)\(|EncryptionConfig::new\(' \
     $(find tests -name '*.rs' -not -path 'tests/support/*' | sort); then
     echo "FAIL: one store, one history, one oracle — open databases and other servers'"
     echo "      file layers through tests/support (Store::open / Store::files_for), draw"
     echo "      histories from support::{actions, history} and check with support::check."
+    exit 1
+fi
+hits=$(awk 'FNR == 1{skip=0}
+    /^pub fn shield_encryption\(/{skip=1}
+    skip && /^}/{skip=0; next}
+    skip{next}
+    /^[[:space:]]*\/\//{next}
+    /DekResolver::new\(|::with_policy\(|SecureDekCache::open\(/{print FILENAME": "FNR": "$0}' \
+    $(find crates/bench/src crates/core/src examples -name '*.rs' | sort))
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: one identity builder — build a server's cache, resolver and encryption"
+    echo "      config with shield::shield_encryption(env, cache_path, &ShieldOptions)."
     exit 1
 fi
 echo "ok"

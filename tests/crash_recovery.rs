@@ -4,6 +4,10 @@
 //! |---------|------------------|--------------------|----------------------|
 //! | process | keeps all acked  | keeps all acked    | may lose buffer tail |
 //! | system  | keeps synced     | keeps synced       | keeps synced         |
+//!
+//! A process crash is `Db::simulate_process_crash` over a `MemEnv`; a
+//! system crash is `FaultInjectionEnv::crash` over one, the engine's one
+//! system-crash model.
 
 mod support;
 
@@ -15,13 +19,13 @@ use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{Db, Integrity, Options, ReadOptions, WriteBatch, WriteOptions};
 use support::{apply, check, key, small, Action, Mode, Oracle, Store};
 
-fn shield_db(env: &MemEnv, kds: &Arc<LocalKds>, wal_buffer: usize) -> shield::ShieldDb {
+fn shield_db<E: Env + Clone + 'static>(env: &E, kds: &Arc<LocalKds>, wal_buffer: usize) -> ShieldDb {
     let mut sopts = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk");
     sopts.wal_buffer_size = wal_buffer;
     open_shield(Options::new(Arc::new(env.clone())), "db", sopts).expect("open")
 }
 
-fn count_recovered(env: &MemEnv, kds: &Arc<LocalKds>, wal_buffer: usize, n: u32) -> u32 {
+fn count_recovered<E: Env + Clone + 'static>(env: &E, kds: &Arc<LocalKds>, wal_buffer: usize, n: u32) -> u32 {
     let db = shield_db(env, kds, wal_buffer);
     let r = ReadOptions::new();
     (0..n)
@@ -118,7 +122,7 @@ fn shield_buffered_sync_write_survives_process_crash() {
 #[test]
 fn system_crash_preserves_synced_prefix_in_all_modes() {
     for wal_buffer in [0usize, 512] {
-        let env = MemEnv::new();
+        let env = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
         {
             let db = shield_db(&env, &kds, wal_buffer);
@@ -132,7 +136,7 @@ fn system_crash_preserves_synced_prefix_in_all_modes() {
             }
             db.db.simulate_process_crash();
         }
-        env.crash_system();
+        env.crash().unwrap();
         let db = shield_db(&env, &kds, wal_buffer);
         let r = ReadOptions::new();
         for i in 0..=50u32 {
@@ -146,7 +150,7 @@ fn system_crash_preserves_synced_prefix_in_all_modes() {
 
 #[test]
 fn flushed_sst_data_survives_system_crash() {
-    let env = MemEnv::new();
+    let env = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
     {
         let db = shield_db(&env, &kds, 512);
@@ -156,7 +160,7 @@ fn flushed_sst_data_survives_system_crash() {
         db.flush().unwrap(); // SSTs are synced on build
         db.db.simulate_process_crash();
     }
-    env.crash_system();
+    env.crash().unwrap();
     assert_eq!(count_recovered(&env, &kds, 512, 500), 500);
 }
 
@@ -325,7 +329,7 @@ fn fault_mid_compaction_then_crash_exposes_no_partial_outputs() {
 
 /// Range-sharded options: four shards split at keys 100/200/300, so a
 /// run of consecutive keys straddles every boundary.
-fn sharded_opts(env: &MemEnv) -> Options {
+fn sharded_opts<E: Env + Clone + 'static>(env: &E) -> Options {
     let mut o = Options::new(Arc::new(env.clone()))
         .with_shard_ranges(vec![key(100), key(200), key(300)]);
     o.compaction.l0_compaction_trigger = 2;
@@ -376,7 +380,7 @@ fn sharded_process_crash_keeps_acked_cross_shard_batches() {
 fn sharded_system_crash_between_wal_syncs_is_all_or_nothing() {
     const SYNCED: u32 = 25;
     const TOTAL: u32 = 40;
-    let env = MemEnv::new();
+    let env = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
     {
         let db = Db::open(sharded_opts(&env), "db").expect("open");
         for n in 0..TOTAL {
@@ -387,7 +391,7 @@ fn sharded_system_crash_between_wal_syncs_is_all_or_nothing() {
         }
         db.simulate_process_crash();
     }
-    env.crash_system();
+    env.crash().unwrap();
 
     let db = Db::open(sharded_opts(&env), "db").expect("reopen");
     // The synced prefix survives in full.

@@ -177,6 +177,23 @@ fn slow_op_captured_under_injected_delay() {
     assert!(capture.names().contains(&"slow_op"), "no slow_op event emitted");
 }
 
+/// A slow-op threshold set as a field, without `trace_ops` or its
+/// builder, turns the recorder on at open: the ops it crosses are
+/// captured rather than silently dropped.
+#[test]
+fn slow_op_threshold_set_as_a_field_captures() {
+    let fx = Fixture::new(Arc::new(MemEnv::new()));
+    fx.populate(64);
+    let db = fx.open(|mut opts| {
+        opts.slow_op_threshold = Some(Duration::from_nanos(1));
+        assert!(!opts.trace_ops, "the field alone must be enough");
+        opts
+    });
+    assert!(db.db.get(&ReadOptions::new(), &key(17)).unwrap().is_some());
+    let slow = db.db.slow_ops();
+    assert!(slow.iter().any(|s| s.op == "get"), "no slow get captured in {slow:?}");
+}
+
 /// One instrument per timed section: in the slow-op captures of a traced
 /// cold `get` and a traced `put`, the spans of every section that has a
 /// `PerfContext` field add up to exactly that field (span and field come

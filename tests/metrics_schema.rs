@@ -305,9 +305,10 @@ fn replica_metrics_are_one_document_with_a_replica_section() {
     assert!(number("last_applied_seq").is_some_and(|seq| seq > 0.0));
     assert_eq!(number("last_applied_seq"), number("last_seen_seq"), "a drained replica lags");
     assert_eq!(doc.get("write_amplification"), Some(&JsonValue::Null));
+    // The replica's one get above is its one timed get.
     let get = doc.get("latencies_us").and_then(|l| l.get("get")).expect("latencies_us.get");
-    assert_eq!(get.get("count").and_then(JsonValue::as_f64), Some(0.0));
-    assert_eq!(get.get("p99"), Some(&JsonValue::Null));
+    assert_eq!(get.get("count").and_then(JsonValue::as_f64), Some(1.0));
+    assert!(get.get("p99").and_then(JsonValue::as_f64).is_some(), "a timed get has a p99");
     let total_files = doc.get("total_files").and_then(JsonValue::as_f64);
     assert!(total_files.is_some_and(|n| n > 0.0), "the replica's view names no file");
 }

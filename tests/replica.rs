@@ -79,6 +79,39 @@ fn replica_tails_live_plain_primary() {
     assert!(stats.replica_manifest_edits_applied > 0);
 }
 
+/// Each replica read is one timed op: the report's `get`, `multi_get`
+/// and `scan` counts equal the calls made, and an op the replica never
+/// runs stays unmeasured.
+#[test]
+fn replica_reports_one_latency_sample_per_read_call() {
+    let store = Store::new(Mode::Plain);
+    let db = store.open(small);
+    let mut oracle = Oracle::synced();
+    put_all(&db, &mut oracle, 0..50, "v");
+    let replica = store.replica(READER).expect("open replica");
+    drain(&replica);
+
+    for id in 0..3 {
+        replica.get(&key(id)).expect("get");
+    }
+    let keys = [key(1), key(2)];
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    for _ in 0..2 {
+        replica.multi_get(&refs).expect("multi_get");
+    }
+    for _ in 0..4 {
+        replica.scan(&key(0), 10).expect("scan");
+    }
+
+    let report = replica.metrics_report();
+    let count = |op: &str| report.latencies.iter().find(|(name, _)| *name == op).unwrap().1.count;
+    assert_eq!(
+        [count("get"), count("multi_get"), count("scan"), count("put")],
+        [3, 2, 4, 0],
+        "per-op counts must equal the calls"
+    );
+}
+
 /// The background poller catches up without manual rounds.
 #[test]
 fn replica_auto_poll_catches_up() {
