@@ -66,7 +66,7 @@ fn with_sharded_db<R>(
     let env = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), model));
     let sys = SystemStore::new(kind, env, "db", tuning)
         .open_with(|mut opts| {
-            opts.block_size = 16 << 10;
+            opts.table.block_size = 16 << 10;
             opts.disable_wal = !wal;
             opts.with_shards(shards)
         })

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use shield::deploy::{DisaggregatedStorage, OffloadedCompactor};
+use shield::deploy::OffloadedCompactor;
 use shield::{shield_encryption, ShieldOptions};
 use shield_env::{Env, IoStats, NetworkModel, PosixEnv, RemoteEnv};
 use shield_kds::{Kds, LocalKds, ServerId};
@@ -177,13 +177,15 @@ pub fn deploy(kind: SystemKind, deploy: DeployKind, tuning: &Tuning, tag: &str) 
                 !matches!(kind, SystemKind::EncFs | SystemKind::EncFsBuf),
                 "EncFS is not deployable on disaggregated storage (paper §6.4)"
             );
-            let ds = DisaggregatedStorage::new(backing.clone(), bench_network());
+            // The compute node mounts the storage over the network; the
+            // storage server works on `backing` itself.
+            let remote = Arc::new(RemoteEnv::new(backing.clone(), bench_network()));
             let mut tuning = tuning.clone();
             let mut compactor = None;
             if deploy == DeployKind::DsOffloaded {
                 // The compactor runs on the storage server with its own
                 // identity, cache, and *storage-local* I/O.
-                let storage_env = ds.storage_local();
+                let storage_env = backing.clone();
                 let encryption = match kind {
                     SystemKind::Plain => None,
                     _ => {
@@ -214,8 +216,7 @@ pub fn deploy(kind: SystemKind, deploy: DeployKind, tuning: &Tuning, tag: &str) 
                 tuning.compaction_executor = Some(c.clone());
                 compactor = Some(c);
             }
-            let remote = ds.remote().clone();
-            let sys = build_system(kind, ds.compute_mount(), &db_path, &tuning)
+            let sys = build_system(kind, remote.clone(), &db_path, &tuning)
                 .expect("open system");
             Deployed {
                 sys,

@@ -5,62 +5,23 @@
 //! on top: **offloaded compaction** (the storage server executes
 //! compactions, reading DEKs via the DEK-IDs embedded in file metadata)
 //! and **read-only instances** (extra compute nodes serving queries from
-//! the shared files without write access). This module provides the mount
-//! and the compactor over the simulated network of
-//! [`shield_env::RemoteEnv`]; a read-only instance is a
-//! [`crate::open_shield_replica`] (or a plain [`crate::ReplicaDb`]) over
-//! the compute mount — with `auto_poll: false` it refreshes only when
-//! `catch_up` is called.
+//! the shared files without write access). The compute node mounts the
+//! storage as a [`shield_env::RemoteEnv`] over the backing env, which pays
+//! the simulated network for every I/O; the storage server works on the
+//! backing env itself. This module provides the compactor that runs
+//! there; a read-only instance is a [`crate::open_shield_replica`] (or a
+//! plain [`crate::ReplicaDb`]) over the compute mount — with
+//! `auto_poll: false` it refreshes only when `catch_up` is called.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use shield_env::{Env, NetworkModel, RemoteEnv};
 use shield_lsm::compaction::{
-    run_compaction, CompactionContext, CompactionExecutor, CompactionOutcome, CompactionRequest,
+    run_compaction, CompactionExecutor, CompactionOutcome, CompactionRequest,
 };
 use shield_lsm::error::Result;
 use shield_lsm::version::table_cache::TableCache;
 use shield_lsm::FileStore;
-
-/// A disaggregated storage cluster: one backing store, two views.
-///
-/// * the **compute mount** pays network latency/bandwidth for every I/O
-///   (what the primary LSM-KVS instance uses),
-/// * the **storage-local view** is the same files with no network cost
-///   (what offloaded compaction uses — its I/O is server-local).
-pub struct DisaggregatedStorage {
-    backing: Arc<dyn Env>,
-    remote: Arc<RemoteEnv>,
-}
-
-impl DisaggregatedStorage {
-    /// Wraps `backing` with `model` for the compute side.
-    #[must_use]
-    pub fn new(backing: Arc<dyn Env>, model: NetworkModel) -> Self {
-        let remote = Arc::new(RemoteEnv::new(backing.clone(), model));
-        DisaggregatedStorage { backing, remote }
-    }
-
-    /// The env the compute node mounts (network-modeled).
-    #[must_use]
-    pub fn compute_mount(&self) -> Arc<dyn Env> {
-        self.remote.clone()
-    }
-
-    /// The storage server's local view (no network cost).
-    #[must_use]
-    pub fn storage_local(&self) -> Arc<dyn Env> {
-        self.backing.clone()
-    }
-
-    /// The remote wrapper, for adjusting the network model mid-experiment
-    /// or reading the storage node's I/O accounting.
-    #[must_use]
-    pub fn remote(&self) -> &Arc<RemoteEnv> {
-        &self.remote
-    }
-}
 
 /// Executes compactions on the storage server (paper §5.6).
 ///
@@ -104,15 +65,8 @@ impl CompactionExecutor for OffloadedCompactor {
         // (the primary deletes every input once the edit installs).
         let table_cache = TableCache::new(self.files.clone(), request.db_path.into(), None, 0);
         let task = request.task.detached();
-        let mut ctx = CompactionContext {
-            table_cache: &table_cache,
-            version: request.version,
-            smallest_snapshot: request.smallest_snapshot,
-            table_options: request.table_options.clone(),
-            target_file_size: request.target_file_size,
-            next_file_number: alloc,
-        };
-        let outcome = run_compaction(&mut ctx, &task)?;
+        let outcome =
+            run_compaction(&table_cache, &CompactionRequest { task: &task, ..*request }, alloc)?;
         self.jobs.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
     }
@@ -122,7 +76,7 @@ impl CompactionExecutor for OffloadedCompactor {
 mod tests {
     use super::*;
     use crate::{open_shield, shield_encryption, ShieldOptions};
-    use shield_env::MemEnv;
+    use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
     use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
     use shield_lsm::encryption::EncryptionConfig;
     use shield_lsm::{IntegrityOptions, Options, ReadOptions, WriteOptions};
@@ -145,14 +99,10 @@ mod tests {
     /// resolves DEKs purely from file metadata.
     #[test]
     fn offloaded_compaction_end_to_end() {
-        let backing = MemEnv::new();
-        let ds = DisaggregatedStorage::new(
-            Arc::new(backing.clone()),
-            NetworkModel::unlimited(),
-        );
+        let storage_env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let compute_mount = Arc::new(RemoteEnv::new(storage_env.clone(), NetworkModel::unlimited()));
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
 
-        let storage_env = ds.storage_local();
         let compactor_cfg = remote_cfg(&kds, &storage_env, COMPACTOR, "compactor.cache");
         let compactor = OffloadedCompactor::new(FileStore::new(
             storage_env,
@@ -160,7 +110,7 @@ mod tests {
             IntegrityOptions::default(),
         ));
 
-        let mut base = Options::new(ds.compute_mount());
+        let mut base = Options::new(compute_mount);
         base.write_buffer_size = 8 << 10;
         base.compaction.l0_compaction_trigger = 2;
         base.compaction_executor = Some(compactor.clone());
@@ -195,13 +145,9 @@ mod tests {
     /// compactions (§5.4 breached-server response).
     #[test]
     fn revoked_compactor_is_locked_out() {
-        let backing = MemEnv::new();
-        let ds = DisaggregatedStorage::new(
-            Arc::new(backing),
-            NetworkModel::unlimited(),
-        );
+        let storage_env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let compute_mount = Arc::new(RemoteEnv::new(storage_env.clone(), NetworkModel::unlimited()));
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let storage_env = ds.storage_local();
         let compactor_cfg = remote_cfg(&kds, &storage_env, COMPACTOR, "compactor.cache");
         let compactor = OffloadedCompactor::new(FileStore::new(
             storage_env,
@@ -209,7 +155,7 @@ mod tests {
             IntegrityOptions::default(),
         ));
 
-        let mut base = Options::new(ds.compute_mount());
+        let mut base = Options::new(compute_mount);
         base.write_buffer_size = 8 << 10;
         base.compaction.l0_compaction_trigger = 2;
         base.compaction_executor = Some(compactor);

@@ -11,13 +11,14 @@
 //!   unlocked by a passkey, the WAL encryption buffer, and chunked
 //!   multi-threaded compaction encryption. DEK rotation falls out of
 //!   compaction.
-//! * [`deploy`] — disaggregated-storage composition: a network-modeled
-//!   storage mount and an [`deploy::OffloadedCompactor`] that runs
-//!   compactions on the storage server under its own identity.
+//! * [`deploy`] — disaggregated storage: an [`deploy::OffloadedCompactor`]
+//!   that runs compactions on the storage server under its own identity,
+//!   beside a compute node that mounts the storage as a
+//!   [`shield_env::RemoteEnv`].
 //! * [`open_shield_replica`] — read-only instances (paper §2.2): a
 //!   [`ReplicaDb`] serving the shared files through its own DEK resolver.
 //!
-//! Shard count and routing are [`Options`] fields
+//! Shard count and routing are one [`Options`] field
 //! ([`Options::with_shards`]), so each of these opens 1..N trees. The
 //! encrypting opens return the engine handle inside a wrapper —
 //! [`EncFsDb`] or [`Shield`] — that derefs to it and exposes the
@@ -242,7 +243,7 @@ pub fn open_shield(mut base: Options, path: &str, shield: ShieldOptions) -> Resu
 /// SHIELD files authenticate under their own DEK's subkey, so the
 /// engine-wide key only matters for files without a DEK
 /// ([`ShieldOptions::encrypt_wal`]` = false` under a non-default
-/// `integrity_key`); such a deployment builds the store itself.
+/// `integrity.key`); such a deployment builds the store itself.
 pub fn open_shield_replica(
     env: Arc<dyn Env>,
     path: &str,

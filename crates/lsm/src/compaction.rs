@@ -12,8 +12,9 @@
 //! so the disaggregated deployment can run it on a *different server* (the
 //! offloaded-compaction case study, §5.6): all it needs is a
 //! [`TableCache`] over that server's [`crate::files::FileStore`] (the
-//! shared storage under its own DEK resolver) and the file metadata
-//! (which carries DEK-IDs).
+//! shared storage under its own DEK resolver), a [`CompactionRequest`]
+//! (whose file metadata carries the DEK-IDs) and a file-number allocator.
+//! Its outputs are written through a [`TableSink`], as a flush's are.
 
 use std::sync::Arc;
 
@@ -21,12 +22,12 @@ use shield_core::Section;
 
 use crate::error::Result;
 use crate::iter::{InternalIterator, MergingIterator};
-use crate::sst::builder::{TableBuilder, TableBuilderOptions};
+use crate::sst::builder::TableBuilderOptions;
 use crate::types::{
     extract_seq_type, extract_user_key, user_key_cmp, SequenceNumber, ValueType, MAX_SEQUENCE,
 };
-use crate::version::edit::{FileMeta, TableSlot, VersionEdit};
-use crate::version::table_cache::TableCache;
+use crate::version::edit::{FileMeta, VersionEdit};
+use crate::version::table_cache::{TableCache, TableSink};
 use crate::version::version::{LevelIterator, Version, NUM_LEVELS};
 
 /// Compaction styles, mirroring RocksDB's three policies (§6.3, Fig. 15).
@@ -341,7 +342,7 @@ fn pick_fifo(version: &Version, params: &CompactionParams) -> Option<CompactionT
 /// and secure cache — resolving input DEKs purely from the DEK-IDs in the
 /// file metadata (paper §5.4, §5.6).
 pub trait CompactionExecutor: Send + Sync {
-    /// Executes `task`, allocating output file numbers via `alloc`.
+    /// Executes `request`, allocating output file numbers via `alloc`.
     fn execute(
         &self,
         request: &CompactionRequest<'_>,
@@ -349,39 +350,23 @@ pub trait CompactionExecutor: Send + Sync {
     ) -> Result<CompactionOutcome>;
 }
 
-/// What the engine hands to a [`CompactionExecutor`].
+/// One merge, as the engine describes it to whoever runs it: the
+/// in-process merge, each of its subranges, or an offloaded executor.
+#[derive(Clone, Copy)]
 pub struct CompactionRequest<'a> {
     /// Database directory on the shared storage.
     pub db_path: &'a str,
     /// The work to do (file metadata carries the DEK-IDs).
     pub task: &'a CompactionTask,
-    /// Version the task was picked against.
-    pub version: &'a Version,
-    /// Oldest sequence any snapshot can still read.
-    pub smallest_snapshot: SequenceNumber,
-    /// SST construction knobs; the executor's own file layer decides each
-    /// output's DEK and tag key.
-    pub table_options: TableBuilderOptions,
-    /// Output file size cap.
-    pub target_file_size: u64,
-}
-
-/// Everything [`run_compaction`] needs, bundled so remote compactors can
-/// construct it from shared state.
-pub struct CompactionContext<'a> {
-    /// The tree's tables as the *executing* server sees them: opens the
-    /// inputs, creates the outputs.
-    pub table_cache: &'a Arc<TableCache>,
-    /// The version the task was picked against (for tombstone elision).
+    /// Version the task was picked against (for tombstone elision).
     pub version: &'a Version,
     /// Oldest sequence any snapshot can still read; `MAX_SEQUENCE` if none.
     pub smallest_snapshot: SequenceNumber,
-    /// SST construction knobs (`dek_id` and `mac_key` are set per output).
-    pub table_options: TableBuilderOptions,
+    /// SST construction knobs; the executing server's own file layer
+    /// decides each output's DEK and tag key.
+    pub table_options: &'a TableBuilderOptions,
     /// Cut outputs at this size.
     pub target_file_size: u64,
-    /// Allocator for output file numbers.
-    pub next_file_number: &'a mut dyn FnMut() -> u64,
 }
 
 /// What a compaction produced.
@@ -395,8 +380,6 @@ pub struct CompactionOutcome {
     pub bytes_written: u64,
     /// Entries dropped as shadowed or tombstone-elided.
     pub entries_dropped: u64,
-    /// Output files created.
-    pub outputs: usize,
 }
 
 /// True if no level strictly below `level` can hold `user_key` — the
@@ -410,18 +393,21 @@ fn is_base_level_for_key(version: &Version, level: usize, user_key: &[u8]) -> bo
     })
 }
 
-/// Executes a merge task: reads inputs, drops shadowed/obsolete entries,
-/// writes outputs (each under a fresh DEK when encryption is on).
+/// Executes a merge task: reads inputs through `table_cache`, drops
+/// shadowed/obsolete entries, writes outputs (each under a fresh DEK when
+/// encryption is on) numbered by `alloc`.
 pub fn run_compaction(
-    ctx: &mut CompactionContext<'_>,
-    task: &CompactionTask,
+    table_cache: &Arc<TableCache>,
+    request: &CompactionRequest<'_>,
+    alloc: &mut dyn FnMut() -> u64,
 ) -> Result<CompactionOutcome> {
     // The whole task is one subrange here; a parallel run times each of
     // its subranges as a `subcompaction` op instead.
     let _t = Section::Subcompaction.enter();
-    let mut outcome = run_compaction_range(ctx, task, &SubcompactionRange::full())?;
-    outcome.bytes_read = task.input_bytes();
-    append_input_deletions(task, &mut outcome.edit);
+    let mut outcome =
+        run_compaction_range(table_cache, request, &SubcompactionRange::full(), alloc)?;
+    outcome.bytes_read = request.task.input_bytes();
+    append_input_deletions(request.task, &mut outcome.edit);
     Ok(outcome)
 }
 
@@ -458,17 +444,16 @@ pub fn append_input_deletions(task: &CompactionTask, edit: &mut VersionEdit) {
 /// processed by exactly one call, so shadowed-version dropping and
 /// snapshot-aware tombstone elision behave identically to a serial run.
 pub fn run_compaction_range(
-    ctx: &mut CompactionContext<'_>,
-    task: &CompactionTask,
+    table_cache: &Arc<TableCache>,
+    request: &CompactionRequest<'_>,
     range: &SubcompactionRange,
+    alloc: &mut dyn FnMut() -> u64,
 ) -> Result<CompactionOutcome> {
-    let CompactionTask::Merge { input_level, output_level, inputs, overlaps } = task else {
+    let CompactionTask::Merge { input_level, output_level, inputs, overlaps } = request.task else {
         // FIFO trims delete files without reading them; the caller's
         // `append_input_deletions` records the drops.
         return Ok(CompactionOutcome::default());
     };
-
-    let mut outcome = CompactionOutcome::default();
 
     // Build the merged input stream from streaming scanners: every input
     // block is read once, in file order, around the block cache. Inputs
@@ -477,13 +462,13 @@ pub fn run_compaction_range(
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     if *input_level == 0 {
         for meta in inputs {
-            children.push(Box::new(meta.table(ctx.table_cache)?.scan()));
+            children.push(Box::new(meta.table(table_cache)?.scan()));
         }
     } else if !inputs.is_empty() {
-        children.push(Box::new(LevelIterator::scanning(inputs.clone(), ctx.table_cache.clone())));
+        children.push(Box::new(LevelIterator::scanning(inputs.clone(), table_cache.clone())));
     }
     if !overlaps.is_empty() {
-        children.push(Box::new(LevelIterator::scanning(overlaps.clone(), ctx.table_cache.clone())));
+        children.push(Box::new(LevelIterator::scanning(overlaps.clone(), table_cache.clone())));
     }
     let mut merged = MergingIterator::new(children);
     match &range.lower {
@@ -497,52 +482,14 @@ pub fn run_compaction_range(
         None => merged.seek_to_first(),
     }
 
-    let mut builder: Option<(u64, TableBuilder)> = None;
+    let mut sink = TableSink::new(table_cache, request.table_options, *output_level, alloc);
+    let mut entries_dropped = 0;
     // The user key whose versions are being processed; one buffer for the
     // whole merge (empty-and-unset is told apart by `have_user_key`, since
     // the empty key is a legal user key).
     let mut current_user_key: Vec<u8> = Vec::new();
     let mut have_user_key = false;
     let mut last_seq_for_key: SequenceNumber = MAX_SEQUENCE;
-
-    let table_cache = ctx.table_cache;
-    let finish_output = |builder: Option<(u64, TableBuilder)>,
-                         outcome: &mut CompactionOutcome|
-     -> Result<()> {
-        if let Some((number, b)) = builder {
-            if b.num_entries() > 0 {
-                let (props, size) = b.finish()?;
-                // Open the output here, on the background thread: it
-                // checks the file is readable before the edit installs it,
-                // and the table (header, footer, index, filter) rides into
-                // the version in the file's meta, so no foreground read
-                // opens it.
-                let table = table_cache.open(number)?;
-                outcome.bytes_written += size;
-                outcome.outputs += 1;
-                outcome.edit.new_files.push((
-                    *output_level as u32,
-                    FileMeta {
-                        number,
-                        file_size: size,
-                        smallest: crate::types::make_internal_key(
-                            &props.smallest_user_key,
-                            MAX_SEQUENCE,
-                            ValueType::Value,
-                        ),
-                        largest: crate::types::make_internal_key(
-                            &props.largest_user_key,
-                            0,
-                            ValueType::Deletion,
-                        ),
-                        dek_id: props.dek_id,
-                        table: TableSlot::holding(table),
-                    },
-                ));
-            }
-        }
-        Ok(())
-    };
 
     while merged.valid() {
         let ikey = merged.key();
@@ -565,13 +512,13 @@ pub fn run_compaction_range(
         }
 
         let mut drop = false;
-        if last_seq_for_key != MAX_SEQUENCE && last_seq_for_key <= ctx.smallest_snapshot {
+        if last_seq_for_key != MAX_SEQUENCE && last_seq_for_key <= request.smallest_snapshot {
             // A newer version of this key is already visible at every
             // snapshot: this one is pure history.
             drop = true;
         } else if vtype == Some(ValueType::Deletion)
-            && seq <= ctx.smallest_snapshot
-            && is_base_level_for_key(ctx.version, *output_level, user_key)
+            && seq <= request.smallest_snapshot
+            && is_base_level_for_key(request.version, *output_level, user_key)
         {
             // Tombstone with nothing underneath to shadow: elide it.
             drop = true;
@@ -579,26 +526,16 @@ pub fn run_compaction_range(
         last_seq_for_key = seq;
 
         if drop {
-            outcome.entries_dropped += 1;
+            entries_dropped += 1;
         } else {
-            if builder.is_none() {
-                let number = (ctx.next_file_number)();
-                let (file, dek_id, mac_key) = ctx.table_cache.create(number)?;
-                let opts = TableBuilderOptions { dek_id, mac_key, ..ctx.table_options.clone() };
-                builder = Some((number, TableBuilder::new(file, opts)));
-            }
-            let (_, b) = builder.as_mut().unwrap();
-            b.add(ikey, merged.value())?;
+            sink.add(ikey, merged.value())?;
             // Cut outputs only at user-key boundaries so one key's
             // versions never straddle two files: advance, peek at the next
             // key, and finish the output if the key changed.
-            if b.file_size() >= ctx.target_file_size {
+            if sink.file_size() >= request.target_file_size {
                 merged.next();
-                let key_changes =
-                    !merged.valid() || extract_user_key(merged.key()) != current_user_key;
-                if key_changes {
-                    let b = builder.take();
-                    finish_output(b, &mut outcome)?;
+                if !merged.valid() || extract_user_key(merged.key()) != current_user_key {
+                    sink.cut()?;
                 }
                 continue;
             }
@@ -606,8 +543,13 @@ pub fn run_compaction_range(
         merged.next();
     }
     merged.status()?;
-    finish_output(builder.take(), &mut outcome)?;
-    Ok(outcome)
+    let (new_files, bytes_written) = sink.finish()?;
+    Ok(CompactionOutcome {
+        edit: VersionEdit { new_files, ..VersionEdit::default() },
+        bytes_read: 0,
+        bytes_written,
+        entries_dropped,
+    })
 }
 
 #[cfg(test)]
@@ -615,8 +557,8 @@ mod tests {
     use super::*;
     use crate::files::FileStore;
     use crate::types::make_internal_key;
-    use crate::version::filenames::sst_file_name;
-    use shield_env::{FileKind, MemEnv};
+    use crate::version::edit::TableSlot;
+    use shield_env::MemEnv;
 
     fn meta_with(number: u64, lo: &str, hi: &str, size: u64) -> Arc<FileMeta> {
         Arc::new(FileMeta {
@@ -793,72 +735,59 @@ mod tests {
         }
     }
 
-    /// End-to-end merge: build two real overlapping L0 tables, compact,
-    /// verify the output drops shadowed versions and tombstones.
-    #[test]
-    fn merge_drops_shadowed_and_tombstones() {
-        use crate::sst::builder::TableBuilder;
-        use shield_env::Env;
+    type Entry<'a> = (&'a str, u64, ValueType, &'a str);
 
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let files = FileStore::new(env.clone(), None, crate::IntegrityOptions::default());
+    /// An L0 table of `entries`, written through a sink as a flush
+    /// writes one.
+    fn l0_table(tc: &TableCache, number: u64, entries: &[Entry<'_>]) -> Arc<FileMeta> {
+        let (options, mut alloc) = (TableBuilderOptions::default(), || number);
+        let mut sink = TableSink::new(tc, &options, 0, &mut alloc);
+        for (k, seq, t, v) in entries {
+            sink.add(&make_internal_key(k.as_bytes(), *seq, *t), v.as_bytes()).unwrap();
+        }
+        Arc::new(sink.finish().unwrap().0.remove(0).1)
+    }
+
+    /// Merges L0 tables built from `tables` (oldest first) into L1, as a
+    /// version holding only them, at `smallest_snapshot`.
+    fn merge(tables: &[&[Entry<'_>]], smallest_snapshot: u64) -> (Arc<TableCache>, CompactionOutcome) {
+        let files = FileStore::new(Arc::new(MemEnv::new()), None, crate::IntegrityOptions::default());
         let tc = TableCache::new(files, "db".into(), None, 0);
-
-        // File 1 (older): a=1@5, b=1@6, c=1@7
-        // File 2 (newer): a=2@10, b deleted @11
-        let mk_table = |number: u64, entries: &[(&str, u64, ValueType, &str)]| {
-            let path = shield_env::join_path("db", &sst_file_name(number));
-            let file = env.new_writable_file(&path, FileKind::Sst).unwrap();
-            let mut b = TableBuilder::new(file, TableBuilderOptions::default());
-            for (k, seq, t, v) in entries {
-                b.add(&make_internal_key(k.as_bytes(), *seq, *t), v.as_bytes()).unwrap();
-            }
-            let (props, size) = b.finish().unwrap();
-            Arc::new(FileMeta {
-                number,
-                file_size: size,
-                smallest: make_internal_key(&props.smallest_user_key, MAX_SEQUENCE, ValueType::Value),
-                largest: make_internal_key(&props.largest_user_key, 0, ValueType::Deletion),
-                dek_id: None,
-                table: TableSlot::default(),
-            })
-        };
-        let old = mk_table(
-            1,
-            &[
-                ("a", 5, ValueType::Value, "a1"),
-                ("b", 6, ValueType::Value, "b1"),
-                ("c", 7, ValueType::Value, "c1"),
-            ],
-        );
-        let new = mk_table(
-            2,
-            &[("a", 10, ValueType::Value, "a2"), ("b", 11, ValueType::Deletion, "")],
-        );
+        let mut inputs: Vec<_> =
+            tables.iter().zip(1..).map(|(entries, n)| l0_table(&tc, n, entries)).collect();
+        inputs.reverse();
         let mut version = Version::new();
-        version.files[0] = vec![new.clone(), old.clone()];
-
-        let task = CompactionTask::Merge {
-            input_level: 0,
-            output_level: 1,
-            inputs: vec![new, old],
-            overlaps: vec![],
-        };
+        version.files[0] = inputs.clone();
+        let task = CompactionTask::Merge { input_level: 0, output_level: 1, inputs, overlaps: vec![] };
         let mut next = 10u64;
         let mut alloc = || {
             next += 1;
             next
         };
-        let mut ctx = CompactionContext {
-            table_cache: &tc,
+        let request = CompactionRequest {
+            db_path: "db",
+            task: &task,
             version: &version,
-            smallest_snapshot: MAX_SEQUENCE,
-            table_options: TableBuilderOptions::default(),
+            smallest_snapshot,
+            table_options: &TableBuilderOptions::default(),
             target_file_size: 1 << 20,
-            next_file_number: &mut alloc,
         };
-        let outcome = run_compaction(&mut ctx, &task).unwrap();
-        assert_eq!(outcome.outputs, 1);
+        let outcome = run_compaction(&tc, &request, &mut alloc).unwrap();
+        (tc, outcome)
+    }
+
+    /// End-to-end merge: build two real overlapping L0 tables, compact,
+    /// verify the output drops shadowed versions and tombstones.
+    #[test]
+    fn merge_drops_shadowed_and_tombstones() {
+        let old = [
+            ("a", 5, ValueType::Value, "a1"),
+            ("b", 6, ValueType::Value, "b1"),
+            ("c", 7, ValueType::Value, "c1"),
+        ];
+        let new = [("a", 10, ValueType::Value, "a2"), ("b", 11, ValueType::Deletion, "")];
+        let (tc, outcome) = merge(&[&old, &new], MAX_SEQUENCE);
+        assert_eq!(outcome.edit.new_files.len(), 1);
         // a@5 shadowed, b@6 shadowed, b-tombstone elided (base level).
         assert_eq!(outcome.entries_dropped, 3);
         assert_eq!(outcome.edit.deleted_files.len(), 2);
@@ -875,49 +804,9 @@ mod tests {
     /// Snapshots must preserve versions still visible to them.
     #[test]
     fn merge_respects_snapshots() {
-        use crate::sst::builder::TableBuilder;
-        use shield_env::Env;
-
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let files = FileStore::new(env.clone(), None, crate::IntegrityOptions::default());
-        let tc = TableCache::new(files, "db".into(), None, 0);
-        let path = shield_env::join_path("db", &sst_file_name(1));
-        let file = env.new_writable_file(&path, FileKind::Sst).unwrap();
-        let mut b = TableBuilder::new(file, TableBuilderOptions::default());
-        b.add(&make_internal_key(b"k", 10, ValueType::Value), b"v10").unwrap();
-        b.add(&make_internal_key(b"k", 4, ValueType::Value), b"v4").unwrap();
-        let (_, size) = b.finish().unwrap();
-        let meta = Arc::new(FileMeta {
-            number: 1,
-            file_size: size,
-            smallest: make_internal_key(b"k", MAX_SEQUENCE, ValueType::Value),
-            largest: make_internal_key(b"k", 0, ValueType::Deletion),
-            dek_id: None,
-            table: TableSlot::default(),
-        });
-        let mut version = Version::new();
-        version.files[0] = vec![meta.clone()];
-        let task = CompactionTask::Merge {
-            input_level: 0,
-            output_level: 1,
-            inputs: vec![meta],
-            overlaps: vec![],
-        };
-        let mut next = 10u64;
-        let mut alloc = || {
-            next += 1;
-            next
-        };
         // A snapshot at seq 5 still needs v4.
-        let mut ctx = CompactionContext {
-            table_cache: &tc,
-            version: &version,
-            smallest_snapshot: 5,
-            table_options: TableBuilderOptions::default(),
-            target_file_size: 1 << 20,
-            next_file_number: &mut alloc,
-        };
-        let outcome = run_compaction(&mut ctx, &task).unwrap();
+        let versions = [("k", 10, ValueType::Value, "v10"), ("k", 4, ValueType::Value, "v4")];
+        let (tc, outcome) = merge(&[&versions], 5);
         assert_eq!(outcome.entries_dropped, 0);
         let table = outcome.edit.new_files[0].1.table(&tc).unwrap();
         assert_eq!(table.properties().num_entries, 2);

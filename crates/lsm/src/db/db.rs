@@ -36,7 +36,6 @@ use crate::db::tree::{Subtask, Tree};
 use crate::db::write::{Pending, WalState};
 use crate::error::{Error, Result, Severity};
 use crate::files::FileStore;
-use crate::integrity::IntegrityOptions;
 use crate::iter::InternalIterator;
 use crate::obs::{EnvLogSink, LOG_FILE_NAME};
 use crate::statistics::Statistics;
@@ -135,11 +134,19 @@ pub struct Db {
 impl Db {
     /// Opens (creating or recovering) a database at `path`.
     ///
-    /// `opts.shards` / `opts.shard_by` fix the tree layout at creation; a
-    /// reopen with a different layout is refused (the `SHARDING` manifest
-    /// records the original). A single tree lives in `path` itself,
-    /// several in `path/shard-<i>/` beside the WAL they share.
+    /// `opts.shard_by` fixes the tree layout at creation; a reopen with a
+    /// different layout is refused (the `SHARDING` manifest records the
+    /// original). A single tree lives in `path` itself, several in
+    /// `path/shard-<i>/` beside the WAL they share. `opts.table` may not
+    /// name a DEK or a MAC key: each new table gets its own from the file
+    /// layer.
     pub fn open(mut opts: Options, path: &str) -> Result<Db> {
+        if opts.table.dek_id.is_some() || opts.table.mac_key.is_some() {
+            return Err(Error::InvalidArgument(
+                "Options::table may not set dek_id or mac_key: the file layer picks both for each table"
+                    .into(),
+            ));
+        }
         // Slow-op capture and the watchdog read the flight recorder, so
         // either one turns it on, set as a field or through its builder.
         opts.trace_ops |= opts.slow_op_threshold.is_some() || opts.watchdog_deadline.is_some();
@@ -186,7 +193,7 @@ impl Db {
         let files = FileStore {
             env: env.clone(),
             encryption: opts.encryption.clone(),
-            integrity: IntegrityOptions { mode: opts.integrity, key: opts.integrity_key },
+            integrity: opts.integrity,
             stats: opts.statistics.clone(),
             events,
             ready: Arc::default(),
@@ -747,6 +754,7 @@ pub struct IntegrityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sst::builder::TableBuilderOptions;
     use shield_env::{Env, FaultInjectionEnv, MemEnv};
 
     fn open_mem() -> (MemEnv, Db) {
@@ -762,6 +770,56 @@ mod tests {
 
     fn r() -> ReadOptions {
         ReadOptions::new()
+    }
+
+    /// A flush writes its memtable whole into one L0 table: every entry,
+    /// overwritten versions and tombstones included, and no cut at
+    /// `target_file_size`, which only a compaction's merge heeds.
+    #[test]
+    fn a_flush_writes_every_entry_into_one_l0_table() {
+        let mut opts = Options::new(Arc::new(MemEnv::new()));
+        opts.compaction.target_file_size = 1024;
+        let db = Db::open(opts, "db").unwrap();
+        let mut entries = 0;
+        for round in 0..3 {
+            for i in 0..500u32 {
+                let key = format!("key{i:05}");
+                if round == 2 && i % 5 == 0 {
+                    db.delete(&w(), key.as_bytes()).unwrap();
+                } else {
+                    db.put(&w(), key.as_bytes(), &[b'v'; 40]).unwrap();
+                }
+                entries += 1;
+            }
+        }
+        db.flush().unwrap();
+        let tree = &db.inner.trees[0];
+        let version = tree.state.lock().versions.current();
+        assert_eq!(version.files[0].len(), 1, "one flush, one L0 table");
+        assert!(version.files[1..].iter().all(Vec::is_empty));
+        let meta = &version.files[0][0];
+        assert!(meta.file_size > 50 * 1024, "the table is {} B", meta.file_size);
+        let table = meta.table(&tree.table_cache).unwrap();
+        assert_eq!(table.properties().num_entries, entries, "a flush drops nothing");
+        let s = db.statistics().snapshot();
+        assert_eq!((s.flushes, s.sst_files_created, s.flush_bytes), (1, 1, meta.file_size));
+    }
+
+    /// Each new table takes its DEK and tag key from the file layer, so
+    /// options that name either are refused before anything is opened.
+    #[test]
+    fn open_refuses_table_options_that_name_a_key() {
+        let env = MemEnv::new();
+        let keyed = [
+            TableBuilderOptions { dek_id: Some(DekId(7)), ..TableBuilderOptions::default() },
+            TableBuilderOptions { mac_key: Some([1; 32]), ..TableBuilderOptions::default() },
+        ];
+        for table in keyed {
+            let opts = Options { table, ..Options::new(Arc::new(env.clone())) };
+            assert!(matches!(Db::open(opts, "db"), Err(Error::InvalidArgument(_))));
+        }
+        assert!(env.list_dir("db").unwrap_or_default().is_empty(), "nothing was created");
+        Db::open(Options::new(Arc::new(env)), "db").unwrap();
     }
 
     #[test]

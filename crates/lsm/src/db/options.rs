@@ -9,17 +9,20 @@ pub use crate::compaction::CompactionStyle;
 use crate::cache::BlockCache;
 use crate::compaction::CompactionParams;
 use crate::encryption::EncryptionConfig;
-use crate::integrity::Integrity;
+use crate::integrity::{Integrity, IntegrityOptions};
+use crate::sst::builder::TableBuilderOptions;
 use crate::statistics::Statistics;
 
-/// How a [`crate::Db`] with more than one tree routes user keys to them.
+/// How many trees a [`crate::Db`] keeps and how it routes user keys to
+/// them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardBy {
-    /// FNV-1a hash of the user key, modulo the shard count. Needs no
-    /// configuration and balances any key distribution.
-    Hash,
-    /// Key ranges split at the given boundaries (sorted, strictly
-    /// increasing, `shards - 1` entries): shard `i` owns keys in
+    /// This many trees (0 counts as 1); a key goes to the FNV-1a hash of
+    /// the user key modulo the count. Needs no configuration and balances
+    /// any key distribution.
+    Hash(usize),
+    /// `boundaries.len() + 1` trees split at the given boundaries (sorted,
+    /// strictly increasing): shard `i` owns keys in
     /// `[boundaries[i-1], boundaries[i])`, with the first shard owning
     /// everything below `boundaries[0]` and the last everything from
     /// `boundaries[last]` up.
@@ -31,7 +34,8 @@ pub enum ShardBy {
 /// Defaults follow the paper's scaled-down benchmark profile: 4 MiB
 /// memtables, 4 KiB blocks, leveled compaction with fanout 10, and no
 /// encryption; bloom filters take 16 bits per key
-/// ([`crate::sst::filter::BITS_PER_KEY`]). SHIELD is enabled by opening
+/// ([`crate::sst::filter::BITS_PER_KEY`]), as [`TableBuilderOptions`]'s
+/// defaults say. SHIELD is enabled by opening
 /// through `shield::open_shield`, which builds the identity's encryption
 /// layer and sets [`Options::encryption`].
 #[derive(Clone)]
@@ -46,13 +50,11 @@ pub struct Options {
     pub write_buffer_size: usize,
     /// How many immutable memtables may queue before writers stall.
     pub max_immutable_memtables: usize,
-    /// SST data-block size (RocksDB default 4096).
-    pub block_size: usize,
-    /// Restart interval within blocks.
-    pub restart_interval: usize,
-    /// Bloom bits per key (0 disables filters); defaults to
-    /// [`crate::sst::filter::BITS_PER_KEY`].
-    pub bloom_bits_per_key: usize,
+    /// How every flush and compaction builds its tables: data-block size,
+    /// restart interval, bloom bits per key. `dek_id` and `mac_key` must
+    /// stay `None` ([`crate::Db::open`] refuses them): the file layer
+    /// picks both for each new file.
+    pub table: TableBuilderOptions,
     /// Block cache capacity in bytes (0 disables the cache). Open tables'
     /// index and filter blocks are pinned in it and charged to it. To
     /// share one cache between databases, or to choose its shard count,
@@ -78,15 +80,14 @@ pub struct Options {
     pub disable_wal: bool,
     /// SHIELD encryption; `None` runs plaintext.
     pub encryption: Option<EncryptionConfig>,
-    /// Integrity mode for newly written files: [`Integrity::Hmac`] adds a
-    /// truncated per-block HMAC-SHA256 tag to every SST block and
-    /// WAL/MANIFEST record, detected and verified on read regardless of
-    /// this setting (verification is file-format driven).
-    pub integrity: Integrity,
-    /// Engine-wide MAC key for files without a DEK (plaintext and EncFS
-    /// deployments, unencrypted WALs). SHIELD-encrypted files derive a
-    /// per-file subkey from their DEK instead.
-    pub integrity_key: [u8; 32],
+    /// Integrity mode for newly written files and the engine-wide MAC
+    /// key: [`Integrity::Hmac`] adds a truncated per-block HMAC-SHA256 tag
+    /// to every SST block and WAL/MANIFEST record, detected and verified
+    /// on read regardless of the mode (verification is file-format
+    /// driven). The key authenticates files without a DEK (plaintext and
+    /// EncFS deployments, unencrypted WALs); SHIELD-encrypted files derive
+    /// a per-file subkey from their DEK instead.
+    pub integrity: IntegrityOptions,
     /// Where compactions run: `None` = in-process; `Some` = offloaded
     /// (e.g. to the disaggregated storage server, paper §5.6).
     pub compaction_executor: Option<Arc<dyn crate::compaction::CompactionExecutor>>,
@@ -131,9 +132,8 @@ pub struct Options {
     /// does.
     pub watchdog_deadline: Option<std::time::Duration>,
     /// How many trees the database keeps behind its one write front
-    /// (1 = a single LSM). Fixed when the database is created.
-    pub shards: usize,
-    /// Key→tree routing policy. Fixed when the database is created.
+    /// (`Hash(1)` = a single LSM) and how keys are routed to them. Fixed
+    /// when the database is created.
     pub shard_by: ShardBy,
     /// Use this block cache instead of building a private one (ignores
     /// [`Options::block_cache_bytes`]), e.g. to share one cache between
@@ -151,9 +151,7 @@ impl Options {
             error_if_exists: false,
             write_buffer_size: 4 * 1024 * 1024,
             max_immutable_memtables: 2,
-            block_size: 4096,
-            restart_interval: 16,
-            bloom_bits_per_key: crate::sst::filter::BITS_PER_KEY,
+            table: TableBuilderOptions::default(),
             block_cache_bytes: 32 * 1024 * 1024,
             readahead_blocks: 0,
             compaction: CompactionParams::default(),
@@ -162,8 +160,7 @@ impl Options {
             max_background_jobs: 4,
             disable_wal: false,
             encryption: None,
-            integrity: Integrity::Crc,
-            integrity_key: [0u8; 32],
+            integrity: IntegrityOptions::default(),
             compaction_executor: None,
             max_background_retries: 3,
             background_retry_backoff: std::time::Duration::from_millis(1),
@@ -175,8 +172,7 @@ impl Options {
             slow_op_threshold: None,
             stats_dump_period: None,
             watchdog_deadline: None,
-            shards: 1,
-            shard_by: ShardBy::Hash,
+            shard_by: ShardBy::Hash(1),
             shared_block_cache: None,
         }
     }
@@ -185,8 +181,7 @@ impl Options {
     /// [`Options::with_shard_ranges`] for range routing.
     #[must_use]
     pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self.shard_by = ShardBy::Hash;
+        self.shard_by = ShardBy::Hash(n.max(1));
         self
     }
 
@@ -194,7 +189,6 @@ impl Options {
     /// (sorted, strictly increasing) keys.
     #[must_use]
     pub fn with_shard_ranges(mut self, boundaries: Vec<Vec<u8>>) -> Self {
-        self.shards = boundaries.len() + 1;
         self.shard_by = ShardBy::Range(boundaries);
         self
     }
@@ -202,14 +196,14 @@ impl Options {
     /// Sets the integrity mode for newly written files.
     #[must_use]
     pub fn with_integrity(mut self, mode: Integrity) -> Self {
-        self.integrity = mode;
+        self.integrity.mode = mode;
         self
     }
 
     /// Sets the engine-wide MAC key used for files without a DEK.
     #[must_use]
     pub fn with_integrity_key(mut self, key: [u8; 32]) -> Self {
-        self.integrity_key = key;
+        self.integrity.key = key;
         self
     }
 
@@ -340,9 +334,9 @@ mod tests {
         let o = Options::new(Arc::new(MemEnv::new()));
         assert!(o.create_if_missing);
         assert!(o.encryption.is_none());
-        assert_eq!(o.integrity, Integrity::Crc);
-        assert_eq!(o.integrity_key, [0u8; 32]);
-        assert_eq!(o.block_size, 4096);
+        assert_eq!((o.integrity.mode, o.integrity.key), (Integrity::Crc, [0u8; 32]));
+        assert_eq!(o.table.block_size, 4096);
+        assert_eq!(o.shard_by, ShardBy::Hash(1));
         assert_eq!(o.compaction.fanout, 10);
     }
 

@@ -1,13 +1,16 @@
 //! Crash recovery: replays the WAL segments the trees' manifests still
-//! need into per-tree recovery memtables and flushes those to L0.
+//! need into per-tree recovery memtables and flushes those to L0, each a
+//! flush counted and announced as a background one is.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use shield_core::Event;
 use shield_env::FileKind;
 
 use crate::db::batch::WriteBatch;
 use crate::db::db::DbInner;
+use crate::db::metrics::OpKind;
 use crate::error::Result;
 use crate::memtable::MemTable;
 use crate::version::edit::VersionEdit;
@@ -66,7 +69,7 @@ impl DbInner {
             }
             // Legacy segments replay as-is but count as unprotected
             // under Hmac.
-            if self.opts.integrity == crate::integrity::Integrity::Hmac && tailer.is_legacy() {
+            if self.opts.integrity.mode == crate::integrity::Integrity::Hmac && tailer.is_legacy() {
                 self.files.stats.integrity_unprotected_files.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -80,14 +83,21 @@ impl DbInner {
             if mem.is_empty() {
                 continue;
             }
+            // A flush like the background one, on the opening thread: one
+            // op, announced and credited once its edit installs.
+            let op = self.op(OpKind::Flush);
+            self.files.events.emit(&Event::FlushBegin { immutables: 1 });
             let mut state = tree.state.lock();
             let number = state.versions.new_file_number();
             state.pending_outputs.insert(number);
             // Build while holding the lock: open() is single-threaded.
-            let meta = self.write_level0_table(tree, mem, number)?;
+            let output = self.write_level0_table(tree, mem, number)?;
             state.pending_outputs.remove(&number);
-            let edit = VersionEdit { new_files: vec![(0, meta)], ..VersionEdit::default() };
+            let table = output.as_ref().map(|(_, meta)| (meta.number, meta.file_size));
+            let edit = VersionEdit { new_files: output.into_iter().collect(), ..VersionEdit::default() };
             self.log_and_apply(&mut state, edit)?;
+            drop(state);
+            self.credit_flush(tree, table, op.finish().as_micros() as u64);
         }
         Ok(replayed)
     }

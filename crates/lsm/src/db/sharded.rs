@@ -29,23 +29,19 @@ fn fnv1a64(key: &[u8]) -> u64 {
 }
 
 impl Router {
-    /// The router `opts.shards` / `opts.shard_by` describe.
+    /// The router `opts.shard_by` describes.
     pub fn new(opts: &Options) -> Result<Router> {
-        let shards = opts.shards.max(1);
-        if let ShardBy::Range(bounds) = &opts.shard_by {
-            if bounds.len() + 1 != shards {
-                return Err(Error::InvalidArgument(format!(
-                    "{} range boundaries define {} shards, but shards={shards}",
-                    bounds.len(),
-                    bounds.len() + 1
-                )));
+        let shards = match &opts.shard_by {
+            ShardBy::Hash(n) => (*n).max(1),
+            ShardBy::Range(bounds) => {
+                if !bounds.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(Error::InvalidArgument(
+                        "shard range boundaries must be strictly increasing".into(),
+                    ));
+                }
+                bounds.len() + 1
             }
-            if !bounds.windows(2).all(|w| w[0] < w[1]) {
-                return Err(Error::InvalidArgument(
-                    "shard range boundaries must be strictly increasing".into(),
-                ));
-            }
-        }
+        };
         Ok(Router { shards, by: opts.shard_by.clone() })
     }
 
@@ -55,7 +51,7 @@ impl Router {
 
     pub fn shard_of(&self, key: &[u8]) -> usize {
         match &self.by {
-            ShardBy::Hash => (fnv1a64(key) % self.shards as u64) as usize,
+            ShardBy::Hash(_) => (fnv1a64(key) % self.shards as u64) as usize,
             ShardBy::Range(bounds) => bounds.partition_point(|b| b.as_slice() <= key),
         }
     }
@@ -63,7 +59,7 @@ impl Router {
     /// `"hash"` or `"range"`, as the manifest and the metrics report name it.
     pub fn shard_by(&self) -> &'static str {
         match self.by {
-            ShardBy::Hash => "hash",
+            ShardBy::Hash(_) => "hash",
             ShardBy::Range(_) => "range",
         }
     }
@@ -193,6 +189,20 @@ mod tests {
                 .expect_err("v1 layout must be refused");
             assert!(err.to_string().contains("shield-sharding-v1"), "got {err}");
         }
+    }
+
+    /// The manifest a sharded directory was created with is the one it is
+    /// checked against on every reopen, so its bytes never change.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let hash = router(opts(&MemEnv::new()).with_shards(4));
+        assert_eq!(hash.render_manifest(), "shield-sharding-v2\nshards=4\nshard_by=hash\n");
+        let range =
+            router(opts(&MemEnv::new()).with_shard_ranges(vec![vec![0, 0xff], b"g".to_vec()]));
+        assert_eq!(
+            range.render_manifest(),
+            "shield-sharding-v2\nshards=3\nshard_by=range\nboundary=00ff\nboundary=67\n"
+        );
     }
 
     #[test]

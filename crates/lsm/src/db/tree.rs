@@ -19,7 +19,7 @@ use shield_env::FileKind;
 
 use crate::compaction::{
     append_input_deletions, pick_compaction, plan_subcompactions, run_compaction,
-    run_compaction_range, CompactionContext, CompactionOutcome, CompactionTask,
+    run_compaction_range, CompactionOutcome, CompactionRequest, CompactionTask,
     SubcompactionRange,
 };
 use crate::db::db::DbInner;
@@ -29,16 +29,19 @@ use crate::db::read::ReadView;
 use crate::error::{Error, Result, Severity};
 use crate::iter::InternalIterator;
 use crate::memtable::MemTable;
-use crate::sst::builder::{TableBuilder, TableBuilderOptions};
-use crate::types::{make_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE};
+use crate::types::SequenceNumber;
 use crate::version::edit::{FileMeta, TableSlot, VersionEdit};
 use crate::version::filenames::{parse_file_name, FileType};
-use crate::version::table_cache::TableCache;
+use crate::version::table_cache::{TableCache, TableSink};
 use crate::version::version::Version;
 use crate::version::VersionSet;
 
 /// A queued subrange merge of an in-flight parallel compaction.
 pub(super) type Subtask = Box<dyn FnOnce() + Send>;
+
+/// One slot per subrange of a parallel compaction, and the condvar its
+/// coordinator waits on until every slot is filled.
+type SubrangeResults = (Mutex<Vec<Option<Result<CompactionOutcome>>>>, Condvar);
 
 pub(super) struct TreeState {
     pub mem: Arc<MemTable>,
@@ -214,50 +217,57 @@ impl DbInner {
         }
     }
 
-    /// Builds an L0 table of tree `t` from a memtable. Runs without the
-    /// state lock.
+    /// Writes a memtable into the L0 table `number` of `tree`: every
+    /// entry, no cut, so one table, or none for an empty memtable. Runs
+    /// without the state lock.
     pub(super) fn write_level0_table(
         &self,
         tree: &Tree,
         mem: &MemTable,
         number: u64,
-    ) -> Result<FileMeta> {
-        let (file, dek_id, mac_key) = tree.table_cache.create(number)?;
-        let opts = TableBuilderOptions { dek_id, mac_key, ..self.table_options() };
-        let mut builder = TableBuilder::new(file, opts);
+    ) -> Result<Option<(u32, FileMeta)>> {
+        let mut alloc = || number;
+        let mut sink = TableSink::new(&tree.table_cache, &self.opts.table, 0, &mut alloc);
         let mut it = mem.iter();
         it.seek_to_first();
         while it.valid() {
-            builder.add(it.key(), it.value())?;
+            sink.add(it.key(), it.value())?;
             InternalIterator::next(&mut it);
         }
-        let (props, size) = builder.finish()?;
-        // Open the new table on this (background) thread before the edit
-        // installs it: the file is checked readable, and the table rides
-        // into the version in the file's meta, so no `get` pays for
-        // header, footer, index, filter and properties — six to seven
-        // round trips on remote storage.
-        let table = tree.table_cache.open(number)?;
-        self.files.stats.local().flush_bytes.fetch_add(size, Ordering::Relaxed);
-        self.files.stats.local().sst_files_created.fetch_add(1, Ordering::Relaxed);
-        Ok(FileMeta {
-            number,
-            file_size: size,
-            smallest: make_internal_key(&props.smallest_user_key, MAX_SEQUENCE, ValueType::Value),
-            largest: make_internal_key(&props.largest_user_key, 0, ValueType::Deletion),
-            dek_id: props.dek_id,
-            table: TableSlot::holding(table),
-        })
+        Ok(sink.finish()?.0.pop())
     }
 
-    /// Builder options without a file's identity: the site that creates an
-    /// output fills in its DEK id and tag key from the [`FileStore`].
-    fn table_options(&self) -> TableBuilderOptions {
-        TableBuilderOptions {
-            block_size: self.opts.block_size,
-            restart_interval: self.opts.restart_interval,
-            bloom_bits_per_key: self.opts.bloom_bits_per_key,
-            ..TableBuilderOptions::default()
+    /// Credits an installed flush of `tree` — the ticker and the tree's
+    /// count, and the `(number, bytes)` of its table, if it wrote one —
+    /// and announces it. Every flush, in the background or at open, calls
+    /// this once, right after its edit installs.
+    pub(super) fn credit_flush(&self, tree: &Tree, table: Option<(u64, u64)>, micros: u64) {
+        let (file_number, bytes) = table.unwrap_or((0, 0));
+        let stats = self.files.stats.local();
+        stats.flushes.fetch_add(1, Ordering::Relaxed);
+        stats.flush_bytes.fetch_add(bytes, Ordering::Relaxed);
+        stats.sst_files_created.fetch_add(u64::from(table.is_some()), Ordering::Relaxed);
+        tree.flushes.fetch_add(1, Ordering::Relaxed);
+        self.files.events.emit(&Event::FlushEnd { file_number, bytes, micros });
+    }
+
+    /// The request that describes a merge of tree `t`'s `task`, picked
+    /// against `version`: what the in-process merge, each of its
+    /// subranges and an offloaded executor run.
+    fn compaction_request<'a>(
+        &'a self,
+        t: usize,
+        task: &'a CompactionTask,
+        version: &'a Version,
+        smallest_snapshot: SequenceNumber,
+    ) -> CompactionRequest<'a> {
+        CompactionRequest {
+            db_path: &self.trees[t].path,
+            task,
+            version,
+            smallest_snapshot,
+            table_options: &self.opts.table,
+            target_file_size: self.opts.compaction.target_file_size,
         }
     }
 
@@ -335,39 +345,30 @@ impl DbInner {
             };
             let op = self.op(OpKind::Flush);
             self.files.events.emit(&Event::FlushBegin { immutables });
-            let result = if mem.is_empty() {
-                Ok(None)
-            } else {
-                // A fresh writable open truncates any partial output from
-                // the failed attempt, so retrying with the same file
-                // number is safe.
-                self.with_bg_retries("flush", || self.write_level0_table(tree, &mem, number))
-                    .map(Some)
-            };
+            // A fresh writable open truncates any partial output from the
+            // failed attempt, so retrying with the same file number is
+            // safe.
+            let result =
+                self.with_bg_retries("flush", || self.write_level0_table(tree, &mem, number));
             let mut state = tree.state.lock();
             state.pending_outputs.remove(&number);
-            let installed = result.and_then(|meta| {
+            let installed = result.and_then(|output| {
+                let table = output.as_ref().map(|(_, meta)| (meta.number, meta.file_size));
                 // The WAL this tree needs going forward is the one behind
                 // its next-oldest memtable.
                 let min_wal = state.imm.get(1).unwrap_or(&state.mem).wal_number();
-                let mut edit = VersionEdit { log_number: Some(min_wal), ..VersionEdit::default() };
-                let output = meta.as_ref().map_or((0, 0), |m| (m.number, m.file_size));
-                if let Some(meta) = meta {
-                    edit.new_files.push((0, meta));
-                }
-                self.log_and_apply(&mut state, edit).map(|()| output)
+                let edit = VersionEdit {
+                    log_number: Some(min_wal),
+                    new_files: output.into_iter().collect(),
+                    ..VersionEdit::default()
+                };
+                self.log_and_apply(&mut state, edit).map(|()| table)
             });
             let micros = op.finish().as_micros() as u64;
             match installed {
-                Ok((file_number, bytes)) => {
+                Ok(table) => {
                     state.imm.remove(0);
-                    self.files.stats.local().flushes.fetch_add(1, Ordering::Relaxed);
-                    tree.flushes.fetch_add(1, Ordering::Relaxed);
-                    self.files.events.emit(&Event::FlushEnd {
-                        file_number,
-                        bytes,
-                        micros,
-                    });
+                    self.credit_flush(tree, table, micros);
                     // GC does env and KDS round trips: never under the
                     // state lock, which every get and commit takes. It
                     // runs before this flush's follow-up compaction is
@@ -432,7 +433,6 @@ impl DbInner {
             input_bytes: task_input_bytes,
         });
 
-        let table_options = self.table_options();
         // Every output number any attempt allocates lands here, so the
         // install/error paths below can clear `pending_outputs` exactly —
         // including numbers abandoned by failed retry attempts, which
@@ -463,29 +463,14 @@ impl DbInner {
                 input_bytes: task_input_bytes,
                 l0_files: l0_files as u64,
             });
-            self.run_subcompactions(
-                t,
-                Arc::new(task.clone()),
-                &version,
-                smallest_snapshot,
-                &table_options,
-                plan,
-                &allocated,
-            )
+            self.run_subcompactions(t, Arc::new(task.clone()), &version, smallest_snapshot, plan, &allocated)
         } else {
             let mut alloc = || self.alloc_compaction_output(tree, &allocated);
+            let request = self.compaction_request(t, &task, &version, smallest_snapshot);
             self.with_bg_retries("compaction", || match &self.opts.compaction_executor {
                 Some(executor) => {
                     // Offloaded: the remote worker resolves DEKs itself from
                     // the DEK-IDs embedded in the file metadata (§5.4).
-                    let request = crate::compaction::CompactionRequest {
-                        db_path: &tree.path,
-                        task: &task,
-                        version: &version,
-                        smallest_snapshot,
-                        table_options: table_options.clone(),
-                        target_file_size: self.opts.compaction.target_file_size,
-                    };
                     let mut outcome = executor.execute(&request, &mut alloc)?;
                     // The worker opened its outputs its own way; open them
                     // here too, on the background thread, so no foreground
@@ -496,17 +481,7 @@ impl DbInner {
                     }
                     Ok(outcome)
                 }
-                None => {
-                    let mut ctx = CompactionContext {
-                        table_cache: &tree.table_cache,
-                        version: &version,
-                        smallest_snapshot,
-                        table_options: table_options.clone(),
-                        target_file_size: self.opts.compaction.target_file_size,
-                        next_file_number: &mut alloc,
-                    };
-                    run_compaction(&mut ctx, &task)
-                }
+                None => run_compaction(&tree.table_cache, &request, &mut alloc),
             })
         };
 
@@ -532,17 +507,18 @@ impl DbInner {
         self.files.stats.local().compaction_micros.fetch_add(micros, Ordering::Relaxed);
         match installed {
             Ok(outcome) => {
+                let outputs = outcome.edit.new_files.len() as u64;
                 let stats = self.files.stats.local();
                 stats.compactions.fetch_add(1, Ordering::Relaxed);
                 tree.compactions.fetch_add(1, Ordering::Relaxed);
                 stats.compaction_bytes_read.fetch_add(outcome.bytes_read, Ordering::Relaxed);
                 stats.compaction_bytes_written.fetch_add(outcome.bytes_written, Ordering::Relaxed);
-                stats.sst_files_created.fetch_add(outcome.outputs as u64, Ordering::Relaxed);
+                stats.sst_files_created.fetch_add(outputs, Ordering::Relaxed);
                 self.files.events.emit(&Event::CompactionEnd {
                     level: task_level,
                     bytes_read: outcome.bytes_read,
                     bytes_written: outcome.bytes_written,
-                    output_files: outcome.outputs as u64,
+                    output_files: outputs,
                     micros,
                 });
                 // Collect the inputs without the state lock (env and KDS
@@ -600,21 +576,18 @@ impl DbInner {
     /// behind other work, or lost entirely at shutdown), then waits for
     /// stragglers a worker already popped. Progress never depends on a
     /// second thread existing.
-    #[allow(clippy::too_many_arguments)]
     fn run_subcompactions(
         self: &Arc<Self>,
         t: usize,
         task: Arc<CompactionTask>,
         version: &Arc<Version>,
         smallest_snapshot: SequenceNumber,
-        table_options: &TableBuilderOptions,
         plan: Vec<SubcompactionRange>,
         allocated: &Arc<Mutex<Vec<u64>>>,
     ) -> Result<CompactionOutcome> {
         let n = plan.len();
-        let results: Arc<Mutex<Vec<Option<Result<CompactionOutcome>>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-        let remaining = Arc::new((Mutex::new(n), Condvar::new()));
+        let results: Arc<SubrangeResults> =
+            Arc::new((Mutex::new((0..n).map(|_| None).collect()), Condvar::new()));
 
         let mut ranges = plan.into_iter();
         let range0 = ranges.next().unwrap_or_default();
@@ -629,43 +602,21 @@ impl DbInner {
                 let this = self.clone();
                 let task = task.clone();
                 let version = version.clone();
-                let topts = table_options.clone();
                 let results = results.clone();
-                let remaining = remaining.clone();
                 let allocated = allocated.clone();
                 let tctx = tctx.clone();
                 queue.push_back(Box::new(move || {
                     let _trace = tctx.as_ref().map(trace::SpanContext::attach);
-                    this.run_one_subrange(
-                        t,
-                        index,
-                        &task,
-                        &version,
-                        smallest_snapshot,
-                        &topts,
-                        &range,
-                        &results,
-                        &remaining,
-                        &allocated,
-                    );
+                    let request = this.compaction_request(t, &task, &version, smallest_snapshot);
+                    this.run_one_subrange(t, index, &request, &range, &results, &allocated);
                 }));
             }
         }
         for _ in 1..n {
             self.submit_job(JobClass::General, |inner| inner.run_queued_subcompaction());
         }
-        self.run_one_subrange(
-            t,
-            0,
-            &task,
-            version,
-            smallest_snapshot,
-            table_options,
-            &range0,
-            &results,
-            &remaining,
-            allocated,
-        );
+        let request = self.compaction_request(t, &task, version, smallest_snapshot);
+        self.run_one_subrange(t, 0, &request, &range0, &results, allocated);
         // Steal whatever no worker has claimed yet.
         loop {
             let subtask = self.sub_queue.lock().pop_front();
@@ -675,45 +626,23 @@ impl DbInner {
             }
         }
         // Wait for subranges a worker popped but has not finished.
-        {
-            let (count, cv) = &*remaining;
-            let mut left = count.lock();
-            while *left > 0 {
-                cv.wait(&mut left);
-            }
+        let (slots, filled) = &*results;
+        let mut slots = slots.lock();
+        while slots.iter().any(Option::is_none) {
+            filled.wait(&mut slots);
         }
 
         // Stitch in subrange order: outputs are key-disjoint and the
         // version set re-sorts each level on apply, so concatenation
-        // preserves every invariant of the serial outcome.
+        // preserves every invariant of the serial outcome. The first
+        // failed subrange, in that order, fails the task.
         let mut merged =
             CompactionOutcome { bytes_read: task.input_bytes(), ..CompactionOutcome::default() };
-        let mut slots = results.lock();
-        let mut first_err: Option<Error> = None;
-        for slot in slots.iter_mut() {
-            match slot.take() {
-                Some(Ok(out)) => {
-                    merged.bytes_written += out.bytes_written;
-                    merged.entries_dropped += out.entries_dropped;
-                    merged.outputs += out.outputs;
-                    merged.edit.new_files.extend(out.edit.new_files);
-                }
-                Some(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                None => {
-                    if first_err.is_none() {
-                        first_err = Some(Error::Io(shield_env::EnvError::Io(
-                            "subcompaction result missing".to_string(),
-                        )));
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+        for out in slots.drain(..).flatten() {
+            let out = out?;
+            merged.bytes_written += out.bytes_written;
+            merged.entries_dropped += out.entries_dropped;
+            merged.edit.new_files.extend(out.edit.new_files);
         }
         // Inputs are deleted exactly once, for the task as a whole.
         append_input_deletions(&task, &mut merged.edit);
@@ -723,18 +652,13 @@ impl DbInner {
     /// Executes one subrange of a parallel compaction and publishes the
     /// result into its slot. Runs on whichever thread claimed it (a pool
     /// worker via a claim token, or the coordinator itself).
-    #[allow(clippy::too_many_arguments)]
     fn run_one_subrange(
         &self,
         t: usize,
         index: usize,
-        task: &CompactionTask,
-        version: &Arc<Version>,
-        smallest_snapshot: SequenceNumber,
-        table_options: &TableBuilderOptions,
+        request: &CompactionRequest<'_>,
         range: &SubcompactionRange,
-        results: &Mutex<Vec<Option<Result<CompactionOutcome>>>>,
-        remaining: &(Mutex<usize>, Condvar),
+        results: &SubrangeResults,
         allocated: &Mutex<Vec<u64>>,
     ) {
         let tree = &self.trees[t];
@@ -742,15 +666,7 @@ impl DbInner {
         op.attr("index", index as u64);
         let result = self.with_bg_retries("subcompaction", || {
             let mut alloc = || self.alloc_compaction_output(tree, allocated);
-            let mut ctx = CompactionContext {
-                table_cache: &tree.table_cache,
-                version,
-                smallest_snapshot,
-                table_options: table_options.clone(),
-                target_file_size: self.opts.compaction.target_file_size,
-                next_file_number: &mut alloc,
-            };
-            run_compaction_range(&mut ctx, task, range)
+            run_compaction_range(&tree.table_cache, request, range, &mut alloc)
         });
         let micros = op.finish().as_micros() as u64;
         self.files.stats.local().subcompactions.fetch_add(1, Ordering::Relaxed);
@@ -760,12 +676,11 @@ impl DbInner {
             bytes_written: result.as_ref().map_or(0, |o| o.bytes_written),
             micros,
         });
-        results.lock()[index] = Some(result);
-        let (count, cv) = remaining;
-        let mut left = count.lock();
-        *left -= 1;
-        if *left == 0 {
-            cv.notify_all();
+        let (slots, filled) = results;
+        let mut slots = slots.lock();
+        slots[index] = Some(result);
+        if slots.iter().all(Option::is_some) {
+            filled.notify_all();
         }
     }
 

@@ -18,7 +18,7 @@
 //! Keys: SHIELD-encrypted files use a MAC subkey derived from the file's
 //! DEK ([`derive_mac_subkey`], domain-separated from the CTR use of the
 //! key); plaintext and EncFS deployments use the engine-wide
-//! `Options::integrity_key`. Tags are computed over **plaintext** block
+//! `Options::integrity.key`. Tags are computed over **plaintext** block
 //! bytes — the builder and fetcher sit above the encryption layer, and
 //! CTR maps ciphertext mutations to plaintext mutations 1:1, so a
 //! plaintext MAC detects exactly the set of mutations that change what
@@ -27,7 +27,7 @@
 //!
 //! Verification is **file-format driven**, not option driven: a v2
 //! (tagged) file is always verified on read regardless of the current
-//! `Options::integrity` setting, and a v1 (legacy) file is always
+//! `Options::integrity.mode`, and a v1 (legacy) file is always
 //! readable — under `Hmac` it merely bumps the
 //! `integrity_unprotected_files` gauge so operators can watch the
 //! rewrite-by-compaction progress.
@@ -58,8 +58,8 @@ pub const CONTEXT_LEN: usize = 16;
 /// Length of the truncated HMAC-SHA256 tag appended per block/record.
 pub const BLOCK_TAG_LEN: usize = 16;
 
-/// Engine-level integrity settings, as threaded into the read path
-/// (a projection of [`crate::Options`] plus the fallback MAC key).
+/// Engine-level integrity settings ([`crate::Options::integrity`]), as
+/// every server's file layer applies them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IntegrityOptions {
     /// Write-side mode: should newly created files carry tags?

@@ -7,6 +7,9 @@
 //! reachable, so a get borrows it from the version with no lookup, lock or
 //! reference count of its own. There is no open-table bound: the index and
 //! filter blocks an open table pins are charged to the block cache.
+//!
+//! New tables are written here too: a [`TableSink`] is the output side of
+//! every flush and compaction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,8 +19,11 @@ use shield_env::FileKind;
 use crate::cache::BlockCache;
 use crate::error::Result;
 use crate::files::{CreatedFile, FileStore};
+use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::sst::fetcher::DEFAULT_INFLIGHT_READS;
 use crate::sst::{BlockFetcher, Table};
+use crate::types::{make_internal_key, ValueType, MAX_SEQUENCE};
+use crate::version::edit::{FileMeta, TableSlot};
 use crate::version::filenames::sst_file_name;
 
 /// Process-wide counter handing every [`TableCache`] a distinct owner id.
@@ -102,29 +108,111 @@ impl TableCache {
     }
 }
 
+/// The output side of every flush and compaction: writes entries, in
+/// internal-key order, into new tables at one level.
+///
+/// Each output is created through [`TableCache::create`], so it takes a
+/// fresh DEK and tag key from the file layer (SHIELD's key rotation,
+/// §5.2). A finished output is opened here, on the writing thread, before
+/// any edit installs it: the file is checked readable, and its table
+/// rides into the version in the file's meta, so no foreground read pays
+/// for the open. The caller decides where one output ends and the next
+/// begins ([`TableSink::cut`]); a flush never cuts.
+pub struct TableSink<'a> {
+    tables: &'a TableCache,
+    options: &'a TableBuilderOptions,
+    level: u32,
+    alloc: &'a mut dyn FnMut() -> u64,
+    building: Option<(u64, TableBuilder)>,
+    outputs: Vec<(u32, FileMeta)>,
+    bytes_written: u64,
+}
+
+impl<'a> TableSink<'a> {
+    /// A sink writing tables at `level` with `options` (their `dek_id`
+    /// and `mac_key` are set per output), numbered by `alloc`.
+    pub fn new(
+        tables: &'a TableCache,
+        options: &'a TableBuilderOptions,
+        level: usize,
+        alloc: &'a mut dyn FnMut() -> u64,
+    ) -> Self {
+        TableSink {
+            tables,
+            options,
+            level: level as u32,
+            alloc,
+            building: None,
+            outputs: Vec::new(),
+            bytes_written: 0,
+        }
+    }
+
+    /// Appends an entry to the current output, creating one if none is
+    /// open.
+    pub fn add(&mut self, ikey: &[u8], value: &[u8]) -> Result<()> {
+        let (_, builder) = match &mut self.building {
+            Some(building) => building,
+            none => {
+                let number = (self.alloc)();
+                let (file, dek_id, mac_key) = self.tables.create(number)?;
+                let opts = TableBuilderOptions { dek_id, mac_key, ..self.options.clone() };
+                none.insert((number, TableBuilder::new(file, opts)))
+            }
+        };
+        builder.add(ikey, value)
+    }
+
+    /// Bytes the current output has emitted so far (0 if none is open).
+    #[must_use]
+    pub fn file_size(&self) -> u64 {
+        self.building.as_ref().map_or(0, |(_, b)| b.file_size())
+    }
+
+    /// Finishes the current output, if one is open; the next
+    /// [`add`](Self::add) starts a new one.
+    pub fn cut(&mut self) -> Result<()> {
+        let Some((number, builder)) = self.building.take() else { return Ok(()) };
+        let (props, size) = builder.finish()?;
+        let table = self.tables.open(number)?;
+        self.bytes_written += size;
+        self.outputs.push((
+            self.level,
+            FileMeta {
+                number,
+                file_size: size,
+                smallest: make_internal_key(&props.smallest_user_key, MAX_SEQUENCE, ValueType::Value),
+                largest: make_internal_key(&props.largest_user_key, 0, ValueType::Deletion),
+                dek_id: props.dek_id,
+                table: TableSlot::holding(table),
+            },
+        ));
+        Ok(())
+    }
+
+    /// Finishes the last output and returns every output, as the
+    /// `(level, meta)` pairs of a version edit, with the bytes written.
+    pub fn finish(mut self) -> Result<(Vec<(u32, FileMeta)>, u64)> {
+        self.cut()?;
+        Ok((self.outputs, self.bytes_written))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::integrity::IntegrityOptions;
-    use crate::sst::builder::{TableBuilder, TableBuilderOptions};
-    use crate::types::{make_internal_key, ValueType};
-    use shield_env::{Env, MemEnv};
-
-    fn build(env: &MemEnv, number: u64) {
-        let path = shield_env::join_path("db", &sst_file_name(number));
-        let file = env.new_writable_file(&path, FileKind::Sst).unwrap();
-        let mut b = TableBuilder::new(file, TableBuilderOptions::default());
-        let ik = make_internal_key(format!("key-{number}").as_bytes(), 1, ValueType::Value);
-        b.add(&ik, b"v").unwrap();
-        b.finish().unwrap();
-    }
+    use shield_env::MemEnv;
 
     #[test]
     fn opens_fresh_readers_and_fails_on_missing_files() {
-        let env = MemEnv::new();
-        build(&env, 1);
-        let files = FileStore::new(Arc::new(env), None, IntegrityOptions::default());
+        let files = FileStore::new(Arc::new(MemEnv::new()), None, IntegrityOptions::default());
         let tables = TableCache::new(files, "db".into(), None, 0);
+        let (options, mut alloc) = (TableBuilderOptions::default(), || 1);
+        let mut sink = TableSink::new(&tables, &options, 0, &mut alloc);
+        sink.add(&make_internal_key(b"key-1", 1, ValueType::Value), b"v").unwrap();
+        let (built, _) = sink.finish().unwrap();
+        assert_eq!(built[0].1.number, 1);
         let a = tables.open(1).unwrap();
         let b = tables.open(1).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "the opener keeps nothing; the file's meta does");

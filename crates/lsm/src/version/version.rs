@@ -442,31 +442,23 @@ impl<I: InternalIterator> InternalIterator for LevelIterator<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sst::builder::{TableBuilder, TableBuilderOptions};
+    use crate::sst::builder::TableBuilderOptions;
     use crate::types::make_internal_key;
-    use crate::version::filenames::sst_file_name;
-    use shield_env::{Env, FileKind, MemEnv};
+    use crate::version::table_cache::TableSink;
+    use shield_env::MemEnv;
 
-    /// Builds an SST with the given user keys (seq 10) and returns meta.
+    /// Builds an SST with the given user keys (seq 10) through a sink and
+    /// returns its meta, not yet opened.
     fn build(env: &MemEnv, number: u64, keys: &[&str]) -> Arc<FileMeta> {
-        let path = shield_env::join_path("db", &sst_file_name(number));
-        let file = env.new_writable_file(&path, FileKind::Sst).unwrap();
-        let mut b = TableBuilder::new(file, TableBuilderOptions::default());
+        let (tc, options, mut alloc) = (cache(env), TableBuilderOptions::default(), || number);
+        let mut sink = TableSink::new(&tc, &options, 0, &mut alloc);
         let mut sorted: Vec<&str> = keys.to_vec();
         sorted.sort_unstable();
         for k in &sorted {
             let ik = make_internal_key(k.as_bytes(), 10, ValueType::Value);
-            b.add(&ik, format!("{k}@{number}").as_bytes()).unwrap();
+            sink.add(&ik, format!("{k}@{number}").as_bytes()).unwrap();
         }
-        let (_, size) = b.finish().unwrap();
-        Arc::new(FileMeta {
-            number,
-            file_size: size,
-            smallest: make_internal_key(sorted.first().unwrap().as_bytes(), 10, ValueType::Value),
-            largest: make_internal_key(sorted.last().unwrap().as_bytes(), 10, ValueType::Value),
-            dek_id: None,
-            table: Default::default(),
-        })
+        Arc::new(sink.finish().unwrap().0.remove(0).1.detached())
     }
 
     fn cache(env: &MemEnv) -> Arc<TableCache> {

@@ -11,22 +11,22 @@
 
 use std::sync::Arc;
 
-use shield::deploy::DisaggregatedStorage;
 use shield::{open_shield, open_shield_replica, ReplicaOptions, ShieldOptions, WriteOptions};
-use shield_env::{Env, MemEnv, NetworkModel};
+use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::Options;
 
 fn main() {
-    // The storage cluster: an in-memory backing store behind a network
-    // model (500 µs RTT, 1 Gbps — the paper's testbed profile).
+    // The storage cluster: an in-memory backing store, which the compute
+    // nodes mount behind a network model (500 µs RTT, 1 Gbps — the
+    // paper's testbed profile).
     let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let ds = DisaggregatedStorage::new(backing, NetworkModel::intra_datacenter());
+    let compute_mount = Arc::new(RemoteEnv::new(backing, NetworkModel::intra_datacenter()));
     let kds = Arc::new(LocalKds::new(KdsConfig::sstoolkit_like()));
 
     // Primary instance on the compute node (server-1).
     let primary = open_shield(
-        Options::new(ds.compute_mount()),
+        Options::new(compute_mount.clone()),
         "cluster/db",
         ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"primary-pass"),
     )
@@ -46,7 +46,7 @@ fn main() {
     // DEK-IDs embedded in the shared files' metadata. Without the poller
     // it serves the state of its last `catch_up()`.
     let reader = open_shield_replica(
-        ds.compute_mount(),
+        compute_mount.clone(),
         "cluster/db",
         "cluster/reader.cache",
         ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(3), b"reader-pass"),
@@ -67,7 +67,7 @@ fn main() {
         "\nreader DEK traffic: {} KDS fetches, then {} secure-cache hits",
         rs.cache_misses, rs.cache_hits
     );
-    let io = ds.remote().io_stats().expect("stats").snapshot();
+    let io = compute_mount.io_stats().expect("stats").snapshot();
     println!(
         "network I/O: {:.1} MiB written, {:.1} MiB read across the DS link",
         io.total_written() as f64 / (1 << 20) as f64,

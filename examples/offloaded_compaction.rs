@@ -8,21 +8,22 @@
 
 use std::sync::Arc;
 
-use shield::deploy::{DisaggregatedStorage, OffloadedCompactor};
+use shield::deploy::OffloadedCompactor;
 use shield::{open_shield, shield_encryption, ShieldOptions, WriteOptions};
-use shield_env::{Env, MemEnv, NetworkModel};
+use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{FileStore, IntegrityOptions, Options};
 
 fn main() {
-    let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let ds = DisaggregatedStorage::new(backing, NetworkModel::unlimited());
+    // One backing store: the compute node mounts it over the network, the
+    // storage server works on it directly.
+    let storage_env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let compute_mount = Arc::new(RemoteEnv::new(storage_env.clone(), NetworkModel::unlimited()));
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
 
     // The compaction worker lives on the storage server (server-2): its
     // I/O is storage-local, its DEKs come from the KDS via the DEK-IDs in
     // SST metadata, and its secure cache is its own.
-    let storage_env = ds.storage_local();
     let identity = ShieldOptions {
         chunk_size: 64 << 10,
         encryption_threads: 4,
@@ -39,7 +40,7 @@ fn main() {
     ));
 
     // The primary (server-1) hands its compactions to the worker.
-    let mut base = Options::new(ds.compute_mount()).with_write_buffer_size(64 << 10);
+    let mut base = Options::new(compute_mount).with_write_buffer_size(64 << 10);
     base.compaction.l0_compaction_trigger = 2;
     base.compaction_executor = Some(compactor.clone());
     let db = open_shield(

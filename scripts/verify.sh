@@ -7,9 +7,8 @@
 #           rule stays in the file layer (DESIGN.md §4m): no `_with_mac(`
 #           call and no read of the engine-wide integrity key in
 #           crates/{lsm,core}/src library code outside files.rs,
-#           encryption.rs, integrity.rs, db/options.rs and the one
-#           FileStore construction in Db::open; and one creator, one
-#           queue: a file gets its key in FileStore::create (take a ready
+#           encryption.rs, integrity.rs and db/options.rs; and one
+#           creator, one queue: a file gets its key in FileStore::create (take a ready
 #           DEK or generate one), so no library code under crates/*/src
 #           calls `.new_dek(` outside lsm's files.rs and encryption.rs and
 #           the resolver that defines it — a second caller would be a
@@ -55,7 +54,16 @@
 #           timed section: outside crates/obs, no library source under
 #           crates/*/src or src/ calls `trace::span(`, `perf::timer(` or
 #           `record_elapsed(` — a timed site holds a `Section` guard and
-#           an operation one op guard (DESIGN.md §4e);
+#           an operation one op guard (DESIGN.md §4e); one table sink:
+#           outside #[cfg(test)] code no library source under crates/*/src
+#           calls `TableBuilder::new(` but the TableSink in
+#           crates/lsm/src/version/table_cache.rs — a flush and a
+#           compaction write their tables through it, so where a new table
+#           takes its key, is opened and gets its FileMeta is one site —
+#           and `CompactionContext` and `DisaggregatedStorage` occur
+#           nowhere under crates/, examples/ or tests/ (one struct describes
+#           a merge, CompactionRequest; a deployment builds its RemoteEnv
+#           mount itself);
 #           clippy -D
 #           warnings over shield-crypto, shield-core, shield-env,
 #           shield-lsm and shield (skipped if clippy is unavailable).
@@ -136,7 +144,6 @@ for f in $(find crates/lsm/src crates/core/src -name '*.rs' | sort); do
     esac
     hits+=$(awk '/#\[cfg\(test\)\]/{exit}
         /^[[:space:]]*\/\//{next}
-        /IntegrityOptions \{ mode: opts\.integrity, key: opts\.integrity_key \}/{next}
         /_with_mac\(|integrity_key|\.integrity\.key/{print FILENAME": "FNR": "$0}' "$f")
 done
 if [[ -n "$hits" ]]; then
@@ -310,6 +317,24 @@ if [[ -n "$hits" ]]; then
     echo "FAIL: one instrument per timed section: time a scope with a shield_core::Section"
     echo "      guard (it charges the PerfContext and records the span from one pair of"
     echo "      clock reads) and an operation with one op guard (shield_core::Op)."
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: one-table-sink gate (crates/*/src, examples/, tests/) =="
+hits=""
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/lsm/src/version/table_cache.rs' | sort); do
+    hits+=$(awk '/#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\//{next}
+        /TableBuilder::new\(/{print FILENAME": "FNR": "$0}' "$f")
+done
+hits+=$(grep -rnwE 'CompactionContext|DisaggregatedStorage' crates examples tests --include='*.rs' || true)
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: one output side for every table — flushes and compactions write through"
+    echo "      shield_lsm::version::table_cache::TableSink, a merge is described by one"
+    echo "      CompactionRequest, and a disaggregated deployment builds its own RemoteEnv"
+    echo "      mount over the storage server's env."
     exit 1
 fi
 echo "ok"

@@ -20,6 +20,10 @@
 //!   row is the median over
 //!   [`REPS`] operations. The test fails when a count grows; a change
 //!   that lowers one lowers its row here in the same diff.
+//! * **The write path**, against [`BUDGET`] too, driven on the test
+//!   thread through the same code a background job runs: one memtable
+//!   entry fed into a [`TableSink`] (what a flush does per entry), and
+//!   one [`run_compaction`] over two overlapping L0 tables.
 
 mod support;
 
@@ -32,8 +36,14 @@ use std::sync::Arc;
 
 use shield_env::PosixEnv;
 use shield_lsm::cache::{BlockCache, CacheConfig};
+use shield_lsm::compaction::{run_compaction, CompactionRequest, CompactionTask};
+use shield_lsm::iter::InternalIterator;
+use shield_lsm::sst::builder::TableBuilderOptions;
+use shield_lsm::types::MAX_SEQUENCE;
+use shield_lsm::version::table_cache::{TableCache, TableSink};
+use shield_lsm::version::version::Version;
 use shield_lsm::{Integrity, IntegrityOptions, Options, ReadOptions, WriteOptions};
-use support::{Mode, Primary, Store, ENGINE_KEY};
+use support::{Mode, Primary, Store, ENGINE_KEY, PATH, PRIMARY};
 
 struct Counting;
 
@@ -208,6 +218,8 @@ const BUDGET: &[(&str, u64, u64)] = &[
     ("100-row scan", 214, 10_771),
     ("cold SST get (PosixEnv)", 8, 4_457),
     ("cold SST get, evicting", 8, 4_457),
+    ("flush entry", 0, 0),
+    ("compaction, 2 x 256 entries", 296, 555_529),
 ];
 
 fn key(i: usize) -> Vec<u8> {
@@ -358,4 +370,75 @@ fn evicting_cold_get_row() {
     assert!(after.evictions - before.evictions >= REPS as u64, "every measured get evicted");
     check(&[("cold SST get, evicting", row)]);
     store.close(db);
+}
+
+// ---------------------------------------------------------------------
+// The write path
+// ---------------------------------------------------------------------
+
+/// Entries per compaction input table.
+const MERGE_ENTRIES: usize = 256;
+
+/// A memtable entry fed into a [`TableSink`], as a flush feeds it, and a
+/// merge of two L0 tables through [`run_compaction`]: the SHIELD + HMAC
+/// file layer of a compacting server, without the engine's pool around
+/// it.
+#[test]
+fn write_path_rows() {
+    let store = shield_hmac(Store::new(Mode::Shield));
+    let files = store.files_for(PRIMARY);
+    files.env.create_dir_all(PATH).unwrap();
+    let tables = TableCache::new(files, PATH.to_string(), None, 0);
+    let options = TableBuilderOptions::default();
+    let mut number = 0u64;
+    let mut alloc = || {
+        number += 1;
+        number
+    };
+
+    let mem = MemTable::new(1);
+    for i in 0..ROWS {
+        mem.add(i as u64 + 1, ValueType::Value, &key(i), &value(i));
+    }
+    let mut it = mem.iter();
+    it.seek_to_first();
+    let mut sink = TableSink::new(&tables, &options, 0, &mut alloc);
+    let flush_entry = median(|_| {
+        sink.add(it.key(), it.value()).unwrap();
+        InternalIterator::next(&mut it);
+    });
+    while it.valid() {
+        sink.add(it.key(), it.value()).unwrap();
+        InternalIterator::next(&mut it);
+    }
+    let (flushed, _) = sink.finish().unwrap();
+    assert_eq!(flushed.len(), 1, "a flush writes one table");
+
+    // The newer table overwrites the upper half of the older one's keys.
+    let mut l0 = Vec::new();
+    for (seq, first) in [(1, 0), (2, MERGE_ENTRIES / 2)] {
+        let mut sink = TableSink::new(&tables, &options, 0, &mut alloc);
+        for i in first..first + MERGE_ENTRIES {
+            let ikey = shield_lsm::types::make_internal_key(&key(i), seq, ValueType::Value);
+            sink.add(&ikey, &value(i)).unwrap();
+        }
+        let (mut out, _) = sink.finish().unwrap();
+        l0.insert(0, Arc::new(out.pop().unwrap().1));
+    }
+    let mut version = Version::new();
+    version.files[0] = l0.clone();
+    let task = CompactionTask::Merge { input_level: 0, output_level: 1, inputs: l0, overlaps: Vec::new() };
+    let request = CompactionRequest {
+        db_path: PATH,
+        task: &task,
+        version: &version,
+        smallest_snapshot: MAX_SEQUENCE,
+        table_options: &options,
+        target_file_size: 2 << 20,
+    };
+    let merge = median(|_| {
+        let outcome = run_compaction(&tables, &request, &mut alloc).unwrap();
+        assert_eq!(outcome.entries_dropped, MERGE_ENTRIES as u64 / 2);
+    });
+    check(&[("flush entry", flush_entry), ("compaction, 2 x 256 entries", merge)]);
 }

@@ -172,7 +172,7 @@ fn sub_opts(fenv: &FaultInjectionEnv) -> Options {
     let mut o = Options::new(Arc::new(fenv.clone()))
         .with_background_jobs(4)
         .with_max_subcompactions(4);
-    o.block_size = 256; // many index spans => real subrange splits
+    o.table.block_size = 256; // many index spans => real subrange splits
     o.compaction.l0_compaction_trigger = 2;
     o.compaction.target_file_size = 2 << 10;
     o

@@ -60,7 +60,7 @@ impl Fixture {
     fn open(&self, tweak: impl FnOnce(Options) -> Options) -> Primary {
         self.0.open(|opts| {
             let mut opts = opts.with_write_buffer_size(16 << 10);
-            opts.block_size = 256;
+            opts.table.block_size = 256;
             opts.compaction.l0_compaction_trigger = 2;
             tweak(opts)
         })

@@ -158,7 +158,7 @@ fn open_db(opts_tweak: impl FnOnce(Options) -> Options) -> Primary {
 fn open_in(store: &Store, opts_tweak: impl FnOnce(Options) -> Options) -> Primary {
     store.open(|opts| {
         let mut opts = opts.with_write_buffer_size(16 << 10);
-        opts.block_size = 256;
+        opts.table.block_size = 256;
         opts.compaction.l0_compaction_trigger = 2;
         opts_tweak(opts)
     })

@@ -124,7 +124,7 @@ fn stress_opts() -> Options {
 #[test]
 fn concurrent_workload_under_parallel_compactions_matches_oracle() {
     let mut opts = stress_opts().with_max_subcompactions(4);
-    opts.block_size = 256; // many index spans => compactions really split
+    opts.table.block_size = 256; // many index spans => compactions really split
     let db = Db::open(opts, "db").expect("open");
     concurrent_stress(&db);
     assert!(

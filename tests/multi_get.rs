@@ -40,7 +40,7 @@ impl TestDb {
         // levels and tables; tiny blocks so they span many blocks.
         self.store.open(|opts| {
             let mut opts = support::small(opts).with_write_buffer_size(16 << 10);
-            opts.block_size = 256;
+            opts.table.block_size = 256;
             opts
         })
     }

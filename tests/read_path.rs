@@ -748,7 +748,7 @@ fn a_remote_get_reads_a_second_block_only_for_a_false_positive() {
     let remote = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), NetworkModel::unlimited()));
     let store = support::Store::over(support::Mode::Shield, remote.clone());
     let db = store.open(|mut opts| {
-        opts.bloom_bits_per_key = 4;
+        opts.table.bloom_bits_per_key = 4;
         opts.compaction.l0_compaction_trigger = 2;
         opts
     });

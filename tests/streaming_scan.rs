@@ -32,7 +32,7 @@ use shield_core::perf::PerfGuard;
 use shield_crypto::{crc32c, crc32c_extend, crc32c_masked};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_lsm::cache::BlockCache;
-use shield_lsm::compaction::{run_compaction, CompactionContext, CompactionTask};
+use shield_lsm::compaction::{run_compaction, CompactionRequest, CompactionTask};
 use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
 use shield_lsm::sst::format::{COMPRESSION_NONE, FOOTER_LEN};
@@ -75,14 +75,10 @@ impl Fixture {
         TableCache::new(self.files.clone(), "db".into(), cache, 0)
     }
 
-    fn table_options(&self, block_size: usize) -> TableBuilderOptions {
-        TableBuilderOptions { block_size, ..TableBuilderOptions::default() }
-    }
-
     fn build_table(&self, number: u64, entries: &[Entry], block_size: usize) -> Arc<FileMeta> {
         let (file, dek_id, mac_key) =
             self.files.create(&sst_path(number), FileKind::Sst).expect("writable");
-        let opts = TableBuilderOptions { dek_id, mac_key, ..self.table_options(block_size) };
+        let opts = TableBuilderOptions { block_size, dek_id, mac_key, ..TableBuilderOptions::default() };
         let mut b = TableBuilder::new(file, opts);
         for (ikey, value) in entries {
             b.add(ikey, value).expect("add");
@@ -558,15 +554,15 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
             next += 1;
             next
         };
-        let mut ctx = CompactionContext {
-            table_cache: &tc,
+        let request = CompactionRequest {
+            db_path: "db",
+            task: &task,
             version: &version,
             smallest_snapshot: MAX_SEQUENCE,
-            table_options: fx.table_options(4096),
+            table_options: &TableBuilderOptions::default(),
             target_file_size: 512 * 1024,
-            next_file_number: &mut alloc,
         };
-        let outcome = run_compaction(&mut ctx, &task).expect("compaction");
+        let outcome = run_compaction(&tc, &request, &mut alloc).expect("compaction");
         let blocks_read = shield_core::perf::take().blocks_read;
         drop(perf);
         let checks = fx.files.stats.snapshot().integrity_checks - checks_before;
@@ -602,12 +598,12 @@ fn compaction_counters_cache_untouched_every_block_verified_reads_bounded() {
         // most six reads (encryption header, footer, index, filter,
         // properties) and is not part of the scan.
         let span_reads = input_bytes.div_ceil(SCAN_SPAN_BYTES as u64) + inputs.len() as u64;
-        let open_reads = 6 * outcome.outputs as u64;
+        let open_reads = 6 * outcome.edit.new_files.len() as u64;
         assert!(
             reads <= span_reads + open_reads,
             "{mode:?}: {reads} SST reads for {input_bytes} input bytes in {} files, {} outputs",
             inputs.len(),
-            outcome.outputs
+            outcome.edit.new_files.len()
         );
         assert!(reads >= input_bytes / (SCAN_SPAN_BYTES as u64 + 4200), "{mode:?}: {reads} reads");
     }

@@ -32,7 +32,7 @@ use proptest::prelude::*;
 use shield_env::FileKind;
 use shield_lsm::compaction::{
     append_input_deletions, plan_subcompactions, run_compaction, run_compaction_range,
-    CompactionContext, CompactionOutcome, CompactionTask,
+    CompactionOutcome, CompactionRequest, CompactionTask,
 };
 use shield_lsm::iter::InternalIterator;
 use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
@@ -160,21 +160,22 @@ fn assert_equivalent(
     let topts = TableBuilderOptions { block_size: 128, ..TableBuilderOptions::default() };
     let target_file_size = 2 << 10; // force several outputs per run
 
+    let request = CompactionRequest {
+        db_path: "db",
+        task,
+        version,
+        smallest_snapshot,
+        table_options: &topts,
+        target_file_size,
+    };
+
     // Serial reference.
     let mut next = 1_000u64;
     let mut alloc = || {
         next += 1;
         next
     };
-    let mut serial_ctx = CompactionContext {
-        table_cache: &ctx.table_cache,
-        version,
-        smallest_snapshot,
-        table_options: topts.clone(),
-        target_file_size,
-        next_file_number: &mut alloc,
-    };
-    let serial = run_compaction(&mut serial_ctx, task).expect("serial compaction");
+    let serial = run_compaction(&ctx.table_cache, &request, &mut alloc).expect("serial compaction");
 
     // Planned subranges, stitched exactly like `Db::run_subcompactions`.
     let plan = plan_subcompactions(&ctx.table_cache, task, max_subcompactions);
@@ -189,18 +190,10 @@ fn assert_equivalent(
     };
     let mut stitched = CompactionOutcome::default();
     for range in &plan {
-        let mut range_ctx = CompactionContext {
-            table_cache: &ctx.table_cache,
-            version,
-            smallest_snapshot,
-            table_options: topts.clone(),
-            target_file_size,
-            next_file_number: &mut alloc,
-        };
-        let out = run_compaction_range(&mut range_ctx, task, range).expect("subrange");
+        let out =
+            run_compaction_range(&ctx.table_cache, &request, range, &mut alloc).expect("subrange");
         stitched.bytes_written += out.bytes_written;
         stitched.entries_dropped += out.entries_dropped;
-        stitched.outputs += out.outputs;
         stitched.edit.new_files.extend(out.edit.new_files);
     }
     append_input_deletions(task, &mut stitched.edit);

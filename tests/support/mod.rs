@@ -304,24 +304,37 @@ impl Env for CreateCounter {
     }
 }
 
-/// Sums over the events a primary's engine has emitted since it opened:
-/// the other side of the compaction laws in [`check`].
+/// Sums over the events a primary's engine has emitted since it opened
+/// (its recovery flushes included): the other side of the flush and
+/// compaction laws in [`check`].
 #[derive(Default)]
-struct Announced {
+pub struct Announced {
     /// Σ `SubcompactionBegin.subtasks`.
-    subtasks: AtomicU64,
+    pub subtasks: AtomicU64,
     /// Σ `CompactionEnd.bytes_written`.
-    compaction_bytes_written: AtomicU64,
+    pub compaction_bytes_written: AtomicU64,
+    /// Σ `CompactionEnd.output_files`.
+    pub compaction_outputs: AtomicU64,
+    /// Σ `FlushEnd.bytes`.
+    pub flush_bytes: AtomicU64,
+    /// `FlushEnd`s that name a table (`file_number` ≠ 0).
+    pub flush_tables: AtomicU64,
 }
 
 impl EventListener for Announced {
     fn on_event(&self, event: &Event) {
+        let add = |sum: &AtomicU64, n: u64| sum.fetch_add(n, Ordering::Relaxed);
         match event {
             Event::SubcompactionBegin { subtasks, .. } => {
-                self.subtasks.fetch_add(*subtasks, Ordering::Relaxed);
+                add(&self.subtasks, *subtasks);
             }
-            Event::CompactionEnd { bytes_written, .. } => {
-                self.compaction_bytes_written.fetch_add(*bytes_written, Ordering::Relaxed);
+            Event::CompactionEnd { bytes_written, output_files, .. } => {
+                add(&self.compaction_bytes_written, *bytes_written);
+                add(&self.compaction_outputs, *output_files);
+            }
+            Event::FlushEnd { file_number, bytes, .. } => {
+                add(&self.flush_bytes, *bytes);
+                add(&self.flush_tables, u64::from(*file_number != 0));
             }
             _ => {}
         }
@@ -737,10 +750,9 @@ pub trait Reads {
     fn dek_files_created(&self) -> Option<u64> {
         None
     }
-    /// `(Σ SubcompactionBegin.subtasks, Σ CompactionEnd.bytes_written)`
-    /// over the events this handle's engine has emitted, read after
+    /// The events this handle's engine has emitted, read after
     /// [`Reads::quiet_report`]; `None` when nobody listened.
-    fn announced(&self) -> Option<(u64, u64)> {
+    fn announced(&self) -> Option<&Announced> {
         None
     }
 }
@@ -772,12 +784,8 @@ impl Reads for Primary {
         // Only a SHIELD engine keys files (EncFS encrypts below it).
         Some(self.resolver.as_ref().map_or(0, |_| self.created.load(Ordering::Relaxed)))
     }
-    fn announced(&self) -> Option<(u64, u64)> {
-        let a = &self.announced;
-        Some((
-            a.subtasks.load(Ordering::Relaxed),
-            a.compaction_bytes_written.load(Ordering::Relaxed),
-        ))
+    fn announced(&self) -> Option<&Announced> {
+        Some(&self.announced)
     }
 }
 
@@ -879,12 +887,25 @@ pub fn check<R: Reads>(reader: &R, oracle: &Oracle) {
         // Take or generate: every DEK-bearing file took exactly one key.
         assert_eq!(s.dek_queue_hits + s.dek_queue_misses, created, "keys taken != files created");
     }
-    if let Some((subtasks, bytes_written)) = reader.announced() {
-        // The LOG and the tickers tell one story about compaction.
-        assert_eq!(s.subcompactions, subtasks, "subcompactions != subtasks announced");
+    if let Some(a) = reader.announced() {
+        // The LOG and the tickers tell one story about flushes and
+        // compactions, the flushes of a recovery at open included.
+        let told = |sum: &AtomicU64| sum.load(Ordering::Relaxed);
+        assert_eq!(s.subcompactions, told(&a.subtasks), "subcompactions != subtasks announced");
         assert_eq!(
-            s.compaction_bytes_written, bytes_written,
+            s.compaction_bytes_written,
+            told(&a.compaction_bytes_written),
             "compaction_bytes_written != bytes the CompactionEnd events announced"
+        );
+        assert_eq!(
+            s.flush_bytes,
+            told(&a.flush_bytes),
+            "flush_bytes != bytes the FlushEnd events announced"
+        );
+        assert_eq!(
+            s.sst_files_created,
+            told(&a.flush_tables) + told(&a.compaction_outputs),
+            "sst_files_created != tables the FlushEnd and CompactionEnd events announced"
         );
     }
 }

@@ -50,7 +50,7 @@ fn opts_over(env: Arc<dyn Env>, mode: Integrity) -> Options {
     // Fixed-width keys/values with no prefix sharing give byte-identical
     // block sizes — the swap/splice mutations need size-preserving
     // replacements.
-    o.restart_interval = 1;
+    o.table.restart_interval = 1;
     o
 }
 
