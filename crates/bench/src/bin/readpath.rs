@@ -44,6 +44,11 @@
 //!   on 128-byte keys sharing a 120-byte prefix: ns per comparison. The
 //!   full run fails if the engine's is more than a quarter slower than
 //!   `[u8]::cmp` on either.
+//! - **The memtable.** One full memtable at the engine's default 4 MiB
+//!   write buffer (16-byte keys, 100-byte values, inserted in random
+//!   order): ns per insert while filling it, and ns per cached `get` of a
+//!   present key and of an absent one. A get is answered by the table's
+//!   hash index in one probe, an insert pays the index's upkeep.
 //! - **Reader scaling.** One SHIELD + HMAC store in memory, cold gets
 //!   (`fill_cache: false`, so every get reads, decrypts and verifies its
 //!   data block) on one thread and then on two: gets/s per thread and the
@@ -66,7 +71,8 @@ use shield_bench::rng::Rng;
 use shield_bench::workloads::key_bytes;
 use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_env::{FileKind, MemEnv, NetworkModel};
-use shield_lsm::types::user_key_cmp;
+use shield_lsm::memtable::MemTable;
+use shield_lsm::types::{user_key_cmp, ValueType};
 use shield_lsm::{Integrity, ReadOptions, WriteOptions};
 
 const MISS_THREADS: usize = 8;
@@ -490,6 +496,66 @@ fn run_key_cmp(bench: &mut Bench, name: &str, prefix: &[u8], passes: u32) {
     );
 }
 
+/// Charge at which the memtable rows' table is full: the engine's
+/// default `write_buffer_size`, which `MemTable::new` sizes its index for.
+const MEMTABLE_BYTES: usize = 4 << 20;
+const MEMTABLE_VALUE_BYTES: usize = 100;
+/// More keys than a full table holds (~22.7k at ~185 B charged each).
+const MEMTABLE_KEY_POOL: usize = 40_000;
+
+/// ns per call of `op` over `keys`.
+fn ns_per_key(keys: &[Vec<u8>], mut op: impl FnMut(&[u8])) -> f64 {
+    let begin = Instant::now();
+    for key in keys {
+        op(black_box(key));
+    }
+    begin.elapsed().as_nanos() as f64 / keys.len() as f64
+}
+
+/// `passes` times: fill a fresh memtable to [`MEMTABLE_BYTES`] of charge
+/// with random 16-byte keys, then get every present key and as many
+/// absent ones (odd ids; the present are even). The best pass of each.
+fn run_memtable(bench: &mut Bench, passes: u32) {
+    let mut rng = Rng::new(0x3e37_ab1e);
+    let ids: Vec<u64> = (0..MEMTABLE_KEY_POOL).map(|_| rng.next_below(1 << 40) * 2).collect();
+    let present: Vec<Vec<u8>> = ids.iter().map(|&id| key_bytes(id, 16)).collect();
+    let absent: Vec<Vec<u8>> = ids.iter().map(|&id| key_bytes(id + 1, 16)).collect();
+    let value = vec![b'v'; MEMTABLE_VALUE_BYTES];
+    let (mut add, mut hit, mut miss) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut entries = 0;
+    for _ in 0..passes {
+        let mem = MemTable::new(0);
+        let begin = Instant::now();
+        entries = 0;
+        while mem.approximate_memory_usage() < MEMTABLE_BYTES {
+            mem.add(entries as u64 + 1, ValueType::Value, &present[entries], &value);
+            entries += 1;
+        }
+        add = add.min(begin.elapsed().as_nanos() as f64 / entries as f64);
+        let read = u64::MAX >> 8;
+        hit = hit.min(ns_per_key(&present[..entries], |key| {
+            black_box(mem.get(key, read));
+        }));
+        miss = miss.min(ns_per_key(&absent[..entries], |key| {
+            black_box(mem.get(key, read));
+        }));
+    }
+    println!(
+        "  memtable: {entries} entries in 4 MiB, add {add:.0} ns, get hit {hit:.0} ns, miss {miss:.0} ns"
+    );
+    let j = bench.json();
+    j.open_obj("memtable");
+    j.field_u64("entries", entries as u64);
+    j.field_f64("memtable_add_ns", add);
+    j.field_f64("memtable_get_hit_ns", hit);
+    j.field_f64("memtable_get_miss_ns", miss);
+    j.close_obj();
+    bench.engaged(
+        &format!("the memtable rows filled a table with {entries} entries"),
+        entries > 0 && entries < MEMTABLE_KEY_POOL,
+    );
+}
+
 /// Keys of the reader-scaling store.
 const SCALING_KEYS: u64 = 20_000;
 
@@ -584,6 +650,8 @@ fn main() -> ExitCode {
     let passes = bench.pick(20, 200);
     run_key_cmp(&mut bench, "key_cmp_16b_ns", b"00000000", passes);
     run_key_cmp(&mut bench, "key_cmp_128b_shared120_ns", &[b'p'; 120], passes);
+    let memtable_passes = bench.pick(1, 5);
+    run_memtable(&mut bench, memtable_passes);
     let gets_per_thread = bench.pick(2_000, 200_000);
     run_reader_scaling(&mut bench, gets_per_thread);
     bench.finish()

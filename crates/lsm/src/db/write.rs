@@ -213,14 +213,15 @@ impl DbInner {
         wal.segments.push_back((number, wal.logged));
         let mut oldest = number;
         wal.mems.clear();
+        let fresh = || Arc::new(MemTable::with_write_buffer_size(number, self.opts.write_buffer_size));
         for (t, tree) in self.trees.iter().enumerate() {
             let mut state = tree.state.lock();
             if switching.contains(&t) || overdue == Some(t) {
-                let full = std::mem::replace(&mut state.mem, Arc::new(MemTable::new(number)));
+                let full = std::mem::replace(&mut state.mem, fresh());
                 state.imm.push(full);
                 self.maybe_schedule(t, &mut state);
             } else if state.mem.is_empty() {
-                state.mem = Arc::new(MemTable::new(number));
+                state.mem = fresh();
             }
             wal.mems.push(state.mem.clone());
             oldest = oldest.min(state.oldest_wal());

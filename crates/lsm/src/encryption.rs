@@ -468,7 +468,8 @@ impl EncryptedWritableFile {
         }
     }
 
-    /// Encrypts and appends everything in the buffer.
+    /// Encrypts and appends everything in the buffer, which keeps its
+    /// capacity up to [`RETAINED_BUFFER`] or the buffer threshold.
     fn drain_buffer(&mut self) -> EnvResult<()> {
         if self.buffer.is_empty() {
             return Ok(());
@@ -476,19 +477,27 @@ impl EncryptedWritableFile {
         let mut data = std::mem::take(&mut self.buffer);
         self.encrypt_payload(self.stream_offset, &mut data);
         self.stream_offset += data.len() as u64;
-        self.inner.append(&data)
+        let appended = self.inner.append(&data);
+        if data.capacity() <= self.buffer_capacity.max(RETAINED_BUFFER) {
+            data.clear();
+            self.buffer = data;
+        }
+        appended
     }
 }
+
+/// Bytes of buffer an unbuffered file keeps between appends: a data block
+/// with room to spare. A larger append's copy is freed after it.
+const RETAINED_BUFFER: usize = 64 << 10;
 
 impl WritableFile for EncryptedWritableFile {
     fn append(&mut self, data: &[u8]) -> EnvResult<()> {
         self.logical_len += data.len() as u64;
         if self.buffer_capacity == 0 {
-            // Unbuffered: encrypt immediately — one init per call (§3.2).
-            let mut owned = data.to_vec();
-            self.encrypt_payload(self.stream_offset, &mut owned);
-            self.stream_offset += owned.len() as u64;
-            return self.inner.append(&owned);
+            // Unbuffered: encrypt immediately — one init per call (§3.2) —
+            // in the buffer, empty between calls, as reused scratch.
+            self.buffer.extend_from_slice(data);
+            return self.drain_buffer();
         }
         self.buffer.extend_from_slice(data);
         if self.buffer.len() >= self.buffer_capacity {

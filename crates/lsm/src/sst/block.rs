@@ -81,17 +81,27 @@ impl BlockBuilder {
 
     /// Finalizes and returns the block contents, resetting the builder.
     pub fn finish(&mut self) -> Vec<u8> {
-        let mut out = std::mem::take(&mut self.buf);
+        let mut out = Vec::new();
+        self.finish_into(&mut out);
+        out
+    }
+
+    /// Finalizes the block into `out`, whose old contents are dropped, and
+    /// resets the builder. The two trade buffers, so the builder keeps
+    /// `out`'s capacity: a caller that finishes every block into the same
+    /// `out` stops allocating once both buffers have grown to a block.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
         for r in &self.restarts {
-            out.extend_from_slice(&r.to_le_bytes());
+            self.buf.extend_from_slice(&r.to_le_bytes());
         }
-        out.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
+        std::mem::swap(&mut self.buf, out);
+        self.buf.clear();
         self.restarts.clear();
         self.restarts.push(0);
         self.count_since_restart = 0;
         self.last_key.clear();
         self.entries = 0;
-        out
     }
 }
 
@@ -398,6 +408,29 @@ mod tests {
         b.add(&ik(b"a", 1), b"1");
         let second = b.finish();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn finish_into_trades_buffers_and_matches_finish() {
+        let es = entries(40);
+        let mut fresh = BlockBuilder::new(4);
+        let mut reused = BlockBuilder::new(4);
+        let mut out = Vec::new();
+        for round in 0..3 {
+            for (k, v) in &es {
+                fresh.add(k, v);
+                reused.add(k, v);
+            }
+            reused.finish_into(&mut out);
+            assert_eq!(out, fresh.finish(), "round {round}");
+            // From the second block on, the builder starts from the
+            // buffer the previous block went out in.
+            assert_eq!(reused.buf.capacity() >= out.len(), round > 0, "round {round}");
+        }
+        let block = Arc::new(Block::from_raw(Bytes::from(out)));
+        let mut it = block.iter();
+        it.seek_to_first();
+        assert_eq!(it.key(), es[0].0.as_slice());
     }
 
     #[test]

@@ -53,6 +53,9 @@ pub struct TableBuilder {
     file: Box<dyn WritableFile>,
     opts: TableBuilderOptions,
     data_block: BlockBuilder,
+    /// The last data block's buffer, traded back to `data_block` when the
+    /// next one finishes (`BlockBuilder::finish_into`).
+    block_buf: Vec<u8>,
     /// (last key of block, handle) pairs for the index.
     index_entries: Vec<(Vec<u8>, BlockHandle)>,
     filter: BloomFilterBuilder,
@@ -85,6 +88,7 @@ impl TableBuilder {
             file,
             opts,
             data_block: BlockBuilder::new(restart),
+            block_buf: Vec::new(),
             index_entries: Vec::new(),
             filter,
             offset: 0,
@@ -137,8 +141,11 @@ impl TableBuilder {
         if self.data_block.is_empty() {
             return Ok(());
         }
-        let contents = self.data_block.finish();
-        let handle = self.write_raw_block(&contents)?;
+        let mut contents = std::mem::take(&mut self.block_buf);
+        self.data_block.finish_into(&mut contents);
+        let handle = self.write_raw_block(&contents);
+        self.block_buf = contents;
+        let handle = handle?;
         self.index_entries.push((self.last_key.clone(), handle));
         self.props.num_data_blocks += 1;
         Ok(())

@@ -98,8 +98,9 @@
 #                      remote storage reads a second block only for a
 #                      filter false positive, filters pass ≤ 0.2 %
 #                      of the keys their tables do not hold, and the
-#                      scan-per-row and key-comparator rows are
-#                      written (§4g, §4i, §4n)
+#                      scan-per-row, key-comparator and memtable
+#                      (add, get hit, get miss) rows are written
+#                      (§4g, §4i, §4n)
 #     7  integrity     HMAC runs verify every block, clean data verifies
 #                      clean (§4h)
 #     8  shards        every tree takes keys and flushes (§4k)
@@ -428,6 +429,8 @@ fi
 require target/BENCH_readpath_smoke.json '"remote_reads_per_get": [0-9]' '"filter_fp_rate": [0-9]'
 require target/BENCH_readpath_smoke.json '"scan_ns_per_row": [0-9]' '"key_cmp_16b_ns"' \
     '"key_cmp_128b_shared120_ns"' '"slice_cmp": [0-9]'
+require target/BENCH_readpath_smoke.json '"memtable_get_hit_ns": [0-9]' \
+    '"memtable_get_miss_ns": [0-9]' '"memtable_add_ns": [0-9]'
 fp=$(grep -o '"filter_fp_rate": [0-9.eE+-]*' target/BENCH_readpath_smoke.json | awk '{print $2}')
 if ! awk -v r="$fp" 'BEGIN { exit !(r != "" && r <= 0.002) }'; then
     echo "FAIL: filters passed ${fp:-?} of the keys their tables did not hold (> 0.002): a get on"
