@@ -46,9 +46,11 @@
 //!   `[u8]::cmp` on either.
 //! - **The memtable.** One full memtable at the engine's default 4 MiB
 //!   write buffer (16-byte keys, 100-byte values, inserted in random
-//!   order): ns per insert while filling it, and ns per cached `get` of a
-//!   present key and of an absent one. A get is answered by the table's
-//!   hash index in one probe, an insert pays the index's upkeep.
+//!   order): ns per insert while filling it, ns per cached `get` of a
+//!   present key and of an absent one, then ns per rewrite of every
+//!   present key. A get and a rewrite find the key's node through the
+//!   table's hash index, with no skiplist descent; a new key pays one. The
+//!   full run fails if a rewrite costs more than an insert.
 //! - **Reader scaling.** One SHIELD + HMAC store in memory, cold gets
 //!   (`fill_cache: false`, so every get reads, decrypts and verifies its
 //!   data block) on one thread and then on two: gets/s per thread and the
@@ -513,15 +515,16 @@ fn ns_per_key(keys: &[Vec<u8>], mut op: impl FnMut(&[u8])) -> f64 {
 }
 
 /// `passes` times: fill a fresh memtable to [`MEMTABLE_BYTES`] of charge
-/// with random 16-byte keys, then get every present key and as many
-/// absent ones (odd ids; the present are even). The best pass of each.
+/// with random 16-byte keys, get every present key and as many absent
+/// ones (odd ids; the present are even), then add a newer version of
+/// every present key. The best pass of each.
 fn run_memtable(bench: &mut Bench, passes: u32) {
     let mut rng = Rng::new(0x3e37_ab1e);
     let ids: Vec<u64> = (0..MEMTABLE_KEY_POOL).map(|_| rng.next_below(1 << 40) * 2).collect();
     let present: Vec<Vec<u8>> = ids.iter().map(|&id| key_bytes(id, 16)).collect();
     let absent: Vec<Vec<u8>> = ids.iter().map(|&id| key_bytes(id + 1, 16)).collect();
     let value = vec![b'v'; MEMTABLE_VALUE_BYTES];
-    let (mut add, mut hit, mut miss) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let [mut add, mut hit, mut miss, mut rewrite] = [f64::INFINITY; 4];
     let mut entries = 0;
     for _ in 0..passes {
         let mem = MemTable::new(0);
@@ -539,9 +542,15 @@ fn run_memtable(bench: &mut Bench, passes: u32) {
         miss = miss.min(ns_per_key(&absent[..entries], |key| {
             black_box(mem.get(key, read));
         }));
+        let mut seq = entries as u64;
+        rewrite = rewrite.min(ns_per_key(&present[..entries], |key| {
+            seq += 1;
+            mem.add(seq, ValueType::Value, key, &value);
+        }));
     }
     println!(
-        "  memtable: {entries} entries in 4 MiB, add {add:.0} ns, get hit {hit:.0} ns, miss {miss:.0} ns"
+        "  memtable: {entries} entries in 4 MiB, add {add:.0} ns, get hit {hit:.0} ns, miss {miss:.0} ns, \
+         rewrite {rewrite:.0} ns"
     );
     let j = bench.json();
     j.open_obj("memtable");
@@ -549,10 +558,15 @@ fn run_memtable(bench: &mut Bench, passes: u32) {
     j.field_f64("memtable_add_ns", add);
     j.field_f64("memtable_get_hit_ns", hit);
     j.field_f64("memtable_get_miss_ns", miss);
+    j.field_f64("memtable_rewrite_ns", rewrite);
     j.close_obj();
     bench.engaged(
         &format!("the memtable rows filled a table with {entries} entries"),
         entries > 0 && entries < MEMTABLE_KEY_POOL,
+    );
+    bench.full_gate(
+        &format!("a memtable rewrite {rewrite:.0} ns <= an insert of a new key {add:.0} ns"),
+        rewrite <= add,
     );
 }
 

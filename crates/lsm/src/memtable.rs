@@ -1,101 +1,72 @@
-//! The in-memory write buffer: an arena skiplist, in the LevelDB/RocksDB
-//! tradition, with a hash index over its user keys that answers most point
-//! lookups in one probe.
+//! The in-memory write buffer: an arena skiplist over distinct user keys,
+//! in the LevelDB/RocksDB tradition. Each key heads a newest-first chain
+//! of its versions, and a hash index maps a user key to its key node.
 //!
-//! **Record layout.** Every entry is one 8-byte-aligned record,
-//! bump-allocated from 64 KiB chunks the memtable owns:
+//! **Records** are 8-byte aligned, bump-allocated from 64 KiB chunks the
+//! table owns. A key's first insert writes its key node; each later
+//! version of the key is a version record alone, with no tower:
 //!
 //! ```text
-//! Node { key_len: u32, value_len: u32, height: u32, hash: u32,   24-byte #[repr(C)] header
-//!        hash_next: AtomicPtr<Node> }
-//! [AtomicPtr<Node>; height]                            the tower, level 0 first
-//! user_key ++ fixed64le((seq << 8) | type)             the internal key, key_len bytes
-//! value                                                value_len bytes (empty for a tombstone)
+//! key node  KeyNode { versions, hash_next, hash: u32, height: u32 }  24-byte #[repr(C)] header
+//!           [AtomicPtr<KeyNode>; height]                          the tower, level 0 first
+//!           the key's first version
+//! version   Version { older, key_len: u32, value_len: u32 }       16-byte #[repr(C)] header
+//!           user_key ++ fixed64le((seq << 8) | type)              the internal key
+//!           value                                                 (empty for a tombstone)
 //! ```
 //!
-//! A hop loads a link and then compares the key that sits in the same
-//! record. `add`, `get` and `MemTableIterator::seek` compare a node's bytes
-//! against `(user_key, tag)` in place, so no path builds an internal key
-//! or a lookup key. A record larger than a quarter chunk gets an
-//! allocation of its own, so a chunk wastes less than a quarter of itself.
-//! No chunk is allocated before the first insert: every memtable switch
-//! hands each idle tree a fresh, empty table. The head is boxed on its own
-//! with a full-height tower. Chunks are freed when the last `Arc<Inner>`
-//! drops — the `MemTable` or any iterator over it — so no per-node
-//! reclamation is needed and a held iterator stays valid after a flush.
+//! A skiplist hop compares the user key of the key node's first version.
+//! `versions` points at the newest version, each `older` at the next, and
+//! the oldest's back at the key node ([`step`]): tags strictly descend
+//! along a chain. A record over a quarter chunk gets an allocation of its
+//! own, and no chunk exists before the first insert. Chunks are freed with
+//! the last `Arc<Inner>`, so a held iterator stays valid after a flush.
 //!
-//! **Publication.** Writes are serialized by the database's group-commit
-//! leader; an insert takes one mutex, which guards the height RNG and the
-//! arena. It writes the whole record — header, every tower slot (each
-//! pointing at its successor), key and value — and only then stores the
-//! level links, bottom up, with `Release`. Readers traverse lock-free with
-//! `Acquire` loads, so a reader that reaches a node sees it complete. An
-//! exact duplicate (user key, sequence, type) is dropped: only a replayed
-//! WAL record can produce one, and keeping it would break the strict
-//! order the flush path relies on.
+//! **The index** is a bucket array, one bucket per [`BYTES_PER_BUCKET`]
+//! bytes of the tree's `write_buffer_size` rounded down to a power of two,
+//! allocated in the arena on the first insert. Every key node is on its
+//! bucket's chain of `hash_next` links, so a walk finds the key's node or
+//! ends: the key is absent. The hash is a multiply-mix keyed per table
+//! from the standard library's random `RandomState`, so a client cannot
+//! aim keys at one chain; its upper 32 bits pick the bucket and the node
+//! keeps the lower 32, compared before any key byte.
 //!
-//! **The point-lookup index.** A bucket array of `AtomicPtr<Node>`, one
-//! bucket per [`BYTES_PER_BUCKET`] bytes of the tree's `write_buffer_size`
-//! rounded down to a power of two (32 Ki buckets, 256 KiB, for the default
-//! 4 MiB), is allocated in the arena on the first insert. Each bucket
-//! heads a chain through the records' `hash_next` links. *Chain
-//! invariant:* walking a key's chain from its bucket, the first node with
-//! that user key is the key's first node in skiplist order, its newest
-//! version. The hash is keyed: a multiply-mix under two 64-bit keys drawn
-//! per table from the standard library's randomly keyed `RandomState`, so
-//! a client that does not know them cannot choose keys that share a chain.
-//! Its upper 32 bits pick the bucket and the header keeps the lower 32,
-//! which a walk compares before any key byte.
+//! **`get`** finds the key node and walks its versions to the first at or
+//! below the read sequence, counting those it walks past
+//! (`PerfCounter::MemtableVersionsWalked`). **`add`** takes one mutex (the
+//! height RNG and the arena). A present key's version is stored at its
+//! place in tag order with one `Release` store, so an older version that
+//! a WAL replay inserts late needs no case of its own; an exact duplicate,
+//! which only a replay makes, is dropped. A new key takes one descent: its
+//! record is written whole and only then linked, bottom up, and pushed
+//! onto its bucket, each with `Release`. Readers never lock.
 //!
-//! - *Lookup.* `get` walks at most [`CHAIN_LIMIT`] links. A chain that
-//!   ends first means the key is absent. A key whose newest version is
-//!   visible at the read sequence is answered from that node. Otherwise —
-//!   the newest version is newer than the read sequence, or the walk ran
-//!   out — `get` falls back to the skiplist search, which stays the truth:
-//!   iterators, seeks and the flush never touch the index.
-//! - *Insert.* `add` links the record into the skiplist first and then
-//!   publishes it into the index with one `Release` store, still under
-//!   the mutex. The skiplist search's level-0 neighbours name the case. A
-//!   predecessor with the same user key makes the new node an older
-//!   version inserted out of sequence order, which the index does not
-//!   hold. A successor with the same user key is the version the new node
-//!   supersedes: the new node takes its place in the chain, found by a
-//!   walk of at most [`CHAIN_LIMIT`] links that compares pointers, or goes
-//!   to the front if the walk runs out. Otherwise the key is new and is
-//!   pushed at the front. A replaced node keeps its `hash_next`, so a
-//!   reader standing on it walks on into the same chain. `add` hashes the
-//!   key and prefetches its bucket before it takes the mutex.
-//!
-//! **Memory charge.** `approximate_memory_usage` charges each entry
-//! `varint(ikey_len) + ikey_len + varint(value_len) + value_len + 48 +
-//! 8·height`, the cost of the table's earlier boxed-node layout. The rule is
-//! frozen: `write_buffer_size` is compared against it, so it decides where
-//! every flush falls, the shape of L0 and the space amplification. The
-//! arena's real footprint is smaller (24 bytes of header instead of 48, no
-//! varints, at most 7 bytes of padding), at least 19 bytes under the
-//! charge per entry. That margin pays for the bucket array (at most
-//! `write_buffer_size / 16`) whenever a full table's entries are charged
-//! ~300 bytes or less each, so the charge still bounds the memory a full
-//! table holds, up to one partly used chunk and the waste of records near
-//! a quarter chunk; a table of larger entries may hold up to the array
-//! beyond it. Charging the true footprint would move the flush points;
-//! that is a separate change with its own measurement.
+//! **Memory charge.** Each insert, with one height drawn per insert, is
+//! charged `varint(ikey_len) + ikey_len + varint(value_len) + value_len +
+//! 48 + 8·height`: the earlier boxed-node table's cost, frozen because
+//! `write_buffer_size` is compared against it, so it places every flush.
+//! A key node's record is at least 3 bytes under its charge and a
+//! version's at least 35; the bucket array, at most `write_buffer_size /
+//! 16`, comes on top.
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cmp::Ordering;
 use std::hash::BuildHasher;
 use std::mem::{offset_of, size_of};
-use std::ptr::NonNull;
+use std::ptr::{self, null, null_mut, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering as AtomicOrd};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use shield_core::{perf, PerfCounter};
 
 use crate::types::{pack_seq_type, unpack_seq_type, user_key_cmp, SequenceNumber, ValueType};
 use crate::varint::fixed;
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
+/// The height RNG's seed in every table.
+const HEIGHT_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Bytes per arena chunk.
 const CHUNK: usize = 64 << 10;
 /// A record above this size gets an allocation of its own.
@@ -113,101 +84,152 @@ const MAX_BUCKET_BITS: u32 = 24;
 /// The `write_buffer_size` a table made by [`MemTable::new`] is sized
 /// for: the engine's default.
 const DEFAULT_WRITE_BUFFER: usize = 4 << 20;
-/// Links a lookup or an insert follows along one chain before it stops
-/// trusting the index.
-const CHAIN_LIMIT: usize = 8;
 
-/// The header at the start of every record. The tower, the internal key
-/// and the value follow it in the same allocation: every `&Node` the
-/// table reads through points at the start of its record.
+/// The header of a key node: one distinct user key in the skiplist. Its
+/// tower and its first version follow it in the same allocation.
 #[repr(C, align(8))]
-struct Node {
-    key_len: u32,
-    value_len: u32,
-    height: u32,
+struct KeyNode {
+    /// The key's newest version (null only in the head).
+    versions: AtomicPtr<Version>,
+    /// The next key node of this node's bucket chain.
+    hash_next: AtomicPtr<KeyNode>,
     /// The lower 32 bits of the user key's index hash (0 in the head).
     hash: u32,
-    /// The next node of this node's bucket chain.
-    hash_next: AtomicPtr<Node>,
+    height: u32,
 }
 
-const HEADER: usize = size_of::<Node>();
+/// The header of one version of a key. Its internal key and value follow
+/// it in the same allocation.
+#[repr(C, align(8))]
+struct Version {
+    /// The next older version of the same key or, from the key's oldest
+    /// version, the key node, tagged ([`step`]).
+    older: AtomicPtr<Version>,
+    key_len: u32,
+    value_len: u32,
+}
 
 /// The head node: a header whose full-height tower follows it, as in a
-/// record.
+/// key node, and no version.
 #[repr(C)]
 struct Head {
-    node: Node,
-    tower: [AtomicPtr<Node>; MAX_HEIGHT],
+    node: KeyNode,
+    tower: [AtomicPtr<KeyNode>; MAX_HEIGHT],
 }
 
-const _: () = assert!(offset_of!(Head, tower) == HEADER);
+const _: () = assert!(offset_of!(Head, tower) == size_of::<KeyNode>());
 
-impl Node {
-    fn record_len(height: usize, key_len: usize, value_len: usize) -> usize {
-        HEADER + height * size_of::<AtomicPtr<Node>>() + key_len + value_len
+impl KeyNode {
+    /// Bytes of a key node's header and a `height`-slot tower.
+    fn len(height: usize) -> usize {
+        size_of::<KeyNode>() + height * size_of::<AtomicPtr<KeyNode>>()
     }
 
-    fn tower(&self) -> &[AtomicPtr<Node>] {
-        // SAFETY: every `Node` heads a record (`Head`, or one written by
-        // `MemTable::add`) whose `height` initialized tower slots follow
+    fn tower(&self) -> &[AtomicPtr<KeyNode>] {
+        // SAFETY: every `KeyNode` heads a record (`Head`, or one written
+        // by `MemTable::add`) whose `height` initialized tower slots follow
         // the header at 8-byte alignment.
         unsafe {
             std::slice::from_raw_parts(
-                std::ptr::from_ref(self).add(1).cast::<AtomicPtr<Node>>(),
+                ptr::from_ref(self).add(1).cast::<AtomicPtr<KeyNode>>(),
                 self.height as usize,
             )
         }
     }
 
     /// The successor at `level`, if any.
-    fn next(&self, level: usize) -> Option<&Node> {
+    fn next(&self, level: usize) -> Option<&KeyNode> {
         follow(self.tower()[level].load(AtomicOrd::Acquire))
     }
 
-    fn key(&self) -> &[u8] {
-        let start = Node::record_len(self.height as usize, 0, 0);
-        // SAFETY: `key_len` key bytes follow the tower in the same record
-        // and were written before the node was linked.
-        unsafe {
-            std::slice::from_raw_parts(
-                std::ptr::from_ref(self).cast::<u8>().add(start),
-                self.key_len as usize,
-            )
+    /// The key's first version, in the node's own record (not the head's).
+    fn first(&self) -> &Version {
+        let offset = KeyNode::len(self.height as usize);
+        // SAFETY: a key node other than the head is a record written by
+        // `MemTable::add`, whose first version follows the tower and was
+        // written before the node was linked.
+        unsafe { &*ptr::from_ref(self).cast::<u8>().add(offset).cast::<Version>() }
+    }
+
+    /// The first link of a seek for `tag` into the key's versions: the
+    /// versions ahead of the key's first are all newer than it, so a `tag`
+    /// below the first's starts past them (a scan stepping past a key).
+    fn seek_link(&self, tag: u64) -> &AtomicPtr<Version> {
+        let first = self.first();
+        if first.tag() > tag { &first.older } else { &self.versions }
+    }
+
+    /// The link a version tagged `tag` is stored into: the first in the
+    /// chain from `versions` whose target is older, or none if the chain
+    /// holds `tag` already. Runs under the insert mutex.
+    fn link_for(&self, tag: u64) -> Option<&AtomicPtr<Version>> {
+        let mut link = &self.versions;
+        while let Ok(version) = step(link) {
+            match version.tag().cmp(&tag) {
+                Ordering::Greater => link = &version.older,
+                Ordering::Equal => return None,
+                Ordering::Less => break,
+            }
         }
-    }
-
-    fn value(&self) -> &[u8] {
-        let start = Node::record_len(self.height as usize, self.key_len as usize, 0);
-        // SAFETY: `value_len` value bytes follow the key in the same record
-        // and were written before the node was linked.
-        unsafe {
-            std::slice::from_raw_parts(
-                std::ptr::from_ref(self).cast::<u8>().add(start),
-                self.value_len as usize,
-            )
-        }
-    }
-
-    fn user_key(&self) -> &[u8] {
-        split_internal_key(self.key()).0
-    }
-
-    /// Orders this node against the internal key `(user_key, tag)`: user
-    /// key ascending, then tag descending (newest first).
-    fn cmp(&self, user_key: &[u8], tag: u64) -> Ordering {
-        let (own_key, own_tag) = split_internal_key(self.key());
-        user_key_cmp(own_key, user_key).then_with(|| tag.cmp(&own_tag))
+        Some(link)
     }
 }
 
-/// The record a skiplist or chain link points at, if any.
-fn follow<'a>(link: *mut Node) -> Option<&'a Node> {
+/// The versions from the one `link` points at, newest first.
+fn chain(link: &AtomicPtr<Version>) -> impl Iterator<Item = &Version> {
+    std::iter::successors(step(link).ok(), |version| step(&version.older).ok())
+}
+
+impl Version {
+    /// The internal key and the value.
+    fn entry(&self) -> (&[u8], &[u8]) {
+        // SAFETY: `key_len` key bytes and then `value_len` value bytes
+        // follow the header in the same record and were written before the
+        // version was linked.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(
+                ptr::from_ref(self).add(1).cast::<u8>(),
+                self.key_len as usize + self.value_len as usize,
+            )
+        };
+        bytes.split_at(self.key_len as usize)
+    }
+
+    fn user_key(&self) -> &[u8] {
+        split_internal_key(self.entry().0).0
+    }
+
+    fn tag(&self) -> u64 {
+        split_internal_key(self.entry().0).1
+    }
+}
+
+/// The key node a skiplist or bucket link points at, if any.
+fn follow<'a>(link: *mut KeyNode) -> Option<&'a KeyNode> {
     // SAFETY: a non-null link was stored with `Release` by `MemTable::add`
     // after its record was complete (and loaded with `Acquire`, or by the
     // writer that stored it), and every record lives as long as the
     // table's `Inner`, which the caller borrows.
     unsafe { link.as_ref() }
+}
+
+/// Where a chain link leads: the next older version, or, past a key's
+/// oldest version, back to its key node. That link holds the node's
+/// address with the low bit set (records are 8-byte aligned), so a walk
+/// that runs off a chain knows which key comes next.
+fn step(link: &AtomicPtr<Version>) -> Result<&Version, &KeyNode> {
+    let target = link.load(AtomicOrd::Acquire);
+    // SAFETY: a chain link is never null; `MemTable::add` stored it, with
+    // `Release` once linked, after its target was complete, and every
+    // record lives as long as the table's `Inner`, which the caller
+    // borrows. A tagged link is a key node's address plus one.
+    unsafe {
+        if target.addr() & 1 == 0 {
+            Ok(&*target)
+        } else {
+            Err(&*target.map_addr(|addr| addr & !1).cast::<KeyNode>())
+        }
+    }
 }
 
 /// Splits an internal key into its user key and trailer tag.
@@ -252,23 +274,8 @@ fn index_hash(seed: [u64; 2], key: &[u8]) -> u64 {
 }
 
 /// The bucket of a key whose index hash is `hash`: its upper 32 bits.
-fn bucket(buckets: &[AtomicPtr<Node>], hash: u64) -> &AtomicPtr<Node> {
+fn bucket(buckets: &[AtomicPtr<KeyNode>], hash: u64) -> &AtomicPtr<KeyNode> {
     &buckets[(hash >> 32) as usize & (buckets.len() - 1)]
-}
-
-/// Asks the CPU to bring `slot`'s cache line in while the caller does
-/// other work.
-fn prefetch(slot: &AtomicPtr<Node>) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch is a hint that reads nothing architecturally and
-    // cannot fault; `slot` is a live reference, and x86_64 always has SSE.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-            std::ptr::from_ref(slot).cast(),
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = slot;
 }
 
 /// Result of a memtable point lookup.
@@ -280,28 +287,6 @@ pub enum LookupResult {
     Deleted,
     /// The memtable holds no visible entry for this key.
     NotFound,
-}
-
-impl LookupResult {
-    /// The answer `node` gives: the entry a lookup found, if any.
-    fn of(node: Option<&Node>) -> Self {
-        let Some(node) = node else { return LookupResult::NotFound };
-        match unpack_seq_type(split_internal_key(node.key()).1).1 {
-            Some(ValueType::Value) => LookupResult::Found(node.value().to_vec()),
-            Some(ValueType::Deletion) => LookupResult::Deleted,
-            None => LookupResult::NotFound,
-        }
-    }
-}
-
-/// What the index knows about a key at one read sequence.
-enum Probe<'a> {
-    /// The table holds no version of the key.
-    Absent,
-    /// The key's newest version, visible at the read sequence.
-    Newest(&'a Node),
-    /// The skiplist must answer.
-    Unsure,
 }
 
 /// Bump allocator over 64 KiB chunks; frees every block when it drops.
@@ -391,7 +376,7 @@ struct Inner {
     max_height: AtomicUsize,
     /// The index's bucket array, in the arena; null before the first
     /// insert.
-    buckets: AtomicPtr<AtomicPtr<Node>>,
+    buckets: AtomicPtr<AtomicPtr<KeyNode>>,
     /// log2 of the bucket count.
     bucket_bits: u32,
     /// The index hash's per-table key.
@@ -428,26 +413,25 @@ impl MemTable {
 
     fn with_bucket_bits(wal_number: u64, bucket_bits: u32) -> Self {
         let head = Box::new(Head {
-            node: Node {
-                key_len: 0,
-                value_len: 0,
-                height: MAX_HEIGHT as u32,
+            node: KeyNode {
+                versions: AtomicPtr::new(null_mut()),
+                hash_next: AtomicPtr::new(null_mut()),
                 hash: 0,
-                hash_next: AtomicPtr::new(std::ptr::null_mut()),
+                height: MAX_HEIGHT as u32,
             },
-            tower: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            tower: std::array::from_fn(|_| AtomicPtr::new(null_mut())),
         });
         let keys = std::collections::hash_map::RandomState::new();
         MemTable {
             inner: Arc::new(Inner {
                 head,
                 max_height: AtomicUsize::new(1),
-                buckets: AtomicPtr::new(std::ptr::null_mut()),
+                buckets: AtomicPtr::new(null_mut()),
                 bucket_bits,
                 seed: [keys.hash_one(0u8), keys.hash_one(1u8) | 1],
                 writer: Mutex::new(Writer {
-                    rng: 0x9e37_79b9_7f4a_7c15,
-                    arena: Arena { blocks: Vec::new(), cursor: std::ptr::null_mut(), left: 0 },
+                    rng: HEIGHT_SEED,
+                    arena: Arena { blocks: Vec::new(), cursor: null_mut(), left: 0 },
                 }),
                 mem_usage: AtomicUsize::new(0),
                 entries: AtomicUsize::new(0),
@@ -465,59 +449,73 @@ impl MemTable {
     /// Inserts a versioned entry.
     pub fn add(&self, seq: SequenceNumber, t: ValueType, user_key: &[u8], value: &[u8]) {
         let tag = pack_seq_type(seq, t);
-        let key_len = user_key.len() + 8;
         let inner: &Inner = &self.inner;
         let hash = index_hash(inner.seed, user_key);
-        if let Some(buckets) = inner.buckets() {
-            prefetch(bucket(buckets, hash));
-        }
         let mut writer = inner.writer.lock();
-        let mut prev = [inner.head(); MAX_HEIGHT];
-        let next = inner.find_greater_or_equal(user_key, tag, Some(&mut prev));
-        if next.is_some_and(|next| next.cmp(user_key, tag) == Ordering::Equal) {
-            return;
-        }
         let buckets = match inner.buckets() {
             Some(buckets) => buckets,
             None => inner.allocate_buckets(&mut writer.arena),
         };
+        // The link a present key's new version is stored into.
+        let link = match inner.find(user_key, hash).map(|node| node.link_for(tag)) {
+            Some(None) => return,
+            link => link.flatten(),
+        };
 
         let height = writer.random_height();
-        let header = Node {
-            key_len: u32::try_from(key_len).expect("memtable key under 4 GiB"),
-            value_len: u32::try_from(value.len()).expect("memtable value under 4 GiB"),
-            height: height as u32,
-            hash: hash as u32,
-            hash_next: AtomicPtr::new(std::ptr::null_mut()),
+        let key_len = user_key.len() + 8;
+        // A new key's record starts with its key node.
+        let before = if link.is_some() { 0 } else { KeyNode::len(height) };
+        let record = writer.arena.alloc(before + size_of::<Version>() + key_len + value.len());
+        let older = match link {
+            Some(link) => link.load(AtomicOrd::Relaxed),
+            None => record.as_ptr().map_addr(|addr| addr | 1).cast(),
         };
-        let record = writer.arena.alloc(Node::record_len(height, key_len, value.len()));
-        let node = record.as_ptr().cast::<Node>();
-        // SAFETY: `record` holds `record_len` unused, 8-aligned bytes that
-        // no reader can reach until the links below publish them; each
-        // write stays inside them (header, `height` slots, key, value).
-        unsafe {
-            node.write(header);
-            let tower = node.add(1).cast::<AtomicPtr<Node>>();
-            for (level, before) in prev.iter().take(height).enumerate() {
-                let succ = before.tower()[level].load(AtomicOrd::Relaxed);
-                tower.add(level).write(AtomicPtr::new(succ));
+        // SAFETY: `record` holds that many unused, 8-aligned bytes that no
+        // reader can reach until the stores below link them; these writes
+        // fill the version's part (header, key, value).
+        let version = unsafe {
+            let version = record.as_ptr().add(before).cast::<Version>();
+            version.write(Version {
+                older: AtomicPtr::new(older),
+                key_len: u32::try_from(key_len).expect("memtable key under 4 GiB"),
+                value_len: u32::try_from(value.len()).expect("memtable value under 4 GiB"),
+            });
+            let key = version.add(1).cast::<u8>();
+            ptr::copy_nonoverlapping(user_key.as_ptr(), key, user_key.len());
+            ptr::copy_nonoverlapping(tag.to_le_bytes().as_ptr(), key.add(user_key.len()), 8);
+            ptr::copy_nonoverlapping(value.as_ptr(), key.add(key_len), value.len());
+            version
+        };
+        if let Some(link) = link {
+            link.store(version, AtomicOrd::Release);
+        } else {
+            let mut prev = [inner.head(); MAX_HEIGHT];
+            inner.find_greater_or_equal(user_key, Some(&mut prev));
+            let node = record.as_ptr().cast::<KeyNode>();
+            let bucket = bucket(buckets, hash);
+            // SAFETY: the record's first `before` bytes are unused and equally
+            // unreachable; these writes fill them (header, `height` slots).
+            unsafe {
+                node.write(KeyNode {
+                    versions: AtomicPtr::new(version),
+                    hash_next: AtomicPtr::new(bucket.load(AtomicOrd::Relaxed)),
+                    hash: hash as u32,
+                    height: height as u32,
+                });
+                let tower = node.add(1).cast::<AtomicPtr<KeyNode>>();
+                for (level, before) in prev.iter().take(height).enumerate() {
+                    let succ = before.tower()[level].load(AtomicOrd::Relaxed);
+                    tower.add(level).write(AtomicPtr::new(succ));
+                }
             }
-            let key = tower.add(height).cast::<u8>();
-            std::ptr::copy_nonoverlapping(user_key.as_ptr(), key, user_key.len());
-            std::ptr::copy_nonoverlapping(tag.to_le_bytes().as_ptr(), key.add(user_key.len()), 8);
-            std::ptr::copy_nonoverlapping(value.as_ptr(), key.add(key_len), value.len());
-        }
-
-        if inner.max_height.load(AtomicOrd::Relaxed) < height {
-            inner.max_height.store(height, AtomicOrd::Relaxed);
-        }
-        for (level, before) in prev.iter().take(height).enumerate() {
-            before.tower()[level].store(node, AtomicOrd::Release);
-        }
-        // Only the key's newest version joins the index.
-        if std::ptr::eq(prev[0], inner.head()) || prev[0].user_key() != user_key {
-            let older = next.filter(|next| next.user_key() == user_key);
-            link_into_chain(bucket(buckets, hash), node, older);
+            if inner.max_height.load(AtomicOrd::Relaxed) < height {
+                inner.max_height.store(height, AtomicOrd::Relaxed);
+            }
+            for (level, before) in prev.iter().take(height).enumerate() {
+                before.tower()[level].store(node, AtomicOrd::Release);
+            }
+            bucket.store(node, AtomicOrd::Release);
         }
         drop(writer);
         let charge = varint_len(key_len)
@@ -534,13 +532,26 @@ impl MemTable {
     #[must_use]
     pub fn get(&self, user_key: &[u8], seq: SequenceNumber) -> LookupResult {
         // The lookup tag: type 0xff sorts first among entries at `seq`, so
-        // every entry with sequence <= `seq` is at or after it.
+        // every entry with sequence <= `seq` has a tag at or below it.
         let lookup = (seq << 8) | 0xff;
-        LookupResult::of(match self.inner.probe(user_key, lookup) {
-            Probe::Absent => None,
-            Probe::Newest(node) => Some(node),
-            Probe::Unsure => self.inner.search(user_key, lookup),
-        })
+        let inner: &Inner = &self.inner;
+        let Some(node) = inner.find(user_key, index_hash(inner.seed, user_key)) else {
+            return LookupResult::NotFound;
+        };
+        let mut walked = 0;
+        let visible = chain(&node.versions).find(|version| {
+            let newer = version.tag() > lookup;
+            walked += u64::from(newer);
+            !newer
+        });
+        if walked > 0 {
+            perf::incr(PerfCounter::MemtableVersionsWalked, walked);
+        }
+        match visible.map(|version| (unpack_seq_type(version.tag()).1, version.entry().1)) {
+            Some((Some(ValueType::Value), value)) => LookupResult::Found(value.to_vec()),
+            Some((Some(ValueType::Deletion), _)) => LookupResult::Deleted,
+            _ => LookupResult::NotFound,
+        }
     }
 
     /// Approximate bytes of memory consumed (the frozen per-entry charge of
@@ -565,42 +576,17 @@ impl MemTable {
     /// An iterator positioned before the first entry.
     #[must_use]
     pub fn iter(&self) -> MemTableIterator {
-        MemTableIterator { inner: self.inner.clone(), node: std::ptr::null() }
+        MemTableIterator { inner: self.inner.clone(), version: null() }
     }
-}
-
-/// Links `node`, its key's newest version, into the chain of `bucket`: in
-/// place of `older`, the version it supersedes, if a walk of at most
-/// [`CHAIN_LIMIT`] links finds it, else at the front. Runs under the insert
-/// mutex, the only writer of chain links.
-fn link_into_chain(bucket: &AtomicPtr<Node>, node: *mut Node, older: Option<&Node>) {
-    // SAFETY: `node` is the complete record `add` just wrote; readers see
-    // it only through the `Release` store below.
-    let new = unsafe { &*node };
-    let mut link = bucket;
-    if let Some(older) = older {
-        for _ in 0..CHAIN_LIMIT {
-            let Some(current) = follow(link.load(AtomicOrd::Relaxed)) else { break };
-            if std::ptr::eq(current, older) {
-                new.hash_next.store(older.hash_next.load(AtomicOrd::Relaxed), AtomicOrd::Relaxed);
-                link.store(node, AtomicOrd::Release);
-                return;
-            }
-            link = &current.hash_next;
-        }
-        link = bucket;
-    }
-    new.hash_next.store(link.load(AtomicOrd::Relaxed), AtomicOrd::Relaxed);
-    link.store(node, AtomicOrd::Release);
 }
 
 impl Inner {
-    fn head(&self) -> &Node {
+    fn head(&self) -> &KeyNode {
         &self.head.node
     }
 
     /// The bucket array, once the first insert has allocated it.
-    fn buckets(&self) -> Option<&[AtomicPtr<Node>]> {
+    fn buckets(&self) -> Option<&[AtomicPtr<KeyNode>]> {
         let buckets = self.buckets.load(AtomicOrd::Acquire);
         // SAFETY: a non-null array was zeroed (every bucket null) and
         // published with `Release` by `allocate_buckets`, holds
@@ -612,51 +598,40 @@ impl Inner {
 
     /// Allocates and publishes the bucket array; called under the insert
     /// mutex, whose arena it takes.
-    fn allocate_buckets(&self, arena: &mut Arena) -> &[AtomicPtr<Node>] {
-        let len = size_of::<AtomicPtr<Node>>() << self.bucket_bits;
-        let buckets = arena.block(len, alloc_zeroed).as_ptr().cast::<AtomicPtr<Node>>();
+    fn allocate_buckets(&self, arena: &mut Arena) -> &[AtomicPtr<KeyNode>] {
+        let len = size_of::<AtomicPtr<KeyNode>>() << self.bucket_bits;
+        let buckets = arena.block(len, alloc_zeroed).as_ptr().cast::<AtomicPtr<KeyNode>>();
         self.buckets.store(buckets, AtomicOrd::Release);
         self.buckets().expect("just published")
     }
 
-    /// What the index says about `user_key` at the lookup tag `lookup`.
-    fn probe(&self, user_key: &[u8], lookup: u64) -> Probe<'_> {
-        let Some(buckets) = self.buckets() else { return Probe::Absent };
-        let hash = index_hash(self.seed, user_key);
-        let mut link = bucket(buckets, hash);
-        for _ in 0..CHAIN_LIMIT {
-            let Some(node) = follow(link.load(AtomicOrd::Acquire)) else { return Probe::Absent };
-            if node.hash == hash as u32 {
-                let (own_key, own_tag) = split_internal_key(node.key());
-                if own_key == user_key {
-                    return if own_tag <= lookup { Probe::Newest(node) } else { Probe::Unsure };
-                }
+    /// The key node of `user_key`, whose index hash is `hash`, if the
+    /// table holds the key. The key compared is the newest version's, the
+    /// record a caller reads next, not the first's, a line further on.
+    fn find(&self, user_key: &[u8], hash: u64) -> Option<&KeyNode> {
+        let mut link = bucket(self.buckets()?, hash);
+        loop {
+            let node = follow(link.load(AtomicOrd::Acquire))?;
+            let newest = step(&node.versions);
+            if node.hash == hash as u32 && newest.is_ok_and(|newest| newest.user_key() == user_key) {
+                return Some(node);
             }
             link = &node.hash_next;
         }
-        Probe::Unsure
     }
 
-    /// The skiplist's answer: the first entry of `user_key` at or after
-    /// the lookup tag `lookup`.
-    fn search(&self, user_key: &[u8], lookup: u64) -> Option<&Node> {
-        self.find_greater_or_equal(user_key, lookup, None).filter(|node| node.user_key() == user_key)
-    }
-
-    /// Finds the first node at or after the internal key `(user_key,
-    /// tag)`; optionally records the predecessor at every level into
-    /// `prev`.
+    /// Finds the first key node whose user key is at or after `user_key`;
+    /// optionally records the predecessor at every level into `prev`.
     fn find_greater_or_equal<'a>(
         &'a self,
         user_key: &[u8],
-        tag: u64,
-        mut prev: Option<&mut [&'a Node; MAX_HEIGHT]>,
-    ) -> Option<&'a Node> {
+        mut prev: Option<&mut [&'a KeyNode; MAX_HEIGHT]>,
+    ) -> Option<&'a KeyNode> {
         let mut level = self.max_height.load(AtomicOrd::Relaxed) - 1;
         let mut node = self.head();
         loop {
             match node.next(level) {
-                Some(next) if next.cmp(user_key, tag) == Ordering::Less => node = next,
+                Some(next) if user_key_cmp(next.first().user_key(), user_key).is_lt() => node = next,
                 next => {
                     if let Some(p) = prev.as_deref_mut() {
                         p[level] = node;
@@ -671,64 +646,77 @@ impl Inner {
     }
 }
 
-/// Iterator over a memtable's entries in internal-key order.
+/// Iterator over a memtable's entries in internal-key order: user key
+/// ascending, and each key's versions newest first.
 ///
 /// Holds an `Arc` to the table internals, so it remains valid even if the
 /// `MemTable` handle is dropped (e.g. during flush).
 pub struct MemTableIterator {
     inner: Arc<Inner>,
-    /// The current record, or null when not positioned on one.
-    node: *const Node,
+    /// The current entry, or null when not positioned on one.
+    version: *const Version,
 }
 
-fn as_ptr(node: Option<&Node>) -> *const Node {
-    node.map_or(std::ptr::null(), std::ptr::from_ref)
+/// The newest version of `node`, or null.
+fn newest(node: Option<&KeyNode>) -> *const Version {
+    node.and_then(|node| step(&node.versions).ok()).map_or(null(), ptr::from_ref)
 }
 
-// SAFETY: `node` points into records owned by `inner`, which the iterator
-// keeps alive, and records are immutable once linked.
+// SAFETY: `version` points into records owned by `inner`, which the
+// iterator keeps alive, and a record's bytes never change once linked.
 unsafe impl Send for MemTableIterator {}
 
 impl MemTableIterator {
-    fn current(&self) -> &Node {
+    fn current(&self) -> &Version {
         debug_assert!(self.valid());
-        // SAFETY: `node` is a non-null record of `inner` (callers check
+        // SAFETY: `version` is a non-null record of `inner` (callers check
         // `valid`), kept alive by the iterator's `Arc`.
-        unsafe { &*self.node }
+        unsafe { &*self.version }
     }
 
     /// True if positioned on an entry.
     #[must_use]
     pub fn valid(&self) -> bool {
-        !self.node.is_null()
+        !self.version.is_null()
     }
 
     /// Positions on the first entry.
     pub fn seek_to_first(&mut self) {
-        self.node = as_ptr(self.inner.head().next(0));
+        self.version = newest(self.inner.head().next(0));
     }
 
     /// Positions on the first entry with internal key >= `target`.
     pub fn seek(&mut self, target: &[u8]) {
         let (user_key, tag) = split_internal_key(target);
-        self.node = as_ptr(self.inner.find_greater_or_equal(user_key, tag, None));
+        self.version = match self.inner.find_greater_or_equal(user_key, None) {
+            Some(node) if node.first().user_key() == user_key => {
+                match chain(node.seek_link(tag)).find(|version| version.tag() <= tag) {
+                    Some(version) => ptr::from_ref(version),
+                    None => newest(node.next(0)),
+                }
+            }
+            node => newest(node),
+        };
     }
 
     /// Advances to the next entry.
     pub fn next(&mut self) {
-        self.node = as_ptr(self.current().next(0));
+        self.version = match step(&self.current().older) {
+            Ok(older) => ptr::from_ref(older),
+            Err(node) => newest(node.next(0)),
+        };
     }
 
     /// The current internal key.
     #[must_use]
     pub fn key(&self) -> &[u8] {
-        self.current().key()
+        self.current().entry().0
     }
 
     /// The current value (empty for tombstones).
     #[must_use]
     pub fn value(&self) -> &[u8] {
-        self.current().value()
+        self.current().entry().1
     }
 }
 
@@ -739,18 +727,23 @@ mod tests {
     use std::sync::Barrier;
 
     use proptest::prelude::*;
+    use shield_core::PerfGuard;
 
     use super::*;
     use crate::types::{
         extract_seq_type, extract_user_key, internal_key_cmp, make_internal_key, make_lookup_key,
     };
 
-    impl MemTable {
-        /// `get` through the skiplist search alone: the oracle the index's
-        /// answers are checked against.
-        fn get_by_search(&self, user_key: &[u8], seq: SequenceNumber) -> LookupResult {
-            LookupResult::of(self.inner.search(user_key, (seq << 8) | 0xff))
+    /// Every entry's (user key, sequence) in iteration order.
+    fn entries(mt: &MemTable) -> Vec<(Vec<u8>, u64)> {
+        let mut it = mt.iter();
+        it.seek_to_first();
+        let mut seen = Vec::new();
+        while it.valid() {
+            seen.push((extract_user_key(it.key()).to_vec(), extract_seq_type(it.key()).0));
+            it.next();
         }
+        seen
     }
 
     #[test]
@@ -875,11 +868,12 @@ mod tests {
         index.wrapping_mul(2_654_435_761).to_be_bytes()
     }
 
-    /// Two writers insert and then rewrite their keys (the index's replace
-    /// path) while one reader iterates and two readers `get`. A getter
-    /// reads a key at its writer's published sequence, or below it (where
-    /// the newest version is often invisible and the skiplist answers),
-    /// and must see exactly the newest version at or below that sequence.
+    /// Two writers insert and then rewrite their keys (each rewrite a
+    /// version stored at the head of its key's chain) while one reader
+    /// iterates and two readers `get`. A getter reads a key at its
+    /// writer's published sequence, or below it (where it walks past
+    /// newer versions), and must see exactly the newest version at or
+    /// below that sequence.
     #[test]
     fn concurrent_reads_during_writes() {
         const OPS: u32 = 50_000;
@@ -1024,16 +1018,29 @@ mod tests {
         }
     }
 
+    /// Every insert but a dropped duplicate draws one height from the
+    /// table's sequence and is charged `varint(ikey_len) + ikey_len +
+    /// varint(value_len) + value_len + 48 + 8 * height`, a rewrite (which
+    /// has no tower) as much as a new key.
     #[test]
     fn charge_is_the_legacy_formula() {
         let mt = MemTable::new(1);
+        let mut heights = Writer { rng: HEIGHT_SEED, arena: Arena { blocks: Vec::new(), cursor: null_mut(), left: 0 } };
+        let first = heights.random_height();
+        let mut want = 1 + 11 + 2 + 200 + 48 + 8 * first;
         mt.add(1, ValueType::Value, b"key", &[0u8; 200]);
-        let height = mt.inner.head().next(0).unwrap().height as usize;
-        // varint(11) + 11 + varint(200) + 200 + 48 + 8 * height.
-        assert_eq!(mt.approximate_memory_usage(), 1 + 11 + 2 + 200 + 48 + 8 * height);
-        // A dropped duplicate charges nothing.
-        mt.add(1, ValueType::Value, b"key", &[0u8; 200]);
-        assert_eq!(mt.approximate_memory_usage(), 1 + 11 + 2 + 200 + 48 + 8 * height);
+        assert_eq!(mt.approximate_memory_usage(), want);
+        assert_eq!(mt.inner.head().next(0).unwrap().height as usize, first, "the key node's tower");
+        for seq in [3, 2] {
+            mt.add(seq, ValueType::Value, b"key", &[0u8; 200]);
+            want += 1 + 11 + 2 + 200 + 48 + 8 * heights.random_height();
+            assert_eq!(mt.approximate_memory_usage(), want, "rewrite at {seq}");
+        }
+        mt.add(2, ValueType::Value, b"key", &[1u8; 200]);
+        assert_eq!(mt.approximate_memory_usage(), want, "a dropped duplicate charges nothing");
+        mt.add(4, ValueType::Value, b"other", b"");
+        want += 1 + 13 + 1 + 48 + 8 * heights.random_height();
+        assert_eq!(mt.approximate_memory_usage(), want, "and draws no height");
     }
 
     /// One insert: a key from the pool, a sequence, a type and a value
@@ -1049,12 +1056,12 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// Against a `BTreeMap` keyed like the table (user key ascending,
-        /// tag descending) and against the skiplist search alone: point
-        /// reads at random sequences, the whole iteration order and seeks
-        /// to random lookup keys. Keys are rewritten, their versions arrive
+        /// tag descending): point reads at random sequences of present and
+        /// (mostly) absent keys, the whole iteration order and seeks to
+        /// random lookup keys. Keys are rewritten, their versions arrive
         /// out of sequence order, some are tombstones, and some inserts
         /// repeat an earlier one exactly. The index has one bucket (every
-        /// key in one chain, past the walk bound), 8, or the default count.
+        /// key in one chain), 8, or the default count.
         #[test]
         fn matches_ordered_oracle(
             bucket_bits in prop_oneof![Just(0u32), Just(3), Just(15)],
@@ -1111,7 +1118,6 @@ mod tests {
                             LookupResult::Deleted
                         }
                     });
-                prop_assert_eq!(&mt.get_by_search(key, seq), &want);
                 prop_assert_eq!(mt.get(key, seq), want);
             }
 
@@ -1133,56 +1139,59 @@ mod tests {
         }
     }
 
-    /// One bucket: every key shares a chain far longer than the walk
-    /// bound, so most lookups and most rewrites run out of links. Every
-    /// answer still matches the skiplist's, and the index still answers
-    /// the keys near the front of the chain.
+    /// One key with 10,000 versions: a read at the newest walks past
+    /// none, a read at the oldest past all 9,999 others, and the perf
+    /// counter records each walk. A seek past every version of the key
+    /// (a scan's re-seek) lands on the next key.
     #[test]
-    fn one_chain_past_the_walk_bound_falls_back_to_the_skiplist() {
-        let mt = MemTable::with_bucket_bits(1, 0);
-        let key = |k: u32| format!("key-{k:05}").into_bytes();
-        let mut seq = 0;
-        for round in 0..3u32 {
-            for k in 0..200u32 {
-                // Every round rewrites every key; each fifth key is
-                // deleted in the last round.
-                seq += 1;
-                let t = if round == 2 && k % 5 == 0 { ValueType::Deletion } else { ValueType::Value };
-                mt.add(seq, t, &key(k), format!("{round}").as_bytes());
-            }
+    fn one_key_with_ten_thousand_versions() {
+        const VERSIONS: u64 = 10_000;
+        let mt = MemTable::new(1);
+        for seq in 1..=VERSIONS {
+            mt.add(seq, ValueType::Value, b"hot", &seq.to_le_bytes());
         }
-        let lookup = |k: u32, seq: u64| mt.inner.probe(&key(k), (seq << 8) | 0xff);
-        assert!(matches!(lookup(199, seq), Probe::Newest(_)), "the front of the chain answers");
-        assert!(matches!(lookup(0, seq), Probe::Unsure), "a key past the bound falls back");
-        assert!(matches!(lookup(199, 1), Probe::Unsure), "a version newer than the read falls back");
-        assert!(matches!(mt.inner.probe(b"absent", u64::MAX >> 8), Probe::Unsure));
-        for k in 0..200 {
-            for read in [0, 1, 150, 200, 201, 400, 401, 600, u64::MAX >> 8] {
-                assert_eq!(mt.get(&key(k), read), mt.get_by_search(&key(k), read), "key {k} at {read}");
-            }
-        }
-        assert_eq!(mt.get(&key(7), seq), LookupResult::Found(b"2".to_vec()));
-        assert_eq!(mt.get(&key(5), seq), LookupResult::Deleted);
-        assert_eq!(mt.get(&key(5), 400), LookupResult::Found(b"1".to_vec()));
+        let get = |seq: u64| {
+            let _perf = PerfGuard::enable();
+            let got = mt.get(b"hot", seq);
+            (got, perf::take().memtable_versions_walked)
+        };
+        let found = |seq: u64| LookupResult::Found(seq.to_le_bytes().to_vec());
+        assert_eq!(get(VERSIONS), (found(VERSIONS), 0));
+        assert_eq!(get(u64::MAX >> 8), (found(VERSIONS), 0));
+        assert_eq!(get(1), (found(1), VERSIONS - 1));
+        assert_eq!(get(5_000), (found(5_000), VERSIONS - 5_000));
+        assert_eq!(get(0), (LookupResult::NotFound, VERSIONS), "older than every version");
+        let seqs: Vec<u64> = entries(&mt).into_iter().map(|(_, seq)| seq).collect();
+        assert_eq!(seqs, (1..=VERSIONS).rev().collect::<Vec<_>>());
+        mt.add(1, ValueType::Value, b"next", b"");
+        let mut it = mt.iter();
+        it.seek(&make_internal_key(b"hot", 0, ValueType::Deletion));
+        assert_eq!(extract_user_key(it.key()), b"next");
     }
 
-    /// A short chain answers from the index: a key's newest visible
-    /// version, an absent key, and, for an older read, the skiplist.
+    /// A WAL replay can insert an older version after a newer one: it
+    /// takes its place in the key's chain, and `get`, the iterator and a
+    /// seek all see it.
     #[test]
-    fn the_index_answers_newest_and_absent_keys() {
+    fn an_older_version_inserted_after_a_newer_one_is_seen() {
         let mt = MemTable::new(1);
-        assert!(matches!(mt.inner.probe(b"k", 10 << 8), Probe::Absent), "an empty table");
-        mt.add(1, ValueType::Value, b"k", b"v1");
         mt.add(5, ValueType::Value, b"k", b"v5");
-        // Out of sequence order: an older version after a newer one.
+        mt.add(9, ValueType::Deletion, b"k", b"");
         mt.add(3, ValueType::Value, b"k", b"v3");
-        let probe = |seq: u64| mt.inner.probe(b"k", (seq << 8) | 0xff);
-        assert!(matches!(probe(5), Probe::Newest(node) if node.value() == b"v5"));
-        assert!(matches!(probe(4), Probe::Unsure));
-        assert!(matches!(mt.inner.probe(b"other", u64::MAX), Probe::Absent));
+        mt.add(7, ValueType::Value, b"k", b"v7");
+        mt.add(1, ValueType::Value, b"j", b"j1");
+        assert_eq!(mt.get(b"k", 2), LookupResult::NotFound);
         assert_eq!(mt.get(b"k", 4), LookupResult::Found(b"v3".to_vec()));
-        assert_eq!(mt.get(b"k", 2), LookupResult::Found(b"v1".to_vec()));
-        assert_eq!(mt.get(b"k", 0), LookupResult::NotFound);
+        assert_eq!(mt.get(b"k", 6), LookupResult::Found(b"v5".to_vec()));
+        assert_eq!(mt.get(b"k", 8), LookupResult::Found(b"v7".to_vec()));
+        assert_eq!(mt.get(b"k", 9), LookupResult::Deleted);
+        let want = [(b"j", 1), (b"k", 9), (b"k", 7), (b"k", 5), (b"k", 3)];
+        assert_eq!(entries(&mt), want.map(|(key, seq)| (key.to_vec(), seq)));
+        let mut it = mt.iter();
+        it.seek(&make_lookup_key(b"k", 4));
+        assert_eq!((extract_seq_type(it.key()).0, it.value()), (3, &b"v3"[..]));
+        it.seek(&make_lookup_key(b"k", 2));
+        assert!(!it.valid(), "no version of k at or below 2, and no later key");
     }
 
     #[test]

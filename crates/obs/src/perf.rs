@@ -74,6 +74,9 @@ pub struct PerfContext {
     pub file_create_nanos: u64,
     /// [`Section::ManifestSync`].
     pub manifest_sync_nanos: u64,
+    /// Memtable versions a get walked past because they were newer than
+    /// its read sequence.
+    pub memtable_versions_walked: u64,
 }
 
 /// Declares [`PerfContext::ZERO`] and [`PerfContext::fields`] from one
@@ -83,9 +86,10 @@ macro_rules! field_list {
         pub const ZERO: PerfContext = PerfContext { $($field: 0),* };
 
         /// Field (name, value) pairs, for rendering: times, then counts,
-        /// then the file-creation times (appended, so the positions
-        /// readers of the first fifteen rely on did not move).
-        pub fn fields(&self) -> [(&'static str, u64); 18] {
+        /// then the file-creation times and the memtable walk count
+        /// (appended, so the positions readers of the first fifteen rely
+        /// on did not move).
+        pub fn fields(&self) -> [(&'static str, u64); 19] {
             [$((stringify!($field), self.$field)),*]
         }
     };
@@ -97,6 +101,7 @@ impl PerfContext {
         block_read_nanos, block_decrypt_nanos, block_encrypt_nanos, dek_resolve_nanos,
         cache_lookup_nanos, subcompaction_nanos, io_batch_wait_nanos, blocks_read, bloom_probes,
         cipher_inits, singleflight_waits, dek_wait_nanos, file_create_nanos, manifest_sync_nanos,
+        memtable_versions_walked,
     }
 
     /// Sum of the timed components, in nanoseconds: every section's
@@ -123,6 +128,7 @@ pub enum PerfCounter {
     BloomProbes,
     CipherInits,
     SingleflightWaits,
+    MemtableVersionsWalked,
 }
 
 /// Bit of the flags cell: this thread collects a [`PerfContext`].
@@ -181,6 +187,7 @@ pub fn incr(counter: PerfCounter, n: u64) {
             PerfCounter::BloomProbes => ctx.bloom_probes += n,
             PerfCounter::CipherInits => ctx.cipher_inits += n,
             PerfCounter::SingleflightWaits => ctx.singleflight_waits += n,
+            PerfCounter::MemtableVersionsWalked => ctx.memtable_versions_walked += n,
         }
         c.set(ctx);
     });
@@ -427,6 +434,7 @@ mod tests {
         ctx.bloom_probes = 1 << 41;
         ctx.cipher_inits = 1 << 42;
         ctx.singleflight_waits = 1 << 43;
+        ctx.memtable_versions_walked = 1 << 44;
         assert_eq!(ctx.timed_nanos(), expected);
         let by_name: u64 = ctx
             .fields()

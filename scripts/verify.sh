@@ -99,7 +99,7 @@
 #                      filter false positive, filters pass ≤ 0.2 %
 #                      of the keys their tables do not hold, and the
 #                      scan-per-row, key-comparator and memtable
-#                      (add, get hit, get miss) rows are written
+#                      (add, get hit, get miss, rewrite) rows are written
 #                      (§4g, §4i, §4n)
 #     7  integrity     HMAC runs verify every block, clean data verifies
 #                      clean (§4h)
@@ -430,7 +430,7 @@ require target/BENCH_readpath_smoke.json '"remote_reads_per_get": [0-9]' '"filte
 require target/BENCH_readpath_smoke.json '"scan_ns_per_row": [0-9]' '"key_cmp_16b_ns"' \
     '"key_cmp_128b_shared120_ns"' '"slice_cmp": [0-9]'
 require target/BENCH_readpath_smoke.json '"memtable_get_hit_ns": [0-9]' \
-    '"memtable_get_miss_ns": [0-9]' '"memtable_add_ns": [0-9]'
+    '"memtable_get_miss_ns": [0-9]' '"memtable_add_ns": [0-9]' '"memtable_rewrite_ns": [0-9]'
 fp=$(grep -o '"filter_fp_rate": [0-9.eE+-]*' target/BENCH_readpath_smoke.json | awk '{print $2}')
 if ! awk -v r="$fp" 'BEGIN { exit !(r != "" && r <= 0.002) }'; then
     echo "FAIL: filters passed ${fp:-?} of the keys their tables did not hold (> 0.002): a get on"

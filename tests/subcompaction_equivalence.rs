@@ -506,21 +506,29 @@ impl EventListener for Splits {
 
 /// `max_subcompactions` is a floor: a tree with nothing in L0, so as far
 /// from behind as a tree gets, still splits an L1→L2 merge four ways
-/// when the caller asked for four.
+/// when the caller asked for four. The test thread builds the tree in
+/// rounds: puts that fit one memtable, a flush, then every merge that
+/// follows, with no put racing them. So an L1→L2 merge is picked only
+/// after the L0→L1 merge before it has emptied L0.
 #[test]
 fn an_explicit_max_subcompactions_splits_with_an_empty_l0() {
+    const ROUND: u32 = 400;
     let splits = Arc::new(Splits::default());
     let db = Store::new(Mode::Shield).open(|opts| {
-        let mut o = never_behind(opts).with_max_subcompactions(4).with_event_listener(splits.clone());
+        // ~50 KB of charge per round: only the flush below writes L0.
+        let mut o = never_behind(opts).with_write_buffer_size(64 << 10);
         o.compaction.base_level_bytes = 64 << 10;
-        o
+        o.with_max_subcompactions(4).with_event_listener(splits.clone())
     });
     let w = WriteOptions::default();
-    for i in 0..12_000u32 {
-        let id = (i % 4_000) as u16;
-        db.put(&w, &user_key(id), &value_for((i % 251) as u8, u64::from(i))).expect("put");
+    for round in 0..12_000 / ROUND {
+        for i in round * ROUND..(round + 1) * ROUND {
+            let id = (i % 4_000) as u16;
+            db.put(&w, &user_key(id), &value_for((i % 251) as u8, u64::from(i))).expect("put");
+        }
+        db.flush().expect("flush");
+        db.wait_for_background_work().expect("compact");
     }
-    db.compact_all().expect("compact");
     let splits = splits.0.lock().expect("no panic under this lock");
     assert!(
         splits.iter().any(|&(subtasks, l0_files)| l0_files == 0 && subtasks > 1),
