@@ -18,20 +18,20 @@
 //! match the primary byte for byte — the `bench-smoke` tier of
 //! `scripts/verify.sh`.
 //!
-//! The primary opens through `shield_bench::systems`; the replica open
-//! stays here — a `ReplicaDb` is not one of the five systems it builds.
+//! The primary opens through `shield_bench::systems`, and the replica's
+//! file layer, under its own identity, comes from the same store
+//! (`SystemStore::files_for`).
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use shield::{open_shield_replica, ShieldOptions};
 use shield_bench::harness::{self, Bench};
 use shield_bench::rng::Rng;
 use shield_bench::{SystemKind, SystemStore, Tuning};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
-use shield_kds::{Kds, ServerId};
-use shield_lsm::{ReadOptions, ReplicaOptions, WriteOptions};
+use shield_kds::ServerId;
+use shield_lsm::{ReadOptions, ReplicaDb, ReplicaOptions, WriteOptions};
 
 const READER: ServerId = ServerId(3);
 
@@ -70,14 +70,10 @@ fn main() -> ExitCode {
     }
     primary.flush().expect("seed flush");
 
-    let replica = open_shield_replica(
-        replica_mount,
-        "db",
-        "reader.cache",
-        ShieldOptions::new(store.kds.clone() as Arc<dyn Kds>, READER, b"reader-pass"),
-        ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
-    )
-    .expect("open replica");
+    // The reader's file layer: its own identity and secure cache.
+    let files = store.files_for(READER, replica_mount, "reader.cache").expect("reader files");
+    let manual = ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() };
+    let replica = ReplicaDb::open(files, "db", manual).expect("open replica");
 
     // Phase 1 — live tail: the primary ingests while the replica polls
     // every `batch` writes; lag is sampled after each round.

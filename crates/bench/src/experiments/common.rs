@@ -6,12 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use shield::deploy::OffloadedCompactor;
-use shield::{shield_encryption, ShieldOptions};
 use shield_env::{Env, IoStats, NetworkModel, PosixEnv, RemoteEnv};
-use shield_kds::{Kds, LocalKds, ServerId};
-use shield_lsm::{FileStore, IntegrityOptions};
+use shield_kds::ServerId;
 
-use crate::systems::{build_system, SystemHandle, SystemKind, Tuning};
+use crate::systems::{build_system, SystemHandle, SystemKind, SystemStore, Tuning};
+
+/// The offloaded compactor's identity at the KDS.
+const COMPACTOR: ServerId = ServerId(2);
 
 /// Scales every experiment relative to the paper's 50 M-op runs.
 ///
@@ -180,43 +181,21 @@ pub fn deploy(kind: SystemKind, deploy: DeployKind, tuning: &Tuning, tag: &str) 
             // The compute node mounts the storage over the network; the
             // storage server works on `backing` itself.
             let remote = Arc::new(RemoteEnv::new(backing.clone(), bench_network()));
-            let mut tuning = tuning.clone();
-            let mut compactor = None;
-            if deploy == DeployKind::DsOffloaded {
-                // The compactor runs on the storage server with its own
-                // identity, cache, and *storage-local* I/O.
-                let storage_env = backing.clone();
-                let encryption = match kind {
-                    SystemKind::Plain => None,
-                    _ => {
-                        let kds = tuning
-                            .kds
-                            .get_or_insert_with(|| {
-                                Arc::new(LocalKds::new(tuning.kds_config.clone()))
-                            })
-                            .clone();
-                        let cache_path = shield_env::join_path(&tmp.path(), "compactor.cache");
-                        let shield = ShieldOptions {
-                            chunk_size: tuning.chunk_size,
-                            encryption_threads: tuning.encryption_threads,
-                            ..ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(2), b"compactor-pass")
-                        };
-                        let (encryption, _) =
-                            shield_encryption(storage_env.clone(), &cache_path, &shield)
-                                .expect("compactor cache");
-                        Some(encryption)
+            let store = SystemStore::new(kind, remote.clone(), &db_path, tuning.clone());
+            // An offloaded compactor runs on the storage server with its
+            // own identity, cache, and *storage-local* I/O.
+            let compactor = (deploy == DeployKind::DsOffloaded).then(|| {
+                let cache_path = shield_env::join_path(&tmp.path(), "compactor.cache");
+                let files = store.files_for(COMPACTOR, backing.clone(), &cache_path);
+                OffloadedCompactor::new(files.expect("compactor cache"))
+            });
+            let sys = store
+                .open_with(|mut opts| {
+                    if let Some(c) = &compactor {
+                        opts.compaction_executor = Some(c.clone());
                     }
-                };
-                // The experiments open with the default integrity options.
-                let c = OffloadedCompactor::new(FileStore::new(
-                    storage_env,
-                    encryption,
-                    IntegrityOptions::default(),
-                ));
-                tuning.compaction_executor = Some(c.clone());
-                compactor = Some(c);
-            }
-            let sys = build_system(kind, remote.clone(), &db_path, &tuning)
+                    opts
+                })
                 .expect("open system");
             Deployed {
                 sys,

@@ -1,16 +1,20 @@
 //! Builders for the five systems the paper compares (§6.1):
 //! unencrypted baseline, EncFS ± WAL-Buf, SHIELD ± WAL-Buf — the only
-//! place in this crate that maps a system to `open_plain` / `open_encfs`
-//! / `open_shield`.
+//! place in this crate that maps a system to its [`Encryption`] design
+//! ([`SystemStore::encryption`]).
 
 use std::sync::Arc;
 
-use shield::{open_encfs, open_plain, open_shield, EncFsDb, ShieldDb, ShieldOptions};
 use shield_crypto::{Algorithm, Dek};
 use shield_env::Env;
-use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
+use shield_kds::{KdsConfig, LocalKds, ServerId};
 use shield_lsm::compaction::{CompactionExecutor, CompactionStyle};
-use shield_lsm::{Db, Options, Result};
+use shield_lsm::{Db, Encryption, FileStore, IntegrityOptions, Options, Result, ShieldOptions};
+
+/// The identity a system's own database opens under.
+pub const PRIMARY: ServerId = ServerId(1);
+/// Passkey of every identity's secure DEK cache.
+const PASSKEY: &[u8] = b"bench-passkey";
 
 /// The five configurations of the evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,49 +132,26 @@ impl Default for Tuning {
     }
 }
 
-enum SystemDb {
-    Plain(Db),
-    EncFs(EncFsDb),
-    Shield(ShieldDb),
-}
-
 /// An opened system under test.
 pub struct SystemHandle {
     /// Which configuration this is.
     pub kind: SystemKind,
     /// The KDS backing SHIELD variants.
     pub kds: Option<Arc<LocalKds>>,
-    inner: SystemDb,
+    db: Db,
 }
 
 impl SystemHandle {
     /// The engine handle.
     #[must_use]
     pub fn db(&self) -> &Db {
-        match &self.inner {
-            SystemDb::Plain(db) => db,
-            SystemDb::EncFs(db) => &db.db,
-            SystemDb::Shield(db) => &db.db,
-        }
+        &self.db
     }
 
     /// Cipher-context constructions performed so far (0 for Plain).
     #[must_use]
     pub fn cipher_inits(&self) -> u64 {
-        match &self.inner {
-            SystemDb::Plain(_) => 0,
-            SystemDb::EncFs(db) => db.env.cipher_inits(),
-            SystemDb::Shield(db) => db.encryption.cipher_inits(),
-        }
-    }
-
-    /// The SHIELD handle, when applicable.
-    #[must_use]
-    pub fn shield(&self) -> Option<&ShieldDb> {
-        match &self.inner {
-            SystemDb::Shield(db) => Some(db),
-            _ => None,
-        }
+        self.db.cipher_inits()
     }
 }
 
@@ -235,35 +216,46 @@ impl SystemStore {
     /// [`SystemStore::open`] with this open's own adjustments to the
     /// engine options (readahead, integrity mode, tracing, …).
     pub fn open_with(&self, adjust: impl FnOnce(Options) -> Options) -> Result<SystemHandle> {
-        let kind = self.kind;
+        let mut opts = adjust(base_options(self.env.clone(), &self.tuning));
+        opts.encryption = self.encryption(PRIMARY);
+        let db = Db::open(opts, &self.path)?;
+        let kds = db.resolver().map(|_| self.kds.clone());
+        Ok(SystemHandle { kind: self.kind, kds, db })
+    }
+
+    /// The file layer of another server (an offloaded compactor) that
+    /// opens this store's files from `env` under its own identity
+    /// `server`, with its secure cache (if the tuning keeps one) at
+    /// `cache_path` and the default integrity options.
+    pub fn files_for(
+        &self,
+        server: ServerId,
+        env: Arc<dyn Env>,
+        cache_path: &str,
+    ) -> Result<FileStore> {
+        FileStore::new(env, &self.encryption(server), cache_path, IntegrityOptions::default())
+    }
+
+    /// This system's design under `server`'s identity.
+    fn encryption(&self, server: ServerId) -> Encryption {
         let tuning = &self.tuning;
-        let opts = adjust(base_options(self.env.clone(), tuning));
-        let (inner, kds) = match kind {
-            SystemKind::Plain => (SystemDb::Plain(open_plain(opts, &self.path)?), None),
+        let buffered = matches!(self.kind, SystemKind::EncFsBuf | SystemKind::ShieldBuf);
+        let wal_buffer_size = if buffered { tuning.wal_buffer_size } else { 0 };
+        match self.kind {
+            SystemKind::Plain => Encryption::Plain,
             SystemKind::EncFs | SystemKind::EncFsBuf => {
-                let buf = if kind == SystemKind::EncFsBuf { tuning.wal_buffer_size } else { 0 };
-                (SystemDb::EncFs(open_encfs(opts, &self.path, self.dek.clone(), buf)?), None)
+                Encryption::EncFs { dek: self.dek.clone(), wal_buffer_size }
             }
-            SystemKind::Shield | SystemKind::ShieldBuf => {
-                let mut shield_opts = ShieldOptions::new(
-                    self.kds.clone() as Arc<dyn Kds>,
-                    ServerId(1),
-                    b"bench-passkey",
-                );
-                shield_opts.wal_buffer_size =
-                    if kind == SystemKind::ShieldBuf { tuning.wal_buffer_size } else { 0 };
-                shield_opts.chunk_size = tuning.chunk_size;
-                shield_opts.encryption_threads = tuning.encryption_threads;
-                shield_opts.algorithm = tuning.algorithm;
-                shield_opts.encrypt_wal = tuning.encrypt_wal;
-                if !tuning.secure_dek_cache {
-                    shield_opts.passkey = None;
-                }
-                let db = open_shield(opts, &self.path, shield_opts)?;
-                (SystemDb::Shield(db), Some(self.kds.clone()))
-            }
-        };
-        Ok(SystemHandle { kind, kds, inner })
+            SystemKind::Shield | SystemKind::ShieldBuf => Encryption::Shield(ShieldOptions {
+                passkey: tuning.secure_dek_cache.then(|| PASSKEY.to_vec()),
+                algorithm: tuning.algorithm,
+                wal_buffer_size,
+                chunk_size: tuning.chunk_size,
+                encryption_threads: tuning.encryption_threads,
+                encrypt_wal: tuning.encrypt_wal,
+                ..ShieldOptions::new(self.kds.clone(), server, PASSKEY)
+            }),
+        }
     }
 }
 
@@ -283,6 +275,8 @@ mod tests {
     use shield::{ReadOptions, WriteOptions};
     use shield_env::MemEnv;
 
+    /// Every system round-trips a key, and its handle answers for its own
+    /// keys: a resolver only under SHIELD.
     #[test]
     fn all_five_systems_roundtrip() {
         for kind in SystemKind::ALL {
@@ -296,6 +290,9 @@ mod tests {
                 "{}",
                 kind.label()
             );
+            let shield = matches!(kind, SystemKind::Shield | SystemKind::ShieldBuf);
+            assert_eq!(sys.db().resolver().is_some(), shield, "{}", kind.label());
+            assert_eq!(sys.kds.is_some(), shield, "{}", kind.label());
         }
     }
 
@@ -324,7 +321,7 @@ mod tests {
 
     #[test]
     fn encrypted_systems_count_inits() {
-        for kind in [SystemKind::EncFs, SystemKind::Shield] {
+        for kind in SystemKind::ALL {
             let env = MemEnv::new();
             let sys =
                 build_system(kind, Arc::new(env), "db", &Tuning::default()).unwrap();
@@ -333,11 +330,8 @@ mod tests {
                     .put(&WriteOptions::default(), format!("{i}").as_bytes(), b"v")
                     .unwrap();
             }
-            assert!(sys.cipher_inits() > 0, "{}", kind.label());
+            let inits = sys.db().cipher_inits();
+            assert_eq!(inits > 0, kind != SystemKind::Plain, "{}: {inits}", kind.label());
         }
-        let env = MemEnv::new();
-        let sys = build_system(SystemKind::Plain, Arc::new(env), "db", &Tuning::default())
-            .unwrap();
-        assert_eq!(sys.cipher_inits(), 0);
     }
 }

@@ -9,9 +9,10 @@
 //! storage as a [`shield_env::RemoteEnv`] over the backing env, which pays
 //! the simulated network for every I/O; the storage server works on the
 //! backing env itself. This module provides the compactor that runs
-//! there; a read-only instance is a [`crate::open_shield_replica`] (or a
-//! plain [`crate::ReplicaDb`]) over the compute mount — with
-//! `auto_poll: false` it refreshes only when `catch_up` is called.
+//! there; a read-only instance is a [`crate::ReplicaDb`] over the compute
+//! mount — with `auto_poll: false` it refreshes only when `catch_up` is
+//! called. Each gets its file layer, under its own identity, from
+//! [`FileStore::new`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,23 +76,20 @@ impl CompactionExecutor for OffloadedCompactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{open_shield, shield_encryption, ShieldOptions};
+    use crate::{open_shield, Encryption, ShieldOptions};
     use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
     use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-    use shield_lsm::encryption::EncryptionConfig;
     use shield_lsm::{IntegrityOptions, Options, ReadOptions, WriteOptions};
 
     const PRIMARY: ServerId = ServerId(1);
     const COMPACTOR: ServerId = ServerId(2);
 
-    fn remote_cfg(
-        kds: &Arc<LocalKds>,
-        env: &Arc<dyn Env>,
-        server: ServerId,
-        cache_path: &str,
-    ) -> EncryptionConfig {
-        let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, server, b"worker-pass");
-        shield_encryption(env.clone(), cache_path, &identity).unwrap().0
+    /// The compactor's file layer on the storage server, under its own
+    /// identity and cache.
+    fn compactor_files(kds: &Arc<LocalKds>, env: Arc<dyn Env>) -> FileStore {
+        let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, COMPACTOR, b"worker-pass");
+        let encryption = Encryption::Shield(identity);
+        FileStore::new(env, &encryption, "compactor.cache", IntegrityOptions::default()).unwrap()
     }
 
     /// Full offloaded-compaction round trip: the compute node writes
@@ -103,12 +101,8 @@ mod tests {
         let compute_mount = Arc::new(RemoteEnv::new(storage_env.clone(), NetworkModel::unlimited()));
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
 
-        let compactor_cfg = remote_cfg(&kds, &storage_env, COMPACTOR, "compactor.cache");
-        let compactor = OffloadedCompactor::new(FileStore::new(
-            storage_env,
-            Some(compactor_cfg.clone()),
-            IntegrityOptions::default(),
-        ));
+        let compactor_files = compactor_files(&kds, storage_env);
+        let compactor = OffloadedCompactor::new(compactor_files.clone());
 
         let mut base = Options::new(compute_mount);
         base.write_buffer_size = 8 << 10;
@@ -128,7 +122,7 @@ mod tests {
         sdb.compact_all().unwrap();
         assert!(compactor.jobs_executed() >= 1, "compaction should have offloaded");
         // The compactor had to fetch input DEKs via metadata DEK-IDs.
-        let stats = compactor_cfg.resolver.stats();
+        let stats = compactor_files.resolver().unwrap().stats();
         assert!(stats.cache_misses + stats.cache_hits > 0);
         // Data is intact through the compute mount.
         for i in (0..3000u32).step_by(191) {
@@ -148,12 +142,7 @@ mod tests {
         let storage_env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let compute_mount = Arc::new(RemoteEnv::new(storage_env.clone(), NetworkModel::unlimited()));
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let compactor_cfg = remote_cfg(&kds, &storage_env, COMPACTOR, "compactor.cache");
-        let compactor = OffloadedCompactor::new(FileStore::new(
-            storage_env,
-            Some(compactor_cfg),
-            IntegrityOptions::default(),
-        ));
+        let compactor = OffloadedCompactor::new(compactor_files(&kds, storage_env));
 
         let mut base = Options::new(compute_mount);
         base.write_buffer_size = 8 << 10;

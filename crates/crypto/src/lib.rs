@@ -20,7 +20,7 @@
 //! § perf kernels) — while the per-call init cost above is deliberately
 //! untouched. SHA-256 and CRC32C dispatch at run time to SHA-NI and SSE4.2
 //! kernels, and HMAC keys are expanded once into an [`HmacKey`]. The scalar
-//! kernels live on in [`reference`] as the portable path and the
+//! kernels live on in [`mod@reference`] as the portable path and the
 //! bit-for-bit and performance baseline. A tagged, encrypted block is
 //! opened — decrypted and authenticated — in one stitched pass
 //! ([`open`]).

@@ -13,7 +13,7 @@
 //!
 //! The integrity half holds the scalar SHA-256 compression and the
 //! byte-at-a-time CRC32C. These *are* the production path on a CPU
-//! without SHA-NI / SSE4.2 ([`crate::sha256`] and [`crate::crc32c`]
+//! without SHA-NI / SSE4.2 ([`crate::sha256()`] and [`crate::crc32c()`]
 //! dispatch to them), and the baseline everywhere else. The per-call HMAC
 //! over them is baseline only.
 //!

@@ -26,7 +26,7 @@ pub(crate) const K: [u32; 64] = [
 
 /// Whether [`Sha256`] compresses with the SHA-NI kernel on this machine
 /// (CPUID, cached by `std`). Benches and docs report it; nothing branches
-/// on it but [`compress`].
+/// on it but `compress`.
 #[must_use]
 pub fn is_accelerated() -> bool {
     #[cfg(target_arch = "x86_64")]

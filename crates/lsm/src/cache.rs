@@ -28,7 +28,7 @@
 //! block), a handle pins its shard rather than the whole cache, evicted
 //! blocks are dropped after the shard lock is released, the hit/miss
 //! counters are striped per thread ([`Striped`]), and keys hash with a
-//! keyed multiply-mix ([`KeyMix`]) instead of SipHash.
+//! keyed multiply-mix (`KeyMix`) instead of SipHash.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -191,7 +191,7 @@ impl BuildHasher for KeyMix {
     }
 }
 
-/// [`KeyMix`] as a [`Hasher`] of the one key it serves: a [`CacheKey`]
+/// `KeyMix` as a [`Hasher`] of the one key it serves: a [`CacheKey`]
 /// hashes as exactly two `write_u64` calls.
 pub(crate) struct KeyHasher {
     mix: KeyMix,

@@ -751,7 +751,9 @@ mod tests {
     /// Merges L0 tables built from `tables` (oldest first) into L1, as a
     /// version holding only them, at `smallest_snapshot`.
     fn merge(tables: &[&[Entry<'_>]], smallest_snapshot: u64) -> (Arc<TableCache>, CompactionOutcome) {
-        let files = FileStore::new(Arc::new(MemEnv::new()), None, crate::IntegrityOptions::default());
+        let plain = crate::Encryption::Plain;
+        let files = FileStore::new(Arc::new(MemEnv::new()), &plain, "", Default::default());
+        let files = files.unwrap();
         let tc = TableCache::new(files, "db".into(), None, 0);
         let mut inputs: Vec<_> =
             tables.iter().zip(1..).map(|(entries, n)| l0_table(&tc, n, entries)).collect();

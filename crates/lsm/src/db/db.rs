@@ -1,10 +1,10 @@
 //! The database handle: [`Db`] and the write front it owns — commit
 //! queue, WAL, one sequence space, snapshot registry, sticky background
-//! error, statistics and the event plumbing — over 1..N [`Tree`]s that
+//! error, statistics and the event plumbing — over 1..N `Tree`s that
 //! share the front's job pool and block cache. The commit path is in
-//! [`crate::db::write`], the trees' background work in
-//! [`crate::db::tree`], recovery in [`crate::db::recover`], and reads pin
-//! a [`ReadView`] per tree and run in [`crate::db::read`].
+//! `crate::db::write`, the trees' background work in
+//! `crate::db::tree`, recovery in `crate::db::recover`, and reads pin
+//! a `ReadView` per tree and run in [`crate::db::read`].
 //!
 //! Encryption placement follows the paper exactly (§5.2): WAL bytes are
 //! encrypted by the file layer just before persistence (optionally through
@@ -23,6 +23,7 @@ use shield_core::{
 };
 use shield_crypto::DekId;
 use shield_env::FileKind;
+use shield_kds::DekResolver;
 
 use crate::cache::BlockCache;
 use crate::compaction::pick_compaction;
@@ -42,6 +43,7 @@ use crate::statistics::Statistics;
 use crate::types::SequenceNumber;
 use crate::version::edit::VersionEdit;
 use crate::version::table_cache::TableCache;
+use crate::version::filenames::DEK_CACHE_FILE_NAME;
 use crate::version::VersionSet;
 
 /// Completed-span ring capacity of the flight recorder (oldest
@@ -150,13 +152,22 @@ impl Db {
         // Slow-op capture and the watchdog read the flight recorder, so
         // either one turns it on, set as a field or through its builder.
         opts.trace_ops |= opts.slow_op_threshold.is_some() || opts.watchdog_deadline.is_some();
-        let env = opts.env.clone();
         let router = Router::new(&opts)?;
-        env.create_dir_all(path)?;
+        opts.env.create_dir_all(path)?;
+        // The one place a design becomes a file layer, before the first
+        // file is created: under EncFS every file below (SHARDING, LOG,
+        // CURRENT, …) goes through its env, and under SHIELD the resolver
+        // reports to the dispatcher the listeners join here, so what
+        // recovery raises reaches them.
+        let cache_path = shield_env::join_path(path, DEK_CACHE_FILE_NAME);
+        let mut files =
+            FileStore::new(opts.env.clone(), &opts.encryption, &cache_path, opts.integrity)?;
+        files.stats = opts.statistics.clone();
+        let env = files.env.clone();
         router.check_or_write_manifest(env.as_ref(), path)?;
 
         // Event plumbing first, so recovery and the env itself can report.
-        let events = Arc::new(EventDispatcher::new());
+        let events = files.events.clone();
         for listener in &opts.event_listeners {
             events.add(listener.clone());
         }
@@ -187,16 +198,6 @@ impl Db {
             })?)
         } else {
             None
-        };
-        // The one place an env, an encryption config and an integrity key
-        // are combined; everything below opens files through this store.
-        let files = FileStore {
-            env: env.clone(),
-            encryption: opts.encryption.clone(),
-            integrity: opts.integrity,
-            stats: opts.statistics.clone(),
-            events,
-            ready: Arc::default(),
         };
         // The ready rule (files.rs). What the secure cache holds before
         // this open generates anything is what the orphan sweep below may
@@ -549,6 +550,28 @@ impl Db {
     #[must_use]
     pub fn events(&self) -> Arc<EventDispatcher> {
         self.inner.files.events.clone()
+    }
+
+    /// The file layer every file of this database is created, opened and
+    /// retired through ([`FileStore::new`] built it from
+    /// [`Options::encryption`]).
+    #[must_use]
+    pub fn files(&self) -> &FileStore {
+        &self.inner.files
+    }
+
+    /// This server's DEK resolver (cache hits and misses, KDS retries);
+    /// `None` unless the database runs SHIELD.
+    #[must_use]
+    pub fn resolver(&self) -> Option<&Arc<DekResolver>> {
+        self.inner.files.resolver()
+    }
+
+    /// Cipher-context constructions so far (EncFS or SHIELD; 0 in
+    /// plaintext).
+    #[must_use]
+    pub fn cipher_inits(&self) -> u64 {
+        self.inner.files.cipher_inits()
     }
 
     /// The background pool every tree's flushes and compactions run on.

@@ -1,6 +1,6 @@
 //! The database facade: options, write batches, the shared read path,
-//! and the [`Db`] itself — a write front ([`db`], [`write`], [`recover`])
-//! over 1..N trees ([`tree`]).
+//! and the [`Db`] itself — a write front ([`db`], [`write`], `recover`)
+//! over 1..N trees (`tree`).
 
 pub mod batch;
 #[allow(clippy::module_inception)]

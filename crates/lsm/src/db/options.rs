@@ -8,7 +8,7 @@ use shield_env::Env;
 pub use crate::compaction::CompactionStyle;
 use crate::cache::BlockCache;
 use crate::compaction::CompactionParams;
-use crate::encryption::EncryptionConfig;
+use crate::encryption::Encryption;
 use crate::integrity::{Integrity, IntegrityOptions};
 use crate::sst::builder::TableBuilderOptions;
 use crate::statistics::Statistics;
@@ -35,9 +35,9 @@ pub enum ShardBy {
 /// memtables, 4 KiB blocks, leveled compaction with fanout 10, and no
 /// encryption; bloom filters take 16 bits per key
 /// ([`crate::sst::filter::BITS_PER_KEY`]), as [`TableBuilderOptions`]'s
-/// defaults say. SHIELD is enabled by opening
-/// through `shield::open_shield`, which builds the identity's encryption
-/// layer and sets [`Options::encryption`].
+/// defaults say. EncFS or SHIELD is one assignment to
+/// [`Options::encryption`]; [`crate::Db::open`] builds the design's file
+/// layer.
 #[derive(Clone)]
 pub struct Options {
     /// Storage environment (local, in-memory, or disaggregated).
@@ -78,8 +78,11 @@ pub struct Options {
     pub max_background_jobs: usize,
     /// Skip the WAL entirely (crash-unsafe; for experiments only).
     pub disable_wal: bool,
-    /// SHIELD encryption; `None` runs plaintext.
-    pub encryption: Option<EncryptionConfig>,
+    /// The encryption design: [`Encryption::Plain`] (the default),
+    /// [`Encryption::EncFs`] or [`Encryption::Shield`]. Under SHIELD the
+    /// identity's secure DEK cache lives in the database directory
+    /// (`DEK_CACHE`).
+    pub encryption: Encryption,
     /// Integrity mode for newly written files and the engine-wide MAC
     /// key: [`Integrity::Hmac`] adds a truncated per-block HMAC-SHA256 tag
     /// to every SST block and WAL/MANIFEST record, detected and verified
@@ -159,7 +162,7 @@ impl Options {
             l0_stop_trigger: 16,
             max_background_jobs: 4,
             disable_wal: false,
-            encryption: None,
+            encryption: Encryption::Plain,
             integrity: IntegrityOptions::default(),
             compaction_executor: None,
             max_background_retries: 3,
@@ -333,7 +336,7 @@ mod tests {
     fn defaults_are_sane() {
         let o = Options::new(Arc::new(MemEnv::new()));
         assert!(o.create_if_missing);
-        assert!(o.encryption.is_none());
+        assert!(matches!(o.encryption, Encryption::Plain));
         assert_eq!((o.integrity.mode, o.integrity.key), (Integrity::Crc, [0u8; 32]));
         assert_eq!(o.table.block_size, 4096);
         assert_eq!(o.shard_by, ShardBy::Hash(1));

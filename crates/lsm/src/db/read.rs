@@ -1,6 +1,6 @@
-//! The read path, shared by every handle: a [`ReadView`] pins what one
+//! The read path, shared by every handle: a `ReadView` pins what one
 //! read of one tree operates on and owns the only point lookup and the
-//! only batched lookup; [`DbIterator::new`] is the only scan, over any
+//! only batched lookup; `DbIterator::new` is the only scan, over any
 //! number of views. [`crate::Db`] pins a view per tree per operation
 //! under that tree's state lock, and [`crate::ReplicaDb`] publishes one
 //! per catch-up round.

@@ -23,7 +23,7 @@
 //! ## Consistency model
 //!
 //! Reads serve a **prefix of the primary's committed history**. Each
-//! catch-up round publishes an immutable [`ReadView`] — the same read
+//! catch-up round publishes an immutable `ReadView` — the same read
 //! path the primary runs; `get`/`multi_get`/`scan` read one view, so a
 //! single operation never mixes rounds. The published `seq` only covers
 //! records the replica actually holds with no gaps: WAL segments are credited in file order
@@ -49,6 +49,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 use shield_core::Op;
 use shield_env::{EnvError, FileKind};
+use shield_kds::DekResolver;
 
 use crate::db::batch::WriteBatch;
 use crate::db::metrics::{MetricsReport, OpHistograms, OpKind, ReplicaProgress, TreeMetrics};
@@ -473,6 +474,20 @@ impl ReplicaDb {
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
         self.files.refresh_mirrors(None).clone()
+    }
+
+    /// This replica's own DEK resolver, under its own identity: it never
+    /// receives key material from the primary, only DEK-IDs from file
+    /// metadata. `None` unless its store is SHIELD's.
+    #[must_use]
+    pub fn resolver(&self) -> Option<&Arc<DekResolver>> {
+        self.files.resolver()
+    }
+
+    /// Cipher-context constructions of this replica's file layer.
+    #[must_use]
+    pub fn cipher_inits(&self) -> u64 {
+        self.files.cipher_inits()
     }
 
     /// The replica's metrics report: the `shield_metrics_v1` document a

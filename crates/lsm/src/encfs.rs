@@ -11,22 +11,26 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use shield_core::EventListener;
 use shield_crypto::{Dek, NONCE_LEN};
 use shield_env::{
-    Env, EnvError, EnvResult, FileKind, IoStats, RandomAccessFile, SequentialFile, WritableFile,
+    Env, EnvError, EnvResult, FaultStatsSnapshot, FileKind, IoStats, RandomAccessFile,
+    SequentialFile, WritableFile,
 };
-use shield_lsm::encryption::{
+use crate::encryption::{
     wrap_random_access, wrap_sequential, EncryptedWritableFile, FileHeader, FILE_HEADER_LEN,
 };
 
-/// An [`Env`] that encrypts every file under a single instance DEK.
+/// An [`Env`] that encrypts every file under a single instance DEK. A
+/// database gets one from [`crate::Encryption::EncFs`]
+/// ([`crate::FileStore::new`] wraps the env in it).
 pub struct EncryptedEnv {
     inner: Arc<dyn Env>,
     dek: Dek,
     /// Applies the §5.3 application buffer to WAL files (0 = per-append
     /// encryption, the plain EncFS design).
     wal_buffer_size: usize,
-    inits: Arc<AtomicU64>,
+    pub(crate) inits: Arc<AtomicU64>,
 }
 
 impl EncryptedEnv {
@@ -149,6 +153,14 @@ impl Env for EncryptedEnv {
 
     fn io_stats(&self) -> Option<Arc<IoStats>> {
         self.inner.io_stats()
+    }
+
+    fn fault_stats(&self) -> Option<FaultStatsSnapshot> {
+        self.inner.fault_stats()
+    }
+
+    fn set_event_listener(&self, listener: Arc<dyn EventListener>) {
+        self.inner.set_event_listener(listener);
     }
 }
 

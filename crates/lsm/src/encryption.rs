@@ -34,7 +34,7 @@ use shield_crypto::{Algorithm, CipherContext, Dek, DekId, NONCE_LEN};
 use shield_env::{
     Env, EnvResult, FileKind, RandomAccessFile, ReadRequest, SequentialFile, WritableFile,
 };
-use shield_kds::DekResolver;
+use shield_kds::{DekResolver, Kds, RetryPolicy, ServerId};
 
 use crate::error::{Error, Result};
 use crate::integrity::derive_mac_subkey;
@@ -102,7 +102,80 @@ impl FileHeader {
     }
 }
 
-/// Engine-level encryption configuration (what [`crate::Options`] carries).
+/// Which of the paper's designs encrypts a database's files
+/// ([`crate::Options::encryption`]); [`crate::FileStore::new`] turns it
+/// into the server's file layer.
+#[derive(Clone, Default)]
+pub enum Encryption {
+    /// No encryption (the evaluation baseline, "unencrypted RocksDB").
+    #[default]
+    Plain,
+    /// **Instance-level encryption** (paper §4): an [`EncryptedEnv`]
+    /// below the engine encrypts every file — WAL, SST, MANIFEST,
+    /// CURRENT, LOG, SHARDING — under one instance DEK held only in
+    /// memory. No per-file isolation: the design for controlled
+    /// monolithic deployments.
+    ///
+    /// [`EncryptedEnv`]: crate::encfs::EncryptedEnv
+    EncFs {
+        /// The instance DEK.
+        dek: Dek,
+        /// The §5.3 application buffer for WAL files (the paper's "EncFS
+        /// + WAL-Buf" variant); 0 encrypts every WAL append on its own.
+        wal_buffer_size: usize,
+    },
+    /// **SHIELD** (paper §5): a DEK per file from the KDS, its DEK-ID in
+    /// the file's plaintext header, resolved under this server's identity
+    /// through its secure DEK cache.
+    Shield(ShieldOptions),
+}
+
+/// One server's SHIELD identity and tuning ([`Encryption::Shield`]).
+#[derive(Clone)]
+pub struct ShieldOptions {
+    /// Key distribution service shared by all servers.
+    pub kds: Arc<dyn Kds>,
+    /// This server's identity at the KDS.
+    pub server: ServerId,
+    /// Passkey unlocking the secure DEK cache; `None` disables the cache
+    /// (every resolution goes to the KDS).
+    pub passkey: Option<Vec<u8>>,
+    /// Cipher for new DEKs (paper default: AES-128-CTR).
+    pub algorithm: Algorithm,
+    /// WAL application-buffer size (paper default 512 B; 0 = unbuffered).
+    pub wal_buffer_size: usize,
+    /// Compaction/flush encryption chunk size.
+    pub chunk_size: usize,
+    /// Threads for chunked encryption.
+    pub encryption_threads: usize,
+    /// When false, leaves the WAL plaintext (Table 2's "Encrypted SST"
+    /// measurement configuration; insecure).
+    pub encrypt_wal: bool,
+    /// Retry/timeout discipline for KDS round trips.
+    pub retry_policy: RetryPolicy,
+}
+
+impl ShieldOptions {
+    /// Paper defaults: 512-byte WAL buffer, 4 KiB chunks, one thread,
+    /// secure cache enabled under `passkey`.
+    #[must_use]
+    pub fn new(kds: Arc<dyn Kds>, server: ServerId, passkey: &[u8]) -> Self {
+        ShieldOptions {
+            kds,
+            server,
+            passkey: Some(passkey.to_vec()),
+            algorithm: Algorithm::Aes128Ctr,
+            wal_buffer_size: 512,
+            chunk_size: 4096,
+            encryption_threads: 1,
+            encrypt_wal: true,
+            retry_policy: RetryPolicy::default(),
+        }
+    }
+}
+
+/// A SHIELD server's engine-level encryption: its resolver and chunking
+/// ([`crate::FileStore::new`] builds it from [`ShieldOptions`]).
 #[derive(Clone)]
 pub struct EncryptionConfig {
     /// DEK source: per-file keys from the KDS through the secure cache.
@@ -119,7 +192,7 @@ pub struct EncryptionConfig {
     /// configuration of the paper's Table 2 — insecure, measurement only).
     pub encrypt_wal: bool,
     /// Cipher-context constructions performed, for the evaluation harness.
-    inits: Arc<AtomicU64>,
+    pub(crate) inits: Arc<AtomicU64>,
 }
 
 impl EncryptionConfig {
@@ -135,14 +208,6 @@ impl EncryptionConfig {
             encrypt_wal: true,
             inits: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Disables WAL encryption (Table 2's "Encrypted SST" row). Insecure;
-    /// exists to measure the WAL share of encryption overhead.
-    #[must_use]
-    pub fn with_plaintext_wal(mut self) -> Self {
-        self.encrypt_wal = false;
-        self
     }
 
     /// Sets the WAL buffer size (0 = unbuffered).
@@ -200,7 +265,7 @@ impl EncryptionConfig {
     }
 
     /// Whether a new file of `kind` gets a DEK (everything but a WAL
-    /// segment under [`with_plaintext_wal`](Self::with_plaintext_wal)).
+    /// segment when [`encrypt_wal`](Self::encrypt_wal) is false).
     #[must_use]
     pub(crate) fn encrypts(&self, kind: FileKind) -> bool {
         kind != FileKind::Wal || self.encrypt_wal

@@ -1,5 +1,5 @@
-//! The file layer: the one place an [`Env`], an [`EncryptionConfig`] and an
-//! integrity key meet.
+//! The file layer: the one place an [`Env`], an [`Encryption`] design and
+//! an integrity key meet ([`FileStore::new`]).
 //!
 //! SHIELD's disaggregated story (paper §5.2, §5.4) rests on one rule: *any*
 //! server — primary, read replica, offloaded compactor — opens *any* file
@@ -9,7 +9,7 @@
 //!
 //! * **Key rule.** A file that got a DEK (every SST, MANIFEST and WAL
 //!   segment of a SHIELD engine, except WAL segments under
-//!   [`EncryptionConfig::with_plaintext_wal`]) is authenticated with a
+//!   [`crate::ShieldOptions::encrypt_wal`]` = false`) is authenticated with a
 //!   subkey of *that* DEK; a file without one (plain and EncFS
 //!   deployments, plaintext WALs) with the engine-wide
 //!   [`IntegrityOptions::key`]. Writers tag only under
@@ -42,18 +42,20 @@
 //! `FileStore` and calls it; none of them decides a key.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
 use shield_core::{EventDispatcher, Section};
 use shield_crypto::{CipherContext, Dek, DekId};
 use shield_env::{Env, FileKind, RandomAccessFile, WritableFile};
+use shield_kds::{DekResolver, SecureDekCache};
 
 use crate::cache::BlockCache;
 use crate::db::pool::{JobClass, JobPool};
-use crate::encryption::EncryptionConfig;
-use crate::error::Result;
+use crate::encfs::EncryptedEnv;
+use crate::encryption::{Encryption, EncryptionConfig};
+use crate::error::{Error, Result};
 use crate::integrity::{Integrity, IntegrityOptions, ReadIntegrity};
 use crate::statistics::Statistics;
 use crate::version::filenames::DEK_CACHE_FILE_NAME;
@@ -94,11 +96,12 @@ struct ReadyState {
 
 /// One server's access to a database's persistent files: storage, this
 /// server's own DEK resolver, the deployment's integrity settings and the
-/// sinks integrity checks report to. Cheap to clone (six `Arc`s and a
+/// sinks integrity checks report to. Cheap to clone (seven `Arc`s and a
 /// key).
 #[derive(Clone)]
 pub struct FileStore {
-    /// Storage the files live on (local, in-memory or disaggregated).
+    /// Storage the files live on (local, in-memory or disaggregated);
+    /// under EncFS, the [`EncryptedEnv`] over it.
     pub env: Arc<dyn Env>,
     /// SHIELD encryption under *this* server's identity; `None` runs
     /// plaintext (or EncFS, which encrypts below `env`).
@@ -107,30 +110,89 @@ pub struct FileStore {
     pub integrity: IntegrityOptions,
     /// Ticker sink (`integrity_checks`, `bloom_useful`, batched reads…).
     pub stats: Arc<Statistics>,
-    /// Event sink for [`shield_core::Event::IntegrityViolation`].
+    /// Event sink for [`shield_core::Event::IntegrityViolation`] and the
+    /// resolver's KDS events.
     pub events: Arc<EventDispatcher>,
     /// Keys generated ahead of need; stays empty until
     /// [`refill_on`](Self::refill_on).
     pub(crate) ready: Arc<ReadyDeks>,
+    /// Cipher-context constructions of whichever layer encrypts (the
+    /// EncFS env or the SHIELD config); stays 0 when nothing does.
+    inits: Arc<AtomicU64>,
 }
 
 impl FileStore {
-    /// A store with private, initially silent sinks (replicas, compactors,
-    /// tools); [`crate::Db::open`] supplies the engine's own.
-    #[must_use]
+    /// Builds a server's file layer from its design: the one place a
+    /// design becomes a store. EncFS wraps `env` in an [`EncryptedEnv`];
+    /// SHIELD opens the identity's secure DEK cache at `cache_path` on
+    /// `env` (when it has a passkey) and its resolver, whose KDS events
+    /// go to the store's dispatcher from the first one on. The sinks
+    /// start private and silent; [`crate::Db::open`] supplies the
+    /// engine's own (the cache in `path/DEK_CACHE`), a replica or an
+    /// offloaded compactor keeps these. Give it the primary's
+    /// [`IntegrityOptions`]: files without a DEK are authenticated with
+    /// its key.
     pub fn new(
         env: Arc<dyn Env>,
-        encryption: Option<EncryptionConfig>,
+        encryption: &Encryption,
+        cache_path: &str,
         integrity: IntegrityOptions,
-    ) -> Self {
-        FileStore {
+    ) -> Result<Self> {
+        let events = Arc::new(EventDispatcher::new());
+        let (env, config, inits): (Arc<dyn Env>, _, _) = match encryption {
+            Encryption::Plain => (env, None, Arc::default()),
+            Encryption::EncFs { dek, wal_buffer_size } => {
+                let encfs = EncryptedEnv::new(env, dek.clone(), *wal_buffer_size);
+                let inits = encfs.inits.clone();
+                (Arc::new(encfs), None, inits)
+            }
+            Encryption::Shield(shield) => {
+                let cache = match &shield.passkey {
+                    Some(passkey) => Some(Arc::new(
+                        SecureDekCache::open(env.clone(), cache_path, passkey)
+                            .map_err(|e| Error::Encryption(e.to_string()))?,
+                    )),
+                    None => None,
+                };
+                let resolver = Arc::new(DekResolver::with_policy(
+                    shield.kds.clone(),
+                    cache,
+                    shield.server,
+                    shield.algorithm,
+                    shield.retry_policy.clone(),
+                ));
+                resolver.set_event_listener(events.clone());
+                let mut config = EncryptionConfig::new(resolver)
+                    .with_wal_buffer(shield.wal_buffer_size)
+                    .with_chunks(shield.chunk_size, shield.encryption_threads);
+                config.encrypt_wal = shield.encrypt_wal;
+                let inits = config.inits.clone();
+                (env, Some(config), inits)
+            }
+        };
+        Ok(FileStore {
             env,
-            encryption,
+            encryption: config,
             integrity,
             stats: Statistics::new(),
-            events: Arc::new(EventDispatcher::new()),
+            events,
             ready: Arc::default(),
-        }
+            inits,
+        })
+    }
+
+    /// This server's DEK resolver (cache and KDS statistics); `None`
+    /// unless the store is SHIELD's.
+    #[must_use]
+    pub fn resolver(&self) -> Option<&Arc<DekResolver>> {
+        self.encryption.as_ref().map(|cfg| &cfg.resolver)
+    }
+
+    /// Cipher-context constructions so far (the per-call init cost of
+    /// §3.2): the EncFS env's or the SHIELD config's, 0 in plaintext.
+    #[must_use]
+    pub fn cipher_inits(&self) -> u64 {
+        self.inits.load(Ordering::Relaxed)
     }
 
     /// The one mirror refresh, for every handle: copies what this store's
@@ -388,7 +450,8 @@ mod tests {
     use crate::wal::TailPoll;
     use shield_crypto::{Algorithm, Dek};
     use shield_env::MemEnv;
-    use shield_kds::{DekResolver, Kds, KdsResult, KdsStats, LocalKds, ServerId};
+    use crate::encryption::ShieldOptions;
+    use shield_kds::{Kds, KdsResult, KdsStats, LocalKds, ServerId};
 
     const ENGINE_KEY: [u8; 32] = [0x42; 32];
     const KINDS: [FileKind; 3] = [FileKind::Sst, FileKind::Wal, FileKind::Manifest];
@@ -423,33 +486,24 @@ mod tests {
     }
 
     #[derive(Clone, Copy, Debug, PartialEq)]
-    enum Encryption {
+    enum Design {
         None,
         Shield,
         ShieldPlaintextWal,
     }
 
-    fn store(
-        env: &MemEnv,
-        encryption: Encryption,
-        mode: Integrity,
-    ) -> (FileStore, Arc<CountingKds>) {
+    fn store(env: &MemEnv, design: Design, mode: Integrity) -> (FileStore, Arc<CountingKds>) {
         let kds = Arc::new(CountingKds::default());
-        let shield = || {
-            EncryptionConfig::new(Arc::new(DekResolver::new(
-                kds.clone(),
-                None,
-                ServerId(1),
-                Algorithm::Aes128Ctr,
-            )))
+        let shield = ShieldOptions {
+            passkey: None,
+            encrypt_wal: design != Design::ShieldPlaintextWal,
+            ..ShieldOptions::new(kds.clone(), ServerId(1), b"")
         };
-        let cfg = match encryption {
-            Encryption::None => None,
-            Encryption::Shield => Some(shield()),
-            Encryption::ShieldPlaintextWal => Some(shield().with_plaintext_wal()),
-        };
+        let encryption =
+            if design == Design::None { Encryption::Plain } else { Encryption::Shield(shield) };
         let integrity = IntegrityOptions { mode, key: ENGINE_KEY };
-        (FileStore::new(Arc::new(env.clone()), cfg, integrity), kds)
+        let files = FileStore::new(Arc::new(env.clone()), &encryption, "", integrity);
+        (files.expect("store"), kds)
     }
 
     /// The key rule, as a table: a file is authenticated with a subkey of
@@ -457,7 +511,7 @@ mod tests {
     /// hold a key only under `Hmac`, readers always.
     #[test]
     fn key_rule_for_every_encryption_integrity_and_kind() {
-        for encryption in [Encryption::None, Encryption::Shield, Encryption::ShieldPlaintextWal] {
+        for encryption in [Design::None, Design::Shield, Design::ShieldPlaintextWal] {
             for mode in [Integrity::Crc, Integrity::Hmac] {
                 for kind in KINDS {
                     let what = format!("{encryption:?}/{mode:?}/{kind:?}");
@@ -470,9 +524,9 @@ mod tests {
                     let (_, _, read) = files.open_random("f", kind).expect(&what);
 
                     let gets_dek = match encryption {
-                        Encryption::None => false,
-                        Encryption::Shield => true,
-                        Encryption::ShieldPlaintextWal => kind != FileKind::Wal,
+                        Design::None => false,
+                        Design::Shield => true,
+                        Design::ShieldPlaintextWal => kind != FileKind::Wal,
                     };
                     assert_eq!(dek_id.is_some(), gets_dek, "{what}: dek id");
                     let expected_key = match dek_id {
@@ -500,7 +554,7 @@ mod tests {
     /// log has one.
     #[test]
     fn logs_round_trip_and_bind_the_key_the_rule_names() {
-        for encryption in [Encryption::None, Encryption::Shield, Encryption::ShieldPlaintextWal] {
+        for encryption in [Design::None, Design::Shield, Design::ShieldPlaintextWal] {
             for kind in [FileKind::Wal, FileKind::Manifest] {
                 let what = format!("{encryption:?}/{kind:?}");
                 let env = MemEnv::new();
@@ -527,8 +581,8 @@ mod tests {
                     integrity: IntegrityOptions { mode: Integrity::Crc, key: [0x17; 32] },
                     ..files.clone()
                 };
-                let has_dek = encryption == Encryption::Shield
-                    || (encryption == Encryption::ShieldPlaintextWal && kind != FileKind::Wal);
+                let has_dek = encryption == Design::Shield
+                    || (encryption == Design::ShieldPlaintextWal && kind != FileKind::Wal);
                 let polled = other.open_log("log", kind, 9).expect(&what).poll();
                 match polled {
                     Ok(TailPoll::Record(_)) => assert!(has_dek, "{what}: wrong key accepted"),
@@ -550,7 +604,7 @@ mod tests {
         const THREADS: usize = 4;
         const FILES: usize = 2_500;
         let env = MemEnv::new();
-        let (files, kds) = store(&env, Encryption::Shield, Integrity::Crc);
+        let (files, kds) = store(&env, Design::Shield, Integrity::Crc);
         let pool = JobPool::new(2);
         files.refill_on(&pool);
         let ids: Vec<DekId> = std::thread::scope(|s| {
@@ -596,7 +650,7 @@ mod tests {
     #[test]
     fn retire_revokes_then_unlinks() {
         let env = MemEnv::new();
-        let (files, kds) = store(&env, Encryption::Shield, Integrity::Crc);
+        let (files, kds) = store(&env, Design::Shield, Integrity::Crc);
         let reads = || env.io_stats().expect("stats").snapshot().read_ops[FileKind::Sst.index()];
 
         let (_, known, _) = files.create("a.sst", FileKind::Sst).expect("create");
@@ -616,7 +670,7 @@ mod tests {
         assert_eq!(kds.revokes.load(Ordering::Relaxed), 2, "nothing left to revoke");
 
         // Without encryption there is no key to revoke: just the unlink.
-        let (plain, plain_kds) = store(&env, Encryption::None, Integrity::Crc);
+        let (plain, plain_kds) = store(&env, Design::None, Integrity::Crc);
         drop(plain.create("c.sst", FileKind::Sst).expect("create"));
         assert!(plain.retire("c.sst", FileKind::Sst, None));
         assert_eq!(plain_kds.revokes.load(Ordering::Relaxed), 0);

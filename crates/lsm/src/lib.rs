@@ -21,12 +21,15 @@
 //!                                compaction; outputs get fresh DEKs)
 //! ```
 //!
-//! Entry point: [`Db`], configured by [`Options`]. Encryption is enabled by
-//! [`Options::encryption`]; see [`encryption::EncryptionConfig`].
+//! Entry point: [`Db`], configured by [`Options`]. Which of the paper's
+//! designs encrypts the files — none, EncFS or SHIELD — is the one field
+//! [`Options::encryption`] ([`Encryption`]); [`FileStore::new`] turns it
+//! into a server's file layer.
 
 pub mod cache;
 pub mod compaction;
 pub mod db;
+pub mod encfs;
 pub mod encryption;
 pub mod error;
 pub mod files;
@@ -48,7 +51,8 @@ pub use db::options::{CompactionStyle, Options, ReadOptions, ShardBy, WriteOptio
 pub use db::pool::{JobClass, JobPool};
 pub use db::replica::{ReplicaDb, ReplicaOptions};
 pub use db::{Db, DbIterator, Snapshot, WriteBatch, MAX_SEQUENTIAL_SKIP};
-pub use encryption::EncryptionConfig;
+pub use encfs::EncryptedEnv;
+pub use encryption::{Encryption, EncryptionConfig, ShieldOptions};
 pub use error::{Error, Result, Severity};
 pub use files::{FileStore, READY_DEKS};
 pub use integrity::{Integrity, IntegrityOptions};

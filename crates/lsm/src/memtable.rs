@@ -17,12 +17,12 @@
 //!
 //! A skiplist hop compares the user key of the key node's first version.
 //! `versions` points at the newest version, each `older` at the next, and
-//! the oldest's back at the key node ([`step`]): tags strictly descend
+//! the oldest's back at the key node (`step`): tags strictly descend
 //! along a chain. A record over a quarter chunk gets an allocation of its
 //! own, and no chunk exists before the first insert. Chunks are freed with
 //! the last `Arc<Inner>`, so a held iterator stays valid after a flush.
 //!
-//! **The index** is a bucket array, one bucket per [`BYTES_PER_BUCKET`]
+//! **The index** is a bucket array, one bucket per `BYTES_PER_BUCKET`
 //! bytes of the tree's `write_buffer_size` rounded down to a power of two,
 //! allocated in the arena on the first insert. Every key node is on its
 //! bucket's chain of `hash_next` links, so a walk finds the key's node or
@@ -103,7 +103,7 @@ struct KeyNode {
 #[repr(C, align(8))]
 struct Version {
     /// The next older version of the same key or, from the key's oldest
-    /// version, the key node, tagged ([`step`]).
+    /// version, the key node, tagged (`step`).
     older: AtomicPtr<Version>,
     key_len: u32,
     value_len: u32,

@@ -16,7 +16,7 @@
 //!   in-flight depth — one round trip per window on a remote env — and
 //!   with more than one window each completed window is verified while
 //!   the next one's payload is still in flight. Readahead is such a batch
-//!   ([`BlockFetcher::read_ahead`]): the block the iterator stands on
+//!   (`BlockFetcher::read_ahead`): the block the iterator stands on
 //!   plus the next few index entries, sized to one window. The followers
 //!   land in the cache flagged `prefetched`, so `readahead_issued` counts
 //!   the follower reads a batch led and the cache credits

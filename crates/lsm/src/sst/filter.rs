@@ -4,12 +4,12 @@
 //! A filter is `[k: u8][bit array]`: a reader takes k from the block and
 //! the bit count from its length, so tables built at any budget answer
 //! side by side. A probe maps each of its k hashes to a bit with
-//! [`FastMod`], which gives the same bit as `%` for every 32-bit hash.
+//! `FastMod`, which gives the same bit as `%` for every 32-bit hash.
 
-/// Bits per key of every filter the engine builds, by default
-/// ([`crate::Options::bloom_bits_per_key`]). At 16 bits a filter probes
-/// k = 11 bits and passes ~0.05 % of absent keys (theory 0.046 %); at 10
-/// bits it passed ~0.8 %. On disaggregated storage each key it passes
+/// Bits per key of every filter the engine builds, by default (the
+/// `bloom_bits_per_key` of [`crate::Options::table`]). At 16 bits a
+/// filter probes k = 11 bits and passes ~0.05 % of absent keys (theory
+/// 0.046 %); at 10 bits it passed ~0.8 %. On disaggregated storage each key it passes
 /// costs a get a second block read, a network round trip.
 pub const BITS_PER_KEY: usize = 16;
 

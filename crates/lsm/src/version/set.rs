@@ -242,7 +242,6 @@ impl VersionSet {
 mod tests {
     use super::*;
     use crate::types::{make_internal_key, ValueType};
-    use crate::encryption::EncryptionConfig;
     use crate::integrity::{Integrity, IntegrityOptions};
     use crate::version::edit::FileMeta;
     use shield_env::MemEnv;
@@ -264,7 +263,12 @@ mod tests {
     }
 
     fn new_set(env: &MemEnv) -> VersionSet {
-        set_over(FileStore::new(Arc::new(env.clone()), None, IntegrityOptions::default()))
+        new_set_with(env, IntegrityOptions::default())
+    }
+
+    fn new_set_with(env: &MemEnv, integrity: IntegrityOptions) -> VersionSet {
+        let plain = crate::Encryption::Plain;
+        set_over(FileStore::new(Arc::new(env.clone()), &plain, "", integrity).unwrap())
     }
 
     #[test]
@@ -351,7 +355,7 @@ mod tests {
     fn hmac_manifest_roundtrip_and_replay_detection() {
         let env = MemEnv::new();
         let opts = IntegrityOptions { mode: Integrity::Hmac, key: [9u8; 32] };
-        let new_set = |env: &MemEnv| set_over(FileStore::new(Arc::new(env.clone()), None, opts));
+        let new_set = |env: &MemEnv| new_set_with(env, opts);
         {
             let mut vs = new_set(&env);
             vs.create_new().unwrap();
@@ -383,16 +387,19 @@ mod tests {
 
     #[test]
     fn encrypted_manifest_roundtrip() {
-        use shield_crypto::Algorithm;
-        use shield_kds::{DekResolver, KdsConfig, LocalKds, ServerId};
+        use crate::{Encryption, ShieldOptions};
+        use shield_kds::{KdsConfig, LocalKds, ServerId};
 
         let env = MemEnv::new();
         let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let resolver =
-            Arc::new(DekResolver::new(kds, None, ServerId(1), Algorithm::Aes128Ctr));
-        let cfg = EncryptionConfig::new(resolver);
-        let files =
-            FileStore::new(Arc::new(env.clone()), Some(cfg), IntegrityOptions::default());
+        let shield = ShieldOptions { passkey: None, ..ShieldOptions::new(kds, ServerId(1), b"") };
+        let files = FileStore::new(
+            Arc::new(env.clone()),
+            &Encryption::Shield(shield),
+            "",
+            IntegrityOptions::default(),
+        )
+        .unwrap();
         {
             let mut vs = set_over(files.clone());
             vs.create_new().unwrap();

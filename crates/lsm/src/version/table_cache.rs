@@ -206,7 +206,8 @@ mod tests {
 
     #[test]
     fn opens_fresh_readers_and_fails_on_missing_files() {
-        let files = FileStore::new(Arc::new(MemEnv::new()), None, IntegrityOptions::default());
+        let (env, plain) = (Arc::new(MemEnv::new()), crate::Encryption::Plain);
+        let files = FileStore::new(env, &plain, "", IntegrityOptions::default()).unwrap();
         let tables = TableCache::new(files, "db".into(), None, 0);
         let (options, mut alloc) = (TableBuilderOptions::default(), || 1);
         let mut sink = TableSink::new(&tables, &options, 0, &mut alloc);

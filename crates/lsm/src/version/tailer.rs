@@ -259,7 +259,8 @@ mod tests {
     }
 
     fn store(env: &MemEnv) -> FileStore {
-        FileStore::new(Arc::new(env.clone()), None, IntegrityOptions::default())
+        let plain = crate::Encryption::Plain;
+        FileStore::new(Arc::new(env.clone()), &plain, "", IntegrityOptions::default()).unwrap()
     }
 
     fn new_set(env: &MemEnv) -> VersionSet {

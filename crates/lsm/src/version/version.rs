@@ -462,7 +462,9 @@ mod tests {
     }
 
     fn cache(env: &MemEnv) -> Arc<TableCache> {
-        let files = crate::FileStore::new(Arc::new(env.clone()), None, Default::default());
+        let plain = crate::Encryption::Plain;
+        let files = crate::FileStore::new(Arc::new(env.clone()), &plain, "", Default::default());
+        let files = files.unwrap();
         TableCache::new(files, "db".into(), None, 0)
     }
 

@@ -11,10 +11,10 @@
 
 use std::sync::Arc;
 
-use shield::{open_shield, open_shield_replica, ReplicaOptions, ShieldOptions, WriteOptions};
+use shield::{Encryption, FileStore, ReplicaDb, ReplicaOptions, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::Options;
+use shield_lsm::{Db, IntegrityOptions, Options};
 
 fn main() {
     // The storage cluster: an in-memory backing store, which the compute
@@ -25,12 +25,10 @@ fn main() {
     let kds = Arc::new(LocalKds::new(KdsConfig::sstoolkit_like()));
 
     // Primary instance on the compute node (server-1).
-    let primary = open_shield(
-        Options::new(compute_mount.clone()),
-        "cluster/db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"primary-pass"),
-    )
-    .expect("open primary");
+    let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"primary-pass");
+    let mut opts = Options::new(compute_mount.clone());
+    opts.encryption = Encryption::Shield(identity);
+    let primary = Db::open(opts, "cluster/db").expect("open primary");
 
     let w = WriteOptions::default();
     for i in 0..5_000u32 {
@@ -45,14 +43,16 @@ fn main() {
     // own KDS identity and secure cache, and learns DEKs purely from the
     // DEK-IDs embedded in the shared files' metadata. Without the poller
     // it serves the state of its last `catch_up()`.
-    let reader = open_shield_replica(
+    let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(3), b"reader-pass");
+    let files = FileStore::new(
         compute_mount.clone(),
-        "cluster/db",
+        &Encryption::Shield(identity),
         "cluster/reader.cache",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(3), b"reader-pass"),
-        ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
+        IntegrityOptions::default(),
     )
-    .expect("open read-only instance");
+    .expect("reader file layer");
+    let one_shot = ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() };
+    let reader = ReplicaDb::open(files, "cluster/db", one_shot).expect("open read-only instance");
 
     let hit = reader.get(b"order:001234").expect("get").expect("present");
     println!("read-only instance served order:001234 = {}", String::from_utf8_lossy(&hit));
@@ -62,7 +62,7 @@ fn main() {
         println!("  {} = {}", String::from_utf8_lossy(k), String::from_utf8_lossy(v));
     }
 
-    let rs = reader.resolver.stats();
+    let rs = reader.resolver().expect("a SHIELD reader").stats();
     println!(
         "\nreader DEK traffic: {} KDS fetches, then {} secure-cache hits",
         rs.cache_misses, rs.cache_hits

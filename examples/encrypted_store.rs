@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use shield::{open_encfs, open_plain, open_shield, ShieldOptions, WriteOptions};
+use shield::{Encryption, ShieldOptions, WriteOptions};
 use shield_crypto::{Algorithm, Dek};
 use shield_env::PosixEnv;
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
@@ -50,43 +50,39 @@ fn scratch(tag: &str) -> String {
 }
 
 fn main() {
-    // Unencrypted baseline: the attacker reads everything.
-    let plain_dir = scratch("plain");
-    {
-        let db = open_plain(Options::new(Arc::new(PosixEnv::new())), &plain_dir).expect("open");
-        populate(&db);
+    // One open for all three designs: only `Options::encryption` differs.
+    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+    let designs = [
+        // Unencrypted baseline: the attacker reads everything.
+        ("plain", "unencrypted RocksDB-style store:", Encryption::Plain),
+        // Instance-level EncFS (§4): one DEK, everything ciphertext.
+        (
+            "encfs",
+            "EncFS store:                    ",
+            Encryption::EncFs { dek: Dek::generate(Algorithm::Aes128Ctr), wal_buffer_size: 512 },
+        ),
+        // SHIELD (§5): per-file DEKs + KDS + secure cache.
+        (
+            "shield",
+            "SHIELD store:                   ",
+            Encryption::Shield(ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"passkey")),
+        ),
+    ];
+    for (tag, label, encryption) in designs {
+        let dir = scratch(tag);
+        let plain = matches!(encryption, Encryption::Plain);
+        {
+            let opts = Options { encryption, ..Options::new(Arc::new(PosixEnv::new())) };
+            populate(&Db::open(opts, &dir).expect("open"));
+        }
+        let leaks = leaky_files(&dir);
+        println!("{label} {} leaking file(s): {leaks:?}", leaks.len());
+        if plain {
+            assert!(!leaks.is_empty(), "plaintext store must leak (that's the point)");
+        } else {
+            assert!(leaks.is_empty(), "{tag} must not leak plaintext");
+        }
     }
-    let plain_leaks = leaky_files(&plain_dir);
-    println!("unencrypted RocksDB-style store: {} leaking file(s): {:?}", plain_leaks.len(), plain_leaks);
-    assert!(!plain_leaks.is_empty(), "plaintext store must leak (that's the point)");
-
-    // Instance-level EncFS (§4): one DEK, everything ciphertext.
-    let encfs_dir = scratch("encfs");
-    {
-        let dek = Dek::generate(Algorithm::Aes128Ctr);
-        let db = open_encfs(Options::new(Arc::new(PosixEnv::new())), &encfs_dir, dek, 512)
-            .expect("open");
-        populate(&db);
-    }
-    let encfs_leaks = leaky_files(&encfs_dir);
-    println!("EncFS store:                     {} leaking file(s)", encfs_leaks.len());
-    assert!(encfs_leaks.is_empty(), "EncFS must not leak plaintext");
-
-    // SHIELD (§5): per-file DEKs + KDS + secure cache.
-    let shield_dir = scratch("shield");
-    {
-        let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-        let db = open_shield(
-            Options::new(Arc::new(PosixEnv::new())),
-            &shield_dir,
-            ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"passkey"),
-        )
-        .expect("open");
-        populate(&db);
-    }
-    let shield_leaks = leaky_files(&shield_dir);
-    println!("SHIELD store:                    {} leaking file(s)", shield_leaks.len());
-    assert!(shield_leaks.is_empty(), "SHIELD must not leak plaintext");
 
     println!("\nOn-disk confidentiality holds for both designs (paper §5.5, scenarios 1–2).");
 }

@@ -9,10 +9,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use shield::{open_shield, ShieldDb, ShieldOptions};
+use shield::{Encryption, ShieldOptions};
 use shield_env::{FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_kds::{Kds, KdsConfig, ReplicatedKds, RetryPolicy, ServerId};
-use shield_lsm::{Error, Options, ReadOptions, WriteOptions};
+use shield_lsm::{Db, Error, Options, ReadOptions, WriteOptions};
 
 fn main() {
     run();
@@ -26,7 +26,7 @@ fn run() {
     let wsync = WriteOptions { sync: true };
     let r = ReadOptions::new();
 
-    let open = |fenv: &FaultInjectionEnv| -> ShieldDb {
+    let open = |fenv: &FaultInjectionEnv| -> Db {
         let mut sopts =
             ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"tour passkey");
         sopts.retry_policy = RetryPolicy {
@@ -35,7 +35,8 @@ fn run() {
             max_backoff: Duration::from_millis(2),
             ..RetryPolicy::default()
         };
-        open_shield(Options::new(Arc::new(fenv.clone())), "db", sopts).expect("open")
+        let opts = Options::new(Arc::new(fenv.clone()));
+        Db::open(Options { encryption: Encryption::Shield(sopts), ..opts }, "db").expect("open")
     };
 
     // ---- Scene 1: crash with a torn, unsynced WAL tail --------------------
@@ -50,7 +51,7 @@ fn run() {
         let _ = db.put(&w, format!("doomed:{j}").as_bytes(), &[b'd'; 300]);
     }
     fenv.disarm_all();
-    db.db.simulate_process_crash();
+    db.simulate_process_crash();
     fenv.crash().expect("crash");
     let db = open(&fenv);
     assert_eq!(db.get(&r, b"acked:marker").expect("get"), Some(b"synced".to_vec()));
@@ -138,9 +139,10 @@ fn run() {
     };
     assert!(matches!(err, Error::Encryption(_)), "unexpected error class: {err}");
     println!("  {flushed} flushes on ready DEKs, then: {err}");
-    assert!(db.resolver.is_degraded(), "resolver should be degraded");
+    let resolver = db.resolver().expect("a SHIELD database");
+    assert!(resolver.is_degraded(), "resolver should be degraded");
     assert_eq!(db.get(&r, b"acked:marker").expect("degraded read"), Some(b"synced".to_vec()));
-    let rs = db.resolver.stats();
+    let rs = resolver.stats();
     let gauges = db.statistics().snapshot();
     println!(
         "  degraded mode: reads on cached DEKs ok; retries={} degraded_hits={} (gauge {} / {})",
@@ -149,7 +151,7 @@ fn run() {
     kds.recover_all();
     db.resume().expect("resume after KDS recovery");
     db.flush().expect("flush after recovery");
-    assert!(!db.resolver.is_degraded());
+    assert!(!resolver.is_degraded());
     assert_eq!(db.get(&r, b"outage:0:00").expect("get"), Some(b"v".to_vec()));
     let last = format!("outage:{flushed}:29");
     assert_eq!(db.get(&r, last.as_bytes()).expect("get"), Some(b"v".to_vec()));

@@ -16,9 +16,9 @@
 
 use std::sync::Arc;
 
-use shield::{open_plain, ReadOptions, WriteOptions};
+use shield::{ReadOptions, WriteOptions};
 use shield_env::PosixEnv;
-use shield_lsm::{Error, Integrity, Options};
+use shield_lsm::{Db, Error, Integrity, Options};
 
 const MAC_KEY: [u8; 32] = [0x42; 32];
 
@@ -34,7 +34,7 @@ fn main() {
     let path = dir.to_str().unwrap();
 
     // 1. Fill a store under Hmac mode and close it cleanly.
-    let db = open_plain(opts(), path).expect("open");
+    let db = Db::open(opts(), path).expect("open");
     let w = WriteOptions::default();
     for i in 0..2_000u32 {
         db.put(&w, format!("key{i:05}").as_bytes(), format!("good{i:05}").as_bytes())
@@ -64,7 +64,7 @@ fn main() {
     println!("tampered {} at byte {pos}: good -> evil", sst.display());
 
     // 3. Reopen and read: the forged block must NOT be served.
-    let db = open_plain(opts(), path).expect("reopen");
+    let db = Db::open(opts(), path).expect("reopen");
     let r = ReadOptions::new();
     let err = db.get(&r, b"key00000").expect_err("forgery must not be served");
     assert!(matches!(err, Error::IntegrityViolation(_)), "got {err}");

@@ -10,11 +10,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use shield::{open_shield, ShieldOptions, WriteOptions};
+use shield::{Encryption, ShieldOptions, WriteOptions};
 use shield_env::{Env, FileKind, MemEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::encryption::EncryptionConfig;
-use shield_lsm::Options;
+use shield_lsm::{Db, Options};
 
 /// Collects the DEK-IDs named in the plaintext headers of all SST files.
 fn live_sst_dek_ids(env: &MemEnv, dir: &str) -> BTreeSet<String> {
@@ -36,12 +36,9 @@ fn main() {
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
     let mut base = Options::new(Arc::new(env.clone())).with_write_buffer_size(32 << 10);
     base.compaction.l0_compaction_trigger = 2;
-    let db = open_shield(
-        base,
-        "db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"audit-pass"),
-    )
-    .expect("open");
+    let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"audit-pass");
+    base.encryption = Encryption::Shield(identity);
+    let db = Db::open(base, "db").expect("open");
 
     // Phase 1: load data, flush — several L0 files, each with its own DEK.
     let w = WriteOptions::default();

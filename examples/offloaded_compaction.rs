@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use shield::deploy::OffloadedCompactor;
-use shield::{open_shield, shield_encryption, ShieldOptions, WriteOptions};
+use shield::{Encryption, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{FileStore, IntegrityOptions, Options};
+use shield_lsm::{Db, FileStore, IntegrityOptions, Options};
 
 fn main() {
     // One backing store: the compute node mounts it over the network, the
@@ -24,31 +24,26 @@ fn main() {
     // The compaction worker lives on the storage server (server-2): its
     // I/O is storage-local, its DEKs come from the KDS via the DEK-IDs in
     // SST metadata, and its secure cache is its own.
-    let identity = ShieldOptions {
+    let identity = Encryption::Shield(ShieldOptions {
         chunk_size: 64 << 10,
         encryption_threads: 4,
         ..ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(2), b"compactor-pass")
-    };
-    let (encryption, compactor_resolver) =
-        shield_encryption(storage_env.clone(), "compactor.cache", &identity).expect("cache");
+    });
     // Its file layer: that env, that identity, and the integrity settings
     // the primary opens with (the defaults here).
-    let compactor = OffloadedCompactor::new(FileStore::new(
-        storage_env,
-        Some(encryption),
-        IntegrityOptions::default(),
-    ));
+    let files =
+        FileStore::new(storage_env, &identity, "compactor.cache", IntegrityOptions::default())
+            .expect("compactor cache");
+    let compactor_resolver = files.resolver().expect("a SHIELD identity").clone();
+    let compactor = OffloadedCompactor::new(files);
 
     // The primary (server-1) hands its compactions to the worker.
     let mut base = Options::new(compute_mount).with_write_buffer_size(64 << 10);
     base.compaction.l0_compaction_trigger = 2;
     base.compaction_executor = Some(compactor.clone());
-    let db = open_shield(
-        base,
-        "db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"primary-pass"),
-    )
-    .expect("open");
+    let primary = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"primary-pass");
+    base.encryption = Encryption::Shield(primary);
+    let db = Db::open(base, "db").expect("open");
 
     let w = WriteOptions::default();
     for i in 0..20_000u32 {

@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
-use shield::{open_shield, ReadOptions, ShieldOptions, WriteOptions};
+use shield::{Encryption, ReadOptions, ShieldOptions, WriteOptions};
 use shield_env::PosixEnv;
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::Options;
+use shield_lsm::{Db, Options};
 
 fn main() {
     let dir = std::env::temp_dir().join("shield-quickstart");
@@ -23,13 +23,14 @@ fn main() {
     // 2. Open a SHIELD database: every file gets its own DEK, the WAL is
     //    encrypted through a 512-byte application buffer, and DEKs are
     //    cached on disk under the passkey.
-    let env = Arc::new(PosixEnv::new());
-    let db = open_shield(
-        Options::new(env),
-        path,
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"correct horse battery"),
-    )
-    .expect("open");
+    //    The design is one `Options` field; `Db::open` opens every one.
+    let mut opts = Options::new(Arc::new(PosixEnv::new()));
+    opts.encryption = Encryption::Shield(ShieldOptions::new(
+        kds.clone() as Arc<dyn Kds>,
+        ServerId(1),
+        b"correct horse battery",
+    ));
+    let db = Db::open(opts, path).expect("open");
 
     // 3. Normal KV usage.
     let w = WriteOptions::default();
@@ -72,7 +73,7 @@ fn main() {
 
     // 4. Key-management visibility: one DEK per file, all served by the KDS.
     let kstats = kds.stats();
-    let rstats = db.resolver.stats();
+    let rstats = db.resolver().expect("a SHIELD database").stats();
     println!("\nKDS: {} DEKs generated, {} fetched, {} denied", kstats.generated, kstats.fetched, kstats.denied);
     println!(
         "resolver: {} cache hits, {} misses (secure cache saves KDS round-trips)",

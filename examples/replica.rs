@@ -16,13 +16,34 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shield::{open_shield, open_shield_replica, ReplicaOptions, ShieldOptions};
+use shield::{Encryption, FileStore, ReplicaDb, ReplicaOptions, ShieldOptions};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Options, ReadOptions, WriteOptions};
+use shield_lsm::{Db, IntegrityOptions, Options, ReadOptions, Result, WriteOptions};
 
 const PRIMARY: ServerId = ServerId(1);
 const READER: ServerId = ServerId(3);
+
+/// The primary on compute node 1: SHIELD under its own identity.
+fn open_primary(mount: Arc<dyn Env>, kds: &Arc<LocalKds>) -> Result<Db> {
+    let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, PRIMARY, b"primary-pass");
+    let opts = Options { encryption: Encryption::Shield(identity), ..Options::new(mount) };
+    Db::open(opts, "cluster/db")
+}
+
+/// A reader on compute node 3: its own KDS identity and its own secure
+/// DEK cache at `cache` (not in the primary's directory).
+fn open_reader(
+    mount: Arc<dyn Env>,
+    kds: &Arc<LocalKds>,
+    cache: &str,
+    opts: ReplicaOptions,
+) -> Result<Arc<ReplicaDb>> {
+    let identity = ShieldOptions::new(kds.clone() as Arc<dyn Kds>, READER, b"reader-pass");
+    let identity = Encryption::Shield(identity);
+    let files = FileStore::new(mount, &identity, cache, IntegrityOptions::default())?;
+    ReplicaDb::open(files, "cluster/db", opts)
+}
 
 fn main() {
     // One shared store; each node pays its own network path to it.
@@ -34,12 +55,7 @@ fn main() {
         Arc::new(RemoteEnv::new(backing.clone(), NetworkModel::intra_datacenter()));
 
     println!("== scene 1: primary ingests on compute node 1 ==");
-    let primary = open_shield(
-        Options::new(primary_mount),
-        "cluster/db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, PRIMARY, b"primary-pass"),
-    )
-    .expect("open primary");
+    let primary = open_primary(primary_mount, &kds).expect("open primary");
     // Synced writes: SHIELD's WAL buffer may hold unsynced records in
     // plaintext app memory, invisible to the shared store (§5.3).
     let w = WriteOptions { sync: true };
@@ -52,24 +68,18 @@ fn main() {
     println!("  2000 users written + flushed through the remote mount");
 
     println!("== scene 2: live replica opens on compute node 3 ==");
-    let replica = open_shield_replica(
-        replica_mount,
-        "cluster/db",
-        "reader.cache", // the reader's own secure DEK cache, not the db dir
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, READER, b"reader-pass"),
-        ReplicaOptions {
-            poll_interval: Duration::from_millis(2),
-            max_staleness: Some(10_000),
-            ..ReplicaOptions::default()
-        },
-    )
-    .expect("open replica");
+    let live = ReplicaOptions {
+        poll_interval: Duration::from_millis(2),
+        max_staleness: Some(10_000),
+        ..ReplicaOptions::default()
+    };
+    let replica = open_reader(replica_mount, &kds, "reader.cache", live).expect("open replica");
     assert_eq!(
         replica.get(b"user:01234").expect("replica get"),
         Some(b"profile-1234".to_vec()),
         "replica must serve flushed state"
     );
-    let rstats = replica.resolver.stats();
+    let rstats = replica.resolver().expect("a SHIELD reader").stats();
     println!(
         "  replica serves user:01234 at seq {} (DEKs resolved by DEK-ID: {} KDS fetches)",
         replica.sequence(),
@@ -104,12 +114,7 @@ fn main() {
     println!("== scene 5: the primary restarts and the replica follows the rollover ==");
     let primary_mount2: Arc<dyn Env> =
         Arc::new(RemoteEnv::new(backing, NetworkModel::intra_datacenter()));
-    let primary = open_shield(
-        Options::new(primary_mount2),
-        "cluster/db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, PRIMARY, b"primary-pass"),
-    )
-    .expect("reopen primary");
+    let primary = open_primary(primary_mount2, &kds).expect("reopen primary");
     assert_eq!(
         primary.get(&ReadOptions::new(), b"user:last").expect("primary get"),
         Some(b"synced-before-crash".to_vec())
@@ -134,13 +139,8 @@ fn main() {
 
     println!("== scene 6: revoking the reader locks out fresh replicas ==");
     kds.revoke_server(READER);
-    let locked = open_shield_replica(
-        Arc::new(MemEnv::new()),
-        "cluster/db",
-        "reader2.cache",
-        ShieldOptions::new(kds as Arc<dyn Kds>, READER, b"reader-pass"),
-        ReplicaOptions::default(),
-    );
+    let fresh: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let locked = open_reader(fresh, &kds, "reader2.cache", ReplicaOptions::default());
     assert!(locked.is_err(), "revoked reader must not open");
     println!("  KDS revocation refused the new replica open");
     println!("replica tour complete");

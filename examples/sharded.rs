@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use shield::{open_shield, ShieldOptions, WriteOptions};
+use shield::{Encryption, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::{Db, Options, ReadOptions, WriteBatch};
@@ -87,12 +87,9 @@ fn main() {
     let mut opts = Options::new(Arc::new(remote)).with_write_buffer_size(16 << 10).with_shards(4);
     opts.compaction.l0_compaction_trigger = 2;
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    let sdb = open_shield(
-        opts,
-        "db",
-        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"),
-    )
-    .expect("open shield sharded");
+    opts.encryption =
+        Encryption::Shield(ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(1), b"pk"));
+    let sdb = Db::open(opts, "db").expect("open shield sharded");
     for i in 0..2_000u32 {
         let key = format!("k{:06}", i.wrapping_mul(2654435761) % 4_000);
         sdb.put(&w, key.as_bytes(), format!("v{i:06}").as_bytes()).expect("put");

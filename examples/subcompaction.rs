@@ -14,12 +14,12 @@
 
 use std::sync::Arc;
 
-use shield::{open_shield, ShieldOptions, WriteOptions};
+use shield::{Encryption, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Options, ReadOptions};
+use shield_lsm::{Db, Options, ReadOptions};
 
-fn open(max_subcompactions: usize) -> shield::ShieldDb {
+fn open(max_subcompactions: usize) -> Db {
     let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
     let remote = RemoteEnv::new(backing, NetworkModel::intra_datacenter());
     let mut opts = Options::new(Arc::new(remote))
@@ -29,8 +29,9 @@ fn open(max_subcompactions: usize) -> shield::ShieldDb {
     opts.compaction.l0_compaction_trigger = 4;
     opts.compaction.target_file_size = 64 << 10;
     let kds = Arc::new(LocalKds::new(KdsConfig::default()));
-    open_shield(opts, "db", ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"pk"))
-        .expect("open")
+    opts.encryption =
+        Encryption::Shield(ShieldOptions::new(kds as Arc<dyn Kds>, ServerId(1), b"pk"));
+    Db::open(opts, "db").expect("open")
 }
 
 fn main() {
@@ -42,9 +43,9 @@ fn main() {
             db.put(&w, key.as_bytes(), format!("v{i:06}-{}", "x".repeat(80)).as_bytes())
                 .expect("put");
         }
-        db.db.flush().expect("flush");
+        db.flush().expect("flush");
         let t = std::time::Instant::now();
-        db.db.compact_all().expect("compact");
+        db.compact_all().expect("compact");
         let stats = db.statistics().snapshot();
         println!(
             "{name:>8}: compact_all {:>5.2}s — {} compactions, {} subcompactions \
@@ -57,8 +58,8 @@ fn main() {
     }
 
     let r = ReadOptions::new();
-    let serial = stores[0].1.db.scan(&r, b"", usize::MAX >> 1).expect("scan");
-    let parallel = stores[1].1.db.scan(&r, b"", usize::MAX >> 1).expect("scan");
+    let serial = stores[0].1.scan(&r, b"", usize::MAX >> 1).expect("scan");
+    let parallel = stores[1].1.scan(&r, b"", usize::MAX >> 1).expect("scan");
     assert_eq!(serial, parallel, "stores diverged");
     assert!(!serial.is_empty());
 

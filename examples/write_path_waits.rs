@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shield::{open_shield, ShieldOptions, WriteOptions};
+use shield::{Encryption, ShieldOptions, WriteOptions};
 use shield_env::{Env, NetworkModel, PosixEnv, RemoteEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
-use shield_lsm::{Integrity, Options};
+use shield_lsm::{Db, Integrity, Options};
 
 /// Ops of one kind seen in the slow-op ring.
 #[derive(Default)]
@@ -44,15 +44,15 @@ fn main() {
         env = Arc::new(RemoteEnv::new(env, NetworkModel::intra_datacenter()));
     }
     let kds = Arc::new(LocalKds::new(KdsConfig::sstoolkit_like()));
-    let opts = Options::new(env)
+    let mut opts = Options::new(env)
         .with_write_buffer_size(4 << 20)
         .with_background_jobs(4)
         .with_integrity(Integrity::Hmac)
         // Flushes and compactions always cross this; so does a put that
         // switched the memtable or sat out a stall.
         .with_slow_op_threshold(Duration::from_millis(1));
-    let db = open_shield(opts, &dir, ShieldOptions::new(kds.clone(), ServerId(1), b"waits"))
-        .expect("open");
+    opts.encryption = Encryption::Shield(ShieldOptions::new(kds.clone(), ServerId(1), b"waits"));
+    let db = Db::open(opts, &dir).expect("open");
 
     let stop = AtomicBool::new(false);
     let mut seen = HashSet::new();

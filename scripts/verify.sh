@@ -27,11 +27,16 @@
 #           matrix, the history or the mode→file-layer switch by hand
 #           skips cells the shared store, history and oracle would have
 #           run it through; one identity builder: under crates/bench/src,
-#           crates/core/src (outside `shield_encryption` itself, tests
-#           included) and examples/ no `DekResolver::new(`,
-#           `::with_policy(` or `SecureDekCache::open(` — a server's
-#           cache, resolver and encryption config come from
-#           shield::shield_encryption; one bench per claim: every
+#           crates/core/src (tests included) and examples/ no
+#           `DekResolver::new(`, `::with_policy(` or
+#           `SecureDekCache::open(` — a server's cache, resolver and
+#           encryption config come from FileStore::new; one open: outside
+#           #[cfg(test)] code, no source under crates/*/src, examples/ or
+#           tests/ calls `EncryptedEnv::new(` or `EncryptionConfig::new(`
+#           outside crates/lsm/src/files.rs (FileStore::new, the one
+#           builder that turns an Options::encryption design into a file
+#           layer), and none names `open_encfs`, `open_shield_replica`,
+#           `shield_encryption` or `EncFsDb`; one bench per claim: every
 #           crates/bench/src/bin/<name>.rs but `paper` has a `smoke <name>`
 #           tier below and a `B <name>` row in README.md's claim table, so
 #           a bin that carries no claim cannot come back; one metrics
@@ -66,7 +71,9 @@
 #           mount itself);
 #           clippy -D
 #           warnings over shield-crypto, shield-core, shield-env,
-#           shield-lsm and shield (skipped if clippy is unavailable).
+#           shield-lsm and shield (skipped if clippy is unavailable), and
+#           rustdoc -D warnings over the same crates and shield-kds: a
+#           doc link to a removed or private item fails.
 #   tier 1: cargo build --release && cargo test -q (the seed gate: the
 #           root package's integration suites — fault injection, tamper,
 #           multi_get, sharded, replica, model check, … all of them), then
@@ -193,17 +200,13 @@ if grep -nE 'enum (Mode|Action)\b|fn action_strategy|Deref<Target = Db>|Encrypte
     echo "      histories from support::{actions, history} and check with support::check."
     exit 1
 fi
-hits=$(awk 'FNR == 1{skip=0}
-    /^pub fn shield_encryption\(/{skip=1}
-    skip && /^}/{skip=0; next}
-    skip{next}
-    /^[[:space:]]*\/\//{next}
+hits=$(awk '/^[[:space:]]*\/\//{next}
     /DekResolver::new\(|::with_policy\(|SecureDekCache::open\(/{print FILENAME": "FNR": "$0}' \
     $(find crates/bench/src crates/core/src examples -name '*.rs' | sort))
 if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: one identity builder — build a server's cache, resolver and encryption"
-    echo "      config with shield::shield_encryption(env, cache_path, &ShieldOptions)."
+    echo "FAIL: one identity builder — a server's cache, resolver and encryption config"
+    echo "      come from FileStore::new(env, &Encryption::Shield(..), cache_path, integrity)."
     exit 1
 fi
 echo "ok"
@@ -340,6 +343,25 @@ if [[ -n "$hits" ]]; then
 fi
 echo "ok"
 
+echo "== lint: one-open gate (crates/*/src, examples/, tests/) =="
+hits=""
+for f in $(find crates/*/src examples tests -name '*.rs' | sort); do
+    hits+=$(awk -v builder=$([[ "$f" == crates/lsm/src/files.rs ]] && echo 1 || echo 0) '
+        /#\[cfg\(test\)\]/{exit}
+        /open_encfs|open_shield_replica|shield_encryption|EncFsDb/{print FILENAME": "FNR": "$0; next}
+        /^[[:space:]]*\/\//{next}
+        !builder && /EncryptedEnv::new\(|EncryptionConfig::new\(/{print FILENAME": "FNR": "$0}' "$f")
+done
+if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: one open — a design is one Options::encryption value (Encryption::Plain,"
+    echo "      EncFs or Shield), Db::open opens every one, and a replica or compactor gets"
+    echo "      its file layer from FileStore::new (crates/lsm/src/files.rs), the only"
+    echo "      place an EncryptedEnv or an EncryptionConfig is built."
+    exit 1
+fi
+echo "ok"
+
 if [[ $quick -eq 0 ]]; then
     echo "== lint: clippy gate =="
     if cargo clippy --version >/dev/null 2>&1; then
@@ -348,6 +370,11 @@ if [[ $quick -eq 0 ]]; then
     else
         echo "skipped (cargo clippy unavailable)"
     fi
+
+    echo "== lint: rustdoc gate =="
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p shield-crypto -p shield-core \
+        -p shield-env -p shield-kds -p shield-lsm -p shield
+    echo "ok"
 
     echo "== tier 1a: release build =="
     cargo build --release

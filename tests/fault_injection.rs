@@ -12,14 +12,17 @@
 
 mod support;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use shield::DEK_CACHE_FILE;
-use shield_crypto::Algorithm;
+use shield::{Encryption, ShieldOptions, DEK_CACHE_FILE};
+use shield_crypto::{Algorithm, Dek, DekId};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
-use shield_kds::{Kds, KdsError, SecureDekCache, ServerId};
-use shield_lsm::{Db, Error, Options, ReadOptions, WriteOptions, READY_DEKS};
-use support::{laws, replicated, Mode, Store, MODES, READER};
+use shield_kds::{Kds, KdsError, KdsResult, KdsStats, LocalKds, SecureDekCache, ServerId};
+use shield_lsm::{
+    Db, Error, Event, EventListener, Options, ReadOptions, WriteOptions, READY_DEKS,
+};
+use support::{laws, replicated, Mode, Store, MODES, PRIMARY, READER};
 
 fn key(round: u32, i: u32) -> Vec<u8> {
     format!("r{round:02}-k{i:04}").into_bytes()
@@ -87,6 +90,37 @@ fn crash_after_sync_loses_no_acked_writes_in_all_modes() {
     }
 }
 
+/// Small memtables and an L0 trigger of 2, so a short workload compacts.
+fn compacting(mut opts: Options) -> Options {
+    opts.write_buffer_size = 4 << 10;
+    opts.compaction.l0_compaction_trigger = 2;
+    opts
+}
+
+/// The SST-read fault schedule: a clean first batch compacted with no
+/// faults armed, then persistent SST read faults — enough to outlast the
+/// bounded background retries — while more data is driven into
+/// compaction. Returns the engine error they surface as.
+fn fail_sst_reads(db: &Db, fenv: &FaultInjectionEnv) -> Option<Error> {
+    for i in 0..200u32 {
+        db.put(&WriteOptions::default(), &key(0, i), &[b'x'; 64]).unwrap();
+    }
+    db.compact_all().unwrap();
+
+    fenv.error_n_times(FileKind::Sst, FaultOp::Read, 10_000);
+    for batch in 1..6u32 {
+        for i in 0..200u32 {
+            if let Err(e) = db.put(&WriteOptions::default(), &key(batch, i), &[b'y'; 64]) {
+                return Some(e);
+            }
+        }
+        if let Err(e) = db.compact_all() {
+            return Some(e);
+        }
+    }
+    None
+}
+
 /// Acceptance (b): an SST-read fault during compaction parks the engine on
 /// a sticky background error; reads keep serving; after disarming the
 /// fault, [`Db::resume`] clears the error and the re-driven compaction
@@ -94,34 +128,8 @@ fn crash_after_sync_loses_no_acked_writes_in_all_modes() {
 #[test]
 fn sst_read_fault_during_compaction_is_resumable() {
     let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
-    let db = Store::over(Mode::Plain, Arc::new(fenv.clone())).open(|mut opts| {
-        opts.write_buffer_size = 4 << 10;
-        opts.compaction.l0_compaction_trigger = 2;
-        opts
-    });
-
-    // A clean first batch, flushed to SSTs with no faults armed.
-    for i in 0..200u32 {
-        db.put(&WriteOptions::default(), &key(0, i), &[b'x'; 64]).unwrap();
-    }
-    db.compact_all().unwrap();
-
-    // Arm persistent SST read faults — enough to outlast the bounded
-    // background retries — and drive more data into compaction.
-    fenv.error_n_times(FileKind::Sst, FaultOp::Read, 10_000);
-    let mut failure = None;
-    'workload: for batch in 1..6u32 {
-        for i in 0..200u32 {
-            if let Err(e) = db.put(&WriteOptions::default(), &key(batch, i), &[b'y'; 64]) {
-                failure = Some(e);
-                break 'workload;
-            }
-        }
-        if let Err(e) = db.compact_all() {
-            failure = Some(e);
-            break;
-        }
-    }
+    let db = Store::over(Mode::Plain, Arc::new(fenv.clone())).open(compacting);
+    let failure = fail_sst_reads(&db, &fenv);
     let failure = failure.expect("SST read faults must surface as an engine error");
     assert!(matches!(failure, Error::Io(_)), "unexpected error kind: {failure}");
     assert!(!failure.retryable() || failure.severity() == shield_lsm::Severity::Soft);
@@ -159,6 +167,103 @@ fn sst_read_fault_during_compaction_is_resumable() {
     laws(&db.metrics_report().tickers);
 }
 
+/// Counts the fault and KDS-retry events the engine hands its listeners.
+#[derive(Default)]
+struct Heard {
+    faults: AtomicU64,
+    kds_retries: AtomicU64,
+}
+
+impl EventListener for Heard {
+    fn on_event(&self, event: &Event) {
+        let counter = match event {
+            Event::FaultInjected { .. } => &self.faults,
+            Event::KdsRetry { .. } => &self.kds_retries,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The same schedule under EncFS: the encrypting env sits between the
+/// engine and the fault env, and passes the fault env's counters and
+/// events through, so the gauge mirrors the injected faults and every
+/// `Options::event_listeners` entry hears of them.
+#[test]
+fn sst_read_faults_under_encfs_reach_the_gauge_and_the_listeners() {
+    let fenv = FaultInjectionEnv::new(Arc::new(MemEnv::new()));
+    let heard = Arc::new(Heard::default());
+    let store = Store::over(Mode::EncFs, Arc::new(fenv.clone()));
+    let db = store.open(|opts| compacting(opts).with_event_listener(heard.clone()));
+    let failure = fail_sst_reads(&db, &fenv);
+    assert!(failure.is_some(), "SST read faults must surface as an engine error");
+    fenv.disarm_all();
+
+    let injected = db.statistics().env_faults_injected.load(Ordering::Relaxed);
+    assert!(injected >= 1, "the fault gauge must mirror the env under EncFS");
+    assert!(heard.faults.load(Ordering::Relaxed) >= 1, "no fault event reached the listener");
+}
+
+/// A KDS whose next `fail_fetches` fetches fail as if it were briefly
+/// unreachable.
+#[derive(Default)]
+struct FlakyKds {
+    inner: LocalKds,
+    fail_fetches: AtomicU64,
+}
+
+impl Kds for FlakyKds {
+    fn generate_dek(&self, requester: ServerId, algorithm: Algorithm) -> KdsResult<Dek> {
+        self.inner.generate_dek(requester, algorithm)
+    }
+    fn fetch_dek(&self, requester: ServerId, id: DekId) -> KdsResult<Dek> {
+        let take = |n: u64| n.checked_sub(1);
+        match self.fail_fetches.fetch_update(Ordering::Relaxed, Ordering::Relaxed, take) {
+            Ok(_) => Err(KdsError::Unavailable("one dropped fetch".to_string())),
+            Err(_) => self.inner.fetch_dek(requester, id),
+        }
+    }
+    fn revoke_dek(&self, id: DekId) -> KdsResult<()> {
+        self.inner.revoke_dek(id)
+    }
+    fn authorize_server(&self, server: ServerId) {
+        self.inner.authorize_server(server);
+    }
+    fn revoke_server(&self, server: ServerId) {
+        self.inner.revoke_server(server);
+    }
+    fn stats(&self) -> KdsStats {
+        self.inner.stats()
+    }
+}
+
+/// What the resolver raises while recovery resolves the MANIFEST's and
+/// the WAL's DEKs reaches the listeners: without a secure cache every
+/// key of a reopen is a KDS fetch, the first one fails once, and the
+/// retry event is heard before `open` returns.
+#[test]
+fn kds_retries_during_recovery_reach_the_listeners() {
+    let kds = Arc::new(FlakyKds::default());
+    let store = Store { kds: kds.clone(), local: None, ..Store::new(Mode::Shield) };
+    let identity = ShieldOptions { passkey: None, ..store.shield_options(PRIMARY) };
+    let uncached =
+        |opts: Options| Options { encryption: Encryption::Shield(identity.clone()), ..opts };
+    let db = store.open(uncached);
+    for i in 0..50u32 {
+        db.put(&wsync(), &key(0, i), b"v").unwrap();
+    }
+    db.flush().unwrap();
+    db.put(&wsync(), b"in-the-wal", b"v").unwrap();
+    drop(db);
+
+    kds.fail_fetches.store(1, Ordering::Relaxed);
+    let heard = Arc::new(Heard::default());
+    let db = store.open(|opts| uncached(opts).with_event_listener(heard.clone()));
+    assert_eq!(heard.kds_retries.load(Ordering::Relaxed), 1, "the recovery retry went unheard");
+    assert_eq!(kds.fail_fetches.load(Ordering::Relaxed), 0);
+    assert!(db.get(&ReadOptions::new(), b"in-the-wal").unwrap().is_some());
+}
+
 /// Acceptance (c): with every KDS replica down, DEKs in the secure cache
 /// keep resolving (degraded mode) while uncached fetches fail with
 /// `Unavailable`; retry and failover counts are observable; recovery plus
@@ -168,7 +273,7 @@ fn kds_total_outage_degrades_to_cached_deks_and_resumes() {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let (store, kds) = replicated(Mode::Shield, env.clone(), 3);
     let db = store.open(|opts| opts);
-    let resolver = db.resolver.clone().expect("a SHIELD primary has a resolver");
+    let resolver = db.resolver().cloned().expect("a SHIELD primary has a resolver");
 
     for i in 0..100u32 {
         db.put(&WriteOptions::default(), &key(0, i), b"v").unwrap();
@@ -272,7 +377,7 @@ fn resolver_gauges_reach_the_metrics_report_without_a_statistics_call() {
     let db = store.open(|opts| opts);
     let uncached = kds.generate_dek(ServerId(9), Algorithm::Aes128Ctr).unwrap();
     kds.fail_all();
-    let resolver = db.resolver.as_ref().expect("a SHIELD primary has a resolver");
+    let resolver = db.resolver().expect("a SHIELD primary has a resolver");
     assert!(resolver.resolve(uncached.id()).is_err());
     assert!(db.get(&ReadOptions::new(), &key(0, 7)).unwrap().is_some());
     let report = db.metrics_report();

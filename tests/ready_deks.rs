@@ -18,7 +18,7 @@ use support::{small, Mode, Primary, Store};
 
 /// Keys generated and not yet bound to a file or retired.
 fn ready(db: &Primary) -> u64 {
-    let generated = db.resolver.as_ref().expect("a SHIELD primary").stats().generated;
+    let generated = db.resolver().expect("a SHIELD primary").stats().generated;
     let s = db.statistics().snapshot();
     generated - s.dek_queue_hits - s.dek_queue_misses - s.deks_retired_unused
 }

@@ -18,12 +18,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use shield::open_shield_replica;
+use shield::{Encryption, FileStore, ShieldOptions};
 use shield_env::{
     Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv, NetworkModel, RemoteEnv,
 };
+use shield_lsm::version::filenames::{parse_file_name, FileType};
 use shield_lsm::{
-    Db, Error, Integrity, IntegrityOptions, ReadOptions, ReplicaDb, ReplicaOptions,
+    Db, Error, Integrity, IntegrityOptions, Options, ReadOptions, ReplicaDb, ReplicaOptions,
     WriteOptions,
 };
 use support::{
@@ -250,8 +251,8 @@ fn replica_staleness_bound_trips_under_faults() {
 /// SHIELD end to end over the disaggregated topology: primary and
 /// replica each mount the shared store through their own RemoteEnv, the
 /// replica resolves every DEK by DEK-ID through its own resolver under
-/// its own KDS identity and its own secure cache
-/// ([`open_shield_replica`]), and its metrics report says it caught up.
+/// its own KDS identity and its own secure cache (a store from
+/// [`FileStore::new`]), and its metrics report says it caught up.
 #[test]
 fn replica_shield_over_remote_env_end_to_end() {
     let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
@@ -265,9 +266,14 @@ fn replica_shield_over_remote_env_end_to_end() {
     sdb.flush().expect("flush");
     put_all(&sdb, &mut oracle, 120..150, "s");
 
-    let replica =
-        open_shield_replica(mount(), PATH, "reader.cache", store.shield_options(READER), manual())
-            .expect("open shield replica");
+    // The reader's own identity, with a secure cache of its own.
+    let reader = |mount: Arc<dyn Env>, cache: &str| {
+        let passkey = Some(b"pk".to_vec());
+        let identity = ShieldOptions { passkey, ..store.shield_options(READER) };
+        let files = FileStore::new(mount, &Encryption::Shield(identity), cache, store.integrity)?;
+        ReplicaDb::open(files, PATH, manual())
+    };
+    let replica = reader(mount(), "reader.cache").expect("open shield replica");
     drain(&replica);
 
     // A cold multi_get takes the batched path: the 64 keys resolve in a
@@ -283,7 +289,7 @@ fn replica_shield_over_remote_env_end_to_end() {
     check_caught_up(&replica, &oracle);
 
     // DEKs came through the replica's own resolver, by DEK-ID.
-    let rstats = replica.resolver.stats();
+    let rstats = replica.resolver().expect("a SHIELD replica").stats();
     assert!(rstats.cache_hits + rstats.cache_misses > 0, "resolver never engaged");
 
     // Caught up, in the one metrics document (its key set is pinned in
@@ -299,14 +305,50 @@ fn replica_shield_over_remote_env_end_to_end() {
     sdb.put(&WriteOptions { sync: true }, b"zz-new", b"rotated").expect("put");
     sdb.flush().expect("flush");
     let _ = replica.catch_up(); // new SST's DEK is unresolvable
-    let locked = open_shield_replica(
-        Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), NetworkModel::unlimited())),
-        PATH,
-        "reader2.cache",
-        store.shield_options(READER),
-        manual(),
-    );
+    let fresh = Arc::new(RemoteEnv::new(Arc::new(MemEnv::new()), NetworkModel::unlimited()));
+    let locked = reader(fresh, "reader2.cache");
     assert!(locked.is_err(), "revoked reader opened a fresh replica");
+}
+
+/// A SHIELD primary that leaves its WAL plaintext (`encrypt_wal: false`)
+/// tags it with the engine-wide key, here a non-default one: a replica
+/// whose store comes from the one builder with the primary's
+/// `IntegrityOptions` drains that WAL, while one built with the default
+/// key refuses it as tampered.
+#[test]
+fn replica_drains_a_plaintext_tagged_wal_under_the_primarys_integrity() {
+    let medium = MemEnv::new();
+    let integrity = IntegrityOptions { mode: Integrity::Hmac, key: ENGINE_KEY };
+    let store = Store { integrity, ..Store::over(Mode::Shield, Arc::new(medium.clone())) };
+    let plaintext_wal =
+        ShieldOptions { encrypt_wal: false, ..store.shield_options(support::PRIMARY) };
+    let db = store.open(|opts| Options { encryption: Encryption::Shield(plaintext_wal), ..opts });
+    let mut oracle = Oracle::synced();
+    put_all(&db, &mut oracle, 0..50, "w");
+
+    // Every record is in the WAL, which is plaintext and tagged.
+    let wals: Vec<String> = medium
+        .list_dir(PATH)
+        .expect("list")
+        .into_iter()
+        .filter(|name| matches!(parse_file_name(name), Some(FileType::Wal(_))))
+        .collect();
+    assert!(!wals.is_empty(), "no WAL segment");
+    for wal in &wals {
+        let raw = medium.raw_content(&format!("{PATH}/{wal}")).expect("wal bytes");
+        assert_eq!(&raw[..8], b"SHLDLOG2", "{wal}: a plaintext, tagged log");
+    }
+
+    let reader = Encryption::Shield(store.shield_options(READER));
+    let files = |integrity| FileStore::new(store.medium.clone(), &reader, "", integrity);
+    let replica = ReplicaDb::open(files(integrity).expect("store"), PATH, manual())
+        .expect("open replica");
+    check_caught_up(&replica, &oracle);
+    assert_eq!(replica.resolver().expect("a SHIELD replica").server(), READER);
+
+    let defaults = files(IntegrityOptions::default()).expect("store");
+    let refused = ReplicaDb::open(defaults, PATH, manual()).and_then(|r| r.catch_up());
+    assert!(matches!(refused, Err(Error::IntegrityViolation(_))), "{:?}", refused.err());
 }
 
 /// One multi-block SST of `n` keys behind a default-sized write buffer.

@@ -22,21 +22,17 @@ use std::time::Duration;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::TestRng;
-use shield::{
-    open_encfs, open_plain, open_shield, EncryptedEnv, Shield, ShieldOptions, DEK_CACHE_FILE,
-};
+use shield::{Encryption, ShieldOptions, DEK_CACHE_FILE};
 use shield_core::{Event, EventListener, PerfGuard};
 use shield_crypto::{Algorithm, Dek};
 use shield_env::{
     Env, EnvResult, FileKind, IoStats, MemEnv, RandomAccessFile, SequentialFile, WritableFile,
 };
-use shield_kds::{
-    DekResolver, Kds, KdsConfig, LocalKds, ReplicatedKds, RetryPolicy, SecureDekCache, ServerId,
-};
+use shield_kds::{Kds, KdsConfig, LocalKds, ReplicatedKds, RetryPolicy, SecureDekCache, ServerId};
 use shield_lsm::{
-    Db, DbIterator, EncryptionConfig, FileStore, Integrity, IntegrityOptions, MetricsReport,
-    Options, ReadOptions, ReplicaDb, ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch,
-    WriteOptions, MAX_SEQUENTIAL_SKIP,
+    Db, DbIterator, FileStore, Integrity, IntegrityOptions, MetricsReport, Options, ReadOptions,
+    ReplicaDb, ReplicaOptions, Snapshot, StatsSnapshot, WriteBatch, WriteOptions,
+    MAX_SEQUENTIAL_SKIP,
 };
 
 // ---------------------------------------------------------------------
@@ -88,8 +84,6 @@ pub struct Store {
 /// `primary.db.simulate_process_crash()` moves the engine out.
 pub struct Primary {
     pub db: Db,
-    /// The SHIELD identity's resolver; `None` in the other modes.
-    pub resolver: Option<Arc<DekResolver>>,
     /// Files of the DEK-bearing kinds this handle has created.
     created: Arc<AtomicU64>,
     /// What this handle's engine has announced in events.
@@ -126,46 +120,51 @@ impl Store {
     }
 
     /// `server`'s SHIELD identity: the default options with a retry
-    /// policy short enough for outage tests.
+    /// policy short enough for outage tests. Only the primary keeps a
+    /// secure DEK cache (under "pk", in its database directory); every
+    /// other server resolves each key at the KDS, so revoking it locks
+    /// it out at once.
     pub fn shield_options(&self, server: ServerId) -> ShieldOptions {
-        let mut sopts = ShieldOptions::new(self.kds.clone(), server, b"pk");
-        sopts.retry_policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        };
-        sopts
+        ShieldOptions {
+            passkey: (server == PRIMARY).then(|| b"pk".to_vec()),
+            retry_policy: RetryPolicy {
+                max_attempts: 3,
+                base_backoff: Duration::from_micros(100),
+                max_backoff: Duration::from_millis(1),
+                ..RetryPolicy::default()
+            },
+            ..ShieldOptions::new(self.kds.clone(), server, b"")
+        }
     }
 
-    /// Opens (or reopens) the primary through the product's own open for
-    /// this mode. `tune` edits the options — start from [`small`] for an
-    /// LSM tree that flushes and compacts under short histories.
+    /// `server`'s encryption design in this store's mode: the only place
+    /// under `tests/` where a mode becomes an [`Encryption`].
+    pub fn encryption(&self, server: ServerId) -> Encryption {
+        match self.mode {
+            Mode::Plain => Encryption::Plain,
+            Mode::EncFs => {
+                Encryption::EncFs { dek: self.dek.clone(), wal_buffer_size: ENCFS_WAL_BUFFER }
+            }
+            Mode::Shield => Encryption::Shield(self.shield_options(server)),
+        }
+    }
+
+    /// Opens (or reopens) the primary through the product's one open.
+    /// `tune` edits the options — start from [`small`] for an LSM tree
+    /// that flushes and compacts under short histories.
     pub fn open(&self, tune: impl FnOnce(Options) -> Options) -> Primary {
         let created = Arc::new(AtomicU64::new(0));
         let (inner, counter) = (self.medium.clone(), created.clone());
         let medium = Arc::new(CreateCounter { inner, created: counter });
         let announced = Arc::new(Announced::default());
-        let opts = tune(
-            Options::new(medium)
-                .with_integrity(self.integrity.mode)
-                .with_integrity_key(self.integrity.key),
-        )
+        let opts = tune(Options {
+            encryption: self.encryption(PRIMARY),
+            integrity: self.integrity,
+            ..Options::new(medium)
+        })
         .with_event_listener(announced.clone());
-        let (db, resolver) = match self.mode {
-            Mode::Plain => (open_plain(opts, &self.path).expect("open plain"), None),
-            Mode::EncFs => {
-                let encfs = open_encfs(opts, &self.path, self.dek.clone(), ENCFS_WAL_BUFFER);
-                (encfs.expect("open encfs").db, None)
-            }
-            Mode::Shield => {
-                let sopts = self.shield_options(PRIMARY);
-                let Shield { db, resolver, .. } =
-                    open_shield(opts, &self.path, sopts).expect("open shield");
-                (db, Some(resolver))
-            }
-        };
-        Primary { db, resolver, created, announced }
+        let db = Db::open(opts, &self.path).expect("open primary");
+        Primary { db, created, announced }
     }
 
     /// Closes `primary` cleanly. In SHIELD mode *keys die with their
@@ -188,22 +187,13 @@ impl Store {
     /// The file layer of another server (a replica, a compactor, a table
     /// fixture) over the same medium: its own mount, in SHIELD mode its
     /// own identity at the KDS, and the deployment's integrity settings.
-    /// The only place under `tests/` where a mode becomes
-    /// `(env, Option<EncryptionConfig>)`.
+    /// It keeps no secure cache unless it is the primary's identity,
+    /// whose cache lives in the database directory.
     pub fn files_for(&self, server: ServerId) -> FileStore {
-        let medium = self.medium.clone();
-        let (env, encryption): (Arc<dyn Env>, _) = match self.mode {
-            Mode::Plain => (medium, None),
-            Mode::EncFs => {
-                (Arc::new(EncryptedEnv::new(medium, self.dek.clone(), ENCFS_WAL_BUFFER)), None)
-            }
-            Mode::Shield => {
-                let resolver =
-                    DekResolver::new(self.kds.clone(), None, server, Algorithm::Aes128Ctr);
-                (medium, Some(EncryptionConfig::new(Arc::new(resolver))))
-            }
-        };
-        FileStore::new(env, encryption, self.integrity)
+        let cache_path = format!("{}/{DEK_CACHE_FILE}", self.path);
+        let encryption = self.encryption(server);
+        FileStore::new(self.medium.clone(), &encryption, &cache_path, self.integrity)
+            .expect("file layer")
     }
 
     /// A read-only instance under `server`'s identity, refreshed by hand
@@ -782,7 +772,7 @@ impl Reads for Primary {
     }
     fn dek_files_created(&self) -> Option<u64> {
         // Only a SHIELD engine keys files (EncFS encrypts below it).
-        Some(self.resolver.as_ref().map_or(0, |_| self.created.load(Ordering::Relaxed)))
+        Some(self.db.resolver().map_or(0, |_| self.created.load(Ordering::Relaxed)))
     }
     fn announced(&self) -> Option<&Announced> {
         Some(&self.announced)

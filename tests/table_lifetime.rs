@@ -28,8 +28,8 @@ use shield_lsm::sst::builder::{TableBuilder, TableBuilderOptions};
 use shield_lsm::sst::Table;
 use shield_lsm::types::{make_internal_key, ValueType, MAX_SEQUENCE};
 use shield_lsm::version::{FileMeta, TableCache, TableSlot, VersionEdit, VersionSet};
-use shield_lsm::{FileStore, IntegrityOptions, ReadOptions, WriteOptions};
-use support::{key, Action, Mode, Oracle, Store};
+use shield_lsm::{ReadOptions, WriteOptions};
+use support::{key, Action, Mode, Oracle, Store, PRIMARY};
 
 /// Counts SST opens for random access; forwards everything.
 struct OpenCounter {
@@ -178,7 +178,7 @@ fn found(value: &str) -> shield_lsm::version::version::GetResult {
 #[test]
 fn edits_carry_tables_forward_and_retiring_a_file_closes_it() {
     let env = OpenCounter::new();
-    let files = FileStore::new(env.clone(), None, IntegrityOptions::default());
+    let files = Store::over(Mode::Plain, env.clone()).files_for(PRIMARY);
     let tables = TableCache::new(files.clone(), "db".into(), None, 0);
     let mut versions = VersionSet::new(files, "db".into(), tables.clone());
     versions.create_new().unwrap();
@@ -236,7 +236,7 @@ fn edits_carry_tables_forward_and_retiring_a_file_closes_it() {
 #[test]
 fn a_failed_open_caches_nothing() {
     let env = OpenCounter::new();
-    let files = FileStore::new(env.clone(), None, IntegrityOptions::default());
+    let files = Store::over(Mode::Plain, env.clone()).files_for(PRIMARY);
     let tables = TableCache::new(files, "db".into(), None, 0);
     let meta = build(&tables, 7, &["k"]);
     let path = shield_env::join_path("db", &shield_lsm::version::sst_file_name(7));

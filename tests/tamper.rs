@@ -21,7 +21,7 @@
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use shield::{open_encfs, open_plain, open_shield, ShieldOptions};
+use shield::{open_plain, open_shield, Encryption, ShieldOptions};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_masked, Algorithm, Dek};
 use shield_env::{Env, FileKind, MemEnv, PosixEnv};
 use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
@@ -488,8 +488,12 @@ fn encfs_ciphertext_bitflip_detected() {
     for (mode, want_iv) in [(Integrity::Crc, false), (Integrity::Hmac, true)] {
         let env = MemEnv::new();
         let dek = Dek::generate(Algorithm::Aes128Ctr);
+        let encfs = || Options {
+            encryption: Encryption::EncFs { dek: dek.clone(), wal_buffer_size: 512 },
+            ..opts(&env, mode)
+        };
         {
-            let db = open_encfs(opts(&env, mode), "db", dek.clone(), 512).unwrap();
+            let db = Db::open(encfs(), "db").unwrap();
             fill(&db, "good", N);
         }
         let path = sst_paths(&env, "db").remove(0);
@@ -500,7 +504,7 @@ fn encfs_ciphertext_bitflip_detected() {
         raw[64 + 8] ^= 0x01;
         env.set_raw_content(&path, raw).unwrap();
 
-        let db = open_encfs(opts(&env, mode), "db", dek, 512).unwrap();
+        let db = Db::open(encfs(), "db").unwrap();
         let e = first_get_error(&db, N).expect("flip must not read back clean");
         if want_iv {
             assert!(is_iv(&e), "encfs+hmac must classify the flip as a violation: {e}");
