@@ -31,7 +31,7 @@ pub fn fig13(scale: &Scale) -> Vec<Table> {
         run_workload(d.db(), &DriverConfig::new(cfg, ops));
         d.db().compact_all().expect("compact");
         let micros = d.db().statistics().snapshot().compaction_micros;
-        (micros as f64 / 1000.0, d.sys.cipher_inits())
+        (micros as f64 / 1000.0, d.db().cipher_inits())
     };
 
     let (plain_ms, _) = run_one(SystemKind::Plain, 4096, 1);

@@ -12,7 +12,7 @@ use shield_lsm::compaction::{CompactionExecutor, CompactionStyle};
 use shield_lsm::{Db, Encryption, FileStore, IntegrityOptions, Options, Result, ShieldOptions};
 
 /// The identity a system's own database opens under.
-pub const PRIMARY: ServerId = ServerId(1);
+const PRIMARY: ServerId = ServerId(1);
 /// Passkey of every identity's secure DEK cache.
 const PASSKEY: &[u8] = b"bench-passkey";
 
@@ -146,12 +146,6 @@ impl SystemHandle {
     #[must_use]
     pub fn db(&self) -> &Db {
         &self.db
-    }
-
-    /// Cipher-context constructions performed so far (0 for Plain).
-    #[must_use]
-    pub fn cipher_inits(&self) -> u64 {
-        self.db.cipher_inits()
     }
 }
 

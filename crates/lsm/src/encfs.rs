@@ -30,6 +30,8 @@ pub struct EncryptedEnv {
     /// Applies the §5.3 application buffer to WAL files (0 = per-append
     /// encryption, the plain EncFS design).
     wal_buffer_size: usize,
+    /// Cipher-context constructions (the per-call init cost of §3.2);
+    /// the store's [`crate::FileStore::cipher_inits`] reads it.
     pub(crate) inits: Arc<AtomicU64>,
 }
 
@@ -38,13 +40,6 @@ impl EncryptedEnv {
     #[must_use]
     pub fn new(inner: Arc<dyn Env>, dek: Dek, wal_buffer_size: usize) -> Self {
         EncryptedEnv { inner, dek, wal_buffer_size, inits: Arc::new(AtomicU64::new(0)) }
-    }
-
-    /// Cipher-context constructions performed so far (the per-call init
-    /// cost of §3.2).
-    #[must_use]
-    pub fn cipher_inits(&self) -> u64 {
-        self.inits.load(Ordering::Relaxed)
     }
 
     fn read_header(&self, path: &str, kind: FileKind) -> EnvResult<FileHeader> {
@@ -250,13 +245,13 @@ mod tests {
     #[test]
     fn cipher_inits_counted_per_append_when_unbuffered() {
         let (_, env) = setup();
-        let before = env.cipher_inits();
+        let before = env.inits.load(Ordering::Relaxed);
         let mut f = env.new_writable_file("w", FileKind::Wal).unwrap();
         for _ in 0..10 {
             f.append(b"tiny").unwrap();
         }
         f.flush().unwrap();
-        assert_eq!(env.cipher_inits() - before, 10);
+        assert_eq!(env.inits.load(Ordering::Relaxed) - before, 10);
     }
 
     #[test]
@@ -264,12 +259,12 @@ mod tests {
         let mem = MemEnv::new();
         let dek = Dek::generate(Algorithm::Aes128Ctr);
         let env = EncryptedEnv::new(Arc::new(mem), dek, 4096);
-        let before = env.cipher_inits();
+        let before = env.inits.load(Ordering::Relaxed);
         let mut f = env.new_writable_file("w", FileKind::Wal).unwrap();
         for _ in 0..100 {
             f.append(&[7u8; 20]).unwrap();
         }
         f.sync().unwrap();
-        assert!(env.cipher_inits() - before <= 2);
+        assert!(env.inits.load(Ordering::Relaxed) - before <= 2);
     }
 }

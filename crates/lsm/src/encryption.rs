@@ -210,21 +210,6 @@ impl EncryptionConfig {
         }
     }
 
-    /// Sets the WAL buffer size (0 = unbuffered).
-    #[must_use]
-    pub fn with_wal_buffer(mut self, bytes: usize) -> Self {
-        self.wal_buffer_size = bytes;
-        self
-    }
-
-    /// Sets the chunked-encryption parameters.
-    #[must_use]
-    pub fn with_chunks(mut self, chunk_size: usize, threads: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
-        self.encryption_threads = threads.max(1);
-        self
-    }
-
     /// Total cipher-context constructions so far.
     #[must_use]
     pub fn cipher_inits(&self) -> u64 {
@@ -835,7 +820,7 @@ mod tests {
     #[test]
     fn unbuffered_wal_pays_one_init_per_append() {
         let (cfg, _) = config();
-        let cfg = cfg.with_wal_buffer(0);
+        let cfg = EncryptionConfig { wal_buffer_size: 0, ..cfg };
         let env = MemEnv::new();
         let before = cfg.cipher_inits();
         let (mut f, _) = cfg.new_writable(&env, "w", FileKind::Wal).unwrap();
@@ -849,7 +834,7 @@ mod tests {
     #[test]
     fn buffered_wal_amortizes_inits() {
         let (cfg, _) = config();
-        let cfg = cfg.with_wal_buffer(512);
+        let cfg = EncryptionConfig { wal_buffer_size: 512, ..cfg };
         let env = MemEnv::new();
         let before = cfg.cipher_inits();
         let (mut f, _) = cfg.new_writable(&env, "w", FileKind::Wal).unwrap();
@@ -882,7 +867,8 @@ mod tests {
     #[test]
     fn buffered_wal_loses_unflushed_tail_on_process_crash() {
         let (cfg, _) = config();
-        let cfg = cfg.with_wal_buffer(1 << 20); // large: nothing auto-drains
+        // Large: nothing auto-drains.
+        let cfg = EncryptionConfig { wal_buffer_size: 1 << 20, ..cfg };
         let env = MemEnv::new();
         let (mut f, _) = cfg.new_writable(&env, "w", FileKind::Wal).unwrap();
         f.append(b"never flushed").unwrap();
@@ -898,7 +884,7 @@ mod tests {
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
         // Write with 4 threads / 4 KiB chunks…
         let (cfg_mt, _) = config();
-        let cfg_mt = cfg_mt.with_chunks(4096, 4);
+        let cfg_mt = EncryptionConfig { chunk_size: 4096, encryption_threads: 4, ..cfg_mt };
         {
             let (mut f, _) = cfg_mt.new_writable(&env, "mt", FileKind::Sst).unwrap();
             f.append(&payload).unwrap();

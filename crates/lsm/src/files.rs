@@ -162,10 +162,13 @@ impl FileStore {
                     shield.retry_policy.clone(),
                 ));
                 resolver.set_event_listener(events.clone());
-                let mut config = EncryptionConfig::new(resolver)
-                    .with_wal_buffer(shield.wal_buffer_size)
-                    .with_chunks(shield.chunk_size, shield.encryption_threads);
-                config.encrypt_wal = shield.encrypt_wal;
+                let config = EncryptionConfig {
+                    wal_buffer_size: shield.wal_buffer_size,
+                    chunk_size: shield.chunk_size.max(1),
+                    encryption_threads: shield.encryption_threads.max(1),
+                    encrypt_wal: shield.encrypt_wal,
+                    ..EncryptionConfig::new(resolver)
+                };
                 let inits = config.inits.clone();
                 (env, Some(config), inits)
             }
