@@ -8,7 +8,7 @@ use std::sync::Arc;
 use shield_crypto::{Algorithm, Dek};
 use shield_env::Env;
 use shield_kds::{KdsConfig, LocalKds, ServerId};
-use shield_lsm::compaction::{CompactionExecutor, CompactionStyle};
+use shield_lsm::compaction::CompactionStyle;
 use shield_lsm::{Db, Encryption, FileStore, IntegrityOptions, Options, Result, ShieldOptions};
 
 /// The identity a system's own database opens under.
@@ -104,8 +104,6 @@ pub struct Tuning {
     /// Pre-built KDS to share with other components (e.g. an offloaded
     /// compactor); a fresh [`LocalKds`] is created when `None`.
     pub kds: Option<Arc<LocalKds>>,
-    /// Offloaded compaction executor, if any.
-    pub compaction_executor: Option<Arc<dyn CompactionExecutor>>,
 }
 
 impl Default for Tuning {
@@ -127,7 +125,6 @@ impl Default for Tuning {
             encrypt_wal: true,
             kds_config: KdsConfig::default(),
             kds: None,
-            compaction_executor: None,
         }
     }
 }
@@ -159,7 +156,6 @@ fn base_options(env: Arc<dyn Env>, tuning: &Tuning) -> Options {
     opts.compaction.universal_run_trigger = tuning.universal_run_trigger;
     opts.compaction.target_file_size = tuning.target_file_size;
     opts.compaction.fifo_max_bytes = tuning.fifo_max_bytes;
-    opts.compaction_executor = tuning.compaction_executor.clone();
     opts
 }
 

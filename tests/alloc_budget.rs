@@ -44,7 +44,7 @@ use shield_lsm::types::MAX_SEQUENCE;
 use shield_lsm::version::table_cache::{TableCache, TableSink};
 use shield_lsm::version::version::Version;
 use shield_lsm::{Integrity, IntegrityOptions, Options, ReadOptions, WriteOptions};
-use support::{Mode, Primary, Store, COMPACTOR, ENGINE_KEY, PATH};
+use support::{Mode, Primary, Store, ENGINE_KEY, PATH, PRIMARY};
 
 struct Counting;
 
@@ -389,7 +389,7 @@ const MERGE_ENTRIES: usize = 256;
 #[test]
 fn write_path_rows() {
     let store = shield_hmac(Store::new(Mode::Shield));
-    let files = store.files_for(COMPACTOR);
+    let files = store.files_for(PRIMARY);
     files.env.create_dir_all(PATH).unwrap();
     let tables = TableCache::new(files, PATH.to_string(), None, 0);
     let options = TableBuilderOptions::default();

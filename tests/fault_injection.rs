@@ -15,7 +15,7 @@ mod support;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use shield::{Encryption, ShieldOptions, DEK_CACHE_FILE};
+use shield::{Encryption, DEK_CACHE_FILE};
 use shield_crypto::{Algorithm, Dek, DekId};
 use shield_env::{Env, FaultInjectionEnv, FaultOp, FileKind, MemEnv};
 use shield_kds::{Kds, KdsError, KdsResult, KdsStats, LocalKds, SecureDekCache, ServerId};
@@ -245,7 +245,7 @@ impl Kds for FlakyKds {
 fn kds_retries_during_recovery_reach_the_listeners() {
     let kds = Arc::new(FlakyKds::default());
     let store = Store { kds: kds.clone(), local: None, ..Store::new(Mode::Shield) };
-    let identity = ShieldOptions { passkey: None, ..store.shield_options(PRIMARY) };
+    let identity = store.shield_options(PRIMARY);
     let uncached =
         |opts: Options| Options { encryption: Encryption::Shield(identity.clone()), ..opts };
     let db = store.open(uncached);

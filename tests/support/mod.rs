@@ -120,13 +120,13 @@ impl Store {
     }
 
     /// `server`'s SHIELD identity: the default options with a retry
-    /// policy short enough for outage tests. Only the primary keeps a
-    /// secure DEK cache (under "pk", in its database directory); every
-    /// other server resolves each key at the KDS, so revoking it locks
-    /// it out at once.
+    /// policy short enough for outage tests, and no secure DEK cache —
+    /// every key resolves at the KDS, so revoking it locks it out at
+    /// once. Only the primary that [`Store::open`] opens keeps a cache
+    /// (under "pk", in its database directory).
     pub fn shield_options(&self, server: ServerId) -> ShieldOptions {
         ShieldOptions {
-            passkey: (server == PRIMARY).then(|| b"pk".to_vec()),
+            passkey: None,
             retry_policy: RetryPolicy {
                 max_attempts: 3,
                 base_backoff: Duration::from_micros(100),
@@ -137,15 +137,16 @@ impl Store {
         }
     }
 
-    /// `server`'s encryption design in this store's mode: the only place
-    /// under `tests/` where a mode becomes an [`Encryption`].
-    pub fn encryption(&self, server: ServerId) -> Encryption {
+    /// This store's encryption design, with `identity` as the SHIELD
+    /// server's: the only place under `tests/` where a mode becomes an
+    /// [`Encryption`].
+    pub fn encryption(&self, identity: ShieldOptions) -> Encryption {
         match self.mode {
             Mode::Plain => Encryption::Plain,
             Mode::EncFs => {
                 Encryption::EncFs { dek: self.dek.clone(), wal_buffer_size: ENCFS_WAL_BUFFER }
             }
-            Mode::Shield => Encryption::Shield(self.shield_options(server)),
+            Mode::Shield => Encryption::Shield(identity),
         }
     }
 
@@ -157,8 +158,10 @@ impl Store {
         let (inner, counter) = (self.medium.clone(), created.clone());
         let medium = Arc::new(CreateCounter { inner, created: counter });
         let announced = Arc::new(Announced::default());
+        let passkey = Some(b"pk".to_vec());
+        let cached = ShieldOptions { passkey, ..self.shield_options(PRIMARY) };
         let opts = tune(Options {
-            encryption: self.encryption(PRIMARY),
+            encryption: self.encryption(cached),
             integrity: self.integrity,
             ..Options::new(medium)
         })
@@ -187,13 +190,10 @@ impl Store {
     /// The file layer of another server (a replica, a compactor, a table
     /// fixture) over the same medium: its own mount, in SHIELD mode its
     /// own identity at the KDS, and the deployment's integrity settings.
-    /// It keeps no secure cache unless it is the primary's identity,
-    /// whose cache lives in the database directory.
+    /// It keeps no secure cache, whatever `server` is.
     pub fn files_for(&self, server: ServerId) -> FileStore {
-        let cache_path = format!("{}/{DEK_CACHE_FILE}", self.path);
-        let encryption = self.encryption(server);
-        FileStore::new(self.medium.clone(), &encryption, &cache_path, self.integrity)
-            .expect("file layer")
+        let encryption = self.encryption(self.shield_options(server));
+        FileStore::new(self.medium.clone(), &encryption, "", self.integrity).expect("file layer")
     }
 
     /// A read-only instance under `server`'s identity, refreshed by hand
