@@ -170,14 +170,15 @@ impl Store {
         Primary { db, created, announced }
     }
 
-    /// Closes `primary` cleanly. In SHIELD mode *keys die with their
-    /// files, used or not*: what the KDS still holds, what the secure
-    /// cache still holds and the DEK-bearing files left in the directory
-    /// are the same number — no key outlives its file, none was left
-    /// behind unbound.
+    /// Closes `primary` cleanly. If it holds SHIELD keys *they die with
+    /// their files, used or not*: what the KDS still holds, what the
+    /// secure cache still holds and the DEK-bearing files left in the
+    /// directory are the same number — no key outlives its file, none
+    /// was left behind unbound.
     pub fn close(&self, primary: Primary) {
+        let keyed = primary.resolver().is_some();
         drop(primary);
-        let (Mode::Shield, Some(kds)) = (self.mode, &self.local) else { return };
+        let (true, Some(kds)) = (keyed, &self.local) else { return };
         let files = dek_files(self.medium.as_ref(), &self.path);
         let cache_path = format!("{}/{DEK_CACHE_FILE}", self.path);
         let cached = SecureDekCache::open(self.medium.clone(), &cache_path, b"pk")
